@@ -4,8 +4,8 @@
 //! Writes `BENCH_PR10.json` with:
 //!
 //! * steady-state scheduler throughput (one pop + one schedule per op) for
-//!   the timer-wheel backend against the binary-heap backend at 1k / 10k /
-//!   100k pending events, plus the wheel's speedup,
+//!   the timer-wheel `EventQueue` against its binary-heap oracle at 1k / 10k
+//!   / 100k pending events, plus the wheel's speedup,
 //! * session-store microbenches — generational slab vs `std::HashMap` for
 //!   insert/remove churn, lookup, and the per-round idle-eviction check
 //!   (O(evicted) LRU-prefix walk vs a full-map idle scan),
@@ -45,7 +45,8 @@ use splitbeam::model::SplitBeamModel;
 use splitbeam_bench::env_usize;
 use splitbeam_bench::report::{kernel_dispatch_value, object, JsonReport, JsonValue};
 use splitbeam_bench::timing::{measure_pair, num_threads};
-use splitbeam_hwsim::EventQueue;
+use splitbeam_hwsim::event::HeapEventQueue;
+use splitbeam_hwsim::{EventKey, EventQueue};
 use splitbeam_serve::{DeadlinePolicy, Fleet, FleetConfig, SessionSlab, StationId, StationSession};
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -76,8 +77,33 @@ fn ladder(max: usize) -> Vec<usize> {
 // Scheduler: wheel vs heap at a steady pending-event population.
 // ---------------------------------------------------------------------------
 
+/// The schedule/pop surface the timer wheel and its binary-heap oracle share
+/// (they are separate types with the same method names).
+trait Scheduler {
+    fn reserve(&mut self, additional: usize);
+    fn schedule(&mut self, time_ns: u64, station: u64, payload: u64) -> EventKey;
+    fn pop(&mut self) -> Option<(EventKey, u64)>;
+}
+
+macro_rules! impl_scheduler {
+    ($($queue:ty),*) => {$(
+        impl Scheduler for $queue {
+            fn reserve(&mut self, additional: usize) {
+                <$queue>::reserve(self, additional);
+            }
+            fn schedule(&mut self, time_ns: u64, station: u64, payload: u64) -> EventKey {
+                <$queue>::schedule(self, time_ns, station, payload)
+            }
+            fn pop(&mut self) -> Option<(EventKey, u64)> {
+                <$queue>::pop(self)
+            }
+        }
+    )*};
+}
+impl_scheduler!(EventQueue<u64>, HeapEventQueue<u64>);
+
 /// Prefills `queue` with `pending` events over a deterministic delay spread.
-fn prefill(queue: &mut EventQueue<u64>, pending: usize, seed: &mut u64) {
+fn prefill(queue: &mut impl Scheduler, pending: usize, seed: &mut u64) {
     queue.reserve(pending);
     for i in 0..pending {
         let delay = lcg(seed) % 40_000_000 + 1;
@@ -88,7 +114,7 @@ fn prefill(queue: &mut EventQueue<u64>, pending: usize, seed: &mut u64) {
 /// One steady-state op: pop the earliest event, reschedule one relative to
 /// its fire time. The pending population stays constant and virtual time
 /// advances, which is exactly the fleet's per-round drain/refill shape.
-fn sched_step(queue: &mut EventQueue<u64>, seed: &mut u64) {
+fn sched_step(queue: &mut impl Scheduler, seed: &mut u64) {
     let (key, payload) = queue.pop().expect("steady-state queue is non-empty");
     let delay = lcg(seed) % 40_000_000 + 1;
     queue.schedule(key.time_ns + delay, key.station, payload);
@@ -101,8 +127,8 @@ struct SchedRow {
 }
 
 fn bench_scheduler(pending: usize) -> SchedRow {
-    let mut wheel = EventQueue::<u64>::wheel();
-    let mut heap = EventQueue::<u64>::heap();
+    let mut wheel = EventQueue::<u64>::new();
+    let mut heap = HeapEventQueue::<u64>::new();
     let (mut wseed, mut hseed) = (0x5eed_0001, 0x5eed_0001);
     prefill(&mut wheel, pending, &mut wseed);
     prefill(&mut heap, pending, &mut hseed);
@@ -118,10 +144,10 @@ fn bench_scheduler(pending: usize) -> SchedRow {
 }
 
 /// Parity: an identical schedule/pop interleaving must pop identically
-/// (key *and* payload, bit for bit) from both backends.
+/// (key *and* payload, bit for bit) from the wheel and the heap oracle.
 fn scheduler_parity(events: usize) -> bool {
-    let mut wheel = EventQueue::<u64>::wheel();
-    let mut heap = EventQueue::<u64>::heap();
+    let mut wheel = EventQueue::<u64>::new();
+    let mut heap = HeapEventQueue::<u64>::new();
     let mut seed = 0xdead_beef;
     let mut popped = Vec::new();
     for i in 0..events {
@@ -129,7 +155,7 @@ fn scheduler_parity(events: usize) -> bool {
         let station = lcg(&mut seed) % 37;
         wheel.schedule(time, station, i as u64);
         heap.schedule(time, station, i as u64);
-        // Interleave pops so both backends are exercised mid-stream, not
+        // Interleave pops so both queues are exercised mid-stream, not
         // just as a terminal drain.
         if i % 3 == 2 {
             if wheel.pop() != heap.pop() {

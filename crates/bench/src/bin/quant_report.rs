@@ -116,7 +116,7 @@ fn bit_exact_under(
         serial.ingest_wire(*id, frame).expect("ingest");
     }
     batched.process_round().expect("batched round");
-    serial.process_round_serial().expect("serial round");
+    serial.close_serial(None).expect("serial round");
     let ok = frames.iter().enumerate().all(|(i, (id, _, payload))| {
         let want = expected_of(i, payload);
         batched.feedback_of(*id) == Some(want.as_slice())

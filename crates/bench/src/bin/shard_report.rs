@@ -1,6 +1,6 @@
 //! Sharded-serving benchmark: the multi-core AP serving layer under churn.
 //!
-//! Drives `splitbeam_serve::shard::ShardedApServer` over simulated sounding
+//! Drives `splitbeam_serve::ShardedApServer` over simulated sounding
 //! rounds with session churn (joins, departures, bursty drops) and writes
 //! `BENCH_PR4.json` with:
 //!

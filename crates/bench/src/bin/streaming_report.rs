@@ -41,8 +41,8 @@ use splitbeam_serve::driver::{
     ServeMode, SimConfig, SimTraffic,
 };
 use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
-use splitbeam_serve::shard::{ShardRoundStats, ShardedApServer};
 use splitbeam_serve::{EventDriver, RoundSummary, StationId};
+use splitbeam_serve::{ShardRoundStats, ShardedApServer};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 use wifi_phy::sounding::SoundingConfig;
 

@@ -191,6 +191,25 @@ impl<'a, T: Send> ParIterMut<'a, T> {
             f,
         }
     }
+
+    /// Runs `f` on every element. Allocates nothing when the work runs
+    /// serially (one thread or one element).
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn(&mut T) + Sync,
+    {
+        let n = self.slice.len();
+        let threads = current_num_threads().min(n.max(1));
+        if threads <= 1 {
+            return self.slice.iter_mut().for_each(f);
+        }
+        let f = &f;
+        std::thread::scope(|scope| {
+            for part in self.slice.chunks_mut(n.div_ceil(threads)) {
+                scope.spawn(move || part.iter_mut().for_each(f));
+            }
+        });
+    }
 }
 
 /// The result of [`ParIterMut::map`], awaiting a `collect`.
@@ -304,6 +323,13 @@ mod tests {
             .collect();
         assert_eq!(input, (1..=300).collect::<Vec<_>>());
         assert_eq!(out, (1..=300).map(|x| x * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn mut_for_each_visits_every_element() {
+        let mut input: Vec<u64> = (0..300).collect();
+        input.par_iter_mut().for_each(|x| *x += 1);
+        assert_eq!(input, (1..=300).collect::<Vec<_>>());
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   path (`server.rs`, `session.rs`, `shard.rs`, `ring.rs`, `timing.rs`,
 //!   `slab.rs`, `fleet.rs`) — a malformed frame must degrade, never abort
 //!   the shard.
+//! - **`knob-docs`**: every `"SPLITBEAM_*"` literal in non-test library code
+//!   (crate `src/` trees, not their `bin/` directories) names a variable
+//!   that has a row in README.md's knob table — a knob the product reads is
+//!   a knob a user can look up.
 //! - **`serve-unordered-map`**: no `HashMap`/`HashSet` in `splitbeam-serve`
 //!   sources — round-close and summary outputs are bit-reproducibility
 //!   contracts, and hash iteration order is a seed away from breaking them.
@@ -41,6 +45,7 @@ pub const RULE_WALL_CLOCK: &str = "wall-clock";
 pub const RULE_ENV_ACCESS: &str = "env-access";
 pub const RULE_INGEST_UNWRAP: &str = "ingest-unwrap";
 pub const RULE_SERVE_UNORDERED_MAP: &str = "serve-unordered-map";
+pub const RULE_KNOB_DOCS: &str = "knob-docs";
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK: usize = 4;
@@ -68,6 +73,10 @@ const VIRTUAL_TIME_PREFIXES: [&str; 2] =
 
 /// The one blessed site for raw `SPLITBEAM_*` env reads.
 const ENV_MODULE: &str = "crates/mimo-math/src/env.rs";
+
+/// Where the `knob-docs` rule looks the variables up. The rule is skipped
+/// when the source set carries no such file (fixture runs).
+const KNOB_TABLE_FILE: &str = "README.md";
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -187,8 +196,9 @@ impl LintReport {
 /// tests exercise exactly the production path.
 pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintReport {
     let mut raw_violations = Vec::new();
+    let knobs = documented_knobs(sources);
     for (rel, text) in sources {
-        scan_file(rel, text, &mut raw_violations);
+        scan_file(rel, text, knobs.as_deref(), &mut raw_violations);
     }
     check_crate_roots(sources, &mut raw_violations);
 
@@ -220,10 +230,18 @@ pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintRepo
     }
 }
 
-/// Walk the repo, load every non-fixture `.rs` file, and lint it.
+/// Walk the repo, load every non-fixture `.rs` file plus the knob table,
+/// and lint them.
 pub fn lint_repo(root: &Path, allow: &Allowlist) -> io::Result<LintReport> {
     let mut sources = Vec::new();
     collect_rs_files(root, root, &mut sources)?;
+    let knob_table = root.join(KNOB_TABLE_FILE);
+    if knob_table.is_file() {
+        sources.push((
+            KNOB_TABLE_FILE.to_string(),
+            std::fs::read_to_string(knob_table)?,
+        ));
+    }
     sources.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(lint_sources(&sources, allow))
 }
@@ -261,8 +279,8 @@ fn is_test_file(rel: &str) -> bool {
         || rel.contains("/benches/")
 }
 
-fn scan_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
-    if is_test_file(rel) {
+fn scan_file(rel: &str, text: &str, knobs: Option<&[&str]>, out: &mut Vec<Violation>) {
+    if is_test_file(rel) || !rel.ends_with(".rs") {
         return;
     }
     let raw: Vec<&str> = text.lines().collect();
@@ -278,6 +296,9 @@ fn scan_file(rel: &str, text: &str, out: &mut Vec<Violation>) {
         check_env_access(rel, i, &raw, code[i], out);
         check_ingest_unwrap(rel, i, raw[i], code[i], out);
         check_unordered_map(rel, i, raw[i], code[i], out);
+        if let Some(knobs) = knobs {
+            check_knob_docs(rel, i, raw[i], code[i], knobs, out);
+        }
     }
     check_safety_comments(rel, &raw, &code, &in_test, out);
 }
@@ -329,6 +350,67 @@ fn check_crate_roots(sources: &[(String, String)], out: &mut Vec<Violation>) {
             });
         }
     }
+}
+
+/// The variables with a row in the README's knob table, or `None` when the
+/// source set carries no README (the `knob-docs` rule is then skipped).
+fn documented_knobs(sources: &[(String, String)]) -> Option<Vec<&str>> {
+    let (_, readme) = sources.iter().find(|(rel, _)| rel == KNOB_TABLE_FILE)?;
+    Some(
+        readme
+            .lines()
+            .filter(|line| line.trim_start().starts_with('|'))
+            .flat_map(knob_names)
+            .collect(),
+    )
+}
+
+/// Every `"SPLITBEAM_*"` string literal in library code (a crate's `src/`
+/// tree, not its `bin/` directory) must name a documented knob.
+fn check_knob_docs(
+    rel: &str,
+    i: usize,
+    raw: &str,
+    code: &str,
+    documented: &[&str],
+    out: &mut Vec<Violation>,
+) {
+    if !rel.contains("src/") || rel.contains("/bin/") || rel.starts_with("benchmark/") {
+        return;
+    }
+    for (at, _) in raw.match_indices("\"SPLITBEAM_") {
+        // A real literal keeps its opening quote in the code view; comments
+        // and nested quotes are blanked there.
+        if code.as_bytes().get(at) != Some(&b'"') {
+            continue;
+        }
+        let Some(name) = knob_names(&raw[at..]).next() else {
+            continue;
+        };
+        if !documented.contains(&name) {
+            out.push(Violation {
+                rule: RULE_KNOB_DOCS,
+                path: rel.to_string(),
+                line: i + 1,
+                excerpt: excerpt(raw),
+                message: format!(
+                    "`{name}` is read by library code but has no row in \
+                     {KNOB_TABLE_FILE}'s knob table"
+                ),
+            });
+        }
+    }
+}
+
+/// The `SPLITBEAM_[A-Z0-9_]+` names in `text`, in order.
+fn knob_names(text: &str) -> impl Iterator<Item = &str> {
+    text.match_indices("SPLITBEAM_").map(move |(at, _)| {
+        let rest = &text[at..];
+        let end = rest
+            .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+            .unwrap_or(rest.len());
+        &rest[..end]
+    })
 }
 
 fn check_wall_clock(rel: &str, i: usize, raw: &str, code: &str, out: &mut Vec<Violation>) {

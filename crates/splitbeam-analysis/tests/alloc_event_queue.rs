@@ -3,10 +3,9 @@
 //! The timer-wheel scheduler claims zero steady-state heap traffic once its
 //! slot vectors and ready heap are warm: a sliding window of schedules and
 //! pops (the fleet's per-round pattern) must recycle slot capacity across
-//! wheel laps instead of growing it. The binary-heap backend makes the same
-//! claim once its arena is at peak size. This binary registers the counting
-//! allocator, warms both backends over the exact horizon pattern the
-//! assertion replays, then re-runs it under [`assert_no_alloc`].
+//! wheel laps instead of growing it. This binary registers the counting
+//! allocator, warms the queue over the exact horizon pattern the assertion
+//! replays, then re-runs it under [`assert_no_alloc`].
 //!
 //! One `#[test]` only: the counters are process-global and the libtest
 //! harness spawns an allocating thread per test. Run with
@@ -61,23 +60,14 @@ fn drain(queue: &mut EventQueue<u64>) -> u64 {
 fn event_queue_steady_state_is_allocation_free() {
     assert_counting();
 
-    let mut sink = 0u64;
-    for (label, mut queue) in [
-        (
-            "wheel steady-state schedule/pop",
-            EventQueue::<u64>::wheel(),
-        ),
-        ("heap steady-state schedule/pop", EventQueue::<u64>::heap()),
-    ] {
-        queue.reserve(WINDOW + 1);
-        // Warm: several laps of the sliding window so every slot vector and
-        // the ready heap reach their steady capacity.
-        sink = sink.wrapping_add(slide(&mut queue, 0, WARM_STEPS));
-        // Hot: the identical pattern, continued, must not touch the heap.
-        sink = sink.wrapping_add(assert_no_alloc(label, || {
-            slide(&mut queue, WARM_STEPS, HOT_STEPS)
-        }));
-        sink = sink.wrapping_add(drain(&mut queue));
-    }
+    let mut queue = EventQueue::<u64>::with_capacity(WINDOW + 1);
+    // Warm: several laps of the sliding window so every slot vector and the
+    // ready heap reach their steady capacity.
+    let mut sink = slide(&mut queue, 0, WARM_STEPS);
+    // Hot: the identical pattern, continued, must not touch the heap.
+    sink = sink.wrapping_add(assert_no_alloc("steady-state schedule/pop", || {
+        slide(&mut queue, WARM_STEPS, HOT_STEPS)
+    }));
+    sink = sink.wrapping_add(drain(&mut queue));
     assert_ne!(sink, 0, "the folds must observe real pops");
 }

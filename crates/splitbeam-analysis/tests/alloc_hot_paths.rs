@@ -2,15 +2,17 @@
 //!
 //! The serving stack claims zero steady-state heap traffic once its pools
 //! are warm: barrier ingest→round close, streaming ingest→micro-batch
-//! close→round close, the fused batched tail, and the int8 tail. This
+//! close→round close (each on one shard and on the 4-shard fan-out), the
+//! fused batched tail, and the int8 tail. This
 //! binary registers the counting allocator, warms each path until every
 //! arena/scratch/cache has reached its steady shape, then re-runs the same
 //! operations under [`assert_no_alloc`].
 //!
 //! One `#[test]` only: the counters are process-global and the libtest
-//! harness spawns an allocating thread per test. Run with
-//! `RAYON_NUM_THREADS=1` so the rayon shim stays serial — a `thread::scope`
-//! spawn inside a scope would be charged to the hot path.
+//! harness spawns an allocating thread per test. The test pins
+//! `RAYON_NUM_THREADS=1` before its first parallel call so the rayon shim
+//! stays serial — a `thread::scope` spawn inside a scope would be charged to
+//! the multi-shard hot path.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -54,8 +56,13 @@ fn wire_frame(model: &SplitBeamModel, seed: u64) -> Vec<u8> {
     wire::encode_feedback(&payload).unwrap()
 }
 
-fn barrier_server(model: &SplitBeamModel, weights: TailWeights, stations: u64) -> ApServer {
-    let mut server = ApServer::new();
+fn server_with(
+    model: &SplitBeamModel,
+    weights: TailWeights,
+    shards: usize,
+    stations: u64,
+) -> ApServer {
+    let mut server = ApServer::with_shards(shards);
     server.set_tail_weights(weights);
     let key = server.register_model(model.clone());
     for id in 0..stations {
@@ -64,12 +71,15 @@ fn barrier_server(model: &SplitBeamModel, weights: TailWeights, stations: u64) -
     server
 }
 
-/// Barrier serving: after warm-up rounds have sized the decode buffer, the
-/// round arena, and the tail scratch, a full ingest + round close must not
-/// touch the heap.
-fn barrier_path(model: &SplitBeamModel, weights: TailWeights, label_prefix: &str) {
-    let frames: Vec<Vec<u8>> = (0..2).map(|s| wire_frame(model, 100 + s)).collect();
-    let mut server = barrier_server(model, weights, frames.len() as u64);
+/// Barrier serving: after warm-up rounds have sized the decode buffers, the
+/// round arenas, the tail scratch and the per-shard outcome slots, a full
+/// ingest + round close must not touch the heap — on one shard and on the
+/// sharded fan-out alike.
+fn barrier_path(model: &SplitBeamModel, weights: TailWeights, shards: usize, label_prefix: &str) {
+    let frames: Vec<Vec<u8>> = (0..2 * shards as u64)
+        .map(|s| wire_frame(model, 100 + s))
+        .collect();
+    let mut server = server_with(model, weights, shards, frames.len() as u64);
     for _ in 0..WARM_ROUNDS {
         for (id, frame) in frames.iter().enumerate() {
             server.ingest_wire(id as u64, frame).unwrap();
@@ -87,11 +97,12 @@ fn barrier_path(model: &SplitBeamModel, weights: TailWeights, label_prefix: &str
     assert_eq!(summary.served, frames.len());
 }
 
-/// Streaming serving: ingest with a stamp, force a watermark micro-close,
-/// then close the round — all allocation-free once warm.
-fn streaming_path(model: &SplitBeamModel) {
+/// Streaming serving: ingest with a stamp, force a watermark micro-close on
+/// every shard, then close the round — all allocation-free once warm.
+fn streaming_path(model: &SplitBeamModel, shards: usize) {
     let frame = wire_frame(model, 200);
-    let mut server = barrier_server(model, TailWeights::F32, 1);
+    let stations = shards as u64;
+    let mut server = server_with(model, TailWeights::F32, shards, stations);
     server.set_streaming(true);
     // The default deadline policy (eq. 7d) gives each frame a 10 ms service
     // budget from its sounding birth; 20 ms rounds keep virtual time
@@ -104,24 +115,25 @@ fn streaming_path(model: &SplitBeamModel) {
             arrival_ns: base,
             ..FrameStamp::default()
         };
-        server.ingest_wire_at(0, &frame, stamp).unwrap();
-        // A watermark the frame's deadline can no longer outrun forces the
-        // micro-batch close here rather than at the round barrier.
+        for id in 0..stations {
+            server.ingest_wire_at(id, &frame, stamp).unwrap();
+        }
+        // A watermark the frames' deadline can no longer outrun forces the
+        // micro-batch closes here rather than at the round close.
         server.advance_watermark(base + budget_ns, budget_ns / 10, None);
-        let summary = server.process_round_streaming(None).unwrap();
-        assert_eq!(summary.served, 1);
-        assert_eq!(
-            server.last_micro_closes(),
-            1,
-            "watermark did not micro-close"
-        );
+        let summary = server.close(None).unwrap();
+        assert_eq!(summary.served, stations as usize);
+        for stats in server.shard_round_stats() {
+            assert_eq!(stats.micro_closes, 1, "watermark did not micro-close");
+        }
     };
     for round in 0..WARM_ROUNDS {
         run(&mut server, round);
     }
-    assert_no_alloc("streaming: ingest + watermark close + round close", || {
-        run(&mut server, WARM_ROUNDS);
-    });
+    assert_no_alloc(
+        &format!("streaming x{shards}: ingest + watermark close + round close"),
+        || run(&mut server, WARM_ROUNDS),
+    );
 }
 
 /// The fused batched tail driven directly: a reused [`TailScratch`] absorbs
@@ -157,12 +169,16 @@ fn fused_tail_path(model: &SplitBeamModel) {
 
 #[test]
 fn hot_paths_do_not_allocate_after_warmup() {
+    // The shim reads this once per process, at its first parallel call.
+    std::env::set_var("RAYON_NUM_THREADS", "1");
     assert_counting();
     let model = small_model(1);
     // Force kernel selection/autotune (which allocates probe buffers) before
     // any sentinel scope opens.
     fused_tail_path(&model);
-    barrier_path(&model, TailWeights::F32, "barrier f32");
-    barrier_path(&model, TailWeights::Int8, "barrier int8");
-    streaming_path(&model);
+    barrier_path(&model, TailWeights::F32, 1, "barrier f32");
+    barrier_path(&model, TailWeights::Int8, 1, "barrier int8");
+    barrier_path(&model, TailWeights::F32, 4, "barrier f32 x4 shards");
+    streaming_path(&model, 1);
+    streaming_path(&model, 4);
 }

@@ -5,8 +5,8 @@
 
 use splitbeam_analysis::lint::{
     format_allowlist, lint_sources, parse_allowlist, Allowlist, LintReport, RULE_DENY_UNSAFE_OP,
-    RULE_ENV_ACCESS, RULE_INGEST_UNWRAP, RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP,
-    RULE_WALL_CLOCK,
+    RULE_ENV_ACCESS, RULE_INGEST_UNWRAP, RULE_KNOB_DOCS, RULE_SAFETY_COMMENT,
+    RULE_SERVE_UNORDERED_MAP, RULE_WALL_CLOCK,
 };
 
 fn lint_one(path: &str, text: &str) -> LintReport {
@@ -166,6 +166,47 @@ fn raw_splitbeam_env_reads_are_flagged_outside_the_env_module() {
         "pub fn kernel() -> Option<String> {\n    std::env::var(\n        \"SPLITBEAM_KERNEL\",\n    ).ok()\n}\n";
     let report = lint_one("crates/splitbeam/src/model.rs", wrapped);
     assert_eq!(rules_of(&report), vec![RULE_ENV_ACCESS]);
+}
+
+#[test]
+fn library_knobs_must_have_a_readme_table_row() {
+    let readme = "# Demo\n\nProse may mention `SPLITBEAM_PROSE_ONLY` freely.\n\n\
+                  | Variable | Meaning |\n|---|---|\n| `SPLITBEAM_SHARDS` | shard count |\n";
+    let reads = |name: &str| format!("pub fn n() -> usize {{\n    parse_or(\"{name}\", 1)\n}}\n");
+    let lint = |path: &str, text: String| {
+        lint_sources(
+            &[
+                (path.to_string(), text),
+                ("README.md".to_string(), readme.to_string()),
+            ],
+            &Allowlist::default(),
+        )
+    };
+    // A documented knob is fine; an undocumented one, or one the README
+    // mentions only in prose, is flagged at the line that reads it.
+    assert!(lint("crates/demo/src/lib.rs", reads("SPLITBEAM_SHARDS")).clean());
+    for name in ["SPLITBEAM_SECRET", "SPLITBEAM_PROSE_ONLY"] {
+        let report = lint("crates/demo/src/lib.rs", reads(name));
+        assert_eq!(rules_of(&report), vec![RULE_KNOB_DOCS], "{name}");
+        assert_eq!(report.violations[0].line, 2);
+    }
+    // A documented name must match whole, not as a prefix.
+    let report = lint("crates/demo/src/lib.rs", reads("SPLITBEAM_SHARDS_MAX"));
+    assert_eq!(rules_of(&report), vec![RULE_KNOB_DOCS]);
+
+    // Binaries, tests and mentions in comments are out of scope.
+    assert!(lint("crates/demo/src/bin/tool.rs", reads("SPLITBEAM_SECRET")).clean());
+    assert!(lint("crates/demo/tests/it.rs", reads("SPLITBEAM_SECRET")).clean());
+    let commented = "// set \"SPLITBEAM_SECRET\" to taste\npub fn n() {}\n".to_string();
+    assert!(lint("crates/demo/src/lib.rs", commented).clean());
+    let in_tests = format!(
+        "#[cfg(test)]\nmod tests {{\n{}}}\n",
+        reads("SPLITBEAM_SECRET")
+    );
+    assert!(lint("crates/demo/src/lib.rs", in_tests).clean());
+
+    // Without a README in the source set the rule is skipped.
+    assert!(lint_one("crates/demo/src/lib.rs", &reads("SPLITBEAM_SECRET")).clean());
 }
 
 #[test]

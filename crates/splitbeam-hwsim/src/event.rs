@@ -9,11 +9,10 @@
 //! * an **event scheduler** ([`EventQueue`]): a priority queue with
 //!   deterministic tie-breaking by `(time, station_id, seq)` — two events
 //!   at the same instant pop in station order, two events of one station pop
-//!   in schedule order. Two backends produce that order bit-for-bit: the
-//!   default hierarchical **timer wheel** (`crate::wheel`, O(1) amortized,
-//!   built for fleet-scale event counts) and the original **binary heap**,
-//!   kept as the parity oracle. `SPLITBEAM_EVENT_QUEUE={wheel,heap}` pins the
-//!   backend process-wide,
+//!   in schedule order. It is a hierarchical **timer wheel** (`crate::wheel`,
+//!   O(1) amortized, built for fleet-scale event counts). The original
+//!   **binary heap**, which defines that order, survives as the test oracle
+//!   `HeapEventQueue` behind the `reference` feature,
 //! * **seeded jitter** ([`SeededJitter`]): per-event timing noise drawn from a
 //!   deterministic stream (`SPLITBEAM_JITTER_NS` sets the amplitude),
 //! * a **shared medium** ([`SharedMedium`]): feedback frames serialize on the
@@ -25,8 +24,6 @@
 use crate::wheel::TimerWheel;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use wifi_phy::sounding::feedback_frame_airtime_s;
 
 /// Virtual time in integer nanoseconds since simulation start.
@@ -63,57 +60,14 @@ pub struct EventKey {
     pub seq: u64,
 }
 
-/// A deterministic discrete-event scheduler over [`EventKey`]. Payloads need
+/// A deterministic discrete-event scheduler over [`EventKey`]: a hierarchical
+/// timer wheel — `O(1)` amortized schedule/pop, allocation-free in steady
+/// state once warm (pinned by the `alloc_event_queue` sentinel). Payloads need
 /// no ordering of their own.
-///
-/// Two interchangeable backends share the exact pop order:
-///
-/// * **wheel** (default): hierarchical timer wheel — `O(1)` amortized
-///   schedule/pop, allocation-free in steady state once warm. The engine the
-///   fleet layer runs on.
-/// * **heap**: the original binary min-heap — `O(log n)`, kept as the parity
-///   oracle for the wheel.
-///
-/// [`EventQueue::new`] and [`EventQueue::with_capacity`] consult the
-/// `SPLITBEAM_EVENT_QUEUE` knob (`wheel`/`heap`, anything else falls back to
-/// the wheel); [`EventQueue::heap`] and [`EventQueue::wheel`] pin a backend
-/// explicitly. Every PR 5–7 event/streaming parity suite passes bitwise under
-/// both settings.
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    backend: Backend<T>,
+    wheel: TimerWheel<T>,
     next_seq: u64,
-}
-
-#[derive(Debug, Clone)]
-enum Backend<T> {
-    Heap(BinaryHeap<Reverse<HeapEntry<T>>>),
-    // Boxed: the wheel's inline slot/bitmap arrays are ~2.5 KB, far larger
-    // than the heap variant.
-    Wheel(Box<TimerWheel<T>>),
-}
-
-#[derive(Debug, Clone)]
-struct HeapEntry<T> {
-    key: EventKey,
-    payload: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
 }
 
 impl<T> Default for EventQueue<T> {
@@ -123,56 +77,31 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// An empty queue on the backend selected by `SPLITBEAM_EVENT_QUEUE`
-    /// (defaulting to the timer wheel).
+    /// An empty queue.
     pub fn new() -> Self {
-        match mimo_math::env::raw("SPLITBEAM_EVENT_QUEUE").as_deref() {
-            Some("heap") => Self::heap(),
-            _ => Self::wheel(),
+        Self {
+            wheel: TimerWheel::new(),
+            next_seq: 0,
         }
     }
 
-    /// An empty queue pre-sized for `events` pending events, on the backend
-    /// selected by `SPLITBEAM_EVENT_QUEUE`. Pre-sizing makes steady-state
-    /// schedule→pop cycles allocation-free on both backends (pinned by the
-    /// `alloc_event_queue` sentinel).
+    /// An empty queue pre-sized for `events` pending events, so bursts up to
+    /// that size never regrow the backing storage.
     pub fn with_capacity(events: usize) -> Self {
         let mut queue = Self::new();
         queue.reserve(events);
         queue
     }
 
-    /// An empty queue pinned to the binary-heap backend (the parity oracle).
-    pub fn heap() -> Self {
-        Self {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// An empty queue pinned to the timer-wheel backend.
-    pub fn wheel() -> Self {
-        Self {
-            backend: Backend::Wheel(Box::new(TimerWheel::new())),
-            next_seq: 0,
-        }
-    }
-
     /// Reserves room for at least `additional` more pending events, so bursts
     /// up to the reserved size never regrow the backing storage.
     pub fn reserve(&mut self, additional: usize) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.reserve(additional),
-            Backend::Wheel(wheel) => wheel.reserve(additional),
-        }
+        self.wheel.reserve(additional);
     }
 
-    /// Name of the active backend (`"wheel"` or `"heap"`), for reports.
+    /// Name of the scheduler implementation, for reports.
     pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            Backend::Heap(_) => "heap",
-            Backend::Wheel(_) => "wheel",
-        }
+        "wheel"
     }
 
     /// Schedules `payload` for `station` at `time_ns`, returning the assigned
@@ -184,41 +113,126 @@ impl<T> EventQueue<T> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Reverse(HeapEntry { key, payload })),
-            Backend::Wheel(wheel) => wheel.schedule(key, payload),
-        }
+        self.wheel.schedule(key, payload);
         key
     }
 
     /// Removes and returns the earliest event (ties broken by station, then
     /// schedule order).
     pub fn pop(&mut self) -> Option<(EventKey, T)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop().map(|Reverse(e)| (e.key, e.payload)),
-            Backend::Wheel(wheel) => wheel.pop(),
-        }
+        self.wheel.pop()
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<VirtualNs> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|Reverse(e)| e.key.time_ns),
-            Backend::Wheel(wheel) => wheel.peek_time(),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.wheel.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(any(test, feature = "reference"))]
+pub use oracle::HeapEventQueue;
+
+/// The binary min-heap scheduler the timer wheel replaced, kept as the test
+/// oracle that defines [`EventQueue`]'s pop order.
+#[cfg(any(test, feature = "reference"))]
+mod oracle {
+    use super::{EventKey, VirtualNs};
+    use std::cmp::{Ordering, Reverse};
+    use std::collections::BinaryHeap;
+
+    /// `O(log n)` binary-heap scheduler with [`EventQueue`](super::EventQueue)'s
+    /// schedule/pop surface; the wheel must match its pop stream bit for bit.
+    #[derive(Debug, Clone)]
+    pub struct HeapEventQueue<T> {
+        heap: BinaryHeap<Reverse<Entry<T>>>,
+        next_seq: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    struct Entry<T> {
+        key: EventKey,
+        payload: T,
+    }
+
+    impl<T> PartialEq for Entry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl<T> Eq for Entry<T> {}
+    impl<T> PartialOrd for Entry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<T> Ord for Entry<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    impl<T> Default for HeapEventQueue<T> {
+        fn default() -> Self {
+            Self::new()
+        }
+    }
+
+    impl<T> HeapEventQueue<T> {
+        /// An empty queue.
+        pub fn new() -> Self {
+            Self {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        /// Reserves room for at least `additional` more pending events.
+        pub fn reserve(&mut self, additional: usize) {
+            self.heap.reserve(additional);
+        }
+
+        /// Schedules `payload` for `station` at `time_ns`, returning the
+        /// assigned key.
+        pub fn schedule(&mut self, time_ns: VirtualNs, station: u64, payload: T) -> EventKey {
+            let key = EventKey {
+                time_ns,
+                station,
+                seq: self.next_seq,
+            };
+            self.next_seq += 1;
+            self.heap.push(Reverse(Entry { key, payload }));
+            key
+        }
+
+        /// Removes and returns the earliest event.
+        pub fn pop(&mut self) -> Option<(EventKey, T)> {
+            self.heap.pop().map(|Reverse(e)| (e.key, e.payload))
+        }
+
+        /// Firing time of the earliest pending event.
+        pub fn peek_time(&self) -> Option<VirtualNs> {
+            self.heap.peek().map(|Reverse(e)| e.key.time_ns)
+        }
+
+        /// Number of pending events.
+        pub fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// Whether no events are pending.
+        pub fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
     }
 }
 
@@ -454,42 +468,48 @@ mod tests {
 
     #[test]
     fn queue_pops_in_time_station_seq_order() {
-        for mut q in [EventQueue::heap(), EventQueue::wheel()] {
-            q.schedule(50, 9, "late");
-            q.schedule(10, 7, "tie-station-7-first-scheduled");
-            q.schedule(10, 7, "tie-station-7-second-scheduled");
-            q.schedule(10, 3, "tie-station-3");
-            q.schedule(5, 11, "earliest");
-            assert_eq!(q.len(), 5);
-            assert_eq!(q.peek_time(), Some(5), "{}", q.backend_name());
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
-            assert_eq!(
-                order,
-                vec![
-                    "earliest",
-                    "tie-station-3",
-                    "tie-station-7-first-scheduled",
-                    "tie-station-7-second-scheduled",
-                    "late",
-                ],
-                "{}",
-                q.backend_name()
-            );
-            assert!(q.is_empty());
+        // One body for the wheel and its oracle: they share no trait, only
+        // the same method names.
+        macro_rules! check {
+            ($queue:expr, $name:literal) => {{
+                let mut q = $queue;
+                q.schedule(50, 9, "late");
+                q.schedule(10, 7, "tie-station-7-first-scheduled");
+                q.schedule(10, 7, "tie-station-7-second-scheduled");
+                q.schedule(10, 3, "tie-station-3");
+                q.schedule(5, 11, "earliest");
+                assert_eq!(q.len(), 5);
+                assert_eq!(q.peek_time(), Some(5), $name);
+                let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+                assert_eq!(
+                    order,
+                    vec![
+                        "earliest",
+                        "tie-station-3",
+                        "tie-station-7-first-scheduled",
+                        "tie-station-7-second-scheduled",
+                        "late",
+                    ],
+                    $name
+                );
+                assert!(q.is_empty());
+            }};
         }
+        check!(HeapEventQueue::new(), "heap");
+        check!(EventQueue::new(), "wheel");
     }
 
-    /// The wheel backend is the heap's bit-for-bit twin: under a seeded
+    /// The wheel is the heap oracle's bit-for-bit twin: under a seeded
     /// random interleaving of schedules and pops — deliberate (time,
     /// station) ties, spreads crossing every wheel level, and schedules
-    /// landing before an already-advanced horizon — both backends return
-    /// identical `(key, payload)` streams.
+    /// landing before an already-advanced horizon — both return identical
+    /// `(key, payload)` streams.
     #[test]
     fn wheel_and_heap_pop_identically_under_random_interleaving() {
         for seed in 0..4u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(0xEEE + seed);
-            let mut heap = EventQueue::heap();
-            let mut wheel = EventQueue::wheel();
+            let mut heap = HeapEventQueue::new();
+            let mut wheel = EventQueue::new();
             let mut popped = 0u64;
             for step in 0..4_000u64 {
                 if rng.gen_bool(0.55) || heap.is_empty() {
@@ -518,20 +538,12 @@ mod tests {
     }
 
     #[test]
-    fn backend_pin_selects_and_capacity_presizes() {
-        // `new()` honors the env pin; this test doesn't set it (the suite
-        // runs under both values in CI), it just checks the name is one of
-        // the two and `with_capacity` preserves the choice.
-        let q: EventQueue<()> = EventQueue::new();
-        let name = q.backend_name();
-        assert!(name == "wheel" || name == "heap");
-        assert_eq!(EventQueue::<()>::with_capacity(1024).backend_name(), name);
-        assert_eq!(EventQueue::<()>::heap().backend_name(), "heap");
-        assert_eq!(EventQueue::<()>::wheel().backend_name(), "wheel");
-        let mut pinned: EventQueue<u8> = EventQueue::wheel();
-        pinned.reserve(128);
-        pinned.schedule(3, 0, 1);
-        assert_eq!(pinned.pop().map(|(_, p)| p), Some(1));
+    fn capacity_presizes_and_the_backend_is_the_wheel() {
+        assert_eq!(EventQueue::<()>::new().backend_name(), "wheel");
+        let mut sized: EventQueue<u8> = EventQueue::with_capacity(1024);
+        sized.reserve(128);
+        sized.schedule(3, 0, 1);
+        assert_eq!(sized.pop().map(|(_, p)| p), Some(1));
     }
 
     #[test]

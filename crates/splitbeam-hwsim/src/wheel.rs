@@ -1,5 +1,5 @@
-//! Hierarchical timer wheel over [`VirtualNs`] — the fleet-scale event
-//! scheduler backend.
+//! Hierarchical timer wheel over [`VirtualNs`] — the event scheduler behind
+//! [`EventQueue`](crate::event::EventQueue).
 //!
 //! A binary heap pays `O(log n)` per operation with `n` pointer-chasing
 //! comparisons; at fleet scale (millions of in-flight frame events) that is
@@ -11,7 +11,7 @@
 //! # Determinism contract
 //!
 //! The wheel preserves the documented `(time_ns, station, seq)` pop order of
-//! the heap backend **bit-for-bit**:
+//! the binary-heap oracle (`HeapEventQueue`) **bit-for-bit**:
 //!
 //! * Every event whose tick is at or before the wheel's current horizon sits
 //!   in a small `ready` min-heap ordered by the full [`EventKey`] — same-tick

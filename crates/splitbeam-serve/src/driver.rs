@@ -4,9 +4,8 @@
 //! work (channel estimation → head compression → quantization → wire encoding)
 //! happens in [`generate_traffic`] ahead of time, and the AP-side serving path
 //! ([`serve_traffic`]) consumes only wire frames — so benchmarks can time the
-//! server in isolation and compare the coalesced batched path, the
-//! station-at-a-time reference and the sharded parallel path on identical
-//! traffic.
+//! server in isolation and compare shard counts, lockstep against streaming
+//! closes, and the station-at-a-time oracle on identical traffic.
 //!
 //! Traffic can include **session churn**: stations joining mid-run, stations
 //! leaving, and bursty rounds where half the fleet drops its report at once
@@ -16,7 +15,6 @@
 
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
-use crate::shard::ShardedApServer;
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use rand::Rng;
@@ -260,22 +258,20 @@ pub fn generate_traffic(cfg: &SimConfig, model: &SplitBeamModel, rng: &mut impl 
 /// How [`serve_traffic`] closes each round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Coalesced: one batched tail inference per model per round (parallel
-    /// across shards on a [`ShardedApServer`]).
+    /// Coalesced: one fused batched tail inference per model per shard,
+    /// shards in parallel. Whether the round closes under the barrier or
+    /// through streaming micro-batches is a state of the server
+    /// ([`StreamServing::set_streaming`]), not of the close call.
     Batched,
-    /// Reference: one tail inference per station (sequential across shards).
+    /// Test oracle: one unfused tail inference per station.
+    #[cfg(any(test, feature = "reference"))]
     Serial,
-    /// Streaming: no round barrier — frames queue on per-shard rings and
-    /// shards micro-close on deadline watermarks; the round close only
-    /// flushes what watermarks have not already served. With no intermediate
-    /// watermark fired this degenerates bit-exactly to [`ServeMode::Batched`].
-    Streaming,
 }
 
-/// Anything that can replay driver traffic: the single-shard [`ApServer`]
-/// and the parallel [`ShardedApServer`]. The trait is the seam that lets one
-/// `serve_traffic` implementation drive (and cross-compare) every server
-/// flavor on identical workloads.
+/// Anything that can replay driver traffic: the [`ApServer`] itself and the
+/// [`crate::event::EventDriver`] layered on top of it. The trait is the seam
+/// that lets one `serve_traffic` implementation drive (and cross-compare)
+/// lockstep and event-driven serving on identical workloads.
 pub trait RoundServing {
     /// Associates a station (see [`ApServer::register_station`]).
     ///
@@ -334,21 +330,18 @@ pub trait RoundServing {
         policy: DeadlinePolicy,
     ) -> Result<RoundSummary, ServeError>;
 
-    /// Stations evicted by the most recent round close (`0` for servers
-    /// without an idle-eviction policy).
-    fn evicted_in_last_round(&self) -> usize {
-        0
-    }
+    /// Stations evicted by the most recent round close.
+    fn evicted_in_last_round(&self) -> usize;
 
     /// The latest reconstructed feedback of station `id`.
     fn feedback_of(&self, id: StationId) -> Option<&[f32]>;
 }
 
-/// The streaming extension of [`RoundServing`]: servers whose ingest can
-/// enqueue onto bounded per-shard rings and whose rounds can close through
-/// watermark-driven micro-batches instead of a global barrier. Implemented by
-/// both server flavors, so the event-driven driver can run every flavor in
-/// streaming mode through one code path.
+/// The streaming extension of [`RoundServing`]: a server whose ingest can
+/// queue on bounded per-shard rings and whose rounds then close through
+/// watermark-driven micro-batches instead of a global barrier. The round
+/// close itself is still [`RoundServing::close_round`] — it flushes whatever
+/// the watermarks have not already served.
 pub trait StreamServing: RoundServing {
     /// Switches between lockstep and streaming ingest. Only toggle while
     /// quiescent (no frames queued or pending).
@@ -365,17 +358,20 @@ pub trait StreamServing: RoundServing {
         step_ns: u64,
         policy: Option<DeadlinePolicy>,
     );
+}
 
-    /// Closes the current round in streaming mode: flushes queued frames,
-    /// serves whatever the watermarks have not already micro-closed, and
-    /// folds the micro-batch accounting into one round summary.
-    ///
-    /// # Errors
-    /// Same contract as [`RoundServing::close_round`].
-    fn finalize_stream_round(
+impl ApServer {
+    fn close_in_mode(
         &mut self,
+        mode: ServeMode,
         policy: Option<DeadlinePolicy>,
-    ) -> Result<RoundSummary, ServeError>;
+    ) -> Result<RoundSummary, ServeError> {
+        match mode {
+            ServeMode::Batched => self.close(policy),
+            #[cfg(any(test, feature = "reference"))]
+            ServeMode::Serial => self.close_serial(policy),
+        }
+    }
 }
 
 impl RoundServing for ApServer {
@@ -410,11 +406,7 @@ impl RoundServing for ApServer {
     }
 
     fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self.process_round(),
-            ServeMode::Serial => self.process_round_serial(),
-            ServeMode::Streaming => self.process_round_streaming(None),
-        }
+        self.close_in_mode(mode, None)
     }
 
     fn close_round_deadline(
@@ -422,11 +414,11 @@ impl RoundServing for ApServer {
         mode: ServeMode,
         policy: DeadlinePolicy,
     ) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self.process_round_deadline(policy),
-            ServeMode::Serial => self.process_round_serial_deadline(policy),
-            ServeMode::Streaming => self.process_round_streaming(Some(policy)),
-        }
+        self.close_in_mode(mode, Some(policy))
+    }
+
+    fn evicted_in_last_round(&self) -> usize {
+        ApServer::evicted_in_last_round(self)
     }
 
     fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
@@ -447,122 +439,19 @@ impl StreamServing for ApServer {
     ) {
         ApServer::advance_watermark(self, watermark_ns, step_ns, policy);
     }
-
-    fn finalize_stream_round(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<RoundSummary, ServeError> {
-        self.process_round_streaming(policy)
-    }
 }
 
-impl RoundServing for ShardedApServer {
-    fn register_station(
-        &mut self,
-        id: StationId,
-        model_key: usize,
-        bits_per_value: u8,
-    ) -> Result<(), ServeError> {
-        ShardedApServer::register_station(self, id, model_key, bits_per_value)
-    }
-
-    fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        ShardedApServer::deregister_station(self, id)
-    }
-
-    fn is_registered(&self, id: StationId) -> bool {
-        self.session(id).is_some()
-    }
-
-    fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-        ShardedApServer::ingest_wire(self, id, frame)
-    }
-
-    fn ingest_wire_at(
-        &mut self,
-        id: StationId,
-        frame: &[u8],
-        stamp: FrameStamp,
-    ) -> Result<usize, ServeError> {
-        ShardedApServer::ingest_wire_at(self, id, frame, stamp)
-    }
-
-    fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self.process_round().map(|s| s.as_round_summary()),
-            ServeMode::Serial => self.process_round_serial().map(|s| s.as_round_summary()),
-            ServeMode::Streaming => {
-                ShardedApServer::finalize_stream_round(self, None).map(|s| s.as_round_summary())
-            }
-        }
-    }
-
-    fn close_round_deadline(
-        &mut self,
-        mode: ServeMode,
-        policy: DeadlinePolicy,
-    ) -> Result<RoundSummary, ServeError> {
-        match mode {
-            ServeMode::Batched => self
-                .process_round_deadline(policy)
-                .map(|s| s.as_round_summary()),
-            ServeMode::Serial => self
-                .process_round_serial_deadline(policy)
-                .map(|s| s.as_round_summary()),
-            ServeMode::Streaming => ShardedApServer::finalize_stream_round(self, Some(policy))
-                .map(|s| s.as_round_summary()),
-        }
-    }
-
-    fn evicted_in_last_round(&self) -> usize {
-        ShardedApServer::evicted_in_last_round(self)
-    }
-
-    fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        ShardedApServer::feedback_of(self, id)
-    }
-}
-
-impl StreamServing for ShardedApServer {
-    fn set_streaming(&mut self, on: bool) {
-        ShardedApServer::set_streaming(self, on);
-    }
-
-    fn advance_watermark(
-        &mut self,
-        watermark_ns: u64,
-        step_ns: u64,
-        policy: Option<DeadlinePolicy>,
-    ) {
-        ShardedApServer::advance_watermark(self, watermark_ns, step_ns, policy);
-    }
-
-    fn finalize_stream_round(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<RoundSummary, ServeError> {
-        ShardedApServer::finalize_stream_round(self, policy).map(|s| s.as_round_summary())
-    }
-}
-
-/// Builds a single-shard server with `model` registered and stations
+/// Builds a one-shard server with `model` registered and stations
 /// `0..stations` associated at `bits_per_value` bits.
 ///
 /// # Panics
 /// Panics on invalid `bits_per_value` (registration is infallible otherwise).
 pub fn build_server(model: SplitBeamModel, stations: usize, bits_per_value: u8) -> ApServer {
-    let mut server = ApServer::new();
-    let key = server.register_model(model);
-    for id in 0..stations as StationId {
-        server
-            .register_station(id, key, bits_per_value)
-            .expect("fresh server accepts fleet registration");
-    }
-    server
+    build_sharded_server(model, stations, bits_per_value, 1)
 }
 
-/// Builds a sharded server with `num_shards` shards, `model` registered and
-/// stations `0..stations` associated at `bits_per_value` bits.
+/// Builds a server with `num_shards` shards, `model` registered and stations
+/// `0..stations` associated at `bits_per_value` bits.
 ///
 /// # Panics
 /// Panics on invalid `bits_per_value` (registration is infallible otherwise).
@@ -571,8 +460,8 @@ pub fn build_sharded_server(
     stations: usize,
     bits_per_value: u8,
     num_shards: usize,
-) -> ShardedApServer {
-    let mut server = ShardedApServer::new(num_shards);
+) -> ApServer {
+    let mut server = ApServer::with_shards(num_shards);
     let key = server.register_model(model);
     for id in 0..stations as StationId {
         server
@@ -594,8 +483,8 @@ pub struct ServeOutcome {
     /// Frames from unknown stations that triggered a clean re-association
     /// (the station was evicted, then transmitted again).
     pub reassociations: usize,
-    /// Stations evicted across all rounds (always `0` for servers without an
-    /// idle-eviction policy).
+    /// Stations evicted across all rounds (`0` unless the server has an idle
+    /// budget).
     pub evictions: usize,
 }
 
@@ -793,88 +682,6 @@ mod tests {
             .any(|r| r.frames.iter().any(|(id, f)| *id == 4 && f.is_some())));
         assert_eq!(traffic.max_station_id, 6);
         assert_eq!(traffic.final_csi.len(), 6);
-    }
-
-    /// Satellite determinism test: the serving layer's batched reconstruction
-    /// matches station-at-a-time reconstruction exactly, over multiple rounds
-    /// with drops and churn.
-    #[test]
-    fn batched_serving_is_bit_exact_with_serial() {
-        let model = trained_free_model(3);
-        let cfg = SimConfig {
-            stations: 6,
-            rounds: 4,
-            bits_per_value: 4,
-            drop_every: 7,
-            churn: ChurnConfig {
-                join_every: 2,
-                leave_every: 3,
-                burst_every: 0,
-            },
-            ..SimConfig::default()
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let traffic = generate_traffic(&cfg, &model, &mut rng);
-        let mut batched = build_server(model.clone(), cfg.stations, cfg.bits_per_value);
-        let mut serial = build_server(model, cfg.stations, cfg.bits_per_value);
-        let b = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-        let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
-        assert_eq!(b, s);
-        assert_eq!(b.joins, traffic.total_joins());
-        assert_eq!(b.leaves, traffic.total_leaves());
-        for id in 0..traffic.max_station_id {
-            assert_eq!(
-                batched.feedback_of(id),
-                serial.feedback_of(id),
-                "station {id} batched vs serial"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_serving_is_bit_exact_with_single_shard() {
-        let model = trained_free_model(7);
-        let cfg = SimConfig {
-            stations: 6,
-            rounds: 4,
-            bits_per_value: 5,
-            drop_every: 5,
-            churn: ChurnConfig {
-                join_every: 2,
-                leave_every: 2,
-                burst_every: 3,
-            },
-            ..SimConfig::default()
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        let traffic = generate_traffic(&cfg, &model, &mut rng);
-        let mut single = build_server(model.clone(), cfg.stations, cfg.bits_per_value);
-        let reference = serve_traffic(&mut single, &traffic, ServeMode::Batched).unwrap();
-        for shards in [1usize, 2, 4, 7] {
-            let mut sharded =
-                build_sharded_server(model.clone(), cfg.stations, cfg.bits_per_value, shards);
-            let outcome = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
-            assert_eq!(outcome.total_served(), reference.total_served());
-            for (got, want) in outcome.summaries.iter().zip(reference.summaries.iter()) {
-                assert_eq!(
-                    (got.round, got.served, got.stale, got.awaiting_first_report),
-                    (
-                        want.round,
-                        want.served,
-                        want.stale,
-                        want.awaiting_first_report
-                    ),
-                    "{shards} shards"
-                );
-            }
-            for id in 0..traffic.max_station_id {
-                assert_eq!(
-                    sharded.feedback_of(id),
-                    single.feedback_of(id),
-                    "{shards} shards, station {id}"
-                );
-            }
-        }
     }
 
     #[test]

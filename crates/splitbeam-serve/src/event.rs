@@ -8,7 +8,7 @@
 //! 2. its head compute time (drawn from the
 //!    [`AcceleratorModel`](splitbeam_hwsim::accelerator::AcceleratorModel))
 //!    plus seeded jitter delays the report,
-//! 3. the report is offered to the **shared medium** through a binary-heap
+//! 3. the report is offered to the **shared medium** through the timer-wheel
 //!    event queue with deterministic `(offer time, station, seq)`
 //!    tie-breaking — frames serialize one at a time in physical ready order,
 //!    each charged through the same per-frame airtime primitive the
@@ -16,20 +16,24 @@
 //!    (header included) — so a crowded round *queues*,
 //! 4. each granted frame is ingested into the inner server **timestamped**
 //!    with its full head/queue/air/tail breakdown,
-//! 5. the round close enforces the Eq. 7d deadline: the inner server's
-//!    deadline-aware closer classifies every report on-time / late-but-usable
-//!    / past-budget from its stamp.
+//! 5. the round close enforces the Eq. 7d deadline: the inner server's close
+//!    classifies every report on-time / late-but-usable / past-budget from
+//!    its stamp.
 //!
-//! The lockstep drivers are recovered as the degenerate case: with zero
-//! jitter, zero compute latency, an ideal medium and zero phase stagger
+//! With [`EventConfig::streaming`] the inner server ingests onto its shards'
+//! rings and the drain interleaves deadline watermarks into the event order,
+//! so shards micro-close mid-round; the round close is the same call either
+//! way.
+//!
+//! Lockstep serving is recovered as the degenerate case: with zero jitter,
+//! zero compute latency, an ideal medium and zero phase stagger
 //! ([`EventConfig::lockstep`]), every stamp is all-zero, every report is
-//! on-time, and the driver is **bit-exact** with `ApServer` /
-//! `ShardedApServer` serving — the refactor's correctness anchor.
+//! on-time, and the driver is **bit-exact** with bare [`ApServer`] serving —
+//! the correctness anchor.
 
 use crate::driver::{RoundServing, ServeMode, StreamServing};
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
-use crate::shard::ShardedApServer;
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use splitbeam::model::SplitBeamModel;
@@ -81,8 +85,7 @@ pub struct EventConfig {
     /// Serve through streaming micro-batch closes instead of the round
     /// barrier: arrivals enqueue on the inner server's per-shard rings, the
     /// drain fires deadline watermarks, and the round close only flushes what
-    /// the watermarks have not already served. Equivalent to closing every
-    /// round with [`ServeMode::Streaming`].
+    /// the watermarks have not already served.
     pub streaming: bool,
     /// Watermark cadence in virtual ns for streaming closes; `0` means one
     /// watermark per sounding interval (the coarsest — and degenerate —
@@ -236,6 +239,9 @@ pub struct EventDriver<S> {
     round_lost: usize,
     /// Retransmissions scheduled during the most recent drain.
     round_retransmitted: usize,
+    /// Reports ingested this round whose offer instant saturated
+    /// [`VirtualNs`]; the close counts them expired.
+    round_unreachable: usize,
     /// Stamps of every report delivered by the most recent round close —
     /// including reports the deadline closer then expired — for
     /// delay-distribution observers (percentiles must not censor the tail).
@@ -263,6 +269,7 @@ impl<S: StreamServing> EventDriver<S> {
             injector: FaultInjector::new(cfg.faults, cfg.seed ^ 0xfa17_1e55_0b5e_55ed),
             round_lost: 0,
             round_retransmitted: 0,
+            round_unreachable: 0,
             last_round_stamps: Vec::new(),
             cfg,
         }
@@ -355,9 +362,18 @@ impl<S: StreamServing> EventDriver<S> {
     /// Virtual sounding instant of station `id` for the current round: the
     /// most recent cadence boundary, plus the station's phase offset.
     fn sound_ns(&self, id: StationId, profile: &StationProfile) -> VirtualNs {
-        let interval = self.cfg.interval_ns();
         let cadence_round = self.round - self.round % profile.cadence;
-        cadence_round * interval + id * self.cfg.phase_step_ns
+        self.poll_ns(cadence_round, id)
+    }
+
+    /// When round `round` polls station `id`: the round's nominal start plus
+    /// the station's phase offset. Station ids are arbitrary caller-chosen
+    /// `u64`s, so the arithmetic saturates: a sparse id lands on
+    /// `VirtualNs::MAX`, which [`EventDriver::ingest_wire`] treats as "never".
+    fn poll_ns(&self, round: u64, id: StationId) -> VirtualNs {
+        round
+            .saturating_mul(self.cfg.interval_ns())
+            .saturating_add(id.saturating_mul(self.cfg.phase_step_ns))
     }
 
     /// Deadline of the round being collected: its nominal start plus the
@@ -578,9 +594,16 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
         // transmit before this round polls the station; a slow-cadence
         // station's report therefore queues for whole intervals, and that age
         // counts against the Eq. 7d budget like any other queueing.
-        let ready_ns = sound_ns + head_ns;
-        let poll_ns = self.round * self.cfg.interval_ns() + id * self.cfg.phase_step_ns;
-        let offered_ns = ready_ns.max(poll_ns);
+        let ready_ns = sound_ns.saturating_add(head_ns);
+        let offered_ns = ready_ns.max(self.poll_ns(self.round, id));
+        if offered_ns == VirtualNs::MAX {
+            // The offer instant saturated: the report never becomes ready
+            // within virtual time. It stays off the medium (whose clock it
+            // would pin at the end of time for every later frame) and is
+            // consumed at the close as expired.
+            self.round_unreachable += 1;
+            return Ok(frame.len());
+        }
         let mut frame = frame.to_vec();
         // Under an active fault model every transmission is sequenced (first
         // attempt = 1), so the AP can suppress injected duplicates and tell
@@ -634,24 +657,21 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
         // inner close always runs, so one bad frame cannot leave stale
         // arrivals queued for the next round. The first ingest error (it
         // happened before the close) takes precedence in the result.
-        let streaming = mode == ServeMode::Streaming || self.cfg.streaming;
-        let watermarks = streaming.then(|| {
+        let watermarks = self.cfg.streaming.then(|| {
             let step = self.cfg.watermark_step_ns();
             let start = self.round * self.cfg.interval_ns();
             (WatermarkClock::new(start + step, step), policy)
         });
         let ingest_error = self.deliver_arrivals(watermarks);
         self.round += 1;
-        let closed = if streaming {
-            self.inner.finalize_stream_round(Some(policy))
-        } else {
-            self.inner.close_round_deadline(mode, policy)
-        };
+        let closed = self.inner.close_round_deadline(mode, policy);
+        let unreachable = std::mem::take(&mut self.round_unreachable);
         match ingest_error {
             Some(e) => Err(e),
             None => closed.map(|mut summary| {
                 summary.lost = self.round_lost;
                 summary.retransmitted = self.round_retransmitted;
+                summary.expired += unreachable;
                 summary
             }),
         }
@@ -666,24 +686,7 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
     }
 }
 
-/// Computes the model's head/tail latency on `accel` and binds it to `key`;
-/// `None` binds zero compute latency (the lockstep degenerate case).
-fn bind_accel<S: StreamServing>(
-    driver: &mut EventDriver<S>,
-    key: usize,
-    model: &SplitBeamModel,
-    accel: Option<&AcceleratorModel>,
-) {
-    match accel {
-        Some(accel) => {
-            let latency = accel.split_latency_from_config(model.config());
-            driver.bind_model_latency(key, latency.head_s, latency.tail_s);
-        }
-        None => driver.bind_model_latency(key, 0.0, 0.0),
-    }
-}
-
-/// Builds an event driver over a single-shard [`ApServer`] with `model`
+/// Builds an event driver over a one-shard [`ApServer`] with `model`
 /// registered, stations `0..stations` associated at `bits_per_value` bits,
 /// and the model's compute latency drawn from `accel` (zero when `None`).
 ///
@@ -696,20 +699,11 @@ pub fn build_event_driver(
     cfg: EventConfig,
     accel: Option<&AcceleratorModel>,
 ) -> EventDriver<ApServer> {
-    let mut server = ApServer::new();
-    let key = server.register_model(model.clone());
-    let mut driver = EventDriver::over(server, cfg);
-    bind_accel(&mut driver, key, &model, accel);
-    for id in 0..stations as StationId {
-        driver
-            .register_station(id, key, bits_per_value)
-            .expect("fresh server accepts fleet registration");
-    }
-    driver
+    build_sharded_event_driver(model, stations, bits_per_value, 1, cfg, accel)
 }
 
-/// Builds an event driver over a [`ShardedApServer`] with `num_shards`
-/// shards — the event clock is global, the round close fans out per shard.
+/// Builds an event driver over an [`ApServer`] with `num_shards` shards —
+/// the event clock is global, the round close fans out per shard.
 ///
 /// # Panics
 /// Panics on invalid `bits_per_value` (registration is infallible otherwise).
@@ -720,11 +714,15 @@ pub fn build_sharded_event_driver(
     num_shards: usize,
     cfg: EventConfig,
     accel: Option<&AcceleratorModel>,
-) -> EventDriver<ShardedApServer> {
-    let mut server = ShardedApServer::new(num_shards);
+) -> EventDriver<ApServer> {
+    let mut server = ApServer::with_shards(num_shards);
     let key = server.register_model(model.clone());
     let mut driver = EventDriver::over(server, cfg);
-    bind_accel(&mut driver, key, &model, accel);
+    // No accelerator binds zero compute latency (the lockstep degenerate case).
+    if let Some(accel) = accel {
+        let latency = accel.split_latency_from_config(model.config());
+        driver.bind_model_latency(key, latency.head_s, latency.tail_s);
+    }
     for id in 0..stations as StationId {
         driver
             .register_station(id, key, bits_per_value)
@@ -951,6 +949,61 @@ mod tests {
             traffic.total_frames(),
             "only the original transmissions touch the medium"
         );
+    }
+
+    /// `StationId` is an arbitrary caller-chosen `u64`: a sparse id times a
+    /// non-zero phase step must saturate, not panic (debug) or wrap into a
+    /// garbage small instant (release). The report that can never be offered
+    /// is expired — never served off a wrapped stamp — and neither the
+    /// virtual clock nor the other stations notice.
+    #[test]
+    fn sparse_station_id_saturates_instead_of_wrapping() {
+        let m = model(15);
+        let cfg = SimConfig {
+            stations: 2,
+            rounds: 3,
+            bits_per_value: 4,
+            drop_every: 0,
+            ..SimConfig::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let traffic = generate_traffic(&cfg, &m, &mut rng);
+        let mut event = build_event_driver(
+            m,
+            cfg.stations,
+            cfg.bits_per_value,
+            EventConfig {
+                phase_step_ns: 1_000,
+                feedback_rate_mbps: Some(24.0),
+                ..EventConfig::lockstep()
+            },
+            None,
+        );
+        let sparse: StationId = u64::MAX / 2;
+        event
+            .register_station(sparse, 0, cfg.bits_per_value)
+            .unwrap();
+        let mut last_now = 0;
+        for round in &traffic.rounds {
+            for (id, frame) in &round.frames {
+                let frame = frame.as_ref().unwrap();
+                event.ingest_wire(*id, frame).unwrap();
+                if *id == 0 {
+                    event.ingest_wire(sparse, frame).unwrap();
+                }
+            }
+            let summary = event.close_round(ServeMode::Batched).unwrap();
+            assert_eq!((summary.served, summary.on_time), (2, 2));
+            assert_eq!((summary.late, summary.expired), (0, 1));
+            let now = event.virtual_now_ns();
+            assert!(
+                last_now < now && now < s_to_ns(1.0),
+                "clock must stay monotone and finite: {last_now} -> {now}"
+            );
+            last_now = now;
+        }
+        assert!(event.feedback_of(sparse).is_none());
+        assert_eq!(event.pending_events(), 0);
     }
 
     #[test]

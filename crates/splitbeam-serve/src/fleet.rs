@@ -1,7 +1,7 @@
 //! Multi-AP fleet serving: N access points on one event engine.
 //!
-//! ROADMAP item 1 asks for fleet scale — many [`ApServer`]s serving 100k+
-//! concurrent sessions. This module provides the orchestration layer:
+//! Fleet scale — many [`ApServer`]s serving 100k+ concurrent sessions — needs
+//! an orchestration layer above the single server:
 //!
 //! * **one event queue for the whole fleet**: every station's frame offer is
 //!   an event on a single [`EventQueue`] (the timer-wheel engine), drained in
@@ -301,8 +301,11 @@ impl Fleet {
     /// the deadline policy, and settles handoff latencies.
     ///
     /// # Errors
-    /// The first AP round-close error (in AP order); ingest rejections
-    /// (quarantine, corruption) are counted, not raised.
+    /// The first AP round-close error (in AP order). The fleet round is
+    /// **partial, not voided**: every AP still closed, the fleet round and
+    /// clock advanced, and the fleet-lifetime counters include what the other
+    /// APs served. Ingest rejections (quarantine, corruption) are counted,
+    /// not raised.
     pub fn close_round(&mut self) -> Result<FleetRoundSummary, ServeError> {
         while let Some((key, offer)) = self.queue.pop() {
             let id = key.station;
@@ -327,12 +330,14 @@ impl Fleet {
         }
         let closed_round = self.round;
         let mut per_ap = Vec::with_capacity(self.aps.len());
+        let mut first_error = None;
         for ap in &mut self.aps {
-            let summary = match self.cfg.policy {
-                Some(policy) => ap.process_round_deadline(policy)?,
-                None => ap.process_round()?,
-            };
-            per_ap.push(summary);
+            match ap.close(self.cfg.policy) {
+                Ok(summary) => per_ap.push(summary),
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
         }
         self.round += 1;
         self.now_ns += self.cfg.round_ns;
@@ -383,7 +388,7 @@ impl Fleet {
         self.on_time += summary.on_time as u64;
         self.late += summary.late as u64;
         self.expired += summary.expired as u64;
-        Ok(summary)
+        first_error.map_or(Ok(summary), Err)
     }
 
     /// Fleet-lifetime aggregates.
@@ -541,6 +546,55 @@ mod tests {
         assert_eq!(stats.handoffs_settled, 1);
         // Settled at the end of the round that first served it post-handoff.
         assert!(stats.mean_handoff_latency_ns > 0.0);
+    }
+
+    /// One AP's failed batch must not stall the fleet: every AP still closes,
+    /// the fleet round and clock advance, and the first error (in AP order)
+    /// is what the close returns.
+    #[test]
+    fn failed_ap_close_still_closes_every_ap_and_advances_the_fleet() {
+        let m = model(13);
+        let mut fleet = Fleet::new(FleetConfig {
+            aps: 3,
+            channels: 3,
+            jitter_ns: 0,
+            ..FleetConfig::default()
+        });
+        let key = fleet.register_model(&m);
+        for id in 0..3u64 {
+            fleet.register_station(id, id as usize, key, 4).unwrap();
+        }
+        fleet.offer_frame(0, station_frame(&m, 30, 4)).unwrap();
+        fleet.offer_frame(2, station_frame(&m, 32, 4)).unwrap();
+        // AP 1's station ingests directly, then its validated payload is
+        // damaged so AP 1's batch fails at reconstruction time.
+        fleet.aps[1]
+            .ingest_wire(1, &station_frame(&m, 31, 4))
+            .unwrap();
+        fleet.aps[1].truncate_pending_payload(1);
+
+        assert!(matches!(fleet.close_round(), Err(ServeError::Model(_))));
+        // The fleet advanced in step with every AP, including those after
+        // the failing one, and nobody holds a stale pending frame.
+        assert_eq!(fleet.current_round(), 1);
+        assert_eq!(fleet.now_ns(), fleet.cfg.round_ns);
+        for ap in &fleet.aps {
+            assert_eq!(ap.current_round(), 1);
+            assert_eq!(ap.pending_count(), 0);
+        }
+        assert!(fleet.feedback_of(0).is_some());
+        assert!(fleet.feedback_of(1).is_none());
+        assert!(fleet.feedback_of(2).is_some());
+        assert_eq!(fleet.stats().served, 2);
+
+        // The next round is a normal one for all three APs.
+        for id in 0..3u64 {
+            fleet
+                .offer_frame(id, station_frame(&m, 40 + id, 4))
+                .unwrap();
+        }
+        let summary = fleet.close_round().unwrap();
+        assert_eq!((summary.round, summary.served), (1, 3));
     }
 
     #[test]

@@ -6,31 +6,43 @@
 //! crate turns the batched kernels of `splitbeam`/`neural` into that service:
 //!
 //! * [`session`] — per-station state: model binding, quantizer width, the last
-//!   reconstructed `V̂` and its age in sounding rounds,
-//! * [`server`] — the [`ApServer`]: ingests bit-packed wire frames
-//!   ([`splitbeam::wire`]), coalesces everything pending into one batched tail
-//!   inference per model at round boundaries (bit-exact with serving each
-//!   station alone), and groups fresh stations into `Nt`-sized MU-MIMO groups
-//!   for the zero-forcing precoder,
-//! * [`shard`] — the [`ShardedApServer`]: partitions sessions across `N`
-//!   shards (deterministic `id % N` mapping), closes every shard's round in
-//!   parallel — bit-exact with the single-shard batched path and the serial
-//!   reference — and owns session lifecycle: capacity caps, idle eviction and
-//!   clean re-registration,
-//! * [`driver`] — a simulated multi-station sounding-round driver: station-side
-//!   compress → quantize → wire-encode traffic generation (including session
-//!   churn: joins, departures, bursty drops), AP-side serving in batched,
-//!   station-at-a-time or sharded mode, and the end-to-end
-//!   `simulate_mu_mimo_ber` link check over the served feedback,
+//!   reconstructed `V̂` and its age in sounding rounds, health and pending
+//!   payload; [`slab`] — the generational store that holds the sessions,
+//! * [`server`] — the one server type, [`ApServer`]: station sessions
+//!   partitioned over `N` shards (`id % N`; `ApServer::new()` is one shard,
+//!   `ApServer::with_shards(n)` is `n`), wire ingest ([`splitbeam::wire`]),
+//!   session lifecycle (capacity cap, idle eviction, clean re-registration,
+//!   warm handoff) and MU-MIMO grouping of fresh stations for the
+//!   zero-forcing precoder. Each shard owns a session slab, a round arena and
+//!   a streaming lane ([`ring`]) and carries the **single round close**:
+//!   flush the lane → one fused batched tail inference per model over what
+//!   is pending → fold in the round's watermark micro-closes → once-per-round
+//!   health pass. `ApServer::close(policy)` runs it on every shard in
+//!   parallel; "no deadline" is `None`, and a barrier round is a close on an
+//!   empty lane. Streaming (ring ingest, watermark micro-closes, per-shard
+//!   stall accounting) is a server state, `ApServer::set_streaming`,
 //! * [`timing`] — virtual-time frame stamps ([`FrameStamp`]) and the Eq. 7d
-//!   [`DeadlinePolicy`] the deadline-aware round closer enforces: every
-//!   report is classified on-time / late-but-usable / past-budget **at round
-//!   close**, from its ingest timestamp,
+//!   [`DeadlinePolicy`] the close enforces: every report is classified
+//!   on-time / late-but-usable / past-budget **at round close**, from its
+//!   ingest timestamp,
+//! * [`driver`] — a simulated multi-station sounding-round driver:
+//!   station-side compress → quantize → wire-encode traffic generation
+//!   (including session churn: joins, departures, bursty drops), the
+//!   [`driver::RoundServing`] / [`StreamServing`] seam, and the end-to-end
+//!   `simulate_mu_mimo_ber` link check over the served feedback,
 //! * [`event`] — the [`EventDriver`]: discrete-event virtual-clock serving on
-//!   top of any [`driver::RoundServing`] server — per-station sounding
-//!   cadences, head/tail compute latencies from the accelerator model, seeded
-//!   jitter and shared-medium contention, with the lockstep drivers
-//!   recoverable bit-exactly as the zero-delay degenerate case.
+//!   top of a [`StreamServing`] server — per-station sounding cadences,
+//!   head/tail compute latencies from the accelerator model, seeded jitter,
+//!   shared-medium contention, fault injection with retransmission, and
+//!   deadline watermarks for streaming servers — with lockstep serving
+//!   recoverable bit-exactly as the zero-delay degenerate case,
+//! * [`fleet`] — the [`Fleet`]: `N` one-shard servers on one event queue with
+//!   per-channel media (overlapping-BSS contention) and warm station roaming.
+//!
+//! The `reference` feature (on under `cfg(test)`) exposes the test oracle:
+//! `ApServer::close_serial` / `driver::ServeMode::Serial`, which reconstruct
+//! one station at a time through the unfused path. Every shard count and
+//! watermark cadence is bit-exact with it (the root `close_matrix` test).
 //!
 //! # Example: serve two stations for one round
 //!
@@ -80,7 +92,7 @@ pub mod fleet;
 pub mod ring;
 pub mod server;
 pub mod session;
-pub mod shard;
+mod shard;
 pub mod slab;
 pub mod timing;
 
@@ -88,9 +100,10 @@ pub use driver::StreamServing;
 pub use event::{build_event_driver, EventConfig, EventDriver};
 pub use fleet::{Fleet, FleetConfig, FleetRoundSummary, FleetStats};
 pub use ring::Ring;
-pub use server::{ApServer, HealthPolicy, RoundSummary};
+pub use server::{
+    env_shards, ApServer, HealthPolicy, RoundSummary, ShardRoundStats, ShardedApServer,
+};
 pub use session::{SessionHealth, StationId, StationSession};
-pub use shard::{env_shards, ShardRoundStats, ShardedApServer, ShardedRoundSummary};
 pub use slab::{SessionHandle, SessionSlab};
 pub use timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
 

@@ -1,21 +1,19 @@
 //! The sessionized AP feedback server.
 
-use crate::ring::Ring;
 use crate::session::{SessionHealth, StationId, StationSession};
-use crate::slab::SessionSlab;
-use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
+use crate::shard::{ShardCore, StreamLane, TailEngine};
+use crate::timing::{DeadlinePolicy, FrameStamp, RoundDelayStats};
 use crate::ServeError;
-use mimo_math::kernel::Kernel;
-use mimo_math::Int8Kernel;
-use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
+use rayon::prelude::*;
+use splitbeam::fused::{QuantizedTail, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
-use splitbeam::wire;
 use std::sync::Arc;
 use wifi_phy::precoding::BeamformingFeedback;
 
-/// What one call to [`ApServer::process_round`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one round close did, merged across shards (deterministically, in
+/// shard order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundSummary {
     /// Index of the round that was just closed.
     pub round: u64,
@@ -30,7 +28,9 @@ pub struct RoundSummary {
     /// [`RoundSummary::stale`] so "aged feedback" and "no feedback yet" stay
     /// distinguishable in serving reports.
     pub awaiting_first_report: usize,
-    /// Batched tail invocations performed (one per model with pending traffic).
+    /// Batched tail invocations performed: one per model with pending
+    /// traffic per shard (and per micro-close), so a sharded or streaming
+    /// round runs more, smaller batches than a one-shard barrier round.
     pub batches: usize,
     /// Served reports whose end-to-end delay fit the Eq. 7d budget
     /// (inclusive). Untimed lockstep closes count every served report here.
@@ -44,12 +44,12 @@ pub struct RoundSummary {
     /// reports. All-zero under untimed lockstep serving.
     pub delay: RoundDelayStats,
     /// Frames the fault-injected medium dropped this round (event-driven
-    /// serving only; always `0` for the lockstep servers).
+    /// serving only; always `0` for the server itself).
     pub lost: usize,
     /// Frames rejected by the CRC-32 integrity check this round.
     pub corrupt: usize,
     /// Station retransmissions that were attempted this round (event-driven
-    /// serving only; always `0` for the lockstep servers).
+    /// serving only; always `0` for the server itself).
     pub retransmitted: usize,
     /// Stale stations still served from last-known-good feedback this round —
     /// their age is within the health policy's staleness cap. A subset of
@@ -86,26 +86,56 @@ impl Default for HealthPolicy {
     }
 }
 
-/// The AP-side serving state: model registry, per-station sessions (each
-/// holding its pending payload slot for the round being collected), and the
-/// per-round scratch arena.
+/// Per-shard slice of the last round close, recorded in shard order. This is
+/// how stall-isolation is observed: a deliberately slow shard shows up here
+/// with depressed `on_time` while every other shard's numbers are untouched
+/// under streaming closes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ShardRoundStats {
+    /// Stations this shard served.
+    pub served: usize,
+    /// Served reports within the Eq. 7d budget.
+    pub on_time: usize,
+    /// Served reports past budget but within grace.
+    pub late: usize,
+    /// Reports consumed unreconstructed past budget and grace.
+    pub expired: usize,
+    /// Batched tail invocations this shard ran.
+    pub batches: usize,
+    /// Watermark-triggered micro-batch closes (0 for barrier rounds).
+    /// Observability only: deliberately not part of [`RoundSummary`], so a
+    /// streaming round with no watermark fired stays bit-identical to the
+    /// barrier close.
+    pub micro_closes: usize,
+    /// Whether the shard saw any traffic this round (served, failed, expired
+    /// or still queued at the close).
+    pub had_traffic: bool,
+}
+
+/// The AP-side serving state: model registry, station sessions partitioned
+/// across `N` shards (station `id` lives on shard `id % N`, each shard with
+/// its own round arena and streaming lane), and session lifecycle.
 ///
 /// Ingest and reconstruction are decoupled: [`ApServer::ingest_wire`] decodes
-/// and validates frames as they arrive, [`ApServer::process_round`] coalesces
-/// everything pending into one **fused dequantize→tail** batched inference per
-/// model — bit-exact with [`ApServer::process_round_serial`], which
-/// reconstructs station by station through the unfused single-payload path and
-/// exists as the reference (and comparison baseline).
+/// and validates frames as they arrive, and the round close
+/// ([`ApServer::process_round`] / [`ApServer::close`]) coalesces everything
+/// pending into one **fused dequantize→tail** batched inference per model per
+/// shard, all shards **in parallel** — bit-exact, for every shard count and
+/// kernel backend, with the station-at-a-time oracle `close_serial` (behind
+/// the `reference` feature). See [`crate::shard`] for the exactness argument.
 ///
-/// All per-round storage (wire decode buffer, batch id list, fused tail
-/// scratch, per-station payload and feedback buffers) is recycled, so a full
-/// steady-state ingest→decode→batched-reconstruct round performs no heap
-/// allocation once every buffer has reached its high-water capacity.
+/// All per-round storage (wire decode buffers, batch id lists, fused tail
+/// scratch, per-station payload and feedback buffers, per-shard outcome
+/// slots) is recycled, so a full steady-state ingest→close round performs no
+/// heap allocation once every buffer has reached its high-water capacity.
 ///
-/// `ApServer` is the single-shard building block; the multi-core serving
-/// layer ([`crate::shard::ShardedApServer`]) runs the very same per-shard
-/// round-close code over many independent session partitions.
-#[derive(Debug, Clone, Default)]
+/// **Session lifecycle:** [`ApServer::set_capacity`] bounds the fleet
+/// (registrations beyond it fail with [`ServeError::CapacityExceeded`]),
+/// [`ApServer::set_max_idle_rounds`] evicts stations that produced no
+/// feedback for more than the configured number of rounds (never-reporting
+/// stations are measured from association), and a deregistered or evicted id
+/// can associate again with a blank session.
+#[derive(Debug, Clone)]
 pub struct ApServer {
     models: Vec<Arc<SplitBeamModel>>,
     /// Int8 tails bound from the registered models (same indices as
@@ -115,1003 +145,91 @@ pub struct ApServer {
     /// Which weight format round closes reconstruct with. The f32 default is
     /// bit-exact with the pre-quantization serving path.
     tail_weights: TailWeights,
-    core: ShardCore,
+    shards: Vec<ShardCore>,
     round: u64,
-    /// When set, wire ingest routes through the shard's streaming ring and
-    /// rounds close via watermark-driven micro-batches.
+    max_idle_rounds: Option<u64>,
+    capacity: Option<usize>,
+    /// When set, wire ingest queues on each shard's bounded ring, frames
+    /// commit on watermarks ([`ApServer::advance_watermark`]), and the close
+    /// charges each shard its own stall instead of the slowest shard's.
     streaming: bool,
-    /// Micro-closes of the last streaming round (0 for barrier rounds).
-    /// Observability only: deliberately not part of [`RoundSummary`], so the
-    /// degenerate streaming round stays bit-identical to the barrier close.
-    last_micro_closes: usize,
+    /// Per-shard stats of the last round close, in shard order.
+    last_shard_stats: Vec<ShardRoundStats>,
 }
 
-/// Reusable per-round scratch owned by one shard.
-#[derive(Debug, Clone)]
-pub(crate) struct RoundArena {
-    /// Wire frames decode into this buffer before validation; on successful
-    /// ingest it is swapped with the station's payload slot, so the two
-    /// buffers circulate without reallocating.
-    decode_buf: QuantizedFeedback,
-    /// Station ids of the batch currently being reconstructed.
-    ids: Vec<StationId>,
-    /// Buffers of the fused batched tail reconstruction.
-    tail: TailScratch,
-}
+/// The name the multi-shard server had while it was a separate type.
+pub type ShardedApServer = ApServer;
 
-impl Default for RoundArena {
+impl Default for ApServer {
     fn default() -> Self {
-        Self {
-            decode_buf: QuantizedFeedback {
-                bits_per_value: 1,
-                min: 0.0,
-                max: 0.0,
-                codes: Vec::new(),
-            },
-            ids: Vec::new(),
-            tail: TailScratch::new(),
-        }
-    }
-}
-
-/// Default capacity of a shard's streaming ingest ring.
-pub(crate) const DEFAULT_STREAM_CAPACITY: usize = 256;
-
-/// One decoded frame queued in a shard's streaming ring, awaiting its
-/// watermark commit.
-#[derive(Debug)]
-pub(crate) struct StreamFrame {
-    pub(crate) id: StationId,
-    pub(crate) payload: QuantizedFeedback,
-    pub(crate) stamp: FrameStamp,
-    pub(crate) seq: u16,
-}
-
-/// Counters accumulated across a round's micro-batch closes, folded into the
-/// round outcome at finalize. Health/staleness accounting deliberately does
-/// NOT live here — it runs exactly once per round, at finalize, so streaming
-/// never emits phantom `awaiting_first_report`/`stale` counts per micro-batch.
-#[derive(Debug, Default)]
-pub(crate) struct MicroAccum {
-    served: usize,
-    batches: usize,
-    micro_closes: usize,
-    on_time: usize,
-    late: usize,
-    expired: usize,
-    delay: RoundDelayStats,
-    error: Option<ServeError>,
-}
-
-impl MicroAccum {
-    fn fold(&mut self, pass: ServePass) {
-        self.served += pass.served;
-        self.batches += pass.batches;
-        self.on_time += pass.on_time;
-        self.late += pass.late;
-        self.expired += pass.expired;
-        self.delay.merge(&pass.delay);
-        if self.error.is_none() {
-            self.error = pass.error;
-        }
-    }
-}
-
-/// One shard's streaming state: the bounded lock-free ingest ring, a
-/// one-frame stash for FIFO head-gated commits, a freelist of recycled
-/// payload buffers (steady-state streaming ingest allocates nothing), and
-/// the micro-batch accumulator.
-#[derive(Debug)]
-pub(crate) struct StreamLane {
-    ring: Ring<StreamFrame>,
-    /// The first not-yet-due frame popped by a commit pass; commits are
-    /// FIFO head-gated, so nothing behind it commits either.
-    stash: Option<StreamFrame>,
-    free: Vec<QuantizedFeedback>,
-    acc: MicroAccum,
-}
-
-impl StreamLane {
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            ring: Ring::with_capacity(capacity),
-            stash: None,
-            free: Vec::new(),
-            acc: MicroAccum::default(),
-        }
-    }
-
-    fn queued(&self) -> usize {
-        self.ring.len() + usize::from(self.stash.is_some())
-    }
-}
-
-impl Default for StreamLane {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_STREAM_CAPACITY)
-    }
-}
-
-impl Clone for StreamLane {
-    /// Cloning a serving core clones the lane *empty* (same capacity): the
-    /// ring is a synchronization structure, not data to duplicate. Servers
-    /// are only cloned quiescent (between rounds), where the lane holds
-    /// nothing anyway.
-    fn clone(&self) -> Self {
-        Self::with_capacity(self.ring.capacity())
-    }
-}
-
-/// Everything a round close needs to run the tail: the f32 master models, the
-/// int8 tails bound from them at registration, which weight format serves this
-/// round, and the resolved kernel of each precision tier. Built once per round
-/// close and shared (it is `Copy`) by every shard, so the batched, serial,
-/// and streaming micro-batch paths all dispatch identically.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TailEngine<'a> {
-    pub(crate) models: &'a [Arc<SplitBeamModel>],
-    pub(crate) tails: &'a [Arc<QuantizedTail>],
-    pub(crate) mode: TailWeights,
-    pub(crate) kern: Kernel,
-    pub(crate) ik: Int8Kernel,
-}
-
-impl<'a> TailEngine<'a> {
-    /// Bundles the registries with the kernels currently selected for the f32
-    /// and int8 tiers (`SPLITBEAM_KERNEL` / [`mimo_math::kernel::set_kernel`]).
-    pub(crate) fn new(
-        models: &'a [Arc<SplitBeamModel>],
-        tails: &'a [Arc<QuantizedTail>],
-        mode: TailWeights,
-    ) -> Self {
-        Self {
-            models,
-            tails,
-            mode,
-            kern: mimo_math::kernel::selected(),
-            ik: mimo_math::kernel::int8::selected_int8(),
-        }
-    }
-}
-
-/// One shard's worth of serving state: a session partition plus its private
-/// round arena. [`ApServer`] owns exactly one; `ShardedApServer` owns `N` and
-/// closes them in parallel. Every round-close code path lives here, so the
-/// single-shard and sharded servers are bit-exact by construction.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ShardCore {
-    pub(crate) sessions: SessionSlab,
-    pub(crate) arena: RoundArena,
-    /// Health thresholds applied to every session of this shard.
-    pub(crate) health: HealthPolicy,
-    /// Corrupt frames seen since the last round close (reported in the next
-    /// round's summary, then reset).
-    pub(crate) round_corrupt: usize,
-    /// Streaming micro-batch state (ring, stash, freelist, accumulator).
-    pub(crate) lane: StreamLane,
-    /// Artificial close lag injected into this shard's serving path (bench
-    /// stall model). Barrier closes pay the *maximum* stall across shards —
-    /// the whole round waits on the slowest shard — while streaming closes
-    /// pay only the shard's own stall.
-    pub(crate) stall_ns: u64,
-}
-
-/// What closing one round over one shard did. `error` carries the first
-/// failure (in model-key order) while the counters describe everything that
-/// still happened — a failed batch never blocks the other models' batches.
-#[derive(Debug)]
-pub(crate) struct RoundOutcome {
-    pub(crate) served: usize,
-    pub(crate) stale: usize,
-    pub(crate) awaiting_first_report: usize,
-    pub(crate) batches: usize,
-    pub(crate) on_time: usize,
-    pub(crate) late: usize,
-    pub(crate) expired: usize,
-    pub(crate) delay: RoundDelayStats,
-    pub(crate) corrupt: usize,
-    pub(crate) stale_served: usize,
-    /// Watermark-triggered micro-batch closes that fired during the round
-    /// (streaming only; `0` for barrier closes). Not part of the public
-    /// summary — the bit-exactness anchor compares summaries across modes.
-    pub(crate) micro_closes: usize,
-    pub(crate) error: Option<ServeError>,
-}
-
-/// What one serving pass (a barrier close's serve step, or one streaming
-/// micro-batch close) did. Health/staleness accounting is *not* here — it
-/// belongs to the once-per-round finalize.
-#[derive(Debug, Default)]
-pub(crate) struct ServePass {
-    served: usize,
-    batches: usize,
-    on_time: usize,
-    late: usize,
-    expired: usize,
-    delay: RoundDelayStats,
-    error: Option<ServeError>,
-}
-
-impl RoundOutcome {
-    /// Converts the outcome into the public summary, surfacing the first
-    /// error when one occurred (the partial round state is already applied).
-    pub(crate) fn into_summary(self, round: u64) -> Result<RoundSummary, ServeError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        Ok(RoundSummary {
-            round,
-            served: self.served,
-            stale: self.stale,
-            awaiting_first_report: self.awaiting_first_report,
-            batches: self.batches,
-            on_time: self.on_time,
-            late: self.late,
-            expired: self.expired,
-            delay: self.delay,
-            lost: 0,
-            corrupt: self.corrupt,
-            retransmitted: 0,
-            stale_served: self.stale_served,
-        })
-    }
-}
-
-impl ShardCore {
-    /// Registration validation, shared verbatim by the single-shard and
-    /// sharded servers so both report identical errors for identical bad
-    /// input (model key first, then bit width, then duplicate id).
-    pub(crate) fn validate_registration(
-        &self,
-        num_models: usize,
-        id: StationId,
-        model_key: usize,
-        bits_per_value: u8,
-    ) -> Result<(), ServeError> {
-        if model_key >= num_models {
-            return Err(ServeError::UnknownModel(model_key));
-        }
-        if !(1..=16).contains(&bits_per_value) {
-            return Err(ServeError::Codec(format!(
-                "station {id} announced invalid bits_per_value {bits_per_value}"
-            )));
-        }
-        if self.sessions.contains(id) {
-            return Err(ServeError::DuplicateStation(id));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn register_station(
-        &mut self,
-        num_models: usize,
-        id: StationId,
-        model_key: usize,
-        bits_per_value: u8,
-        round: u64,
-    ) -> Result<(), ServeError> {
-        self.validate_registration(num_models, id, model_key, bits_per_value)?;
-        self.sessions
-            .insert(StationSession::new(id, model_key, bits_per_value, round))
-            .map(|_| ())
-            .map_err(|rejected| ServeError::DuplicateStation(rejected.id()))
-    }
-
-    /// Adopts a roaming station's full session state (payloads, health,
-    /// staleness clocks) rebound to `model_key` on this server — the warm
-    /// half of a fleet handoff; registration validation still applies, minus
-    /// the fresh-join reset a cold re-register would perform.
-    /// On failure the untouched session rides back in the error, so the
-    /// caller can restore it at the source AP instead of dropping the
-    /// station.
-    // The fat Err is the point: the rejected session must ride back to the
-    // caller for restore, and boxing a cold failure path buys nothing.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn adopt_station(
-        &mut self,
-        num_models: usize,
-        mut session: StationSession,
-        model_key: usize,
-    ) -> Result<(), (StationSession, ServeError)> {
-        if let Err(e) = self.validate_registration(
-            num_models,
-            session.id(),
-            model_key,
-            session.bits_per_value(),
-        ) {
-            return Err((session, e));
-        }
-        session.rebind_model(model_key);
-        self.sessions
-            .insert(session)
-            .map(|_| ())
-            .map_err(|rejected| {
-                let id = rejected.id();
-                (rejected, ServeError::DuplicateStation(id))
-            })
-    }
-
-    /// Releases station `id` for a handoff, returning its full session
-    /// state. The inverse of [`ShardCore::adopt_station`].
-    pub(crate) fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
-        self.sessions
-            .remove(id)
-            .ok_or(ServeError::UnknownStation(id))
-    }
-
-    pub(crate) fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        self.sessions
-            .remove(id)
-            .map(|_| ())
-            .ok_or(ServeError::UnknownStation(id))
-    }
-
-    pub(crate) fn ingest_wire(
-        &mut self,
-        models: &[Arc<SplitBeamModel>],
-        id: StationId,
-        frame: &[u8],
-        round: u64,
-    ) -> Result<usize, ServeError> {
-        self.ingest_wire_at(models, id, frame, FrameStamp::default(), round)
-    }
-
-    /// Timestamped wire ingest: like [`ShardCore::ingest_wire`] but records
-    /// the frame's virtual-time stamp so the deadline-aware round closer can
-    /// classify it against the Eq. 7d budget.
-    ///
-    /// The fault-tolerant ingest order: session lookup, quarantine gate,
-    /// CRC/decode (a [`ServeError::Corrupt`] rejection feeds the session's
-    /// corrupt streak and can trigger quarantine), duplicate-sequence
-    /// suppression, then payload validation and commit. A failed ingest of
-    /// any kind leaves a previously pending payload untouched.
-    pub(crate) fn ingest_wire_at(
-        &mut self,
-        models: &[Arc<SplitBeamModel>],
-        id: StationId,
-        frame: &[u8],
-        stamp: FrameStamp,
-        round: u64,
-    ) -> Result<usize, ServeError> {
-        let Self {
-            sessions,
-            arena,
-            health,
-            round_corrupt,
-            ..
-        } = self;
-        let session = sessions.get_mut(id).ok_or(ServeError::UnknownStation(id))?;
-        if session.is_quarantined(round) {
-            return Err(ServeError::Quarantined(id));
-        }
-        if let Err(e) = wire::decode_feedback_into(frame, &mut arena.decode_buf) {
-            return Err(match e {
-                splitbeam::SplitBeamError::CorruptFrame(msg) => {
-                    *round_corrupt += 1;
-                    session.note_corrupt(round, health);
-                    ServeError::Corrupt(id, msg)
-                }
-                other => ServeError::Codec(other.to_string()),
-            });
-        }
-        let seq = wire::frame_seq(frame);
-        if seq != 0 && session.has_pending() && session.pending_seq() == seq {
-            return Err(ServeError::DuplicateFrame(id, seq));
-        }
-        Self::validate_payload(models, session, &arena.decode_buf)?;
-        std::mem::swap(session.payload_slot(), &mut arena.decode_buf);
-        session.set_pending(true);
-        session.set_pending_stamp(stamp);
-        session.set_pending_seq(seq);
-        session.note_clean_ingest();
-        session.record_ingest(frame.len());
-        Ok(frame.len())
-    }
-
-    pub(crate) fn ingest_payload(
-        &mut self,
-        models: &[Arc<SplitBeamModel>],
-        id: StationId,
-        payload: QuantizedFeedback,
-        wire_bytes: usize,
-        round: u64,
-    ) -> Result<usize, ServeError> {
-        let session = self
-            .sessions
-            .get_mut(id)
-            .ok_or(ServeError::UnknownStation(id))?;
-        if session.is_quarantined(round) {
-            return Err(ServeError::Quarantined(id));
-        }
-        Self::validate_payload(models, session, &payload)?;
-        *session.payload_slot() = payload;
-        session.set_pending(true);
-        session.set_pending_stamp(FrameStamp::default());
-        session.set_pending_seq(0);
-        session.note_clean_ingest();
-        session.record_ingest(wire_bytes);
-        Ok(wire_bytes)
-    }
-
-    /// Shared ingest validation: announced quantizer width and bottleneck
-    /// dimension must match the session.
-    fn validate_payload(
-        models: &[Arc<SplitBeamModel>],
-        session: &StationSession,
-        payload: &QuantizedFeedback,
-    ) -> Result<(), ServeError> {
-        let id = session.id();
-        if payload.bits_per_value != session.bits_per_value() {
-            return Err(ServeError::Codec(format!(
-                "station {id} sent {} bits/value, session announced {}",
-                payload.bits_per_value,
-                session.bits_per_value()
-            )));
-        }
-        let expected = models[session.model_key()].bottleneck_dim();
-        if payload.codes.len() != expected {
-            return Err(ServeError::Codec(format!(
-                "station {id} sent {} codes, model bottleneck is {expected}",
-                payload.codes.len()
-            )));
-        }
-        Ok(())
-    }
-
-    pub(crate) fn pending_count(&self) -> usize {
-        // Order-free count: the dense slot walk, not the id-ordered view.
-        self.sessions
-            .values_unordered()
-            .filter(|s| s.has_pending())
-            .count()
-    }
-
-    /// Post-round health pass. Splits unserved stations into `stale`
-    /// (feedback aged this round) vs `awaiting_first_report` (never reported);
-    /// stations served this round count as neither. Of the stale stations,
-    /// those whose feedback age is still within the policy's staleness cap are
-    /// counted `stale_served` — the AP keeps representing them with
-    /// last-known-good feedback; past the cap they drop out of MU-MIMO
-    /// grouping. Every session's health state machine advances here.
-    fn health_pass(&mut self, round: u64) -> (usize, usize, usize) {
-        let mut stale = 0usize;
-        let mut awaiting = 0usize;
-        let mut stale_served = 0usize;
-        let policy = self.health;
-        // Per-session counter fold: visit order cannot reach the output, so
-        // the dense unordered walk is safe (and cache-friendly at fleet
-        // session counts).
-        for session in self.sessions.values_unordered_mut() {
-            let mut reported = false;
-            match session.last_round() {
-                Some(r) if r == round => reported = true,
-                Some(r) => {
-                    stale += 1;
-                    if round.saturating_sub(r) <= policy.stale_serve_cap {
-                        stale_served += 1;
-                    }
-                }
-                None => awaiting += 1,
-            }
-            session.close_health(round, &policy, reported);
-        }
-        (stale, awaiting, stale_served)
-    }
-
-    /// Deadline pass shared by the batched and serial closers: consumes every
-    /// pending payload whose end-to-end delay (per its ingest stamp, plus
-    /// `lag_ns` of close lag when a shard is stalled) falls past the policy's
-    /// budget *and* grace window. Expired reports are never reconstructed —
-    /// Eq. 7d is enforced at close, not measured post-hoc. Returns the number
-    /// of expired reports; with no policy nothing expires.
-    fn expire_pending(&mut self, policy: Option<DeadlinePolicy>, lag_ns: u64) -> usize {
-        let Some(policy) = policy else { return 0 };
-        let mut expired = 0usize;
-        for session in self.sessions.values_unordered_mut() {
-            if session.has_pending()
-                && policy.classify(session.pending_stamp().total_ns().saturating_add(lag_ns))
-                    == FrameClass::Expired
-            {
-                session.set_pending(false);
-                session.set_pending_stamp(FrameStamp::default());
-                expired += 1;
-            }
-        }
-        expired
-    }
-
-    /// Classifies a served report against the policy and folds it into the
-    /// round accounting, recording the class on the session. `lag_ns` is the
-    /// close lag of a stalled shard: it counts as additional queueing, so a
-    /// report held past its budget by a slow close is classified (and
-    /// recorded) late — identity at `lag_ns == 0`.
-    fn account_served(
-        session: &mut StationSession,
-        policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
-        on_time: &mut usize,
-        late: &mut usize,
-        delay: &mut RoundDelayStats,
-    ) {
-        let stamp = session.pending_stamp().with_extra_queue(lag_ns);
-        let is_late = match policy {
-            Some(p) => p.classify(stamp.total_ns()) == FrameClass::Late,
-            None => false,
-        };
-        if is_late {
-            *late += 1;
-        } else {
-            *on_time += 1;
-        }
-        delay.record(&stamp);
-        session.record_service_class(policy.map(|_| stamp), is_late);
-        session.set_pending_stamp(FrameStamp::default());
-    }
-
-    /// Closes round `round` over this shard with one fused dequantize→tail
-    /// batched inference per model. With a [`DeadlinePolicy`], pending
-    /// reports are classified first: expired ones are consumed without
-    /// reconstruction, late-but-usable ones are served but flagged.
-    ///
-    /// **Partial-round semantics on failure:** a failed batch consumes only
-    /// *its own* pending payloads (they are what failed); every other model's
-    /// batch still runs and stores its reconstructions, and the first error
-    /// (in model-key order) is reported in the outcome. Stations of healthy
-    /// models are never penalized for an unrelated model's failure.
-    pub(crate) fn close_round_batched(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
-    ) -> RoundOutcome {
-        let pass = self.serve_pending_batched(engine, round, policy, lag_ns);
-        self.finish_round(round, pass, 0)
-    }
-
-    /// The serve step shared by the barrier close and streaming micro-batch
-    /// closes: expires over-budget pending reports, then runs one fused
-    /// dequantize→tail batched inference per model with pending traffic.
-    /// Performs **no** health/staleness accounting — that happens once per
-    /// round, in [`ShardCore::finish_round`].
-    fn serve_pending_batched(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
-    ) -> ServePass {
-        let expired = self.expire_pending(policy, lag_ns);
-        let mut served = 0usize;
-        let mut batches = 0usize;
-        let mut on_time = 0usize;
-        let mut late = 0usize;
-        let mut delay = RoundDelayStats::default();
-        let mut first_error = None;
-        let Self {
-            sessions, arena, ..
-        } = self;
-        let RoundArena { ids, tail, .. } = arena;
-        for (key, model) in engine.models.iter().enumerate() {
-            ids.clear();
-            ids.extend(
-                sessions
-                    .values()
-                    .filter(|s| s.has_pending() && s.model_key() == key)
-                    .map(StationSession::id),
-            );
-            if ids.is_empty() {
-                continue;
-            }
-            batches += 1;
-            let result = match engine.mode {
-                TailWeights::F32 => model.reconstruct_quantized_batch_iter_into(
-                    ids.iter().map(|id| sessions[id].payload()),
-                    ids.len(),
-                    tail,
-                    engine.kern,
-                ),
-                TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_iter_into(
-                    ids.iter().map(|id| sessions[id].payload()),
-                    ids.len(),
-                    tail,
-                    engine.ik,
-                ),
-            };
-            match result {
-                Ok(flats) => {
-                    let width = flats.cols();
-                    for (id, flat) in ids.iter().zip(flats.as_slice().chunks_exact(width)) {
-                        let session = sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
-                        session.store_feedback(flat, round);
-                        session.set_pending(false);
-                        Self::account_served(
-                            session,
-                            policy,
-                            lag_ns,
-                            &mut on_time,
-                            &mut late,
-                            &mut delay,
-                        );
-                        served += 1;
-                        // Serving is the activity the idle-LRU orders by.
-                        sessions.touch(*id);
-                    }
-                }
-                Err(e) => {
-                    // Consume only the failed batch's payloads; other models'
-                    // pending traffic is untouched and still gets its batch.
-                    for id in ids.iter() {
-                        let session = sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
-                        session.set_pending(false);
-                        session.set_pending_stamp(FrameStamp::default());
-                    }
-                    if first_error.is_none() {
-                        first_error = Some(ServeError::Model(e.to_string()));
-                    }
-                }
-            }
-        }
-        ServePass {
-            served,
-            batches,
-            on_time,
-            late,
-            expired,
-            delay,
-            error: first_error,
-        }
-    }
-
-    /// The once-per-round tail of every close path: health/staleness pass,
-    /// corrupt-counter harvest, and outcome assembly.
-    fn finish_round(&mut self, round: u64, pass: ServePass, micro_closes: usize) -> RoundOutcome {
-        let (stale, awaiting_first_report, stale_served) = self.health_pass(round);
-        RoundOutcome {
-            served: pass.served,
-            stale,
-            awaiting_first_report,
-            batches: pass.batches,
-            on_time: pass.on_time,
-            late: pass.late,
-            expired: pass.expired,
-            delay: pass.delay,
-            corrupt: std::mem::take(&mut self.round_corrupt),
-            stale_served,
-            micro_closes,
-            error: pass.error,
-        }
-    }
-
-    /// Closes round `round` reconstructing one station at a time through the
-    /// unfused path. Mirrors [`ShardCore::close_round_batched`]'s partial-round
-    /// semantics exactly, including on failure: each model's payloads are
-    /// reconstructed first and committed only when the *whole* model
-    /// succeeded — a failing payload consumes the failed model's pending
-    /// payloads without storing any of them (just like the failed batch),
-    /// stations bound to other models are served normally, and the first
-    /// error (in model-key order) is reported.
-    pub(crate) fn close_round_serial(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
-    ) -> RoundOutcome {
-        let pass = self.serve_pending_serial(engine, round, policy, lag_ns);
-        self.finish_round(round, pass, 0)
-    }
-
-    /// Serial analog of [`ShardCore::serve_pending_batched`]: one unfused
-    /// reconstruction per station, committed all-or-nothing per model. No
-    /// health accounting.
-    fn serve_pending_serial(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
-    ) -> ServePass {
-        let expired = self.expire_pending(policy, lag_ns);
-        let mut served = 0usize;
-        let mut batches = 0usize;
-        let mut on_time = 0usize;
-        let mut late = 0usize;
-        let mut delay = RoundDelayStats::default();
-        let mut first_error = None;
-        for (key, model) in engine.models.iter().enumerate() {
-            let ids: Vec<StationId> = self
-                .sessions
-                .values()
-                .filter(|s| s.has_pending() && s.model_key() == key)
-                .map(StationSession::id)
-                .collect();
-            if ids.is_empty() {
-                continue;
-            }
-            batches += 1;
-            let mut flats = Vec::with_capacity(ids.len());
-            let mut failure = None;
-            for id in &ids {
-                let result = match engine.mode {
-                    TailWeights::F32 => model.reconstruct_quantized(self.sessions[id].payload()),
-                    TailWeights::Int8 => engine.tails[key]
-                        .reconstruct_quantized(self.sessions[id].payload(), engine.ik),
-                };
-                match result {
-                    Ok(flat) => flats.push(flat),
-                    Err(e) => {
-                        failure = Some(ServeError::Model(e.to_string()));
-                        break;
-                    }
-                }
-            }
-            match failure {
-                None => {
-                    for (id, flat) in ids.iter().zip(flats) {
-                        let session = self
-                            .sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
-                        session.store_feedback(&flat, round);
-                        session.set_pending(false);
-                        Self::account_served(
-                            session,
-                            policy,
-                            lag_ns,
-                            &mut on_time,
-                            &mut late,
-                            &mut delay,
-                        );
-                        served += 1;
-                        self.sessions.touch(*id);
-                    }
-                }
-                Some(e) => {
-                    for id in &ids {
-                        let session = self
-                            .sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
-                        session.set_pending(false);
-                        session.set_pending_stamp(FrameStamp::default());
-                    }
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        ServePass {
-            served,
-            batches,
-            on_time,
-            late,
-            expired,
-            delay,
-            error: first_error,
-        }
-    }
-
-    /// Streaming ingest: validates the frame exactly like
-    /// [`ShardCore::ingest_wire_at`] but enqueues it onto the shard's bounded
-    /// lock-free ring instead of committing straight into the session. The
-    /// frame only becomes pending when a watermark later commits it
-    /// ([`ShardCore::commit_due`]); a full ring rejects the frame with
-    /// [`ServeError::Backpressure`] without touching session state.
-    ///
-    /// Duplicate suppression mirrors the lockstep path's window: a sequence
-    /// number is suppressed while the station still has that frame in flight
-    /// (queued on the ring) or pending (committed, not yet served) — the same
-    /// frames that `ingest_wire_at` would reject are rejected here.
-    pub(crate) fn stream_ingest(
-        &mut self,
-        models: &[Arc<SplitBeamModel>],
-        id: StationId,
-        frame: &[u8],
-        stamp: FrameStamp,
-        round: u64,
-    ) -> Result<usize, ServeError> {
-        let Self {
-            sessions,
-            arena,
-            health,
-            round_corrupt,
-            lane,
-            ..
-        } = self;
-        let session = sessions.get_mut(id).ok_or(ServeError::UnknownStation(id))?;
-        if session.is_quarantined(round) {
-            return Err(ServeError::Quarantined(id));
-        }
-        if let Err(e) = wire::decode_feedback_into(frame, &mut arena.decode_buf) {
-            return Err(match e {
-                splitbeam::SplitBeamError::CorruptFrame(msg) => {
-                    *round_corrupt += 1;
-                    session.note_corrupt(round, health);
-                    ServeError::Corrupt(id, msg)
-                }
-                other => ServeError::Codec(other.to_string()),
-            });
-        }
-        let seq = wire::frame_seq(frame);
-        if seq != 0
-            && session.pending_seq() == seq
-            && (session.stream_inflight() > 0 || session.has_pending())
-        {
-            return Err(ServeError::DuplicateFrame(id, seq));
-        }
-        Self::validate_payload(models, session, &arena.decode_buf)?;
-        // Move the decoded payload into a recycled buffer so ingest stays
-        // allocation-free in steady state (mirrors the lockstep swap).
-        let mut payload = lane.free.pop().unwrap_or_else(|| QuantizedFeedback {
-            bits_per_value: 1,
-            min: 0.0,
-            max: 0.0,
-            codes: Vec::new(),
-        });
-        std::mem::swap(&mut payload, &mut arena.decode_buf);
-        match lane.ring.push(StreamFrame {
-            id,
-            payload,
-            stamp,
-            seq,
-        }) {
-            Ok(()) => {
-                session.set_pending_seq(seq);
-                session.inc_stream_inflight();
-                session.note_clean_ingest();
-                session.record_ingest(frame.len());
-                Ok(frame.len())
-            }
-            Err(rejected) => {
-                let cap = lane.ring.capacity();
-                lane.free.push(rejected.payload);
-                Err(ServeError::Backpressure(id, cap))
-            }
-        }
-    }
-
-    /// Commits every queued frame whose arrival stamp is at or before
-    /// `watermark_ns` into its session, in ingest (FIFO) order — so a station
-    /// reporting twice keeps last-wins semantics identical to lockstep
-    /// ingest. Stops at the first frame still ahead of the watermark (head-
-    /// gated: later frames wait even if individually due, preserving order).
-    fn commit_due(&mut self, watermark_ns: u64) {
-        loop {
-            let frame = match self.lane.stash.take() {
-                Some(f) => f,
-                None => match self.lane.ring.pop() {
-                    Some(f) => f,
-                    None => break,
-                },
-            };
-            if frame.stamp.arrival_ns > watermark_ns {
-                self.lane.stash = Some(frame);
-                break;
-            }
-            let StreamFrame {
-                id,
-                mut payload,
-                stamp,
-                seq,
-            } = frame;
-            match self.sessions.get_mut(id) {
-                Some(session) => {
-                    std::mem::swap(session.payload_slot(), &mut payload);
-                    session.set_pending(true);
-                    session.set_pending_stamp(stamp);
-                    session.set_pending_seq(seq);
-                    session.dec_stream_inflight();
-                    self.lane.free.push(payload);
-                }
-                // Station deregistered with frames still in flight: drop the
-                // frame, recycle its buffer.
-                None => self.lane.free.push(payload),
-            }
-        }
-    }
-
-    /// One watermark tick: commits due frames, then micro-closes this shard's
-    /// pending batch iff the oldest pending frame's Eq. 7d service deadline
-    /// falls before the *next* watermark — i.e. this is the last watermark at
-    /// which that frame can still be served within budget. Each shard decides
-    /// independently; no cross-shard barrier.
-    pub(crate) fn advance_watermark(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        watermark_ns: u64,
-        step_ns: u64,
-        policy: Option<DeadlinePolicy>,
-    ) {
-        self.commit_due(watermark_ns);
-        let trigger = policy.unwrap_or_else(DeadlinePolicy::eq7d);
-        let oldest_deadline = self
-            .sessions
-            .values_unordered()
-            .filter(|s| s.has_pending())
-            .map(|s| trigger.service_deadline_ns(s.pending_stamp()))
-            .min();
-        if let Some(deadline) = oldest_deadline {
-            if deadline <= watermark_ns.saturating_add(step_ns) {
-                let pass = self.serve_pending_batched(engine, round, policy, self.stall_ns);
-                self.lane.acc.fold(pass);
-                self.lane.acc.micro_closes += 1;
-            }
-        }
-    }
-
-    /// Streaming round close: commits everything still queued, serves any
-    /// remaining pending batch, folds in the round's accumulated micro-batch
-    /// summaries, and runs the once-per-round health pass. Equivalent to
-    /// [`ShardCore::close_round_batched`] when no intermediate watermark
-    /// fired (the whole round serves as one batch).
-    pub(crate) fn finalize_stream_round(
-        &mut self,
-        engine: &TailEngine<'_>,
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-    ) -> RoundOutcome {
-        self.commit_due(u64::MAX);
-        let tail = self.serve_pending_batched(engine, round, policy, self.stall_ns);
-        let mut acc = std::mem::take(&mut self.lane.acc);
-        acc.fold(tail);
-        let micro_closes = acc.micro_closes;
-        let pass = ServePass {
-            served: acc.served,
-            batches: acc.batches,
-            on_time: acc.on_time,
-            late: acc.late,
-            expired: acc.expired,
-            delay: acc.delay,
-            error: acc.error,
-        };
-        self.finish_round(round, pass, micro_closes)
-    }
-
-    /// Whether this shard saw any traffic this round — streaming analog of
-    /// the barrier path's `pending_count() > 0` check, which must also count
-    /// frames already served by micro-closes and frames still queued on the
-    /// ring.
-    pub(crate) fn round_had_traffic(&self) -> bool {
-        self.pending_count() > 0
-            || self.lane.queued() > 0
-            || self.lane.acc.batches > 0
-            || self.lane.acc.served > 0
-            || self.lane.acc.expired > 0
-            || self.lane.acc.error.is_some()
-    }
-
-    /// Evicts every station idle for more than `max_idle_rounds` sounding
-    /// rounds at the just-closed round, returning how many were removed.
-    /// Never-reporting stations are measured from their association round.
-    pub(crate) fn evict_idle(&mut self, closed_round: u64, max_idle_rounds: u64) -> usize {
-        // The slab walks its idle-LRU list from the cold end and stops at
-        // the first survivor: O(evicted), not O(sessions).
-        self.sessions.evict_idle(closed_round, max_idle_rounds)
+        Self::new()
     }
 }
 
 impl ApServer {
-    /// Creates an empty server. The tail weight format starts from the
-    /// `SPLITBEAM_TAIL_WEIGHTS` environment knob (`int8` opts into the
+    /// Creates an empty one-shard server. The tail weight format starts from
+    /// the `SPLITBEAM_TAIL_WEIGHTS` environment knob (`int8` opts into the
     /// quantized tier, anything else serves f32).
     pub fn new() -> Self {
+        Self::with_shards(1)
+    }
+
+    /// Creates an empty server with `num_shards` session shards (clamped to
+    /// at least one).
+    pub fn with_shards(num_shards: usize) -> Self {
         Self {
+            models: Vec::new(),
+            tails: Vec::new(),
             tail_weights: TailWeights::from_env(),
-            ..Self::default()
+            shards: vec![ShardCore::default(); num_shards.max(1)],
+            round: 0,
+            max_idle_rounds: None,
+            capacity: None,
+            streaming: false,
+            last_shard_stats: Vec::new(),
         }
     }
 
+    /// Creates a server with the shard count resolved from the environment
+    /// (see [`env_shards`]).
+    pub fn from_env() -> Self {
+        Self::with_shards(env_shards())
+    }
+
+    /// Number of session shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The deterministic shard a station id maps to (`id % num_shards`).
+    pub fn shard_of(&self, id: StationId) -> usize {
+        (id % self.shards.len() as u64) as usize
+    }
+
+    fn shard_mut(&mut self, id: StationId) -> &mut ShardCore {
+        let shard = self.shard_of(id);
+        &mut self.shards[shard]
+    }
+
+    /// Caps the number of simultaneously registered stations; `None` lifts
+    /// the cap. Registrations beyond the cap fail with
+    /// [`ServeError::CapacityExceeded`]; already-registered stations are
+    /// never dropped by lowering the cap.
+    pub fn set_capacity(&mut self, capacity: Option<usize>) {
+        self.capacity = capacity;
+    }
+
+    /// Enables idle eviction: after each round close, stations idle for more
+    /// than `max_idle_rounds` sounding rounds are removed. `None` (the
+    /// default) disables eviction.
+    pub fn set_max_idle_rounds(&mut self, max_idle_rounds: Option<u64>) {
+        self.max_idle_rounds = max_idle_rounds;
+    }
+
     /// Registers a tail model and returns its key. Stations referencing the
-    /// same key share the model (and one batched inference per round). The
-    /// model's int8 tail is quantized and packed here, once, so round closes
-    /// under [`TailWeights::Int8`] pay no bind cost.
+    /// same key share the model (and one batched inference per shard per
+    /// close). The model's int8 tail is quantized and packed here, once, so
+    /// round closes under [`TailWeights::Int8`] pay no bind cost.
     pub fn register_model(&mut self, model: SplitBeamModel) -> usize {
         self.tails.push(Arc::new(QuantizedTail::bind(&model)));
         self.models.push(Arc::new(model));
@@ -1139,20 +257,54 @@ impl ApServer {
         self.models.get(key).map(Arc::as_ref)
     }
 
-    /// Associates a station with a registered model and quantizer width.
+    /// The admission gate shared by cold registration and warm adoption, in
+    /// reporting order: model key, bit width, duplicate id, then the
+    /// capacity cap (so a duplicate id reports as duplicate, not capacity).
+    fn check_admission(
+        &self,
+        id: StationId,
+        model_key: usize,
+        bits_per_value: u8,
+    ) -> Result<(), ServeError> {
+        if model_key >= self.models.len() {
+            return Err(ServeError::UnknownModel(model_key));
+        }
+        if !(1..=16).contains(&bits_per_value) {
+            return Err(ServeError::Codec(format!(
+                "station {id} announced invalid bits_per_value {bits_per_value}"
+            )));
+        }
+        if self.session(id).is_some() {
+            return Err(ServeError::DuplicateStation(id));
+        }
+        match self.capacity {
+            Some(cap) if self.num_stations() >= cap => Err(ServeError::CapacityExceeded(id, cap)),
+            _ => Ok(()),
+        }
+    }
+
+    /// Associates a station with a registered model and quantizer width,
+    /// placing its session on shard [`ApServer::shard_of`]`(id)`.
     ///
     /// # Errors
     /// [`ServeError::UnknownModel`] for an unregistered key,
-    /// [`ServeError::DuplicateStation`] when the id is already associated, and
-    /// [`ServeError::Codec`] for a bit width outside `1..=16`.
+    /// [`ServeError::Codec`] for a bit width outside `1..=16`,
+    /// [`ServeError::DuplicateStation`] when the id is already associated,
+    /// and [`ServeError::CapacityExceeded`] when the request is otherwise
+    /// valid but the server is at the configured cap.
     pub fn register_station(
         &mut self,
         id: StationId,
         model_key: usize,
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
-        self.core
-            .register_station(self.models.len(), id, model_key, bits_per_value, self.round)
+        self.check_admission(id, model_key, bits_per_value)?;
+        let session = StationSession::new(id, model_key, bits_per_value, self.round);
+        self.shard_mut(id)
+            .sessions
+            .insert(session)
+            .map(|_| ())
+            .map_err(|rejected| ServeError::DuplicateStation(rejected.id()))
     }
 
     /// Removes a station's session (disassociation). The id can be registered
@@ -1161,7 +313,7 @@ impl ApServer {
     /// # Errors
     /// [`ServeError::UnknownStation`] when the id is not registered.
     pub fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        self.core.deregister_station(id)
+        self.release_station(id).map(|_| ())
     }
 
     /// Releases station `id` for a fleet handoff, returning its full session
@@ -1172,7 +324,10 @@ impl ApServer {
     /// # Errors
     /// [`ServeError::UnknownStation`] when the id is not registered.
     pub fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
-        self.core.release_station(id)
+        self.shard_mut(id)
+            .sessions
+            .remove(id)
+            .ok_or(ServeError::UnknownStation(id))
     }
 
     /// Adopts a roaming station's released session, rebound to this server's
@@ -1180,35 +335,50 @@ impl ApServer {
     /// so the station keeps its feedback, pending payload and health state.
     ///
     /// # Errors
-    /// The same registration validations as
-    /// [`ApServer::register_station`] (model key, bit width, duplicate id);
-    /// the rejected session rides back in the error so the caller can
-    /// restore it at the source AP instead of dropping the station.
+    /// The same admission checks as [`ApServer::register_station`]; the
+    /// rejected session rides back in the error so the caller can restore it
+    /// at the source AP instead of dropping the station.
     // The fat Err is the point: the rejected session must ride back to the
     // caller for restore, and boxing a cold failure path buys nothing.
     #[allow(clippy::result_large_err)]
     pub fn adopt_station(
         &mut self,
-        session: StationSession,
+        mut session: StationSession,
         model_key: usize,
     ) -> Result<(), (StationSession, ServeError)> {
-        self.core
-            .adopt_station(self.models.len(), session, model_key)
+        let id = session.id();
+        if let Err(e) = self.check_admission(id, model_key, session.bits_per_value()) {
+            return Err((session, e));
+        }
+        session.rebind_model(model_key);
+        self.shard_mut(id)
+            .sessions
+            .insert(session)
+            .map(|_| ())
+            .map_err(|rejected| (rejected, ServeError::DuplicateStation(id)))
     }
 
-    /// Number of registered stations.
+    /// Number of registered stations across all shards.
     pub fn num_stations(&self) -> usize {
-        self.core.sessions.len()
+        self.shards.iter().map(|s| s.sessions.len()).sum()
     }
 
     /// The session of station `id`.
     pub fn session(&self, id: StationId) -> Option<&StationSession> {
-        self.core.sessions.get(id)
+        self.shards[self.shard_of(id)].sessions.get(id)
     }
 
-    /// Iterates over all sessions in station-id order.
+    /// Iterates over all sessions, shard by shard (station-id order within a
+    /// shard — so plain station-id order on a one-shard server).
     pub fn sessions(&self) -> impl Iterator<Item = &StationSession> {
-        self.core.sessions.values()
+        self.shards.iter().flat_map(|s| s.sessions.values())
+    }
+
+    /// All registered station ids in ascending order (merged across shards).
+    pub fn station_ids(&self) -> Vec<StationId> {
+        let mut ids: Vec<StationId> = self.sessions().map(StationSession::id).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Index of the sounding round currently being collected.
@@ -1216,46 +386,40 @@ impl ApServer {
         self.round
     }
 
-    /// Number of payloads waiting for the next `process_round`.
+    /// Number of payloads waiting for the next round close.
     pub fn pending_count(&self) -> usize {
-        self.core.pending_count()
+        self.shards.iter().map(ShardCore::pending_count).sum()
     }
 
     /// Ingests one bit-packed wire frame from station `id` for the current
-    /// round, returning the decoded payload size in bytes. A station reporting
-    /// twice in one round replaces its pending payload (last wins).
+    /// round, returning the frame size in bytes. A station reporting twice in
+    /// one round replaces its pending payload (last wins).
     ///
-    /// The frame decodes into the server's recycled decode buffer, which is
+    /// The frame decodes into its shard's recycled decode buffer, which is
     /// then swapped with the station's payload slot — steady-state ingest
-    /// allocates nothing.
+    /// allocates nothing. In streaming mode ([`ApServer::set_streaming`]) the
+    /// frame queues on the shard's bounded ring instead and becomes pending
+    /// when a watermark commits it.
     ///
     /// # Errors
     /// [`ServeError::UnknownStation`] for an unassociated id,
     /// [`ServeError::Quarantined`] while the station is quarantined,
     /// [`ServeError::Corrupt`] when the frame fails its CRC-32 check,
     /// [`ServeError::DuplicateFrame`] when a sequenced frame re-delivers the
-    /// pending sequence number, and [`ServeError::Codec`] when the frame fails
+    /// pending sequence number, [`ServeError::Codec`] when the frame fails
     /// to decode, its bit width disagrees with the session, or the code count
-    /// does not match the station's model bottleneck. A failed ingest leaves
-    /// any previously pending payload of the station untouched.
+    /// does not match the station's model bottleneck, and
+    /// [`ServeError::Backpressure`] when a streaming shard's ring is full. A
+    /// failed ingest leaves any previously pending payload of the station
+    /// untouched.
     pub fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-        if self.streaming {
-            return self.core.stream_ingest(
-                &self.models,
-                id,
-                frame,
-                FrameStamp::default(),
-                self.round,
-            );
-        }
-        self.core.ingest_wire(&self.models, id, frame, self.round)
+        self.ingest_wire_at(id, frame, FrameStamp::default())
     }
 
     /// Timestamped wire ingest: like [`ApServer::ingest_wire`], but records
     /// the frame's virtual-time [`FrameStamp`] (arrival plus per-leg delay
-    /// breakdown) on the session, so a subsequent
-    /// [`ApServer::process_round_deadline`] can classify the report against
-    /// the Eq. 7d budget.
+    /// breakdown), so a close under a [`DeadlinePolicy`] can classify the
+    /// report against the Eq. 7d budget.
     ///
     /// # Errors
     /// Same contract as [`ApServer::ingest_wire`].
@@ -1265,13 +429,8 @@ impl ApServer {
         frame: &[u8],
         stamp: FrameStamp,
     ) -> Result<usize, ServeError> {
-        if self.streaming {
-            return self
-                .core
-                .stream_ingest(&self.models, id, frame, stamp, self.round);
-        }
-        self.core
-            .ingest_wire_at(&self.models, id, frame, stamp, self.round)
+        let shard = self.shard_of(id);
+        self.shards[shard].ingest_wire(&self.models, id, frame, stamp, self.round, self.streaming)
     }
 
     /// Ingests an already-decoded payload (in-process stations, tests).
@@ -1284,112 +443,158 @@ impl ApServer {
         payload: QuantizedFeedback,
         wire_bytes: usize,
     ) -> Result<usize, ServeError> {
-        self.core
-            .ingest_payload(&self.models, id, payload, wire_bytes, self.round)
+        let shard = self.shard_of(id);
+        self.shards[shard].ingest_payload(&self.models, id, payload, wire_bytes, self.round)
     }
 
     /// The health thresholds applied to every session.
     pub fn health_policy(&self) -> HealthPolicy {
-        self.core.health
+        self.shards[0].health
     }
 
-    /// Replaces the health thresholds (takes effect from the next ingest).
+    /// Replaces the health thresholds on every shard (takes effect from the
+    /// next ingest).
     pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.core.health = policy;
+        for shard in &mut self.shards {
+            shard.health = policy;
+        }
     }
 
-    /// Closes the current round: coalesces all pending payloads into **one
-    /// fused dequantize→tail batched inference per model**
-    /// ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`]), stores
-    /// every reconstruction in its session, and advances the round counter.
-    /// All intermediate storage comes from the server's round arena.
+    /// Closes the current round with no deadline policy: every pending
+    /// report is served and counted on time. Shorthand for
+    /// [`ApServer::close`]`(None)`.
+    ///
+    /// # Errors
+    /// Same contract as [`ApServer::close`].
+    pub fn process_round(&mut self) -> Result<RoundSummary, ServeError> {
+        self.close(None)
+    }
+
+    /// Closes the current round. Every shard, in parallel (one rayon task per
+    /// shard): commits whatever its streaming lane still holds, coalesces all
+    /// pending payloads into **one fused dequantize→tail batched inference per
+    /// model** ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`]),
+    /// stores every reconstruction in its session, folds in the micro-closes
+    /// watermarks already ran this round, and runs the once-per-round health
+    /// pass. Then idle stations are evicted when an idle budget is set, the
+    /// per-shard outcomes merge deterministically in shard order, and the
+    /// round counter advances.
+    ///
+    /// With a `policy`, every pending report is classified by its ingest
+    /// stamp's end-to-end delay — on-time (within the Eq. 7d budget,
+    /// inclusive) and late-but-usable reports are reconstructed in the same
+    /// batch, expired reports are consumed **without** reconstruction.
+    /// Untimed frames carry an all-zero stamp and always classify on-time.
+    ///
+    /// A lockstep server closes under the round barrier: the round waits for
+    /// the slowest shard, so every report pays the maximum
+    /// [`ApServer::set_shard_stall_ns`] stall. A streaming server's shards
+    /// each pay only their own.
     ///
     /// # Errors
     /// [`ServeError::Model`] when a tail reconstruction fails. The round is
     /// **partial, not voided**: the failed batch's payloads are discarded,
-    /// but every other model's batch still ran and stored its
-    /// reconstructions, and the round counter advanced — the error reports
-    /// the first failed model's reconstruction failure.
-    pub fn process_round(&mut self) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let lag = self.core.stall_ns;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_batched(&engine, round, None, lag)
-            .into_summary(round)
+    /// but every other batch on every shard still ran and stored its
+    /// reconstructions, and the round counter advanced — the error is the
+    /// first failure in shard, then model-key, order.
+    pub fn close(&mut self, policy: Option<DeadlinePolicy>) -> Result<RoundSummary, ServeError> {
+        let barrier_lag = (!self.streaming).then(|| self.barrier_lag_ns());
+        self.close_shards(|shard, engine, round| {
+            shard.close(engine, round, policy, barrier_lag.unwrap_or(shard.stall_ns));
+        })
     }
 
-    /// Deadline-aware batched round close: every pending report is classified
-    /// against `policy` by its ingest stamp's end-to-end delay — on-time
-    /// (within the Eq. 7d budget, inclusive) and late-but-usable reports are
-    /// reconstructed in the same fused batch, expired reports are consumed
-    /// **without** reconstruction. Untimed frames carry an all-zero stamp and
-    /// always classify on-time, which is how the lockstep drivers remain the
-    /// degenerate case.
+    /// Test oracle for [`ApServer::close`] on a lockstep server: every shard
+    /// reconstructs **one station at a time** through the unfused
+    /// dequantize-then-tail path. Produces bit-identical session state and
+    /// summaries.
     ///
     /// # Errors
-    /// Same contract and partial-round semantics as
-    /// [`ApServer::process_round`].
-    pub fn process_round_deadline(
+    /// Same contract as [`ApServer::close`].
+    #[cfg(any(test, feature = "reference"))]
+    pub fn close_serial(
         &mut self,
-        policy: DeadlinePolicy,
+        policy: Option<DeadlinePolicy>,
+    ) -> Result<RoundSummary, ServeError> {
+        let lag = self.barrier_lag_ns();
+        self.close_shards(|shard, engine, round| shard.close_serial(engine, round, policy, lag))
+    }
+
+    /// The close lag every shard pays under the round barrier: the maximum
+    /// stall across all shards (the barrier waits for the slowest).
+    fn barrier_lag_ns(&self) -> u64 {
+        self.shards.iter().map(|s| s.stall_ns).max().unwrap_or(0)
+    }
+
+    /// Runs `close_shard` over every shard in parallel, evicts idle
+    /// stations, and merges the shards' outcome slots in shard order.
+    fn close_shards(
+        &mut self,
+        close_shard: impl Fn(&mut ShardCore, &TailEngine<'_>, u64) + Sync,
     ) -> Result<RoundSummary, ServeError> {
         let round = self.round;
         self.round += 1;
-        let lag = self.core.stall_ns;
         let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_batched(&engine, round, Some(policy), lag)
-            .into_summary(round)
+        let max_idle = self.max_idle_rounds;
+        self.shards.par_iter_mut().for_each(|shard| {
+            close_shard(shard, &engine, round);
+            // The slab walks its idle-LRU list from the cold end and stops
+            // at the first survivor: O(evicted), not O(sessions).
+            shard.outcome.evicted =
+                max_idle.map_or(0, |budget| shard.sessions.evict_idle(round, budget));
+        });
+        let mut summary = RoundSummary {
+            round,
+            ..RoundSummary::default()
+        };
+        let mut first_error = None;
+        self.last_shard_stats.clear();
+        for shard in &mut self.shards {
+            let outcome = &mut shard.outcome;
+            let pass = &mut outcome.pass;
+            self.last_shard_stats.push(ShardRoundStats {
+                served: pass.served,
+                on_time: pass.on_time,
+                late: pass.late,
+                expired: pass.expired,
+                batches: pass.batches,
+                micro_closes: outcome.micro_closes,
+                had_traffic: outcome.had_traffic,
+            });
+            summary.served += pass.served;
+            summary.stale += outcome.stale;
+            summary.awaiting_first_report += outcome.awaiting_first_report;
+            summary.batches += pass.batches;
+            summary.on_time += pass.on_time;
+            summary.late += pass.late;
+            summary.expired += pass.expired;
+            summary.delay.merge(&pass.delay);
+            summary.corrupt += outcome.corrupt;
+            summary.stale_served += outcome.stale_served;
+            if first_error.is_none() {
+                first_error = pass.error.take();
+            }
+        }
+        first_error.map_or(Ok(summary), Err)
     }
 
-    /// Reference path: closes the round reconstructing **one station at a
-    /// time** through the unfused dequantize-then-tail path (no coalescing).
-    /// Produces bit-identical session state to [`ApServer::process_round`];
-    /// kept for verification and as the baseline the fused batched path is
-    /// benchmarked against.
-    ///
-    /// # Errors
-    /// [`ServeError::Model`] when a tail reconstruction fails; the same
-    /// partial-round semantics as [`ApServer::process_round`] apply (only the
-    /// failing model's payloads are consumed unreconstructed).
-    pub fn process_round_serial(&mut self) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let lag = self.core.stall_ns;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_serial(&engine, round, None, lag)
-            .into_summary(round)
+    /// Stations evicted by the most recent round close (`0` before the first
+    /// close, or when eviction is disabled).
+    pub fn evicted_in_last_round(&self) -> usize {
+        self.shards.iter().map(|s| s.outcome.evicted).sum()
     }
 
-    /// Deadline-aware serial round close: the station-at-a-time reference for
-    /// [`ApServer::process_round_deadline`], with identical classification
-    /// semantics (expired reports consumed unreconstructed, late reports
-    /// served but flagged).
-    ///
-    /// # Errors
-    /// Same contract as [`ApServer::process_round_serial`].
-    pub fn process_round_serial_deadline(
-        &mut self,
-        policy: DeadlinePolicy,
-    ) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let lag = self.core.stall_ns;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .close_round_serial(&engine, round, Some(policy), lag)
-            .into_summary(round)
+    /// Per-shard stats of the most recent round close, in shard order (empty
+    /// before the first close).
+    pub fn shard_round_stats(&self) -> &[ShardRoundStats] {
+        &self.last_shard_stats
     }
 
-    /// Switches between lockstep and streaming ingest. In streaming mode,
-    /// [`ApServer::ingest_wire`]/[`ApServer::ingest_wire_at`] enqueue frames
-    /// onto the bounded per-server ring and commits happen on watermarks
-    /// ([`ApServer::advance_watermark`]); the round still closes through
-    /// [`ApServer::process_round_streaming`]. Only toggle while quiescent (no
-    /// frames queued or pending).
+    /// Switches between lockstep and streaming ingest across all shards. In
+    /// streaming mode wire ingest queues frames on the shards' bounded rings,
+    /// commits happen on watermarks ([`ApServer::advance_watermark`]) or at
+    /// the close, and the close charges each shard only its own stall. Only
+    /// toggle while quiescent (no frames queued or pending).
     pub fn set_streaming(&mut self, on: bool) {
         self.streaming = on;
     }
@@ -1399,27 +604,36 @@ impl ApServer {
         self.streaming
     }
 
-    /// Sets this server's artificial close lag (a stalled-shard model): every
-    /// close pays `ns` of additional queueing delay when classifying served
-    /// and expired reports. Identity at 0.
-    pub fn set_stall_ns(&mut self, ns: u64) {
-        self.core.stall_ns = ns;
+    /// Sets shard `shard`'s artificial close lag (stalled-shard model): its
+    /// reports pay `ns` of additional queueing delay when classified.
+    /// Identity at 0. Under barrier closes **every** shard's reports pay the
+    /// maximum stall (the barrier waits for the slowest shard); under
+    /// streaming closes each shard pays only its own.
+    ///
+    /// # Panics
+    /// When `shard` is out of range.
+    pub fn set_shard_stall_ns(&mut self, shard: usize, ns: u64) {
+        self.shards[shard].stall_ns = ns;
     }
 
-    /// Replaces the streaming ingest ring with one of `capacity` slots
-    /// (rounded up to a power of two, minimum 2). Only call while quiescent:
-    /// any queued frames are dropped.
+    /// Replaces every shard's streaming ingest ring with one of `capacity`
+    /// slots (rounded up to a power of two, minimum 2). Only call while
+    /// quiescent: any queued frames are dropped.
     pub fn set_stream_capacity(&mut self, capacity: usize) {
-        self.core.lane = StreamLane::with_capacity(capacity);
+        for shard in &mut self.shards {
+            shard.lane = StreamLane::with_capacity(capacity);
+        }
     }
 
     /// One watermark tick at virtual time `watermark_ns` with tick period
-    /// `step_ns`: commits every queued frame that has arrived by the
-    /// watermark, then micro-closes the pending batch iff the oldest pending
-    /// frame's Eq. 7d service deadline (per `policy`, default
-    /// [`DeadlinePolicy::eq7d`]) falls before the next watermark. Micro-batch
-    /// accounting accumulates into the round summary produced by
-    /// [`ApServer::process_round_streaming`].
+    /// `step_ns`: every shard commits the queued frames that have arrived by
+    /// the watermark, then micro-closes its pending batch iff its own oldest
+    /// pending frame's Eq. 7d service deadline (per `policy`, default
+    /// [`DeadlinePolicy::eq7d`]) falls before the next watermark —
+    /// **independently of every other shard** (no barrier). Shards advance
+    /// serially in shard order, which keeps the tick deterministic.
+    /// Micro-batch accounting accumulates into the summary of the round's
+    /// [`ApServer::close`].
     pub fn advance_watermark(
         &mut self,
         watermark_ns: u64,
@@ -1428,47 +642,15 @@ impl ApServer {
     ) {
         let round = self.round;
         let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        self.core
-            .advance_watermark(&engine, round, watermark_ns, step_ns, policy);
-    }
-
-    /// Closes the current round in streaming mode: commits everything still
-    /// queued on the ring, serves any remaining pending batch, folds in the
-    /// micro-batches already closed by watermarks this round, runs the
-    /// once-per-round health pass and advances the round counter.
-    ///
-    /// With no intermediate watermark fired this is equivalent to
-    /// [`ApServer::process_round`] (everything serves as one batch), which is
-    /// how the lockstep drivers remain the bit-exact degenerate case.
-    ///
-    /// # Errors
-    /// Same contract and partial-round semantics as
-    /// [`ApServer::process_round`].
-    pub fn process_round_streaming(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<RoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let outcome = self.core.finalize_stream_round(&engine, round, policy);
-        self.last_micro_closes = outcome.micro_closes;
-        outcome.into_summary(round)
-    }
-
-    /// How many watermark-triggered micro-batch closes the most recent
-    /// streaming round performed (barrier rounds leave it untouched).
-    pub fn last_micro_closes(&self) -> usize {
-        self.last_micro_closes
+        for shard in &mut self.shards {
+            shard.advance_watermark(&engine, round, watermark_ns, step_ns, policy);
+        }
     }
 
     /// The latest reconstructed feedback of station `id`, in the tail's flat
     /// real-interleaved layout.
     pub fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        self.core
-            .sessions
-            .get(id)
-            .and_then(StationSession::feedback)
+        self.session(id).and_then(StationSession::feedback)
     }
 
     /// The latest feedback of station `id` materialized as per-subcarrier
@@ -1481,11 +663,7 @@ impl ApServer {
         &self,
         id: StationId,
     ) -> Result<Vec<mimo_math::CMatrix>, ServeError> {
-        let session = self
-            .core
-            .sessions
-            .get(id)
-            .ok_or(ServeError::UnknownStation(id))?;
+        let session = self.session(id).ok_or(ServeError::UnknownStation(id))?;
         let flat = session.feedback().ok_or(ServeError::NoFeedback(id))?;
         self.models[session.model_key()]
             .feedback_to_matrices(flat)
@@ -1506,17 +684,19 @@ impl ApServer {
             .collect()
     }
 
-    /// Stations (id order) whose feedback is at most `max_age` rounds old,
-    /// relative to the last closed round. Quarantined stations are excluded —
-    /// their link is not trusted, so they never enter a precoding group.
+    /// Stations (ascending id order, merged across shards) whose feedback is
+    /// at most `max_age` rounds old, relative to the last closed round.
+    /// Quarantined stations are excluded — their link is not trusted, so they
+    /// never enter a precoding group.
     pub fn fresh_station_ids(&self, max_age: u64) -> Vec<StationId> {
         let now = self.round.saturating_sub(1);
-        self.core
-            .sessions
-            .values()
+        let mut ids: Vec<StationId> = self
+            .sessions()
             .filter(|s| s.is_fresh(now, max_age) && s.health() != SessionHealth::Quarantined)
             .map(StationSession::id)
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Partitions fresh stations into MU-MIMO groups the zero-forcing precoder
@@ -1525,17 +705,26 @@ impl ApServer {
     pub fn mu_mimo_groups(&self, max_age: u64) -> Vec<Vec<StationId>> {
         let fresh = self.fresh_station_ids(max_age);
         let mut groups = Vec::new();
-        for key in 0..self.models.len() {
-            let config = self.models[key].config();
+        for (key, model) in self.models.iter().enumerate() {
+            let config = model.config();
             let per_group = (config.mimo.nt / config.mimo.nss.max(1)).max(1);
             let members: Vec<StationId> = fresh
                 .iter()
                 .copied()
-                .filter(|id| self.core.sessions[id].model_key() == key)
+                .filter(|&id| self.session(id).is_some_and(|s| s.model_key() == key))
                 .collect();
             groups.extend(members.chunks(per_group).map(<[StationId]>::to_vec));
         }
         groups
+    }
+}
+
+/// Shard count from the environment: `SPLITBEAM_SHARDS` when set (clamped to
+/// `1..=64`), otherwise the available parallelism capped at 8.
+pub fn env_shards() -> usize {
+    match mimo_math::env::parse::<usize>("SPLITBEAM_SHARDS") {
+        Some(n) => n.clamp(1, 64),
+        None => rayon::current_num_threads().clamp(1, 8),
     }
 }
 
@@ -1548,6 +737,16 @@ mod tests {
     use splitbeam::quantization::quantize_bottleneck;
     use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
+
+    impl ApServer {
+        /// Truncates station `id`'s already-validated pending payload so its
+        /// model's batch fails at reconstruction time — the failed-batch
+        /// fixture of the server and fleet tests.
+        pub(crate) fn truncate_pending_payload(&mut self, id: StationId) {
+            let session = self.shard_mut(id).sessions.get_mut(id).unwrap();
+            session.payload_slot().codes.truncate(3);
+        }
+    }
 
     fn model(seed: u64) -> SplitBeamModel {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -1790,7 +989,7 @@ mod tests {
                 serial.ingest_wire(id, &frame).unwrap();
             }
             let b = batched.process_round().unwrap();
-            let s = serial.process_round_serial().unwrap();
+            let s = serial.close_serial(None).unwrap();
             assert_eq!(b, s, "round summaries must agree");
             if round == 1 {
                 assert_eq!(b.served, stations as usize - 1);
@@ -1958,16 +1157,9 @@ mod tests {
             server.ingest_wire(3, &station_frame(&m_b, 63, 8)).unwrap();
             // Corrupt station 3's validated payload so model B's batch fails
             // at reconstruction time (validation already passed at ingest).
-            server
-                .core
-                .sessions
-                .get_mut(3)
-                .unwrap()
-                .payload_slot()
-                .codes
-                .truncate(3);
+            server.truncate_pending_payload(3);
             let result = if serial {
-                server.process_round_serial()
+                server.close_serial(None)
             } else {
                 server.process_round()
             };
@@ -1985,5 +1177,85 @@ mod tests {
             assert!(server.feedback_of(3).is_none(), "serial={serial}");
             assert_eq!(server.pending_count(), 0, "serial={serial}");
         }
+    }
+
+    #[test]
+    fn ids_map_to_shards_deterministically() {
+        let server = ApServer::with_shards(4);
+        assert_eq!(server.num_shards(), 4);
+        for id in 0..32u64 {
+            assert_eq!(server.shard_of(id), (id % 4) as usize);
+        }
+        // Shard count clamps to at least one.
+        assert_eq!(ApServer::with_shards(0).num_shards(), 1);
+        assert_eq!(ApServer::new().num_shards(), 1);
+        assert!(env_shards() >= 1);
+    }
+
+    #[test]
+    fn capacity_cap_rejects_and_reopens() {
+        let m = model(33);
+        let mut server = ApServer::with_shards(3);
+        let key = server.register_model(m);
+        server.set_capacity(Some(2));
+        server.register_station(0, key, 8).unwrap();
+        server.register_station(1, key, 8).unwrap();
+        assert_eq!(
+            server.register_station(2, key, 8),
+            Err(ServeError::CapacityExceeded(2, 2))
+        );
+        // A duplicate id reports as duplicate, not capacity.
+        assert_eq!(
+            server.register_station(1, key, 8),
+            Err(ServeError::DuplicateStation(1))
+        );
+        // Departures free capacity.
+        server.deregister_station(0).unwrap();
+        server.register_station(2, key, 8).unwrap();
+        assert_eq!(server.num_stations(), 2);
+        assert_eq!(server.station_ids(), vec![1, 2]);
+        // Lifting the cap reopens registration.
+        server.set_capacity(None);
+        server.register_station(0, key, 8).unwrap();
+        assert_eq!(server.num_stations(), 3);
+    }
+
+    #[test]
+    fn idle_stations_are_evicted_and_can_reregister() {
+        let m = model(35);
+        let mut server = ApServer::with_shards(2);
+        let key = server.register_model(m.clone());
+        server.set_max_idle_rounds(Some(1));
+        for id in 0..4u64 {
+            server.register_station(id, key, 8).unwrap();
+        }
+        // Rounds 0..3: stations 0 and 1 keep reporting, 2 and 3 stay silent.
+        let mut evicted_total = 0;
+        for round in 0..3u64 {
+            for id in 0..2u64 {
+                let frame = station_frame(&m, 700 + round * 2 + id, 8);
+                server.ingest_wire(id, &frame).unwrap();
+            }
+            server.process_round().unwrap();
+            evicted_total += server.evicted_in_last_round();
+        }
+        // Stations 2 and 3 never reported; idle exceeded the 1-round budget
+        // after round 2 closed.
+        assert_eq!(evicted_total, 2);
+        assert_eq!(server.num_stations(), 2);
+        assert!(server.session(2).is_none());
+        assert!(server.session(3).is_none());
+        assert_eq!(
+            server.ingest_wire(2, &station_frame(&m, 800, 8)),
+            Err(ServeError::UnknownStation(2))
+        );
+        // Clean re-registration: fresh session, joins at the current round.
+        server.register_station(2, key, 8).unwrap();
+        let session = server.session(2).unwrap();
+        assert!(session.feedback().is_none());
+        assert_eq!(session.joined_round(), 3);
+        // An active reporter is never evicted.
+        assert!(server.session(0).is_some());
+        assert!(server.feedback_of(0).is_some());
     }
 }

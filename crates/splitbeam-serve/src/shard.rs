@@ -1,928 +1,711 @@
-//! Multi-core sharded AP serving.
+//! One shard of serving state and the single round close.
 //!
-//! [`ShardedApServer`] partitions station sessions across `N` independent
-//! shards (deterministic `id % N` mapping) and closes each sounding round by
-//! processing every shard **in parallel**. Each shard is a full
-//! [`crate::server::ApServer`]-grade serving core — its own session map and
-//! its own round arena — so shards share nothing mutable and the per-shard
-//! round close is the *very same code* the single-shard server runs. Because
-//! the fused batched tail kernel's per-element accumulation is independent of
-//! batch shape (see [`splitbeam::fused`]), splitting a model's stations
-//! across shards changes batch boundaries but not a single output bit:
-//! sharded serving is bit-exact with single-shard batched serving and with
-//! the station-at-a-time serial reference, under every kernel backend.
+//! An [`ApServer`](crate::server::ApServer) owns `N` [`ShardCore`]s (station
+//! `id` lives on shard `id % N`). Each shard holds its own session slab,
+//! round arena and streaming lane, so shards share nothing mutable and close
+//! in parallel. Every serving step lives here exactly once:
 //!
-//! On top of the partitioning, this layer owns **session lifecycle**:
+//! * **ingest** ([`ShardCore::ingest_wire`]): session lookup → quarantine
+//!   gate → CRC/decode → duplicate suppression → payload validation, then the
+//!   frame either commits straight into its session (lockstep) or queues on
+//!   the shard's bounded ring until a watermark commits it (streaming);
+//! * **watermark** ([`ShardCore::advance_watermark`]): commits due frames and
+//!   micro-closes the pending batch when its oldest frame's Eq. 7d service
+//!   deadline would otherwise pass;
+//! * **close** ([`ShardCore::close`]): flush the lane → serve what is pending
+//!   → fold in the round's micro-closes → run the once-per-round health pass.
+//!   A barrier close is the same close on an empty lane with nothing folded;
+//!   "no deadline" is `policy == None`.
 //!
-//! * *capacity caps* — [`ShardedApServer::set_capacity`] bounds the fleet;
-//!   registrations beyond it are rejected with
-//!   [`ServeError::CapacityExceeded`],
-//! * *idle eviction* — [`ShardedApServer::set_max_idle_rounds`] drops
-//!   stations that produced no feedback for more than the configured number
-//!   of rounds (never-reporting stations are measured from association),
-//! * *clean re-registration* — a deregistered or evicted id can associate
-//!   again and starts from a blank session.
+//! Because the fused batched tail's per-element accumulation is independent
+//! of batch shape (see [`splitbeam::fused`]), splitting a model's stations
+//! across shards or micro-batches changes batch boundaries but not one output
+//! bit: every shard count and every watermark cadence is bit-exact with the
+//! station-at-a-time oracle (`close_serial`, behind the `reference` feature).
 
-use crate::server::{RoundOutcome, RoundSummary, ShardCore, TailEngine};
+use crate::ring::Ring;
+use crate::server::HealthPolicy;
 use crate::session::{StationId, StationSession};
-use crate::timing::{DeadlinePolicy, FrameStamp, RoundDelayStats};
+use crate::slab::SessionSlab;
+use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
 use crate::ServeError;
-use rayon::prelude::*;
-use splitbeam::fused::{QuantizedTail, TailWeights};
+use mimo_math::kernel::Kernel;
+use mimo_math::Int8Kernel;
+use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
+use splitbeam::wire;
 use std::sync::Arc;
 
-/// What one call to [`ShardedApServer::process_round`] did, merged across
-/// shards (deterministically, in shard order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedRoundSummary {
-    /// Index of the round that was just closed.
-    pub round: u64,
-    /// Stations served across all shards.
-    pub served: usize,
-    /// Stations whose feedback aged this round (reported before, not now).
-    pub stale: usize,
-    /// Registered stations that have never produced feedback.
-    pub awaiting_first_report: usize,
-    /// Batched tail invocations across all shards (one per model with pending
-    /// traffic per shard — a sharded round runs more, smaller batches than a
-    /// single-shard round).
-    pub batches: usize,
-    /// Served reports within the Eq. 7d budget (all of them for untimed
-    /// lockstep closes).
-    pub on_time: usize,
-    /// Served reports past the budget but within the deadline grace window.
-    pub late: usize,
-    /// Reports past budget and grace, consumed without reconstruction.
-    pub expired: usize,
-    /// Virtual-delay breakdown summed over served reports, merged in shard
-    /// order.
-    pub delay: RoundDelayStats,
-    /// Frames the fault-injected medium dropped this round (event-driven
-    /// serving only; always `0` for lockstep closes).
-    pub lost: usize,
-    /// Frames rejected by the CRC-32 integrity check across all shards.
-    pub corrupt: usize,
-    /// Station retransmissions attempted this round (event-driven serving
-    /// only).
-    pub retransmitted: usize,
-    /// Stale stations still served from last-known-good feedback (within the
-    /// health policy's staleness cap), summed across shards.
-    pub stale_served: usize,
-    /// Shards that had at least one pending payload this round.
-    pub shards_with_traffic: usize,
-    /// Stations evicted after the close for exceeding the idle budget.
-    pub evicted: usize,
-}
-
-impl ShardedRoundSummary {
-    /// The single-server view of this round (eviction and shard counts
-    /// dropped). `batches` counts per-shard batches, so it only matches a
-    /// single-shard server's summary when `num_shards == 1`.
-    pub fn as_round_summary(&self) -> RoundSummary {
-        RoundSummary {
-            round: self.round,
-            served: self.served,
-            stale: self.stale,
-            awaiting_first_report: self.awaiting_first_report,
-            batches: self.batches,
-            on_time: self.on_time,
-            late: self.late,
-            expired: self.expired,
-            delay: self.delay,
-            lost: self.lost,
-            corrupt: self.corrupt,
-            retransmitted: self.retransmitted,
-            stale_served: self.stale_served,
-        }
+/// A payload buffer with no codes yet; decode and recycling fill it.
+fn empty_payload() -> QuantizedFeedback {
+    QuantizedFeedback {
+        bits_per_value: 1,
+        min: 0.0,
+        max: 0.0,
+        codes: Vec::new(),
     }
 }
 
-/// Per-shard slice of the last round close, recorded in shard order. This is
-/// how stall-isolation is observed: a deliberately slow shard shows up here
-/// with depressed `on_time` while every other shard's numbers are untouched
-/// under streaming closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardRoundStats {
-    /// Stations this shard served.
-    pub served: usize,
-    /// Served reports within the Eq. 7d budget.
-    pub on_time: usize,
-    /// Served reports past budget but within grace.
-    pub late: usize,
-    /// Reports consumed unreconstructed past budget and grace.
-    pub expired: usize,
-    /// Batched tail invocations this shard ran.
-    pub batches: usize,
-    /// Watermark-triggered micro-batch closes (0 for barrier rounds).
-    pub micro_closes: usize,
-}
-
-/// A multi-core AP serving layer: `N` session shards closed in parallel per
-/// sounding round, with capacity caps and idle eviction. See the module docs
-/// for the exactness argument.
+/// Reusable per-round scratch owned by one shard.
 #[derive(Debug, Clone)]
-pub struct ShardedApServer {
-    models: Vec<Arc<SplitBeamModel>>,
-    /// Int8 tails bound from the registered models (same indices); consulted
-    /// only when `tail_weights` is [`TailWeights::Int8`].
-    tails: Vec<Arc<QuantizedTail>>,
-    /// Which weight format every shard's round close reconstructs with.
-    tail_weights: TailWeights,
-    shards: Vec<ShardCore>,
-    round: u64,
-    max_idle_rounds: Option<u64>,
-    capacity: Option<usize>,
-    stations: usize,
-    last_evicted: usize,
-    /// When set, wire ingest enqueues onto each shard's bounded ring and
-    /// rounds close via watermark-driven micro-batches
-    /// ([`ShardedApServer::advance_watermark`] /
-    /// [`ShardedApServer::finalize_stream_round`]).
-    streaming: bool,
-    /// Per-shard stats of the last round close, in shard order.
-    last_shard_stats: Vec<ShardRoundStats>,
+pub(crate) struct RoundArena {
+    /// Wire frames decode into this buffer before validation; on successful
+    /// ingest it is swapped with the station's payload slot (or a recycled
+    /// lane buffer), so the buffers circulate without reallocating.
+    decode_buf: QuantizedFeedback,
+    /// Station ids of the batch currently being reconstructed.
+    ids: Vec<StationId>,
+    /// Buffers of the fused batched tail reconstruction.
+    tail: TailScratch,
 }
 
-impl ShardedApServer {
-    /// Creates an empty server with `num_shards` session shards (clamped to
-    /// at least one).
-    pub fn new(num_shards: usize) -> Self {
-        let num_shards = num_shards.max(1);
+impl Default for RoundArena {
+    fn default() -> Self {
         Self {
-            models: Vec::new(),
-            tails: Vec::new(),
-            tail_weights: TailWeights::from_env(),
-            shards: (0..num_shards).map(|_| ShardCore::default()).collect(),
-            round: 0,
-            max_idle_rounds: None,
-            capacity: None,
-            stations: 0,
-            last_evicted: 0,
-            streaming: false,
-            last_shard_stats: Vec::new(),
+            decode_buf: empty_payload(),
+            ids: Vec::new(),
+            tail: TailScratch::new(),
+        }
+    }
+}
+
+/// Default capacity of a shard's streaming ingest ring.
+const DEFAULT_STREAM_CAPACITY: usize = 256;
+
+/// One decoded frame queued in a shard's streaming ring, awaiting its
+/// watermark commit.
+#[derive(Debug)]
+struct StreamFrame {
+    id: StationId,
+    payload: QuantizedFeedback,
+    stamp: FrameStamp,
+    seq: u16,
+}
+
+/// What one serving pass (the close's serve step, or one watermark
+/// micro-close) did. `error` carries the first failure (in model-key order)
+/// while the counters describe everything that still happened — a failed
+/// batch never blocks the other models' batches. Health/staleness accounting
+/// is *not* here: it runs exactly once per round, so streaming never emits
+/// phantom `awaiting_first_report`/`stale` counts per micro-batch.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ServePass {
+    pub(crate) served: usize,
+    pub(crate) batches: usize,
+    pub(crate) on_time: usize,
+    pub(crate) late: usize,
+    pub(crate) expired: usize,
+    pub(crate) delay: RoundDelayStats,
+    pub(crate) error: Option<ServeError>,
+}
+
+impl ServePass {
+    fn fold(&mut self, pass: ServePass) {
+        self.served += pass.served;
+        self.batches += pass.batches;
+        self.on_time += pass.on_time;
+        self.late += pass.late;
+        self.expired += pass.expired;
+        self.delay.merge(&pass.delay);
+        if self.error.is_none() {
+            self.error = pass.error;
+        }
+    }
+}
+
+/// One shard's streaming state: the bounded lock-free ingest ring, a
+/// one-frame stash for FIFO head-gated commits, a freelist of recycled
+/// payload buffers (steady-state streaming ingest allocates nothing), and
+/// the round's micro-close accumulator.
+#[derive(Debug)]
+pub(crate) struct StreamLane {
+    ring: Ring<StreamFrame>,
+    /// The first not-yet-due frame popped by a commit pass; commits are
+    /// FIFO head-gated, so nothing behind it commits either.
+    stash: Option<StreamFrame>,
+    free: Vec<QuantizedFeedback>,
+    /// Everything this round's watermark micro-closes served so far.
+    acc: ServePass,
+    micro_closes: usize,
+}
+
+impl StreamLane {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self {
+            ring: Ring::with_capacity(capacity),
+            stash: None,
+            free: Vec::new(),
+            acc: ServePass::default(),
+            micro_closes: 0,
         }
     }
 
-    /// Creates a server with the shard count resolved from the environment:
-    /// `SPLITBEAM_SHARDS` when set (clamped to `1..=64`), otherwise the
-    /// available parallelism capped at 8.
-    pub fn from_env() -> Self {
-        Self::new(env_shards())
+    fn queued(&self) -> usize {
+        self.ring.len() + usize::from(self.stash.is_some())
     }
+}
 
-    /// Number of session shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+impl Default for StreamLane {
+    fn default() -> Self {
+        Self::with_capacity(DEFAULT_STREAM_CAPACITY)
     }
+}
 
-    /// The deterministic shard a station id maps to (`id % num_shards`).
-    pub fn shard_of(&self, id: StationId) -> usize {
-        (id % self.shards.len() as u64) as usize
+impl Clone for StreamLane {
+    /// Cloning a serving core clones the lane *empty* (same capacity): the
+    /// ring is a synchronization structure, not data to duplicate. Servers
+    /// are only cloned quiescent (between rounds), where the lane holds
+    /// nothing anyway.
+    fn clone(&self) -> Self {
+        Self::with_capacity(self.ring.capacity())
     }
+}
 
-    /// Caps the number of simultaneously registered stations; `None` lifts
-    /// the cap. Registrations beyond the cap fail with
-    /// [`ServeError::CapacityExceeded`]; already-registered stations are
-    /// never dropped by lowering the cap.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) {
-        self.capacity = capacity;
+/// Everything a round close needs to run the tail: the f32 master models, the
+/// int8 tails bound from them at registration, which weight format serves this
+/// round, and the resolved kernel of each precision tier. Built once per close
+/// and shared (it is `Copy`) by every shard, so micro-closes, round closes and
+/// the serial oracle all dispatch identically.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TailEngine<'a> {
+    models: &'a [Arc<SplitBeamModel>],
+    tails: &'a [Arc<QuantizedTail>],
+    mode: TailWeights,
+    kern: Kernel,
+    ik: Int8Kernel,
+}
+
+impl<'a> TailEngine<'a> {
+    /// Bundles the registries with the kernels currently selected for the f32
+    /// and int8 tiers (`SPLITBEAM_KERNEL` / [`mimo_math::kernel::set_kernel`]).
+    pub(crate) fn new(
+        models: &'a [Arc<SplitBeamModel>],
+        tails: &'a [Arc<QuantizedTail>],
+        mode: TailWeights,
+    ) -> Self {
+        Self {
+            models,
+            tails,
+            mode,
+            kern: mimo_math::kernel::selected(),
+            ik: mimo_math::kernel::int8::selected_int8(),
+        }
     }
+}
 
-    /// Enables idle eviction: after each round close, stations idle for more
-    /// than `max_idle_rounds` sounding rounds are removed. `None` (the
-    /// default) disables eviction.
-    pub fn set_max_idle_rounds(&mut self, max_idle_rounds: Option<u64>) {
-        self.max_idle_rounds = max_idle_rounds;
-    }
+/// What the last round close did over one shard. Lives in the shard (a
+/// reused slot the server reads after the parallel fan-out), so a close
+/// allocates nothing to report its result.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RoundOutcome {
+    /// The round's serving totals: micro-closes plus the final serve step.
+    pub(crate) pass: ServePass,
+    pub(crate) stale: usize,
+    pub(crate) awaiting_first_report: usize,
+    pub(crate) stale_served: usize,
+    pub(crate) corrupt: usize,
+    /// Watermark-triggered micro-batch closes that fired during the round.
+    pub(crate) micro_closes: usize,
+    /// Whether the shard saw any traffic this round: frames still queued at
+    /// the close, served or failed batches, or expired reports.
+    pub(crate) had_traffic: bool,
+    /// Stations the server evicted from this shard after the close.
+    pub(crate) evicted: usize,
+}
 
-    /// Registers a tail model and returns its key. Stations referencing the
-    /// same key share the model. The int8 tail is quantized and packed here,
-    /// once, shared read-only by every shard.
-    pub fn register_model(&mut self, model: SplitBeamModel) -> usize {
-        self.tails.push(Arc::new(QuantizedTail::bind(&model)));
-        self.models.push(Arc::new(model));
-        self.models.len() - 1
-    }
+/// One shard's worth of serving state: a session partition, its private
+/// round arena and its streaming lane.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ShardCore {
+    pub(crate) sessions: SessionSlab,
+    arena: RoundArena,
+    /// Health thresholds applied to every session of this shard.
+    pub(crate) health: HealthPolicy,
+    /// Corrupt frames seen since the last round close (reported in the next
+    /// round's summary, then reset).
+    round_corrupt: usize,
+    pub(crate) lane: StreamLane,
+    /// Artificial close lag injected into this shard's serving path (bench
+    /// stall model). Barrier closes pay the *maximum* stall across shards —
+    /// the whole round waits on the slowest shard — while streaming closes
+    /// pay only the shard's own stall.
+    pub(crate) stall_ns: u64,
+    pub(crate) outcome: RoundOutcome,
+}
 
-    /// The weight format round closes currently reconstruct with.
-    pub fn tail_weights(&self) -> TailWeights {
-        self.tail_weights
-    }
-
-    /// Switches the tail weight format for subsequent round closes (all
-    /// shards; safe at any round boundary).
-    pub fn set_tail_weights(&mut self, mode: TailWeights) {
-        self.tail_weights = mode;
-    }
-
-    /// The model behind `key`.
-    pub fn model(&self, key: usize) -> Option<&SplitBeamModel> {
-        self.models.get(key).map(Arc::as_ref)
-    }
-
-    /// Associates a station with a registered model and quantizer width,
-    /// placing its session on shard [`ShardedApServer::shard_of`]`(id)`.
+impl ShardCore {
+    /// Wire ingest. The fault-tolerant order: session lookup, quarantine
+    /// gate, CRC/decode (a [`ServeError::Corrupt`] rejection feeds the
+    /// session's corrupt streak and can trigger quarantine), duplicate-
+    /// sequence suppression, payload validation — then the commit. Lockstep
+    /// commits the payload straight into the session (last wins). With
+    /// `streaming` the frame queues on the shard's bounded ring and only
+    /// becomes pending when a watermark commits it; a full ring rejects it
+    /// with [`ServeError::Backpressure`]. A failed ingest of any kind leaves
+    /// session state and a previously pending payload untouched.
     ///
-    /// # Errors
-    /// The same validation (and validation order) as
-    /// [`crate::server::ApServer::register_station`], plus
-    /// [`ServeError::CapacityExceeded`] when the request is otherwise valid
-    /// but the fleet is at the configured cap.
-    pub fn register_station(
+    /// A sequence number is suppressed while the station still has that
+    /// frame in flight (queued on the ring) or pending (committed, not yet
+    /// served).
+    pub(crate) fn ingest_wire(
         &mut self,
-        id: StationId,
-        model_key: usize,
-        bits_per_value: u8,
-    ) -> Result<(), ServeError> {
-        let shard = self.shard_of(id);
-        self.shards[shard].validate_registration(
-            self.models.len(),
-            id,
-            model_key,
-            bits_per_value,
-        )?;
-        if let Some(cap) = self.capacity {
-            if self.stations >= cap {
-                return Err(ServeError::CapacityExceeded(id, cap));
-            }
-        }
-        self.shards[shard].register_station(
-            self.models.len(),
-            id,
-            model_key,
-            bits_per_value,
-            self.round,
-        )?;
-        self.stations += 1;
-        Ok(())
-    }
-
-    /// Removes a station's session (disassociation). The id can register
-    /// again afterwards with a completely fresh session.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownStation`] when the id is not registered.
-    pub fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-        let shard = self.shard_of(id);
-        self.shards[shard].deregister_station(id)?;
-        self.stations -= 1;
-        Ok(())
-    }
-
-    /// Releases station `id` for a fleet handoff, returning its full session
-    /// state (payloads, health, staleness clocks) for the target AP to
-    /// adopt. Unlike deregistration, nothing is reset.
-    ///
-    /// # Errors
-    /// [`ServeError::UnknownStation`] when the id is not registered.
-    pub fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
-        let shard = self.shard_of(id);
-        let session = self.shards[shard].release_station(id)?;
-        self.stations -= 1;
-        Ok(session)
-    }
-
-    /// Adopts a roaming station's session rebound to this server's
-    /// `model_key` — the warm half of a fleet handoff; no cold re-register,
-    /// so the session keeps its feedback history and health state.
-    ///
-    /// # Errors
-    /// The registration validations, plus [`ServeError::CapacityExceeded`]
-    /// at the configured cap; the rejected session rides back in the error
-    /// so the caller can restore it at the source instead of dropping the
-    /// station.
-    // The fat Err is the point: the rejected session must ride back to the
-    // caller for restore, and boxing a cold failure path buys nothing.
-    #[allow(clippy::result_large_err)]
-    pub fn adopt_station(
-        &mut self,
-        session: StationSession,
-        model_key: usize,
-    ) -> Result<(), (StationSession, ServeError)> {
-        let id = session.id();
-        let shard = self.shard_of(id);
-        if let Err(e) = self.shards[shard].validate_registration(
-            self.models.len(),
-            id,
-            model_key,
-            session.bits_per_value(),
-        ) {
-            return Err((session, e));
-        }
-        if let Some(cap) = self.capacity {
-            if self.stations >= cap {
-                return Err((session, ServeError::CapacityExceeded(id, cap)));
-            }
-        }
-        self.shards[shard].adopt_station(self.models.len(), session, model_key)?;
-        self.stations += 1;
-        Ok(())
-    }
-
-    /// Number of registered stations across all shards.
-    pub fn num_stations(&self) -> usize {
-        self.stations
-    }
-
-    /// The session of station `id`.
-    pub fn session(&self, id: StationId) -> Option<&StationSession> {
-        self.shards[self.shard_of(id)].sessions.get(id)
-    }
-
-    /// Iterates over all sessions, shard by shard (id order within a shard).
-    pub fn sessions(&self) -> impl Iterator<Item = &StationSession> {
-        self.shards.iter().flat_map(|s| s.sessions.values())
-    }
-
-    /// All registered station ids in ascending order (merged across shards).
-    pub fn station_ids(&self) -> Vec<StationId> {
-        let mut ids: Vec<StationId> = self.sessions().map(StationSession::id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Index of the sounding round currently being collected.
-    pub fn current_round(&self) -> u64 {
-        self.round
-    }
-
-    /// Number of payloads waiting for the next round close.
-    pub fn pending_count(&self) -> usize {
-        self.shards.iter().map(ShardCore::pending_count).sum()
-    }
-
-    /// Ingests one bit-packed wire frame from station `id`, routed to its
-    /// shard's recycled decode buffer.
-    ///
-    /// # Errors
-    /// Same contract as [`crate::server::ApServer::ingest_wire`].
-    pub fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-        let shard = self.shard_of(id);
-        if self.streaming {
-            return self.shards[shard].stream_ingest(
-                &self.models,
-                id,
-                frame,
-                FrameStamp::default(),
-                self.round,
-            );
-        }
-        self.shards[shard].ingest_wire(&self.models, id, frame, self.round)
-    }
-
-    /// Timestamped wire ingest: records the frame's virtual-time stamp on the
-    /// session so a deadline-aware round close can classify it.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::ingest_wire`].
-    pub fn ingest_wire_at(
-        &mut self,
+        models: &[Arc<SplitBeamModel>],
         id: StationId,
         frame: &[u8],
         stamp: FrameStamp,
+        round: u64,
+        streaming: bool,
     ) -> Result<usize, ServeError> {
-        let shard = self.shard_of(id);
-        if self.streaming {
-            return self.shards[shard].stream_ingest(&self.models, id, frame, stamp, self.round);
+        let Self {
+            sessions,
+            arena,
+            health,
+            round_corrupt,
+            lane,
+            ..
+        } = self;
+        let session = sessions.get_mut(id).ok_or(ServeError::UnknownStation(id))?;
+        if session.is_quarantined(round) {
+            return Err(ServeError::Quarantined(id));
         }
-        self.shards[shard].ingest_wire_at(&self.models, id, frame, stamp, self.round)
+        if let Err(e) = wire::decode_feedback_into(frame, &mut arena.decode_buf) {
+            return Err(match e {
+                splitbeam::SplitBeamError::CorruptFrame(msg) => {
+                    *round_corrupt += 1;
+                    session.note_corrupt(round, health);
+                    ServeError::Corrupt(id, msg)
+                }
+                other => ServeError::Codec(other.to_string()),
+            });
+        }
+        let seq = wire::frame_seq(frame);
+        if seq != 0
+            && session.pending_seq() == seq
+            && (session.stream_inflight() > 0 || session.has_pending())
+        {
+            return Err(ServeError::DuplicateFrame(id, seq));
+        }
+        Self::validate_payload(models, session, &arena.decode_buf)?;
+        if streaming {
+            // Move the decoded payload into a recycled buffer so ingest stays
+            // allocation-free in steady state (mirrors the lockstep swap).
+            let mut payload = lane.free.pop().unwrap_or_else(empty_payload);
+            std::mem::swap(&mut payload, &mut arena.decode_buf);
+            let queued = StreamFrame {
+                id,
+                payload,
+                stamp,
+                seq,
+            };
+            if let Err(rejected) = lane.ring.push(queued) {
+                lane.free.push(rejected.payload);
+                return Err(ServeError::Backpressure(id, lane.ring.capacity()));
+            }
+            session.inc_stream_inflight();
+        } else {
+            std::mem::swap(session.payload_slot(), &mut arena.decode_buf);
+            session.set_pending(true);
+            session.set_pending_stamp(stamp);
+        }
+        session.set_pending_seq(seq);
+        session.note_clean_ingest();
+        session.record_ingest(frame.len());
+        Ok(frame.len())
     }
 
-    /// Ingests an already-decoded payload (in-process stations, tests).
-    ///
-    /// # Errors
-    /// Same validation as [`ShardedApServer::ingest_wire`].
-    pub fn ingest_payload(
+    pub(crate) fn ingest_payload(
         &mut self,
+        models: &[Arc<SplitBeamModel>],
         id: StationId,
         payload: QuantizedFeedback,
         wire_bytes: usize,
-    ) -> Result<usize, ServeError> {
-        let shard = self.shard_of(id);
-        self.shards[shard].ingest_payload(&self.models, id, payload, wire_bytes, self.round)
-    }
-
-    /// The health thresholds applied to every session.
-    pub fn health_policy(&self) -> crate::server::HealthPolicy {
-        self.shards[0].health
-    }
-
-    /// Replaces the health thresholds on every shard (takes effect from the
-    /// next ingest).
-    pub fn set_health_policy(&mut self, policy: crate::server::HealthPolicy) {
-        for shard in &mut self.shards {
-            shard.health = policy;
-        }
-    }
-
-    /// Closes the current round: every shard runs its fused batched round
-    /// close **in parallel** (one rayon task per shard), idle stations are
-    /// evicted when an idle budget is configured, and the per-shard summaries
-    /// are merged deterministically in shard order.
-    ///
-    /// Per-station results are bit-identical to
-    /// [`crate::server::ApServer::process_round`] and
-    /// [`crate::server::ApServer::process_round_serial`] on identical traffic,
-    /// for every shard count and kernel backend.
-    ///
-    /// # Errors
-    /// [`ServeError::Model`] when a batch fails; the same partial-round
-    /// semantics as the single-shard server apply per shard (only the failed
-    /// batch's payloads are consumed), every shard still closes, and the
-    /// first error in shard order is returned.
-    pub fn process_round(&mut self) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_with(None)
-    }
-
-    /// Deadline-aware parallel round close: every shard classifies its
-    /// pending reports against `policy` (expired reports consumed without
-    /// reconstruction, late ones served but flagged) with the same semantics
-    /// as [`crate::server::ApServer::process_round_deadline`].
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round`].
-    pub fn process_round_deadline(
-        &mut self,
-        policy: DeadlinePolicy,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_with(Some(policy))
-    }
-
-    fn process_round_with(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let max_idle = self.max_idle_rounds;
-        // The barrier couples every shard to the slowest one: the whole round
-        // close waits for the most stalled shard, so every shard's reports pay
-        // that worst-case close lag. (Streaming closes pay only their own
-        // shard's stall — that asymmetry is the point of the refactor.)
-        let barrier_lag = self.barrier_lag_ns();
-        let results: Vec<(RoundOutcome, usize, bool)> = self
-            .shards
-            .par_iter_mut()
-            .map(|shard: &mut ShardCore| {
-                let had_traffic = shard.pending_count() > 0;
-                let outcome = shard.close_round_batched(&engine, round, policy, barrier_lag);
-                let evicted = match max_idle {
-                    Some(budget) => shard.evict_idle(round, budget),
-                    None => 0,
-                };
-                (outcome, evicted, had_traffic)
-            })
-            .collect();
-        self.merge_round(round, results)
-    }
-
-    /// Reference path: closes the round with every shard's station-at-a-time
-    /// serial close, shard after shard (no parallelism). Produces bit-exact
-    /// session state to [`ShardedApServer::process_round`]; kept for
-    /// verification.
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round`].
-    pub fn process_round_serial(&mut self) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_serial_with(None)
-    }
-
-    /// Deadline-aware serial reference for
-    /// [`ShardedApServer::process_round_deadline`].
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round_serial`].
-    pub fn process_round_serial_deadline(
-        &mut self,
-        policy: DeadlinePolicy,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        self.process_round_serial_with(Some(policy))
-    }
-
-    fn process_round_serial_with(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let max_idle = self.max_idle_rounds;
-        let barrier_lag = self.barrier_lag_ns();
-        let results: Vec<(RoundOutcome, usize, bool)> = self
-            .shards
-            .iter_mut()
-            .map(|shard| {
-                let had_traffic = shard.pending_count() > 0;
-                let outcome = shard.close_round_serial(&engine, round, policy, barrier_lag);
-                let evicted = match max_idle {
-                    Some(budget) => shard.evict_idle(round, budget),
-                    None => 0,
-                };
-                (outcome, evicted, had_traffic)
-            })
-            .collect();
-        self.merge_round(round, results)
-    }
-
-    /// The close lag every shard pays under the round barrier: the maximum
-    /// stall across all shards (the barrier waits for the slowest).
-    fn barrier_lag_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.stall_ns).max().unwrap_or(0)
-    }
-
-    /// Deterministic merge of the per-shard outcomes, in shard order.
-    fn merge_round(
-        &mut self,
         round: u64,
-        results: Vec<(RoundOutcome, usize, bool)>,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        let mut summary = ShardedRoundSummary {
-            round,
-            served: 0,
-            stale: 0,
-            awaiting_first_report: 0,
-            batches: 0,
-            on_time: 0,
-            late: 0,
-            expired: 0,
-            delay: RoundDelayStats::default(),
-            lost: 0,
-            corrupt: 0,
-            retransmitted: 0,
-            stale_served: 0,
-            shards_with_traffic: 0,
-            evicted: 0,
-        };
-        let mut first_error = None;
-        self.last_shard_stats.clear();
-        for (outcome, evicted, had_traffic) in results {
-            self.last_shard_stats.push(ShardRoundStats {
-                served: outcome.served,
-                on_time: outcome.on_time,
-                late: outcome.late,
-                expired: outcome.expired,
-                batches: outcome.batches,
-                micro_closes: outcome.micro_closes,
-            });
-            summary.served += outcome.served;
-            summary.stale += outcome.stale;
-            summary.awaiting_first_report += outcome.awaiting_first_report;
-            summary.batches += outcome.batches;
-            summary.on_time += outcome.on_time;
-            summary.late += outcome.late;
-            summary.expired += outcome.expired;
-            summary.delay.merge(&outcome.delay);
-            summary.corrupt += outcome.corrupt;
-            summary.stale_served += outcome.stale_served;
-            summary.shards_with_traffic += usize::from(had_traffic);
-            summary.evicted += evicted;
-            if first_error.is_none() {
-                first_error = outcome.error;
+    ) -> Result<usize, ServeError> {
+        let session = self
+            .sessions
+            .get_mut(id)
+            .ok_or(ServeError::UnknownStation(id))?;
+        if session.is_quarantined(round) {
+            return Err(ServeError::Quarantined(id));
+        }
+        Self::validate_payload(models, session, &payload)?;
+        *session.payload_slot() = payload;
+        session.set_pending(true);
+        session.set_pending_stamp(FrameStamp::default());
+        session.set_pending_seq(0);
+        session.note_clean_ingest();
+        session.record_ingest(wire_bytes);
+        Ok(wire_bytes)
+    }
+
+    /// Shared ingest validation: announced quantizer width and bottleneck
+    /// dimension must match the session.
+    fn validate_payload(
+        models: &[Arc<SplitBeamModel>],
+        session: &StationSession,
+        payload: &QuantizedFeedback,
+    ) -> Result<(), ServeError> {
+        let id = session.id();
+        if payload.bits_per_value != session.bits_per_value() {
+            return Err(ServeError::Codec(format!(
+                "station {id} sent {} bits/value, session announced {}",
+                payload.bits_per_value,
+                session.bits_per_value()
+            )));
+        }
+        let expected = models[session.model_key()].bottleneck_dim();
+        if payload.codes.len() != expected {
+            return Err(ServeError::Codec(format!(
+                "station {id} sent {} codes, model bottleneck is {expected}",
+                payload.codes.len()
+            )));
+        }
+        Ok(())
+    }
+
+    pub(crate) fn pending_count(&self) -> usize {
+        // Order-free count: the dense slot walk, not the id-ordered view.
+        self.sessions
+            .values_unordered()
+            .filter(|s| s.has_pending())
+            .count()
+    }
+
+    /// Post-round health pass. Splits unserved stations into `stale`
+    /// (feedback aged this round) vs `awaiting_first_report` (never reported);
+    /// stations served this round count as neither. Of the stale stations,
+    /// those whose feedback age is still within the policy's staleness cap are
+    /// counted `stale_served` — the AP keeps representing them with
+    /// last-known-good feedback; past the cap they drop out of MU-MIMO
+    /// grouping. Every session's health state machine advances here.
+    fn health_pass(&mut self, round: u64) -> (usize, usize, usize) {
+        let mut stale = 0usize;
+        let mut awaiting = 0usize;
+        let mut stale_served = 0usize;
+        let policy = self.health;
+        // Per-session counter fold: visit order cannot reach the output, so
+        // the dense unordered walk is safe (and cache-friendly at fleet
+        // session counts).
+        for session in self.sessions.values_unordered_mut() {
+            let mut reported = false;
+            match session.last_round() {
+                Some(r) if r == round => reported = true,
+                Some(r) => {
+                    stale += 1;
+                    if round.saturating_sub(r) <= policy.stale_serve_cap {
+                        stale_served += 1;
+                    }
+                }
+                None => awaiting += 1,
+            }
+            session.close_health(round, &policy, reported);
+        }
+        (stale, awaiting, stale_served)
+    }
+
+    /// Deadline pass: consumes every pending payload whose end-to-end delay
+    /// (per its ingest stamp, plus `lag_ns` of close lag when a shard is
+    /// stalled) falls past the policy's budget *and* grace window. Expired
+    /// reports are never reconstructed — Eq. 7d is enforced at close, not
+    /// measured post-hoc. Returns the number of expired reports; with no
+    /// policy nothing expires.
+    fn expire_pending(&mut self, policy: Option<DeadlinePolicy>, lag_ns: u64) -> usize {
+        let Some(policy) = policy else { return 0 };
+        let mut expired = 0usize;
+        for session in self.sessions.values_unordered_mut() {
+            if session.has_pending()
+                && policy.classify(session.pending_stamp().total_ns().saturating_add(lag_ns))
+                    == FrameClass::Expired
+            {
+                session.set_pending(false);
+                session.set_pending_stamp(FrameStamp::default());
+                expired += 1;
             }
         }
-        self.stations -= summary.evicted;
-        self.last_evicted = summary.evicted;
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(summary),
+        expired
+    }
+
+    /// Classifies a served report against the policy and folds it into the
+    /// pass, recording the class on the session. `lag_ns` is the close lag of
+    /// a stalled shard: it counts as additional queueing, so a report held
+    /// past its budget by a slow close is classified (and recorded) late —
+    /// identity at `lag_ns == 0`.
+    fn account_served(
+        session: &mut StationSession,
+        policy: Option<DeadlinePolicy>,
+        lag_ns: u64,
+        pass: &mut ServePass,
+    ) {
+        let stamp = session.pending_stamp().with_extra_queue(lag_ns);
+        let is_late = policy.is_some_and(|p| p.classify(stamp.total_ns()) == FrameClass::Late);
+        if is_late {
+            pass.late += 1;
+        } else {
+            pass.on_time += 1;
+        }
+        pass.served += 1;
+        pass.delay.record(&stamp);
+        session.record_service_class(policy.map(|_| stamp), is_late);
+        session.set_pending_stamp(FrameStamp::default());
+    }
+
+    /// Consumes the pending payloads of a batch that failed reconstruction.
+    fn discard_batch(sessions: &mut SessionSlab, ids: &[StationId]) {
+        for id in ids {
+            let session = sessions
+                .get_mut(*id)
+                .expect("pending payload from registered station");
+            session.set_pending(false);
+            session.set_pending_stamp(FrameStamp::default());
         }
     }
 
-    /// Stations evicted by the most recent round close (`0` before the first
-    /// close, or when eviction is disabled). This is how the trait-driven
-    /// serving loop observes eviction counts without the sharded summary.
-    pub fn evicted_in_last_round(&self) -> usize {
-        self.last_evicted
-    }
-
-    /// Per-shard stats of the most recent round close, in shard order (empty
-    /// before the first close).
-    pub fn shard_round_stats(&self) -> &[ShardRoundStats] {
-        &self.last_shard_stats
-    }
-
-    /// Switches between lockstep and streaming ingest across all shards.
-    /// Only toggle while quiescent (no frames queued or pending).
-    pub fn set_streaming(&mut self, on: bool) {
-        self.streaming = on;
-    }
-
-    /// Whether streaming ingest is active.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// Sets shard `shard`'s artificial close lag (stalled-shard model).
-    /// Under barrier closes **every** shard's reports pay the maximum stall
-    /// (the barrier waits for the slowest shard); under streaming closes each
-    /// shard pays only its own.
+    /// The serve step shared by the round close and watermark micro-closes:
+    /// expires over-budget pending reports, then runs one fused
+    /// dequantize→tail batched inference per model with pending traffic.
+    /// With a [`DeadlinePolicy`], late-but-usable reports are served but
+    /// flagged. Performs **no** health/staleness accounting.
     ///
-    /// # Panics
-    /// When `shard` is out of range.
-    pub fn set_shard_stall_ns(&mut self, shard: usize, ns: u64) {
-        self.shards[shard].stall_ns = ns;
+    /// **Partial-round semantics on failure:** a failed batch consumes only
+    /// *its own* pending payloads (they are what failed); every other model's
+    /// batch still runs and stores its reconstructions, and the first error
+    /// (in model-key order) is reported in the pass. Stations of healthy
+    /// models are never penalized for an unrelated model's failure.
+    fn serve_pending(
+        &mut self,
+        engine: &TailEngine<'_>,
+        round: u64,
+        policy: Option<DeadlinePolicy>,
+        lag_ns: u64,
+    ) -> ServePass {
+        let mut pass = ServePass {
+            expired: self.expire_pending(policy, lag_ns),
+            ..ServePass::default()
+        };
+        let Self {
+            sessions, arena, ..
+        } = self;
+        let RoundArena { ids, tail, .. } = arena;
+        for (key, model) in engine.models.iter().enumerate() {
+            ids.clear();
+            ids.extend(
+                sessions
+                    .values()
+                    .filter(|s| s.has_pending() && s.model_key() == key)
+                    .map(StationSession::id),
+            );
+            if ids.is_empty() {
+                continue;
+            }
+            pass.batches += 1;
+            let result = match engine.mode {
+                TailWeights::F32 => model.reconstruct_quantized_batch_iter_into(
+                    ids.iter().map(|id| sessions[id].payload()),
+                    ids.len(),
+                    tail,
+                    engine.kern,
+                ),
+                TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_iter_into(
+                    ids.iter().map(|id| sessions[id].payload()),
+                    ids.len(),
+                    tail,
+                    engine.ik,
+                ),
+            };
+            match result {
+                Ok(flats) => {
+                    let width = flats.cols();
+                    for (id, flat) in ids.iter().zip(flats.as_slice().chunks_exact(width)) {
+                        let session = sessions
+                            .get_mut(*id)
+                            .expect("pending payload from registered station");
+                        session.store_feedback(flat, round);
+                        session.set_pending(false);
+                        Self::account_served(session, policy, lag_ns, &mut pass);
+                        // Serving is the activity the idle-LRU orders by.
+                        sessions.touch(*id);
+                    }
+                }
+                Err(e) => {
+                    Self::discard_batch(sessions, ids);
+                    pass.error
+                        .get_or_insert_with(|| ServeError::Model(e.to_string()));
+                }
+            }
+        }
+        pass
     }
 
-    /// One watermark tick at virtual time `watermark_ns` with tick period
-    /// `step_ns`: every shard commits its due frames and micro-closes its
-    /// pending batch iff its own oldest pending frame's Eq. 7d service
-    /// deadline falls before the next watermark — **independently of every
-    /// other shard** (no barrier). Shards advance serially in shard order,
-    /// which keeps the close deterministic.
-    pub fn advance_watermark(
+    /// Test oracle for [`ShardCore::serve_pending`]: one unfused
+    /// reconstruction per station, with the same partial-round semantics —
+    /// each model's payloads are reconstructed first and committed only when
+    /// the *whole* model succeeded, so a failing payload consumes the failed
+    /// model's pending payloads without storing any of them.
+    #[cfg(any(test, feature = "reference"))]
+    fn serve_pending_serial(
         &mut self,
+        engine: &TailEngine<'_>,
+        round: u64,
+        policy: Option<DeadlinePolicy>,
+        lag_ns: u64,
+    ) -> ServePass {
+        let mut pass = ServePass {
+            expired: self.expire_pending(policy, lag_ns),
+            ..ServePass::default()
+        };
+        let sessions = &mut self.sessions;
+        for (key, model) in engine.models.iter().enumerate() {
+            let ids: Vec<StationId> = sessions
+                .values()
+                .filter(|s| s.has_pending() && s.model_key() == key)
+                .map(StationSession::id)
+                .collect();
+            if ids.is_empty() {
+                continue;
+            }
+            pass.batches += 1;
+            let flats: Result<Vec<Vec<f32>>, _> =
+                ids.iter()
+                    .map(|id| match engine.mode {
+                        TailWeights::F32 => model.reconstruct_quantized(sessions[id].payload()),
+                        TailWeights::Int8 => engine.tails[key]
+                            .reconstruct_quantized(sessions[id].payload(), engine.ik),
+                    })
+                    .collect();
+            match flats {
+                Ok(flats) => {
+                    for (id, flat) in ids.iter().zip(flats) {
+                        let session = sessions
+                            .get_mut(*id)
+                            .expect("pending payload from registered station");
+                        session.store_feedback(&flat, round);
+                        session.set_pending(false);
+                        Self::account_served(session, policy, lag_ns, &mut pass);
+                        sessions.touch(*id);
+                    }
+                }
+                Err(e) => {
+                    Self::discard_batch(sessions, &ids);
+                    pass.error
+                        .get_or_insert_with(|| ServeError::Model(e.to_string()));
+                }
+            }
+        }
+        pass
+    }
+
+    /// Commits every queued frame whose arrival stamp is at or before
+    /// `watermark_ns` into its session, in ingest (FIFO) order — so a station
+    /// reporting twice keeps last-wins semantics identical to lockstep
+    /// ingest. Stops at the first frame still ahead of the watermark (head-
+    /// gated: later frames wait even if individually due, preserving order).
+    fn commit_due(&mut self, watermark_ns: u64) {
+        while let Some(frame) = self.lane.stash.take().or_else(|| self.lane.ring.pop()) {
+            if frame.stamp.arrival_ns > watermark_ns {
+                self.lane.stash = Some(frame);
+                break;
+            }
+            let StreamFrame {
+                id,
+                mut payload,
+                stamp,
+                seq,
+            } = frame;
+            // A station deregistered with frames still in flight drops the
+            // frame; its buffer is recycled either way.
+            if let Some(session) = self.sessions.get_mut(id) {
+                std::mem::swap(session.payload_slot(), &mut payload);
+                session.set_pending(true);
+                session.set_pending_stamp(stamp);
+                session.set_pending_seq(seq);
+                session.dec_stream_inflight();
+            }
+            self.lane.free.push(payload);
+        }
+    }
+
+    /// One watermark tick: commits due frames, then micro-closes this shard's
+    /// pending batch iff the oldest pending frame's Eq. 7d service deadline
+    /// falls before the *next* watermark — i.e. this is the last watermark at
+    /// which that frame can still be served within budget. Each shard decides
+    /// independently and pays only its own stall; no cross-shard barrier.
+    pub(crate) fn advance_watermark(
+        &mut self,
+        engine: &TailEngine<'_>,
+        round: u64,
         watermark_ns: u64,
         step_ns: u64,
         policy: Option<DeadlinePolicy>,
     ) {
-        let round = self.round;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        for shard in &mut self.shards {
-            shard.advance_watermark(&engine, round, watermark_ns, step_ns, policy);
-        }
-    }
-
-    /// Streaming round close: every shard (in parallel) commits its remaining
-    /// queued frames, serves any remaining pending batch with its **own**
-    /// stall as close lag, folds in its accumulated micro-batch summaries,
-    /// and runs the once-per-round health pass; then eviction and the
-    /// deterministic shard-order merge proceed exactly as in
-    /// [`ShardedApServer::process_round`].
-    ///
-    /// With no intermediate watermark fired and no stalls this is bit-exact
-    /// with [`ShardedApServer::process_round`].
-    ///
-    /// # Errors
-    /// Same contract as [`ShardedApServer::process_round`].
-    pub fn finalize_stream_round(
-        &mut self,
-        policy: Option<DeadlinePolicy>,
-    ) -> Result<ShardedRoundSummary, ServeError> {
-        let round = self.round;
-        self.round += 1;
-        let engine = TailEngine::new(&self.models, &self.tails, self.tail_weights);
-        let max_idle = self.max_idle_rounds;
-        let results: Vec<(RoundOutcome, usize, bool)> = self
-            .shards
-            .par_iter_mut()
-            .map(|shard: &mut ShardCore| {
-                let had_traffic = shard.round_had_traffic();
-                let outcome = shard.finalize_stream_round(&engine, round, policy);
-                let evicted = match max_idle {
-                    Some(budget) => shard.evict_idle(round, budget),
-                    None => 0,
-                };
-                (outcome, evicted, had_traffic)
-            })
-            .collect();
-        self.merge_round(round, results)
-    }
-
-    /// The latest reconstructed feedback of station `id`, in the tail's flat
-    /// real-interleaved layout.
-    pub fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        self.shards[self.shard_of(id)]
+        self.commit_due(watermark_ns);
+        let trigger = policy.unwrap_or_else(DeadlinePolicy::eq7d);
+        let oldest_deadline = self
             .sessions
-            .get(id)
-            .and_then(StationSession::feedback)
-    }
-
-    /// Stations (ascending id order, merged across shards) whose feedback is
-    /// at most `max_age` rounds old, relative to the last closed round.
-    /// Quarantined stations are excluded, matching the single-shard server.
-    pub fn fresh_station_ids(&self, max_age: u64) -> Vec<StationId> {
-        let now = self.round.saturating_sub(1);
-        let mut ids: Vec<StationId> = self
-            .sessions()
-            .filter(|s| {
-                s.is_fresh(now, max_age) && s.health() != crate::session::SessionHealth::Quarantined
-            })
-            .map(StationSession::id)
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-}
-
-/// Shard count from the environment: `SPLITBEAM_SHARDS` when set (clamped to
-/// `1..=64`), otherwise the available parallelism capped at 8.
-pub fn env_shards() -> usize {
-    match mimo_math::env::parse::<usize>("SPLITBEAM_SHARDS") {
-        Some(n) => n.clamp(1, 64),
-        None => rayon::current_num_threads().clamp(1, 8),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::server::ApServer;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-    use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
-    use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-    fn model(seed: u64) -> SplitBeamModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneEighth,
-            ),
-            &mut rng,
-        )
-    }
-
-    fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-        let csi: Vec<f32> = channel
-            .sample(&mut rng)
-            .csi_real_vector(0)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let payload = model.compress_quantized(&csi, bits).unwrap();
-        splitbeam::wire::encode_feedback(&payload).unwrap()
-    }
-
-    #[test]
-    fn ids_map_to_shards_deterministically() {
-        let server = ShardedApServer::new(4);
-        assert_eq!(server.num_shards(), 4);
-        for id in 0..32u64 {
-            assert_eq!(server.shard_of(id), (id % 4) as usize);
+            .values_unordered()
+            .filter(|s| s.has_pending())
+            .map(|s| trigger.service_deadline_ns(s.pending_stamp()))
+            .min();
+        if oldest_deadline.is_some_and(|d| d <= watermark_ns.saturating_add(step_ns)) {
+            let pass = self.serve_pending(engine, round, policy, self.stall_ns);
+            self.lane.acc.fold(pass);
+            self.lane.micro_closes += 1;
         }
-        // Shard count clamps to at least one.
-        assert_eq!(ShardedApServer::new(0).num_shards(), 1);
-        assert!(env_shards() >= 1);
     }
 
-    #[test]
-    fn sharded_round_is_bit_exact_with_single_shard_and_serial() {
-        let m = model(31);
-        let stations = 9u64;
-        let bits = 6u8;
-        let mut single = ApServer::new();
-        let skey = single.register_model(m.clone());
-        let mut serial = ApServer::new();
-        let serial_key = serial.register_model(m.clone());
-        let mut sharded: Vec<ShardedApServer> = [1usize, 2, 4, 7]
-            .iter()
-            .map(|&n| {
-                let mut s = ShardedApServer::new(n);
-                let key = s.register_model(m.clone());
-                for id in 0..stations {
-                    s.register_station(id, key, bits).unwrap();
-                }
-                s
-            })
-            .collect();
-        for id in 0..stations {
-            single.register_station(id, skey, bits).unwrap();
-            serial.register_station(id, serial_key, bits).unwrap();
-        }
-        for round in 0..3u64 {
-            for id in 0..stations {
-                if (round + id) % 4 == 1 {
-                    continue; // drop some reports
-                }
-                let frame = station_frame(&m, 500 + round * stations + id, bits);
-                single.ingest_wire(id, &frame).unwrap();
-                serial.ingest_wire(id, &frame).unwrap();
-                for s in sharded.iter_mut() {
-                    s.ingest_wire(id, &frame).unwrap();
-                }
-            }
-            let want = single.process_round().unwrap();
-            let want_serial = serial.process_round_serial().unwrap();
-            assert_eq!(want, want_serial);
-            for s in sharded.iter_mut() {
-                let got = s.process_round().unwrap();
-                assert_eq!(
-                    (got.round, got.served, got.stale, got.awaiting_first_report),
-                    (
-                        want.round,
-                        want.served,
-                        want.stale,
-                        want.awaiting_first_report
-                    ),
-                    "{} shards, round {round}",
-                    s.num_shards()
-                );
-                assert_eq!(got.evicted, 0);
-                for id in 0..stations {
-                    assert_eq!(
-                        s.feedback_of(id),
-                        single.feedback_of(id),
-                        "{} shards, round {round}, station {id}",
-                        s.num_shards()
-                    );
-                }
-            }
-        }
-        // One-shard summaries match the single server exactly, batches included.
-        assert_eq!(sharded[0].pending_count(), 0);
+    /// The round close: commits everything still queued on the lane, serves
+    /// whatever is pending as one batch per model, folds in the micro-closes
+    /// watermarks already ran this round, and runs the once-per-round health
+    /// pass. The result lands in [`ShardCore::outcome`].
+    ///
+    /// `lag_ns` is the close lag every report of this shard pays: the caller
+    /// passes the maximum stall across shards for a barrier close (the round
+    /// waits for the slowest shard) and the shard's own stall for a streaming
+    /// close.
+    pub(crate) fn close(
+        &mut self,
+        engine: &TailEngine<'_>,
+        round: u64,
+        policy: Option<DeadlinePolicy>,
+        lag_ns: u64,
+    ) {
+        let queued = self.lane.queued() > 0;
+        self.commit_due(u64::MAX);
+        let last = self.serve_pending(engine, round, policy, lag_ns);
+        let mut pass = std::mem::take(&mut self.lane.acc);
+        pass.fold(last);
+        let micro_closes = std::mem::take(&mut self.lane.micro_closes);
+        self.finish_round(round, pass, micro_closes, queued);
     }
 
-    #[test]
-    fn capacity_cap_rejects_and_reopens() {
-        let m = model(33);
-        let mut server = ShardedApServer::new(3);
-        let key = server.register_model(m);
-        server.set_capacity(Some(2));
-        server.register_station(0, key, 8).unwrap();
-        server.register_station(1, key, 8).unwrap();
-        assert_eq!(
-            server.register_station(2, key, 8),
-            Err(ServeError::CapacityExceeded(2, 2))
-        );
-        // A duplicate id reports as duplicate, not capacity.
-        assert_eq!(
-            server.register_station(1, key, 8),
-            Err(ServeError::DuplicateStation(1))
-        );
-        // Departures free capacity.
-        server.deregister_station(0).unwrap();
-        server.register_station(2, key, 8).unwrap();
-        assert_eq!(server.num_stations(), 2);
-        assert_eq!(server.station_ids(), vec![1, 2]);
-        // Lifting the cap reopens registration.
-        server.set_capacity(None);
-        server.register_station(0, key, 8).unwrap();
-        assert_eq!(server.num_stations(), 3);
+    /// Test oracle for [`ShardCore::close`] on a lockstep shard: the same
+    /// close with the station-at-a-time serve step.
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn close_serial(
+        &mut self,
+        engine: &TailEngine<'_>,
+        round: u64,
+        policy: Option<DeadlinePolicy>,
+        lag_ns: u64,
+    ) {
+        let pass = self.serve_pending_serial(engine, round, policy, lag_ns);
+        self.finish_round(round, pass, 0, false);
     }
 
-    #[test]
-    fn idle_stations_are_evicted_and_can_reregister() {
-        let m = model(35);
-        let mut server = ShardedApServer::new(2);
-        let key = server.register_model(m.clone());
-        server.set_max_idle_rounds(Some(1));
-        for id in 0..4u64 {
-            server.register_station(id, key, 8).unwrap();
-        }
-        // Rounds 0..3: stations 0 and 1 keep reporting, 2 and 3 stay silent.
-        let mut evicted_total = 0;
-        for round in 0..3u64 {
-            for id in 0..2u64 {
-                let frame = station_frame(&m, 700 + round * 2 + id, 8);
-                server.ingest_wire(id, &frame).unwrap();
-            }
-            let summary = server.process_round().unwrap();
-            evicted_total += summary.evicted;
-        }
-        // Stations 2 and 3 never reported; idle exceeded the 1-round budget
-        // after round 2 closed.
-        assert_eq!(evicted_total, 2);
-        assert_eq!(server.num_stations(), 2);
-        assert!(server.session(2).is_none());
-        assert!(server.session(3).is_none());
-        assert_eq!(
-            server.ingest_wire(2, &station_frame(&m, 800, 8)),
-            Err(ServeError::UnknownStation(2))
-        );
-        // Clean re-registration: fresh session, joins at the current round.
-        server.register_station(2, key, 8).unwrap();
-        let session = server.session(2).unwrap();
-        assert!(session.feedback().is_none());
-        assert_eq!(session.joined_round(), 3);
-        // An active reporter is never evicted.
-        assert!(server.session(0).is_some());
-        assert!(server.feedback_of(0).is_some());
-    }
-
-    #[test]
-    fn sharded_serial_reference_matches_parallel() {
-        let m = model(37);
-        let bits = 5u8;
-        let mut parallel = ShardedApServer::new(3);
-        let pkey = parallel.register_model(m.clone());
-        let mut serial = ShardedApServer::new(3);
-        let skey = serial.register_model(m.clone());
-        for id in 0..7u64 {
-            parallel.register_station(id, pkey, bits).unwrap();
-            serial.register_station(id, skey, bits).unwrap();
-        }
-        for round in 0..2u64 {
-            for id in 0..7u64 {
-                let frame = station_frame(&m, 900 + round * 7 + id, bits);
-                parallel.ingest_wire(id, &frame).unwrap();
-                serial.ingest_wire(id, &frame).unwrap();
-            }
-            let p = parallel.process_round().unwrap();
-            let s = serial.process_round_serial().unwrap();
-            assert_eq!(
-                (p.round, p.served, p.stale, p.awaiting_first_report),
-                (s.round, s.served, s.stale, s.awaiting_first_report)
-            );
-            for id in 0..7u64 {
-                assert_eq!(parallel.feedback_of(id), serial.feedback_of(id));
-            }
-        }
+    /// The once-per-round tail of a close: health/staleness pass,
+    /// corrupt-counter harvest, and outcome assembly.
+    fn finish_round(&mut self, round: u64, pass: ServePass, micro_closes: usize, queued: bool) {
+        let (stale, awaiting_first_report, stale_served) = self.health_pass(round);
+        self.outcome = RoundOutcome {
+            // Every pending report ends a close expired or in a batch.
+            had_traffic: queued || pass.batches > 0 || pass.expired > 0,
+            pass,
+            stale,
+            awaiting_first_report,
+            stale_served,
+            corrupt: std::mem::take(&mut self.round_corrupt),
+            micro_closes,
+            evicted: 0,
+        };
     }
 }

@@ -248,7 +248,7 @@ fn hand_stamped_expired_frame_is_dropped_by_the_deadline_close() {
         )
         .unwrap();
     let policy = splitbeam_serve::DeadlinePolicy::eq7d();
-    let summary = server.process_round_deadline(policy).unwrap();
+    let summary = server.close(Some(policy)).unwrap();
     assert_eq!(
         (
             summary.served,

@@ -130,6 +130,9 @@ proptest! {
         shards_sel in 0usize..4,
         drop_every in 0usize..5,
     ) {
+        // The kernel-pinning test of this binary runs on another thread; the
+        // two servers below must close under one kernel.
+        let _kernel = KERNEL_LOCK.lock().unwrap();
         let shards = SHARD_COUNTS[shards_sel];
         let m = model(seed.wrapping_add(301));
         let cfg = SimConfig {

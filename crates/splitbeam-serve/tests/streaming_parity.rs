@@ -26,7 +26,7 @@ use splitbeam_serve::driver::{
 use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::timing::FrameStamp;
-use splitbeam_serve::{DeadlinePolicy, ServeError, ShardedApServer};
+use splitbeam_serve::{DeadlinePolicy, ServeError};
 use std::sync::Mutex;
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -65,6 +65,14 @@ fn model(seed: u64) -> SplitBeamModel {
         ),
         &mut rng,
     )
+}
+
+fn shards_with_traffic(server: &ApServer) -> usize {
+    server
+        .shard_round_stats()
+        .iter()
+        .filter(|s| s.had_traffic)
+        .count()
 }
 
 fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
@@ -177,10 +185,13 @@ proptest! {
 }
 
 /// The non-event streaming path is the degenerate case too: `serve_traffic`
-/// with `ServeMode::Streaming` on a streaming-ingest server equals the
-/// batched and serial lockstep drivers bit-exactly.
+/// on a streaming-ingest server (no watermark ever fires) equals the batched
+/// and serial lockstep drivers bit-exactly.
 #[test]
 fn plain_streaming_mode_matches_batched_and_serial() {
+    // The kernel-pinning proptest of this binary runs on another thread; the
+    // servers compared below must all close under one kernel.
+    let _kernel = KERNEL_LOCK.lock().unwrap();
     let m = model(101);
     let cfg = SimConfig {
         stations: 5,
@@ -199,7 +210,7 @@ fn plain_streaming_mode_matches_batched_and_serial() {
 
     let mut streaming = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
     streaming.set_streaming(true);
-    let got = serve_traffic(&mut streaming, &traffic, ServeMode::Streaming).unwrap();
+    let got = serve_traffic(&mut streaming, &traffic, ServeMode::Batched).unwrap();
     assert_eq!(got, want, "plain streaming must equal the barrier closes");
     for id in 0..traffic.max_station_id {
         assert_eq!(streaming.feedback_of(id), batched.feedback_of(id));
@@ -207,7 +218,7 @@ fn plain_streaming_mode_matches_batched_and_serial() {
 
     let mut sharded = build_sharded_server(m, cfg.stations, cfg.bits_per_value, 4);
     sharded.set_streaming(true);
-    let got = serve_traffic(&mut sharded, &traffic, ServeMode::Streaming).unwrap();
+    let got = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
     assert_eq!(got.total_served(), want.total_served());
     for id in 0..traffic.max_station_id {
         assert_eq!(sharded.feedback_of(id), batched.feedback_of(id));
@@ -220,6 +231,9 @@ fn plain_streaming_mode_matches_batched_and_serial() {
 /// the slowest one.
 #[test]
 fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
+    // The kernel-pinning proptest of this binary runs on another thread; the
+    // servers compared below must all close under one kernel.
+    let _kernel = KERNEL_LOCK.lock().unwrap();
     let m = model(201);
     let bits = 6u8;
     let stations = 8u64;
@@ -229,7 +243,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
     let stall_ns = 15_000_000u64;
 
     let build = |streaming: bool, stall: bool| {
-        let mut server = ShardedApServer::new(4);
+        let mut server = ApServer::with_shards(4);
         let key = server.register_model(m.clone());
         for id in 0..stations {
             server.register_station(id, key, bits).unwrap();
@@ -250,7 +264,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
     // Barrier, stalled shard 0: the whole round waits for the slowest shard,
     // so every report on every shard pays the 15 ms lag and lands late.
     let mut barrier = build(false, true);
-    let summary = barrier.process_round_deadline(policy).unwrap();
+    let summary = barrier.close(Some(policy)).unwrap();
     assert_eq!(summary.served, stations as usize);
     assert_eq!(
         (summary.on_time, summary.late),
@@ -263,7 +277,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
 
     // Streaming, stalled shard 0: only shard 0's own reports pay its stall.
     let mut streaming = build(true, true);
-    let summary = streaming.finalize_stream_round(Some(policy)).unwrap();
+    let summary = streaming.close(Some(policy)).unwrap();
     assert_eq!(summary.served, stations as usize);
     assert_eq!((summary.on_time, summary.late), (6, 2));
     let stats = streaming.shard_round_stats();
@@ -275,7 +289,7 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
     // The unstalled streaming run is the reference: healthy shards in the
     // stalled run match it exactly.
     let mut clean = build(true, false);
-    let clean_summary = clean.finalize_stream_round(Some(policy)).unwrap();
+    let clean_summary = clean.close(Some(policy)).unwrap();
     assert_eq!(clean_summary.on_time, stations as usize);
     for (idx, s) in clean.shard_round_stats().iter().enumerate().skip(1) {
         assert_eq!(*s, stats[idx]);
@@ -300,7 +314,7 @@ fn empty_shard_micro_batches_do_not_inflate_awaiting_counts() {
     let policy = DeadlinePolicy::eq7d();
 
     let build = |streaming: bool| {
-        let mut server = ShardedApServer::new(4);
+        let mut server = ApServer::with_shards(4);
         let key = server.register_model(m.clone());
         for id in 0..8u64 {
             server.register_station(id, key, bits).unwrap();
@@ -320,9 +334,9 @@ fn empty_shard_micro_batches_do_not_inflate_awaiting_counts() {
     };
 
     let mut barrier = build(false);
-    let want = barrier.process_round_deadline(policy).unwrap();
+    let want = barrier.close(Some(policy)).unwrap();
     assert_eq!(want.awaiting_first_report, 4);
-    assert_eq!(want.shards_with_traffic, 2);
+    assert_eq!(shards_with_traffic(&barrier), 2);
 
     let mut streaming = build(true);
     // Mid-round watermark: arrival 1 ms -> service deadline 11 ms, so the
@@ -331,11 +345,14 @@ fn empty_shard_micro_batches_do_not_inflate_awaiting_counts() {
     for tick in 1..=11u64 {
         streaming.advance_watermark(tick * 1_000_000, 1_000_000, Some(policy));
     }
-    let got = streaming.finalize_stream_round(Some(policy)).unwrap();
+    let got = streaming.close(Some(policy)).unwrap();
     assert_eq!(got.served, want.served);
     assert_eq!(got.awaiting_first_report, want.awaiting_first_report);
     assert_eq!(got.stale, want.stale);
-    assert_eq!(got.shards_with_traffic, want.shards_with_traffic);
+    assert_eq!(
+        shards_with_traffic(&streaming),
+        shards_with_traffic(&barrier)
+    );
     let stats = streaming.shard_round_stats();
     assert!(
         stats[0].micro_closes >= 1 && stats[1].micro_closes >= 1,
@@ -375,7 +392,7 @@ fn full_ring_rejects_with_backpressure() {
     );
 
     // The queued frames still serve normally: last committed wins.
-    let summary = server.process_round_streaming(None).unwrap();
+    let summary = server.close(None).unwrap();
     assert_eq!(summary.served, 1);
     assert_eq!(server.session(7).unwrap().stream_inflight(), 0);
     assert!(server.feedback_of(7).is_some());
@@ -418,8 +435,12 @@ fn staggered_births_close_in_multiple_micro_batches() {
     // Station 0 was served by the 11 ms watermark — its feedback is already
     // visible mid-round, before the round close.
     assert!(server.feedback_of(0).is_some());
-    let summary = server.process_round_streaming(Some(policy)).unwrap();
-    assert_eq!(server.last_micro_closes(), 2, "two separate micro-closes");
+    let summary = server.close(Some(policy)).unwrap();
+    assert_eq!(
+        server.shard_round_stats()[0].micro_closes,
+        2,
+        "two separate micro-closes"
+    );
     assert_eq!(summary.served, 2);
     assert_eq!(summary.batches, 2);
     assert_eq!(summary.on_time, 2);

@@ -23,7 +23,6 @@ use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
 use splitbeam::{QuantizedTail, TailWeights};
 use splitbeam_serve::server::ApServer;
-use splitbeam_serve::ShardedApServer;
 use std::sync::Mutex;
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
@@ -107,7 +106,7 @@ fn f32_knob_serving_reproduces_direct_reconstruction_under_both_kernels() {
                 expected.push(m.reconstruct_quantized(&payload).unwrap());
             }
             batched.process_round().unwrap();
-            serial.process_round_serial().unwrap();
+            serial.close_serial(None).unwrap();
             for id in 0..stations {
                 let want = expected[id as usize].as_slice();
                 assert_eq!(
@@ -157,7 +156,7 @@ fn int8_serving_is_bit_exact_across_all_close_paths() {
             let mut serial = ApServer::new();
             let mut streaming = ApServer::new();
             streaming.set_streaming(true);
-            let mut sharded = ShardedApServer::new(3);
+            let mut sharded = ApServer::with_shards(3);
             assert_eq!(sharded.tail_weights(), TailWeights::Int8);
             let bk = batched.register_model(m.clone());
             let sk = serial.register_model(m.clone());
@@ -175,8 +174,8 @@ fn int8_serving_is_bit_exact_across_all_close_paths() {
                 sharded.ingest_wire(id, frame).unwrap();
             }
             batched.process_round().unwrap();
-            serial.process_round_serial().unwrap();
-            streaming.process_round_streaming(None).unwrap();
+            serial.close_serial(None).unwrap();
+            streaming.close(None).unwrap();
             sharded.process_round().unwrap();
             for id in 0..stations {
                 let want = reference[id as usize].as_slice();

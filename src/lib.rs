@@ -41,8 +41,8 @@ pub mod prelude {
     };
     pub use splitbeam_serve::event::{build_event_driver, EventConfig, EventDriver};
     pub use splitbeam_serve::server::ApServer;
-    pub use splitbeam_serve::shard::ShardedApServer;
     pub use splitbeam_serve::timing::{DeadlinePolicy, FrameClass, FrameStamp};
+    pub use splitbeam_serve::ShardedApServer;
     pub use wifi_phy::channel::{ChannelModel, ChannelSnapshot, EnvironmentProfile};
     pub use wifi_phy::link::{simulate_mu_mimo_ber, LinkConfig};
     pub use wifi_phy::ofdm::{Bandwidth, MimoConfig};

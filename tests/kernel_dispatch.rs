@@ -141,7 +141,7 @@ fn scalar_kernel_reproduces_reference_serving_outputs() {
             }
             assert_eq!(
                 batched.process_round().unwrap(),
-                serial.process_round_serial().unwrap()
+                serial.close_serial(None).unwrap()
             );
             let batched_feedback: Vec<Vec<f32>> = (0..frames.len() as u64)
                 .map(|id| batched.feedback_of(id).unwrap().to_vec())
@@ -209,7 +209,7 @@ fn simd_backend_stays_within_tolerance_and_serves_bit_exactly() {
             serial.ingest_wire(id as u64, frame).unwrap();
         }
         batched.process_round().unwrap();
-        serial.process_round_serial().unwrap();
+        serial.close_serial(None).unwrap();
         for id in 0..frames.len() as u64 {
             assert_eq!(
                 batched.feedback_of(id),

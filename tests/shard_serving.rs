@@ -46,7 +46,7 @@ fn env_resolved_shard_count_serves_bit_exactly() {
     // otherwise) must produce identical results to the single-shard server.
     let shards = env_shards();
     assert!(shards >= 1);
-    let mut sharded = ShardedApServer::from_env();
+    let mut sharded = ApServer::from_env();
     assert_eq!(sharded.num_shards(), shards);
     let key = sharded.register_model(model.clone());
     for id in 0..sim.stations as u64 {
@@ -112,7 +112,7 @@ fn sharded_sweep_matches_batched_and_serial_references() {
 #[test]
 fn lifecycle_capacity_eviction_and_reregistration() {
     let model = small_model(5);
-    let mut server = ShardedApServer::new(3);
+    let mut server = ApServer::with_shards(3);
     let key = server.register_model(model.clone());
     server.set_capacity(Some(3));
     for id in 0..3u64 {
@@ -149,12 +149,16 @@ fn lifecycle_capacity_eviction_and_reregistration() {
         server.ingest_wire(id, &f).unwrap();
     }
     let r0 = server.process_round().unwrap();
-    assert_eq!((r0.served, r0.evicted), (3, 0));
+    assert_eq!((r0.served, server.evicted_in_last_round()), (3, 0));
     let f = frame_for(&mut rng);
     server.ingest_wire(0, &f).unwrap();
     let r1 = server.process_round().unwrap();
     assert_eq!(r1.served, 1);
-    assert_eq!(r1.evicted, 2, "stations 2 and 3 exceeded the idle budget");
+    assert_eq!(
+        server.evicted_in_last_round(),
+        2,
+        "stations 2 and 3 exceeded the idle budget"
+    );
     assert_eq!(server.station_ids(), vec![0]);
     // Clean re-registration after eviction.
     server.register_station(2, key, 4).unwrap();
