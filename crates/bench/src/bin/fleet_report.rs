@@ -1,14 +1,10 @@
-//! Fleet-scale event-engine benchmark: timer wheel, session slab, multi-AP
-//! serving.
+//! Fleet-scale event-engine benchmark: timer wheel and multi-AP serving.
 //!
 //! Writes `BENCH_PR10.json` with:
 //!
 //! * steady-state scheduler throughput (one pop + one schedule per op) for
 //!   the timer-wheel `EventQueue` against its binary-heap oracle at 1k / 10k
 //!   / 100k pending events, plus the wheel's speedup,
-//! * session-store microbenches — generational slab vs `std::HashMap` for
-//!   insert/remove churn, lookup, and the per-round idle-eviction check
-//!   (O(evicted) LRU-prefix walk vs a full-map idle scan),
 //! * a fleet sessions ramp to 100k+ concurrent sessions across 8 APs on one
 //!   event queue (ideal media, so the wall clock measures the engine, not
 //!   simulated airtime), with offers/s and aggregate deadline-hit rate,
@@ -28,14 +24,10 @@
 //!
 //! The binary exits non-zero when any verdict fails. The wheel-vs-heap
 //! speedup gate (>= 3x) applies at the full 100k-event scale; reduced-scale
-//! smoke runs only require the wheel not to regress.
-//!
-//! `splitbeam-serve` itself bans hash maps (iteration order leaks into
-//! summaries — see the `serve-unordered-map` lint rule); the `HashMap` here
-//! is the *baseline under test*, living safely outside that crate.
+//! smoke runs only require the wheel not to regress. The session store is
+//! measured by the repo benchmark (`serve.slab_lookup_ns`,
+//! `serve.slab_churn_ns`, `serve.slab_idle_sweep_ns`), not here.
 
-use std::collections::HashMap;
-use std::hint::black_box;
 use std::time::Instant;
 
 use rand::SeedableRng;
@@ -47,7 +39,7 @@ use splitbeam_bench::report::{kernel_dispatch_value, object, JsonReport, JsonVal
 use splitbeam_bench::timing::{measure_pair, num_threads};
 use splitbeam_hwsim::event::HeapEventQueue;
 use splitbeam_hwsim::{EventKey, EventQueue};
-use splitbeam_serve::{DeadlinePolicy, Fleet, FleetConfig, SessionSlab, StationId, StationSession};
+use splitbeam_serve::{DeadlinePolicy, Fleet, FleetConfig, StationId};
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
@@ -171,91 +163,6 @@ fn scheduler_parity(events: usize) -> bool {
         popped.push(());
     }
     heap.pop().is_none() && popped.len() == events
-}
-
-// ---------------------------------------------------------------------------
-// Session store: slab vs HashMap.
-// ---------------------------------------------------------------------------
-
-fn fresh_session(id: StationId, round: u64) -> StationSession {
-    StationSession::synthetic(id, 0, 4, round)
-}
-
-struct SlabRows {
-    sessions: usize,
-    churn_slab_ns: f64,
-    churn_map_ns: f64,
-    lookup_slab_ns: f64,
-    lookup_map_ns: f64,
-    idle_check_slab_ns: f64,
-    idle_check_map_ns: f64,
-}
-
-fn bench_slab(sessions: usize) -> SlabRows {
-    let closed_round = 64u64;
-    let mut slab = SessionSlab::with_capacity(sessions);
-    let mut map: HashMap<StationId, StationSession> = HashMap::with_capacity(sessions);
-    for id in 0..sessions as StationId {
-        slab.insert(fresh_session(id, closed_round))
-            .expect("unique ids");
-        map.insert(id, fresh_session(id, closed_round));
-    }
-
-    // Churn: remove one session and re-admit it, cycling through ids — the
-    // roaming release/adopt hot path.
-    let (mut sc, mut mc) = (0 as StationId, 0 as StationId);
-    let n = sessions as StationId;
-    let (churn_slab_ns, churn_map_ns) = measure_pair(
-        || {
-            let session = slab.remove(sc).expect("resident id");
-            slab.insert(session).expect("freshly removed id");
-            sc = (sc + 1) % n;
-        },
-        || {
-            let session = map.remove(&mc).expect("resident id");
-            map.insert(mc, session);
-            mc = (mc + 1) % n;
-        },
-    );
-
-    // Lookup: the per-frame session fetch on ingest.
-    let (mut sl, mut ml) = (0 as StationId, 0 as StationId);
-    let (lookup_slab_ns, lookup_map_ns) = measure_pair(
-        || {
-            black_box(slab.get(sl).expect("resident id").bits_per_value());
-            sl = (sl + 7) % n;
-        },
-        || {
-            black_box(map.get(&ml).expect("resident id").bits_per_value());
-            ml = (ml + 7) % n;
-        },
-    );
-
-    // Idle check with nothing evictable: the slab walks only the LRU prefix
-    // (O(1) here), the map has no recency order and must scan every session.
-    let max_idle = 128u64;
-    let (idle_check_slab_ns, idle_check_map_ns) = measure_pair(
-        || {
-            black_box(slab.evict_idle(closed_round, max_idle));
-        },
-        || {
-            let evictable = map
-                .values()
-                .filter(|s| s.idle_rounds(closed_round) > max_idle)
-                .count();
-            black_box(evictable);
-        },
-    );
-
-    SlabRows {
-        sessions,
-        churn_slab_ns,
-        churn_map_ns,
-        lookup_slab_ns,
-        lookup_map_ns,
-        idle_check_slab_ns,
-        idle_check_map_ns,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +346,6 @@ fn main() {
     let sched_max = env_usize("SPLITBEAM_SCHED_EVENTS", 100_000);
     let fleet_max = env_usize("SPLITBEAM_FLEET_SESSIONS", 100_000);
     let fleet_rounds = env_usize("SPLITBEAM_FLEET_ROUNDS", 3);
-    let slab_sessions = env_usize("SPLITBEAM_SLAB_SESSIONS", 10_000);
     let full_scale = sched_max >= 100_000;
 
     println!(
@@ -473,20 +379,6 @@ fn main() {
     let parity_events = sched_max.min(50_000);
     let scheduler_parity_ok = scheduler_parity(parity_events);
     println!("sched    parity over {parity_events} interleaved events: {scheduler_parity_ok}");
-
-    // Session store.
-    let slab = bench_slab(slab_sessions);
-    println!(
-        "slab     {:>7} sessions  churn {:>6.1} vs {:>6.1} ns   lookup {:>5.1} vs {:>5.1} ns   \
-         idle-check {:>8.1} vs {:>10.1} ns",
-        slab.sessions,
-        slab.churn_slab_ns,
-        slab.churn_map_ns,
-        slab.lookup_slab_ns,
-        slab.lookup_map_ns,
-        slab.idle_check_slab_ns,
-        slab.idle_check_map_ns
-    );
 
     // Fleet ramp.
     let m = model(42);
@@ -555,22 +447,6 @@ fn main() {
         )
         .field("wheel_speedup_at_top", top_speedup)
         .field("wheel_speedup_gate", if full_scale { 3.0 } else { 0.8 })
-        .field(
-            "session_store",
-            object(vec![
-                ("sessions", slab.sessions.into()),
-                ("churn_slab_ns", slab.churn_slab_ns.into()),
-                ("churn_hashmap_ns", slab.churn_map_ns.into()),
-                ("lookup_slab_ns", slab.lookup_slab_ns.into()),
-                ("lookup_hashmap_ns", slab.lookup_map_ns.into()),
-                ("idle_check_slab_ns", slab.idle_check_slab_ns.into()),
-                ("idle_check_hashmap_ns", slab.idle_check_map_ns.into()),
-                (
-                    "idle_check_speedup",
-                    (slab.idle_check_map_ns / slab.idle_check_slab_ns).into(),
-                ),
-            ]),
-        )
         .field(
             "fleet_ramp",
             JsonValue::Array(

@@ -24,7 +24,7 @@
 //! - **`serve-unordered-map`**: no `HashMap`/`HashSet` in `splitbeam-serve`
 //!   sources — round-close and summary outputs are bit-reproducibility
 //!   contracts, and hash iteration order is a seed away from breaking them.
-//!   Keyed state uses `BTreeMap` or the generational session slab.
+//!   Keyed state uses `BTreeMap` or the session slab.
 //!
 //! Vetted exceptions live in `lint_allowlist.txt` at the repo root, one
 //! `rule|path|needle|reason` per line; entries that no longer suppress

@@ -8,6 +8,12 @@
 //! arena/scratch/cache has reached its steady shape, then re-runs the same
 //! operations under [`assert_no_alloc`].
 //!
+//! Two ownership rules of the serving core are pinned here as well: a
+//! session's payload buffer is sized at registration (its first ingest
+//! allocates nothing), and the close serves in tiles, so what a first close
+//! allocates beyond the sessions' feedback storage is the same for two tiles
+//! of stations as for sixteen.
+//!
 //! One `#[test]` only: the counters are process-global and the libtest
 //! harness spawns an allocating thread per test. The test pins
 //! `RAYON_NUM_THREADS=1` before its first parallel call so the rayon shim
@@ -20,9 +26,10 @@ use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 use splitbeam::fused::{TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::wire;
-use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, CountingAlloc};
+use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, stats, CountingAlloc};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::timing::FrameStamp;
+use splitbeam_serve::TILE_ROWS;
 use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
@@ -167,6 +174,46 @@ fn fused_tail_path(model: &SplitBeamModel) {
     });
 }
 
+/// The tiled close at batches many tiles wide. A first close allocates each
+/// served session's feedback storage plus one tile of scratch (id list,
+/// dequantized strip, layer outputs) — so net of the feedback storage it
+/// costs the same bytes at `2 * TILE_ROWS` stations as at `16 * TILE_ROWS`.
+/// Before it, only the very first ingest may allocate (it sizes the shard's
+/// decode buffer): every session's payload buffer was sized at registration.
+fn tiled_close_path(model: &SplitBeamModel) {
+    let frame = wire_frame(model, 400);
+    let feedback_bytes = (model.config().output_dim() * std::mem::size_of::<f32>()) as u64;
+    let first_close = |stations: u64| {
+        let mut server = server_with(model, TailWeights::F32, 1, stations);
+        server.ingest_wire(0, &frame).unwrap();
+        assert_no_alloc("first lockstep ingest of registered stations", || {
+            for id in 1..stations {
+                server.ingest_wire(id, &frame).unwrap();
+            }
+        });
+        let before = stats().bytes;
+        let summary = server.process_round().unwrap();
+        let allocated = stats().bytes - before;
+        assert_eq!(summary.served as u64, stations);
+        (allocated - stations * feedback_bytes, server)
+    };
+    let (narrow, _) = first_close(2 * TILE_ROWS as u64);
+    let stations = 16 * TILE_ROWS as u64;
+    let (wide, mut server) = first_close(stations);
+    assert_eq!(
+        narrow, wide,
+        "a first close's scratch must not scale with the batch: {narrow} bytes at two tiles of \
+         stations, {wide} at sixteen"
+    );
+    assert_no_alloc("16 tiles: wire ingest", || {
+        for id in 0..stations {
+            server.ingest_wire(id, &frame).unwrap();
+        }
+    });
+    let summary = assert_no_alloc("16 tiles: round close", || server.process_round().unwrap());
+    assert_eq!(summary.served as u64, stations);
+}
+
 #[test]
 fn hot_paths_do_not_allocate_after_warmup() {
     // The shim reads this once per process, at its first parallel call.
@@ -181,4 +228,5 @@ fn hot_paths_do_not_allocate_after_warmup() {
     barrier_path(&model, TailWeights::F32, 4, "barrier f32 x4 shards");
     streaming_path(&model, 1);
     streaming_path(&model, 4);
+    tiled_close_path(&model);
 }

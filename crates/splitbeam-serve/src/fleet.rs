@@ -25,6 +25,7 @@
 
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
+use crate::slab::IdIndex;
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use splitbeam::model::SplitBeamModel;
@@ -131,7 +132,7 @@ pub struct Fleet {
     queue: EventQueue<Offer>,
     jitter: SeededJitter,
     /// Station → home AP index.
-    home: BTreeMap<StationId, usize>,
+    home: IdIndex,
     round: u64,
     now_ns: VirtualNs,
     handoffs: u64,
@@ -167,7 +168,7 @@ impl Fleet {
             cross_bss_wait_ns: vec![0; cfg.aps],
             queue: EventQueue::new(),
             jitter: SeededJitter::new(cfg.jitter_ns, cfg.seed),
-            home: BTreeMap::new(),
+            home: IdIndex::default(),
             round: 0,
             now_ns: 0,
             handoffs: 0,
@@ -202,13 +203,13 @@ impl Fleet {
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
         self.aps[ap].register_station(id, model_key, bits_per_value)?;
-        self.home.insert(id, ap);
+        self.home.insert(id, ap as u32);
         Ok(())
     }
 
     /// The AP currently serving `id`.
     pub fn home_ap(&self, id: StationId) -> Option<usize> {
-        self.home.get(&id).copied()
+        self.home.get(id).map(|ap| ap as usize)
     }
 
     pub fn ap(&self, index: usize) -> &ApServer {
@@ -233,8 +234,7 @@ impl Fleet {
 
     /// The latest reconstructed feedback of `id`, wherever it is homed.
     pub fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        let ap = *self.home.get(&id)?;
-        self.aps[ap].feedback_of(id)
+        self.aps[self.home_ap(id)?].feedback_of(id)
     }
 
     /// Pre-sizes the event queue for `events` offers per round.
@@ -247,7 +247,7 @@ impl Fleet {
     /// compute/backoff spread) and is transmitted on the home AP's channel
     /// when the fleet closes the round.
     pub fn offer_frame(&mut self, id: StationId, frame: Vec<u8>) -> Result<(), ServeError> {
-        if !self.home.contains_key(&id) {
+        if self.home.get(id).is_none() {
             return Err(ServeError::UnknownStation(id));
         }
         let head_ns = self.jitter.draw();
@@ -261,7 +261,7 @@ impl Fleet {
     /// home is a no-op. On an adoption failure the session is restored at
     /// the source, so a failed handoff never drops the station.
     pub fn handoff(&mut self, id: StationId, to_ap: usize) -> Result<(), ServeError> {
-        let from = *self.home.get(&id).ok_or(ServeError::UnknownStation(id))?;
+        let from = self.home_ap(id).ok_or(ServeError::UnknownStation(id))?;
         assert!(to_ap < self.aps.len(), "handoff target AP out of range");
         if from == to_ap {
             return Ok(());
@@ -276,7 +276,7 @@ impl Fleet {
                 .map_err(|(_, restore_err)| restore_err)?;
             return Err(e);
         }
-        self.home.insert(id, to_ap);
+        self.home.insert(id, to_ap as u32);
         self.pending_handoff.insert(id, self.now_ns);
         self.handoffs += 1;
         Ok(())
@@ -309,7 +309,7 @@ impl Fleet {
     pub fn close_round(&mut self) -> Result<FleetRoundSummary, ServeError> {
         while let Some((key, offer)) = self.queue.pop() {
             let id = key.station;
-            let Some(&ap) = self.home.get(&id) else {
+            let Some(ap) = self.home_ap(id) else {
                 self.rejected += 1;
                 continue;
             };
@@ -349,7 +349,7 @@ impl Fleet {
             .pending_handoff
             .iter()
             .filter(|(&id, _)| {
-                let Some(&ap) = self.home.get(&id) else {
+                let Some(ap) = self.home_ap(id) else {
                     return true;
                 };
                 self.aps[ap]

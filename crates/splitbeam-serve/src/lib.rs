@@ -7,7 +7,7 @@
 //!
 //! * [`session`] — per-station state: model binding, quantizer width, the last
 //!   reconstructed `V̂` and its age in sounding rounds, health and pending
-//!   payload; [`slab`] — the generational store that holds the sessions,
+//!   payload; [`slab`] — the store that holds the sessions,
 //! * [`server`] — the one server type, [`ApServer`]: station sessions
 //!   partitioned over `N` shards (`id % N`; `ApServer::new()` is one shard,
 //!   `ApServer::with_shards(n)` is `n`), wire ingest ([`splitbeam::wire`]),
@@ -104,7 +104,8 @@ pub use server::{
     env_shards, ApServer, HealthPolicy, RoundSummary, ShardRoundStats, ShardedApServer,
 };
 pub use session::{SessionHealth, StationId, StationSession};
-pub use slab::{SessionHandle, SessionSlab};
+pub use shard::TILE_ROWS;
+pub use slab::SessionSlab;
 pub use timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
 
 /// Errors produced by the serving layer.

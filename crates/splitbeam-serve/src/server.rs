@@ -299,11 +299,11 @@ impl ApServer {
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
         self.check_admission(id, model_key, bits_per_value)?;
-        let session = StationSession::new(id, model_key, bits_per_value, self.round);
+        let bottleneck = self.models[model_key].bottleneck_dim();
+        let session = StationSession::new(id, model_key, bits_per_value, self.round, bottleneck);
         self.shard_mut(id)
             .sessions
             .insert(session)
-            .map(|_| ())
             .map_err(|rejected| ServeError::DuplicateStation(rejected.id()))
     }
 
@@ -354,7 +354,6 @@ impl ApServer {
         self.shard_mut(id)
             .sessions
             .insert(session)
-            .map(|_| ())
             .map_err(|rejected| (rejected, ServeError::DuplicateStation(id)))
     }
 
@@ -395,11 +394,11 @@ impl ApServer {
     /// round, returning the frame size in bytes. A station reporting twice in
     /// one round replaces its pending payload (last wins).
     ///
-    /// The frame decodes into its shard's recycled decode buffer, which is
-    /// then swapped with the station's payload slot — steady-state ingest
-    /// allocates nothing. In streaming mode ([`ApServer::set_streaming`]) the
-    /// frame queues on the shard's bounded ring instead and becomes pending
-    /// when a watermark commits it.
+    /// The frame decodes into its shard's recycled decode buffer and the
+    /// validated codes are copied into the station's own payload buffer —
+    /// steady-state ingest allocates nothing. In streaming mode
+    /// ([`ApServer::set_streaming`]) the frame queues on the shard's bounded
+    /// ring instead and becomes pending when a watermark commits it.
     ///
     /// # Errors
     /// [`ServeError::UnknownStation`] for an unassociated id,
@@ -473,10 +472,10 @@ impl ApServer {
     /// Closes the current round. Every shard, in parallel (one rayon task per
     /// shard): commits whatever its streaming lane still holds, coalesces all
     /// pending payloads into **one fused dequantize→tail batched inference per
-    /// model** ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`]),
-    /// stores every reconstruction in its session, folds in the micro-closes
-    /// watermarks already ran this round, and runs the once-per-round health
-    /// pass. Then idle stations are evicted when an idle budget is set, the
+    /// model** ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`],
+    /// [`crate::TILE_ROWS`] stations at a time), stores every reconstruction
+    /// in its session, folds in the micro-closes watermarks already ran this
+    /// round, and runs the once-per-round health pass. Then idle stations are evicted when an idle budget is set, the
     /// per-shard outcomes merge deterministically in shard order, and the
     /// round counter advances.
     ///
@@ -518,6 +517,17 @@ impl ApServer {
     ) -> Result<RoundSummary, ServeError> {
         let lag = self.barrier_lag_ns();
         self.close_shards(|shard, engine, round| shard.close_serial(engine, round, policy, lag))
+    }
+
+    /// Truncates station `id`'s already-validated pending payload so its
+    /// model's batch fails at the close — the failed-batch fixture of the
+    /// oracle tests. No effect on an unregistered id.
+    #[cfg(any(test, feature = "reference"))]
+    #[doc(hidden)]
+    pub fn truncate_pending_payload(&mut self, id: StationId) {
+        if let Some(session) = self.shard_mut(id).sessions.get_mut(id) {
+            session.truncate_payload(3);
+        }
     }
 
     /// The close lag every shard pays under the round barrier: the maximum
@@ -737,16 +747,6 @@ mod tests {
     use splitbeam::quantization::quantize_bottleneck;
     use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-    impl ApServer {
-        /// Truncates station `id`'s already-validated pending payload so its
-        /// model's batch fails at reconstruction time — the failed-batch
-        /// fixture of the server and fleet tests.
-        pub(crate) fn truncate_pending_payload(&mut self, id: StationId) {
-            let session = self.shard_mut(id).sessions.get_mut(id).unwrap();
-            session.payload_slot().codes.truncate(3);
-        }
-    }
 
     fn model(seed: u64) -> SplitBeamModel {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);

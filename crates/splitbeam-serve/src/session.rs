@@ -42,9 +42,13 @@ pub struct StationSession {
     /// Round the station (re-)associated in — the baseline for idle-eviction
     /// of stations that never report.
     joined_round: u64,
-    /// The payload slot for the current round. The buffer persists across
-    /// rounds (decode-into reuses its `codes` storage); `has_pending` says
-    /// whether it holds a payload for the round being collected.
+    /// The payload slot for the current round. Its `codes` buffer is
+    /// allocated once, at registration, sized to the model's bottleneck, and
+    /// never leaves the session: ingest copies validated codes *into* it
+    /// ([`StationSession::store_payload`]), so the buffers of a slab stay in
+    /// registration (= slot) order in memory and the round close streams
+    /// them. `has_pending` says whether it holds a payload for the round
+    /// being collected.
     payload: QuantizedFeedback,
     has_pending: bool,
     /// Virtual-time stamp of the pending payload (all-zero for untimed
@@ -77,11 +81,14 @@ pub struct StationSession {
 }
 
 impl StationSession {
+    /// A fresh session whose payload buffer holds `bottleneck_dim` codes
+    /// without reallocating.
     pub(crate) fn new(
         id: StationId,
         model_key: usize,
         bits_per_value: u8,
         joined_round: u64,
+        bottleneck_dim: usize,
     ) -> Self {
         Self {
             id,
@@ -92,7 +99,7 @@ impl StationSession {
                 bits_per_value,
                 min: 0.0,
                 max: 0.0,
-                codes: Vec::new(),
+                codes: Vec::with_capacity(bottleneck_dim),
             },
             has_pending: false,
             pending_stamp: FrameStamp::default(),
@@ -111,8 +118,9 @@ impl StationSession {
         }
     }
 
-    /// A synthetic fresh session, public for store-level benchmarks and
-    /// tests; production sessions are created by server registration.
+    /// A synthetic fresh session (no payload buffer), public for store-level
+    /// benchmarks and tests; production sessions are created by server
+    /// registration.
     #[doc(hidden)]
     pub fn synthetic(
         id: StationId,
@@ -120,7 +128,7 @@ impl StationSession {
         bits_per_value: u8,
         joined_round: u64,
     ) -> Self {
-        Self::new(id, model_key, bits_per_value, joined_round)
+        Self::new(id, model_key, bits_per_value, joined_round, 0)
     }
 
     /// Rebinds the session to `model_key` on the adopting server during a
@@ -142,9 +150,30 @@ impl StationSession {
         &self.payload
     }
 
-    /// Mutable access to the payload slot, for buffer-recycling ingest.
-    pub(crate) fn payload_slot(&mut self) -> &mut QuantizedFeedback {
-        &mut self.payload
+    /// Copies a validated payload into the session's own buffer and marks
+    /// it pending under `stamp` / `seq`. The copy (not a buffer swap) is what
+    /// keeps every session's buffer where registration put it.
+    pub(crate) fn store_payload(
+        &mut self,
+        payload: &QuantizedFeedback,
+        stamp: FrameStamp,
+        seq: u16,
+    ) {
+        self.payload.bits_per_value = payload.bits_per_value;
+        self.payload.min = payload.min;
+        self.payload.max = payload.max;
+        self.payload.codes.clear();
+        self.payload.codes.extend_from_slice(&payload.codes);
+        self.has_pending = true;
+        self.pending_stamp = stamp;
+        self.pending_seq = seq;
+    }
+
+    /// Truncates the pending payload so its model's batch fails at
+    /// reconstruction time — the failed-batch fixture of the oracle tests.
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn truncate_payload(&mut self, codes: usize) {
+        self.payload.codes.truncate(codes);
     }
 
     pub(crate) fn set_pending(&mut self, pending: bool) {
@@ -369,7 +398,7 @@ mod tests {
 
     #[test]
     fn age_and_freshness() {
-        let mut s = StationSession::new(9, 0, 8, 0);
+        let mut s = StationSession::new(9, 0, 8, 0, 0);
         assert_eq!(s.age(5), None);
         assert!(!s.is_fresh(5, 100));
         s.store_feedback(&[], 3);
@@ -382,7 +411,7 @@ mod tests {
 
     #[test]
     fn ingest_accounting() {
-        let mut s = StationSession::new(1, 2, 4, 0);
+        let mut s = StationSession::new(1, 2, 4, 0, 0);
         assert_eq!((s.id(), s.model_key(), s.bits_per_value()), (1, 2, 4));
         s.record_ingest(68);
         s.record_ingest(68);
@@ -394,7 +423,7 @@ mod tests {
     #[test]
     fn health_machine_degrades_and_quarantines() {
         let policy = HealthPolicy::default();
-        let mut s = StationSession::new(7, 0, 4, 0);
+        let mut s = StationSession::new(7, 0, 4, 0, 0);
         assert_eq!(s.health(), SessionHealth::Healthy);
         // One silent round is tolerated, two degrade.
         s.close_health(0, &policy, false);
@@ -428,7 +457,7 @@ mod tests {
 
     #[test]
     fn idle_rounds_measured_from_join_then_last_report() {
-        let mut s = StationSession::new(3, 0, 8, 5);
+        let mut s = StationSession::new(3, 0, 8, 5, 0);
         assert_eq!(s.joined_round(), 5);
         // Never reported: idle counts from the association round.
         assert_eq!(s.idle_rounds(5), 0);

@@ -19,9 +19,10 @@
 //!
 //! Because the fused batched tail's per-element accumulation is independent
 //! of batch shape (see [`splitbeam::fused`]), splitting a model's stations
-//! across shards or micro-batches changes batch boundaries but not one output
-//! bit: every shard count and every watermark cadence is bit-exact with the
-//! station-at-a-time oracle (`close_serial`, behind the `reference` feature).
+//! across shards, micro-batches or the serve step's [`TILE_ROWS`]-station
+//! tiles changes batch boundaries but not one output bit: every shard count
+//! and every watermark cadence is bit-exact with the station-at-a-time oracle
+//! (`close_serial`, behind the `reference` feature).
 
 use crate::ring::Ring;
 use crate::server::HealthPolicy;
@@ -35,6 +36,7 @@ use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
 use splitbeam::wire;
+use splitbeam::SplitBeamError;
 use std::sync::Arc;
 
 /// A payload buffer with no codes yet; decode and recycling fill it.
@@ -50,13 +52,16 @@ fn empty_payload() -> QuantizedFeedback {
 /// Reusable per-round scratch owned by one shard.
 #[derive(Debug, Clone)]
 pub(crate) struct RoundArena {
-    /// Wire frames decode into this buffer before validation; on successful
-    /// ingest it is swapped with the station's payload slot (or a recycled
-    /// lane buffer), so the buffers circulate without reallocating.
+    /// Wire frames decode into this buffer before validation. Lockstep
+    /// ingest copies the validated codes into the session's own buffer;
+    /// streaming ingest swaps it with a recycled lane buffer. Either way the
+    /// decode buffer and the lane freelist circulate among themselves and a
+    /// session's buffer never moves.
     decode_buf: QuantizedFeedback,
-    /// Station ids of the batch currently being reconstructed.
+    /// Station ids of the tile currently being reconstructed (at most
+    /// [`TILE_ROWS`]).
     ids: Vec<StationId>,
-    /// Buffers of the fused batched tail reconstruction.
+    /// Buffers of the fused batched tail reconstruction, one tile's worth.
     tail: TailScratch,
 }
 
@@ -69,6 +74,16 @@ impl Default for RoundArena {
         }
     }
 }
+
+/// Rows the serve step pushes through the tail at once. A model's pending
+/// batch is served tile by tile, so a shard's scratch (id list, dequantized
+/// strip, layer outputs) is sized by this constant and not by the shard's
+/// session count, and a tile's reconstructions are still in cache when the
+/// store pass copies them into the sessions (2x2/20 MHz: 128 x 448 f32 =
+/// 224 KiB). 128 keeps the GEMM's weight panels amortized over whole 4-row
+/// kernel blocks and is at least the per-shard batch of every AP-scale
+/// workload, which therefore still runs one GEMM per model per close.
+pub const TILE_ROWS: usize = 128;
 
 /// Default capacity of a shard's streaming ingest ring.
 const DEFAULT_STREAM_CAPACITY: usize = 256;
@@ -289,7 +304,7 @@ impl ShardCore {
         Self::validate_payload(models, session, &arena.decode_buf)?;
         if streaming {
             // Move the decoded payload into a recycled buffer so ingest stays
-            // allocation-free in steady state (mirrors the lockstep swap).
+            // allocation-free in steady state.
             let mut payload = lane.free.pop().unwrap_or_else(empty_payload);
             std::mem::swap(&mut payload, &mut arena.decode_buf);
             let queued = StreamFrame {
@@ -303,12 +318,10 @@ impl ShardCore {
                 return Err(ServeError::Backpressure(id, lane.ring.capacity()));
             }
             session.inc_stream_inflight();
+            session.set_pending_seq(seq);
         } else {
-            std::mem::swap(session.payload_slot(), &mut arena.decode_buf);
-            session.set_pending(true);
-            session.set_pending_stamp(stamp);
+            session.store_payload(&arena.decode_buf, stamp, seq);
         }
-        session.set_pending_seq(seq);
         session.note_clean_ingest();
         session.record_ingest(frame.len());
         Ok(frame.len())
@@ -330,10 +343,7 @@ impl ShardCore {
             return Err(ServeError::Quarantined(id));
         }
         Self::validate_payload(models, session, &payload)?;
-        *session.payload_slot() = payload;
-        session.set_pending(true);
-        session.set_pending_stamp(FrameStamp::default());
-        session.set_pending_seq(0);
+        session.store_payload(&payload, FrameStamp::default(), 0);
         session.note_clean_ingest();
         session.record_ingest(wire_bytes);
         Ok(wire_bytes)
@@ -450,28 +460,78 @@ impl ShardCore {
         session.set_pending_stamp(FrameStamp::default());
     }
 
-    /// Consumes the pending payloads of a batch that failed reconstruction.
-    fn discard_batch(sessions: &mut SessionSlab, ids: &[StationId]) {
-        for id in ids {
-            let session = sessions
-                .get_mut(*id)
-                .expect("pending payload from registered station");
-            session.set_pending(false);
-            session.set_pending_stamp(FrameStamp::default());
+    /// Whether `session` holds a pending payload for model `key`.
+    fn pending_for(session: &StationSession, key: usize) -> bool {
+        session.has_pending() && session.model_key() == key
+    }
+
+    /// Sizes model `key`'s pending batch and validates it whole, before any
+    /// of it is reconstructed: returns how many payloads are pending and the
+    /// failure of the first (in id order) whose code count is not `dim`.
+    /// Ingest validated every payload once; this guards the invariant the
+    /// all-or-nothing batch semantics rest on.
+    fn check_batch(sessions: &SessionSlab, key: usize, dim: usize) -> (usize, Option<ServeError>) {
+        let mut pending = 0usize;
+        let mut error = None;
+        for session in sessions.values().filter(|s| Self::pending_for(s, key)) {
+            pending += 1;
+            let codes = session.payload().codes.len();
+            if codes != dim && error.is_none() {
+                let mismatch = SplitBeamError::DimensionMismatch(format!(
+                    "payload carries {codes} codes, bottleneck width is {dim}"
+                ));
+                error = Some(ServeError::Model(mismatch.to_string()));
+            }
+        }
+        (pending, error)
+    }
+
+    /// Consumes the pending payloads of model `key`'s failed batch.
+    fn discard_batch(sessions: &mut SessionSlab, key: usize) {
+        for session in sessions.values_unordered_mut() {
+            if Self::pending_for(session, key) {
+                session.set_pending(false);
+                session.set_pending_stamp(FrameStamp::default());
+            }
         }
     }
 
+    /// Stores one reconstruction and closes the station's report out.
+    fn commit_served(
+        sessions: &mut SessionSlab,
+        id: StationId,
+        flat: &[f32],
+        round: u64,
+        policy: Option<DeadlinePolicy>,
+        lag_ns: u64,
+        pass: &mut ServePass,
+    ) {
+        let session = sessions
+            .get_mut(id)
+            .expect("pending payload from registered station");
+        session.store_feedback(flat, round);
+        session.set_pending(false);
+        Self::account_served(session, policy, lag_ns, pass);
+        // Serving is the activity the idle-LRU orders by.
+        sessions.touch(id);
+    }
+
     /// The serve step shared by the round close and watermark micro-closes:
-    /// expires over-budget pending reports, then runs one fused
-    /// dequantize→tail batched inference per model with pending traffic.
-    /// With a [`DeadlinePolicy`], late-but-usable reports are served but
-    /// flagged. Performs **no** health/staleness accounting.
+    /// expires over-budget pending reports, then reconstructs each model's
+    /// pending batch through the fused dequantize→tail inference, in id
+    /// order, [`TILE_ROWS`] stations at a time (reconstruct → store →
+    /// account → touch per tile). Tiling changes batch boundaries only, so
+    /// it cannot move an output bit (see the module docs); `batches` counts
+    /// one per model with pending traffic, however many tiles it took. With
+    /// a [`DeadlinePolicy`], late-but-usable reports are served but flagged.
+    /// Performs **no** health/staleness accounting.
     ///
-    /// **Partial-round semantics on failure:** a failed batch consumes only
-    /// *its own* pending payloads (they are what failed); every other model's
-    /// batch still runs and stores its reconstructions, and the first error
-    /// (in model-key order) is reported in the pass. Stations of healthy
-    /// models are never penalized for an unrelated model's failure.
+    /// **Partial-round semantics on failure:** a batch is validated whole
+    /// before its first tile, so a failed batch stores nothing and consumes
+    /// only *its own* pending payloads (they are what failed); every other
+    /// model's batch still runs and stores its reconstructions, and the
+    /// first error (in model-key order) is reported in the pass. Stations of
+    /// healthy models are never penalized for an unrelated model's failure.
     fn serve_pending(
         &mut self,
         engine: &TailEngine<'_>,
@@ -488,50 +548,61 @@ impl ShardCore {
         } = self;
         let RoundArena { ids, tail, .. } = arena;
         for (key, model) in engine.models.iter().enumerate() {
-            ids.clear();
-            ids.extend(
-                sessions
-                    .values()
-                    .filter(|s| s.has_pending() && s.model_key() == key)
-                    .map(StationSession::id),
-            );
-            if ids.is_empty() {
+            let (pending, invalid) = Self::check_batch(sessions, key, model.bottleneck_dim());
+            if pending == 0 {
                 continue;
             }
             pass.batches += 1;
-            let result = match engine.mode {
-                TailWeights::F32 => model.reconstruct_quantized_batch_iter_into(
-                    ids.iter().map(|id| sessions[id].payload()),
-                    ids.len(),
-                    tail,
-                    engine.kern,
-                ),
-                TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_iter_into(
-                    ids.iter().map(|id| sessions[id].payload()),
-                    ids.len(),
-                    tail,
-                    engine.ik,
-                ),
-            };
-            match result {
-                Ok(flats) => {
-                    let width = flats.cols();
-                    for (id, flat) in ids.iter().zip(flats.as_slice().chunks_exact(width)) {
-                        let session = sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
-                        session.store_feedback(flat, round);
-                        session.set_pending(false);
-                        Self::account_served(session, policy, lag_ns, &mut pass);
-                        // Serving is the activity the idle-LRU orders by.
-                        sessions.touch(*id);
+            let mut failure = invalid;
+            // Each tile resumes the id-ordered walk just past the previous
+            // tile's last station; a short tile was the last one.
+            let mut resume = failure.is_none().then_some(0);
+            while let Some(from) = resume {
+                ids.clear();
+                ids.extend(
+                    sessions
+                        .values_from(from)
+                        .filter(|s| Self::pending_for(s, key))
+                        .map(StationSession::id)
+                        .take(TILE_ROWS),
+                );
+                let Some(&last) = ids.last() else { break };
+                resume = last.checked_add(1).filter(|_| ids.len() == TILE_ROWS);
+                let payloads = ids.iter().map(|id| sessions[id].payload());
+                let result = match engine.mode {
+                    TailWeights::F32 => model.reconstruct_quantized_batch_iter_into(
+                        payloads,
+                        ids.len(),
+                        tail,
+                        engine.kern,
+                    ),
+                    TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_iter_into(
+                        payloads,
+                        ids.len(),
+                        tail,
+                        engine.ik,
+                    ),
+                };
+                match result {
+                    Ok(flats) => {
+                        let width = flats.cols();
+                        for (id, flat) in ids.iter().zip(flats.as_slice().chunks_exact(width)) {
+                            Self::commit_served(
+                                sessions, *id, flat, round, policy, lag_ns, &mut pass,
+                            );
+                        }
+                    }
+                    // `check_batch` passed, so this is the tail itself
+                    // failing, not a payload.
+                    Err(e) => {
+                        failure = Some(ServeError::Model(e.to_string()));
+                        break;
                     }
                 }
-                Err(e) => {
-                    Self::discard_batch(sessions, ids);
-                    pass.error
-                        .get_or_insert_with(|| ServeError::Model(e.to_string()));
-                }
+            }
+            if let Some(error) = failure {
+                Self::discard_batch(sessions, key);
+                pass.error.get_or_insert(error);
             }
         }
         pass
@@ -556,39 +627,37 @@ impl ShardCore {
         };
         let sessions = &mut self.sessions;
         for (key, model) in engine.models.iter().enumerate() {
-            let ids: Vec<StationId> = sessions
-                .values()
-                .filter(|s| s.has_pending() && s.model_key() == key)
-                .map(StationSession::id)
-                .collect();
-            if ids.is_empty() {
+            let (pending, invalid) = Self::check_batch(sessions, key, model.bottleneck_dim());
+            if pending == 0 {
                 continue;
             }
             pass.batches += 1;
-            let flats: Result<Vec<Vec<f32>>, _> =
-                ids.iter()
+            let ids: Vec<StationId> = sessions
+                .values()
+                .filter(|s| Self::pending_for(s, key))
+                .map(StationSession::id)
+                .collect();
+            let flats: Result<Vec<Vec<f32>>, ServeError> = match invalid {
+                Some(error) => Err(error),
+                None => ids
+                    .iter()
                     .map(|id| match engine.mode {
                         TailWeights::F32 => model.reconstruct_quantized(sessions[id].payload()),
                         TailWeights::Int8 => engine.tails[key]
                             .reconstruct_quantized(sessions[id].payload(), engine.ik),
                     })
-                    .collect();
+                    .collect::<Result<_, SplitBeamError>>()
+                    .map_err(|e| ServeError::Model(e.to_string())),
+            };
             match flats {
                 Ok(flats) => {
                     for (id, flat) in ids.iter().zip(flats) {
-                        let session = sessions
-                            .get_mut(*id)
-                            .expect("pending payload from registered station");
-                        session.store_feedback(&flat, round);
-                        session.set_pending(false);
-                        Self::account_served(session, policy, lag_ns, &mut pass);
-                        sessions.touch(*id);
+                        Self::commit_served(sessions, *id, &flat, round, policy, lag_ns, &mut pass);
                     }
                 }
-                Err(e) => {
-                    Self::discard_batch(sessions, &ids);
-                    pass.error
-                        .get_or_insert_with(|| ServeError::Model(e.to_string()));
+                Err(error) => {
+                    Self::discard_batch(sessions, key);
+                    pass.error.get_or_insert(error);
                 }
             }
         }
@@ -606,22 +675,13 @@ impl ShardCore {
                 self.lane.stash = Some(frame);
                 break;
             }
-            let StreamFrame {
-                id,
-                mut payload,
-                stamp,
-                seq,
-            } = frame;
             // A station deregistered with frames still in flight drops the
             // frame; its buffer is recycled either way.
-            if let Some(session) = self.sessions.get_mut(id) {
-                std::mem::swap(session.payload_slot(), &mut payload);
-                session.set_pending(true);
-                session.set_pending_stamp(stamp);
-                session.set_pending_seq(seq);
+            if let Some(session) = self.sessions.get_mut(frame.id) {
+                session.store_payload(&frame.payload, frame.stamp, frame.seq);
                 session.dec_stream_inflight();
             }
-            self.lane.free.push(payload);
+            self.lane.free.push(frame.payload);
         }
     }
 

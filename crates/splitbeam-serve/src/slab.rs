@@ -1,18 +1,18 @@
-//! Generational slab session store with an intrusive idle-LRU list.
+//! Slab session store: a dense id index, contiguous slots and an intrusive
+//! idle-LRU list.
 //!
-//! The serving core used to keep sessions in an ordered map, which made
-//! idle eviction a full `O(sessions)` scan every round and scattered
-//! sessions across the heap. At fleet scale (100k+ concurrent sessions per
-//! AP) both costs dominate the round close. This store replaces the map
-//! with:
+//! At fleet scale (100k+ concurrent sessions) the round close is a walk over
+//! sessions, so what it costs is which cache lines each step touches:
 //!
-//! * a **dense slot vector**: sessions live contiguously; freed slots go on
-//!   a free list and are reused, and each reuse bumps a generation counter
-//!   so stale [`SessionHandle`]s can never resolve to a new tenant;
-//! * an **ordered id index** (`BTreeMap<StationId, u32>`): every
-//!   deterministic-order path — batch id collection, fresh-station listing,
-//!   the public `sessions()` iterator — walks [`SessionSlab::values`] in
-//!   ascending station-id order, bit-identical to the old map iteration;
+//! * a **dense slot vector**: sessions live contiguously in registration
+//!   order; freed slots go on a free list and are reused;
+//! * a **dense id index** (`IdIndex`): ids below `DENSE_ID_BOUND` resolve
+//!   through a flat `Vec<u32>` (one load, no tree descent), larger ids through
+//!   an ordered map. Every deterministic-order path — batch id collection,
+//!   fresh-station listing, the public `sessions()` iterator — walks
+//!   [`SessionSlab::values`] in ascending station-id order: the table walk
+//!   followed by the map walk, which is globally ascending because every
+//!   sparse id exceeds every dense one;
 //! * an **intrusive idle-LRU list** threaded through the slots, ordered by
 //!   each session's last-activity round. Serving a station moves it to the
 //!   hot end ([`SessionSlab::touch`]); [`SessionSlab::evict_idle`] walks
@@ -28,21 +28,88 @@
 use crate::session::{StationId, StationSession};
 use std::collections::BTreeMap;
 
-/// Sentinel link value for "no slot".
+/// Sentinel link value for "no slot" (and "no entry" in the id table).
 const NIL: u32 = u32::MAX;
 
-/// A generation-checked reference to a slot. Stays valid until the station
-/// it names is removed; resolving it after the slot was reused returns
-/// `None` instead of the new tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionHandle {
-    index: u32,
-    generation: u32,
+/// Ids below this bound resolve through the flat table of [`IdIndex`]. The
+/// table holds one `u32` per id up to the largest dense id inserted, so the
+/// bound caps an index at 4 MiB however ids are chosen; 2^20 is ten times
+/// the 100k-session fleet, the largest population any driver registers.
+pub(crate) const DENSE_ID_BOUND: StationId = 1 << 20;
+
+/// Station id → `u32` (a slot, or a fleet's AP index). Lookups of ids below
+/// [`DENSE_ID_BOUND`] are one table load; larger ids fall back to an ordered
+/// map. Iteration is ascending by id: every sparse id exceeds every dense
+/// one, so the table walk followed by the map walk is globally ordered.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct IdIndex {
+    /// `dense[id]`, [`NIL`] where absent; as long as the largest dense id
+    /// ever inserted requires.
+    dense: Vec<u32>,
+    sparse: BTreeMap<StationId, u32>,
+    len: usize,
+}
+
+impl IdIndex {
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn get(&self, id: StationId) -> Option<u32> {
+        if id < DENSE_ID_BOUND {
+            let value = *self.dense.get(id as usize)?;
+            (value != NIL).then_some(value)
+        } else {
+            self.sparse.get(&id).copied()
+        }
+    }
+
+    /// Maps `id` to `value`, returning the value it replaces.
+    pub(crate) fn insert(&mut self, id: StationId, value: u32) -> Option<u32> {
+        assert_ne!(value, NIL, "u32::MAX is the index's vacancy mark");
+        let previous = if id < DENSE_ID_BOUND {
+            let at = id as usize;
+            if at >= self.dense.len() {
+                self.dense.resize(at + 1, NIL);
+            }
+            let previous = std::mem::replace(&mut self.dense[at], value);
+            (previous != NIL).then_some(previous)
+        } else {
+            self.sparse.insert(id, value)
+        };
+        self.len += usize::from(previous.is_none());
+        previous
+    }
+
+    pub(crate) fn remove(&mut self, id: StationId) -> Option<u32> {
+        let removed = if id < DENSE_ID_BOUND {
+            let entry = self.dense.get_mut(id as usize)?;
+            let previous = std::mem::replace(entry, NIL);
+            (previous != NIL).then_some(previous)
+        } else {
+            self.sparse.remove(&id)
+        };
+        self.len -= usize::from(removed.is_some());
+        removed
+    }
+
+    /// Entries with an id of at least `start`, ascending by id.
+    pub(crate) fn iter_from(
+        &self,
+        start: StationId,
+    ) -> impl Iterator<Item = (StationId, u32)> + '_ {
+        let first = start.min(self.dense.len() as StationId) as usize;
+        let dense = self.dense[first..]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &value)| value != NIL)
+            .map(move |(offset, &value)| ((first + offset) as StationId, value));
+        dense.chain(self.sparse.range(start..).map(|(&id, &value)| (id, value)))
+    }
 }
 
 #[derive(Debug, Clone)]
 struct Slot {
-    generation: u32,
     /// LRU neighbours when occupied (`prev` = colder); free-list link via
     /// `next` when free.
     prev: u32,
@@ -50,11 +117,11 @@ struct Slot {
     session: Option<StationSession>,
 }
 
-/// Dense generational session store. See the module docs for the layout.
+/// Dense session store. See the module docs for the layout.
 #[derive(Debug, Clone)]
 pub struct SessionSlab {
     slots: Vec<Slot>,
-    by_id: BTreeMap<StationId, u32>,
+    by_id: IdIndex,
     free_head: u32,
     /// Coldest (least recently active) end of the LRU list.
     lru_head: u32,
@@ -72,7 +139,7 @@ impl SessionSlab {
     pub fn new() -> Self {
         Self {
             slots: Vec::new(),
-            by_id: BTreeMap::new(),
+            by_id: IdIndex::default(),
             free_head: NIL,
             lru_head: NIL,
             lru_tail: NIL,
@@ -91,11 +158,11 @@ impl SessionSlab {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.len() == 0
     }
 
     pub fn contains(&self, id: StationId) -> bool {
-        self.by_id.contains_key(&id)
+        self.by_id.get(id).is_some()
     }
 
     /// The round the LRU list orders by: the station's last served round,
@@ -118,9 +185,9 @@ impl SessionSlab {
     // The fat Err is the point: the rejected session must ride back to the
     // caller for restore, and boxing a cold failure path buys nothing.
     #[allow(clippy::result_large_err)]
-    pub fn insert(&mut self, session: StationSession) -> Result<SessionHandle, StationSession> {
+    pub fn insert(&mut self, session: StationSession) -> Result<(), StationSession> {
         let id = session.id();
-        if self.by_id.contains_key(&id) {
+        if self.contains(id) {
             return Err(session);
         }
         let index = if self.free_head != NIL {
@@ -131,7 +198,6 @@ impl SessionSlab {
         } else {
             let index = self.slots.len() as u32;
             self.slots.push(Slot {
-                generation: 0,
                 prev: NIL,
                 next: NIL,
                 session: Some(session),
@@ -140,19 +206,15 @@ impl SessionSlab {
         };
         self.by_id.insert(id, index);
         self.lru_insert_sorted(index);
-        Ok(SessionHandle {
-            index,
-            generation: self.slots[index as usize].generation,
-        })
+        Ok(())
     }
 
     /// Removes and returns the session for `id`, freeing its slot.
     pub fn remove(&mut self, id: StationId) -> Option<StationSession> {
-        let index = self.by_id.remove(&id)?;
+        let index = self.by_id.remove(id)?;
         self.lru_unlink(index);
         let slot = &mut self.slots[index as usize];
         let session = slot.session.take();
-        slot.generation = slot.generation.wrapping_add(1);
         slot.prev = NIL;
         slot.next = self.free_head;
         self.free_head = index;
@@ -160,43 +222,32 @@ impl SessionSlab {
     }
 
     pub fn get(&self, id: StationId) -> Option<&StationSession> {
-        self.by_id.get(&id).and_then(|&i| self.session_at(i))
+        self.session_at(self.by_id.get(id)?)
     }
 
     pub fn get_mut(&mut self, id: StationId) -> Option<&mut StationSession> {
-        let index = *self.by_id.get(&id)?;
+        let index = self.by_id.get(id)?;
         self.slots[index as usize].session.as_mut()
-    }
-
-    /// The current handle for `id`.
-    pub fn handle(&self, id: StationId) -> Option<SessionHandle> {
-        let index = *self.by_id.get(&id)?;
-        Some(SessionHandle {
-            index,
-            generation: self.slots[index as usize].generation,
-        })
-    }
-
-    /// Resolves a handle, rejecting it once the slot has been reused.
-    pub fn get_by_handle(&self, handle: SessionHandle) -> Option<&StationSession> {
-        let slot = self.slots.get(handle.index as usize)?;
-        if slot.generation != handle.generation {
-            return None;
-        }
-        slot.session.as_ref()
     }
 
     /// Sessions in ascending station-id order — the deterministic view every
     /// order-sensitive path iterates.
     pub fn values(&self) -> impl Iterator<Item = &StationSession> {
-        self.by_id.values().filter_map(move |&i| self.session_at(i))
+        self.values_from(0)
+    }
+
+    /// The tail of [`Self::values`] that starts at the first id `>= start`.
+    pub(crate) fn values_from(&self, start: StationId) -> impl Iterator<Item = &StationSession> {
+        self.by_id
+            .iter_from(start)
+            .filter_map(move |(_, i)| self.session_at(i))
     }
 
     /// `(id, session)` pairs in ascending station-id order.
     pub fn iter(&self) -> impl Iterator<Item = (StationId, &StationSession)> {
         self.by_id
-            .iter()
-            .filter_map(move |(&id, &i)| self.session_at(i).map(|s| (id, s)))
+            .iter_from(0)
+            .filter_map(move |(id, i)| self.session_at(i).map(|s| (id, s)))
     }
 
     /// Mutable walk in dense slot order — **not** station-id order. Only for
@@ -217,7 +268,7 @@ impl SessionSlab {
     /// station (its activity round just became the current round, which is
     /// maximal, so a plain tail append keeps the list sorted).
     pub fn touch(&mut self, id: StationId) {
-        if let Some(&index) = self.by_id.get(&id) {
+        if let Some(index) = self.by_id.get(id) {
             self.lru_unlink(index);
             self.lru_push_tail(index);
         }
@@ -337,9 +388,10 @@ impl std::ops::Index<&StationId> for SessionSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn session(id: StationId, joined_round: u64) -> StationSession {
-        StationSession::new(id, 0, 4, joined_round)
+        StationSession::synthetic(id, 0, 4, joined_round)
     }
 
     fn ids(slab: &SessionSlab) -> Vec<StationId> {
@@ -350,48 +402,48 @@ mod tests {
     fn insert_get_remove_and_duplicate_rejection() {
         let mut slab = SessionSlab::with_capacity(4);
         assert!(slab.is_empty());
-        let h = slab.insert(session(7, 0)).unwrap();
+        slab.insert(session(7, 0)).unwrap();
         assert!(slab.insert(session(7, 1)).is_err(), "duplicate id");
         assert_eq!(slab.len(), 1);
         assert!(slab.contains(7));
         assert_eq!(slab.get(7).map(|s| s.id()), Some(7));
-        assert_eq!(slab.get_by_handle(h).map(|s| s.id()), Some(7));
         assert_eq!(slab[&7].id(), 7);
         let removed = slab.remove(7).unwrap();
         assert_eq!(removed.id(), 7);
         assert_eq!(slab.remove(7).map(|s| s.id()), None);
         assert!(slab.get(7).is_none());
-        // Generation check: the handle dies with the tenant even though the
-        // slot is immediately reused.
+        // The freed slot is reused; the old id stays gone.
         slab.insert(session(9, 0)).unwrap();
-        assert!(slab.get_by_handle(h).is_none());
-        assert_eq!(
-            slab.handle(9)
-                .and_then(|h| slab.get_by_handle(h))
-                .map(|s| s.id()),
-            Some(9)
-        );
+        assert!(slab.get(7).is_none());
+        assert_eq!(slab.get(9).map(|s| s.id()), Some(9));
+        assert_eq!(slab.len(), 1);
     }
 
     #[test]
     fn values_iterate_in_ascending_id_order_despite_slot_churn() {
+        // One id beyond the dense table: it must sort after every dense id.
+        const SPARSE: StationId = u64::MAX / 2;
         let mut slab = SessionSlab::new();
-        for id in [42, 3, 17, 99, 8] {
+        for id in [42, SPARSE, 3, 17, 99, 8] {
             slab.insert(session(id, 0)).unwrap();
         }
-        assert_eq!(ids(&slab), vec![3, 8, 17, 42, 99]);
+        assert_eq!(ids(&slab), vec![3, 8, 17, 42, 99, SPARSE]);
         // Free slot 0 (id 42) and reuse it for a small id: id order holds.
         slab.remove(42);
         slab.insert(session(1, 0)).unwrap();
-        assert_eq!(ids(&slab), vec![1, 3, 8, 17, 99]);
+        assert_eq!(ids(&slab), vec![1, 3, 8, 17, 99, SPARSE]);
         assert_eq!(
             slab.iter().map(|(id, _)| id).collect::<Vec<_>>(),
-            vec![1, 3, 8, 17, 99]
+            vec![1, 3, 8, 17, 99, SPARSE]
+        );
+        assert_eq!(
+            slab.values_from(17).map(|s| s.id()).collect::<Vec<_>>(),
+            vec![17, 99, SPARSE]
         );
         // The dense walk visits everyone exactly once, order unspecified.
         let mut dense: Vec<StationId> = slab.values_unordered().map(|s| s.id()).collect();
         dense.sort_unstable();
-        assert_eq!(dense, vec![1, 3, 8, 17, 99]);
+        assert_eq!(dense, vec![1, 3, 8, 17, 99, SPARSE]);
     }
 
     #[test]
@@ -429,5 +481,61 @@ mod tests {
         slab.insert(stale).unwrap();
         assert_eq!(slab.evict_idle(7, 3), 1, "stale adoptee evicts");
         assert_eq!(ids(&slab), vec![10]);
+    }
+
+    /// The ids the model check draws from: a dense run, both sides of the
+    /// dense/sparse boundary, and the largest id there is.
+    const POOL: [StationId; 12] = [
+        0,
+        1,
+        2,
+        3,
+        5,
+        8,
+        500,
+        DENSE_ID_BOUND - 1,
+        DENSE_ID_BOUND,
+        DENSE_ID_BOUND + 1,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    proptest! {
+        // Few, short cases: once `DENSE_ID_BOUND - 1` is in, every walk from
+        // a small id crosses a million table entries.
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// `IdIndex` against an ordered-map model over random insert /
+        /// remove / get / re-insert sequences: `len`, membership and the
+        /// ascending iteration order agree after every step.
+        #[test]
+        fn prop_id_index_matches_an_ordered_map(
+            steps in proptest::collection::vec(0u64..u64::MAX, 1..64),
+        ) {
+            let mut index = IdIndex::default();
+            let mut model: BTreeMap<StationId, u32> = BTreeMap::new();
+            for word in steps {
+                let id = POOL[(word >> 8) as usize % POOL.len()];
+                let value = (word >> 32) as u32 % NIL;
+                match word % 3 {
+                    // Insert doubles as re-insert: the id may be present,
+                    // absent, or absent again after a removal.
+                    0 => prop_assert_eq!(index.insert(id, value), model.insert(id, value)),
+                    1 => prop_assert_eq!(index.remove(id), model.remove(&id)),
+                    _ => prop_assert_eq!(index.get(id), model.get(&id).copied()),
+                }
+                prop_assert_eq!(index.len(), model.len());
+                for probe in POOL {
+                    prop_assert_eq!(index.get(probe), model.get(&probe).copied());
+                }
+                let start = POOL[(word >> 16) as usize % POOL.len()];
+                for from in [0, start] {
+                    prop_assert_eq!(
+                        index.iter_from(from).collect::<Vec<_>>(),
+                        model.range(from..).map(|(&id, &v)| (id, v)).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 }

@@ -8,11 +8,14 @@
 //! one-shard lockstep server closed station-at-a-time with `close_serial`.
 //! The first divergent `(round, station, field)` is what a failure prints.
 //!
-//! The scenario has everything the per-PR parity tests it replaces had:
-//! dropped reports, a bursty round, stations joining and leaving mid-run, a
-//! CRC-rejected frame — plus stamps that put some reports past the budget
-//! (late) and past the grace window (expired), and arrivals spread over the
-//! round so the watermarks really do micro-close mid-round.
+//! The churn scenario has everything the per-PR parity tests it replaces
+//! had: dropped reports, a bursty round, stations joining and leaving
+//! mid-run, a CRC-rejected frame — plus stamps that put some reports past
+//! the budget (late) and past the grace window (expired), and arrivals spread
+//! over the round so the watermarks really do micro-close mid-round. The wide
+//! scenario has more stations than two serve tiles hold, so a close runs
+//! full, ragged, one-station and empty last tiles; the failure cell breaks a
+//! payload of the last tile.
 //!
 //! `batches` is the one summary field that legitimately depends on the cell
 //! (more shards and micro-closes mean more, smaller batches); it is compared
@@ -22,7 +25,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
 use splitbeam_repro::serve::driver::{ChurnEvent, SimTraffic};
-use splitbeam_repro::serve::{RoundSummary, ServeError, StationId, StationSession};
+use splitbeam_repro::serve::{RoundSummary, ServeError, StationId, StationSession, TILE_ROWS};
 use splitbeam_repro::splitbeam::fused::TailWeights;
 
 const BITS: u8 = 5;
@@ -70,6 +73,8 @@ fn fresh_server(model: &SplitBeamModel, traffic: &SimTraffic, cell: Cell) -> ApS
     let mut server = ApServer::with_shards(cell.shards);
     server.set_tail_weights(cell.weights);
     server.set_streaming(cell.streaming);
+    // Room for a whole round of the wide scenario on one shard's ring.
+    server.set_stream_capacity(4 * TILE_ROWS);
     let key = server.register_model(model.clone());
     for id in 0..traffic.initial_stations as StationId {
         server.register_station(id, key, BITS).unwrap();
@@ -151,13 +156,22 @@ fn first_divergence(
     if compare_batches {
         summary_field!(batches);
     }
+    session_divergence(got.0, want.0, max_station).map(|(id, field)| (Some(id), field))
+}
+
+/// The first `(station, field)` on which the two servers' sessions differ.
+fn session_divergence(
+    got: &ApServer,
+    want: &ApServer,
+    max_station: StationId,
+) -> Option<(StationId, String)> {
     for id in 0..max_station {
-        let (g, w) = match (got.0.session(id), want.0.session(id)) {
+        let (g, w) = match (got.session(id), want.session(id)) {
             (None, None) => continue,
             (Some(g), Some(w)) => (g, w),
             (g, w) => {
                 return Some((
-                    Some(id),
+                    id,
                     format!("registered: got {}, want {}", g.is_some(), w.is_some()),
                 ))
             }
@@ -165,7 +179,7 @@ fn first_divergence(
         macro_rules! session_field {
             ($($getter:ident),*) => {$(
                 if g.$getter() != w.$getter() {
-                    return Some((Some(id), format!(
+                    return Some((id, format!(
                         "{}: got {:?}, want {:?}",
                         stringify!($getter), g.$getter(), w.$getter()
                     )));
@@ -191,13 +205,88 @@ fn first_divergence(
                 (Some(a), Some(b)) => a.iter().zip(b).position(|(x, y)| x != y),
                 _ => None,
             };
-            return Some((
-                Some(id),
-                format!("feedback (first differing value: {at:?})"),
-            ));
+            return Some((id, format!("feedback (first differing value: {at:?})")));
         }
     }
     None
+}
+
+/// What a matrix run saw, so each scenario can assert it exercised what its
+/// cells claim to compare.
+#[derive(Default)]
+struct MatrixStats {
+    cells_run: usize,
+    /// Most reports the oracle served in one round without a deadline.
+    max_served: usize,
+}
+
+/// Runs `traffic` through every cell of `shard_counts` × {barrier,
+/// streaming} × {None, eq7d} × {f32, int8} against the serial oracle.
+fn run_matrix(model: &SplitBeamModel, traffic: &SimTraffic, shard_counts: &[usize]) -> MatrixStats {
+    let mut stats = MatrixStats::default();
+    for weights in [TailWeights::F32, TailWeights::Int8] {
+        for policy in [None, Some(DeadlinePolicy::eq7d())] {
+            // The oracle: one lockstep shard, closed station at a time.
+            let oracle_cell = Cell {
+                shards: 1,
+                streaming: false,
+                policy,
+                weights,
+            };
+            let mut oracle = fresh_server(model, traffic, oracle_cell);
+            let mut cells: Vec<(Cell, ApServer)> = Vec::new();
+            for &shards in shard_counts {
+                for streaming in [false, true] {
+                    let cell = Cell {
+                        shards,
+                        streaming,
+                        ..oracle_cell
+                    };
+                    cells.push((cell, fresh_server(model, traffic, cell)));
+                }
+            }
+            let mut micro_closes = 0;
+            let (mut late, mut expired) = (0, 0);
+            for index in 0..traffic.rounds.len() {
+                ingest_round(&mut oracle, traffic, index);
+                let want = oracle.close_serial(policy).unwrap();
+                late += want.late;
+                expired += want.expired;
+                if policy.is_none() {
+                    stats.max_served = stats.max_served.max(want.served);
+                }
+                for (cell, server) in &mut cells {
+                    ingest_round(server, traffic, index);
+                    let got = close_round(server, index, *cell);
+                    let one_barrier_shard = cell.shards == 1 && !cell.streaming;
+                    if let Some((station, field)) = first_divergence(
+                        (server, &got),
+                        (&oracle, &want),
+                        traffic.max_station_id,
+                        one_barrier_shard,
+                    ) {
+                        panic!(
+                            "{cell:?} diverges from close_serial at round {index}, \
+                             station {station:?}, {field}"
+                        );
+                    }
+                    micro_closes += server
+                        .shard_round_stats()
+                        .iter()
+                        .map(|s| s.micro_closes)
+                        .sum::<usize>();
+                }
+            }
+            stats.cells_run += cells.len();
+            // The scenario must exercise what the cells claim to compare.
+            assert!(micro_closes > 0, "watermarks never micro-closed");
+            match policy {
+                Some(_) => assert!(late > 0 && expired > 0, "no late/expired reports"),
+                None => assert_eq!((late, expired), (0, 0)),
+            }
+        }
+    }
+    stats
 }
 
 #[test]
@@ -219,66 +308,103 @@ fn every_cell_matches_the_serial_close_round_by_round() {
     let traffic = generate_traffic(&sim, &model, &mut rng);
     assert!(traffic.total_joins() > 0 && traffic.total_leaves() > 0);
     assert!(traffic.total_drops() > 0);
+    assert_eq!(run_matrix(&model, &traffic, &[1, 2, 4]).cells_run, 24);
+}
 
-    let mut cells_run = 0;
+/// More stations than two tiles hold. One report in a hundred is dropped, so
+/// a one-shard barrier close without a deadline serves `2 * TILE_ROWS` or
+/// `2 * TILE_ROWS + 1` stations (two full tiles, then an empty or a
+/// one-station third); deadlines, micro-closes and the second shard make the
+/// last tile ragged everywhere else.
+#[test]
+fn wide_rounds_match_the_serial_close_across_tile_boundaries() {
+    let model = small_model(43);
+    let sim = SimConfig {
+        stations: 2 * TILE_ROWS + 3,
+        rounds: 3,
+        bits_per_value: BITS,
+        drop_every: 100,
+        ..SimConfig::default()
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(44);
+    let traffic = generate_traffic(&sim, &model, &mut rng);
+    assert!(traffic.total_drops() > 0);
+    let stats = run_matrix(&model, &traffic, &[1, 2]);
+    assert_eq!(stats.cells_run, 16);
+    assert!(
+        stats.max_served > 2 * TILE_ROWS,
+        "no close needed a third tile (most served: {})",
+        stats.max_served
+    );
+}
+
+/// A payload that breaks after ingest validated it, on the station with the
+/// highest id of the wide model — the last tile of its batch. The batch is
+/// validated whole before its first tile, so none of the model's stations is
+/// served (not even the two full tiles ahead of the broken one), none stays
+/// pending, the other model is served, and error and sessions equal the
+/// oracle's.
+#[test]
+fn a_broken_payload_in_the_last_tile_fails_the_whole_batch_like_the_oracle() {
+    let wide = small_model(45);
+    let mut rng = ChaCha8Rng::seed_from_u64(46);
+    let other = SplitBeamModel::new(
+        SplitBeamConfig::new(
+            MimoConfig::symmetric(2, Bandwidth::Mhz20),
+            CompressionLevel::OneQuarter,
+        ),
+        &mut rng,
+    );
+    let wide_stations = (2 * TILE_ROWS + 3) as StationId;
+    let stations = wide_stations + 2;
+    let sim = |stations| SimConfig {
+        stations,
+        rounds: 1,
+        bits_per_value: BITS,
+        drop_every: 0,
+        ..SimConfig::default()
+    };
+    let wide_traffic = generate_traffic(&sim(wide_stations as usize), &wide, &mut rng);
+    let other_traffic = generate_traffic(&sim(2), &other, &mut rng);
+    let frames = wide_traffic.rounds[0]
+        .frames
+        .iter()
+        .chain(&other_traffic.rounds[0].frames)
+        .map(|(_, frame)| frame.as_ref().unwrap());
+
     for weights in [TailWeights::F32, TailWeights::Int8] {
-        for policy in [None, Some(DeadlinePolicy::eq7d())] {
-            // The oracle: one lockstep shard, closed station at a time.
-            let oracle_cell = Cell {
-                shards: 1,
-                streaming: false,
-                policy,
-                weights,
-            };
-            let mut oracle = fresh_server(&model, &traffic, oracle_cell);
-            let mut cells: Vec<(Cell, ApServer)> = Vec::new();
-            for shards in [1usize, 2, 4] {
-                for streaming in [false, true] {
-                    let cell = Cell {
-                        shards,
-                        streaming,
-                        ..oracle_cell
-                    };
-                    cells.push((cell, fresh_server(&model, &traffic, cell)));
-                }
+        let mut servers = [ApServer::new(), ApServer::new()];
+        for server in &mut servers {
+            server.set_tail_weights(weights);
+            let wide_key = server.register_model(wide.clone());
+            let other_key = server.register_model(other.clone());
+            for (id, frame) in frames.clone().enumerate() {
+                let id = id as StationId;
+                let key = if id < wide_stations {
+                    wide_key
+                } else {
+                    other_key
+                };
+                server.register_station(id, key, BITS).unwrap();
+                server.ingest_wire(id, frame).unwrap();
             }
-            let mut micro_closes = 0;
-            let (mut late, mut expired) = (0, 0);
-            for index in 0..traffic.rounds.len() {
-                ingest_round(&mut oracle, &traffic, index);
-                let want = oracle.close_serial(policy).unwrap();
-                late += want.late;
-                expired += want.expired;
-                for (cell, server) in &mut cells {
-                    ingest_round(server, &traffic, index);
-                    let got = close_round(server, index, *cell);
-                    let one_barrier_shard = cell.shards == 1 && !cell.streaming;
-                    if let Some((station, field)) = first_divergence(
-                        (server, &got),
-                        (&oracle, &want),
-                        traffic.max_station_id,
-                        one_barrier_shard,
-                    ) {
-                        panic!(
-                            "{cell:?} diverges from close_serial at round {index}, \
-                             station {station:?}, {field}"
-                        );
-                    }
-                    micro_closes += server
-                        .shard_round_stats()
-                        .iter()
-                        .map(|s| s.micro_closes)
-                        .sum::<usize>();
-                }
-            }
-            cells_run += cells.len();
-            // The scenario must exercise what the cells claim to compare.
-            assert!(micro_closes > 0, "watermarks never micro-closed");
-            match policy {
-                Some(_) => assert!(late > 0 && expired > 0, "no late/expired reports"),
-                None => assert_eq!((late, expired), (0, 0)),
-            }
+            server.truncate_pending_payload(wide_stations - 1);
+        }
+        let [tiled, oracle] = &mut servers;
+        let got = tiled.close(None).unwrap_err();
+        let want = oracle.close_serial(None).unwrap_err();
+        assert!(matches!(got, ServeError::Model(_)), "{weights:?}: {got}");
+        assert_eq!(got, want, "{weights:?}");
+        if let Some((station, field)) = session_divergence(tiled, oracle, stations) {
+            panic!("{weights:?}: station {station} diverges from close_serial, {field}");
+        }
+        assert_eq!(tiled.pending_count(), 0, "{weights:?}");
+        for id in 0..stations {
+            assert_eq!(
+                tiled.feedback_of(id).is_some(),
+                id >= wide_stations,
+                "{weights:?}: station {id}"
+            );
         }
     }
-    assert_eq!(cells_run, 24);
 }
