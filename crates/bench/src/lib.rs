@@ -137,10 +137,6 @@ pub enum FeedbackScheme<'a> {
     Dot11(AngleResolution),
     /// A trained SplitBeam model (quantized bottleneck, 16 bits/value).
     SplitBeam(&'a SplitBeamModel),
-    /// A trained SplitBeam model whose tail runs the bound int8 weight store
-    /// (same quantized bottleneck) under the dispatched int8 kernel — the
-    /// low-precision serving path's BER.
-    SplitBeamInt8(&'a SplitBeamModel, &'a splitbeam::QuantizedTail),
     /// A trained LB-SciFi autoencoder.
     LbSciFi(&'a LbSciFiModel),
 }
@@ -159,21 +155,6 @@ pub fn feedback_for(
             let mut out = Vec::with_capacity(snapshot.num_users());
             for user in 0..snapshot.num_users() {
                 out.push(model.feedback_for_user_quantized(snapshot, user, 16).ok()?);
-            }
-            Some(out)
-        }
-        FeedbackScheme::SplitBeamInt8(model, tail) => {
-            let ik = mimo_math::kernel::int8::selected_int8();
-            let mut out = Vec::with_capacity(snapshot.num_users());
-            for user in 0..snapshot.num_users() {
-                let csi: Vec<f32> = snapshot
-                    .csi_real_vector(user)
-                    .into_iter()
-                    .map(|v| v as f32)
-                    .collect();
-                let payload = model.compress_quantized(&csi, 16).ok()?;
-                let flat = tail.reconstruct_quantized(&payload, ik).ok()?;
-                out.push(model.feedback_to_matrices(&flat).ok()?);
             }
             Some(out)
         }
@@ -213,15 +194,6 @@ pub fn measure_ber(
     report.ber()
 }
 
-/// Whether the int8-tail BER stays within the quantized-f32 envelope: the
-/// accuracy guardrail of the low-precision serving path. Int8 weight
-/// quantization adds at most a per-row rounding error of half a scale step,
-/// so its BER may wander a little around the f32 number at any finite test
-/// size, but a real accuracy regression blows well past this margin.
-pub fn ber_within_envelope(int8_ber: f64, f32_ber: f64) -> bool {
-    int8_ber.is_finite() && f32_ber.is_finite() && int8_ber <= f32_ber * 1.15 + 0.01
-}
-
 /// The standard compression levels swept by most figures.
 pub fn standard_levels() -> Vec<CompressionLevel> {
     CompressionLevel::STANDARD.to_vec()
@@ -235,27 +207,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         println!("{}", row.join("\t"));
     }
-}
-
-pub mod report;
-pub mod timing;
-
-/// Reads a `usize` knob from the environment, falling back on parse failure
-/// (shared by the `serve_report` / `kernel_report` binaries).
-pub fn env_usize(key: &str, default: usize) -> usize {
-    mimo_math::env::parse_or(key, default)
-}
-
-/// Whether two servers (any [`splitbeam_serve::driver::RoundServing`]
-/// implementation: single-shard or sharded) hold bit-identical reconstructed
-/// feedback for stations `0..stations` — the serving layer's bit-exactness
-/// verdict.
-pub fn feedback_identical<A, B>(a: &A, b: &B, stations: usize) -> bool
-where
-    A: splitbeam_serve::driver::RoundServing,
-    B: splitbeam_serve::driver::RoundServing,
-{
-    (0..stations as splitbeam_serve::StationId).all(|id| a.feedback_of(id) == b.feedback_of(id))
 }
 
 #[cfg(test)]
@@ -285,40 +236,6 @@ mod tests {
         let ber_ideal = measure_ber(&FeedbackScheme::Ideal, test, &workload, None, 3);
         assert!(ber_sb.is_finite() && (0.0..=0.5).contains(&ber_sb));
         assert!(ber_ideal <= ber_sb + 0.5);
-    }
-
-    #[test]
-    fn int8_tail_ber_stays_within_f32_envelope() {
-        // Reduced-workload version of the quant_report accuracy guardrail:
-        // the same 3x3 configuration as the fig09 point at 20 MHz (80 MHz is
-        // too heavy for a debug-mode test; the full-scale point runs in
-        // quant_report under CI). Identical link seed for both schemes, so
-        // the only difference is the tail's weight precision.
-        let workload = tiny_workload();
-        let spec = dataset_for(3, Bandwidth::Mhz20, "E1").unwrap();
-        let generated = dataset(&spec, &workload, 9);
-        let config = SplitBeamConfig::new(spec.mimo, CompressionLevel::OneEighth);
-        let model = train_splitbeam(&config, &generated, &workload, 11);
-        let tail = splitbeam::QuantizedTail::bind(&model);
-        let (_, _, test) = generated.split_train_val_test();
-        let ber_f32 = measure_ber(
-            &FeedbackScheme::SplitBeam(&model),
-            test,
-            &workload,
-            None,
-            13,
-        );
-        let ber_int8 = measure_ber(
-            &FeedbackScheme::SplitBeamInt8(&model, &tail),
-            test,
-            &workload,
-            None,
-            13,
-        );
-        assert!(
-            ber_within_envelope(ber_int8, ber_f32),
-            "int8 tail BER {ber_int8} outside the quantized-f32 envelope (f32 {ber_f32})"
-        );
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! - **`knob-docs`**: every `"SPLITBEAM_*"` literal in non-test library code
 //!   (crate `src/` trees, not their `bin/` directories) names a variable
 //!   that has a row in README.md's knob table — a knob the product reads is
-//!   a knob a user can look up.
+//!   a knob a user can look up — and, conversely, every row of that table
+//!   names a variable some non-test code still reads, so the table cannot
+//!   keep a dead row.
 //! - **`serve-unordered-map`**: no `HashMap`/`HashSet` in `splitbeam-serve`
 //!   sources — round-close and summary outputs are bit-reproducibility
 //!   contracts, and hash iteration order is a seed away from breaking them.
@@ -196,10 +198,11 @@ impl LintReport {
 /// tests exercise exactly the production path.
 pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintReport {
     let mut raw_violations = Vec::new();
-    let knobs = documented_knobs(sources);
+    let mut knobs = documented_knobs(sources);
     for (rel, text) in sources {
-        scan_file(rel, text, knobs.as_deref(), &mut raw_violations);
+        scan_file(rel, text, knobs.as_deref_mut(), &mut raw_violations);
     }
+    check_dead_knob_rows(knobs.as_deref().unwrap_or_default(), &mut raw_violations);
     check_crate_roots(sources, &mut raw_violations);
 
     let mut used = vec![false; allow.entries.len()];
@@ -279,7 +282,12 @@ fn is_test_file(rel: &str) -> bool {
         || rel.contains("/benches/")
 }
 
-fn scan_file(rel: &str, text: &str, knobs: Option<&[&str]>, out: &mut Vec<Violation>) {
+fn scan_file(
+    rel: &str,
+    text: &str,
+    mut knobs: Option<&mut [KnobRow<'_>]>,
+    out: &mut Vec<Violation>,
+) {
     if is_test_file(rel) || !rel.ends_with(".rs") {
         return;
     }
@@ -296,7 +304,7 @@ fn scan_file(rel: &str, text: &str, knobs: Option<&[&str]>, out: &mut Vec<Violat
         check_env_access(rel, i, &raw, code[i], out);
         check_ingest_unwrap(rel, i, raw[i], code[i], out);
         check_unordered_map(rel, i, raw[i], code[i], out);
-        if let Some(knobs) = knobs {
+        if let Some(knobs) = knobs.as_deref_mut() {
             check_knob_docs(rel, i, raw[i], code[i], knobs, out);
         }
     }
@@ -352,32 +360,49 @@ fn check_crate_roots(sources: &[(String, String)], out: &mut Vec<Violation>) {
     }
 }
 
+/// One variable named in a row of the README's knob table.
+struct KnobRow<'a> {
+    name: &'a str,
+    /// 1-based README line of the row.
+    line: usize,
+    row: &'a str,
+    /// Set once a `"SPLITBEAM_*"` literal in non-test code names it.
+    read: bool,
+}
+
 /// The variables with a row in the README's knob table, or `None` when the
 /// source set carries no README (the `knob-docs` rule is then skipped).
-fn documented_knobs(sources: &[(String, String)]) -> Option<Vec<&str>> {
+fn documented_knobs(sources: &[(String, String)]) -> Option<Vec<KnobRow<'_>>> {
     let (_, readme) = sources.iter().find(|(rel, _)| rel == KNOB_TABLE_FILE)?;
     Some(
         readme
             .lines()
-            .filter(|line| line.trim_start().starts_with('|'))
-            .flat_map(knob_names)
+            .enumerate()
+            .filter(|(_, row)| row.trim_start().starts_with('|'))
+            .flat_map(|(i, row)| {
+                knob_names(row).map(move |name| KnobRow {
+                    name,
+                    line: i + 1,
+                    row,
+                    read: false,
+                })
+            })
             .collect(),
     )
 }
 
-/// Every `"SPLITBEAM_*"` string literal in library code (a crate's `src/`
-/// tree, not its `bin/` directory) must name a documented knob.
+/// Every `"SPLITBEAM_*"` string literal in non-test code marks its knob-table
+/// row as read; in library code (a crate's `src/` tree, not its `bin/`
+/// directory) it must also *have* such a row.
 fn check_knob_docs(
     rel: &str,
     i: usize,
     raw: &str,
     code: &str,
-    documented: &[&str],
+    documented: &mut [KnobRow<'_>],
     out: &mut Vec<Violation>,
 ) {
-    if !rel.contains("src/") || rel.contains("/bin/") || rel.starts_with("benchmark/") {
-        return;
-    }
+    let library = rel.contains("src/") && !rel.contains("/bin/") && !rel.starts_with("benchmark/");
     for (at, _) in raw.match_indices("\"SPLITBEAM_") {
         // A real literal keeps its opening quote in the code view; comments
         // and nested quotes are blanked there.
@@ -387,7 +412,12 @@ fn check_knob_docs(
         let Some(name) = knob_names(&raw[at..]).next() else {
             continue;
         };
-        if !documented.contains(&name) {
+        let mut found = false;
+        for row in documented.iter_mut().filter(|row| row.name == name) {
+            row.read = true;
+            found = true;
+        }
+        if library && !found {
             out.push(Violation {
                 rule: RULE_KNOB_DOCS,
                 path: rel.to_string(),
@@ -399,6 +429,23 @@ fn check_knob_docs(
                 ),
             });
         }
+    }
+}
+
+/// The converse of [`check_knob_docs`]: a knob-table row naming a variable
+/// that no non-test code reads documents a knob that does not exist.
+fn check_dead_knob_rows(documented: &[KnobRow<'_>], out: &mut Vec<Violation>) {
+    for row in documented.iter().filter(|row| !row.read) {
+        out.push(Violation {
+            rule: RULE_KNOB_DOCS,
+            path: KNOB_TABLE_FILE.to_string(),
+            line: row.line,
+            excerpt: excerpt(row.row),
+            message: format!(
+                "`{}` has a knob-table row but no non-test code reads it",
+                row.name
+            ),
+        });
     }
 }
 

@@ -173,10 +173,16 @@ fn library_knobs_must_have_a_readme_table_row() {
     let readme = "# Demo\n\nProse may mention `SPLITBEAM_PROSE_ONLY` freely.\n\n\
                   | Variable | Meaning |\n|---|---|\n| `SPLITBEAM_SHARDS` | shard count |\n";
     let reads = |name: &str| format!("pub fn n() -> usize {{\n    parse_or(\"{name}\", 1)\n}}\n");
+    // Every run also carries a reader of the documented knob, so its row is
+    // live and only the file under test can trip the rule.
     let lint = |path: &str, text: String| {
         lint_sources(
             &[
                 (path.to_string(), text),
+                (
+                    "crates/other/src/lib.rs".to_string(),
+                    reads("SPLITBEAM_SHARDS"),
+                ),
                 ("README.md".to_string(), readme.to_string()),
             ],
             &Allowlist::default(),
@@ -207,6 +213,44 @@ fn library_knobs_must_have_a_readme_table_row() {
 
     // Without a README in the source set the rule is skipped.
     assert!(lint_one("crates/demo/src/lib.rs", &reads("SPLITBEAM_SECRET")).clean());
+}
+
+#[test]
+fn knob_table_rows_must_name_a_variable_some_code_reads() {
+    let readme = "# Demo\n\n| Variable | Meaning |\n|---|---|\n\
+                  | `SPLITBEAM_SHARDS` | shard count |\n| `SPLITBEAM_GONE` | nothing |\n";
+    let reads = |name: &str| format!("pub fn n() -> usize {{\n    parse_or(\"{name}\", 1)\n}}\n");
+    let lint = |sources: &[(&str, String)]| {
+        let mut all: Vec<(String, String)> = sources
+            .iter()
+            .map(|(path, text)| (path.to_string(), text.clone()))
+            .collect();
+        all.push(("README.md".to_string(), readme.to_string()));
+        lint_sources(&all, &Allowlist::default())
+    };
+    // Library code reads one knob, a binary the other: every row is live.
+    let live = [
+        ("crates/demo/src/lib.rs", reads("SPLITBEAM_SHARDS")),
+        ("crates/demo/src/bin/tool.rs", reads("SPLITBEAM_GONE")),
+    ];
+    assert!(lint(&live).clean());
+
+    // A row whose only readers are a test file and a longer name is dead, and
+    // is reported at its README line.
+    let dead = [
+        ("crates/demo/src/lib.rs", reads("SPLITBEAM_SHARDS")),
+        ("crates/demo/tests/it.rs", reads("SPLITBEAM_GONE")),
+        ("crates/demo/src/bin/tool.rs", reads("SPLITBEAM_GONE_TOO")),
+    ];
+    let report = lint(&dead);
+    assert_eq!(rules_of(&report), vec![RULE_KNOB_DOCS]);
+    assert_eq!(
+        (
+            report.violations[0].path.as_str(),
+            report.violations[0].line
+        ),
+        ("README.md", 6)
+    );
 }
 
 #[test]

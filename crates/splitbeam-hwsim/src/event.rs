@@ -14,7 +14,7 @@
 //!   **binary heap**, which defines that order, survives as the test oracle
 //!   `HeapEventQueue` behind the `reference` feature,
 //! * **seeded jitter** ([`SeededJitter`]): per-event timing noise drawn from a
-//!   deterministic stream (`SPLITBEAM_JITTER_NS` sets the amplitude),
+//!   deterministic stream,
 //! * a **shared medium** ([`SharedMedium`]): feedback frames serialize on the
 //!   air one at a time, each occupying exactly
 //!   [`wifi_phy::sounding::feedback_frame_airtime_s`] — the same per-frame
@@ -259,16 +259,6 @@ impl SeededJitter {
         Self::new(0, 0)
     }
 
-    /// Amplitude from the `SPLITBEAM_JITTER_NS` environment variable
-    /// (defaulting to `default_ns` when unset or unparsable), seeded with
-    /// `seed`.
-    pub fn from_env(default_ns: VirtualNs, seed: u64) -> Self {
-        Self::new(
-            mimo_math::env::parse_or("SPLITBEAM_JITTER_NS", default_ns),
-            seed,
-        )
-    }
-
     /// The configured amplitude.
     pub fn max_ns(&self) -> VirtualNs {
         self.max_ns
@@ -321,9 +311,11 @@ impl WatermarkClock {
     /// Fires the next watermark if it is due at `now_ns` (inclusive),
     /// advancing the clock by one step. Call in a loop to drain every due
     /// watermark one at a time — each fired watermark is returned exactly
-    /// once, in order, even when `now_ns` jumps several steps ahead.
+    /// once, in order, even when `now_ns` jumps several steps ahead. A clock
+    /// that has saturated at `VirtualNs::MAX` ("never") stops firing, so a
+    /// drain loop against a saturated deadline terminates.
     pub fn pop_due(&mut self, now_ns: VirtualNs) -> Option<VirtualNs> {
-        if self.next_ns > now_ns {
+        if self.next_ns > now_ns || self.next_ns == VirtualNs::MAX {
             return None;
         }
         let fired = self.next_ns;
@@ -585,6 +577,10 @@ mod tests {
         assert_eq!(degenerate.step_ns(), 1);
         assert_eq!(degenerate.pop_due(0), Some(0));
         assert_eq!(degenerate.pop_due(0), None);
+        // The end of time is "never": a saturated clock does not fire.
+        let mut last = WatermarkClock::new(VirtualNs::MAX - 1, 50);
+        assert_eq!(last.pop_due(VirtualNs::MAX), Some(VirtualNs::MAX - 1));
+        assert_eq!(last.pop_due(VirtualNs::MAX), None);
     }
 
     #[test]

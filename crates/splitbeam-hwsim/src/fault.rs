@@ -10,16 +10,6 @@
 //! the stream (the same contract as [`crate::event::SeededJitter`] with
 //! `max_ns == 0`), which is what makes the fault layer's pass-through mode
 //! provably identical to the PR 5 fault-free drivers.
-//!
-//! Environment knobs (all read by [`FaultConfig::from_env`]):
-//!
-//! | variable | meaning |
-//! |---|---|
-//! | `SPLITBEAM_LOSS` | frame loss probability in `[0, 1]` (bad-state loss when bursty) |
-//! | `SPLITBEAM_CORRUPT` | per-delivered-frame corruption probability in `[0, 1]` |
-//! | `SPLITBEAM_DUP` | per-delivered-frame duplication probability in `[0, 1]` |
-//! | `SPLITBEAM_FAULT_DELAY_NS` | extra queuing delay amplitude (uniform in `[0, max]` ns) |
-//! | `SPLITBEAM_BURST` | `p_enter,p_exit` — enables Gilbert–Elliott burst loss |
 
 use crate::event::VirtualNs;
 use rand::{Rng, SeedableRng};
@@ -83,44 +73,6 @@ impl FaultConfig {
             burst: None,
             corrupt_bits: 3,
         }
-    }
-
-    /// Reads the configuration from the `SPLITBEAM_LOSS`, `SPLITBEAM_CORRUPT`,
-    /// `SPLITBEAM_DUP`, `SPLITBEAM_FAULT_DELAY_NS` and `SPLITBEAM_BURST`
-    /// environment variables (see the module docs); unset or unparsable
-    /// variables fall back to [`FaultConfig::none`]'s fields.
-    pub fn from_env() -> Self {
-        fn env_prob(key: &str) -> Option<f64> {
-            mimo_math::env::parse::<f64>(key).filter(|p| p.is_finite() && *p >= 0.0)
-        }
-        let mut cfg = Self::none();
-        if let Some(p) = env_prob("SPLITBEAM_LOSS") {
-            cfg.loss = p.min(1.0);
-        }
-        if let Some(p) = env_prob("SPLITBEAM_CORRUPT") {
-            cfg.corrupt = p.min(1.0);
-        }
-        if let Some(p) = env_prob("SPLITBEAM_DUP") {
-            cfg.duplicate = p.min(1.0);
-        }
-        if let Some(ns) = mimo_math::env::parse::<u64>("SPLITBEAM_FAULT_DELAY_NS") {
-            cfg.max_extra_delay_ns = ns;
-        }
-        if let Some(parts) = mimo_math::env::parse_list::<f64>("SPLITBEAM_BURST") {
-            if parts.len() == 2
-                && parts
-                    .iter()
-                    .all(|p| p.is_finite() && (0.0..=1.0).contains(p))
-            {
-                cfg.burst = Some(GilbertElliott {
-                    p_enter_bad: parts[0],
-                    p_exit_bad: parts[1],
-                    loss_good: 0.0,
-                    loss_bad: if cfg.loss > 0.0 { cfg.loss } else { 1.0 },
-                });
-            }
-        }
-        cfg
     }
 
     /// Whether any fault channel is live. When `false`, the injector is a
@@ -417,42 +369,5 @@ mod tests {
         assert!((1..=3).contains(&flipped), "{flipped} bits flipped");
         // Empty frames are a no-op, not a panic.
         inj.corrupt_frame(&mut []);
-    }
-
-    #[test]
-    fn from_env_parses_and_defaults() {
-        // Serialize env access: tests in this module run in one process.
-        let keys = [
-            "SPLITBEAM_LOSS",
-            "SPLITBEAM_CORRUPT",
-            "SPLITBEAM_DUP",
-            "SPLITBEAM_FAULT_DELAY_NS",
-            "SPLITBEAM_BURST",
-        ];
-        let saved: Vec<Option<String>> = keys.iter().map(|k| std::env::var(k).ok()).collect();
-        for k in keys {
-            std::env::remove_var(k);
-        }
-        assert_eq!(FaultConfig::from_env(), FaultConfig::none());
-        std::env::set_var("SPLITBEAM_LOSS", "0.25");
-        std::env::set_var("SPLITBEAM_CORRUPT", "0.1");
-        std::env::set_var("SPLITBEAM_DUP", "2.5"); // clamped
-        std::env::set_var("SPLITBEAM_FAULT_DELAY_NS", "1500");
-        std::env::set_var("SPLITBEAM_BURST", "0.05, 0.4");
-        let cfg = FaultConfig::from_env();
-        assert_eq!(cfg.loss, 0.25);
-        assert_eq!(cfg.corrupt, 0.1);
-        assert_eq!(cfg.duplicate, 1.0);
-        assert_eq!(cfg.max_extra_delay_ns, 1500);
-        let ge = cfg.burst.expect("burst enabled");
-        assert_eq!((ge.p_enter_bad, ge.p_exit_bad), (0.05, 0.4));
-        assert_eq!(ge.loss_bad, 0.25);
-        assert!(cfg.is_active());
-        for (k, v) in keys.iter().zip(saved) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
     }
 }

@@ -116,23 +116,16 @@ impl EventConfig {
     }
 
     /// A physically-modeled run: medium rate `rate_mbps`, jitter amplitude
-    /// from the `SPLITBEAM_JITTER_NS` environment variable (default
-    /// `default_jitter_ns`), seeded with `seed`.
-    pub fn realistic(rate_mbps: f64, default_jitter_ns: VirtualNs, seed: u64) -> Self {
-        let jitter = SeededJitter::from_env(default_jitter_ns, seed);
+    /// `jitter_ns`, seeded with `seed`; up to two retransmissions at a
+    /// 100 µs base backoff, no injected faults, barrier close.
+    pub fn realistic(rate_mbps: f64, jitter_ns: VirtualNs, seed: u64) -> Self {
         Self {
-            interval_s: 0.01,
-            budget: DelayBudget::default(),
-            grace_s: 0.01,
-            jitter_max_ns: jitter.max_ns(),
+            jitter_max_ns: jitter_ns,
             seed,
-            phase_step_ns: 0,
             feedback_rate_mbps: Some(rate_mbps),
-            faults: FaultConfig::from_env(),
             max_retries: 2,
             retry_backoff_ns: 100_000,
-            streaming: streaming_from_env(),
-            watermark_ns: watermark_ns_from_env(),
+            ..Self::lockstep()
         }
     }
 
@@ -167,18 +160,6 @@ impl Default for EventConfig {
     fn default() -> Self {
         Self::lockstep()
     }
-}
-
-/// `SPLITBEAM_STREAMING` truthiness: `1` or `true` (case-insensitive) enables
-/// streaming micro-batch serving in [`EventConfig::realistic`].
-fn streaming_from_env() -> bool {
-    mimo_math::env::flag("SPLITBEAM_STREAMING")
-}
-
-/// `SPLITBEAM_WATERMARK_NS`: watermark cadence in virtual ns (`0`/unset means
-/// one watermark per sounding interval).
-fn watermark_ns_from_env() -> VirtualNs {
-    mimo_math::env::parse_or("SPLITBEAM_WATERMARK_NS", 0)
 }
 
 /// Head/tail compute latency of one model on the simulated accelerator, in
@@ -371,15 +352,20 @@ impl<S: StreamServing> EventDriver<S> {
     /// `u64`s, so the arithmetic saturates: a sparse id lands on
     /// `VirtualNs::MAX`, which [`EventDriver::ingest_wire`] treats as "never".
     fn poll_ns(&self, round: u64, id: StationId) -> VirtualNs {
-        round
-            .saturating_mul(self.cfg.interval_ns())
+        self.round_start_ns(round)
             .saturating_add(id.saturating_mul(self.cfg.phase_step_ns))
+    }
+
+    /// Nominal start of round `round`, saturating like every other instant.
+    fn round_start_ns(&self, round: u64) -> VirtualNs {
+        round.saturating_mul(self.cfg.interval_ns())
     }
 
     /// Deadline of the round being collected: its nominal start plus the
     /// Eq. 7d budget (the closer's grace window extends past it).
     fn round_deadline_ns(&self) -> VirtualNs {
-        self.round * self.cfg.interval_ns() + s_to_ns(self.cfg.budget.max_delay_s)
+        self.round_start_ns(self.round)
+            .saturating_add(s_to_ns(self.cfg.budget.max_delay_s))
     }
 
     /// Drains every scheduled report — in deterministic `(offer time,
@@ -443,12 +429,14 @@ impl<S: StreamServing> EventDriver<S> {
                     extra_delay_ns,
                 } => (corrupt, duplicate, extra_delay_ns),
             };
-            let arrival_ns = grant.end_ns + extra_delay_ns;
+            let arrival_ns = grant.end_ns.saturating_add(extra_delay_ns);
             self.now_ns = self.now_ns.max(arrival_ns);
             let stamp = FrameStamp {
                 arrival_ns,
                 head_ns: offer.head_ns,
-                queue_ns: (key.time_ns - offer.ready_ns) + grant.wait_ns + extra_delay_ns,
+                queue_ns: (key.time_ns - offer.ready_ns)
+                    .saturating_add(grant.wait_ns)
+                    .saturating_add(extra_delay_ns),
                 air_ns: grant.air_ns,
                 tail_ns: offer.tail_ns,
             };
@@ -524,14 +512,19 @@ impl<S: StreamServing> EventDriver<S> {
             .cfg
             .retry_backoff_ns
             .saturating_mul(1u64 << (attempt - 1).min(31));
-        let retry_ns = failed_end_ns + backoff_ns;
+        // Saturating: a backoff of `VirtualNs::MAX` means "never retry", and
+        // a retry instant pinned at the end of time is given up like any
+        // other that cannot fit the budget.
+        let retry_ns = failed_end_ns.saturating_add(backoff_ns);
         let air_estimate_ns = self.medium.frame_airtime_ns(offer.frame.len() * 8);
-        let projected_ns = offer.head_ns
-            + retry_ns.saturating_sub(offer.ready_ns)
-            + air_estimate_ns
-            + offer.tail_ns;
-        let allowance_ns = s_to_ns(self.cfg.budget.max_delay_s) + s_to_ns(self.cfg.grace_s);
-        if projected_ns > allowance_ns {
+        let projected_ns = offer
+            .head_ns
+            .saturating_add(retry_ns.saturating_sub(offer.ready_ns))
+            .saturating_add(air_estimate_ns)
+            .saturating_add(offer.tail_ns);
+        let allowance_ns =
+            s_to_ns(self.cfg.budget.max_delay_s).saturating_add(s_to_ns(self.cfg.grace_s));
+        if retry_ns == VirtualNs::MAX || projected_ns > allowance_ns {
             return;
         }
         let mut retry = offer.clone();
@@ -659,8 +652,11 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
         // happened before the close) takes precedence in the result.
         let watermarks = self.cfg.streaming.then(|| {
             let step = self.cfg.watermark_step_ns();
-            let start = self.round * self.cfg.interval_ns();
-            (WatermarkClock::new(start + step, step), policy)
+            let start = self.round_start_ns(self.round);
+            (
+                WatermarkClock::new(start.saturating_add(step), step),
+                policy,
+            )
         });
         let ingest_error = self.deliver_arrivals(watermarks);
         self.round += 1;
@@ -923,32 +919,37 @@ mod tests {
         let traffic = generate_traffic(&cfg, &m, &mut rng);
         // Certain loss with a backoff far beyond the 10 ms round budget: every
         // frame is lost and no retry can possibly land in time, so the driver
-        // must give up instead of scheduling doomed transmissions.
-        let event_cfg = EventConfig {
-            feedback_rate_mbps: Some(24.0),
-            seed: 13,
-            faults: FaultConfig {
-                loss: 1.0,
-                ..FaultConfig::none()
-            },
-            max_retries: 8,
-            retry_backoff_ns: s_to_ns(0.05),
-            ..EventConfig::lockstep()
-        };
-        let mut event = build_event_driver(m, cfg.stations, cfg.bits_per_value, event_cfg, None);
-        let outcome = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
-        assert_eq!(
-            outcome.total_served(),
-            0,
-            "nothing can survive certain loss"
-        );
-        let retx: usize = outcome.summaries.iter().map(|s| s.retransmitted).sum();
-        assert_eq!(retx, 0, "retries that cannot meet Eq. 7d must not launch");
-        assert_eq!(
-            event.fault_stats().offered as usize,
-            traffic.total_frames(),
-            "only the original transmissions touch the medium"
-        );
+        // must give up instead of scheduling doomed transmissions. The
+        // `u64::MAX` backoff ("never retry") must saturate, not wrap the retry
+        // instant into the past.
+        for retry_backoff_ns in [s_to_ns(0.05), u64::MAX] {
+            let event_cfg = EventConfig {
+                feedback_rate_mbps: Some(24.0),
+                seed: 13,
+                faults: FaultConfig {
+                    loss: 1.0,
+                    ..FaultConfig::none()
+                },
+                max_retries: 8,
+                retry_backoff_ns,
+                ..EventConfig::lockstep()
+            };
+            let mut event =
+                build_event_driver(m.clone(), cfg.stations, cfg.bits_per_value, event_cfg, None);
+            let outcome = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
+            assert_eq!(
+                outcome.total_served(),
+                0,
+                "nothing can survive certain loss"
+            );
+            let retx: usize = outcome.summaries.iter().map(|s| s.retransmitted).sum();
+            assert_eq!(retx, 0, "retries that cannot meet Eq. 7d must not launch");
+            assert_eq!(
+                event.fault_stats().offered as usize,
+                traffic.total_frames(),
+                "only the original transmissions touch the medium"
+            );
+        }
     }
 
     /// `StationId` is an arbitrary caller-chosen `u64`: a sparse id times a

@@ -423,11 +423,6 @@ impl Fleet {
     pub fn cross_bss_wait_of(&self, ap: usize) -> u64 {
         self.cross_bss_wait_ns[ap]
     }
-
-    /// The active event-queue backend name, for reports.
-    pub fn queue_backend(&self) -> &'static str {
-        self.queue.backend_name()
-    }
 }
 
 #[cfg(test)]

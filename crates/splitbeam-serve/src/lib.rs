@@ -100,9 +100,7 @@ pub use driver::StreamServing;
 pub use event::{build_event_driver, EventConfig, EventDriver};
 pub use fleet::{Fleet, FleetConfig, FleetRoundSummary, FleetStats};
 pub use ring::Ring;
-pub use server::{
-    env_shards, ApServer, HealthPolicy, RoundSummary, ShardRoundStats, ShardedApServer,
-};
+pub use server::{ApServer, HealthPolicy, RoundSummary, ShardRoundStats, ShardedApServer};
 pub use session::{SessionHealth, StationId, StationSession};
 pub use shard::TILE_ROWS;
 pub use slab::SessionSlab;

@@ -190,12 +190,6 @@ impl ApServer {
         }
     }
 
-    /// Creates a server with the shard count resolved from the environment
-    /// (see [`env_shards`]).
-    pub fn from_env() -> Self {
-        Self::with_shards(env_shards())
-    }
-
     /// Number of session shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -729,15 +723,6 @@ impl ApServer {
     }
 }
 
-/// Shard count from the environment: `SPLITBEAM_SHARDS` when set (clamped to
-/// `1..=64`), otherwise the available parallelism capped at 8.
-pub fn env_shards() -> usize {
-    match mimo_math::env::parse::<usize>("SPLITBEAM_SHARDS") {
-        Some(n) => n.clamp(1, 64),
-        None => rayon::current_num_threads().clamp(1, 8),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1189,7 +1174,6 @@ mod tests {
         // Shard count clamps to at least one.
         assert_eq!(ApServer::with_shards(0).num_shards(), 1);
         assert_eq!(ApServer::new().num_shards(), 1);
-        assert!(env_shards() >= 1);
     }
 
     #[test]

@@ -329,6 +329,66 @@ fn fault_plan_is_deterministic_across_flavors_and_kernels() {
     assert!(injected > 0, "the fault plan must actually disrupt the run");
 }
 
+/// Graceful degradation: one traffic set served at rising `(loss, corrupt)`
+/// levels on a contended medium. The deadline-hit rate never recovers by more
+/// than 0.02 from one level to the next (no cliff at low rates, no spurious
+/// recovery at high ones), and the zero row injects nothing.
+#[test]
+fn deadline_hit_rate_degrades_monotonically_with_the_fault_level() {
+    let m = model(1201);
+    let cfg = SimConfig {
+        stations: 16,
+        rounds: 6,
+        bits_per_value: 6,
+        drop_every: 0,
+        ..SimConfig::default()
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(1202);
+    let traffic = generate_traffic(&cfg, &m, &mut rng);
+    let levels = [
+        (0.0, 0.0),
+        (0.05, 0.02),
+        (0.10, 0.05),
+        (0.20, 0.10),
+        (0.35, 0.15),
+        (0.50, 0.25),
+    ];
+    let mut hit_rates = Vec::new();
+    for (loss, corrupt) in levels {
+        let event_cfg = EventConfig {
+            faults: FaultConfig {
+                loss,
+                corrupt,
+                ..FaultConfig::none()
+            },
+            ..EventConfig::realistic(6.0, 0, 42)
+        };
+        let mut driver =
+            build_event_driver(m.clone(), cfg.stations, cfg.bits_per_value, event_cfg, None);
+        let outcome = serve_traffic(&mut driver, &traffic, ServeMode::Batched).unwrap();
+        let on_time: usize = outcome.summaries.iter().map(|s| s.on_time).sum();
+        if loss == 0.0 {
+            let stats = driver.fault_stats();
+            assert_eq!((stats.lost, stats.corrupted), (0, 0), "zero row injects");
+            assert_eq!(
+                on_time,
+                traffic.total_frames(),
+                "zero row misses a deadline"
+            );
+            assert!(driver.medium().total_wait_ns() > 0, "stations must contend");
+        }
+        hit_rates.push(on_time as f64 / traffic.total_frames() as f64);
+    }
+    assert!(
+        hit_rates.windows(2).all(|pair| pair[1] <= pair[0] + 0.02),
+        "deadline-hit rate recovered as faults rose: {hit_rates:?}"
+    );
+    assert!(
+        hit_rates[levels.len() - 1] < 1.0,
+        "top level never degrades"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -380,6 +440,19 @@ proptest! {
                 for id in 0..traffic.max_station_id {
                     prop_assert_eq!(event.feedback_of(id), batched.feedback_of(id));
                 }
+                // Inert on a contended medium too: with nothing to react to,
+                // armed retries must not perturb the real-medium outcome.
+                let contended = EventConfig { feedback_rate_mbps: Some(24.0), ..event_cfg };
+                let armed = EventConfig { max_retries: max_retries.max(1), ..contended };
+                let disarmed = EventConfig { max_retries: 0, ..contended };
+                let mut armed = build_event_driver(m.clone(), cfg.stations, bits, armed, None);
+                let mut disarmed =
+                    build_event_driver(m.clone(), cfg.stations, bits, disarmed, None);
+                prop_assert_eq!(
+                    serve_traffic(&mut armed, &traffic, ServeMode::Batched).unwrap(),
+                    serve_traffic(&mut disarmed, &traffic, ServeMode::Batched).unwrap(),
+                    "armed vs disarmed on a contended medium, {:?}", choice
+                );
                 for shards in [1usize, 4] {
                     let mut legacy =
                         build_sharded_server(m.clone(), cfg.stations, bits, shards);

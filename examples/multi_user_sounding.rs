@@ -77,7 +77,7 @@ fn main() {
     };
     let traffic = generate_traffic(&sim, &model, &mut rng);
     let accel = AcceleratorModel::zynq_200mhz(2, 2);
-    let event_cfg = EventConfig::realistic(24.0, 500_000, 42); // 0.5 ms jitter default
+    let event_cfg = EventConfig::realistic(24.0, 500_000, 42); // 0.5 ms jitter
     let mut driver = build_event_driver(
         model,
         sim.stations,

@@ -167,3 +167,41 @@ fn end_to_end_delay_meets_the_10ms_budget() {
         }
     }
 }
+
+/// The int8 tail's accuracy guardrail: the same quick-trained model, serving
+/// the same wire frames with int8 tail weights, keeps the MU-MIMO link BER
+/// inside the f32 envelope. Int8 weight rounding may move the BER a little at
+/// a finite test size; a real accuracy regression blows well past the margin.
+#[test]
+fn int8_served_link_ber_stays_within_the_f32_envelope() {
+    use splitbeam_repro::splitbeam::TailWeights;
+    let data = quick_dataset("E1", 21);
+    let config = SplitBeamConfig::new(
+        MimoConfig::symmetric(2, Bandwidth::Mhz20),
+        CompressionLevel::OneQuarter,
+    );
+    let trained = train_quick(&config, &data, 22);
+    let sim = SimConfig {
+        rounds: 2,
+        bits_per_value: 8,
+        drop_every: 0,
+        ..SimConfig::default()
+    };
+    let traffic = generate_traffic(&sim, &trained, &mut ChaCha8Rng::seed_from_u64(23));
+    let served_ber = |weights: TailWeights| {
+        let mut server = build_server(trained.clone(), sim.stations, sim.bits_per_value);
+        server.set_tail_weights(weights);
+        serve_traffic(&mut server, &traffic, ServeMode::Batched).unwrap();
+        // Same link-noise seed for both precisions.
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        let report = link_check(&server, &traffic, 0, sim.snr_db, &mut rng).unwrap();
+        assert!(!report.per_user_bits.is_empty(), "link check ran no group");
+        report.ber()
+    };
+    let f32_ber = served_ber(TailWeights::F32);
+    let int8_ber = served_ber(TailWeights::Int8);
+    assert!(
+        int8_ber.is_finite() && f32_ber.is_finite() && int8_ber <= f32_ber * 1.15 + 0.01,
+        "int8-served BER {int8_ber} outside the f32 envelope (f32 {f32_ber})"
+    );
+}

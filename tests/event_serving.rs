@@ -1,16 +1,13 @@
 //! Cross-crate integration test of the event-driven serving stack through the
 //! façade: virtual-time serving vs the lockstep drivers, deadline accounting
 //! under a real medium + accelerator latencies, and determinism.
-//!
-//! CI also runs this suite with `SPLITBEAM_JITTER_NS` set: the invariants
-//! below hold for *any* jitter amplitude ([`EventConfig::realistic`] reads the
-//! knob), while the lockstep-parity tests pin jitter to zero explicitly.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use splitbeam_repro::hwsim::fault::FaultConfig;
 use splitbeam_repro::prelude::*;
+use splitbeam_repro::serve::driver::SimTraffic;
 use splitbeam_repro::serve::event::build_sharded_event_driver;
-use splitbeam_repro::serve::RoundSummary;
 
 fn small_model(seed: u64) -> SplitBeamModel {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -74,10 +71,10 @@ fn lockstep_event_serving_matches_legacy_end_to_end() {
 }
 
 /// Deadline-accounting invariants that hold for *any* jitter amplitude,
-/// medium rate, accelerator latency — and, since PR 6, any fault plan
-/// ([`EventConfig::realistic`] reads `SPLITBEAM_LOSS`/`SPLITBEAM_CORRUPT`/
-/// `SPLITBEAM_DUP` too). CI re-runs this with disruptive jitter and again
-/// with a disruptive loss+corruption+jitter mix.
+/// fault plan, close discipline and shard count: every cell of jitter
+/// {0, 5 ms, 25 ms} x faults {none, loss/corrupt/dup} x close {barrier,
+/// streaming @ interval, streaming @ 2.5 ms} x shards {1, 4} serves the same
+/// traffic under the same assertions.
 #[test]
 fn timed_serving_invariants_hold_under_any_jitter() {
     let model = small_model(3);
@@ -91,15 +88,57 @@ fn timed_serving_invariants_hold_under_any_jitter() {
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let traffic = generate_traffic(&sim, &model, &mut rng);
     let accel = AcceleratorModel::zynq_200mhz(2, 2);
-    let cfg = EventConfig::realistic(24.0, 0, 11);
-    let mut event = build_event_driver(
-        model.clone(),
-        sim.stations,
-        sim.bits_per_value,
-        cfg,
-        Some(&accel),
-    );
-    let outcome = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
+    let disruptive = FaultConfig {
+        loss: 0.25,
+        corrupt: 0.10,
+        duplicate: 0.05,
+        ..FaultConfig::none()
+    };
+    // (streaming, watermark_ns); 0 = one watermark per sounding interval.
+    let closes = [(false, 0), (true, 0), (true, 2_500_000)];
+    for jitter_ns in [0, 5_000_000, 25_000_000] {
+        for faults in [FaultConfig::none(), disruptive] {
+            for (streaming, watermark_ns) in closes {
+                for shards in [1usize, 4] {
+                    let cfg = EventConfig {
+                        faults,
+                        streaming,
+                        watermark_ns,
+                        ..EventConfig::realistic(24.0, jitter_ns, 11)
+                    };
+                    let cell = format!(
+                        "jitter {jitter_ns} ns, loss {}, streaming {streaming} @ \
+                         {watermark_ns} ns, {shards} shards",
+                        faults.loss
+                    );
+                    assert_timed_invariants(&model, &sim, &traffic, &accel, cfg, shards, &cell);
+                }
+            }
+        }
+    }
+}
+
+fn assert_timed_invariants(
+    model: &SplitBeamModel,
+    sim: &SimConfig,
+    traffic: &SimTraffic,
+    accel: &AcceleratorModel,
+    cfg: EventConfig,
+    shards: usize,
+    cell: &str,
+) {
+    let build = || {
+        build_sharded_event_driver(
+            model.clone(),
+            sim.stations,
+            sim.bits_per_value,
+            shards,
+            cfg,
+            Some(accel),
+        )
+    };
+    let mut event = build();
+    let outcome = serve_traffic(&mut event, traffic, ServeMode::Batched).unwrap();
 
     let served: usize = outcome.summaries.iter().map(|s| s.served).sum();
     let expired: usize = outcome.summaries.iter().map(|s| s.expired).sum();
@@ -109,26 +148,26 @@ fn timed_serving_invariants_hold_under_any_jitter() {
     let stats = event.fault_stats();
     assert_eq!(
         stats.lost as usize, lost,
-        "summaries must match the injector"
+        "summaries must match the injector ({cell})"
     );
     if lost == 0 && corrupt == 0 {
         assert_eq!(
             served + expired,
             traffic.total_frames(),
-            "on a reliable medium every transmitted frame is served or expired"
+            "on a reliable medium every transmitted frame is served or expired ({cell})"
         );
     } else {
-        assert!(served + expired <= traffic.total_frames());
+        assert!(served + expired <= traffic.total_frames(), "{cell}");
         assert!(
             served + expired + lost + corrupt >= traffic.total_frames(),
-            "every missing frame must be accounted to a lost or corrupt delivery"
+            "every missing frame must be accounted to a lost or corrupt delivery ({cell})"
         );
     }
     for summary in &outcome.summaries {
         assert_eq!(
             summary.on_time + summary.late,
             summary.served,
-            "served splits exactly into on-time + late"
+            "served splits exactly into on-time + late ({cell})"
         );
         if summary.served > 0 {
             // A real medium and accelerator make every leg observable.
@@ -142,17 +181,22 @@ fn timed_serving_invariants_hold_under_any_jitter() {
     // is charged airtime, including lost/corrupt ones and every retry.
     assert_eq!(
         event.medium().frames_carried(),
-        (traffic.total_frames() + retransmitted) as u64
+        (traffic.total_frames() + retransmitted) as u64,
+        "{cell}"
     );
     assert!(event.medium().total_air_ns() > 0);
 
     // Determinism: an identical run (same seed, same traffic) is identical,
-    // summary for summary.
-    let mut rerun = build_event_driver(model, sim.stations, sim.bits_per_value, cfg, Some(&accel));
-    let outcome2 = serve_traffic(&mut rerun, &traffic, ServeMode::Batched).unwrap();
-    let summaries: Vec<RoundSummary> = outcome.summaries.clone();
-    assert_eq!(summaries, outcome2.summaries);
-    assert_eq!(event.virtual_now_ns(), rerun.virtual_now_ns());
+    // summary for summary and shard for shard.
+    let mut rerun = build();
+    let outcome2 = serve_traffic(&mut rerun, traffic, ServeMode::Batched).unwrap();
+    assert_eq!(outcome.summaries, outcome2.summaries, "{cell}");
+    assert_eq!(event.virtual_now_ns(), rerun.virtual_now_ns(), "{cell}");
+    assert_eq!(
+        event.inner().shard_round_stats(),
+        rerun.inner().shard_round_stats(),
+        "{cell}"
+    );
 }
 
 /// The deadline close never mistakes deadline classes for session staleness:

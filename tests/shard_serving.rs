@@ -1,14 +1,11 @@
 //! Cross-crate integration test of the sharded AP serving layer: bit-exact
-//! parity with the single-shard server through the façade, the
-//! `SPLITBEAM_SHARDS` environment knob, and session lifecycle under churn.
-//!
-//! CI runs this suite under `SPLITBEAM_SHARDS=1` and `SPLITBEAM_SHARDS=4`, so
-//! the env-resolved path is exercised at both extremes.
+//! parity with the single-shard server through the façade at fixed shard
+//! counts, and session lifecycle under churn.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
-use splitbeam_repro::serve::{env_shards, ServeError};
+use splitbeam_repro::serve::ServeError;
 
 fn small_model(seed: u64) -> SplitBeamModel {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -19,52 +16,6 @@ fn small_model(seed: u64) -> SplitBeamModel {
         ),
         &mut rng,
     )
-}
-
-#[test]
-fn env_resolved_shard_count_serves_bit_exactly() {
-    let model = small_model(1);
-    let sim = SimConfig {
-        stations: 8,
-        rounds: 3,
-        bits_per_value: 4,
-        drop_every: 5,
-        churn: ChurnConfig {
-            join_every: 2,
-            leave_every: 3,
-            burst_every: 0,
-        },
-        ..SimConfig::default()
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let traffic = generate_traffic(&sim, &model, &mut rng);
-
-    let mut single = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let reference = serve_traffic(&mut single, &traffic, ServeMode::Batched).unwrap();
-
-    // The env-resolved shard count (SPLITBEAM_SHARDS when set, parallelism
-    // otherwise) must produce identical results to the single-shard server.
-    let shards = env_shards();
-    assert!(shards >= 1);
-    let mut sharded = ApServer::from_env();
-    assert_eq!(sharded.num_shards(), shards);
-    let key = sharded.register_model(model.clone());
-    for id in 0..sim.stations as u64 {
-        sharded
-            .register_station(id, key, sim.bits_per_value)
-            .unwrap();
-    }
-    let outcome = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
-    assert_eq!(outcome.total_served(), reference.total_served());
-    assert_eq!(outcome.joins, traffic.total_joins());
-    assert_eq!(outcome.leaves, traffic.total_leaves());
-    for id in 0..traffic.max_station_id {
-        assert_eq!(
-            sharded.feedback_of(id),
-            single.feedback_of(id),
-            "station {id} under {shards} env shards"
-        );
-    }
 }
 
 #[test]
