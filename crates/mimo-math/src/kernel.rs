@@ -31,6 +31,15 @@
 //! pass the result down; benchmarks and parity tests bypass the global state
 //! entirely by passing an explicit [`Kernel`] to the primitives.
 //!
+//! The f32 tier has a second entry point for a right-hand side that is bound
+//! once and reused — a tail layer's weights: [`packed`] panel-packs it at
+//! bind time and multiplies with an `MR x NR` register-tile microkernel
+//! (12x32 on AVX-512F, 6x16 on AVX2+FMA, picked by CPU detection) that fuses
+//! bias and activation into its single store. It is the same numerics class
+//! as [`Kernel::Avx2Fma`] — bit-identical to [`gemm_f32`] at every shape and
+//! width — so it needs no selector of its own; [`gemm_f32`] keeps the
+//! products without a bound right-hand side (training, the batch-1 head).
+//!
 //! A third tier lives in [`int8`]: integer `u8 x i8 -> i32` GEMM arms for
 //! quantized tail weights (AVX-512 VNNI → AVX2 `maddubs` → scalar reference,
 //! all bit-exact with each other), resolved by [`int8::selected_int8`] behind
@@ -42,6 +51,7 @@ use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod int8;
+pub mod packed;
 pub mod tune;
 
 /// What the caller asked for (environment variable or [`set_kernel`]).
@@ -185,6 +195,11 @@ pub struct DispatchReport {
     pub requested: &'static str,
     /// The f32/complex backend actually in use.
     pub selected: &'static str,
+    /// The arm the packed f32 GEMM ([`packed::gemm_f32_packed`], the served
+    /// tail under `avx2_fma`) runs on: `avx512f_12x32` or `avx2_fma_6x16` by
+    /// CPU detection, `scalar` when the scalar backend is selected and the
+    /// tail stays on the row-major kernels.
+    pub selected_packed: &'static str,
     /// The integer (quantized-weight) backend actually in use.
     pub selected_int8: &'static str,
     /// Whether the host CPU supports AVX2+FMA at all.
@@ -205,6 +220,10 @@ pub fn dispatch_report() -> DispatchReport {
             KernelChoice::Scalar => "scalar",
         },
         selected: selected().name(),
+        selected_packed: match selected() {
+            Kernel::Scalar => Kernel::Scalar.name(),
+            Kernel::Avx2Fma => packed::PackedWidth::detect().name(),
+        },
         selected_int8: int8::selected_int8().name(),
         avx2_fma_available: avx2_fma_available(),
         avx512f_available: int8::avx512f_available(),
@@ -823,6 +842,14 @@ mod tests {
         let report = dispatch_report();
         assert!(["auto", "scalar"].contains(&report.requested));
         assert!(["scalar", "avx2_fma"].contains(&report.selected));
+        assert_eq!(
+            report.selected_packed == "scalar",
+            report.selected == "scalar"
+        );
+        assert_eq!(
+            report.selected_packed == "avx512f_12x32",
+            report.selected == "avx2_fma" && report.avx512f_available
+        );
         assert!(["scalar", "avx2_maddubs", "avx512_vnni"].contains(&report.selected_int8));
         if !report.avx2_fma_available {
             assert_eq!(report.selected, "scalar");
@@ -864,6 +891,8 @@ mod tests {
 
     #[test]
     fn caxpy_parity_across_kernels_and_lengths() {
+        // AVX2 arms under test: `caxpy_avx2` and `caxpy_sub_avx2` (both via
+        // `cmul_lanes`), including their odd-length scalar tails.
         for n in [0usize, 1, 2, 3, 5, 8, 17] {
             let a = Complex64::new(0.7, -0.3);
             let x = complex_series(n, 1.0);
@@ -899,6 +928,7 @@ mod tests {
 
     #[test]
     fn cdotc_parity_across_kernels() {
+        // AVX2 arm under test: `cdotc_avx2` and its `hsum_pd` reduction.
         for n in [0usize, 1, 2, 5, 9, 33] {
             let x = complex_series(n, 0.4);
             let y = complex_series(n, 1.7);
@@ -934,7 +964,8 @@ mod tests {
     fn gemm_row_and_batch_shapes_agree_bitwise_per_kernel() {
         // One row at a time must equal the batched call exactly — the property
         // the fused dequantize→tail path relies on. Six rows exercise the
-        // 4-row AVX2 panel plus the single-row remainder path.
+        // 4-row AVX2 panel (`gemm_panel4_avx2`) plus the single-row remainder
+        // path (`gemm_panel1_avx2`, which also is the whole one-row call).
         const ROWS: usize = 6;
         let (m, n) = (37, 41);
         let a = f32_series(ROWS * m, 0.9);
@@ -952,6 +983,8 @@ mod tests {
 
     #[test]
     fn saxpy_and_sdot_parity() {
+        // AVX2 arms under test: `saxpy_avx2` and `sdot_avx2`, across their
+        // 32-, 8- and 1-element steps.
         for n in [0usize, 1, 7, 8, 31, 64, 100] {
             let x = f32_series(n, 0.5);
             let base = f32_series(n, 2.5);

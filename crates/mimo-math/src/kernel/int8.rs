@@ -883,6 +883,10 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn blocking_and_panel_shape_do_not_change_results() {
+        // Seven rows with `panel4` on and off reach `panel4_avx2` /
+        // `panel4_vnni` and the one-row `panel1_avx2` / `panel1_vnni`; every
+        // group block short of the whole depth makes `seed_avx2` /
+        // `seed_avx512` both store (first block) and fold (later blocks).
         if !avx2_available() {
             return;
         }

@@ -1,0 +1,592 @@
+//! Panel-packed f32 GEMM with the bias + activation epilogue in the store.
+//!
+//! The row-major [`super::gemm_f32`] serves products whose right-hand side
+//! changes between calls (training) or is used once per call (the batch-1
+//! head). A *bound* right-hand side — a tail layer's weights, fixed for the
+//! life of the model — is instead packed **once** into panel-major form and
+//! multiplied by [`gemm_f32_packed`]:
+//!
+//! ```text
+//! packed[(p * m + k) * NR + c] = b[k * n + p * NR + c]     (zero past n)
+//! ```
+//!
+//! One panel (`m x NR` floats, contiguous) is streamed sequentially by a
+//! microkernel that keeps an `MR x NR` accumulator tile in registers over the
+//! **whole** `k` range, so the output is written exactly once — `bias` added
+//! and the activation applied on the way out — instead of being zero-filled,
+//! re-loaded and re-stored every k-block and swept again by an epilogue. The
+//! loop nest is panel-outer: a panel stays cache-resident while every row
+//! tile of the batch runs against it.
+//!
+//! | [`PackedWidth`] | `MR x NR` | registers | arm |
+//! |---|---|---|---|
+//! | `Zmm` | 12 x 32 | 24 zmm accumulators + 2 `b` + 1 broadcast | `avx512f` |
+//! | `Ymm` | 6 x 16 | 12 ymm accumulators + 2 `b` + 1 broadcast | `avx2` + `fma` |
+//!
+//! # Exactness
+//!
+//! Every output element is one fused-multiply-add chain over ascending `k`
+//! starting from `+0.0`, then `act(acc + bias)` — operation for operation
+//! what the AVX2 arm of [`super::gemm_f32`] computes on a zeroed `out`
+//! followed by the row-major epilogue. The tile shape only decides *which*
+//! elements share a register, never the order within an element, so both
+//! widths, every batch shape and the portable `mul_add` fallback (hosts
+//! without the vector arm a layout was packed for) agree **bit for bit** with
+//! each other and with `gemm_f32(Kernel::Avx2Fma, ..)`. The width is
+//! therefore pure CPU detection, exactly as VNNI-vs-`maddubs` is for
+//! [`super::int8`]; there is nothing to tune.
+
+#[cfg(target_arch = "x86_64")]
+use super::avx2_fma_available;
+use super::int8::avx512f_available;
+
+/// The vector width a right-hand side is packed for: it fixes the panel
+/// width `NR` of the layout and the `MR x NR` register tile that consumes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PackedWidth {
+    /// 256-bit vectors: 16-float panels, 6 x 16 tile (AVX2 + FMA).
+    Ymm,
+    /// 512-bit vectors: 32-float panels, 12 x 32 tile (AVX-512F).
+    Zmm,
+}
+
+impl PackedWidth {
+    /// The widest arm the host CPU supports (`Ymm` also on hosts without
+    /// AVX2, where the portable fallback consumes the 16-float layout).
+    pub fn detect() -> Self {
+        if avx512f_available() {
+            PackedWidth::Zmm
+        } else {
+            PackedWidth::Ymm
+        }
+    }
+
+    /// Floats per panel row (`NR`).
+    pub fn nr(self) -> usize {
+        match self {
+            PackedWidth::Ymm => 16,
+            PackedWidth::Zmm => 32,
+        }
+    }
+
+    /// Output rows per register tile (`MR`).
+    pub fn mr(self) -> usize {
+        match self {
+            PackedWidth::Ymm => 6,
+            PackedWidth::Zmm => 12,
+        }
+    }
+
+    /// Stable lower-snake name used in reports and logs.
+    pub fn name(self) -> &'static str {
+        match self {
+            PackedWidth::Ymm => "avx2_fma_6x16",
+            PackedWidth::Zmm => "avx512f_12x32",
+        }
+    }
+}
+
+/// A GEMM right-hand side (`m x n`, e.g. a dense layer's weights) packed
+/// panel-major for [`gemm_f32_packed`]. Immutable after packing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedRhs {
+    m: usize,
+    n: usize,
+    width: PackedWidth,
+    /// `n.div_ceil(NR)` panels of `m * NR` floats; the last panel's columns
+    /// past `n` are zero.
+    data: Vec<f32>,
+}
+
+impl PackedRhs {
+    /// Packs row-major `b` (`m x n`) for `width` — [`PackedWidth::detect`] in
+    /// production; the parity tests pass each width in turn, which is how the
+    /// 256-bit arm runs on an AVX-512 host. A layout whose arm the host lacks
+    /// still multiplies correctly (portable fallback).
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero or `b.len() != m * n`.
+    pub fn pack(b: &[f32], m: usize, n: usize, width: PackedWidth) -> Self {
+        assert!(m > 0 && n > 0, "packed rhs dimensions must be non-zero");
+        assert_eq!(b.len(), m * n, "packed rhs length mismatch");
+        let nr = width.nr();
+        let mut data = vec![0.0f32; n.div_ceil(nr) * m * nr];
+        for (p, panel) in data.chunks_exact_mut(m * nr).enumerate() {
+            let j0 = p * nr;
+            let cols = nr.min(n - j0);
+            for (dst, src) in panel.chunks_exact_mut(nr).zip(b.chunks_exact(n)) {
+                dst[..cols].copy_from_slice(&src[j0..j0 + cols]);
+            }
+        }
+        Self { m, n, width, data }
+    }
+
+    /// Inner dimension (rows of the unpacked matrix).
+    pub fn inner_dim(&self) -> usize {
+        self.m
+    }
+
+    /// Output width (columns of the unpacked matrix).
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+}
+
+/// The operands of one register tile: `mr` rows of `a` against one packed
+/// panel, producing `acc + bias` in the first `cols` columns of `mr` rows of
+/// `out`.
+///
+/// A tile function's caller vouches that `a` is valid for `mr` rows of `m`
+/// floats, `panel` for `m * NR`, `bias` for `cols` and `out` for `cols`
+/// floats in each of `mr` rows `n` apart, with `1 <= mr <= MR` and
+/// `cols <= NR` for the arm's `MR x NR`.
+#[derive(Clone, Copy)]
+struct Tile {
+    a: *const f32,
+    /// Row stride of `a` and depth of the panel.
+    m: usize,
+    panel: *const f32,
+    bias: *const f32,
+    out: *mut f32,
+    /// Row stride of `out`.
+    n: usize,
+    cols: usize,
+}
+
+type TileFn = unsafe fn(mr: usize, tile: Tile);
+
+/// Fused dense product `out = act(a * b + bias)`: `a` is `rows x m`
+/// row-major, `b` the packed `m x n` right-hand side, `bias` has `n` entries
+/// and `out` is `rows x n` row-major. `out` is **overwritten** (it need not
+/// be zeroed) and each element is written once, `act` applied while its tile
+/// is still in L1.
+///
+/// Bit-identical to `gemm_f32(Kernel::Avx2Fma, ..)` into a zeroed `out`
+/// followed by `o = act(o + bias)`, for every batch shape and both widths
+/// (see the module docs).
+///
+/// # Panics
+/// Panics if the slice lengths disagree with `b`'s dimensions.
+pub fn gemm_f32_packed<F: Fn(f32) -> f32>(
+    a: &[f32],
+    b: &PackedRhs,
+    bias: &[f32],
+    act: F,
+    out: &mut [f32],
+) {
+    let (m, n) = (b.m, b.n);
+    assert_eq!(a.len() % m, 0, "gemm_f32_packed lhs length mismatch");
+    let rows = a.len() / m;
+    assert_eq!(bias.len(), n, "gemm_f32_packed bias length mismatch");
+    assert_eq!(out.len(), rows * n, "gemm_f32_packed out length mismatch");
+    let (mr_max, nr) = (b.width.mr(), b.width.nr());
+    let run: TileFn = match b.width {
+        #[cfg(target_arch = "x86_64")]
+        PackedWidth::Zmm if avx512f_available() => x86::rows_zmm,
+        #[cfg(target_arch = "x86_64")]
+        PackedWidth::Ymm if avx2_fma_available() => x86::rows_ymm,
+        PackedWidth::Zmm => tile_portable::<32>,
+        PackedWidth::Ymm => tile_portable::<16>,
+    };
+    for (p, panel) in b.data.chunks_exact(m * nr).enumerate() {
+        let j0 = p * nr;
+        let cols = nr.min(n - j0);
+        for r in (0..rows).step_by(mr_max) {
+            let mr = mr_max.min(rows - r);
+            let tile = Tile {
+                a: a[r * m..(r + mr) * m].as_ptr(),
+                m,
+                panel: panel.as_ptr(),
+                bias: bias[j0..j0 + cols].as_ptr(),
+                out: out[r * n + j0..(r + mr - 1) * n + j0 + cols].as_mut_ptr(),
+                n,
+                cols,
+            };
+            // SAFETY: a vector arm was feature-checked above, and the slices
+            // just taken are exactly the ranges `Tile` asks for (`panel` is a
+            // `m * nr` chunk); no arm touches a lane past `cols`.
+            unsafe { run(mr, tile) };
+            for row in out[r * n..(r + mr) * n].chunks_exact_mut(n) {
+                for o in &mut row[j0..j0 + cols] {
+                    *o = act(*o);
+                }
+            }
+        }
+    }
+}
+
+/// The arm for hosts without the vector unit a layout was packed for:
+/// `f32::mul_add` is the same correctly-rounded fused operation the vector
+/// FMA performs, so this is slow but bit-identical.
+///
+/// # Safety
+/// `t` must satisfy [`Tile`]'s contract for `mr` rows and panel width `NR`.
+unsafe fn tile_portable<const NR: usize>(mr: usize, t: Tile) {
+    for r in 0..mr {
+        for c in 0..t.cols {
+            let mut acc = 0.0f32;
+            for k in 0..t.m {
+                // SAFETY: `r < mr`, `k < m`, `c < cols <= NR`: inside the
+                // ranges the caller vouches for.
+                acc = unsafe { (*t.a.add(r * t.m + k)).mul_add(*t.panel.add(k * NR + c), acc) };
+            }
+            // SAFETY: as above; `out` rows are `n` apart.
+            unsafe { *t.out.add(r * t.n + c) = acc + *t.bias.add(c) };
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::Tile;
+    use core::arch::x86_64::{
+        __m256, __m512, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm_prefetch, _MM_HINT_T1,
+    };
+
+    /// Dispatches a run-time row count to the const-generic tile.
+    macro_rules! tile_by_rows {
+        ($tile:ident($t:expr), $mr:expr, [$($rows:literal)*]) => {
+            match $mr {
+                $($rows => $tile::<$rows>($t),)*
+                _ => unreachable!("row tile taller than the register tile"),
+            }
+        };
+    }
+
+    /// `mr <= 12` rows against one 32-float panel.
+    ///
+    /// # Safety
+    /// Requires `avx512f`; `t` must satisfy [`Tile`]'s contract for `mr` rows
+    /// at `12 x 32`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn rows_zmm(mr: usize, t: Tile) {
+        // SAFETY: the caller's contract is `tile_zmm::<mr>`'s.
+        unsafe { tile_by_rows!(tile_zmm(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12]) }
+    }
+
+    /// The 512-bit microkernel: an `MR x 32` accumulator tile (two zmm per
+    /// row) held in registers over the whole `k` range; each `k` loads the
+    /// panel row once and feeds `2 * MR` FMA chains from `MR` broadcasts.
+    /// Columns past `cols` are masked out of the bias load and the store.
+    ///
+    /// # Safety
+    /// As [`rows_zmm`], with `mr == MR`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile_zmm<const MR: usize>(t: Tile) {
+        let Tile { a, m, panel, .. } = t;
+        let mask = ((1u64 << t.cols) - 1) as u32;
+        let masks = [mask as u16, (mask >> 16) as u16];
+        let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
+        // SAFETY: every `a`/`panel` read is at `r < MR`, `k < m` and a full
+        // 32-float panel row; bias loads and `out` stores are masked to
+        // `cols` lanes — all inside the ranges the caller vouches for.
+        unsafe {
+            for k in 0..m {
+                let b0 = _mm512_loadu_ps(panel.add(k * 32));
+                let b1 = _mm512_loadu_ps(panel.add(k * 32 + 16));
+                // The same row of the next panel: a batch of one tile meets
+                // every panel cold, and a hint never faults past the end.
+                _mm_prefetch::<_MM_HINT_T1>(panel.wrapping_add((m + k) * 32).cast());
+                _mm_prefetch::<_MM_HINT_T1>(panel.wrapping_add((m + k) * 32 + 16).cast());
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a.add(r * m + k));
+                    acc_row[0] = _mm512_fmadd_ps(av, b0, acc_row[0]);
+                    acc_row[1] = _mm512_fmadd_ps(av, b1, acc_row[1]);
+                }
+            }
+            let bias0 = _mm512_maskz_loadu_ps(masks[0], t.bias);
+            // `wrapping_add`: with `cols <= 16` the upper half is fully
+            // masked off and its address may lie past the buffers.
+            let bias1 = _mm512_maskz_loadu_ps(masks[1], t.bias.wrapping_add(16));
+            for (r, acc_row) in acc.iter().enumerate() {
+                let o = t.out.add(r * t.n);
+                _mm512_mask_storeu_ps(o, masks[0], _mm512_add_ps(acc_row[0], bias0));
+                let upper = _mm512_add_ps(acc_row[1], bias1);
+                _mm512_mask_storeu_ps(o.wrapping_add(16), masks[1], upper);
+            }
+        }
+    }
+
+    /// `mr <= 6` rows against one 16-float panel.
+    ///
+    /// # Safety
+    /// Requires `avx2` and `fma`; `t` must satisfy [`Tile`]'s contract for
+    /// `mr` rows at `6 x 16`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn rows_ymm(mr: usize, t: Tile) {
+        // SAFETY: the caller's contract is `tile_ymm::<mr>`'s.
+        unsafe { tile_by_rows!(tile_ymm(t), mr, [1 2 3 4 5 6]) }
+    }
+
+    /// The 256-bit microkernel: [`tile_zmm`] at `MR x 16` on ymm registers.
+    ///
+    /// # Safety
+    /// As [`rows_ymm`], with `mr == MR`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tile_ymm<const MR: usize>(t: Tile) {
+        let Tile { a, m, panel, .. } = t;
+        let limit = _mm256_set1_epi32(t.cols as i32);
+        let masks = [
+            _mm256_cmpgt_epi32(limit, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+            _mm256_cmpgt_epi32(limit, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)),
+        ];
+        let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
+        // SAFETY: every `a`/`panel` read is at `r < MR`, `k < m` and a full
+        // 16-float panel row; bias loads and `out` stores are masked to
+        // `cols` lanes (`maskload`/`maskstore` do not touch masked-off
+        // memory) — all inside the ranges the caller vouches for.
+        unsafe {
+            for k in 0..m {
+                let b0 = _mm256_loadu_ps(panel.add(k * 16));
+                let b1 = _mm256_loadu_ps(panel.add(k * 16 + 8));
+                _mm_prefetch::<_MM_HINT_T1>(panel.wrapping_add((m + k) * 16).cast());
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let av = _mm256_set1_ps(*a.add(r * m + k));
+                    acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
+                    acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
+                }
+            }
+            let bias0 = _mm256_maskload_ps(t.bias, masks[0]);
+            // `wrapping_add`: with `cols <= 8` the upper half is fully
+            // masked off and its address may lie past the buffers.
+            let bias1 = _mm256_maskload_ps(t.bias.wrapping_add(8), masks[1]);
+            for (r, acc_row) in acc.iter().enumerate() {
+                let o = t.out.add(r * t.n);
+                _mm256_maskstore_ps(o, masks[0], _mm256_add_ps(acc_row[0], bias0));
+                let upper = _mm256_add_ps(acc_row[1], bias1);
+                _mm256_maskstore_ps(o.wrapping_add(8), masks[1], upper);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{avx2_fma_available, gemm_f32, Kernel};
+    use super::*;
+    use proptest::prelude::*;
+
+    const WIDTHS: [PackedWidth; 2] = [PackedWidth::Ymm, PackedWidth::Zmm];
+
+    type Activation = fn(f32) -> f32;
+
+    /// The epilogues the `neural` layer fuses, as plain functions.
+    const ACTIVATIONS: [(&str, Activation); 4] = [
+        ("identity", |v| v),
+        ("relu", |v| v.max(0.0)),
+        ("tanh", f32::tanh),
+        ("leaky_relu", |v| if v >= 0.0 { v } else { 0.01 * v }),
+    ];
+
+    /// SplitMix64-driven values in `(-1, 1)`; with `specials`, about one in
+    /// sixteen is NaN, an infinity or a signed zero.
+    fn values(len: usize, seed: u64, specials: bool) -> Vec<f32> {
+        const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                if specials && z.is_multiple_of(16) {
+                    SPECIAL[(z >> 8) as usize % SPECIAL.len()]
+                } else {
+                    (z >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+                }
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// What the served tail computed before packing: the row-major FMA GEMM
+    /// into a zeroed `out`, then the epilogue sweep.
+    fn row_major(
+        a: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        (m, n): (usize, usize),
+        act: Activation,
+    ) -> Vec<u32> {
+        let mut out = vec![0.0f32; a.len() / m * n];
+        gemm_f32(Kernel::Avx2Fma, a, b, &mut out, m, n);
+        for row in out.chunks_exact_mut(n) {
+            for (o, &bv) in row.iter_mut().zip(bias) {
+                *o = act(*o + bv);
+            }
+        }
+        bits(&out)
+    }
+
+    fn packed(
+        a: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        (m, n): (usize, usize),
+        act: Activation,
+        width: PackedWidth,
+    ) -> Vec<u32> {
+        // A dirty `out` proves every element is overwritten.
+        let mut out = vec![f32::NAN; a.len() / m * n];
+        gemm_f32_packed(a, &PackedRhs::pack(b, m, n, width), bias, act, &mut out);
+        bits(&out)
+    }
+
+    #[test]
+    fn packing_is_panel_major_and_zero_padded() {
+        let (m, n) = (3usize, 37usize);
+        let b: Vec<f32> = (0..m * n).map(|i| i as f32 + 1.0).collect();
+        for width in WIDTHS {
+            let nr = width.nr();
+            let packed = PackedRhs::pack(&b, m, n, width);
+            assert_eq!((packed.inner_dim(), packed.cols()), (m, n));
+            assert_eq!(packed.data.len(), n.div_ceil(nr) * m * nr);
+            for (i, &v) in packed.data.iter().enumerate() {
+                let (p, k, c) = (i / (m * nr), i / nr % m, i % nr);
+                let j = p * nr + c;
+                let want = if j < n { b[k * n + j] } else { 0.0 };
+                assert_eq!(v, want, "{width:?} panel {p} k {k} lane {c}");
+            }
+        }
+        assert_eq!(PackedWidth::Ymm.name(), "avx2_fma_6x16");
+        assert_eq!(PackedWidth::Zmm.name(), "avx512f_12x32");
+        assert_eq!(
+            PackedWidth::detect() == PackedWidth::Zmm,
+            avx512f_available()
+        );
+    }
+
+    /// Every const-generic instance of both microkernels (`rows_zmm` →
+    /// `tile_zmm::<1..=12>`, `rows_ymm` → `tile_ymm::<1..=6>`) at every
+    /// partial-panel width, against the portable tile — and the lanes past
+    /// `cols`, like the rows past `mr`, must keep what they held.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_register_tile_matches_the_portable_tile_and_stays_inside_its_mask() {
+        const GUARD: f32 = 7.25;
+        let m = 19usize;
+        let arms: [(PackedWidth, TileFn, TileFn, bool); 2] = [
+            (
+                PackedWidth::Zmm,
+                x86::rows_zmm,
+                tile_portable::<32>,
+                avx512f_available(),
+            ),
+            (
+                PackedWidth::Ymm,
+                x86::rows_ymm,
+                tile_portable::<16>,
+                avx2_fma_available(),
+            ),
+        ];
+        for (width, vector, portable, available) in arms {
+            if !available {
+                continue;
+            }
+            let (mr_max, nr) = (width.mr(), width.nr());
+            // One spare row and `nr` spare columns of guard around the tile.
+            let n = 2 * nr;
+            let a = values(mr_max * m, 11, true);
+            let panel = values(m * nr, 12, true);
+            let bias = values(nr, 13, false);
+            for mr in 1..=mr_max {
+                for cols in 1..=nr {
+                    let run = |arm: TileFn| {
+                        let mut out = vec![GUARD; (mr_max + 1) * n];
+                        let tile = Tile {
+                            a: a.as_ptr(),
+                            m,
+                            panel: panel.as_ptr(),
+                            bias: bias[..cols].as_ptr(),
+                            out: out.as_mut_ptr(),
+                            n,
+                            cols,
+                        };
+                        // SAFETY: `vector` runs only when its features were
+                        // detected above; `a` holds `mr_max >= mr` rows of
+                        // `m`, `panel` `m * nr`, `bias` `nr >= cols`, and
+                        // `out` `mr_max + 1` rows of stride `n >= cols`.
+                        unsafe { arm(mr, tile) };
+                        bits(&out)
+                    };
+                    let got = run(vector);
+                    assert_eq!(got, run(portable), "{width:?} mr={mr} cols={cols}");
+                    for (i, &v) in got.iter().enumerate() {
+                        if i / n >= mr || i % n >= cols {
+                            assert_eq!(v, GUARD.to_bits(), "{width:?} mr={mr} cols={cols} @{i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_count_matches_the_row_major_kernel_bitwise() {
+        if !avx2_fma_available() {
+            return;
+        }
+        let (_, identity) = ACTIVATIONS[0];
+        for (m, n) in [(1usize, 1usize), (7, 33), (56, 224)] {
+            let b = values(m * n, 3, false);
+            let bias = values(n, 4, false);
+            for rows in 0..=27usize {
+                let a = values(rows * m, 5 + rows as u64, false);
+                let want = row_major(&a, &b, &bias, (m, n), identity);
+                for width in WIDTHS {
+                    let got = packed(&a, &b, &bias, (m, n), identity, width);
+                    assert_eq!(got, want, "{width:?} rows={rows} {m}x{n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bias length mismatch")]
+    fn a_short_bias_is_rejected() {
+        let packed = PackedRhs::pack(&[1.0; 6], 2, 3, PackedWidth::detect());
+        gemm_f32_packed(&[1.0; 2], &packed, &[0.0; 2], |v| v, &mut [0.0; 3]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Packed == row-major FMA, bit for bit, at the tail's shapes and the
+        /// panel-boundary widths around them, for every row-tile remainder,
+        /// both vector widths (the ymm arm runs on an AVX-512 host too, via
+        /// an explicit `PackedWidth`), every fused activation, and NaN / ±Inf / −0.0 data.
+        #[test]
+        fn prop_packed_gemm_equals_row_major_fma_bitwise(
+            rows in 0usize..=27,
+            mi in 0usize..4,
+            ni in 0usize..10,
+            ai in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            // The row-major oracle is the FMA arm only where the host has it.
+            prop_assume!(avx2_fma_available());
+            let m = [1usize, 7, 56, 545][mi];
+            let n = [1usize, 15, 16, 17, 31, 32, 33, 224, 545, 1452][ni];
+            let (name, act) = ACTIVATIONS[ai];
+            let specials = seed % 2 == 0;
+            let a = values(rows * m, seed, specials);
+            let b = values(m * n, seed ^ 0xb, specials);
+            let bias = values(n, seed ^ 0xb1a5, false);
+            let want = row_major(&a, &b, &bias, (m, n), act);
+            for width in WIDTHS {
+                let got = packed(&a, &b, &bias, (m, n), act, width);
+                prop_assert_eq!(&got, &want, "{:?} {} rows={} {}x{}", width, name, rows, m, n);
+            }
+        }
+    }
+}

@@ -8,6 +8,12 @@
 //! on a representative tail-shaped GEMM **once per process** (lazily, at the
 //! first dispatched GEMM) and pins the winner.
 //!
+//! The shipped [`DEFAULT`] is itself a candidate and the incumbent: a
+//! challenger is pinned only when its best time beats the default's by at
+//! least [`MIN_GAIN_PCT`] percent ([`pick`]), so candidates within noise of
+//! each other cannot trade places from one process to the next: a host gets
+//! the same blocking every run unless another is clearly faster.
+//!
 //! `SPLITBEAM_TUNE=off` skips the probe and pins [`DEFAULT`] — the constants
 //! the kernels shipped with — for strictly reproducible run-to-run perf. Any
 //! other value (or unset) probes.
@@ -78,8 +84,28 @@ fn compute(disabled: bool) -> TuneParams {
     DEFAULT
 }
 
-/// Times each candidate on a tail-shaped workload (best of three runs after a
-/// warm-up) and returns the fastest blocking per arm.
+/// How much faster than the shipped default, in percent of the default's best
+/// time, a candidate must run before the probe pins it.
+const MIN_GAIN_PCT: u128 = 5;
+
+/// The candidate the probe pins, given each candidate's best-of-reps time:
+/// the fastest one if it beats the incumbent at `default_idx` by at least
+/// [`MIN_GAIN_PCT`] percent, the incumbent otherwise.
+fn pick(best_ns: &[u128], default_idx: usize) -> usize {
+    let (fastest, &ns) = best_ns
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &ns)| ns)
+        .expect("the probe times at least the default");
+    if ns.saturating_mul(100) <= best_ns[default_idx].saturating_mul(100 - MIN_GAIN_PCT) {
+        fastest
+    } else {
+        default_idx
+    }
+}
+
+/// Times each candidate on a tail-shaped workload (best of nine runs after a
+/// warm-up) and returns, per arm, the blocking [`pick`] chooses.
 #[cfg(target_arch = "x86_64")]
 fn probe() -> TuneParams {
     use std::time::Instant;
@@ -128,20 +154,22 @@ fn probe() -> TuneParams {
                 }
             }
         }
-        let mut best_ns = u128::MAX;
-        for (&ns, &k_block) in candidate_ns.iter().zip(&K_BLOCKS) {
-            if ns < best_ns {
-                best_ns = ns;
-                best.f32_k_block = k_block;
-            }
-        }
+        let default_idx = K_BLOCKS
+            .iter()
+            .position(|&k_block| k_block == DEFAULT.f32_k_block)
+            .expect("the shipped k-block is a candidate");
+        best.f32_k_block = K_BLOCKS[pick(&candidate_ns, default_idx)];
     }
 
     if super::int8::avx2_available() {
         // `usize::MAX / 4` effectively disables k-blocking: one in-register
         // accumulation sweep per column tile, output folded exactly once.
         const GROUP_BLOCKS: [usize; 5] = [4, 8, 16, 64, usize::MAX / 4];
-        const PANELS: [bool; 2] = [true, false];
+        // (group block, 4-row panel) pairs, flattened.
+        let candidates: Vec<(usize, bool)> = GROUP_BLOCKS
+            .iter()
+            .flat_map(|&group_block| [(group_block, true), (group_block, false)])
+            .collect();
         let k_pad = super::int8::padded_k(K);
         let a: Vec<u8> = (0..ROWS * k_pad).map(|i| (i % 128) as u8).collect();
         let b: Vec<i8> = (0..k_pad * N)
@@ -149,58 +177,50 @@ fn probe() -> TuneParams {
             .collect();
         let mut out = vec![0i32; ROWS * N];
         let vnni = super::int8::avx512_vnni_available();
-        let mut candidate_ns = [[u128::MAX; PANELS.len()]; GROUP_BLOCKS.len()];
+        let mut candidate_ns = vec![u128::MAX; candidates.len()];
         for rep in 0..REPS {
-            for (row, &group_block) in candidate_ns.iter_mut().zip(&GROUP_BLOCKS) {
-                for (slot, &panel4) in row.iter_mut().zip(&PANELS) {
-                    out.fill(0);
-                    let t = Instant::now();
-                    // SAFETY: the caller checked `avx2_available()` and
-                    // `vnni` selects the VNNI body only when
-                    // `avx512_vnni_available()`; buffer shapes match the
-                    // ROWS/k_pad/N sizing above.
-                    unsafe {
-                        if vnni {
-                            super::int8::x86::gemm_vnni(
-                                &a,
-                                &b,
-                                &mut out,
-                                ROWS,
-                                k_pad,
-                                N,
-                                group_block,
-                                panel4,
-                            );
-                        } else {
-                            super::int8::x86::gemm_avx2(
-                                &a,
-                                &b,
-                                &mut out,
-                                ROWS,
-                                k_pad,
-                                N,
-                                group_block,
-                                panel4,
-                            );
-                        }
+            for (slot, &(group_block, panel4)) in candidate_ns.iter_mut().zip(&candidates) {
+                out.fill(0);
+                let t = Instant::now();
+                // SAFETY: the caller checked `avx2_available()` and `vnni`
+                // selects the VNNI body only when `avx512_vnni_available()`;
+                // buffer shapes match the ROWS/k_pad/N sizing above.
+                unsafe {
+                    if vnni {
+                        super::int8::x86::gemm_vnni(
+                            &a,
+                            &b,
+                            &mut out,
+                            ROWS,
+                            k_pad,
+                            N,
+                            group_block,
+                            panel4,
+                        );
+                    } else {
+                        super::int8::x86::gemm_avx2(
+                            &a,
+                            &b,
+                            &mut out,
+                            ROWS,
+                            k_pad,
+                            N,
+                            group_block,
+                            panel4,
+                        );
                     }
-                    let ns = t.elapsed().as_nanos();
-                    if rep > 0 {
-                        *slot = (*slot).min(ns);
-                    }
+                }
+                let ns = t.elapsed().as_nanos();
+                if rep > 0 {
+                    *slot = (*slot).min(ns);
                 }
             }
         }
-        let mut best_ns = u128::MAX;
-        for (row, &group_block) in candidate_ns.iter().zip(&GROUP_BLOCKS) {
-            for (&ns, &panel4) in row.iter().zip(&PANELS) {
-                if ns < best_ns {
-                    best_ns = ns;
-                    best.int8_group_block = group_block;
-                    best.int8_panel4 = panel4;
-                }
-            }
-        }
+        let default_idx = candidates
+            .iter()
+            .position(|&c| c == (DEFAULT.int8_group_block, DEFAULT.int8_panel4))
+            .expect("the shipped int8 blocking is a candidate");
+        (best.int8_group_block, best.int8_panel4) = candidates[pick(&candidate_ns, default_idx)];
     }
 
     best
@@ -231,6 +251,23 @@ mod tests {
         if !super::super::avx2_fma_available() && !super::super::int8::avx2_available() {
             assert_eq!(p, DEFAULT);
         }
+    }
+
+    #[test]
+    fn a_challenger_must_beat_the_default_by_five_percent() {
+        // Candidate 1 is the incumbent at 1000 ns.
+        let table = |challengers: [u128; 3]| [challengers[0], 1000, challengers[1], challengers[2]];
+        // Faster, but inside the noise band: the default stays.
+        assert_eq!(pick(&table([990, 960, 951]), 1), 1);
+        // Exactly 5 % faster is enough; of two that qualify the fastest wins.
+        assert_eq!(pick(&table([2000, 950, 1200]), 1), 2);
+        assert_eq!(pick(&table([940, 950, 700]), 1), 3);
+        // The default being fastest, alone or tied, pins the default.
+        assert_eq!(pick(&table([1500, 1000, 1001]), 1), 1);
+        // A candidate that was never timed (a sentinel) cannot win, and an
+        // untimed default loses to any timed challenger.
+        assert_eq!(pick(&[u128::MAX, 1000], 1), 1);
+        assert_eq!(pick(&[1000, u128::MAX], 1), 0);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fully-connected layers and activations.
 
 use crate::tensor::Matrix;
+use mimo_math::kernel::packed::{gemm_f32_packed, PackedRhs, PackedWidth};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -262,6 +263,66 @@ impl Dense {
     }
 }
 
+/// A dense layer bound for inference under the FMA backend: the weights
+/// panel-packed **once** ([`PackedRhs`]) beside a copy of bias and
+/// activation, so a forward pass is one [`gemm_f32_packed`] call that writes
+/// every output exactly once. The f32 master [`Dense`] is read, never
+/// modified; a layer whose weights keep changing (training) has nothing to
+/// bind and stays on [`Dense::infer_into_with`].
+///
+/// Outputs are bit-identical to `Dense::infer_into_with(.., Kernel::Avx2Fma)`
+/// for every batch shape and packing width.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedDense {
+    weights: PackedRhs,
+    bias: Vec<f32>,
+    activation: Activation,
+}
+
+impl PackedDense {
+    /// Packs `layer` for `width` ([`PackedWidth::detect`] in production; the
+    /// parity tests pass each width in turn).
+    pub fn pack(layer: &Dense, width: PackedWidth) -> Self {
+        let (k, n) = (layer.input_dim(), layer.output_dim());
+        Self {
+            weights: PackedRhs::pack(layer.weights.as_slice(), k, n, width),
+            bias: layer.bias.as_slice().to_vec(),
+            activation: layer.activation,
+        }
+    }
+
+    /// Input dimension of the layer.
+    pub fn input_dim(&self) -> usize {
+        self.weights.inner_dim()
+    }
+
+    /// Output dimension of the layer.
+    pub fn output_dim(&self) -> usize {
+        self.weights.cols()
+    }
+
+    /// Inference-only forward pass `out = activation(input * W + bias)` into
+    /// a caller-owned buffer (reshaped, storage reused, not zero-filled).
+    ///
+    /// # Panics
+    /// Panics if `input.cols()` differs from the layer's input dimension.
+    pub fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            input.cols(),
+            self.input_dim(),
+            "packed layer input width mismatch"
+        );
+        out.reshape_for_overwrite(input.rows(), self.output_dim());
+        let (a, o) = (input.as_slice(), out.as_mut_slice());
+        // Identity gets its own instance so its (empty) activation pass
+        // compiles away instead of branching per element.
+        match self.activation {
+            Activation::Identity => gemm_f32_packed(a, &self.weights, &self.bias, |v| v, o),
+            act => gemm_f32_packed(a, &self.weights, &self.bias, |v| act.eval(v), o),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,6 +380,37 @@ mod tests {
             }
             let x = Matrix::xavier_uniform(3, 5, &mut rng);
             assert_eq!(layer.infer(&x), layer.infer_reference(&x), "{activation:?}");
+        }
+    }
+
+    #[test]
+    fn packed_layer_matches_the_row_major_fma_layer_bit_exactly() {
+        if !mimo_math::kernel::avx2_fma_available() {
+            return;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for activation in [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::LeakyRelu,
+        ] {
+            // 37 columns: one full and one partial panel at either width.
+            let mut layer = Dense::new(9, 37, activation, &mut rng);
+            for (i, b) in layer.bias.as_mut_slice().iter_mut().enumerate() {
+                *b = (i as f32 - 18.0) * 0.05;
+            }
+            let x = Matrix::xavier_uniform(14, 9, &mut rng);
+            let mut want = Matrix::zeros(1, 1);
+            layer.infer_into_with(&x, &mut want, mimo_math::Kernel::Avx2Fma);
+            for width in [PackedWidth::Ymm, PackedWidth::Zmm] {
+                let packed = PackedDense::pack(&layer, width);
+                assert_eq!((packed.input_dim(), packed.output_dim()), (9, 37));
+                // A stale, differently shaped buffer must be fully rewritten.
+                let mut got = Matrix::from_rows(2, 2, &[f32::NAN; 4]);
+                packed.infer_into(&x, &mut got);
+                assert_eq!(got, want, "{activation:?} {width:?}");
+            }
         }
     }
 

@@ -27,6 +27,11 @@
 //!   sources — round-close and summary outputs are bit-reproducibility
 //!   contracts, and hash iteration order is a seed away from breaking them.
 //!   Keyed state uses `BTreeMap` or the session slab.
+//! - **`kernel-parity-test`**: every `#[target_feature]` function under
+//!   `crates/mimo-math/src/kernel*` is named by a `#[test]` of that crate
+//!   (in its body, comments included, or its doc comment). A vector kernel
+//!   is unsafe code whose only evidence is a test comparing it with the
+//!   arm it must equal; the test that does so says which kernels it reaches.
 //!
 //! Vetted exceptions live in `lint_allowlist.txt` at the repo root, one
 //! `rule|path|needle|reason` per line; entries that no longer suppress
@@ -48,6 +53,7 @@ pub const RULE_ENV_ACCESS: &str = "env-access";
 pub const RULE_INGEST_UNWRAP: &str = "ingest-unwrap";
 pub const RULE_SERVE_UNORDERED_MAP: &str = "serve-unordered-map";
 pub const RULE_KNOB_DOCS: &str = "knob-docs";
+pub const RULE_KERNEL_PARITY_TEST: &str = "kernel-parity-test";
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK: usize = 4;
@@ -72,6 +78,12 @@ const ORDERED_STATE_PREFIX: &str = "crates/splitbeam-serve/src/";
 /// Crates pinned to virtual time by the `wall-clock` rule.
 const VIRTUAL_TIME_PREFIXES: [&str; 2] =
     ["crates/splitbeam-hwsim/src/", "crates/splitbeam-serve/src/"];
+
+/// Sources whose `#[target_feature]` functions the `kernel-parity-test` rule
+/// covers (`kernel.rs` and everything under `kernel/`), and the crate whose
+/// tests must name them.
+const KERNEL_SOURCES_PREFIX: &str = "crates/mimo-math/src/kernel";
+const KERNEL_CRATE_PREFIX: &str = "crates/mimo-math/";
 
 /// The one blessed site for raw `SPLITBEAM_*` env reads.
 const ENV_MODULE: &str = "crates/mimo-math/src/env.rs";
@@ -204,6 +216,7 @@ pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintRepo
     }
     check_dead_knob_rows(knobs.as_deref().unwrap_or_default(), &mut raw_violations);
     check_crate_roots(sources, &mut raw_violations);
+    check_kernel_parity_tests(sources, &mut raw_violations);
 
     let mut used = vec![false; allow.entries.len()];
     let mut violations = Vec::new();
@@ -356,6 +369,86 @@ fn check_crate_roots(sources: &[(String, String)], out: &mut Vec<Violation>) {
                      #![deny(unsafe_op_in_unsafe_fn)]"
                 ),
             });
+        }
+    }
+}
+
+/// Crate-level pass: every `#[target_feature]` function in the kernel sources
+/// must be named by some `#[test]` of the kernel crate.
+fn check_kernel_parity_tests(sources: &[(String, String)], out: &mut Vec<Violation>) {
+    let mut kernels = Vec::new();
+    let mut test_text = String::new();
+    for (rel, text) in sources {
+        if !rel.starts_with(KERNEL_CRATE_PREFIX) || !rel.ends_with(".rs") {
+            continue;
+        }
+        let raw: Vec<&str> = text.lines().collect();
+        let code = code_view(text);
+        let code: Vec<&str> = code_lines(&code, raw.len());
+        collect_test_text(&raw, &code, &mut test_text);
+        if rel.starts_with(KERNEL_SOURCES_PREFIX) {
+            let in_test = test_region_mask(&code);
+            for i in (0..code.len()).filter(|&i| !in_test[i]) {
+                if code[i].contains("#[target_feature") {
+                    if let Some((line, name)) = attributed_fn(&code, i) {
+                        // The code view blanks byte for byte, so the name
+                        // sits at the same offsets in the raw line.
+                        kernels.push((rel, line, raw[line], &raw[line][name]));
+                    }
+                }
+            }
+        }
+    }
+    for (rel, line, raw, name) in kernels {
+        if !has_word(&test_text, name) {
+            out.push(Violation {
+                rule: RULE_KERNEL_PARITY_TEST,
+                path: rel.clone(),
+                line: line + 1,
+                excerpt: excerpt(raw),
+                message: format!(
+                    "`{name}` is a #[target_feature] kernel no #[test] in {KERNEL_CRATE_PREFIX} \
+                     names — name it in the parity test that exercises it"
+                ),
+            });
+        }
+    }
+}
+
+/// The `fn` an attribute at line `attr` decorates, as `(line, byte range of
+/// its name)`: the first `fn` within the next few lines (further attributes
+/// and qualifiers may sit between).
+fn attributed_fn(code: &[&str], attr: usize) -> Option<(usize, std::ops::Range<usize>)> {
+    code.iter()
+        .enumerate()
+        .skip(attr)
+        .take(6)
+        .find_map(|(i, line)| {
+            let at = line
+                .match_indices("fn ")
+                .map(|(at, _)| at)
+                .find(|&at| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))?;
+            let start = line.len() - line[at + 3..].trim_start().len();
+            let len = line[start..]
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(line.len() - start);
+            (len > 0).then(|| (i, start..start + len))
+        })
+}
+
+/// Appends the raw text of every `#[test]` item of a file — attribute line
+/// through closing brace, plus the doc comment directly above — to `out`.
+fn collect_test_text(raw: &[&str], code: &[&str], out: &mut String) {
+    for i in (0..code.len()).filter(|&i| code[i].contains("#[test]")) {
+        let docs = raw[..i]
+            .iter()
+            .rev()
+            .take_while(|l| l.trim_start().starts_with("//") || l.trim_start().starts_with("#["))
+            .count();
+        let end = brace_span(code, i).unwrap_or(i);
+        for line in &raw[i - docs..=end] {
+            out.push_str(line);
+            out.push('\n');
         }
     }
 }

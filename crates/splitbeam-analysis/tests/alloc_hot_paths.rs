@@ -3,7 +3,10 @@
 //! The serving stack claims zero steady-state heap traffic once its pools
 //! are warm: barrier ingest→round close, streaming ingest→micro-batch
 //! close→round close (each on one shard and on the 4-shard fan-out), the
-//! fused batched tail, and the int8 tail. This
+//! fused batched tail (at a shape the packed GEMM's register tiles do not
+//! divide), and the int8 tail. An event-driven round on a lossy medium is
+//! held to one allocation per offered frame, however many transmissions are
+//! lost, damaged and retried. This
 //! binary registers the counting allocator, warms each path until every
 //! arena/scratch/cache has reached its steady shape, then re-runs the same
 //! operations under [`assert_no_alloc`].
@@ -27,6 +30,9 @@ use splitbeam::fused::{TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::wire;
 use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, stats, CountingAlloc};
+use splitbeam_hwsim::fault::FaultConfig;
+use splitbeam_serve::driver::{RoundServing, ServeMode};
+use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::timing::FrameStamp;
 use splitbeam_serve::TILE_ROWS;
@@ -39,11 +45,11 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const WARM_ROUNDS: u64 = 3;
 const BITS: u8 = 4;
 
-fn small_model(seed: u64) -> SplitBeamModel {
+fn model_at(bandwidth: Bandwidth, seed: u64) -> SplitBeamModel {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     SplitBeamModel::new(
         SplitBeamConfig::new(
-            MimoConfig::symmetric(2, Bandwidth::Mhz20),
+            MimoConfig::symmetric(2, bandwidth),
             CompressionLevel::OneEighth,
         ),
         &mut rng,
@@ -144,11 +150,15 @@ fn streaming_path(model: &SplitBeamModel, shards: usize) {
 }
 
 /// The fused batched tail driven directly: a reused [`TailScratch`] absorbs
-/// every intermediate, so repeat reconstructions are allocation-free.
-fn fused_tail_path(model: &SplitBeamModel) {
+/// every intermediate, so repeat reconstructions are allocation-free — also
+/// when the batch leaves a ragged last row tile and the output width a
+/// partial last panel (the packed GEMM masks its stores; it never stages
+/// them in a heap buffer).
+fn fused_tail_path(model: &SplitBeamModel, batch: usize) {
+    let bandwidth = model.config().mimo.bandwidth;
     let mut rng = ChaCha8Rng::seed_from_u64(300);
-    let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-    let payloads: Vec<_> = (0..3)
+    let channel = ChannelModel::new(EnvironmentProfile::e1(), bandwidth, 2, 1, 1);
+    let payloads: Vec<_> = (0..batch)
         .map(|_| {
             let csi: Vec<f32> = channel
                 .sample(&mut rng)
@@ -166,12 +176,98 @@ fn fused_tail_path(model: &SplitBeamModel) {
             .reconstruct_quantized_batch_into(&refs, &mut scratch)
             .unwrap();
     }
-    assert_no_alloc("fused tail: batched reconstruct into warm scratch", || {
+    let label = format!(
+        "fused tail: {batch} payloads x {} outputs into warm scratch",
+        model.config().output_dim()
+    );
+    assert_no_alloc(&label, || {
         let out = model
             .reconstruct_quantized_batch_into(&refs, &mut scratch)
             .unwrap();
         assert_eq!(out.rows(), payloads.len());
     });
+}
+
+/// Event-driven rounds over a faulty medium. Once warm, scheduling costs the
+/// one copy each offered frame makes on its way into the event queue, and
+/// the drain copies no frame at all: a retransmission is the popped offer
+/// itself, re-sequenced in place, and a damaged delivery is built in a
+/// driver-owned scratch. Over a lossy medium the drain therefore allocates
+/// nothing. Over a corrupting one it allocates what the AP's rejection
+/// carries — its error message, one string or for an unparseable header two —
+/// so at most two allocations per rejected frame.
+fn faulty_event_path(model: &SplitBeamModel) {
+    const STATIONS: usize = 32;
+    let frame = wire_frame(model, 500);
+    let measure = |faults: FaultConfig| {
+        let cfg = EventConfig {
+            faults,
+            max_retries: 6,
+            ..EventConfig::realistic(96.0, 0, 5)
+        };
+        let mut driver = build_event_driver(model.clone(), STATIONS, BITS, cfg, None);
+        // No quarantine: every damaged frame is rejected on its CRC.
+        driver
+            .inner_mut()
+            .set_health_policy(splitbeam_serve::HealthPolicy {
+                quarantine_after_corrupt: 0,
+                ..splitbeam_serve::HealthPolicy::default()
+            });
+        // Warm until a round schedules no more retries than one before it
+        // did (the event queue and stamp list have reached their capacity).
+        let mut most_retries = 0;
+        loop {
+            let offered = stats();
+            for id in 0..STATIONS as u64 {
+                driver.ingest_wire(id, &frame).unwrap();
+            }
+            let scheduled = stats();
+            let summary = driver.close_round(ServeMode::Batched).unwrap();
+            let drained = stats();
+            if driver.current_round() > 2 * WARM_ROUNDS && summary.retransmitted < most_retries {
+                assert_eq!(
+                    (
+                        scheduled.allocs - offered.allocs,
+                        scheduled.reallocs - offered.reallocs
+                    ),
+                    (STATIONS as u64, 0),
+                    "scheduling a round must cost one frame copy per offer"
+                );
+                let drain_allocs = drained.allocs - scheduled.allocs;
+                let drain_reallocs = drained.reallocs - scheduled.reallocs;
+                return (drain_allocs, drain_reallocs, summary);
+            }
+            most_retries = most_retries.max(summary.retransmitted);
+        }
+    };
+
+    let (allocs, reallocs, summary) = measure(FaultConfig {
+        loss: 0.2,
+        ..FaultConfig::none()
+    });
+    assert!(summary.lost > 0 && summary.retransmitted > 0, "{summary:?}");
+    assert_eq!(
+        (allocs, reallocs),
+        (0, 0),
+        "draining a lossy round allocated ({} lost, {} retransmitted)",
+        summary.lost,
+        summary.retransmitted
+    );
+
+    let (allocs, reallocs, summary) = measure(FaultConfig {
+        corrupt: 0.2,
+        ..FaultConfig::none()
+    });
+    assert!(
+        summary.corrupt > 0 && summary.retransmitted > 0,
+        "{summary:?}"
+    );
+    assert!(
+        allocs + reallocs <= 2 * summary.retransmitted as u64,
+        "draining a corrupting round allocated {allocs} times (+{reallocs} reallocations) for \
+         {} rejected and retransmitted frames: more than their error messages",
+        summary.retransmitted
+    );
 }
 
 /// The tiled close at batches many tiles wide. A first close allocates each
@@ -219,14 +315,18 @@ fn hot_paths_do_not_allocate_after_warmup() {
     // The shim reads this once per process, at its first parallel call.
     std::env::set_var("RAYON_NUM_THREADS", "1");
     assert_counting();
-    let model = small_model(1);
+    let model = model_at(Bandwidth::Mhz20, 1);
     // Force kernel selection/autotune (which allocates probe buffers) before
     // any sentinel scope opens.
-    fused_tail_path(&model);
+    fused_tail_path(&model, 3);
+    // 456 outputs (14.25 zmm panels, 28.5 ymm panels) x 7 rows (no whole
+    // 6- or 12-row tile): every masked edge of the packed GEMM.
+    fused_tail_path(&model_at(Bandwidth::Mhz40, 2), 7);
     barrier_path(&model, TailWeights::F32, 1, "barrier f32");
     barrier_path(&model, TailWeights::Int8, 1, "barrier int8");
     barrier_path(&model, TailWeights::F32, 4, "barrier f32 x4 shards");
     streaming_path(&model, 1);
     streaming_path(&model, 4);
     tiled_close_path(&model);
+    faulty_event_path(&model);
 }

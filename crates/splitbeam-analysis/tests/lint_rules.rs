@@ -5,8 +5,8 @@
 
 use splitbeam_analysis::lint::{
     format_allowlist, lint_sources, parse_allowlist, Allowlist, LintReport, RULE_DENY_UNSAFE_OP,
-    RULE_ENV_ACCESS, RULE_INGEST_UNWRAP, RULE_KNOB_DOCS, RULE_SAFETY_COMMENT,
-    RULE_SERVE_UNORDERED_MAP, RULE_WALL_CLOCK,
+    RULE_ENV_ACCESS, RULE_INGEST_UNWRAP, RULE_KERNEL_PARITY_TEST, RULE_KNOB_DOCS,
+    RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP, RULE_WALL_CLOCK,
 };
 
 fn lint_one(path: &str, text: &str) -> LintReport {
@@ -398,4 +398,104 @@ fn unordered_map_violations_are_allowlistable() {
         &allow,
     );
     assert!(report.clean());
+}
+
+/// A kernel file with two `#[target_feature]` functions: `gemm_wide`, which
+/// the parity test calls, and the helper `reduce_lanes`, which it reaches
+/// only through `gemm_wide`.
+fn kernel_fixture(test_comment: &str) -> String {
+    format!(
+        r#"#![deny(unsafe_op_in_unsafe_fn)]
+/// # Safety
+/// Requires `avx2`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn reduce_lanes(v: [f32; 8]) -> f32 {{
+    v.iter().sum()
+}}
+
+/// # Safety
+/// Requires `avx2`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(super) unsafe fn gemm_wide(
+    a: &[f32],
+) -> f32 {{
+    // SAFETY: same feature set as the caller.
+    unsafe {{ reduce_lanes([a[0]; 8]) }}
+}}
+
+#[cfg(test)]
+mod tests {{
+    /// Wide arm against the scalar loop.
+    #[test]
+    fn wide_matches_scalar() {{
+        {test_comment}
+        // SAFETY: test hosts have AVX2.
+        assert_eq!(unsafe {{ super::gemm_wide(&[1.0]) }}, 8.0);
+    }}
+}}
+"#
+    )
+}
+
+#[test]
+fn target_feature_kernels_must_be_named_by_a_test_of_their_crate() {
+    // The helper is reached but never named: flagged, at its `fn` line.
+    let unnamed = kernel_fixture("");
+    let report = lint_one("crates/mimo-math/src/kernel/wide.rs", &unnamed);
+    assert_eq!(rules_of(&report), vec![RULE_KERNEL_PARITY_TEST]);
+    assert_eq!(report.violations[0].line, 6);
+    assert!(report.violations[0].message.contains("`reduce_lanes`"));
+
+    // Named in the test's body (a comment counts: the test says what it
+    // reaches), in its doc comment, or by an integration test of the crate.
+    let named = kernel_fixture("// Reaches `reduce_lanes` through the wide arm.");
+    assert!(lint_one("crates/mimo-math/src/kernel/wide.rs", &named).clean());
+    let in_docs = unnamed.replace(
+        "/// Wide arm against the scalar loop.",
+        "/// Wide arm (and its `reduce_lanes`) against the scalar loop.",
+    );
+    assert!(lint_one("crates/mimo-math/src/kernel/wide.rs", &in_docs).clean());
+    let integration = "#[test]\nfn lanes() {\n    // covers reduce_lanes\n}\n";
+    let report = lint_sources(
+        &[
+            (
+                "crates/mimo-math/src/kernel.rs".to_string(),
+                unnamed.clone(),
+            ),
+            (
+                "crates/mimo-math/tests/parity.rs".to_string(),
+                integration.to_string(),
+            ),
+        ],
+        &Allowlist::default(),
+    );
+    assert!(report.clean(), "unexpected: {:?}", report.violations);
+
+    // A mention outside any `#[test]`, a longer identifier, or a test of
+    // another crate does not count.
+    let prose = format!("{unnamed}\n// reduce_lanes is fine, trust me\n");
+    let report = lint_one("crates/mimo-math/src/kernel/wide.rs", &prose);
+    assert_eq!(rules_of(&report), vec![RULE_KERNEL_PARITY_TEST]);
+    let longer = kernel_fixture("// reduce_lanes_v2 is a different function.");
+    let report = lint_one("crates/mimo-math/src/kernel/wide.rs", &longer);
+    assert_eq!(rules_of(&report), vec![RULE_KERNEL_PARITY_TEST]);
+    let report = lint_sources(
+        &[
+            (
+                "crates/mimo-math/src/kernel.rs".to_string(),
+                unnamed.clone(),
+            ),
+            (
+                "crates/neural/tests/parity.rs".to_string(),
+                integration.to_string(),
+            ),
+        ],
+        &Allowlist::default(),
+    );
+    assert_eq!(rules_of(&report), vec![RULE_KERNEL_PARITY_TEST]);
+
+    // The rule covers the kernel sources only.
+    assert!(lint_one("crates/mimo-math/src/svd.rs", &unnamed).clean());
+    assert!(lint_one("crates/neural/src/kernel.rs", &unnamed).clean());
 }

@@ -227,6 +227,9 @@ pub struct EventDriver<S> {
     /// including reports the deadline closer then expired — for
     /// delay-distribution observers (percentiles must not censor the tail).
     last_round_stamps: Vec<(StationId, FrameStamp)>,
+    /// Scratch for the bytes a corrupted transmission delivers; the offer's
+    /// own frame stays intact for the retransmission.
+    damaged: Vec<u8>,
 }
 
 impl<S: StreamServing> EventDriver<S> {
@@ -252,6 +255,7 @@ impl<S: StreamServing> EventDriver<S> {
             round_retransmitted: 0,
             round_unreachable: 0,
             last_round_stamps: Vec::new(),
+            damaged: Vec::new(),
             cfg,
         }
     }
@@ -420,7 +424,7 @@ impl<S: StreamServing> EventDriver<S> {
             let (corrupt, duplicate, extra_delay_ns) = match fate {
                 FrameFate::Lost => {
                     self.round_lost += 1;
-                    self.schedule_retry(key.station, grant.end_ns, &offer);
+                    self.schedule_retry(key.station, grant.end_ns, offer);
                     continue;
                 }
                 FrameFate::Deliver {
@@ -441,9 +445,10 @@ impl<S: StreamServing> EventDriver<S> {
                 tail_ns: offer.tail_ns,
             };
             if corrupt {
-                let mut damaged = offer.frame.clone();
-                self.injector.corrupt_frame(&mut damaged);
-                match self.inner.ingest_wire_at(key.station, &damaged, stamp) {
+                self.damaged.clear();
+                self.damaged.extend_from_slice(&offer.frame);
+                self.injector.corrupt_frame(&mut self.damaged);
+                match self.inner.ingest_wire_at(key.station, &self.damaged, stamp) {
                     // The AP rejected the damaged bytes — CRC mismatch, an
                     // unrecognizable header (damage to the unprotected
                     // dispatch byte), or a quarantined station. The frame is
@@ -451,7 +456,7 @@ impl<S: StreamServing> EventDriver<S> {
                     Err(
                         ServeError::Corrupt(..) | ServeError::Codec(_) | ServeError::Quarantined(_),
                     ) => {
-                        self.schedule_retry(key.station, arrival_ns, &offer);
+                        self.schedule_retry(key.station, arrival_ns, offer);
                     }
                     // Bit flips can cancel each other out and leave the frame
                     // intact; a surviving frame is a normal delivery.
@@ -497,12 +502,13 @@ impl<S: StreamServing> EventDriver<S> {
     /// unless the retry budget is exhausted or the retry's projected
     /// end-to-end delay (head, queueing so far, backoff, one more airtime,
     /// tail) can no longer fit the Eq. 7d budget plus grace, in which case
-    /// the report is given up for this round.
+    /// the report is given up for this round. Takes the popped offer by
+    /// value: the retry is that offer, frame buffer and all, re-sequenced.
     fn schedule_retry(
         &mut self,
         station: StationId,
         failed_end_ns: VirtualNs,
-        offer: &PendingOffer,
+        mut offer: PendingOffer,
     ) {
         if offer.attempt >= self.cfg.max_retries {
             return;
@@ -527,12 +533,11 @@ impl<S: StreamServing> EventDriver<S> {
         if retry_ns == VirtualNs::MAX || projected_ns > allowance_ns {
             return;
         }
-        let mut retry = offer.clone();
-        retry.attempt = attempt;
+        offer.attempt = attempt;
         // Sequenced retries get a fresh number so duplicate suppression never
         // mistakes a retransmission for a replayed frame.
-        wire::set_frame_seq(&mut retry.frame, attempt as u16 + 1);
-        self.queue.schedule(retry_ns, station, retry);
+        wire::set_frame_seq(&mut offer.frame, attempt as u16 + 1);
+        self.queue.schedule(retry_ns, station, offer);
         self.round_retransmitted += 1;
     }
 }

@@ -5,20 +5,23 @@
 //! then run the tail network layer by layer with intermediate matrices. This
 //! module fuses the chain: payload codes are dequantized straight into one
 //! arena-owned strip (a `batch x bottleneck` block that is reused round after
-//! round — no per-payload heap `Vec`), the first tail layer runs as a single
-//! panel-blocked GEMM over that strip with the bias + activation epilogue in
-//! the same pass, and the remaining tail layers ping-pong between two
-//! reusable matrices.
+//! round — no per-payload heap `Vec`), and the tail layers run over it as
+//! one batched product each, ping-ponging between two reusable matrices:
+//! the panel-packed GEMM over the weights the model packed at construction
+//! ([`neural::PackedDense`], bias + activation fused into the single store)
+//! under the FMA backend, the row-major kernels under the scalar backend.
 //!
 //! **Exactness.** The dequantized strip is computed by
 //! [`dequantize_bottleneck_into`] (bit-identical to the allocating
-//! dequantizer), and the first layer runs through the very
+//! dequantizer). Under the scalar backend every layer runs through the very
 //! [`neural::Matrix::matmul_bias_act_into_with`] kernel the unfused
-//! per-payload path uses, whose per-element accumulation is independent of
-//! the batch shape under every backend — so a fused batched reconstruction
-//! is bit-identical to dequantize-then-reconstruct, payload by payload, for
-//! both the scalar and the AVX2 backend. The batched-equals-serial property
-//! of the serving layer therefore survives kernel dispatch unchanged.
+//! per-payload path uses; under the FMA backend the packed GEMM computes
+//! each element as the same single FMA chain over ascending `k` as the
+//! row-major FMA kernel, whatever the batch shape or vector width — so a
+//! fused batched reconstruction is bit-identical to
+//! dequantize-then-reconstruct, payload by payload, for both backends. The
+//! batched-equals-serial property of the serving layer therefore survives
+//! kernel dispatch unchanged.
 
 use crate::model::SplitBeamModel;
 use crate::quantization::{dequantize_bottleneck_into, QuantizedFeedback};
@@ -98,9 +101,9 @@ impl Default for TailScratch {
 }
 
 impl SplitBeamModel {
-    /// **AP side, batched + fused**: reconstructs many quantized payloads with
-    /// the dequantization fused into the first tail-layer GEMM, using the
-    /// runtime-selected kernel backend. Returns the `batch x output_dim`
+    /// **AP side, batched + fused**: reconstructs many quantized payloads
+    /// from one dequantized strip, using the runtime-selected kernel backend
+    /// (the packed tail under `avx2_fma`). Returns the `batch x output_dim`
     /// matrix held by `scratch` (row `i` is payload `i`'s reconstruction).
     ///
     /// Results are bit-identical to
@@ -143,28 +146,24 @@ impl SplitBeamModel {
     where
         I: Iterator<Item = &'p QuantizedFeedback>,
     {
-        let tail = self.tail();
-        let dim = tail.input_dim();
-        let layers = tail.layers();
-        let first = &layers[0];
-        fill_strip(&mut scratch.strip, payloads, batch, dim)?;
+        let layers = self.tail().layers();
+        let packed = self.packed_tail();
+        fill_strip(&mut scratch.strip, payloads, batch, self.tail().input_dim())?;
 
-        // First layer: one blocked GEMM over the strip with the bias +
-        // activation epilogue fused — the very kernel the unfused per-payload
-        // path runs, so fused == unfused bit-for-bit under every backend.
-        scratch.strip.matmul_bias_act_into_with(
-            &first.weights,
-            &first.bias,
-            first.activation,
-            &mut scratch.ping,
-            kern,
-        );
-
+        // The scalar backend runs the row-major kernels the unfused
+        // per-payload path runs; the FMA backend runs the packed GEMM, whose
+        // every element is the same FMA chain — so fused == unfused bit for
+        // bit under either.
+        let infer = |i: usize, input: &Matrix, out: &mut Matrix| match kern {
+            Kernel::Scalar => layers[i].infer_into_with(input, out, kern),
+            Kernel::Avx2Fma => packed[i].infer_into(input, out),
+        };
+        infer(0, &scratch.strip, &mut scratch.ping);
         // Remaining tail layers ping-pong between the two scratch matrices.
         let mut cur = &mut scratch.ping;
         let mut next = &mut scratch.pong;
-        for layer in &layers[1..] {
-            layer.infer_into_with(cur, next, kern);
+        for i in 1..layers.len() {
+            infer(i, cur, next);
             std::mem::swap(&mut cur, &mut next);
         }
         Ok(cur)
@@ -433,6 +432,7 @@ mod tests {
     use crate::config::{CompressionLevel, SplitBeamConfig};
     use crate::quantization::{dequantize_bottleneck, quantize_bottleneck};
     use mimo_math::kernel::avx2_fma_available;
+    use mimo_math::kernel::packed::PackedWidth;
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -511,19 +511,25 @@ mod tests {
 
     #[test]
     fn fused_dispatch_matches_public_reconstruct_quantized() {
-        // The dispatched entry point must agree bit-for-bit with the
-        // single-payload public path (which dispatches the same backend).
-        let m = model(13, false);
-        let payloads = payloads_for(&m, 3, 12);
-        let refs: Vec<&QuantizedFeedback> = payloads.iter().collect();
-        let mut scratch = TailScratch::new();
-        let out = m
-            .reconstruct_quantized_batch_into(&refs, &mut scratch)
-            .unwrap();
-        for (i, payload) in payloads.iter().enumerate() {
-            let want = m.reconstruct_quantized(payload).unwrap();
-            let got = &out.as_slice()[i * out.cols()..(i + 1) * out.cols()];
-            assert_eq!(got, &want[..], "row {i}");
+        // The dispatched entry point — the packed tail under the FMA backend,
+        // at either packing width — must agree bit-for-bit with the
+        // single-payload public path (row-major, same backend), for the one-
+        // and the two-layer tail, at a batch no register tile divides.
+        for deeper in [false, true] {
+            for width in [PackedWidth::Ymm, PackedWidth::Zmm] {
+                let m = model(13, deeper).with_tail_packing(width);
+                let payloads = payloads_for(&m, 13, 12);
+                let refs: Vec<&QuantizedFeedback> = payloads.iter().collect();
+                let mut scratch = TailScratch::new();
+                let out = m
+                    .reconstruct_quantized_batch_into(&refs, &mut scratch)
+                    .unwrap();
+                for (i, payload) in payloads.iter().enumerate() {
+                    let want = m.reconstruct_quantized(payload).unwrap();
+                    let got = &out.as_slice()[i * out.cols()..(i + 1) * out.cols()];
+                    assert_eq!(got, &want[..], "deeper={deeper} {width:?} row {i}");
+                }
+            }
         }
     }
 

@@ -3,19 +3,43 @@
 use crate::config::SplitBeamConfig;
 use crate::quantization::{dequantize_bottleneck, quantize_bottleneck, QuantizedFeedback};
 use crate::SplitBeamError;
+use mimo_math::kernel::packed::PackedWidth;
 use mimo_math::CMatrix;
 use neural::network::Network;
+use neural::PackedDense;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use wifi_phy::channel::ChannelSnapshot;
 
 /// A trained (or freshly initialized) SplitBeam model: the head network run by
 /// the station and the tail network run by the access point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SplitBeamModel {
     config: SplitBeamConfig,
     head: Network,
     tail: Network,
+    /// The tail's layers panel-packed for the fused batched reconstruction
+    /// ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`]), built
+    /// once here because a model's weights never change after construction.
+    /// Shared between clones. The head is not packed: its batch-1 product is
+    /// bandwidth-bound and a second 9.5 MB copy would buy nothing.
+    packed_tail: Arc<[PackedDense]>,
+}
+
+/// Models are equal when their configuration and weights are; how the tail
+/// happens to be packed is derived state and does not take part.
+impl PartialEq for SplitBeamModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config && self.head == other.head && self.tail == other.tail
+    }
+}
+
+fn pack_tail(tail: &Network, width: PackedWidth) -> Arc<[PackedDense]> {
+    tail.layers()
+        .iter()
+        .map(|layer| PackedDense::pack(layer, width))
+        .collect()
 }
 
 impl SplitBeamModel {
@@ -38,7 +62,21 @@ impl SplitBeamModel {
             "output width mismatch"
         );
         let (head, tail) = full.split_at(config.split_index());
-        Self { config, head, tail }
+        let packed_tail = pack_tail(&tail, PackedWidth::detect());
+        Self {
+            config,
+            head,
+            tail,
+            packed_tail,
+        }
+    }
+
+    /// This model with its tail re-packed for an explicit vector width — the
+    /// seam the parity tests use to serve through the 256-bit arm on an
+    /// AVX-512 host. Outputs do not depend on the width.
+    pub fn with_tail_packing(mut self, width: PackedWidth) -> Self {
+        self.packed_tail = pack_tail(&self.tail, width);
+        self
     }
 
     /// The model configuration.
@@ -54,6 +92,11 @@ impl SplitBeamModel {
     /// The tail network (runs on the access point).
     pub fn tail(&self) -> &Network {
         &self.tail
+    }
+
+    /// The tail's layers as packed at construction.
+    pub(crate) fn packed_tail(&self) -> &[PackedDense] {
+        &self.packed_tail
     }
 
     /// Reassembles the full network (used for further training).

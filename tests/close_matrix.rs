@@ -2,11 +2,16 @@
 //! through every cell of
 //!
 //! `{1, 2, 4 shards} × {barrier, streaming @ 2.5 ms watermarks} ×
-//!  {no deadline, Eq. 7d} × {f32, int8 tail}`
+//!  {no deadline, Eq. 7d} × {f32 tail packed for ymm, for zmm; int8 tail}`
 //!
 //! and every cell is compared, round by round, against the test oracle — a
-//! one-shard lockstep server closed station-at-a-time with `close_serial`.
-//! The first divergent `(round, station, field)` is what a failure prints.
+//! one-shard lockstep server closed station-at-a-time with `close_serial`
+//! (which reconstructs through the row-major kernels, never the packed
+//! GEMM). The first divergent `(round, station, field)` is what a failure
+//! prints. What the oracle served — every summary, every feedback bit — is
+//! folded into one digest per scenario and held to the value the parent of
+//! the packed-tail commit produced, per kernel backend; the frames carry
+//! integer-derived codes so that value is the same on every host.
 //!
 //! The churn scenario has everything the per-PR parity tests it replaces
 //! had: dropped reports, a bursty round, stations joining and leaving
@@ -23,10 +28,14 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use splitbeam_repro::mimo_math::kernel::packed::PackedWidth;
+use splitbeam_repro::mimo_math::kernel::{selected, Kernel};
 use splitbeam_repro::prelude::*;
 use splitbeam_repro::serve::driver::{ChurnEvent, SimTraffic};
 use splitbeam_repro::serve::{RoundSummary, ServeError, StationId, StationSession, TILE_ROWS};
 use splitbeam_repro::splitbeam::fused::TailWeights;
+use splitbeam_repro::splitbeam::quantization::QuantizedFeedback;
+use splitbeam_repro::splitbeam::wire;
 
 const BITS: u8 = 5;
 const ROUND_NS: u64 = 10_000_000;
@@ -61,12 +70,36 @@ fn stamp_of(round: u64, id: StationId) -> FrameStamp {
     }
 }
 
+/// Replaces every frame's payload with codes derived from `(round, station)`
+/// by integer arithmetic alone: which frames exist (drops, bursts, churn) is
+/// the generator's, what they carry no longer depends on the channel model
+/// or the head's kernel, so the pinned digests hold on any host.
+fn pin_payloads(traffic: &mut SimTraffic, model: &SplitBeamModel) {
+    for (round, sim_round) in traffic.rounds.iter_mut().enumerate() {
+        for (id, frame) in &mut sim_round.frames {
+            let Some(frame) = frame else { continue };
+            let salt = *id * 131 + round as u64 * 17;
+            let payload = QuantizedFeedback {
+                bits_per_value: BITS,
+                min: -0.75 - (salt % 16) as f32 / 64.0,
+                max: 0.5 + (salt % 8) as f32 / 32.0,
+                codes: (0..model.bottleneck_dim() as u64)
+                    .map(|j| ((salt + j * 29 + 7) % (1 << BITS)) as u16)
+                    .collect(),
+            };
+            *frame = wire::encode_feedback(&payload).unwrap();
+        }
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Cell {
     shards: usize,
     streaming: bool,
     policy: Option<DeadlinePolicy>,
     weights: TailWeights,
+    /// The vector width the f32 tail is packed for.
+    packing: PackedWidth,
 }
 
 fn fresh_server(model: &SplitBeamModel, traffic: &SimTraffic, cell: Cell) -> ApServer {
@@ -75,7 +108,7 @@ fn fresh_server(model: &SplitBeamModel, traffic: &SimTraffic, cell: Cell) -> ApS
     server.set_streaming(cell.streaming);
     // Room for a whole round of the wide scenario on one shard's ring.
     server.set_stream_capacity(4 * TILE_ROWS);
-    let key = server.register_model(model.clone());
+    let key = server.register_model(model.clone().with_tail_packing(cell.packing));
     for id in 0..traffic.initial_stations as StationId {
         server.register_station(id, key, BITS).unwrap();
     }
@@ -213,18 +246,61 @@ fn session_divergence(
 
 /// What a matrix run saw, so each scenario can assert it exercised what its
 /// cells claim to compare.
-#[derive(Default)]
 struct MatrixStats {
     cells_run: usize,
     /// Most reports the oracle served in one round without a deadline.
     max_served: usize,
+    /// FNV-1a over every round summary and every served feedback bit of the
+    /// oracle — which every cell was just shown to equal.
+    digest: u64,
+}
+
+impl MatrixStats {
+    fn digest_round(&mut self, oracle: &ApServer, summary: &RoundSummary, max_station: StationId) {
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        eat(format!("{summary:?}").as_bytes());
+        for id in 0..max_station {
+            for v in oracle.feedback_of(id).unwrap_or_default() {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    /// Holds the digest to the value pinned for the backend this process
+    /// serves with (`SPLITBEAM_KERNEL` may force scalar).
+    fn assert_digest(&self, pinned_scalar: u64, pinned_fma: u64) {
+        let pinned = match selected() {
+            Kernel::Scalar => pinned_scalar,
+            Kernel::Avx2Fma => pinned_fma,
+        };
+        assert_eq!(
+            self.digest,
+            pinned,
+            "served bits moved under {:?}",
+            selected()
+        );
+    }
 }
 
 /// Runs `traffic` through every cell of `shard_counts` × {barrier,
-/// streaming} × {None, eq7d} × {f32, int8} against the serial oracle.
+/// streaming} × {None, eq7d} × {f32 packed ymm, f32 packed zmm, int8}
+/// against the serial oracle.
 fn run_matrix(model: &SplitBeamModel, traffic: &SimTraffic, shard_counts: &[usize]) -> MatrixStats {
-    let mut stats = MatrixStats::default();
+    let mut stats = MatrixStats {
+        cells_run: 0,
+        max_served: 0,
+        digest: 0xcbf2_9ce4_8422_2325,
+    };
     for weights in [TailWeights::F32, TailWeights::Int8] {
+        // The int8 tail never touches the packed f32 weights.
+        let packings: &[PackedWidth] = match weights {
+            TailWeights::F32 => &[PackedWidth::Ymm, PackedWidth::Zmm],
+            TailWeights::Int8 => &[PackedWidth::Zmm],
+        };
         for policy in [None, Some(DeadlinePolicy::eq7d())] {
             // The oracle: one lockstep shard, closed station at a time.
             let oracle_cell = Cell {
@@ -232,17 +308,21 @@ fn run_matrix(model: &SplitBeamModel, traffic: &SimTraffic, shard_counts: &[usiz
                 streaming: false,
                 policy,
                 weights,
+                packing: packings[0],
             };
             let mut oracle = fresh_server(model, traffic, oracle_cell);
             let mut cells: Vec<(Cell, ApServer)> = Vec::new();
             for &shards in shard_counts {
                 for streaming in [false, true] {
-                    let cell = Cell {
-                        shards,
-                        streaming,
-                        ..oracle_cell
-                    };
-                    cells.push((cell, fresh_server(model, traffic, cell)));
+                    for &packing in packings {
+                        let cell = Cell {
+                            shards,
+                            streaming,
+                            packing,
+                            ..oracle_cell
+                        };
+                        cells.push((cell, fresh_server(model, traffic, cell)));
+                    }
                 }
             }
             let mut micro_closes = 0;
@@ -255,6 +335,7 @@ fn run_matrix(model: &SplitBeamModel, traffic: &SimTraffic, shard_counts: &[usiz
                 if policy.is_none() {
                     stats.max_served = stats.max_served.max(want.served);
                 }
+                stats.digest_round(&oracle, &want, traffic.max_station_id);
                 for (cell, server) in &mut cells {
                     ingest_round(server, traffic, index);
                     let got = close_round(server, index, *cell);
@@ -305,10 +386,13 @@ fn every_cell_matches_the_serial_close_round_by_round() {
         ..SimConfig::default()
     };
     let mut rng = ChaCha8Rng::seed_from_u64(42);
-    let traffic = generate_traffic(&sim, &model, &mut rng);
+    let mut traffic = generate_traffic(&sim, &model, &mut rng);
+    pin_payloads(&mut traffic, &model);
     assert!(traffic.total_joins() > 0 && traffic.total_leaves() > 0);
     assert!(traffic.total_drops() > 0);
-    assert_eq!(run_matrix(&model, &traffic, &[1, 2, 4]).cells_run, 24);
+    let stats = run_matrix(&model, &traffic, &[1, 2, 4]);
+    assert_eq!(stats.cells_run, 36);
+    stats.assert_digest(13_502_285_184_484_860_663, 10_406_555_228_409_769_731);
 }
 
 /// More stations than two tiles hold. One report in a hundred is dropped, so
@@ -327,10 +411,12 @@ fn wide_rounds_match_the_serial_close_across_tile_boundaries() {
         ..SimConfig::default()
     };
     let mut rng = ChaCha8Rng::seed_from_u64(44);
-    let traffic = generate_traffic(&sim, &model, &mut rng);
+    let mut traffic = generate_traffic(&sim, &model, &mut rng);
+    pin_payloads(&mut traffic, &model);
     assert!(traffic.total_drops() > 0);
     let stats = run_matrix(&model, &traffic, &[1, 2]);
-    assert_eq!(stats.cells_run, 16);
+    assert_eq!(stats.cells_run, 24);
+    stats.assert_digest(2_618_362_079_264_026_890, 10_261_680_760_930_113_952);
     assert!(
         stats.max_served > 2 * TILE_ROWS,
         "no close needed a third tile (most served: {})",

@@ -4,11 +4,15 @@
 //! and the programmatic override steer dispatch, `scalar` reproduces the
 //! pre-SIMD pipeline bit-for-bit (serving layer batched == serial, fused ==
 //! unfused, wire roundtrip), and the SIMD backend stays within documented
-//! tolerance of scalar on the full model inference path.
+//! tolerance of scalar on the full model inference path. The last test pins
+//! what a round serves, per backend, to digests taken before the tail GEMM
+//! was panel-packed: the row-major FMA kernel, the packed 256-bit arm and
+//! the packed 512-bit arm must all still produce those bits.
 //!
 //! The kernel override is process-global, so every test here serializes on
 //! one mutex and restores the default before returning.
 
+use mimo_math::kernel::packed::PackedWidth;
 use mimo_math::kernel::{avx2_fma_available, selected, set_kernel, Kernel, KernelChoice};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -218,4 +222,95 @@ fn simd_backend_stays_within_tolerance_and_serves_bit_exactly() {
             );
         }
     });
+}
+
+/// Frames whose bytes depend on nothing but integer arithmetic (no channel
+/// model, no head inference), so the digests below are the same on every
+/// host: station `id` reports the codes `(id * 131 + j * 29 + 7) mod 2^bits`.
+fn synthetic_frames(model: &SplitBeamModel, stations: u64, bits: u8) -> Vec<Vec<u8>> {
+    (0..stations)
+        .map(|id| {
+            let payload = QuantizedFeedback {
+                bits_per_value: bits,
+                min: -0.75 - id as f32 / 64.0,
+                max: 0.5 + id as f32 / 32.0,
+                codes: (0..model.bottleneck_dim() as u64)
+                    .map(|j| ((id * 131 + j * 29 + 7) % (1 << bits)) as u16)
+                    .collect(),
+            };
+            wire::encode_feedback(&payload).unwrap()
+        })
+        .collect()
+}
+
+/// FNV-1a over a round's summary and every station's served feedback bits.
+fn served_digest(server: &ApServer, summary: &impl std::fmt::Debug, stations: u64) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(format!("{summary:?}").as_bytes());
+    for id in 0..stations {
+        for v in server.feedback_of(id).expect("every station was served") {
+            eat(&v.to_bits().to_le_bytes());
+        }
+    }
+    hash
+}
+
+/// What 29 stations (two full 12-row tiles and a ragged third; four 6-row
+/// tiles and a ragged fifth) are served under each backend, as digested at
+/// the commit before the tail was packed. The FMA digest must come out of
+/// the station-at-a-time oracle (row-major GEMM) and out of the batched close
+/// over a tail packed at either width; the scalar digest pins that the scalar
+/// backend's bytes did not move at all.
+#[test]
+fn served_bits_are_pinned_across_the_row_major_and_both_packed_paths() {
+    const PINNED_SCALAR: u64 = 9_135_276_834_846_598_409;
+    const PINNED_FMA: u64 = 4_481_357_862_424_506_489;
+    const STATIONS: u64 = 29;
+    const BITS: u8 = 6;
+    let m = model(9);
+    let frames = synthetic_frames(&m, STATIONS, BITS);
+    let serve = |model: SplitBeamModel, serial: bool| {
+        let mut server = ApServer::new();
+        server.set_tail_weights(TailWeights::F32);
+        let key = server.register_model(model);
+        for (id, frame) in frames.iter().enumerate() {
+            server.register_station(id as u64, key, BITS).unwrap();
+            server.ingest_wire(id as u64, frame).unwrap();
+        }
+        let summary = if serial {
+            server.close_serial(None).unwrap()
+        } else {
+            server.process_round().unwrap()
+        };
+        assert_eq!(summary.served as u64, STATIONS);
+        served_digest(&server, &summary, STATIONS)
+    };
+    let runs = [
+        (KernelChoice::Scalar, PINNED_SCALAR, true),
+        (KernelChoice::Auto, PINNED_FMA, avx2_fma_available()),
+    ];
+    for (choice, pinned, available) in runs {
+        if !available {
+            continue;
+        }
+        with_kernel(choice, || {
+            assert_eq!(
+                serve(m.clone(), true),
+                pinned,
+                "{choice:?}: the station-at-a-time (row-major) path moved"
+            );
+            for width in [PackedWidth::Ymm, PackedWidth::Zmm] {
+                assert_eq!(
+                    serve(m.clone().with_tail_packing(width), false),
+                    pinned,
+                    "{choice:?}: the batched close over a {width:?}-packed tail moved"
+                );
+            }
+        });
+    }
 }
