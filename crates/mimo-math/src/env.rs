@@ -1,9 +1,9 @@
 //! Centralized parsing for the `SPLITBEAM_*` environment knobs.
 //!
-//! The few runtime knobs the workspace keeps (`SPLITBEAM_KERNEL`,
-//! `SPLITBEAM_TUNE`, `SPLITBEAM_TAIL_WEIGHTS`, the figure binaries' workload
-//! sizes) are strings in the process environment. This module is the single
-//! `var → trim → parse` implementation their readers share.
+//! The few runtime knobs the workspace keeps (`SPLITBEAM_KERNEL`, the figure
+//! binaries' workload sizes) are strings in the process environment. This
+//! module is the single `var → trim → parse` implementation their readers
+//! share.
 //!
 //! # Malformed values
 //!

@@ -44,8 +44,7 @@
 //! quantized tail weights (AVX-512 VNNI → AVX2 `maddubs` → scalar reference,
 //! all bit-exact with each other), resolved by [`int8::selected_int8`] behind
 //! the same override/environment seam. Blocking parameters for the SIMD arms
-//! come from the one-shot startup probe in [`tune`] (`SPLITBEAM_TUNE=off`
-//! pins the shipped constants).
+//! come from the one-shot startup probe in [`tune`].
 
 use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -14,10 +14,6 @@
 //! each other cannot trade places from one process to the next: a host gets
 //! the same blocking every run unless another is clearly faster.
 //!
-//! `SPLITBEAM_TUNE=off` skips the probe and pins [`DEFAULT`] — the constants
-//! the kernels shipped with — for strictly reproducible run-to-run perf. Any
-//! other value (or unset) probes.
-//!
 //! Autotuning can never change *results*, only speed: the int8 arms
 //! accumulate exact `i32` sums (associative), and the f32 AVX2 arm keeps one
 //! FMA chain per output element whose accumulator round-trips memory
@@ -38,7 +34,7 @@ pub struct TuneParams {
     /// feeding four accumulators) or plain row-at-a-time panels.
     pub int8_panel4: bool,
     /// `true` when these values came from the startup probe, `false` when
-    /// pinned to the shipped constants (`SPLITBEAM_TUNE=off`, non-SIMD hosts).
+    /// pinned to the shipped constants (non-SIMD hosts).
     pub probed: bool,
 }
 
@@ -51,30 +47,15 @@ pub const DEFAULT: TuneParams = TuneParams {
 };
 
 /// The process-wide blocking parameters: resolved by the one-shot probe on
-/// first use (or pinned to [`DEFAULT`] under `SPLITBEAM_TUNE=off`), then a
-/// cheap shared read forever after.
+/// first use, then a cheap shared read forever after.
 pub fn params() -> &'static TuneParams {
     static PARAMS: OnceLock<TuneParams> = OnceLock::new();
-    PARAMS.get_or_init(|| compute(tuning_off()))
+    PARAMS.get_or_init(compute)
 }
 
-/// `SPLITBEAM_TUNE=off` (case-insensitive) pins the shipped constants; every
-/// other value — including malformed ones — keeps the probe enabled.
-fn tuning_off() -> bool {
-    matches!(
-        crate::env::raw("SPLITBEAM_TUNE")
-            .map(|v| v.to_ascii_lowercase())
-            .as_deref(),
-        Some("off")
-    )
-}
-
-/// Resolves the parameters: [`DEFAULT`] when disabled or on hosts without the
-/// SIMD arms (the scalar loops take no blocking), otherwise the probe winner.
-fn compute(disabled: bool) -> TuneParams {
-    if disabled {
-        return DEFAULT;
-    }
+/// Resolves the parameters: [`DEFAULT`] on hosts without the SIMD arms (the
+/// scalar loops take no blocking), otherwise the probe winner.
+fn compute() -> TuneParams {
     #[cfg(target_arch = "x86_64")]
     {
         if super::avx2_fma_available() || super::int8::avx2_available() {
@@ -231,16 +212,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_pins_the_shipped_constants() {
-        let pinned = compute(true);
-        assert_eq!(pinned, DEFAULT);
-        assert!(!pinned.probed);
-        assert_eq!(pinned.f32_k_block, 16);
-    }
-
-    #[test]
     fn probe_picks_from_the_candidate_sets() {
-        let p = compute(false);
+        let p = compute();
         #[cfg(target_arch = "x86_64")]
         if super::super::int8::avx2_available() {
             assert!(p.probed);

@@ -32,6 +32,11 @@
 //!   (in its body, comments included, or its doc comment). A vector kernel
 //!   is unsafe code whose only evidence is a test comparing it with the
 //!   arm it must equal; the test that does so says which kernels it reaches.
+//! - **`one-kernel-lock`**: `set_kernel(` is called only inside
+//!   `crates/mimo-math/src` (which defines it) and the test kit
+//!   (`crates/splitbeam-testkit/src`, whose `with_kernel` serializes every
+//!   pin on one mutex). The override is process-global: a second lock in the
+//!   same test binary is a race, so this rule — alone — also reads test code.
 //!
 //! Vetted exceptions live in `lint_allowlist.txt` at the repo root, one
 //! `rule|path|needle|reason` per line; entries that no longer suppress
@@ -54,6 +59,7 @@ pub const RULE_INGEST_UNWRAP: &str = "ingest-unwrap";
 pub const RULE_SERVE_UNORDERED_MAP: &str = "serve-unordered-map";
 pub const RULE_KNOB_DOCS: &str = "knob-docs";
 pub const RULE_KERNEL_PARITY_TEST: &str = "kernel-parity-test";
+pub const RULE_ONE_KERNEL_LOCK: &str = "one-kernel-lock";
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK: usize = 4;
@@ -84,6 +90,11 @@ const VIRTUAL_TIME_PREFIXES: [&str; 2] =
 /// tests must name them.
 const KERNEL_SOURCES_PREFIX: &str = "crates/mimo-math/src/kernel";
 const KERNEL_CRATE_PREFIX: &str = "crates/mimo-math/";
+
+/// The only trees that may call `set_kernel(`: its own crate and the test
+/// kit that owns the process-wide kernel lock.
+const KERNEL_OVERRIDE_PREFIXES: [&str; 2] =
+    ["crates/mimo-math/src/", "crates/splitbeam-testkit/src/"];
 
 /// The one blessed site for raw `SPLITBEAM_*` env reads.
 const ENV_MODULE: &str = "crates/mimo-math/src/env.rs";
@@ -301,12 +312,16 @@ fn scan_file(
     mut knobs: Option<&mut [KnobRow<'_>]>,
     out: &mut Vec<Violation>,
 ) {
-    if is_test_file(rel) || !rel.ends_with(".rs") {
+    if !rel.ends_with(".rs") {
         return;
     }
     let raw: Vec<&str> = text.lines().collect();
     let code = code_view(text);
     let code: Vec<&str> = code_lines(&code, raw.len());
+    check_kernel_override(rel, &raw, &code, out);
+    if is_test_file(rel) {
+        return;
+    }
     let in_test = test_region_mask(&code);
 
     for i in 0..raw.len() {
@@ -551,6 +566,31 @@ fn knob_names(text: &str) -> impl Iterator<Item = &str> {
             .unwrap_or(rest.len());
         &rest[..end]
     })
+}
+
+/// The one rule that reads test code too: tests are where the copies of the
+/// kernel lock lived.
+fn check_kernel_override(rel: &str, raw: &[&str], code: &[&str], out: &mut Vec<Violation>) {
+    if KERNEL_OVERRIDE_PREFIXES.iter().any(|p| rel.starts_with(p)) {
+        return;
+    }
+    for (i, line) in code.iter().enumerate() {
+        let called = line
+            .match_indices("set_kernel(")
+            .any(|(at, _)| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'));
+        if called {
+            out.push(Violation {
+                rule: RULE_ONE_KERNEL_LOCK,
+                path: rel.to_string(),
+                line: i + 1,
+                excerpt: excerpt(raw[i]),
+                message: "`set_kernel(` outside mimo-math and the test kit — the override is \
+                          process-global; pin through `splitbeam_testkit::with_kernel`, which \
+                          holds the one lock"
+                    .to_string(),
+            });
+        }
+    }
 }
 
 fn check_wall_clock(rel: &str, i: usize, raw: &str, code: &str, out: &mut Vec<Violation>) {

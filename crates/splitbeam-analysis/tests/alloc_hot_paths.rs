@@ -23,12 +23,9 @@
 //! stays serial — a `thread::scope` spawn inside a scope would be charged to
 //! the multi-shard hot path.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use splitbeam::config::{CompressionLevel, SplitBeamConfig};
+use splitbeam::config::CompressionLevel;
 use splitbeam::fused::{TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
-use splitbeam::wire;
 use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, stats, CountingAlloc};
 use splitbeam_hwsim::fault::FaultConfig;
 use splitbeam_serve::driver::{RoundServing, ServeMode};
@@ -36,38 +33,14 @@ use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::timing::FrameStamp;
 use splitbeam_serve::TILE_ROWS;
-use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
-use wifi_phy::ofdm::{Bandwidth, MimoConfig};
+use splitbeam_testkit::{model_with, small_model, station_frame, station_payload};
+use wifi_phy::ofdm::Bandwidth;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const WARM_ROUNDS: u64 = 3;
 const BITS: u8 = 4;
-
-fn model_at(bandwidth: Bandwidth, seed: u64) -> SplitBeamModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    SplitBeamModel::new(
-        SplitBeamConfig::new(
-            MimoConfig::symmetric(2, bandwidth),
-            CompressionLevel::OneEighth,
-        ),
-        &mut rng,
-    )
-}
-
-fn wire_frame(model: &SplitBeamModel, seed: u64) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-    let csi: Vec<f32> = channel
-        .sample(&mut rng)
-        .csi_real_vector(0)
-        .into_iter()
-        .map(|v| v as f32)
-        .collect();
-    let payload = model.compress_quantized(&csi, BITS).unwrap();
-    wire::encode_feedback(&payload).unwrap()
-}
 
 fn server_with(
     model: &SplitBeamModel,
@@ -90,7 +63,7 @@ fn server_with(
 /// sharded fan-out alike.
 fn barrier_path(model: &SplitBeamModel, weights: TailWeights, shards: usize, label_prefix: &str) {
     let frames: Vec<Vec<u8>> = (0..2 * shards as u64)
-        .map(|s| wire_frame(model, 100 + s))
+        .map(|s| station_frame(model, 100 + s, BITS))
         .collect();
     let mut server = server_with(model, weights, shards, frames.len() as u64);
     for _ in 0..WARM_ROUNDS {
@@ -113,7 +86,7 @@ fn barrier_path(model: &SplitBeamModel, weights: TailWeights, shards: usize, lab
 /// Streaming serving: ingest with a stamp, force a watermark micro-close on
 /// every shard, then close the round — all allocation-free once warm.
 fn streaming_path(model: &SplitBeamModel, shards: usize) {
-    let frame = wire_frame(model, 200);
+    let frame = station_frame(model, 200, BITS);
     let stations = shards as u64;
     let mut server = server_with(model, TailWeights::F32, shards, stations);
     server.set_streaming(true);
@@ -155,19 +128,8 @@ fn streaming_path(model: &SplitBeamModel, shards: usize) {
 /// partial last panel (the packed GEMM masks its stores; it never stages
 /// them in a heap buffer).
 fn fused_tail_path(model: &SplitBeamModel, batch: usize) {
-    let bandwidth = model.config().mimo.bandwidth;
-    let mut rng = ChaCha8Rng::seed_from_u64(300);
-    let channel = ChannelModel::new(EnvironmentProfile::e1(), bandwidth, 2, 1, 1);
-    let payloads: Vec<_> = (0..batch)
-        .map(|_| {
-            let csi: Vec<f32> = channel
-                .sample(&mut rng)
-                .csi_real_vector(0)
-                .into_iter()
-                .map(|v| v as f32)
-                .collect();
-            model.compress_quantized(&csi, BITS).unwrap()
-        })
+    let payloads: Vec<_> = (0..batch as u64)
+        .map(|i| station_payload(model, 300 + i, BITS))
         .collect();
     let refs: Vec<&_> = payloads.iter().collect();
     let mut scratch = TailScratch::new();
@@ -198,7 +160,7 @@ fn fused_tail_path(model: &SplitBeamModel, batch: usize) {
 /// so at most two allocations per rejected frame.
 fn faulty_event_path(model: &SplitBeamModel) {
     const STATIONS: usize = 32;
-    let frame = wire_frame(model, 500);
+    let frame = station_frame(model, 500, BITS);
     let measure = |faults: FaultConfig| {
         let cfg = EventConfig {
             faults,
@@ -277,7 +239,7 @@ fn faulty_event_path(model: &SplitBeamModel) {
 /// Before it, only the very first ingest may allocate (it sizes the shard's
 /// decode buffer): every session's payload buffer was sized at registration.
 fn tiled_close_path(model: &SplitBeamModel) {
-    let frame = wire_frame(model, 400);
+    let frame = station_frame(model, 400, BITS);
     let feedback_bytes = (model.config().output_dim() * std::mem::size_of::<f32>()) as u64;
     let first_close = |stations: u64| {
         let mut server = server_with(model, TailWeights::F32, 1, stations);
@@ -315,13 +277,16 @@ fn hot_paths_do_not_allocate_after_warmup() {
     // The shim reads this once per process, at its first parallel call.
     std::env::set_var("RAYON_NUM_THREADS", "1");
     assert_counting();
-    let model = model_at(Bandwidth::Mhz20, 1);
+    let model = small_model(1);
     // Force kernel selection/autotune (which allocates probe buffers) before
     // any sentinel scope opens.
     fused_tail_path(&model, 3);
     // 456 outputs (14.25 zmm panels, 28.5 ymm panels) x 7 rows (no whole
     // 6- or 12-row tile): every masked edge of the packed GEMM.
-    fused_tail_path(&model_at(Bandwidth::Mhz40, 2), 7);
+    fused_tail_path(
+        &model_with(Bandwidth::Mhz40, CompressionLevel::OneEighth, 2),
+        7,
+    );
     barrier_path(&model, TailWeights::F32, 1, "barrier f32");
     barrier_path(&model, TailWeights::Int8, 1, "barrier int8");
     barrier_path(&model, TailWeights::F32, 4, "barrier f32 x4 shards");

@@ -6,7 +6,7 @@
 use splitbeam_analysis::lint::{
     format_allowlist, lint_sources, parse_allowlist, Allowlist, LintReport, RULE_DENY_UNSAFE_OP,
     RULE_ENV_ACCESS, RULE_INGEST_UNWRAP, RULE_KERNEL_PARITY_TEST, RULE_KNOB_DOCS,
-    RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP, RULE_WALL_CLOCK,
+    RULE_ONE_KERNEL_LOCK, RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP, RULE_WALL_CLOCK,
 };
 
 fn lint_one(path: &str, text: &str) -> LintReport {
@@ -398,6 +398,35 @@ fn unordered_map_violations_are_allowlistable() {
         &allow,
     );
     assert!(report.clean());
+}
+
+#[test]
+fn the_kernel_override_is_called_only_by_its_crate_and_the_test_kit() {
+    let pins = "pub fn pin() {\n    mimo_math::kernel::set_kernel(None);\n}\n";
+    // Its own crate and the kit may; product code, integration tests and
+    // `mod tests` regions — where the copies of the lock lived — may not.
+    assert!(lint_one("crates/mimo-math/src/kernel.rs", pins).clean());
+    assert!(lint_one("crates/splitbeam-testkit/src/lib.rs", pins).clean());
+    let in_mod_tests = format!("#[cfg(test)]\nmod tests {{\n{pins}}}\n");
+    for (path, text) in [
+        ("crates/splitbeam-serve/src/server.rs", pins),
+        ("tests/kernel_dispatch.rs", pins),
+        ("crates/splitbeam-serve/tests/parity.rs", pins),
+        ("crates/neural/src/layer.rs", in_mod_tests.as_str()),
+    ] {
+        let report = lint_one(path, text);
+        assert_eq!(rules_of(&report), vec![RULE_ONE_KERNEL_LOCK], "{path}");
+    }
+    assert_eq!(
+        lint_one("tests/kernel_dispatch.rs", pins).violations[0].line,
+        2
+    );
+
+    // Mentions in comments and strings, longer identifiers and the kit's own
+    // wrappers are not calls.
+    let benign = "// set_kernel(None) is the kit's job\npub const S: &str = \"set_kernel(\";\n\
+                  pub fn f() {\n    reset_kernel(1);\n    with_kernel(choice, || ());\n}\n";
+    assert!(lint_one("tests/close_matrix.rs", benign).clean());
 }
 
 /// A kernel file with two `#[target_feature]` functions: `gemm_wide`, which

@@ -593,25 +593,13 @@ pub fn link_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::model;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-    use wifi_phy::ofdm::MimoConfig;
-
-    fn trained_free_model(seed: u64) -> SplitBeamModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneEighth,
-            ),
-            &mut rng,
-        )
-    }
 
     #[test]
     fn traffic_has_expected_shape() {
-        let model = trained_free_model(1);
+        let model = model(1);
         let cfg = SimConfig {
             stations: 3,
             rounds: 2,
@@ -644,7 +632,7 @@ mod tests {
 
     #[test]
     fn churn_schedules_joins_leaves_and_bursts() {
-        let model = trained_free_model(2);
+        let model = model(2);
         let cfg = SimConfig {
             stations: 4,
             rounds: 6,
@@ -686,7 +674,7 @@ mod tests {
 
     #[test]
     fn evicted_stations_reassociate_on_their_next_frame() {
-        let model = trained_free_model(9);
+        let model = model(9);
         let cfg = SimConfig {
             stations: 4,
             rounds: 6,
@@ -717,7 +705,7 @@ mod tests {
 
     #[test]
     fn link_check_runs_on_fresh_groups() {
-        let model = trained_free_model(5);
+        let model = model(5);
         let cfg = SimConfig {
             stations: 4,
             rounds: 2,

@@ -66,7 +66,9 @@ pub struct EventConfig {
     pub seed: u64,
     /// Per-station sounding phase stagger within a round: station `id` sounds
     /// at `round_start + id * phase_step_ns`. Zero means all stations sound
-    /// together (the lockstep assumption).
+    /// together (the lockstep assumption). A station whose offset puts its
+    /// offer past the round's budget, one further interval and the grace
+    /// window never reports in its round: the close counts it expired.
     pub phase_step_ns: VirtualNs,
     /// Feedback data rate of the shared medium in Mbit/s; `None` models an
     /// ideal zero-airtime medium (the lockstep degenerate case).
@@ -221,7 +223,8 @@ pub struct EventDriver<S> {
     /// Retransmissions scheduled during the most recent drain.
     round_retransmitted: usize,
     /// Reports ingested this round whose offer instant saturated
-    /// [`VirtualNs`]; the close counts them expired.
+    /// [`VirtualNs`] or lies past [`EventDriver::last_useful_offer_ns`]; the
+    /// close counts them expired.
     round_unreachable: usize,
     /// Stamps of every report delivered by the most recent round close —
     /// including reports the deadline closer then expired — for
@@ -370,6 +373,16 @@ impl<S: StreamServing> EventDriver<S> {
     fn round_deadline_ns(&self) -> VirtualNs {
         self.round_start_ns(self.round)
             .saturating_add(s_to_ns(self.cfg.budget.max_delay_s))
+    }
+
+    /// The latest instant at which a report of the round being collected is
+    /// worth offering: past the round's deadline plus one more interval and
+    /// the grace window it could only ever be served expired — the cut
+    /// [`EventDriver::schedule_retry`] applies to retransmissions.
+    fn last_useful_offer_ns(&self) -> VirtualNs {
+        self.round_deadline_ns()
+            .saturating_add(self.cfg.interval_ns())
+            .saturating_add(s_to_ns(self.cfg.grace_s))
     }
 
     /// Drains every scheduled report — in deterministic `(offer time,
@@ -594,11 +607,13 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
         // counts against the Eq. 7d budget like any other queueing.
         let ready_ns = sound_ns.saturating_add(head_ns);
         let offered_ns = ready_ns.max(self.poll_ns(self.round, id));
-        if offered_ns == VirtualNs::MAX {
-            // The offer instant saturated: the report never becomes ready
-            // within virtual time. It stays off the medium (whose clock it
-            // would pin at the end of time for every later frame) and is
-            // consumed at the close as expired.
+        if offered_ns == VirtualNs::MAX || offered_ns > self.last_useful_offer_ns() {
+            // The offer instant saturated (a sparse id times the phase step)
+            // or lies rounds in the future: the report cannot be served
+            // unexpired. It stays off the medium (whose clock it would pin at
+            // that instant for every later frame, and up to which a streaming
+            // drain would fire every watermark) and is consumed at the close
+            // as expired.
             self.round_unreachable += 1;
             return Ok(frame.len());
         }
@@ -735,57 +750,11 @@ pub fn build_sharded_event_driver(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{build_server, generate_traffic, serve_traffic, SimConfig};
+    use crate::driver::{generate_traffic, serve_traffic, SimConfig};
+    use crate::test_support::model;
     use crate::timing::FrameClass;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-    use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-    fn model(seed: u64) -> SplitBeamModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneEighth,
-            ),
-            &mut rng,
-        )
-    }
-
-    #[test]
-    fn lockstep_event_driver_matches_legacy_server() {
-        let m = model(1);
-        let cfg = SimConfig {
-            stations: 5,
-            rounds: 3,
-            bits_per_value: 4,
-            drop_every: 4,
-            ..SimConfig::default()
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let traffic = generate_traffic(&cfg, &m, &mut rng);
-        let mut legacy = build_server(m.clone(), cfg.stations, cfg.bits_per_value);
-        let mut event = build_event_driver(
-            m,
-            cfg.stations,
-            cfg.bits_per_value,
-            EventConfig::lockstep(),
-            None,
-        );
-        let want = serve_traffic(&mut legacy, &traffic, ServeMode::Batched).unwrap();
-        let got = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
-        assert_eq!(got, want, "zero-delay event serving must equal lockstep");
-        for id in 0..cfg.stations as StationId {
-            assert_eq!(event.feedback_of(id), legacy.feedback_of(id));
-        }
-        for summary in &got.summaries {
-            assert_eq!(summary.late, 0);
-            assert_eq!(summary.expired, 0);
-            assert_eq!(summary.on_time, summary.served);
-            assert_eq!(summary.delay.total_ns(), 0);
-        }
-    }
 
     #[test]
     fn medium_contention_produces_queueing_delay() {
@@ -823,37 +792,6 @@ mod tests {
         assert_eq!(round0.delay.head_ns, 0, "no compute latency configured");
         // The last of six serialized frames waited ~5 frame times.
         assert!(round0.delay.worst_e2e_ns > 5 * event.medium().frame_airtime_ns(0));
-    }
-
-    #[test]
-    fn same_seed_runs_are_identical() {
-        let m = model(5);
-        let cfg = SimConfig {
-            stations: 4,
-            rounds: 3,
-            bits_per_value: 6,
-            drop_every: 5,
-            ..SimConfig::default()
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let traffic = generate_traffic(&cfg, &m, &mut rng);
-        let event_cfg = EventConfig {
-            jitter_max_ns: 800_000,
-            seed: 99,
-            feedback_rate_mbps: Some(24.0),
-            phase_step_ns: 10_000,
-            ..EventConfig::lockstep()
-        };
-        let accel = AcceleratorModel::zynq_200mhz(2, 2);
-        let run = |m: SplitBeamModel| {
-            let mut d =
-                build_event_driver(m, cfg.stations, cfg.bits_per_value, event_cfg, Some(&accel));
-            let outcome = serve_traffic(&mut d, &traffic, ServeMode::Batched).unwrap();
-            (outcome, d.virtual_now_ns(), d.medium().total_wait_ns())
-        };
-        let a = run(m.clone());
-        let b = run(m);
-        assert_eq!(a, b, "same seed must reproduce the run exactly");
     }
 
     #[test]
@@ -957,13 +895,78 @@ mod tests {
         }
     }
 
-    /// `StationId` is an arbitrary caller-chosen `u64`: a sparse id times a
-    /// non-zero phase step must saturate, not panic (debug) or wrap into a
-    /// garbage small instant (release). The report that can never be offered
-    /// is expired — never served off a wrapped stamp — and neither the
-    /// virtual clock nor the other stations notice.
+    /// An [`ApServer`] that counts watermark ticks, so "the drain does bounded
+    /// work" is a count rather than a wall-clock reading; a drain that spins
+    /// fails fast.
+    struct TickCounting {
+        server: ApServer,
+        ticks: u64,
+    }
+
+    impl RoundServing for TickCounting {
+        fn register_station(
+            &mut self,
+            id: StationId,
+            key: usize,
+            bits: u8,
+        ) -> Result<(), ServeError> {
+            self.server.register_station(id, key, bits)
+        }
+        fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
+            self.server.deregister_station(id)
+        }
+        fn is_registered(&self, id: StationId) -> bool {
+            self.server.is_registered(id)
+        }
+        fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
+            self.server.ingest_wire(id, frame)
+        }
+        fn ingest_wire_at(
+            &mut self,
+            id: StationId,
+            frame: &[u8],
+            stamp: FrameStamp,
+        ) -> Result<usize, ServeError> {
+            self.server.ingest_wire_at(id, frame, stamp)
+        }
+        fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
+            RoundServing::close_round(&mut self.server, mode)
+        }
+        fn close_round_deadline(
+            &mut self,
+            mode: ServeMode,
+            policy: DeadlinePolicy,
+        ) -> Result<RoundSummary, ServeError> {
+            self.server.close_round_deadline(mode, policy)
+        }
+        fn evicted_in_last_round(&self) -> usize {
+            self.server.evicted_in_last_round()
+        }
+        fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
+            self.server.feedback_of(id)
+        }
+    }
+
+    impl StreamServing for TickCounting {
+        fn set_streaming(&mut self, on: bool) {
+            self.server.set_streaming(on);
+        }
+        fn advance_watermark(&mut self, mark: u64, step: u64, policy: Option<DeadlinePolicy>) {
+            self.ticks += 1;
+            assert!(self.ticks < 1_000, "the watermark loop is spinning");
+            self.server.advance_watermark(mark, step, policy);
+        }
+    }
+
+    /// `StationId` is an arbitrary caller-chosen `u64`. A sparse id times a
+    /// non-zero phase step either saturates (`u64::MAX / 2`) — which must not
+    /// panic (debug) or wrap into a garbage small instant (release) — or
+    /// lands days into the future (`1 << 40` x 1 µs = 1.1e15 ns). Either
+    /// way the report can never be offered in its round: it is expired off
+    /// the medium, the drain fires only the round's own watermarks, and
+    /// neither the virtual clock nor the other stations' next rounds notice.
     #[test]
-    fn sparse_station_id_saturates_instead_of_wrapping() {
+    fn sparse_station_ids_expire_off_the_medium_in_bounded_work() {
         let m = model(15);
         let cfg = SimConfig {
             stations: 2,
@@ -974,42 +977,48 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(16);
         let traffic = generate_traffic(&cfg, &m, &mut rng);
-        let mut event = build_event_driver(
-            m,
-            cfg.stations,
-            cfg.bits_per_value,
-            EventConfig {
-                phase_step_ns: 1_000,
-                feedback_rate_mbps: Some(24.0),
-                ..EventConfig::lockstep()
-            },
-            None,
-        );
-        let sparse: StationId = u64::MAX / 2;
-        event
-            .register_station(sparse, 0, cfg.bits_per_value)
-            .unwrap();
-        let mut last_now = 0;
-        for round in &traffic.rounds {
-            for (id, frame) in &round.frames {
-                let frame = frame.as_ref().unwrap();
-                event.ingest_wire(*id, frame).unwrap();
-                if *id == 0 {
-                    event.ingest_wire(sparse, frame).unwrap();
-                }
-            }
-            let summary = event.close_round(ServeMode::Batched).unwrap();
-            assert_eq!((summary.served, summary.on_time), (2, 2));
-            assert_eq!((summary.late, summary.expired), (0, 1));
-            let now = event.virtual_now_ns();
-            assert!(
-                last_now < now && now < s_to_ns(1.0),
-                "clock must stay monotone and finite: {last_now} -> {now}"
+        for (sparse, streaming) in [(u64::MAX / 2, false), (1 << 40, false), (1 << 40, true)] {
+            let mut server = ApServer::new();
+            server.register_model(m.clone());
+            let mut event = EventDriver::over(
+                TickCounting { server, ticks: 0 },
+                EventConfig {
+                    phase_step_ns: 1_000,
+                    feedback_rate_mbps: Some(24.0),
+                    streaming,
+                    watermark_ns: 2_500_000,
+                    ..EventConfig::lockstep()
+                },
             );
-            last_now = now;
+            for id in [0, 1, sparse] {
+                event.register_station(id, 0, cfg.bits_per_value).unwrap();
+            }
+            let mut last_now = 0;
+            for round in &traffic.rounds {
+                for (id, frame) in &round.frames {
+                    let frame = frame.as_ref().unwrap();
+                    event.ingest_wire(*id, frame).unwrap();
+                    if *id == 0 {
+                        event.ingest_wire(sparse, frame).unwrap();
+                    }
+                }
+                let summary = event.close_round(ServeMode::Batched).unwrap();
+                assert_eq!((summary.served, summary.on_time), (2, 2), "id {sparse}");
+                assert_eq!((summary.late, summary.expired), (0, 1), "id {sparse}");
+                let now = event.virtual_now_ns();
+                assert!(
+                    last_now < now && now < s_to_ns(1.0),
+                    "clock must stay monotone and finite: {last_now} -> {now}"
+                );
+                last_now = now;
+            }
+            assert!(event.feedback_of(sparse).is_none());
+            assert_eq!(event.pending_events(), 0);
+            assert_eq!(event.medium().frames_carried(), 6, "id {sparse}");
+            // Four 2.5 ms watermarks per 10 ms round, none beyond.
+            let ticks = event.inner().ticks;
+            assert_eq!(ticks, if streaming { 12 } else { 0 }, "id {sparse}");
         }
-        assert!(event.feedback_of(sparse).is_none());
-        assert_eq!(event.pending_events(), 0);
     }
 
     #[test]

@@ -245,14 +245,20 @@ impl Fleet {
     /// Offers a station's encoded wire frame for the current round. The
     /// frame becomes ready `jitter` ns into the round (the station-side
     /// compute/backoff spread) and is transmitted on the home AP's channel
-    /// when the fleet closes the round.
+    /// when the fleet closes the round. An offer whose ready instant
+    /// saturates [`VirtualNs`] never becomes ready: it is counted rejected
+    /// and stays off the queue and the medium.
     pub fn offer_frame(&mut self, id: StationId, frame: Vec<u8>) -> Result<(), ServeError> {
         if self.home.get(id).is_none() {
             return Err(ServeError::UnknownStation(id));
         }
         let head_ns = self.jitter.draw();
-        self.queue
-            .schedule(self.now_ns + head_ns, id, Offer { frame, head_ns });
+        let ready_ns = self.now_ns.saturating_add(head_ns);
+        if ready_ns == VirtualNs::MAX {
+            self.rejected += 1;
+            return Ok(());
+        }
+        self.queue.schedule(ready_ns, id, Offer { frame, head_ns });
         Ok(())
     }
 
@@ -340,7 +346,7 @@ impl Fleet {
             }
         }
         self.round += 1;
-        self.now_ns += self.cfg.round_ns;
+        self.now_ns = self.now_ns.saturating_add(self.cfg.round_ns);
 
         // Settle handoffs: a station served at its new home for the first
         // time since the handoff completes the roam; latency is measured in
@@ -428,35 +434,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-    use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
-    use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-    fn model(seed: u64) -> SplitBeamModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneEighth,
-            ),
-            &mut rng,
-        )
-    }
-
-    fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-        let csi: Vec<f32> = channel
-            .sample(&mut rng)
-            .csi_real_vector(0)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let payload = model.compress_quantized(&csi, bits).unwrap();
-        splitbeam::wire::encode_feedback(&payload).unwrap()
-    }
+    use crate::test_support::{model, station_frame};
 
     #[test]
     fn co_channel_aps_charge_each_other_airtime() {
@@ -642,5 +620,53 @@ mod tests {
         assert_eq!(s1, s2);
         assert_eq!(f1, f2);
         assert_eq!(st1, st2);
+    }
+
+    /// `round_ns` and `jitter_ns` are caller-chosen `u64`s: the fleet clock
+    /// and the offer instants saturate at the end of virtual time instead of
+    /// panicking (debug) or wrapping into the past (release), and an offer
+    /// pinned there is rejected, never scheduled.
+    #[test]
+    fn fleet_clock_and_offers_saturate_at_the_end_of_time() {
+        let m = model(17);
+        let mut fleet = Fleet::new(FleetConfig {
+            aps: 2,
+            channels: 1,
+            round_ns: u64::MAX,
+            // One short of the full range: the rand shim's inclusive sampler
+            // computes `span + 1`.
+            jitter_ns: u64::MAX - 1,
+            ..FleetConfig::default()
+        });
+        let key = fleet.register_model(&m);
+        for id in 0..2u64 {
+            fleet.register_station(id, id as usize, key, 4).unwrap();
+        }
+        // Round 0 starts at 0, so its offers land at their (huge) jitter
+        // draws: transmitted, hopelessly past the budget, expired.
+        for id in 0..2u64 {
+            fleet
+                .offer_frame(id, station_frame(&m, 50 + id, 4))
+                .unwrap();
+        }
+        let summary = fleet.close_round().unwrap();
+        assert_eq!((summary.served, summary.expired), (0, 2));
+        assert_eq!(fleet.now_ns(), VirtualNs::MAX);
+        // From the end of time on, no offer can become ready.
+        for round in 1..3u64 {
+            for id in 0..2u64 {
+                fleet
+                    .offer_frame(id, station_frame(&m, 60 + id, 4))
+                    .unwrap();
+            }
+            assert_eq!(fleet.queue.len(), 0, "a pinned offer was scheduled");
+            let summary = fleet.close_round().unwrap();
+            assert_eq!(
+                (summary.round, summary.served, summary.expired),
+                (round, 0, 0)
+            );
+            assert_eq!(fleet.now_ns(), VirtualNs::MAX);
+            assert_eq!(fleet.stats().rejected, 2 * round);
+        }
     }
 }

@@ -96,6 +96,43 @@ mod shard;
 pub mod slab;
 pub mod timing;
 
+/// Builders shared by this crate's unit tests. Private on purpose: the test
+/// kit (`splitbeam-testkit`) depends on this crate, so a `mod tests` in here
+/// cannot use the kit's.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use splitbeam::config::{CompressionLevel, SplitBeamConfig};
+    use splitbeam::model::SplitBeamModel;
+    use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
+    use wifi_phy::ofdm::{Bandwidth, MimoConfig};
+
+    pub(crate) fn model(seed: u64) -> SplitBeamModel {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        SplitBeamModel::new(
+            SplitBeamConfig::new(
+                MimoConfig::symmetric(2, Bandwidth::Mhz20),
+                CompressionLevel::OneEighth,
+            ),
+            &mut rng,
+        )
+    }
+
+    pub(crate) fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
+        let csi: Vec<f32> = channel
+            .sample(&mut rng)
+            .csi_real_vector(0)
+            .into_iter()
+            .map(|v| v as f32)
+            .collect();
+        let payload = model.compress_quantized(&csi, bits).unwrap();
+        splitbeam::wire::encode_feedback(&payload).unwrap()
+    }
+}
+
 pub use driver::StreamServing;
 pub use event::{build_event_driver, EventConfig, EventDriver};
 pub use fleet::{Fleet, FleetConfig, FleetRoundSummary, FleetStats};

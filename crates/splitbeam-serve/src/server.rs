@@ -167,9 +167,8 @@ impl Default for ApServer {
 }
 
 impl ApServer {
-    /// Creates an empty one-shard server. The tail weight format starts from
-    /// the `SPLITBEAM_TAIL_WEIGHTS` environment knob (`int8` opts into the
-    /// quantized tier, anything else serves f32).
+    /// Creates an empty one-shard server serving the f32 tail;
+    /// [`ApServer::set_tail_weights`] opts into the int8 tier.
     pub fn new() -> Self {
         Self::with_shards(1)
     }
@@ -180,7 +179,7 @@ impl ApServer {
         Self {
             models: Vec::new(),
             tails: Vec::new(),
-            tail_weights: TailWeights::from_env(),
+            tail_weights: TailWeights::F32,
             shards: vec![ShardCore::default(); num_shards.max(1)],
             round: 0,
             max_idle_rounds: None,
@@ -726,36 +725,12 @@ impl ApServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{model, station_frame};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use splitbeam::config::{CompressionLevel, SplitBeamConfig};
     use splitbeam::quantization::quantize_bottleneck;
-    use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-    fn model(seed: u64) -> SplitBeamModel {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneEighth,
-            ),
-            &mut rng,
-        )
-    }
-
-    fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-        let csi: Vec<f32> = channel
-            .sample(&mut rng)
-            .csi_real_vector(0)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let payload = model.compress_quantized(&csi, bits).unwrap();
-        splitbeam::wire::encode_feedback(&payload).unwrap()
-    }
 
     #[test]
     fn registration_is_validated() {

@@ -31,12 +31,10 @@ use mimo_math::kernel::{self, Kernel};
 use neural::quant::{QuantScratch, QuantizedDense};
 use neural::Matrix;
 
-/// Which tail-weight representation the serving layer runs.
-///
-/// Parsed from `SPLITBEAM_TAIL_WEIGHTS`: `int8` selects the quantized path;
-/// `f32`, unset, blank, and malformed values all select the f32 master
-/// weights — the default stays bit-exact with the pre-quantization serving
-/// output under both existing kernel backends.
+/// Which tail-weight representation the serving layer runs. The default is
+/// the f32 master weights, bit-exact with the pre-quantization serving
+/// output under both kernel backends; `ApServer::set_tail_weights` opts a
+/// server into the int8 tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TailWeights {
     /// The f32 master weights (the historical, bit-exact default).
@@ -47,17 +45,6 @@ pub enum TailWeights {
 }
 
 impl TailWeights {
-    /// Resolves the knob from `SPLITBEAM_TAIL_WEIGHTS`.
-    pub fn from_env() -> Self {
-        match mimo_math::env::raw("SPLITBEAM_TAIL_WEIGHTS")
-            .map(|v| v.to_ascii_lowercase())
-            .as_deref()
-        {
-            Some("int8") => TailWeights::Int8,
-            _ => TailWeights::F32,
-        }
-    }
-
     /// Stable lower-snake name used in reports and logs.
     pub fn name(self) -> &'static str {
         match self {
@@ -599,22 +586,6 @@ mod tests {
             ks.push(Int8Kernel::Avx512Vnni);
         }
         ks
-    }
-
-    #[test]
-    fn tail_weights_knob_parses_defensively() {
-        assert_eq!(TailWeights::default(), TailWeights::F32);
-        assert_eq!(TailWeights::F32.name(), "f32");
-        assert_eq!(TailWeights::Int8.name(), "int8");
-        std::env::set_var("SPLITBEAM_TAIL_WEIGHTS", " INT8 ");
-        assert_eq!(TailWeights::from_env(), TailWeights::Int8);
-        // f32, typos, and blank all fall back to the bit-exact default.
-        for v in ["f32", "int9", "quantized", ""] {
-            std::env::set_var("SPLITBEAM_TAIL_WEIGHTS", v);
-            assert_eq!(TailWeights::from_env(), TailWeights::F32, "value {v:?}");
-        }
-        std::env::remove_var("SPLITBEAM_TAIL_WEIGHTS");
-        assert_eq!(TailWeights::from_env(), TailWeights::F32);
     }
 
     #[test]

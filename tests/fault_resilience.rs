@@ -1,25 +1,13 @@
 //! Robustness suite for the fault-injection layer: a deterministic fuzz
 //! harness (seeded shims RNG, no cargo-fuzz) over the wire codec and every
-//! server flavor's ingest path, plus the two determinism anchors the fault
-//! work must preserve:
-//!
-//! * **zero-fault parity** — an event driver whose `FaultInjector` is
-//!   configured but inactive (and whose retry machinery is armed) stays
-//!   bit-exact with the legacy lockstep/batched/serial/sharded drivers,
-//! * **fault-plan determinism** — the same seed and the same fault plan
-//!   produce identical `RoundSummary` streams across batched/serial/sharded
-//!   {1, 4} flavors and both `SPLITBEAM_KERNEL` backends.
-//!
-//! The kernel override is process-global, so kernel-pinning tests serialize
-//! on one mutex and restore default dispatch before returning (same pattern
-//! as `event_parity`).
+//! server flavor's ingest path, fault-plan determinism across close modes,
+//! shard counts and both `SPLITBEAM_KERNEL` backends under a bursty
+//! (Gilbert–Elliott) plan, and graceful degradation as the fault level rises.
+//! (An armed injector over a fault-free plan being inert is the lockstep rows
+//! of `event_serving.rs`.)
 
-use mimo_math::kernel::{avx2_fma_available, set_kernel, KernelChoice};
-use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-use splitbeam::model::SplitBeamModel;
 use splitbeam::wire;
 use splitbeam::SplitBeamError;
 use splitbeam_hwsim::fault::FaultConfig;
@@ -28,43 +16,10 @@ use splitbeam_serve::driver::{
     SimConfig,
 };
 use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
-use splitbeam_serve::{RoundSummary, ServeError};
-use std::sync::Mutex;
-use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_kernel<T>(choice: KernelChoice, f: impl FnOnce() -> T) -> T {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_kernel(None);
-        }
-    }
-    let _guard = KERNEL_LOCK.lock().unwrap();
-    let _restore = Restore;
-    set_kernel(Some(choice));
-    f()
-}
-
-fn kernel_choices() -> Vec<KernelChoice> {
-    let mut choices = vec![KernelChoice::Scalar];
-    if avx2_fma_available() {
-        choices.push(KernelChoice::Auto);
-    }
-    choices
-}
-
-fn model(seed: u64) -> SplitBeamModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    SplitBeamModel::new(
-        SplitBeamConfig::new(
-            MimoConfig::symmetric(2, Bandwidth::Mhz20),
-            CompressionLevel::OneEighth,
-        ),
-        &mut rng,
-    )
-}
+use splitbeam_serve::ServeError;
+use splitbeam_testkit::{
+    fault_profile, kernel_choices, small_model as model, station_frame, with_kernel,
+};
 
 /// Fuzz iteration budget: ≥ 100k frames by default, tunable for quick local
 /// runs or CI via `SPLITBEAM_FUZZ_FRAMES`.
@@ -122,25 +77,10 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
     let m = model(606);
     let mut rng = ChaCha8Rng::seed_from_u64(0x0f5a_2e11);
     // A pool of valid frames (varied widths) for mutation to start from.
-    let mut valid = Vec::new();
-    for (seed, bits) in [(1u64, 4u8), (2, 6), (3, 8), (4, 12)] {
-        let mut crng = ChaCha8Rng::seed_from_u64(seed);
-        let channel = wifi_phy::channel::ChannelModel::new(
-            wifi_phy::channel::EnvironmentProfile::e1(),
-            Bandwidth::Mhz20,
-            2,
-            1,
-            1,
-        );
-        let csi: Vec<f32> = channel
-            .sample(&mut crng)
-            .csi_real_vector(0)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let payload = m.compress_quantized(&csi, bits).unwrap();
-        valid.push(wire::encode_feedback(&payload).unwrap());
-    }
+    let valid: Vec<Vec<u8>> = [(1u64, 4u8), (2, 6), (3, 8), (4, 12)]
+        .into_iter()
+        .map(|(seed, bits)| station_frame(&m, seed, bits))
+        .collect();
 
     // Every server flavor the repo ships: single-shard batched/serial share
     // one ingest path, plus sharded at 1 and 4.
@@ -224,30 +164,6 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
     }
 }
 
-/// The fault-relevant projection of a summary stream, for comparison across
-/// flavors whose non-fault bookkeeping (e.g. eviction counters) may
-/// legitimately differ in representation.
-#[allow(clippy::type_complexity)]
-fn fault_profile(
-    summaries: &[RoundSummary],
-) -> Vec<(u64, usize, usize, usize, usize, usize, usize, usize)> {
-    summaries
-        .iter()
-        .map(|s| {
-            (
-                s.round,
-                s.served,
-                s.stale,
-                s.lost,
-                s.corrupt,
-                s.retransmitted,
-                s.stale_served,
-                s.on_time + s.late + s.expired,
-            )
-        })
-        .collect()
-}
-
 /// Same seed + same fault plan → identical `RoundSummary` streams across
 /// batched/serial/sharded {1, 4} and both kernel backends.
 #[test]
@@ -325,7 +241,7 @@ fn fault_plan_is_deterministic_across_flavors_and_kernels() {
         });
     }
     let profile = reference.expect("at least the scalar kernel ran");
-    let injected: usize = profile.iter().map(|row| row.3 + row.4).sum();
+    let injected: usize = profile.iter().map(|row| row[0] + row[1]).sum();
     assert!(injected > 0, "the fault plan must actually disrupt the run");
 }
 
@@ -387,88 +303,4 @@ fn deadline_hit_rate_degrades_monotonically_with_the_fault_level() {
         hit_rates[levels.len() - 1] < 1.0,
         "top level never degrades"
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Zero-fault parity: an event driver with the fault machinery *armed*
-    /// (retries configured, injector constructed) but a `FaultConfig::none()`
-    /// plan is bit-exact with the PR 5 lockstep drivers — legacy batched,
-    /// legacy serial, and sharded {1, 4} — under both kernel backends.
-    #[test]
-    fn prop_zero_fault_injector_is_bit_exact_with_pr5_drivers(
-        seed in 0u64..1000,
-        bits in 2u8..=12,
-        drop_every in 0usize..5,
-        max_retries in 0u32..4,
-    ) {
-        let m = model(seed.wrapping_add(811));
-        let cfg = SimConfig {
-            stations: 5,
-            rounds: 3,
-            bits_per_value: bits,
-            drop_every,
-            ..SimConfig::default()
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let traffic = generate_traffic(&cfg, &m, &mut rng);
-        let event_cfg = EventConfig {
-            faults: FaultConfig::none(),
-            max_retries,
-            retry_backoff_ns: 100_000,
-            seed,
-            ..EventConfig::lockstep()
-        };
-        for choice in kernel_choices() {
-            with_kernel(choice, || {
-                let mut batched = build_server(m.clone(), cfg.stations, bits);
-                let want = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-                let mut serial = build_server(m.clone(), cfg.stations, bits);
-                let want_serial = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
-                prop_assert_eq!(&want, &want_serial);
-
-                let mut event =
-                    build_event_driver(m.clone(), cfg.stations, bits, event_cfg, None);
-                let got = serve_traffic(&mut event, &traffic, ServeMode::Batched).unwrap();
-                prop_assert_eq!(&got, &want, "armed-but-inactive injector, {:?}", choice);
-                let stats = event.fault_stats();
-                prop_assert_eq!(
-                    (stats.lost, stats.corrupted, stats.duplicated, stats.delayed),
-                    (0, 0, 0, 0)
-                );
-                for id in 0..traffic.max_station_id {
-                    prop_assert_eq!(event.feedback_of(id), batched.feedback_of(id));
-                }
-                // Inert on a contended medium too: with nothing to react to,
-                // armed retries must not perturb the real-medium outcome.
-                let contended = EventConfig { feedback_rate_mbps: Some(24.0), ..event_cfg };
-                let armed = EventConfig { max_retries: max_retries.max(1), ..contended };
-                let disarmed = EventConfig { max_retries: 0, ..contended };
-                let mut armed = build_event_driver(m.clone(), cfg.stations, bits, armed, None);
-                let mut disarmed =
-                    build_event_driver(m.clone(), cfg.stations, bits, disarmed, None);
-                prop_assert_eq!(
-                    serve_traffic(&mut armed, &traffic, ServeMode::Batched).unwrap(),
-                    serve_traffic(&mut disarmed, &traffic, ServeMode::Batched).unwrap(),
-                    "armed vs disarmed on a contended medium, {:?}", choice
-                );
-                for shards in [1usize, 4] {
-                    let mut legacy =
-                        build_sharded_server(m.clone(), cfg.stations, bits, shards);
-                    let want_sharded =
-                        serve_traffic(&mut legacy, &traffic, ServeMode::Batched).unwrap();
-                    let mut sharded = build_sharded_event_driver(
-                        m.clone(), cfg.stations, bits, shards, event_cfg, None);
-                    let got =
-                        serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
-                    prop_assert_eq!(&got, &want_sharded,
-                        "{} shards, {:?}", shards, choice);
-                    for id in 0..traffic.max_station_id {
-                        prop_assert_eq!(sharded.feedback_of(id), batched.feedback_of(id));
-                    }
-                }
-            });
-        }
-    }
 }

@@ -1,44 +1,18 @@
-//! Roaming handoff edge cases (PR 10 tentpole 3).
+//! Roaming handoff edge cases, and the fleet's books.
 //!
 //! A fleet handoff moves a station's *entire* [`StationSession`] between APs
 //! — pending payloads, reconstructed feedback, health state, staleness
 //! clocks. These tests pin the contract at the [`ApServer`] level against a
 //! never-roamed control server running the identical schedule: with the same
 //! model weights registered on every AP, roaming must be invisible in the
-//! served bits.
+//! served bits. The last test is the fleet's own cell: two BSSs on one
+//! channel, run twice, with the medium's wait accounted frame by frame.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 use splitbeam::model::SplitBeamModel;
+use splitbeam::TailWeights;
 use splitbeam_serve::server::ApServer;
-use splitbeam_serve::{ServeError, SessionHealth, StationSession};
-use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
-use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-fn model(seed: u64) -> SplitBeamModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    SplitBeamModel::new(
-        SplitBeamConfig::new(
-            MimoConfig::symmetric(2, Bandwidth::Mhz20),
-            CompressionLevel::OneEighth,
-        ),
-        &mut rng,
-    )
-}
-
-fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-    let csi: Vec<f32> = channel
-        .sample(&mut rng)
-        .csi_real_vector(0)
-        .into_iter()
-        .map(|v| v as f32)
-        .collect();
-    let payload = model.compress_quantized(&csi, bits).unwrap();
-    splitbeam::wire::encode_feedback(&payload).unwrap()
-}
+use splitbeam_serve::{Fleet, FleetConfig, ServeError, SessionHealth, StationSession};
+use splitbeam_testkit::{small_model as model, station_frame};
 
 /// Two APs with the same model, plus a never-roamed control. All three tick
 /// rounds in lockstep (a fleet closes every AP's round together), so session
@@ -52,9 +26,15 @@ struct Roamnet {
 
 impl Roamnet {
     fn new(m: &SplitBeamModel) -> Self {
-        let mut a = ApServer::new();
-        let mut b = ApServer::new();
-        let mut control = ApServer::new();
+        Self::with_tail(m, TailWeights::F32)
+    }
+
+    fn with_tail(m: &SplitBeamModel, weights: TailWeights) -> Self {
+        let [mut a, mut b, mut control] = [(); 3].map(|()| {
+            let mut server = ApServer::new();
+            server.set_tail_weights(weights);
+            server
+        });
         let key = a.register_model(m.clone());
         assert_eq!(b.register_model(m.clone()), key);
         assert_eq!(control.register_model(m.clone()), key);
@@ -196,10 +176,18 @@ fn degraded_health_and_miss_streak_travel() {
     net.assert_session_matches_control(&net.b, 1);
 }
 
+/// Under both tail precisions: the int8 tail a session is served from is the
+/// one bound at whichever AP holds it that round.
 #[test]
 fn double_handoff_back_to_origin_is_bit_exact_with_never_roamed() {
+    for weights in [TailWeights::F32, TailWeights::Int8] {
+        double_handoff_back_to_origin(weights);
+    }
+}
+
+fn double_handoff_back_to_origin(weights: TailWeights) {
     let m = model(37);
-    let mut net = Roamnet::new(&m);
+    let mut net = Roamnet::with_tail(&m, weights);
     net.a.register_station(1, net.key, 4).unwrap();
     net.control.register_station(1, net.key, 4).unwrap();
 
@@ -253,4 +241,56 @@ fn failed_adoption_returns_the_session_for_restore() {
     // Restore at the source: the station is whole again, feedback intact.
     a.adopt_station(session, key).map_err(|(_, e)| e).unwrap();
     assert_eq!(a.feedback_of(1).unwrap(), served.as_slice());
+}
+
+/// The fleet cell: two BSSs on ONE channel, every frame ready at the round
+/// start. Same seed, same run; and the books close — the queueing stamped on
+/// the frames is exactly the wait the medium charged, cross-BSS wait is a
+/// part of it, and `N` co-ready frames of one size wait `N(N-1)/2` airtimes
+/// in total (a mean of `(N-1)/2`: what the 512-station contention run's
+/// "wait ≈ 127x air" on 256 stations a channel was).
+#[test]
+fn co_channel_fleet_is_deterministic_and_its_wait_is_the_mediums() {
+    const STATIONS: u64 = 12;
+    let m = model(41);
+    let run = || {
+        let mut fleet = Fleet::new(FleetConfig {
+            aps: 2,
+            channels: 1,
+            rate_mbps: Some(24.0),
+            jitter_ns: 0,
+            ..FleetConfig::default()
+        });
+        let key = fleet.register_model(&m);
+        for id in 0..STATIONS {
+            fleet
+                .register_station(id, (id % 2) as usize, key, 4)
+                .unwrap();
+        }
+        let mut stamped_queue_ns = 0;
+        let mut summaries = Vec::new();
+        for round in 0..3u64 {
+            for id in 0..STATIONS {
+                fleet
+                    .offer_frame(id, station_frame(&m, 100 + id * 7 + round, 4))
+                    .unwrap();
+            }
+            summaries.push(fleet.close_round().unwrap());
+            for id in 0..STATIONS {
+                let session = fleet.ap((id % 2) as usize).session(id).unwrap();
+                stamped_queue_ns += session.last_stamp().unwrap().queue_ns;
+            }
+        }
+        let feedback: Vec<Vec<f32>> = (0..STATIONS)
+            .map(|id| fleet.feedback_of(id).unwrap().to_vec())
+            .collect();
+        (summaries, feedback, fleet.stats(), stamped_queue_ns)
+    };
+    let (summaries, feedback, stats, stamped_queue_ns) = run();
+    assert_eq!(run(), (summaries, feedback, stats, stamped_queue_ns));
+    assert_eq!((stats.served, stats.on_time), (3 * STATIONS, 3 * STATIONS));
+    assert_eq!(stamped_queue_ns, stats.wait_ns);
+    assert!(0 < stats.cross_bss_wait_ns && stats.cross_bss_wait_ns <= stats.wait_ns);
+    let air_ns = stats.air_ns / (3 * STATIONS);
+    assert_eq!(stats.wait_ns, 3 * air_ns * STATIONS * (STATIONS - 1) / 2);
 }

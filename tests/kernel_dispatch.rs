@@ -9,65 +9,23 @@
 //! was panel-packed: the row-major FMA kernel, the packed 256-bit arm and
 //! the packed 512-bit arm must all still produce those bits.
 //!
-//! The kernel override is process-global, so every test here serializes on
-//! one mutex and restores the default before returning.
+//! The kernel override is process-global; every test here pins it through
+//! the test kit's one lock.
 
 use mimo_math::kernel::packed::PackedWidth;
-use mimo_math::kernel::{avx2_fma_available, selected, set_kernel, Kernel, KernelChoice};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-use splitbeam::fused::{TailScratch, TailWeights};
+use mimo_math::kernel::{avx2_fma_available, selected, Kernel, KernelChoice};
+use splitbeam::fused::TailScratch;
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
 use splitbeam::wire;
 use splitbeam_serve::ApServer;
-use std::sync::Mutex;
-use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
-use wifi_phy::ofdm::{Bandwidth, MimoConfig};
-
-static KERNEL_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the kernel pinned to `choice`, restoring default dispatch
-/// afterwards (also on panic, via a drop guard).
-fn with_kernel<T>(choice: KernelChoice, f: impl FnOnce() -> T) -> T {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_kernel(None);
-        }
-    }
-    let _guard = KERNEL_LOCK.lock().unwrap();
-    let _restore = Restore;
-    set_kernel(Some(choice));
-    f()
-}
-
-fn model(seed: u64) -> SplitBeamModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    SplitBeamModel::new(
-        SplitBeamConfig::new(
-            MimoConfig::symmetric(2, Bandwidth::Mhz20),
-            CompressionLevel::OneEighth,
-        ),
-        &mut rng,
-    )
-}
+use splitbeam_testkit::{
+    small_model as model, station_frame, synthetic_frame, with_env_kernel, with_kernel, Fnv1a,
+};
 
 fn station_frames(model: &SplitBeamModel, count: u64, bits: u8) -> Vec<Vec<u8>> {
-    let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
     (0..count)
-        .map(|seed| {
-            let mut rng = ChaCha8Rng::seed_from_u64(1000 + seed);
-            let csi: Vec<f32> = channel
-                .sample(&mut rng)
-                .csi_real_vector(0)
-                .into_iter()
-                .map(|v| v as f32)
-                .collect();
-            let payload = model.compress_quantized(&csi, bits).unwrap();
-            wire::encode_feedback(&payload).unwrap()
-        })
+        .map(|seed| station_frame(model, 1000 + seed, bits))
         .collect()
 }
 
@@ -91,32 +49,14 @@ fn programmatic_override_steers_dispatch() {
 
 #[test]
 fn environment_variable_steers_dispatch() {
-    /// Restores the variable this test mutates — including on assertion
-    /// failure — so a CI run forcing `SPLITBEAM_KERNEL=scalar` keeps its
-    /// setting for every test that runs after this one.
-    struct RestoreEnv(Option<String>);
-    impl Drop for RestoreEnv {
-        fn drop(&mut self) {
-            match self.0.take() {
-                Some(value) => std::env::set_var("SPLITBEAM_KERNEL", value),
-                None => std::env::remove_var("SPLITBEAM_KERNEL"),
-            }
-            set_kernel(None);
-        }
-    }
-    let _guard = KERNEL_LOCK.lock().unwrap();
-    let _restore = RestoreEnv(std::env::var("SPLITBEAM_KERNEL").ok());
-
-    std::env::set_var("SPLITBEAM_KERNEL", "scalar");
-    set_kernel(None); // drop any override and the cached resolution
-    assert_eq!(selected(), Kernel::Scalar);
-    std::env::set_var("SPLITBEAM_KERNEL", "auto");
-    set_kernel(None);
-    assert_eq!(
-        selected() == Kernel::Avx2Fma,
-        avx2_fma_available(),
-        "auto must pick AVX2 exactly when the host supports it"
-    );
+    with_env_kernel("scalar", || assert_eq!(selected(), Kernel::Scalar));
+    with_env_kernel("auto", || {
+        assert_eq!(
+            selected() == Kernel::Avx2Fma,
+            avx2_fma_available(),
+            "auto must pick AVX2 exactly when the host supports it"
+        );
+    });
 }
 
 /// The PR 2 bit-exactness suite, pinned to the scalar backend: batched
@@ -130,11 +70,6 @@ fn scalar_kernel_reproduces_reference_serving_outputs() {
         with_kernel(KernelChoice::Scalar, || {
             let mut batched = ApServer::new();
             let mut serial = ApServer::new();
-            // The fused reference below is the f32 reconstruction path, so pin
-            // the servers to f32 tail weights regardless of the
-            // SPLITBEAM_TAIL_WEIGHTS environment this suite runs under.
-            batched.set_tail_weights(TailWeights::F32);
-            serial.set_tail_weights(TailWeights::F32);
             let bkey = batched.register_model(m.clone());
             let skey = serial.register_model(m.clone());
             for (id, frame) in frames.iter().enumerate() {
@@ -224,42 +159,6 @@ fn simd_backend_stays_within_tolerance_and_serves_bit_exactly() {
     });
 }
 
-/// Frames whose bytes depend on nothing but integer arithmetic (no channel
-/// model, no head inference), so the digests below are the same on every
-/// host: station `id` reports the codes `(id * 131 + j * 29 + 7) mod 2^bits`.
-fn synthetic_frames(model: &SplitBeamModel, stations: u64, bits: u8) -> Vec<Vec<u8>> {
-    (0..stations)
-        .map(|id| {
-            let payload = QuantizedFeedback {
-                bits_per_value: bits,
-                min: -0.75 - id as f32 / 64.0,
-                max: 0.5 + id as f32 / 32.0,
-                codes: (0..model.bottleneck_dim() as u64)
-                    .map(|j| ((id * 131 + j * 29 + 7) % (1 << bits)) as u16)
-                    .collect(),
-            };
-            wire::encode_feedback(&payload).unwrap()
-        })
-        .collect()
-}
-
-/// FNV-1a over a round's summary and every station's served feedback bits.
-fn served_digest(server: &ApServer, summary: &impl std::fmt::Debug, stations: u64) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(format!("{summary:?}").as_bytes());
-    for id in 0..stations {
-        for v in server.feedback_of(id).expect("every station was served") {
-            eat(&v.to_bits().to_le_bytes());
-        }
-    }
-    hash
-}
-
 /// What 29 stations (two full 12-row tiles and a ragged third; four 6-row
 /// tiles and a ragged fifth) are served under each backend, as digested at
 /// the commit before the tail was packed. The FMA digest must come out of
@@ -273,10 +172,12 @@ fn served_bits_are_pinned_across_the_row_major_and_both_packed_paths() {
     const STATIONS: u64 = 29;
     const BITS: u8 = 6;
     let m = model(9);
-    let frames = synthetic_frames(&m, STATIONS, BITS);
+    // Integer-derived frames, so the digests are the same on every host.
+    let frames: Vec<Vec<u8>> = (0..STATIONS)
+        .map(|id| synthetic_frame(&m, BITS, id * 131, (id, id)))
+        .collect();
     let serve = |model: SplitBeamModel, serial: bool| {
         let mut server = ApServer::new();
-        server.set_tail_weights(TailWeights::F32);
         let key = server.register_model(model);
         for (id, frame) in frames.iter().enumerate() {
             server.register_station(id as u64, key, BITS).unwrap();
@@ -288,7 +189,9 @@ fn served_bits_are_pinned_across_the_row_major_and_both_packed_paths() {
             server.process_round().unwrap()
         };
         assert_eq!(summary.served as u64, STATIONS);
-        served_digest(&server, &summary, STATIONS)
+        let mut digest = Fnv1a::default();
+        digest.eat_round(&server, &summary, STATIONS);
+        digest.0
     };
     let runs = [
         (KernelChoice::Scalar, PINNED_SCALAR, true),

@@ -1,48 +1,28 @@
-//! Cross-crate integration test of the AP serving layer: station-side wire
-//! traffic through the façade, batched vs serial determinism, staleness, and
-//! the MU-MIMO link check over served feedback.
+//! Cross-crate integration test of the AP serving layer through the façade:
+//! station-side wire traffic against the direct reconstruction, the tail
+//! weight switch, and wire sizes against the airtime accounting. (Parity
+//! between serving paths is `close_matrix.rs`.)
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
-use splitbeam_repro::serve::driver::SimTraffic;
 use splitbeam_repro::splitbeam::fused::TailWeights;
 use splitbeam_repro::splitbeam::wire;
-
-fn small_model(seed: u64) -> SplitBeamModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    SplitBeamModel::new(
-        SplitBeamConfig::new(
-            MimoConfig::symmetric(2, Bandwidth::Mhz20),
-            CompressionLevel::OneEighth,
-        ),
-        &mut rng,
-    )
-}
+use splitbeam_testkit::{small_model, station_payload};
 
 #[test]
 fn served_feedback_round_trips_through_the_wire() {
     let model = small_model(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(2);
-    let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-    let csi: Vec<f32> = channel
-        .sample(&mut rng)
-        .csi_real_vector(0)
-        .into_iter()
-        .map(|v| v as f32)
-        .collect();
-
     // Station side: compress, quantize, wire-encode.
-    let payload = model.compress_quantized(&csi, 4).unwrap();
+    let payload = station_payload(&model, 2, 4);
     let frame = wire::encode_feedback(&payload).unwrap();
     assert_eq!(frame.len(), payload.wire_bytes());
 
     // AP side: ingest over the wire, serve the round, compare with the direct
-    // (never-encoded) reconstruction — must be bit-exact.
+    // (never-encoded) reconstruction — must be bit-exact. A fresh server
+    // serves the f32 tail whatever the environment says.
     let mut server = ApServer::new();
-    // The comparison target is the direct f32 reconstruction, so pin the f32
-    // serving path regardless of the SPLITBEAM_TAIL_WEIGHTS environment.
-    server.set_tail_weights(TailWeights::F32);
+    assert_eq!(server.tail_weights(), TailWeights::F32);
     let key = server.register_model(model.clone());
     server.register_station(0, key, 4).unwrap();
     server.ingest_wire(0, &frame).unwrap();
@@ -52,39 +32,32 @@ fn served_feedback_round_trips_through_the_wire() {
     assert_eq!(server.feedback_of(0).unwrap(), direct.as_slice());
 }
 
+/// The tail weight format is a per-server setting that can change at any
+/// round boundary: the same payload is served from the f32 master weights,
+/// then from the int8 tail bound at registration.
 #[test]
-fn batched_and_serial_serving_agree_end_to_end() {
-    let model = small_model(3);
-    let sim = SimConfig {
-        stations: 6,
-        rounds: 3,
-        bits_per_value: 4,
-        drop_every: 5,
-        snr_db: 25.0,
-        ..SimConfig::default()
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let traffic: SimTraffic = generate_traffic(&sim, &model, &mut rng);
-
-    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let mut serial = build_server(model, sim.stations, sim.bits_per_value);
-    let b = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-    let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
-    assert_eq!(b, s, "round summaries diverged");
-    assert_eq!(b.summaries.len(), sim.rounds);
-    for id in 0..sim.stations as u64 {
-        assert_eq!(batched.feedback_of(id), serial.feedback_of(id));
-    }
-
-    // The dropped reports show up as stale stations somewhere in the run.
-    let total_served = b.total_served();
-    assert_eq!(total_served, traffic.total_frames());
-    assert!(total_served < sim.stations * sim.rounds);
-
-    // Link check over fresh-enough stations produces a finite BER.
-    let report = link_check(&batched, &traffic, 1, sim.snr_db, &mut rng).unwrap();
-    assert!(report.ber().is_finite());
-    assert!(!report.per_user_bits.is_empty());
+fn tail_weights_can_be_switched_at_round_boundaries() {
+    let model = small_model(57);
+    let payload = station_payload(&model, 500, 8);
+    let frame = wire::encode_feedback(&payload).unwrap();
+    let mut server = ApServer::new();
+    let key = server.register_model(model.clone());
+    server.register_station(0, key, 8).unwrap();
+    server.ingest_wire(0, &frame).unwrap();
+    server.process_round().unwrap();
+    assert_eq!(
+        server.feedback_of(0).unwrap(),
+        model.reconstruct_quantized(&payload).unwrap()
+    );
+    server.set_tail_weights(TailWeights::Int8);
+    server.ingest_wire(0, &frame).unwrap();
+    server.process_round().unwrap();
+    let tail = server.quantized_tail(key).unwrap();
+    let ik = splitbeam_repro::mimo_math::kernel::int8::selected_int8();
+    assert_eq!(
+        server.feedback_of(0).unwrap(),
+        tail.reconstruct_quantized(&payload, ik).unwrap()
+    );
 }
 
 #[test]

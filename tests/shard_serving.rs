@@ -1,64 +1,12 @@
-//! Cross-crate integration test of the sharded AP serving layer: bit-exact
-//! parity with the single-shard server through the façade at fixed shard
-//! counts, and session lifecycle under churn.
+//! Session lifecycle on the sharded AP server through the façade: capacity,
+//! idle eviction and clean re-registration, at fixed shard counts. (That
+//! sharding never changes what is served is `close_matrix.rs`.)
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
 use splitbeam_repro::serve::ServeError;
-
-fn small_model(seed: u64) -> SplitBeamModel {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    SplitBeamModel::new(
-        SplitBeamConfig::new(
-            MimoConfig::symmetric(2, Bandwidth::Mhz20),
-            CompressionLevel::OneEighth,
-        ),
-        &mut rng,
-    )
-}
-
-#[test]
-fn sharded_sweep_matches_batched_and_serial_references() {
-    let model = small_model(3);
-    let sim = SimConfig {
-        stations: 7,
-        rounds: 4,
-        bits_per_value: 6,
-        drop_every: 6,
-        churn: ChurnConfig {
-            join_every: 2,
-            leave_every: 2,
-            burst_every: 3,
-        },
-        ..SimConfig::default()
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(4);
-    let traffic = generate_traffic(&sim, &model, &mut rng);
-    let mut batched = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let mut serial = build_server(model.clone(), sim.stations, sim.bits_per_value);
-    let b = serve_traffic(&mut batched, &traffic, ServeMode::Batched).unwrap();
-    let s = serve_traffic(&mut serial, &traffic, ServeMode::Serial).unwrap();
-    assert_eq!(b, s, "single-shard batched vs serial");
-    for shards in [1usize, 2, 4, 7] {
-        let mut sharded =
-            build_sharded_server(model.clone(), sim.stations, sim.bits_per_value, shards);
-        let o = serve_traffic(&mut sharded, &traffic, ServeMode::Batched).unwrap();
-        assert_eq!(o.total_served(), b.total_served(), "{shards} shards");
-        for id in 0..traffic.max_station_id {
-            assert_eq!(
-                sharded.feedback_of(id),
-                batched.feedback_of(id),
-                "{shards} shards, station {id}"
-            );
-            assert_eq!(
-                sharded.feedback_of(id),
-                serial.feedback_of(id),
-                "{shards} shards vs serial, station {id}"
-            );
-        }
-    }
-}
+use splitbeam_testkit::{small_model, station_frame};
 
 #[test]
 fn lifecycle_capacity_eviction_and_reregistration() {
@@ -82,27 +30,17 @@ fn lifecycle_capacity_eviction_and_reregistration() {
     // Stations that stop reporting are evicted once the idle budget passes,
     // and can re-register cleanly.
     server.set_max_idle_rounds(Some(0));
-    let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 1, 1);
-    let mut rng = ChaCha8Rng::seed_from_u64(6);
-    let frame_for = |rng: &mut ChaCha8Rng| {
-        let csi: Vec<f32> = channel
-            .sample(rng)
-            .csi_real_vector(0)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let payload = model.compress_quantized(&csi, 4).unwrap();
-        splitbeam_repro::splitbeam::wire::encode_feedback(&payload).unwrap()
-    };
     // Round 0: everyone reports. Round 1: only station 0 reports.
     for id in [0u64, 2, 3] {
-        let f = frame_for(&mut rng);
-        server.ingest_wire(id, &f).unwrap();
+        server
+            .ingest_wire(id, &station_frame(&model, 60 + id, 4))
+            .unwrap();
     }
     let r0 = server.process_round().unwrap();
     assert_eq!((r0.served, server.evicted_in_last_round()), (3, 0));
-    let f = frame_for(&mut rng);
-    server.ingest_wire(0, &f).unwrap();
+    server
+        .ingest_wire(0, &station_frame(&model, 70, 4))
+        .unwrap();
     let r1 = server.process_round().unwrap();
     assert_eq!(r1.served, 1);
     assert_eq!(
@@ -115,4 +53,38 @@ fn lifecycle_capacity_eviction_and_reregistration() {
     server.register_station(2, key, 4).unwrap();
     assert!(server.session(2).unwrap().feedback().is_none());
     assert_eq!(server.session(2).unwrap().joined_round(), 2);
+}
+
+/// Eviction/re-registration state transitions hold at every shard count.
+#[test]
+fn eviction_and_reregistration_transitions_across_shard_counts() {
+    let m = small_model(77);
+    for shards in [1usize, 2, 4, 7] {
+        let mut server = build_sharded_server(m.clone(), 6, 4, shards);
+        server.set_max_idle_rounds(Some(0));
+        let cfg = SimConfig {
+            stations: 6,
+            rounds: 4,
+            bits_per_value: 4,
+            drop_every: 4,
+            ..SimConfig::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(78);
+        let traffic = generate_traffic(&cfg, &m, &mut rng);
+        let outcome = serve_traffic(&mut server, &traffic, ServeMode::Batched).unwrap();
+        // With a zero idle budget, every dropped report leads to an eviction
+        // and the station's next frame re-associates it.
+        assert!(
+            outcome.reassociations > 0,
+            "{shards} shards: drops must force re-association"
+        );
+        // Re-registered sessions are fresh: anyone present now either
+        // reported this round or just re-joined.
+        for session in server.sessions() {
+            assert!(
+                session.idle_rounds(server.current_round().saturating_sub(1)) == 0,
+                "{shards} shards: survivor must be fresh"
+            );
+        }
+    }
 }

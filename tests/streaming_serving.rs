@@ -1,0 +1,236 @@
+//! Behaviour only the streaming close has: a stalled shard stays isolated
+//! (the barrier couples everyone to it), empty shards fold into the round
+//! like the barrier's, a full ring pushes back, and staggered births close
+//! in separate micro-batches. (That streaming serves what the barrier serves
+//! is `close_matrix.rs` and the `event_serving.rs` table.)
+
+use splitbeam_repro::prelude::*;
+use splitbeam_repro::serve::ServeError;
+use splitbeam_testkit::{small_model as model, station_frame};
+
+fn shards_with_traffic(server: &ApServer) -> usize {
+    server
+        .shard_round_stats()
+        .iter()
+        .filter(|s| s.had_traffic)
+        .count()
+}
+
+/// The headline property of killing the barrier: a deliberately stalled
+/// shard leaves every *other* shard's deadline-hit rate untouched under
+/// streaming closes, while the barrier close drags every shard down with
+/// the slowest one.
+#[test]
+fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
+    let m = model(201);
+    let bits = 6u8;
+    let stations = 8u64;
+    let policy = DeadlinePolicy::eq7d();
+    // 15 ms of close lag on a 10 ms budget + 10 ms grace: stalled reports
+    // classify late, not expired.
+    let stall_ns = 15_000_000u64;
+
+    let build = |streaming: bool, stall: bool| {
+        let mut server = ApServer::with_shards(4);
+        let key = server.register_model(m.clone());
+        for id in 0..stations {
+            server.register_station(id, key, bits).unwrap();
+        }
+        server.set_streaming(streaming);
+        if stall {
+            server.set_shard_stall_ns(0, stall_ns);
+        }
+        for id in 0..stations {
+            let frame = station_frame(&m, 4000 + id, bits);
+            server
+                .ingest_wire_at(id, &frame, FrameStamp::default())
+                .unwrap();
+        }
+        server
+    };
+
+    // Barrier, stalled shard 0: the whole round waits for the slowest shard,
+    // so every report on every shard pays the 15 ms lag and lands late.
+    let mut barrier = build(false, true);
+    let summary = barrier.close(Some(policy)).unwrap();
+    assert_eq!(summary.served, stations as usize);
+    assert_eq!(
+        (summary.on_time, summary.late),
+        (0, stations as usize),
+        "the barrier must couple every shard to the stalled one"
+    );
+    for stats in barrier.shard_round_stats() {
+        assert_eq!(stats.on_time, 0);
+    }
+
+    // Streaming, stalled shard 0: only shard 0's own reports pay its stall.
+    let mut streaming = build(true, true);
+    let summary = streaming.close(Some(policy)).unwrap();
+    assert_eq!(summary.served, stations as usize);
+    assert_eq!((summary.on_time, summary.late), (6, 2));
+    let stats = streaming.shard_round_stats();
+    assert_eq!((stats[0].on_time, stats[0].late), (0, 2), "stalled shard");
+    for (idx, s) in stats.iter().enumerate().skip(1) {
+        assert_eq!((s.on_time, s.late), (2, 0), "healthy shard {idx}");
+    }
+
+    // The unstalled streaming run is the reference: healthy shards in the
+    // stalled run match it exactly.
+    let mut clean = build(true, false);
+    let clean_summary = clean.close(Some(policy)).unwrap();
+    assert_eq!(clean_summary.on_time, stations as usize);
+    for (idx, s) in clean.shard_round_stats().iter().enumerate().skip(1) {
+        assert_eq!(*s, stats[idx]);
+    }
+
+    // Feedback bytes are identical across all three runs — lateness is an
+    // accounting outcome, not a content change.
+    for id in 0..stations {
+        assert_eq!(streaming.feedback_of(id), barrier.feedback_of(id));
+        assert_eq!(streaming.feedback_of(id), clean.feedback_of(id));
+    }
+}
+
+/// Satellite regression: shards with zero pending frames (an empty
+/// micro-batch round) contribute their true `awaiting_first_report` count —
+/// identical to the barrier close — even when other shards micro-closed
+/// mid-round. No phantom counts from the incremental fold.
+#[test]
+fn empty_shard_micro_batches_do_not_inflate_awaiting_counts() {
+    let m = model(301);
+    let bits = 5u8;
+    let policy = DeadlinePolicy::eq7d();
+
+    let build = |streaming: bool| {
+        let mut server = ApServer::with_shards(4);
+        let key = server.register_model(m.clone());
+        for id in 0..8u64 {
+            server.register_station(id, key, bits).unwrap();
+        }
+        server.set_streaming(streaming);
+        // Traffic only for shards 0 and 1 (ids 0,1,4,5); shards 2 and 3 stay
+        // silent, each holding two never-reported stations.
+        for id in [0u64, 1, 4, 5] {
+            let frame = station_frame(&m, 5000 + id, bits);
+            let stamp = FrameStamp {
+                arrival_ns: 1_000_000,
+                ..FrameStamp::default()
+            };
+            server.ingest_wire_at(id, &frame, stamp).unwrap();
+        }
+        server
+    };
+
+    let mut barrier = build(false);
+    let want = barrier.close(Some(policy)).unwrap();
+    assert_eq!(want.awaiting_first_report, 4);
+    assert_eq!(shards_with_traffic(&barrier), 2);
+
+    let mut streaming = build(true);
+    // Mid-round watermark: arrival 1 ms -> service deadline 11 ms, so the
+    // 11 ms watermark (step 1 ms) micro-closes shards 0 and 1; shards 2 and
+    // 3 see an empty micro-batch check every tick.
+    for tick in 1..=11u64 {
+        streaming.advance_watermark(tick * 1_000_000, 1_000_000, Some(policy));
+    }
+    let got = streaming.close(Some(policy)).unwrap();
+    assert_eq!(got.served, want.served);
+    assert_eq!(got.awaiting_first_report, want.awaiting_first_report);
+    assert_eq!(got.stale, want.stale);
+    assert_eq!(
+        shards_with_traffic(&streaming),
+        shards_with_traffic(&barrier)
+    );
+    let stats = streaming.shard_round_stats();
+    assert!(
+        stats[0].micro_closes >= 1 && stats[1].micro_closes >= 1,
+        "traffic shards must have micro-closed mid-round: {stats:?}"
+    );
+    assert_eq!(stats[2].micro_closes, 0);
+    assert_eq!(stats[3].micro_closes, 0);
+}
+
+/// A full streaming ring rejects ingest with `ServeError::Backpressure`
+/// instead of silently overwriting queued feedback, and the failed ingest
+/// leaves session state untouched.
+#[test]
+fn full_ring_rejects_with_backpressure() {
+    let m = model(401);
+    let bits = 4u8;
+    let mut server = ApServer::new();
+    let key = server.register_model(m.clone());
+    server.register_station(7, key, bits).unwrap();
+    server.set_streaming(true);
+    server.set_stream_capacity(2);
+
+    for seed in 0..2u64 {
+        let frame = station_frame(&m, 6000 + seed, bits);
+        server.ingest_wire(7, &frame).unwrap();
+    }
+    assert_eq!(server.session(7).unwrap().stream_inflight(), 2);
+    let overflow = station_frame(&m, 6002, bits);
+    assert_eq!(
+        server.ingest_wire(7, &overflow),
+        Err(ServeError::Backpressure(7, 2))
+    );
+    assert_eq!(
+        server.session(7).unwrap().stream_inflight(),
+        2,
+        "a rejected ingest must not touch session counters"
+    );
+
+    // The queued frames still serve normally: last committed wins.
+    let summary = server.close(None).unwrap();
+    assert_eq!(summary.served, 1);
+    assert_eq!(server.session(7).unwrap().stream_inflight(), 0);
+    assert!(server.feedback_of(7).is_some());
+}
+
+/// A genuinely streaming round: two reports with staggered births close in
+/// two separate watermark-triggered micro-batches, and the round summary
+/// still folds up correctly.
+#[test]
+fn staggered_births_close_in_multiple_micro_batches() {
+    let m = model(501);
+    let bits = 6u8;
+    let policy = DeadlinePolicy::eq7d();
+    let mut server = ApServer::new();
+    let key = server.register_model(m.clone());
+    server.register_station(0, key, bits).unwrap();
+    server.register_station(1, key, bits).unwrap();
+    server.set_streaming(true);
+
+    // Station 0 born at 1 ms (service deadline 11 ms), station 1 born at
+    // 14 ms (service deadline 24 ms).
+    let early = FrameStamp {
+        arrival_ns: 1_000_000,
+        ..FrameStamp::default()
+    };
+    let late = FrameStamp {
+        arrival_ns: 14_000_000,
+        ..FrameStamp::default()
+    };
+    server
+        .ingest_wire_at(0, &station_frame(&m, 7000, bits), early)
+        .unwrap();
+    server
+        .ingest_wire_at(1, &station_frame(&m, 7001, bits), late)
+        .unwrap();
+
+    for tick in 1..=25u64 {
+        server.advance_watermark(tick * 1_000_000, 1_000_000, Some(policy));
+    }
+    // Station 0 was served by the 11 ms watermark — its feedback is already
+    // visible mid-round, before the round close.
+    assert!(server.feedback_of(0).is_some());
+    let summary = server.close(Some(policy)).unwrap();
+    assert_eq!(
+        server.shard_round_stats()[0].micro_closes,
+        2,
+        "two separate micro-closes"
+    );
+    assert_eq!(summary.served, 2);
+    assert_eq!(summary.batches, 2);
+    assert_eq!(summary.on_time, 2);
+    assert!(server.feedback_of(1).is_some());
+}
