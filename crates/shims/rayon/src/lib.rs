@@ -1,11 +1,12 @@
 //! Offline stand-in for `rayon`.
 //!
 //! Provides the small parallel-iterator surface the workspace uses —
-//! `slice.par_iter().map(f).collect::<Vec<_>>()` plus `join` — implemented
-//! with `std::thread::scope` over contiguous chunks. Results are concatenated
-//! in input order, so a parallel map is *order-identical* (and therefore
-//! bit-identical) to its serial counterpart; with one available core the work
-//! degenerates to a plain serial loop with no thread spawns.
+//! `slice.par_iter().map(f).collect::<Vec<_>>()` and
+//! `slice.par_iter_mut().for_each(f)` — implemented with `std::thread::scope`
+//! over contiguous chunks. Results are concatenated in input order, so a
+//! parallel map is *order-identical* (and therefore bit-identical) to its
+//! serial counterpart; with one available core the work degenerates to a
+//! plain serial loop with no thread spawns.
 
 use std::num::NonZeroUsize;
 
@@ -29,26 +30,6 @@ pub fn current_num_threads() -> usize {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
-    })
-}
-
-/// Runs two closures, in parallel when more than one core is available.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|scope| {
-        let handle = scope.spawn(a);
-        let rb = b();
-        (handle.join().expect("rayon-shim join worker panicked"), rb)
     })
 }
 
@@ -180,18 +161,6 @@ pub struct ParIterMut<'a, T> {
 }
 
 impl<'a, T: Send> ParIterMut<'a, T> {
-    /// Maps every element through `f`, preserving input order.
-    pub fn map<U, F>(self, f: F) -> ParMapMut<'a, T, F>
-    where
-        U: Send,
-        F: Fn(&'a mut T) -> U + Sync,
-    {
-        ParMapMut {
-            slice: self.slice,
-            f,
-        }
-    }
-
     /// Runs `f` on every element. Allocates nothing when the work runs
     /// serially (one thread or one element).
     pub fn for_each<F>(self, f: F)
@@ -212,74 +181,6 @@ impl<'a, T: Send> ParIterMut<'a, T> {
     }
 }
 
-/// The result of [`ParIterMut::map`], awaiting a `collect`.
-pub struct ParMapMut<'a, T, F> {
-    slice: &'a mut [T],
-    f: F,
-}
-
-impl<'a, T: Send, U: Send, F: Fn(&'a mut T) -> U + Sync> ParMapMut<'a, T, F> {
-    /// Executes the map and collects results in input order.
-    pub fn collect<C: FromParallelVec<U>>(self) -> C {
-        C::from_ordered_vec(self.run())
-    }
-
-    fn run(self) -> Vec<U> {
-        let n = self.slice.len();
-        let threads = current_num_threads().min(n.max(1));
-        if threads <= 1 {
-            return self.slice.iter_mut().map(&self.f).collect();
-        }
-        let chunk = n.div_ceil(threads);
-        let f = &self.f;
-        let mut pieces: Vec<Vec<U>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .slice
-                .chunks_mut(chunk)
-                .map(|part| scope.spawn(move || part.iter_mut().map(f).collect::<Vec<U>>()))
-                .collect();
-            for handle in handles {
-                pieces.push(handle.join().expect("rayon-shim map worker panicked"));
-            }
-        });
-        let mut out = Vec::with_capacity(n);
-        for piece in pieces {
-            out.extend(piece);
-        }
-        out
-    }
-}
-
-/// A fork-join scope handed to the closure of [`scope`], mirroring
-/// `rayon::Scope`. Tasks spawned on it may borrow from the enclosing
-/// environment (`'env`) and are guaranteed to finish before `scope` returns.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns `f` as a scoped task running on its own thread. The closure
-    /// receives the scope again so it can spawn nested tasks, like rayon's.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        self.inner.spawn(move || f(&Scope { inner }));
-    }
-}
-
-/// Structured fork-join region, mirroring `rayon::scope`: all tasks spawned
-/// on the scope complete before the call returns.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
-    R: Send,
-{
-    std::thread::scope(|inner| f(&Scope { inner }))
-}
-
 /// Common imports, mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::IntoParallelRefIterator;
@@ -298,13 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 21 * 2, || "ok");
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
     fn empty_slice_maps_to_empty_vec() {
         let input: Vec<u32> = Vec::new();
         let out: Vec<u32> = input.par_iter().map(|&x| x).collect();
@@ -312,50 +206,9 @@ mod tests {
     }
 
     #[test]
-    fn mut_map_mutates_in_place_and_preserves_order() {
-        let mut input: Vec<u64> = (0..300).collect();
-        let out: Vec<u64> = input
-            .par_iter_mut()
-            .map(|x| {
-                *x += 1;
-                *x * 10
-            })
-            .collect();
-        assert_eq!(input, (1..=300).collect::<Vec<_>>());
-        assert_eq!(out, (1..=300).map(|x| x * 10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn mut_for_each_visits_every_element() {
         let mut input: Vec<u64> = (0..300).collect();
         input.par_iter_mut().for_each(|x| *x += 1);
         assert_eq!(input, (1..=300).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn scope_joins_all_spawned_tasks() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let result = super::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|s| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    // Nested spawn, as rayon allows.
-                    s.spawn(|_| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                });
-            }
-            "done"
-        });
-        assert_eq!(result, "done");
-        assert_eq!(counter.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn empty_mut_slice_maps_to_empty_vec() {
-        let mut input: Vec<u32> = Vec::new();
-        let out: Vec<u32> = input.par_iter_mut().map(|&mut x| x).collect();
-        assert!(out.is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Correctness tooling for the SplitBeam workspace.
 //!
-//! Three layers, each turning a README claim into a mechanical check:
+//! Two layers, each turning a README claim into a mechanical check:
 //!
 //! - [`lint`]: a source-scanning invariant pass (`cargo run -p
 //!   splitbeam-analysis --bin lint`) enforcing the repo's safety and
@@ -11,9 +11,6 @@
 //!   `assert_no_alloc` scopes that integration tests wrap around the
 //!   serving hot paths, so the zero-steady-state-allocation claims fail CI
 //!   if regressed.
-//! - The model-check suite (`tests/ring_model.rs`, built under
-//!   `RUSTFLAGS="--cfg splitbeam_model"`) which exhaustively explores the
-//!   MPMC ring through the `loom` facade.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -78,7 +78,9 @@ pub struct FleetRoundSummary {
     pub on_time: usize,
     pub late: usize,
     pub expired: usize,
-    /// Frames rejected at ingest (quarantine, corruption, codec).
+    /// Frames rejected since the previous close: refused at ingest
+    /// (quarantine, corruption, codec), homeless when drained, or offered
+    /// for an instant past the end of virtual time.
     pub rejected: usize,
     /// Handoffs whose station was served for the first time post-handoff
     /// during this round.
@@ -146,6 +148,8 @@ pub struct Fleet {
     late: u64,
     expired: u64,
     rejected: u64,
+    /// `rejected` as of the previous close; the round's share is the rest.
+    rejected_at_last_close: u64,
 }
 
 impl Fleet {
@@ -180,6 +184,7 @@ impl Fleet {
             late: 0,
             expired: 0,
             rejected: 0,
+            rejected_at_last_close: 0,
             cfg,
         }
     }
@@ -380,7 +385,7 @@ impl Fleet {
             on_time: 0,
             late: 0,
             expired: 0,
-            rejected: 0,
+            rejected: (self.rejected - self.rejected_at_last_close) as usize,
             handoffs_settled,
             per_ap,
         };
@@ -394,6 +399,7 @@ impl Fleet {
         self.on_time += summary.on_time as u64;
         self.late += summary.late as u64;
         self.expired += summary.expired as u64;
+        self.rejected_at_last_close = self.rejected;
         first_error.map_or(Ok(summary), Err)
     }
 
@@ -574,12 +580,26 @@ mod tests {
     fn unknown_station_offers_and_handoffs_are_rejected() {
         let m = model(5);
         let mut fleet = Fleet::new(FleetConfig::default());
-        let _key = fleet.register_model(&m);
+        let key = fleet.register_model(&m);
         assert_eq!(
             fleet.offer_frame(9, vec![0u8; 4]),
             Err(ServeError::UnknownStation(9))
         );
         assert_eq!(fleet.handoff(9, 1), Err(ServeError::UnknownStation(9)));
+        // Refused before the queue: not part of any round's books. A frame
+        // the AP refuses at ingest, and one whose station has no home left
+        // when the round drains, are this round's rejections and no other's.
+        for id in 0..3u64 {
+            fleet.register_station(id, 0, key, 4).unwrap();
+            fleet.offer_frame(id, station_frame(&m, id, 4)).unwrap();
+        }
+        fleet.offer_frame(0, vec![0u8; 4]).unwrap();
+        fleet.home.remove(2);
+        let summary = fleet.close_round().unwrap();
+        assert_eq!((summary.served, summary.rejected), (2, 2));
+        assert_eq!(fleet.stats().rejected, 2);
+        let summary = fleet.close_round().unwrap();
+        assert_eq!((summary.rejected, fleet.stats().rejected), (0, 2));
     }
 
     #[test]
@@ -666,7 +686,11 @@ mod tests {
                 (round, 0, 0)
             );
             assert_eq!(fleet.now_ns(), VirtualNs::MAX);
-            assert_eq!(fleet.stats().rejected, 2 * round);
+            assert_eq!(
+                (summary.rejected, fleet.stats().rejected),
+                (2, 2 * round),
+                "a round's rejections are the lifetime count's growth over it"
+            );
         }
     }
 }

@@ -84,7 +84,7 @@
 //! assert_eq!(server.feedback_matrices_of(0).unwrap().len(), 56);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod event;

@@ -1,243 +1,90 @@
-//! Bounded lock-free MPMC ring buffer for streaming frame hand-off.
+//! Bounded FIFO for the streaming lane's frame hand-off.
 //!
-//! This is the per-shard ingest ring behind streaming micro-batch serving: the
-//! ingest side pushes decoded frames as they arrive, the shard's watermark
-//! close pops them in FIFO order. The design is the classic bounded MPMC queue
-//! with per-slot sequence counters (Vyukov): each slot carries an atomic
-//! sequence number that encodes both its occupancy and the "lap" of the ring
-//! it belongs to, so producers and consumers coordinate without locks and
-//! without a shared generation counter.
-//!
-//! Invariants (exercised by the seeded-interleaving tests below):
-//!
-//! * **Bounded**: `push` never blocks and never allocates; a full ring hands
-//!   the value back as `Err`, which the serving layer surfaces as
-//!   [`crate::ServeError::Backpressure`] instead of silently dropping.
-//! * **Exactly-once**: every pushed value is popped exactly once.
-//! * **Per-producer FIFO**: values from one producer are popped in push order
-//!   (single-consumer drains additionally see global FIFO order across the
-//!   points of `push` linearization).
+//! The per-shard ingest queue behind streaming micro-batch serving: ingest
+//! pushes decoded frames as they arrive, the shard's watermark close pops
+//! them in FIFO order, each exactly once. A lane is only ever touched through
+//! its shard's `&mut self` (the parallel round close hands each shard to one
+//! task), so the queue is a plain [`VecDeque`] with a bound and nothing to
+//! synchronize.
 
-// The concurrency primitives come through the `loom` facade: plain std in
-// normal builds, and an exhaustively explored model under
-// `RUSTFLAGS="--cfg splitbeam_model"` (see `splitbeam-analysis`'s
-// `ring_model` suite). The closure-based `UnsafeCell` API exists so the
-// model can race-check every cell access.
-use loom::cell::UnsafeCell;
-use loom::sync::atomic::{AtomicUsize, Ordering};
-use std::mem::MaybeUninit;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 
-/// Ordering of the producer's slot-publish store. The model build routes
-/// this through [`model_hooks`] so the negative test can weaken it and
-/// prove the checker notices; release is load-bearing — it publishes the
-/// cell write to the consumer's acquire load of `seq`.
-#[cfg(not(splitbeam_model))]
-#[inline(always)]
-fn publish_ordering() -> Ordering {
-    Ordering::Release
-}
-
-/// Ordering of the consumer's slot-release store (hands the emptied slot to
-/// the next lap's producer). Same hook arrangement as [`publish_ordering`].
-#[cfg(not(splitbeam_model))]
-#[inline(always)]
-fn release_ordering() -> Ordering {
-    Ordering::Release
-}
-
-#[cfg(splitbeam_model)]
-use model_hooks::{publish_ordering, release_ordering};
-
-/// Mutation hooks for the model checker's negative tests: downgrading
-/// either Release store to Relaxed must be caught as a data race by the
-/// exhaustive exploration. Only exists under `--cfg splitbeam_model`; the
-/// normal build compiles the orderings as constants.
-#[cfg(splitbeam_model)]
-pub mod model_hooks {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::atomic::Ordering as StdOrdering;
-
-    use super::Ordering;
-
-    static WEAKEN_PUBLISH: AtomicBool = AtomicBool::new(false);
-    static WEAKEN_RELEASE: AtomicBool = AtomicBool::new(false);
-
-    /// Downgrade the producer's slot-publish store to Relaxed (seeded bug).
-    pub fn set_weaken_publish(on: bool) {
-        WEAKEN_PUBLISH.store(on, StdOrdering::SeqCst);
-    }
-
-    /// Downgrade the consumer's slot-release store to Relaxed (seeded bug).
-    pub fn set_weaken_release(on: bool) {
-        WEAKEN_RELEASE.store(on, StdOrdering::SeqCst);
-    }
-
-    pub(super) fn publish_ordering() -> Ordering {
-        if WEAKEN_PUBLISH.load(StdOrdering::SeqCst) {
-            Ordering::Relaxed
-        } else {
-            Ordering::Release
-        }
-    }
-
-    pub(super) fn release_ordering() -> Ordering {
-        if WEAKEN_RELEASE.load(StdOrdering::SeqCst) {
-            Ordering::Relaxed
-        } else {
-            Ordering::Release
-        }
-    }
-}
-
-/// One ring slot: the atomic sequence number plus the (possibly
-/// uninitialized) value cell it guards.
-struct Slot<T> {
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// Bounded lock-free multi-producer multi-consumer ring.
+/// Bounded single-threaded FIFO. `push` never blocks: a full ring hands the
+/// value back as `Err`, which the serving layer surfaces as
+/// [`crate::ServeError::Backpressure`] instead of silently dropping.
 ///
-/// Capacity is rounded up to the next power of two (minimum 2) so the
-/// position-to-slot mapping is a mask instead of a modulo.
+/// Capacity is rounded up to the next power of two (minimum 2) and
+/// [`Ring::with_capacity`] sizes the buffer for it up front; a clone is
+/// sized to its contents and grows on demand, up to the same bound.
+///
+/// The methods take `&self` and the queue sits in a [`RefCell`] because the
+/// benchmark package (frozen to product PRs) drives `push`/`pop` through a
+/// shared binding; they become `&mut self` in a PR that owns `benchmark/`.
+/// No method hands out a borrow, and the only caller code that runs under
+/// one is [`Ring::pop_if`]'s predicate, which is given the head element and
+/// not the ring — so the run-time borrow check cannot fail.
+#[derive(Debug, Clone)]
 pub struct Ring<T> {
-    buf: Box<[Slot<T>]>,
-    mask: usize,
-    head: AtomicUsize,
-    tail: AtomicUsize,
+    queue: RefCell<VecDeque<T>>,
+    capacity: usize,
 }
-
-// SAFETY: the per-slot sequence protocol guarantees a value is only read by
-// the one consumer that claimed the slot and only written by the one producer
-// that claimed it, so sending values across threads is sound whenever the
-// values themselves are sendable.
-unsafe impl<T: Send> Send for Ring<T> {}
-// SAFETY: same protocol as above — every shared-slot access through `&Ring`
-// is mediated by the sequence counters, so shared references may cross
-// threads too.
-unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
-    /// Creates a ring holding at least `capacity` elements (rounded up to a
+    /// Creates a ring holding at most `capacity` elements (rounded up to a
     /// power of two, minimum 2).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let buf = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let capacity = capacity.max(2).next_power_of_two();
         Self {
-            buf,
-            mask: cap - 1,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
+            queue: RefCell::new(VecDeque::with_capacity(capacity)),
+            capacity,
         }
     }
 
-    /// Number of slots in the ring.
+    /// Most elements the ring holds at once.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
     }
 
-    /// Snapshot of the number of queued elements. Exact when quiescent,
-    /// approximate while producers/consumers are live.
+    /// Number of queued elements.
     pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
+        self.queue.borrow().len()
     }
 
-    /// Whether the ring currently holds no elements (see [`Self::len`]).
+    /// Whether the ring currently holds no elements.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Attempts to enqueue `value`; returns it back when the ring is full.
     pub fn push(&self, value: T) -> Result<(), T> {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.buf[tail & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            // seq == tail: slot free for this lap. seq < tail: the consumer
-            // of the previous lap hasn't released it — ring is full.
-            match seq.wrapping_sub(tail) as isize {
-                0 => {
-                    match self.tail.compare_exchange_weak(
-                        tail,
-                        tail.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the CAS gave this producer exclusive
-                            // ownership of the slot until the seq store below.
-                            slot.value.with_mut(|p| unsafe { (*p).write(value) });
-                            slot.seq.store(tail.wrapping_add(1), publish_ordering());
-                            return Ok(());
-                        }
-                        Err(current) => tail = current,
-                    }
-                }
-                diff if diff < 0 => return Err(value),
-                _ => tail = self.tail.load(Ordering::Relaxed),
-            }
+        let mut queue = self.queue.borrow_mut();
+        if queue.len() == self.capacity {
+            return Err(value);
         }
+        queue.push_back(value);
+        Ok(())
     }
 
     /// Attempts to dequeue the oldest element.
     pub fn pop(&self) -> Option<T> {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.buf[head & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            // seq == head + 1: slot filled for this lap. seq <= head: the
-            // producer hasn't published it yet — ring is empty at this head.
-            match seq.wrapping_sub(head.wrapping_add(1)) as isize {
-                0 => {
-                    match self.head.compare_exchange_weak(
-                        head,
-                        head.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: the CAS gave this consumer exclusive
-                            // ownership of the filled slot, and the acquire
-                            // load of `seq` above ordered the producer's
-                            // write before this read.
-                            let value = slot.value.with(|p| unsafe { (*p).assume_init_read() });
-                            slot.seq.store(
-                                head.wrapping_add(self.mask).wrapping_add(1),
-                                release_ordering(),
-                            );
-                            return Some(value);
-                        }
-                        Err(current) => head = current,
-                    }
-                }
-                diff if diff < 0 => return None,
-                _ => head = self.head.load(Ordering::Relaxed),
-            }
+        self.pop_if(|_| true)
+    }
+
+    /// Dequeues the oldest element iff `due` accepts it — the head gate of a
+    /// FIFO drain: nothing behind a refused head is looked at.
+    pub fn pop_if(&self, due: impl FnOnce(&T) -> bool) -> Option<T> {
+        let mut queue = self.queue.borrow_mut();
+        if due(queue.front()?) {
+            queue.pop_front()
+        } else {
+            None
         }
     }
-}
 
-impl<T> Drop for Ring<T> {
-    fn drop(&mut self) {
-        // Drain any queued values so their destructors run.
-        while self.pop().is_some() {}
-    }
-}
-
-impl<T> std::fmt::Debug for Ring<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ring")
-            .field("len", &self.len())
-            .field("capacity", &self.capacity())
-            .finish()
+    /// Drops every queued element `keep` refuses; the rest keep their order.
+    pub(crate) fn retain_mut(&mut self, keep: impl FnMut(&mut T) -> bool) {
+        self.queue.get_mut().retain_mut(keep);
     }
 }
 
@@ -277,6 +124,27 @@ mod tests {
         }
     }
 
+    #[test]
+    fn pop_if_gates_on_the_head_and_a_clone_keeps_the_bound() {
+        let mut ring = Ring::with_capacity(4);
+        assert_eq!(ring.pop_if(|_| true), None);
+        for v in [5, 1, 2, 6] {
+            ring.push(v).expect("room");
+        }
+        // 1 and 2 would pass, but they queue behind a refused head.
+        assert_eq!(ring.pop_if(|&v| v < 3), None);
+        assert_eq!(ring.pop_if(|&v| v == 5), Some(5));
+        assert_eq!(ring.pop_if(|&v| v < 3), Some(1));
+        let copy = ring.clone();
+        ring.retain_mut(|v| *v != 2);
+        assert_eq!((ring.pop(), ring.pop(), ring.pop()), (Some(6), None, None));
+        assert_eq!((copy.len(), copy.capacity()), (2, 4));
+        copy.push(7).expect("room");
+        copy.push(8).expect("room");
+        assert_eq!(copy.push(9), Err(9));
+        assert_eq!(copy.pop(), Some(2));
+    }
+
     /// Seeded single-threaded model check: the ring must agree with a
     /// `VecDeque` under an arbitrary interleaving of pushes and pops,
     /// including full/empty boundary behaviour.
@@ -314,7 +182,7 @@ mod tests {
 
     #[test]
     fn drop_runs_destructors_of_queued_values() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         static DROPS: AtomicUsize = AtomicUsize::new(0);
         struct Counted;
         impl Drop for Counted {
@@ -331,68 +199,5 @@ mod tests {
             drop(ring.pop());
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 5);
-    }
-
-    /// Seeded-interleaving concurrency check (the shim-equivalent of a loom
-    /// test): several producers race a consumer through the shimmed rayon
-    /// `scope`, with per-thread seeded yield patterns perturbing the
-    /// interleaving. Every value must arrive exactly once and values from one
-    /// producer must stay in that producer's push order.
-    #[test]
-    fn multi_producer_exactly_once_and_per_producer_fifo() {
-        const PRODUCERS: u64 = 4;
-        const PER_PRODUCER: u64 = 500;
-        for seed in 0..3u64 {
-            let ring = Ring::with_capacity(16);
-            let mut received: Vec<u64> = Vec::with_capacity((PRODUCERS * PER_PRODUCER) as usize);
-            rayon::scope(|s| {
-                for p in 0..PRODUCERS {
-                    let ring = &ring;
-                    s.spawn(move |_| {
-                        let mut rng = ChaCha8Rng::seed_from_u64(seed * 31 + p);
-                        for i in 0..PER_PRODUCER {
-                            let mut value = p << 32 | i;
-                            loop {
-                                match ring.push(value) {
-                                    Ok(()) => break,
-                                    Err(back) => value = back,
-                                }
-                                std::thread::yield_now();
-                            }
-                            if rng.gen_bool(0.3) {
-                                std::thread::yield_now();
-                            }
-                        }
-                    });
-                }
-                // Single consumer drains concurrently with the producers.
-                let want = (PRODUCERS * PER_PRODUCER) as usize;
-                while received.len() < want {
-                    match ring.pop() {
-                        Some(v) => received.push(v),
-                        None => std::thread::yield_now(),
-                    }
-                }
-            });
-            assert!(ring.is_empty());
-            // Exactly-once: every (producer, index) pair appears once.
-            let mut sorted = received.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), received.len(), "duplicate delivery");
-            assert_eq!(received.len(), (PRODUCERS * PER_PRODUCER) as usize);
-            // Per-producer FIFO: indices within one producer arrive ordered.
-            for p in 0..PRODUCERS {
-                let idxs: Vec<u64> = received
-                    .iter()
-                    .filter(|v| *v >> 32 == p)
-                    .map(|v| *v & 0xffff_ffff)
-                    .collect();
-                assert!(
-                    idxs.windows(2).all(|w| w[0] < w[1]),
-                    "producer {p} reordered"
-                );
-            }
-        }
     }
 }

@@ -7,7 +7,6 @@ use crate::ServeError;
 use rayon::prelude::*;
 use splitbeam::fused::{QuantizedTail, TailWeights};
 use splitbeam::model::SplitBeamModel;
-use splitbeam::quantization::QuantizedFeedback;
 use std::sync::Arc;
 use wifi_phy::precoding::BeamformingFeedback;
 
@@ -180,7 +179,10 @@ impl ApServer {
             models: Vec::new(),
             tails: Vec::new(),
             tail_weights: TailWeights::F32,
-            shards: vec![ShardCore::default(); num_shards.max(1)],
+            // Built one by one: a cloned lane's ring is not sized up front.
+            shards: std::iter::repeat_with(ShardCore::default)
+                .take(num_shards.max(1))
+                .collect(),
             round: 0,
             max_idle_rounds: None,
             capacity: None,
@@ -300,7 +302,8 @@ impl ApServer {
             .map_err(|rejected| ServeError::DuplicateStation(rejected.id()))
     }
 
-    /// Removes a station's session (disassociation). The id can be registered
+    /// Removes a station's session (disassociation), along with any frames
+    /// it still has queued on a streaming lane. The id can be registered
     /// again afterwards with a completely fresh session.
     ///
     /// # Errors
@@ -312,14 +315,15 @@ impl ApServer {
     /// Releases station `id` for a fleet handoff, returning its full session
     /// state (pending payload, feedback history, health and staleness
     /// clocks) for the target AP to adopt. Unlike deregistration, nothing is
-    /// reset.
+    /// reset. Frames still queued on a streaming lane do not travel: they
+    /// are dropped here and the session leaves with none in flight, so the
+    /// station's retransmission is accepted at the target.
     ///
     /// # Errors
     /// [`ServeError::UnknownStation`] when the id is not registered.
     pub fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
         self.shard_mut(id)
-            .sessions
-            .remove(id)
+            .remove_session(id)
             .ok_or(ServeError::UnknownStation(id))
     }
 
@@ -423,20 +427,6 @@ impl ApServer {
     ) -> Result<usize, ServeError> {
         let shard = self.shard_of(id);
         self.shards[shard].ingest_wire(&self.models, id, frame, stamp, self.round, self.streaming)
-    }
-
-    /// Ingests an already-decoded payload (in-process stations, tests).
-    ///
-    /// # Errors
-    /// Same validation as [`ApServer::ingest_wire`].
-    pub fn ingest_payload(
-        &mut self,
-        id: StationId,
-        payload: QuantizedFeedback,
-        wire_bytes: usize,
-    ) -> Result<usize, ServeError> {
-        let shard = self.shard_of(id);
-        self.shards[shard].ingest_payload(&self.models, id, payload, wire_bytes, self.round)
     }
 
     /// The health thresholds applied to every session.
@@ -729,7 +719,6 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-    use splitbeam::quantization::quantize_bottleneck;
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
     #[test]
@@ -798,10 +787,17 @@ mod tests {
             server.ingest_wire(7, &narrow),
             Err(ServeError::Codec(_))
         ));
-        // Wrong bottleneck width.
-        let short = quantize_bottleneck(&[0.5; 3], 8);
+        // Wrong bottleneck width: a frame from a model of another
+        // compression level.
+        let other = SplitBeamModel::new(
+            SplitBeamConfig::new(
+                MimoConfig::symmetric(2, Bandwidth::Mhz20),
+                CompressionLevel::OneQuarter,
+            ),
+            &mut ChaCha8Rng::seed_from_u64(2),
+        );
         assert!(matches!(
-            server.ingest_payload(7, short, 10),
+            server.ingest_wire(7, &station_frame(&other, 3, 8)),
             Err(ServeError::Codec(_))
         ));
         // Valid frame; a second one in the same round replaces the first.

@@ -312,6 +312,11 @@ impl StationSession {
         self.stream_inflight = self.stream_inflight.saturating_sub(1);
     }
 
+    /// The session is leaving its shard and its queued frames were purged.
+    pub(crate) fn clear_stream_inflight(&mut self) {
+        self.stream_inflight = 0;
+    }
+
     /// Current link-health state of this session.
     pub fn health(&self) -> SessionHealth {
         self.health

@@ -90,7 +90,7 @@ const DEFAULT_STREAM_CAPACITY: usize = 256;
 
 /// One decoded frame queued in a shard's streaming ring, awaiting its
 /// watermark commit.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StreamFrame {
     id: StationId,
     payload: QuantizedFeedback,
@@ -129,16 +129,12 @@ impl ServePass {
     }
 }
 
-/// One shard's streaming state: the bounded lock-free ingest ring, a
-/// one-frame stash for FIFO head-gated commits, a freelist of recycled
-/// payload buffers (steady-state streaming ingest allocates nothing), and
-/// the round's micro-close accumulator.
-#[derive(Debug)]
+/// One shard's streaming state: the bounded ingest ring, a freelist of
+/// recycled payload buffers (steady-state streaming ingest allocates
+/// nothing), and the round's micro-close accumulator.
+#[derive(Debug, Clone)]
 pub(crate) struct StreamLane {
     ring: Ring<StreamFrame>,
-    /// The first not-yet-due frame popped by a commit pass; commits are
-    /// FIFO head-gated, so nothing behind it commits either.
-    stash: Option<StreamFrame>,
     free: Vec<QuantizedFeedback>,
     /// Everything this round's watermark micro-closes served so far.
     acc: ServePass,
@@ -149,31 +145,28 @@ impl StreamLane {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         Self {
             ring: Ring::with_capacity(capacity),
-            stash: None,
             free: Vec::new(),
             acc: ServePass::default(),
             micro_closes: 0,
         }
     }
 
-    fn queued(&self) -> usize {
-        self.ring.len() + usize::from(self.stash.is_some())
+    /// Drops every queued frame of station `id`, recycling its buffer.
+    fn purge(&mut self, id: StationId) {
+        let Self { ring, free, .. } = self;
+        ring.retain_mut(|frame| {
+            let keep = frame.id != id;
+            if !keep {
+                free.push(std::mem::replace(&mut frame.payload, empty_payload()));
+            }
+            keep
+        });
     }
 }
 
 impl Default for StreamLane {
     fn default() -> Self {
         Self::with_capacity(DEFAULT_STREAM_CAPACITY)
-    }
-}
-
-impl Clone for StreamLane {
-    /// Cloning a serving core clones the lane *empty* (same capacity): the
-    /// ring is a synchronization structure, not data to duplicate. Servers
-    /// are only cloned quiescent (between rounds), where the lane holds
-    /// nothing anyway.
-    fn clone(&self) -> Self {
-        Self::with_capacity(self.ring.capacity())
     }
 }
 
@@ -327,28 +320,6 @@ impl ShardCore {
         Ok(frame.len())
     }
 
-    pub(crate) fn ingest_payload(
-        &mut self,
-        models: &[Arc<SplitBeamModel>],
-        id: StationId,
-        payload: QuantizedFeedback,
-        wire_bytes: usize,
-        round: u64,
-    ) -> Result<usize, ServeError> {
-        let session = self
-            .sessions
-            .get_mut(id)
-            .ok_or(ServeError::UnknownStation(id))?;
-        if session.is_quarantined(round) {
-            return Err(ServeError::Quarantined(id));
-        }
-        Self::validate_payload(models, session, &payload)?;
-        session.store_payload(&payload, FrameStamp::default(), 0);
-        session.note_clean_ingest();
-        session.record_ingest(wire_bytes);
-        Ok(wire_bytes)
-    }
-
     /// Shared ingest validation: announced quantizer width and bottleneck
     /// dimension must match the session.
     fn validate_payload(
@@ -372,6 +343,19 @@ impl ShardCore {
             )));
         }
         Ok(())
+    }
+
+    /// Removes station `id`'s session, and with it the frames the station
+    /// still has queued on the lane: they belong to the association that is
+    /// ending, so a later registration of the same id must not inherit them
+    /// and a released session must not leave counting frames nobody holds.
+    pub(crate) fn remove_session(&mut self, id: StationId) -> Option<StationSession> {
+        let mut session = self.sessions.remove(id)?;
+        if session.stream_inflight() > 0 {
+            self.lane.purge(id);
+            session.clear_stream_inflight();
+        }
+        Some(session)
     }
 
     pub(crate) fn pending_count(&self) -> usize {
@@ -670,18 +654,15 @@ impl ShardCore {
     /// ingest. Stops at the first frame still ahead of the watermark (head-
     /// gated: later frames wait even if individually due, preserving order).
     fn commit_due(&mut self, watermark_ns: u64) {
-        while let Some(frame) = self.lane.stash.take().or_else(|| self.lane.ring.pop()) {
-            if frame.stamp.arrival_ns > watermark_ns {
-                self.lane.stash = Some(frame);
-                break;
-            }
-            // A station deregistered with frames still in flight drops the
-            // frame; its buffer is recycled either way.
-            if let Some(session) = self.sessions.get_mut(frame.id) {
+        let Self { lane, sessions, .. } = self;
+        while let Some(frame) = lane.ring.pop_if(|f| f.stamp.arrival_ns <= watermark_ns) {
+            // Removing a session purges its queued frames, so the lookup
+            // finds the association that sent this one.
+            if let Some(session) = sessions.get_mut(frame.id) {
                 session.store_payload(&frame.payload, frame.stamp, frame.seq);
                 session.dec_stream_inflight();
             }
-            self.lane.free.push(frame.payload);
+            lane.free.push(frame.payload);
         }
     }
 
@@ -729,7 +710,7 @@ impl ShardCore {
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
     ) {
-        let queued = self.lane.queued() > 0;
+        let queued = !self.lane.ring.is_empty();
         self.commit_due(u64::MAX);
         let last = self.serve_pending(engine, round, policy, lag_ns);
         let mut pass = std::mem::take(&mut self.lane.acc);

@@ -34,9 +34,18 @@ pub struct FrameStamp {
 }
 
 impl FrameStamp {
-    /// Total end-to-end delay of this report: head + queue + air + tail.
+    /// The legs that already happened when the frame arrived, saturating:
+    /// the legs are caller-chosen `u64`s (a jitter draw, a stall).
+    fn past_legs_ns(&self) -> u64 {
+        self.head_ns
+            .saturating_add(self.queue_ns)
+            .saturating_add(self.air_ns)
+    }
+
+    /// Total end-to-end delay of this report: head + queue + air + tail,
+    /// saturating at `u64::MAX` (which every policy classifies expired).
     pub fn total_ns(&self) -> u64 {
-        self.head_ns + self.queue_ns + self.air_ns + self.tail_ns
+        self.past_legs_ns().saturating_add(self.tail_ns)
     }
 
     /// Virtual time the report's sounding was born: arrival minus every leg
@@ -45,15 +54,15 @@ impl FrameStamp {
     /// stable across delivery attempts — the streaming watermark closer keys
     /// its per-frame deadline off this.
     pub fn birth_ns(&self) -> VirtualNs {
-        self.arrival_ns
-            .saturating_sub(self.head_ns + self.queue_ns + self.air_ns)
+        self.arrival_ns.saturating_sub(self.past_legs_ns())
     }
 
     /// The stamp with `extra` nanoseconds of additional queueing (e.g. a
-    /// stalled shard sitting on the frame before serving it). Identity at 0.
+    /// stalled shard sitting on the frame before serving it), saturating.
+    /// Identity at 0.
     pub fn with_extra_queue(&self, extra: u64) -> Self {
         Self {
-            queue_ns: self.queue_ns + extra,
+            queue_ns: self.queue_ns.saturating_add(extra),
             ..*self
         }
     }
@@ -153,27 +162,31 @@ pub struct RoundDelayStats {
 }
 
 impl RoundDelayStats {
-    /// Folds one served report's stamp into the stats.
+    /// Folds one served report's stamp into the stats. The sums saturate,
+    /// like the stamp's own.
     pub fn record(&mut self, stamp: &FrameStamp) {
-        self.head_ns += stamp.head_ns;
-        self.queue_ns += stamp.queue_ns;
-        self.air_ns += stamp.air_ns;
-        self.tail_ns += stamp.tail_ns;
+        self.head_ns = self.head_ns.saturating_add(stamp.head_ns);
+        self.queue_ns = self.queue_ns.saturating_add(stamp.queue_ns);
+        self.air_ns = self.air_ns.saturating_add(stamp.air_ns);
+        self.tail_ns = self.tail_ns.saturating_add(stamp.tail_ns);
         self.worst_e2e_ns = self.worst_e2e_ns.max(stamp.total_ns());
     }
 
     /// Merges another shard's stats into this one.
     pub fn merge(&mut self, other: &RoundDelayStats) {
-        self.head_ns += other.head_ns;
-        self.queue_ns += other.queue_ns;
-        self.air_ns += other.air_ns;
-        self.tail_ns += other.tail_ns;
+        self.head_ns = self.head_ns.saturating_add(other.head_ns);
+        self.queue_ns = self.queue_ns.saturating_add(other.queue_ns);
+        self.air_ns = self.air_ns.saturating_add(other.air_ns);
+        self.tail_ns = self.tail_ns.saturating_add(other.tail_ns);
         self.worst_e2e_ns = self.worst_e2e_ns.max(other.worst_e2e_ns);
     }
 
     /// Summed total delay across all legs.
     pub fn total_ns(&self) -> u64 {
-        self.head_ns + self.queue_ns + self.air_ns + self.tail_ns
+        self.head_ns
+            .saturating_add(self.queue_ns)
+            .saturating_add(self.air_ns)
+            .saturating_add(self.tail_ns)
     }
 
     /// Mean end-to-end delay in seconds over `served` reports (0 when none).
@@ -278,6 +291,43 @@ mod tests {
         assert_eq!(policy.classify(lagged.total_ns()), FrameClass::Late);
         // Service deadline: birth (arrival − past legs) + budget.
         assert_eq!(policy.service_deadline_ns(&stamp), 10_000_000);
+    }
+
+    /// The legs are caller-chosen `u64`s: every sum over them saturates at
+    /// the end of time (and is the plain sum below it — the other tests).
+    #[test]
+    fn stamp_and_stats_sums_saturate() {
+        const MAX: u64 = u64::MAX;
+        // (head, queue, air, tail, extra queue) -> (total, birth from MAX)
+        let rows = [
+            ([MAX, 0, 0, 1], 0, MAX, 0),
+            ([1, MAX, 0, 0], 0, MAX, 0),
+            ([MAX / 2, MAX / 2, 2, 0], 0, MAX, 0),
+            ([1, 2, 3, MAX], 0, MAX, MAX - 6),
+            ([1, 2, 3, 4], MAX, MAX, 0),
+            ([1, 2, 3, 4], MAX - 10, MAX, 4),
+            ([1, 2, 3, 4], MAX - 11, MAX - 1, 5),
+            ([1, 2, 3, 4], 5, 15, MAX - 11),
+        ];
+        let mut stats = RoundDelayStats::default();
+        for ([head_ns, queue_ns, air_ns, tail_ns], extra, total, birth) in rows {
+            let stamp = FrameStamp {
+                arrival_ns: MAX,
+                head_ns,
+                queue_ns,
+                air_ns,
+                tail_ns,
+            }
+            .with_extra_queue(extra);
+            assert_eq!((stamp.total_ns(), stamp.birth_ns()), (total, birth));
+            stats.record(&stamp);
+        }
+        let mut merged = stats;
+        merged.merge(&stats);
+        for s in [stats, merged] {
+            assert_eq!((s.head_ns, s.queue_ns, s.worst_e2e_ns), (MAX, MAX, MAX));
+            assert_eq!(s.total_ns(), MAX);
+        }
     }
 
     #[test]

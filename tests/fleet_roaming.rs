@@ -11,7 +11,9 @@
 use splitbeam::model::SplitBeamModel;
 use splitbeam::TailWeights;
 use splitbeam_serve::server::ApServer;
-use splitbeam_serve::{Fleet, FleetConfig, ServeError, SessionHealth, StationSession};
+use splitbeam_serve::{
+    DeadlinePolicy, Fleet, FleetConfig, FrameStamp, ServeError, SessionHealth, StationSession,
+};
 use splitbeam_testkit::{small_model as model, station_frame};
 
 /// Two APs with the same model, plus a never-roamed control. All three tick
@@ -220,27 +222,89 @@ fn double_handoff_back_to_origin(weights: TailWeights) {
     assert_eq!(net.b.num_stations(), 0);
 }
 
+/// Every way an adoption can be refused — a model key the target does not
+/// have, the id already associated there, the target at its station cap —
+/// reports its error and hands back the session exactly as it was released
+/// (pending payload, feedback, health, stamps: every field, by its `Debug`
+/// form), so restoring it at the source leaves no trace of the attempt.
 #[test]
 fn failed_adoption_returns_the_session_for_restore() {
     let m = model(39);
-    let mut a = ApServer::new();
-    let key = a.register_model(m.clone());
-    a.register_station(1, key, 4).unwrap();
-    a.ingest_wire(1, &station_frame(&m, 95, 4)).unwrap();
-    a.process_round().unwrap();
-    let served = a.feedback_of(1).unwrap().to_vec();
+    let policy = Some(DeadlinePolicy::eq7d());
+    let stamp = FrameStamp {
+        arrival_ns: 3_000_000,
+        head_ns: 1_000_000,
+        queue_ns: 500_000,
+        air_ns: 250_000,
+        tail_ns: 125_000,
+    };
+    let with_model = || {
+        let mut server = ApServer::new();
+        server.register_model(m.clone());
+        server
+    };
+    let targets: [(&str, ApServer, ServeError); 3] = [
+        (
+            "unknown model key",
+            ApServer::new(),
+            ServeError::UnknownModel(0),
+        ),
+        (
+            "duplicate id",
+            {
+                let mut target = with_model();
+                target.register_station(1, 0, 4).unwrap();
+                target
+            },
+            ServeError::DuplicateStation(1),
+        ),
+        (
+            "at capacity",
+            {
+                let mut target = with_model();
+                target.register_station(2, 0, 4).unwrap();
+                target.set_capacity(Some(1));
+                target
+            },
+            ServeError::CapacityExceeded(1, 1),
+        ),
+    ];
+    for (row, mut target, want) in targets {
+        // A session with something in every corner: served once under a
+        // policy (feedback + its stamp), one corrupt frame on its health
+        // record, and a stamped payload pending for the open round.
+        let [mut a, mut control] = [with_model(), with_model()];
+        let mut damaged = station_frame(&m, 95, 4);
+        damaged[20] ^= 0x10;
+        for server in [&mut a, &mut control] {
+            server.register_station(1, 0, 4).unwrap();
+            let first = station_frame(&m, 95, 4);
+            server.ingest_wire_at(1, &first, stamp).unwrap();
+            server.close(policy).unwrap();
+            assert!(server.ingest_wire(1, &damaged).is_err());
+            let second = station_frame(&m, 96, 4);
+            server.ingest_wire_at(1, &second, stamp).unwrap();
+        }
 
-    // The target has no models: adoption must fail and hand the session
-    // back instead of dropping the station.
-    let mut empty = ApServer::new();
-    let session = a.release_station(1).unwrap();
-    let (session, err): (StationSession, ServeError) =
-        empty.adopt_station(session, key).unwrap_err();
-    assert_eq!(err, ServeError::UnknownModel(key));
+        let session = a.release_station(1).unwrap();
+        let released = format!("{session:?}");
+        let stations_at_target = target.station_ids();
+        let (session, err): (StationSession, ServeError) =
+            target.adopt_station(session, 0).unwrap_err();
+        assert_eq!(err, want, "{row}");
+        assert_eq!(format!("{session:?}"), released, "{row}");
+        assert_eq!(target.station_ids(), stations_at_target, "{row}");
 
-    // Restore at the source: the station is whole again, feedback intact.
-    a.adopt_station(session, key).map_err(|(_, e)| e).unwrap();
-    assert_eq!(a.feedback_of(1).unwrap(), served.as_slice());
+        // Restore at the source: indistinguishable from never having left.
+        a.adopt_station(session, 0).map_err(|(_, e)| e).unwrap();
+        assert_eq!(
+            format!("{:?}", a.session(1).unwrap()),
+            format!("{:?}", control.session(1).unwrap()),
+            "{row}"
+        );
+        assert_eq!(a.close(policy), control.close(policy), "{row}");
+        assert_eq!(a.feedback_of(1), control.feedback_of(1), "{row}");
+    }
 }
 
 /// The fleet cell: two BSSs on ONE channel, every frame ready at the round

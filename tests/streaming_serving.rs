@@ -1,12 +1,14 @@
 //! Behaviour only the streaming close has: a stalled shard stays isolated
 //! (the barrier couples everyone to it), empty shards fold into the round
-//! like the barrier's, a full ring pushes back, and staggered births close
-//! in separate micro-batches. (That streaming serves what the barrier serves
-//! is `close_matrix.rs` and the `event_serving.rs` table.)
+//! like the barrier's, a full ring pushes back, staggered births close in
+//! separate micro-batches, and a queued frame ends with the association
+//! that sent it. (That streaming serves what the barrier serves is
+//! `close_matrix.rs` and the `event_serving.rs` table.)
 
 use splitbeam_repro::prelude::*;
 use splitbeam_repro::serve::ServeError;
-use splitbeam_testkit::{small_model as model, station_frame};
+use splitbeam_repro::splitbeam::wire::encode_feedback_with_seq;
+use splitbeam_testkit::{small_model as model, station_frame, station_payload};
 
 fn shards_with_traffic(server: &ApServer) -> usize {
     server
@@ -179,11 +181,18 @@ fn full_ring_rejects_with_backpressure() {
         "a rejected ingest must not touch session counters"
     );
 
-    // The queued frames still serve normally: last committed wins.
+    // The queued frames still serve normally, committed in arrival order:
+    // the later one wins, as it does under lockstep ingest.
     let summary = server.close(None).unwrap();
     assert_eq!(summary.served, 1);
     assert_eq!(server.session(7).unwrap().stream_inflight(), 0);
-    assert!(server.feedback_of(7).is_some());
+    let mut lockstep = ApServer::new();
+    let key = lockstep.register_model(m.clone());
+    lockstep.register_station(7, key, bits).unwrap();
+    let later = station_frame(&m, 6001, bits);
+    lockstep.ingest_wire(7, &later).unwrap();
+    lockstep.process_round().unwrap();
+    assert_eq!(server.feedback_of(7), lockstep.feedback_of(7));
 }
 
 /// A genuinely streaming round: two reports with staggered births close in
@@ -233,4 +242,114 @@ fn staggered_births_close_in_multiple_micro_batches() {
     assert_eq!(summary.batches, 2);
     assert_eq!(summary.on_time, 2);
     assert!(server.feedback_of(1).is_some());
+}
+
+/// A frame still queued when its station deregisters goes with the session:
+/// the id's next association starts blank under streaming exactly as it does
+/// under the barrier, instead of being served the old association's report.
+#[test]
+fn reregistration_does_not_inherit_the_old_associations_queued_frame() {
+    let m = model(601);
+    let bits = 4u8;
+    let stamp = FrameStamp {
+        arrival_ns: 1_000_000,
+        ..FrameStamp::default()
+    };
+    for streaming in [false, true] {
+        let mut server = ApServer::with_shards(2);
+        let key = server.register_model(m.clone());
+        server.set_streaming(streaming);
+        for id in [5u64, 7] {
+            server.register_station(id, key, bits).unwrap();
+            let frame = station_frame(&m, 8000 + id, bits);
+            server.ingest_wire_at(id, &frame, stamp).unwrap();
+        }
+        server.deregister_station(5).unwrap();
+        server.register_station(5, key, bits).unwrap();
+        server.advance_watermark(2_000_000, 1_000_000, None);
+
+        // Station 7 (same shard, queued behind 5's frame) is untouched.
+        assert_eq!(server.pending_count(), 1, "streaming={streaming}");
+        let session = server.session(5).unwrap();
+        assert!(!session.has_pending(), "streaming={streaming}");
+        assert_eq!(session.payloads_ingested(), 0);
+        assert_eq!(session.stream_inflight(), 0);
+        let summary = server.close(None).unwrap();
+        assert_eq!(
+            (summary.served, summary.awaiting_first_report),
+            (1, 1),
+            "streaming={streaming}"
+        );
+        assert!(server.feedback_of(5).is_none());
+        assert!(server.feedback_of(7).is_some());
+    }
+}
+
+/// A session released for a handoff leaves its queued frame behind and
+/// carries no in-flight count for it, so the station's retransmission of
+/// that sequence number is accepted — and served — at the adopting AP.
+#[test]
+fn handoff_retransmission_of_a_queued_frame_is_accepted_at_the_target() {
+    let m = model(701);
+    let bits = 4u8;
+    let frame = encode_feedback_with_seq(&station_payload(&m, 9000, bits), 7).unwrap();
+    let [mut source, mut target] = [(); 2].map(|()| {
+        let mut server = ApServer::new();
+        server.register_model(m.clone());
+        server.set_streaming(true);
+        server
+    });
+    source.register_station(9, 0, bits).unwrap();
+    source.ingest_wire(9, &frame).unwrap();
+    assert_eq!(
+        source.ingest_wire(9, &frame),
+        Err(ServeError::DuplicateFrame(9, 7)),
+        "queued, so a duplicate at the source"
+    );
+
+    let session = source.release_station(9).unwrap();
+    assert_eq!(session.stream_inflight(), 0);
+    assert!(!session.has_pending());
+    target
+        .adopt_station(session, 0)
+        .map_err(|(_, e)| e)
+        .unwrap();
+    assert_eq!(target.ingest_wire(9, &frame), Ok(frame.len()));
+    assert_eq!(target.close(None).unwrap().served, 1);
+    assert!(target.feedback_of(9).is_some());
+    // Nothing of station 9 stayed behind on the source's lane.
+    assert_eq!(source.close(None).unwrap().served, 0);
+    assert!(!source.shard_round_stats()[0].had_traffic);
+}
+
+/// Stalls are caller-chosen `u64`s: a shard stalled to the end of time
+/// serves its reports with a saturated delay, it does not overflow it.
+#[test]
+fn an_endless_stall_saturates_the_delay_books() {
+    let m = model(801);
+    let bits = 4u8;
+    let mut server = ApServer::with_shards(2);
+    let key = server.register_model(m.clone());
+    let stamp = FrameStamp {
+        arrival_ns: 4_000_000,
+        head_ns: 1_000_000,
+        queue_ns: 1_000_000,
+        air_ns: 1_000_000,
+        tail_ns: 500_000,
+    };
+    // Two reports on the stalled shard, one on the other: under the barrier
+    // all three pay the stall, so both the per-shard sums and their merge
+    // run past `u64::MAX`.
+    for id in 0..3u64 {
+        server.register_station(id, key, bits).unwrap();
+        let frame = station_frame(&m, 8100 + id, bits);
+        server.ingest_wire_at(id, &frame, stamp).unwrap();
+    }
+    server.set_shard_stall_ns(0, u64::MAX);
+    let summary = server.close(None).unwrap();
+    assert_eq!((summary.served, summary.on_time), (3, 3));
+    assert_eq!(summary.delay.head_ns, 3_000_000);
+    assert_eq!(summary.delay.queue_ns, u64::MAX);
+    assert_eq!(summary.delay.worst_e2e_ns, u64::MAX);
+    assert_eq!(summary.delay.total_ns(), u64::MAX);
 }
