@@ -111,12 +111,13 @@ impl<'a> BitReader<'a> {
     /// returns `None` (consuming nothing) when the stream holds fewer than
     /// `bits * count` remaining bits.
     ///
-    /// Decodes through a 64-bit accumulator refilled a byte at a time — one
-    /// shift-and-mask per code instead of [`BitReader::pull`]'s per-call
-    /// bounds check and chunk loop. This is the AP's per-frame payload
-    /// decode: hundreds of codes per frame, every frame, so the per-code
-    /// constant dominates ingest cost. Produces exactly the values the
-    /// equivalent `pull` sequence would.
+    /// Decodes eight bytes at a time: one big-endian load yields every code
+    /// sure to end inside it (14 at 4 bits) by rotates alone, stored by index
+    /// into a destination grown once up front — against
+    /// [`BitReader::pull`]'s per-call bounds check and chunk loop. This is
+    /// the AP's per-frame payload decode: hundreds of codes per frame, every
+    /// frame, so the per-code constant dominates ingest cost. Produces
+    /// exactly the values the equivalent `pull` sequence would.
     ///
     /// # Panics
     /// When `bits` lies outside `1..=16` — wider codes don't fit the `u16`
@@ -126,35 +127,42 @@ impl<'a> BitReader<'a> {
             (1..=16).contains(&bits),
             "BitReader::pull_u16s_into of {bits}-bit codes (supported: 1..=16)"
         );
-        let total = bits as usize * count;
-        if self.bit_pos + total > self.data.len() * 8 {
+        let bits = bits as usize;
+        if self.bit_pos + bits * count > self.data.len() * 8 {
             return None;
         }
-        out.reserve(count);
-        let mut byte_idx = self.bit_pos / 8;
-        let mut acc: u64 = 0;
-        let mut nacc: u32 = 0;
-        let offset = (self.bit_pos % 8) as u32;
-        if offset != 0 {
-            // Seed with the unread low bits of the current partial byte.
-            acc = u64::from(self.data[byte_idx]) & ((1u64 << (8 - offset)) - 1);
-            nacc = 8 - offset;
-            byte_idx += 1;
-        }
-        let mask = (1u32 << bits) - 1;
-        for _ in 0..count {
-            // nacc stays below bits + 8 <= 24, so the accumulator never
-            // sheds live bits, and the length check above keeps every
-            // refill in bounds.
-            while nacc < bits {
-                acc = (acc << 8) | u64::from(self.data[byte_idx]);
-                byte_idx += 1;
-                nacc += 8;
+        let start = out.len();
+        out.resize(start + count, 0);
+        let mask = (1u64 << bits) - 1;
+        // The codes that end inside a window whatever bit of its first byte
+        // they start at: a constant, where the exact count would cost a
+        // division a window.
+        let per_window = (64 - 7) / bits;
+        let mut codes = &mut out[start..];
+        while !codes.is_empty() {
+            let (byte, offset) = (self.bit_pos / 8, self.bit_pos % 8);
+            let window = match self.data.get(byte..byte + 8) {
+                Some(window) => window.try_into().expect("an 8-byte slice"),
+                // The stream's last seven bytes or fewer, zero-extended: the
+                // length check above keeps every code inside the real ones.
+                None => {
+                    let mut window = [0u8; 8];
+                    window[..self.data.len() - byte].copy_from_slice(&self.data[byte..]);
+                    window
+                }
+            };
+            let mut word = u64::from_be_bytes(window) << offset;
+            let whole = per_window.min(codes.len());
+            let (now, later) = codes.split_at_mut(whole);
+            for code in now {
+                // Rotating the next code down to bit 0 is one variable-count
+                // instruction a code; shifting it out and down would be two.
+                word = word.rotate_left(bits as u32);
+                *code = (word & mask) as u16;
             }
-            nacc -= bits;
-            out.push(((acc >> nacc) as u32 & mask) as u16);
+            self.bit_pos += whole * bits;
+            codes = later;
         }
-        self.bit_pos += total;
         Some(())
     }
 
@@ -167,6 +175,7 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn writer_reader_roundtrip() {
@@ -196,27 +205,38 @@ mod tests {
         assert_eq!(w.finish(), vec![0b1110_0000]);
     }
 
-    #[test]
-    fn bulk_pull_matches_single_pulls() {
-        // Every width, from both aligned and mid-byte starting positions.
-        let data: Vec<u8> = (0..64)
-            .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
-            .collect();
-        for bits in 1..=16u32 {
-            for lead in [0u32, 3, 8, 13] {
-                let count = (data.len() * 8 - lead as usize) / bits as usize;
-                let mut reference = BitReader::new(&data);
-                reference.pull(lead).unwrap();
-                let expect: Vec<u16> = (0..count)
-                    .map(|_| reference.pull(bits).unwrap() as u16)
-                    .collect();
-                let mut bulk = BitReader::new(&data);
-                bulk.pull(lead).unwrap();
-                let mut got = Vec::new();
-                bulk.pull_u16s_into(bits, count, &mut got).unwrap();
-                assert_eq!(got, expect, "bits {bits} lead {lead}");
-                assert_eq!(bulk.bits_read(), lead as usize + count * bits as usize);
-            }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every width from every starting bit offset, from empty runs to
+        /// ones longer than a frame's, ending flush with the stream or any
+        /// number of bytes before its end (so both the 8-byte window and the
+        /// zero-extended tail are crossed at every phase): bit-equal to the
+        /// `pull` sequence, and leaving the reader where it leaves it.
+        #[test]
+        fn bulk_pull_matches_single_pulls(
+            bits in 1u32..=16,
+            lead in 0u32..=7,
+            count in 0usize..=600,
+            trailing in 0usize..=9,
+            seed in 0u64..u64::MAX,
+        ) {
+            let len = (lead as usize + bits as usize * count).div_ceil(8) + trailing;
+            let data: Vec<u8> = (0..len as u64)
+                .map(|i| (i.wrapping_add(seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+                .collect();
+            let mut reference = BitReader::new(&data);
+            reference.pull(lead).unwrap();
+            let expect: Vec<u16> = (0..count)
+                .map(|_| reference.pull(bits).unwrap() as u16)
+                .collect();
+            let mut bulk = BitReader::new(&data);
+            bulk.pull(lead).unwrap();
+            let mut got = vec![0xBEEF];
+            bulk.pull_u16s_into(bits, count, &mut got).unwrap();
+            prop_assert_eq!(got[0], 0xBEEF, "a bulk pull appends");
+            prop_assert_eq!(&got[1..], &expect[..]);
+            prop_assert_eq!(bulk.bits_read(), reference.bits_read());
         }
     }
 

@@ -43,11 +43,24 @@
 //! A third tier lives in [`int8`]: integer `u8 x i8 -> i32` GEMM arms for
 //! quantized tail weights (AVX-512 VNNI → AVX2 `maddubs` → scalar reference,
 //! all bit-exact with each other), resolved by [`int8::selected_int8`] behind
-//! the same override/environment seam. Blocking parameters for the SIMD arms
-//! come from the one-shot startup probe in [`tune`].
+//! the same override/environment seam, and packed at bind like the f32 tail.
+//! The one-shot startup probe in [`tune`] picks the k-block of the row-major
+//! f32 arm, the only blocking parameter left.
 
 use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
+
+/// Dispatches a run-time row count to the const-generic register tile of a
+/// packed microkernel ([`packed`], [`int8`]).
+#[cfg(target_arch = "x86_64")]
+macro_rules! tile_by_rows {
+    ($tile:ident $args:tt, $mr:expr, [$($rows:literal)*]) => {
+        match $mr {
+            $($rows => $tile::<$rows> $args,)*
+            _ => unreachable!("row tile taller than the register tile"),
+        }
+    };
+}
 
 pub mod int8;
 pub mod packed;

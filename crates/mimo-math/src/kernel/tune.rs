@@ -1,12 +1,14 @@
-//! One-shot startup autotuning of GEMM blocking parameters.
+//! One-shot startup autotuning of the row-major f32 GEMM's k-block.
 //!
-//! The f32 and int8 GEMM arms block their inner-dimension loop so the
-//! streamed weight panel stays cache-resident across the batch, and the int8
-//! arms optionally walk 4-row panels so one loaded weight vector feeds four
-//! accumulators. The best block sizes depend on the host's cache hierarchy,
-//! so instead of hard-coding them this module times a handful of candidates
-//! on a representative tail-shaped GEMM **once per process** (lazily, at the
-//! first dispatched GEMM) and pins the winner.
+//! The row-major f32 arm ([`super::gemm_f32`]: training, the batch-1 head)
+//! blocks its inner-dimension loop so the streamed weight rows stay
+//! cache-resident across the batch. The best block size depends on the
+//! host's cache hierarchy, so instead of hard-coding it this module times a
+//! handful of candidates on a representative GEMM **once per process**
+//! (lazily, at the first dispatched GEMM) and pins the winner. The served
+//! tails read nothing from here: both the f32 and the int8 tier are packed
+//! at bind and hold their tile in registers over the whole depth
+//! ([`super::packed`], [`super::int8`]).
 //!
 //! The shipped [`DEFAULT`] is itself a candidate and the incumbent: a
 //! challenger is pinned only when its best time beats the default's by at
@@ -14,31 +16,31 @@
 //! each other cannot trade places from one process to the next: a host gets
 //! the same blocking every run unless another is clearly faster.
 //!
-//! Autotuning can never change *results*, only speed: the int8 arms
-//! accumulate exact `i32` sums (associative), and the f32 AVX2 arm keeps one
-//! FMA chain per output element whose accumulator round-trips memory
+//! Autotuning can never change *results*, only speed: the f32 AVX2 arm keeps
+//! one FMA chain per output element whose accumulator round-trips memory
 //! losslessly between blocks, so every candidate produces bit-identical
-//! output. The kernel test suite pins both properties.
+//! output. The kernel test suite pins that property.
 
 use std::sync::OnceLock;
 
-/// Blocking parameters shared by the dispatched GEMM arms.
+/// Blocking parameters of the dispatched GEMM arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneParams {
     /// Inner-dimension rows per block of the f32 AVX2 GEMM.
     pub f32_k_block: usize,
-    /// 4-deep k-groups per block of the int8 arms (a block spans
-    /// `4 * int8_group_block` inner-dimension rows).
+    /// Always [`DEFAULT`]'s value: the int8 arms no longer block over `k`.
+    /// Kept, with `int8_panel4`, only because the frozen
+    /// `benchmark/src/host.rs` prints all four fields — remove with the PR
+    /// that owns `benchmark/`.
     pub int8_group_block: usize,
-    /// Whether the int8 arms use the 4-row output panel (one weight load
-    /// feeding four accumulators) or plain row-at-a-time panels.
+    /// Always [`DEFAULT`]'s value; see `int8_group_block`.
     pub int8_panel4: bool,
-    /// `true` when these values came from the startup probe, `false` when
-    /// pinned to the shipped constants (non-SIMD hosts).
+    /// `true` when `f32_k_block` came from the startup probe, `false` when
+    /// pinned to the shipped constant (non-SIMD hosts).
     pub probed: bool,
 }
 
-/// The shipped constants: the blocking the kernels used before autotuning.
+/// The shipped constants.
 pub const DEFAULT: TuneParams = TuneParams {
     f32_k_block: 16,
     int8_group_block: 8,
@@ -58,7 +60,7 @@ pub fn params() -> &'static TuneParams {
 fn compute() -> TuneParams {
     #[cfg(target_arch = "x86_64")]
     {
-        if super::avx2_fma_available() || super::int8::avx2_available() {
+        if super::avx2_fma_available() {
             return probe();
         }
     }
@@ -86,7 +88,7 @@ fn pick(best_ns: &[u128], default_idx: usize) -> usize {
 }
 
 /// Times each candidate on a tail-shaped workload (best of nine runs after a
-/// warm-up) and returns, per arm, the blocking [`pick`] chooses.
+/// warm-up) and returns the blocking [`pick`] chooses.
 #[cfg(target_arch = "x86_64")]
 fn probe() -> TuneParams {
     use std::time::Instant;
@@ -104,107 +106,42 @@ fn probe() -> TuneParams {
     // spend a few extra reps to make the winner stable.
     const REPS: usize = 10;
 
-    let mut best = DEFAULT;
-    best.probed = true;
-
+    const K_BLOCKS: [usize; 4] = [8, 16, 32, 64];
+    let a: Vec<f32> = (0..ROWS * K)
+        .map(|i| ((i % 251) as f32) * 0.01 - 1.2)
+        .collect();
+    let b: Vec<f32> = (0..K * N)
+        .map(|i| ((i % 509) as f32) * 0.004 - 1.0)
+        .collect();
+    let mut out = vec![0.0f32; ROWS * N];
+    let mut candidate_ns = [u128::MAX; K_BLOCKS.len()];
     // Reps are interleaved round-robin across candidates (not candidate by
     // candidate), so frequency scaling or a background burst drifts over
     // every candidate equally instead of handing whichever candidate ran
     // during the quiet window a spuriously fast minimum.
-    if super::avx2_fma_available() {
-        const K_BLOCKS: [usize; 4] = [8, 16, 32, 64];
-        let a: Vec<f32> = (0..ROWS * K)
-            .map(|i| ((i % 251) as f32) * 0.01 - 1.2)
-            .collect();
-        let b: Vec<f32> = (0..K * N)
-            .map(|i| ((i % 509) as f32) * 0.004 - 1.0)
-            .collect();
-        let mut out = vec![0.0f32; ROWS * N];
-        let mut candidate_ns = [u128::MAX; K_BLOCKS.len()];
-        for rep in 0..REPS {
-            for (slot, &k_block) in candidate_ns.iter_mut().zip(&K_BLOCKS) {
-                out.fill(0.0);
-                let t = Instant::now();
-                // SAFETY: this probe only runs after `avx2_fma_available()`
-                // (checked by the caller); the buffers were sized ROWS*K,
-                // K*N and ROWS*N above.
-                unsafe { super::avx2::gemm_f32_avx2(&a, &b, &mut out, ROWS, K, N, k_block) };
-                let ns = t.elapsed().as_nanos();
-                if rep > 0 {
-                    *slot = (*slot).min(ns);
-                }
+    for rep in 0..REPS {
+        for (slot, &k_block) in candidate_ns.iter_mut().zip(&K_BLOCKS) {
+            out.fill(0.0);
+            let t = Instant::now();
+            // SAFETY: `compute` runs this probe only after
+            // `avx2_fma_available()`; the buffers were sized ROWS*K, K*N and
+            // ROWS*N above.
+            unsafe { super::avx2::gemm_f32_avx2(&a, &b, &mut out, ROWS, K, N, k_block) };
+            let ns = t.elapsed().as_nanos();
+            if rep > 0 {
+                *slot = (*slot).min(ns);
             }
         }
-        let default_idx = K_BLOCKS
-            .iter()
-            .position(|&k_block| k_block == DEFAULT.f32_k_block)
-            .expect("the shipped k-block is a candidate");
-        best.f32_k_block = K_BLOCKS[pick(&candidate_ns, default_idx)];
     }
-
-    if super::int8::avx2_available() {
-        // `usize::MAX / 4` effectively disables k-blocking: one in-register
-        // accumulation sweep per column tile, output folded exactly once.
-        const GROUP_BLOCKS: [usize; 5] = [4, 8, 16, 64, usize::MAX / 4];
-        // (group block, 4-row panel) pairs, flattened.
-        let candidates: Vec<(usize, bool)> = GROUP_BLOCKS
-            .iter()
-            .flat_map(|&group_block| [(group_block, true), (group_block, false)])
-            .collect();
-        let k_pad = super::int8::padded_k(K);
-        let a: Vec<u8> = (0..ROWS * k_pad).map(|i| (i % 128) as u8).collect();
-        let b: Vec<i8> = (0..k_pad * N)
-            .map(|i| ((i % 255) as i64 - 127) as i8)
-            .collect();
-        let mut out = vec![0i32; ROWS * N];
-        let vnni = super::int8::avx512_vnni_available();
-        let mut candidate_ns = vec![u128::MAX; candidates.len()];
-        for rep in 0..REPS {
-            for (slot, &(group_block, panel4)) in candidate_ns.iter_mut().zip(&candidates) {
-                out.fill(0);
-                let t = Instant::now();
-                // SAFETY: the caller checked `avx2_available()` and `vnni`
-                // selects the VNNI body only when `avx512_vnni_available()`;
-                // buffer shapes match the ROWS/k_pad/N sizing above.
-                unsafe {
-                    if vnni {
-                        super::int8::x86::gemm_vnni(
-                            &a,
-                            &b,
-                            &mut out,
-                            ROWS,
-                            k_pad,
-                            N,
-                            group_block,
-                            panel4,
-                        );
-                    } else {
-                        super::int8::x86::gemm_avx2(
-                            &a,
-                            &b,
-                            &mut out,
-                            ROWS,
-                            k_pad,
-                            N,
-                            group_block,
-                            panel4,
-                        );
-                    }
-                }
-                let ns = t.elapsed().as_nanos();
-                if rep > 0 {
-                    *slot = (*slot).min(ns);
-                }
-            }
-        }
-        let default_idx = candidates
-            .iter()
-            .position(|&c| c == (DEFAULT.int8_group_block, DEFAULT.int8_panel4))
-            .expect("the shipped int8 blocking is a candidate");
-        (best.int8_group_block, best.int8_panel4) = candidates[pick(&candidate_ns, default_idx)];
+    let default_idx = K_BLOCKS
+        .iter()
+        .position(|&k_block| k_block == DEFAULT.f32_k_block)
+        .expect("the shipped k-block is a candidate");
+    TuneParams {
+        f32_k_block: K_BLOCKS[pick(&candidate_ns, default_idx)],
+        probed: true,
+        ..DEFAULT
     }
-
-    best
 }
 
 #[cfg(test)]
@@ -212,18 +149,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn probe_picks_from_the_candidate_sets() {
+    fn probe_picks_from_the_candidate_set() {
         let p = compute();
-        #[cfg(target_arch = "x86_64")]
-        if super::super::int8::avx2_available() {
+        if super::super::avx2_fma_available() {
             assert!(p.probed);
             assert!([8, 16, 32, 64].contains(&p.f32_k_block));
-            assert!([4, 8, 16, 64, usize::MAX / 4].contains(&p.int8_group_block));
         }
-        // On non-SIMD hosts the probe is skipped entirely.
-        if !super::super::avx2_fma_available() && !super::super::int8::avx2_available() {
-            assert_eq!(p, DEFAULT);
-        }
+        // The probe is skipped on non-SIMD hosts, and nothing else is probed.
+        assert_eq!(
+            TuneParams {
+                f32_k_block: DEFAULT.f32_k_block,
+                probed: false,
+                ..p
+            },
+            DEFAULT
+        );
     }
 
     #[test]
@@ -248,6 +188,6 @@ mod tests {
         let a = *params();
         let b = *params();
         assert_eq!(a, b);
-        assert!(a.f32_k_block >= 8 && a.int8_group_block >= 1);
+        assert!(a.f32_k_block >= 8);
     }
 }

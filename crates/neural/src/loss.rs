@@ -43,14 +43,20 @@ impl Loss {
                 }
                 total / batch
             }
+            // Folded pair by pair, not through a difference matrix: the
+            // trainer evaluates the loss every step and promises a warm step
+            // no allocation.
             Loss::Mse => {
-                let diff = prediction.sub(target);
-                diff.as_slice().iter().map(|v| v * v).sum::<f32>()
-                    / (prediction.as_slice().len() as f32)
+                let pairs = prediction.as_slice().iter().zip(target.as_slice());
+                let squares = pairs.map(|(p, t)| {
+                    let diff = p - t;
+                    diff * diff
+                });
+                squares.sum::<f32>() / (prediction.as_slice().len() as f32)
             }
             Loss::Mae => {
-                let diff = prediction.sub(target);
-                diff.as_slice().iter().map(|v| v.abs()).sum::<f32>()
+                let pairs = prediction.as_slice().iter().zip(target.as_slice());
+                pairs.map(|(p, t)| (p - t).abs()).sum::<f32>()
                     / (prediction.as_slice().len() as f32)
             }
         }

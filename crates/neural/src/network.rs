@@ -86,6 +86,24 @@ impl Network {
         &mut self.layers
     }
 
+    /// Overwrites this network's parameters with `src`'s, reusing every
+    /// weight and bias buffer (the trainer's best-epoch checkpoint).
+    ///
+    /// # Panics
+    /// Panics if the two networks differ in depth.
+    pub(crate) fn copy_from(&mut self, src: &Network) {
+        assert_eq!(
+            self.layers.len(),
+            src.layers.len(),
+            "network depth mismatch"
+        );
+        for (dst, src) in self.layers.iter_mut().zip(&src.layers) {
+            dst.weights.copy_from(&src.weights);
+            dst.bias.copy_from(&src.bias);
+            dst.activation = src.activation;
+        }
+    }
+
     /// Input dimension of the network.
     pub fn input_dim(&self) -> usize {
         self.layers.first().map(Dense::input_dim).unwrap_or(0)
@@ -283,21 +301,18 @@ impl Network {
     /// the station, the tail on the access point, and the head's output is the
     /// compressed feedback transmitted over the air.
     ///
+    /// The layers move: both halves keep the weight buffers the network
+    /// held, and nothing is copied.
+    ///
     /// # Panics
     /// Panics if `at` is zero or not strictly inside the layer stack.
-    pub fn split_at(&self, at: usize) -> (Network, Network) {
+    pub fn split_at(mut self, at: usize) -> (Network, Network) {
         assert!(
             at > 0 && at < self.layers.len(),
             "split point must be strictly inside the network"
         );
-        (
-            Network {
-                layers: self.layers[..at].to_vec(),
-            },
-            Network {
-                layers: self.layers[at..].to_vec(),
-            },
-        )
+        let tail = self.layers.split_off(at);
+        (self, Network { layers: tail })
     }
 
     /// Per-layer output widths (useful for describing architectures like
@@ -414,7 +429,7 @@ mod tests {
     #[test]
     fn split_composes_to_original() {
         let net = sample_network(4);
-        let (head, tail) = net.split_at(1);
+        let (head, tail) = net.clone().split_at(1);
         assert_eq!(head.output_dim(), tail.input_dim());
         let input: Vec<f32> = (0..8).map(|i| (i as f32 - 4.0) * 0.2).collect();
         let full = net.predict(&input).unwrap();
@@ -423,6 +438,24 @@ mod tests {
         for (a, b) in full.iter().zip(composed.iter()) {
             assert!((a - b).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn split_moves_the_layer_buffers() {
+        let net = sample_network(9);
+        let buffers = |layers: &[Dense]| -> Vec<*const f32> {
+            layers
+                .iter()
+                .map(|l| l.weights.as_slice().as_ptr())
+                .collect()
+        };
+        let before = buffers(net.layers());
+        let (head, tail) = net.split_at(2);
+        assert_eq!(
+            [buffers(head.layers()), buffers(tail.layers())].concat(),
+            before,
+            "a split copied a weight buffer"
+        );
     }
 
     #[test]

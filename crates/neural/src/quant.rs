@@ -3,11 +3,11 @@
 //! The serving hot path streams each dense layer's f32 weight matrix from
 //! DRAM for every batch; [`QuantizedDense`] shrinks that stream 4x by holding
 //! the weights as **per-output-channel symmetric int8** (one f32 scale per
-//! output column, codes in `-127..=127`), packed into the K4 layout of
-//! [`mimo_math::kernel::int8`]. Quantization happens **once, at model-bind
-//! time** — the f32 master weights stay untouched in the owning [`Dense`]
-//! layer, so the f32 path is never perturbed and a store can always be
-//! re-bound from the master.
+//! output column, codes in `-127..=127`), packed into the panel-major K4
+//! layout of [`mimo_math::kernel::int8`]. Quantization happens **once, at
+//! model-bind time** — the f32 master weights stay untouched in the owning
+//! [`Dense`] layer, so the f32 path is never perturbed and a store can always
+//! be re-bound from the master.
 //!
 //! # Inference math
 //!
@@ -23,79 +23,70 @@
 //! ```
 //!
 //! The integer accumulation is **exact** in every backend, and the epilogue
-//! (scales, `col_sum` correction, bias, activation) is evaluated by one
-//! shared deterministic f32 loop — so quantized outputs are bit-identical
-//! across scalar / AVX2 / VNNI backends and across batch shapes, the same
-//! property the f32 kernels guarantee.
+//! (scales, `col_sum` correction, bias, activation) is the one f32 expression
+//! `acc * ws_j * a_scale + (a_min * corr_j + bias_j)`, evaluated in that order
+//! by the kernel's store while the sums are still in registers — so quantized
+//! outputs are bit-identical across scalar / AVX2 / VNNI backends and across
+//! batch shapes, the same property the f32 kernels guarantee.
 
 use crate::layer::{Activation, Dense};
 use crate::tensor::Matrix;
-use mimo_math::kernel::int8::{self, Int8Kernel};
+use mimo_math::kernel::int8::{self, Dequant, Int8Kernel, PackedInt8};
+use mimo_math::kernel::packed::PackedWidth;
 
 /// A dense layer's weights, quantized once to per-output-channel symmetric
 /// int8 and packed for the integer GEMM tier. Immutable after binding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedDense {
-    input_dim: usize,
-    output_dim: usize,
-    k_pad: usize,
-    /// K4-packed quantized weights (`k_pad * output_dim` bytes).
-    packed: Vec<i8>,
+    /// Panel-packed quantized weights — the layer's only copy of its codes.
+    packed: PackedInt8,
     /// Per-output-channel symmetric scale: `w ≈ wq * col_scale[j]`.
     col_scale: Vec<f32>,
-    /// Per-output-channel sum of quantized weights (the asymmetric
-    /// activation-zero-point correction term).
-    col_sum: Vec<i32>,
     /// The layer bias, copied so inference needs no master-layer access.
     bias: Vec<f32>,
-    /// The zero-point correction `col_sum * col_scale`, precomputed in f64 at
-    /// bind time and narrowed once — the epilogue is the second-hottest loop
-    /// after the GEMM and runs in f32 (its rounding, ~1e-7 relative, sits two
-    /// orders of magnitude below the int8/u7 quantization error it dequantizes).
+    /// The zero-point correction `col_sum * col_scale` (`col_sum` the
+    /// per-output-channel sum of quantized weights), computed in f64 at bind
+    /// time and narrowed once — the epilogue runs in f32 (its rounding,
+    /// ~1e-7 relative, sits two orders of magnitude below the int8/u7
+    /// quantization error it dequantizes).
     corr: Vec<f32>,
     activation: Activation,
 }
 
 impl QuantizedDense {
     /// Quantizes `layer`'s weights (per-output-channel symmetric, round to
-    /// nearest, codes clamped to `-127..=127`) and packs them for the integer
-    /// GEMM. The layer's f32 master weights are read, never modified.
+    /// nearest, codes clamped to `-127..=127`) straight into the packed
+    /// layout of the integer GEMM. The layer's f32 master weights are read,
+    /// never modified.
     pub fn quantize(layer: &Dense) -> Self {
-        let k = layer.weights.rows();
         let n = layer.weights.cols();
         let w = layer.weights.as_slice();
-        let mut col_scale = vec![0.0f32; n];
-        let mut wq = vec![0i8; k * n];
-        let mut col_sum = vec![0i32; n];
-        for j in 0..n {
-            let mut amax = 0.0f32;
-            for r in 0..k {
-                amax = amax.max(w[r * n + j].abs());
+        let mut amax = vec![0.0f32; n];
+        for row in w.chunks_exact(n) {
+            for (m, &v) in amax.iter_mut().zip(row) {
+                *m = m.max(v.abs());
             }
-            // All-zero (or non-finite-free degenerate) columns quantize to
-            // all-zero codes under a scale of 1.
-            let scale = if amax > 0.0 { amax / 127.0 } else { 1.0 };
-            col_scale[j] = scale;
-            let mut sum = 0i32;
-            for r in 0..k {
-                let q = (w[r * n + j] / scale).round().clamp(-127.0, 127.0) as i32;
-                wq[r * n + j] = q as i8;
-                sum += q;
-            }
-            col_sum[j] = sum;
         }
+        // All-zero (or non-finite-free degenerate) columns quantize to
+        // all-zero codes under a scale of 1.
+        let col_scale: Vec<f32> = amax
+            .iter()
+            .map(|&m| if m > 0.0 { m / 127.0 } else { 1.0 })
+            .collect();
+        let mut col_sum = vec![0i32; n];
+        let packed = PackedInt8::pack(layer.weights.rows(), n, PackedWidth::detect(), |r, j| {
+            let q = (w[r * n + j] / col_scale[j]).round().clamp(-127.0, 127.0) as i32;
+            col_sum[j] += q;
+            q as i8
+        });
         let corr: Vec<f32> = col_sum
             .iter()
             .zip(&col_scale)
             .map(|(&s, &w)| (f64::from(s) * f64::from(w)) as f32)
             .collect();
         Self {
-            input_dim: k,
-            output_dim: n,
-            k_pad: int8::padded_k(k),
-            packed: int8::pack_weights_k4(&wq, k, n),
+            packed,
             col_scale,
-            col_sum,
             bias: layer.bias.as_slice().to_vec(),
             corr,
             activation: layer.activation,
@@ -104,12 +95,12 @@ impl QuantizedDense {
 
     /// Input dimension (the master layer's weight rows).
     pub fn input_dim(&self) -> usize {
-        self.input_dim
+        self.packed.inner_dim()
     }
 
     /// Output dimension (the master layer's weight columns).
     pub fn output_dim(&self) -> usize {
-        self.output_dim
+        self.packed.cols()
     }
 
     /// The layer activation applied by the epilogue.
@@ -119,9 +110,9 @@ impl QuantizedDense {
 
     /// Bytes of quantized weight data streamed per batch — the quantity the
     /// int8 tier exists to shrink (4x smaller than the f32 master weights,
-    /// modulo the 4-row zero padding).
+    /// modulo the zero padding of the last group and the last panel).
     pub fn weight_bytes(&self) -> usize {
-        self.packed.len()
+        self.packed.bytes()
     }
 
     /// Worst-case absolute weight reconstruction error, `max_j col_scale[j]/2`
@@ -133,10 +124,10 @@ impl QuantizedDense {
     /// Fused quantized `out = activation(input * W + bias)` — the int8
     /// counterpart of [`Matrix::matmul_bias_act_into_with`].
     ///
-    /// Quantizes each input row to u7 codes in `scratch`, runs the integer
-    /// GEMM on `kernel`, and applies the shared epilogue. `out` is
-    /// reshaped to `input.rows() x output_dim`. Results are bit-identical
-    /// across backends and batch shapes.
+    /// Quantizes each input row to u7 codes in `scratch` and runs the integer
+    /// GEMM on `kernel`, whose store dequantizes, adds the bias and applies
+    /// the activation. `out` is reshaped to `input.rows() x output_dim`.
+    /// Results are bit-identical across backends and batch shapes.
     ///
     /// # Panics
     /// Panics when `input.cols() != input_dim()`.
@@ -147,18 +138,12 @@ impl QuantizedDense {
         out: &mut Matrix,
         kernel: Int8Kernel,
     ) {
-        assert_eq!(
-            input.cols(),
-            self.input_dim,
-            "quantized layer input dimension mismatch"
-        );
-        let rows = input.rows();
-        let n = self.output_dim;
-        scratch.prepare(rows, self.k_pad, n);
+        let k = self.input_dim();
+        assert_eq!(input.cols(), k, "quantized layer input dimension mismatch");
+        let k_pad = int8::padded_k(k);
+        scratch.prepare(input.rows(), k_pad);
         // Per-row dynamic u7 activation quantization.
-        let src = input.as_slice();
-        for r in 0..rows {
-            let row = &src[r * self.input_dim..(r + 1) * self.input_dim];
+        for (r, row) in input.as_slice().chunks_exact(k).enumerate() {
             let mut lo = f32::INFINITY;
             let mut hi = f32::NEG_INFINITY;
             for &v in row {
@@ -166,7 +151,7 @@ impl QuantizedDense {
                 hi = hi.max(v);
             }
             let scale = (hi - lo) / 127.0;
-            let dst = &mut scratch.aq[r * self.k_pad..r * self.k_pad + self.input_dim];
+            let dst = &mut scratch.aq[r * k_pad..r * k_pad + k];
             if scale > 0.0 {
                 let inv = 1.0 / scale;
                 // `round_ties_even` (one `roundps`), not `round`: half-away
@@ -183,7 +168,7 @@ impl QuantizedDense {
             scratch.row_scale[r] = if scale > 0.0 { scale } else { 0.0 };
             scratch.row_min[r] = lo;
         }
-        self.finish(rows, scratch, out, kernel);
+        self.finish(scratch, out, kernel);
     }
 
     /// Fused quantized forward over rows the **caller** quantizes: `fill` is
@@ -237,97 +222,44 @@ impl QuantizedDense {
         F: FnMut(usize, &mut [u8]) -> Result<(f32, f32), E>,
     {
         assert!(rows > 0, "quantized forward needs at least one row");
-        scratch.prepare(rows, self.k_pad, self.output_dim);
+        let k = self.input_dim();
+        let k_pad = int8::padded_k(k);
+        scratch.prepare(rows, k_pad);
         for r in 0..rows {
-            let dst = &mut scratch.aq[r * self.k_pad..r * self.k_pad + self.input_dim];
-            let (scale, min) = fill(r, dst)?;
+            let (scale, min) = fill(r, &mut scratch.aq[r * k_pad..r * k_pad + k])?;
             scratch.row_scale[r] = scale;
             scratch.row_min[r] = min;
         }
-        self.finish(rows, scratch, out, kernel);
+        self.finish(scratch, out, kernel);
         Ok(())
     }
 
-    /// The shared back half of both forward entries: integer GEMM, then the
-    /// dequantize+bias+activation epilogue. Expects `scratch` prepared and
-    /// its `aq`/`row_scale`/`row_min` filled for `rows` rows.
-    fn finish(
-        &self,
-        rows: usize,
-        scratch: &mut QuantScratch,
-        out: &mut Matrix,
-        kernel: Int8Kernel,
-    ) {
-        let n = self.output_dim;
-        // Overwrite-mode GEMM: writes every `rows x n` slot, so `acc` needs
-        // no zeroing beforehand.
-        int8::gemm_u8i8_i32(
-            kernel,
-            &scratch.aq,
-            &self.packed,
-            &mut scratch.acc,
-            rows,
-            self.k_pad,
-            n,
-        );
-        // Shared scalar epilogue: dequantize, bias, activation — identical
-        // code for every backend, so backend choice can only affect `acc`,
-        // which is exact. The activation dispatch is hoisted out of the
-        // element loop so the common Identity/Relu cases stay branch-free
-        // and autovectorizable.
-        out.reshape_for_overwrite(rows, n);
-        let dst = out.as_mut_slice();
-        match self.activation {
-            Activation::Identity => self.epilogue(rows, n, scratch, dst, |v| v),
-            Activation::Relu => self.epilogue(rows, n, scratch, dst, |v| v.max(0.0)),
-            Activation::Tanh => self.epilogue(rows, n, scratch, dst, tanh_fast),
-            Activation::LeakyRelu => {
-                self.epilogue(
-                    rows,
-                    n,
-                    scratch,
-                    dst,
-                    |v| {
-                        if v >= 0.0 {
-                            v
-                        } else {
-                            0.01 * v
-                        }
-                    },
-                )
-            }
-        }
-    }
-
-    /// The dequantize+bias epilogue with the activation monomorphized in:
-    /// `out = act(acc * ws * a_scale + (a_min * corr + bias))`.
+    /// The shared back half of both forward entries: the integer GEMM with
+    /// the dequantize+bias+activation epilogue in its store. Expects
+    /// `scratch` prepared and its `aq`/`row_scale`/`row_min` filled.
     ///
-    /// Runs in f32: `acc` fits 27 bits so the i32→f32 narrowing loses at most
-    /// ~6e-8 relative, and every further rounding sits far below the int8/u7
-    /// quantization error the formula dequantizes — while keeping the loop
-    /// twice as wide under SIMD as the f64 equivalent. Plain indexed loops
-    /// over equal-length slice prefixes so the bounds checks hoist and the
-    /// body autovectorizes.
-    #[inline(always)]
-    fn epilogue<F: Fn(f32) -> f32>(
-        &self,
-        rows: usize,
-        n: usize,
-        scratch: &QuantScratch,
-        dst: &mut [f32],
-        act: F,
-    ) {
-        let ws = &self.col_scale[..n];
-        let corr = &self.corr[..n];
-        let bias = &self.bias[..n];
-        for r in 0..rows {
-            let a_scale = scratch.row_scale[r];
-            let a_min = scratch.row_min[r];
-            let acc_row = &scratch.acc[r * n..(r + 1) * n];
-            let out_row = &mut dst[r * n..(r + 1) * n];
-            for j in 0..n {
-                let real = acc_row[j] as f32 * ws[j] * a_scale + (a_min * corr[j] + bias[j]);
-                out_row[j] = act(real);
+    /// The epilogue runs in f32: `acc` fits 27 bits so the i32→f32 narrowing
+    /// loses at most ~6e-8 relative, and every further rounding sits far
+    /// below the int8/u7 quantization error the formula dequantizes. The
+    /// activation dispatch happens here, once per call, so the common
+    /// Identity/Relu cases stay branch-free per element.
+    fn finish(&self, scratch: &QuantScratch, out: &mut Matrix, kernel: Int8Kernel) {
+        out.reshape_for_overwrite(scratch.row_scale.len(), self.output_dim());
+        let deq = Dequant {
+            row_scale: &scratch.row_scale,
+            row_min: &scratch.row_min,
+            col_scale: &self.col_scale,
+            corr: &self.corr,
+            bias: &self.bias,
+        };
+        let (a, b, o) = (&scratch.aq[..], &self.packed, out.as_mut_slice());
+        match self.activation {
+            Activation::Identity => int8::gemm_u8i8_dequant(kernel, a, b, deq, |v| v, o),
+            Activation::Relu => int8::gemm_u8i8_dequant(kernel, a, b, deq, |v| v.max(0.0), o),
+            Activation::Tanh => int8::gemm_u8i8_dequant(kernel, a, b, deq, tanh_fast, o),
+            Activation::LeakyRelu => {
+                let leaky = |v| if v >= 0.0 { v } else { 0.01 * v };
+                int8::gemm_u8i8_dequant(kernel, a, b, deq, leaky, o)
             }
         }
     }
@@ -350,12 +282,11 @@ fn tanh_fast(v: f32) -> f32 {
 }
 
 /// Reusable buffers for [`QuantizedDense::matmul_bias_act_into`]: quantized
-/// activation rows (zero-padded to the K4 depth), the i32 accumulator, and
-/// the per-row quantization parameters.
+/// activation rows (zero-padded to the K4 depth) and the per-row
+/// quantization parameters.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
     aq: Vec<u8>,
-    acc: Vec<i32>,
     row_scale: Vec<f32>,
     row_min: Vec<f32>,
 }
@@ -366,14 +297,9 @@ impl QuantScratch {
         Self::default()
     }
 
-    fn prepare(&mut self, rows: usize, k_pad: usize, n: usize) {
+    fn prepare(&mut self, rows: usize, k_pad: usize) {
         self.aq.clear();
         self.aq.resize(rows * k_pad, 0);
-        // No clear for `acc`: the overwrite-mode GEMM writes every slot, so
-        // stale values from a previous (possibly differently shaped) call
-        // are harmless and the full memset is skipped — this buffer is the
-        // largest in the scratch (batch x widest layer).
-        self.acc.resize(rows * n, 0);
         self.row_scale.clear();
         self.row_scale.resize(rows, 0.0);
         self.row_min.clear();

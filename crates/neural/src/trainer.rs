@@ -125,7 +125,9 @@ impl Trainer {
     /// The loop holds one [`TrainScratch`] for the whole run: batch matrices,
     /// per-layer activations, gradient buffers and optimizer state are all
     /// reused across batches and epochs, so after the first batch a training
-    /// step performs no heap allocation. The arithmetic is element-for-element
+    /// step performs no heap allocation; the best-epoch checkpoint is one
+    /// more such buffer, allocated at the first improvement and overwritten
+    /// at every later one. The arithmetic is element-for-element
     /// identical to the original allocating loop (kept as
     /// `fit_with_metric_reference` for the equivalence test), so loss curves
     /// do not drift.
@@ -180,7 +182,12 @@ impl Trainer {
             if val_metric < best_metric {
                 best_metric = val_metric;
                 history.best_epoch = epoch;
-                best_params = Some(network.clone());
+                // The first improvement allocates the checkpoint; every later
+                // one overwrites it in place.
+                match &mut best_params {
+                    Some(best) => best.copy_from(network),
+                    None => best_params = Some(network.clone()),
+                }
             }
         }
 

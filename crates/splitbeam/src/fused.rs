@@ -56,7 +56,7 @@ impl TailWeights {
 
 /// Reusable buffers for one fused batched tail reconstruction: the
 /// one-payload dequantization strip, the two layer-output ping-pong
-/// matrices, and the int8 activation/accumulator scratch. Hold one per
+/// matrices, and the int8 activation-code scratch. Hold one per
 /// serving loop; after the first round at the largest batch size a
 /// reconstruction performs no heap allocation.
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ pub struct TailScratch {
     strip: Matrix,
     ping: Matrix,
     pong: Matrix,
-    /// u7 activation codes + i32 accumulator for the quantized path.
+    /// u7 activation codes and row parameters for the quantized path.
     quant: QuantScratch,
 }
 
@@ -322,8 +322,8 @@ impl QuantizedTail {
     /// validation, but the wire codes are mapped **directly** to the first
     /// layer's u7 activation codes (a per-payload LUT, see
     /// [`quantize_codes_u7`]) with no dequantize-to-f32 strip in between, and
-    /// every layer runs the integer GEMM tier on `kernel` with the shared
-    /// epilogue.
+    /// every layer runs the packed integer GEMM on `kernel`, dequantizing in
+    /// its store.
     ///
     /// Outputs are bit-identical across integer backends and batch shapes
     /// (exact i32 accumulation), so batched, serial, sharded and streaming

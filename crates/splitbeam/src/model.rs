@@ -14,21 +14,31 @@ use wifi_phy::channel::ChannelSnapshot;
 
 /// A trained (or freshly initialized) SplitBeam model: the head network run by
 /// the station and the tail network run by the access point.
+///
+/// A model's weights never change after construction, so every clone shares
+/// all of them — both networks and the packed tail sit behind `Arc`s, and
+/// `clone()` is three reference-count bumps. A server registering a model, a
+/// driver holding it next to its server and a fleet handing it to eight APs
+/// all read the one 12.7 MB copy (9.5 MB of it a head the AP never runs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SplitBeamModel {
     config: SplitBeamConfig,
-    head: Network,
-    tail: Network,
+    /// Shared between clones.
+    head: Arc<Network>,
+    /// Shared between clones.
+    tail: Arc<Network>,
     /// The tail's layers panel-packed for the fused batched reconstruction
     /// ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`]), built
-    /// once here because a model's weights never change after construction.
-    /// Shared between clones. The head is not packed: its batch-1 product is
-    /// bandwidth-bound and a second 9.5 MB copy would buy nothing.
+    /// once at construction. Shared between clones. The head is not packed:
+    /// its batch-1 product is bandwidth-bound and a second 9.5 MB copy would
+    /// buy nothing.
     packed_tail: Arc<[PackedDense]>,
 }
 
-/// Models are equal when their configuration and weights are; how the tail
-/// happens to be packed is derived state and does not take part.
+/// Models are equal when their configuration and weights are — compared by
+/// value, so a retrained copy equals its original exactly when the numbers
+/// do, whatever is shared; how the tail happens to be packed is derived
+/// state and does not take part.
 impl PartialEq for SplitBeamModel {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config && self.head == other.head && self.tail == other.tail
@@ -65,8 +75,8 @@ impl SplitBeamModel {
         let packed_tail = pack_tail(&tail, PackedWidth::detect());
         Self {
             config,
-            head,
-            tail,
+            head: Arc::new(head),
+            tail: Arc::new(tail),
             packed_tail,
         }
     }

@@ -17,14 +17,29 @@
 //! allocates beyond the sessions' feedback storage is the same for two tiles
 //! of stations as for sixteen.
 //!
+//! A **byte ledger** prices set-up the same way, because peak RSS is set
+//! there, not in serving: cloning a model requests next to nothing and shares
+//! its weights, binding the int8 tail requests its packed codes once (no
+//! second layout, no layer-sized temporary), registering a model costs that
+//! one bind, and the trainer's best-epoch checkpoint is allocated once. A
+//! bind-time change that breaks one of these fails here, in tier-1, not as a
+//! `peak_rss_mib` regression in the benchmark pipeline.
+//!
 //! One `#[test]` only: the counters are process-global and the libtest
 //! harness spawns an allocating thread per test. The test pins
 //! `RAYON_NUM_THREADS=1` before its first parallel call so the rayon shim
 //! stays serial — a `thread::scope` spawn inside a scope would be charged to
 //! the multi-shard hot path.
 
+use neural::layer::Activation;
+use neural::loss::Loss;
+use neural::network::{LayerSpec, Network};
+use neural::optimizer::OptimizerKind;
+use neural::trainer::{Example, TrainConfig, Trainer};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use splitbeam::config::CompressionLevel;
-use splitbeam::fused::{TailScratch, TailWeights};
+use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, stats, CountingAlloc};
 use splitbeam_hwsim::fault::FaultConfig;
@@ -249,9 +264,7 @@ fn tiled_close_path(model: &SplitBeamModel) {
                 server.ingest_wire(id, &frame).unwrap();
             }
         });
-        let before = stats().bytes;
-        let summary = server.process_round().unwrap();
-        let allocated = stats().bytes - before;
+        let (allocated, summary) = bytes_requested(|| server.process_round().unwrap());
         assert_eq!(summary.served as u64, stations);
         (allocated - stations * feedback_bytes, server)
     };
@@ -270,6 +283,93 @@ fn tiled_close_path(model: &SplitBeamModel) {
     });
     let summary = assert_no_alloc("16 tiles: round close", || server.process_round().unwrap());
     assert_eq!(summary.served as u64, stations);
+}
+
+/// Bytes `f` requests from the allocator (frees are not netted off: a
+/// temporary counts, which is the point).
+fn bytes_requested<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = stats().bytes;
+    let result = f();
+    (stats().bytes - before, result)
+}
+
+/// The set-up ledger, on a model large enough (2x2/80 MHz: 234k tail
+/// weights, 1.9 MB of head) for a stray copy to dwarf the slack.
+fn setup_byte_ledger() {
+    const KIB: u64 = 1024;
+    let model = model_with(Bandwidth::Mhz80, CompressionLevel::OneEighth, 3);
+
+    let (bytes, clone) = bytes_requested(|| model.clone());
+    assert!(bytes < KIB, "cloning a model requested {bytes} bytes");
+    assert!(
+        std::ptr::eq(
+            clone.tail().layers()[0].weights.as_slice(),
+            model.tail().layers()[0].weights.as_slice()
+        ) && std::ptr::eq(
+            clone.head().layers()[0].weights.as_slice(),
+            model.head().layers()[0].weights.as_slice()
+        ),
+        "a cloned model must share its weights"
+    );
+
+    let (bind_bytes, tail) = bytes_requested(|| QuantizedTail::bind(&model));
+    let budget = tail.weight_bytes() as u64 * 11 / 10 + 64 * KIB;
+    assert!(
+        bind_bytes <= budget,
+        "binding {} bytes of int8 weights requested {bind_bytes} bytes (budget {budget}): a second \
+         layout or a layer-sized temporary",
+        tail.weight_bytes()
+    );
+
+    let mut server = ApServer::new();
+    let (bytes, _) = bytes_requested(|| server.register_model(clone));
+    assert!(
+        bytes <= bind_bytes + KIB,
+        "registering a model requested {bytes} bytes, one bind is {bind_bytes}"
+    );
+
+    // A trainer whose validation metric improves every epoch: the first
+    // improvement allocates the checkpoint, later ones overwrite it, and a
+    // warm training step allocates nothing — so from the second metric call
+    // to the return, nothing is requested at all.
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut network = Network::new(
+        &[
+            LayerSpec::new(24, 48, Activation::Tanh),
+            LayerSpec::new(48, 12, Activation::Identity),
+        ],
+        &mut rng,
+    );
+    let examples: Vec<Example> = (0..32)
+        .map(|i| {
+            let x: Vec<f32> = (0..24).map(|j| ((i * 7 + j) % 11) as f32 / 11.0).collect();
+            let y = x.iter().step_by(2).map(|v| 0.5 - v).collect();
+            (x, y)
+        })
+        .collect();
+    let trainer = Trainer::new(
+        TrainConfig {
+            epochs: 3,
+            batch_size: 8,
+            ..TrainConfig::default()
+        },
+        Loss::Mse,
+        OptimizerKind::Adam {
+            learning_rate: 0.01,
+        },
+    );
+    let mut at_metric_call = Vec::with_capacity(3);
+    let history = trainer.fit_with_metric(&mut network, &examples, &examples, &mut rng, |_, _| {
+        at_metric_call.push(stats().bytes);
+        -(at_metric_call.len() as f32)
+    });
+    let after_fit = stats().bytes;
+    assert_eq!(history.best_epoch, 2, "every epoch must improve");
+    assert_eq!(
+        after_fit - at_metric_call[1],
+        0,
+        "training requested bytes after its first epoch: a checkpoint was re-allocated"
+    );
 }
 
 #[test]
@@ -294,4 +394,5 @@ fn hot_paths_do_not_allocate_after_warmup() {
     streaming_path(&model, 4);
     tiled_close_path(&model);
     faulty_event_path(&model);
+    setup_byte_ledger();
 }
