@@ -9,8 +9,7 @@
 //!    working copy; after the first subcarrier of a chunk, the
 //!    SVD-and-decompose step performs no heap allocation beyond the angle
 //!    vectors that form the result.
-//! 2. **Subcarrier fan-out** — with the `parallel` feature (on by default) the
-//!    subcarrier axis is split into one contiguous chunk per available core
+//! 2. **Subcarrier fan-out** — the subcarrier axis is split into one contiguous chunk per available core
 //!    and processed on scoped threads. Chunks are concatenated in input order
 //!    and every scalar operation is identical to the serial path, so the
 //!    parallel result is **bit-exact** with the serial one (asserted by the
@@ -27,6 +26,7 @@ use crate::quantize::{quantize_phi, quantize_psi, AngleResolution};
 use crate::BfiError;
 use mimo_math::svd::Svd;
 use mimo_math::{CMatrix, Workspace};
+use rayon::prelude::*;
 
 /// Minimum number of subcarriers per parallel chunk; below this the
 /// per-thread workspace warm-up outweighs the fan-out.
@@ -225,9 +225,9 @@ impl FeedbackEngine {
         Ok(codes)
     }
 
-    /// Maps `f` over contiguous subcarrier chunks (fanning out across cores
-    /// with the `parallel` feature), preserving chunk order. `f` receives the
-    /// chunk's starting subcarrier index.
+    /// Maps `f` over contiguous subcarrier chunks, fanning out across cores
+    /// and preserving chunk order. `f` receives the chunk's starting
+    /// subcarrier index.
     fn run_chunks<T, F>(&self, csi: &[CMatrix], f: F) -> Vec<T>
     where
         T: Send,
@@ -238,24 +238,15 @@ impl FeedbackEngine {
         if csi.len() <= chunk_len {
             return vec![f(0, csi)];
         }
-
-        #[cfg(feature = "parallel")]
-        {
-            use rayon::prelude::*;
-            let chunks: Vec<(usize, &[CMatrix])> = csi
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(i, chunk)| (i * chunk_len, chunk))
-                .collect();
-            chunks
-                .par_iter()
-                .map(|&(start, chunk)| f(start, chunk))
-                .collect()
-        }
-        #[cfg(not(feature = "parallel"))]
-        // Without the parallel feature `chunk_len` covers the whole input
-        // (see `chunk_len`), so the single-chunk return above always fires.
-        unreachable!("single-chunk fast path covers the serial build")
+        let chunks: Vec<(usize, &[CMatrix])> = csi
+            .chunks(chunk_len)
+            .enumerate()
+            .map(|(i, chunk)| (i * chunk_len, chunk))
+            .collect();
+        chunks
+            .par_iter()
+            .map(|&(start, chunk)| f(start, chunk))
+            .collect()
     }
 
     /// Maps `f` over every subcarrier, chunked by core count, preserving input
@@ -275,11 +266,9 @@ impl FeedbackEngine {
 
 /// Chunk length balancing fan-out against per-chunk workspace warm-up.
 fn chunk_len(total: usize) -> usize {
-    #[cfg(feature = "parallel")]
-    let threads = rayon::current_num_threads();
-    #[cfg(not(feature = "parallel"))]
-    let threads = 1;
-    total.div_ceil(threads.max(1)).max(MIN_CHUNK)
+    total
+        .div_ceil(rayon::current_num_threads().max(1))
+        .max(MIN_CHUNK)
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //!   SVD → Givens → quantize → pack at the station, unpack → dequantize →
 //!   reconstruct at the access point,
 //! * [`engine`] — the workspace-reusing [`FeedbackEngine`] backing the
-//!   beamformee: per-thread scratch buffers and (with the default `parallel`
-//!   feature) a bit-exact fan-out of the subcarrier axis across cores,
+//!   beamformee: per-thread scratch buffers and a bit-exact fan-out of the
+//!   subcarrier axis across cores,
 //! * [`complexity`] — the FLOP models quoted by the paper for SVD
 //!   (`O((4 Nt Nr² + 22 Nt³) S)`) and Givens decomposition (`O(Nt³ Nr³ S)`).
 //!
@@ -49,7 +49,7 @@ pub mod feedback;
 pub mod givens;
 pub mod pipeline;
 pub mod quantize;
-#[cfg(any(test, feature = "reference"))]
+#[cfg(test)]
 pub mod reference;
 
 pub use engine::FeedbackEngine;

@@ -44,8 +44,8 @@ impl Dot11Beamformee {
     /// Computes the ideal (unquantized) beamforming matrices from per-subcarrier CSI.
     ///
     /// Delegates to the workspace-reusing [`FeedbackEngine`], which fans the
-    /// subcarrier axis out across cores when the `parallel` feature (default)
-    /// is enabled; results are bit-exact with the serial path.
+    /// subcarrier axis out across cores; results are bit-exact with the
+    /// serial path.
     pub fn beamforming_matrices(&self, csi: &[CMatrix]) -> Vec<CMatrix> {
         self.engine().beamforming_matrices(csi)
     }

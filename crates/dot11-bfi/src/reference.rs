@@ -2,10 +2,9 @@
 //!
 //! This is the original per-subcarrier loop — naive SVD, two-pass Givens
 //! decomposition with per-column scratch `Vec`s, no workspace reuse, strictly
-//! serial — kept as the ground truth for equivalence tests and as the baseline
-//! the `perf_report` binary measures speedups against.
+//! serial — kept as the ground truth for equivalence tests.
 //!
-//! Compiled only under `cfg(test)` or the `reference` feature.
+//! Compiled only under `cfg(test)`.
 
 use crate::feedback::CompressedBeamformingReport;
 use crate::givens::{angle_pairs, GivensAngles};

@@ -44,8 +44,8 @@
 //! quantized tail weights (AVX-512 VNNI → AVX2 `maddubs` → scalar reference,
 //! all bit-exact with each other), resolved by [`int8::selected_int8`] behind
 //! the same override/environment seam, and packed at bind like the f32 tail.
-//! The one-shot startup probe in [`tune`] picks the k-block of the row-major
-//! f32 arm, the only blocking parameter left.
+//! [`tune`] holds the k-block of the row-major f32 arm, the only blocking
+//! parameter left.
 
 use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -556,7 +556,7 @@ mod avx2 {
     /// `k`: the accumulator round-trips memory only between `k` blocks, and an
     /// f32 store/load is value-preserving, so results are independent of the
     /// blocking — single-row calls, batched calls, the fused dequantize→tail
-    /// path, and every autotuned `k_block` all agree bit-for-bit.
+    /// path, and every `k_block` all agree bit-for-bit.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn gemm_f32_avx2(
         a: &[f32],
@@ -881,7 +881,7 @@ mod tests {
 
     #[test]
     fn f32_gemm_results_are_independent_of_the_k_block() {
-        // The autotune safety property: any probed k_block produces
+        // Why the k-block is free to choose: any k_block produces
         // bit-identical f32 results (single FMA chain per element, lossless
         // accumulator round-trips between blocks).
         #[cfg(target_arch = "x86_64")]

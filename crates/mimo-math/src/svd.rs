@@ -20,7 +20,7 @@
 //! [`Svd::right_vectors_into`]) the per-subcarrier decomposition performs no
 //! heap allocation after warm-up — the dominant cost of the original
 //! column-extracting implementation (kept as
-//! [`crate::reference::svd_naive`] for equivalence tests and benchmarks). The
+//! `crate::reference::svd_naive` for equivalence tests). The
 //! floating-point operation order is identical to the reference, so results
 //! are bit-exact.
 

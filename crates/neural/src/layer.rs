@@ -201,7 +201,7 @@ impl Dense {
     /// The original unfused forward chain (matmul, then bias broadcast, then
     /// activation — two intermediate allocations), kept as the behavioral
     /// reference for the fused epilogue.
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     pub fn infer_reference(&self, input: &Matrix) -> Matrix {
         self.activation
             .apply(&input.matmul(&self.weights).add_row_broadcast(&self.bias))

@@ -1,6 +1,6 @@
 //! Sequential dense networks.
 
-#[cfg(any(test, feature = "reference"))]
+#[cfg(test)]
 use crate::layer::DenseCache;
 use crate::layer::{Activation, Dense, DenseGradients};
 use crate::tensor::Matrix;
@@ -201,7 +201,7 @@ impl Network {
     ///
     /// Allocating convenience used by tests and the reference training loop;
     /// the trainer itself uses [`Network::forward_training_into`].
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     pub(crate) fn forward_training(&self, input: &Matrix) -> (Matrix, Vec<DenseCache>) {
         let mut caches = Vec::with_capacity(self.layers.len());
         let mut x = input.clone();
@@ -217,7 +217,7 @@ impl Network {
     ///
     /// Allocating convenience used by tests and the reference training loop;
     /// the trainer itself uses [`Network::backward_into`].
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     pub(crate) fn backward(
         &self,
         caches: &[DenseCache],

@@ -122,7 +122,7 @@ impl Trainer {
     /// validation split after every epoch to select the parameters to keep —
     /// the paper evaluates the achieved BER here.
     ///
-    /// The loop holds one [`TrainScratch`] for the whole run: batch matrices,
+    /// The loop holds one `TrainScratch` for the whole run: batch matrices,
     /// per-layer activations, gradient buffers and optimizer state are all
     /// reused across batches and epochs, so after the first batch a training
     /// step performs no heap allocation; the best-epoch checkpoint is one
@@ -199,7 +199,7 @@ impl Trainer {
 
     /// The original allocating training loop, kept verbatim as the behavioral
     /// reference for the buffer-reusing [`Trainer::fit_with_metric`].
-    #[cfg(any(test, feature = "reference"))]
+    #[cfg(test)]
     pub fn fit_with_metric_reference<M>(
         &self,
         network: &mut Network,

@@ -170,10 +170,12 @@ macro_rules! int_range {
                 fn sample_from<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                     let (lo, hi) = (*self.start(), *self.end());
                     assert!(lo <= hi, "cannot sample empty range");
-                    // Full-width inclusive ranges never occur in this workspace,
-                    // so the +1 cannot overflow u64 here.
-                    let span = (hi as i128 - lo as i128) as u64 + 1;
-                    let offset = uniform_u64_below(rng, span);
+                    // A full-width range holds 2^64 values: every `u64` is
+                    // an offset, and there is no bound to reject against.
+                    let offset = match ((hi as i128 - lo as i128) as u64).checked_add(1) {
+                        Some(span) => uniform_u64_below(rng, span),
+                        None => rng.next_u64(),
+                    };
                     (lo as i128 + offset as i128) as $t
                 }
             }
@@ -378,6 +380,27 @@ mod tests {
         for _ in 0..100 {
             let v = rng.gen_range(3u8..=5);
             assert!((3..=5).contains(&v));
+        }
+    }
+
+    #[test]
+    fn inclusive_ranges_draw_up_to_the_full_width() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for (lo, hi) in [(0, u64::MAX), (1, u64::MAX), (u64::MAX, u64::MAX)] {
+            for _ in 0..64 {
+                assert!((lo..=hi).contains(&rng.gen_range(lo..=hi)), "{lo}..={hi}");
+            }
+        }
+        let _any: i64 = rng.gen_range(i64::MIN..=i64::MAX);
+        // The full width is the generator's next word; one value short of it
+        // is still the bounded draw it always was.
+        let mut bounded = rng.clone();
+        assert_eq!(rng.gen_range(0..=u64::MAX), bounded.next_u64());
+        for _ in 0..64 {
+            assert_eq!(
+                rng.gen_range(0..=u64::MAX - 1),
+                bounded.gen_range(0..u64::MAX)
+            );
         }
     }
 

@@ -12,7 +12,7 @@
 //!   in schedule order. It is a hierarchical **timer wheel** (`crate::wheel`,
 //!   O(1) amortized, built for fleet-scale event counts). The original
 //!   **binary heap**, which defines that order, survives as the test oracle
-//!   `HeapEventQueue` behind the `reference` feature,
+//!   `HeapEventQueue` under `cfg(test)`,
 //! * **seeded jitter** ([`SeededJitter`]): per-event timing noise drawn from a
 //!   deterministic stream,
 //! * a **shared medium** ([`SharedMedium`]): feedback frames serialize on the
@@ -139,12 +139,12 @@ impl<T> EventQueue<T> {
     }
 }
 
-#[cfg(any(test, feature = "reference"))]
+#[cfg(test)]
 pub use oracle::HeapEventQueue;
 
 /// The binary min-heap scheduler the timer wheel replaced, kept as the test
 /// oracle that defines [`EventQueue`]'s pop order.
-#[cfg(any(test, feature = "reference"))]
+#[cfg(test)]
 mod oracle {
     use super::{EventKey, VirtualNs};
     use std::cmp::{Ordering, Reverse};

@@ -6,7 +6,7 @@
 //!
 //! 1. each station sounds on its own cadence and phase within the round,
 //! 2. its head compute time (drawn from the
-//!    [`AcceleratorModel`](splitbeam_hwsim::accelerator::AcceleratorModel))
+//!    [`AcceleratorModel`])
 //!    plus seeded jitter delays the report,
 //! 3. the report is offered to the **shared medium** through the timer-wheel
 //!    event queue with deterministic `(offer time, station, seq)`
@@ -600,7 +600,7 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
             .copied()
             .unwrap_or_default();
         let sound_ns = self.sound_ns(id, &profile);
-        let head_ns = latency.head_ns + self.jitter.draw();
+        let head_ns = latency.head_ns.saturating_add(self.jitter.draw());
         // The report is ready `head` after its sounding instant, but cannot
         // transmit before this round polls the station; a slow-cadence
         // station's report therefore queues for whole intervals, and that age
@@ -1018,6 +1018,39 @@ mod tests {
             // Four 2.5 ms watermarks per 10 ms round, none beyond.
             let ticks = event.inner().ticks;
             assert_eq!(ticks, if streaming { 12 } else { 0 }, "id {sparse}");
+        }
+    }
+
+    /// Head compute and jitter are caller-chosen `u64`s as well. A jitter
+    /// amplitude of `u64::MAX` draws from the full width, and an unbounded
+    /// head latency plus any jitter saturates: the report is ready at the end
+    /// of time, so it is expired off the medium like every other unreachable
+    /// instant — no panic (debug), no wrap into a small instant (release).
+    #[test]
+    fn head_plus_jitter_saturates_to_an_unreachable_offer() {
+        let m = model(17);
+        let frame = crate::test_support::station_frame(&m, 18, 4);
+        for (jitter_max_ns, head_s) in [(u64::MAX, 0.0), (1_000, f64::INFINITY), (u64::MAX, 1.0)] {
+            let mut server = ApServer::new();
+            server.register_model(m.clone());
+            let mut event = EventDriver::over(
+                server,
+                EventConfig {
+                    jitter_max_ns,
+                    feedback_rate_mbps: Some(24.0),
+                    ..EventConfig::lockstep()
+                },
+            );
+            event.bind_model_latency(0, head_s, 0.0);
+            event.register_station(0, 0, 4).unwrap();
+            for _ in 0..3 {
+                event.ingest_wire(0, &frame).unwrap();
+                let summary = event.close_round(ServeMode::Batched).unwrap();
+                let case = format!("jitter {jitter_max_ns}, head {head_s} s");
+                assert_eq!((summary.served, summary.expired), (0, 1), "{case}");
+            }
+            assert_eq!(event.medium().frames_carried(), 0);
+            assert_eq!(event.pending_events(), 0);
         }
     }
 

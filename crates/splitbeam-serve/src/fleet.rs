@@ -653,9 +653,7 @@ mod tests {
             aps: 2,
             channels: 1,
             round_ns: u64::MAX,
-            // One short of the full range: the rand shim's inclusive sampler
-            // computes `span + 1`.
-            jitter_ns: u64::MAX - 1,
+            jitter_ns: u64::MAX,
             ..FleetConfig::default()
         });
         let key = fleet.register_model(&m);

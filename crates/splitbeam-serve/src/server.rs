@@ -121,10 +121,10 @@ pub struct ShardRoundStats {
 /// pending into one **fused dequantize→tail** batched inference per model per
 /// shard, all shards **in parallel** — bit-exact, for every shard count and
 /// kernel backend, with the station-at-a-time oracle `close_serial` (behind
-/// the `reference` feature). See [`crate::shard`] for the exactness argument.
+/// the `reference` feature). See the `shard` module for the exactness argument.
 ///
-/// All per-round storage (wire decode buffers, batch id lists, fused tail
-/// scratch, per-station payload and feedback buffers, per-shard outcome
+/// All per-round storage (wire decode buffers, serve-step worklists, fused
+/// tail scratch, per-station payload and feedback buffers, per-shard outcome
 /// slots) is recycled, so a full steady-state ingest→close round performs no
 /// heap allocation once every buffer has reached its high-water capacity.
 ///
@@ -531,8 +531,6 @@ impl ApServer {
         let max_idle = self.max_idle_rounds;
         self.shards.par_iter_mut().for_each(|shard| {
             close_shard(shard, &engine, round);
-            // The slab walks its idle-LRU list from the cold end and stops
-            // at the first survivor: O(evicted), not O(sessions).
             shard.outcome.evicted =
                 max_idle.map_or(0, |budget| shard.sessions.evict_idle(round, budget));
         });
@@ -861,6 +859,39 @@ mod tests {
         assert_eq!((summary.served, summary.corrupt), (1, 0));
         assert_eq!(server.session(0).unwrap().health(), SessionHealth::Healthy);
         assert_eq!(server.fresh_station_ids(0), vec![0]);
+    }
+
+    /// A quarantine of `u64::MAX` rounds is forever, from any round: the
+    /// expiry round saturates instead of wrapping into the past (which in a
+    /// release build left the station never refused).
+    #[test]
+    fn a_quarantine_of_u64_max_rounds_is_forever() {
+        let m = model(12);
+        let mut server = ApServer::new();
+        let key = server.register_model(m.clone());
+        server.register_station(0, key, 8).unwrap();
+        server.set_health_policy(HealthPolicy {
+            quarantine_rounds: u64::MAX,
+            ..HealthPolicy::default()
+        });
+        let good = station_frame(&m, 93, 8);
+        let mut bad = good.clone();
+        bad[20] ^= 0x10;
+        server.process_round().unwrap();
+        // Three corrupt frames at round 1, then refused at every round.
+        for _ in 0..3 {
+            assert!(server.ingest_wire(0, &bad).is_err());
+        }
+        for _ in 0..3 {
+            assert_eq!(
+                server.ingest_wire(0, &good),
+                Err(ServeError::Quarantined(0))
+            );
+            server.process_round().unwrap();
+            let session = server.session(0).unwrap();
+            assert_eq!(session.health(), SessionHealth::Quarantined);
+            assert_eq!(session.quarantined_until(), Some(u64::MAX));
+        }
     }
 
     #[test]

@@ -176,18 +176,17 @@ impl StationSession {
         self.payload.codes.truncate(codes);
     }
 
-    pub(crate) fn set_pending(&mut self, pending: bool) {
-        self.has_pending = pending;
+    /// Closes the pending report out — served, expired or discarded with a
+    /// failed batch: nothing is pending and the stamp is blank again.
+    pub(crate) fn consume_pending(&mut self) {
+        self.has_pending = false;
+        self.pending_stamp = FrameStamp::default();
     }
 
     /// The virtual-time stamp of the pending payload (all-zero when the
     /// payload came through the untimed lockstep ingest path).
     pub fn pending_stamp(&self) -> &FrameStamp {
         &self.pending_stamp
-    }
-
-    pub(crate) fn set_pending_stamp(&mut self, stamp: FrameStamp) {
-        self.pending_stamp = stamp;
     }
 
     /// The station id.
@@ -215,7 +214,13 @@ impl StationSession {
     /// measured from their association round instead. `0` means the station
     /// was served this very round (or associated during it).
     pub fn idle_rounds(&self, closed_round: u64) -> u64 {
-        closed_round.saturating_sub(self.last_round.unwrap_or(self.joined_round))
+        closed_round.saturating_sub(self.activity_round())
+    }
+
+    /// The round idleness is measured from: the last served round, or the
+    /// association round while the station has never been served.
+    pub(crate) fn activity_round(&self) -> u64 {
+        self.last_round.unwrap_or(self.joined_round)
     }
 
     /// The most recently reconstructed feedback in the tail's flat
@@ -352,7 +357,9 @@ impl StationSession {
             && self.corrupt_streak >= policy.quarantine_after_corrupt
             && self.quarantined_until_round.is_none()
         {
-            self.quarantined_until_round = Some(round + policy.quarantine_rounds.max(1));
+            // Saturating: `quarantine_rounds = u64::MAX` means forever.
+            self.quarantined_until_round =
+                Some(round.saturating_add(policy.quarantine_rounds.max(1)));
             self.health = SessionHealth::Quarantined;
             self.corrupt_streak = 0;
             return true;
@@ -380,7 +387,7 @@ impl StationSession {
             self.miss_streak = self.miss_streak.saturating_add(1);
         }
         if let Some(until) = self.quarantined_until_round {
-            if closed_round + 1 < until {
+            if closed_round.saturating_add(1) < until {
                 // Still serving the quarantine through the next round.
                 self.health = SessionHealth::Quarantined;
                 return;
@@ -458,6 +465,37 @@ mod tests {
         assert!(!s.note_corrupt(20, &policy));
         s.note_clean_ingest();
         assert_eq!(s.corrupt_streak(), 0);
+    }
+
+    /// `quarantine_rounds` and the round counter are `u64`s a caller can push
+    /// to the edge: `u64::MAX` rounds is the natural "forever". The expiry
+    /// round saturates — unsaturated it panics (debug) or wraps into the
+    /// past, so the station is never refused (release) — and is the plain
+    /// sum below the edge.
+    #[test]
+    fn quarantine_expiry_saturates_at_the_last_round() {
+        for (round, quarantine_rounds, until) in [
+            (3, 8, 11),
+            (0, u64::MAX, u64::MAX),
+            (1, u64::MAX, u64::MAX),
+            (u64::MAX - 2, 8, u64::MAX),
+        ] {
+            let policy = HealthPolicy {
+                quarantine_rounds,
+                ..HealthPolicy::default()
+            };
+            let mut s = StationSession::new(7, 0, 4, 0, 0);
+            for _ in 0..policy.quarantine_after_corrupt {
+                s.note_corrupt(round, &policy);
+            }
+            assert_eq!(s.quarantined_until(), Some(until), "round {round}");
+            assert!(s.is_quarantined(round) && s.is_quarantined(until - 1));
+            s.close_health(round, &policy, false);
+            assert_eq!(s.health(), SessionHealth::Quarantined, "round {round}");
+            // Closing the last round there is lifts it, without overflow.
+            s.close_health(u64::MAX, &policy, false);
+            assert_eq!(s.quarantined_until(), None);
+        }
     }
 
     #[test]

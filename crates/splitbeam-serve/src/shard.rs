@@ -58,9 +58,8 @@ pub(crate) struct RoundArena {
     /// decode buffer and the lane freelist circulate among themselves and a
     /// session's buffer never moves.
     decode_buf: QuantizedFeedback,
-    /// Station ids of the tile currently being reconstructed (at most
-    /// [`TILE_ROWS`]).
-    ids: Vec<StationId>,
+    /// The serve step's worklist, one [`Batch`] per registered model.
+    work: Vec<Batch>,
     /// Buffers of the fused batched tail reconstruction, one tile's worth.
     tail: TailScratch,
 }
@@ -69,20 +68,33 @@ impl Default for RoundArena {
     fn default() -> Self {
         Self {
             decode_buf: empty_payload(),
-            ids: Vec::new(),
+            work: Vec::new(),
             tail: TailScratch::new(),
         }
     }
 }
 
+/// One model's share of a serve step, as [`ShardCore::list_pending`] found it.
+#[derive(Debug, Clone, Default)]
+struct Batch {
+    /// Slots of the stations holding a pending payload, in station-id order.
+    slots: Vec<u32>,
+    /// The failure of the first listed payload whose code count is not the
+    /// model's bottleneck width: the batch fails whole, before any of it is
+    /// served. Ingest validated every payload once; this guards the
+    /// invariant the all-or-nothing batch semantics rest on.
+    invalid: Option<ServeError>,
+}
+
 /// Rows the serve step pushes through the tail at once. A model's pending
-/// batch is served tile by tile, so a shard's scratch (id list, dequantized
+/// batch is served tile by tile, so a shard's tail scratch (dequantized
 /// strip, layer outputs) is sized by this constant and not by the shard's
-/// session count, and a tile's reconstructions are still in cache when the
-/// store pass copies them into the sessions (2x2/20 MHz: 128 x 448 f32 =
-/// 224 KiB). 128 keeps the GEMM's weight panels amortized over whole 4-row
-/// kernel blocks and is at least the per-shard batch of every AP-scale
-/// workload, which therefore still runs one GEMM per model per close.
+/// session count — only the worklist, a `u32` a station, is — and a tile's
+/// reconstructions are still in cache when the store pass copies them into
+/// the sessions (2x2/20 MHz: 128 x 448 f32 = 224 KiB). 128 keeps the GEMM's
+/// weight panels amortized over whole 4-row kernel blocks and is at least the
+/// per-shard batch of every AP-scale workload, which therefore still runs one
+/// GEMM per model per close.
 pub const TILE_ROWS: usize = 128;
 
 /// Default capacity of a shard's streaming ingest ring.
@@ -398,35 +410,67 @@ impl ShardCore {
         (stale, awaiting, stale_served)
     }
 
-    /// Deadline pass: consumes every pending payload whose end-to-end delay
-    /// (per its ingest stamp, plus `lag_ns` of close lag when a shard is
-    /// stalled) falls past the policy's budget *and* grace window. Expired
-    /// reports are never reconstructed — Eq. 7d is enforced at close, not
-    /// measured post-hoc. Returns the number of expired reports; with no
-    /// policy nothing expires.
-    fn expire_pending(&mut self, policy: Option<DeadlinePolicy>, lag_ns: u64) -> usize {
-        let Some(policy) = policy else { return 0 };
-        let mut expired = 0usize;
-        for session in self.sessions.values_unordered_mut() {
-            if session.has_pending()
-                && policy.classify(session.pending_stamp().total_ns().saturating_add(lag_ns))
-                    == FrameClass::Expired
-            {
-                session.set_pending(false);
-                session.set_pending_stamp(FrameStamp::default());
-                expired += 1;
-            }
+    /// The one walk of a serve step, in station-id order. A pending report
+    /// whose end-to-end delay (per its ingest stamp, plus `lag_ns` of close
+    /// lag when a shard is stalled) falls past the policy's budget *and*
+    /// grace window is consumed, never reconstructed — Eq. 7d is enforced at
+    /// close, not measured post-hoc; with no policy nothing expires. Every
+    /// other pending report is listed, by slot, in its model's [`Batch`] and
+    /// its code count checked. Returns the pass, expired reports counted.
+    fn list_pending(
+        &mut self,
+        engine: &TailEngine<'_>,
+        policy: Option<DeadlinePolicy>,
+        lag_ns: u64,
+    ) -> ServePass {
+        let (sessions, work) = (&mut self.sessions, &mut self.arena.work);
+        work.resize_with(engine.models.len(), Batch::default);
+        for batch in work.iter_mut() {
+            batch.slots.clear();
+            batch.invalid = None;
         }
-        expired
+        let stations = sessions.len();
+        let mut pass = ServePass::default();
+        sessions.for_each_in_id_order(|slot, session| {
+            if !session.has_pending() {
+                return;
+            }
+            let delay_ns = session.pending_stamp().total_ns().saturating_add(lag_ns);
+            if policy.is_some_and(|p| p.classify(delay_ns) == FrameClass::Expired) {
+                session.consume_pending();
+                pass.expired += 1;
+                return;
+            }
+            let key = session.model_key();
+            let batch = &mut work[key];
+            let codes = session.payload().codes.len();
+            let dim = engine.models[key].bottleneck_dim();
+            if codes != dim && batch.invalid.is_none() {
+                let mismatch = SplitBeamError::DimensionMismatch(format!(
+                    "payload carries {codes} codes, bottleneck width is {dim}"
+                ));
+                batch.invalid = Some(ServeError::Model(mismatch.to_string()));
+            }
+            // Requested once, from the session count: growing by doubling
+            // inside a 100k-station first close costs peak RSS.
+            if batch.slots.len() == batch.slots.capacity() {
+                batch.slots.reserve_exact(stations - batch.slots.len());
+            }
+            batch.slots.push(slot);
+        });
+        pass
     }
 
-    /// Classifies a served report against the policy and folds it into the
-    /// pass, recording the class on the session. `lag_ns` is the close lag of
-    /// a stalled shard: it counts as additional queueing, so a report held
-    /// past its budget by a slow close is classified (and recorded) late —
-    /// identity at `lag_ns == 0`.
-    fn account_served(
+    /// Stores one reconstruction and closes the station's report out:
+    /// classifies it against the policy, folds it into the pass and records
+    /// the class on the session. `lag_ns` is the close lag of a stalled
+    /// shard: it counts as additional queueing, so a report held past its
+    /// budget by a slow close is classified (and recorded) late — identity
+    /// at `lag_ns == 0`.
+    fn commit_served(
         session: &mut StationSession,
+        flat: &[f32],
+        round: u64,
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
         pass: &mut ServePass,
@@ -440,82 +484,29 @@ impl ShardCore {
         }
         pass.served += 1;
         pass.delay.record(&stamp);
-        session.record_service_class(policy.map(|_| stamp), is_late);
-        session.set_pending_stamp(FrameStamp::default());
-    }
-
-    /// Whether `session` holds a pending payload for model `key`.
-    fn pending_for(session: &StationSession, key: usize) -> bool {
-        session.has_pending() && session.model_key() == key
-    }
-
-    /// Sizes model `key`'s pending batch and validates it whole, before any
-    /// of it is reconstructed: returns how many payloads are pending and the
-    /// failure of the first (in id order) whose code count is not `dim`.
-    /// Ingest validated every payload once; this guards the invariant the
-    /// all-or-nothing batch semantics rest on.
-    fn check_batch(sessions: &SessionSlab, key: usize, dim: usize) -> (usize, Option<ServeError>) {
-        let mut pending = 0usize;
-        let mut error = None;
-        for session in sessions.values().filter(|s| Self::pending_for(s, key)) {
-            pending += 1;
-            let codes = session.payload().codes.len();
-            if codes != dim && error.is_none() {
-                let mismatch = SplitBeamError::DimensionMismatch(format!(
-                    "payload carries {codes} codes, bottleneck width is {dim}"
-                ));
-                error = Some(ServeError::Model(mismatch.to_string()));
-            }
-        }
-        (pending, error)
-    }
-
-    /// Consumes the pending payloads of model `key`'s failed batch.
-    fn discard_batch(sessions: &mut SessionSlab, key: usize) {
-        for session in sessions.values_unordered_mut() {
-            if Self::pending_for(session, key) {
-                session.set_pending(false);
-                session.set_pending_stamp(FrameStamp::default());
-            }
-        }
-    }
-
-    /// Stores one reconstruction and closes the station's report out.
-    fn commit_served(
-        sessions: &mut SessionSlab,
-        id: StationId,
-        flat: &[f32],
-        round: u64,
-        policy: Option<DeadlinePolicy>,
-        lag_ns: u64,
-        pass: &mut ServePass,
-    ) {
-        let session = sessions
-            .get_mut(id)
-            .expect("pending payload from registered station");
         session.store_feedback(flat, round);
-        session.set_pending(false);
-        Self::account_served(session, policy, lag_ns, pass);
-        // Serving is the activity the idle-LRU orders by.
-        sessions.touch(id);
+        session.record_service_class(policy.map(|_| stamp), is_late);
+        session.consume_pending();
     }
 
     /// The serve step shared by the round close and watermark micro-closes:
-    /// expires over-budget pending reports, then reconstructs each model's
-    /// pending batch through the fused dequantize→tail inference, in id
-    /// order, [`TILE_ROWS`] stations at a time (reconstruct → store →
-    /// account → touch per tile). Tiling changes batch boundaries only, so
-    /// it cannot move an output bit (see the module docs); `batches` counts
-    /// one per model with pending traffic, however many tiles it took. With
-    /// a [`DeadlinePolicy`], late-but-usable reports are served but flagged.
-    /// Performs **no** health/staleness accounting.
+    /// one walk ([`Self::list_pending`]) expires over-budget reports and
+    /// lists the rest, then each model's list is reconstructed through the
+    /// fused dequantize→tail inference in runs of [`TILE_ROWS`] slots
+    /// (reconstruct → store → account per tile), payloads read and
+    /// reconstructions stored through the slot. Tiling changes batch
+    /// boundaries only, so it cannot move an output bit (see the module
+    /// docs); `batches` counts one per model with pending traffic, however
+    /// many tiles it took. With a [`DeadlinePolicy`], late-but-usable reports
+    /// are served but flagged. Performs **no** health/staleness accounting.
     ///
-    /// **Partial-round semantics on failure:** a batch is validated whole
-    /// before its first tile, so a failed batch stores nothing and consumes
-    /// only *its own* pending payloads (they are what failed); every other
-    /// model's batch still runs and stores its reconstructions, and the
-    /// first error (in model-key order) is reported in the pass. Stations of
-    /// healthy models are never penalized for an unrelated model's failure.
+    /// **Partial-round semantics on failure:** the walk validated the batch
+    /// whole before its first tile, so a failed batch stores nothing and
+    /// consumes only *its own* pending payloads (they are what failed);
+    /// every other model's batch still runs and stores its reconstructions,
+    /// and the first error (in model-key order) is reported in the pass.
+    /// Stations of healthy models are never penalized for an unrelated
+    /// model's failure.
     fn serve_pending(
         &mut self,
         engine: &TailEngine<'_>,
@@ -523,80 +514,74 @@ impl ShardCore {
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
     ) -> ServePass {
-        let mut pass = ServePass {
-            expired: self.expire_pending(policy, lag_ns),
-            ..ServePass::default()
-        };
-        let Self {
-            sessions, arena, ..
-        } = self;
-        let RoundArena { ids, tail, .. } = arena;
-        for (key, model) in engine.models.iter().enumerate() {
-            let (pending, invalid) = Self::check_batch(sessions, key, model.bottleneck_dim());
-            if pending == 0 {
+        let mut pass = self.list_pending(engine, policy, lag_ns);
+        let (sessions, RoundArena { work, tail, .. }) = (&mut self.sessions, &mut self.arena);
+        for ((key, model), batch) in engine.models.iter().enumerate().zip(work.iter_mut()) {
+            if batch.slots.is_empty() {
                 continue;
             }
             pass.batches += 1;
-            let mut failure = invalid;
-            // Each tile resumes the id-ordered walk just past the previous
-            // tile's last station; a short tile was the last one.
-            let mut resume = failure.is_none().then_some(0);
-            while let Some(from) = resume {
-                ids.clear();
-                ids.extend(
-                    sessions
-                        .values_from(from)
-                        .filter(|s| Self::pending_for(s, key))
-                        .map(StationSession::id)
-                        .take(TILE_ROWS),
-                );
-                let Some(&last) = ids.last() else { break };
-                resume = last.checked_add(1).filter(|_| ids.len() == TILE_ROWS);
-                let payloads = ids.iter().map(|id| sessions[id].payload());
+            let mut failure = batch.invalid.take();
+            let mut unserved = batch.slots.as_slice();
+            while failure.is_none() && !unserved.is_empty() {
+                let (tile, rest) = unserved.split_at(unserved.len().min(TILE_ROWS));
+                let payloads = tile
+                    .iter()
+                    .filter_map(|&slot| sessions.at(slot))
+                    .map(StationSession::payload);
                 let result = match engine.mode {
                     TailWeights::F32 => model.reconstruct_quantized_batch_iter_into(
                         payloads,
-                        ids.len(),
+                        tile.len(),
                         tail,
                         engine.kern,
                     ),
                     TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_iter_into(
                         payloads,
-                        ids.len(),
+                        tile.len(),
                         tail,
                         engine.ik,
                     ),
                 };
                 match result {
                     Ok(flats) => {
-                        let width = flats.cols();
-                        for (id, flat) in ids.iter().zip(flats.as_slice().chunks_exact(width)) {
-                            Self::commit_served(
-                                sessions, *id, flat, round, policy, lag_ns, &mut pass,
-                            );
+                        let rows = flats.as_slice().chunks_exact(flats.cols());
+                        for (&slot, flat) in tile.iter().zip(rows) {
+                            let Some(session) = sessions.at_mut(slot) else {
+                                continue;
+                            };
+                            Self::commit_served(session, flat, round, policy, lag_ns, &mut pass);
                         }
+                        unserved = rest;
                     }
-                    // `check_batch` passed, so this is the tail itself
-                    // failing, not a payload.
-                    Err(e) => {
-                        failure = Some(ServeError::Model(e.to_string()));
-                        break;
-                    }
+                    // The walk checked every payload, so this is the tail
+                    // itself failing.
+                    Err(e) => failure = Some(ServeError::Model(e.to_string())),
                 }
             }
             if let Some(error) = failure {
-                Self::discard_batch(sessions, key);
+                Self::discard(sessions, unserved);
                 pass.error.get_or_insert(error);
             }
         }
         pass
     }
 
-    /// Test oracle for [`ShardCore::serve_pending`]: one unfused
-    /// reconstruction per station, with the same partial-round semantics —
-    /// each model's payloads are reconstructed first and committed only when
-    /// the *whole* model succeeded, so a failing payload consumes the failed
-    /// model's pending payloads without storing any of them.
+    /// Consumes the pending payloads a failed batch leaves unserved.
+    fn discard(sessions: &mut SessionSlab, unserved: &[u32]) {
+        for &slot in unserved {
+            if let Some(session) = sessions.at_mut(slot) {
+                session.consume_pending();
+            }
+        }
+    }
+
+    /// Test oracle for [`ShardCore::serve_pending`]: the same walk, then one
+    /// unfused reconstruction per station, with the same partial-round
+    /// semantics — each model's payloads are reconstructed first and
+    /// committed only when the *whole* model succeeded, so a failing payload
+    /// consumes the failed model's pending payloads without storing any of
+    /// them.
     #[cfg(any(test, feature = "reference"))]
     fn serve_pending_serial(
         &mut self,
@@ -605,42 +590,38 @@ impl ShardCore {
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
     ) -> ServePass {
-        let mut pass = ServePass {
-            expired: self.expire_pending(policy, lag_ns),
-            ..ServePass::default()
-        };
-        let sessions = &mut self.sessions;
-        for (key, model) in engine.models.iter().enumerate() {
-            let (pending, invalid) = Self::check_batch(sessions, key, model.bottleneck_dim());
-            if pending == 0 {
+        let mut pass = self.list_pending(engine, policy, lag_ns);
+        let (sessions, work) = (&mut self.sessions, &mut self.arena.work);
+        for ((key, model), batch) in engine.models.iter().enumerate().zip(work) {
+            if batch.slots.is_empty() {
                 continue;
             }
             pass.batches += 1;
-            let ids: Vec<StationId> = sessions
-                .values()
-                .filter(|s| Self::pending_for(s, key))
-                .map(StationSession::id)
-                .collect();
-            let flats: Result<Vec<Vec<f32>>, ServeError> = match invalid {
+            let flats: Result<Vec<Vec<f32>>, ServeError> = match batch.invalid.take() {
                 Some(error) => Err(error),
-                None => ids
+                None => batch
+                    .slots
                     .iter()
-                    .map(|id| match engine.mode {
-                        TailWeights::F32 => model.reconstruct_quantized(sessions[id].payload()),
-                        TailWeights::Int8 => engine.tails[key]
-                            .reconstruct_quantized(sessions[id].payload(), engine.ik),
+                    .filter_map(|&slot| sessions.at(slot))
+                    .map(|session| match engine.mode {
+                        TailWeights::F32 => model.reconstruct_quantized(session.payload()),
+                        TailWeights::Int8 => {
+                            engine.tails[key].reconstruct_quantized(session.payload(), engine.ik)
+                        }
                     })
                     .collect::<Result<_, SplitBeamError>>()
                     .map_err(|e| ServeError::Model(e.to_string())),
             };
             match flats {
                 Ok(flats) => {
-                    for (id, flat) in ids.iter().zip(flats) {
-                        Self::commit_served(sessions, *id, &flat, round, policy, lag_ns, &mut pass);
+                    for (&slot, flat) in batch.slots.iter().zip(&flats) {
+                        if let Some(session) = sessions.at_mut(slot) {
+                            Self::commit_served(session, flat, round, policy, lag_ns, &mut pass);
+                        }
                     }
                 }
                 Err(error) => {
-                    Self::discard_batch(sessions, key);
+                    Self::discard(sessions, &batch.slots);
                     pass.error.get_or_insert(error);
                 }
             }

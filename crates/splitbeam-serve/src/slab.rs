@@ -1,5 +1,4 @@
-//! Slab session store: a dense id index, contiguous slots and an intrusive
-//! idle-LRU list.
+//! Slab session store: a dense slot vector and a dense id index.
 //!
 //! At fleet scale (100k+ concurrent sessions) the round close is a walk over
 //! sessions, so what it costs is which cache lines each step touches:
@@ -8,27 +7,28 @@
 //!   order; freed slots go on a free list and are reused;
 //! * a **dense id index** (`IdIndex`): ids below `DENSE_ID_BOUND` resolve
 //!   through a flat `Vec<u32>` (one load, no tree descent), larger ids through
-//!   an ordered map. Every deterministic-order path — batch id collection,
-//!   fresh-station listing, the public `sessions()` iterator — walks
-//!   [`SessionSlab::values`] in ascending station-id order: the table walk
-//!   followed by the map walk, which is globally ascending because every
-//!   sparse id exceeds every dense one;
-//! * an **intrusive idle-LRU list** threaded through the slots, ordered by
-//!   each session's last-activity round. Serving a station moves it to the
-//!   hot end ([`SessionSlab::touch`]); [`SessionSlab::evict_idle`] walks
-//!   from the cold end and stops at the first survivor, so eviction costs
-//!   `O(evicted)`, not `O(sessions)`.
+//!   an ordered map. Every deterministic-order path — the serve step's
+//!   worklist, fresh-station listing, the public `sessions()` iterator — walks
+//!   in ascending station-id order: the table walk followed by the map walk,
+//!   which is globally ascending because every sparse id exceeds every dense
+//!   one. The serve step's walk (`SessionSlab::for_each_in_id_order`) hands
+//!   out slots, so a listed session is reached again without an id lookup.
 //!
-//! Order-independent per-session passes (health bookkeeping, pending-expiry,
-//! min/count folds) use [`SessionSlab::values_unordered_mut`], which walks
-//! slots densely for cache locality; every path whose iteration order can
-//! reach an output uses the id-ordered view (pinned repo-wide by the
+//! Serving maintains no eviction order: [`SessionSlab::evict_idle`] answers
+//! from a cached bound while nothing can be due and sweeps the slots when
+//! something may be — the order of work the health pass spends at every
+//! close anyway.
+//!
+//! Order-independent per-session passes (health bookkeeping, min/count
+//! folds) use [`SessionSlab::values_unordered_mut`], which walks slots
+//! densely for cache locality; every path whose iteration order can reach an
+//! output uses the id-ordered view (pinned repo-wide by the
 //! `serve-unordered-map` lint rule).
 
 use crate::session::{StationId, StationSession};
 use std::collections::BTreeMap;
 
-/// Sentinel link value for "no slot" (and "no entry" in the id table).
+/// "No entry" in the id table.
 const NIL: u32 = u32::MAX;
 
 /// Ids below this bound resolve through the flat table of [`IdIndex`]. The
@@ -93,40 +93,31 @@ impl IdIndex {
         removed
     }
 
-    /// Entries with an id of at least `start`, ascending by id.
-    pub(crate) fn iter_from(
-        &self,
-        start: StationId,
-    ) -> impl Iterator<Item = (StationId, u32)> + '_ {
-        let first = start.min(self.dense.len() as StationId) as usize;
-        let dense = self.dense[first..]
+    /// Every entry, ascending by id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (StationId, u32)> + '_ {
+        let dense = self
+            .dense
             .iter()
             .enumerate()
             .filter(|&(_, &value)| value != NIL)
-            .map(move |(offset, &value)| ((first + offset) as StationId, value));
-        dense.chain(self.sparse.range(start..).map(|(&id, &value)| (id, value)))
+            .map(|(id, &value)| (id as StationId, value));
+        dense.chain(self.sparse.iter().map(|(&id, &value)| (id, value)))
     }
-}
-
-#[derive(Debug, Clone)]
-struct Slot {
-    /// LRU neighbours when occupied (`prev` = colder); free-list link via
-    /// `next` when free.
-    prev: u32,
-    next: u32,
-    session: Option<StationSession>,
 }
 
 /// Dense session store. See the module docs for the layout.
 #[derive(Debug, Clone)]
 pub struct SessionSlab {
-    slots: Vec<Slot>,
+    slots: Vec<Option<StationSession>>,
     by_id: IdIndex,
-    free_head: u32,
-    /// Coldest (least recently active) end of the LRU list.
-    lru_head: u32,
-    /// Hottest end of the LRU list.
-    lru_tail: u32,
+    /// Vacant slots, reused last-freed-first.
+    free: Vec<u32>,
+    /// A lower bound on every resident's activity round (the round
+    /// [`StationSession::idle_rounds`] measures from), `u64::MAX` while the
+    /// slab has never held a session. [`Self::insert`] lowers it and an
+    /// eviction sweep makes it exact; serving maintains nothing, because
+    /// activity only grows and a grown activity leaves the bound valid.
+    coldest_round: u64,
 }
 
 impl Default for SessionSlab {
@@ -137,20 +128,17 @@ impl Default for SessionSlab {
 
 impl SessionSlab {
     pub fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            by_id: IdIndex::default(),
-            free_head: NIL,
-            lru_head: NIL,
-            lru_tail: NIL,
-        }
+        Self::with_capacity(0)
     }
 
     /// A slab whose slot vector is pre-sized for `sessions` stations.
     pub fn with_capacity(sessions: usize) -> Self {
-        let mut slab = Self::new();
-        slab.slots.reserve(sessions);
-        slab
+        Self {
+            slots: Vec::with_capacity(sessions),
+            by_id: IdIndex::default(),
+            free: Vec::new(),
+            coldest_round: u64::MAX,
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -165,23 +153,9 @@ impl SessionSlab {
         self.by_id.get(id).is_some()
     }
 
-    /// The round the LRU list orders by: the station's last served round,
-    /// or its join round while it has never been served — exactly the
-    /// quantity [`StationSession::idle_rounds`] measures from.
-    fn activity_round(session: &StationSession) -> u64 {
-        session
-            .last_round()
-            .unwrap_or_else(|| session.joined_round())
-    }
-
-    fn session_at(&self, index: u32) -> Option<&StationSession> {
-        self.slots[index as usize].session.as_ref()
-    }
-
-    /// Inserts `session` under its own station id, placing it in the LRU
-    /// list by its activity round. Returns `Err` with the session when the
-    /// id is already present (the caller validates first, so this is a
-    /// defensive contract rather than an expected path).
+    /// Inserts `session` under its own station id. Returns `Err` with the
+    /// session when the id is already present (the caller validates first,
+    /// so this is a defensive contract rather than an expected path).
     // The fat Err is the point: the rejected session must ride back to the
     // caller for restore, and boxing a cold failure path buys nothing.
     #[allow(clippy::result_large_err)]
@@ -190,64 +164,69 @@ impl SessionSlab {
         if self.contains(id) {
             return Err(session);
         }
-        let index = if self.free_head != NIL {
-            let index = self.free_head;
-            self.free_head = self.slots[index as usize].next;
-            self.slots[index as usize].session = Some(session);
-            index
-        } else {
-            let index = self.slots.len() as u32;
-            self.slots.push(Slot {
-                prev: NIL,
-                next: NIL,
-                session: Some(session),
-            });
-            index
+        // An adopted roaming session can be colder than every resident.
+        self.coldest_round = self.coldest_round.min(session.activity_round());
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(session);
+                slot
+            }
+            None => {
+                self.slots.push(Some(session));
+                (self.slots.len() - 1) as u32
+            }
         };
-        self.by_id.insert(id, index);
-        self.lru_insert_sorted(index);
+        self.by_id.insert(id, slot);
         Ok(())
     }
 
     /// Removes and returns the session for `id`, freeing its slot.
     pub fn remove(&mut self, id: StationId) -> Option<StationSession> {
-        let index = self.by_id.remove(id)?;
-        self.lru_unlink(index);
-        let slot = &mut self.slots[index as usize];
-        let session = slot.session.take();
-        slot.prev = NIL;
-        slot.next = self.free_head;
-        self.free_head = index;
-        session
+        let slot = self.by_id.remove(id)?;
+        self.free.push(slot);
+        self.slots[slot as usize].take()
     }
 
     pub fn get(&self, id: StationId) -> Option<&StationSession> {
-        self.session_at(self.by_id.get(id)?)
+        self.at(self.by_id.get(id)?)
     }
 
     pub fn get_mut(&mut self, id: StationId) -> Option<&mut StationSession> {
-        let index = self.by_id.get(id)?;
-        self.slots[index as usize].session.as_mut()
+        self.at_mut(self.by_id.get(id)?)
+    }
+
+    /// The session in `slot`, as [`Self::for_each_in_id_order`] handed it out.
+    pub(crate) fn at(&self, slot: u32) -> Option<&StationSession> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    pub(crate) fn at_mut(&mut self, slot: u32) -> Option<&mut StationSession> {
+        self.slots.get_mut(slot as usize)?.as_mut()
     }
 
     /// Sessions in ascending station-id order — the deterministic view every
     /// order-sensitive path iterates.
     pub fn values(&self) -> impl Iterator<Item = &StationSession> {
-        self.values_from(0)
-    }
-
-    /// The tail of [`Self::values`] that starts at the first id `>= start`.
-    pub(crate) fn values_from(&self, start: StationId) -> impl Iterator<Item = &StationSession> {
-        self.by_id
-            .iter_from(start)
-            .filter_map(move |(_, i)| self.session_at(i))
+        self.iter().map(|(_, session)| session)
     }
 
     /// `(id, session)` pairs in ascending station-id order.
     pub fn iter(&self) -> impl Iterator<Item = (StationId, &StationSession)> {
         self.by_id
-            .iter_from(0)
-            .filter_map(move |(id, i)| self.session_at(i).map(|s| (id, s)))
+            .iter()
+            .filter_map(move |(id, slot)| self.at(slot).map(|s| (id, s)))
+    }
+
+    /// Calls `visit(slot, session)` on every session in ascending station-id
+    /// order; `slot` stays valid for [`Self::at`] / [`Self::at_mut`] until
+    /// the session is removed.
+    pub(crate) fn for_each_in_id_order(&mut self, mut visit: impl FnMut(u32, &mut StationSession)) {
+        let Self { slots, by_id, .. } = self;
+        for (_, slot) in by_id.iter() {
+            if let Some(session) = &mut slots[slot as usize] {
+                visit(slot, session);
+            }
+        }
     }
 
     /// Mutable walk in dense slot order — **not** station-id order. Only for
@@ -255,133 +234,40 @@ impl SessionSlab {
     /// (commutative counter folds, min/count reductions); every path whose
     /// iteration order can reach an output must use [`Self::values`].
     pub fn values_unordered_mut(&mut self) -> impl Iterator<Item = &mut StationSession> {
-        self.slots.iter_mut().filter_map(|s| s.session.as_mut())
+        self.slots.iter_mut().flatten()
     }
 
     /// Immutable dense walk; same order caveat as
     /// [`Self::values_unordered_mut`].
     pub fn values_unordered(&self) -> impl Iterator<Item = &StationSession> {
-        self.slots.iter().filter_map(|s| s.session.as_ref())
-    }
-
-    /// Moves `id` to the hot end of the LRU list. Call after serving a
-    /// station (its activity round just became the current round, which is
-    /// maximal, so a plain tail append keeps the list sorted).
-    pub fn touch(&mut self, id: StationId) {
-        if let Some(index) = self.by_id.get(id) {
-            self.lru_unlink(index);
-            self.lru_push_tail(index);
-        }
+        self.slots.iter().flatten()
     }
 
     /// Evicts every session idle for more than `max_idle_rounds` as of
-    /// `closed_round`, returning how many were evicted. The LRU list is
-    /// sorted by activity round, so the evictable sessions form a prefix at
-    /// the cold end and the walk stops at the first survivor: `O(evicted)`,
-    /// independent of the session count.
+    /// `closed_round`, returning how many were evicted. While the cached
+    /// bound on the coldest activity round says no session can be past the
+    /// budget this is `O(1)`; otherwise one dense sweep evicts what is due
+    /// and makes the bound exact again.
     pub fn evict_idle(&mut self, closed_round: u64, max_idle_rounds: u64) -> usize {
+        if closed_round.saturating_sub(self.coldest_round) <= max_idle_rounds {
+            return 0;
+        }
         let mut evicted = 0;
-        while self.lru_head != NIL {
-            let index = self.lru_head;
-            let Some(session) = self.session_at(index) else {
-                break;
+        let mut coldest = u64::MAX;
+        for slot in 0..self.slots.len() {
+            let Some(session) = &self.slots[slot] else {
+                continue;
             };
-            if session.idle_rounds(closed_round) <= max_idle_rounds {
-                break;
-            }
-            let id = session.id();
-            self.remove(id);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    fn lru_unlink(&mut self, index: u32) {
-        let (prev, next) = {
-            let slot = &self.slots[index as usize];
-            (slot.prev, slot.next)
-        };
-        if prev != NIL {
-            self.slots[prev as usize].next = next;
-        } else if self.lru_head == index {
-            self.lru_head = next;
-        }
-        if next != NIL {
-            self.slots[next as usize].prev = prev;
-        } else if self.lru_tail == index {
-            self.lru_tail = prev;
-        }
-        let slot = &mut self.slots[index as usize];
-        slot.prev = NIL;
-        slot.next = NIL;
-    }
-
-    fn lru_push_tail(&mut self, index: u32) {
-        let tail = self.lru_tail;
-        self.slots[index as usize].prev = tail;
-        self.slots[index as usize].next = NIL;
-        if tail != NIL {
-            self.slots[tail as usize].next = index;
-        } else {
-            self.lru_head = index;
-        }
-        self.lru_tail = index;
-    }
-
-    /// Inserts `index` into the LRU list keeping it sorted by activity
-    /// round. Fresh registrations join at the current round (maximal key) so
-    /// the walk from the tail is `O(1)`; only an adopted roaming session
-    /// with older activity walks further.
-    fn lru_insert_sorted(&mut self, index: u32) {
-        let key = match self.session_at(index) {
-            Some(session) => Self::activity_round(session),
-            None => return,
-        };
-        let mut after = self.lru_tail;
-        while after != NIL {
-            let after_key = match self.session_at(after) {
-                Some(session) => Self::activity_round(session),
-                None => break,
-            };
-            if after_key <= key {
-                break;
-            }
-            after = self.slots[after as usize].prev;
-        }
-        if after == NIL {
-            // Coldest: push at the head.
-            let head = self.lru_head;
-            self.slots[index as usize].prev = NIL;
-            self.slots[index as usize].next = head;
-            if head != NIL {
-                self.slots[head as usize].prev = index;
+            if session.idle_rounds(closed_round) > max_idle_rounds {
+                let id = session.id();
+                self.remove(id);
+                evicted += 1;
             } else {
-                self.lru_tail = index;
+                coldest = coldest.min(session.activity_round());
             }
-            self.lru_head = index;
-        } else if after == self.lru_tail {
-            self.lru_push_tail(index);
-        } else {
-            let next = self.slots[after as usize].next;
-            self.slots[index as usize].prev = after;
-            self.slots[index as usize].next = next;
-            self.slots[after as usize].next = index;
-            self.slots[next as usize].prev = index;
         }
-    }
-}
-
-impl std::ops::Index<&StationId> for SessionSlab {
-    type Output = StationSession;
-
-    /// Panics when `id` is not registered — the same contract map indexing
-    /// had. Round-close paths only index ids they just collected from the
-    /// slab itself.
-    fn index(&self, id: &StationId) -> &StationSession {
-        match self.get(*id) {
-            Some(session) => session,
-            None => panic!("station {id} is not registered in the session slab"),
-        }
+        self.coldest_round = coldest;
+        evicted
     }
 }
 
@@ -407,7 +293,6 @@ mod tests {
         assert_eq!(slab.len(), 1);
         assert!(slab.contains(7));
         assert_eq!(slab.get(7).map(|s| s.id()), Some(7));
-        assert_eq!(slab[&7].id(), 7);
         let removed = slab.remove(7).unwrap();
         assert_eq!(removed.id(), 7);
         assert_eq!(slab.remove(7).map(|s| s.id()), None);
@@ -436,10 +321,17 @@ mod tests {
             slab.iter().map(|(id, _)| id).collect::<Vec<_>>(),
             vec![1, 3, 8, 17, 99, SPARSE]
         );
-        assert_eq!(
-            slab.values_from(17).map(|s| s.id()).collect::<Vec<_>>(),
-            vec![17, 99, SPARSE]
-        );
+        // The visitor walks the same order, and the slots it hands out lead
+        // back to the sessions it showed.
+        let mut visited = Vec::new();
+        slab.for_each_in_id_order(|slot, session| visited.push((slot, session.id())));
+        assert_eq!(visited[0], (0, 1), "id 1 took the freed slot 0");
+        for (&(slot, id), want) in visited.iter().zip(ids(&slab)) {
+            assert_eq!(id, want);
+            assert_eq!(slab.at(slot).map(|s| s.id()), Some(id));
+            assert_eq!(slab.at_mut(slot).map(|s| s.id()), Some(id));
+        }
+        assert!(visited.len() == 6 && slab.at(6).is_none());
         // The dense walk visits everyone exactly once, order unspecified.
         let mut dense: Vec<StationId> = slab.values_unordered().map(|s| s.id()).collect();
         dense.sort_unstable();
@@ -447,43 +339,47 @@ mod tests {
     }
 
     #[test]
-    fn eviction_walks_only_the_cold_prefix() {
+    fn eviction_takes_exactly_the_sessions_past_their_idle_budget() {
         let mut slab = SessionSlab::new();
         for id in 0..6u64 {
             slab.insert(session(id, 0)).unwrap();
         }
-        // Serve 4 and 1 at round 5: they move to the hot end.
+        // Serve 4 and 1 at round 5; the slab is told nothing about it.
         for id in [4u64, 1] {
             slab.get_mut(id).unwrap().store_feedback(&[0.0], 5);
-            slab.touch(id);
         }
+        // Within everybody's budget nothing goes.
+        assert_eq!(slab.evict_idle(5, 5), 0);
+        assert_eq!(slab.len(), 6);
         // As of round 8 with a 5-round budget, only the never-served four
         // (idle 8 > 5) go; 4 and 1 (idle 3) stay.
         assert_eq!(slab.evict_idle(8, 5), 4);
         assert_eq!(ids(&slab), vec![1, 4]);
-        // Nothing left to evict; the walk stops at the first survivor.
         assert_eq!(slab.evict_idle(8, 5), 0);
-        // Re-registration after eviction works and lands hot.
+        // Re-registration after eviction works and is not due.
         slab.insert(session(0, 8)).unwrap();
         assert_eq!(slab.evict_idle(8, 5), 0);
         assert_eq!(ids(&slab), vec![0, 1, 4]);
+        // The survivors go when their own budget runs out, the newcomer not.
+        assert_eq!(slab.evict_idle(11, 5), 2);
+        assert_eq!(ids(&slab), vec![0]);
     }
 
     #[test]
-    fn sorted_insert_places_stale_adoptions_by_activity() {
+    fn a_stale_adoption_among_fresh_residents_is_still_found() {
         let mut slab = SessionSlab::new();
         let mut fresh = session(10, 6);
         fresh.store_feedback(&[0.0], 6);
         slab.insert(fresh).unwrap();
-        // An adopted session whose last activity is far older must sort
-        // colder than the resident, so eviction sees it first.
-        let stale = session(20, 1);
-        slab.insert(stale).unwrap();
+        // An adopted session whose last activity is far older than every
+        // resident's must lower the coldest-round bound, or round 7's close
+        // would not look.
+        slab.insert(session(20, 1)).unwrap();
         assert_eq!(slab.evict_idle(7, 3), 1, "stale adoptee evicts");
         assert_eq!(ids(&slab), vec![10]);
     }
 
-    /// The ids the model check draws from: a dense run, both sides of the
+    /// The ids the model checks draw from: a dense run, both sides of the
     /// dense/sparse boundary, and the largest id there is.
     const POOL: [StationId; 12] = [
         0,
@@ -501,8 +397,8 @@ mod tests {
     ];
 
     proptest! {
-        // Few, short cases: once `DENSE_ID_BOUND - 1` is in, every walk from
-        // a small id crosses a million table entries.
+        // Few, short cases: once `DENSE_ID_BOUND - 1` is in, every walk
+        // crosses a million table entries.
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// `IdIndex` against an ordered-map model over random insert /
@@ -528,13 +424,64 @@ mod tests {
                 for probe in POOL {
                     prop_assert_eq!(index.get(probe), model.get(&probe).copied());
                 }
-                let start = POOL[(word >> 16) as usize % POOL.len()];
-                for from in [0, start] {
-                    prop_assert_eq!(
-                        index.iter_from(from).collect::<Vec<_>>(),
-                        model.range(from..).map(|(&id, &v)| (id, v)).collect::<Vec<_>>()
-                    );
+                prop_assert_eq!(
+                    index.iter().collect::<Vec<_>>(),
+                    model.iter().map(|(&id, &v)| (id, v)).collect::<Vec<_>>()
+                );
+            }
+        }
+
+        /// `SessionSlab` against an ordered map of activity rounds over
+        /// random insert / remove / serve-at-round / `evict_idle` /
+        /// re-insert sequences, rounds only moving forward: the same evicted
+        /// *set*, `len`, membership and ascending `values()` after every
+        /// step — whatever the cached coldest-round bound believed.
+        #[test]
+        fn prop_session_slab_matches_an_ordered_map(
+            steps in proptest::collection::vec(0u64..u64::MAX, 1..64),
+        ) {
+            let mut slab = SessionSlab::new();
+            // id → activity round.
+            let mut model: BTreeMap<StationId, u64> = BTreeMap::new();
+            let mut round = 0u64;
+            for word in steps {
+                let id = POOL[(word >> 8) as usize % POOL.len()];
+                round += (word >> 16) % 3;
+                match word % 5 {
+                    // A fresh registration, or (half the time) an adoption
+                    // whose activity lies up to seven rounds back.
+                    0 => {
+                        let joined = round.saturating_sub((word >> 24) % 2 * ((word >> 32) % 8));
+                        let inserted = slab.insert(session(id, joined)).is_ok();
+                        prop_assert_eq!(inserted, !model.contains_key(&id));
+                        model.entry(id).or_insert(joined);
+                    }
+                    1 => prop_assert_eq!(
+                        slab.remove(id).map(|s| s.activity_round()),
+                        model.remove(&id)
+                    ),
+                    2 => {
+                        if let Some(session) = slab.get_mut(id) {
+                            session.store_feedback(&[0.0], round);
+                        }
+                        if let Some(activity) = model.get_mut(&id) {
+                            *activity = round;
+                        }
+                    }
+                    // The residents agreed before the step and are compared
+                    // after it, so an equal count is an equal evicted set.
+                    _ => {
+                        let (budget, before) = ((word >> 40) % 6, model.len());
+                        model.retain(|_, activity| round - *activity <= budget);
+                        prop_assert_eq!(slab.evict_idle(round, budget), before - model.len());
+                    }
                 }
+                prop_assert_eq!(slab.len(), model.len());
+                for probe in POOL {
+                    let resident = slab.get(probe).map(|s| s.activity_round());
+                    prop_assert_eq!(resident, model.get(&probe).copied());
+                }
+                prop_assert_eq!(ids(&slab), model.keys().copied().collect::<Vec<_>>());
             }
         }
     }

@@ -321,7 +321,7 @@ impl QuantizedTail {
     /// [`SplitBeamModel::reconstruct_quantized_batch_iter_into`] — same batch
     /// validation, but the wire codes are mapped **directly** to the first
     /// layer's u7 activation codes (a per-payload LUT, see
-    /// [`quantize_codes_u7`]) with no dequantize-to-f32 strip in between, and
+    /// `quantize_codes_u7`) with no dequantize-to-f32 strip in between, and
     /// every layer runs the packed integer GEMM on `kernel`, dequantizing in
     /// its store.
     ///

@@ -3,7 +3,7 @@
 //! The in-memory payload keeps one `u16` per code for fast arithmetic, but a
 //! real feedback frame must carry each code at its true width — a 4-bit
 //! bottleneck occupies 4 bits per value on the air, not 16. This module is the
-//! boundary between the two representations. The current (v2) frame layout is:
+//! boundary between the two representations. The frame layout is:
 //!
 //! ```text
 //! +---------+---------------+---------+-------------+-----------+-----------+------------------+-----------+
@@ -15,11 +15,9 @@
 //! +---------+---------------+---------+-------------+-----------+-----------+------------------+-----------+
 //! ```
 //!
-//! The version octet `0xB5` is deliberately outside the `1..=16` range a
-//! legacy frame's leading `bits_per_value` octet can take, so the decoder
-//! sniffs the first byte and still accepts the pre-versioned
-//! `[bpv][count][min][max][codes]` layout (encodable via
-//! [`encode_feedback_legacy`]). The CRC-32 (IEEE 802.3, reflected polynomial
+//! This is the only layout the decoder accepts: a frame opening with any
+//! other octet is rejected as an unknown version, so no frame decodes without
+//! passing the CRC. The CRC-32 (IEEE 802.3, reflected polynomial
 //! `0xEDB88320`) covers every byte before the trailer, so a corrupted frame is
 //! *detected* and rejected as [`SplitBeamError::CorruptFrame`] instead of
 //! being decoded into plausible garbage. The 16-bit sequence number feeds the
@@ -36,8 +34,7 @@ use crate::quantization::QuantizedFeedback;
 use crate::SplitBeamError;
 use dot11_bfi::bits::{BitReader, BitWriter};
 
-/// Version octet opening every v2 frame. Outside `1..=16` so it can never be
-/// confused with a legacy frame's leading `bits_per_value` octet.
+/// Version octet opening every frame.
 pub const WIRE_VERSION: u8 = 0xB5;
 
 /// Size of the fixed v2 frame header in bits: version (8) + `bits_per_value`
@@ -52,13 +49,6 @@ pub const WIRE_TRAILER_BITS: usize = 32;
 
 /// Size of the CRC-32 frame trailer in bytes.
 pub const WIRE_TRAILER_BYTES: usize = WIRE_TRAILER_BITS / 8;
-
-/// Size of the legacy (pre-versioned) frame header in bits:
-/// `bits_per_value` (8) + code count (16) + `min` (32) + `max` (32).
-pub const LEGACY_WIRE_HEADER_BITS: usize = 8 + 16 + 32 + 32;
-
-/// Size of the legacy frame header in bytes.
-pub const LEGACY_WIRE_HEADER_BYTES: usize = LEGACY_WIRE_HEADER_BITS / 8;
 
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
@@ -176,34 +166,6 @@ pub fn encode_feedback_with_seq(
     Ok(frame)
 }
 
-/// Encodes a quantized payload into the legacy (pre-versioned, CRC-less)
-/// `[bpv][count][min][max][codes]` layout. Kept so compatibility with frames
-/// from older captures stays testable; new senders should use
-/// [`encode_feedback`].
-///
-/// # Errors
-/// Same contract as [`encode_feedback`].
-pub fn encode_feedback_legacy(payload: &QuantizedFeedback) -> Result<Vec<u8>, SplitBeamError> {
-    let bits = check_encodable(payload)?;
-    let max_code = ((1u32 << bits) - 1) as u16;
-    let mut writer = BitWriter::with_capacity_bits(
-        LEGACY_WIRE_HEADER_BITS + payload.codes.len() * bits as usize,
-    );
-    writer.push(u32::from(payload.bits_per_value), 8);
-    writer.push(payload.codes.len() as u32, 16);
-    writer.push(payload.min.to_bits(), 32);
-    writer.push(payload.max.to_bits(), 32);
-    for (i, &code) in payload.codes.iter().enumerate() {
-        if code > max_code {
-            return Err(SplitBeamError::DimensionMismatch(format!(
-                "code {code} at index {i} does not fit in {bits} bits"
-            )));
-        }
-        writer.push(u32::from(code), bits);
-    }
-    Ok(writer.finish())
-}
-
 fn check_encodable(payload: &QuantizedFeedback) -> Result<u32, SplitBeamError> {
     if !(1..=16).contains(&payload.bits_per_value) {
         return Err(SplitBeamError::DimensionMismatch(format!(
@@ -220,7 +182,7 @@ fn check_encodable(payload: &QuantizedFeedback) -> Result<u32, SplitBeamError> {
     Ok(u32::from(payload.bits_per_value))
 }
 
-/// Decodes a wire frame (v2 or legacy) back into the quantized payload.
+/// Decodes a wire frame back into the quantized payload.
 ///
 /// Decoding is exact: the codes and the two range floats are recovered
 /// bit-for-bit, so dequantizing the decoded payload yields byte-identical
@@ -243,7 +205,7 @@ pub fn decode_feedback(frame: &[u8]) -> Result<QuantizedFeedback, SplitBeamError
     Ok(payload)
 }
 
-/// Decodes a wire frame (v2 or legacy) into a caller-owned payload, reusing
+/// Decodes a wire frame into a caller-owned payload, reusing
 /// its `codes` buffer (the serving layer's steady-state ingest path — no
 /// allocation after the buffer reaches its high-water capacity).
 ///
@@ -269,17 +231,12 @@ pub fn decode_feedback_into(
 }
 
 fn decode_inner(frame: &[u8], payload: &mut QuantizedFeedback) -> Result<(), SplitBeamError> {
-    match frame.first() {
-        Some(&WIRE_VERSION) => decode_v2(frame, payload),
-        Some(&bpv) if (1..=16).contains(&bpv) => decode_legacy(frame, payload),
-        Some(&first) => Err(SplitBeamError::DimensionMismatch(format!(
-            "unknown wire frame version octet {first:#04x}"
-        ))),
-        None => Err(SplitBeamError::DimensionMismatch("empty wire frame".into())),
+    if frame.first() != Some(&WIRE_VERSION) {
+        return Err(SplitBeamError::DimensionMismatch(match frame.first() {
+            Some(first) => format!("unknown wire frame version octet {first:#04x}"),
+            None => "empty wire frame".into(),
+        }));
     }
-}
-
-fn decode_v2(frame: &[u8], payload: &mut QuantizedFeedback) -> Result<(), SplitBeamError> {
     let floor = WIRE_HEADER_BYTES + WIRE_TRAILER_BYTES;
     if frame.len() < floor {
         return Err(SplitBeamError::DimensionMismatch(format!(
@@ -317,31 +274,14 @@ fn decode_v2(frame: &[u8], payload: &mut QuantizedFeedback) -> Result<(), SplitB
             frame.len()
         )));
     }
-    fill_codes(&mut reader, payload, bits_per_value, min, max, count);
-    Ok(())
-}
-
-fn decode_legacy(frame: &[u8], payload: &mut QuantizedFeedback) -> Result<(), SplitBeamError> {
-    let mut reader = BitReader::new(frame);
-    let header_err = || {
-        SplitBeamError::DimensionMismatch(format!(
-            "wire frame of {} bytes is shorter than the {LEGACY_WIRE_HEADER_BYTES}-byte legacy header",
-            frame.len()
-        ))
-    };
-    let bits_per_value = reader.pull(8).ok_or_else(header_err)? as u8;
-    let count = reader.pull(16).ok_or_else(header_err)? as usize;
-    let min = f32::from_bits(reader.pull(32).ok_or_else(header_err)?);
-    let max = f32::from_bits(reader.pull(32).ok_or_else(header_err)?);
-    check_fields(bits_per_value, min, max)?;
-    let expected_len = legacy_encoded_len(count, bits_per_value);
-    if frame.len() != expected_len {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "legacy wire frame is {} bytes, header declares {count} codes x {bits_per_value} bits = {expected_len} bytes",
-            frame.len()
-        )));
-    }
-    fill_codes(&mut reader, payload, bits_per_value, min, max, count);
+    payload.bits_per_value = bits_per_value;
+    payload.min = min;
+    payload.max = max;
+    payload.codes.clear();
+    // Length was validated above; the bulk pull cannot fail.
+    reader
+        .pull_u16s_into(u32::from(bits_per_value), count, &mut payload.codes)
+        .expect("frame length validated against declared code count");
     Ok(())
 }
 
@@ -359,26 +299,8 @@ fn check_fields(bits_per_value: u8, min: f32, max: f32) -> Result<(), SplitBeamE
     Ok(())
 }
 
-fn fill_codes(
-    reader: &mut BitReader<'_>,
-    payload: &mut QuantizedFeedback,
-    bits_per_value: u8,
-    min: f32,
-    max: f32,
-    count: usize,
-) {
-    payload.bits_per_value = bits_per_value;
-    payload.min = min;
-    payload.max = max;
-    payload.codes.clear();
-    // Length was validated by the caller; the bulk pull cannot fail.
-    reader
-        .pull_u16s_into(u32::from(bits_per_value), count, &mut payload.codes)
-        .expect("frame length validated against declared code count");
-}
-
-/// Sequence number carried by a v2 frame's header; `0` for legacy frames
-/// (which are always unsequenced) and for frames too short to carry one.
+/// Sequence number carried by a frame's header; `0` for anything that is
+/// not a v2 frame or is too short to carry one.
 pub fn frame_seq(frame: &[u8]) -> u16 {
     if frame.len() >= 4 && frame[0] == WIRE_VERSION {
         u16::from_be_bytes([frame[2], frame[3]])
@@ -388,8 +310,8 @@ pub fn frame_seq(frame: &[u8]) -> u16 {
 }
 
 /// Rewrites the sequence number of a v2 frame in place and re-seals its
-/// CRC-32 trailer. Returns `false` (leaving the frame untouched) for legacy
-/// frames or anything too short to be a v2 frame — those stay unsequenced.
+/// CRC-32 trailer. Returns `false` (leaving the frame untouched) for
+/// anything that is not a whole v2 frame.
 pub fn set_frame_seq(frame: &mut [u8], seq: u16) -> bool {
     if frame.len() < WIRE_HEADER_BYTES + WIRE_TRAILER_BYTES || frame[0] != WIRE_VERSION {
         return false;
@@ -416,19 +338,6 @@ pub fn refresh_crc(frame: &mut [u8]) -> bool {
 /// bits, including the CRC-32 trailer.
 pub fn encoded_len(count: usize, bits_per_value: u8) -> usize {
     WIRE_HEADER_BYTES + (count * bits_per_value as usize).div_ceil(8) + WIRE_TRAILER_BYTES
-}
-
-/// Exact legacy wire frame length in bytes for `count` codes at
-/// `bits_per_value` bits.
-pub fn legacy_encoded_len(count: usize, bits_per_value: u8) -> usize {
-    LEGACY_WIRE_HEADER_BYTES + (count * bits_per_value as usize).div_ceil(8)
-}
-
-/// Bytes the pre-wire in-memory representation shipped between crates: one
-/// `u16` per code plus the `bits_per_value`/`min`/`max` fields. Kept as the
-/// baseline the wire codec is measured against in `serve_report`.
-pub fn legacy_repr_bytes(count: usize) -> usize {
-    1 + 4 + 4 + 2 * count
 }
 
 #[cfg(test)]
@@ -491,23 +400,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_frames_still_decode() {
-        let values = sample_values(77);
-        for bits in 1..=16u8 {
-            let payload = quantize_bottleneck(&values, bits);
-            let frame = encode_feedback_legacy(&payload).unwrap();
-            assert_eq!(frame.len(), legacy_encoded_len(payload.codes.len(), bits));
-            assert_eq!(decode_feedback(&frame).unwrap(), payload, "bits={bits}");
-            assert_eq!(frame_seq(&frame), 0);
-        }
-    }
-
-    #[test]
     fn four_bit_codes_occupy_four_bits() {
         let payload = quantize_bottleneck(&sample_values(100), 4);
         let frame = encode_feedback(&payload).unwrap();
         assert_eq!(frame.len(), WIRE_HEADER_BYTES + 50 + WIRE_TRAILER_BYTES);
-        assert!(frame.len() * 8 < legacy_repr_bytes(100) * 8 / 3);
+        // Header and trailer included, under 40 % of one `u16` a code.
+        assert!(frame.len() * 10 < 2 * 100 * 4);
     }
 
     #[test]
@@ -542,14 +440,13 @@ mod tests {
                 let mut hostile = frame.clone();
                 hostile[byte] ^= 1 << bit;
                 let err = decode_feedback(&hostile).expect_err("bit flip must be rejected");
-                if byte > 0 {
-                    // Anything after the version octet leaves a sniffable v2
-                    // frame whose CRC no longer matches.
-                    assert!(
-                        matches!(err, SplitBeamError::CorruptFrame(_)),
-                        "flip at byte {byte} bit {bit}: {err}"
-                    );
-                }
+                // A flipped version octet is an unknown version; anything
+                // after it leaves a v2 frame whose CRC no longer matches.
+                assert_eq!(
+                    matches!(err, SplitBeamError::CorruptFrame(_)),
+                    byte > 0,
+                    "flip at byte {byte} bit {bit}: {err}"
+                );
             }
         }
     }
@@ -581,10 +478,17 @@ mod tests {
             decode_feedback(&nan_range),
             Err(SplitBeamError::DimensionMismatch(_))
         ));
-        // Unknown version octet (not 0xB5, not a legacy bpv).
-        let mut bad_version = encode_feedback(&payload).unwrap();
-        bad_version[0] = 0x42;
-        assert!(decode_feedback(&bad_version).is_err());
+        // Any version octet other than 0xB5 — a width the CRC-less
+        // pre-versioned layout opened with included — is unknown, however
+        // well-formed the rest of the frame.
+        for version in [0x42, 8] {
+            let mut bad_version = encode_feedback(&payload).unwrap();
+            bad_version[0] = version;
+            assert!(matches!(
+                decode_feedback(&bad_version),
+                Err(SplitBeamError::DimensionMismatch(msg)) if msg.contains("version octet")
+            ));
+        }
     }
 
     #[test]
@@ -601,12 +505,13 @@ mod tests {
         assert_eq!(patched, encode_feedback_with_seq(&payload, 7).unwrap());
         assert_eq!(decode_feedback(&patched).unwrap(), payload);
 
-        let mut legacy = encode_feedback_legacy(&payload).unwrap();
-        assert!(
-            !set_frame_seq(&mut legacy, 7),
-            "legacy frames stay unsequenced"
-        );
-        assert_eq!(decode_feedback(&legacy).unwrap(), payload);
+        // Not a v2 frame: left alone, and it carries no sequence number.
+        let mut foreign = patched.clone();
+        foreign[0] = 8;
+        let untouched = foreign.clone();
+        assert!(!set_frame_seq(&mut foreign, 9) && !refresh_crc(&mut foreign));
+        assert_eq!(foreign, untouched);
+        assert_eq!(frame_seq(&foreign), 0);
     }
 
     #[test]
@@ -627,7 +532,6 @@ mod tests {
                 ),
                 "bpv={bpv}"
             );
-            assert!(encode_feedback_legacy(&payload).is_err(), "bpv={bpv}");
         }
     }
 
@@ -646,12 +550,12 @@ mod tests {
         let mut corrupt = frame.clone();
         *corrupt.last_mut().unwrap() ^= 0xFF;
         let bad_frames: Vec<Vec<u8>> = vec![
-            Vec::new(),                                // empty
-            frame[..5].to_vec(),                       // truncated mid-header
-            frame[..frame.len() - 1].to_vec(),         // truncated trailer
-            corrupt,                                   // CRC mismatch
-            vec![0x42; 40],                            // unknown version
-            vec![17, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0], // legacy bad bpv
+            Vec::new(),                                  // empty
+            frame[..5].to_vec(),                         // truncated mid-header
+            frame[..frame.len() - 1].to_vec(),           // truncated trailer
+            corrupt,                                     // CRC mismatch
+            vec![0x42; 40],                              // unknown version
+            vec![8, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xAB], // the pre-versioned layout
         ];
         for (i, bad) in bad_frames.iter().enumerate() {
             let mut payload = good.clone();
@@ -675,7 +579,6 @@ mod tests {
         let mut payload = quantize_bottleneck(&sample_values(4), 4);
         payload.codes[2] = 16; // does not fit in 4 bits
         assert!(encode_feedback(&payload).is_err());
-        assert!(encode_feedback_legacy(&payload).is_err());
     }
 
     #[test]
@@ -684,18 +587,12 @@ mod tests {
         assert_eq!(WIRE_HEADER_BYTES, 14);
         assert_eq!(WIRE_TRAILER_BITS, 32);
         assert_eq!(WIRE_TRAILER_BYTES, 4);
-        assert_eq!(LEGACY_WIRE_HEADER_BITS, 88);
-        assert_eq!(LEGACY_WIRE_HEADER_BYTES, 11);
         assert_eq!(encoded_len(0, 16), WIRE_HEADER_BYTES + WIRE_TRAILER_BYTES);
-        assert_eq!(legacy_encoded_len(0, 16), LEGACY_WIRE_HEADER_BYTES);
-        assert_ne!(WIRE_VERSION as usize, 0);
-        assert!(!(1..=16).contains(&(WIRE_VERSION as usize)));
     }
 
     proptest! {
         /// Satellite: quantize → wire-encode → wire-decode → dequantize is
-        /// bit-exact with the unencoded path for every width 1..=16, on both
-        /// the v2 and legacy layouts.
+        /// bit-exact with the unencoded path for every width 1..=16.
         #[test]
         fn prop_wire_roundtrip_bit_exact(
             values in proptest::collection::vec(-25.0f32..25.0, 0..96),
@@ -708,8 +605,6 @@ mod tests {
             prop_assert_eq!(frame_seq(&frame), seq);
             let decoded = decode_feedback(&frame).unwrap();
             prop_assert_eq!(&decoded, &payload);
-            let legacy = encode_feedback_legacy(&payload).unwrap();
-            prop_assert_eq!(&decode_feedback(&legacy).unwrap(), &payload);
             let direct = dequantize_bottleneck(&payload);
             let via_wire = dequantize_bottleneck(&decoded);
             prop_assert_eq!(direct.len(), via_wire.len());
