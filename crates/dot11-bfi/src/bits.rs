@@ -111,13 +111,17 @@ impl<'a> BitReader<'a> {
     /// returns `None` (consuming nothing) when the stream holds fewer than
     /// `bits * count` remaining bits.
     ///
-    /// Decodes eight bytes at a time: one big-endian load yields every code
-    /// sure to end inside it (14 at 4 bits) by rotates alone, stored by index
-    /// into a destination grown once up front — against
-    /// [`BitReader::pull`]'s per-call bounds check and chunk loop. This is
-    /// the AP's per-frame payload decode: hundreds of codes per frame, every
-    /// frame, so the per-code constant dominates ingest cost. Produces
-    /// exactly the values the equivalent `pull` sequence would.
+    /// A width that divides a byte (1, 2, 4, 8), read from a byte boundary,
+    /// splits whole bytes in a loop of independent shifts the compiler
+    /// vectorises — every SplitBeam frame: a 14-byte header, then 4-bit
+    /// codes. Every other width, a start inside a byte and the codes of a
+    /// ragged last byte decode eight bytes at a time: one big-endian load
+    /// yields every code sure to end inside it (14 at 4 bits) by rotates
+    /// alone, stored by index into a destination grown once up front —
+    /// against [`BitReader::pull`]'s per-call bounds check and chunk loop.
+    /// This is the AP's per-frame payload decode: hundreds of codes per
+    /// frame, every frame, so the per-code constant dominates ingest cost.
+    /// Produces exactly the values the equivalent `pull` sequence would.
     ///
     /// # Panics
     /// When `bits` lies outside `1..=16` — wider codes don't fit the `u16`
@@ -133,12 +137,25 @@ impl<'a> BitReader<'a> {
         }
         let start = out.len();
         out.resize(start + count, 0);
+        let mut codes = &mut out[start..];
+        if self.bit_pos.is_multiple_of(8) && 8 % bits == 0 {
+            let per_byte = 8 / bits;
+            let bytes = &self.data[self.bit_pos / 8..][..count / per_byte];
+            let (whole, ragged) = codes.split_at_mut(bytes.len() * per_byte);
+            match bits {
+                1 => split_bytes::<1>(bytes, whole),
+                2 => split_bytes::<2>(bytes, whole),
+                4 => split_bytes::<4>(bytes, whole),
+                _ => split_bytes::<8>(bytes, whole),
+            }
+            self.bit_pos += 8 * bytes.len();
+            codes = ragged;
+        }
         let mask = (1u64 << bits) - 1;
         // The codes that end inside a window whatever bit of its first byte
         // they start at: a constant, where the exact count would cost a
         // division a window.
         let per_window = (64 - 7) / bits;
-        let mut codes = &mut out[start..];
         while !codes.is_empty() {
             let (byte, offset) = (self.bit_pos / 8, self.bit_pos % 8);
             let window = match self.data.get(byte..byte + 8) {
@@ -169,6 +186,18 @@ impl<'a> BitReader<'a> {
     /// Number of bits consumed so far.
     pub fn bits_read(&self) -> usize {
         self.bit_pos
+    }
+}
+
+/// Splits each byte into its `8 / BITS` codes, most significant first:
+/// `codes` holds exactly that many per byte of `bytes`. The width is a
+/// constant so that every shift is one and the loop vectorises.
+fn split_bytes<const BITS: usize>(bytes: &[u8], codes: &mut [u16]) {
+    let mask = (1u16 << BITS) - 1;
+    for (&byte, codes) in bytes.iter().zip(codes.chunks_exact_mut(8 / BITS)) {
+        for (i, code) in codes.iter_mut().enumerate() {
+            *code = (u16::from(byte) >> (8 - BITS * (i + 1))) & mask;
+        }
     }
 }
 
@@ -206,38 +235,63 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every width from every starting bit offset, from empty runs to
-        /// ones longer than a frame's, ending flush with the stream or any
-        /// number of bytes before its end (so both the 8-byte window and the
+        /// Every width from every starting bit offset — so the byte-split
+        /// path (a width dividing 8 from offset 0), its ragged last byte and
+        /// the window path each run in every case — from empty runs to ones
+        /// longer than a frame's, ending flush with the stream or any number
+        /// of bytes before its end (so both the 8-byte window and the
         /// zero-extended tail are crossed at every phase): bit-equal to the
         /// `pull` sequence, and leaving the reader where it leaves it.
         #[test]
         fn bulk_pull_matches_single_pulls(
-            bits in 1u32..=16,
-            lead in 0u32..=7,
             count in 0usize..=600,
             trailing in 0usize..=9,
             seed in 0u64..u64::MAX,
         ) {
-            let len = (lead as usize + bits as usize * count).div_ceil(8) + trailing;
-            let data: Vec<u8> = (0..len as u64)
-                .map(|i| (i.wrapping_add(seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
-                .collect();
-            let mut reference = BitReader::new(&data);
-            reference.pull(lead).unwrap();
-            let expect: Vec<u16> = (0..count)
-                .map(|_| reference.pull(bits).unwrap() as u16)
-                .collect();
-            let mut bulk = BitReader::new(&data);
-            bulk.pull(lead).unwrap();
-            let mut got = vec![0xBEEF];
-            bulk.pull_u16s_into(bits, count, &mut got).unwrap();
-            prop_assert_eq!(got[0], 0xBEEF, "a bulk pull appends");
-            prop_assert_eq!(&got[1..], &expect[..]);
-            prop_assert_eq!(bulk.bits_read(), reference.bits_read());
+            for bits in 1u32..=16 {
+                for lead in 0u32..=7 {
+                    let len = (lead as usize + bits as usize * count).div_ceil(8) + trailing;
+                    let data: Vec<u8> = (0..len as u64)
+                        .map(|i| {
+                            (i.wrapping_add(seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+                        })
+                        .collect();
+                    let mut reference = BitReader::new(&data);
+                    reference.pull(lead).unwrap();
+                    let expect: Vec<u16> = (0..count)
+                        .map(|_| reference.pull(bits).unwrap() as u16)
+                        .collect();
+                    let mut bulk = BitReader::new(&data);
+                    bulk.pull(lead).unwrap();
+                    let mut got = vec![0xBEEF];
+                    bulk.pull_u16s_into(bits, count, &mut got).unwrap();
+                    prop_assert_eq!(got[0], 0xBEEF, "a bulk pull appends");
+                    prop_assert_eq!(&got[1..], &expect[..], "{} bits from bit {}", bits, lead);
+                    prop_assert_eq!(bulk.bits_read(), reference.bits_read());
+                }
+            }
         }
+    }
+
+    #[test]
+    fn byte_split_codes_come_out_most_significant_first() {
+        // One byte a width: the split path's order, stated rather than
+        // derived from `pull`, and its ragged tail (3 of the 4 crumbs, 5 of
+        // the 8 bits) handed on to the window path.
+        let mut out = Vec::new();
+        BitReader::new(&[0xA7, 0x1E]).pull_u16s_into(4, 4, &mut out);
+        assert_eq!(out, [0xA, 0x7, 0x1, 0xE]);
+        out.clear();
+        BitReader::new(&[0b11_01_00_10, 0b10_00_11_01]).pull_u16s_into(2, 7, &mut out);
+        assert_eq!(out, [3, 1, 0, 2, 2, 0, 3]);
+        out.clear();
+        BitReader::new(&[0b1011_0001, 0b0110_1000]).pull_u16s_into(1, 13, &mut out);
+        assert_eq!(out, [1, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1]);
+        out.clear();
+        BitReader::new(&[0xFE, 0x01]).pull_u16s_into(8, 2, &mut out);
+        assert_eq!(out, [0xFE, 0x01]);
     }
 
     #[test]
@@ -249,6 +303,15 @@ mod tests {
         assert_eq!(r.bits_read(), 0, "failed bulk pull must not consume");
         assert_eq!(r.pull_u16s_into(5, 3, &mut out), Some(()));
         assert_eq!(out.len(), 4);
+        // The same on the byte-split path: five nibbles of a four-nibble
+        // stream are refused whole, four are served.
+        let mut r = BitReader::new(&[0xAB, 0xCD]);
+        let mut out = vec![7u16];
+        assert_eq!(r.pull_u16s_into(4, 5, &mut out), None);
+        assert_eq!((out.as_slice(), r.bits_read()), (&[7u16][..], 0));
+        assert_eq!(r.pull_u16s_into(4, 4, &mut out), Some(()));
+        assert_eq!(out, [7, 0xA, 0xB, 0xC, 0xD]);
+        assert_eq!(r.pull_u16s_into(4, 1, &mut out), None);
     }
 
     #[test]

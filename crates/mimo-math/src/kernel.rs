@@ -41,8 +41,8 @@
 //! products without a bound right-hand side (training, the batch-1 head).
 //!
 //! A third tier lives in [`int8`]: integer `u8 x i8 -> i32` GEMM arms for
-//! quantized tail weights (AVX-512 VNNI → AVX2 `maddubs` → scalar reference,
-//! all bit-exact with each other), resolved by [`int8::selected_int8`] behind
+//! quantized tail weights (AMX `tdpbusd` → AVX-512 VNNI → AVX2 `maddubs` →
+//! scalar reference, all bit-exact with each other), resolved by [`int8::selected_int8`] behind
 //! the same override/environment seam, and packed at bind like the f32 tail.
 //! [`tune`] holds the k-block of the row-major f32 arm, the only blocking
 //! parameter left.
@@ -222,6 +222,9 @@ pub struct DispatchReport {
     pub avx512bw_available: bool,
     /// Whether the full VNNI arm requirement (F+BW+VL+VNNI) is met.
     pub avx512_vnni_available: bool,
+    /// Whether the AMX arm can run: `amx-tile` + `amx-int8` next to the VNNI
+    /// requirement, and the operating system granted tile data.
+    pub amx_int8_available: bool,
 }
 
 /// Snapshot of the current dispatch state.
@@ -241,6 +244,7 @@ pub fn dispatch_report() -> DispatchReport {
         avx512f_available: int8::avx512f_available(),
         avx512bw_available: int8::avx512bw_available(),
         avx512_vnni_available: int8::avx512_vnni_available(),
+        amx_int8_available: int8::amx_int8_available(),
     }
 }
 
@@ -852,6 +856,8 @@ mod tests {
     #[test]
     fn dispatch_report_is_consistent() {
         let report = dispatch_report();
+        // CI runs this test alone with `--nocapture` ahead of the suites.
+        eprintln!("{report:?}");
         assert!(["auto", "scalar"].contains(&report.requested));
         assert!(["scalar", "avx2_fma"].contains(&report.selected));
         assert_eq!(
@@ -862,7 +868,9 @@ mod tests {
             report.selected_packed == "avx512f_12x32",
             report.selected == "avx2_fma" && report.avx512f_available
         );
-        assert!(["scalar", "avx2_maddubs", "avx512_vnni"].contains(&report.selected_int8));
+        assert!(
+            ["scalar", "avx2_maddubs", "avx512_vnni", "amx_int8"].contains(&report.selected_int8)
+        );
         if !report.avx2_fma_available {
             assert_eq!(report.selected, "scalar");
         }
@@ -871,9 +879,19 @@ mod tests {
         // filled regardless of what got selected.
         if !report.avx512_vnni_available {
             assert_ne!(report.selected_int8, "avx512_vnni");
+            assert!(!report.amx_int8_available);
         }
+        // The honest name: the AMX arm is reported exactly when it is the
+        // one that runs.
+        assert_eq!(
+            report.selected_int8 == "amx_int8",
+            report.amx_int8_available && report.requested == "auto"
+        );
         if report.requested == "scalar" {
-            assert_eq!(report.selected_int8, "scalar");
+            assert_eq!(
+                (report.selected, report.selected_int8),
+                ("scalar", "scalar")
+            );
         }
         assert_eq!(Kernel::Scalar.name(), "scalar");
         assert_eq!(Kernel::Avx2Fma.name(), "avx2_fma");

@@ -13,6 +13,7 @@
 //!
 //! | [`Int8Kernel`] | `MR x NR` | registers | group step |
 //! |---|---|---|---|
+//! | `Amx` | 32 x 32 | 2 x 2 `tmm` sums + 2 activation + 2 weight tiles | four `tdpbusd` a 16 groups |
 //! | `Avx512Vnni` | 12 x 32 | 24 zmm accumulators + 2 weights + 1 broadcast | one `vpdpbusd` |
 //! | `Avx2Maddubs` | 4 x 16 | 8 ymm accumulators + 2 weights + `ones` + broadcast + temporary | `maddubs` + `madd` + `add` |
 //! | `Scalar` | any | — | the portable tile, the bit-exactness anchor |
@@ -36,13 +37,15 @@
 //! Activations are quantized to **u7** (`0..=127`) per row: with both
 //! operands bounded by 127, a `maddubs` pair sum is at most `2*127*127 =
 //! 32258 < i16::MAX`, so the AVX2 arm can never saturate and stays exact.
-//! Activation rows are zero-padded to [`padded_k`] bytes; the padded products
-//! are exact zeros in every arm.
+//! Activation rows ([`Lhs`]) start on a 64-byte boundary and are zero-padded
+//! to a whole number of 64-byte steps — what an AMX tile row is loaded from;
+//! the padded products are exact zeros in every arm.
 //!
 //! # Exactness
 //!
-//! Every arm accumulates the same `u8 x i8` products into `i32`, and integer
-//! addition is associative, so the sums are equal by construction. The
+//! Every arm accumulates the same `u8 x i8` products into `i32` (`tdpbusd`
+//! is `vpdpbusd`'s sum, 16 x 16 outputs at a time), and integer addition is
+//! associative, so the sums are equal by construction. The
 //! dequantizing store then evaluates, per element, the one f32 expression
 //! `acc as f32 * ws[j] * a_scale + (a_min * corr[j] + bias[j])` — the same
 //! operations in the same order in every arm, individually rounded (no FMA
@@ -69,6 +72,10 @@ pub enum Int8Kernel {
     /// AVX-512 VNNI `dpbusd` kernel (x86_64, runtime-detected
     /// `avx512f/bw/vl/vnni`).
     Avx512Vnni,
+    /// AMX `tdpbusd` tile kernel (x86_64 Linux: `amx-tile` + `amx-int8` and
+    /// the VNNI arm's features detected, tile-data permission granted — see
+    /// [`amx_int8_available`]).
+    Amx,
 }
 
 impl Int8Kernel {
@@ -78,12 +85,13 @@ impl Int8Kernel {
             Int8Kernel::Scalar => "scalar",
             Int8Kernel::Avx2Maddubs => "avx2_maddubs",
             Int8Kernel::Avx512Vnni => "avx512_vnni",
+            Int8Kernel::Amx => "amx_int8",
         }
     }
 }
 
 /// Cached resolution of [`selected_int8`]: 0 = unresolved, 1 = scalar,
-/// 2 = AVX2 maddubs, 3 = AVX-512 VNNI.
+/// 2 = AVX2 maddubs, 3 = AVX-512 VNNI, 4 = AMX.
 static RESOLVED_INT8: AtomicU8 = AtomicU8::new(0);
 
 /// Invalidated by [`super::set_kernel`] so an override re-resolves this tier
@@ -143,12 +151,34 @@ pub fn avx512_vnni_available() -> bool {
     }
 }
 
+/// `true` when the AMX arm can run: the CPU reports `amx-tile` and
+/// `amx-int8` (CPUID.(7,0).EDX bits 24 and 25) next to everything the VNNI
+/// arm needs (the tile's dequantizing store is that arm's), and the
+/// operating system lets this process hold tile data — on Linux one
+/// `arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)`, made the first time this is
+/// asked and remembered for the life of the process. A refused request,
+/// another operating system or another CPU all read `false`, and the int8
+/// tier resolves exactly as it does without this arm.
+pub fn amx_int8_available() -> bool {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    {
+        static GRANTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *GRANTED.get_or_init(|| avx512_vnni_available() && x86::request_amx_tiles())
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+    {
+        false
+    }
+}
+
 /// Resolves a [`KernelChoice`] to the best integer backend the host supports.
 fn resolve_int8(choice: KernelChoice) -> Int8Kernel {
     match choice {
         KernelChoice::Scalar => Int8Kernel::Scalar,
         KernelChoice::Auto => {
-            if avx512_vnni_available() {
+            if amx_int8_available() {
+                Int8Kernel::Amx
+            } else if avx512_vnni_available() {
                 Int8Kernel::Avx512Vnni
             } else if avx2_available() {
                 Int8Kernel::Avx2Maddubs
@@ -168,6 +198,7 @@ pub fn selected_int8() -> Int8Kernel {
         1 => Int8Kernel::Scalar,
         2 => Int8Kernel::Avx2Maddubs,
         3 => Int8Kernel::Avx512Vnni,
+        4 => Int8Kernel::Amx,
         _ => {
             let kernel = resolve_int8(super::requested());
             RESOLVED_INT8.store(
@@ -175,6 +206,7 @@ pub fn selected_int8() -> Int8Kernel {
                     Int8Kernel::Scalar => 1,
                     Int8Kernel::Avx2Maddubs => 2,
                     Int8Kernel::Avx512Vnni => 3,
+                    Int8Kernel::Amx => 4,
                 },
                 Ordering::Relaxed,
             );
@@ -264,6 +296,60 @@ impl PackedInt8 {
     }
 }
 
+/// The left-hand side of [`gemm_u8i8_dequant`]: `rows x k` u7 activation
+/// codes, each row zero-padded to a whole number of 64-byte depth steps and
+/// starting on a 64-byte boundary — what the AMX arm loads a tile row from
+/// (a row that straddles two cache lines halves its load rate) and what
+/// makes the bytes past `k` exact zeros in every arm. Reusable: a
+/// [`Lhs::reset`] keeps the allocation.
+#[derive(Debug, Clone, Default)]
+pub struct Lhs {
+    rows: usize,
+    k: usize,
+    data: Panels<u8, 64>,
+}
+
+impl Lhs {
+    /// An empty operand; [`Lhs::reset`] gives it a shape.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reshapes to `rows x k`, every code zero.
+    pub fn reset(&mut self, rows: usize, k: usize) {
+        (self.rows, self.k) = (rows, k);
+        self.data.reset(rows * self.stride());
+    }
+
+    /// The `k` codes of row `r`.
+    pub fn row_mut(&mut self, r: usize) -> &mut [u8] {
+        let stride = self.stride();
+        &mut self.data[r * stride..][..self.k]
+    }
+
+    /// Bytes from one row to the next.
+    fn stride(&self) -> usize {
+        self.k.next_multiple_of(64)
+    }
+
+    fn view(&self) -> LhsRows<'_> {
+        LhsRows {
+            data: &self.data,
+            rows: self.rows,
+            stride: self.stride(),
+        }
+    }
+}
+
+/// The left-hand side as the tiles see it: rows of `4 * groups` code bytes,
+/// `stride` apart.
+#[derive(Clone, Copy)]
+struct LhsRows<'a> {
+    data: &'a [u8],
+    rows: usize,
+    stride: usize,
+}
+
 /// The right-hand side as the tiles see it: `groups` K4 groups of `n`
 /// columns, laid out in panels of `panel_cols` columns (`NR` for
 /// [`PackedInt8`], `n` for the K4-row operand).
@@ -279,13 +365,14 @@ struct Rhs<'a> {
 /// `cols` columns of one panel, over the whole depth.
 ///
 /// A tile function's caller vouches that `a` is valid for `mr` rows of
-/// `4 * groups` bytes, `b` for `4 * cols` bytes at each of `groups` offsets
-/// `stride` apart, and the [`Sink`] for `cols` lanes in each of `mr` rows
-/// (per-row and per-column operands alike), with `1 <= mr <= MR` and
-/// `cols <= NR` for the arm's `MR x NR`.
+/// `a_stride >= 4 * groups` bytes, `b` for `4 * cols` bytes at each of
+/// `groups` offsets `stride` apart, and the [`Sink`] for `cols` lanes in
+/// each of `mr` rows (per-row and per-column operands alike), with
+/// `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
 #[derive(Clone, Copy)]
 struct Tile {
     a: *const u8,
+    a_stride: usize,
     mr: usize,
     groups: usize,
     b: *const i8,
@@ -315,10 +402,20 @@ enum Sink {
 
 type TileFn = unsafe fn(tile: Tile, sink: Sink);
 
+/// How a tile is computed: by a function of its operands alone, or by the
+/// AMX arm, which keeps its tile configuration, the staged depth tail of the
+/// current panel and its store block from one tile of a product to the next.
+#[derive(Clone, Copy)]
+enum Arm {
+    Registers(TileFn),
+    #[cfg(target_arch = "x86_64")]
+    Amx(*mut x86::AmxProduct),
+}
+
 /// One register tile's worth of a product, ready but for its [`Sink`]:
 /// rows `r..r + tile.mr`, columns `j0..j0 + tile.cols`.
 struct Pending {
-    run: TileFn,
+    arm: Arm,
     tile: Tile,
     r: usize,
     j0: usize,
@@ -329,9 +426,16 @@ impl Pending {
     /// `sink` must satisfy [`Tile`]'s contract for this tile's rows and
     /// columns.
     unsafe fn store(&self, sink: Sink) {
-        // SAFETY: `for_each_tile` built `tile` from in-bounds slices and
-        // feature-checked `run`; the caller vouches for `sink`.
-        unsafe { (self.run)(self.tile, sink) }
+        // SAFETY: `for_each_tile` built `tile` from in-bounds slices, chose
+        // a feature-checked arm and keeps the AMX state alive and unshared
+        // for as long as it hands tiles out; the caller vouches for `sink`.
+        unsafe {
+            match self.arm {
+                Arm::Registers(run) => run(self.tile, sink),
+                #[cfg(target_arch = "x86_64")]
+                Arm::Amx(product) => x86::tile_amx(&mut *product, self.tile, sink),
+            }
+        }
     }
 }
 
@@ -339,32 +443,40 @@ impl Pending {
 /// cache-resident while every row tile of the batch runs against it — handing
 /// each tile to `emit`. An arm narrower than a panel walks it in `NR`-column
 /// blocks; a wider one runs with its upper lanes masked off.
-fn for_each_tile(
-    kernel: Int8Kernel,
-    a: &[u8],
-    rows: usize,
-    rhs: Rhs<'_>,
-    mut emit: impl FnMut(Pending),
-) {
-    let (run, mr_max, nr): (TileFn, usize, usize) = match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Avx512Vnni if avx512_vnni_available() => (x86::rows_vnni, 12, 32),
-        #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Avx2Maddubs if avx2_available() => (x86::rows_avx2, 4, 16),
-        // The portable tile takes any shape; this one is as good as any.
-        _ => (tile_portable, 12, 32),
-    };
+///
+/// The AMX arm runs where it has what it needs: the grant, and left-hand
+/// rows it can load whole 64-byte steps from ([`Lhs`]'s layout). Anything
+/// else requested of it runs on the VNNI tile, which computes the same bits.
+fn for_each_tile(kernel: Int8Kernel, a: LhsRows<'_>, rhs: Rhs<'_>, mut emit: impl FnMut(Pending)) {
     let Rhs { groups, n, .. } = rhs;
+    // Lives until the last tile is stored; its drop releases the tiles.
+    #[cfg(target_arch = "x86_64")]
+    let mut amx_product = None;
+    let (arm, mr_max, nr): (Arm, usize, usize) = match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Int8Kernel::Amx if amx_int8_available() && a.stride.is_multiple_of(64) => {
+            (Arm::Amx(amx_product.insert(x86::AmxProduct::new())), 32, 32)
+        }
+        #[cfg(target_arch = "x86_64")]
+        Int8Kernel::Amx | Int8Kernel::Avx512Vnni if avx512_vnni_available() => {
+            (Arm::Registers(x86::rows_vnni), 12, 32)
+        }
+        #[cfg(target_arch = "x86_64")]
+        Int8Kernel::Avx2Maddubs if avx2_available() => (Arm::Registers(x86::rows_avx2), 4, 16),
+        // The portable tile takes any shape; this one is as good as any.
+        _ => (Arm::Registers(tile_portable), 12, 32),
+    };
     let stride = 4 * rhs.panel_cols;
     for (p, panel) in rhs.data.chunks_exact(groups * stride).enumerate() {
         let p0 = p * rhs.panel_cols;
         let panel_cols = rhs.panel_cols.min(n - p0);
         for c0 in (0..panel_cols).step_by(nr) {
             let cols = nr.min(panel_cols - c0);
-            for r in (0..rows).step_by(mr_max) {
-                let mr = mr_max.min(rows - r);
+            for r in (0..a.rows).step_by(mr_max) {
+                let mr = mr_max.min(a.rows - r);
                 let tile = Tile {
-                    a: a[4 * groups * r..4 * groups * (r + mr)].as_ptr(),
+                    a: a.data[a.stride * r..a.stride * (r + mr)].as_ptr(),
+                    a_stride: a.stride,
                     mr,
                     groups,
                     b: panel[4 * c0..(groups - 1) * stride + 4 * (c0 + cols)].as_ptr(),
@@ -373,7 +485,7 @@ fn for_each_tile(
                     n,
                 };
                 let j0 = p0 + c0;
-                emit(Pending { run, tile, r, j0 });
+                emit(Pending { arm, tile, r, j0 });
             }
         }
     }
@@ -413,7 +525,25 @@ pub fn gemm_u8i8_i32(
         n,
         panel_cols: n,
     };
-    for_each_tile(kernel, a, rows, rhs, |t| {
+    // The AMX arm loads left-hand rows a 64-byte step at a time: give it
+    // this operand — padding bytes and all — in the layout that allows it.
+    let relaid = (kernel == Int8Kernel::Amx && amx_int8_available()).then(|| {
+        let mut lhs = Lhs::new();
+        lhs.reset(rows, k_pad);
+        for (r, row) in a.chunks_exact(k_pad).enumerate() {
+            lhs.row_mut(r).copy_from_slice(row);
+        }
+        lhs
+    });
+    let lhs = match &relaid {
+        Some(lhs) => lhs.view(),
+        None => LhsRows {
+            data: a,
+            rows,
+            stride: k_pad,
+        },
+    };
+    for_each_tile(kernel, lhs, rhs, |t| {
         let first = t.r * n + t.j0;
         let sums = out[first..first + (t.tile.mr - 1) * n + t.tile.cols].as_mut_ptr();
         // SAFETY: `sums` spans the tile's `cols` lanes in each of its `mr`
@@ -438,27 +568,26 @@ pub struct Dequant<'a> {
 
 /// Fused quantized dense product
 /// `out = act(acc as f32 * col_scale[j] * row_scale[r] + (row_min[r] * corr[j] + bias[j]))`
-/// with `acc = a * b` in exact `i32`: `a` is `rows x padded_k(k)` u7 codes
-/// (row-major, zero-padded), `b` the packed `k x n` weights, `out` is
-/// `rows x n` row-major. `out` is **overwritten** (it need not be zeroed) and
-/// each element is written once, `act` applied while its tile is still in L1.
+/// with `acc = a * b` in exact `i32`: `a` is `rows x k` u7 codes, `b` the
+/// packed `k x n` weights, `out` is `rows x n` row-major. `out` is
+/// **overwritten** (it need not be zeroed) and each element is written once,
+/// `act` applied while its tile is still in L1.
 ///
 /// Bit-identical for every `kernel`, packing width and batch shape (see the
 /// module docs).
 ///
 /// # Panics
-/// Panics if a slice length disagrees with `b`'s dimensions.
+/// Panics if `a`'s depth or a slice length disagrees with `b`'s dimensions.
 pub fn gemm_u8i8_dequant<F: Fn(f32) -> f32>(
     kernel: Int8Kernel,
-    a: &[u8],
+    a: &Lhs,
     b: &PackedInt8,
     deq: Dequant<'_>,
     act: F,
     out: &mut [f32],
 ) {
-    let (k_pad, n) = (padded_k(b.k), b.n);
-    assert_eq!(a.len() % k_pad, 0, "gemm_u8i8_dequant lhs length mismatch");
-    let rows = a.len() / k_pad;
+    let (rows, n) = (a.rows, b.n);
+    assert_eq!(a.k, b.k, "gemm_u8i8_dequant lhs depth mismatch");
     assert_eq!(out.len(), rows * n, "gemm_u8i8_dequant out length mismatch");
     assert!(
         deq.row_scale.len() == rows && deq.row_min.len() == rows,
@@ -470,11 +599,11 @@ pub fn gemm_u8i8_dequant<F: Fn(f32) -> f32>(
     );
     let rhs = Rhs {
         data: &b.data,
-        groups: k_pad / 4,
+        groups: padded_k(b.k) / 4,
         n,
         panel_cols: b.width.nr(),
     };
-    for_each_tile(kernel, a, rows, rhs, |t| {
+    for_each_tile(kernel, a.view(), rhs, |t| {
         let (r, j0, mr, cols) = (t.r, t.j0, t.tile.mr, t.tile.cols);
         let sink = Sink::Dequant {
             out: out[r * n + j0..(r + mr - 1) * n + j0 + cols].as_mut_ptr(),
@@ -510,7 +639,7 @@ unsafe fn tile_portable(t: Tile, sink: Sink) {
                     // SAFETY: `r < mr`, `g < groups`, `c < cols`, `q < 4`:
                     // inside the ranges the caller vouches for.
                     acc += unsafe {
-                        i32::from(*t.a.add((r * t.groups + g) * 4 + q))
+                        i32::from(*t.a.add(r * t.a_stride + g * 4 + q))
                             * i32::from(*t.b.add(g * t.stride + c * 4 + q))
                     };
                 }
@@ -539,6 +668,7 @@ unsafe fn tile_portable(t: Tile, sink: Sink) {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{Sink, Tile};
+    use core::arch::asm;
     use core::arch::x86_64::{
         __m256i, __m512i, _mm256_add_epi32, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps,
         _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_maskload_epi32, _mm256_maskload_ps,
@@ -558,7 +688,7 @@ mod x86 {
     unsafe fn quad(t: &Tile, r: usize, g: usize) -> i32 {
         // SAFETY: group `g` of row `r` is 4 readable bytes per the caller.
         unsafe {
-            t.a.add((r * t.groups + g) * 4)
+            t.a.add(r * t.a_stride + g * 4)
                 .cast::<i32>()
                 .read_unaligned()
         }
@@ -575,6 +705,13 @@ mod x86 {
         unsafe { tile_by_rows!(tile_vnni(t, sink), t.mr, [1 2 3 4 5 6 7 8 9 10 11 12]) }
     }
 
+    /// The two lane masks of a tile `cols <= 32` columns wide: columns
+    /// `0..16` and `16..32`.
+    fn lane_masks(cols: usize) -> [u16; 2] {
+        let mask = ((1u64 << cols) - 1) as u32;
+        [mask as u16, (mask >> 16) as u16]
+    }
+
     /// The VNNI microkernel: an `MR x 32` tile of `i32` sums (two zmm per
     /// row) held in registers over the whole depth; each group loads its 32
     /// columns once and feeds `2 * MR` `vpdpbusd` from `MR` broadcasts.
@@ -585,15 +722,14 @@ mod x86 {
     #[inline]
     #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
     unsafe fn tile_vnni<const MR: usize>(t: Tile, sink: Sink) {
-        let mask = ((1u64 << t.cols) - 1) as u32;
-        let masks = [mask as u16, (mask >> 16) as u16];
+        let masks = lane_masks(t.cols);
         let mut acc: [[__m512i; 2]; MR] = [[_mm512_setzero_si512(); 2]; MR];
         // `wrapping_add` below: with `cols <= 16` the upper half is fully
         // masked off and its address may lie past the buffers.
         //
         // SAFETY: activation reads are at `r < MR`, `g < groups`; weight
-        // loads and every sink access are masked to `cols` lanes — all
-        // inside the ranges the caller vouches for.
+        // loads are masked to `cols` lanes — all inside the ranges the
+        // caller vouches for, as is the sink for `store_zmm`.
         unsafe {
             for g in 0..t.groups {
                 let w = t.b.add(g * t.stride);
@@ -605,10 +741,29 @@ mod x86 {
                     acc_row[1] = _mm512_dpbusd_epi32(acc_row[1], q, w1);
                 }
             }
+            store_zmm(&acc, masks, t.n, sink);
+        }
+    }
+
+    /// The store of both AVX-512 arms: `acc.len()` rows of two zmm of
+    /// finished `i32` sums, lanes masked by `masks`, output rows `n` apart.
+    ///
+    /// # Safety
+    /// Requires `avx512f`; `sink` must be valid for `acc.len()` rows of the
+    /// lanes set in `masks` (per-row and per-column operands alike).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_zmm(acc: &[[__m512i; 2]], masks: [u16; 2], n: usize, sink: Sink) {
+        // `wrapping_add`: a fully masked-off upper half may lie past the
+        // buffers.
+        //
+        // SAFETY: every access is masked to the lanes, and made in the rows,
+        // the caller vouches for.
+        unsafe {
             match sink {
                 Sink::Sums(out) => {
                     for (r, acc_row) in acc.iter().enumerate() {
-                        let o = out.add(r * t.n);
+                        let o = out.add(r * n);
                         _mm512_mask_storeu_epi32(o, masks[0], acc_row[0]);
                         _mm512_mask_storeu_epi32(o.wrapping_add(16), masks[1], acc_row[1]);
                     }
@@ -636,7 +791,7 @@ mod x86 {
                                 a_scale,
                             );
                             let offset = _mm512_add_ps(_mm512_mul_ps(a_min, corr), bias);
-                            let o = out.add(r * t.n).wrapping_add(lane);
+                            let o = out.add(r * n).wrapping_add(lane);
                             _mm512_mask_storeu_ps(o, mask, _mm512_add_ps(scaled, offset));
                         }
                     }
@@ -724,6 +879,311 @@ mod x86 {
             }
         }
     }
+
+    /// Asks for the AMX arm's one precondition beyond [`super::
+    /// avx512_vnni_available`]: CPUID.(7,0).EDX reports `amx-tile` (bit 24)
+    /// and `amx-int8` (bit 25), and Linux grants this process the tile-data
+    /// state component — `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`
+    /// returns 0. Without the grant the first tile instruction would raise
+    /// SIGILL. `is_x86_feature_detected!("amx-int8")` and the `amx-*` target
+    /// features are unstable, hence the raw leaf and the raw call.
+    #[cfg(target_os = "linux")]
+    pub(super) fn request_amx_tiles() -> bool {
+        const SYS_ARCH_PRCTL: i64 = 158;
+        const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
+        const XFEATURE_XTILEDATA: u64 = 18;
+        let leaf7 = core::arch::x86_64::__cpuid_count(7, 0);
+        if (leaf7.edx >> 24) & 0b11 != 0b11 {
+            return false;
+        }
+        let granted: i64;
+        // SAFETY: this `arch_prctl` option takes two integers and reads or
+        // writes no user memory; it only widens the register state the
+        // kernel will save for this process. `syscall` itself clobbers
+        // `rcx` and `r11`, declared here, and uses no stack.
+        unsafe {
+            asm!(
+                "syscall",
+                inlateout("rax") SYS_ARCH_PRCTL => granted,
+                in("rdi") ARCH_REQ_XCOMP_PERM,
+                in("rsi") XFEATURE_XTILEDATA,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        granted == 0
+    }
+
+    /// Rows and K4 groups of one `tmm` register: 16 rows of 64 bytes.
+    const TMM: usize = 16;
+
+    /// The `ldtilecfg` operand (palette 1): the byte width and the row count
+    /// of each of the eight `tmm` registers; a register left at zero is
+    /// unconfigured and must not be named by an instruction.
+    #[repr(C, align(64))]
+    struct TileConfig {
+        palette: u8,
+        start_row: u8,
+        reserved: [u8; 14],
+        colsb: [u16; 16],
+        rows: [u8; 16],
+    }
+
+    /// `ldtilecfg`: configures the tiles as `config` says and zeroes them.
+    ///
+    /// # Safety
+    /// [`super::amx_int8_available`] must hold. Tile state stays live until
+    /// [`tile_release`].
+    #[inline(always)]
+    unsafe fn tile_loadconfig(config: &TileConfig) {
+        // SAFETY: reads the 64 bytes of `config`; AMX per the caller.
+        unsafe { asm!("ldtilecfg [{}]", in(reg) config, options(nostack, preserves_flags)) };
+    }
+
+    /// `tilerelease`: returns every tile to its unconfigured initial state.
+    ///
+    /// # Safety
+    /// [`super::amx_int8_available`] must hold.
+    #[inline(always)]
+    unsafe fn tile_release() {
+        // SAFETY: no operands; AMX per the caller.
+        unsafe { asm!("tilerelease", options(nostack, preserves_flags)) };
+    }
+
+    /// `tilezero tmm<T>`.
+    ///
+    /// # Safety
+    /// Tile `T` must be configured ([`tile_loadconfig`]).
+    #[inline(always)]
+    unsafe fn tile_zero<const T: usize>() {
+        // SAFETY: touches one configured tile register only.
+        unsafe { asm!("tilezero tmm{t}", t = const T, options(nostack, nomem, preserves_flags)) };
+    }
+
+    /// `tileloadd tmm<T>, [base + stride]`: row `i` of the tile is the
+    /// configured byte width read at `base + i * stride`.
+    ///
+    /// # Safety
+    /// Tile `T` must be configured and its configured rows, `stride` bytes
+    /// apart from `base`, readable.
+    #[inline(always)]
+    unsafe fn tile_loadd<const T: usize>(base: *const u8, stride: usize) {
+        // SAFETY: reads exactly the rows the caller vouches for.
+        unsafe {
+            asm!(
+                "tileloadd tmm{t}, [{base} + {stride}*1]",
+                t = const T,
+                base = in(reg) base,
+                stride = in(reg) stride,
+                options(nostack, preserves_flags),
+            );
+        }
+    }
+
+    /// `tilestored [base + stride], tmm<T>`: the inverse of [`tile_loadd`].
+    ///
+    /// # Safety
+    /// Tile `T` must be configured and its configured rows, `stride` bytes
+    /// apart from `base`, writable.
+    #[inline(always)]
+    unsafe fn tile_stored<const T: usize>(base: *mut i32, stride: usize) {
+        // SAFETY: writes exactly the rows the caller vouches for.
+        unsafe {
+            asm!(
+                "tilestored [{base} + {stride}*1], tmm{t}",
+                t = const T,
+                base = in(reg) base,
+                stride = in(reg) stride,
+                options(nostack, preserves_flags),
+            );
+        }
+    }
+
+    /// `tdpbusd tmm<C>, tmm<A>, tmm<B>`: `C[i][j] += sum over g, q of
+    /// u8(A[i][4g + q]) * i8(B[g][4j + q])` in exact, non-saturating `i32` —
+    /// the sum `vpdpbusd` forms, a tile at a time.
+    ///
+    /// # Safety
+    /// The three tiles must be configured with matching shapes.
+    #[inline(always)]
+    unsafe fn tile_dpbusd<const C: usize, const A: usize, const B: usize>() {
+        // SAFETY: touches tile registers only, configured per the caller.
+        unsafe {
+            asm!(
+                "tdpbusd tmm{c}, tmm{a}, tmm{b}",
+                c = const C,
+                a = const A,
+                b = const B,
+                options(nostack, nomem, preserves_flags),
+            );
+        }
+    }
+
+    /// What the AMX arm carries from one tile of a product to the next, so
+    /// that none of it is paid per tile: the tile configuration (reloaded
+    /// only when a ragged edge changes the shape — `ldtilecfg` drains the
+    /// tile pipeline), the zero-padded copy of the current panel's depth
+    /// tail, and the block the sums are stored to. Dropping it releases the
+    /// tiles, whichever way the product ends.
+    pub(super) struct AmxProduct {
+        /// `(mr, cols)` the tiles are configured for; `(0, 0)` before the
+        /// first tile.
+        shape: (usize, usize),
+        /// The tile [`Self::b_tail`] was staged for: its `(b, cols)`.
+        staged: (*const i8, usize),
+        /// The last `groups % 16` K4 groups of the current panel's 32
+        /// columns, the rows past them zero.
+        b_tail: [[__m512i; 2]; TMM],
+        /// 32 rows of 32 `i32` sums.
+        sums: [[__m512i; 2]; 2 * TMM],
+    }
+
+    impl AmxProduct {
+        pub(super) fn new() -> Self {
+            // SAFETY: `__m512i` is plain data; all-zero bytes are a value.
+            let zero: __m512i = unsafe { std::mem::zeroed() };
+            Self {
+                shape: (0, 0),
+                staged: (std::ptr::null(), 0),
+                b_tail: [[zero; 2]; TMM],
+                sums: [[zero; 2]; 2 * TMM],
+            }
+        }
+    }
+
+    impl Drop for AmxProduct {
+        fn drop(&mut self) {
+            if self.shape != (0, 0) {
+                // SAFETY: a shape is set only by `tile_amx`, whose caller
+                // vouched for AMX.
+                unsafe { tile_release() };
+            }
+        }
+    }
+
+    /// The AMX microkernel: `mr <= 32` rows against `cols <= 32` columns as
+    /// a 2x2 block of `tmm` sums (`tmm0..=3`) over depth steps of 64 bytes —
+    /// 16 K4 groups: `tmm4`/`tmm5` take the activation rows `0..16` /
+    /// `16..32`, `tmm6`/`tmm7` the weight columns `0..16` / `16..32` from
+    /// the layout every other arm reads, a weight tile's rows being groups
+    /// `stride` bytes apart. A ragged edge is a narrower tile *shape* (fewer
+    /// configured rows, fewer bytes a row), so no load reaches past `mr`
+    /// rows or `cols` columns. The depth tail (`groups % 16`) cannot be a
+    /// shape — reconfiguring zeroes the sums — so the last step reads the
+    /// weights from a zero-padded copy: reading on past the last group would
+    /// run into the next panel, and past the operand after the last one.
+    /// With zero weights there the activations need no copy, whatever their
+    /// rows hold past the depth (an [`Lhs`] holds zeros). The sums are
+    /// stored to memory and leave through [`store_zmm`], the VNNI arm's
+    /// store: the same exact `i32`, the same f32 expression.
+    ///
+    /// # Safety
+    /// Requires [`super::amx_int8_available`]; `t` and `sink` must satisfy
+    /// [`Tile`]'s contract at `32 x 32`, with `t.a_stride` a multiple of 64.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(super) unsafe fn tile_amx(product: &mut AmxProduct, t: Tile, sink: Sink) {
+        let rows = [t.mr.min(TMM), t.mr.saturating_sub(TMM)];
+        let cols = [t.cols.min(TMM), t.cols.saturating_sub(TMM)];
+        let (tall, wide) = (rows[1] > 0, cols[1] > 0);
+        let masks = lane_masks(t.cols);
+        let (steps, tail) = (t.groups / TMM, t.groups % TMM);
+        // Only configured tiles are named: `tmm5`, `tmm2`, `tmm3` under
+        // `tall`, `tmm7`, `tmm1`, `tmm3` under `wide`. A whole step reads 64
+        // bytes of each of `mr` activation rows — inside the row, whose
+        // stride covers every step — and `4 * cols` bytes of each of 16
+        // groups, inside `Tile`'s ranges; the tail step reads its weights
+        // from `b_tail`, 16 rows of 128 bytes, which the masked copy fills
+        // from inside those ranges and leaves zero elsewhere. The sums land
+        // in `sums`, 32 rows of 32 `i32`, 128 bytes apart.
+        //
+        // SAFETY: AMX per the caller, and by the above every tile
+        // instruction names a configured tile and every load, copy and
+        // store stays inside `Tile`'s ranges or this product's own blocks.
+        unsafe {
+            if product.shape == (t.mr, t.cols) {
+                tile_zero::<0>();
+                if wide {
+                    tile_zero::<1>();
+                }
+                if tall {
+                    tile_zero::<2>();
+                    if wide {
+                        tile_zero::<3>();
+                    }
+                }
+            } else {
+                let mut config = TileConfig {
+                    palette: 1,
+                    start_row: 0,
+                    reserved: [0; 14],
+                    colsb: [0; 16],
+                    rows: [0; 16],
+                };
+                let mut shape = |tile: usize, rows: usize, bytes: usize| {
+                    if rows > 0 && bytes > 0 {
+                        (config.rows[tile], config.colsb[tile]) = (rows as u8, bytes as u16);
+                    }
+                };
+                for (i, &mr) in rows.iter().enumerate() {
+                    shape(4 + i, mr, 64);
+                    for (j, &nr) in cols.iter().enumerate() {
+                        shape(2 * i + j, mr, 4 * nr);
+                    }
+                }
+                for (j, &nr) in cols.iter().enumerate() {
+                    shape(6 + j, TMM, 4 * nr);
+                }
+                tile_loadconfig(&config);
+                product.shape = (t.mr, t.cols);
+            }
+            if tail > 0 && product.staged != (t.b, t.cols) {
+                for (g, staged) in product.b_tail[..tail].iter_mut().enumerate() {
+                    let from = t.b.add((TMM * steps + g) * t.stride);
+                    *staged = [
+                        _mm512_maskz_loadu_epi32(masks[0], from.cast()),
+                        _mm512_maskz_loadu_epi32(masks[1], from.wrapping_add(64).cast()),
+                    ];
+                }
+                product.staged = (t.b, t.cols);
+            }
+            let b_tail: *const i8 = product.b_tail.as_ptr().cast();
+            for s in 0..steps + usize::from(tail > 0) {
+                let a = t.a.add(64 * s);
+                let (b, b_stride) = if s < steps {
+                    (t.b.add(TMM * s * t.stride), t.stride)
+                } else {
+                    (b_tail, 128)
+                };
+                tile_loadd::<4>(a, t.a_stride);
+                tile_loadd::<6>(b.cast(), b_stride);
+                tile_dpbusd::<0, 4, 6>();
+                if wide {
+                    tile_loadd::<7>(b.add(64).cast(), b_stride);
+                    tile_dpbusd::<1, 4, 7>();
+                }
+                if tall {
+                    tile_loadd::<5>(a.add(TMM * t.a_stride), t.a_stride);
+                    tile_dpbusd::<2, 5, 6>();
+                    if wide {
+                        tile_dpbusd::<3, 5, 7>();
+                    }
+                }
+            }
+            let c: *mut i32 = product.sums.as_mut_ptr().cast();
+            tile_stored::<0>(c, 128);
+            if wide {
+                tile_stored::<1>(c.add(TMM), 128);
+            }
+            if tall {
+                tile_stored::<2>(c.add(TMM * 2 * TMM), 128);
+                if wide {
+                    tile_stored::<3>(c.add(TMM * 2 * TMM + TMM), 128);
+                }
+            }
+            store_zmm(&product.sums[..t.mr], masks, t.n, sink);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -735,10 +1195,11 @@ mod tests {
 
     /// Every backend: one the host lacks falls back to the portable tile,
     /// which must pass all the same.
-    const KERNELS: [Int8Kernel; 3] = [
+    const KERNELS: [Int8Kernel; 4] = [
         Int8Kernel::Scalar,
         Int8Kernel::Avx2Maddubs,
         Int8Kernel::Avx512Vnni,
+        Int8Kernel::Amx,
     ];
 
     type Activation = fn(f32) -> f32;
@@ -864,6 +1325,16 @@ mod tests {
             PackedInt8::pack(self.k, self.n, width, |r, j| self.wq[r * self.n + j])
         }
 
+        /// The activation rows in [`gemm_u8i8_dequant`]'s layout.
+        fn lhs(&self) -> Lhs {
+            let mut lhs = Lhs::new();
+            lhs.reset(self.rows, self.k);
+            for (r, row) in self.a.chunks_exact(padded_k(self.k)).enumerate() {
+                lhs.row_mut(r).copy_from_slice(&row[..self.k]);
+            }
+            lhs
+        }
+
         fn dequant(&self, kernel: Int8Kernel, width: PackedWidth, act: Activation) -> Vec<u32> {
             let deq = Dequant {
                 row_scale: &self.row_scale,
@@ -874,7 +1345,7 @@ mod tests {
             };
             // A dirty `out` proves every element is overwritten.
             let mut out = vec![f32::NAN; self.rows * self.n];
-            gemm_u8i8_dequant(kernel, &self.a, &self.pack(width), deq, act, &mut out);
+            gemm_u8i8_dequant(kernel, &self.lhs(), &self.pack(width), deq, act, &mut out);
             out.iter().map(|v| v.to_bits()).collect()
         }
 
@@ -947,33 +1418,54 @@ mod tests {
         }
     }
 
-    /// Every const-generic instance of both microkernels (`rows_vnni` →
-    /// `tile_vnni::<1..=12>`, `rows_avx2` → `tile_avx2::<1..=4>`) at every
-    /// partial width, at the panel-major and the K4-row group stride, into
-    /// both sinks, against the portable tile — and the lanes past `cols`,
-    /// like the rows past `mr`, must keep what they held.
+    /// Every const-generic instance of both vector microkernels
+    /// (`rows_vnni` → `tile_vnni::<1..=12>`, `rows_avx2` →
+    /// `tile_avx2::<1..=4>`, the former leaving through `store_zmm`) and
+    /// every shape of the AMX one (`tile_amx`: `tile_loadconfig`,
+    /// `tile_loadd`, `tile_dpbusd`, `tile_stored`, and `tile_release` when
+    /// its product drops; over depths with and without whole 16-group steps
+    /// and a staged tail) at every partial width, at the panel-major and the
+    /// K4-row group stride, into both sinks, against the portable tile — and
+    /// the lanes past `cols`, like the rows past `mr`, must keep what they
+    /// held.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_register_tile_matches_the_portable_tile_and_stays_inside_its_mask() {
         const GUARD: u32 = 0x40e8_0000;
-        let groups = 5usize;
-        let arms: [(TileFn, usize, usize, bool); 2] = [
-            (x86::rows_vnni, 12, 32, avx512_vnni_available()),
-            (x86::rows_avx2, 4, 16, avx2_available()),
+        /// One tile of a product of its own: configured, staged and
+        /// released each time.
+        unsafe fn amx_once(t: Tile, sink: Sink) {
+            // SAFETY: the caller's contract is `tile_amx`'s.
+            unsafe { x86::tile_amx(&mut x86::AmxProduct::new(), t, sink) }
+        }
+        let arms: [(TileFn, usize, usize, bool, &[usize]); 3] = [
+            (x86::rows_vnni, 12, 32, avx512_vnni_available(), &[5]),
+            (x86::rows_avx2, 4, 16, avx2_available(), &[5]),
+            (amx_once, 32, 32, amx_int8_available(), &[5, 16, 35]),
         ];
-        for (vector, mr_max, nr, available) in arms {
+        for (vector, mr_max, nr, available, depths) in arms {
             if !available {
                 continue;
             }
             // One spare row and `nr` spare columns of guard around the tile.
             let n = 2 * nr;
-            let case = Case::new(mr_max, 4 * groups, n, 11, true);
-            for stride in [4 * nr, 4 * n] {
+            for (&groups, stride) in depths.iter().flat_map(|g| [(g, 4 * nr), (g, 4 * n)]) {
+                let case = Case::new(mr_max, 4 * groups, n, 11, true);
+                // A tile may read a row up to its stride, never count on
+                // what lies past the depth: [`Lhs`] has zeros there, this
+                // has not, so an AMX depth tail that read the weights
+                // unstaged — on into the next panel — would show.
+                let mut lhs = case.lhs();
+                let row_bytes = lhs.stride();
+                for row in lhs.data.chunks_exact_mut(row_bytes) {
+                    row[4 * groups..].fill(0xA5);
+                }
                 let b = &case.wq[..groups * stride];
                 for mr in 1..=mr_max {
                     for cols in 1..=nr {
                         let tile = Tile {
-                            a: case.a.as_ptr(),
+                            a: lhs.view().data.as_ptr(),
+                            a_stride: lhs.view().stride,
                             mr,
                             groups,
                             b: b.as_ptr(),
@@ -997,7 +1489,8 @@ mod tests {
                             };
                             // SAFETY: `vector` runs only when its features
                             // were detected above; `a` holds `mr_max >= mr`
-                            // rows of `groups` quads, `b` `groups` strides
+                            // rows of `groups` quads in `Lhs`'s layout, `b`
+                            // `groups` strides
                             // of at least `4 * nr` bytes, the row terms
                             // `mr_max` and the column terms `cols` entries,
                             // and `out` `mr_max + 1` rows of `n >= cols`
@@ -1007,7 +1500,9 @@ mod tests {
                         };
                         for dequant in [false, true] {
                             let got = run(vector, dequant);
-                            let label = format!("{nr}-wide stride={stride} mr={mr} cols={cols}");
+                            let label = format!(
+                                "{mr_max}x{nr} groups={groups} stride={stride} mr={mr} cols={cols}"
+                            );
                             assert_eq!(got, run(tile_portable, dequant), "{label}");
                             for (i, &v) in got.iter().enumerate() {
                                 if i / n >= mr || i % n >= cols {
@@ -1085,18 +1580,51 @@ mod tests {
     fn selection_tracks_host_features() {
         assert_eq!(resolve_int8(KernelChoice::Scalar), Int8Kernel::Scalar);
         let auto = resolve_int8(KernelChoice::Auto);
-        if avx512_vnni_available() {
+        if amx_int8_available() {
+            assert_eq!(auto, Int8Kernel::Amx);
+        } else if avx512_vnni_available() {
             assert_eq!(auto, Int8Kernel::Avx512Vnni);
         } else if avx2_available() {
             assert_eq!(auto, Int8Kernel::Avx2Maddubs);
         } else {
             assert_eq!(auto, Int8Kernel::Scalar);
         }
-        assert!(["scalar", "avx2_maddubs", "avx512_vnni"].contains(&selected_int8().name()));
-        // VNNI implies the narrower feature reports agree.
+        assert!(KERNELS
+            .map(Int8Kernel::name)
+            .contains(&selected_int8().name()));
+        // Each arm implies the narrower feature reports agree.
+        if amx_int8_available() {
+            assert!(avx512_vnni_available());
+        }
         if avx512_vnni_available() {
             assert!(avx512f_available() && avx512bw_available());
         }
+    }
+
+    /// `request_amx_tiles` is asked once: a second answer, from any thread,
+    /// is the first, and a grant means a tile instruction really runs here
+    /// (the smallest product there is, through `tile_amx`).
+    #[test]
+    fn the_amx_grant_is_stable_and_real() {
+        let first = amx_int8_available();
+        let again = std::thread::spawn(amx_int8_available).join().unwrap();
+        assert_eq!(first, again);
+        eprintln!(
+            "int8 arms on this host: amx_int8={first} avx512_vnni={} avx2={}",
+            avx512_vnni_available(),
+            avx2_available()
+        );
+        let mut out = [0i32; 1];
+        gemm_u8i8_i32(
+            Int8Kernel::Amx,
+            &[3, 0, 0, 200],
+            &[-2, 9, 9, 1],
+            &mut out,
+            1,
+            4,
+            1,
+        );
+        assert_eq!(out, [194]);
     }
 
     proptest! {
@@ -1128,6 +1656,53 @@ mod tests {
                     );
                 }
             }
+        }
+
+        /// The AMX arm == the scalar arm, bit for bit, into both sinks: up
+        /// to three row tiles with a ragged last one (tiles of one shape
+        /// after another start from `tile_zero`, not a fresh configuration,
+        /// and share a panel's staged tail), depths with any
+        /// number of whole 64-byte steps and any staged tail, widths that
+        /// end inside either 16-column tile, both packing widths — and, for
+        /// the raw sums, operands of arbitrary bytes whose `padded_k`
+        /// padding is **not** zero (`gemm_u8i8_i32` multiplies whole
+        /// groups, as `benchmark/` drives it). On a host without AMX the
+        /// arm is the portable tile and this passes for that reason; the
+        /// line printed says which.
+        #[test]
+        fn prop_the_amx_arm_equals_the_scalar_arm_into_both_sinks(
+            rows in 1usize..=70,
+            k in 1usize..=300,
+            n in 1usize..=100,
+            ai in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            if seed % 64 == 0 {
+                eprintln!("amx parity ran on {}", if amx_int8_available() {
+                    "the AMX tile"
+                } else {
+                    "the portable tile: no AMX here"
+                });
+            }
+            let (name, act) = ACTIVATIONS[ai];
+            let case = Case::new(rows, k, n, seed, seed % 2 == 0);
+            for width in WIDTHS {
+                prop_assert_eq!(
+                    case.dequant(Int8Kernel::Amx, width, act),
+                    case.dequant(Int8Kernel::Scalar, width, act),
+                    "{:?} {} {}x{}x{}", width, name, rows, k, n
+                );
+            }
+            let k_pad = padded_k(k);
+            let mut state = seed;
+            let a: Vec<u8> = (0..rows * k_pad).map(|_| mix(&mut state) as u8).collect();
+            let b: Vec<i8> = (0..k_pad * n).map(|_| mix(&mut state) as i8).collect();
+            let sums = |kernel| {
+                let mut out = vec![5i32; rows * n];
+                gemm_u8i8_i32(kernel, &a, &b, &mut out, rows, k_pad, n);
+                out
+            };
+            prop_assert_eq!(sums(Int8Kernel::Amx), sums(Int8Kernel::Scalar), "{}x{}x{}", rows, k, n);
         }
     }
 }

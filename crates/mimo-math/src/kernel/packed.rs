@@ -56,15 +56,33 @@ struct Line<T, const N: usize>([T; N]);
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct Panels<T, const N: usize>(Vec<Line<T, N>>);
 
+impl<T, const N: usize> Default for Panels<T, N> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
 impl<T: Copy + Default, const N: usize> Panels<T, N> {
     /// `len` zeroed lanes.
     ///
     /// # Panics
     /// Panics unless `len` is a whole number of lines.
     pub(super) fn zeroed(len: usize) -> Self {
+        let mut panels = Self::default();
+        panels.reset(len);
+        panels
+    }
+
+    /// Becomes `len` zeroed lanes, in the allocation it has if that is
+    /// large enough.
+    ///
+    /// # Panics
+    /// Panics unless `len` is a whole number of lines.
+    pub(super) fn reset(&mut self, len: usize) {
         const { assert!(std::mem::size_of::<Line<T, N>>() == N * std::mem::size_of::<T>()) };
         assert_eq!(len % N, 0, "packed panels are whole cache lines");
-        Self(vec![Line([T::default(); N]); len / N])
+        self.0.clear();
+        self.0.resize(len / N, Line([T::default(); N]));
     }
 }
 
@@ -73,7 +91,7 @@ impl<T, const N: usize> Deref for Panels<T, N> {
 
     fn deref(&self) -> &[T] {
         // SAFETY: `Line<T, N>` is `repr(C)` around `[T; N]` and exactly as
-        // large (asserted in `zeroed`, the only constructor), so the `Vec`'s
+        // large (asserted in `reset`, the only maker of lines), so the `Vec`'s
         // lines are `len * N` contiguous, initialized `T`s.
         unsafe { std::slice::from_raw_parts(self.0.as_ptr().cast(), self.0.len() * N) }
     }

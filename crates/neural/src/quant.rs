@@ -31,7 +31,7 @@
 
 use crate::layer::{Activation, Dense};
 use crate::tensor::Matrix;
-use mimo_math::kernel::int8::{self, Dequant, Int8Kernel, PackedInt8};
+use mimo_math::kernel::int8::{self, Dequant, Int8Kernel, Lhs, PackedInt8};
 use mimo_math::kernel::packed::PackedWidth;
 
 /// A dense layer's weights, quantized once to per-output-channel symmetric
@@ -140,8 +140,7 @@ impl QuantizedDense {
     ) {
         let k = self.input_dim();
         assert_eq!(input.cols(), k, "quantized layer input dimension mismatch");
-        let k_pad = int8::padded_k(k);
-        scratch.prepare(input.rows(), k_pad);
+        scratch.prepare(input.rows(), k);
         // Per-row dynamic u7 activation quantization.
         for (r, row) in input.as_slice().chunks_exact(k).enumerate() {
             let mut lo = f32::INFINITY;
@@ -151,7 +150,7 @@ impl QuantizedDense {
                 hi = hi.max(v);
             }
             let scale = (hi - lo) / 127.0;
-            let dst = &mut scratch.aq[r * k_pad..r * k_pad + k];
+            let dst = scratch.aq.row_mut(r);
             if scale > 0.0 {
                 let inv = 1.0 / scale;
                 // `round_ties_even` (one `roundps`), not `round`: half-away
@@ -174,37 +173,22 @@ impl QuantizedDense {
     /// Fused quantized forward over rows the **caller** quantizes: `fill` is
     /// invoked once per row with the row's `input_dim`-long u7 code buffer
     /// (pre-zeroed, so writing a prefix leaves padding clean) and returns the
-    /// row's `(scale, min)` dequantization parameters, under the same
-    /// contract the internal quantizer produces: `value ≈ min + code * scale`
-    /// with codes in `0..=127`, and `scale == 0.0` meaning a constant row of
-    /// exactly `min`.
+    /// row's `(scale, min)` dequantization parameters: `value = min + code *
+    /// scale` with codes in `0..=127`. The internal quantizer produces
+    /// `scale >= 0.0` (`0.0` for a constant row of exactly `min`); the store
+    /// evaluates the one expression whatever the sign, so a caller's scale
+    /// may be any f32.
     ///
     /// This is the seam for callers whose inputs already *are* quantization
-    /// codes (e.g. decoded wire payloads): they can map source codes to u7
-    /// directly — a small LUT instead of a dequantize-to-f32 round trip —
-    /// and still share the exact GEMM + epilogue of
+    /// codes (decoded wire payloads): a code of at most 7 bits is the u7
+    /// activation as it stands, with the wire quantizer's step and minimum
+    /// as the row's parameters — no dequantize-to-f32 round trip, no second
+    /// rounding — and the row still shares the exact GEMM + epilogue of
     /// [`Self::matmul_bias_act_into`], preserving bit-identical results
     /// across backends and batch shapes.
     ///
-    /// # Panics
-    /// Panics when `rows == 0`.
-    pub fn matmul_bias_act_from_rows<F>(
-        &self,
-        rows: usize,
-        mut fill: F,
-        scratch: &mut QuantScratch,
-        out: &mut Matrix,
-        kernel: Int8Kernel,
-    ) where
-        F: FnMut(usize, &mut [u8]) -> (f32, f32),
-    {
-        self.try_matmul_bias_act_from_rows(rows, |r, dst| Ok(fill(r, dst)), scratch, out, kernel)
-            .unwrap_or_else(|e: std::convert::Infallible| match e {})
-    }
-
-    /// Fallible variant of [`Self::matmul_bias_act_from_rows`]: `fill` may
-    /// reject a row, in which case the error is returned before the GEMM
-    /// runs and `out` is left untouched. This lets streaming callers
+    /// `fill` may reject a row, in which case the error is returned before
+    /// the GEMM runs and `out` is left untouched. This lets streaming callers
     /// validate payloads row-by-row while filling — no intermediate
     /// collection of the batch, so the hot path stays allocation-free.
     ///
@@ -222,11 +206,9 @@ impl QuantizedDense {
         F: FnMut(usize, &mut [u8]) -> Result<(f32, f32), E>,
     {
         assert!(rows > 0, "quantized forward needs at least one row");
-        let k = self.input_dim();
-        let k_pad = int8::padded_k(k);
-        scratch.prepare(rows, k_pad);
+        scratch.prepare(rows, self.input_dim());
         for r in 0..rows {
-            let (scale, min) = fill(r, &mut scratch.aq[r * k_pad..r * k_pad + k])?;
+            let (scale, min) = fill(r, scratch.aq.row_mut(r))?;
             scratch.row_scale[r] = scale;
             scratch.row_min[r] = min;
         }
@@ -252,7 +234,7 @@ impl QuantizedDense {
             corr: &self.corr,
             bias: &self.bias,
         };
-        let (a, b, o) = (&scratch.aq[..], &self.packed, out.as_mut_slice());
+        let (a, b, o) = (&scratch.aq, &self.packed, out.as_mut_slice());
         match self.activation {
             Activation::Identity => int8::gemm_u8i8_dequant(kernel, a, b, deq, |v| v, o),
             Activation::Relu => int8::gemm_u8i8_dequant(kernel, a, b, deq, |v| v.max(0.0), o),
@@ -282,11 +264,11 @@ fn tanh_fast(v: f32) -> f32 {
 }
 
 /// Reusable buffers for [`QuantizedDense::matmul_bias_act_into`]: quantized
-/// activation rows (zero-padded to the K4 depth) and the per-row
-/// quantization parameters.
+/// activation rows (in the integer GEMM's zero-padded layout) and the
+/// per-row quantization parameters.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
-    aq: Vec<u8>,
+    aq: Lhs,
     row_scale: Vec<f32>,
     row_min: Vec<f32>,
 }
@@ -297,9 +279,8 @@ impl QuantScratch {
         Self::default()
     }
 
-    fn prepare(&mut self, rows: usize, k_pad: usize) {
-        self.aq.clear();
-        self.aq.resize(rows * k_pad, 0);
+    fn prepare(&mut self, rows: usize, k: usize) {
+        self.aq.reset(rows, k);
         self.row_scale.clear();
         self.row_scale.resize(rows, 0.0);
         self.row_min.clear();
@@ -343,6 +324,9 @@ mod tests {
         }
         if int8::avx512_vnni_available() {
             ks.push(Int8Kernel::Avx512Vnni);
+        }
+        if int8::amx_int8_available() {
+            ks.push(Int8Kernel::Amx);
         }
         ks
     }

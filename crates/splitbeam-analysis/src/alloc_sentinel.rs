@@ -110,8 +110,9 @@ pub fn assert_no_alloc<R>(label: &str, f: impl FnOnce() -> R) -> R {
 /// `#[global_allocator]` line fails loudly instead of passing vacuously.
 pub fn assert_counting() {
     let before = stats();
-    let v: Vec<u8> = Vec::with_capacity(4096);
-    drop(v);
+    // `black_box`: an optimized build elides an allocation it can see freed
+    // unused, and the probe would report a registered allocator missing.
+    drop(std::hint::black_box(Vec::<u8>::with_capacity(4096)));
     let after = stats();
     assert!(
         after.allocs > before.allocs,

@@ -28,10 +28,12 @@
 //!   contracts, and hash iteration order is a seed away from breaking them.
 //!   Keyed state uses `BTreeMap` or the session slab.
 //! - **`kernel-parity-test`**: every `#[target_feature]` function under
-//!   `crates/mimo-math/src/kernel*` is named by a `#[test]` of that crate
-//!   (in its body, comments included, or its doc comment). A vector kernel
-//!   is unsafe code whose only evidence is a test comparing it with the
-//!   arm it must equal; the test that does so says which kernels it reaches.
+//!   `crates/mimo-math/src/kernel*`, and every function there whose body
+//!   holds an `asm!(` block (an inline-assembly kernel needs no such
+//!   attribute), is named by a `#[test]` of that crate (in its body,
+//!   comments included, or its doc comment). A vector kernel is unsafe code
+//!   whose only evidence is a test comparing it with the arm it must equal;
+//!   the test that does so says which kernels it reaches.
 //! - **`one-kernel-lock`**: `set_kernel(` is called only inside
 //!   `crates/mimo-math/src` (which defines it) and the test kit
 //!   (`crates/splitbeam-testkit/src`, whose `with_kernel` serializes every
@@ -85,9 +87,9 @@ const ORDERED_STATE_PREFIX: &str = "crates/splitbeam-serve/src/";
 const VIRTUAL_TIME_PREFIXES: [&str; 2] =
     ["crates/splitbeam-hwsim/src/", "crates/splitbeam-serve/src/"];
 
-/// Sources whose `#[target_feature]` functions the `kernel-parity-test` rule
-/// covers (`kernel.rs` and everything under `kernel/`), and the crate whose
-/// tests must name them.
+/// Sources whose `#[target_feature]` and `asm!` functions the
+/// `kernel-parity-test` rule covers (`kernel.rs` and everything under
+/// `kernel/`), and the crate whose tests must name them.
 const KERNEL_SOURCES_PREFIX: &str = "crates/mimo-math/src/kernel";
 const KERNEL_CRATE_PREFIX: &str = "crates/mimo-math/";
 
@@ -388,8 +390,9 @@ fn check_crate_roots(sources: &[(String, String)], out: &mut Vec<Violation>) {
     }
 }
 
-/// Crate-level pass: every `#[target_feature]` function in the kernel sources
-/// must be named by some `#[test]` of the kernel crate.
+/// Crate-level pass: every `#[target_feature]` function in the kernel
+/// sources, and every function there with an `asm!(` block in its body, must
+/// be named by some `#[test]` of the kernel crate.
 fn check_kernel_parity_tests(sources: &[(String, String)], out: &mut Vec<Violation>) {
     let mut kernels = Vec::new();
     let mut test_text = String::new();
@@ -403,18 +406,33 @@ fn check_kernel_parity_tests(sources: &[(String, String)], out: &mut Vec<Violati
         collect_test_text(&raw, &code, &mut test_text);
         if rel.starts_with(KERNEL_SOURCES_PREFIX) {
             let in_test = test_region_mask(&code);
+            // The function the scan is inside of: the last declared above.
+            let mut enclosing = None;
             for i in (0..code.len()).filter(|&i| !in_test[i]) {
-                if code[i].contains("#[target_feature") {
-                    if let Some((line, name)) = attributed_fn(&code, i) {
-                        // The code view blanks byte for byte, so the name
-                        // sits at the same offsets in the raw line.
-                        kernels.push((rel, line, raw[line], &raw[line][name]));
+                if let Some(name) = fn_name(code[i]) {
+                    enclosing = Some((i, name));
+                }
+                let kernel = if code[i].contains("#[target_feature") {
+                    attributed_fn(&code, i).map(|(line, name)| ("a #[target_feature]", line, name))
+                } else if code[i].contains("asm!(") {
+                    enclosing
+                        .clone()
+                        .map(|(line, name)| ("an asm!", line, name))
+                } else {
+                    None
+                };
+                if let Some((kind, line, name)) = kernel {
+                    // The code view blanks byte for byte, so the name sits
+                    // at the same offsets in the raw line.
+                    let found = (rel, line, kind, raw[line], &raw[line][name]);
+                    if !kernels.contains(&found) {
+                        kernels.push(found);
                     }
                 }
             }
         }
     }
-    for (rel, line, raw, name) in kernels {
+    for (rel, line, kind, raw, name) in kernels {
         if !has_word(&test_text, name) {
             out.push(Violation {
                 rule: RULE_KERNEL_PARITY_TEST,
@@ -422,7 +440,7 @@ fn check_kernel_parity_tests(sources: &[(String, String)], out: &mut Vec<Violati
                 line: line + 1,
                 excerpt: excerpt(raw),
                 message: format!(
-                    "`{name}` is a #[target_feature] kernel no #[test] in {KERNEL_CRATE_PREFIX} \
+                    "`{name}` is {kind} kernel no #[test] in {KERNEL_CRATE_PREFIX} \
                      names — name it in the parity test that exercises it"
                 ),
             });
@@ -438,17 +456,20 @@ fn attributed_fn(code: &[&str], attr: usize) -> Option<(usize, std::ops::Range<u
         .enumerate()
         .skip(attr)
         .take(6)
-        .find_map(|(i, line)| {
-            let at = line
-                .match_indices("fn ")
-                .map(|(at, _)| at)
-                .find(|&at| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))?;
-            let start = line.len() - line[at + 3..].trim_start().len();
-            let len = line[start..]
-                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-                .unwrap_or(line.len() - start);
-            (len > 0).then(|| (i, start..start + len))
-        })
+        .find_map(|(i, line)| Some((i, fn_name(line)?)))
+}
+
+/// The byte range of the name of the function a code-view line declares.
+fn fn_name(line: &str) -> Option<std::ops::Range<usize>> {
+    let at = line
+        .match_indices("fn ")
+        .map(|(at, _)| at)
+        .find(|&at| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))?;
+    let start = line.len() - line[at + 3..].trim_start().len();
+    let len = line[start..]
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(line.len() - start);
+    (len > 0).then(|| start..start + len)
 }
 
 /// Appends the raw text of every `#[test]` item of a file — attribute line

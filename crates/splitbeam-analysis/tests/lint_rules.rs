@@ -528,3 +528,67 @@ fn target_feature_kernels_must_be_named_by_a_test_of_their_crate() {
     assert!(lint_one("crates/mimo-math/src/svd.rs", &unnamed).clean());
     assert!(lint_one("crates/neural/src/kernel.rs", &unnamed).clean());
 }
+
+/// A kernel file whose vector work is inline assembly: `tile_mul` carries no
+/// `#[target_feature]`, only an `asm!` block in its body, behind the safe
+/// `gemm_tiles` the parity test calls.
+fn asm_kernel_fixture(test_comment: &str) -> String {
+    format!(
+        r#"#![deny(unsafe_op_in_unsafe_fn)]
+use core::arch::asm;
+
+/// # Safety
+/// Requires the tile unit.
+#[inline(always)]
+unsafe fn tile_mul() {{
+    // SAFETY: no operands; the tile unit per the caller.
+    unsafe {{
+        asm!("tdpbusd tmm0, tmm1, tmm2", options(nostack, nomem));
+    }}
+}}
+
+pub fn gemm_tiles() {{
+    // SAFETY: detected by the dispatcher.
+    unsafe {{ tile_mul() }}
+}}
+
+#[cfg(test)]
+mod tests {{
+    #[test]
+    fn tiles_match_scalar() {{
+        {test_comment}
+        super::gemm_tiles();
+    }}
+
+    fn helper() {{
+        // SAFETY: a test helper may hold assembly of its own.
+        unsafe {{ core::arch::asm!("nop") }};
+    }}
+}}
+"#
+    )
+}
+
+#[test]
+fn asm_kernels_must_be_named_by_a_test_of_their_crate_too() {
+    // No attribute to key on: the `asm!(` in the body makes it a kernel,
+    // flagged at the line of the `fn` that holds it.
+    let unnamed = asm_kernel_fixture("");
+    let report = lint_one("crates/mimo-math/src/kernel/tiles.rs", &unnamed);
+    assert_eq!(rules_of(&report), vec![RULE_KERNEL_PARITY_TEST]);
+    assert_eq!(report.violations[0].line, 7);
+    assert!(report.violations[0]
+        .message
+        .contains("`tile_mul` is an asm! kernel"));
+
+    // Named by the test that reaches it; the safe caller and the test
+    // module's own helper were never the rule's business.
+    let named = asm_kernel_fixture("// Every product goes through `tile_mul`.");
+    assert!(lint_one("crates/mimo-math/src/kernel/tiles.rs", &named).clean());
+
+    // `asm!(` in a string or a comment is not assembly, and the rule still
+    // covers the kernel sources only.
+    let prose = "pub fn f() -> &'static str {\n    // asm!(\"nop\")\n    \"asm!(\"\n}\n";
+    assert!(lint_one("crates/mimo-math/src/kernel/tiles.rs", prose).clean());
+    assert!(lint_one("crates/mimo-math/src/svd.rs", &unnamed).clean());
+}

@@ -13,8 +13,10 @@
 //! prints. Under the int8 tail the oracle itself is held to the scalar int8
 //! reconstruction of each served frame, so "int8 serving is one answer" is a
 //! property of every cell. What the oracle served — every summary, every
-//! feedback bit — is folded into one digest per kernel class; the frames
-//! carry integer-derived codes so that value is the same on every host.
+//! feedback bit — is folded into one digest per kernel class and tail, so a
+//! change to one tail's numerics re-pins that tail's values and leaves the
+//! other's standing; the frames carry integer-derived codes so the values
+//! are the same on every host.
 //!
 //! A [`Scenario`] and the oracle's close are all a test supplies: fixed
 //! scenarios pin their digests, a proptest draws them. The oracle is passed in
@@ -185,20 +187,34 @@ pub struct MatrixStats {
     /// Reports the Eq. 7d oracles classified late / expired.
     pub late: usize,
     pub expired: usize,
-    /// Per kernel class: FNV-1a over every round summary and every served
-    /// feedback bit of the oracle — which every cell was just shown to equal.
-    pub digests: Vec<(Kernel, u64)>,
+    /// Per kernel class and tail: FNV-1a over every round summary and every
+    /// served feedback bit of the oracle — which every cell was just shown
+    /// to equal.
+    pub digests: Vec<(Kernel, TailWeights, u64)>,
+}
+
+/// The pinned digests of one scenario. The int8 tail serves one answer on
+/// every tier, scalar or vector, so it has one pin.
+#[derive(Debug, Clone, Copy)]
+pub struct Pins {
+    pub f32_scalar: u64,
+    pub f32_fma: u64,
+    pub int8: u64,
 }
 
 impl MatrixStats {
-    /// Holds each kernel class's digest to its pinned value.
-    pub fn assert_digests(&self, pinned_scalar: u64, pinned_fma: u64) {
-        for &(kernel, digest) in &self.digests {
-            let pinned = match kernel {
-                Kernel::Scalar => pinned_scalar,
-                Kernel::Avx2Fma => pinned_fma,
+    /// Holds each digest to its pinned value.
+    pub fn assert_digests(&self, pins: Pins) {
+        for &(kernel, weights, digest) in &self.digests {
+            let pinned = match (weights, kernel) {
+                (TailWeights::F32, Kernel::Scalar) => pins.f32_scalar,
+                (TailWeights::F32, Kernel::Avx2Fma) => pins.f32_fma,
+                (TailWeights::Int8, _) => pins.int8,
             };
-            assert_eq!(digest, pinned, "served bits moved under {kernel:?}");
+            assert_eq!(
+                digest, pinned,
+                "served bits moved under {kernel:?}, {weights:?} tail"
+            );
         }
     }
 }
@@ -212,7 +228,7 @@ pub fn run_matrix(scenario: &Scenario, oracle_close: OracleClose) -> MatrixStats
     let mut stats = MatrixStats::default();
     for choice in kernel_choices() {
         with_kernel(choice, || {
-            let digest = run_cells(
+            run_cells(
                 scenario,
                 oracle_close,
                 &model,
@@ -220,7 +236,6 @@ pub fn run_matrix(scenario: &Scenario, oracle_close: OracleClose) -> MatrixStats
                 &int8_tail,
                 &mut stats,
             );
-            stats.digests.push((selected(), digest));
         });
     }
     stats
@@ -233,10 +248,10 @@ fn run_cells(
     traffic: &SimTraffic,
     int8_tail: &QuantizedTail,
     stats: &mut MatrixStats,
-) -> u64 {
+) {
     let kernel = selected();
-    let mut digest = Fnv1a::default();
     for weights in [TailWeights::F32, TailWeights::Int8] {
+        let mut digest = Fnv1a::default();
         // The int8 tail never touches the packed f32 weights.
         let packings: &[PackedWidth] = match weights {
             TailWeights::F32 => &[PackedWidth::Ymm, PackedWidth::Zmm],
@@ -307,8 +322,8 @@ fn run_cells(
             }
             stats.cells_run += cells.len();
         }
+        stats.digests.push((kernel, weights, digest.0));
     }
-    digest.0
 }
 
 /// Every report the int8 oracle served in round `index` equals the scalar

@@ -97,8 +97,10 @@ impl SplitBeamModel {
     /// [`SplitBeamModel::reconstruct_quantized`] applied per payload.
     ///
     /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty
-    /// or a payload's code count differs from the bottleneck width.
+    /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty,
+    /// a payload's code count differs from the bottleneck width, its
+    /// `bits_per_value` lies outside `1..=16` or one of its codes does not
+    /// fit that width.
     pub fn reconstruct_quantized_batch_into<'a>(
         &self,
         payloads: &[&QuantizedFeedback],
@@ -121,8 +123,10 @@ impl SplitBeamModel {
     ///
     /// # Errors
     /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty,
-    /// the iterator yields fewer than `batch` payloads, or a payload's code
-    /// count differs from the bottleneck width.
+    /// the iterator yields fewer or more than `batch` payloads, or a payload
+    /// is malformed as for
+    /// [`SplitBeamModel::reconstruct_quantized_batch_into`]; nothing is
+    /// reconstructed from a batch that fails.
     pub fn reconstruct_quantized_batch_iter_into<'a, 'p, I>(
         &self,
         payloads: I,
@@ -160,8 +164,8 @@ impl SplitBeamModel {
 /// Dequantizes every payload straight into the arena strip (row `r` is
 /// payload `r`'s bottleneck) — the only materialization of the batch, in
 /// storage that is reused round after round. The f32 reconstruction path;
-/// the int8 path maps codes directly via [`quantize_codes_u7`] under the
-/// same batch-validation rules.
+/// the int8 path maps codes directly via [`codes_to_u7`] under the same
+/// batch- and payload-validation rules.
 fn fill_strip<'p, I>(
     strip: &mut Matrix,
     payloads: I,
@@ -186,12 +190,8 @@ where
         .chunks_exact_mut(dim)
         .zip(&mut payloads)
     {
-        if payload.codes.len() != dim {
-            return Err(SplitBeamError::DimensionMismatch(format!(
-                "payload carries {} codes, bottleneck width is {dim}",
-                payload.codes.len()
-            )));
-        }
+        check_shape(payload, dim)?;
+        check_codes_fit(payload, payload.codes.iter().fold(0, |seen, &c| seen | c))?;
         dequantize_bottleneck_into(payload, strip_row);
         rows += 1;
     }
@@ -208,28 +208,72 @@ where
     Ok(())
 }
 
+/// A payload reaches a tail as a value anyone can build, not only through
+/// the wire decoder: its code count must be the bottleneck width and its
+/// quantizer width one the wire format has.
+fn check_shape(payload: &QuantizedFeedback, dim: usize) -> Result<(), SplitBeamError> {
+    if payload.codes.len() != dim {
+        return Err(SplitBeamError::DimensionMismatch(format!(
+            "payload carries {} codes, bottleneck width is {dim}",
+            payload.codes.len()
+        )));
+    }
+    if !(1..=16).contains(&payload.bits_per_value) {
+        return Err(SplitBeamError::DimensionMismatch(format!(
+            "bits_per_value outside 1..=16: {}",
+            payload.bits_per_value
+        )));
+    }
+    Ok(())
+}
+
+/// Rejects a payload with a code past its quantizer width, given the OR (or
+/// the maximum) of its codes: a bit above the width is set in that iff it is
+/// set in some code. Such a code is not a quantizer level; dequantizing it
+/// would extrapolate past `max`.
+fn check_codes_fit(payload: &QuantizedFeedback, seen: u16) -> Result<(), SplitBeamError> {
+    let bits = payload.bits_per_value;
+    if u32::from(seen) >> bits == 0 {
+        return Ok(());
+    }
+    let code = payload.codes.iter().find(|&&c| u32::from(c) >> bits != 0);
+    Err(SplitBeamError::DimensionMismatch(format!(
+        "code {} does not fit {bits} bits",
+        code.copied().unwrap_or(seen)
+    )))
+}
+
 /// Maps one payload's wire codes straight to the first int8 layer's u7
-/// activation codes, skipping the dequantize-to-f32 round trip.
-///
-/// The dequantized value of wire code `c` is `v(c) = (min + c * step) as f32`
-/// — **exactly** the [`dequantize_bottleneck_into`] formula — and the u7
-/// row quantization of `v` uses the exact
-/// [`neural::quant::QuantizedDense`] formula
-/// (`round_ties_even`, clamp to `0..=127`). Because `v` is affine in `c`,
-/// the row's value range is attained at the integer code extremes, so one
-/// cheap integer min/max scan replaces the f32 scan; and because at most
-/// `2^bits` distinct codes exist, payloads at wire widths ≤ 8 bits go
-/// through a ≤256-entry LUT (one formula evaluation per *distinct* code
-/// instead of per element). Wider payloads evaluate per element. Both routes
-/// compute the identical expression, so the resulting codes — and therefore
-/// the reconstruction — are independent of the route taken.
-///
-/// Returns the `(scale, min)` row parameters for
-/// [`QuantizedDense::matmul_bias_act_from_rows`]; `dst` must hold exactly
+/// activation codes, skipping the dequantize-to-f32 round trip, and returns
+/// the row's `(scale, min)` for
+/// [`QuantizedDense::try_matmul_bias_act_from_rows`]; `dst` holds exactly
 /// `payload.codes.len()` bytes.
-fn quantize_codes_u7(payload: &QuantizedFeedback, dst: &mut [u8]) -> (f32, f32) {
+///
+/// The dequantized value of wire code `c` is `min + c * step` — the
+/// [`dequantize_bottleneck_into`] formula — which is the very shape of a u7
+/// activation row, `min + code * scale`. So at wire widths **up to 7 bits**
+/// the code *is* the activation: it is narrowed to a byte as it stands, the
+/// row's scale is `step` and its zero point `min`, and nothing is rounded a
+/// second time. The same pass ORs the codes together, which is all it takes
+/// to refuse one past its width.
+///
+/// A wider code does not fit u7 and is re-quantized: `v(c) = (min + c *
+/// step) as f32` per element through the [`neural::quant::QuantizedDense`]
+/// row formula (`round_ties_even`, clamp to `0..=127`). `v` is affine in
+/// `c`, so the row's value range is attained at the integer code extremes
+/// and one integer min/max scan replaces the f32 scan.
+fn codes_to_u7(payload: &QuantizedFeedback, dst: &mut [u8]) -> Result<(f32, f32), SplitBeamError> {
     let levels = f64::from((1u32 << payload.bits_per_value) - 1);
     let step = (f64::from(payload.max) - f64::from(payload.min)) / levels;
+    if payload.bits_per_value <= 7 {
+        let mut seen = 0u16;
+        for (d, &c) in dst.iter_mut().zip(&payload.codes) {
+            *d = c as u8;
+            seen |= c;
+        }
+        check_codes_fit(payload, seen)?;
+        return Ok((step as f32, payload.min));
+    }
     let base = f64::from(payload.min);
     let value = |c: u16| (base + f64::from(c) * step) as f32;
     let (mut cmin, mut cmax) = (u16::MAX, u16::MIN);
@@ -237,8 +281,9 @@ fn quantize_codes_u7(payload: &QuantizedFeedback, dst: &mut [u8]) -> (f32, f32) 
         cmin = cmin.min(c);
         cmax = cmax.max(c);
     }
+    check_codes_fit(payload, cmax)?;
     // `v` is affine in `c`, so the extreme values sit at the extreme codes
-    // whichever sign `step` has (a corrupt payload may carry max < min).
+    // whichever sign `step` has (a hand-built payload may carry max < min).
     let va = value(cmin);
     let vb = value(cmax);
     let lo = va.min(vb);
@@ -251,24 +296,13 @@ fn quantize_codes_u7(payload: &QuantizedFeedback, dst: &mut [u8]) -> (f32, f32) 
     let positive = scale > 0.0;
     if !positive {
         dst.fill(0);
-        return (0.0, lo);
+        return Ok((0.0, lo));
     }
     let inv = 1.0 / scale;
-    let q = |c: u16| ((value(c) - lo) * inv).round_ties_even().clamp(0.0, 127.0) as u8;
-    if payload.bits_per_value <= 8 {
-        let mut lut = [0u8; 256];
-        for (c, e) in lut.iter_mut().enumerate().take(cmax as usize + 1) {
-            *e = q(c as u16);
-        }
-        for (d, &c) in dst.iter_mut().zip(&payload.codes) {
-            *d = lut[c as usize];
-        }
-    } else {
-        for (d, &c) in dst.iter_mut().zip(&payload.codes) {
-            *d = q(c);
-        }
+    for (d, &c) in dst.iter_mut().zip(&payload.codes) {
+        *d = ((value(c) - lo) * inv).round_ties_even().clamp(0.0, 127.0) as u8;
     }
-    (scale, lo)
+    Ok((scale, lo))
 }
 
 /// A model's tail network with every layer's weights quantized to
@@ -320,10 +354,10 @@ impl QuantizedTail {
     /// **AP side, batched + fused, int8**: the quantized counterpart of
     /// [`SplitBeamModel::reconstruct_quantized_batch_iter_into`] — same batch
     /// validation, but the wire codes are mapped **directly** to the first
-    /// layer's u7 activation codes (a per-payload LUT, see
-    /// `quantize_codes_u7`) with no dequantize-to-f32 strip in between, and
-    /// every layer runs the packed integer GEMM on `kernel`, dequantizing in
-    /// its store.
+    /// layer's u7 activation codes (at widths up to 7 bits they *are* those
+    /// codes, see `codes_to_u7`) with no dequantize-to-f32 strip in between,
+    /// and every layer runs the packed integer GEMM on `kernel`,
+    /// dequantizing in its store.
     ///
     /// Outputs are bit-identical across integer backends and batch shapes
     /// (exact i32 accumulation), so batched, serial, sharded and streaming
@@ -363,14 +397,8 @@ impl QuantizedTail {
                         "fused batch declared {batch} payloads, iterator yielded {r}"
                     ))
                 })?;
-                if payload.codes.len() != self.bottleneck {
-                    return Err(SplitBeamError::DimensionMismatch(format!(
-                        "payload carries {} codes, bottleneck width is {}",
-                        payload.codes.len(),
-                        self.bottleneck
-                    )));
-                }
-                Ok(quantize_codes_u7(payload, dst))
+                check_shape(payload, self.bottleneck)?;
+                codes_to_u7(payload, dst)
             },
             &mut scratch.quant,
             &mut scratch.ping,
@@ -395,8 +423,8 @@ impl QuantizedTail {
     /// not the hot path). Bit-identical to a batch-of-one fused call.
     ///
     /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the payload's code
-    /// count differs from the bottleneck width.
+    /// Returns [`SplitBeamError::DimensionMismatch`] when the payload is
+    /// malformed as for the f32 path.
     pub fn reconstruct_quantized(
         &self,
         payload: &QuantizedFeedback,
@@ -585,6 +613,9 @@ mod tests {
         if int8::avx512_vnni_available() {
             ks.push(Int8Kernel::Avx512Vnni);
         }
+        if int8::amx_int8_available() {
+            ks.push(Int8Kernel::Amx);
+        }
         ks
     }
 
@@ -638,6 +669,134 @@ mod tests {
             tail.reconstruct_quantized(&short, Int8Kernel::Scalar),
             Err(SplitBeamError::DimensionMismatch(_))
         ));
+    }
+
+    /// Up to 7 bits the wire code is the activation, with the wire
+    /// quantizer's own step and minimum; from 8 bits on it is re-quantized
+    /// to u7 over the range its codes span.
+    #[test]
+    fn narrow_wire_codes_are_the_activations_wider_ones_are_requantized() {
+        let values: Vec<f32> = (0..40).map(|j| (j as f32 * 0.37).sin() * 0.6).collect();
+        for bits in 1u8..=16 {
+            let payload = quantize_bottleneck(&values, bits);
+            let mut u7 = vec![0xFFu8; values.len()];
+            let (scale, min) = codes_to_u7(&payload, &mut u7).unwrap();
+            let step =
+                (f64::from(payload.max) - f64::from(payload.min)) / f64::from((1u32 << bits) - 1);
+            if bits <= 7 {
+                assert!(u7
+                    .iter()
+                    .zip(&payload.codes)
+                    .all(|(&a, &c)| u16::from(a) == c));
+                assert_eq!((scale, min), (step as f32, payload.min), "{bits} bits");
+            } else {
+                assert_eq!((u7.iter().min(), u7.iter().max()), (Some(&0), Some(&127)));
+                let exact = dequantize_bottleneck(&payload);
+                for (&a, v) in u7.iter().zip(exact) {
+                    let back = min + f32::from(a) * scale;
+                    assert!(
+                        (back - v).abs() <= scale * 0.5001,
+                        "{bits} bits: {back} vs {v}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Payloads no wire frame decodes to — a [`QuantizedFeedback`] is a
+    /// public value — through both tails: a code past its width (which
+    /// would dequantize past `max`) or a width the format does not have
+    /// (`1u32 << 32` overflows) is an error, also from the second row of a
+    /// batch; an inverted or an overflowing range is served, finite or not,
+    /// and by every int8 backend alike.
+    #[test]
+    fn hostile_payloads_are_refused_or_served_never_a_panic() {
+        let m = model(47, false);
+        let tail = QuantizedTail::bind(&m);
+        let dim = m.bottleneck_dim();
+        let payload = |bits: u8, min: f32, max: f32, last: u16| QuantizedFeedback {
+            bits_per_value: bits,
+            min,
+            max,
+            codes: (0..dim as u16)
+                .map(|j| if j as usize == dim - 1 { last } else { j % 2 })
+                .collect(),
+        };
+        let good = payload(4, -0.5, 0.5, 15);
+        let refused = [
+            (payload(4, -0.5, 0.5, 16), "code 16 does not fit 4 bits"),
+            (payload(7, -0.5, 0.5, 128), "code 128 does not fit 7 bits"),
+            (payload(8, -0.5, 0.5, 256), "code 256 does not fit 8 bits"),
+            (
+                payload(12, -0.5, 0.5, 4096),
+                "code 4096 does not fit 12 bits",
+            ),
+            (payload(0, -0.5, 0.5, 0), "bits_per_value outside 1..=16: 0"),
+            (
+                payload(17, -0.5, 0.5, 1),
+                "bits_per_value outside 1..=16: 17",
+            ),
+            (
+                payload(32, -0.5, 0.5, 1),
+                "bits_per_value outside 1..=16: 32",
+            ),
+        ];
+        let mut scratch = TailScratch::new();
+        for (bad, why) in &refused {
+            let want = SplitBeamError::DimensionMismatch(why.to_string());
+            for batch in [vec![bad], vec![&good, bad]] {
+                let rows = batch.len();
+                for kern in kernels() {
+                    let got = m.reconstruct_quantized_batch_iter_into(
+                        batch.iter().copied(),
+                        rows,
+                        &mut scratch,
+                        kern,
+                    );
+                    assert_eq!(got.err(), Some(want.clone()), "f32 {kern:?}");
+                }
+                for backend in int8_backends() {
+                    let got = tail.reconstruct_quantized_batch_iter_into(
+                        batch.iter().copied(),
+                        rows,
+                        &mut scratch,
+                        backend,
+                    );
+                    assert_eq!(got.err(), Some(want.clone()), "int8 {backend:?}");
+                }
+            }
+        }
+        let served = [
+            ("5-bit max < min", payload(5, 0.5, -0.75, 31), true),
+            ("9-bit max < min", payload(9, 0.5, -0.75, 511), true),
+            // The step, 2 * f32::MAX, is an f64 the f32 row scale cannot hold.
+            (
+                "1-bit full range",
+                payload(1, -f32::MAX, f32::MAX, 1),
+                false,
+            ),
+        ];
+        for (label, odd, finite) in &served {
+            for kern in kernels() {
+                let out = m
+                    .reconstruct_quantized_batch_iter_into([odd].into_iter(), 1, &mut scratch, kern)
+                    .unwrap_or_else(|e| panic!("{label}: f32 {kern:?}: {e}"));
+                if *finite {
+                    assert!(out.as_slice().iter().all(|v| v.is_finite()), "{label}");
+                }
+            }
+            let want = tail.reconstruct_quantized(odd, Int8Kernel::Scalar).unwrap();
+            assert_eq!(want.iter().all(|v| v.is_finite()), *finite, "{label}");
+            for backend in int8_backends() {
+                let got = tail.reconstruct_quantized(odd, backend).unwrap();
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{label}: {backend:?} left the scalar int8 arm"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -5,6 +5,13 @@
 //! one-shard `close_serial` oracle round by round, and the int8 oracle equals
 //! the scalar int8 reference.
 //!
+//! The pins are one per kernel class for the f32 tail and one for the int8
+//! tail, which serves the same bits on every tier; a change to one tail's
+//! numerics re-pins that tail alone. (The int8 pins date from the change
+//! that made wire codes of up to 7 bits — these scenarios send 5 — the u7
+//! activations themselves; the f32 pins were computed on the commit before
+//! it and held.)
+//!
 //! The churn scenario has dropped reports, a bursty round, stations joining
 //! and leaving mid-run, a CRC-rejected frame, late and expired stamps and
 //! mid-round micro-closes. The wide scenario has more stations than two serve
@@ -15,7 +22,7 @@ use proptest::prelude::*;
 use splitbeam_repro::prelude::*;
 use splitbeam_repro::serve::{ServeError, StationId, TILE_ROWS};
 use splitbeam_repro::splitbeam::fused::TailWeights;
-use splitbeam_testkit::matrix::{run_matrix, Scenario};
+use splitbeam_testkit::matrix::{run_matrix, Pins, Scenario};
 use splitbeam_testkit::{
     kernel_choices, model_with, session_divergence, small_model, synthetic_frame,
     with_ambient_kernel,
@@ -52,7 +59,11 @@ fn every_cell_matches_the_serial_close_round_by_round() {
         stats.late > 0 && stats.expired > 0,
         "no late/expired reports"
     );
-    stats.assert_digests(13_502_285_184_484_860_663, 10_406_555_228_409_769_731);
+    stats.assert_digests(Pins {
+        f32_scalar: 591_466_671_016_430_366,
+        f32_fma: 746_305_262_081_403_586,
+        int8: 2_102_310_507_412_595_916,
+    });
 }
 
 /// More stations than two tiles hold. One report in a hundred is dropped, so
@@ -78,7 +89,11 @@ fn wide_rounds_match_the_serial_close_across_tile_boundaries() {
     let stats = run_matrix(&scenario, ApServer::close_serial);
     assert_eq!(stats.cells_run, 32 * kernel_choices().len());
     assert!(stats.micro_closes > 0 && stats.late > 0 && stats.expired > 0);
-    stats.assert_digests(2_618_362_079_264_026_890, 10_261_680_760_930_113_952);
+    stats.assert_digests(Pins {
+        f32_scalar: 17_108_439_718_498_248_363,
+        f32_fma: 11_229_481_979_927_286_689,
+        int8: 6_927_862_504_399_003_566,
+    });
     assert!(
         stats.max_served > 2 * TILE_ROWS,
         "no close needed a third tile (most served: {})",

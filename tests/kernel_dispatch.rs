@@ -12,6 +12,7 @@
 //! The kernel override is process-global; every test here pins it through
 //! the test kit's one lock.
 
+use mimo_math::kernel::int8::{selected_int8, Int8Kernel};
 use mimo_math::kernel::packed::PackedWidth;
 use mimo_math::kernel::{avx2_fma_available, selected, Kernel, KernelChoice};
 use splitbeam::fused::TailScratch;
@@ -49,7 +50,14 @@ fn programmatic_override_steers_dispatch() {
 
 #[test]
 fn environment_variable_steers_dispatch() {
-    with_env_kernel("scalar", || assert_eq!(selected(), Kernel::Scalar));
+    with_env_kernel("scalar", || {
+        assert_eq!(selected(), Kernel::Scalar);
+        assert_eq!(
+            selected_int8(),
+            Int8Kernel::Scalar,
+            "scalar pins both tiers"
+        );
+    });
     with_env_kernel("auto", || {
         assert_eq!(
             selected() == Kernel::Avx2Fma,
