@@ -10,11 +10,12 @@
 //!    SVD-and-decompose step performs no heap allocation beyond the angle
 //!    vectors that form the result.
 //! 2. **Subcarrier fan-out** — the subcarrier axis is split into one contiguous chunk per available core
-//!    and processed on scoped threads. Chunks are concatenated in input order
+//!    and the chunks are claimed by the threads of the `rayon` pool. Chunks are
+//!    concatenated in input order
 //!    and every scalar operation is identical to the serial path, so the
 //!    parallel result is **bit-exact** with the serial one (asserted by the
 //!    crate's tests). On a single-core host the fan-out degenerates to the
-//!    serial loop with no thread spawns.
+//!    serial loop and no thread is started.
 //!
 //! The packing stage stays serial: it is a byte-append loop measured in
 //! microseconds, and packing in subcarrier order is what makes the payload

@@ -225,6 +225,10 @@ pub struct DispatchReport {
     /// Whether the AMX arm can run: `amx-tile` + `amx-int8` next to the VNNI
     /// requirement, and the operating system granted tile data.
     pub amx_int8_available: bool,
+    /// Threads the packed GEMMs may hand their panels out to, the caller
+    /// included: `available_parallelism` capped by `RAYON_NUM_THREADS`.
+    /// Outputs do not depend on it.
+    pub pool_threads: usize,
 }
 
 /// Snapshot of the current dispatch state.
@@ -245,6 +249,7 @@ pub fn dispatch_report() -> DispatchReport {
         avx512bw_available: int8::avx512bw_available(),
         avx512_vnni_available: int8::avx512_vnni_available(),
         amx_int8_available: int8::amx_int8_available(),
+        pool_threads: rayon::current_num_threads(),
     }
 }
 
@@ -859,6 +864,7 @@ mod tests {
         // CI runs this test alone with `--nocapture` ahead of the suites.
         eprintln!("{report:?}");
         assert!(["auto", "scalar"].contains(&report.requested));
+        assert!(report.pool_threads >= 1);
         assert!(["scalar", "avx2_fma"].contains(&report.selected));
         assert_eq!(
             report.selected_packed == "scalar",

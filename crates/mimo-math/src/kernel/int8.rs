@@ -58,8 +58,9 @@
 //! the largest tail layer in the workspace has `k = 4356`, giving `~7.0e7`,
 //! five orders of magnitude inside `i32` range.
 
-use super::packed::{PackedWidth, Panels};
+use super::packed::{Lanes, PackedWidth, Panels};
 use super::KernelChoice;
+use rayon::prelude::*;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A concrete integer-GEMM backend.
@@ -402,72 +403,87 @@ enum Sink {
 
 type TileFn = unsafe fn(tile: Tile, sink: Sink);
 
-/// How a tile is computed: by a function of its operands alone, or by the
-/// AMX arm, which keeps its tile configuration, the staged depth tail of the
-/// current panel and its store block from one tile of a product to the next.
-#[derive(Clone, Copy)]
+/// How a claimant of panels computes its tiles: by a function of a tile's
+/// operands alone, or by the AMX arm, which keeps its tile configuration, the
+/// staged depth tail of the current panel and its store block from one tile
+/// to the next. Tile configuration is per-thread state, so an arm is made,
+/// used and dropped by one thread: each claimant has its own, on its stack
+/// (boxing the 6 KB AMX state would put an allocation into every product).
+#[allow(clippy::large_enum_variant)]
 enum Arm {
     Registers(TileFn),
     #[cfg(target_arch = "x86_64")]
-    Amx(*mut x86::AmxProduct),
+    Amx(x86::AmxProduct),
 }
 
 /// One register tile's worth of a product, ready but for its [`Sink`]:
 /// rows `r..r + tile.mr`, columns `j0..j0 + tile.cols`.
-struct Pending {
-    arm: Arm,
+struct Pending<'a> {
+    arm: &'a mut Arm,
     tile: Tile,
     r: usize,
     j0: usize,
 }
 
-impl Pending {
+impl Pending<'_> {
     /// # Safety
     /// `sink` must satisfy [`Tile`]'s contract for this tile's rows and
     /// columns.
-    unsafe fn store(&self, sink: Sink) {
-        // SAFETY: `for_each_tile` built `tile` from in-bounds slices, chose
-        // a feature-checked arm and keeps the AMX state alive and unshared
-        // for as long as it hands tiles out; the caller vouches for `sink`.
+    unsafe fn store(self, sink: Sink) {
+        // SAFETY: `for_each_tile` built `tile` from in-bounds slices and
+        // chose a feature-checked arm; the caller vouches for `sink`.
         unsafe {
             match self.arm {
                 Arm::Registers(run) => run(self.tile, sink),
                 #[cfg(target_arch = "x86_64")]
-                Arm::Amx(product) => x86::tile_amx(&mut *product, self.tile, sink),
+                Arm::Amx(product) => x86::tile_amx(product, self.tile, sink),
             }
         }
     }
 }
 
+/// The product size, in multiply-adds, from which [`gemm_u8i8_dequant`] hands
+/// its panels out through the pool (see the README's kernel section for the
+/// measured fork-join cost behind it).
+const PAR_MIN_MACS: usize = 3 << 20;
+
 /// The loop nest every product shares — panel-outer, so a panel stays
 /// cache-resident while every row tile of the batch runs against it — handing
 /// each tile to `emit`. An arm narrower than a panel walks it in `NR`-column
-/// blocks; a wider one runs with its upper lanes masked off.
+/// blocks; a wider one runs with its upper lanes masked off. A product of
+/// several panels and at least `par_min_macs` multiply-adds hands its panels
+/// out through the pool: `emit` then runs on whichever thread claimed the
+/// tile's panel, every tile still exactly once.
 ///
 /// The AMX arm runs where it has what it needs: the grant, and left-hand
 /// rows it can load whole 64-byte steps from ([`Lhs`]'s layout). Anything
 /// else requested of it runs on the VNNI tile, which computes the same bits.
-fn for_each_tile(kernel: Int8Kernel, a: LhsRows<'_>, rhs: Rhs<'_>, mut emit: impl FnMut(Pending)) {
+fn for_each_tile(
+    kernel: Int8Kernel,
+    a: LhsRows<'_>,
+    rhs: Rhs<'_>,
+    par_min_macs: usize,
+    emit: impl Fn(Pending<'_>) + Sync,
+) {
     let Rhs { groups, n, .. } = rhs;
-    // Lives until the last tile is stored; its drop releases the tiles.
-    #[cfg(target_arch = "x86_64")]
-    let mut amx_product = None;
-    let (arm, mr_max, nr): (Arm, usize, usize) = match kernel {
+    let (arm, mr_max, nr): (fn() -> Arm, usize, usize) = match kernel {
+        // Its drop, after the claimant's last tile, releases the tiles.
         #[cfg(target_arch = "x86_64")]
         Int8Kernel::Amx if amx_int8_available() && a.stride.is_multiple_of(64) => {
-            (Arm::Amx(amx_product.insert(x86::AmxProduct::new())), 32, 32)
+            (|| Arm::Amx(x86::AmxProduct::new()), 32, 32)
         }
         #[cfg(target_arch = "x86_64")]
         Int8Kernel::Amx | Int8Kernel::Avx512Vnni if avx512_vnni_available() => {
-            (Arm::Registers(x86::rows_vnni), 12, 32)
+            (|| Arm::Registers(x86::rows_vnni), 12, 32)
         }
         #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Avx2Maddubs if avx2_available() => (Arm::Registers(x86::rows_avx2), 4, 16),
+        Int8Kernel::Avx2Maddubs if avx2_available() => (|| Arm::Registers(x86::rows_avx2), 4, 16),
         // The portable tile takes any shape; this one is as good as any.
-        _ => (Arm::Registers(tile_portable), 12, 32),
+        _ => (|| Arm::Registers(tile_portable), 12, 32),
     };
     let stride = 4 * rhs.panel_cols;
-    for (p, panel) in rhs.data.chunks_exact(groups * stride).enumerate() {
+    let panel = |arm: &mut Arm, p: usize| {
+        let panel = &rhs.data[p * groups * stride..(p + 1) * groups * stride];
         let p0 = p * rhs.panel_cols;
         let panel_cols = rhs.panel_cols.min(n - p0);
         for c0 in (0..panel_cols).step_by(nr) {
@@ -485,9 +501,21 @@ fn for_each_tile(kernel: Int8Kernel, a: LhsRows<'_>, rhs: Rhs<'_>, mut emit: imp
                     n,
                 };
                 let j0 = p0 + c0;
-                emit(Pending { arm, tile, r, j0 });
+                emit(Pending {
+                    arm: &mut *arm,
+                    tile,
+                    r,
+                    j0,
+                });
             }
         }
+    };
+    let panels = rhs.data.len() / (groups * stride);
+    if panels > 1 && a.rows * 4 * groups * n >= par_min_macs {
+        (0..panels).into_par_iter().for_each_init(arm, panel);
+    } else {
+        let mut arm = arm();
+        (0..panels).for_each(|p| panel(&mut arm, p));
     }
 }
 
@@ -543,11 +571,14 @@ pub fn gemm_u8i8_i32(
             stride: k_pad,
         },
     };
-    for_each_tile(kernel, lhs, rhs, |t| {
-        let first = t.r * n + t.j0;
-        let sums = out[first..first + (t.tile.mr - 1) * n + t.tile.cols].as_mut_ptr();
-        // SAFETY: `sums` spans the tile's `cols` lanes in each of its `mr`
-        // rows, `n` apart.
+    let out = Lanes(out.as_mut_ptr());
+    // One panel as wide as the matrix: nothing to hand out.
+    for_each_tile(kernel, lhs, rhs, usize::MAX, |t| {
+        // SAFETY: the tile's first lane, inside the `rows x n` matrix `out`
+        // points to; from it the tile's `cols <= n - j0` lanes in each of its
+        // `mr <= rows - r` rows, `n` apart, are this tile's alone.
+        let sums = unsafe { out.at(t.r * n + t.j0) };
+        // SAFETY: as above.
         unsafe { t.store(Sink::Sums(sums)) };
     });
 }
@@ -578,13 +609,27 @@ pub struct Dequant<'a> {
 ///
 /// # Panics
 /// Panics if `a`'s depth or a slice length disagrees with `b`'s dimensions.
-pub fn gemm_u8i8_dequant<F: Fn(f32) -> f32>(
+pub fn gemm_u8i8_dequant<F: Fn(f32) -> f32 + Sync>(
     kernel: Int8Kernel,
     a: &Lhs,
     b: &PackedInt8,
     deq: Dequant<'_>,
     act: F,
     out: &mut [f32],
+) {
+    dequant_product(kernel, a, b, deq, act, out, PAR_MIN_MACS);
+}
+
+/// [`gemm_u8i8_dequant`] with the size from which the panels are handed out
+/// as a parameter (the parity tests run every shape on both sides of it).
+fn dequant_product<F: Fn(f32) -> f32 + Sync>(
+    kernel: Int8Kernel,
+    a: &Lhs,
+    b: &PackedInt8,
+    deq: Dequant<'_>,
+    act: F,
+    out: &mut [f32],
+    par_min_macs: usize,
 ) {
     let (rows, n) = (a.rows, b.n);
     assert_eq!(a.k, b.k, "gemm_u8i8_dequant lhs depth mismatch");
@@ -603,21 +648,28 @@ pub fn gemm_u8i8_dequant<F: Fn(f32) -> f32>(
         n,
         panel_cols: b.width.nr(),
     };
-    for_each_tile(kernel, a.view(), rhs, |t| {
+    let out = Lanes(out.as_mut_ptr());
+    for_each_tile(kernel, a.view(), rhs, par_min_macs, |t| {
         let (r, j0, mr, cols) = (t.r, t.j0, t.tile.mr, t.tile.cols);
         let sink = Sink::Dequant {
-            out: out[r * n + j0..(r + mr - 1) * n + j0 + cols].as_mut_ptr(),
+            // SAFETY: the tile's first lane, inside the `rows x n` matrix
+            // `out` points to.
+            out: unsafe { out.at(r * n + j0) },
             row_scale: deq.row_scale[r..r + mr].as_ptr(),
             row_min: deq.row_min[r..r + mr].as_ptr(),
             col_scale: deq.col_scale[j0..j0 + cols].as_ptr(),
             corr: deq.corr[j0..j0 + cols].as_ptr(),
             bias: deq.bias[j0..j0 + cols].as_ptr(),
         };
-        // SAFETY: the slices just taken are exactly the `mr` row terms, the
-        // `cols` column terms and the output lanes the tile stores to.
+        // SAFETY: the slices just taken are exactly the `mr` row terms and
+        // the `cols` column terms, and `out` is good for `cols <= n - j0`
+        // lanes in each of `mr <= rows - r` rows `n` apart — lanes of this
+        // tile's panel, which only the thread running that panel touches.
         unsafe { t.store(sink) };
-        for row in out[r * n..(r + mr) * n].chunks_exact_mut(n) {
-            for o in &mut row[j0..j0 + cols] {
+        for row in r..r + mr {
+            // SAFETY: the `cols` lanes of row `row` the tile just wrote.
+            let lanes = unsafe { std::slice::from_raw_parts_mut(out.at(row * n + j0), cols) };
+            for o in lanes {
                 *o = act(*o);
             }
         }
@@ -1188,6 +1240,7 @@ mod x86 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::packed::tests::pools;
     use super::*;
     use proptest::prelude::*;
 
@@ -1336,6 +1389,17 @@ mod tests {
         }
 
         fn dequant(&self, kernel: Int8Kernel, width: PackedWidth, act: Activation) -> Vec<u32> {
+            self.dequant_from(kernel, width, act, PAR_MIN_MACS)
+        }
+
+        /// The product with its panels handed out from `par_min_macs` on.
+        fn dequant_from(
+            &self,
+            kernel: Int8Kernel,
+            width: PackedWidth,
+            act: Activation,
+            par_min_macs: usize,
+        ) -> Vec<u32> {
             let deq = Dequant {
                 row_scale: &self.row_scale,
                 row_min: &self.row_min,
@@ -1345,7 +1409,8 @@ mod tests {
             };
             // A dirty `out` proves every element is overwritten.
             let mut out = vec![f32::NAN; self.rows * self.n];
-            gemm_u8i8_dequant(kernel, &self.lhs(), &self.pack(width), deq, act, &mut out);
+            let (lhs, rhs) = (self.lhs(), self.pack(width));
+            dequant_product(kernel, &lhs, &rhs, deq, act, &mut out, par_min_macs);
             out.iter().map(|v| v.to_bits()).collect()
         }
 
@@ -1523,6 +1588,71 @@ mod tests {
             for rows in 0..=27usize {
                 Case::new(rows, k, n, 5 + rows as u64, true)
                     .assert_every_arm_equals_the_oracle(name, identity);
+            }
+        }
+    }
+
+    /// Claimed panels == one-thread panels, bit for bit: every shape with
+    /// its panels handed out (threshold 0; `(1, 1)` is one panel and stays a
+    /// plain loop, `(7, 33)` is two 32-column panels) on pools of every
+    /// width, against the plain loop (threshold `usize::MAX`) — for every
+    /// row count up to two whole AMX tiles and a ragged third, every arm,
+    /// both packing widths, a fused activation, and constant rows and
+    /// NaN / ±Inf row minima.
+    #[test]
+    fn claimed_panels_equal_one_thread_panels_bitwise() {
+        eprintln!(
+            "int8 hand-out parity: the amx_int8 arm ran on {}",
+            if amx_int8_available() {
+                "the AMX tile, one product a claimant"
+            } else {
+                "the VNNI or portable tile: no AMX here"
+            }
+        );
+        let pools = pools();
+        let (_, relu) = ACTIVATIONS[1];
+        for (k, n) in [(1usize, 1usize), (7, 33), (56, 224)] {
+            for rows in 0..=70usize {
+                let case = Case::new(rows, k, n, 5 + rows as u64, true);
+                for kernel in KERNELS {
+                    for width in WIDTHS {
+                        let one_thread = case.dequant_from(kernel, width, relu, usize::MAX);
+                        for (threads, pool) in &pools {
+                            let claimed =
+                                pool.install(|| case.dequant_from(kernel, width, relu, 0));
+                            assert_eq!(
+                                claimed, one_thread,
+                                "{kernel:?} {width:?} rows={rows} {k}x{n} on {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same through the public entry, one row either side of
+    /// [`PAR_MIN_MACS`] at the tail's output width.
+    #[test]
+    fn the_product_is_the_same_on_both_sides_of_the_threshold() {
+        let (k, n) = (64usize, 1452usize);
+        let below = (PAR_MIN_MACS - 1) / (k * n);
+        assert!(below >= 1 && (below + 1) * k * n >= PAR_MIN_MACS);
+        let (_, tanh) = ACTIVATIONS[2];
+        let pools = pools();
+        for rows in [below, below + 1] {
+            let case = Case::new(rows, k, n, 8, false);
+            for kernel in KERNELS {
+                for width in WIDTHS {
+                    let one_thread = case.dequant_from(kernel, width, tanh, usize::MAX);
+                    for (threads, pool) in &pools {
+                        let served = pool.install(|| case.dequant(kernel, width, tanh));
+                        assert_eq!(
+                            served, one_thread,
+                            "{kernel:?} {width:?} rows={rows} on {threads} threads"
+                        );
+                    }
+                }
             }
         }
     }

@@ -39,6 +39,7 @@
 #[cfg(target_arch = "x86_64")]
 use super::avx2_fma_available;
 use super::int8::avx512f_available;
+use rayon::prelude::*;
 use std::ops::{Deref, DerefMut};
 
 /// One cache line of `N` lanes of `T` — the allocation unit of [`Panels`].
@@ -219,6 +220,31 @@ struct Tile {
 
 type TileFn = unsafe fn(mr: usize, tile: Tile);
 
+/// The output matrix of a product whose panels are handed out: every thread
+/// that runs a panel writes through the one pointer, each to its panel's
+/// columns only.
+pub(super) struct Lanes<T>(pub(super) *mut T);
+
+// SAFETY: a product offsets the pointer to lanes of the panel (or, for
+// per-row operands, the row tile) it is running, and a panel is run by
+// exactly one thread — the pool hands every index out once — so no lane is
+// reached from two threads. The lanes are plain numbers (`T: Send`).
+unsafe impl<T: Send> Sync for Lanes<T> {}
+
+impl<T> Lanes<T> {
+    /// # Safety
+    /// `i` must be inside the matrix the pointer came from (or one past it).
+    pub(super) unsafe fn at(&self, i: usize) -> *mut T {
+        // SAFETY: the caller's contract.
+        unsafe { self.0.add(i) }
+    }
+}
+
+/// The product size, in multiply-adds, from which [`gemm_f32_packed`] hands
+/// its panels out through the pool (see the README's kernel section for the
+/// measured fork-join cost behind it).
+const PAR_MIN_MACS: usize = 1 << 19;
+
 /// Fused dense product `out = act(a * b + bias)`: `a` is `rows x m`
 /// row-major, `b` the packed `m x n` right-hand side, `bias` has `n` entries
 /// and `out` is `rows x n` row-major. `out` is **overwritten** (it need not
@@ -231,12 +257,25 @@ type TileFn = unsafe fn(mr: usize, tile: Tile);
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with `b`'s dimensions.
-pub fn gemm_f32_packed<F: Fn(f32) -> f32>(
+pub fn gemm_f32_packed<F: Fn(f32) -> f32 + Sync>(
     a: &[f32],
     b: &PackedRhs,
     bias: &[f32],
     act: F,
     out: &mut [f32],
+) {
+    product(a, b, bias, act, out, PAR_MIN_MACS);
+}
+
+/// [`gemm_f32_packed`] with the size from which the panels are handed out as
+/// a parameter (the parity tests run every shape on both sides of it).
+fn product<F: Fn(f32) -> f32 + Sync>(
+    a: &[f32],
+    b: &PackedRhs,
+    bias: &[f32],
+    act: F,
+    out: &mut [f32],
+    par_min_macs: usize,
 ) {
     let (m, n) = (b.m, b.n);
     assert_eq!(a.len() % m, 0, "gemm_f32_packed lhs length mismatch");
@@ -252,7 +291,9 @@ pub fn gemm_f32_packed<F: Fn(f32) -> f32>(
         PackedWidth::Zmm => tile_portable::<32>,
         PackedWidth::Ymm => tile_portable::<16>,
     };
-    for (p, panel) in b.data.chunks_exact(m * nr).enumerate() {
+    let out = Lanes(out.as_mut_ptr());
+    let panel = |p: usize| {
+        let panel = &b.data[p * m * nr..(p + 1) * m * nr];
         let j0 = p * nr;
         let cols = nr.min(n - j0);
         for r in (0..rows).step_by(mr_max) {
@@ -262,20 +303,33 @@ pub fn gemm_f32_packed<F: Fn(f32) -> f32>(
                 m,
                 panel: panel.as_ptr(),
                 bias: bias[j0..j0 + cols].as_ptr(),
-                out: out[r * n + j0..(r + mr - 1) * n + j0 + cols].as_mut_ptr(),
+                // SAFETY: row `r < rows`, column `j0 < n` of the `rows x n`
+                // matrix `out` points to.
+                out: unsafe { out.at(r * n + j0) },
                 n,
                 cols,
             };
-            // SAFETY: a vector arm was feature-checked above, and the slices
-            // just taken are exactly the ranges `Tile` asks for (`panel` is a
-            // `m * nr` chunk); no arm touches a lane past `cols`.
+            // The tile's lanes are `cols <= n - j0` in each of `mr <= rows - r`
+            // rows `n` apart: columns of panel `p`, which no other thread runs.
+            // SAFETY: a vector arm was feature-checked above; `a`, `panel`
+            // and `bias` are the slices just taken, `out` is good for the
+            // lanes above and no arm writes past them.
             unsafe { run(mr, tile) };
-            for row in out[r * n..(r + mr) * n].chunks_exact_mut(n) {
-                for o in &mut row[j0..j0 + cols] {
+            for row in r..r + mr {
+                // SAFETY: the `cols` lanes of row `row` the tile just wrote —
+                // this panel's own, as above.
+                let lanes = unsafe { std::slice::from_raw_parts_mut(out.at(row * n + j0), cols) };
+                for o in lanes {
                     *o = act(*o);
                 }
             }
         }
+    };
+    let panels = n.div_ceil(nr);
+    if panels > 1 && rows * m * n >= par_min_macs {
+        (0..panels).into_par_iter().for_each(panel);
+    } else {
+        (0..panels).for_each(panel);
     }
 }
 
@@ -421,7 +475,7 @@ mod x86 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::super::{avx2_fma_available, gemm_f32, Kernel};
     use super::*;
     use proptest::prelude::*;
@@ -607,6 +661,94 @@ mod tests {
                 for width in WIDTHS {
                     let got = packed(&a, &b, &bias, (m, n), identity, width);
                     assert_eq!(got, want, "{width:?} rows={rows} {m}x{n}");
+                }
+            }
+        }
+    }
+
+    /// Pools 1, 2 and 3 threads wide, the installing thread included.
+    pub(in crate::kernel) fn pools() -> Vec<(usize, rayon::ThreadPool)> {
+        [1usize, 2, 3]
+            .map(|threads| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+                (threads, pool.build().expect("the shim's build cannot fail"))
+            })
+            .into()
+    }
+
+    /// Claimed panels == one-thread panels, bit for bit: every shape with
+    /// its panels handed out (threshold 0; `(1, 1)` is one panel and stays a
+    /// plain loop, `(7, 33)` is two zmm panels) on pools of every width,
+    /// against the plain loop (threshold `usize::MAX`) — for every row count
+    /// up to six whole zmm tiles, both layouts on whichever arm the host
+    /// runs them, a fused activation, and NaN / ±Inf / −0.0 data.
+    #[test]
+    fn claimed_panels_equal_one_thread_panels_bitwise() {
+        eprintln!(
+            "packed hand-out parity ran on: zmm layout = {}, ymm layout = {}",
+            if avx512f_available() {
+                "avx512f_12x32"
+            } else {
+                "portable"
+            },
+            if avx2_fma_available() {
+                "avx2_fma_6x16"
+            } else {
+                "portable"
+            },
+        );
+        let pools = pools();
+        let (_, relu) = ACTIVATIONS[1];
+        for (m, n) in [(1usize, 1usize), (7, 33), (56, 224)] {
+            let b = values(m * n, 3, true);
+            let bias = values(n, 4, false);
+            for width in WIDTHS {
+                let rhs = PackedRhs::pack(&b, m, n, width);
+                for rows in 0..=70usize {
+                    let a = values(rows * m, 5 + rows as u64, true);
+                    let run = |par_min_macs: usize| {
+                        let mut out = vec![f32::NAN; rows * n];
+                        product(&a, &rhs, &bias, relu, &mut out, par_min_macs);
+                        bits(&out)
+                    };
+                    let one_thread = run(usize::MAX);
+                    for (threads, pool) in &pools {
+                        let claimed = pool.install(|| run(0));
+                        assert_eq!(
+                            claimed, one_thread,
+                            "{width:?} rows={rows} {m}x{n} on {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same through the public entry, one row either side of
+    /// [`PAR_MIN_MACS`] at the tail's output width.
+    #[test]
+    fn the_product_is_the_same_on_both_sides_of_the_threshold() {
+        let (m, n) = (64usize, 1452usize);
+        let below = (PAR_MIN_MACS - 1) / (m * n);
+        assert!(below >= 1 && (below + 1) * m * n >= PAR_MIN_MACS);
+        let b = values(m * n, 6, false);
+        let bias = values(n, 7, false);
+        let (_, tanh) = ACTIVATIONS[2];
+        let pools = pools();
+        for width in WIDTHS {
+            let rhs = PackedRhs::pack(&b, m, n, width);
+            for rows in [below, below + 1] {
+                let a = values(rows * m, 8, false);
+                let mut one_thread = vec![f32::NAN; rows * n];
+                product(&a, &rhs, &bias, tanh, &mut one_thread, usize::MAX);
+                for (threads, pool) in &pools {
+                    let mut served = vec![f32::NAN; rows * n];
+                    pool.install(|| gemm_f32_packed(&a, &rhs, &bias, tanh, &mut served));
+                    assert_eq!(
+                        bits(&served),
+                        bits(&one_thread),
+                        "{width:?} rows={rows} on {threads} threads"
+                    );
                 }
             }
         }

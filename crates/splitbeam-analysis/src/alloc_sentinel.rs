@@ -15,8 +15,9 @@
 //! populated every pool. The counters are process-global, so a sentinel
 //! binary must keep exactly one `#[test]` (the libtest harness itself runs
 //! tests on freshly spawned threads whose stacks and channels allocate) and
-//! CI pins `RAYON_NUM_THREADS=1` so no worker thread is mid-flight during a
-//! scope.
+//! start the `rayon` pool's workers before its first scope (starting them
+//! allocates; handing work to them afterwards does not, which is part of what
+//! the scopes prove).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -508,7 +508,16 @@ mod tests {
                     // Mix fine offsets (same-tick ties) with jumps across
                     // wheel levels.
                     let horizon: u64 = 1u64 << rng.gen_range(0..44u32);
-                    let time = rng.gen_range(0..=horizon);
+                    // One schedule in sixteen lands at the top of the
+                    // 54-bit tick space: the last instants, or either side
+                    // of a top-level slot boundary (a slot there is 2^58 ns).
+                    let time = match rng.gen_range(0..64u32) {
+                        0 => VirtualNs::MAX,
+                        1 => VirtualNs::MAX - 1,
+                        2 => rng.gen_range(1..64u64) << 58,
+                        3 => (rng.gen_range(1..64u64) << 58) - 1,
+                        _ => rng.gen_range(0..=horizon),
+                    };
                     let station = rng.gen_range(0..7);
                     let a = heap.schedule(time, station, step);
                     let b = wheel.schedule(time, station, step);
@@ -526,6 +535,45 @@ mod tests {
             }
             assert!(wheel.is_empty());
             assert!(popped > 1_000, "interleaving degenerated: {popped} pops");
+        }
+    }
+
+    /// The top of the tick space, fixed: the last two instants, both sides
+    /// of the first and the last top-level slot boundary, ties among them
+    /// and an early event — scheduled out of order, popped by `(time,
+    /// station, seq)`, then scheduled again behind the advanced horizon.
+    #[test]
+    fn the_top_of_the_tick_space_pops_in_order() {
+        let top = |slot: u64| slot << 58;
+        let times = [
+            VirtualNs::MAX,
+            top(1),
+            VirtualNs::MAX - 1,
+            top(63),
+            top(63) - 1,
+            0,
+            VirtualNs::MAX,
+            top(1) - 1,
+            top(63),
+        ];
+        let mut heap = HeapEventQueue::new();
+        let mut wheel = EventQueue::new();
+        for round in 0..2u64 {
+            for (i, &time) in times.iter().enumerate() {
+                let station = i as u64 % 3;
+                let payload = round * 100 + i as u64;
+                let key = heap.schedule(time, station, payload);
+                assert_eq!(wheel.schedule(time, station, payload), key);
+            }
+            assert_eq!(wheel.peek_time(), Some(0));
+            let mut last = None;
+            while let Some((key, payload)) = heap.pop() {
+                assert_eq!(wheel.pop(), Some((key, payload)), "round {round}");
+                assert!(last < Some(key), "round {round}: {last:?} then {key:?}");
+                last = Some(key);
+            }
+            assert_eq!(last.map(|key| key.time_ns), Some(VirtualNs::MAX));
+            assert!(wheel.is_empty());
         }
     }
 

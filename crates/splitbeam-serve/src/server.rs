@@ -452,8 +452,8 @@ impl ApServer {
         self.close(None)
     }
 
-    /// Closes the current round. Every shard, in parallel (one rayon task per
-    /// shard): commits whatever its streaming lane still holds, coalesces all
+    /// Closes the current round. Every shard, in parallel (claimed from the
+    /// rayon pool): commits whatever its streaming lane still holds, coalesces all
     /// pending payloads into **one fused dequantize→tail batched inference per
     /// model** ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`],
     /// [`crate::TILE_ROWS`] stations at a time), stores every reconstruction

@@ -8,8 +8,7 @@
 //! replays, then re-runs it under [`assert_no_alloc`].
 //!
 //! One `#[test]` only: the counters are process-global and the libtest
-//! harness spawns an allocating thread per test. Run with
-//! `RAYON_NUM_THREADS=1`.
+//! harness spawns an allocating thread per test.
 
 use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, CountingAlloc};
 use splitbeam_hwsim::EventQueue;

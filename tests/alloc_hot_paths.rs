@@ -26,10 +26,10 @@
 //! `peak_rss_mib` regression in the benchmark pipeline.
 //!
 //! One `#[test]` only: the counters are process-global and the libtest
-//! harness spawns an allocating thread per test. The test pins
-//! `RAYON_NUM_THREADS=1` before its first parallel call so the rayon shim
-//! stays serial — a `thread::scope` spawn inside a scope would be charged to
-//! the multi-shard hot path.
+//! harness spawns an allocating thread per test. The pool runs at whatever
+//! width the host gives it: its workers are started before the first scope,
+//! so the scopes hold the **parallel** closes — shards claimed by the pool's
+//! threads, panels of a tail product likewise — to the same zero.
 
 use neural::layer::Activation;
 use neural::loss::Loss;
@@ -38,6 +38,7 @@ use neural::optimizer::OptimizerKind;
 use neural::trainer::{Example, TrainConfig, Trainer};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use splitbeam::config::CompressionLevel;
 use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
@@ -74,13 +75,20 @@ fn server_with(
 
 /// Barrier serving: after warm-up rounds have sized the decode buffers, the
 /// round arenas, the tail scratch and the per-shard outcome slots, a full
-/// ingest + round close must not touch the heap — on one shard and on the
-/// sharded fan-out alike.
-fn barrier_path(model: &SplitBeamModel, weights: TailWeights, shards: usize, label_prefix: &str) {
-    let frames: Vec<Vec<u8>> = (0..2 * shards as u64)
+/// ingest + round close must not touch the heap — on one shard, on shards
+/// claimed by the pool's threads, and when the tail product is large enough
+/// to hand its panels out.
+fn barrier_path(
+    model: &SplitBeamModel,
+    weights: TailWeights,
+    shards: usize,
+    stations: u64,
+    label_prefix: &str,
+) {
+    let frames: Vec<Vec<u8>> = (0..stations)
         .map(|s| station_frame(model, 100 + s, BITS))
         .collect();
-    let mut server = server_with(model, weights, shards, frames.len() as u64);
+    let mut server = server_with(model, weights, shards, stations);
     for _ in 0..WARM_ROUNDS {
         for (id, frame) in frames.iter().enumerate() {
             server.ingest_wire(id as u64, frame).unwrap();
@@ -376,9 +384,10 @@ fn setup_byte_ledger() {
 
 #[test]
 fn hot_paths_do_not_allocate_after_warmup() {
-    // The shim reads this once per process, at its first parallel call.
-    std::env::set_var("RAYON_NUM_THREADS", "1");
     assert_counting();
+    // Starting the pool's workers allocates (thread stacks, names); handing
+    // work to them afterwards must not.
+    (0..2).into_par_iter().for_each(|_| {});
     let model = small_model(1);
     // Force kernel selection before any sentinel scope opens.
     fused_tail_path(&model, 3);
@@ -388,9 +397,26 @@ fn hot_paths_do_not_allocate_after_warmup() {
         &model_with(Bandwidth::Mhz40, CompressionLevel::OneEighth, 2),
         7,
     );
-    barrier_path(&model, TailWeights::F32, 1, "barrier f32");
-    barrier_path(&model, TailWeights::Int8, 1, "barrier int8");
-    barrier_path(&model, TailWeights::F32, 4, "barrier f32 x4 shards");
+    barrier_path(&model, TailWeights::F32, 1, 2, "barrier f32");
+    barrier_path(&model, TailWeights::Int8, 1, 2, "barrier int8");
+    barrier_path(&model, TailWeights::F32, 4, 8, "barrier f32 x4 shards");
+    // 16 rows of 2x2/80 MHz (234k tail weights): past both kernels' hand-out
+    // thresholds, so the panels of these closes are claimed by the pool.
+    let wide = model_with(Bandwidth::Mhz80, CompressionLevel::OneEighth, 3);
+    barrier_path(
+        &wide,
+        TailWeights::F32,
+        1,
+        16,
+        "barrier f32, panels handed out",
+    );
+    barrier_path(
+        &wide,
+        TailWeights::Int8,
+        1,
+        16,
+        "barrier int8, panels handed out",
+    );
     streaming_path(&model, 1);
     streaming_path(&model, 4);
     tiled_close_path(&model);
