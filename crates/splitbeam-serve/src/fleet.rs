@@ -11,6 +11,16 @@
 //!   APs serialize on the *same* air and charge each other airtime. The wait
 //!   a frame accrues while a *foreign* BSS holds the channel is accounted as
 //!   cross-BSS airtime loss per AP;
+//! * **a channel owns what only its traffic touches**: its medium, the mark
+//!   of the BSS that held it last, the APs bound to it (AP `i` is member
+//!   `i / channels` of channel `i % channels`) and its share of the drain.
+//!   Within a round a frame's fate depends on nothing else, so
+//!   [`Fleet::close_round`] routes the popped events — still in the one
+//!   queue's order — to their channels' staging lists and hands the channels
+//!   out over the `rayon` pool, once to transmit and ingest and once to close
+//!   their APs. Every AP sees the same frames in the same order with the
+//!   same stamps whatever the pool's width: at width 1 the hand-outs are
+//!   plain loops;
 //! * **station roaming**: [`Fleet::handoff`] moves a station between APs by
 //!   releasing its full [`crate::StationSession`] state at the source and
 //!   adopting it (rebound to the target's model key) at the target — no cold
@@ -21,15 +31,16 @@
 //!
 //! Determinism: virtual time only, seeded jitter, ordered event drain,
 //! per-channel media updated in drain order — the same seed and call
-//! sequence reproduces every summary bit-for-bit.
+//! sequence reproduces every summary bit-for-bit, on any number of cores.
 
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
 use crate::slab::IdIndex;
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
+use rayon::prelude::*;
 use splitbeam::model::SplitBeamModel;
-use splitbeam_hwsim::{EventQueue, MediumGrant, SeededJitter, SharedMedium, VirtualNs};
+use splitbeam_hwsim::{EventQueue, SeededJitter, SharedMedium, VirtualNs};
 use std::collections::BTreeMap;
 
 /// Fleet shape and physics knobs.
@@ -122,15 +133,91 @@ struct Offer {
     head_ns: VirtualNs,
 }
 
+/// Most events one routing pass pops before the channels drain them: what
+/// bounds the staging lists (56 bytes an event) however many offers a round
+/// holds. 16 Ki measured as fast as staging a whole 100k-offer round and
+/// within 1 % of the serial loop's peak RSS (CHANGES.md, PR 23).
+const CHUNK: usize = 16 * 1024;
+
+/// A popped offer on its channel's staging list.
+struct Staged {
+    /// The home AP at drain time, as a member index of its channel.
+    member: usize,
+    id: StationId,
+    ready_ns: VirtualNs,
+    offer: Offer,
+}
+
+/// One AP as its channel holds it.
+struct Member {
+    server: ApServer,
+    /// Wait this AP's frames accrued while a foreign BSS held the channel.
+    cross_bss_wait_ns: u64,
+    /// What the last round close returned, until the fleet reads it back.
+    closed: Result<RoundSummary, ServeError>,
+}
+
+/// One wireless channel and everything only its traffic touches. Aligned to
+/// a pair of cache lines: two threads draining adjacent channels write their
+/// media and owner marks once a frame, and 120-byte neighbours in one `Vec`
+/// shared lines (+5.6 % frames on `fleet_dense_100k`, 5/5 pairs, aligned).
+#[repr(align(128))]
+struct Channel {
+    medium: SharedMedium,
+    /// Last member to transmit, for cross-BSS attribution.
+    owner: Option<usize>,
+    members: Vec<Member>,
+    /// This channel's share of the current routing pass, in event order.
+    staged: Vec<Staged>,
+    /// Frames a member refused at ingest, until the fleet folds them in.
+    rejected: u64,
+}
+
+impl Channel {
+    /// Transmits the staged frames on this channel's medium, in order,
+    /// attributing any wait accrued while a foreign BSS held the channel as
+    /// cross-BSS loss, and ingests each at its AP with its virtual-time stamp.
+    fn drain(&mut self) {
+        for staged in self.staged.drain(..) {
+            let (member, ready_ns, offer) = (staged.member, staged.ready_ns, &staged.offer);
+            let ap = &mut self.members[member];
+            let busy_until = self.medium.busy_until_ns();
+            if ready_ns < busy_until && self.owner.is_some_and(|owner| owner != member) {
+                ap.cross_bss_wait_ns += busy_until - ready_ns;
+            }
+            let grant = self.medium.transmit(ready_ns, offer.frame.len() * 8);
+            self.owner = Some(member);
+            let stamp = FrameStamp {
+                arrival_ns: grant.end_ns,
+                head_ns: offer.head_ns,
+                queue_ns: grant.wait_ns,
+                air_ns: grant.air_ns,
+                tail_ns: 0,
+            };
+            if ap
+                .server
+                .ingest_wire_at(staged.id, &offer.frame, stamp)
+                .is_err()
+            {
+                self.rejected += 1;
+            }
+        }
+    }
+
+    /// Closes every member's round. A hand-out of its own: a plain loop
+    /// while other channels keep the pool busy, the idle cores' work when
+    /// there are fewer channels than cores.
+    fn close(&mut self, policy: Option<DeadlinePolicy>) {
+        self.members
+            .par_iter_mut()
+            .for_each(|ap| ap.closed = ap.server.close(policy));
+    }
+}
+
 /// N access points on one event engine. See the module docs.
 pub struct Fleet {
     cfg: FleetConfig,
-    aps: Vec<ApServer>,
-    channel_of: Vec<usize>,
-    media: Vec<SharedMedium>,
-    /// Last AP to transmit on each channel, for cross-BSS attribution.
-    channel_owner: Vec<Option<usize>>,
-    cross_bss_wait_ns: Vec<u64>,
+    channels: Vec<Channel>,
     queue: EventQueue<Offer>,
     jitter: SeededJitter,
     /// Station → home AP index.
@@ -158,18 +245,27 @@ impl Fleet {
     pub fn new(cfg: FleetConfig) -> Self {
         assert!(cfg.aps > 0, "fleet needs at least one AP");
         assert!(cfg.channels > 0, "fleet needs at least one channel");
-        let media = (0..cfg.channels)
-            .map(|_| match cfg.rate_mbps {
-                Some(rate) => SharedMedium::new(rate),
-                None => SharedMedium::ideal(),
+        let channels = (0..cfg.channels)
+            .map(|first_ap| Channel {
+                medium: match cfg.rate_mbps {
+                    Some(rate) => SharedMedium::new(rate),
+                    None => SharedMedium::ideal(),
+                },
+                owner: None,
+                members: (first_ap..cfg.aps)
+                    .step_by(cfg.channels)
+                    .map(|_| Member {
+                        server: ApServer::new(),
+                        cross_bss_wait_ns: 0,
+                        closed: Ok(RoundSummary::default()),
+                    })
+                    .collect(),
+                staged: Vec::new(),
+                rejected: 0,
             })
             .collect();
         Self {
-            aps: (0..cfg.aps).map(|_| ApServer::new()).collect(),
-            channel_of: (0..cfg.aps).map(|i| i % cfg.channels).collect(),
-            media,
-            channel_owner: vec![None; cfg.channels],
-            cross_bss_wait_ns: vec![0; cfg.aps],
+            channels,
             queue: EventQueue::new(),
             jitter: SeededJitter::new(cfg.jitter_ns, cfg.seed),
             home: IdIndex::default(),
@@ -193,13 +289,31 @@ impl Fleet {
     /// session's binding stays valid (and bit-identical) at any AP.
     pub fn register_model(&mut self, model: &SplitBeamModel) -> usize {
         let mut key = 0;
-        for ap in &mut self.aps {
-            key = ap.register_model(model.clone());
+        for ap in self
+            .channels
+            .iter_mut()
+            .flat_map(|channel| &mut channel.members)
+        {
+            key = ap.server.register_model(model.clone());
         }
         key
     }
 
+    /// AP `ap`'s seat: member `ap / channels` of channel `ap % channels`.
+    fn member(&self, ap: usize) -> &Member {
+        &self.channels[ap % self.cfg.channels].members[ap / self.cfg.channels]
+    }
+
+    fn member_mut(&mut self, ap: usize) -> &mut Member {
+        &mut self.channels[ap % self.cfg.channels].members[ap / self.cfg.channels]
+    }
+
     /// Associates station `id` with AP `ap`.
+    ///
+    /// # Errors
+    /// [`ServeError::DuplicateStation`] when `id` already has a home at any
+    /// AP of the fleet (roaming is [`Fleet::handoff`]'s job), before any AP
+    /// is touched; otherwise whatever the AP's own registration reports.
     pub fn register_station(
         &mut self,
         id: StationId,
@@ -207,7 +321,12 @@ impl Fleet {
         model_key: usize,
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
-        self.aps[ap].register_station(id, model_key, bits_per_value)?;
+        if self.home.get(id).is_some() {
+            return Err(ServeError::DuplicateStation(id));
+        }
+        self.member_mut(ap)
+            .server
+            .register_station(id, model_key, bits_per_value)?;
         self.home.insert(id, ap as u32);
         Ok(())
     }
@@ -218,11 +337,11 @@ impl Fleet {
     }
 
     pub fn ap(&self, index: usize) -> &ApServer {
-        &self.aps[index]
+        &self.member(index).server
     }
 
     pub fn num_aps(&self) -> usize {
-        self.aps.len()
+        self.cfg.aps
     }
 
     pub fn num_stations(&self) -> usize {
@@ -239,7 +358,7 @@ impl Fleet {
 
     /// The latest reconstructed feedback of `id`, wherever it is homed.
     pub fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-        self.aps[self.home_ap(id)?].feedback_of(id)
+        self.ap(self.home_ap(id)?).feedback_of(id)
     }
 
     /// Pre-sizes the event queue for `events` offers per round.
@@ -273,16 +392,17 @@ impl Fleet {
     /// the source, so a failed handoff never drops the station.
     pub fn handoff(&mut self, id: StationId, to_ap: usize) -> Result<(), ServeError> {
         let from = self.home_ap(id).ok_or(ServeError::UnknownStation(id))?;
-        assert!(to_ap < self.aps.len(), "handoff target AP out of range");
+        assert!(to_ap < self.cfg.aps, "handoff target AP out of range");
         if from == to_ap {
             return Ok(());
         }
-        let session = self.aps[from].release_station(id)?;
+        let session = self.member_mut(from).server.release_station(id)?;
         let key = session.model_key();
-        if let Err((session, e)) = self.aps[to_ap].adopt_station(session, key) {
+        if let Err((session, e)) = self.member_mut(to_ap).server.adopt_station(session, key) {
             // Restore at the source: the slot was just vacated and the
             // binding is unchanged, so re-adoption cannot fail.
-            self.aps[from]
+            self.member_mut(from)
+                .server
                 .adopt_station(session, key)
                 .map_err(|(_, restore_err)| restore_err)?;
             return Err(e);
@@ -293,23 +413,14 @@ impl Fleet {
         Ok(())
     }
 
-    /// Transmits one frame on `ap`'s channel, attributing any wait accrued
-    /// while a foreign BSS held the channel as cross-BSS loss.
-    fn transmit(&mut self, ap: usize, ready_ns: VirtualNs, bits: usize) -> MediumGrant {
-        let ch = self.channel_of[ap];
-        let busy_until = self.media[ch].busy_until_ns();
-        if ready_ns < busy_until && self.channel_owner[ch].is_some_and(|owner| owner != ap) {
-            self.cross_bss_wait_ns[ap] += busy_until - ready_ns;
-        }
-        let grant = self.media[ch].transmit(ready_ns, bits);
-        self.channel_owner[ch] = Some(ap);
-        grant
-    }
-
-    /// Closes the fleet round: drains every offered frame from the event
-    /// queue in deterministic key order, serializes it on its AP's channel,
-    /// ingests it with its virtual-time stamp, closes every AP's round under
-    /// the deadline policy, and settles handoff latencies.
+    /// Closes the fleet round: pops every offered frame from the event queue
+    /// in deterministic key order and routes it to the channel of its home
+    /// AP (as of now: an offer in flight across a handoff transmits on the
+    /// new channel, in order), at most `CHUNK` (16 Ki) at a time; the channels —
+    /// handed out over the pool — serialize their frames on their media and
+    /// ingest them with their virtual-time stamps; then every AP's round
+    /// closes under the deadline policy, handed out the same way, and
+    /// handoff latencies settle.
     ///
     /// # Errors
     /// The first AP round-close error (in AP order). The fleet round is
@@ -318,32 +429,41 @@ impl Fleet {
     /// APs served. Ingest rejections (quarantine, corruption) are counted,
     /// not raised.
     pub fn close_round(&mut self) -> Result<FleetRoundSummary, ServeError> {
-        while let Some((key, offer)) = self.queue.pop() {
-            let id = key.station;
-            let Some(ap) = self.home_ap(id) else {
-                self.rejected += 1;
-                continue;
-            };
-            let grant = self.transmit(ap, key.time_ns, offer.frame.len() * 8);
-            let stamp = FrameStamp {
-                arrival_ns: grant.end_ns,
-                head_ns: offer.head_ns,
-                queue_ns: grant.wait_ns,
-                air_ns: grant.air_ns,
-                tail_ns: 0,
-            };
-            if self.aps[ap]
-                .ingest_wire_at(id, &offer.frame, stamp)
-                .is_err()
-            {
-                self.rejected += 1;
-            }
+        let chunk = CHUNK.min(self.queue.len());
+        for channel in &mut self.channels {
+            channel.staged.reserve(chunk);
         }
+        while !self.queue.is_empty() {
+            for _ in 0..chunk {
+                let Some((key, offer)) = self.queue.pop() else {
+                    break;
+                };
+                let Some(ap) = self.home_ap(key.station) else {
+                    self.rejected += 1;
+                    continue;
+                };
+                self.channels[ap % self.cfg.channels].staged.push(Staged {
+                    member: ap / self.cfg.channels,
+                    id: key.station,
+                    ready_ns: key.time_ns,
+                    offer,
+                });
+            }
+            self.channels.par_iter_mut().for_each(Channel::drain);
+        }
+        for channel in &mut self.channels {
+            self.rejected += std::mem::take(&mut channel.rejected);
+        }
+        let policy = self.cfg.policy;
+        self.channels
+            .par_iter_mut()
+            .for_each(|channel| channel.close(policy));
         let closed_round = self.round;
-        let mut per_ap = Vec::with_capacity(self.aps.len());
+        let mut per_ap = Vec::with_capacity(self.cfg.aps);
         let mut first_error = None;
-        for ap in &mut self.aps {
-            match ap.close(self.cfg.policy) {
+        for ap in 0..self.cfg.aps {
+            let closed = &mut self.member_mut(ap).closed;
+            match std::mem::replace(closed, Ok(RoundSummary::default())) {
                 Ok(summary) => per_ap.push(summary),
                 Err(e) => {
                     first_error.get_or_insert(e);
@@ -363,7 +483,7 @@ impl Fleet {
                 let Some(ap) = self.home_ap(id) else {
                     return true;
                 };
-                self.aps[ap]
+                self.ap(ap)
                     .session(id)
                     .and_then(|s| s.last_round())
                     .is_some_and(|r| r >= closed_round)
@@ -406,6 +526,7 @@ impl Fleet {
     /// Fleet-lifetime aggregates.
     pub fn stats(&self) -> FleetStats {
         let classified = self.on_time + self.late + self.expired;
+        let media = || self.channels.iter().map(|channel| &channel.medium);
         FleetStats {
             rounds: self.round,
             served: self.served,
@@ -425,15 +546,15 @@ impl Fleet {
             } else {
                 self.handoff_latency_sum_ns as f64 / self.handoffs_settled as f64
             },
-            air_ns: self.media.iter().map(SharedMedium::total_air_ns).sum(),
-            wait_ns: self.media.iter().map(SharedMedium::total_wait_ns).sum(),
-            cross_bss_wait_ns: self.cross_bss_wait_ns.iter().sum(),
+            air_ns: media().map(SharedMedium::total_air_ns).sum(),
+            wait_ns: media().map(SharedMedium::total_wait_ns).sum(),
+            cross_bss_wait_ns: (0..self.cfg.aps).map(|ap| self.cross_bss_wait_of(ap)).sum(),
         }
     }
 
     /// Cross-BSS wait charged to one AP.
     pub fn cross_bss_wait_of(&self, ap: usize) -> u64 {
-        self.cross_bss_wait_ns[ap]
+        self.member(ap).cross_bss_wait_ns
     }
 }
 
@@ -441,6 +562,18 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::test_support::{model, station_frame};
+
+    /// Runs `scenario` on pools 1, 2 and 3 threads wide: what it asserts
+    /// holds at every width, the plain-loop one included.
+    fn at_pool_widths(scenario: impl Fn() + Send + Sync) {
+        for width in 1..=3 {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            pool.install(&scenario);
+        }
+    }
 
     #[test]
     fn co_channel_aps_charge_each_other_airtime() {
@@ -532,6 +665,10 @@ mod tests {
     /// is what the close returns.
     #[test]
     fn failed_ap_close_still_closes_every_ap_and_advances_the_fleet() {
+        at_pool_widths(failed_ap_close);
+    }
+
+    fn failed_ap_close() {
         let m = model(13);
         let mut fleet = Fleet::new(FleetConfig {
             aps: 3,
@@ -547,19 +684,18 @@ mod tests {
         fleet.offer_frame(2, station_frame(&m, 32, 4)).unwrap();
         // AP 1's station ingests directly, then its validated payload is
         // damaged so AP 1's batch fails at reconstruction time.
-        fleet.aps[1]
-            .ingest_wire(1, &station_frame(&m, 31, 4))
-            .unwrap();
-        fleet.aps[1].truncate_pending_payload(1);
+        let failing = &mut fleet.member_mut(1).server;
+        failing.ingest_wire(1, &station_frame(&m, 31, 4)).unwrap();
+        failing.truncate_pending_payload(1);
 
         assert!(matches!(fleet.close_round(), Err(ServeError::Model(_))));
         // The fleet advanced in step with every AP, including those after
         // the failing one, and nobody holds a stale pending frame.
         assert_eq!(fleet.current_round(), 1);
         assert_eq!(fleet.now_ns(), fleet.cfg.round_ns);
-        for ap in &fleet.aps {
-            assert_eq!(ap.current_round(), 1);
-            assert_eq!(ap.pending_count(), 0);
+        for ap in 0..3 {
+            assert_eq!(fleet.ap(ap).current_round(), 1);
+            assert_eq!(fleet.ap(ap).pending_count(), 0);
         }
         assert!(fleet.feedback_of(0).is_some());
         assert!(fleet.feedback_of(1).is_none());
@@ -578,6 +714,10 @@ mod tests {
 
     #[test]
     fn unknown_station_offers_and_handoffs_are_rejected() {
+        at_pool_widths(unknown_station_offers_and_handoffs);
+    }
+
+    fn unknown_station_offers_and_handoffs() {
         let m = model(5);
         let mut fleet = Fleet::new(FleetConfig::default());
         let key = fleet.register_model(&m);
@@ -600,6 +740,28 @@ mod tests {
         assert_eq!(fleet.stats().rejected, 2);
         let summary = fleet.close_round().unwrap();
         assert_eq!((summary.rejected, fleet.stats().rejected), (0, 2));
+    }
+
+    /// A station has one home: registering an id that already has one —
+    /// at the same AP or another — is refused before any AP is touched, so
+    /// no second session is left behind to await its first report for ever.
+    #[test]
+    fn registering_a_station_twice_is_refused_fleet_wide() {
+        let m = model(5);
+        let mut fleet = Fleet::new(FleetConfig::default());
+        let key = fleet.register_model(&m);
+        fleet.register_station(7, 0, key, 4).unwrap();
+        for ap in [1, 0] {
+            assert_eq!(
+                fleet.register_station(7, ap, key, 4),
+                Err(ServeError::DuplicateStation(7))
+            );
+        }
+        assert_eq!(fleet.home_ap(7), Some(0));
+        let sessions: usize = (0..fleet.num_aps())
+            .map(|ap| fleet.ap(ap).num_stations())
+            .sum();
+        assert_eq!((sessions, fleet.num_stations()), (1, 1));
     }
 
     #[test]

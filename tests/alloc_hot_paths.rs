@@ -6,7 +6,8 @@
 //! fused batched tail (at a shape the packed GEMM's register tiles do not
 //! divide), and the int8 tail. An event-driven round on a lossy medium is
 //! held to one allocation per offered frame, however many transmissions are
-//! lost, damaged and retried. This
+//! lost, damaged and retried, and a fleet round close — channels drained and
+//! closed on the pool's threads — to the one `Vec` of summaries it returns. This
 //! binary registers the counting allocator, warms each path until every
 //! arena/scratch/cache has reached its steady shape, then re-runs the same
 //! operations under [`assert_no_alloc`].
@@ -48,7 +49,7 @@ use splitbeam_serve::driver::{RoundServing, ServeMode};
 use splitbeam_serve::event::{build_event_driver, EventConfig};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::timing::FrameStamp;
-use splitbeam_serve::TILE_ROWS;
+use splitbeam_serve::{Fleet, FleetConfig, TILE_ROWS};
 use splitbeam_testkit::{model_with, small_model, station_frame, station_payload};
 use wifi_phy::ofdm::Bandwidth;
 
@@ -255,6 +256,49 @@ fn faulty_event_path(model: &SplitBeamModel) {
     );
 }
 
+/// A fleet round on 8 APs / 4 channels. An offer hands the fleet a frame the
+/// caller allocated; the close — routing, the two hand-outs of the channels,
+/// reading the APs' results back — allocates the `per_ap` vector of the
+/// summary it returns and nothing else: staging lists, hand-outs and result
+/// slots are the fleet's own and warm after the first round.
+fn fleet_path(model: &SplitBeamModel) {
+    const STATIONS: u64 = 64;
+    let frame = station_frame(model, 600, BITS);
+    let mut fleet = Fleet::new(FleetConfig {
+        aps: 8,
+        channels: 4,
+        jitter_ns: 200_000,
+        ..FleetConfig::default()
+    });
+    let key = fleet.register_model(model);
+    for id in 0..STATIONS {
+        fleet
+            .register_station(id, id as usize % 8, key, BITS)
+            .unwrap();
+    }
+    let round = |fleet: &mut Fleet| {
+        for id in 0..STATIONS {
+            fleet.offer_frame(id, frame.clone()).unwrap();
+        }
+        let before = stats();
+        let summary = fleet.close_round().unwrap();
+        let after = stats();
+        assert_eq!(summary.served as u64, STATIONS);
+        (
+            after.allocs - before.allocs,
+            after.reallocs - before.reallocs,
+        )
+    };
+    for _ in 0..2 {
+        round(&mut fleet);
+    }
+    assert_eq!(
+        round(&mut fleet),
+        (1, 0),
+        "a warm fleet round close must allocate its summary's `per_ap` and nothing else"
+    );
+}
+
 /// The tiled close at batches many tiles wide. A first close allocates each
 /// served session's feedback storage, the worklist (a `u32` a station,
 /// requested once) and one tile of scratch (dequantized strip, layer
@@ -421,5 +465,6 @@ fn hot_paths_do_not_allocate_after_warmup() {
     streaming_path(&model, 4);
     tiled_close_path(&model);
     faulty_event_path(&model);
+    fleet_path(&model);
     setup_byte_ledger();
 }

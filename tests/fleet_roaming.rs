@@ -5,14 +5,18 @@
 //! clocks. These tests pin the contract at the [`ApServer`] level against a
 //! never-roamed control server running the identical schedule: with the same
 //! model weights registered on every AP, roaming must be invisible in the
-//! served bits. The last test is the fleet's own cell: two BSSs on one
-//! channel, run twice, with the medium's wait accounted frame by frame.
+//! served bits. Then the fleet's own cell: two BSSs on one channel, run twice,
+//! with the medium's wait accounted frame by frame. The last test holds the
+//! fleet's channel-parallel round close to the serial loop it replaced, at
+//! every pool width.
 
 use splitbeam::model::SplitBeamModel;
 use splitbeam::TailWeights;
+use splitbeam_hwsim::{SeededJitter, SharedMedium};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::{
-    DeadlinePolicy, Fleet, FleetConfig, FrameStamp, ServeError, SessionHealth, StationSession,
+    DeadlinePolicy, Fleet, FleetConfig, FleetRoundSummary, FleetStats, FrameStamp, RoundSummary,
+    ServeError, SessionHealth, StationSession,
 };
 use splitbeam_testkit::{small_model as model, station_frame};
 
@@ -357,4 +361,323 @@ fn co_channel_fleet_is_deterministic_and_its_wait_is_the_mediums() {
     assert!(0 < stats.cross_bss_wait_ns && stats.cross_bss_wait_ns <= stats.wait_ns);
     let air_ns = stats.air_ns / (3 * STATIONS);
     assert_eq!(stats.wait_ns, 3 * air_ns * STATIONS * (STATIONS - 1) / 2);
+}
+
+/// What a scripted fleet run leaves behind that does not depend on who ran
+/// it: compared between the serial reference and `Fleet` at every width.
+#[derive(Debug, PartialEq)]
+struct Served {
+    /// Per round: every AP's summary in AP order, and the frames rejected.
+    rounds: Vec<(Vec<RoundSummary>, usize)>,
+    /// Per station: home AP, feedback bits, the stamp it was last served at.
+    stations: Vec<(usize, Option<Vec<u32>>, Option<FrameStamp>)>,
+    cross_bss_wait_ns: Vec<u64>,
+    air_ns: u64,
+    wait_ns: u64,
+}
+
+/// The two sides of the width-parity test, driven by one script.
+trait FleetCell {
+    fn register(&mut self, id: u64, ap: usize);
+    fn offer(&mut self, id: u64, frame: Vec<u8>);
+    fn handoff(&mut self, id: u64, to_ap: usize);
+    /// Closes the round: per-AP summaries in AP order, frames rejected.
+    fn close(&mut self) -> (Vec<RoundSummary>, usize);
+    fn home(&self, id: u64) -> usize;
+    fn ap(&self, ap: usize) -> &ApServer;
+    /// Cross-BSS wait per AP, then the media's total airtime and wait.
+    fn books(&self) -> (Vec<u64>, u64, u64);
+}
+
+/// `Fleet` itself, keeping what only it reports for the width-to-width
+/// comparison.
+struct Pooled {
+    fleet: Fleet,
+    key: usize,
+    summaries: Vec<FleetRoundSummary>,
+}
+
+impl FleetCell for Pooled {
+    fn register(&mut self, id: u64, ap: usize) {
+        self.fleet.register_station(id, ap, self.key, 4).unwrap();
+    }
+    fn offer(&mut self, id: u64, frame: Vec<u8>) {
+        self.fleet.offer_frame(id, frame).unwrap();
+    }
+    fn handoff(&mut self, id: u64, to_ap: usize) {
+        self.fleet.handoff(id, to_ap).unwrap();
+    }
+    fn close(&mut self) -> (Vec<RoundSummary>, usize) {
+        let summary = self.fleet.close_round().unwrap();
+        let round = (summary.per_ap.clone(), summary.rejected);
+        self.summaries.push(summary);
+        round
+    }
+    fn home(&self, id: u64) -> usize {
+        self.fleet.home_ap(id).unwrap()
+    }
+    fn ap(&self, ap: usize) -> &ApServer {
+        self.fleet.ap(ap)
+    }
+    fn books(&self) -> (Vec<u64>, u64, u64) {
+        let stats = self.fleet.stats();
+        let cross = (0..self.fleet.num_aps()).map(|ap| self.fleet.cross_bss_wait_of(ap));
+        (cross.collect(), stats.air_ns, stats.wait_ns)
+    }
+}
+
+/// The reference: the fleet round as one serial loop over public parts —
+/// offers sorted by `(ready, station, offer order)`, each transmitted on the
+/// medium of its drain-time home's channel and ingested with the stamp that
+/// grant gives it, then every AP closed in AP order.
+struct Serial {
+    cfg: FleetConfig,
+    aps: Vec<ApServer>,
+    key: usize,
+    media: Vec<SharedMedium>,
+    owner: Vec<Option<usize>>,
+    cross_bss_wait_ns: Vec<u64>,
+    jitter: SeededJitter,
+    home: std::collections::BTreeMap<u64, usize>,
+    /// `(ready_ns, station, offer order, head_ns, frame)`.
+    offers: Vec<(u64, u64, usize, u64, Vec<u8>)>,
+    now_ns: u64,
+}
+
+impl Serial {
+    fn new(cfg: &FleetConfig, m: &SplitBeamModel) -> Self {
+        let mut aps: Vec<ApServer> = (0..cfg.aps).map(|_| ApServer::new()).collect();
+        let mut key = 0;
+        for ap in &mut aps {
+            key = ap.register_model(m.clone());
+        }
+        Self {
+            aps,
+            key,
+            media: vec![SharedMedium::new(cfg.rate_mbps.unwrap()); cfg.channels],
+            owner: vec![None; cfg.channels],
+            cross_bss_wait_ns: vec![0; cfg.aps],
+            jitter: SeededJitter::new(cfg.jitter_ns, cfg.seed),
+            home: Default::default(),
+            offers: Vec::new(),
+            now_ns: 0,
+            cfg: cfg.clone(),
+        }
+    }
+}
+
+impl FleetCell for Serial {
+    fn register(&mut self, id: u64, ap: usize) {
+        self.aps[ap].register_station(id, self.key, 4).unwrap();
+        self.home.insert(id, ap);
+    }
+    fn offer(&mut self, id: u64, frame: Vec<u8>) {
+        let head_ns = self.jitter.draw();
+        let order = self.offers.len();
+        self.offers
+            .push((self.now_ns + head_ns, id, order, head_ns, frame));
+    }
+    fn handoff(&mut self, id: u64, to_ap: usize) {
+        let from = self.home.insert(id, to_ap).unwrap();
+        let [source, target] = self.aps.get_disjoint_mut([from, to_ap]).unwrap();
+        Roamnet::handoff(source, target, id, self.key);
+    }
+    fn close(&mut self) -> (Vec<RoundSummary>, usize) {
+        self.offers
+            .sort_by_key(|&(ready, id, order, ..)| (ready, id, order));
+        let mut rejected = 0;
+        for (ready_ns, id, _, head_ns, frame) in self.offers.drain(..) {
+            let ap = self.home[&id];
+            let ch = ap % self.cfg.channels;
+            let busy_until = self.media[ch].busy_until_ns();
+            if ready_ns < busy_until && self.owner[ch].is_some_and(|owner| owner != ap) {
+                self.cross_bss_wait_ns[ap] += busy_until - ready_ns;
+            }
+            let grant = self.media[ch].transmit(ready_ns, frame.len() * 8);
+            self.owner[ch] = Some(ap);
+            let stamp = FrameStamp {
+                arrival_ns: grant.end_ns,
+                head_ns,
+                queue_ns: grant.wait_ns,
+                air_ns: grant.air_ns,
+                tail_ns: 0,
+            };
+            if self.aps[ap].ingest_wire_at(id, &frame, stamp).is_err() {
+                rejected += 1;
+            }
+        }
+        self.now_ns += self.cfg.round_ns;
+        let policy = self.cfg.policy;
+        let per_ap = self.aps.iter_mut().map(|ap| ap.close(policy).unwrap());
+        (per_ap.collect(), rejected)
+    }
+    fn home(&self, id: u64) -> usize {
+        self.home[&id]
+    }
+    fn ap(&self, ap: usize) -> &ApServer {
+        &self.aps[ap]
+    }
+    fn books(&self) -> (Vec<u64>, u64, u64) {
+        (
+            self.cross_bss_wait_ns.clone(),
+            self.media.iter().map(SharedMedium::total_air_ns).sum(),
+            self.media.iter().map(SharedMedium::total_wait_ns).sum(),
+        )
+    }
+}
+
+/// Three rounds of one offer a station (AP 0 carries a double share, so
+/// the summaries tell the APs apart): a damaged frame in round 1, station 0
+/// handed off to AP 1 — another channel wherever there is one — *between*
+/// its round-1 offer and the close, and back home before round 2's offers.
+fn scripted_run(
+    cell: &mut impl FleetCell,
+    aps: usize,
+    stations: u64,
+    frames: &[Vec<u8>],
+) -> Served {
+    for id in 0..stations {
+        cell.register(id, id as usize % (aps + 1) % aps);
+    }
+    let mut rounds = Vec::new();
+    for round in 0..3u64 {
+        if round == 2 {
+            cell.handoff(0, 0);
+        }
+        for id in 0..stations {
+            let mut frame = frames[((id + round) % frames.len() as u64) as usize].clone();
+            if (round, id) == (1, 5) {
+                frame[20] ^= 0x10;
+            }
+            cell.offer(id, frame);
+        }
+        if round == 1 {
+            cell.handoff(0, 1);
+        }
+        rounds.push(cell.close());
+    }
+    let stations = (0..stations)
+        .map(|id| {
+            let home = cell.home(id);
+            let session = cell.ap(home).session(id).unwrap();
+            let bits = |feedback: &[f32]| feedback.iter().map(|v| v.to_bits()).collect();
+            (
+                home,
+                cell.ap(home).feedback_of(id).map(bits),
+                session.last_stamp().copied(),
+            )
+        })
+        .collect();
+    let (cross_bss_wait_ns, air_ns, wait_ns) = cell.books();
+    Served {
+        rounds,
+        stations,
+        cross_bss_wait_ns,
+        air_ns,
+        wait_ns,
+    }
+}
+
+/// A fleet round hands its channels out over the pool, and what comes back
+/// may depend neither on how many threads claimed them nor on when: at pool
+/// widths 1 (plain loops), 2 and 3 a scripted run equals the serial
+/// reference above in every AP's summaries, every station's feedback bits,
+/// home and last stamp and the media's books, and the widths agree on every
+/// `FleetRoundSummary` and on `FleetStats`. Contended media (60 us of
+/// overhead a frame against a 10 ms budget) and jittered offers; the shapes
+/// are four channels of two APs with more offers a round than one routing
+/// pass of the close pops (16 Ki), three APs unevenly on two channels, and
+/// four APs on one channel (one channel's APs handed out on their own).
+#[test]
+fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
+    let m = model(43);
+    let frames: Vec<Vec<u8>> = (0..16)
+        .map(|seed| station_frame(&m, 200 + seed, 4))
+        .collect();
+    // The wide shape's channels carry ~4k frames a round, 250 ms of air:
+    // its rounds are long enough for the media to clear in between.
+    for (aps, channels, stations, round_ns) in [
+        (8, 4, 16 * 1024 + 600, 400_000_000),
+        (3, 2, 40, 20_000_000),
+        (4, 1, 40, 20_000_000),
+    ] {
+        let shape = format!("{aps} APs / {channels} channels");
+        let cfg = FleetConfig {
+            aps,
+            channels,
+            rate_mbps: Some(240.0),
+            round_ns,
+            jitter_ns: 200_000,
+            seed: 11,
+            policy: Some(DeadlinePolicy::eq7d()),
+        };
+        let reference = scripted_run(&mut Serial::new(&cfg, &m), aps, stations, &frames);
+        let served: usize = reference
+            .rounds
+            .iter()
+            .flat_map(|(per_ap, _)| per_ap)
+            .map(|s| s.served)
+            .sum();
+        let rejected: usize = reference.rounds.iter().map(|(_, rejected)| rejected).sum();
+        assert!(
+            served > 0 && rejected == 1,
+            "{shape}: {served} served, {rejected} rejected"
+        );
+        assert!(
+            reference.cross_bss_wait_ns.iter().any(|&ns| ns > 0),
+            "{shape}"
+        );
+        assert_eq!(reference.stations[0].0, 0, "{shape}: station 0 roamed home");
+
+        let mut fleet_books: Option<(Vec<FleetRoundSummary>, FleetStats)> = None;
+        for width in 1..=3 {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            let (run, summaries, stats) = pool.install(|| {
+                let mut fleet = Fleet::new(cfg.clone());
+                let key = fleet.register_model(&m);
+                let mut cell = Pooled {
+                    fleet,
+                    key,
+                    summaries: Vec::new(),
+                };
+                let run = scripted_run(&mut cell, aps, stations, &frames);
+                (run, cell.summaries, cell.fleet.stats())
+            });
+            for (round, (got, want)) in run.rounds.iter().zip(&reference.rounds).enumerate() {
+                assert_eq!(got, want, "{shape}, width {width}, round {round}");
+            }
+            // Thousands of stations: say where, not what.
+            if let Some(at) =
+                (0..run.stations.len()).find(|&i| run.stations[i] != reference.stations[i])
+            {
+                panic!(
+                    "{shape}, width {width}, station {at}: {:?} != {:?}",
+                    run.stations[at], reference.stations[at]
+                );
+            }
+            assert_eq!(
+                (&run.cross_bss_wait_ns, run.air_ns, run.wait_ns),
+                (
+                    &reference.cross_bss_wait_ns,
+                    reference.air_ns,
+                    reference.wait_ns
+                ),
+                "{shape}, width {width}"
+            );
+            // Both roams settle where the roamer is served in the round it
+            // roams in; on the wide shape's crowded air its frames expire.
+            let settled = if stations == 40 { 2 } else { 0 };
+            assert_eq!(
+                (stats.handoffs, stats.handoffs_settled),
+                (2, settled),
+                "{shape}, width {width}"
+            );
+            let books = (summaries, stats);
+            let first = fleet_books.get_or_insert_with(|| books.clone());
+            assert_eq!(*first, books, "{shape}: width {width} against width 1");
+        }
+    }
 }
