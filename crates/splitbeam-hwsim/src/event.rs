@@ -495,7 +495,10 @@ mod tests {
     /// random interleaving of schedules and pops — deliberate (time,
     /// station) ties, spreads crossing every wheel level, and schedules
     /// landing before an already-advanced horizon — both return identical
-    /// `(key, payload)` streams.
+    /// `(key, payload)` streams. The interleaving schedules more than it
+    /// pops, so every thousandth step drains both to empty: the wheel
+    /// forgets its nodes there, and what follows runs on a slab started over
+    /// behind a horizon that did not.
     #[test]
     fn wheel_and_heap_pop_identically_under_random_interleaving() {
         for seed in 0..4u64 {
@@ -503,7 +506,16 @@ mod tests {
             let mut heap = HeapEventQueue::new();
             let mut wheel = EventQueue::new();
             let mut popped = 0u64;
+            let mut refills = 0u64;
             for step in 0..4_000u64 {
+                if step % 1_000 == 999 {
+                    while let Some(expect) = heap.pop() {
+                        assert_eq!(wheel.pop(), Some(expect), "seed {seed} step {step}");
+                        popped += 1;
+                    }
+                    assert!(wheel.is_empty() && wheel.pop().is_none());
+                    refills += 1;
+                }
                 if rng.gen_bool(0.55) || heap.is_empty() {
                     // Mix fine offsets (same-tick ties) with jumps across
                     // wheel levels.
@@ -535,6 +547,10 @@ mod tests {
             }
             assert!(wheel.is_empty());
             assert!(popped > 1_000, "interleaving degenerated: {popped} pops");
+            assert!(
+                refills >= 3,
+                "seed {seed}: drained and refilled {refills} times"
+            );
         }
     }
 

@@ -24,6 +24,7 @@ pub use event::{
     ns_to_s, s_to_ns, EventKey, EventQueue, MediumGrant, SeededJitter, SharedMedium, VirtualNs,
 };
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FrameFate, GilbertElliott};
+pub use wheel::prefetch_read;
 
 #[cfg(test)]
 mod tests {

@@ -30,7 +30,10 @@
 //! buffers: once the slab and the `ready` heap have reached their peak
 //! shape, steady-state schedule→pop cycles allocate nothing, no matter which
 //! slots absolute time happens to touch (pinned by the `alloc_event_queue`
-//! sentinel in `splitbeam-analysis`).
+//! sentinel in `splitbeam-analysis`). A wheel that pops its last event
+//! forgets its nodes and keeps their capacity, so a fill-then-drain user (a
+//! fleet round) is handed nodes in index order by every burst instead of in
+//! the order the previous one fired.
 
 use crate::event::{EventKey, VirtualNs};
 use std::cmp::Reverse;
@@ -87,6 +90,29 @@ pub(crate) struct TimerWheel<T> {
     /// Horizon tick: every event in the wheel has `tick > current_tick`.
     current_tick: u64,
     len: usize,
+}
+
+/// Hints the cache hierarchy to start loading `value` — every 64 bytes of
+/// it — without waiting for it: what a walk over memory in an order the
+/// hardware prefetcher cannot guess issues a few steps ahead of itself. A
+/// hint only: it never faults, reads nothing the program can observe, and is
+/// a no-op off x86_64.
+#[inline]
+pub fn prefetch_read<T: ?Sized>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let first = (value as *const T).cast::<i8>();
+        for offset in (0..std::mem::size_of_val(value)).step_by(64) {
+            // SAFETY: `offset` is inside the live `value` the reference
+            // vouches for, so the pointer stays in bounds of its allocation;
+            // `_mm_prefetch` is a cache hint that never dereferences, faults
+            // or alters program state, and SSE is x86_64's baseline.
+            unsafe { _mm_prefetch(first.add(offset), _MM_HINT_T0) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
 }
 
 fn tick_of(time_ns: VirtualNs) -> u64 {
@@ -216,28 +242,14 @@ impl<T> TimerWheel<T> {
             let mut index = std::mem::replace(&mut self.slots[level][slot], NIL);
             while index != NIL {
                 let next = self.next[index as usize];
-                #[cfg(target_arch = "x86_64")]
                 if next != NIL {
                     // The chase itself stays in the L2-resident `next` array;
                     // start the next hop's time and tie-break loads now so
                     // they overlap this hop's re-file instead of serializing
                     // behind it (the cold line is what a due event's `ready`
                     // push reads).
-                    // SAFETY: `next` is a live chain index, so it is in
-                    // bounds for both `time_ns` and the index-aligned
-                    // `cold`; `_mm_prefetch` is a cache hint that never
-                    // dereferences, faults, or alters program state.
-                    unsafe {
-                        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                        _mm_prefetch(
-                            self.time_ns.as_ptr().add(next as usize) as *const i8,
-                            _MM_HINT_T0,
-                        );
-                        _mm_prefetch(
-                            self.cold.as_ptr().add(next as usize) as *const i8,
-                            _MM_HINT_T0,
-                        );
-                    }
+                    prefetch_read(&self.time_ns[next as usize]);
+                    prefetch_read(&self.cold[next as usize]);
                 }
                 self.place(index);
                 index = next;
@@ -255,6 +267,16 @@ impl<T> TimerWheel<T> {
         self.next[index as usize] = self.free_head;
         self.free_head = index;
         self.len -= 1;
+        if self.len == 0 {
+            // The free list is the order this burst fired in; a burst filed
+            // through it writes the slab at random. An empty wheel forgets
+            // its nodes (capacity stays) so the next burst gets them in
+            // index order — indices never reach an output.
+            self.next.clear();
+            self.time_ns.clear();
+            self.cold.clear();
+            self.free_head = NIL;
+        }
         Some((key, payload))
     }
 
@@ -294,6 +316,19 @@ mod tests {
             station,
             seq,
         }
+    }
+
+    /// The wrapper takes what a caller has a reference to — sized, unsized,
+    /// zero-sized, longer than a line — and leaves it as it was.
+    #[test]
+    fn prefetch_read_accepts_any_referent_and_changes_none() {
+        let values = vec![7u64; 100];
+        prefetch_read(&values[3]);
+        prefetch_read(values.as_slice());
+        prefetch_read(&values[..0]);
+        prefetch_read(&());
+        prefetch_read("a str");
+        assert!(values.iter().all(|&v| v == 7));
     }
 
     #[test]
@@ -363,17 +398,56 @@ mod tests {
     #[test]
     fn node_slab_is_recycled_across_laps() {
         let mut wheel = TimerWheel::with_capacity(64);
+        let mut capacity = None;
         for lap in 0..4u64 {
             let base = lap * (1 << TICK_BITS) * 64;
             for i in 0..32u64 {
                 wheel.schedule(key(base + i * 1024, i, lap * 32 + i), ());
             }
+            // Half a lap out, half a lap back in: the freed nodes are
+            // reused, so within a lap the slab never outgrows its burst.
+            for i in 0..16u64 {
+                wheel.pop().unwrap();
+                wheel.schedule(key(base + (32 + i) * 1024, i, 1000 + lap * 16 + i), ());
+                assert_eq!(wheel.next.len(), 32);
+            }
             while wheel.pop().is_some() {}
+            // Drained: the nodes are forgotten, their room is not.
+            assert_eq!(wheel.len(), 0);
+            assert_eq!(
+                (wheel.next.len(), wheel.time_ns.len(), wheel.cold.len()),
+                (0, 0, 0)
+            );
+            assert_eq!(wheel.free_head, NIL);
+            let first = *capacity.get_or_insert(wheel.next.capacity());
+            assert_eq!(wheel.next.capacity(), first, "lap {lap} regrew the slab");
         }
-        assert_eq!(wheel.len(), 0);
-        // Every lap reused the freed nodes instead of growing the slab.
-        assert_eq!(wheel.next.len(), 32);
-        assert_eq!(wheel.time_ns.len(), 32);
-        assert_eq!(wheel.cold.len(), 32);
+    }
+
+    /// A burst filed through the free list of the burst before it writes the
+    /// slab in the order that one fired. A drained wheel starts over: node
+    /// `i` of the next burst is index `i`, whatever order the last one popped
+    /// in.
+    #[test]
+    fn a_drained_wheel_restarts_its_slab_in_schedule_order() {
+        let mut wheel = TimerWheel::new();
+        for burst in 0..2u64 {
+            for i in 0..64u64 {
+                // 37 is coprime to 64: a shuffle of the firing order.
+                let time = (i * 37 % 64) << (TICK_BITS + 2);
+                wheel.schedule(key(time, i, burst * 64 + i), i);
+            }
+            assert_eq!(wheel.next.len(), 64, "burst {burst} grew the slab");
+            for index in 0..64u64 {
+                assert_eq!(wheel.cold[index as usize].station, index, "burst {burst}");
+            }
+            let mut fired = Vec::new();
+            while let Some((key, payload)) = wheel.pop() {
+                assert_eq!(key.station, payload);
+                fired.push(payload);
+            }
+            assert_ne!(fired, (0..64).collect::<Vec<_>>(), "the shuffle did not");
+            assert_eq!(fired.len(), 64);
+        }
     }
 }

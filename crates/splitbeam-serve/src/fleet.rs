@@ -6,6 +6,13 @@
 //! * **one event queue for the whole fleet**: every station's frame offer is
 //!   an event on a single [`EventQueue`] (the timer-wheel engine), drained in
 //!   deterministic `(time, station, seq)` order each round;
+//! * **one arena for the round's frames**: [`Fleet::offer_frame`] appends the
+//!   frame's bytes to a buffer the fleet owns and schedules 16 bytes —
+//!   `(offset, len, head delay)` — so the queue and the staging lists move no
+//!   buffers, the drain slices the arena, the close that empties the queue
+//!   empties it, and the allocator is not in the round: the caller's `Vec`
+//!   is freed where it was allocated, not a round later in event order on
+//!   whichever thread drains the channel;
 //! * **overlapping-BSS contention**: each AP is bound to one of `channels`
 //!   wireless channels, every channel is one [`SharedMedium`], so co-channel
 //!   APs serialize on the *same* air and charge each other airtime. The wait
@@ -20,7 +27,8 @@
 //!   out over the `rayon` pool, once to transmit and ingest and once to close
 //!   their APs. Every AP sees the same frames in the same order with the
 //!   same stamps whatever the pool's width: at width 1 the hand-outs are
-//!   plain loops;
+//!   plain loops. Event order is random in memory, so a channel's drain
+//!   prefetches the sessions of the frames ahead of the one it ingests;
 //! * **station roaming**: [`Fleet::handoff`] moves a station between APs by
 //!   releasing its full [`crate::StationSession`] state at the source and
 //!   adopting it (rebound to the target's model key) at the target — no cold
@@ -40,7 +48,7 @@ use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use rayon::prelude::*;
 use splitbeam::model::SplitBeamModel;
-use splitbeam_hwsim::{EventQueue, SeededJitter, SharedMedium, VirtualNs};
+use splitbeam_hwsim::{prefetch_read, EventQueue, SeededJitter, SharedMedium, VirtualNs};
 use std::collections::BTreeMap;
 
 /// Fleet shape and physics knobs.
@@ -126,18 +134,51 @@ pub struct FleetStats {
     pub cross_bss_wait_ns: u64,
 }
 
+/// An offered frame, as the event queue and the staging lists carry it: where
+/// its bytes lie in the fleet's arena and what the station spent on it.
+#[derive(Clone, Copy)]
 struct Offer {
-    frame: Vec<u8>,
+    offset: u32,
+    len: u32,
     /// Station-side delay from the sounding instant until the frame was
     /// ready to transmit (folded into the stamp's head leg).
     head_ns: VirtualNs,
 }
 
+impl Offer {
+    /// The offer of `len` bytes appended to an arena that holds `used`, or
+    /// `None` where the arena's end would pass what a `u32` can address.
+    fn place(used: usize, len: usize, head_ns: VirtualNs) -> Option<Self> {
+        let offset = u32::try_from(used).ok()?;
+        let len = u32::try_from(len).ok()?;
+        offset.checked_add(len)?;
+        Some(Self {
+            offset,
+            len,
+            head_ns,
+        })
+    }
+
+    /// This offer's frame in `frames`, the arena it was placed in.
+    fn bytes<'a>(&self, frames: &'a [u8]) -> &'a [u8] {
+        &frames[self.offset as usize..][..self.len as usize]
+    }
+}
+
 /// Most events one routing pass pops before the channels drain them: what
-/// bounds the staging lists (56 bytes an event) however many offers a round
+/// bounds the staging lists (40 bytes an event) however many offers a round
 /// holds. 16 Ki measured as fast as staging a whole 100k-offer round and
 /// within 1 % of the serial loop's peak RSS (CHANGES.md, PR 23).
 const CHUNK: usize = 16 * 1024;
+
+/// How far ahead of the frame it ingests a channel's drain looks, in staged
+/// frames a stage: the home AP's id-index entry and the frame's arena bytes
+/// are requested `3 * LOOKAHEAD` frames early, the session's slot — found
+/// through that entry — `2 * LOOKAHEAD` early, and the payload buffer the
+/// slot points at `LOOKAHEAD` early, so each dependent miss of an ingest is
+/// under way before the one that names its address is needed. 4 / 8 / 16 / 32
+/// measured flat on `fleet_dense_100k` (CHANGES.md, PR 24).
+const LOOKAHEAD: usize = 8;
 
 /// A popped offer on its channel's staging list.
 struct Staged {
@@ -174,18 +215,39 @@ struct Channel {
 }
 
 impl Channel {
-    /// Transmits the staged frames on this channel's medium, in order,
-    /// attributing any wait accrued while a foreign BSS held the channel as
-    /// cross-BSS loss, and ingests each at its AP with its virtual-time stamp.
-    fn drain(&mut self) {
-        for staged in self.staged.drain(..) {
+    /// Transmits the staged frames — their bytes are `frames`, the fleet's
+    /// arena — on this channel's medium, in order, attributing any wait
+    /// accrued while a foreign BSS held the channel as cross-BSS loss, and
+    /// ingests each at its AP with its virtual-time stamp. Event order is
+    /// random in memory and an ingest is a chain of dependent loads (id index
+    /// → slot → payload buffer), so the walk requests each link of the frames
+    /// ahead of it as soon as the link before has had time to arrive
+    /// ([`LOOKAHEAD`]); hints only, whatever they miss is loaded on demand.
+    fn drain(&mut self, frames: &[u8]) {
+        for (at, staged) in self.staged.iter().enumerate() {
+            let ahead_by = |distance: usize| {
+                let ahead = self.staged.get(at + distance)?;
+                let sessions = self.members[ahead.member].server.sessions_of(ahead.id);
+                Some((sessions, ahead))
+            };
+            if let Some((sessions, ahead)) = ahead_by(3 * LOOKAHEAD) {
+                sessions.prefetch_index(ahead.id);
+                prefetch_read(ahead.offer.bytes(frames));
+            }
+            if let Some((sessions, ahead)) = ahead_by(2 * LOOKAHEAD) {
+                sessions.prefetch_session(ahead.id);
+            }
+            if let Some((sessions, ahead)) = ahead_by(LOOKAHEAD) {
+                sessions.prefetch_payload(ahead.id);
+            }
             let (member, ready_ns, offer) = (staged.member, staged.ready_ns, &staged.offer);
+            let frame = offer.bytes(frames);
             let ap = &mut self.members[member];
             let busy_until = self.medium.busy_until_ns();
             if ready_ns < busy_until && self.owner.is_some_and(|owner| owner != member) {
                 ap.cross_bss_wait_ns += busy_until - ready_ns;
             }
-            let grant = self.medium.transmit(ready_ns, offer.frame.len() * 8);
+            let grant = self.medium.transmit(ready_ns, frame.len() * 8);
             self.owner = Some(member);
             let stamp = FrameStamp {
                 arrival_ns: grant.end_ns,
@@ -194,14 +256,11 @@ impl Channel {
                 air_ns: grant.air_ns,
                 tail_ns: 0,
             };
-            if ap
-                .server
-                .ingest_wire_at(staged.id, &offer.frame, stamp)
-                .is_err()
-            {
+            if ap.server.ingest_wire_at(staged.id, frame, stamp).is_err() {
                 self.rejected += 1;
             }
         }
+        self.staged.clear();
     }
 
     /// Closes every member's round. A hand-out of its own: a plain loop
@@ -219,6 +278,9 @@ pub struct Fleet {
     cfg: FleetConfig,
     channels: Vec<Channel>,
     queue: EventQueue<Offer>,
+    /// The bytes of every frame on the queue, in offer order; an [`Offer`]
+    /// addresses its share. Emptied by the close that empties the queue.
+    frames: Vec<u8>,
     jitter: SeededJitter,
     /// Station → home AP index.
     home: IdIndex,
@@ -267,6 +329,7 @@ impl Fleet {
         Self {
             channels,
             queue: EventQueue::new(),
+            frames: Vec::new(),
             jitter: SeededJitter::new(cfg.jitter_ns, cfg.seed),
             home: IdIndex::default(),
             round: 0,
@@ -308,7 +371,8 @@ impl Fleet {
         &mut self.channels[ap % self.cfg.channels].members[ap / self.cfg.channels]
     }
 
-    /// Associates station `id` with AP `ap`.
+    /// Associates station `id` with AP `ap`. Panics when `ap` is not one of
+    /// the fleet's APs, as [`Fleet::handoff`] does for its target.
     ///
     /// # Errors
     /// [`ServeError::DuplicateStation`] when `id` already has a home at any
@@ -321,6 +385,7 @@ impl Fleet {
         model_key: usize,
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
+        assert!(ap < self.cfg.aps, "registration AP out of range");
         if self.home.get(id).is_some() {
             return Err(ServeError::DuplicateStation(id));
         }
@@ -361,7 +426,10 @@ impl Fleet {
         self.ap(self.home_ap(id)?).feedback_of(id)
     }
 
-    /// Pre-sizes the event queue for `events` offers per round.
+    /// Pre-sizes the event queue for `events` offers per round. The frame
+    /// arena is not sized here — a count of events says nothing about their
+    /// bytes: it grows by doubling while the first round is offered and keeps
+    /// that room.
     pub fn reserve_events(&mut self, events: usize) {
         self.queue.reserve(events);
     }
@@ -369,20 +437,29 @@ impl Fleet {
     /// Offers a station's encoded wire frame for the current round. The
     /// frame becomes ready `jitter` ns into the round (the station-side
     /// compute/backoff spread) and is transmitted on the home AP's channel
-    /// when the fleet closes the round. An offer whose ready instant
-    /// saturates [`VirtualNs`] never becomes ready: it is counted rejected
-    /// and stays off the queue and the medium.
+    /// when the fleet closes the round. Its bytes are copied to the end of
+    /// the fleet's arena and the caller's buffer is freed here, where it was
+    /// allocated — not a round later, in event order, on whichever thread
+    /// drains the channel. An offer whose ready instant saturates
+    /// [`VirtualNs`] never becomes ready, and one that would grow the arena
+    /// past what a `u32` offset addresses (4 GiB of frames on the queue) has
+    /// no place: either is counted rejected and stays off the queue and the
+    /// medium.
     pub fn offer_frame(&mut self, id: StationId, frame: Vec<u8>) -> Result<(), ServeError> {
         if self.home.get(id).is_none() {
             return Err(ServeError::UnknownStation(id));
         }
         let head_ns = self.jitter.draw();
         let ready_ns = self.now_ns.saturating_add(head_ns);
-        if ready_ns == VirtualNs::MAX {
-            self.rejected += 1;
-            return Ok(());
-        }
-        self.queue.schedule(ready_ns, id, Offer { frame, head_ns });
+        let offer = match Offer::place(self.frames.len(), frame.len(), head_ns) {
+            Some(offer) if ready_ns < VirtualNs::MAX => offer,
+            _ => {
+                self.rejected += 1;
+                return Ok(());
+            }
+        };
+        self.frames.extend_from_slice(&frame);
+        self.queue.schedule(ready_ns, id, offer);
         Ok(())
     }
 
@@ -449,8 +526,12 @@ impl Fleet {
                     offer,
                 });
             }
-            self.channels.par_iter_mut().for_each(Channel::drain);
+            let frames = &self.frames;
+            self.channels
+                .par_iter_mut()
+                .for_each(|channel| channel.drain(frames));
         }
+        self.frames.clear();
         for channel in &mut self.channels {
             self.rejected += std::mem::take(&mut channel.rejected);
         }
@@ -735,9 +816,12 @@ mod tests {
         }
         fleet.offer_frame(0, vec![0u8; 4]).unwrap();
         fleet.home.remove(2);
+        let offered = fleet.frames.len();
         let summary = fleet.close_round().unwrap();
         assert_eq!((summary.served, summary.rejected), (2, 2));
         assert_eq!(fleet.stats().rejected, 2);
+        // The close that emptied the queue emptied the arena, and kept it.
+        assert!(fleet.frames.is_empty() && fleet.frames.capacity() >= offered);
         let summary = fleet.close_round().unwrap();
         assert_eq!((summary.rejected, fleet.stats().rejected), (0, 2));
     }
@@ -762,6 +846,42 @@ mod tests {
             .map(|ap| fleet.ap(ap).num_stations())
             .sum();
         assert_eq!((sessions, fleet.num_stations()), (1, 1));
+    }
+
+    /// AP 3 of 3 on two channels would be member 1 of channel 1, which has
+    /// one: refused by name before any lookup, as a handoff's target is.
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn registering_at_an_ap_the_fleet_does_not_have_panics_by_name() {
+        let m = model(5);
+        let mut fleet = Fleet::new(FleetConfig {
+            aps: 3,
+            channels: 2,
+            ..FleetConfig::default()
+        });
+        let key = fleet.register_model(&m);
+        let _ = fleet.register_station(7, 3, key, 4);
+    }
+
+    /// The arena is addressed by `u32`s: an offer is placed while the arena's
+    /// end stays addressable and refused — rejected, by `offer_frame` — from
+    /// the first byte past that, checked on the arithmetic alone.
+    #[test]
+    fn offers_are_placed_up_to_the_end_of_a_u32_arena() {
+        const END: usize = u32::MAX as usize;
+        let placed = |used, len| Offer::place(used, len, 9).map(|o| (o.offset, o.len, o.head_ns));
+        assert_eq!(placed(0, 0), Some((0, 0, 9)));
+        assert_eq!(placed(46, 46), Some((46, 46, 9)));
+        assert_eq!(placed(END - 46, 46), Some((u32::MAX - 46, 46, 9)));
+        assert_eq!(placed(END, 0), Some((u32::MAX, 0, 9)));
+        for (used, len) in [(END - 46, 47), (END, 1), (0, END + 1), (END + 1, 0)] {
+            assert_eq!(placed(used, len), None, "{used} + {len}");
+        }
+        assert_eq!(placed(usize::MAX, 1), None);
+        let frames = [1u8, 2, 3, 4, 5];
+        let offer = Offer::place(2, 3, 0).unwrap();
+        assert_eq!(offer.bytes(&frames), &[3, 4, 5]);
+        assert!(Offer::place(5, 0, 0).unwrap().bytes(&frames).is_empty());
     }
 
     #[test]
@@ -840,6 +960,7 @@ mod tests {
                     .unwrap();
             }
             assert_eq!(fleet.queue.len(), 0, "a pinned offer was scheduled");
+            assert!(fleet.frames.is_empty(), "a pinned offer left its bytes");
             let summary = fleet.close_round().unwrap();
             assert_eq!(
                 (summary.round, summary.served, summary.expired),

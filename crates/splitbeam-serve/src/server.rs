@@ -2,6 +2,7 @@
 
 use crate::session::{SessionHealth, StationId, StationSession};
 use crate::shard::{ShardCore, StreamLane, TailEngine};
+use crate::slab::SessionSlab;
 use crate::timing::{DeadlinePolicy, FrameStamp, RoundDelayStats};
 use crate::ServeError;
 use rayon::prelude::*;
@@ -199,6 +200,12 @@ impl ApServer {
     /// The deterministic shard a station id maps to (`id % num_shards`).
     pub fn shard_of(&self, id: StationId) -> usize {
         (id % self.shards.len() as u64) as usize
+    }
+
+    /// The session store of `id`'s shard, for a caller's look-ahead (the
+    /// [`SessionSlab`]'s `prefetch_*`) over ids it is about to ingest.
+    pub(crate) fn sessions_of(&self, id: StationId) -> &SessionSlab {
+        &self.shards[self.shard_of(id)].sessions
     }
 
     fn shard_mut(&mut self, id: StationId) -> &mut ShardCore {

@@ -3,6 +3,7 @@
 use crate::server::HealthPolicy;
 use crate::timing::FrameStamp;
 use splitbeam::quantization::QuantizedFeedback;
+use splitbeam_hwsim::prefetch_read;
 
 /// Over-the-air station identifier (association id in a real AP).
 pub type StationId = u64;
@@ -148,6 +149,12 @@ impl StationSession {
     /// The pending payload (meaningful only while [`StationSession::has_pending`]).
     pub(crate) fn payload(&self) -> &QuantizedFeedback {
         &self.payload
+    }
+
+    /// Look-ahead: requests the buffer the next [`Self::store_payload`]
+    /// overwrites (as long as the payload it holds).
+    pub(crate) fn prefetch_payload(&self) {
+        prefetch_read(self.payload.codes.as_slice());
     }
 
     /// Copies a validated payload into the session's own buffer and marks

@@ -26,6 +26,7 @@
 //! `serve-unordered-map` lint rule).
 
 use crate::session::{StationId, StationSession};
+use splitbeam_hwsim::prefetch_read;
 use std::collections::BTreeMap;
 
 /// "No entry" in the id table.
@@ -61,6 +62,14 @@ impl IdIndex {
             (value != NIL).then_some(value)
         } else {
             self.sparse.get(&id).copied()
+        }
+    }
+
+    /// Look-ahead: requests the table entry a later [`Self::get`] of `id`
+    /// loads. Sparse ids have no one line to ask for.
+    pub(crate) fn prefetch(&self, id: StationId) {
+        if let Some(entry) = usize::try_from(id).ok().and_then(|at| self.dense.get(at)) {
+            prefetch_read(entry);
         }
     }
 
@@ -202,6 +211,30 @@ impl SessionSlab {
 
     pub(crate) fn at_mut(&mut self, slot: u32) -> Option<&mut StationSession> {
         self.slots.get_mut(slot as usize)?.as_mut()
+    }
+
+    /// Look-ahead, first of three steps for a walk that knows which ids it
+    /// is about to [`Self::get_mut`] and write a payload to — the lookup is a
+    /// chain of dependent loads, and each step requests one link once the
+    /// step before has had time to land: `id`'s index entry.
+    pub(crate) fn prefetch_index(&self, id: StationId) {
+        self.by_id.prefetch(id);
+    }
+
+    /// Second step: the slot that entry names, every line of it (ingest
+    /// reads and writes a session end to end).
+    pub(crate) fn prefetch_session(&self, id: StationId) {
+        let slot = self.by_id.get(id);
+        if let Some(slot) = slot.and_then(|slot| self.slots.get(slot as usize)) {
+            prefetch_read(slot);
+        }
+    }
+
+    /// Third step: the payload buffer the session in that slot owns.
+    pub(crate) fn prefetch_payload(&self, id: StationId) {
+        if let Some(session) = self.get(id) {
+            session.prefetch_payload();
+        }
     }
 
     /// Sessions in ascending station-id order — the deterministic view every

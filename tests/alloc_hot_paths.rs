@@ -6,8 +6,9 @@
 //! fused batched tail (at a shape the packed GEMM's register tiles do not
 //! divide), and the int8 tail. An event-driven round on a lossy medium is
 //! held to one allocation per offered frame, however many transmissions are
-//! lost, damaged and retried, and a fleet round close — channels drained and
-//! closed on the pool's threads — to the one `Vec` of summaries it returns. This
+//! lost, damaged and retried, a fleet round's offers to none at all (the arena
+//! and the queue are warm) and its close — channels drained and closed on the
+//! pool's threads — to the one `Vec` of summaries it returns. This
 //! binary registers the counting allocator, warms each path until every
 //! arena/scratch/cache has reached its steady shape, then re-runs the same
 //! operations under [`assert_no_alloc`].
@@ -257,10 +258,14 @@ fn faulty_event_path(model: &SplitBeamModel) {
 }
 
 /// A fleet round on 8 APs / 4 channels. An offer hands the fleet a frame the
-/// caller allocated; the close — routing, the two hand-outs of the channels,
-/// reading the APs' results back — allocates the `per_ap` vector of the
-/// summary it returns and nothing else: staging lists, hand-outs and result
-/// slots are the fleet's own and warm after the first round.
+/// caller allocated: the fleet copies it to the end of its arena and files
+/// 16 bytes on its queue, so once both are warm the offers request nothing —
+/// the only heap traffic is the caller's `Vec` being freed, which is why the
+/// round's frames are built before the scope. The close — routing, the two
+/// hand-outs of the channels, reading the APs' results back — allocates the
+/// `per_ap` vector of the summary it returns and nothing else: staging lists,
+/// hand-outs and result slots are the fleet's own and warm after the first
+/// round.
 fn fleet_path(model: &SplitBeamModel) {
     const STATIONS: u64 = 64;
     let frame = station_frame(model, 600, BITS);
@@ -276,9 +281,17 @@ fn fleet_path(model: &SplitBeamModel) {
             .register_station(id, id as usize % 8, key, BITS)
             .unwrap();
     }
-    let round = |fleet: &mut Fleet| {
-        for id in 0..STATIONS {
-            fleet.offer_frame(id, frame.clone()).unwrap();
+    let round = |fleet: &mut Fleet, warm: bool| {
+        let frames = vec![frame.clone(); STATIONS as usize];
+        let offer = |fleet: &mut Fleet| {
+            for (id, frame) in frames.into_iter().enumerate() {
+                fleet.offer_frame(id as u64, frame).unwrap();
+            }
+        };
+        if warm {
+            assert_no_alloc("warm fleet offers", || offer(fleet));
+        } else {
+            offer(fleet);
         }
         let before = stats();
         let summary = fleet.close_round().unwrap();
@@ -290,10 +303,10 @@ fn fleet_path(model: &SplitBeamModel) {
         )
     };
     for _ in 0..2 {
-        round(&mut fleet);
+        round(&mut fleet, false);
     }
     assert_eq!(
-        round(&mut fleet),
+        round(&mut fleet, true),
         (1, 0),
         "a warm fleet round close must allocate its summary's `per_ap` and nothing else"
     );

@@ -530,32 +530,57 @@ impl FleetCell for Serial {
 /// the summaries tell the APs apart): a damaged frame in round 1, station 0
 /// handed off to AP 1 — another channel wherever there is one — *between*
 /// its round-1 offer and the close, and back home before round 2's offers.
+/// Round 0 also carries what only a shared frame arena and a drain that
+/// looks ahead of itself can get wrong: station 3 offers twice (its session
+/// is looked up ahead while its earlier frame is being ingested; the later
+/// frame wins) and station 4 offers an empty frame before its real one (a
+/// zero-length slice of the arena between two neighbours: refused, and the
+/// neighbours served whole). A fourth, sparse round has channel 1 stage a
+/// single frame — shorter than any look-ahead — while the others stage
+/// their full share.
 fn scripted_run(
     cell: &mut impl FleetCell,
-    aps: usize,
+    (aps, channels): (usize, usize),
     stations: u64,
     frames: &[Vec<u8>],
 ) -> Served {
     for id in 0..stations {
         cell.register(id, id as usize % (aps + 1) % aps);
     }
+    let frame_of =
+        |id: u64, round: u64| frames[((id + round) % frames.len() as u64) as usize].clone();
     let mut rounds = Vec::new();
     for round in 0..3u64 {
         if round == 2 {
             cell.handoff(0, 0);
         }
         for id in 0..stations {
-            let mut frame = frames[((id + round) % frames.len() as u64) as usize].clone();
+            let mut frame = frame_of(id, round);
             if (round, id) == (1, 5) {
                 frame[20] ^= 0x10;
             }
+            if (round, id) == (0, 4) {
+                cell.offer(id, Vec::new());
+            }
             cell.offer(id, frame);
+            if (round, id) == (0, 3) {
+                cell.offer(id, frame_of(id, 7));
+            }
         }
         if round == 1 {
             cell.handoff(0, 1);
         }
         rounds.push(cell.close());
     }
+    let mut channel_1_offered = false;
+    for id in 0..stations {
+        let on_channel_1 = cell.home(id) % channels == 1;
+        if !(on_channel_1 && channel_1_offered) {
+            cell.offer(id, frame_of(id, 3));
+            channel_1_offered |= on_channel_1;
+        }
+    }
+    rounds.push(cell.close());
     let stations = (0..stations)
         .map(|id| {
             let home = cell.home(id);
@@ -586,8 +611,9 @@ fn scripted_run(
 /// `FleetRoundSummary` and on `FleetStats`. Contended media (60 us of
 /// overhead a frame against a 10 ms budget) and jittered offers; the shapes
 /// are four channels of two APs with more offers a round than one routing
-/// pass of the close pops (16 Ki), three APs unevenly on two channels, and
-/// four APs on one channel (one channel's APs handed out on their own).
+/// pass of the close pops (16 Ki: the arena must outlive every pass), three
+/// APs unevenly on two channels, and four APs on one channel (one channel's
+/// APs handed out on their own).
 #[test]
 fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
     let m = model(43);
@@ -611,7 +637,8 @@ fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
             seed: 11,
             policy: Some(DeadlinePolicy::eq7d()),
         };
-        let reference = scripted_run(&mut Serial::new(&cfg, &m), aps, stations, &frames);
+        let shape_of = (aps, channels);
+        let reference = scripted_run(&mut Serial::new(&cfg, &m), shape_of, stations, &frames);
         let served: usize = reference
             .rounds
             .iter()
@@ -620,8 +647,22 @@ fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
             .sum();
         let rejected: usize = reference.rounds.iter().map(|(_, rejected)| rejected).sum();
         assert!(
-            served > 0 && rejected == 1,
-            "{shape}: {served} served, {rejected} rejected"
+            served > 0 && rejected == 2,
+            "{shape}: {served} served, {rejected} rejected (the empty and the damaged frame)"
+        );
+        // The sparse round: what each channel staged is what its APs found
+        // pending. One frame on channel 1, and more than three look-ahead
+        // distances (3 x 8 frames) on channel 0.
+        let staged_on = |channel: usize| -> usize {
+            let (per_ap, _) = &reference.rounds[3];
+            let of_channel = per_ap.iter().skip(channel).step_by(channels);
+            of_channel.map(|s| s.served + s.expired).sum()
+        };
+        assert!(staged_on(0) > 24, "{shape}: {}", staged_on(0));
+        assert!(
+            channels == 1 || staged_on(1) == 1,
+            "{shape}: {}",
+            staged_on(1)
         );
         assert!(
             reference.cross_bss_wait_ns.iter().any(|&ns| ns > 0),
@@ -643,7 +684,7 @@ fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
                     key,
                     summaries: Vec::new(),
                 };
-                let run = scripted_run(&mut cell, aps, stations, &frames);
+                let run = scripted_run(&mut cell, shape_of, stations, &frames);
                 (run, cell.summaries, cell.fleet.stats())
             });
             for (round, (got, want)) in run.rounds.iter().zip(&reference.rounds).enumerate() {
