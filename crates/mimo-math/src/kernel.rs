@@ -39,6 +39,8 @@
 //! as [`Kernel::Avx2Fma`] — bit-identical to [`gemm_f32`] at every shape and
 //! width — so it needs no selector of its own; [`gemm_f32`] keeps the
 //! products without a bound right-hand side (training, the batch-1 head).
+//! It and the rest of a training step — the weight and input gradients and
+//! the optimizer updates — live in [`dense`], each handed out to the pool.
 //!
 //! A third tier lives in [`int8`]: integer `u8 x i8 -> i32` GEMM arms for
 //! quantized tail weights (AMX `tdpbusd` → AVX-512 VNNI → AVX2 `maddubs` →
@@ -51,9 +53,16 @@ use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Dispatches a run-time row count to the const-generic register tile of a
-/// packed microkernel ([`packed`], [`int8`]).
+/// packed microkernel ([`packed`], [`int8`]); `tile::<_, FLAG>(..)` passes
+/// one more const argument through.
 #[cfg(target_arch = "x86_64")]
 macro_rules! tile_by_rows {
+    ($tile:ident::<_, $flag:literal> $args:tt, $mr:expr, [$($rows:literal)*]) => {
+        match $mr {
+            $($rows => $tile::<$rows, $flag> $args,)*
+            _ => unreachable!("row tile taller than the register tile"),
+        }
+    };
     ($tile:ident $args:tt, $mr:expr, [$($rows:literal)*]) => {
         match $mr {
             $($rows => $tile::<$rows> $args,)*
@@ -62,9 +71,14 @@ macro_rules! tile_by_rows {
     };
 }
 
+pub mod dense;
 pub mod int8;
 pub mod packed;
 pub mod tune;
+
+pub use dense::{
+    adam_step, gemm_a_bt_f32, gemm_at_b_f32, gemm_f32, momentum_step, sgd_step, Adam, GradScratch,
+};
 
 /// What the caller asked for (environment variable or [`set_kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,84 +338,9 @@ pub fn cdotc(kernel: Kernel, x: &[Complex64], y: &[Complex64]) -> Complex64 {
 }
 
 // ---------------------------------------------------------------------------
-// Dense f32 primitives (neural GEMM, fused dequantize→tail kernel).
+// Dense f32 primitives (the row-major products and optimizer updates live in
+// `dense`).
 // ---------------------------------------------------------------------------
-
-/// Dense f32 GEMM: `out += a * b` where `a` is `rows x m`, `b` is `m x n` and
-/// `out` is `rows x n`, all row-major. `out` is typically pre-zeroed by the
-/// caller (`+=` semantics make the kernel composable).
-///
-/// The scalar arm accumulates each output element over ascending `k` with
-/// individually rounded adds and skips exact-zero `a` terms — per element
-/// identical to the historical register-blocked panel kernels. The AVX2 arm
-/// uses one FMA chain per output element (also ascending `k`), so any call
-/// shape — whole batch, single row, fused variants — produces bit-identical
-/// elements for identical inputs.
-///
-/// # Panics
-/// Panics if the slice lengths disagree with the dimensions.
-pub fn gemm_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize) {
-    assert_eq!(b.len(), m * n, "gemm_f32 rhs length mismatch");
-    assert_eq!(a.len() % m.max(1), 0, "gemm_f32 lhs length mismatch");
-    let rows = a.len().checked_div(m).unwrap_or(0);
-    assert_eq!(out.len(), rows * n, "gemm_f32 out length mismatch");
-    match kernel {
-        Kernel::Scalar => {
-            for (a_row, out_row) in a.chunks_exact(m).zip(out.chunks_exact_mut(n)) {
-                for (k, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in out_row.iter_mut().zip(b[k * n..(k + 1) * n].iter()) {
-                        *o += av * bv;
-                    }
-                }
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proves AVX2+FMA are present; `rows`/`m`/`n`
-        // describe `a`/`b`/`out` exactly per the asserts above.
-        Kernel::Avx2Fma if avx2_fma_available() => unsafe {
-            gemm_f32_avx2(a, b, out, rows, m, n, tune::params().f32_k_block)
-        },
-        #[allow(unreachable_patterns)]
-        _ => gemm_f32(Kernel::Scalar, a, b, out, m, n),
-    }
-}
-
-/// One GEMM row: `out_row += a_row * b` — [`gemm_f32`] with a single
-/// left-hand row, used by the parity tests to pin that single-row and
-/// batched calls agree bit-for-bit per kernel.
-#[cfg(test)]
-fn gemm_row_f32(kernel: Kernel, a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let (m, n) = (a_row.len(), out_row.len());
-    gemm_f32(kernel, a_row, b, out_row, m, n);
-}
-
-/// `y += a * x` over f32 slices; exact-zero `a` is a no-op (matching the
-/// historical `axpy1_skip`).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn saxpy(kernel: Kernel, a: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len(), "saxpy length mismatch");
-    if a == 0.0 {
-        return;
-    }
-    match kernel {
-        Kernel::Scalar => {
-            for (o, &b) in y.iter_mut().zip(x.iter()) {
-                *o += a * b;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proves AVX2+FMA are present, and the lengths
-        // were asserted equal above — the target-feature fn's only contract.
-        Kernel::Avx2Fma if avx2_fma_available() => unsafe { saxpy_avx2(a, x, y) },
-        #[allow(unreachable_patterns)]
-        _ => saxpy(Kernel::Scalar, a, x, y),
-    }
-}
 
 /// Dot product `sum_k x[k] * y[k]` over f32 slices.
 ///
@@ -550,58 +489,56 @@ mod avx2 {
         }
     }
 
-    /// Dense f32 GEMM `out += a * b` (`a`: rows x m, `b`: m x n, `out`:
-    /// rows x n, all row-major) — the 8-wide FMA microkernel.
+    /// The contiguous walk of the row-major f32 GEMM over output columns
+    /// `j0..j1`: `out[.., j0..j1] += a * b[.., j0..j1]` (`a`: rows x m, `b`:
+    /// m x n, `out`: rows x n at `out`, all row-major) — the 8-wide FMA
+    /// microkernel [`super::dense::gemm_f32`] runs where no register tile
+    /// pays (one row, the columns past the last whole panel).
     ///
-    /// Same blocking discipline as the historical scalar panel kernel, with
-    /// vector registers: the outer loop walks `k_block`-deep `k` blocks (so
-    /// the corresponding `b` rows are streamed *sequentially* and reused
-    /// across the whole batch from cache; the block depth comes from
-    /// [`super::tune`], default 16), the middle loop walks 4-row panels of
-    /// `a`/`out` (one loaded `b` vector feeds four FMA accumulators), and the
-    /// inner loop runs 8 floats per instruction over `n`.
+    /// The outer loop walks `k_block`-deep `k` blocks (so the corresponding
+    /// `b` rows are streamed *sequentially* and reused across the whole
+    /// batch from cache; the block depth comes from [`super::tune`], default
+    /// 16), the middle loop walks 4-row panels of `a`/`out` (one loaded `b`
+    /// vector feeds four FMA accumulators), and the inner loop runs 8 floats
+    /// per instruction over the columns.
     ///
     /// Every output element accumulates as a single FMA chain over ascending
-    /// `k`: the accumulator round-trips memory only between `k` blocks, and an
-    /// f32 store/load is value-preserving, so results are independent of the
-    /// blocking — single-row calls, batched calls, the fused dequantize→tail
-    /// path, and every `k_block` all agree bit-for-bit.
+    /// `k`: the accumulator round-trips memory only between `k` blocks, and
+    /// an f32 store/load is value-preserving, so results are independent of
+    /// the blocking and of the column range — and equal to the register
+    /// tile's, which holds the same chain in a register.
+    ///
+    /// # Safety
+    /// Requires `avx2` and `fma`; `out` must be valid for columns `j0..j1`
+    /// of `rows` rows `n` apart, written by no other thread during the call,
+    /// with `j0 <= j1 <= n`, `a.len() >= rows * m` and `b.len() >= m * n`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gemm_f32_avx2(
+    pub(crate) unsafe fn gemm_f32_avx2(
         a: &[f32],
         b: &[f32],
-        out: &mut [f32],
-        rows: usize,
-        m: usize,
-        n: usize,
+        out: *mut f32,
+        (rows, m, n): (usize, usize, usize),
+        (j0, j1): (usize, usize),
         k_block: usize,
     ) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
+        let w = j1 - j0;
+        // SAFETY: the caller's contract; every panel below reads `a` rows
+        // `< rows`, `b` rows `< m` at columns `j0..j1` and writes `out` at
+        // the same columns of rows `< rows`.
         unsafe {
+            let bp = b.as_ptr().add(j0);
             for k0 in (0..m).step_by(k_block.max(1)) {
                 let k1 = (k0 + k_block.max(1)).min(m);
                 let mut r = 0;
                 while r + 4 <= rows {
-                    gemm_panel4_avx2(
-                        &a[r * m..(r + 4) * m],
-                        b,
-                        &mut out[r * n..(r + 4) * n],
-                        m,
-                        n,
-                        k0,
-                        k1,
-                    );
+                    let op = out.add(r * n + j0);
+                    gemm_panel4_avx2(&a[r * m..(r + 4) * m], bp, op, (m, n, w), k0, k1);
                     r += 4;
                 }
                 while r < rows {
-                    gemm_panel1_avx2(
-                        &a[r * m..(r + 1) * m],
-                        b,
-                        &mut out[r * n..(r + 1) * n],
-                        n,
-                        k0,
-                        k1,
-                    );
+                    let op = out.add(r * n + j0);
+                    gemm_panel1_avx2(&a[r * m..(r + 1) * m], bp, op, (n, w), k0, k1);
                     r += 1;
                 }
             }
@@ -610,13 +547,13 @@ mod avx2 {
 
     /// Four output rows over `k0..k1`: each loaded `b` vector feeds four
     /// accumulator chains (16 live accumulators at the 32-float unroll).
+    /// `bp`/`op` point at the first column of `b`'s row 0 / `out`'s row 0.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_panel4_avx2(
         a: &[f32],
-        b: &[f32],
-        o: &mut [f32],
-        m: usize,
-        n: usize,
+        bp: *const f32,
+        op: *mut f32,
+        (m, n, w): (usize, usize, usize),
         k0: usize,
         k1: usize,
     ) {
@@ -625,10 +562,8 @@ mod avx2 {
             let (a0, rest) = a.split_at(m);
             let (a1, rest) = rest.split_at(m);
             let (a2, a3) = rest.split_at(m);
-            let bp = b.as_ptr();
-            let op = o.as_mut_ptr();
             let mut j = 0;
-            while j + 8 <= n {
+            while j + 8 <= w {
                 let mut acc0 = _mm256_loadu_ps(op.add(j));
                 let mut acc1 = _mm256_loadu_ps(op.add(n + j));
                 let mut acc2 = _mm256_loadu_ps(op.add(2 * n + j));
@@ -646,7 +581,7 @@ mod avx2 {
                 _mm256_storeu_ps(op.add(3 * n + j), acc3);
                 j += 8;
             }
-            while j < n {
+            while j < w {
                 for (row, ar) in [a0, a1, a2, a3].into_iter().enumerate() {
                     let slot = op.add(row * n + j);
                     let mut acc = *slot;
@@ -664,18 +599,16 @@ mod avx2 {
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn gemm_panel1_avx2(
         a: &[f32],
-        b: &[f32],
-        o: &mut [f32],
-        n: usize,
+        bp: *const f32,
+        op: *mut f32,
+        (n, w): (usize, usize),
         k0: usize,
         k1: usize,
     ) {
         // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
         unsafe {
-            let bp = b.as_ptr();
-            let op = o.as_mut_ptr();
             let mut j = 0;
-            while j + 16 <= n {
+            while j + 16 <= w {
                 let mut acc0 = _mm256_loadu_ps(op.add(j));
                 let mut acc1 = _mm256_loadu_ps(op.add(j + 8));
                 for k in k0..k1 {
@@ -688,7 +621,7 @@ mod avx2 {
                 _mm256_storeu_ps(op.add(j + 8), acc1);
                 j += 16;
             }
-            while j + 8 <= n {
+            while j + 8 <= w {
                 let mut acc = _mm256_loadu_ps(op.add(j));
                 for k in k0..k1 {
                     acc = _mm256_fmadd_ps(
@@ -700,35 +633,13 @@ mod avx2 {
                 _mm256_storeu_ps(op.add(j), acc);
                 j += 8;
             }
-            while j < n {
+            while j < w {
                 let mut acc = *op.add(j);
                 for k in k0..k1 {
                     acc = a.get_unchecked(k).mul_add(*bp.add(k * n + j), acc);
                 }
                 *op.add(j) = acc;
                 j += 1;
-            }
-        }
-    }
-
-    /// `y += a * x` (f32), FMA per element; scalar tail with `mul_add`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn saxpy_avx2(a: f32, x: &[f32], y: &mut [f32]) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
-        unsafe {
-            let av = _mm256_set1_ps(a);
-            let n8 = x.len() / 8 * 8;
-            let xp = x.as_ptr();
-            let yp = y.as_mut_ptr();
-            let mut i = 0;
-            while i < n8 {
-                let acc =
-                    _mm256_fmadd_ps(av, _mm256_loadu_ps(xp.add(i)), _mm256_loadu_ps(yp.add(i)));
-                _mm256_storeu_ps(yp.add(i), acc);
-                i += 8;
-            }
-            for k in n8..x.len() {
-                y[k] = a.mul_add(x[k], y[k]);
             }
         }
     }
@@ -806,7 +717,9 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use avx2::{caxpy_avx2, caxpy_sub_avx2, cdotc_avx2, gemm_f32_avx2, saxpy_avx2, sdot_avx2};
+pub(crate) use avx2::gemm_f32_avx2;
+#[cfg(target_arch = "x86_64")]
+use avx2::{caxpy_avx2, caxpy_sub_avx2, cdotc_avx2, sdot_avx2};
 
 #[cfg(test)]
 mod tests {
@@ -904,28 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_gemm_results_are_independent_of_the_k_block() {
-        // Why the k-block is free to choose: any k_block produces
-        // bit-identical f32 results (single FMA chain per element, lossless
-        // accumulator round-trips between blocks).
-        #[cfg(target_arch = "x86_64")]
-        if avx2_fma_available() {
-            let (rows, m, n) = (6usize, 50usize, 33usize);
-            let a = f32_series(rows * m, 0.7);
-            let b = f32_series(m * n, 1.3);
-            let mut want = vec![0.0f32; rows * n];
-            unsafe { avx2::gemm_f32_avx2(&a, &b, &mut want, rows, m, n, 16) };
-            for k_block in [1usize, 8, 17, 32, 64, 1000] {
-                let mut out = vec![0.0f32; rows * n];
-                unsafe { avx2::gemm_f32_avx2(&a, &b, &mut out, rows, m, n, k_block) };
-                let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(bits, want_bits, "k_block={k_block}");
-            }
-        }
-    }
-
-    #[test]
     fn caxpy_parity_across_kernels_and_lengths() {
         // AVX2 arms under test: `caxpy_avx2` and `caxpy_sub_avx2` (both via
         // `cmul_lanes`), including their odd-length scalar tails.
@@ -980,77 +871,17 @@ mod tests {
     }
 
     #[test]
-    fn gemm_parity_across_kernels_and_shapes() {
-        for (m, n) in [(1, 1), (3, 7), (8, 8), (5, 33), (16, 40), (7, 70)] {
-            let a = f32_series(2 * m, 0.3);
-            let b = f32_series(m * n, 1.1);
-            let mut want = vec![0.0f32; 2 * n];
-            gemm_f32(Kernel::Scalar, &a, &b, &mut want, m, n);
-            for k in kernels() {
-                let mut out = vec![0.0f32; 2 * n];
-                gemm_f32(k, &a, &b, &mut out, m, n);
-                for (got, w) in out.iter().zip(want.iter()) {
-                    assert!((got - w).abs() < 1e-4, "gemm {k:?} {m}x{n}: {got} vs {w}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_row_and_batch_shapes_agree_bitwise_per_kernel() {
-        // One row at a time must equal the batched call exactly — the property
-        // the fused dequantize→tail path relies on. Six rows exercise the
-        // 4-row AVX2 panel (`gemm_panel4_avx2`) plus the single-row remainder
-        // path (`gemm_panel1_avx2`, which also is the whole one-row call).
-        const ROWS: usize = 6;
-        let (m, n) = (37, 41);
-        let a = f32_series(ROWS * m, 0.9);
-        let b = f32_series(m * n, 0.2);
-        for k in kernels() {
-            let mut batched = vec![0.0f32; ROWS * n];
-            gemm_f32(k, &a, &b, &mut batched, m, n);
-            for r in 0..ROWS {
-                let mut row = vec![0.0f32; n];
-                gemm_row_f32(k, &a[r * m..(r + 1) * m], &b, &mut row);
-                assert_eq!(row, batched[r * n..(r + 1) * n].to_vec(), "{k:?} row {r}");
-            }
-        }
-    }
-
-    #[test]
-    fn saxpy_and_sdot_parity() {
-        // AVX2 arms under test: `saxpy_avx2` and `sdot_avx2`, across their
-        // 32-, 8- and 1-element steps.
+    fn sdot_parity_across_kernels() {
+        // AVX2 arm under test: `sdot_avx2`, across its 32-, 8- and 1-element
+        // steps.
         for n in [0usize, 1, 7, 8, 31, 64, 100] {
             let x = f32_series(n, 0.5);
-            let base = f32_series(n, 2.5);
+            let y = f32_series(n, 2.5);
+            let want = sdot(Kernel::Scalar, &x, &y);
             for k in kernels() {
-                let mut y = base.clone();
-                saxpy(k, 0.37, &x, &mut y);
-                for (i, (got, b)) in y.iter().zip(base.iter()).enumerate() {
-                    let want = 0.37f32 * x[i] + b;
-                    assert!((got - want).abs() < 1e-5, "saxpy {k:?} n={n} i={i}");
-                }
-                let mut y2 = base.clone();
-                saxpy(k, 0.0, &x, &mut y2);
-                assert_eq!(y2, base, "zero saxpy must be a no-op");
-
-                let want = sdot(Kernel::Scalar, &x, &base);
-                let got = sdot(k, &x, &base);
+                let got = sdot(k, &x, &y);
                 assert!((got - want).abs() < 1e-4, "sdot {k:?} n={n}");
             }
         }
-    }
-
-    #[test]
-    fn scalar_gemm_skips_exact_zero_terms() {
-        // -0.0 in the accumulator must survive a zero a-term, exactly like the
-        // historical axpy1_skip.
-        let a = [0.0f32, 1.0];
-        let b = [5.0f32, -0.0, 2.0, -0.0];
-        let mut out = [-0.0f32, -0.0];
-        gemm_row_f32(Kernel::Scalar, &a, &b, &mut out);
-        assert_eq!(out[0], 2.0);
-        assert_eq!(out[1].to_bits(), (-0.0f32).to_bits());
     }
 }

@@ -1,0 +1,1052 @@
+//! The row-major f32 products of a dense layer and the optimizer updates of
+//! a training step, each handed out through the pool.
+//!
+//! | entry | computes | a part | arm under `avx2_fma` |
+//! |---|---|---|---|
+//! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | one `NR`-column panel, or a thread's share of the walked columns | the packed tail's register tile over the whole depth from two rows on; the `k`-blocked walk for one row and past the last whole panel |
+//! | [`gemm_at_b_f32`] | `out = aᵀ · g`: the weight gradient | one row tile of `out` | the same tile over the transposed input and the packed gradient |
+//! | [`gemm_a_bt_f32`] | `out = a · bᵀ`: the input gradient | 16 columns of `out` | one [`sdot`] an element |
+//! | [`adam_step`], [`momentum_step`], [`sgd_step`] | the optimizer update | 2^14 parameters | the scalar loop, compiled for `avx512f` (else `avx2`) |
+//!
+//! A product hands its parts out from 2^19 multiply-adds (the packed tail's
+//! `PAR_MIN_MACS`), an update from 2^16 parameters; smaller ones run as a
+//! plain loop on the caller, as every one does at pool width 1. The 448 x 56
+//! x 224 model of the 2x2 / 20 MHz workload trains below all of them.
+//!
+//! # Exactness
+//!
+//! Parts write disjoint outputs, and a part runs the same operations on an
+//! element whoever claims it, so every result is bit-identical at every pool
+//! width. Per element and backend the arithmetic is the historical one:
+//!
+//! * the forward and weight-gradient products are one chain over ascending
+//!   `k` from `+0.0` — fused multiply-adds under `avx2_fma`, a rounded
+//!   multiply and add under `scalar` — that skips exact-zero `a` terms
+//!   except in the forward vector arm, which never did. The tile holds the
+//!   chain in a register where the walk round-trips it through `out`, which
+//!   no f32 store changes, and ends with `acc + -0.0`, which is `acc`;
+//! * an input-gradient element is one [`sdot`] call;
+//! * an optimizer update is the element-wise expression it always was, in
+//!   IEEE single precision: division and square root are correctly rounded
+//!   in every vector width, and Rust never contracts a multiply and an add
+//!   into an FMA, so the vector bodies are bit-identical to the scalar one.
+
+#[cfg(target_arch = "x86_64")]
+use super::packed::x86;
+use super::packed::{Lanes, PackedWidth, Panels, Tile, TileFn, NO_BIAS, PAR_MIN_MACS};
+use super::{avx2_fma_available, sdot, tune, Kernel};
+use rayon::prelude::*;
+use std::ops::Range;
+
+/// Rows from which [`gemm_f32`]'s vector arm holds a register tile over the
+/// whole depth. One row keeps the contiguous walk: a one-row tile reads a
+/// panel's column of `b` a row at a time, `n` floats apart, where the walk
+/// streams whole rows of `b` — and the batch-1 head is bound by that stream.
+const TILE_MIN_ROWS: usize = 2;
+
+/// Rows of `b` below the one it multiplies that the row-major tile
+/// prefetches: a panel's column of `b` is `n` floats a row apart, too far
+/// for the hardware's stride prefetcher.
+const AHEAD_ROWS: usize = 16;
+
+/// Rows of `out` in one part of the scalar [`gemm_at_b_f32`].
+const AT_B_ROWS: usize = 16;
+
+/// Output columns of one part of [`gemm_a_bt_f32`]: each row of `b` is read
+/// once and dotted with every row of `a` while it is in L1.
+const BT_COLS: usize = 16;
+
+/// Parameters in one part of an optimizer update.
+const CHUNK: usize = 1 << 14;
+
+/// Parameters from which an optimizer update hands its chunks out: below
+/// it (the 448 x 56 layers of the 2x2 / 20 MHz model) a hand-out costs more
+/// than half the update.
+const PAR_MIN_PARAMS: usize = 1 << 16;
+
+/// Runs `part(0..parts)`, on the pool when `pooled` and there is more than
+/// one part.
+fn hand_out(parts: usize, pooled: bool, part: impl Fn(usize) + Sync + Send) {
+    if pooled && parts > 1 {
+        (0..parts).into_par_iter().for_each(part);
+    } else {
+        (0..parts).for_each(part);
+    }
+}
+
+/// The register tile the vector backend runs on this host — the packed
+/// tail's arm, by CPU detection — or `None` under the scalar backend.
+fn vector_tile(kernel: Kernel) -> Option<(PackedWidth, TileFn)> {
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx2Fma && avx2_fma_available() {
+        let width = PackedWidth::detect();
+        let arm: TileFn = match width {
+            PackedWidth::Zmm => x86::rows_zmm,
+            PackedWidth::Ymm => x86::rows_ymm,
+        };
+        return Some((width, arm));
+    }
+    let _ = kernel;
+    None
+}
+
+/// Dense f32 GEMM: `out = a * b` where `a` is `rows x m`, `b` is `m x n` and
+/// `out` is `rows x n`, all row-major. `out` is **overwritten**.
+///
+/// The scalar arm accumulates each output element over ascending `k` with
+/// individually rounded adds and skips exact-zero `a` terms. The vector arm
+/// runs one FMA chain per output element, also over ascending `k`: from two
+/// rows on, an `MR x NR` register tile holds it over the whole depth for
+/// each whole panel of `NR` columns; one row, and the columns past the last
+/// whole panel, take the `k`-blocked walk. Any call shape — whole batch,
+/// single row, either path, any part split — produces bit-identical
+/// elements for identical inputs, and so does the packed tail
+/// ([`super::packed::gemm_f32_packed`]) with a zero bias.
+///
+/// # Panics
+/// Panics if the slice lengths disagree with the dimensions.
+pub fn gemm_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize) {
+    forward(kernel, vector_tile(kernel), a, b, out, (m, n), PAR_MIN_MACS);
+}
+
+/// [`gemm_f32`] with its register tile (`None`: walk every column) and its
+/// hand-out threshold as parameters, so that the parity tests run both
+/// widths on one host and both sides of the threshold.
+fn forward(
+    kernel: Kernel,
+    tile: Option<(PackedWidth, TileFn)>,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, n): (usize, usize),
+    par_min_macs: usize,
+) {
+    assert_eq!(b.len(), m * n, "gemm_f32 rhs length mismatch");
+    assert_eq!(a.len() % m.max(1), 0, "gemm_f32 lhs length mismatch");
+    let rows = a.len().checked_div(m).unwrap_or(0);
+    assert_eq!(out.len(), rows * n, "gemm_f32 out length mismatch");
+    let tile = tile.filter(|_| rows >= TILE_MIN_ROWS);
+    let nr = tile.map_or(0, |(width, _)| width.nr());
+    let panels = n.checked_div(nr).unwrap_or(0);
+    let walked = panels * nr..n;
+    let pooled = rows * m * n >= par_min_macs;
+    // The walk streams rows of `b`: each thread walks one contiguous block
+    // of whole cache lines (the split moves no bits, so it may follow the
+    // pool's width).
+    let walkers = if pooled {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let walk_cols = walked.len().div_ceil(walkers).next_multiple_of(16).max(16);
+    let out = Lanes(out.as_mut_ptr());
+    let part = |p: usize| match tile {
+        Some((width, arm)) if p < panels => {
+            let j0 = p * nr;
+            // Row tiles of even height: 16 rows are two 8-row zmm tiles.
+            let tall = rows.div_ceil(rows.div_ceil(width.mr()));
+            for r in (0..rows).step_by(tall) {
+                let tile = Tile {
+                    a: a[r * m..].as_ptr(),
+                    m,
+                    panel: b[j0..].as_ptr(),
+                    stride: n,
+                    ahead: AHEAD_ROWS * n,
+                    bias: NO_BIAS.as_ptr(),
+                    // SAFETY: row `r < rows`, column `j0 < n` of the
+                    // `rows x n` matrix `out` points to.
+                    out: unsafe { out.at(r * n + j0) },
+                    n,
+                    cols: nr,
+                    skip: false,
+                };
+                // The tile reads `m` rows of `b` at columns `j0..j0 + nr <= n`
+                // and writes those columns of its rows of `out`: panel `p`'s,
+                // which no other thread runs.
+                // SAFETY: `vector_tile` feature-checked the arm; `a` holds
+                // `tall.min(rows - r)` rows of `m` from row `r`.
+                unsafe { arm(tall.min(rows - r), tile) };
+            }
+        }
+        _ => {
+            let j0 = walked.start + (p - panels) * walk_cols;
+            let cols = j0..(j0 + walk_cols).min(n);
+            walk(kernel, a, b, &out, (rows, m, n), cols);
+        }
+    };
+    hand_out(panels + walked.len().div_ceil(walk_cols), pooled, part);
+}
+
+/// Columns `cols` of [`gemm_f32`]: zeroed, then the `k`-blocked walk.
+fn walk(
+    kernel: Kernel,
+    a: &[f32],
+    b: &[f32],
+    out: &Lanes<f32>,
+    (rows, m, n): (usize, usize, usize),
+    cols: Range<usize>,
+) {
+    // SAFETY: columns `cols` (inside `0..n`) of row `r < rows`: lanes of
+    // this part, which no other thread touches; no two live slices overlap.
+    let row = |r: usize| unsafe {
+        std::slice::from_raw_parts_mut(out.at(r * n + cols.start), cols.len())
+    };
+    for r in 0..rows {
+        row(r).fill(0.0);
+    }
+    let k_block = tune::params().f32_k_block.max(1);
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Avx2Fma && avx2_fma_available() {
+        // SAFETY: AVX2 + FMA were detected; `out` holds `rows` rows of `n`
+        // and columns `cols` of them are this part's alone; `a` and `b` are
+        // `rows x m` and `m x n` (asserted by `forward`).
+        unsafe { super::gemm_f32_avx2(a, b, out.0, (rows, m, n), (cols.start, cols.end), k_block) };
+        return;
+    }
+    let _ = kernel;
+    let b_row = |k: usize| &b[k * n + cols.start..k * n + cols.end];
+    for k0 in (0..m).step_by(k_block) {
+        let ks = k0..(k0 + k_block).min(m);
+        let mut r = 0;
+        while r + 4 <= rows {
+            let a_rows = [0, 1, 2, 3].map(|i| &a[(r + i) * m..(r + i + 1) * m]);
+            scalar_block::<4, 8>(a_rows, b_row, [0, 1, 2, 3].map(|i| row(r + i)), ks.clone());
+            r += 4;
+        }
+        for r in r..rows {
+            scalar_block::<1, 4>([&a[r * m..(r + 1) * m]], b_row, [row(r)], ks.clone());
+        }
+    }
+}
+
+/// The scalar walk over `ks` for `R` rows: `o[r] += a[r][k] * b_row(k)` for
+/// each `k`, ascending, skipping exact-zero `a` terms. Where `T` consecutive
+/// terms of every row are non-zero, each accumulator takes all `T` between
+/// one load and one store — the same rounded adds in the same order.
+fn scalar_block<'b, const R: usize, const T: usize>(
+    a: [&[f32]; R],
+    b_row: impl Fn(usize) -> &'b [f32],
+    o: [&mut [f32]; R],
+    ks: Range<usize>,
+) {
+    // Every row exactly `w` long, so the column loop needs no bounds check.
+    let w = o[0].len();
+    let mut o = o.map(|o| &mut o[..w]);
+    let mut k = ks.start;
+    while k + T <= ks.end {
+        let av: [[f32; T]; R] = a.map(|a| std::array::from_fn(|j| a[k + j]));
+        if av.iter().flatten().all(|&v| v != 0.0) {
+            let bs: [&[f32]; T] = std::array::from_fn(|j| &b_row(k + j)[..w]);
+            for i in 0..w {
+                let bv: [f32; T] = std::array::from_fn(|j| bs[j][i]);
+                for (o, av) in o.iter_mut().zip(&av) {
+                    let mut t = o[i];
+                    for (&a, &b) in av.iter().zip(&bv) {
+                        t += a * b;
+                    }
+                    o[i] = t;
+                }
+            }
+        } else {
+            for (o, av) in o.iter_mut().zip(&av) {
+                for (j, &a) in av.iter().enumerate() {
+                    axpy_skip(a, b_row(k + j), o);
+                }
+            }
+        }
+        k += T;
+    }
+    for k in k..ks.end {
+        for (o, a) in o.iter_mut().zip(&a) {
+            axpy_skip(a[k], b_row(k), o);
+        }
+    }
+}
+
+/// `o += a * b`, nothing for an exact-zero `a`.
+fn axpy_skip(a: f32, b: &[f32], o: &mut [f32]) {
+    if a != 0.0 {
+        for (o, &b) in o.iter_mut().zip(b) {
+            *o += a * b;
+        }
+    }
+}
+
+/// The buffers of [`gemm_at_b_f32`]'s vector arm: the transposed input and
+/// the packed gradient, both `depth`-sized — no buffer of the layer's size.
+/// Kept by the caller so that a warm training step requests no memory.
+#[derive(Debug, Default)]
+pub struct GradScratch {
+    transposed: Vec<f32>,
+    panels: Panels<f32, 16>,
+}
+
+/// The weight gradient `out = aᵀ * g`: `a` is `depth x m` (a layer's input
+/// batch), `g` is `depth x n` (the gradient at its output) and `out` is
+/// `m x n`, all row-major. `out` is **overwritten**, each element once.
+///
+/// Per element one chain over ascending `k < depth` from `+0.0` that skips
+/// the terms whose `a` is an exact zero — the historical per-`(r, k)` axpy's
+/// element, fused under `avx2_fma`, rounded twice under `scalar`. The vector
+/// arm packs `g` into panels, transposes a row tile of `aᵀ` at a time into
+/// `scratch` and runs the register tile over them; a tile that holds a zero
+/// `a` masks those terms' FMAs off.
+///
+/// # Panics
+/// Panics if the slice lengths disagree with the dimensions.
+pub fn gemm_at_b_f32(
+    kernel: Kernel,
+    a: &[f32],
+    g: &[f32],
+    out: &mut [f32],
+    (m, n): (usize, usize),
+    scratch: &mut GradScratch,
+) {
+    let tile = vector_tile(kernel);
+    weight_gradient(tile, a, g, out, (m, n), scratch, PAR_MIN_MACS);
+}
+
+/// [`gemm_at_b_f32`] with its register tile (`None`: the scalar arm) and its
+/// hand-out threshold as parameters.
+fn weight_gradient(
+    tile: Option<(PackedWidth, TileFn)>,
+    a: &[f32],
+    g: &[f32],
+    out: &mut [f32],
+    (m, n): (usize, usize),
+    scratch: &mut GradScratch,
+    par_min_macs: usize,
+) {
+    assert_eq!(a.len() % m.max(1), 0, "gemm_at_b_f32 lhs length mismatch");
+    let depth = a.len().checked_div(m).unwrap_or(0);
+    assert_eq!(g.len(), depth * n, "gemm_at_b_f32 gradient length mismatch");
+    assert_eq!(out.len(), m * n, "gemm_at_b_f32 out length mismatch");
+    let pooled = depth * m * n >= par_min_macs;
+    let out = Lanes(out.as_mut_ptr());
+    let Some((width, arm)) = tile else {
+        hand_out(m.div_ceil(AT_B_ROWS), pooled, |p| {
+            for r in p * AT_B_ROWS..(p * AT_B_ROWS + AT_B_ROWS).min(m) {
+                // SAFETY: row `r < m` of the `m x n` matrix `out`; rows are
+                // this part's alone.
+                let o = unsafe { std::slice::from_raw_parts_mut(out.at(r * n), n) };
+                o.fill(0.0);
+                for (k, g_row) in g.chunks_exact(n.max(1)).enumerate() {
+                    let av = a[k * m + r];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    for (o, &gv) in o.iter_mut().zip(g_row) {
+                        *o += av * gv;
+                    }
+                }
+            }
+        });
+        return;
+    };
+    let (mr, nr) = (width.mr(), width.nr());
+    let panel_len = depth * nr;
+    scratch.panels.reset(n.div_ceil(nr) * panel_len);
+    for (p, panel) in scratch
+        .panels
+        .chunks_exact_mut(panel_len.max(1))
+        .enumerate()
+    {
+        let j0 = p * nr;
+        let cols = nr.min(n - j0);
+        for (dst, src) in panel.chunks_exact_mut(nr).zip(g.chunks_exact(n)) {
+            dst[..cols].copy_from_slice(&src[j0..j0 + cols]);
+        }
+    }
+    // Every element is written by the part that transposes its row before
+    // that part reads it.
+    scratch.transposed.resize(m * depth, 0.0);
+    let transposed = Lanes(scratch.transposed.as_mut_ptr());
+    let panels = &scratch.panels[..];
+    hand_out(m.div_ceil(mr), pooled, |t| {
+        let (r0, rows) = (t * mr, mr.min(m - t * mr));
+        // SAFETY: rows `r0..r0 + rows` of the `m x depth` transpose, this
+        // part's alone.
+        let at = unsafe { std::slice::from_raw_parts_mut(transposed.at(r0 * depth), rows * depth) };
+        for (i, row) in at.chunks_exact_mut(depth.max(1)).enumerate() {
+            for (v, a_row) in row.iter_mut().zip(a.chunks_exact(m)) {
+                *v = a_row[r0 + i];
+            }
+        }
+        let skip = at.contains(&0.0);
+        for (p, panel) in panels.chunks_exact(panel_len.max(1)).enumerate() {
+            let j0 = p * nr;
+            let tile = Tile {
+                a: at.as_ptr(),
+                m: depth,
+                panel: panel.as_ptr(),
+                stride: nr,
+                ahead: panel_len,
+                bias: NO_BIAS.as_ptr(),
+                // SAFETY: row `r0 < m`, column `j0 < n` of `out`.
+                out: unsafe { out.at(r0 * n + j0) },
+                n,
+                cols: nr.min(n - j0),
+                skip,
+            };
+            // SAFETY: `vector_tile` feature-checked the arm; `at` holds
+            // `rows <= MR` rows of `depth`, `panel` `depth` rows of `NR`, and
+            // the tile writes `cols` columns of rows `r0..r0 + rows` of
+            // `out`, this part's alone.
+            unsafe { arm(rows, tile) };
+        }
+    });
+}
+
+/// The input gradient `out = a * bᵀ`: `a` is `rows x k` (the gradient at a
+/// layer's output), `b` is `cols x k` (its weights) and `out` is
+/// `rows x cols`, all row-major. `out` is **overwritten**; each element is
+/// one [`sdot`] of a row of `a` with a row of `b` — its association under
+/// each backend is the dot product's own.
+///
+/// # Panics
+/// Panics if the slice lengths disagree with the dimensions.
+pub fn gemm_a_bt_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], k: usize) {
+    input_gradient(kernel, a, b, out, k, PAR_MIN_MACS);
+}
+
+/// [`gemm_a_bt_f32`] with its hand-out threshold as a parameter.
+fn input_gradient(
+    kernel: Kernel,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    par_min_macs: usize,
+) {
+    assert_eq!(a.len() % k.max(1), 0, "gemm_a_bt_f32 lhs length mismatch");
+    assert_eq!(b.len() % k.max(1), 0, "gemm_a_bt_f32 rhs length mismatch");
+    let rows = a.len().checked_div(k).unwrap_or(0);
+    let cols = b.len().checked_div(k).unwrap_or(0);
+    assert_eq!(out.len(), rows * cols, "gemm_a_bt_f32 out length mismatch");
+    let out = Lanes(out.as_mut_ptr());
+    hand_out(
+        cols.div_ceil(BT_COLS),
+        rows * cols * k >= par_min_macs,
+        |p| {
+            for j in p * BT_COLS..(p * BT_COLS + BT_COLS).min(cols) {
+                let b_row = &b[j * k..(j + 1) * k];
+                for (r, a_row) in a.chunks_exact(k).enumerate() {
+                    // SAFETY: element `(r, j)` of the `rows x cols` matrix `out`;
+                    // column `j` is this part's alone.
+                    unsafe { *out.at(r * cols + j) = sdot(kernel, a_row, b_row) };
+                }
+            }
+        },
+    );
+}
+
+/// The constants of one Adam step (Kingma & Ba): moments decay by `beta1`
+/// and `beta2`, are divided by their bias corrections `1 - beta^t`, and the
+/// parameter moves by `lr` times the corrected ratio.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Adam {
+    /// First-moment decay.
+    pub beta1: f32,
+    /// Second-moment decay.
+    pub beta2: f32,
+    /// Added to the root of the second moment.
+    pub eps: f32,
+    /// `1 - beta1^t` at step `t`.
+    pub bias_correction1: f32,
+    /// `1 - beta2^t` at step `t`.
+    pub bias_correction2: f32,
+    /// The step's learning rate.
+    pub lr: f32,
+}
+
+/// One Adam update, in place: `m = m * b1 + g * (1 - b1)`,
+/// `v = v * b2 + g² * (1 - b2)`, `p -= (m / bc1) / (√(v / bc2) + eps) * lr`.
+///
+/// # Panics
+/// Panics unless all four slices have one length.
+pub fn adam_step(
+    kernel: Kernel,
+    adam: &Adam,
+    grad: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    param: &mut [f32],
+) {
+    assert!(
+        m.len() == grad.len() && v.len() == grad.len(),
+        "Adam moment length mismatch"
+    );
+    update(
+        kernel,
+        adam,
+        adam_chunk,
+        grad,
+        [m, v],
+        param,
+        PAR_MIN_PARAMS,
+    );
+}
+
+/// One SGD-with-momentum update, in place: `v = v * momentum + g`,
+/// `p -= v * lr`.
+///
+/// # Panics
+/// Panics unless all three slices have one length.
+pub fn momentum_step(
+    kernel: Kernel,
+    (momentum, lr): (f32, f32),
+    grad: &[f32],
+    velocity: &mut [f32],
+    param: &mut [f32],
+) {
+    assert_eq!(velocity.len(), grad.len(), "momentum length mismatch");
+    let hyper = (momentum, lr);
+    update(
+        kernel,
+        &hyper,
+        momentum_chunk,
+        grad,
+        [velocity, &mut []],
+        param,
+        PAR_MIN_PARAMS,
+    );
+}
+
+/// One plain SGD update, in place: `p -= g * lr`.
+///
+/// # Panics
+/// Panics unless both slices have one length.
+pub fn sgd_step(kernel: Kernel, lr: f32, grad: &[f32], param: &mut [f32]) {
+    update(
+        kernel,
+        &lr,
+        sgd_chunk,
+        grad,
+        [&mut [], &mut []],
+        param,
+        PAR_MIN_PARAMS,
+    );
+}
+
+#[inline(always)]
+fn adam_chunk(h: &Adam, g: &[f32], m: &mut [f32], v: &mut [f32], p: &mut [f32]) {
+    let zipped = m.iter_mut().zip(v.iter_mut()).zip(g.iter().zip(p));
+    for ((m, v), (&g, p)) in zipped {
+        *m = *m * h.beta1 + g * (1.0 - h.beta1);
+        *v = *v * h.beta2 + (g * g) * (1.0 - h.beta2);
+        let m_hat = *m / h.bias_correction1;
+        let v_hat = *v / h.bias_correction2;
+        *p -= m_hat / (v_hat.sqrt() + h.eps) * h.lr;
+    }
+}
+
+#[inline(always)]
+fn momentum_chunk(hyper: &(f32, f32), g: &[f32], v: &mut [f32], _: &mut [f32], p: &mut [f32]) {
+    let &(momentum, lr) = hyper;
+    for ((v, &g), p) in v.iter_mut().zip(g).zip(p) {
+        *v = *v * momentum + g;
+        *p -= *v * lr;
+    }
+}
+
+#[inline(always)]
+fn sgd_chunk(&lr: &f32, g: &[f32], _: &mut [f32], _: &mut [f32], p: &mut [f32]) {
+    for (&g, p) in g.iter().zip(p) {
+        *p -= g * lr;
+    }
+}
+
+/// Runs `body` — an optimizer update over one chunk: its constants, the
+/// gradient, up to two state streams (empty when unused) and the
+/// parameters — over [`CHUNK`]s, handed out from `par_min_params`, each on
+/// the widest vector unit the backend allows.
+fn update<H: Sync, F>(
+    kernel: Kernel,
+    hyper: &H,
+    body: F,
+    grad: &[f32],
+    state: [&mut [f32]; 2],
+    param: &mut [f32],
+    par_min_params: usize,
+) where
+    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]) + Copy + Sync + Send,
+{
+    let len = grad.len();
+    assert_eq!(param.len(), len, "optimizer parameter length mismatch");
+    let unit = match kernel {
+        Kernel::Avx2Fma if avx2_fma_available() => {
+            if super::int8::avx512f_available() {
+                Unit::Zmm
+            } else {
+                Unit::Ymm
+            }
+        }
+        _ => Unit::Scalar,
+    };
+    let [s0, s1] = state.map(|s| (Lanes(s.as_mut_ptr()), !s.is_empty()));
+    let param = Lanes(param.as_mut_ptr());
+    hand_out(len.div_ceil(CHUNK), len >= par_min_params, |c| {
+        let at = c * CHUNK..(c * CHUNK + CHUNK).min(len);
+        // SAFETY: chunk `at` of a stream of `len` floats — this part's
+        // alone — or nothing of an empty one.
+        let chunk = |(lanes, used): &(Lanes<f32>, bool)| unsafe {
+            match used {
+                true => std::slice::from_raw_parts_mut(lanes.at(at.start), at.len()),
+                false => &mut [],
+            }
+        };
+        let (g, s0, s1) = (&grad[at.clone()], chunk(&s0), chunk(&s1));
+        // SAFETY: as `chunk`, for the parameter stream.
+        let p = unsafe { std::slice::from_raw_parts_mut(param.at(at.start), at.len()) };
+        match unit {
+            // SAFETY: the unit was feature-checked above.
+            #[cfg(target_arch = "x86_64")]
+            Unit::Zmm => unsafe { chunk_zmm(body, hyper, g, s0, s1, p) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Unit::Ymm => unsafe { chunk_ymm(body, hyper, g, s0, s1, p) },
+            _ => body(hyper, g, s0, s1, p),
+        }
+    });
+}
+
+/// The vector unit an optimizer body is compiled for.
+#[derive(Clone, Copy)]
+enum Unit {
+    Scalar,
+    Ymm,
+    Zmm,
+}
+
+/// An optimizer body compiled for `avx512f`: `body` is an
+/// `#[inline(always)]` loop, inlined here and vectorised 16 lanes wide.
+///
+/// # Safety
+/// Requires `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn chunk_zmm<H, F>(body: F, h: &H, g: &[f32], s0: &mut [f32], s1: &mut [f32], p: &mut [f32])
+where
+    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]),
+{
+    body(h, g, s0, s1, p)
+}
+
+/// [`chunk_zmm`] for `avx2`, 8 lanes wide.
+///
+/// # Safety
+/// Requires `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn chunk_ymm<H, F>(body: F, h: &H, g: &[f32], s0: &mut [f32], s1: &mut [f32], p: &mut [f32])
+where
+    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]),
+{
+    body(h, g, s0, s1, p)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::int8::avx512f_available;
+    use super::super::packed::tests::{bits, pools, values};
+    use super::*;
+
+    /// Both kernels, but AVX2 only on hosts that have it.
+    fn kernels() -> Vec<Kernel> {
+        let mut ks = vec![Kernel::Scalar];
+        if avx2_fma_available() {
+            ks.push(Kernel::Avx2Fma);
+        }
+        ks
+    }
+
+    /// Every register tile this host can run, the 256-bit one on an AVX-512
+    /// host too.
+    fn tiles() -> Vec<(PackedWidth, TileFn)> {
+        let mut tiles = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2_fma_available() {
+                tiles.push((PackedWidth::Ymm, x86::rows_ymm as TileFn));
+            }
+            if avx512f_available() {
+                tiles.push((PackedWidth::Zmm, x86::rows_zmm as TileFn));
+            }
+        }
+        tiles
+    }
+
+    fn run_forward(
+        kernel: Kernel,
+        tile: Option<(PackedWidth, TileFn)>,
+        a: &[f32],
+        b: &[f32],
+        (m, n): (usize, usize),
+        par_min_macs: usize,
+    ) -> Vec<u32> {
+        // A dirty `out` proves every element is overwritten.
+        let mut out = vec![f32::NAN; a.len() / m * n];
+        forward(kernel, tile, a, b, &mut out, (m, n), par_min_macs);
+        bits(&out)
+    }
+
+    /// Why the k-block is free to choose: the walk (`gemm_f32_avx2`, its
+    /// `gemm_panel4_avx2` and `gemm_panel1_avx2`) gives bit-identical
+    /// results at any k-block and over any column range (one FMA chain per
+    /// element, lossless accumulator round-trips between blocks).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_walk_is_independent_of_the_k_block_and_the_column_range() {
+        if !avx2_fma_available() {
+            return;
+        }
+        let (rows, m, n) = (6usize, 50usize, 33usize);
+        let a = values(rows * m, 1, false);
+        let b = values(m * n, 2, false);
+        let walk = |k_block: usize, ranges: &[(usize, usize)]| {
+            let mut out = vec![0.0f32; rows * n];
+            for &cols in ranges {
+                // SAFETY: AVX2 + FMA were detected; `out` is `rows x n` and
+                // the ranges lie inside `0..n`.
+                let out = out.as_mut_ptr();
+                unsafe { super::super::gemm_f32_avx2(&a, &b, out, (rows, m, n), cols, k_block) };
+            }
+            bits(&out)
+        };
+        let want = walk(16, &[(0, n)]);
+        for k_block in [1usize, 8, 17, 32, 64, 1000] {
+            assert_eq!(walk(k_block, &[(0, n)]), want, "k_block={k_block}");
+            assert_eq!(
+                walk(k_block, &[(0, 9), (9, 24), (24, n)]),
+                want,
+                "k_block={k_block}"
+            );
+        }
+    }
+
+    #[test]
+    fn forward_backends_agree_within_fma_rounding() {
+        for (m, n) in [(1, 1), (3, 7), (8, 8), (5, 33), (16, 40), (7, 70)] {
+            let a = values(2 * m, 3, false);
+            let b = values(m * n, 4, false);
+            let mut want = vec![f32::NAN; 2 * n];
+            gemm_f32(Kernel::Scalar, &a, &b, &mut want, m, n);
+            for k in kernels() {
+                let mut out = vec![f32::NAN; 2 * n];
+                gemm_f32(k, &a, &b, &mut out, m, n);
+                for (got, w) in out.iter().zip(want.iter()) {
+                    assert!((got - w).abs() < 1e-4, "gemm {k:?} {m}x{n}: {got} vs {w}");
+                }
+            }
+        }
+    }
+
+    /// The vector forward is one FMA chain an element whatever runs it: the
+    /// register tiles (`rows_zmm`, `rows_ymm`, over panels of a row-major
+    /// `b`) for every row count from two on and the walk (every column,
+    /// one row at a time as the oracle) agree bit for bit, with NaN / ±Inf /
+    /// −0.0 data — and so do the scalar arm's batched and one-row calls.
+    #[test]
+    fn every_row_count_and_path_computes_one_chain_an_element() {
+        for (m, n) in [(1usize, 1usize), (7, 33), (37, 65), (56, 224)] {
+            let b = values(m * n, 5, true);
+            for rows in 0..=27usize {
+                let a = values(rows * m, 6 + rows as u64, true);
+                for kernel in kernels() {
+                    let one_row = |r: usize| {
+                        run_forward(kernel, None, &a[r * m..(r + 1) * m], &b, (m, n), usize::MAX)
+                    };
+                    let want: Vec<u32> = (0..rows).flat_map(one_row).collect();
+                    let walked = run_forward(kernel, None, &a, &b, (m, n), usize::MAX);
+                    assert_eq!(walked, want, "{kernel:?} walk rows={rows} {m}x{n}");
+                    if kernel == Kernel::Scalar {
+                        continue;
+                    }
+                    for (width, arm) in tiles() {
+                        let tiled =
+                            run_forward(kernel, Some((width, arm)), &a, &b, (m, n), usize::MAX);
+                        assert_eq!(tiled, want, "{width:?} rows={rows} {m}x{n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_scalar_forward_skips_exact_zero_terms() {
+        // A zero `a` term meets an infinite `b` without making a NaN, as the
+        // historical `axpy1_skip` did.
+        let a = [0.0f32, 1.0];
+        let b = [f32::INFINITY, f32::NEG_INFINITY, 2.0, -0.0];
+        let mut out = [f32::NAN; 2];
+        gemm_f32(Kernel::Scalar, &a, &b, &mut out, 2, 2);
+        assert_eq!(bits(&out), bits(&[2.0, 0.0]));
+    }
+
+    /// Claimed parts == one-thread parts, bit for bit, for every product of
+    /// this module: each shape with its parts handed out (threshold 0) on
+    /// pools 1, 2 and 3 wide, against the plain loop (threshold
+    /// `usize::MAX`), on both backends and every register tile.
+    #[test]
+    fn claimed_product_parts_equal_one_thread_parts_bitwise() {
+        let pools = pools();
+        let mut scratch = GradScratch::default();
+        for (rows, m, n) in [(1usize, 37usize, 300usize), (16, 70, 65), (9, 128, 33)] {
+            let a = values(rows * m, 7, true);
+            let b = values(m * n, 8, true);
+            let g = values(rows * n, 9, true);
+            for kernel in kernels() {
+                let mut arms = vec![None];
+                if kernel == Kernel::Avx2Fma {
+                    arms.extend(tiles().into_iter().map(Some));
+                }
+                for tile in arms {
+                    let products = |par_min_macs: usize, scratch: &mut GradScratch| {
+                        let forward = run_forward(kernel, tile, &a, &b, (m, n), par_min_macs);
+                        let mut at_b = vec![f32::NAN; m * n];
+                        let (dims, at_b_tile) = ((m, n), tile.or(vector_tile(kernel)));
+                        weight_gradient(at_b_tile, &a, &g, &mut at_b, dims, scratch, par_min_macs);
+                        let mut a_bt = vec![f32::NAN; rows * m];
+                        input_gradient(kernel, &g, &b, &mut a_bt, n, par_min_macs);
+                        [forward, bits(&at_b), bits(&a_bt)]
+                    };
+                    let one_thread = products(usize::MAX, &mut scratch);
+                    for (threads, pool) in &pools {
+                        let claimed = pool.install(|| products(0, &mut scratch));
+                        let case =
+                            format!("{kernel:?} {tile:?} {rows}x{m}x{n} on {threads} threads");
+                        assert_eq!(claimed, one_thread, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The historical weight gradient of one element: a chain over the
+    /// batch that skips zero `a` terms — `mul_add` for the FMA backend (what
+    /// the per-`(r, k)` AVX2 axpy computed), a rounded multiply and add for
+    /// the scalar one.
+    fn per_term_chain(fused: bool, a: &[f32], g: &[f32], (m, n): (usize, usize)) -> Vec<u32> {
+        let depth = a.len() / m;
+        let mut out = vec![0.0f32; m * n];
+        for (r, o_row) in out.chunks_exact_mut(n).enumerate() {
+            for k in 0..depth {
+                let av = a[k * m + r];
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &gv) in o_row.iter_mut().zip(&g[k * n..(k + 1) * n]) {
+                    *o = if fused {
+                        av.mul_add(gv, *o)
+                    } else {
+                        *o + av * gv
+                    };
+                }
+            }
+        }
+        bits(&out)
+    }
+
+    /// The weight gradient on every tile (`rows_zmm` / `rows_ymm` with
+    /// `skip` set where a row tile holds a zero) and the scalar arm equals
+    /// the per-term chain, NaN / ±Inf / ±0.0 included — and a zero term
+    /// neither turns an infinite gradient into NaN nor a −0.0 sum into +0.0.
+    #[test]
+    fn the_weight_gradient_is_the_historical_per_term_chain() {
+        let mut scratch = GradScratch::default();
+        let mut arms: Vec<_> = tiles().into_iter().map(Some).collect();
+        arms.push(None);
+        // Column 0: 1e-30 * -1e-30 underflows to -0.0 in a fused chain, and
+        // the skipped zero below it must leave the sign. Column 1: 0 * inf.
+        let edge_a = [1e-30f32, 1.0, 0.0, 0.0];
+        let edge_g = [-1e-30f32, 1.0, f32::INFINITY, f32::INFINITY];
+        for tile in arms {
+            let fused = tile.is_some();
+            let mut out = vec![f32::NAN; 4];
+            weight_gradient(tile, &edge_a, &edge_g, &mut out, (2, 2), &mut scratch, 0);
+            assert_eq!(
+                bits(&out),
+                per_term_chain(fused, &edge_a, &edge_g, (2, 2)),
+                "{tile:?}"
+            );
+            assert!(out.iter().all(|v| !v.is_nan()), "{tile:?}: {out:?}");
+            for (depth, m, n) in [
+                (1usize, 1usize, 1usize),
+                (16, 37, 65),
+                (8, 13, 33),
+                (5, 24, 17),
+            ] {
+                for specials in [false, true] {
+                    let a = values(depth * m, 11 + depth as u64, specials);
+                    let g = values(depth * n, 12 + n as u64, specials);
+                    let mut out = vec![f32::NAN; m * n];
+                    weight_gradient(tile, &a, &g, &mut out, (m, n), &mut scratch, usize::MAX);
+                    // Which NaN an add of two NaNs returns is the compiler's
+                    // choice of operand order, in the oracle as anywhere.
+                    let quiet = |v: u32| {
+                        if f32::from_bits(v).is_nan() {
+                            u32::MAX
+                        } else {
+                            v
+                        }
+                    };
+                    let got: Vec<u32> = bits(&out).into_iter().map(quiet).collect();
+                    let want: Vec<u32> = per_term_chain(fused, &a, &g, (m, n))
+                        .into_iter()
+                        .map(quiet)
+                        .collect();
+                    assert_eq!(got, want, "{tile:?} {depth}x{m}x{n} specials={specials}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_input_gradient_is_one_sdot_an_element() {
+        let (rows, k, cols) = (5usize, 45usize, 37usize);
+        let a = values(rows * k, 13, true);
+        let b = values(cols * k, 14, true);
+        for kernel in kernels() {
+            let want: Vec<f32> = a
+                .chunks_exact(k)
+                .flat_map(|a_row| b.chunks_exact(k).map(|b_row| sdot(kernel, a_row, b_row)))
+                .collect();
+            let mut out = vec![f32::NAN; rows * cols];
+            gemm_a_bt_f32(kernel, &a, &b, &mut out, k);
+            assert_eq!(bits(&out), bits(&want), "{kernel:?}");
+        }
+    }
+
+    /// The public entries one part either side of [`PAR_MIN_MACS`] (and the
+    /// forward one row either side of [`TILE_MIN_ROWS`] at the 545 x 1452
+    /// tail's shape, where one row is past the threshold) on pools of every
+    /// width, against the one-thread loop.
+    #[test]
+    fn the_products_are_the_same_on_both_sides_of_the_threshold() {
+        let pools = pools();
+        let mut scratch = GradScratch::default();
+        let (m, n) = (64usize, 1452usize);
+        let below = (PAR_MIN_MACS - 1) / (m * n);
+        assert!(below >= TILE_MIN_ROWS && (below + 1) * m * n >= PAR_MIN_MACS);
+        let cases = [
+            (below, m, n),
+            (below + 1, m, n),
+            (1, 545, 1452),
+            (2, 545, 1452),
+        ];
+        for kernel in kernels() {
+            for (rows, m, n) in cases {
+                let a = values(rows * m, 15, false);
+                let b = values(m * n, 16, false);
+                let g = values(rows * n, 17, false);
+                let one_thread = {
+                    let forward =
+                        run_forward(kernel, vector_tile(kernel), &a, &b, (m, n), usize::MAX);
+                    let mut at_b = vec![f32::NAN; m * n];
+                    let tile = vector_tile(kernel);
+                    weight_gradient(tile, &a, &g, &mut at_b, (m, n), &mut scratch, usize::MAX);
+                    let mut a_bt = vec![f32::NAN; rows * m];
+                    input_gradient(kernel, &g, &b, &mut a_bt, n, usize::MAX);
+                    [forward, bits(&at_b), bits(&a_bt)]
+                };
+                for (threads, pool) in &pools {
+                    let served = pool.install(|| {
+                        let mut forward = vec![f32::NAN; rows * n];
+                        gemm_f32(kernel, &a, &b, &mut forward, m, n);
+                        let mut at_b = vec![f32::NAN; m * n];
+                        gemm_at_b_f32(kernel, &a, &g, &mut at_b, (m, n), &mut scratch);
+                        let mut a_bt = vec![f32::NAN; rows * m];
+                        gemm_a_bt_f32(kernel, &g, &b, &mut a_bt, n);
+                        [bits(&forward), bits(&at_b), bits(&a_bt)]
+                    });
+                    let case = format!("{kernel:?} {rows}x{m}x{n} on {threads} threads");
+                    assert_eq!(served, one_thread, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Every optimizer update, handed out in chunks (from threshold 0 and
+    /// through the public entries either side of [`PAR_MIN_PARAMS`]) on
+    /// pools of every width and run on each vector unit (`chunk_zmm`,
+    /// `chunk_ymm`), equals its scalar loop over the whole slice, bit for
+    /// bit.
+    #[test]
+    fn claimed_optimizer_chunks_equal_the_one_thread_scalar_loop() {
+        let pools = pools();
+        let adam = Adam {
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            bias_correction1: 1.0 - 0.9f32.powi(3),
+            bias_correction2: 1.0 - 0.999f32.powi(3),
+            lr: 1e-3,
+        };
+        let lens = [
+            0usize,
+            1,
+            17,
+            CHUNK + 3,
+            PAR_MIN_PARAMS - 1,
+            PAR_MIN_PARAMS + 5,
+        ];
+        for len in lens {
+            let g = values(len, 18, false);
+            let start = |seed: u64| -> [Vec<f32>; 3] {
+                let second: Vec<f32> = values(len, seed + 1, false)
+                    .iter()
+                    .map(|v| v.abs())
+                    .collect();
+                [
+                    values(len, seed, false),
+                    second,
+                    values(len, seed + 2, false),
+                ]
+            };
+            // [first state, second state, parameters] after each update.
+            type Run<'a> = &'a (dyn Fn(Kernel, &mut [Vec<f32>; 3], usize) + Sync);
+            let adam_run: Run =
+                &|kernel, [m, v, p], par| update(kernel, &adam, adam_chunk, &g, [m, v], p, par);
+            let momentum_run: Run = &|kernel, [v, _, p], par| {
+                update(
+                    kernel,
+                    &(0.9, 0.01),
+                    momentum_chunk,
+                    &g,
+                    [v, &mut []],
+                    p,
+                    par,
+                )
+            };
+            let sgd_run: Run = &|kernel, [_, _, p], par| {
+                update(kernel, &0.01, sgd_chunk, &g, [&mut [], &mut []], p, par)
+            };
+            let public: Run = &|kernel, [m, v, p], _| {
+                adam_step(kernel, &adam, &g, m, v, p);
+                momentum_step(kernel, (0.9, 0.01), &g, m, p);
+                sgd_step(kernel, 0.01, &g, v);
+            };
+            for (name, run) in [
+                ("adam", adam_run),
+                ("momentum", momentum_run),
+                ("sgd", sgd_run),
+                ("public", public),
+            ] {
+                let mut want = start(19);
+                run(Kernel::Scalar, &mut want, usize::MAX);
+                let want = want.each_ref().map(|v| bits(v));
+                for kernel in kernels() {
+                    for (threads, pool) in &pools {
+                        let mut got = start(19);
+                        pool.install(|| run(kernel, &mut got, 0));
+                        let got = got.each_ref().map(|v| bits(v));
+                        assert_eq!(
+                            got, want,
+                            "{name} {kernel:?} len={len} on {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

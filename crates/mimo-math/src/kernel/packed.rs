@@ -197,28 +197,46 @@ impl PackedRhs {
     }
 }
 
-/// The operands of one register tile: `mr` rows of `a` against one packed
-/// panel, producing `acc + bias` in the first `cols` columns of `mr` rows of
-/// `out`.
+/// The operands of one register tile: `mr` rows of `a` against one panel,
+/// producing `acc + bias` in the first `cols` columns of `mr` rows of `out`.
+///
+/// The panel is `m` rows of `NR` floats, `stride` floats apart: a packed
+/// panel (`stride == NR`), `NR` columns of a row-major right-hand side
+/// (`stride == n`, [`super::dense`]'s forward product) or a packed gradient
+/// ([`super::dense::gemm_at_b_f32`]). A caller with no bias passes
+/// [`NO_BIAS`]: `x + -0.0` is `x` for every `x`, signed zeros and NaNs
+/// included, so the store is the chain's own bits.
 ///
 /// A tile function's caller vouches that `a` is valid for `mr` rows of `m`
-/// floats, `panel` for `m * NR`, `bias` for `cols` and `out` for `cols`
-/// floats in each of `mr` rows `n` apart, with `1 <= mr <= MR` and
-/// `cols <= NR` for the arm's `MR x NR`.
+/// floats, `panel` for `m` rows of `NR` floats `stride` apart, `bias` for
+/// `cols` and `out` for `cols` floats in each of `mr` rows `n` apart, with
+/// `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
 #[derive(Clone, Copy)]
-struct Tile {
-    a: *const f32,
+pub(super) struct Tile {
+    pub(super) a: *const f32,
     /// Row stride of `a` and depth of the panel.
-    m: usize,
-    panel: *const f32,
-    bias: *const f32,
-    out: *mut f32,
+    pub(super) m: usize,
+    pub(super) panel: *const f32,
+    /// Floats from one panel row to the next.
+    pub(super) stride: usize,
+    /// Floats from a panel row to the line the tile prefetches while it
+    /// runs that row (a hint: it may point past every buffer).
+    pub(super) ahead: usize,
+    pub(super) bias: *const f32,
+    pub(super) out: *mut f32,
     /// Row stride of `out`.
-    n: usize,
-    cols: usize,
+    pub(super) n: usize,
+    pub(super) cols: usize,
+    /// Skip the terms whose `a` is an exact zero, as the row-major scalar
+    /// arm and the historical weight gradient do: `0 * inf` and `-0 + 0`
+    /// would otherwise reach the chain.
+    pub(super) skip: bool,
 }
 
-type TileFn = unsafe fn(mr: usize, tile: Tile);
+/// A bias of `-0.0`s, one full panel wide: the identity epilogue.
+pub(super) static NO_BIAS: [f32; 32] = [-0.0; 32];
+
+pub(super) type TileFn = unsafe fn(mr: usize, tile: Tile);
 
 /// The output matrix of a product whose panels are handed out: every thread
 /// that runs a panel writes through the one pointer, each to its panel's
@@ -242,8 +260,9 @@ impl<T> Lanes<T> {
 
 /// The product size, in multiply-adds, from which [`gemm_f32_packed`] hands
 /// its panels out through the pool (see the README's kernel section for the
-/// measured fork-join cost behind it).
-const PAR_MIN_MACS: usize = 1 << 19;
+/// measured fork-join cost behind it); the row-major products of
+/// [`super::dense`] share it.
+pub(super) const PAR_MIN_MACS: usize = 1 << 19;
 
 /// Fused dense product `out = act(a * b + bias)`: `a` is `rows x m`
 /// row-major, `b` the packed `m x n` right-hand side, `bias` has `n` entries
@@ -302,12 +321,17 @@ fn product<F: Fn(f32) -> f32 + Sync>(
                 a: a[r * m..(r + mr) * m].as_ptr(),
                 m,
                 panel: panel.as_ptr(),
+                stride: nr,
+                // The same row of the next panel: a batch of one tile meets
+                // every panel cold.
+                ahead: m * nr,
                 bias: bias[j0..j0 + cols].as_ptr(),
                 // SAFETY: row `r < rows`, column `j0 < n` of the `rows x n`
                 // matrix `out` points to.
                 out: unsafe { out.at(r * n + j0) },
                 n,
                 cols,
+                skip: false,
             };
             // The tile's lanes are `cols <= n - j0` in each of `mr <= rows - r`
             // rows `n` apart: columns of panel `p`, which no other thread runs.
@@ -346,7 +370,10 @@ unsafe fn tile_portable<const NR: usize>(mr: usize, t: Tile) {
             for k in 0..t.m {
                 // SAFETY: `r < mr`, `k < m`, `c < cols <= NR`: inside the
                 // ranges the caller vouches for.
-                acc = unsafe { (*t.a.add(r * t.m + k)).mul_add(*t.panel.add(k * NR + c), acc) };
+                let (av, bv) = unsafe { (*t.a.add(r * t.m + k), *t.panel.add(k * t.stride + c)) };
+                if !(t.skip && av == 0.0) {
+                    acc = av.mul_add(bv, acc);
+                }
             }
             // SAFETY: as above; `out` rows are `n` apart.
             unsafe { *t.out.add(r * t.n + c) = acc + *t.bias.add(c) };
@@ -355,14 +382,15 @@ unsafe fn tile_portable<const NR: usize>(mr: usize, t: Tile) {
 }
 
 #[cfg(target_arch = "x86_64")]
-mod x86 {
+pub(super) mod x86 {
     use super::Tile;
     use core::arch::x86_64::{
-        __m256, __m512, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_loadu_ps,
-        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_set1_epi32, _mm256_set1_ps,
-        _mm256_setr_epi32, _mm256_setzero_ps, _mm512_add_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
+        __m256, __m512, _mm256_add_ps, _mm256_blendv_ps, _mm256_cmp_ps, _mm256_cmpgt_epi32,
+        _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm512_add_ps,
+        _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask3_fmadd_ps,
         _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm_prefetch, _MM_HINT_T1,
+        _mm_prefetch, _CMP_NEQ_UQ, _MM_HINT_T1,
     };
 
     /// `mr <= 12` rows against one 32-float panel.
@@ -371,22 +399,36 @@ mod x86 {
     /// Requires `avx512f`; `t` must satisfy [`Tile`]'s contract for `mr` rows
     /// at `12 x 32`.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn rows_zmm(mr: usize, t: Tile) {
-        // SAFETY: the caller's contract is `tile_zmm::<mr>`'s.
-        unsafe { tile_by_rows!(tile_zmm(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12]) }
+    pub(in crate::kernel) unsafe fn rows_zmm(mr: usize, t: Tile) {
+        // SAFETY: the caller's contract is `tile_zmm::<mr, _>`'s.
+        unsafe {
+            if t.skip {
+                tile_by_rows!(tile_zmm::<_, true>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
+            } else {
+                tile_by_rows!(tile_zmm::<_, false>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
+            }
+        }
     }
 
     /// The 512-bit microkernel: an `MR x 32` accumulator tile (two zmm per
     /// row) held in registers over the whole `k` range; each `k` loads the
     /// panel row once and feeds `2 * MR` FMA chains from `MR` broadcasts.
+    /// With `SKIP`, a row's two FMAs are masked off where its `a` is zero.
     /// Columns past `cols` are masked out of the bias load and the store.
     ///
     /// # Safety
     /// As [`rows_zmm`], with `mr == MR`.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile_zmm<const MR: usize>(t: Tile) {
-        let Tile { a, m, panel, .. } = t;
+    unsafe fn tile_zmm<const MR: usize, const SKIP: bool>(t: Tile) {
+        let Tile {
+            a,
+            m,
+            panel,
+            stride,
+            ahead,
+            ..
+        } = t;
         let mask = ((1u64 << t.cols) - 1) as u32;
         let masks = [mask as u16, (mask >> 16) as u16];
         let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
@@ -395,16 +437,22 @@ mod x86 {
         // `cols` lanes — all inside the ranges the caller vouches for.
         unsafe {
             for k in 0..m {
-                let b0 = _mm512_loadu_ps(panel.add(k * 32));
-                let b1 = _mm512_loadu_ps(panel.add(k * 32 + 16));
-                // The same row of the next panel: a batch of one tile meets
-                // every panel cold, and a hint never faults past the end.
-                _mm_prefetch::<_MM_HINT_T1>(panel.wrapping_add((m + k) * 32).cast());
-                _mm_prefetch::<_MM_HINT_T1>(panel.wrapping_add((m + k) * 32 + 16).cast());
+                let row = panel.add(k * stride);
+                let b0 = _mm512_loadu_ps(row);
+                let b1 = _mm512_loadu_ps(row.add(16));
+                // A hint never faults past the end.
+                _mm_prefetch::<_MM_HINT_T1>(row.wrapping_add(ahead).cast());
+                _mm_prefetch::<_MM_HINT_T1>(row.wrapping_add(ahead + 16).cast());
                 for (r, acc_row) in acc.iter_mut().enumerate() {
                     let av = _mm512_set1_ps(*a.add(r * m + k));
-                    acc_row[0] = _mm512_fmadd_ps(av, b0, acc_row[0]);
-                    acc_row[1] = _mm512_fmadd_ps(av, b1, acc_row[1]);
+                    if SKIP {
+                        let live = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(av, _mm512_setzero_ps());
+                        acc_row[0] = _mm512_mask3_fmadd_ps(av, b0, acc_row[0], live);
+                        acc_row[1] = _mm512_mask3_fmadd_ps(av, b1, acc_row[1], live);
+                    } else {
+                        acc_row[0] = _mm512_fmadd_ps(av, b0, acc_row[0]);
+                        acc_row[1] = _mm512_fmadd_ps(av, b1, acc_row[1]);
+                    }
                 }
             }
             let bias0 = _mm512_maskz_loadu_ps(masks[0], t.bias);
@@ -426,19 +474,33 @@ mod x86 {
     /// Requires `avx2` and `fma`; `t` must satisfy [`Tile`]'s contract for
     /// `mr` rows at `6 x 16`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn rows_ymm(mr: usize, t: Tile) {
-        // SAFETY: the caller's contract is `tile_ymm::<mr>`'s.
-        unsafe { tile_by_rows!(tile_ymm(t), mr, [1 2 3 4 5 6]) }
+    pub(in crate::kernel) unsafe fn rows_ymm(mr: usize, t: Tile) {
+        // SAFETY: the caller's contract is `tile_ymm::<mr, _>`'s.
+        unsafe {
+            if t.skip {
+                tile_by_rows!(tile_ymm::<_, true>(t), mr, [1 2 3 4 5 6])
+            } else {
+                tile_by_rows!(tile_ymm::<_, false>(t), mr, [1 2 3 4 5 6])
+            }
+        }
     }
 
-    /// The 256-bit microkernel: [`tile_zmm`] at `MR x 16` on ymm registers.
+    /// The 256-bit microkernel: [`tile_zmm`] at `MR x 16` on ymm registers
+    /// (with `SKIP`, the FMA is blended away where `a` is zero).
     ///
     /// # Safety
     /// As [`rows_ymm`], with `mr == MR`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile_ymm<const MR: usize>(t: Tile) {
-        let Tile { a, m, panel, .. } = t;
+    unsafe fn tile_ymm<const MR: usize, const SKIP: bool>(t: Tile) {
+        let Tile {
+            a,
+            m,
+            panel,
+            stride,
+            ahead,
+            ..
+        } = t;
         let limit = _mm256_set1_epi32(t.cols as i32);
         let masks = [
             _mm256_cmpgt_epi32(limit, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
@@ -451,13 +513,22 @@ mod x86 {
         // memory) — all inside the ranges the caller vouches for.
         unsafe {
             for k in 0..m {
-                let b0 = _mm256_loadu_ps(panel.add(k * 16));
-                let b1 = _mm256_loadu_ps(panel.add(k * 16 + 8));
-                _mm_prefetch::<_MM_HINT_T1>(panel.wrapping_add((m + k) * 16).cast());
+                let row = panel.add(k * stride);
+                let b0 = _mm256_loadu_ps(row);
+                let b1 = _mm256_loadu_ps(row.add(8));
+                _mm_prefetch::<_MM_HINT_T1>(row.wrapping_add(ahead).cast());
                 for (r, acc_row) in acc.iter_mut().enumerate() {
                     let av = _mm256_set1_ps(*a.add(r * m + k));
-                    acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
-                    acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
+                    let fma0 = _mm256_fmadd_ps(av, b0, acc_row[0]);
+                    let fma1 = _mm256_fmadd_ps(av, b1, acc_row[1]);
+                    if SKIP {
+                        let live = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, _mm256_setzero_ps());
+                        acc_row[0] = _mm256_blendv_ps(acc_row[0], fma0, live);
+                        acc_row[1] = _mm256_blendv_ps(acc_row[1], fma1, live);
+                    } else {
+                        acc_row[0] = fma0;
+                        acc_row[1] = fma1;
+                    }
                 }
             }
             let bias0 = _mm256_maskload_ps(t.bias, masks[0]);
@@ -494,7 +565,7 @@ pub(super) mod tests {
 
     /// SplitMix64-driven values in `(-1, 1)`; with `specials`, about one in
     /// sixteen is NaN, an infinity or a signed zero.
-    fn values(len: usize, seed: u64, specials: bool) -> Vec<f32> {
+    pub(in crate::kernel) fn values(len: usize, seed: u64, specials: bool) -> Vec<f32> {
         const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
         let mut state = seed;
         (0..len)
@@ -513,7 +584,7 @@ pub(super) mod tests {
             .collect()
     }
 
-    fn bits(values: &[f32]) -> Vec<u32> {
+    pub(in crate::kernel) fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
@@ -582,9 +653,10 @@ pub(super) mod tests {
     }
 
     /// Every const-generic instance of both microkernels (`rows_zmm` →
-    /// `tile_zmm::<1..=12>`, `rows_ymm` → `tile_ymm::<1..=6>`) at every
-    /// partial-panel width, against the portable tile — and the lanes past
-    /// `cols`, like the rows past `mr`, must keep what they held.
+    /// `tile_zmm::<1..=12, _>`, `rows_ymm` → `tile_ymm::<1..=6, _>`) at every
+    /// partial-panel width, with and without the zero skip, on a panel whose
+    /// rows lie `stride > NR` apart, against the portable tile — and the
+    /// lanes past `cols`, like the rows past `mr`, must keep what they held.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_register_tile_matches_the_portable_tile_and_stays_inside_its_mask() {
@@ -612,34 +684,39 @@ pub(super) mod tests {
             // One spare row and `nr` spare columns of guard around the tile.
             let n = 2 * nr;
             let a = values(mr_max * m, 11, true);
-            let panel = values(m * nr, 12, true);
+            let stride = nr + 3;
+            let panel = values(m * stride, 12, true);
             let bias = values(nr, 13, false);
-            for mr in 1..=mr_max {
-                for cols in 1..=nr {
-                    let run = |arm: TileFn| {
-                        let mut out = vec![GUARD; (mr_max + 1) * n];
-                        let tile = Tile {
-                            a: a.as_ptr(),
-                            m,
-                            panel: panel.as_ptr(),
-                            bias: bias[..cols].as_ptr(),
-                            out: out.as_mut_ptr(),
-                            n,
-                            cols,
-                        };
-                        // SAFETY: `vector` runs only when its features were
-                        // detected above; `a` holds `mr_max >= mr` rows of
-                        // `m`, `panel` `m * nr`, `bias` `nr >= cols`, and
-                        // `out` `mr_max + 1` rows of stride `n >= cols`.
-                        unsafe { arm(mr, tile) };
-                        bits(&out)
+            for (mr, cols, skip) in (1..=mr_max)
+                .flat_map(|mr| (1..=nr).flat_map(move |cols| [(mr, cols, false), (mr, cols, true)]))
+            {
+                let run = |arm: TileFn| {
+                    let mut out = vec![GUARD; (mr_max + 1) * n];
+                    let tile = Tile {
+                        a: a.as_ptr(),
+                        m,
+                        panel: panel.as_ptr(),
+                        stride,
+                        ahead: m * stride,
+                        bias: bias[..cols].as_ptr(),
+                        out: out.as_mut_ptr(),
+                        n,
+                        cols,
+                        skip,
                     };
-                    let got = run(vector);
-                    assert_eq!(got, run(portable), "{width:?} mr={mr} cols={cols}");
-                    for (i, &v) in got.iter().enumerate() {
-                        if i / n >= mr || i % n >= cols {
-                            assert_eq!(v, GUARD.to_bits(), "{width:?} mr={mr} cols={cols} @{i}");
-                        }
+                    // SAFETY: `vector` runs only when its features were
+                    // detected above; `a` holds `mr_max >= mr` rows of `m`,
+                    // `panel` `m` rows of `stride >= nr`, `bias` `nr >= cols`,
+                    // and `out` `mr_max + 1` rows of stride `n >= cols`.
+                    unsafe { arm(mr, tile) };
+                    bits(&out)
+                };
+                let got = run(vector);
+                let case = format!("{width:?} mr={mr} cols={cols} skip={skip}");
+                assert_eq!(got, run(portable), "{case}");
+                for (i, &v) in got.iter().enumerate() {
+                    if i / n >= mr || i % n >= cols {
+                        assert_eq!(v, GUARD.to_bits(), "{case} @{i}");
                     }
                 }
             }

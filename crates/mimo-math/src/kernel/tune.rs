@@ -1,13 +1,13 @@
 //! Blocking parameters of the row-major f32 GEMM.
 //!
-//! The row-major f32 arm ([`super::gemm_f32`]: training, the batch-1 head)
-//! blocks its inner-dimension loop so the streamed weight rows stay
-//! cache-resident across the batch. The block depth is a shipped constant,
-//! not a startup measurement: its readers are a training product and a
-//! bandwidth-bound batch-1 product, and the served tails read nothing from
-//! here — both the f32 and the int8 tier are packed at bind and hold their
+//! The walk of the row-major f32 arm ([`super::gemm_f32`] at one row — the
+//! batch-1 head — and past its last whole panel) blocks its inner-dimension
+//! loop so the streamed weight rows stay cache-resident across the batch.
+//! The block depth is a shipped constant, not a startup measurement: its
+//! reader is a bandwidth-bound batch-1 product, and everything else reads
+//! nothing from here — the served tails and the training products hold their
 //! tile in registers over the whole depth ([`super::packed`],
-//! [`super::int8`]).
+//! [`super::int8`], [`super::dense`]).
 //!
 //! The block depth can never change *results*, only speed: the f32 AVX2 arm
 //! keeps one FMA chain per output element whose accumulator round-trips

@@ -2,6 +2,7 @@
 
 use crate::tensor::Matrix;
 use mimo_math::kernel::packed::{gemm_f32_packed, PackedRhs, PackedWidth};
+use mimo_math::kernel::{self, GradScratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -221,7 +222,7 @@ impl Dense {
             &cache.input,
             &cache.pre_activation,
             grad_output,
-            &mut grad_pre,
+            (&mut grad_pre, &mut GradScratch::default()),
             &mut grads,
             Some(&mut grad_input),
         );
@@ -235,15 +236,16 @@ impl Dense {
     /// parameter gradients and (unless this is the first layer,
     /// `grad_input == None`) the gradient with respect to the layer input.
     /// The weight and input gradients use the transpose-free kernels
-    /// ([`Matrix::matmul_at_b_into`], [`Matrix::matmul_a_bt_into`]) instead of
-    /// materializing `input^T` / `W^T` per step; results are bit-identical to
-    /// the allocating formulation.
+    /// ([`Matrix::matmul_at_b_into_with`], [`Matrix::matmul_a_bt_into`])
+    /// instead of materializing `input^T` / `W^T` per step — the former's
+    /// batch-sized scratch is the caller's, beside `grad_pre`; results are
+    /// bit-identical to the allocating formulation.
     pub fn backward_into(
         &self,
         input: &Matrix,
         pre_activation: &Matrix,
         grad_output: &Matrix,
-        grad_pre: &mut Matrix,
+        (grad_pre, scratch): (&mut Matrix, &mut GradScratch),
         grads: &mut DenseGradients,
         grad_input: Option<&mut Matrix>,
     ) {
@@ -255,7 +257,7 @@ impl Dense {
         {
             *g *= self.activation.derivative_eval(p);
         }
-        input.matmul_at_b_into(grad_pre, &mut grads.weights);
+        input.matmul_at_b_into_with(grad_pre, &mut grads.weights, kernel::selected(), scratch);
         grads.bias.sum_rows_into(grad_pre);
         if let Some(grad_input) = grad_input {
             grad_pre.matmul_a_bt_into(&self.weights, grad_input);
@@ -432,7 +434,7 @@ mod tests {
             &x,
             &cache.pre_activation,
             &y,
-            &mut grad_pre,
+            (&mut grad_pre, &mut GradScratch::default()),
             &mut grads2,
             Some(&mut grad_input2),
         );

@@ -5,6 +5,7 @@ use crate::layer::DenseCache;
 use crate::layer::{Activation, Dense, DenseGradients};
 use crate::tensor::Matrix;
 use crate::NeuralError;
+use mimo_math::kernel::GradScratch;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -267,6 +268,7 @@ impl Network {
             grad_ping,
             grad_pong,
             grad_pre,
+            gradient,
             grads,
         } = scratch;
         debug_assert_eq!(
@@ -287,7 +289,7 @@ impl Network {
                 layer_input,
                 &pre_activations[i],
                 grad_out,
-                grad_pre,
+                (&mut *grad_pre, &mut *gradient),
                 &mut grads[i],
                 grad_in,
             );
@@ -325,13 +327,15 @@ impl Network {
 }
 
 /// Reusable buffers for one training loop: per-layer activations and
-/// pre-activations, gradient ping-pong buffers and per-layer parameter
+/// pre-activations, gradient ping-pong buffers, the weight-gradient
+/// product's transposed input and packed gradient, and per-layer parameter
 /// gradients.
 ///
 /// Holding one `TrainScratch` across batches and epochs eliminates the
 /// per-batch clone/allocation churn of the original loop — after the first
 /// batch of the largest batch size, a training step performs no heap
-/// allocation.
+/// allocation. Apart from the parameter gradients every buffer is
+/// batch-sized.
 #[derive(Debug)]
 pub(crate) struct TrainScratch {
     pub(crate) pre_activations: Vec<Matrix>,
@@ -339,6 +343,7 @@ pub(crate) struct TrainScratch {
     pub(crate) grad_ping: Matrix,
     pub(crate) grad_pong: Matrix,
     pub(crate) grad_pre: Matrix,
+    pub(crate) gradient: GradScratch,
     pub(crate) grads: Vec<DenseGradients>,
 }
 
@@ -350,6 +355,7 @@ impl TrainScratch {
             grad_ping: Matrix::zeros(1, 1),
             grad_pong: Matrix::zeros(1, 1),
             grad_pre: Matrix::zeros(1, 1),
+            gradient: GradScratch::default(),
             grads: Vec::new(),
         }
     }

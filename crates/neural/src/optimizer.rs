@@ -8,6 +8,7 @@
 use crate::layer::DenseGradients;
 use crate::network::Network;
 use crate::tensor::Matrix;
+use mimo_math::kernel;
 use serde::{Deserialize, Serialize};
 
 /// Optimizer selection plus hyper-parameters.
@@ -108,11 +109,14 @@ impl Optimizer {
     /// Applies one gradient step to `network`, scaling the base learning rate by
     /// `lr_factor` (from the schedule).
     ///
-    /// All optimizer state is updated in place and parameters are adjusted with
-    /// fused `p -= update * lr` sweeps, so a step performs no heap allocation
-    /// after the state matrices exist. The element-wise arithmetic matches the
-    /// original allocating formulation, keeping training trajectories
-    /// bit-identical.
+    /// All optimizer state is updated in place by the kernels of
+    /// [`mimo_math::kernel`] ([`kernel::adam_step`],
+    /// [`kernel::momentum_step`], [`kernel::sgd_step`]): one fused sweep a
+    /// parameter matrix, handed out to the pool in chunks from 2^16
+    /// parameters and compiled for the widest vector unit, so a step performs
+    /// no heap allocation after the state matrices exist. The element-wise
+    /// arithmetic matches the original allocating formulation, keeping
+    /// training trajectories bit-identical at every pool width.
     ///
     /// # Panics
     /// Panics if `grads.len()` differs from the number of network layers.
@@ -123,90 +127,71 @@ impl Optimizer {
             "gradient count must match layer count"
         );
         self.step_count += 1;
+        let kern = kernel::selected();
         let lr = self.kind.learning_rate() * lr_factor;
+        let layers = network.layers_mut().iter_mut().zip(grads);
         match self.kind {
             OptimizerKind::Sgd { momentum, .. } => {
-                for ((layer, grad), state) in network
-                    .layers_mut()
-                    .iter_mut()
-                    .zip(grads.iter())
-                    .zip(self.state.iter_mut())
-                {
-                    if momentum > 0.0 {
-                        // v <- v * momentum + g, in place; p <- p - v * lr.
-                        let vel_w = state.momentum_w.get_or_insert_with(|| {
-                            Matrix::zeros(grad.weights.rows(), grad.weights.cols())
-                        });
-                        for (v, &g) in vel_w.as_mut_slice().iter_mut().zip(grad.weights.as_slice())
-                        {
-                            *v = *v * momentum + g;
+                for ((layer, grad), state) in layers.zip(self.state.iter_mut()) {
+                    let params = [
+                        (&mut layer.weights, &grad.weights, &mut state.momentum_w),
+                        (&mut layer.bias, &grad.bias, &mut state.momentum_b),
+                    ];
+                    for (param, grad, velocity) in params {
+                        let (g, p) = (grad.as_slice(), param.as_mut_slice());
+                        if momentum > 0.0 {
+                            // v <- v * momentum + g; p <- p - v * lr.
+                            let v = velocity.get_or_insert_with(|| zeros_like(grad));
+                            kernel::momentum_step(kern, (momentum, lr), g, v.as_mut_slice(), p);
+                        } else {
+                            kernel::sgd_step(kern, lr, g, p);
                         }
-                        layer.weights.sub_scaled_assign(vel_w, lr);
-                        let vel_b = state
-                            .momentum_b
-                            .get_or_insert_with(|| Matrix::zeros(1, grad.bias.cols()));
-                        for (v, &g) in vel_b.as_mut_slice().iter_mut().zip(grad.bias.as_slice()) {
-                            *v = *v * momentum + g;
-                        }
-                        layer.bias.sub_scaled_assign(vel_b, lr);
-                    } else {
-                        layer.weights.sub_scaled_assign(&grad.weights, lr);
-                        layer.bias.sub_scaled_assign(&grad.bias, lr);
                     }
                 }
             }
             OptimizerKind::Adam { .. } => {
                 const BETA1: f32 = 0.9;
                 const BETA2: f32 = 0.999;
-                const EPS: f32 = 1e-8;
                 let t = self.step_count as i32;
-                let bias_correction1 = 1.0 - BETA1.powi(t);
-                let bias_correction2 = 1.0 - BETA2.powi(t);
-                for ((layer, grad), state) in network
-                    .layers_mut()
-                    .iter_mut()
-                    .zip(grads.iter())
-                    .zip(self.state.iter_mut())
-                {
+                let adam = kernel::Adam {
+                    beta1: BETA1,
+                    beta2: BETA2,
+                    eps: 1e-8,
+                    bias_correction1: 1.0 - BETA1.powi(t),
+                    bias_correction2: 1.0 - BETA2.powi(t),
+                    lr,
+                };
+                for ((layer, grad), state) in layers.zip(self.state.iter_mut()) {
+                    let params = [
+                        (
+                            &mut layer.weights,
+                            &grad.weights,
+                            &mut state.adam_m_w,
+                            &mut state.adam_v_w,
+                        ),
+                        (
+                            &mut layer.bias,
+                            &grad.bias,
+                            &mut state.adam_m_b,
+                            &mut state.adam_v_b,
+                        ),
+                    ];
                     // m <- m*B1 + g*(1-B1); v <- v*B2 + g^2*(1-B2);
                     // p <- p - (m/bc1) / (sqrt(v/bc2) + eps) * lr, all in place.
-                    let update = |m_state: &mut Option<Matrix>,
-                                  v_state: &mut Option<Matrix>,
-                                  grad: &Matrix,
-                                  param: &mut Matrix| {
-                        let m =
-                            m_state.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                        let v =
-                            v_state.get_or_insert_with(|| Matrix::zeros(grad.rows(), grad.cols()));
-                        for ((m, v), (&g, p)) in m
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(v.as_mut_slice().iter_mut())
-                            .zip(grad.as_slice().iter().zip(param.as_mut_slice().iter_mut()))
-                        {
-                            *m = *m * BETA1 + g * (1.0 - BETA1);
-                            *v = *v * BETA2 + (g * g) * (1.0 - BETA2);
-                            let m_hat = *m / bias_correction1;
-                            let v_hat = *v / bias_correction2;
-                            *p -= m_hat / (v_hat.sqrt() + EPS) * lr;
-                        }
-                    };
-                    update(
-                        &mut state.adam_m_w,
-                        &mut state.adam_v_w,
-                        &grad.weights,
-                        &mut layer.weights,
-                    );
-                    update(
-                        &mut state.adam_m_b,
-                        &mut state.adam_v_b,
-                        &grad.bias,
-                        &mut layer.bias,
-                    );
+                    for (param, grad, m, v) in params {
+                        let m = m.get_or_insert_with(|| zeros_like(grad)).as_mut_slice();
+                        let v = v.get_or_insert_with(|| zeros_like(grad)).as_mut_slice();
+                        let (g, p) = (grad.as_slice(), param.as_mut_slice());
+                        kernel::adam_step(kern, &adam, g, m, v, p);
+                    }
                 }
             }
         }
     }
+}
+
+fn zeros_like(m: &Matrix) -> Matrix {
+    Matrix::zeros(m.rows(), m.cols())
 }
 
 #[cfg(test)]

@@ -191,8 +191,12 @@ impl Trainer {
             }
         }
 
-        if let Some(best) = best_params {
-            *network = best;
+        match best_params {
+            Some(best) => *network = best,
+            // No epoch beat +inf (an empty validation split, a NaN metric):
+            // the network keeps the last epoch's parameters, so that is the
+            // epoch the history names.
+            None => history.best_epoch = self.config.epochs.saturating_sub(1),
         }
         history
     }
@@ -394,6 +398,33 @@ mod tests {
             10.0 - calls as f32
         });
         assert_eq!(history.best_epoch, 4);
+    }
+
+    #[test]
+    fn without_an_improving_epoch_the_last_one_is_named() {
+        // `fit` scores an empty validation split +inf every epoch, so no
+        // checkpoint is taken and the last epoch's parameters are returned;
+        // the history must say so, and report that epoch's metric.
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let data = linear_dataset(24);
+        let mut net = default_network(10);
+        let trainer = Trainer::new(
+            TrainConfig {
+                epochs: 3,
+                batch_size: 8,
+                ..TrainConfig::default()
+            },
+            Loss::Mse,
+            OptimizerKind::Adam {
+                learning_rate: 0.01,
+            },
+        );
+        let history = trainer.fit(&mut net, &data, &[], &mut rng);
+        assert_eq!(history.best_epoch, 2);
+        assert_eq!(history.best_validation_metric(), f32::INFINITY);
+        // A diverged run's NaN metric never improves either.
+        let history = trainer.fit_with_metric(&mut net, &data, &data, &mut rng, |_, _| f32::NAN);
+        assert_eq!(history.best_epoch, 2);
     }
 
     #[test]

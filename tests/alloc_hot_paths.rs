@@ -23,9 +23,11 @@
 //! there, not in serving: cloning a model requests next to nothing and shares
 //! its weights, binding the int8 tail requests its packed codes once (no
 //! second layout, no layer-sized temporary), registering a model costs that
-//! one bind, and the trainer's best-epoch checkpoint is allocated once. A
-//! bind-time change that breaks one of these fails here, in tier-1, not as a
-//! `peak_rss_mib` regression in the benchmark pipeline.
+//! one bind, and a whole training fit — also one whose products and
+//! optimizer updates are handed out to the pool — requests its gradients,
+//! Adam moments and best-epoch checkpoint once and only batch-sized buffers
+//! besides. A set-up change that breaks one of these fails here, in tier-1,
+//! not as a `peak_rss_mib` regression in the benchmark pipeline.
 //!
 //! One `#[test]` only: the counters are process-global and the libtest
 //! harness spawns an allocating thread per test. The pool runs at whatever
@@ -398,45 +400,67 @@ fn setup_byte_ledger() {
     // A trainer whose validation metric improves every epoch: the first
     // improvement allocates the checkpoint, later ones overwrite it, and a
     // warm training step allocates nothing — so from the second metric call
-    // to the return, nothing is requested at all.
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let mut network = Network::new(
-        &[
-            LayerSpec::new(24, 48, Activation::Tanh),
-            LayerSpec::new(48, 12, Activation::Identity),
-        ],
-        &mut rng,
-    );
-    let examples: Vec<Example> = (0..32)
-        .map(|i| {
-            let x: Vec<f32> = (0..24).map(|j| ((i * 7 + j) % 11) as f32 / 11.0).collect();
-            let y = x.iter().step_by(2).map(|v| 0.5 - v).collect();
-            (x, y)
-        })
-        .collect();
-    let trainer = Trainer::new(
-        TrainConfig {
-            epochs: 3,
-            batch_size: 8,
-            ..TrainConfig::default()
-        },
-        Loss::Mse,
-        OptimizerKind::Adam {
-            learning_rate: 0.01,
-        },
-    );
-    let mut at_metric_call = Vec::with_capacity(3);
-    let history = trainer.fit_with_metric(&mut network, &examples, &examples, &mut rng, |_, _| {
-        at_metric_call.push(stats().bytes);
-        -(at_metric_call.len() as f32)
-    });
-    let after_fit = stats().bytes;
-    assert_eq!(history.best_epoch, 2, "every epoch must improve");
-    assert_eq!(
-        after_fit - at_metric_call[1],
-        0,
-        "training requested bytes after its first epoch: a checkpoint was re-allocated"
-    );
+    // to the return, nothing is requested at all. On a small shape every
+    // product and update runs on the caller; on 512 -> 512 -> 512 at batch 2
+    // each is past its hand-out threshold, so the warm steps are pooled, and
+    // their transposed inputs and packed gradients are the trainer's own
+    // batch-sized scratch. The whole fit requests its network's worth four
+    // times — gradients, two Adam moments, the checkpoint — and at most
+    // 64 KiB of batch-sized buffers besides.
+    for (widths, batch) in [([24usize, 48, 12], 8usize), ([512, 512, 512], 2)] {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut network = Network::new(
+            &[
+                LayerSpec::new(widths[0], widths[1], Activation::Tanh),
+                LayerSpec::new(widths[1], widths[2], Activation::Identity),
+            ],
+            &mut rng,
+        );
+        let examples: Vec<Example> = (0..4 * batch)
+            .map(|i| {
+                let x: Vec<f32> = (0..widths[0])
+                    .map(|j| ((i * 7 + j) % 11) as f32 / 11.0)
+                    .collect();
+                let y = (0..widths[2]).map(|j| 0.5 - x[j % widths[0]]).collect();
+                (x, y)
+            })
+            .collect();
+        let trainer = Trainer::new(
+            TrainConfig {
+                epochs: 3,
+                batch_size: batch,
+                ..TrainConfig::default()
+            },
+            Loss::Mse,
+            OptimizerKind::Adam {
+                learning_rate: 0.01,
+            },
+        );
+        let network_bytes = (network.num_parameters() * std::mem::size_of::<f32>()) as u64;
+        let mut at_metric_call = Vec::with_capacity(3);
+        let before_fit = stats().bytes;
+        let history =
+            trainer.fit_with_metric(&mut network, &examples, &examples, &mut rng, |_, _| {
+                at_metric_call.push(stats().bytes);
+                -(at_metric_call.len() as f32)
+            });
+        let after_fit = stats().bytes;
+        assert_eq!(history.best_epoch, 2, "every epoch must improve");
+        assert_eq!(
+            after_fit - at_metric_call[1],
+            0,
+            "{widths:?}: training requested bytes after its first epoch: a warm step allocated \
+             or a checkpoint was re-allocated"
+        );
+        let budget = 4 * network_bytes + 64 * KIB;
+        assert!(
+            after_fit - before_fit <= budget,
+            "{widths:?} at batch {batch}: the fit requested {} bytes, more than gradients, moments \
+             and checkpoint of a {network_bytes}-byte network plus 64 KiB ({budget}): a \
+             layer-sized scratch",
+            after_fit - before_fit
+        );
+    }
 }
 
 #[test]
