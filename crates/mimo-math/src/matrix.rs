@@ -128,6 +128,12 @@ impl CMatrix {
         &self.data
     }
 
+    /// Mutable access to the underlying row-major storage.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
+        &mut self.data
+    }
+
     /// Returns the entry at `(r, c)` or `None` when out of bounds.
     pub fn get(&self, r: usize, c: usize) -> Option<Complex64> {
         if r < self.rows && c < self.cols {

@@ -16,7 +16,9 @@ use wifi_phy::channel::{ChannelModel, ChannelSnapshot};
 pub struct GeneratorOptions {
     /// Number of packets (CSI samples before drops) to simulate.
     pub samples: usize,
-    /// Packet interval in seconds (the paper transmits 1000 packets/s).
+    /// Packet interval in seconds (the paper transmits 1000 packets/s). Must
+    /// be zero or positive; `f64::INFINITY` makes consecutive packets
+    /// independent (the fading process keeps no memory across them).
     pub packet_interval_s: f64,
     /// Capture-pipeline parameters.
     pub capture: CaptureOptions,
@@ -85,7 +87,9 @@ impl GeneratedDataset {
 /// Generates one dataset according to its specification and the options.
 ///
 /// # Errors
-/// Returns [`DatasetError::InvalidParameters`] when `samples` is zero.
+/// Returns [`DatasetError::InvalidParameters`] when `samples` is zero or
+/// `packet_interval_s` is NaN (it would make every CSI entry NaN) or
+/// negative.
 pub fn generate_dataset(
     spec: &DatasetSpec,
     options: &GeneratorOptions,
@@ -94,6 +98,12 @@ pub fn generate_dataset(
         return Err(DatasetError::InvalidParameters(
             "samples must be positive".into(),
         ));
+    }
+    if options.packet_interval_s.is_nan() || options.packet_interval_s < 0.0 {
+        return Err(DatasetError::InvalidParameters(format!(
+            "packet interval must be zero or positive, got {} s",
+            options.packet_interval_s
+        )));
     }
     let mut rng = ChaCha8Rng::seed_from_u64(options.seed ^ (spec.id.0 as u64) << 32);
     let model = ChannelModel::from_config(spec.profile(), &spec.mimo);
@@ -226,6 +236,28 @@ mod tests {
             generate_dataset(&spec, &GeneratorOptions::quick(0, 1)),
             Err(DatasetError::InvalidParameters(_))
         ));
+    }
+
+    #[test]
+    fn nan_or_negative_packet_interval_rejected_and_infinite_is_independent() {
+        let spec = dataset_by_id(1).unwrap();
+        let with_interval = |packet_interval_s| GeneratorOptions {
+            packet_interval_s,
+            ..GeneratorOptions::quick(5, 1)
+        };
+        for bad in [f64::NAN, -1e-3, f64::NEG_INFINITY] {
+            assert!(
+                matches!(
+                    generate_dataset(&spec, &with_interval(bad)),
+                    Err(DatasetError::InvalidParameters(_))
+                ),
+                "interval {bad} accepted"
+            );
+        }
+        let data = generate_dataset(&spec, &with_interval(f64::INFINITY)).unwrap();
+        for snap in &data.snapshots {
+            assert!(snap.average_power().is_finite());
+        }
     }
 
     #[test]

@@ -16,12 +16,37 @@
 //! The two environment profiles intentionally differ in richness (number of
 //! taps/clusters, delay spread, Doppler, blockage) so the single- versus
 //! cross-environment experiments of the paper (Figs. 12–13) remain meaningful.
+//!
+//! # Synthesis: draw, then transform
+//!
+//! [`ChannelProcess::snapshot`] (behind [`ChannelModel::sample`] and
+//! [`ChannelProcess::advance`]) builds a snapshot in two steps:
+//!
+//! 1. **Draw**, on the caller: it allocates every output matrix and stores
+//!    each entry's two estimation-noise uniforms in it as `re = u1, im = u2`,
+//!    in the order one loop over user → subcarrier → row → column consumed
+//!    them. That is the only use of the RNG, so the draw count and the RNG's
+//!    state afterwards are those of that loop.
+//! 2. **Transform**, in place: each entry becomes `+0`, plus per tap in order
+//!    `(g · cis(-2π f τ)) · from_real(amplitude)`, plus
+//!    `from_polar(sqrt(-ln u1), 2π u2) · from_real(σ)`. Amplitudes, Rician
+//!    LOS/NLOS gain mixes and the LOS matrix are hoisted out of the
+//!    subcarrier loop; a part allocates nothing.
+//!
+//! The transform hands (user, 32-subcarrier block) parts to the `rayon`
+//! pool; at width 1 that is a plain loop on the caller. An entry is the same
+//! operations in the same order whoever claims its part, and it reads only
+//! its own uniforms, so a snapshot is bit-identical at every pool width — and
+//! to the one-matrix-at-a-time loop this replaced (`tests/channel_parity.rs`
+//! pins its digests).
 
 use crate::ofdm::{Bandwidth, MimoConfig};
 use mimo_math::svd::Svd;
 use mimo_math::{CMatrix, Complex64};
 use rand::Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::f64::consts::PI;
 
 /// One multipath tap of a tap-delay-line profile.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -222,12 +247,20 @@ fn exponential_correlation_cholesky(n: usize, rho: f64) -> Vec<Vec<f64>> {
 
 /// Draws a standard complex Gaussian (unit variance per complex dimension).
 fn complex_gaussian(rng: &mut impl Rng) -> Complex64 {
-    // Box-Muller; each of re/im has variance 1/2 so |z|^2 has mean 1.
+    let (u1, u2) = gaussian_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// Draws the two uniforms one [`box_muller`] sample consumes, `u1` first.
+fn gaussian_uniforms(rng: &mut impl Rng) -> (f64, f64) {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
-    let mag = (-u1.ln()).sqrt();
-    let phase = 2.0 * std::f64::consts::PI * u2;
-    Complex64::from_polar(mag, phase)
+    (u1, u2)
+}
+
+/// Box-Muller; each of re/im has variance 1/2 so |z|^2 has mean 1.
+fn box_muller(u1: f64, u2: f64) -> Complex64 {
+    Complex64::from_polar((-u1.ln()).sqrt(), 2.0 * PI * u2)
 }
 
 /// One tap realization: an `Nr x Nt` MIMO matrix.
@@ -238,6 +271,53 @@ struct TapState {
     power: f64,
     rician_k: Option<f64>,
     blocked: bool,
+}
+
+/// Subcarriers in one part of a snapshot's hand-out: eight parts a 3x3 /
+/// 80 MHz station, ≈ 20 µs each; two a 2x2 / 20 MHz one.
+const PART_SUBCARRIERS: usize = 32;
+
+/// Entries a subcarrier accumulates at once, on the stack: a whole 8x8
+/// matrix. A wider one is synthesized in chunks of this many, each computing
+/// its taps' phases again.
+const ACC_ENTRIES: usize = 64;
+
+/// One (user, tap) term of a snapshot, hoisted out of the subcarrier loop.
+struct TapTerm<'a> {
+    /// The tap's `Nr x Nt` gain, row-major; a Rician tap's LOS/NLOS mix.
+    gain: &'a [Complex64],
+    /// `sqrt(power) · norm`, attenuated when the tap is blocked. Applied, as
+    /// the loop this replaced applied it, as a complex multiply by this
+    /// `from_real` value: a real scale gives other bits for a product with a
+    /// signed zero or an infinite part.
+    amplitude: Complex64,
+    delay_s: f64,
+}
+
+/// Writes one subcarrier's channel, `Σ_taps (gain · e^{-2πi f τ}) ·
+/// amplitude`, then plus the estimation noise, over the noise uniforms the
+/// draw left in `h` (`re = u1, im = u2`; none were drawn when `noise_std` is
+/// zero). Every entry starts from `+0` and takes its taps in order.
+fn synthesize_subcarrier(h: &mut [Complex64], f: f64, taps: &[TapTerm<'_>], noise_std: f64) {
+    let mut acc = [Complex64::ZERO; ACC_ENTRIES];
+    for (chunk, out) in h.chunks_mut(ACC_ENTRIES).enumerate() {
+        let start = chunk * ACC_ENTRIES;
+        let acc = &mut acc[..out.len()];
+        acc.fill(Complex64::ZERO);
+        for tap in taps {
+            let phase = Complex64::cis(-2.0 * PI * f * tap.delay_s);
+            for (a, &g) in acc.iter_mut().zip(&tap.gain[start..]) {
+                *a += g * phase * tap.amplitude;
+            }
+        }
+        for (z, &a) in out.iter_mut().zip(acc.iter()) {
+            *z = if noise_std > 0.0 {
+                a + box_muller(z.re, z.im) * Complex64::from_real(noise_std)
+            } else {
+                a
+            };
+        }
+    }
 }
 
 /// A time-evolving multi-user channel: holds the per-user, per-tap MIMO fading
@@ -443,8 +523,12 @@ impl ChannelProcess {
     }
 
     /// Produces the snapshot for the current fading state without advancing time.
+    ///
+    /// Draws every noise uniform into the output first, then transforms the
+    /// output in (user, subcarrier-block) parts — see the module docs.
     pub fn snapshot(&self, rng: &mut impl Rng) -> ChannelSnapshot {
         let model = &self.model;
+        let (nr, nt) = (model.nr, model.nt);
         let s_count = model.bandwidth.subcarriers();
         let delta_f = model.bandwidth.subcarrier_spacing_hz();
         let total_power: f64 = model.profile.taps.iter().map(Tap::power_linear).sum();
@@ -452,45 +536,73 @@ impl ChannelProcess {
         let blockage_lin = 10f64.powf(-model.profile.blockage_depth_db / 20.0);
         let noise_std = model.profile.estimation_noise_std;
 
-        let mut per_user = Vec::with_capacity(model.num_stations);
-        for user_taps in &self.users {
-            let mut per_subcarrier = Vec::with_capacity(s_count);
-            for s in 0..s_count {
-                // Center the usable subcarriers around DC.
-                let f = (s as f64 - (s_count as f64 - 1.0) / 2.0) * delta_f;
-                let mut h = CMatrix::zeros(model.nr, model.nt);
-                for (tap_idx, tap) in user_taps.iter().enumerate() {
-                    let spec = &model.profile.taps[tap_idx];
-                    let mut amplitude = (tap.power).sqrt() * norm;
-                    if tap.blocked {
-                        amplitude *= blockage_lin;
-                    }
-                    let phase = Complex64::cis(-2.0 * std::f64::consts::PI * f * tap.delay_s);
-                    // Rician taps mix a deterministic LOS component with the fading part.
-                    let gain = if let Some(k) = tap.rician_k {
-                        let los_scale = (k / (k + 1.0)).sqrt();
-                        let nlos_scale = (1.0 / (k + 1.0)).sqrt();
-                        let los = CMatrix::from_fn(model.nr, model.nt, |r, c| {
-                            // A deterministic rank-1 LOS steering structure.
-                            Complex64::cis(std::f64::consts::PI * (r as f64 * 0.3 + c as f64 * 0.2))
-                        });
-                        los.scale_real(los_scale)
-                            .add(&tap.gain.scale_real(nlos_scale))
-                    } else {
-                        tap.gain.clone()
-                    };
-                    let _ = spec;
-                    h = h.add(&gain.scale(phase).scale_real(amplitude));
-                }
-                if noise_std > 0.0 {
-                    let noise = CMatrix::from_fn(model.nr, model.nt, |_, _| complex_gaussian(rng))
-                        .scale_real(noise_std);
-                    h = h.add(&noise);
-                }
-                per_subcarrier.push(h);
-            }
-            per_user.push(per_subcarrier);
+        // Draw, in the order the transform consumes them (user, subcarrier,
+        // row, column; `u1` then `u2`), into the matrices that are returned.
+        let mut per_user: Vec<Vec<CMatrix>> = (0..model.num_stations)
+            .map(|_| {
+                (0..s_count)
+                    .map(|_| {
+                        if noise_std > 0.0 {
+                            CMatrix::from_fn(nr, nt, |_, _| {
+                                let (u1, u2) = gaussian_uniforms(rng);
+                                Complex64::new(u1, u2)
+                            })
+                        } else {
+                            CMatrix::zeros(nr, nt)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+
+        // Hoist what does not depend on the subcarrier: one LOS matrix, each
+        // Rician tap's LOS/NLOS mix, each (user, tap)'s amplitude.
+        let los = CMatrix::from_fn(nr, nt, |r, c| {
+            // A deterministic rank-1 LOS steering structure.
+            Complex64::cis(PI * (r as f64 * 0.3 + c as f64 * 0.2))
+        });
+        let rician = self.users.iter().flatten();
+        let rician = rician.filter_map(|tap| tap.rician_k.map(|k| (tap, k)));
+        let mut mixes = Vec::with_capacity(rician.clone().count() * nr * nt);
+        for (tap, k) in rician {
+            let los_scale = Complex64::from_real((k / (k + 1.0)).sqrt());
+            let nlos_scale = Complex64::from_real((1.0 / (k + 1.0)).sqrt());
+            let pairs = los.as_slice().iter().zip(tap.gain.as_slice());
+            mixes.extend(pairs.map(|(&l, &g)| l * los_scale + g * nlos_scale));
         }
+        let mut mixes = mixes.chunks_exact(nr * nt);
+        let taps = model.profile.taps.len();
+        let mut terms = Vec::with_capacity(model.num_stations * taps);
+        terms.extend(self.users.iter().flatten().map(|tap| {
+            let mut amplitude = tap.power.sqrt() * norm;
+            if tap.blocked {
+                amplitude *= blockage_lin;
+            }
+            TapTerm {
+                gain: match tap.rician_k {
+                    Some(_) => mixes.next().expect("one mix per Rician tap"),
+                    None => tap.gain.as_slice(),
+                },
+                amplitude: Complex64::from_real(amplitude),
+                delay_s: tap.delay_s,
+            }
+        }));
+
+        // Transform: every part in place, claimed by the pool's threads.
+        let mut parts = Vec::with_capacity(model.num_stations * s_count.div_ceil(PART_SUBCARRIERS));
+        for (user, out) in per_user.iter_mut().enumerate() {
+            let user_terms = &terms[user * taps..(user + 1) * taps];
+            let blocks = out.chunks_mut(PART_SUBCARRIERS).enumerate();
+            parts.extend(blocks.map(|(b, out)| (user_terms, b * PART_SUBCARRIERS, out)));
+        }
+        let center = (s_count as f64 - 1.0) / 2.0;
+        parts.par_iter_mut().for_each(|(taps, first, out)| {
+            for (s, h) in (*first..).zip(out.iter_mut()) {
+                // Center the usable subcarriers around DC.
+                let f = (s as f64 - center) * delta_f;
+                synthesize_subcarrier(h.as_mut_slice(), f, taps, noise_std);
+            }
+        });
 
         ChannelSnapshot {
             nt: model.nt,
@@ -603,7 +715,7 @@ impl ChannelSnapshot {
     pub fn csi_real_vector(&self, user: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(2 * self.nr * self.nt * self.subcarriers());
         for h in &self.per_user[user] {
-            out.extend(h.to_real_vec());
+            out.extend(h.as_slice().iter().flat_map(|z| [z.re, z.im]));
         }
         out
     }

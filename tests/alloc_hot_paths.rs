@@ -26,8 +26,10 @@
 //! one bind, and a whole training fit — also one whose products and
 //! optimizer updates are handed out to the pool — requests its gradients,
 //! Adam moments and best-epoch checkpoint once and only batch-sized buffers
-//! besides. A set-up change that breaks one of these fails here, in tier-1,
-//! not as a `peak_rss_mib` regression in the benchmark pipeline.
+//! besides, and a channel snapshot whose parts are handed out requests its
+//! own matrices and next to nothing else. A set-up change that breaks one of
+//! these fails here, in tier-1, not as a `peak_rss_mib` regression in the
+//! benchmark pipeline.
 //!
 //! One `#[test]` only: the counters are process-global and the libtest
 //! harness spawns an allocating thread per test. The pool runs at whatever
@@ -54,6 +56,7 @@ use splitbeam_serve::server::ApServer;
 use splitbeam_serve::timing::FrameStamp;
 use splitbeam_serve::{Fleet, FleetConfig, TILE_ROWS};
 use splitbeam_testkit::{model_with, small_model, station_frame, station_payload};
+use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::Bandwidth;
 
 #[global_allocator]
@@ -463,6 +466,45 @@ fn setup_byte_ledger() {
     }
 }
 
+/// A warm 3x3 / 80 MHz three-station channel sample (24 parts, claimed by
+/// the pool's threads). The
+/// draw fills the very matrices the snapshot returns, the hoisted per-tap
+/// terms and the parts list are a few hundred bytes each, and a part
+/// allocates nothing — so the snapshot requests its own storage plus at most
+/// 4 KiB, and the whole `sample`, the process it starts included, one
+/// allocation a subcarrier matrix plus at most 64. (The loop this replaced
+/// made ≈ 27 a subcarrier.)
+fn channel_sample_ledger() {
+    use mimo_math::{CMatrix, Complex64};
+    use std::mem::size_of;
+    const KIB: u64 = 1024;
+    let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz80, 3, 3, 1);
+    let mut rng = ChaCha8Rng::seed_from_u64(26);
+    channel.sample(&mut rng);
+
+    let before = stats();
+    let snapshot = channel.sample(&mut rng);
+    let allocs = stats().allocs - before.allocs;
+    let matrices = (snapshot.num_users() * snapshot.subcarriers()) as u64;
+    assert!(
+        allocs <= matrices + 64,
+        "a channel sample made {allocs} allocations for {matrices} subcarrier matrices: more \
+         than one a matrix plus 64"
+    );
+
+    let process = channel.process(&mut rng);
+    let (bytes, snapshot) = bytes_requested(|| process.snapshot(&mut rng));
+    let entry_bytes = snapshot.nr() * snapshot.nt() * size_of::<Complex64>();
+    let own = snapshot.num_users() * size_of::<Vec<CMatrix>>()
+        + matrices as usize * (size_of::<CMatrix>() + entry_bytes);
+    let budget = own as u64 + 4 * KIB;
+    assert!(
+        bytes <= budget,
+        "a channel snapshot requested {bytes} bytes, its own storage is {own} (budget {budget}): \
+         a draw buffer, a per-subcarrier temporary or an allocating part"
+    );
+}
+
 #[test]
 fn hot_paths_do_not_allocate_after_warmup() {
     assert_counting();
@@ -504,4 +546,5 @@ fn hot_paths_do_not_allocate_after_warmup() {
     faulty_event_path(&model);
     fleet_path(&model);
     setup_byte_ledger();
+    channel_sample_ledger();
 }
