@@ -1,56 +1,46 @@
 //! Runtime-dispatched SIMD kernel backend.
 //!
 //! Every hot inner loop of the workspace (complex matmul/axpy, the LU
-//! elimination and MMSE filter of [`crate::solve`], the dense f32 GEMM of the
-//! `neural` crate, and the fused dequantize→tail kernel of `splitbeam`) funnels
-//! through the primitives in this module. Each primitive exists in two
-//! implementations:
-//!
-//! * **scalar** — byte-for-byte the historical loops. Selecting
-//!   [`Kernel::Scalar`] reproduces the pre-dispatch outputs bit-identically.
-//! * **AVX2+FMA** — `core::arch::x86_64` vector code, selected at runtime only
-//!   when the CPU reports both `avx2` and `fma`. FMA contracts the
-//!   multiply-add, so results differ from scalar by normal rounding (the
-//!   parity tests document max-abs tolerances); per output element the
-//!   accumulation order is still ascending `k` with a single accumulator
-//!   chain, which keeps *different call shapes* of the same kernel (one row at
-//!   a time vs a whole batch, fused vs unfused) bit-identical to each other.
+//! elimination and MMSE filter of [`crate::solve`], the dense f32 GEMMs of the
+//! `neural` crate, and the fused dequantize→tail kernels of `splitbeam`)
+//! funnels through this module and its children.
 //!
 //! # Selection
 //!
-//! The active kernel is resolved once and cached:
+//! Which arms may run is one [`Backend`] value, `Scalar < Avx2 < Avx512 <
+//! Vnni < Amx`, each level implying the ones below it. [`Backend::host`]
+//! detects the host's level once; the backend in force is the lower of it
+//! and the request — [`set_kernel`]'s override, else `SPLITBEAM_KERNEL`
+//! (`scalar` caps the ladder at `Scalar`; `auto`, anything else or unset
+//! leaves it at the host's level). Request and resolution are cached
+//! together, so every tier reads one answer through its view:
 //!
-//! 1. a programmatic override set via [`set_kernel`] wins,
-//! 2. otherwise the `SPLITBEAM_KERNEL` environment variable is consulted
-//!    (`scalar` forces the fallback, `auto` — or anything else, or unset —
-//!    picks the best available),
-//! 3. `auto` resolves to [`Kernel::Avx2Fma`] only when the host CPU supports
-//!    AVX2 and FMA; on every other host it degrades to [`Kernel::Scalar`].
+//! | [`Backend`] | [`selected`] | [`packed::PackedWidth::detect`] | [`int8::selected_int8`] |
+//! |---|---|---|---|
+//! | `Scalar` | `Scalar` | `Ymm` | `Scalar` |
+//! | `Avx2`: `avx2` + `fma` | `Avx2Fma` | `Ymm` | `Avx2Maddubs` |
+//! | `Avx512`: + `avx512f` | `Avx2Fma` | `Zmm` | `Avx2Maddubs` |
+//! | `Vnni`: + `avx512bw/vl/vnni` | `Avx2Fma` | `Zmm` | `Avx512Vnni` |
+//! | `Amx`: + `amx-tile/int8`, tile data granted | `Avx2Fma` | `Zmm` | `Amx` |
 //!
-//! Hot paths call [`selected`] once per kernel invocation (an atomic load) and
-//! pass the result down; benchmarks and parity tests bypass the global state
-//! entirely by passing an explicit [`Kernel`] to the primitives.
+//! The packing width follows the host, not the request: every arm computes
+//! the same bits from either layout. Hot paths read [`selected`] once per
+//! call and pass it down; parity tests pass explicit arms. Each vector arm
+//! is guarded by a comparison with [`Backend::host`], and an explicit arm
+//! the host lacks runs the best one at or below it.
 //!
-//! The f32 tier has a second entry point for a right-hand side that is bound
-//! once and reused — a tail layer's weights: [`packed`] panel-packs it at
-//! bind time and multiplies with an `MR x NR` register-tile microkernel
-//! (12x32 on AVX-512F, 6x16 on AVX2+FMA, picked by CPU detection) that fuses
-//! bias and activation into its single store. It is the same numerics class
-//! as [`Kernel::Avx2Fma`] — bit-identical to [`gemm_f32`] at every shape and
-//! width — so it needs no selector of its own; [`gemm_f32`] keeps the
-//! products without a bound right-hand side (training, the batch-1 head).
-//! It and the rest of a training step — the weight and input gradients and
-//! the optimizer updates — live in [`dense`], each handed out to the pool.
-//!
-//! A third tier lives in [`int8`]: integer `u8 x i8 -> i32` GEMM arms for
-//! quantized tail weights (AMX `tdpbusd` → AVX-512 VNNI → AVX2 `maddubs` →
-//! scalar reference, all bit-exact with each other), resolved by [`int8::selected_int8`] behind
-//! the same override/environment seam, and packed at bind like the f32 tail.
-//! [`tune`] holds the k-block of the row-major f32 arm, the only blocking
-//! parameter left.
+//! Of the numerics classes, [`Kernel::Scalar`] is the historical loops, the
+//! bit-exactness reference; [`Kernel::Avx2Fma`] differs from it by FMA
+//! rounding but is one accumulator chain over ascending `k` an element, so
+//! every call shape of it (a row or a batch, fused or not, row-major
+//! [`gemm_f32`] or the [`packed`] tail) is bit-identical; and every [`int8`]
+//! arm is bit-identical to every other. The two bound-weight products
+//! ([`packed`], [`int8`]) share one panel walk; a training step lives in
+//! [`dense`]; [`tune`] holds the k-block of the row-major walk.
 
 use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Dispatches a run-time row count to the const-generic register tile of a
 /// packed microkernel ([`packed`], [`int8`]); `tile::<_, FLAG>(..)` passes
@@ -80,6 +70,122 @@ pub use dense::{
     adam_step, gemm_a_bt_f32, gemm_at_b_f32, gemm_f32, momentum_step, sgd_step, Adam, GradScratch,
 };
 
+use int8::Int8Kernel;
+use packed::PackedWidth;
+
+/// Which kernel arms may run, as one ladder: each level implies the ones
+/// below it (the module docs list what each selects).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Backend {
+    /// The portable loops.
+    Scalar,
+    /// `avx2` + `fma`.
+    Avx2,
+    /// `Avx2` + `avx512f`.
+    Avx512,
+    /// `Avx512` + `avx512bw`, `avx512vl` and `avx512vnni`.
+    Vnni,
+    /// `Vnni` + `amx-tile` and `amx-int8`, with tile data granted.
+    Amx,
+}
+
+impl Backend {
+    const ALL: [Self; 5] = [
+        Self::Scalar,
+        Self::Avx2,
+        Self::Avx512,
+        Self::Vnni,
+        Self::Amx,
+    ];
+
+    /// The host's level, detected on first use: the one place the CPU and
+    /// the operating system are asked. `amx-tile` and `amx-int8` are
+    /// CPUID.(7,0).EDX bits 24 and 25 (their detection names are unstable),
+    /// and Linux must grant the process tile data —
+    /// `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)` returning 0 —
+    /// or the first tile instruction raises SIGILL; a refusal reads `Vnni`.
+    pub fn host() -> Backend {
+        static HOST: OnceLock<Backend> = OnceLock::new();
+        *HOST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if !(has!("avx2") && has!("fma")) {
+                    return Backend::Scalar;
+                }
+                if !has!("avx512f") {
+                    return Backend::Avx2;
+                }
+                if !(has!("avx512bw") && has!("avx512vl") && has!("avx512vnni")) {
+                    return Backend::Avx512;
+                }
+                #[cfg(target_os = "linux")]
+                if (core::arch::x86_64::__cpuid_count(7, 0).edx >> 24) & 0b11 == 0b11 {
+                    const SYS_ARCH_PRCTL: i64 = 158;
+                    const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
+                    const XFEATURE_XTILEDATA: u64 = 18;
+                    let granted: i64;
+                    // SAFETY: this `arch_prctl` takes two integers, touches
+                    // no user memory and only widens the state saved for the
+                    // process; `syscall` clobbers `rcx` and `r11`, declared.
+                    unsafe {
+                        core::arch::asm!(
+                            "syscall",
+                            inlateout("rax") SYS_ARCH_PRCTL => granted,
+                            in("rdi") ARCH_REQ_XCOMP_PERM,
+                            in("rsi") XFEATURE_XTILEDATA,
+                            lateout("rcx") _,
+                            lateout("r11") _,
+                            options(nostack),
+                        );
+                    }
+                    if granted == 0 {
+                        return Backend::Amx;
+                    }
+                }
+                Backend::Vnni
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Backend::Scalar
+        })
+    }
+
+    /// The distinct values `view` takes from `Scalar` up to the host's
+    /// level, lowest first: the arms a parity test walks, each once (a view
+    /// changes only upwards, so equal arms are adjacent).
+    pub fn arms<T: PartialEq>(view: impl Fn(Backend) -> T) -> Vec<T> {
+        let mut arms: Vec<T> = Self::ALL[..=Self::host() as usize]
+            .iter()
+            .map(|&b| view(b))
+            .collect();
+        arms.dedup();
+        arms
+    }
+
+    /// Stable lower-snake name used in reports and logs.
+    pub fn name(self) -> &'static str {
+        ["scalar", "avx2_fma", "avx512f", "avx512_vnni", "amx_int8"][self as usize]
+    }
+
+    /// The f32 / complex numerics class at this level.
+    pub fn kernel(self) -> Kernel {
+        use Kernel::*;
+        [Scalar, Avx2Fma, Avx2Fma, Avx2Fma, Avx2Fma][self as usize]
+    }
+
+    /// The width a right-hand side is packed for at this level.
+    pub fn packed_width(self) -> PackedWidth {
+        use PackedWidth::*;
+        [Ymm, Ymm, Zmm, Zmm, Zmm][self as usize]
+    }
+
+    /// The int8 arm at this level.
+    pub fn int8(self) -> Int8Kernel {
+        use Int8Kernel::*;
+        [Scalar, Avx2Maddubs, Avx2Maddubs, Avx512Vnni, Amx][self as usize]
+    }
+}
+
 /// What the caller asked for (environment variable or [`set_kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
@@ -89,12 +195,13 @@ pub enum KernelChoice {
     Scalar,
 }
 
-/// A concrete kernel backend.
+/// The f32 / complex numerics class a primitive runs: the [`Backend::kernel`]
+/// view of a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Plain scalar loops — always available, the bit-exactness reference.
     Scalar,
-    /// AVX2 + FMA vector kernels (x86_64 only, runtime-detected).
+    /// AVX2 + FMA vector kernels (x86_64 only, from [`Backend::Avx2`] up).
     Avx2Fma,
 }
 
@@ -106,27 +213,20 @@ impl Kernel {
             Kernel::Avx2Fma => "avx2_fma",
         }
     }
-}
 
-/// Cached resolution of [`selected`]: 0 = unresolved, 1 = scalar, 2 = AVX2+FMA.
-static RESOLVED: AtomicU8 = AtomicU8::new(0);
-/// Programmatic override: 0 = none (use the environment), 1 = auto, 2 = scalar.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Returns `true` when the host CPU supports both AVX2 and FMA.
-///
-/// Detection is delegated to `std::is_x86_feature_detected!`, which caches its
-/// own answer; on non-x86_64 targets this is constant `false`.
-pub fn avx2_fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+    /// The level this class runs at here: the host's for the FMA class
+    /// (its vector arms need [`Backend::Avx2`]), else `Scalar`.
+    fn runs(self) -> Backend {
+        match self {
+            Kernel::Scalar => Backend::Scalar,
+            Kernel::Avx2Fma => Backend::host(),
+        }
     }
 }
+
+/// The request in force and the backend it resolved to, in one word: 0
+/// until resolved, else `2 * (backend + 1) + (request == scalar)`.
+static IN_FORCE: AtomicU8 = AtomicU8::new(0);
 
 /// Parses a `SPLITBEAM_KERNEL` value. Only `scalar` forces the fallback;
 /// `auto`, the empty string, and unknown values all mean "best available", so
@@ -140,129 +240,85 @@ fn parse_choice(value: &str) -> KernelChoice {
     }
 }
 
-/// The kernel choice currently in force: the programmatic override if one was
-/// set, otherwise the `SPLITBEAM_KERNEL` environment variable (default `auto`).
-pub fn requested() -> KernelChoice {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => KernelChoice::Auto,
-        2 => KernelChoice::Scalar,
-        _ => crate::env::raw("SPLITBEAM_KERNEL")
-            .map(|v| parse_choice(&v))
-            .unwrap_or(KernelChoice::Auto),
+/// The request in force and its backend: cached, or — the first time and
+/// after `set_kernel(None)` — `SPLITBEAM_KERNEL`'s (default `auto`),
+/// resolved and cached.
+fn in_force() -> (KernelChoice, Backend) {
+    let mut word = IN_FORCE.load(Ordering::Relaxed);
+    if word == 0 {
+        let env = crate::env::raw("SPLITBEAM_KERNEL");
+        word = pin(env.map_or(KernelChoice::Auto, |v| parse_choice(&v)));
     }
+    let choice = [KernelChoice::Auto, KernelChoice::Scalar][usize::from(word & 1)];
+    (choice, Backend::ALL[usize::from(word / 2) - 1])
 }
 
-/// Resolves a choice against the host CPU.
-fn resolve(choice: KernelChoice) -> Kernel {
-    match choice {
-        KernelChoice::Scalar => Kernel::Scalar,
-        KernelChoice::Auto => {
-            if avx2_fma_available() {
-                Kernel::Avx2Fma
-            } else {
-                Kernel::Scalar
-            }
-        }
-    }
+/// Resolves `choice` — to the lower of the host and the request — and
+/// caches the two in one store; returns the word.
+fn pin(choice: KernelChoice) -> u8 {
+    let (backend, scalar) = match choice {
+        KernelChoice::Auto => (Backend::host(), 0),
+        KernelChoice::Scalar => (Backend::Scalar, 1),
+    };
+    let word = 2 * (backend as u8 + 1) + scalar;
+    IN_FORCE.store(word, Ordering::Relaxed);
+    word
 }
 
-/// The kernel backend all dispatched hot paths use right now.
-///
-/// Resolved once (override → environment → CPU detection) and cached; a single
-/// relaxed atomic load afterwards.
+/// The f32 / complex backend all dispatched hot paths use right now (one
+/// relaxed atomic load once resolved).
 pub fn selected() -> Kernel {
-    match RESOLVED.load(Ordering::Relaxed) {
-        1 => Kernel::Scalar,
-        2 => Kernel::Avx2Fma,
-        _ => {
-            let kernel = resolve(requested());
-            RESOLVED.store(
-                match kernel {
-                    Kernel::Scalar => 1,
-                    Kernel::Avx2Fma => 2,
-                },
-                Ordering::Relaxed,
-            );
-            kernel
-        }
-    }
+    in_force().1.kernel()
 }
 
 /// Installs (or with `None` removes) a programmatic kernel override, replacing
-/// whatever `SPLITBEAM_KERNEL` requested. Takes effect for all subsequent
-/// dispatched calls in the process.
-///
-/// This is the programmatic form of the environment knob — benchmark drivers
-/// use it to measure both backends in one process, and the bit-exactness suite
-/// uses it to pin `scalar`. Note the override is process-global: concurrent
-/// tests that flip it must serialize among themselves.
+/// whatever `SPLITBEAM_KERNEL` requested — every tier at once, in one store.
+/// It is process-global: concurrent tests that flip it must serialize among
+/// themselves (the test kit's `with_kernel`).
 pub fn set_kernel(choice: Option<KernelChoice>) {
-    OVERRIDE.store(
-        match choice {
-            None => 0,
-            Some(KernelChoice::Auto) => 1,
-            Some(KernelChoice::Scalar) => 2,
-        },
-        Ordering::Relaxed,
-    );
-    RESOLVED.store(0, Ordering::Relaxed);
-    int8::reset_selected();
+    match choice {
+        Some(choice) => _ = pin(choice),
+        None => IN_FORCE.store(0, Ordering::Relaxed),
+    }
 }
 
 /// A report of how kernel dispatch resolved, for benchmark JSON and logs.
-///
-/// Besides the selected backends this records every CPU feature the dispatch
-/// chain *inspects* — including detected-but-unselected ones — so a bench
-/// JSON always explains why a tier was not taken on its host (e.g. AVX-512F
-/// present but VNNI absent pins the int8 tier to `avx2_maddubs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DispatchReport {
     /// What was requested (`auto` or `scalar`).
     pub requested: &'static str,
     /// The f32/complex backend actually in use.
     pub selected: &'static str,
-    /// The arm the packed f32 GEMM ([`packed::gemm_f32_packed`], the served
-    /// tail under `avx2_fma`) runs on: `avx512f_12x32` or `avx2_fma_6x16` by
-    /// CPU detection, `scalar` when the scalar backend is selected and the
-    /// tail stays on the row-major kernels.
+    /// The arm the served f32 tail ([`packed::gemm_f32_packed`]) runs on:
+    /// `avx512f_12x32` or `avx2_fma_6x16`, or `scalar` (the row-major loops).
     pub selected_packed: &'static str,
     /// The integer (quantized-weight) backend actually in use.
     pub selected_int8: &'static str,
-    /// Whether the host CPU supports AVX2+FMA at all.
-    pub avx2_fma_available: bool,
-    /// Whether the host CPU reports AVX-512F (foundation).
-    pub avx512f_available: bool,
-    /// Whether the host CPU reports AVX-512BW.
-    pub avx512bw_available: bool,
-    /// Whether the full VNNI arm requirement (F+BW+VL+VNNI) is met.
-    pub avx512_vnni_available: bool,
-    /// Whether the AMX arm can run: `amx-tile` + `amx-int8` next to the VNNI
-    /// requirement, and the operating system granted tile data.
-    pub amx_int8_available: bool,
-    /// Threads the packed GEMMs may hand their panels out to, the caller
-    /// included: `available_parallelism` capped by `RAYON_NUM_THREADS`.
-    /// Outputs do not depend on it.
+    /// [`Backend::host`]'s name whatever was requested: why a tier was not
+    /// taken (`avx512f` runs the int8 tier on `avx2_maddubs`).
+    pub host: &'static str,
+    /// Threads the pool hands its parts out to (tail panels, training,
+    /// shard and channel closes, channel snapshots), the caller included:
+    /// `available_parallelism` capped by `RAYON_NUM_THREADS`. Outputs do
+    /// not depend on it.
     pub pool_threads: usize,
 }
 
 /// Snapshot of the current dispatch state.
 pub fn dispatch_report() -> DispatchReport {
+    let (choice, backend) = in_force();
     DispatchReport {
-        requested: match requested() {
+        requested: match choice {
             KernelChoice::Auto => "auto",
             KernelChoice::Scalar => "scalar",
         },
-        selected: selected().name(),
-        selected_packed: match selected() {
-            Kernel::Scalar => Kernel::Scalar.name(),
-            Kernel::Avx2Fma => packed::PackedWidth::detect().name(),
+        selected: backend.kernel().name(),
+        selected_packed: match backend {
+            Backend::Scalar => Kernel::Scalar.name(),
+            _ => backend.packed_width().name(),
         },
-        selected_int8: int8::selected_int8().name(),
-        avx2_fma_available: avx2_fma_available(),
-        avx512f_available: int8::avx512f_available(),
-        avx512bw_available: int8::avx512bw_available(),
-        avx512_vnni_available: int8::avx512_vnni_available(),
-        amx_int8_available: int8::amx_int8_available(),
+        selected_int8: backend.int8().name(),
+        host: Backend::host().name(),
         pool_threads: rayon::current_num_threads(),
     }
 }
@@ -277,18 +333,14 @@ pub fn dispatch_report() -> DispatchReport {
 /// Panics if the slices differ in length.
 pub fn caxpy(kernel: Kernel, a: Complex64, x: &[Complex64], y: &mut [Complex64]) {
     assert_eq!(x.len(), y.len(), "caxpy length mismatch");
-    match kernel {
-        Kernel::Scalar => {
-            for (o, &b) in y.iter_mut().zip(x.iter()) {
-                *o += a * b;
-            }
-        }
+    if kernel.runs() >= Backend::Avx2 {
+        // SAFETY: the host runs AVX2+FMA, and the lengths were asserted
+        // equal above — the target-feature fn's only contract.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proves AVX2+FMA are present, and the lengths
-        // were asserted equal above — the target-feature fn's only contract.
-        Kernel::Avx2Fma if avx2_fma_available() => unsafe { caxpy_avx2(a, x, y) },
-        #[allow(unreachable_patterns)]
-        _ => caxpy(Kernel::Scalar, a, x, y),
+        return unsafe { caxpy_avx2::<false>(a, x, y) };
+    }
+    for (o, &b) in y.iter_mut().zip(x.iter()) {
+        *o += a * b;
     }
 }
 
@@ -298,19 +350,14 @@ pub fn caxpy(kernel: Kernel, a: Complex64, x: &[Complex64], y: &mut [Complex64])
 /// Panics if the slices differ in length.
 pub fn caxpy_sub(kernel: Kernel, a: Complex64, x: &[Complex64], y: &mut [Complex64]) {
     assert_eq!(x.len(), y.len(), "caxpy_sub length mismatch");
-    match kernel {
-        Kernel::Scalar => {
-            for (o, &b) in y.iter_mut().zip(x.iter()) {
-                let sub = a * b;
-                *o -= sub;
-            }
-        }
+    if kernel.runs() >= Backend::Avx2 {
+        // SAFETY: as `caxpy`.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proves AVX2+FMA are present, and the lengths
-        // were asserted equal above — the target-feature fn's only contract.
-        Kernel::Avx2Fma if avx2_fma_available() => unsafe { caxpy_sub_avx2(a, x, y) },
-        #[allow(unreachable_patterns)]
-        _ => caxpy_sub(Kernel::Scalar, a, x, y),
+        return unsafe { caxpy_avx2::<true>(a, x, y) };
+    }
+    for (o, &b) in y.iter_mut().zip(x.iter()) {
+        let sub = a * b;
+        *o -= sub;
     }
 }
 
@@ -320,21 +367,16 @@ pub fn caxpy_sub(kernel: Kernel, a: Complex64, x: &[Complex64], y: &mut [Complex
 /// Panics if the slices differ in length.
 pub fn cdotc(kernel: Kernel, x: &[Complex64], y: &[Complex64]) -> Complex64 {
     assert_eq!(x.len(), y.len(), "cdotc length mismatch");
-    match kernel {
-        Kernel::Scalar => {
-            let mut acc = Complex64::ZERO;
-            for (&a, &b) in x.iter().zip(y.iter()) {
-                acc += a * b.conj();
-            }
-            acc
-        }
+    if kernel.runs() >= Backend::Avx2 {
+        // SAFETY: as `caxpy`.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proves AVX2+FMA are present, and the lengths
-        // were asserted equal above — the target-feature fn's only contract.
-        Kernel::Avx2Fma if avx2_fma_available() => unsafe { cdotc_avx2(x, y) },
-        #[allow(unreachable_patterns)]
-        _ => cdotc(Kernel::Scalar, x, y),
+        return unsafe { cdotc_avx2(x, y) };
     }
+    let mut acc = Complex64::ZERO;
+    for (&a, &b) in x.iter().zip(y.iter()) {
+        acc += a * b.conj();
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -352,21 +394,16 @@ pub fn cdotc(kernel: Kernel, x: &[Complex64], y: &[Complex64]) -> Complex64 {
 /// Panics if the slices differ in length.
 pub fn sdot(kernel: Kernel, x: &[f32], y: &[f32]) -> f32 {
     assert_eq!(x.len(), y.len(), "sdot length mismatch");
-    match kernel {
-        Kernel::Scalar => {
-            let mut acc = 0.0f32;
-            for (&a, &b) in x.iter().zip(y.iter()) {
-                acc += a * b;
-            }
-            acc
-        }
+    if kernel.runs() >= Backend::Avx2 {
+        // SAFETY: as `caxpy`.
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the guard proves AVX2+FMA are present, and the lengths
-        // were asserted equal above — the target-feature fn's only contract.
-        Kernel::Avx2Fma if avx2_fma_available() => unsafe { sdot_avx2(x, y) },
-        #[allow(unreachable_patterns)]
-        _ => sdot(Kernel::Scalar, x, y),
+        return unsafe { sdot_avx2(x, y) };
     }
+    let mut acc = 0.0f32;
+    for (&a, &b) in x.iter().zip(y.iter()) {
+        acc += a * b;
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -408,10 +445,15 @@ mod avx2 {
         _mm256_fmaddsub_pd(ar, xv, _mm256_mul_pd(ai, xswap))
     }
 
-    /// `y += a * x` (complex, interleaved f64). `Complex64` is `repr(C)`, so a
-    /// complex slice is safely viewed as interleaved `re, im` f64 memory.
+    /// `y += a * x`, or with `SUB` `y -= a * x` (complex, interleaved f64).
+    /// `Complex64` is `repr(C)`, so a complex slice is safely viewed as
+    /// interleaved `re, im` f64 memory.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn caxpy_avx2(a: Complex64, x: &[Complex64], y: &mut [Complex64]) {
+    pub(super) unsafe fn caxpy_avx2<const SUB: bool>(
+        a: Complex64,
+        x: &[Complex64],
+        y: &mut [Complex64],
+    ) {
         // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
         unsafe {
             let ar = _mm256_set1_pd(a.re);
@@ -423,35 +465,22 @@ mod avx2 {
             while i < pairs {
                 let xv = _mm256_loadu_pd(xp.add(2 * i));
                 let yv = _mm256_loadu_pd(yp.add(2 * i));
-                _mm256_storeu_pd(yp.add(2 * i), _mm256_add_pd(yv, cmul_lanes(ar, ai, xv)));
+                let ax = cmul_lanes(ar, ai, xv);
+                let sum = if SUB {
+                    _mm256_sub_pd(yv, ax)
+                } else {
+                    _mm256_add_pd(yv, ax)
+                };
+                _mm256_storeu_pd(yp.add(2 * i), sum);
                 i += CPV;
             }
             for k in pairs..x.len() {
-                y[k] += a * x[k];
-            }
-        }
-    }
-
-    /// `y -= a * x` (complex, interleaved f64).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn caxpy_sub_avx2(a: Complex64, x: &[Complex64], y: &mut [Complex64]) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
-        unsafe {
-            let ar = _mm256_set1_pd(a.re);
-            let ai = _mm256_set1_pd(a.im);
-            let pairs = x.len() / CPV * CPV;
-            let xp = x.as_ptr().cast::<f64>();
-            let yp = y.as_mut_ptr().cast::<f64>();
-            let mut i = 0;
-            while i < pairs {
-                let xv = _mm256_loadu_pd(xp.add(2 * i));
-                let yv = _mm256_loadu_pd(yp.add(2 * i));
-                _mm256_storeu_pd(yp.add(2 * i), _mm256_sub_pd(yv, cmul_lanes(ar, ai, xv)));
-                i += CPV;
-            }
-            for k in pairs..x.len() {
-                let sub = a * x[k];
-                y[k] -= sub;
+                let ax = a * x[k];
+                if SUB {
+                    y[k] -= ax;
+                } else {
+                    y[k] += ax;
+                }
             }
         }
     }
@@ -719,7 +748,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 pub(crate) use avx2::gemm_f32_avx2;
 #[cfg(target_arch = "x86_64")]
-use avx2::{caxpy_avx2, caxpy_sub_avx2, cdotc_avx2, sdot_avx2};
+use avx2::{caxpy_avx2, cdotc_avx2, sdot_avx2};
 
 #[cfg(test)]
 mod tests {
@@ -744,22 +773,7 @@ mod tests {
 
     /// Both kernels, but AVX2 only on hosts that have it.
     fn kernels() -> Vec<Kernel> {
-        let mut ks = vec![Kernel::Scalar];
-        if avx2_fma_available() {
-            ks.push(Kernel::Avx2Fma);
-        }
-        ks
-    }
-
-    #[test]
-    fn resolve_is_pure_and_total() {
-        assert_eq!(resolve(KernelChoice::Scalar), Kernel::Scalar);
-        let auto = resolve(KernelChoice::Auto);
-        if avx2_fma_available() {
-            assert_eq!(auto, Kernel::Avx2Fma);
-        } else {
-            assert_eq!(auto, Kernel::Scalar);
-        }
+        Backend::arms(Backend::kernel)
     }
 
     #[test]
@@ -771,55 +785,68 @@ mod tests {
         assert_eq!(parse_choice("sse9000"), KernelChoice::Auto);
     }
 
+    /// The views of every level, as the three dispatch types resolved
+    /// before they were views; the host's level is detected once, the same
+    /// from every thread; and the arms a parity test walks are the distinct
+    /// views up to it.
+    #[test]
+    fn every_level_views_as_the_three_dispatch_types_did() {
+        let views = Backend::ALL.map(|b| {
+            (
+                b.name(),
+                b.kernel().name(),
+                b.packed_width().name(),
+                b.int8().name(),
+            )
+        });
+        assert_eq!(
+            views,
+            [
+                ("scalar", "scalar", "avx2_fma_6x16", "scalar"),
+                ("avx2_fma", "avx2_fma", "avx2_fma_6x16", "avx2_maddubs"),
+                ("avx512f", "avx2_fma", "avx512f_12x32", "avx2_maddubs"),
+                ("avx512_vnni", "avx2_fma", "avx512f_12x32", "avx512_vnni"),
+                ("amx_int8", "avx2_fma", "avx512f_12x32", "amx_int8"),
+            ]
+        );
+        let host = Backend::host();
+        assert_eq!(std::thread::spawn(Backend::host).join().unwrap(), host);
+        assert_eq!(packed::PackedWidth::detect(), host.packed_width());
+        assert_eq!(Backend::arms(|b| b), Backend::ALL[..=host as usize]);
+        let kernels = Backend::arms(Backend::kernel);
+        assert_eq!(kernels.len(), 1 + usize::from(host >= Backend::Avx2));
+    }
+
     #[test]
     fn dispatch_report_is_consistent() {
         let report = dispatch_report();
         // CI runs this test alone with `--nocapture` ahead of the suites.
         eprintln!("{report:?}");
-        assert!(["auto", "scalar"].contains(&report.requested));
         assert!(report.pool_threads >= 1);
-        assert!(["scalar", "avx2_fma"].contains(&report.selected));
+        assert_eq!(report.host, Backend::host().name());
+        let backend = match report.requested {
+            "scalar" => Backend::Scalar,
+            "auto" => Backend::host(),
+            other => panic!("requested {other}"),
+        };
+        let packed = match backend {
+            Backend::Scalar => "scalar",
+            _ => backend.packed_width().name(),
+        };
         assert_eq!(
-            report.selected_packed == "scalar",
-            report.selected == "scalar"
+            (
+                report.selected,
+                report.selected_packed,
+                report.selected_int8
+            ),
+            (backend.kernel().name(), packed, backend.int8().name())
         );
-        assert_eq!(
-            report.selected_packed == "avx512f_12x32",
-            report.selected == "avx2_fma" && report.avx512f_available
-        );
-        assert!(
-            ["scalar", "avx2_maddubs", "avx512_vnni", "amx_int8"].contains(&report.selected_int8)
-        );
-        if !report.avx2_fma_available {
-            assert_eq!(report.selected, "scalar");
-        }
-        // Detected-but-unselected features must still be reported: the report
-        // explains *why* a tier was not taken, so the availability bits are
-        // filled regardless of what got selected.
-        if !report.avx512_vnni_available {
-            assert_ne!(report.selected_int8, "avx512_vnni");
-            assert!(!report.amx_int8_available);
-        }
-        // The honest name: the AMX arm is reported exactly when it is the
-        // one that runs.
-        assert_eq!(
-            report.selected_int8 == "amx_int8",
-            report.amx_int8_available && report.requested == "auto"
-        );
-        if report.requested == "scalar" {
-            assert_eq!(
-                (report.selected, report.selected_int8),
-                ("scalar", "scalar")
-            );
-        }
-        assert_eq!(Kernel::Scalar.name(), "scalar");
-        assert_eq!(Kernel::Avx2Fma.name(), "avx2_fma");
     }
 
     #[test]
     fn caxpy_parity_across_kernels_and_lengths() {
-        // AVX2 arms under test: `caxpy_avx2` and `caxpy_sub_avx2` (both via
-        // `cmul_lanes`), including their odd-length scalar tails.
+        // AVX2 arm under test: `caxpy_avx2`, adding and subtracting (via
+        // `cmul_lanes`), including its odd-length scalar tails.
         for n in [0usize, 1, 2, 3, 5, 8, 17] {
             let a = Complex64::new(0.7, -0.3);
             let x = complex_series(n, 1.0);

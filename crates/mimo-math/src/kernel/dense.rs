@@ -31,11 +31,9 @@
 //!   in every vector width, and Rust never contracts a multiply and an add
 //!   into an FMA, so the vector bodies are bit-identical to the scalar one.
 
-#[cfg(target_arch = "x86_64")]
-use super::packed::x86;
-use super::packed::{Lanes, PackedWidth, Panels, Tile, TileFn, NO_BIAS, PAR_MIN_MACS};
-use super::{avx2_fma_available, sdot, tune, Kernel};
-use rayon::prelude::*;
+use super::packed::{hand_out, register_tile, unit, Lanes, PackedWidth, Panels, Tile};
+use super::packed::{NO_BIAS, PAR_MIN_MACS};
+use super::{sdot, tune, Backend, Kernel};
 use std::ops::Range;
 
 /// Rows from which [`gemm_f32`]'s vector arm holds a register tile over the
@@ -64,30 +62,10 @@ const CHUNK: usize = 1 << 14;
 /// than half the update.
 const PAR_MIN_PARAMS: usize = 1 << 16;
 
-/// Runs `part(0..parts)`, on the pool when `pooled` and there is more than
-/// one part.
-fn hand_out(parts: usize, pooled: bool, part: impl Fn(usize) + Sync + Send) {
-    if pooled && parts > 1 {
-        (0..parts).into_par_iter().for_each(part);
-    } else {
-        (0..parts).for_each(part);
-    }
-}
-
-/// The register tile the vector backend runs on this host — the packed
-/// tail's arm, by CPU detection — or `None` under the scalar backend.
-fn vector_tile(kernel: Kernel) -> Option<(PackedWidth, TileFn)> {
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2Fma && avx2_fma_available() {
-        let width = PackedWidth::detect();
-        let arm: TileFn = match width {
-            PackedWidth::Zmm => x86::rows_zmm,
-            PackedWidth::Ymm => x86::rows_ymm,
-        };
-        return Some((width, arm));
-    }
-    let _ = kernel;
-    None
+/// The width whose register tile the vector backend runs on this host — the
+/// packed tail's — or `None` under the scalar backend.
+fn vector_tile(kernel: Kernel) -> Option<PackedWidth> {
+    (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect)
 }
 
 /// Dense f32 GEMM: `out = a * b` where `a` is `rows x m`, `b` is `m x n` and
@@ -114,7 +92,7 @@ pub fn gemm_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], m: usize,
 /// widths on one host and both sides of the threshold.
 fn forward(
     kernel: Kernel,
-    tile: Option<(PackedWidth, TileFn)>,
+    tile: Option<PackedWidth>,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
@@ -125,8 +103,8 @@ fn forward(
     assert_eq!(a.len() % m.max(1), 0, "gemm_f32 lhs length mismatch");
     let rows = a.len().checked_div(m).unwrap_or(0);
     assert_eq!(out.len(), rows * n, "gemm_f32 out length mismatch");
-    let tile = tile.filter(|_| rows >= TILE_MIN_ROWS);
-    let nr = tile.map_or(0, |(width, _)| width.nr());
+    let tile = tile.filter(|_| rows >= TILE_MIN_ROWS).map(register_tile);
+    let nr = tile.map_or(0, |(_, (_, nr))| nr);
     let panels = n.checked_div(nr).unwrap_or(0);
     let walked = panels * nr..n;
     let pooled = rows * m * n >= par_min_macs;
@@ -140,11 +118,11 @@ fn forward(
     };
     let walk_cols = walked.len().div_ceil(walkers).next_multiple_of(16).max(16);
     let out = Lanes(out.as_mut_ptr());
-    let part = |p: usize| match tile {
-        Some((width, arm)) if p < panels => {
+    let part = |_: &mut (), p: usize| match tile {
+        Some((arm, (mr, _))) if p < panels => {
             let j0 = p * nr;
             // Row tiles of even height: 16 rows are two 8-row zmm tiles.
-            let tall = rows.div_ceil(rows.div_ceil(width.mr()));
+            let tall = rows.div_ceil(rows.div_ceil(mr));
             for r in (0..rows).step_by(tall) {
                 let tile = Tile {
                     a: a[r * m..].as_ptr(),
@@ -163,7 +141,7 @@ fn forward(
                 // The tile reads `m` rows of `b` at columns `j0..j0 + nr <= n`
                 // and writes those columns of its rows of `out`: panel `p`'s,
                 // which no other thread runs.
-                // SAFETY: `vector_tile` feature-checked the arm; `a` holds
+                // SAFETY: `register_tile` feature-checked the arm; `a` holds
                 // `tall.min(rows - r)` rows of `m` from row `r`.
                 unsafe { arm(tall.min(rows - r), tile) };
             }
@@ -174,7 +152,8 @@ fn forward(
             walk(kernel, a, b, &out, (rows, m, n), cols);
         }
     };
-    hand_out(panels + walked.len().div_ceil(walk_cols), pooled, part);
+    let parts = panels + walked.len().div_ceil(walk_cols);
+    hand_out(parts, pooled, unit, part);
 }
 
 /// Columns `cols` of [`gemm_f32`]: zeroed, then the `k`-blocked walk.
@@ -195,15 +174,15 @@ fn walk(
         row(r).fill(0.0);
     }
     let k_block = tune::params().f32_k_block.max(1);
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2Fma && avx2_fma_available() {
-        // SAFETY: AVX2 + FMA were detected; `out` holds `rows` rows of `n`
+    if kernel.runs() >= Backend::Avx2 {
+        // SAFETY: the host runs AVX2 + FMA; `out` holds `rows` rows of `n`
         // and columns `cols` of them are this part's alone; `a` and `b` are
         // `rows x m` and `m x n` (asserted by `forward`).
-        unsafe { super::gemm_f32_avx2(a, b, out.0, (rows, m, n), (cols.start, cols.end), k_block) };
-        return;
+        #[cfg(target_arch = "x86_64")]
+        return unsafe {
+            super::gemm_f32_avx2(a, b, out.0, (rows, m, n), (cols.start, cols.end), k_block)
+        };
     }
-    let _ = kernel;
     let b_row = |k: usize| &b[k * n + cols.start..k * n + cols.end];
     for k0 in (0..m).step_by(k_block) {
         let ks = k0..(k0 + k_block).min(m);
@@ -309,7 +288,7 @@ pub fn gemm_at_b_f32(
 /// [`gemm_at_b_f32`] with its register tile (`None`: the scalar arm) and its
 /// hand-out threshold as parameters.
 fn weight_gradient(
-    tile: Option<(PackedWidth, TileFn)>,
+    tile: Option<PackedWidth>,
     a: &[f32],
     g: &[f32],
     out: &mut [f32],
@@ -323,8 +302,8 @@ fn weight_gradient(
     assert_eq!(out.len(), m * n, "gemm_at_b_f32 out length mismatch");
     let pooled = depth * m * n >= par_min_macs;
     let out = Lanes(out.as_mut_ptr());
-    let Some((width, arm)) = tile else {
-        hand_out(m.div_ceil(AT_B_ROWS), pooled, |p| {
+    let Some((arm, (mr, nr))) = tile.map(register_tile) else {
+        hand_out(m.div_ceil(AT_B_ROWS), pooled, unit, |_, p| {
             for r in p * AT_B_ROWS..(p * AT_B_ROWS + AT_B_ROWS).min(m) {
                 // SAFETY: row `r < m` of the `m x n` matrix `out`; rows are
                 // this part's alone.
@@ -343,26 +322,14 @@ fn weight_gradient(
         });
         return;
     };
-    let (mr, nr) = (width.mr(), width.nr());
     let panel_len = depth * nr;
-    scratch.panels.reset(n.div_ceil(nr) * panel_len);
-    for (p, panel) in scratch
-        .panels
-        .chunks_exact_mut(panel_len.max(1))
-        .enumerate()
-    {
-        let j0 = p * nr;
-        let cols = nr.min(n - j0);
-        for (dst, src) in panel.chunks_exact_mut(nr).zip(g.chunks_exact(n)) {
-            dst[..cols].copy_from_slice(&src[j0..j0 + cols]);
-        }
-    }
+    scratch.panels.pack(g, (depth, n), nr);
     // Every element is written by the part that transposes its row before
     // that part reads it.
     scratch.transposed.resize(m * depth, 0.0);
     let transposed = Lanes(scratch.transposed.as_mut_ptr());
     let panels = &scratch.panels[..];
-    hand_out(m.div_ceil(mr), pooled, |t| {
+    hand_out(m.div_ceil(mr), pooled, unit, |_, t| {
         let (r0, rows) = (t * mr, mr.min(m - t * mr));
         // SAFETY: rows `r0..r0 + rows` of the `m x depth` transpose, this
         // part's alone.
@@ -388,7 +355,7 @@ fn weight_gradient(
                 cols: nr.min(n - j0),
                 skip,
             };
-            // SAFETY: `vector_tile` feature-checked the arm; `at` holds
+            // SAFETY: `register_tile` feature-checked the arm; `at` holds
             // `rows <= MR` rows of `depth`, `panel` `depth` rows of `NR`, and
             // the tile writes `cols` columns of rows `r0..r0 + rows` of
             // `out`, this part's alone.
@@ -424,20 +391,17 @@ fn input_gradient(
     let cols = b.len().checked_div(k).unwrap_or(0);
     assert_eq!(out.len(), rows * cols, "gemm_a_bt_f32 out length mismatch");
     let out = Lanes(out.as_mut_ptr());
-    hand_out(
-        cols.div_ceil(BT_COLS),
-        rows * cols * k >= par_min_macs,
-        |p| {
-            for j in p * BT_COLS..(p * BT_COLS + BT_COLS).min(cols) {
-                let b_row = &b[j * k..(j + 1) * k];
-                for (r, a_row) in a.chunks_exact(k).enumerate() {
-                    // SAFETY: element `(r, j)` of the `rows x cols` matrix `out`;
-                    // column `j` is this part's alone.
-                    unsafe { *out.at(r * cols + j) = sdot(kernel, a_row, b_row) };
-                }
+    let pooled = rows * cols * k >= par_min_macs;
+    hand_out(cols.div_ceil(BT_COLS), pooled, unit, |_, p| {
+        for j in p * BT_COLS..(p * BT_COLS + BT_COLS).min(cols) {
+            let b_row = &b[j * k..(j + 1) * k];
+            for (r, a_row) in a.chunks_exact(k).enumerate() {
+                // SAFETY: element `(r, j)` of the `rows x cols` matrix `out`;
+                // column `j` is this part's alone.
+                unsafe { *out.at(r * cols + j) = sdot(kernel, a_row, b_row) };
             }
-        },
-    );
+        }
+    });
 }
 
 /// The constants of one Adam step (Kingma & Ba): moments decay by `beta1`
@@ -573,19 +537,11 @@ fn update<H: Sync, F>(
 {
     let len = grad.len();
     assert_eq!(param.len(), len, "optimizer parameter length mismatch");
-    let unit = match kernel {
-        Kernel::Avx2Fma if avx2_fma_available() => {
-            if super::int8::avx512f_available() {
-                Unit::Zmm
-            } else {
-                Unit::Ymm
-            }
-        }
-        _ => Unit::Scalar,
-    };
+    let level = kernel.runs();
     let [s0, s1] = state.map(|s| (Lanes(s.as_mut_ptr()), !s.is_empty()));
     let param = Lanes(param.as_mut_ptr());
-    hand_out(len.div_ceil(CHUNK), len >= par_min_params, |c| {
+    let pooled = len >= par_min_params;
+    hand_out(len.div_ceil(CHUNK), pooled, unit, |_, c| {
         let at = c * CHUNK..(c * CHUNK + CHUNK).min(len);
         // SAFETY: chunk `at` of a stream of `len` floats — this part's
         // alone — or nothing of an empty one.
@@ -598,24 +554,16 @@ fn update<H: Sync, F>(
         let (g, s0, s1) = (&grad[at.clone()], chunk(&s0), chunk(&s1));
         // SAFETY: as `chunk`, for the parameter stream.
         let p = unsafe { std::slice::from_raw_parts_mut(param.at(at.start), at.len()) };
-        match unit {
-            // SAFETY: the unit was feature-checked above.
+        match level {
+            // SAFETY: the host runs `avx512f` from this level up.
             #[cfg(target_arch = "x86_64")]
-            Unit::Zmm => unsafe { chunk_zmm(body, hyper, g, s0, s1, p) },
-            // SAFETY: as above.
+            level if level >= Backend::Avx512 => unsafe { chunk_zmm(body, hyper, g, s0, s1, p) },
+            // SAFETY: the host runs `avx2` at this level.
             #[cfg(target_arch = "x86_64")]
-            Unit::Ymm => unsafe { chunk_ymm(body, hyper, g, s0, s1, p) },
+            Backend::Avx2 => unsafe { chunk_ymm(body, hyper, g, s0, s1, p) },
             _ => body(hyper, g, s0, s1, p),
         }
     });
-}
-
-/// The vector unit an optimizer body is compiled for.
-#[derive(Clone, Copy)]
-enum Unit {
-    Scalar,
-    Ymm,
-    Zmm,
 }
 
 /// An optimizer body compiled for `avx512f`: `body` is an
@@ -647,38 +595,17 @@ where
 
 #[cfg(test)]
 mod tests {
-    use super::super::int8::avx512f_available;
-    use super::super::packed::tests::{bits, pools, values};
+    use super::super::packed::tests::{bits, pools, values, vector_widths};
     use super::*;
 
     /// Both kernels, but AVX2 only on hosts that have it.
     fn kernels() -> Vec<Kernel> {
-        let mut ks = vec![Kernel::Scalar];
-        if avx2_fma_available() {
-            ks.push(Kernel::Avx2Fma);
-        }
-        ks
-    }
-
-    /// Every register tile this host can run, the 256-bit one on an AVX-512
-    /// host too.
-    fn tiles() -> Vec<(PackedWidth, TileFn)> {
-        let mut tiles = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        {
-            if avx2_fma_available() {
-                tiles.push((PackedWidth::Ymm, x86::rows_ymm as TileFn));
-            }
-            if avx512f_available() {
-                tiles.push((PackedWidth::Zmm, x86::rows_zmm as TileFn));
-            }
-        }
-        tiles
+        Backend::arms(Backend::kernel)
     }
 
     fn run_forward(
         kernel: Kernel,
-        tile: Option<(PackedWidth, TileFn)>,
+        tile: Option<PackedWidth>,
         a: &[f32],
         b: &[f32],
         (m, n): (usize, usize),
@@ -697,7 +624,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn the_walk_is_independent_of_the_k_block_and_the_column_range() {
-        if !avx2_fma_available() {
+        if Backend::host() < Backend::Avx2 {
             return;
         }
         let (rows, m, n) = (6usize, 50usize, 33usize);
@@ -762,9 +689,8 @@ mod tests {
                     if kernel == Kernel::Scalar {
                         continue;
                     }
-                    for (width, arm) in tiles() {
-                        let tiled =
-                            run_forward(kernel, Some((width, arm)), &a, &b, (m, n), usize::MAX);
+                    for width in vector_widths() {
+                        let tiled = run_forward(kernel, Some(width), &a, &b, (m, n), usize::MAX);
                         assert_eq!(tiled, want, "{width:?} rows={rows} {m}x{n}");
                     }
                 }
@@ -798,7 +724,7 @@ mod tests {
             for kernel in kernels() {
                 let mut arms = vec![None];
                 if kernel == Kernel::Avx2Fma {
-                    arms.extend(tiles().into_iter().map(Some));
+                    arms.extend(vector_widths().into_iter().map(Some));
                 }
                 for tile in arms {
                     let products = |par_min_macs: usize, scratch: &mut GradScratch| {
@@ -854,7 +780,7 @@ mod tests {
     #[test]
     fn the_weight_gradient_is_the_historical_per_term_chain() {
         let mut scratch = GradScratch::default();
-        let mut arms: Vec<_> = tiles().into_iter().map(Some).collect();
+        let mut arms: Vec<_> = vector_widths().into_iter().map(Some).collect();
         arms.push(None);
         // Column 0: 1e-30 * -1e-30 underflows to -0.0 in a fused chain, and
         // the skipped zero below it must leave the sign. Column 1: 0 * inf.

@@ -58,24 +58,20 @@
 //! the largest tail layer in the workspace has `k = 4356`, giving `~7.0e7`,
 //! five orders of magnitude inside `i32` range.
 
-use super::packed::{Lanes, PackedWidth, Panels};
-use super::KernelChoice;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU8, Ordering};
+use super::packed::{walk_panels, Lanes, PackedWidth, Panels};
+use super::Backend;
+use std::ops::Range;
 
-/// A concrete integer-GEMM backend.
+/// A concrete integer-GEMM backend: the [`Backend::int8`] view of a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Int8Kernel {
     /// Verbatim scalar reference — always available, the bit-exactness anchor.
     Scalar,
-    /// AVX2 `maddubs`-style kernel (x86_64, runtime-detected `avx2`).
+    /// AVX2 `maddubs`-style kernel (from [`Backend::Avx2`]).
     Avx2Maddubs,
-    /// AVX-512 VNNI `dpbusd` kernel (x86_64, runtime-detected
-    /// `avx512f/bw/vl/vnni`).
+    /// AVX-512 VNNI `dpbusd` kernel (from [`Backend::Vnni`]).
     Avx512Vnni,
-    /// AMX `tdpbusd` tile kernel (x86_64 Linux: `amx-tile` + `amx-int8` and
-    /// the VNNI arm's features detected, tile-data permission granted — see
-    /// [`amx_int8_available`]).
+    /// AMX `tdpbusd` tile kernel ([`Backend::Amx`]).
     Amx,
 }
 
@@ -89,131 +85,21 @@ impl Int8Kernel {
             Int8Kernel::Amx => "amx_int8",
         }
     }
-}
 
-/// Cached resolution of [`selected_int8`]: 0 = unresolved, 1 = scalar,
-/// 2 = AVX2 maddubs, 3 = AVX-512 VNNI, 4 = AMX.
-static RESOLVED_INT8: AtomicU8 = AtomicU8::new(0);
-
-/// Invalidated by [`super::set_kernel`] so an override re-resolves this tier
-/// too.
-pub(super) fn reset_selected() {
-    RESOLVED_INT8.store(0, Ordering::Relaxed);
-}
-
-/// `true` when the host CPU supports AVX2 (the `maddubs` arm needs no FMA).
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+    /// The level this arm runs at here: the lowest level it is the view of,
+    /// capped at [`Backend::host`] — an arm the host lacks runs the best
+    /// one at or below it.
+    fn runs(self) -> Backend {
+        use Backend::*;
+        [Scalar, Avx2, Vnni, Amx][self as usize].min(Backend::host())
     }
 }
 
-/// `true` when the host CPU reports AVX-512F (foundation).
-pub fn avx512f_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// `true` when the host CPU reports AVX-512BW (byte/word ops).
-pub fn avx512bw_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512bw")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// `true` when the VNNI arm can run: AVX-512 F + BW + VL + VNNI.
-pub fn avx512_vnni_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-            && std::arch::is_x86_feature_detected!("avx512vnni")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// `true` when the AMX arm can run: the CPU reports `amx-tile` and
-/// `amx-int8` (CPUID.(7,0).EDX bits 24 and 25) next to everything the VNNI
-/// arm needs (the tile's dequantizing store is that arm's), and the
-/// operating system lets this process hold tile data — on Linux one
-/// `arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)`, made the first time this is
-/// asked and remembered for the life of the process. A refused request,
-/// another operating system or another CPU all read `false`, and the int8
-/// tier resolves exactly as it does without this arm.
-pub fn amx_int8_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    {
-        static GRANTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *GRANTED.get_or_init(|| avx512_vnni_available() && x86::request_amx_tiles())
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-    {
-        false
-    }
-}
-
-/// Resolves a [`KernelChoice`] to the best integer backend the host supports.
-fn resolve_int8(choice: KernelChoice) -> Int8Kernel {
-    match choice {
-        KernelChoice::Scalar => Int8Kernel::Scalar,
-        KernelChoice::Auto => {
-            if amx_int8_available() {
-                Int8Kernel::Amx
-            } else if avx512_vnni_available() {
-                Int8Kernel::Avx512Vnni
-            } else if avx2_available() {
-                Int8Kernel::Avx2Maddubs
-            } else {
-                Int8Kernel::Scalar
-            }
-        }
-    }
-}
-
-/// The integer backend the dispatched quantized paths use right now. Honors
-/// the same override / `SPLITBEAM_KERNEL` / CPU-detection chain as
-/// [`super::selected`] (so `SPLITBEAM_KERNEL=scalar` pins *both* tiers) and
-/// caches the answer behind one relaxed atomic load.
+/// The integer backend the dispatched quantized paths use right now: the
+/// [`Int8Kernel`] view of the backend in force, which [`super::selected`]
+/// reads too (so `SPLITBEAM_KERNEL=scalar` pins *both* tiers).
 pub fn selected_int8() -> Int8Kernel {
-    match RESOLVED_INT8.load(Ordering::Relaxed) {
-        1 => Int8Kernel::Scalar,
-        2 => Int8Kernel::Avx2Maddubs,
-        3 => Int8Kernel::Avx512Vnni,
-        4 => Int8Kernel::Amx,
-        _ => {
-            let kernel = resolve_int8(super::requested());
-            RESOLVED_INT8.store(
-                match kernel {
-                    Int8Kernel::Scalar => 1,
-                    Int8Kernel::Avx2Maddubs => 2,
-                    Int8Kernel::Avx512Vnni => 3,
-                    Int8Kernel::Amx => 4,
-                },
-                Ordering::Relaxed,
-            );
-            kernel
-        }
-    }
+    super::in_force().1.int8()
 }
 
 /// The activation-row / packed-weight depth for a logical depth `k`: rounded
@@ -267,7 +153,8 @@ impl PackedInt8 {
         assert!(k > 0 && n > 0, "packed int8 dimensions must be non-zero");
         let nr = width.nr();
         let panel_bytes = padded_k(k) * nr;
-        let mut data = Panels::zeroed(n.div_ceil(nr) * panel_bytes);
+        let mut data = Panels::default();
+        data.reset(n.div_ceil(nr) * panel_bytes);
         for (p, panel) in data.chunks_exact_mut(panel_bytes).enumerate() {
             let j0 = p * nr;
             for row in 0..k {
@@ -302,7 +189,7 @@ impl PackedInt8 {
 /// starting on a 64-byte boundary — what the AMX arm loads a tile row from
 /// (a row that straddles two cache lines halves its load rate) and what
 /// makes the bytes past `k` exact zeros in every arm. Reusable: a
-/// [`Lhs::reset`] keeps the allocation.
+/// [`Lhs::reset`] keeps the allocation; `Lhs::default()` is empty.
 #[derive(Debug, Clone, Default)]
 pub struct Lhs {
     rows: usize,
@@ -311,11 +198,6 @@ pub struct Lhs {
 }
 
 impl Lhs {
-    /// An empty operand; [`Lhs::reset`] gives it a shape.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Reshapes to `rows x k`, every code zero.
     pub fn reset(&mut self, rows: usize, k: usize) {
         (self.rows, self.k) = (rows, k);
@@ -332,23 +214,6 @@ impl Lhs {
     fn stride(&self) -> usize {
         self.k.next_multiple_of(64)
     }
-
-    fn view(&self) -> LhsRows<'_> {
-        LhsRows {
-            data: &self.data,
-            rows: self.rows,
-            stride: self.stride(),
-        }
-    }
-}
-
-/// The left-hand side as the tiles see it: rows of `4 * groups` code bytes,
-/// `stride` apart.
-#[derive(Clone, Copy)]
-struct LhsRows<'a> {
-    data: &'a [u8],
-    rows: usize,
-    stride: usize,
 }
 
 /// The right-hand side as the tiles see it: `groups` K4 groups of `n`
@@ -389,16 +254,21 @@ struct Tile {
 enum Sink {
     /// Stored as they are ([`gemm_u8i8_i32`]).
     Sums(*mut i32),
-    /// Dequantized on the way out ([`gemm_u8i8_dequant`]):
-    /// `out = acc as f32 * col_scale * row_scale + (row_min * corr + bias)`.
-    Dequant {
-        out: *mut f32,
-        row_scale: *const f32,
-        row_min: *const f32,
-        col_scale: *const f32,
-        corr: *const f32,
-        bias: *const f32,
-    },
+    /// Dequantized on the way out ([`gemm_u8i8_dequant`]).
+    Dequant(Terms),
+}
+
+/// The dequantizing store of a tile,
+/// `out = acc as f32 * col_scale * row_scale + (row_min * corr + bias)`:
+/// row terms from the tile's first row, column terms from its first column.
+#[derive(Clone, Copy)]
+struct Terms {
+    out: *mut f32,
+    row_scale: *const f32,
+    row_min: *const f32,
+    col_scale: *const f32,
+    corr: *const f32,
+    bias: *const f32,
 }
 
 type TileFn = unsafe fn(tile: Tile, sink: Sink);
@@ -416,27 +286,20 @@ enum Arm {
     Amx(x86::AmxProduct),
 }
 
-/// One register tile's worth of a product, ready but for its [`Sink`]:
-/// rows `r..r + tile.mr`, columns `j0..j0 + tile.cols`.
-struct Pending<'a> {
-    arm: &'a mut Arm,
-    tile: Tile,
-    r: usize,
-    j0: usize,
-}
-
-impl Pending<'_> {
+impl Arm {
+    /// Runs `tile` on this arm and stores its sums into `sink`.
+    ///
     /// # Safety
-    /// `sink` must satisfy [`Tile`]'s contract for this tile's rows and
-    /// columns.
-    unsafe fn store(self, sink: Sink) {
-        // SAFETY: `for_each_tile` built `tile` from in-bounds slices and
-        // chose a feature-checked arm; the caller vouches for `sink`.
+    /// `tile` must come from [`for_each_tile`], which built it from in-bounds
+    /// slices and chose a feature-checked arm, and `sink` must satisfy
+    /// [`Tile`]'s contract for its rows and columns.
+    unsafe fn store(&mut self, tile: Tile, sink: Sink) {
+        // SAFETY: the caller's contract.
         unsafe {
-            match self.arm {
-                Arm::Registers(run) => run(self.tile, sink),
+            match self {
+                Arm::Registers(run) => run(tile, sink),
                 #[cfg(target_arch = "x86_64")]
-                Arm::Amx(product) => x86::tile_amx(product, self.tile, sink),
+                Arm::Amx(product) => x86::tile_amx(product, tile, sink),
             }
         }
     }
@@ -447,76 +310,52 @@ impl Pending<'_> {
 /// measured fork-join cost behind it).
 const PAR_MIN_MACS: usize = 3 << 20;
 
-/// The loop nest every product shares — panel-outer, so a panel stays
-/// cache-resident while every row tile of the batch runs against it — handing
-/// each tile to `emit`. An arm narrower than a panel walks it in `NR`-column
-/// blocks; a wider one runs with its upper lanes masked off. A product of
-/// several panels and at least `par_min_macs` multiply-adds hands its panels
-/// out through the pool: `emit` then runs on whichever thread claimed the
-/// tile's panel, every tile still exactly once.
+/// Every tile of `a * rhs` on `kernel`'s arm, handed to `emit(arm, tile,
+/// rows, cols)` — `cols` the tile's output columns — by the panel walk the
+/// f32 tail shares ([`walk_panels`]), each claimant of panels with its own
+/// [`Arm`]. `a` is activation rows `a_stride >= 4 * rhs.groups` bytes
+/// apart. An arm narrower than a panel walks it in `NR`-column
+/// blocks; a wider one runs with its upper lanes masked off.
 ///
-/// The AMX arm runs where it has what it needs: the grant, and left-hand
-/// rows it can load whole 64-byte steps from ([`Lhs`]'s layout). Anything
-/// else requested of it runs on the VNNI tile, which computes the same bits.
+/// The AMX arm loads whole 64-byte steps of each row: where it runs, `a`
+/// must be an [`Lhs`]'s rows.
 fn for_each_tile(
     kernel: Int8Kernel,
-    a: LhsRows<'_>,
+    a: &[u8],
+    a_stride: usize,
     rhs: Rhs<'_>,
-    par_min_macs: usize,
-    emit: impl Fn(Pending<'_>) + Sync,
+    pooled: bool,
+    emit: impl Fn(&mut Arm, Tile, Range<usize>, Range<usize>) + Sync + Send,
 ) {
-    let Rhs { groups, n, .. } = rhs;
-    let (arm, mr_max, nr): (fn() -> Arm, usize, usize) = match kernel {
+    let (data, groups, n, panel_cols) = (rhs.data, rhs.groups, rhs.n, rhs.panel_cols);
+    let (arm, shape): (fn() -> Arm, _) = match kernel.runs().int8() {
         // Its drop, after the claimant's last tile, releases the tiles.
         #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Amx if amx_int8_available() && a.stride.is_multiple_of(64) => {
-            (|| Arm::Amx(x86::AmxProduct::new()), 32, 32)
-        }
+        Int8Kernel::Amx => (|| Arm::Amx(x86::AmxProduct::new()), (32, 32)),
         #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Amx | Int8Kernel::Avx512Vnni if avx512_vnni_available() => {
-            (|| Arm::Registers(x86::rows_vnni), 12, 32)
-        }
+        Int8Kernel::Avx512Vnni => (|| Arm::Registers(x86::rows_vnni), (12, 32)),
         #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Avx2Maddubs if avx2_available() => (|| Arm::Registers(x86::rows_avx2), 4, 16),
+        Int8Kernel::Avx2Maddubs => (|| Arm::Registers(x86::rows_avx2), (4, 16)),
         // The portable tile takes any shape; this one is as good as any.
-        _ => (|| Arm::Registers(tile_portable), 12, 32),
+        _ => (|| Arm::Registers(tile_portable), (12, 32)),
     };
-    let stride = 4 * rhs.panel_cols;
-    let panel = |arm: &mut Arm, p: usize| {
-        let panel = &rhs.data[p * groups * stride..(p + 1) * groups * stride];
-        let p0 = p * rhs.panel_cols;
-        let panel_cols = rhs.panel_cols.min(n - p0);
-        for c0 in (0..panel_cols).step_by(nr) {
-            let cols = nr.min(panel_cols - c0);
-            for r in (0..a.rows).step_by(mr_max) {
-                let mr = mr_max.min(a.rows - r);
-                let tile = Tile {
-                    a: a.data[a.stride * r..a.stride * (r + mr)].as_ptr(),
-                    a_stride: a.stride,
-                    mr,
-                    groups,
-                    b: panel[4 * c0..(groups - 1) * stride + 4 * (c0 + cols)].as_ptr(),
-                    stride,
-                    cols,
-                    n,
-                };
-                let j0 = p0 + c0;
-                emit(Pending {
-                    arm: &mut *arm,
-                    tile,
-                    r,
-                    j0,
-                });
-            }
-        }
-    };
-    let panels = rhs.data.len() / (groups * stride);
-    if panels > 1 && a.rows * 4 * groups * n >= par_min_macs {
-        (0..panels).into_par_iter().for_each_init(arm, panel);
-    } else {
-        let mut arm = arm();
-        (0..panels).for_each(|p| panel(&mut arm, p));
-    }
+    let stride = 4 * panel_cols;
+    let rows = a.len() / a_stride;
+    walk_panels(rows, n, panel_cols, shape, pooled, arm, |arm, p, r, j| {
+        let panel = &data[p * groups * stride..(p + 1) * groups * stride];
+        let c0 = j.start % panel_cols;
+        let tile = Tile {
+            a: a[a_stride * r.start..a_stride * r.end].as_ptr(),
+            a_stride,
+            mr: r.len(),
+            groups,
+            b: panel[4 * c0..(groups - 1) * stride + 4 * (c0 + j.len())].as_ptr(),
+            stride,
+            cols: j.len(),
+            n,
+        };
+        emit(arm, tile, r, j);
+    });
 }
 
 /// Integer GEMM `out = a * b` (overwrite — `out` need not be zeroed): `a` is
@@ -553,33 +392,28 @@ pub fn gemm_u8i8_i32(
         n,
         panel_cols: n,
     };
-    // The AMX arm loads left-hand rows a 64-byte step at a time: give it
-    // this operand — padding bytes and all — in the layout that allows it.
-    let relaid = (kernel == Int8Kernel::Amx && amx_int8_available()).then(|| {
-        let mut lhs = Lhs::new();
+    // The AMX arm loads its rows a 64-byte step at a time, so where it runs
+    // it reads this operand, padding bytes and all, copied into an [`Lhs`];
+    // every other arm reads it in place.
+    let mut lhs = Lhs::default();
+    let (a, a_stride) = if kernel.runs() == Backend::Amx {
         lhs.reset(rows, k_pad);
         for (r, row) in a.chunks_exact(k_pad).enumerate() {
             lhs.row_mut(r).copy_from_slice(row);
         }
-        lhs
-    });
-    let lhs = match &relaid {
-        Some(lhs) => lhs.view(),
-        None => LhsRows {
-            data: a,
-            rows,
-            stride: k_pad,
-        },
+        (&lhs.data[..], lhs.stride())
+    } else {
+        (a, k_pad)
     };
     let out = Lanes(out.as_mut_ptr());
     // One panel as wide as the matrix: nothing to hand out.
-    for_each_tile(kernel, lhs, rhs, usize::MAX, |t| {
+    for_each_tile(kernel, a, a_stride, rhs, false, |arm, tile, r, j| {
         // SAFETY: the tile's first lane, inside the `rows x n` matrix `out`
-        // points to; from it the tile's `cols <= n - j0` lanes in each of its
-        // `mr <= rows - r` rows, `n` apart, are this tile's alone.
-        let sums = unsafe { out.at(t.r * n + t.j0) };
-        // SAFETY: as above.
-        unsafe { t.store(Sink::Sums(sums)) };
+        // points to; from it the tile's columns in each of its rows, `n`
+        // apart, are this tile's alone.
+        let sums = unsafe { out.at(r.start * n + j.start) };
+        // SAFETY: `for_each_tile`'s tile, and its lanes as above.
+        unsafe { arm.store(tile, Sink::Sums(sums)) };
     });
 }
 
@@ -648,31 +482,26 @@ fn dequant_product<F: Fn(f32) -> f32 + Sync>(
         n,
         panel_cols: b.width.nr(),
     };
-    let out = Lanes(out.as_mut_ptr());
-    for_each_tile(kernel, a.view(), rhs, par_min_macs, |t| {
-        let (r, j0, mr, cols) = (t.r, t.j0, t.tile.mr, t.tile.cols);
-        let sink = Sink::Dequant {
+    let pooled = rows * 4 * rhs.groups * n >= par_min_macs;
+    let (out, a_stride) = (Lanes(out.as_mut_ptr()), a.stride());
+    for_each_tile(kernel, &a.data, a_stride, rhs, pooled, |arm, tile, r, j| {
+        let sink = Sink::Dequant(Terms {
             // SAFETY: the tile's first lane, inside the `rows x n` matrix
             // `out` points to.
-            out: unsafe { out.at(r * n + j0) },
-            row_scale: deq.row_scale[r..r + mr].as_ptr(),
-            row_min: deq.row_min[r..r + mr].as_ptr(),
-            col_scale: deq.col_scale[j0..j0 + cols].as_ptr(),
-            corr: deq.corr[j0..j0 + cols].as_ptr(),
-            bias: deq.bias[j0..j0 + cols].as_ptr(),
-        };
-        // SAFETY: the slices just taken are exactly the `mr` row terms and
-        // the `cols` column terms, and `out` is good for `cols <= n - j0`
-        // lanes in each of `mr <= rows - r` rows `n` apart — lanes of this
-        // tile's panel, which only the thread running that panel touches.
-        unsafe { t.store(sink) };
-        for row in r..r + mr {
-            // SAFETY: the `cols` lanes of row `row` the tile just wrote.
-            let lanes = unsafe { std::slice::from_raw_parts_mut(out.at(row * n + j0), cols) };
-            for o in lanes {
-                *o = act(*o);
-            }
-        }
+            out: unsafe { out.at(r.start * n + j.start) },
+            row_scale: deq.row_scale[r.clone()].as_ptr(),
+            row_min: deq.row_min[r.clone()].as_ptr(),
+            col_scale: deq.col_scale[j.clone()].as_ptr(),
+            corr: deq.corr[j.clone()].as_ptr(),
+            bias: deq.bias[j.clone()].as_ptr(),
+        });
+        // SAFETY: `for_each_tile`'s tile; the slices just taken are exactly
+        // its row and column terms, and `out` is good for its columns in
+        // each of its rows `n` apart — lanes of this tile's panel, which
+        // only the thread running that panel touches.
+        unsafe { arm.store(tile, sink) };
+        // SAFETY: the lanes the tile just wrote, as above.
+        unsafe { out.act(n, r, j, &act) };
     });
 }
 
@@ -700,16 +529,10 @@ unsafe fn tile_portable(t: Tile, sink: Sink) {
             unsafe {
                 match sink {
                     Sink::Sums(out) => *out.add(r * t.n + c) = acc,
-                    Sink::Dequant {
-                        out,
-                        row_scale,
-                        row_min,
-                        col_scale,
-                        corr,
-                        bias,
-                    } => {
-                        *out.add(r * t.n + c) = acc as f32 * *col_scale.add(c) * *row_scale.add(r)
-                            + (*row_min.add(r) * *corr.add(c) + *bias.add(c));
+                    Sink::Dequant(d) => {
+                        *d.out.add(r * t.n + c) =
+                            acc as f32 * *d.col_scale.add(c) * *d.row_scale.add(r)
+                                + (*d.row_min.add(r) * *d.corr.add(c) + *d.bias.add(c));
                     }
                 }
             }
@@ -719,6 +542,8 @@ unsafe fn tile_portable(t: Tile, sink: Sink) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    #[cfg(doc)]
+    use super::Backend;
     use super::{Sink, Tile};
     use core::arch::asm;
     use core::arch::x86_64::{
@@ -820,22 +645,15 @@ mod x86 {
                         _mm512_mask_storeu_epi32(o.wrapping_add(16), masks[1], acc_row[1]);
                     }
                 }
-                Sink::Dequant {
-                    out,
-                    row_scale,
-                    row_min,
-                    col_scale,
-                    corr,
-                    bias,
-                } => {
+                Sink::Dequant(d) => {
                     for (half, &mask) in masks.iter().enumerate() {
                         let lane = 16 * half;
-                        let ws = _mm512_maskz_loadu_ps(mask, col_scale.wrapping_add(lane));
-                        let corr = _mm512_maskz_loadu_ps(mask, corr.wrapping_add(lane));
-                        let bias = _mm512_maskz_loadu_ps(mask, bias.wrapping_add(lane));
+                        let ws = _mm512_maskz_loadu_ps(mask, d.col_scale.wrapping_add(lane));
+                        let corr = _mm512_maskz_loadu_ps(mask, d.corr.wrapping_add(lane));
+                        let bias = _mm512_maskz_loadu_ps(mask, d.bias.wrapping_add(lane));
                         for (r, acc_row) in acc.iter().enumerate() {
-                            let a_scale = _mm512_set1_ps(*row_scale.add(r));
-                            let a_min = _mm512_set1_ps(*row_min.add(r));
+                            let a_scale = _mm512_set1_ps(*d.row_scale.add(r));
+                            let a_min = _mm512_set1_ps(*d.row_min.add(r));
                             // Separate multiplies and adds, in the portable
                             // tile's order: an FMA would round differently.
                             let scaled = _mm512_mul_ps(
@@ -843,7 +661,7 @@ mod x86 {
                                 a_scale,
                             );
                             let offset = _mm512_add_ps(_mm512_mul_ps(a_min, corr), bias);
-                            let o = out.add(r * n).wrapping_add(lane);
+                            let o = d.out.add(r * n).wrapping_add(lane);
                             _mm512_mask_storeu_ps(o, mask, _mm512_add_ps(scaled, offset));
                         }
                     }
@@ -902,69 +720,27 @@ mod x86 {
                         _mm256_maskstore_epi32(o.wrapping_add(8), masks[1], acc_row[1]);
                     }
                 }
-                Sink::Dequant {
-                    out,
-                    row_scale,
-                    row_min,
-                    col_scale,
-                    corr,
-                    bias,
-                } => {
+                Sink::Dequant(d) => {
                     for (half, &mask) in masks.iter().enumerate() {
                         let lane = 8 * half;
-                        let ws = _mm256_maskload_ps(col_scale.wrapping_add(lane), mask);
-                        let corr = _mm256_maskload_ps(corr.wrapping_add(lane), mask);
-                        let bias = _mm256_maskload_ps(bias.wrapping_add(lane), mask);
+                        let ws = _mm256_maskload_ps(d.col_scale.wrapping_add(lane), mask);
+                        let corr = _mm256_maskload_ps(d.corr.wrapping_add(lane), mask);
+                        let bias = _mm256_maskload_ps(d.bias.wrapping_add(lane), mask);
                         for (r, acc_row) in acc.iter().enumerate() {
-                            let a_scale = _mm256_set1_ps(*row_scale.add(r));
-                            let a_min = _mm256_set1_ps(*row_min.add(r));
+                            let a_scale = _mm256_set1_ps(*d.row_scale.add(r));
+                            let a_min = _mm256_set1_ps(*d.row_min.add(r));
                             let scaled = _mm256_mul_ps(
                                 _mm256_mul_ps(_mm256_cvtepi32_ps(acc_row[half]), ws),
                                 a_scale,
                             );
                             let offset = _mm256_add_ps(_mm256_mul_ps(a_min, corr), bias);
-                            let o = out.add(r * t.n).wrapping_add(lane);
+                            let o = d.out.add(r * t.n).wrapping_add(lane);
                             _mm256_maskstore_ps(o, mask, _mm256_add_ps(scaled, offset));
                         }
                     }
                 }
             }
         }
-    }
-
-    /// Asks for the AMX arm's one precondition beyond [`super::
-    /// avx512_vnni_available`]: CPUID.(7,0).EDX reports `amx-tile` (bit 24)
-    /// and `amx-int8` (bit 25), and Linux grants this process the tile-data
-    /// state component — `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)`
-    /// returns 0. Without the grant the first tile instruction would raise
-    /// SIGILL. `is_x86_feature_detected!("amx-int8")` and the `amx-*` target
-    /// features are unstable, hence the raw leaf and the raw call.
-    #[cfg(target_os = "linux")]
-    pub(super) fn request_amx_tiles() -> bool {
-        const SYS_ARCH_PRCTL: i64 = 158;
-        const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
-        const XFEATURE_XTILEDATA: u64 = 18;
-        let leaf7 = core::arch::x86_64::__cpuid_count(7, 0);
-        if (leaf7.edx >> 24) & 0b11 != 0b11 {
-            return false;
-        }
-        let granted: i64;
-        // SAFETY: this `arch_prctl` option takes two integers and reads or
-        // writes no user memory; it only widens the register state the
-        // kernel will save for this process. `syscall` itself clobbers
-        // `rcx` and `r11`, declared here, and uses no stack.
-        unsafe {
-            asm!(
-                "syscall",
-                inlateout("rax") SYS_ARCH_PRCTL => granted,
-                in("rdi") ARCH_REQ_XCOMP_PERM,
-                in("rsi") XFEATURE_XTILEDATA,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        granted == 0
     }
 
     /// Rows and K4 groups of one `tmm` register: 16 rows of 64 bytes.
@@ -985,7 +761,7 @@ mod x86 {
     /// `ldtilecfg`: configures the tiles as `config` says and zeroes them.
     ///
     /// # Safety
-    /// [`super::amx_int8_available`] must hold. Tile state stays live until
+    /// [`Backend::host`] must be [`Backend::Amx`]. Tile state stays live until
     /// [`tile_release`].
     #[inline(always)]
     unsafe fn tile_loadconfig(config: &TileConfig) {
@@ -996,7 +772,7 @@ mod x86 {
     /// `tilerelease`: returns every tile to its unconfigured initial state.
     ///
     /// # Safety
-    /// [`super::amx_int8_available`] must hold.
+    /// [`Backend::host`] must be [`Backend::Amx`].
     #[inline(always)]
     unsafe fn tile_release() {
         // SAFETY: no operands; AMX per the caller.
@@ -1131,7 +907,7 @@ mod x86 {
     /// store: the same exact `i32`, the same f32 expression.
     ///
     /// # Safety
-    /// Requires [`super::amx_int8_available`]; `t` and `sink` must satisfy
+    /// Requires [`Backend::Amx`]; `t` and `sink` must satisfy
     /// [`Tile`]'s contract at `32 x 32`, with `t.a_stride` a multiple of 64.
     #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(super) unsafe fn tile_amx(product: &mut AmxProduct, t: Tile, sink: Sink) {
@@ -1246,14 +1022,10 @@ mod tests {
 
     const WIDTHS: [PackedWidth; 2] = [PackedWidth::Ymm, PackedWidth::Zmm];
 
-    /// Every backend: one the host lacks falls back to the portable tile,
-    /// which must pass all the same.
-    const KERNELS: [Int8Kernel; 4] = [
-        Int8Kernel::Scalar,
-        Int8Kernel::Avx2Maddubs,
-        Int8Kernel::Avx512Vnni,
-        Int8Kernel::Amx,
-    ];
+    /// Every arm this host runs.
+    fn kernels() -> Vec<Int8Kernel> {
+        Backend::arms(Backend::int8)
+    }
 
     type Activation = fn(f32) -> f32;
 
@@ -1380,7 +1152,7 @@ mod tests {
 
         /// The activation rows in [`gemm_u8i8_dequant`]'s layout.
         fn lhs(&self) -> Lhs {
-            let mut lhs = Lhs::new();
+            let mut lhs = Lhs::default();
             lhs.reset(self.rows, self.k);
             for (r, row) in self.a.chunks_exact(padded_k(self.k)).enumerate() {
                 lhs.row_mut(r).copy_from_slice(&row[..self.k]);
@@ -1417,7 +1189,7 @@ mod tests {
         fn assert_every_arm_equals_the_oracle(&self, name: &str, act: Activation) {
             let want = self.oracle(act);
             let (rows, k, n) = (self.rows, self.k, self.n);
-            for kernel in KERNELS {
+            for kernel in kernels() {
                 for width in WIDTHS {
                     let got = self.dequant(kernel, width, act);
                     assert_eq!(got, want, "{kernel:?} {width:?} {name} {rows}x{k}x{n}");
@@ -1503,15 +1275,13 @@ mod tests {
             // SAFETY: the caller's contract is `tile_amx`'s.
             unsafe { x86::tile_amx(&mut x86::AmxProduct::new(), t, sink) }
         }
-        let arms: [(TileFn, usize, usize, bool, &[usize]); 3] = [
-            (x86::rows_vnni, 12, 32, avx512_vnni_available(), &[5]),
-            (x86::rows_avx2, 4, 16, avx2_available(), &[5]),
-            (amx_once, 32, 32, amx_int8_available(), &[5, 16, 35]),
-        ];
-        for (vector, mr_max, nr, available, depths) in arms {
-            if !available {
-                continue;
-            }
+        for kernel in kernels() {
+            let (vector, mr_max, nr, depths): (TileFn, usize, usize, &[usize]) = match kernel {
+                Int8Kernel::Scalar => continue,
+                Int8Kernel::Avx2Maddubs => (x86::rows_avx2, 4, 16, &[5]),
+                Int8Kernel::Avx512Vnni => (x86::rows_vnni, 12, 32, &[5]),
+                Int8Kernel::Amx => (amx_once, 32, 32, &[5, 16, 35]),
+            };
             // One spare row and `nr` spare columns of guard around the tile.
             let n = 2 * nr;
             for (&groups, stride) in depths.iter().flat_map(|g| [(g, 4 * nr), (g, 4 * n)]) {
@@ -1529,8 +1299,8 @@ mod tests {
                 for mr in 1..=mr_max {
                     for cols in 1..=nr {
                         let tile = Tile {
-                            a: lhs.view().data.as_ptr(),
-                            a_stride: lhs.view().stride,
+                            a: lhs.data.as_ptr(),
+                            a_stride: lhs.stride(),
                             mr,
                             groups,
                             b: b.as_ptr(),
@@ -1541,19 +1311,19 @@ mod tests {
                         let run = |arm: TileFn, dequant: bool| {
                             let mut out = vec![GUARD; (mr_max + 1) * n];
                             let sink = if dequant {
-                                Sink::Dequant {
+                                Sink::Dequant(Terms {
                                     out: out.as_mut_ptr().cast(),
                                     row_scale: case.row_scale.as_ptr(),
                                     row_min: case.row_min.as_ptr(),
                                     col_scale: case.col_scale[..cols].as_ptr(),
                                     corr: case.corr[..cols].as_ptr(),
                                     bias: case.bias[..cols].as_ptr(),
-                                }
+                                })
                             } else {
                                 Sink::Sums(out.as_mut_ptr().cast())
                             };
-                            // SAFETY: `vector` runs only when its features
-                            // were detected above; `a` holds `mr_max >= mr`
+                            // SAFETY: `vector` is an arm of `kernels()`,
+                            // which the host runs; `a` holds `mr_max >= mr`
                             // rows of `groups` quads in `Lhs`'s layout, `b`
                             // `groups` strides
                             // of at least `4 * nr` bytes, the row terms
@@ -1603,10 +1373,10 @@ mod tests {
     fn claimed_panels_equal_one_thread_panels_bitwise() {
         eprintln!(
             "int8 hand-out parity: the amx_int8 arm ran on {}",
-            if amx_int8_available() {
+            if Backend::host() == Backend::Amx {
                 "the AMX tile, one product a claimant"
             } else {
-                "the VNNI or portable tile: no AMX here"
+                "a lower arm: no AMX here"
             }
         );
         let pools = pools();
@@ -1614,7 +1384,7 @@ mod tests {
         for (k, n) in [(1usize, 1usize), (7, 33), (56, 224)] {
             for rows in 0..=70usize {
                 let case = Case::new(rows, k, n, 5 + rows as u64, true);
-                for kernel in KERNELS {
+                for kernel in kernels() {
                     for width in WIDTHS {
                         let one_thread = case.dequant_from(kernel, width, relu, usize::MAX);
                         for (threads, pool) in &pools {
@@ -1642,7 +1412,7 @@ mod tests {
         let pools = pools();
         for rows in [below, below + 1] {
             let case = Case::new(rows, k, n, 8, false);
-            for kernel in KERNELS {
+            for kernel in kernels() {
                 for width in WIDTHS {
                     let one_thread = case.dequant_from(kernel, width, tanh, usize::MAX);
                     for (threads, pool) in &pools {
@@ -1690,7 +1460,7 @@ mod tests {
             let case = Case::new(rows, k, n, 7, false);
             let packed = pack_weights_k4(&case.wq, k, n);
             let want = case.sums();
-            for kernel in KERNELS {
+            for kernel in kernels() {
                 let mut out = vec![5i32; rows * n];
                 gemm_u8i8_i32(kernel, &case.a, &packed, &mut out, rows, padded_k(k), n);
                 assert_eq!(out, want, "{kernel:?} rows={rows} k={k} n={n}");
@@ -1706,44 +1476,37 @@ mod tests {
         case.dequant(Int8Kernel::Scalar, PackedWidth::detect(), |v| v);
     }
 
+    /// Each arm runs at its own level where the host has it and at the best
+    /// level below it where it does not, and is the view of that level.
     #[test]
     fn selection_tracks_host_features() {
-        assert_eq!(resolve_int8(KernelChoice::Scalar), Int8Kernel::Scalar);
-        let auto = resolve_int8(KernelChoice::Auto);
-        if amx_int8_available() {
-            assert_eq!(auto, Int8Kernel::Amx);
-        } else if avx512_vnni_available() {
-            assert_eq!(auto, Int8Kernel::Avx512Vnni);
-        } else if avx2_available() {
-            assert_eq!(auto, Int8Kernel::Avx2Maddubs);
-        } else {
-            assert_eq!(auto, Int8Kernel::Scalar);
+        let all = [
+            Int8Kernel::Scalar,
+            Int8Kernel::Avx2Maddubs,
+            Int8Kernel::Avx512Vnni,
+            Int8Kernel::Amx,
+        ];
+        for kernel in all {
+            let runs = kernel.runs();
+            assert!(runs <= Backend::host(), "{kernel:?}");
+            assert_eq!(
+                runs.int8() == kernel,
+                kernels().contains(&kernel),
+                "{kernel:?}"
+            );
         }
-        assert!(KERNELS
-            .map(Int8Kernel::name)
-            .contains(&selected_int8().name()));
-        // Each arm implies the narrower feature reports agree.
-        if amx_int8_available() {
-            assert!(avx512_vnni_available());
-        }
-        if avx512_vnni_available() {
-            assert!(avx512f_available() && avx512bw_available());
-        }
+        assert!(kernels().contains(&selected_int8()));
     }
 
-    /// `request_amx_tiles` is asked once: a second answer, from any thread,
-    /// is the first, and a grant means a tile instruction really runs here
-    /// (the smallest product there is, through `tile_amx`).
+    /// The host's level is asked once: a second answer, from any thread, is
+    /// the first, and an `Amx` level means a tile instruction really runs
+    /// here (the smallest product there is, through `tile_amx`).
     #[test]
     fn the_amx_grant_is_stable_and_real() {
-        let first = amx_int8_available();
-        let again = std::thread::spawn(amx_int8_available).join().unwrap();
+        let first = Backend::host();
+        let again = std::thread::spawn(Backend::host).join().unwrap();
         assert_eq!(first, again);
-        eprintln!(
-            "int8 arms on this host: amx_int8={first} avx512_vnni={} avx2={}",
-            avx512_vnni_available(),
-            avx2_available()
-        );
+        eprintln!("int8 arms on this host: {:?}", kernels());
         let mut out = [0i32; 1];
         gemm_u8i8_i32(
             Int8Kernel::Amx,
@@ -1778,7 +1541,7 @@ mod tests {
             let (name, act) = ACTIVATIONS[ai];
             let case = Case::new(rows, k, n, seed, seed % 2 == 0);
             let want = case.oracle(act);
-            for kernel in KERNELS {
+            for kernel in kernels() {
                 for width in WIDTHS {
                     let got = case.dequant(kernel, width, act);
                     prop_assert_eq!(
@@ -1797,8 +1560,9 @@ mod tests {
         /// the raw sums, operands of arbitrary bytes whose `padded_k`
         /// padding is **not** zero (`gemm_u8i8_i32` multiplies whole
         /// groups, as `benchmark/` drives it). On a host without AMX the
-        /// arm is the portable tile and this passes for that reason; the
-        /// line printed says which.
+        /// arm is the best one below it, and the line printed says which;
+        /// below [`Backend::Vnni`] that is `maddubs`, exact on u7 only (see
+        /// the module docs), so there the activations are drawn from u7.
         #[test]
         fn prop_the_amx_arm_equals_the_scalar_arm_into_both_sinks(
             rows in 1usize..=70,
@@ -1808,10 +1572,10 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             if seed % 64 == 0 {
-                eprintln!("amx parity ran on {}", if amx_int8_available() {
+                eprintln!("amx parity ran on {}", if Backend::host() == Backend::Amx {
                     "the AMX tile"
                 } else {
-                    "the portable tile: no AMX here"
+                    "a lower arm: no AMX here"
                 });
             }
             let (name, act) = ACTIVATIONS[ai];
@@ -1825,7 +1589,10 @@ mod tests {
             }
             let k_pad = padded_k(k);
             let mut state = seed;
-            let a: Vec<u8> = (0..rows * k_pad).map(|_| mix(&mut state) as u8).collect();
+            // Full bytes wherever the arm that runs is a `dpbusd` tile; u7
+            // where it is `maddubs`, whose contract that is.
+            let top = if Backend::host() >= Backend::Vnni { 256 } else { 128 };
+            let a: Vec<u8> = (0..rows * k_pad).map(|_| (mix(&mut state) % top) as u8).collect();
             let b: Vec<i8> = (0..k_pad * n).map(|_| mix(&mut state) as i8).collect();
             let sums = |kernel| {
                 let mut out = vec![5i32; rows * n];

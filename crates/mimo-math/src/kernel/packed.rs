@@ -30,17 +30,16 @@
 //! what the AVX2 arm of [`super::gemm_f32`] computes on a zeroed `out`
 //! followed by the row-major epilogue. The tile shape only decides *which*
 //! elements share a register, never the order within an element, so both
-//! widths, every batch shape and the portable `mul_add` fallback (hosts
-//! without the vector arm a layout was packed for) agree **bit for bit** with
-//! each other and with `gemm_f32(Kernel::Avx2Fma, ..)`. The width is
-//! therefore pure CPU detection, exactly as VNNI-vs-`maddubs` is for
-//! [`super::int8`]; there is nothing to tune.
+//! widths, every batch shape, the 256-bit tile over 16-column blocks of a
+//! 512-bit layout (hosts without AVX-512F) and the portable `mul_add` tile
+//! (hosts without AVX2) agree **bit for bit** with each other and with
+//! `gemm_f32(Kernel::Avx2Fma, ..)`. The width is therefore a view of the
+//! host's [`Backend`], exactly as VNNI-vs-`maddubs` is for [`super::int8`];
+//! there is nothing to tune.
 
-#[cfg(target_arch = "x86_64")]
-use super::avx2_fma_available;
-use super::int8::avx512f_available;
+use super::Backend;
 use rayon::prelude::*;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 
 /// One cache line of `N` lanes of `T` — the allocation unit of [`Panels`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,16 +63,6 @@ impl<T, const N: usize> Default for Panels<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> Panels<T, N> {
-    /// `len` zeroed lanes.
-    ///
-    /// # Panics
-    /// Panics unless `len` is a whole number of lines.
-    pub(super) fn zeroed(len: usize) -> Self {
-        let mut panels = Self::default();
-        panels.reset(len);
-        panels
-    }
-
     /// Becomes `len` zeroed lanes, in the allocation it has if that is
     /// large enough.
     ///
@@ -84,6 +73,20 @@ impl<T: Copy + Default, const N: usize> Panels<T, N> {
         assert_eq!(len % N, 0, "packed panels are whole cache lines");
         self.0.clear();
         self.0.resize(len / N, Line([T::default(); N]));
+    }
+}
+
+impl Panels<f32, 16> {
+    /// Becomes the row-major `m x n` matrix `b` packed panel-major in panels
+    /// of `nr` columns (the layout in the module docs), zero past `n`.
+    pub(super) fn pack(&mut self, b: &[f32], (m, n): (usize, usize), nr: usize) {
+        self.reset(n.div_ceil(nr) * m * nr);
+        for (p, panel) in self.chunks_exact_mut((m * nr).max(1)).enumerate() {
+            let (j0, cols) = (p * nr, nr.min(n - p * nr));
+            for (dst, src) in panel.chunks_exact_mut(nr).zip(b.chunks_exact(n)) {
+                dst[..cols].copy_from_slice(&src[j0..j0 + cols]);
+            }
+        }
     }
 }
 
@@ -106,7 +109,8 @@ impl<T, const N: usize> DerefMut for Panels<T, N> {
 }
 
 /// The vector width a right-hand side is packed for: it fixes the panel
-/// width `NR` of the layout and the `MR x NR` register tile that consumes it.
+/// width `NR` of the layout and the register tile that consumes it (the
+/// [`Backend::packed_width`] view of a level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackedWidth {
     /// 256-bit vectors: 16-float panels, 6 x 16 tile (AVX2 + FMA).
@@ -116,14 +120,11 @@ pub enum PackedWidth {
 }
 
 impl PackedWidth {
-    /// The widest arm the host CPU supports (`Ymm` also on hosts without
-    /// AVX2, where the portable fallback consumes the 16-float layout).
+    /// The host's width, [`Backend::packed_width`] of [`Backend::host`]
+    /// (`Ymm` also on hosts without AVX2, where the portable tile consumes
+    /// the 16-float layout).
     pub fn detect() -> Self {
-        if avx512f_available() {
-            PackedWidth::Zmm
-        } else {
-            PackedWidth::Ymm
-        }
+        Backend::host().packed_width()
     }
 
     /// Floats per panel row (`NR`).
@@ -131,14 +132,6 @@ impl PackedWidth {
         match self {
             PackedWidth::Ymm => 16,
             PackedWidth::Zmm => 32,
-        }
-    }
-
-    /// Output rows per register tile (`MR`).
-    pub fn mr(self) -> usize {
-        match self {
-            PackedWidth::Ymm => 6,
-            PackedWidth::Zmm => 12,
         }
     }
 
@@ -167,22 +160,15 @@ impl PackedRhs {
     /// Packs row-major `b` (`m x n`) for `width` — [`PackedWidth::detect`] in
     /// production; the parity tests pass each width in turn, which is how the
     /// 256-bit arm runs on an AVX-512 host. A layout whose arm the host lacks
-    /// still multiplies correctly (portable fallback).
+    /// still multiplies correctly, on the best arm below it.
     ///
     /// # Panics
     /// Panics if either dimension is zero or `b.len() != m * n`.
     pub fn pack(b: &[f32], m: usize, n: usize, width: PackedWidth) -> Self {
         assert!(m > 0 && n > 0, "packed rhs dimensions must be non-zero");
         assert_eq!(b.len(), m * n, "packed rhs length mismatch");
-        let nr = width.nr();
-        let mut data = Panels::zeroed(n.div_ceil(nr) * m * nr);
-        for (p, panel) in data.chunks_exact_mut(m * nr).enumerate() {
-            let j0 = p * nr;
-            let cols = nr.min(n - j0);
-            for (dst, src) in panel.chunks_exact_mut(nr).zip(b.chunks_exact(n)) {
-                dst[..cols].copy_from_slice(&src[j0..j0 + cols]);
-            }
-        }
+        let mut data = Panels::default();
+        data.pack(b, (m, n), width.nr());
         Self { m, n, width, data }
     }
 
@@ -258,11 +244,98 @@ impl<T> Lanes<T> {
     }
 }
 
+impl Lanes<f32> {
+    /// The epilogue of a bound-weight product: `o = f(o)` over columns `j`
+    /// of rows `r` of the `n`-wide matrix, while the tile that just wrote
+    /// them is still in L1.
+    ///
+    /// # Safety
+    /// Those lanes must be inside the matrix and the caller's alone.
+    pub(super) unsafe fn act(
+        &self,
+        n: usize,
+        r: Range<usize>,
+        j: Range<usize>,
+        f: impl Fn(f32) -> f32,
+    ) {
+        for row in r {
+            // SAFETY: the caller's contract.
+            let lanes =
+                unsafe { std::slice::from_raw_parts_mut(self.at(row * n + j.start), j.len()) };
+            for o in lanes {
+                *o = f(*o);
+            }
+        }
+    }
+}
+
+/// Runs `part(state, p)` for every `p < parts`: on the pool when `pooled`
+/// and there is more than one part, else as a plain loop on the caller. Each
+/// thread that runs parts makes its own `state` with `init`, uses it for all
+/// the parts it claims and drops it there.
+pub(super) fn hand_out<S>(
+    parts: usize,
+    pooled: bool,
+    init: impl Fn() -> S + Sync + Send,
+    part: impl Fn(&mut S, usize) + Sync + Send,
+) {
+    if pooled && parts > 1 {
+        (0..parts).into_par_iter().for_each_init(init, part);
+    } else {
+        let mut state = init();
+        (0..parts).for_each(|p| part(&mut state, p));
+    }
+}
+
+/// The `init` of a [`hand_out`] whose parts carry no state.
+pub(super) fn unit() {}
+
+/// The loop nest of both bound-weight products ([`gemm_f32_packed`],
+/// [`super::int8::gemm_u8i8_dequant`]) over `rows x n` outputs in panels of
+/// `panel_cols` columns, for an arm of `mr x nr` register tiles: panel-outer,
+/// so a panel stays cache-resident while every row tile of the batch runs
+/// against it, in `nr`-column blocks of a wider panel. `tile(state, p, rows,
+/// cols)` runs one tile: rows `rows` against output columns `cols` of panel
+/// `p`. The panels are handed out when `pooled`, each claimant with its own
+/// `init()` — the AMX arm's tile state — and every tile runs once.
+pub(super) fn walk_panels<S>(
+    rows: usize,
+    n: usize,
+    panel_cols: usize,
+    (mr, nr): (usize, usize),
+    pooled: bool,
+    init: impl Fn() -> S + Sync + Send,
+    tile: impl Fn(&mut S, usize, Range<usize>, Range<usize>) + Sync + Send,
+) {
+    hand_out(n.div_ceil(panel_cols), pooled, init, |state, p| {
+        let end = n.min((p + 1) * panel_cols);
+        for j0 in (p * panel_cols..end).step_by(nr) {
+            for r in (0..rows).step_by(mr) {
+                tile(state, p, r..rows.min(r + mr), j0..end.min(j0 + nr));
+            }
+        }
+    });
+}
+
 /// The product size, in multiply-adds, from which [`gemm_f32_packed`] hands
 /// its panels out through the pool (see the README's kernel section for the
 /// measured fork-join cost behind it); the row-major products of
 /// [`super::dense`] share it.
 pub(super) const PAR_MIN_MACS: usize = 1 << 19;
+
+/// The register tile that runs a `width` layout here, as `(tile, (MR, NR))`:
+/// the arm the layout was packed for where the host has it, the 256-bit one
+/// over 16-column blocks of a 512-bit panel on a host without AVX-512F, the
+/// portable tile on a host without AVX2.
+pub(super) fn register_tile(width: PackedWidth) -> (TileFn, (usize, usize)) {
+    match (width, Backend::host()) {
+        #[cfg(target_arch = "x86_64")]
+        (PackedWidth::Zmm, host) if host >= Backend::Avx512 => (x86::rows_zmm, (12, 32)),
+        #[cfg(target_arch = "x86_64")]
+        (_, host) if host >= Backend::Avx2 => (x86::rows_ymm, (6, 16)),
+        _ => (tile_portable, (12, width.nr())),
+    }
+}
 
 /// Fused dense product `out = act(a * b + bias)`: `a` is `rows x m`
 /// row-major, `b` the packed `m x n` right-hand side, `bias` has `n` entries
@@ -301,75 +374,52 @@ fn product<F: Fn(f32) -> f32 + Sync>(
     let rows = a.len() / m;
     assert_eq!(bias.len(), n, "gemm_f32_packed bias length mismatch");
     assert_eq!(out.len(), rows * n, "gemm_f32_packed out length mismatch");
-    let (mr_max, nr) = (b.width.mr(), b.width.nr());
-    let run: TileFn = match b.width {
-        #[cfg(target_arch = "x86_64")]
-        PackedWidth::Zmm if avx512f_available() => x86::rows_zmm,
-        #[cfg(target_arch = "x86_64")]
-        PackedWidth::Ymm if avx2_fma_available() => x86::rows_ymm,
-        PackedWidth::Zmm => tile_portable::<32>,
-        PackedWidth::Ymm => tile_portable::<16>,
-    };
+    let (run, shape) = register_tile(b.width);
+    let panel_cols = b.width.nr();
+    let pooled = rows * m * n >= par_min_macs;
     let out = Lanes(out.as_mut_ptr());
-    let panel = |p: usize| {
-        let panel = &b.data[p * m * nr..(p + 1) * m * nr];
-        let j0 = p * nr;
-        let cols = nr.min(n - j0);
-        for r in (0..rows).step_by(mr_max) {
-            let mr = mr_max.min(rows - r);
-            let tile = Tile {
-                a: a[r * m..(r + mr) * m].as_ptr(),
-                m,
-                panel: panel.as_ptr(),
-                stride: nr,
-                // The same row of the next panel: a batch of one tile meets
-                // every panel cold.
-                ahead: m * nr,
-                bias: bias[j0..j0 + cols].as_ptr(),
-                // SAFETY: row `r < rows`, column `j0 < n` of the `rows x n`
-                // matrix `out` points to.
-                out: unsafe { out.at(r * n + j0) },
-                n,
-                cols,
-                skip: false,
-            };
-            // The tile's lanes are `cols <= n - j0` in each of `mr <= rows - r`
-            // rows `n` apart: columns of panel `p`, which no other thread runs.
-            // SAFETY: a vector arm was feature-checked above; `a`, `panel`
-            // and `bias` are the slices just taken, `out` is good for the
-            // lanes above and no arm writes past them.
-            unsafe { run(mr, tile) };
-            for row in r..r + mr {
-                // SAFETY: the `cols` lanes of row `row` the tile just wrote —
-                // this panel's own, as above.
-                let lanes = unsafe { std::slice::from_raw_parts_mut(out.at(row * n + j0), cols) };
-                for o in lanes {
-                    *o = act(*o);
-                }
-            }
-        }
-    };
-    let panels = n.div_ceil(nr);
-    if panels > 1 && rows * m * n >= par_min_macs {
-        (0..panels).into_par_iter().for_each(panel);
-    } else {
-        (0..panels).for_each(panel);
-    }
+    walk_panels(rows, n, panel_cols, shape, pooled, unit, |_, p, r, j| {
+        let panel = &b.data[p * m * panel_cols..(p + 1) * m * panel_cols];
+        let tile = Tile {
+            a: a[r.start * m..r.end * m].as_ptr(),
+            m,
+            panel: panel[j.start % panel_cols..].as_ptr(),
+            stride: panel_cols,
+            // The same row of the next panel: a batch of one tile meets
+            // every panel cold.
+            ahead: m * panel_cols,
+            bias: bias[j.clone()].as_ptr(),
+            // SAFETY: row `r.start < rows`, column `j.start < n` of the
+            // `rows x n` matrix `out` points to.
+            out: unsafe { out.at(r.start * n + j.start) },
+            n,
+            cols: j.len(),
+            skip: false,
+        };
+        // The tile's lanes are columns `j` of rows `r`: columns of panel
+        // `p`, which no other thread runs.
+        // SAFETY: `register_tile` feature-checked the arm; `a`, `panel` and
+        // `bias` are the slices just taken, `out` is good for the lanes
+        // above and no arm writes past them.
+        unsafe { run(r.len(), tile) };
+        // SAFETY: the lanes the tile just wrote, as above.
+        unsafe { out.act(n, r, j, &act) };
+    });
 }
 
-/// The arm for hosts without the vector unit a layout was packed for:
-/// `f32::mul_add` is the same correctly-rounded fused operation the vector
-/// FMA performs, so this is slow but bit-identical.
+/// The arm for hosts without AVX2: `f32::mul_add` is the same
+/// correctly-rounded fused operation the vector FMA performs, so this is
+/// slow but bit-identical. It takes any tile shape.
 ///
 /// # Safety
-/// `t` must satisfy [`Tile`]'s contract for `mr` rows and panel width `NR`.
-unsafe fn tile_portable<const NR: usize>(mr: usize, t: Tile) {
+/// `t` must satisfy [`Tile`]'s contract for `mr` rows.
+unsafe fn tile_portable(mr: usize, t: Tile) {
     for r in 0..mr {
         for c in 0..t.cols {
             let mut acc = 0.0f32;
             for k in 0..t.m {
-                // SAFETY: `r < mr`, `k < m`, `c < cols <= NR`: inside the
-                // ranges the caller vouches for.
+                // SAFETY: `r < mr`, `k < m`, `c < cols`: inside the ranges
+                // the caller vouches for.
                 let (av, bv) = unsafe { (*t.a.add(r * t.m + k), *t.panel.add(k * t.stride + c)) };
                 if !(t.skip && av == 0.0) {
                     acc = av.mul_add(bv, acc);
@@ -547,7 +597,7 @@ pub(super) mod x86 {
 
 #[cfg(test)]
 pub(super) mod tests {
-    use super::super::{avx2_fma_available, gemm_f32, Kernel};
+    use super::super::{gemm_f32, Kernel};
     use super::*;
     use proptest::prelude::*;
 
@@ -648,8 +698,14 @@ pub(super) mod tests {
         assert_eq!(PackedWidth::Zmm.name(), "avx512f_12x32");
         assert_eq!(
             PackedWidth::detect() == PackedWidth::Zmm,
-            avx512f_available()
+            Backend::host() >= Backend::Avx512
         );
+    }
+
+    /// The layouts whose own vector tile this host runs.
+    pub(in crate::kernel) fn vector_widths() -> Vec<PackedWidth> {
+        let vector = |level: Backend| (level >= Backend::Avx2).then(|| level.packed_width());
+        Backend::arms(vector).into_iter().flatten().collect()
     }
 
     /// Every const-generic instance of both microkernels (`rows_zmm` →
@@ -657,30 +713,13 @@ pub(super) mod tests {
     /// partial-panel width, with and without the zero skip, on a panel whose
     /// rows lie `stride > NR` apart, against the portable tile — and the
     /// lanes past `cols`, like the rows past `mr`, must keep what they held.
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_register_tile_matches_the_portable_tile_and_stays_inside_its_mask() {
         const GUARD: f32 = 7.25;
         let m = 19usize;
-        let arms: [(PackedWidth, TileFn, TileFn, bool); 2] = [
-            (
-                PackedWidth::Zmm,
-                x86::rows_zmm,
-                tile_portable::<32>,
-                avx512f_available(),
-            ),
-            (
-                PackedWidth::Ymm,
-                x86::rows_ymm,
-                tile_portable::<16>,
-                avx2_fma_available(),
-            ),
-        ];
-        for (width, vector, portable, available) in arms {
-            if !available {
-                continue;
-            }
-            let (mr_max, nr) = (width.mr(), width.nr());
+        for width in vector_widths() {
+            let (vector, (mr_max, nr)) = register_tile(width);
+            assert_eq!(nr, width.nr());
             // One spare row and `nr` spare columns of guard around the tile.
             let n = 2 * nr;
             let a = values(mr_max * m, 11, true);
@@ -704,8 +743,7 @@ pub(super) mod tests {
                         cols,
                         skip,
                     };
-                    // SAFETY: `vector` runs only when its features were
-                    // detected above; `a` holds `mr_max >= mr` rows of `m`,
+                    // SAFETY: `register_tile` feature-checked `vector`; `a` holds `mr_max >= mr` rows of `m`,
                     // `panel` `m` rows of `stride >= nr`, `bias` `nr >= cols`,
                     // and `out` `mr_max + 1` rows of stride `n >= cols`.
                     unsafe { arm(mr, tile) };
@@ -713,7 +751,7 @@ pub(super) mod tests {
                 };
                 let got = run(vector);
                 let case = format!("{width:?} mr={mr} cols={cols} skip={skip}");
-                assert_eq!(got, run(portable), "{case}");
+                assert_eq!(got, run(tile_portable), "{case}");
                 for (i, &v) in got.iter().enumerate() {
                     if i / n >= mr || i % n >= cols {
                         assert_eq!(v, GUARD.to_bits(), "{case} @{i}");
@@ -725,7 +763,7 @@ pub(super) mod tests {
 
     #[test]
     fn every_row_count_matches_the_row_major_kernel_bitwise() {
-        if !avx2_fma_available() {
+        if Backend::host() < Backend::Avx2 {
             return;
         }
         let (_, identity) = ACTIVATIONS[0];
@@ -762,17 +800,8 @@ pub(super) mod tests {
     #[test]
     fn claimed_panels_equal_one_thread_panels_bitwise() {
         eprintln!(
-            "packed hand-out parity ran on: zmm layout = {}, ymm layout = {}",
-            if avx512f_available() {
-                "avx512f_12x32"
-            } else {
-                "portable"
-            },
-            if avx2_fma_available() {
-                "avx2_fma_6x16"
-            } else {
-                "portable"
-            },
+            "packed hand-out parity ran on the tiles of: {:?}",
+            vector_widths()
         );
         let pools = pools();
         let (_, relu) = ACTIVATIONS[1];
@@ -854,7 +883,7 @@ pub(super) mod tests {
             seed in 0u64..u64::MAX,
         ) {
             // The row-major oracle is the FMA arm only where the host has it.
-            prop_assume!(avx2_fma_available());
+            prop_assume!(Backend::host() >= Backend::Avx2);
             let m = [1usize, 7, 56, 545][mi];
             let n = [1usize, 15, 16, 17, 31, 32, 33, 224, 545, 1452][ni];
             let (name, act) = ACTIVATIONS[ai];

@@ -43,7 +43,7 @@ pub mod workspace;
 
 pub use complex::Complex64;
 pub use kernel::int8::Int8Kernel;
-pub use kernel::{Kernel, KernelChoice};
+pub use kernel::{Backend, Kernel, KernelChoice};
 pub use matrix::CMatrix;
 pub use workspace::Workspace;
 

@@ -693,8 +693,8 @@ mod tests {
 
     #[test]
     fn simd_backend_matches_scalar_within_tolerance() {
-        use crate::kernel::{avx2_fma_available, Kernel};
-        if !avx2_fma_available() {
+        use crate::kernel::{Backend, Kernel};
+        if Backend::host() < Backend::Avx2 {
             // Graceful fallback hosts: the dispatched path IS the scalar path.
             return;
         }
@@ -770,8 +770,8 @@ mod tests {
         #[test]
         fn prop_simd_matmul_parity(m in 1usize..6, k in 1usize..9, n in 1usize..9,
                                    seed in 0.1f64..10.0) {
-            use crate::kernel::{avx2_fma_available, Kernel};
-            if avx2_fma_available() {
+            use crate::kernel::{Backend, Kernel};
+            if Backend::host() >= Backend::Avx2 {
                 let a = small_matrix(m, k, seed);
                 let b = small_matrix(k, n, seed + 0.29);
                 let mut scalar = CMatrix::zeros(1, 1);

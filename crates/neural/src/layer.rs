@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn packed_layer_matches_the_row_major_fma_layer_bit_exactly() {
-        if !mimo_math::kernel::avx2_fma_available() {
+        if mimo_math::Backend::host() < mimo_math::Backend::Avx2 {
             return;
         }
         let mut rng = ChaCha8Rng::seed_from_u64(23);

@@ -318,17 +318,7 @@ mod tests {
     }
 
     fn backends() -> Vec<Int8Kernel> {
-        let mut ks = vec![Int8Kernel::Scalar];
-        if int8::avx2_available() {
-            ks.push(Int8Kernel::Avx2Maddubs);
-        }
-        if int8::avx512_vnni_available() {
-            ks.push(Int8Kernel::Avx512Vnni);
-        }
-        if int8::amx_int8_available() {
-            ks.push(Int8Kernel::Amx);
-        }
-        ks
+        mimo_math::Backend::arms(mimo_math::Backend::int8)
     }
 
     #[test]

@@ -558,8 +558,8 @@ mod tests {
 
     #[test]
     fn simd_backend_matches_scalar_within_tolerance() {
-        use mimo_math::kernel::avx2_fma_available;
-        if !avx2_fma_available() {
+        use mimo_math::Backend;
+        if Backend::host() < Backend::Avx2 {
             // Graceful fallback hosts: the dispatched path IS the scalar path.
             return;
         }
@@ -628,8 +628,8 @@ mod tests {
         #[test]
         fn prop_simd_gemm_parity(m in 1usize..5, k in 1usize..40, n in 1usize..40,
                                  seed in 0u64..200) {
-            use mimo_math::kernel::avx2_fma_available;
-            if avx2_fma_available() {
+            use mimo_math::Backend;
+            if Backend::host() >= Backend::Avx2 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let a = Matrix::xavier_uniform(m, k, &mut rng);
                 let b = Matrix::xavier_uniform(k, n, &mut rng);

@@ -38,7 +38,13 @@
 //!   `crates/mimo-math/src` (which defines it) and the test kit
 //!   (`crates/splitbeam-testkit/src`, whose `with_kernel` serializes every
 //!   pin on one mutex). The override is process-global: a second lock in the
-//!   same test binary is a race, so this rule — alone — also reads test code.
+//!   same test binary is a race, so this rule also reads test code.
+//! - **`feature-detect`**: `is_x86_feature_detected` and the AMX tile-data
+//!   permission request (`arch_prctl` / `ARCH_REQ_XCOMP_PERM`) appear only
+//!   in `Backend::host()` (`crates/mimo-math/src/kernel.rs`), the one place
+//!   that decides which kernel arms this host runs; every other site reads
+//!   that answer. A second probe is a second decision that can disagree with
+//!   the first, so this rule too reads test code.
 //!
 //! Vetted exceptions live in `lint_allowlist.txt` at the repo root, one
 //! `rule|path|needle|reason` per line; entries that no longer suppress
@@ -62,6 +68,7 @@ pub const RULE_SERVE_UNORDERED_MAP: &str = "serve-unordered-map";
 pub const RULE_KNOB_DOCS: &str = "knob-docs";
 pub const RULE_KERNEL_PARITY_TEST: &str = "kernel-parity-test";
 pub const RULE_ONE_KERNEL_LOCK: &str = "one-kernel-lock";
+pub const RULE_FEATURE_DETECT: &str = "feature-detect";
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK: usize = 4;
@@ -97,6 +104,17 @@ const KERNEL_CRATE_PREFIX: &str = "crates/mimo-math/";
 /// kit that owns the process-wide kernel lock.
 const KERNEL_OVERRIDE_PREFIXES: [&str; 2] =
     ["crates/mimo-math/src/", "crates/splitbeam-testkit/src/"];
+
+/// The one function that may ask the CPU and the operating system what may
+/// run (`Backend::host()`), and the words that ask: the std detection macro
+/// and the AMX tile-data permission request.
+const HOST_DETECT_FILE: &str = "crates/mimo-math/src/kernel.rs";
+const HOST_DETECT_FN: &str = "host";
+const FEATURE_DETECT_WORDS: [&str; 3] = [
+    "is_x86_feature_detected",
+    "arch_prctl",
+    "ARCH_REQ_XCOMP_PERM",
+];
 
 /// The one blessed site for raw `SPLITBEAM_*` env reads.
 const ENV_MODULE: &str = "crates/mimo-math/src/env.rs";
@@ -321,6 +339,7 @@ fn scan_file(
     let code = code_view(text);
     let code: Vec<&str> = code_lines(&code, raw.len());
     check_kernel_override(rel, &raw, &code, out);
+    check_feature_detection(rel, &raw, &code, out);
     if is_test_file(rel) {
         return;
     }
@@ -611,6 +630,33 @@ fn check_kernel_override(rel: &str, raw: &[&str], code: &[&str], out: &mut Vec<V
                     .to_string(),
             });
         }
+    }
+}
+
+/// Reads test code too: a test that probes the CPU itself can disagree with
+/// the dispatch it is meant to check.
+fn check_feature_detection(rel: &str, raw: &[&str], code: &[&str], out: &mut Vec<Violation>) {
+    let mut enclosing = None;
+    for (i, line) in code.iter().enumerate() {
+        if let Some(name) = fn_name(line) {
+            enclosing = Some(&line[name]);
+        }
+        let Some(word) = FEATURE_DETECT_WORDS.iter().find(|w| has_word(line, w)) else {
+            continue;
+        };
+        if rel == HOST_DETECT_FILE && enclosing == Some(HOST_DETECT_FN) {
+            continue;
+        }
+        out.push(Violation {
+            rule: RULE_FEATURE_DETECT,
+            path: rel.to_string(),
+            line: i + 1,
+            excerpt: excerpt(raw[i]),
+            message: format!(
+                "`{word}` outside `Backend::host()` — which arms run is decided there \
+                 once; read `Backend::host()` or a view of it"
+            ),
+        });
     }
 }
 

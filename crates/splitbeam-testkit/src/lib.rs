@@ -15,7 +15,8 @@
 
 pub mod matrix;
 
-use mimo_math::kernel::{avx2_fma_available, set_kernel, KernelChoice};
+use mimo_math::kernel::{set_kernel, KernelChoice};
+use mimo_math::Backend;
 use mimo_math::Int8Kernel;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -92,11 +93,10 @@ pub fn with_env_kernel<T>(value: &str, f: impl FnOnce() -> T) -> T {
 /// The kernel classes this host can run: scalar always, auto when it
 /// dispatches to something else.
 pub fn kernel_choices() -> Vec<KernelChoice> {
-    let mut choices = vec![KernelChoice::Scalar];
-    if avx2_fma_available() {
-        choices.push(KernelChoice::Auto);
-    }
-    choices
+    Backend::arms(|level| match level {
+        Backend::Scalar => KernelChoice::Scalar,
+        _ => KernelChoice::Auto,
+    })
 }
 
 /// A seeded, untrained 2x2 model.

@@ -446,8 +446,8 @@ mod tests {
     use super::*;
     use crate::config::{CompressionLevel, SplitBeamConfig};
     use crate::quantization::{dequantize_bottleneck, quantize_bottleneck};
-    use mimo_math::kernel::avx2_fma_available;
     use mimo_math::kernel::packed::PackedWidth;
+    use mimo_math::Backend;
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -478,11 +478,7 @@ mod tests {
     }
 
     fn kernels() -> Vec<Kernel> {
-        let mut ks = vec![Kernel::Scalar];
-        if avx2_fma_available() {
-            ks.push(Kernel::Avx2Fma);
-        }
-        ks
+        Backend::arms(Backend::kernel)
     }
 
     /// Reference: dequantize then run the tail per payload with the same
@@ -605,18 +601,7 @@ mod tests {
     }
 
     fn int8_backends() -> Vec<Int8Kernel> {
-        use mimo_math::kernel::int8;
-        let mut ks = vec![Int8Kernel::Scalar];
-        if int8::avx2_available() {
-            ks.push(Int8Kernel::Avx2Maddubs);
-        }
-        if int8::avx512_vnni_available() {
-            ks.push(Int8Kernel::Avx512Vnni);
-        }
-        if int8::amx_int8_available() {
-            ks.push(Int8Kernel::Amx);
-        }
-        ks
+        Backend::arms(Backend::int8)
     }
 
     #[test]

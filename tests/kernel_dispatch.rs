@@ -14,7 +14,7 @@
 
 use mimo_math::kernel::int8::{selected_int8, Int8Kernel};
 use mimo_math::kernel::packed::PackedWidth;
-use mimo_math::kernel::{avx2_fma_available, selected, Kernel, KernelChoice};
+use mimo_math::kernel::{dispatch_report, selected, Backend, Kernel, KernelChoice};
 use splitbeam::fused::TailScratch;
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
@@ -34,17 +34,14 @@ fn station_frames(model: &SplitBeamModel, count: u64, bits: u8) -> Vec<Vec<u8>> 
 fn programmatic_override_steers_dispatch() {
     with_kernel(KernelChoice::Scalar, || {
         assert_eq!(selected(), Kernel::Scalar);
-        let report = mimo_math::kernel::dispatch_report();
+        let report = dispatch_report();
         assert_eq!(report.requested, "scalar");
         assert_eq!(report.selected, "scalar");
     });
     with_kernel(KernelChoice::Auto, || {
-        let expect = if avx2_fma_available() {
-            Kernel::Avx2Fma
-        } else {
-            Kernel::Scalar
-        };
-        assert_eq!(selected(), expect);
+        assert_eq!(selected(), Backend::host().kernel());
+        assert_eq!(selected_int8(), Backend::host().int8());
+        assert_eq!(dispatch_report().host, Backend::host().name());
     });
 }
 
@@ -61,8 +58,37 @@ fn environment_variable_steers_dispatch() {
     with_env_kernel("auto", || {
         assert_eq!(
             selected() == Kernel::Avx2Fma,
-            avx2_fma_available(),
+            Backend::host() >= Backend::Avx2,
             "auto must pick AVX2 exactly when the host supports it"
+        );
+    });
+}
+
+/// A request is resolved once, for both tiers: changing the variable after
+/// the f32 tier resolved must move neither tier, and the report must name the
+/// request that produced what it reports as selected.
+#[test]
+fn one_resolved_request_drives_both_tiers_and_the_report() {
+    with_env_kernel("auto", || {
+        let f32_tier = selected();
+        std::env::set_var("SPLITBEAM_KERNEL", "scalar");
+        assert_eq!(selected(), f32_tier);
+        assert_eq!(
+            selected_int8() == Int8Kernel::Scalar,
+            selected() == Kernel::Scalar,
+            "scalar pins both tiers or neither"
+        );
+        let report = dispatch_report();
+        let produced = match report.requested {
+            "scalar" => Kernel::Scalar,
+            _ => Backend::host().kernel(),
+        };
+        assert_eq!(
+            report.selected,
+            produced.name(),
+            "requested {} but selected {}",
+            report.requested,
+            report.selected
         );
     });
 }
@@ -203,7 +229,11 @@ fn served_bits_are_pinned_across_the_row_major_and_both_packed_paths() {
     };
     let runs = [
         (KernelChoice::Scalar, PINNED_SCALAR, true),
-        (KernelChoice::Auto, PINNED_FMA, avx2_fma_available()),
+        (
+            KernelChoice::Auto,
+            PINNED_FMA,
+            Backend::host() >= Backend::Avx2,
+        ),
     ];
     for (choice, pinned, available) in runs {
         if !available {

@@ -5,8 +5,9 @@
 
 use splitbeam_analysis::lint::{
     format_allowlist, lint_sources, parse_allowlist, Allowlist, LintReport, RULE_DENY_UNSAFE_OP,
-    RULE_ENV_ACCESS, RULE_INGEST_UNWRAP, RULE_KERNEL_PARITY_TEST, RULE_KNOB_DOCS,
-    RULE_ONE_KERNEL_LOCK, RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP, RULE_WALL_CLOCK,
+    RULE_ENV_ACCESS, RULE_FEATURE_DETECT, RULE_INGEST_UNWRAP, RULE_KERNEL_PARITY_TEST,
+    RULE_KNOB_DOCS, RULE_ONE_KERNEL_LOCK, RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP,
+    RULE_WALL_CLOCK,
 };
 
 fn lint_one(path: &str, text: &str) -> LintReport {
@@ -427,6 +428,56 @@ fn the_kernel_override_is_called_only_by_its_crate_and_the_test_kit() {
     let benign = "// set_kernel(None) is the kit's job\npub const S: &str = \"set_kernel(\";\n\
                   pub fn f() {\n    reset_kernel(1);\n    with_kernel(choice, || ());\n}\n";
     assert!(lint_one("tests/close_matrix.rs", benign).clean());
+}
+
+#[test]
+fn feature_detection_happens_only_in_backend_host() {
+    let host = r#"
+pub enum Backend { Scalar, Avx2 }
+impl Backend {
+    pub fn host() -> Backend {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") { Backend::Avx2 } else { Backend::Scalar }
+    }
+}
+"#;
+    assert!(lint_one("crates/mimo-math/src/kernel.rs", host).clean());
+    // A `host` anywhere else is not the one.
+    let report = lint_one("crates/neural/src/kernel.rs", host);
+    assert_eq!(rules_of(&report), vec![RULE_FEATURE_DETECT]);
+    assert_eq!(report.violations[0].line, 5);
+
+    // A second probe — in another function of the same file, another
+    // crate, or a test — is a second decision.
+    let probe =
+        "pub fn has_avx2() -> bool {\n    std::arch::is_x86_feature_detected!(\"avx2\")\n}\n";
+    for path in [
+        "crates/mimo-math/src/kernel.rs",
+        "crates/mimo-math/src/kernel/int8.rs",
+        "crates/neural/src/quant.rs",
+        "tests/kernel_dispatch.rs",
+    ] {
+        let report = lint_one(path, probe);
+        assert_eq!(rules_of(&report), vec![RULE_FEATURE_DETECT], "{path}");
+        assert_eq!(report.violations[0].line, 2, "{path}");
+    }
+    let in_mod_tests = format!("#[cfg(test)]\nmod tests {{\n{probe}}}\n");
+    let report = lint_one("crates/mimo-math/src/kernel/int8.rs", &in_mod_tests);
+    assert_eq!(rules_of(&report), vec![RULE_FEATURE_DETECT]);
+
+    // So is the AMX permission request, by its option or its call.
+    let grant = "fn request_tiles(x: u64) -> bool {\n    const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;\n    arch_prctl(ARCH_REQ_XCOMP_PERM, x)\n}\n";
+    let report = lint_one("crates/mimo-math/src/kernel/int8.rs", grant);
+    assert_eq!(
+        rules_of(&report),
+        vec![RULE_FEATURE_DETECT, RULE_FEATURE_DETECT]
+    );
+
+    // Mentions in comments and strings and longer identifiers do not ask.
+    let benign = "// is_x86_feature_detected! lives in Backend::host\n\
+                  pub const S: &str = \"arch_prctl\";\n\
+                  pub fn is_x86_feature_detected_twice() {}\n";
+    assert!(lint_one("crates/neural/src/quant.rs", benign).clean());
 }
 
 /// A kernel file with two `#[target_feature]` functions: `gemm_wide`, which

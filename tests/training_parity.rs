@@ -13,7 +13,8 @@
 //! 29 is an exact zero (the scalar forward and every weight gradient skip
 //! those terms), so the digests hold on any host.
 
-use mimo_math::kernel::{avx2_fma_available, KernelChoice};
+use mimo_math::kernel::KernelChoice;
+use mimo_math::Backend;
 use neural::layer::Activation;
 use neural::loss::Loss;
 use neural::network::{LayerSpec, Network};
@@ -93,13 +94,13 @@ fn trained_weights_and_loss_curves_are_pinned_at_every_pool_width() {
             KernelChoice::Auto,
             ADAM,
             11_346_264_855_076_536_149,
-            avx2_fma_available(),
+            Backend::host() >= Backend::Avx2,
         ),
         (
             KernelChoice::Auto,
             SGD,
             17_401_149_950_852_416_774,
-            avx2_fma_available(),
+            Backend::host() >= Backend::Avx2,
         ),
     ];
     let pools: Vec<_> = [1usize, 2, 3]
