@@ -67,7 +67,8 @@ pub mod packed;
 pub mod tune;
 
 pub use dense::{
-    adam_step, gemm_a_bt_f32, gemm_at_b_f32, gemm_f32, momentum_step, sgd_step, Adam, GradScratch,
+    adam_step, gemm_a_bt_f32, gemm_at_b_f32, gemm_at_b_update_f32, gemm_f32, momentum_step,
+    sgd_step, Adam, GradScratch, Update,
 };
 
 use int8::Int8Kernel;

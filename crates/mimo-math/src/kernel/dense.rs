@@ -4,14 +4,22 @@
 //! | entry | computes | a part | arm under `avx2_fma` |
 //! |---|---|---|---|
 //! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | one `NR`-column panel, or a thread's share of the walked columns | the packed tail's register tile over the whole depth from two rows on; the `k`-blocked walk for one row and past the last whole panel |
-//! | [`gemm_at_b_f32`] | `out = aᵀ · g`: the weight gradient | one row tile of `out` | the same tile over the transposed input and the packed gradient |
+//! | [`gemm_at_b_update_f32`] | `w` moved by an optimizer update of `aᵀ · g`: a training step's weights, with no gradient buffer | one row tile of `w` | the same tile over the transposed input and the packed gradient, storing into a stack block that the update (below) consumes with the tile's rows of `w` and its state |
+//! | [`gemm_at_b_f32`] | `out = aᵀ · g`: the weight gradient in memory (the tests' oracle) | one row tile of `out` | as above, with a copy for the update |
 //! | [`gemm_a_bt_f32`] | `out = a · bᵀ`: the input gradient | 16 columns of `out` | one [`sdot`] an element |
-//! | [`adam_step`], [`momentum_step`], [`sgd_step`] | the optimizer update | 2^14 parameters | the scalar loop, compiled for `avx512f` (else `avx2`) |
+//! | [`adam_step`], [`momentum_step`], [`sgd_step`] | the optimizer update from a gradient in memory: the biases | 2^14 parameters | the scalar loop, compiled for `avx512f` (else `avx2`) |
 //!
 //! A product hands its parts out from 2^19 multiply-adds (the packed tail's
 //! `PAR_MIN_MACS`), an update from 2^16 parameters; smaller ones run as a
 //! plain loop on the caller, as every one does at pool width 1. The 448 x 56
 //! x 224 model of the 2x2 / 20 MHz workload trains below all of them.
+//!
+//! The update in [`gemm_at_b_update_f32`] is worth fusing for its bytes, not
+//! its arithmetic: Adam runs ≈ 1 ns a parameter a core (its divisions and
+//! square root), in L1 and from DRAM alike, and the fused step saves the
+//! gradient's store and re-read — ≈ 0.4 ms of the 2.2 ms weight gradient +
+//! Adam of a 4356 x 545 layer at batch 16 on two AVX-512 cores — and a
+//! gradient buffer the layer's size.
 //!
 //! # Exactness
 //!
@@ -29,7 +37,9 @@
 //! * an optimizer update is the element-wise expression it always was, in
 //!   IEEE single precision: division and square root are correctly rounded
 //!   in every vector width, and Rust never contracts a multiply and an add
-//!   into an FMA, so the vector bodies are bit-identical to the scalar one.
+//!   into an FMA, so the vector bodies are bit-identical to the scalar one —
+//!   over a chunk of a gradient in memory, or over the runs of one register
+//!   tile in the fused step.
 
 use super::packed::{hand_out, register_tile, unit, Lanes, PackedWidth, Panels, Tile};
 use super::packed::{NO_BIAS, PAR_MIN_MACS};
@@ -62,12 +72,6 @@ const CHUNK: usize = 1 << 14;
 /// than half the update.
 const PAR_MIN_PARAMS: usize = 1 << 16;
 
-/// The width whose register tile the vector backend runs on this host — the
-/// packed tail's — or `None` under the scalar backend.
-fn vector_tile(kernel: Kernel) -> Option<PackedWidth> {
-    (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect)
-}
-
 /// Dense f32 GEMM: `out = a * b` where `a` is `rows x m`, `b` is `m x n` and
 /// `out` is `rows x n`, all row-major. `out` is **overwritten**.
 ///
@@ -84,7 +88,8 @@ fn vector_tile(kernel: Kernel) -> Option<PackedWidth> {
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions.
 pub fn gemm_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize) {
-    forward(kernel, vector_tile(kernel), a, b, out, (m, n), PAR_MIN_MACS);
+    let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
+    forward(kernel, tile, a, b, out, (m, n), PAR_MIN_MACS);
 }
 
 /// [`gemm_f32`] with its register tile (`None`: walk every column) and its
@@ -260,6 +265,16 @@ pub struct GradScratch {
     panels: Panels<f32, 16>,
 }
 
+/// Floats in the block a weight-gradient part stores its gradient in before
+/// its epilogue consumes it: one register tile (`MR x NR` is at most
+/// 12 x 32), or a run of one row under the scalar arm.
+const BLOCK: usize = 12 * 32;
+
+/// The gradient of one register tile (or one run of a row), on the stack of
+/// the thread that computes it and consumes it.
+#[repr(C, align(64))]
+struct Block([f32; BLOCK]);
+
 /// The weight gradient `out = aᵀ * g`: `a` is `depth x m` (a layer's input
 /// batch), `g` is `depth x n` (the gradient at its output) and `out` is
 /// `m x n`, all row-major. `out` is **overwritten**, each element once.
@@ -269,7 +284,8 @@ pub struct GradScratch {
 /// element, fused under `avx2_fma`, rounded twice under `scalar`. The vector
 /// arm packs `g` into panels, transposes a row tile of `aᵀ` at a time into
 /// `scratch` and runs the register tile over them; a tile that holds a zero
-/// `a` masks those terms' FMAs off.
+/// `a` masks those terms' FMAs off. This is [`gemm_at_b_update_f32`] with a
+/// copy for its update.
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions.
@@ -281,47 +297,169 @@ pub fn gemm_at_b_f32(
     (m, n): (usize, usize),
     scratch: &mut GradScratch,
 ) {
-    let tile = vector_tile(kernel);
-    weight_gradient(tile, a, g, out, (m, n), scratch, PAR_MIN_MACS);
+    let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
+    let store = Step {
+        level: kernel.runs(),
+        hyper: &(),
+        body: store_chunk,
+        state: [None, None],
+    };
+    weight_gradient(tile, (a, g), (m, n), store, out, scratch, PAR_MIN_MACS);
 }
 
-/// [`gemm_at_b_f32`] with its register tile (`None`: the scalar arm) and its
-/// hand-out threshold as parameters.
-fn weight_gradient(
-    tile: Option<PackedWidth>,
-    a: &[f32],
-    g: &[f32],
-    out: &mut [f32],
+/// An optimizer's element update with the state it keeps for the parameters
+/// it moves: what [`gemm_at_b_update_f32`] runs on each tile of the weight
+/// gradient. Each state slice has the parameters' length.
+#[derive(Debug)]
+pub enum Update<'s> {
+    /// Plain SGD at a learning rate: [`sgd_step`]'s element.
+    Sgd(f32),
+    /// SGD with momentum `(momentum, lr)` and its velocity:
+    /// [`momentum_step`]'s element.
+    Momentum((f32, f32), &'s mut [f32]),
+    /// Adam with its first and second moments: [`adam_step`]'s element.
+    Adam(&'s Adam, &'s mut [f32], &'s mut [f32]),
+}
+
+impl Update<'_> {
+    /// This update from a gradient in memory: [`sgd_step`],
+    /// [`momentum_step`] or [`adam_step`].
+    ///
+    /// # Panics
+    /// Panics unless every slice has one length.
+    pub fn step(self, kernel: Kernel, grad: &[f32], param: &mut [f32]) {
+        match self {
+            Update::Sgd(lr) => sgd_step(kernel, lr, grad, param),
+            Update::Momentum(hyper, velocity) => {
+                momentum_step(kernel, hyper, grad, velocity, param)
+            }
+            Update::Adam(adam, m, v) => adam_step(kernel, adam, grad, m, v, param),
+        }
+    }
+}
+
+/// One optimizer step of a dense layer's weights with no gradient buffer:
+/// `param` (`m x n`) moves by `update` of the weight gradient `aᵀ * g`
+/// ([`gemm_at_b_f32`]'s operands, parts and element chain). Each register
+/// tile of that product stores its gradient into a block on its thread's
+/// stack, and the update consumes the block at once, with the tile's rows of
+/// the state and of `param`. The element expression is the sweep's
+/// ([`adam_step`], [`momentum_step`], [`sgd_step`]), so parameters and state
+/// are bit-identical to [`gemm_at_b_f32`] followed by that sweep, at every
+/// pool width.
+///
+/// # Panics
+/// Panics if the slice lengths disagree with the dimensions.
+pub fn gemm_at_b_update_f32(
+    kernel: Kernel,
+    (a, g): (&[f32], &[f32]),
     (m, n): (usize, usize),
+    update: Update<'_>,
+    param: &mut [f32],
+    scratch: &mut GradScratch,
+) {
+    let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
+    let arm = (tile, kernel.runs());
+    fused_update(arm, (a, g), (m, n), update, param, scratch, PAR_MIN_MACS);
+}
+
+/// [`gemm_at_b_update_f32`] with its register tile (`None`: the scalar arm),
+/// the level its update is compiled for and its hand-out threshold as
+/// parameters.
+fn fused_update(
+    (tile, level): (Option<PackedWidth>, Backend),
+    ops: (&[f32], &[f32]),
+    dims: (usize, usize),
+    update: Update<'_>,
+    param: &mut [f32],
+    scratch: &mut GradScratch,
+    par_min_macs: usize,
+) {
+    match update {
+        Update::Sgd(lr) => {
+            let step = Step {
+                level,
+                hyper: &lr,
+                body: sgd_chunk,
+                state: [None, None],
+            };
+            weight_gradient(tile, ops, dims, step, param, scratch, par_min_macs);
+        }
+        Update::Momentum(hyper, velocity) => {
+            let step = Step {
+                level,
+                hyper: &hyper,
+                body: momentum_chunk,
+                state: [Some(velocity), None],
+            };
+            weight_gradient(tile, ops, dims, step, param, scratch, par_min_macs);
+        }
+        Update::Adam(adam, m, v) => {
+            let step = Step {
+                level,
+                hyper: adam,
+                body: adam_chunk,
+                state: [Some(m), Some(v)],
+            };
+            weight_gradient(tile, ops, dims, step, param, scratch, par_min_macs);
+        }
+    }
+}
+
+/// The weight-gradient product with `step` run on each block of it: a copy
+/// for [`gemm_at_b_f32`], an optimizer update for [`gemm_at_b_update_f32`].
+/// Its register tile (`None`: the scalar arm) and its hand-out threshold are
+/// parameters, so that the parity tests run both widths on one host and both
+/// sides of the threshold.
+fn weight_gradient<H: Sync, F: Body<H>>(
+    tile: Option<PackedWidth>,
+    (a, g): (&[f32], &[f32]),
+    (m, n): (usize, usize),
+    step: Step<'_, H, F>,
+    param: &mut [f32],
     scratch: &mut GradScratch,
     par_min_macs: usize,
 ) {
     assert_eq!(a.len() % m.max(1), 0, "gemm_at_b_f32 lhs length mismatch");
     let depth = a.len().checked_div(m).unwrap_or(0);
     assert_eq!(g.len(), depth * n, "gemm_at_b_f32 gradient length mismatch");
-    assert_eq!(out.len(), m * n, "gemm_at_b_f32 out length mismatch");
+    assert_eq!(param.len(), m * n, "gemm_at_b_f32 out length mismatch");
+    let Step {
+        level,
+        hyper,
+        body,
+        state,
+    } = step;
+    let targets = Targets::new(state, param);
     let pooled = depth * m * n >= par_min_macs;
-    let out = Lanes(out.as_mut_ptr());
     let Some((arm, (mr, nr))) = tile.map(register_tile) else {
         hand_out(m.div_ceil(AT_B_ROWS), pooled, unit, |_, p| {
+            let mut block = Block([0.0; BLOCK]);
             for r in p * AT_B_ROWS..(p * AT_B_ROWS + AT_B_ROWS).min(m) {
-                // SAFETY: row `r < m` of the `m x n` matrix `out`; rows are
-                // this part's alone.
-                let o = unsafe { std::slice::from_raw_parts_mut(out.at(r * n), n) };
-                o.fill(0.0);
-                for (k, g_row) in g.chunks_exact(n.max(1)).enumerate() {
-                    let av = a[k * m + r];
-                    if av == 0.0 {
-                        continue;
+                for j0 in (0..n).step_by(BLOCK) {
+                    let o = &mut block.0[..BLOCK.min(n - j0)];
+                    o.fill(0.0);
+                    for (k, g_row) in g.chunks_exact(n).enumerate() {
+                        let av = a[k * m + r];
+                        if av == 0.0 {
+                            continue;
+                        }
+                        for (o, &gv) in o.iter_mut().zip(&g_row[j0..]) {
+                            *o += av * gv;
+                        }
                     }
-                    for (o, &gv) in o.iter_mut().zip(g_row) {
-                        *o += av * gv;
-                    }
+                    // SAFETY: the block holds the run's gradient; the run is
+                    // columns `j0..j0 + o.len()` of row `r < m` of the
+                    // targets, and the part's rows are its alone.
+                    let runs = unsafe { targets.runs(o.as_ptr(), 0, r * n + j0, 0, (1, o.len())) };
+                    // SAFETY: as above.
+                    unsafe { sweep(level, body, hyper, runs) };
                 }
             }
         });
         return;
     };
+    assert!(mr * nr <= BLOCK, "a register tile fits its block");
     let panel_len = depth * nr;
     scratch.panels.pack(g, (depth, n), nr);
     // Every element is written by the part that transposes its row before
@@ -340,8 +478,9 @@ fn weight_gradient(
             }
         }
         let skip = at.contains(&0.0);
+        let mut block = Block([0.0; BLOCK]);
         for (p, panel) in panels.chunks_exact(panel_len.max(1)).enumerate() {
-            let j0 = p * nr;
+            let (j0, cols) = (p * nr, nr.min(n - p * nr));
             let tile = Tile {
                 a: at.as_ptr(),
                 m: depth,
@@ -349,17 +488,22 @@ fn weight_gradient(
                 stride: nr,
                 ahead: panel_len,
                 bias: NO_BIAS.as_ptr(),
-                // SAFETY: row `r0 < m`, column `j0 < n` of `out`.
-                out: unsafe { out.at(r0 * n + j0) },
-                n,
-                cols: nr.min(n - j0),
+                out: block.0.as_mut_ptr(),
+                n: nr,
+                cols,
                 skip,
             };
             // SAFETY: `register_tile` feature-checked the arm; `at` holds
             // `rows <= MR` rows of `depth`, `panel` `depth` rows of `NR`, and
-            // the tile writes `cols` columns of rows `r0..r0 + rows` of
-            // `out`, this part's alone.
+            // the tile writes `cols <= NR` columns of `rows` rows `NR` apart:
+            // inside the block (asserted above).
             unsafe { arm(rows, tile) };
+            // SAFETY: the block holds the `rows x cols` gradient the tile
+            // just stored, `nr` apart; the runs are columns `j0..j0 + cols`
+            // of rows `r0..r0 + rows` of the targets, this part's alone.
+            let runs = unsafe { targets.runs(block.0.as_ptr(), nr, r0 * n + j0, n, (rows, cols)) };
+            // SAFETY: as above.
+            unsafe { sweep(level, body, hyper, runs) };
         }
     });
 }
@@ -436,19 +580,13 @@ pub fn adam_step(
     v: &mut [f32],
     param: &mut [f32],
 ) {
-    assert!(
-        m.len() == grad.len() && v.len() == grad.len(),
-        "Adam moment length mismatch"
-    );
-    update(
-        kernel,
-        adam,
-        adam_chunk,
-        grad,
-        [m, v],
-        param,
-        PAR_MIN_PARAMS,
-    );
+    let step = Step {
+        level: kernel.runs(),
+        hyper: adam,
+        body: adam_chunk,
+        state: [Some(m), Some(v)],
+    };
+    update(step, grad, param, PAR_MIN_PARAMS);
 }
 
 /// One SGD-with-momentum update, in place: `v = v * momentum + g`,
@@ -463,17 +601,13 @@ pub fn momentum_step(
     velocity: &mut [f32],
     param: &mut [f32],
 ) {
-    assert_eq!(velocity.len(), grad.len(), "momentum length mismatch");
-    let hyper = (momentum, lr);
-    update(
-        kernel,
-        &hyper,
-        momentum_chunk,
-        grad,
-        [velocity, &mut []],
-        param,
-        PAR_MIN_PARAMS,
-    );
+    let step = Step {
+        level: kernel.runs(),
+        hyper: &(momentum, lr),
+        body: momentum_chunk,
+        state: [Some(velocity), None],
+    };
+    update(step, grad, param, PAR_MIN_PARAMS);
 }
 
 /// One plain SGD update, in place: `p -= g * lr`.
@@ -481,15 +615,13 @@ pub fn momentum_step(
 /// # Panics
 /// Panics unless both slices have one length.
 pub fn sgd_step(kernel: Kernel, lr: f32, grad: &[f32], param: &mut [f32]) {
-    update(
-        kernel,
-        &lr,
-        sgd_chunk,
-        grad,
-        [&mut [], &mut []],
-        param,
-        PAR_MIN_PARAMS,
-    );
+    let step = Step {
+        level: kernel.runs(),
+        hyper: &lr,
+        body: sgd_chunk,
+        state: [None, None],
+    };
+    update(step, grad, param, PAR_MIN_PARAMS);
 }
 
 #[inline(always)]
@@ -520,77 +652,186 @@ fn sgd_chunk(&lr: &f32, g: &[f32], _: &mut [f32], _: &mut [f32], p: &mut [f32]) 
     }
 }
 
-/// Runs `body` — an optimizer update over one chunk: its constants, the
-/// gradient, up to two state streams (empty when unused) and the
-/// parameters — over [`CHUNK`]s, handed out from `par_min_params`, each on
-/// the widest vector unit the backend allows.
-fn update<H: Sync, F>(
-    kernel: Kernel,
-    hyper: &H,
+/// [`gemm_at_b_f32`]'s update: the gradient itself, copied out.
+#[inline(always)]
+fn store_chunk(_: &(), g: &[f32], _: &mut [f32], _: &mut [f32], p: &mut [f32]) {
+    p.copy_from_slice(g);
+}
+
+/// An element update over one run: its constants, the gradient, up to two
+/// state runs (empty when unused) and the parameters.
+trait Body<H>: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]) + Copy + Sync + Send {}
+
+impl<H, F> Body<H> for F where
+    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]) + Copy + Sync + Send
+{
+}
+
+/// An element update bound to its state: the body, its constants, the state
+/// slices it keeps (`None` where unused), and the backend level whose widest
+/// vector unit runs it.
+struct Step<'s, H, F> {
+    level: Backend,
+    hyper: &'s H,
     body: F,
+    state: [Option<&'s mut [f32]>; 2],
+}
+
+/// What a [`Step`] writes — its parameters and its used state slices — as
+/// lanes its parts write through, each part to elements of its own.
+struct Targets {
+    state: [Option<Lanes<f32>>; 2],
+    param: Lanes<f32>,
+}
+
+impl Targets {
+    /// # Panics
+    /// Panics unless each used state slice has the parameters' length.
+    fn new(state: [Option<&mut [f32]>; 2], param: &mut [f32]) -> Self {
+        let len = param.len();
+        let state = state.map(|s| {
+            s.map(|s| {
+                assert_eq!(s.len(), len, "optimizer state length mismatch");
+                Lanes(s.as_mut_ptr())
+            })
+        });
+        Self {
+            state,
+            param: Lanes(param.as_mut_ptr()),
+        }
+    }
+
+    /// `rows x cols` targets from element `at` on, rows `stride` apart, for
+    /// the gradient at `g`, rows `g_stride` apart.
+    ///
+    /// # Safety
+    /// Every run must lie inside the targets and `g`'s buffer.
+    unsafe fn runs(
+        &self,
+        g: *const f32,
+        g_stride: usize,
+        at: usize,
+        stride: usize,
+        (rows, cols): (usize, usize),
+    ) -> Runs {
+        Runs {
+            g,
+            g_stride,
+            // SAFETY: the caller's contract.
+            state: self
+                .state
+                .each_ref()
+                .map(|s| s.as_ref().map(|s| unsafe { s.at(at) })),
+            // SAFETY: as above.
+            param: unsafe { self.param.at(at) },
+            stride,
+            rows,
+            cols,
+        }
+    }
+}
+
+/// Runs `step` over [`CHUNK`]s of `grad` and `param`, handed out from
+/// `par_min_params`.
+fn update<H: Sync, F: Body<H>>(
+    step: Step<'_, H, F>,
     grad: &[f32],
-    state: [&mut [f32]; 2],
     param: &mut [f32],
     par_min_params: usize,
-) where
-    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]) + Copy + Sync + Send,
-{
+) {
     let len = grad.len();
     assert_eq!(param.len(), len, "optimizer parameter length mismatch");
-    let level = kernel.runs();
-    let [s0, s1] = state.map(|s| (Lanes(s.as_mut_ptr()), !s.is_empty()));
-    let param = Lanes(param.as_mut_ptr());
-    let pooled = len >= par_min_params;
-    hand_out(len.div_ceil(CHUNK), pooled, unit, |_, c| {
+    let Step {
+        level,
+        hyper,
+        body,
+        state,
+    } = step;
+    let targets = Targets::new(state, param);
+    hand_out(len.div_ceil(CHUNK), len >= par_min_params, unit, |_, c| {
         let at = c * CHUNK..(c * CHUNK + CHUNK).min(len);
-        // SAFETY: chunk `at` of a stream of `len` floats — this part's
-        // alone — or nothing of an empty one.
-        let chunk = |(lanes, used): &(Lanes<f32>, bool)| unsafe {
-            match used {
-                true => std::slice::from_raw_parts_mut(lanes.at(at.start), at.len()),
-                false => &mut [],
-            }
-        };
-        let (g, s0, s1) = (&grad[at.clone()], chunk(&s0), chunk(&s1));
-        // SAFETY: as `chunk`, for the parameter stream.
-        let p = unsafe { std::slice::from_raw_parts_mut(param.at(at.start), at.len()) };
-        match level {
-            // SAFETY: the host runs `avx512f` from this level up.
-            #[cfg(target_arch = "x86_64")]
-            level if level >= Backend::Avx512 => unsafe { chunk_zmm(body, hyper, g, s0, s1, p) },
-            // SAFETY: the host runs `avx2` at this level.
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { chunk_ymm(body, hyper, g, s0, s1, p) },
-            _ => body(hyper, g, s0, s1, p),
-        }
+        let g = grad[at.clone()].as_ptr();
+        // SAFETY: chunk `at` of the gradient and of the targets, the last
+        // this part's alone.
+        let runs = unsafe { targets.runs(g, 0, at.start, 0, (1, at.len())) };
+        // SAFETY: as above.
+        unsafe { sweep(level, body, hyper, runs) };
     });
 }
 
-/// An optimizer body compiled for `avx512f`: `body` is an
-/// `#[inline(always)]` loop, inlined here and vectorised 16 lanes wide.
-///
-/// # Safety
-/// Requires `avx512f`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn chunk_zmm<H, F>(body: F, h: &H, g: &[f32], s0: &mut [f32], s1: &mut [f32], p: &mut [f32])
-where
-    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]),
-{
-    body(h, g, s0, s1, p)
+/// `rows` runs of `cols` elements for an update body: the gradient's
+/// `g_stride` floats apart, the parameters' and each used state slice's
+/// (`None`: unused) `stride` apart.
+#[derive(Clone, Copy)]
+struct Runs {
+    g: *const f32,
+    g_stride: usize,
+    state: [Option<*mut f32>; 2],
+    param: *mut f32,
+    stride: usize,
+    rows: usize,
+    cols: usize,
 }
 
-/// [`chunk_zmm`] for `avx2`, 8 lanes wide.
+impl Runs {
+    /// `body` over each run in turn.
+    ///
+    /// # Safety
+    /// Every run must lie inside its buffer, and the runs of the parameters
+    /// and the state must be the caller's alone.
+    #[inline(always)]
+    unsafe fn apply<H>(self, body: impl Body<H>, hyper: &H) {
+        for r in 0..self.rows {
+            let at = r * self.stride;
+            // SAFETY: the caller's contract.
+            let run = |s: *mut f32| unsafe { std::slice::from_raw_parts_mut(s.add(at), self.cols) };
+            let [s0, s1] = self.state.map(|s| s.map_or(&mut [][..], run));
+            // SAFETY: the caller's contract.
+            let g = unsafe { std::slice::from_raw_parts(self.g.add(r * self.g_stride), self.cols) };
+            body(hyper, g, s0, s1, run(self.param));
+        }
+    }
+}
+
+/// Runs `body` over `runs` on the widest vector unit `level` allows.
 ///
 /// # Safety
-/// Requires `avx2`.
+/// As [`Runs::apply`].
+unsafe fn sweep<H>(level: Backend, body: impl Body<H>, hyper: &H, runs: Runs) {
+    match level {
+        // SAFETY: the host runs `avx512f` from this level up; the rest is
+        // the caller's contract.
+        #[cfg(target_arch = "x86_64")]
+        level if level >= Backend::Avx512 => unsafe { sweep_zmm(body, hyper, runs) },
+        // SAFETY: the host runs `avx2` at this level.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { sweep_ymm(body, hyper, runs) },
+        // SAFETY: the caller's contract.
+        _ => unsafe { runs.apply(body, hyper) },
+    }
+}
+
+/// An update compiled for `avx512f`: `body` is an `#[inline(always)]` loop,
+/// inlined here and vectorised 16 lanes wide.
+///
+/// # Safety
+/// Requires `avx512f`; as [`Runs::apply`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sweep_zmm<H>(body: impl Body<H>, hyper: &H, runs: Runs) {
+    // SAFETY: the caller's contract.
+    unsafe { runs.apply(body, hyper) }
+}
+
+/// [`sweep_zmm`] for `avx2`, 8 lanes wide.
+///
+/// # Safety
+/// Requires `avx2`; as [`Runs::apply`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn chunk_ymm<H, F>(body: F, h: &H, g: &[f32], s0: &mut [f32], s1: &mut [f32], p: &mut [f32])
-where
-    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]),
-{
-    body(h, g, s0, s1, p)
+unsafe fn sweep_ymm<H>(body: impl Body<H>, hyper: &H, runs: Runs) {
+    // SAFETY: the caller's contract.
+    unsafe { runs.apply(body, hyper) }
 }
 
 #[cfg(test)]
@@ -614,6 +855,25 @@ mod tests {
         // A dirty `out` proves every element is overwritten.
         let mut out = vec![f32::NAN; a.len() / m * n];
         forward(kernel, tile, a, b, &mut out, (m, n), par_min_macs);
+        bits(&out)
+    }
+
+    /// [`weight_gradient`] with [`gemm_at_b_f32`]'s copy, into a dirty `out`.
+    fn run_at_b(
+        tile: Option<PackedWidth>,
+        (a, g): (&[f32], &[f32]),
+        (m, n): (usize, usize),
+        scratch: &mut GradScratch,
+        par_min_macs: usize,
+    ) -> Vec<u32> {
+        let mut out = vec![f32::NAN; m * n];
+        let store = Step {
+            level: Backend::Scalar,
+            hyper: &(),
+            body: store_chunk,
+            state: [None, None],
+        };
+        weight_gradient(tile, (a, g), (m, n), store, &mut out, scratch, par_min_macs);
         bits(&out)
     }
 
@@ -729,12 +989,12 @@ mod tests {
                 for tile in arms {
                     let products = |par_min_macs: usize, scratch: &mut GradScratch| {
                         let forward = run_forward(kernel, tile, &a, &b, (m, n), par_min_macs);
-                        let mut at_b = vec![f32::NAN; m * n];
-                        let (dims, at_b_tile) = ((m, n), tile.or(vector_tile(kernel)));
-                        weight_gradient(at_b_tile, &a, &g, &mut at_b, dims, scratch, par_min_macs);
+                        let host = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
+                        let ops = (&a[..], &g[..]);
+                        let at_b = run_at_b(tile.or(host), ops, (m, n), scratch, par_min_macs);
                         let mut a_bt = vec![f32::NAN; rows * m];
                         input_gradient(kernel, &g, &b, &mut a_bt, n, par_min_macs);
-                        [forward, bits(&at_b), bits(&a_bt)]
+                        [forward, at_b, bits(&a_bt)]
                     };
                     let one_thread = products(usize::MAX, &mut scratch);
                     for (threads, pool) in &pools {
@@ -788,14 +1048,13 @@ mod tests {
         let edge_g = [-1e-30f32, 1.0, f32::INFINITY, f32::INFINITY];
         for tile in arms {
             let fused = tile.is_some();
-            let mut out = vec![f32::NAN; 4];
-            weight_gradient(tile, &edge_a, &edge_g, &mut out, (2, 2), &mut scratch, 0);
-            assert_eq!(
-                bits(&out),
-                per_term_chain(fused, &edge_a, &edge_g, (2, 2)),
-                "{tile:?}"
+            let out = run_at_b(tile, (&edge_a, &edge_g), (2, 2), &mut scratch, 0);
+            let want = per_term_chain(fused, &edge_a, &edge_g, (2, 2));
+            assert_eq!(out, want, "{tile:?}");
+            assert!(
+                out.iter().all(|&v| !f32::from_bits(v).is_nan()),
+                "{tile:?}: {out:?}"
             );
-            assert!(out.iter().all(|v| !v.is_nan()), "{tile:?}: {out:?}");
             for (depth, m, n) in [
                 (1usize, 1usize, 1usize),
                 (16, 37, 65),
@@ -805,8 +1064,7 @@ mod tests {
                 for specials in [false, true] {
                     let a = values(depth * m, 11 + depth as u64, specials);
                     let g = values(depth * n, 12 + n as u64, specials);
-                    let mut out = vec![f32::NAN; m * n];
-                    weight_gradient(tile, &a, &g, &mut out, (m, n), &mut scratch, usize::MAX);
+                    let out = run_at_b(tile, (&a, &g), (m, n), &mut scratch, usize::MAX);
                     // Which NaN an add of two NaNs returns is the compiler's
                     // choice of operand order, in the oracle as anywhere.
                     let quiet = |v: u32| {
@@ -816,7 +1074,7 @@ mod tests {
                             v
                         }
                     };
-                    let got: Vec<u32> = bits(&out).into_iter().map(quiet).collect();
+                    let got: Vec<u32> = out.into_iter().map(quiet).collect();
                     let want: Vec<u32> = per_term_chain(fused, &a, &g, (m, n))
                         .into_iter()
                         .map(quiet)
@@ -866,14 +1124,12 @@ mod tests {
                 let b = values(m * n, 16, false);
                 let g = values(rows * n, 17, false);
                 let one_thread = {
-                    let forward =
-                        run_forward(kernel, vector_tile(kernel), &a, &b, (m, n), usize::MAX);
-                    let mut at_b = vec![f32::NAN; m * n];
-                    let tile = vector_tile(kernel);
-                    weight_gradient(tile, &a, &g, &mut at_b, (m, n), &mut scratch, usize::MAX);
+                    let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
+                    let forward = run_forward(kernel, tile, &a, &b, (m, n), usize::MAX);
+                    let at_b = run_at_b(tile, (&a, &g), (m, n), &mut scratch, usize::MAX);
                     let mut a_bt = vec![f32::NAN; rows * m];
                     input_gradient(kernel, &g, &b, &mut a_bt, n, usize::MAX);
-                    [forward, bits(&at_b), bits(&a_bt)]
+                    [forward, at_b, bits(&a_bt)]
                 };
                 for (threads, pool) in &pools {
                     let served = pool.install(|| {
@@ -892,22 +1148,28 @@ mod tests {
         }
     }
 
+    /// The Adam constants at step `t` (`t == 1`: the first step, whose
+    /// moments start from zero).
+    fn adam_at(t: i32) -> Adam {
+        Adam {
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            bias_correction1: 1.0 - 0.9f32.powi(t),
+            bias_correction2: 1.0 - 0.999f32.powi(t),
+            lr: 1e-3,
+        }
+    }
+
     /// Every optimizer update, handed out in chunks (from threshold 0 and
     /// through the public entries either side of [`PAR_MIN_PARAMS`]) on
-    /// pools of every width and run on each vector unit (`chunk_zmm`,
-    /// `chunk_ymm`), equals its scalar loop over the whole slice, bit for
+    /// pools of every width and run on each vector unit (`sweep_zmm`,
+    /// `sweep_ymm`), equals its scalar loop over the whole slice, bit for
     /// bit.
     #[test]
     fn claimed_optimizer_chunks_equal_the_one_thread_scalar_loop() {
         let pools = pools();
-        let adam = Adam {
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            bias_correction1: 1.0 - 0.9f32.powi(3),
-            bias_correction2: 1.0 - 0.999f32.powi(3),
-            lr: 1e-3,
-        };
+        let adam = adam_at(3);
         let lens = [
             0usize,
             1,
@@ -931,21 +1193,49 @@ mod tests {
             };
             // [first state, second state, parameters] after each update.
             type Run<'a> = &'a (dyn Fn(Kernel, &mut [Vec<f32>; 3], usize) + Sync);
-            let adam_run: Run =
-                &|kernel, [m, v, p], par| update(kernel, &adam, adam_chunk, &g, [m, v], p, par);
-            let momentum_run: Run = &|kernel, [v, _, p], par| {
+            let adam_run: Run = &|kernel, [m, v, p], par| {
+                let state = [Some(&mut m[..]), Some(&mut v[..])];
+                let (level, hyper, body) = (kernel.runs(), &adam, adam_chunk);
                 update(
-                    kernel,
-                    &(0.9, 0.01),
-                    momentum_chunk,
+                    Step {
+                        level,
+                        hyper,
+                        body,
+                        state,
+                    },
                     &g,
-                    [v, &mut []],
+                    p,
+                    par,
+                )
+            };
+            let momentum_run: Run = &|kernel, [v, _, p], par| {
+                let state = [Some(&mut v[..]), None];
+                let (level, hyper, body) = (kernel.runs(), &(0.9, 0.01), momentum_chunk);
+                update(
+                    Step {
+                        level,
+                        hyper,
+                        body,
+                        state,
+                    },
+                    &g,
                     p,
                     par,
                 )
             };
             let sgd_run: Run = &|kernel, [_, _, p], par| {
-                update(kernel, &0.01, sgd_chunk, &g, [&mut [], &mut []], p, par)
+                let (level, hyper, body) = (kernel.runs(), &0.01, sgd_chunk);
+                update(
+                    Step {
+                        level,
+                        hyper,
+                        body,
+                        state: [None, None],
+                    },
+                    &g,
+                    p,
+                    par,
+                )
             };
             let public: Run = &|kernel, [m, v, p], _| {
                 adam_step(kernel, &adam, &g, m, v, p);
@@ -971,6 +1261,119 @@ mod tests {
                             "{name} {kernel:?} len={len} on {threads} threads"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The fused update equals the weight gradient followed by the sweep it
+    /// replaces, bit for bit, on the parameters and the state: on every arm
+    /// the host has (the scalar loop; each register tile, its update compiled
+    /// for its vector unit) with the parts handed out (threshold 0) on pools
+    /// 1, 2 and 3 wide, and through the public entry one part either side of
+    /// [`PAR_MIN_MACS`]. Every shape leaves a ragged last panel and row tile;
+    /// the first six input columns hold exact zeros in every third row, so
+    /// the first row tile runs the skip mask and the others do not; Adam runs
+    /// a first step from zero moments and a later one. Momentum 0 from a
+    /// velocity of −0.0 leaves the velocity equal to the gradient
+    /// (`-0.0 * 0.0 + g` is `g` for every `g`), so that case compares the
+    /// gradient itself.
+    #[test]
+    fn the_fused_update_equals_the_weight_gradient_then_the_sweep() {
+        let pools = pools();
+        let mut scratch = GradScratch::default();
+        let (first, later) = (adam_at(1), adam_at(3));
+        const RULES: [&str; 5] = ["adam, first step", "adam", "momentum", "gradient", "sgd"];
+        // [first state, second state, parameters] before an update.
+        let start = |rule: usize, len: usize| -> [Vec<f32>; 3] {
+            let second = values(len, 21, false).iter().map(|v| v.abs()).collect();
+            match RULES[rule] {
+                "adam, first step" => [vec![0.0; len], vec![0.0; len], values(len, 22, false)],
+                "gradient" => [vec![-0.0; len], vec![], values(len, 22, false)],
+                _ => [values(len, 20, false), second, values(len, 22, false)],
+            }
+        };
+        // Runs `f` on rule `rule` bound to `state`'s slices.
+        let with_update = |rule: usize,
+                           [s0, s1, p]: &mut [Vec<f32>; 3],
+                           f: &mut dyn FnMut(Update<'_>, &mut [f32])| {
+            let update = match RULES[rule] {
+                "adam, first step" => Update::Adam(&first, s0, s1),
+                "adam" => Update::Adam(&later, s0, s1),
+                "momentum" => Update::Momentum((0.9, 0.01), s0),
+                "gradient" => Update::Momentum((0.0, 0.01), s0),
+                _ => Update::Sgd(0.01),
+            };
+            f(update, p)
+        };
+        let operands = |depth: usize, m: usize, n: usize| {
+            let mut a = values(depth * m, 23, false);
+            for k in (0..depth).step_by(3) {
+                a[k * m..k * m + m.min(6)].fill(0.0);
+            }
+            (a, values(depth * n, 24, false))
+        };
+        let bits3 = |state: &[Vec<f32>; 3]| state.each_ref().map(|v| bits(v));
+        for (depth, m, n) in [
+            (16usize, 37usize, 65usize),
+            (8, 13, 33),
+            (5, 24, 17),
+            (1, 1, 1),
+        ] {
+            let (a, g) = operands(depth, m, n);
+            let arms = Backend::arms(|level| level.min(Backend::Avx512));
+            for (level, rule) in arms
+                .into_iter()
+                .flat_map(|l| (0..RULES.len()).map(move |r| (l, r)))
+            {
+                let tile = (level >= Backend::Avx2).then(|| level.packed_width());
+                let grad = run_at_b(tile, (&a, &g), (m, n), &mut scratch, usize::MAX);
+                let grad: Vec<f32> = grad.into_iter().map(f32::from_bits).collect();
+                let mut want = start(rule, m * n);
+                with_update(rule, &mut want, &mut |u, p| {
+                    u.step(level.kernel(), &grad, p)
+                });
+                for (threads, pool) in &pools {
+                    let mut got = start(rule, m * n);
+                    pool.install(|| {
+                        with_update(rule, &mut got, &mut |u, p| {
+                            let ops = (&a[..], &g[..]);
+                            fused_update((tile, level), ops, (m, n), u, p, &mut scratch, 0)
+                        })
+                    });
+                    let case = format!(
+                        "{} {level:?} {depth}x{m}x{n} on {threads} threads",
+                        RULES[rule]
+                    );
+                    assert_eq!(bits3(&got), bits3(&want), "{case}");
+                }
+            }
+        }
+        let (m, n) = (64usize, 97usize);
+        let below = (PAR_MIN_MACS - 1) / (m * n);
+        assert!(below * m * n < PAR_MIN_MACS && (below + 1) * m * n >= PAR_MIN_MACS);
+        for depth in [below, below + 1] {
+            let (a, g) = operands(depth, m, n);
+            for (kernel, rule) in kernels()
+                .into_iter()
+                .flat_map(|k| (0..RULES.len()).map(move |r| (k, r)))
+            {
+                let mut grad = vec![f32::NAN; m * n];
+                gemm_at_b_f32(kernel, &a, &g, &mut grad, (m, n), &mut scratch);
+                let mut want = start(rule, m * n);
+                with_update(rule, &mut want, &mut |u, p| u.step(kernel, &grad, p));
+                for (threads, pool) in &pools {
+                    let mut got = start(rule, m * n);
+                    pool.install(|| {
+                        with_update(rule, &mut got, &mut |u, p| {
+                            gemm_at_b_update_f32(kernel, (&a, &g), (m, n), u, p, &mut scratch)
+                        })
+                    });
+                    let case = format!(
+                        "{} {kernel:?} {depth}x{m}x{n} on {threads} threads",
+                        RULES[rule]
+                    );
+                    assert_eq!(bits3(&got), bits3(&want), "{case}");
                 }
             }
         }

@@ -2,7 +2,6 @@
 
 use crate::tensor::Matrix;
 use mimo_math::kernel::packed::{gemm_f32_packed, PackedRhs, PackedWidth};
-use mimo_math::kernel::{self, GradScratch};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -98,7 +97,9 @@ pub struct DenseCache {
     pub pre_activation: Matrix,
 }
 
-/// Gradients of a dense layer's parameters.
+/// Gradients of a dense layer's parameters, in memory: what the allocating
+/// [`Dense::backward`] returns to the tests' reference training loop.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseGradients {
     /// Gradient with respect to the weights.
@@ -210,43 +211,39 @@ impl Dense {
 
     /// Backward pass: given the gradient of the loss with respect to this
     /// layer's output, returns the parameter gradients and the gradient with
-    /// respect to the layer input.
+    /// respect to the layer input — the allocating form the tests' reference
+    /// training loop runs.
+    #[cfg(test)]
     pub fn backward(&self, cache: &DenseCache, grad_output: &Matrix) -> (DenseGradients, Matrix) {
-        let mut grads = DenseGradients {
-            weights: Matrix::zeros(1, 1),
-            bias: Matrix::zeros(1, 1),
-        };
         let mut grad_pre = Matrix::zeros(1, 1);
+        let mut bias = Matrix::zeros(1, 1);
         let mut grad_input = Matrix::zeros(1, 1);
         self.backward_into(
-            &cache.input,
             &cache.pre_activation,
             grad_output,
-            (&mut grad_pre, &mut GradScratch::default()),
-            &mut grads,
+            (&mut grad_pre, &mut bias),
             Some(&mut grad_input),
         );
-        (grads, grad_input)
+        let mut weights = Matrix::zeros(1, 1);
+        cache.input.matmul_at_b_into(&grad_pre, &mut weights);
+        (DenseGradients { weights, bias }, grad_input)
     }
 
-    /// Backward pass into caller-owned buffers; the engine of the training
-    /// loop.
+    /// Backward pass into caller-owned buffers, up to the weight gradient;
+    /// the engine of the training loop, which fuses that gradient into the
+    /// optimizer's update ([`crate::optimizer::Optimizer`]).
     ///
-    /// Computes `grad_pre = grad_output ⊙ act'(pre_activation)` and from it the
-    /// parameter gradients and (unless this is the first layer,
-    /// `grad_input == None`) the gradient with respect to the layer input.
-    /// The weight and input gradients use the transpose-free kernels
-    /// ([`Matrix::matmul_at_b_into_with`], [`Matrix::matmul_a_bt_into`])
-    /// instead of materializing `input^T` / `W^T` per step — the former's
-    /// batch-sized scratch is the caller's, beside `grad_pre`; results are
-    /// bit-identical to the allocating formulation.
+    /// Computes `grad_pre = grad_output ⊙ act'(pre_activation)`, from it
+    /// (unless this is the first layer, `grad_input == None`) the gradient
+    /// with respect to the layer input with the transpose-free
+    /// [`Matrix::matmul_a_bt_into`] — it reads the weights, so it runs before
+    /// they move — and the bias gradient. Results are bit-identical to the
+    /// allocating formulation.
     pub fn backward_into(
         &self,
-        input: &Matrix,
         pre_activation: &Matrix,
         grad_output: &Matrix,
-        (grad_pre, scratch): (&mut Matrix, &mut GradScratch),
-        grads: &mut DenseGradients,
+        (grad_pre, bias_grad): (&mut Matrix, &mut Matrix),
         grad_input: Option<&mut Matrix>,
     ) {
         grad_pre.copy_from(grad_output);
@@ -257,11 +254,10 @@ impl Dense {
         {
             *g *= self.activation.derivative_eval(p);
         }
-        input.matmul_at_b_into_with(grad_pre, &mut grads.weights, kernel::selected(), scratch);
-        grads.bias.sum_rows_into(grad_pre);
         if let Some(grad_input) = grad_input {
             grad_pre.matmul_a_bt_into(&self.weights, grad_input);
         }
+        bias_grad.sum_rows_into(grad_pre);
     }
 }
 
@@ -425,20 +421,15 @@ mod tests {
         let (grads, grad_input) = layer.backward(&cache, &y);
 
         let mut grad_pre = Matrix::zeros(1, 1);
-        let mut grads2 = DenseGradients {
-            weights: Matrix::zeros(1, 1),
-            bias: Matrix::zeros(1, 1),
-        };
+        let mut bias = Matrix::zeros(1, 1);
         let mut grad_input2 = Matrix::zeros(1, 1);
         layer.backward_into(
-            &x,
             &cache.pre_activation,
             &y,
-            (&mut grad_pre, &mut GradScratch::default()),
-            &mut grads2,
+            (&mut grad_pre, &mut bias),
             Some(&mut grad_input2),
         );
-        assert_eq!(grads, grads2);
+        assert_eq!(grads.bias, bias);
         assert_eq!(grad_input, grad_input2);
     }
 

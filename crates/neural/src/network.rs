@@ -1,8 +1,9 @@
 //! Sequential dense networks.
 
+use crate::layer::{Activation, Dense};
 #[cfg(test)]
-use crate::layer::DenseCache;
-use crate::layer::{Activation, Dense, DenseGradients};
+use crate::layer::{DenseCache, DenseGradients};
+use crate::optimizer::Optimizer;
 use crate::tensor::Matrix;
 use crate::NeuralError;
 use mimo_math::kernel::GradScratch;
@@ -252,15 +253,20 @@ impl Network {
         }
     }
 
-    /// Backward pass from the buffers filled by
-    /// [`Network::forward_training_into`], writing per-layer gradients into
-    /// `scratch.grads`. Gradient propagation ping-pongs between two reusable
+    /// Backward pass and optimizer step from the buffers filled by
+    /// [`Network::forward_training_into`]. Layer by layer, last to first:
+    /// the gradient at the pre-activation, from it the gradient at the
+    /// layer's input — which reads the weights, so it runs before they move —
+    /// and the bias gradient ([`Dense::backward_into`]), then the layer's
+    /// update by `optimizer` at `lr_factor`, with the weight gradient fused
+    /// into it. Gradient propagation ping-pongs between two reusable
     /// buffers; the input-gradient product is skipped for the first layer.
     pub(crate) fn backward_into(
-        &self,
+        &mut self,
         input: &Matrix,
         grad_output: &Matrix,
         scratch: &mut TrainScratch,
+        (optimizer, lr_factor): (&mut Optimizer, f32),
     ) {
         let TrainScratch {
             pre_activations,
@@ -268,31 +274,28 @@ impl Network {
             grad_ping,
             grad_pong,
             grad_pre,
+            bias_grad,
             gradient,
-            grads,
         } = scratch;
         debug_assert_eq!(
             activations.len(),
             self.layers.len(),
             "forward_training_into must run first"
         );
+        let step = optimizer.begin_step(lr_factor);
         // `incoming` holds the gradient flowing into the current layer,
         // `outgoing` receives the gradient for the next (earlier) layer; the
         // two buffers swap roles every step.
         let mut incoming: &mut Matrix = grad_ping;
         let mut outgoing: &mut Matrix = grad_pong;
-        for (rev_idx, (i, layer)) in self.layers.iter().enumerate().rev().enumerate() {
+        for (rev_idx, (i, layer)) in self.layers.iter_mut().enumerate().rev().enumerate() {
             let layer_input = if i == 0 { input } else { &activations[i - 1] };
             let grad_out: &Matrix = if rev_idx == 0 { grad_output } else { incoming };
             let grad_in = if i == 0 { None } else { Some(&mut *outgoing) };
-            layer.backward_into(
-                layer_input,
-                &pre_activations[i],
-                grad_out,
-                (&mut *grad_pre, &mut *gradient),
-                &mut grads[i],
-                grad_in,
-            );
+            let pre = &pre_activations[i];
+            layer.backward_into(pre, grad_out, (&mut *grad_pre, &mut *bias_grad), grad_in);
+            let grads = (&*bias_grad, &mut *gradient);
+            optimizer.update_layer(&step, i, layer, (layer_input, grad_pre), grads);
             std::mem::swap(&mut incoming, &mut outgoing);
         }
     }
@@ -327,15 +330,15 @@ impl Network {
 }
 
 /// Reusable buffers for one training loop: per-layer activations and
-/// pre-activations, gradient ping-pong buffers, the weight-gradient
-/// product's transposed input and packed gradient, and per-layer parameter
-/// gradients.
+/// pre-activations, gradient ping-pong buffers, one layer's bias gradient,
+/// and the weight-gradient product's transposed input and packed gradient.
+/// There is no weight-gradient buffer: the optimizer consumes that gradient
+/// a register tile at a time.
 ///
 /// Holding one `TrainScratch` across batches and epochs eliminates the
 /// per-batch clone/allocation churn of the original loop — after the first
 /// batch of the largest batch size, a training step performs no heap
-/// allocation. Apart from the parameter gradients every buffer is
-/// batch-sized.
+/// allocation. Every buffer is batch-sized or one layer's width.
 #[derive(Debug)]
 pub(crate) struct TrainScratch {
     pub(crate) pre_activations: Vec<Matrix>,
@@ -343,8 +346,8 @@ pub(crate) struct TrainScratch {
     pub(crate) grad_ping: Matrix,
     pub(crate) grad_pong: Matrix,
     pub(crate) grad_pre: Matrix,
+    pub(crate) bias_grad: Matrix,
     pub(crate) gradient: GradScratch,
-    pub(crate) grads: Vec<DenseGradients>,
 }
 
 impl TrainScratch {
@@ -355,8 +358,8 @@ impl TrainScratch {
             grad_ping: Matrix::zeros(1, 1),
             grad_pong: Matrix::zeros(1, 1),
             grad_pre: Matrix::zeros(1, 1),
+            bias_grad: Matrix::zeros(1, 1),
             gradient: GradScratch::default(),
-            grads: Vec::new(),
         }
     }
 
@@ -364,14 +367,9 @@ impl TrainScratch {
         while self.pre_activations.len() < n {
             self.pre_activations.push(Matrix::zeros(1, 1));
             self.activations.push(Matrix::zeros(1, 1));
-            self.grads.push(DenseGradients {
-                weights: Matrix::zeros(1, 1),
-                bias: Matrix::zeros(1, 1),
-            });
         }
         self.pre_activations.truncate(n);
         self.activations.truncate(n);
-        self.grads.truncate(n);
     }
 
     /// The network output of the last [`Network::forward_training_into`] call.

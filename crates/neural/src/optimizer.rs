@@ -5,10 +5,13 @@
 //! and 30th of 40 epochs. Both optimizers and the step schedule are implemented
 //! here.
 
+use crate::layer::Dense;
+#[cfg(test)]
 use crate::layer::DenseGradients;
+#[cfg(test)]
 use crate::network::Network;
 use crate::tensor::Matrix;
-use mimo_math::kernel;
+use mimo_math::kernel::{self, GradScratch, Kernel};
 use serde::{Deserialize, Serialize};
 
 /// Optimizer selection plus hyper-parameters.
@@ -72,15 +75,59 @@ impl StepSchedule {
     }
 }
 
-/// Per-parameter optimizer state for one layer.
+/// What an optimizer keeps for one parameter matrix: SGD's velocity, or
+/// Adam's first and second moments — each the parameter's shape, allocated
+/// at the first step.
+#[derive(Debug, Clone, Default)]
+struct ParamState {
+    first: Option<Matrix>,
+    second: Option<Matrix>,
+}
+
+impl ParamState {
+    /// `rule`'s element update bound to this state, for a parameter of
+    /// `param`'s shape.
+    fn bind<'s>(&'s mut self, rule: &'s Rule, param: &Matrix) -> kernel::Update<'s> {
+        let zeros = || Matrix::zeros(param.rows(), param.cols());
+        match rule {
+            Rule::Sgd(lr) => kernel::Update::Sgd(*lr),
+            Rule::Momentum(hyper) => {
+                let velocity = self.first.get_or_insert_with(zeros);
+                kernel::Update::Momentum(*hyper, velocity.as_mut_slice())
+            }
+            Rule::Adam(adam) => {
+                let m = self.first.get_or_insert_with(zeros).as_mut_slice();
+                let v = self.second.get_or_insert_with(zeros).as_mut_slice();
+                kernel::Update::Adam(adam, m, v)
+            }
+        }
+    }
+}
+
+/// The state of one layer's weights and bias.
 #[derive(Debug, Clone, Default)]
 struct LayerState {
-    momentum_w: Option<Matrix>,
-    momentum_b: Option<Matrix>,
-    adam_m_w: Option<Matrix>,
-    adam_v_w: Option<Matrix>,
-    adam_m_b: Option<Matrix>,
-    adam_v_b: Option<Matrix>,
+    weights: ParamState,
+    bias: ParamState,
+}
+
+/// One step's element update, shared by every parameter it moves.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// `p -= g * lr`.
+    Sgd(f32),
+    /// `v = v * momentum + g`, `p -= v * lr`, as `(momentum, lr)`.
+    Momentum((f32, f32)),
+    /// Kingma & Ba's update at this step's bias corrections.
+    Adam(kernel::Adam),
+}
+
+/// One step of an [`Optimizer`], begun by [`Optimizer::begin_step`]: the
+/// kernel backend and the element update every layer moves by.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    kern: Kernel,
+    rule: Rule,
 }
 
 /// A stateful optimizer bound to a particular network architecture.
@@ -106,92 +153,89 @@ impl Optimizer {
         self.kind
     }
 
-    /// Applies one gradient step to `network`, scaling the base learning rate by
-    /// `lr_factor` (from the schedule).
-    ///
-    /// All optimizer state is updated in place by the kernels of
-    /// [`mimo_math::kernel`] ([`kernel::adam_step`],
-    /// [`kernel::momentum_step`], [`kernel::sgd_step`]): one fused sweep a
-    /// parameter matrix, handed out to the pool in chunks from 2^16
-    /// parameters and compiled for the widest vector unit, so a step performs
-    /// no heap allocation after the state matrices exist. The element-wise
-    /// arithmetic matches the original allocating formulation, keeping
-    /// training trajectories bit-identical at every pool width.
-    ///
-    /// # Panics
-    /// Panics if `grads.len()` differs from the number of network layers.
-    pub fn step(&mut self, network: &mut Network, grads: &[DenseGradients], lr_factor: f32) {
-        assert_eq!(
-            grads.len(),
-            network.layers().len(),
-            "gradient count must match layer count"
-        );
+    /// Begins one gradient step, scaling the base learning rate by
+    /// `lr_factor` (from the schedule); [`Optimizer::update_layer`] then
+    /// moves each layer by it.
+    pub(crate) fn begin_step(&mut self, lr_factor: f32) -> Step {
         self.step_count += 1;
-        let kern = kernel::selected();
         let lr = self.kind.learning_rate() * lr_factor;
-        let layers = network.layers_mut().iter_mut().zip(grads);
-        match self.kind {
-            OptimizerKind::Sgd { momentum, .. } => {
-                for ((layer, grad), state) in layers.zip(self.state.iter_mut()) {
-                    let params = [
-                        (&mut layer.weights, &grad.weights, &mut state.momentum_w),
-                        (&mut layer.bias, &grad.bias, &mut state.momentum_b),
-                    ];
-                    for (param, grad, velocity) in params {
-                        let (g, p) = (grad.as_slice(), param.as_mut_slice());
-                        if momentum > 0.0 {
-                            // v <- v * momentum + g; p <- p - v * lr.
-                            let v = velocity.get_or_insert_with(|| zeros_like(grad));
-                            kernel::momentum_step(kern, (momentum, lr), g, v.as_mut_slice(), p);
-                        } else {
-                            kernel::sgd_step(kern, lr, g, p);
-                        }
-                    }
-                }
-            }
+        let rule = match self.kind {
+            OptimizerKind::Sgd { momentum, .. } if momentum > 0.0 => Rule::Momentum((momentum, lr)),
+            OptimizerKind::Sgd { .. } => Rule::Sgd(lr),
             OptimizerKind::Adam { .. } => {
                 const BETA1: f32 = 0.9;
                 const BETA2: f32 = 0.999;
                 let t = self.step_count as i32;
-                let adam = kernel::Adam {
+                Rule::Adam(kernel::Adam {
                     beta1: BETA1,
                     beta2: BETA2,
                     eps: 1e-8,
                     bias_correction1: 1.0 - BETA1.powi(t),
                     bias_correction2: 1.0 - BETA2.powi(t),
                     lr,
-                };
-                for ((layer, grad), state) in layers.zip(self.state.iter_mut()) {
-                    let params = [
-                        (
-                            &mut layer.weights,
-                            &grad.weights,
-                            &mut state.adam_m_w,
-                            &mut state.adam_v_w,
-                        ),
-                        (
-                            &mut layer.bias,
-                            &grad.bias,
-                            &mut state.adam_m_b,
-                            &mut state.adam_v_b,
-                        ),
-                    ];
-                    // m <- m*B1 + g*(1-B1); v <- v*B2 + g^2*(1-B2);
-                    // p <- p - (m/bc1) / (sqrt(v/bc2) + eps) * lr, all in place.
-                    for (param, grad, m, v) in params {
-                        let m = m.get_or_insert_with(|| zeros_like(grad)).as_mut_slice();
-                        let v = v.get_or_insert_with(|| zeros_like(grad)).as_mut_slice();
-                        let (g, p) = (grad.as_slice(), param.as_mut_slice());
-                        kernel::adam_step(kern, &adam, g, m, v, p);
-                    }
-                }
+                })
             }
+        };
+        Step {
+            kern: kernel::selected(),
+            rule,
         }
     }
-}
 
-fn zeros_like(m: &Matrix) -> Matrix {
-    Matrix::zeros(m.rows(), m.cols())
+    /// Moves layer `index` by `step`: its weights by the weight gradient
+    /// `inputᵀ * grad_pre`, its bias by `bias_grad`.
+    ///
+    /// The weight gradient never reaches memory: each register tile of
+    /// [`kernel::gemm_at_b_update_f32`] hands its block of it to the update
+    /// while it is in L1, with that block's weights and state. The bias takes
+    /// the same element update as one sweep ([`kernel::Update::step`]). Each
+    /// element's arithmetic is the original allocating formulation's, so
+    /// training trajectories stay bit-identical at every pool width, and
+    /// once the state exists a step requests no memory.
+    pub(crate) fn update_layer(
+        &mut self,
+        step: &Step,
+        index: usize,
+        layer: &mut Dense,
+        (input, grad_pre): (&Matrix, &Matrix),
+        (bias_grad, scratch): (&Matrix, &mut GradScratch),
+    ) {
+        let state = &mut self.state[index];
+        let weights = state.weights.bind(&step.rule, &layer.weights);
+        let ops = (input.as_slice(), grad_pre.as_slice());
+        let dims = (input.cols(), grad_pre.cols());
+        let w = layer.weights.as_mut_slice();
+        kernel::gemm_at_b_update_f32(step.kern, ops, dims, weights, w, scratch);
+        let bias = state.bias.bind(&step.rule, &layer.bias);
+        bias.step(step.kern, bias_grad.as_slice(), layer.bias.as_mut_slice());
+    }
+
+    /// The original step from gradients in memory, kept as the oracle of
+    /// the fused one: every layer's weights and bias swept by `step`'s
+    /// update.
+    ///
+    /// # Panics
+    /// Panics if `grads.len()` differs from the number of network layers.
+    #[cfg(test)]
+    pub fn step(&mut self, network: &mut Network, grads: &[DenseGradients], lr_factor: f32) {
+        assert_eq!(
+            grads.len(),
+            network.layers().len(),
+            "gradient count must match layer count"
+        );
+        let step = self.begin_step(lr_factor);
+        let layers = network.layers_mut().iter_mut().zip(grads);
+        for ((layer, grad), state) in layers.zip(self.state.iter_mut()) {
+            let weights = state.weights.bind(&step.rule, &layer.weights);
+            weights.step(
+                step.kern,
+                grad.weights.as_slice(),
+                layer.weights.as_mut_slice(),
+            );
+            let bias = state.bias.bind(&step.rule, &layer.bias);
+            bias.step(step.kern, grad.bias.as_slice(), layer.bias.as_mut_slice());
+        }
+    }
 }
 
 #[cfg(test)]

@@ -3,16 +3,19 @@
 //! [`Matrix`] is row-major. Alongside the allocating convenience methods it
 //! provides the write-into kernels the training/inference hot paths are built
 //! on: [`Matrix::matmul_into`], the fused affine-plus-activation epilogue
-//! [`Matrix::matmul_bias_act_into`], and the transpose-free products
-//! [`Matrix::matmul_at_b_into`] / [`Matrix::matmul_a_bt_into`] that replace
-//! the full-matrix `transpose()` allocations of the backward pass. All of them
+//! [`Matrix::matmul_bias_act_into`], and the transpose-free product
+//! [`Matrix::matmul_a_bt_into`] that replaces a full-matrix `transpose()`
+//! allocation of the backward pass (the weight gradient never reaches a
+//! matrix: the optimizer consumes it inside its kernel). All of them
 //! dispatch through [`mimo_math::kernel`]: under the scalar backend they
 //! accumulate in the same element order as the naive kernels, so results are
 //! bit-identical; the AVX2+FMA backend uses 8-wide fused-multiply-add
 //! microkernels and agrees within FMA rounding.
 
 use crate::layer::Activation;
-use mimo_math::kernel::{self, GradScratch, Kernel};
+#[cfg(test)]
+use mimo_math::kernel::GradScratch;
+use mimo_math::kernel::{self, Kernel};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -225,11 +228,12 @@ impl Matrix {
     }
 
     /// Transpose-free product `self^T * rhs` written into `out`, using the
-    /// runtime-selected kernel backend and a scratch of its own (the training
-    /// loop keeps one across steps: [`Matrix::matmul_at_b_into_with`]).
+    /// runtime-selected kernel backend and a scratch of its own: the weight
+    /// gradient in memory, for the tests' reference backward pass.
     ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
+    #[cfg(test)]
     pub fn matmul_at_b_into(&self, rhs: &Matrix, out: &mut Matrix) {
         self.matmul_at_b_into_with(rhs, out, kernel::selected(), &mut GradScratch::default());
     }
@@ -248,6 +252,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
+    #[cfg(test)]
     pub fn matmul_at_b_into_with(
         &self,
         rhs: &Matrix,

@@ -172,8 +172,7 @@ impl Trainer {
                 epoch_loss += self.loss.evaluate(scratch.prediction(), &t);
                 batches += 1;
                 self.loss.gradient_into(scratch.prediction(), &t, &mut grad);
-                network.backward_into(&x, &grad, &mut scratch);
-                optimizer.step(network, &scratch.grads, lr_factor);
+                network.backward_into(&x, &grad, &mut scratch, (&mut optimizer, lr_factor));
             }
             history.train_loss.push(epoch_loss / batches.max(1) as f32);
 

@@ -32,6 +32,15 @@ pub fn current_num_threads() -> usize {
     pool::width()
 }
 
+/// The calling thread's index among the workers of its pool, or `None` on a
+/// thread that is no pool's worker — the caller of a parallel call and of
+/// [`ThreadPool::install`] included — mirroring `rayon::current_thread_index`.
+/// It reads a thread-local and never allocates, so a global allocator may
+/// call it.
+pub fn current_thread_index() -> Option<usize> {
+    pool::worker_index()
+}
+
 /// Builds a [`ThreadPool`], mirroring `rayon::ThreadPoolBuilder`.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {

@@ -345,6 +345,17 @@ thread_local! {
     /// process-wide one: set on a pool's workers for their lifetime, and on a
     /// caller for the length of a [`Pool::install`].
     static CURRENT: Cell<*const Shared> = const { Cell::new(std::ptr::null()) };
+
+    /// This thread's index among its pool's workers, `usize::MAX` on a
+    /// thread that is not one.
+    static WORKER: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// This thread's index among its pool's workers, if it is one. A plain
+/// thread-local read: it never allocates.
+pub(crate) fn worker_index() -> Option<usize> {
+    let index = WORKER.get();
+    (index != usize::MAX).then_some(index)
 }
 
 /// `threads - 1` workers plus whoever makes a parallel call.
@@ -379,6 +390,7 @@ impl Pool {
                     .spawn(move || {
                         // A part's nested calls stay on the pool running it.
                         CURRENT.set(Arc::as_ptr(&shared));
+                        WORKER.set(i - 1);
                         shared.work();
                     })
                     .ok()
@@ -542,6 +554,24 @@ mod tests {
                 });
             }
         }
+    }
+
+    /// Three parts that wait for each other run on three distinct threads:
+    /// the caller, which is no worker (inside `install` too), and the two
+    /// workers, indexed 0 and 1.
+    #[test]
+    fn only_a_pools_workers_have_an_index() {
+        let pool = Pool::with_threads(3);
+        let all_started = Barrier::new(3);
+        let indices = Mutex::new(Vec::new());
+        for_each(&pool, 3, |_| {
+            all_started.wait();
+            indices.lock().unwrap().push(worker_index());
+        });
+        let mut indices = indices.into_inner().unwrap();
+        indices.sort();
+        assert_eq!(indices, [None, Some(0), Some(1)]);
+        assert_eq!(worker_index(), None);
     }
 
     /// The caller's own part is over at once; the other, which a worker must

@@ -24,9 +24,9 @@
 //! its weights, binding the int8 tail requests its packed codes once (no
 //! second layout, no layer-sized temporary), registering a model costs that
 //! one bind, and a whole training fit — also one whose products and
-//! optimizer updates are handed out to the pool — requests its gradients,
-//! Adam moments and best-epoch checkpoint once and only batch-sized buffers
-//! besides, and a channel snapshot whose parts are handed out requests its
+//! optimizer updates are handed out to the pool — requests its Adam moments
+//! and best-epoch checkpoint once, no weight gradient at all, and only its
+//! bias gradient and batch-sized buffers besides, and a channel snapshot whose parts are handed out requests its
 //! own matrices and next to nothing else. A set-up change that breaks one of
 //! these fails here, in tier-1, not as a `peak_rss_mib` regression in the
 //! benchmark pipeline.
@@ -407,9 +407,12 @@ fn setup_byte_ledger() {
     // product and update runs on the caller; on 512 -> 512 -> 512 at batch 2
     // each is past its hand-out threshold, so the warm steps are pooled, and
     // their transposed inputs and packed gradients are the trainer's own
-    // batch-sized scratch. The whole fit requests its network's worth four
-    // times — gradients, two Adam moments, the checkpoint — and at most
-    // 64 KiB of batch-sized buffers besides.
+    // batch-sized scratch. The weight gradient never reaches memory: each
+    // register tile of it is consumed by the Adam update on its thread's
+    // stack. So the whole fit requests its network's worth three times — two
+    // Adam moments, the checkpoint — plus one bias gradient a layer at most
+    // and 64 KiB of batch-sized buffers; a weight-gradient buffer of the
+    // network's size would not fit.
     for (widths, batch) in [([24usize, 48, 12], 8usize), ([512, 512, 512], 2)] {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut network = Network::new(
@@ -439,7 +442,9 @@ fn setup_byte_ledger() {
                 learning_rate: 0.01,
             },
         );
-        let network_bytes = (network.num_parameters() * std::mem::size_of::<f32>()) as u64;
+        let f32_bytes = std::mem::size_of::<f32>() as u64;
+        let network_bytes = network.num_parameters() as u64 * f32_bytes;
+        let bias_bytes = (widths[1] + widths[2]) as u64 * f32_bytes;
         let mut at_metric_call = Vec::with_capacity(3);
         let before_fit = stats().bytes;
         let history =
@@ -455,12 +460,12 @@ fn setup_byte_ledger() {
             "{widths:?}: training requested bytes after its first epoch: a warm step allocated \
              or a checkpoint was re-allocated"
         );
-        let budget = 4 * network_bytes + 64 * KIB;
+        let budget = 3 * network_bytes + bias_bytes + 64 * KIB;
         assert!(
             after_fit - before_fit <= budget,
-            "{widths:?} at batch {batch}: the fit requested {} bytes, more than gradients, moments \
-             and checkpoint of a {network_bytes}-byte network plus 64 KiB ({budget}): a \
-             layer-sized scratch",
+            "{widths:?} at batch {batch}: the fit requested {} bytes, more than moments and \
+             checkpoint of a {network_bytes}-byte network, its {bias_bytes} bytes of bias \
+             gradients and 64 KiB ({budget}): a weight-gradient buffer or a layer-sized scratch",
             after_fit - before_fit
         );
     }

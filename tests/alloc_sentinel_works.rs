@@ -1,10 +1,13 @@
 //! Meta-test for the allocation sentinel itself: proves the counting
 //! allocator is actually wired up and that `assert_no_alloc` both passes
-//! clean scopes and fails allocating ones. Lives in its own binary because
-//! the counters are process-global and sentinel binaries keep one `#[test]`.
+//! clean scopes and fails allocating ones, naming the thread, and does not
+//! count a thread outside its scope and the pool. Lives in its own binary
+//! because the counters are process-global and sentinel binaries keep one
+//! `#[test]`.
 
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Barrier};
 
 use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, stats, CountingAlloc};
 
@@ -44,9 +47,31 @@ fn sentinel_counts_and_catches_allocations() {
                 .unwrap()
         });
     assert!(
-        message.contains("deliberately allocating"),
-        "diagnostic should carry the scope label: {message}"
+        message.contains("deliberately allocating") && message.contains("on the scope's thread"),
+        "diagnostic should carry the scope label and the allocating thread: {message}"
     );
+
+    // Another thread's allocation inside the window is not the scope's: it
+    // reaches the process-wide counters only.
+    let handoff = Arc::new(Barrier::new(2));
+    let other = {
+        let handoff = Arc::clone(&handoff);
+        std::thread::spawn(move || {
+            handoff.wait();
+            black_box(vec![0u8; 900]);
+            handoff.wait();
+        })
+    };
+    let before = stats();
+    assert_no_alloc("another thread allocating", || {
+        handoff.wait();
+        handoff.wait();
+    });
+    assert!(
+        stats().allocs > before.allocs,
+        "the other thread did allocate"
+    );
+    other.join().unwrap();
 
     // Reallocation (a growing Vec) is also a violation, not just fresh allocs.
     let mut grower: Vec<u8> = Vec::with_capacity(1);
