@@ -18,10 +18,14 @@
 //! | [`Backend`] | [`selected`] | [`packed::PackedWidth::detect`] | [`int8::selected_int8`] |
 //! |---|---|---|---|
 //! | `Scalar` | `Scalar` | `Ymm` | `Scalar` |
-//! | `Avx2`: `avx2` + `fma` | `Avx2Fma` | `Ymm` | `Avx2Maddubs` |
+//! | `Avx2`: `avx2` + `fma` + `pclmulqdq` | `Avx2Fma` | `Ymm` | `Avx2Maddubs` |
 //! | `Avx512`: + `avx512f` | `Avx2Fma` | `Zmm` | `Avx2Maddubs` |
 //! | `Vnni`: + `avx512bw/vl/vnni` | `Avx2Fma` | `Zmm` | `Avx512Vnni` |
 //! | `Amx`: + `amx-tile/int8`, tile data granted | `Avx2Fma` | `Zmm` | `Amx` |
+//!
+//! A tier with no view reads [`selected_backend`]: `splitbeam`'s wire CRC
+//! folds with `pclmulqdq` from `Avx2` up and runs its slicing-by-8 loop at
+//! `Scalar`, the same checksum either way.
 //!
 //! The packing width follows the host, not the request: every arm computes
 //! the same bits from either layout. Hot paths read [`selected`] once per
@@ -80,7 +84,7 @@ use packed::PackedWidth;
 pub enum Backend {
     /// The portable loops.
     Scalar,
-    /// `avx2` + `fma`.
+    /// `avx2` + `fma` + `pclmulqdq` (the wire CRC's carry-less multiply).
     Avx2,
     /// `Avx2` + `avx512f`.
     Avx512,
@@ -111,7 +115,7 @@ impl Backend {
             #[cfg(target_arch = "x86_64")]
             {
                 use std::arch::is_x86_feature_detected as has;
-                if !(has!("avx2") && has!("fma")) {
+                if !(has!("avx2") && has!("fma") && has!("pclmulqdq")) {
                     return Backend::Scalar;
                 }
                 if !has!("avx512f") {
@@ -270,6 +274,13 @@ fn pin(choice: KernelChoice) -> u8 {
 /// relaxed atomic load once resolved).
 pub fn selected() -> Kernel {
     in_force().1.kernel()
+}
+
+/// The backend in force, for a tier with no view of its own: the wire
+/// CRC folds from [`Backend::Avx2`] up (one relaxed atomic load once
+/// resolved).
+pub fn selected_backend() -> Backend {
+    in_force().1
 }
 
 /// Installs (or with `None` removes) a programmatic kernel override, replacing

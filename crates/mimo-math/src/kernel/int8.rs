@@ -58,7 +58,7 @@
 //! the largest tail layer in the workspace has `k = 4356`, giving `~7.0e7`,
 //! five orders of magnitude inside `i32` range.
 
-use super::packed::{walk_panels, Lanes, PackedWidth, Panels};
+use super::packed::{walk_panels, PackedWidth, Panels, RowBase, Rows, TileRows};
 use super::Backend;
 use std::ops::Range;
 
@@ -232,9 +232,9 @@ struct Rhs<'a> {
 ///
 /// A tile function's caller vouches that `a` is valid for `mr` rows of
 /// `a_stride >= 4 * groups` bytes, `b` for `4 * cols` bytes at each of
-/// `groups` offsets `stride` apart, and the [`Sink`] for `cols` lanes in
-/// each of `mr` rows (per-row and per-column operands alike), with
-/// `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
+/// `groups` offsets `stride` apart, and the [`Sink`] for `cols` lanes at
+/// each of its first `mr` row addresses (per-row and per-column operands
+/// alike), with `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
 #[derive(Clone, Copy)]
 struct Tile {
     a: *const u8,
@@ -245,15 +245,13 @@ struct Tile {
     /// Bytes from one K4 group of these columns to the next.
     stride: usize,
     cols: usize,
-    /// Row stride of the sink's output.
-    n: usize,
 }
 
 /// Where a tile's finished sums go.
 #[derive(Clone, Copy)]
 enum Sink {
     /// Stored as they are ([`gemm_u8i8_i32`]).
-    Sums(*mut i32),
+    Sums(TileRows<i32>),
     /// Dequantized on the way out ([`gemm_u8i8_dequant`]).
     Dequant(Terms),
 }
@@ -263,7 +261,7 @@ enum Sink {
 /// row terms from the tile's first row, column terms from its first column.
 #[derive(Clone, Copy)]
 struct Terms {
-    out: *mut f32,
+    out: TileRows<f32>,
     row_scale: *const f32,
     row_min: *const f32,
     col_scale: *const f32,
@@ -273,34 +271,78 @@ struct Terms {
 
 type TileFn = unsafe fn(tile: Tile, sink: Sink);
 
+/// A tile's output lanes: its rows and its columns of the product.
+type Patch = (Range<usize>, Range<usize>);
+
 /// How a claimant of panels computes its tiles: by a function of a tile's
-/// operands alone, or by the AMX arm, which keeps its tile configuration, the
-/// staged depth tail of the current panel and its store block from one tile
-/// to the next. Tile configuration is per-thread state, so an arm is made,
-/// used and dropped by one thread: each claimant has its own, on its stack
-/// (boxing the 6 KB AMX state would put an allocation into every product).
+/// operands alone, or by the AMX arm, which keeps its tile configuration,
+/// the staged depth tail of the current panel and the sums of its last tile
+/// — whose store runs under the next tile — from one tile to the next, with
+/// that tile's patch. Tile configuration is per-thread state, so an arm is
+/// made, used and dropped by one thread: each claimant has its own, on its
+/// stack (boxing the 6 KB AMX state would put an allocation into every
+/// product).
 #[allow(clippy::large_enum_variant)]
 enum Arm {
     Registers(TileFn),
     #[cfg(target_arch = "x86_64")]
-    Amx(x86::AmxProduct),
+    Amx(x86::AmxProduct, Option<Patch>),
 }
 
 impl Arm {
-    /// Runs `tile` on this arm and stores its sums into `sink`.
+    /// Runs `tile` on this arm into `sink` and returns the patch whose
+    /// store that completed: `patch`, the tile's own, on a register arm; on
+    /// the AMX arm, which stores a tile's sums under the next tile's depth
+    /// loop, the previous tile's (none at a claimant's first).
     ///
     /// # Safety
     /// `tile` must come from [`for_each_tile`], which built it from in-bounds
     /// slices and chose a feature-checked arm, and `sink` must satisfy
-    /// [`Tile`]'s contract for its rows and columns.
-    unsafe fn store(&mut self, tile: Tile, sink: Sink) {
-        // SAFETY: the caller's contract.
-        unsafe {
-            match self {
-                Arm::Registers(run) => run(tile, sink),
-                #[cfg(target_arch = "x86_64")]
-                Arm::Amx(product) => x86::tile_amx(product, tile, sink),
+    /// [`Tile`]'s contract for its rows and columns until the store this
+    /// returns or [`Arm::flush`] has completed it.
+    unsafe fn store(&mut self, tile: Tile, sink: Sink, patch: Patch) -> Option<Patch> {
+        match self {
+            Arm::Registers(run) => {
+                // SAFETY: the caller's contract.
+                unsafe { run(tile, sink) };
+                Some(patch)
             }
+            #[cfg(target_arch = "x86_64")]
+            Arm::Amx(product, pending) => {
+                // SAFETY: the caller's contract.
+                unsafe { x86::tile_amx(product, tile, sink) };
+                pending.replace(patch)
+            }
+        }
+    }
+
+    /// Completes the store the arm still holds, and returns its patch.
+    fn flush(&mut self) -> Option<Patch> {
+        match self {
+            Arm::Registers(_) => None,
+            #[cfg(target_arch = "x86_64")]
+            Arm::Amx(product, pending) => {
+                product.flush();
+                pending.take()
+            }
+        }
+    }
+}
+
+/// A claimant of a product's panels: its arm, and `done`, which runs on
+/// each patch whose store has completed. Dropping it — after the claimant's
+/// last part — completes the store the AMX arm still holds and runs `done`
+/// on it, so every patch is done before the hand-out returns; the arm's own
+/// drop then releases the tiles.
+struct Claimant<'d, D: Fn(Patch)> {
+    arm: Arm,
+    done: &'d D,
+}
+
+impl<D: Fn(Patch)> Drop for Claimant<'_, D> {
+    fn drop(&mut self) {
+        if let Some(patch) = self.arm.flush() {
+            (self.done)(patch);
         }
     }
 }
@@ -310,28 +352,33 @@ impl Arm {
 /// measured fork-join cost behind it).
 const PAR_MIN_MACS: usize = 3 << 20;
 
-/// Every tile of `a * rhs` on `kernel`'s arm, handed to `emit(arm, tile,
-/// rows, cols)` — `cols` the tile's output columns — by the panel walk the
-/// f32 tail shares ([`walk_panels`]), each claimant of panels with its own
-/// [`Arm`]. `a` is activation rows `a_stride >= 4 * rhs.groups` bytes
-/// apart. An arm narrower than a panel walks it in `NR`-column
+/// Every tile of `a * rhs` on `kernel`'s arm, stored into `sink(patch)` —
+/// the tile's rows and output columns — by the panel walk the f32 tail
+/// shares ([`walk_panels`]), each claimant of panels with its own [`Arm`];
+/// `done(patch)` runs on each tile once its store has completed, on the
+/// thread that ran it. `a` is activation rows `a_stride >= 4 * rhs.groups`
+/// bytes apart. An arm narrower than a panel walks it in `NR`-column
 /// blocks; a wider one runs with its upper lanes masked off.
 ///
 /// The AMX arm loads whole 64-byte steps of each row: where it runs, `a`
 /// must be an [`Lhs`]'s rows.
-fn for_each_tile(
+///
+/// # Safety
+/// `sink(patch)` must satisfy [`Tile`]'s contract for the patch's rows and
+/// columns, each patch's lanes written by its tile alone, until `done` has
+/// run on it.
+unsafe fn for_each_tile<D: Fn(Patch) + Sync>(
     kernel: Int8Kernel,
-    a: &[u8],
-    a_stride: usize,
+    (a, a_stride): (&[u8], usize),
     rhs: Rhs<'_>,
     pooled: bool,
-    emit: impl Fn(&mut Arm, Tile, Range<usize>, Range<usize>) + Sync + Send,
+    sink: impl Fn(&Patch) -> Sink + Sync + Send,
+    done: D,
 ) {
     let (data, groups, n, panel_cols) = (rhs.data, rhs.groups, rhs.n, rhs.panel_cols);
     let (arm, shape): (fn() -> Arm, _) = match kernel.runs().int8() {
-        // Its drop, after the claimant's last tile, releases the tiles.
         #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Amx => (|| Arm::Amx(x86::AmxProduct::new()), (32, 32)),
+        Int8Kernel::Amx => (|| Arm::Amx(x86::AmxProduct::new(), None), (32, 32)),
         #[cfg(target_arch = "x86_64")]
         Int8Kernel::Avx512Vnni => (|| Arm::Registers(x86::rows_vnni), (12, 32)),
         #[cfg(target_arch = "x86_64")]
@@ -341,21 +388,37 @@ fn for_each_tile(
     };
     let stride = 4 * panel_cols;
     let rows = a.len() / a_stride;
-    walk_panels(rows, n, panel_cols, shape, pooled, arm, |arm, p, r, j| {
-        let panel = &data[p * groups * stride..(p + 1) * groups * stride];
-        let c0 = j.start % panel_cols;
-        let tile = Tile {
-            a: a[a_stride * r.start..a_stride * r.end].as_ptr(),
-            a_stride,
-            mr: r.len(),
-            groups,
-            b: panel[4 * c0..(groups - 1) * stride + 4 * (c0 + j.len())].as_ptr(),
-            stride,
-            cols: j.len(),
-            n,
-        };
-        emit(arm, tile, r, j);
-    });
+    let init = || Claimant {
+        arm: arm(),
+        done: &done,
+    };
+    walk_panels(
+        rows,
+        n,
+        panel_cols,
+        shape,
+        pooled,
+        init,
+        |claimant, p, r, j| {
+            let panel = &data[p * groups * stride..(p + 1) * groups * stride];
+            let c0 = j.start % panel_cols;
+            let tile = Tile {
+                a: a[a_stride * r.start..a_stride * r.end].as_ptr(),
+                a_stride,
+                mr: r.len(),
+                groups,
+                b: panel[4 * c0..(groups - 1) * stride + 4 * (c0 + j.len())].as_ptr(),
+                stride,
+                cols: j.len(),
+            };
+            let patch = (r, j);
+            // SAFETY: the tile was just built from in-bounds slices on a
+            // feature-checked arm, and the sink is the caller's.
+            if let Some(finished) = unsafe { claimant.arm.store(tile, sink(&patch), patch) } {
+                (claimant.done)(finished);
+            }
+        },
+    );
 }
 
 /// Integer GEMM `out = a * b` (overwrite — `out` need not be zeroed): `a` is
@@ -405,16 +468,12 @@ pub fn gemm_u8i8_i32(
     } else {
         (a, k_pad)
     };
-    let out = Lanes(out.as_mut_ptr());
-    // One panel as wide as the matrix: nothing to hand out.
-    for_each_tile(kernel, a, a_stride, rhs, false, |arm, tile, r, j| {
-        // SAFETY: the tile's first lane, inside the `rows x n` matrix `out`
-        // points to; from it the tile's columns in each of its rows, `n`
-        // apart, are this tile's alone.
-        let sums = unsafe { out.at(r.start * n + j.start) };
-        // SAFETY: `for_each_tile`'s tile, and its lanes as above.
-        unsafe { arm.store(tile, Sink::Sums(sums)) };
-    });
+    let out = RowBase::Strided(out.as_mut_ptr(), n);
+    let sink = |(r, j): &Patch| Sink::Sums(out.tile(r.clone(), j.start));
+    // SAFETY: a patch's rows and columns address lanes of the `rows x n`
+    // matrix `out` borrows for the whole call, each patch's its own. One
+    // panel as wide as the matrix: nothing to hand out.
+    unsafe { for_each_tile(kernel, (a, a_stride), rhs, false, sink, |_| {}) };
 }
 
 /// The per-row and per-column terms of the dequantizing store, in the
@@ -434,24 +493,25 @@ pub struct Dequant<'a> {
 /// Fused quantized dense product
 /// `out = act(acc as f32 * col_scale[j] * row_scale[r] + (row_min[r] * corr[j] + bias[j]))`
 /// with `acc = a * b` in exact `i32`: `a` is `rows x k` u7 codes, `b` the
-/// packed `k x n` weights, `out` is `rows x n` row-major. `out` is
-/// **overwritten** (it need not be zeroed) and each element is written once,
-/// `act` applied while its tile is still in L1.
+/// packed `k x n` weights, `out` is `rows x n` — a row-major matrix or one
+/// buffer a row ([`Rows`]). `out` is **overwritten** (it need not be
+/// zeroed) and each element is written once, `act` applied while its tile
+/// is still in L1.
 ///
-/// Bit-identical for every `kernel`, packing width and batch shape (see the
-/// module docs).
+/// Bit-identical for every `kernel`, packing width, batch shape and output
+/// form (see the module docs).
 ///
 /// # Panics
 /// Panics if `a`'s depth or a slice length disagrees with `b`'s dimensions.
-pub fn gemm_u8i8_dequant<F: Fn(f32) -> f32 + Sync>(
+pub fn gemm_u8i8_dequant<'o, F: Fn(f32) -> f32 + Sync>(
     kernel: Int8Kernel,
     a: &Lhs,
     b: &PackedInt8,
     deq: Dequant<'_>,
     act: F,
-    out: &mut [f32],
+    out: impl Into<Rows<'o>>,
 ) {
-    dequant_product(kernel, a, b, deq, act, out, PAR_MIN_MACS);
+    dequant_product(kernel, a, b, deq, act, out.into(), PAR_MIN_MACS);
 }
 
 /// [`gemm_u8i8_dequant`] with the size from which the panels are handed out
@@ -462,12 +522,11 @@ fn dequant_product<F: Fn(f32) -> f32 + Sync>(
     b: &PackedInt8,
     deq: Dequant<'_>,
     act: F,
-    out: &mut [f32],
+    out: Rows<'_>,
     par_min_macs: usize,
 ) {
     let (rows, n) = (a.rows, b.n);
     assert_eq!(a.k, b.k, "gemm_u8i8_dequant lhs depth mismatch");
-    assert_eq!(out.len(), rows * n, "gemm_u8i8_dequant out length mismatch");
     assert!(
         deq.row_scale.len() == rows && deq.row_min.len() == rows,
         "gemm_u8i8_dequant row term length mismatch"
@@ -482,26 +541,29 @@ fn dequant_product<F: Fn(f32) -> f32 + Sync>(
         n,
         panel_cols: b.width.nr(),
     };
-    let pooled = rows * 4 * rhs.groups * n >= par_min_macs;
-    let (out, a_stride) = (Lanes(out.as_mut_ptr()), a.stride());
-    for_each_tile(kernel, &a.data, a_stride, rhs, pooled, |arm, tile, r, j| {
-        let sink = Sink::Dequant(Terms {
-            // SAFETY: the tile's first lane, inside the `rows x n` matrix
-            // `out` points to.
-            out: unsafe { out.at(r.start * n + j.start) },
-            row_scale: deq.row_scale[r.clone()].as_ptr(),
-            row_min: deq.row_min[r.clone()].as_ptr(),
-            col_scale: deq.col_scale[j.clone()].as_ptr(),
-            corr: deq.corr[j.clone()].as_ptr(),
-            bias: deq.bias[j.clone()].as_ptr(),
-        });
-        // SAFETY: `for_each_tile`'s tile; the slices just taken are exactly
-        // its row and column terms, and `out` is good for its columns in
-        // each of its rows `n` apart — lanes of this tile's panel, which
-        // only the thread running that panel touches.
-        unsafe { arm.store(tile, sink) };
-        // SAFETY: the lanes the tile just wrote, as above.
-        unsafe { out.act(n, r, j, &act) };
+    let a_stride = a.stride();
+    out.runs((rows, n), |run, out| {
+        let pooled = run.len() * 4 * rhs.groups * n >= par_min_macs;
+        let (row_scale, row_min) = (&deq.row_scale[run.clone()], &deq.row_min[run.clone()]);
+        let sink = |(r, j): &Patch| {
+            Sink::Dequant(Terms {
+                out: out.tile(r.clone(), j.start),
+                row_scale: row_scale[r.clone()].as_ptr(),
+                row_min: row_min[r.clone()].as_ptr(),
+                col_scale: deq.col_scale[j.clone()].as_ptr(),
+                corr: deq.corr[j.clone()].as_ptr(),
+                bias: deq.bias[j.clone()].as_ptr(),
+            })
+        };
+        // SAFETY: the lanes of a patch whose store has completed, which
+        // only the thread that ran its tile touches.
+        let done = |(r, j): Patch| unsafe { out.act(r, j, &act) };
+        let a = &a.data[run.start * a_stride..run.end * a_stride];
+        // SAFETY: a patch's row and column terms are the slices the sink
+        // takes, and its lanes — columns `j` of rows `r` of this run of the
+        // output, which `out` borrows for the whole call — are its tile's
+        // alone: a panel's, which one thread runs.
+        unsafe { for_each_tile(kernel, (a, a_stride), rhs, pooled, sink, done) };
     });
 }
 
@@ -525,12 +587,12 @@ unsafe fn tile_portable(t: Tile, sink: Sink) {
                     };
                 }
             }
-            // SAFETY: as above; output rows are `n` apart.
+            // SAFETY: as above; row `r`'s address is good for `cols` lanes.
             unsafe {
                 match sink {
-                    Sink::Sums(out) => *out.add(r * t.n + c) = acc,
+                    Sink::Sums(out) => *out.row(r).add(c) = acc,
                     Sink::Dequant(d) => {
-                        *d.out.add(r * t.n + c) =
+                        *d.out.row(r).add(c) =
                             acc as f32 * *d.col_scale.add(c) * *d.row_scale.add(r)
                                 + (*d.row_min.add(r) * *d.corr.add(c) + *d.bias.add(c));
                     }
@@ -547,13 +609,14 @@ mod x86 {
     use super::{Sink, Tile};
     use core::arch::asm;
     use core::arch::x86_64::{
-        __m256i, __m512i, _mm256_add_epi32, _mm256_add_ps, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps,
-        _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_maskload_epi32, _mm256_maskload_ps,
-        _mm256_maskstore_epi32, _mm256_maskstore_ps, _mm256_mul_ps, _mm256_set1_epi16,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_si256, _mm512_add_ps,
-        _mm512_cvtepi32_ps, _mm512_dpbusd_epi32, _mm512_mask_storeu_epi32, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_epi32, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_epi32,
-        _mm512_set1_ps, _mm512_setzero_si512,
+        __m256i, __m512, __m512i, _mm256_add_epi32, _mm256_add_ps, _mm256_cmpgt_epi32,
+        _mm256_cvtepi32_ps, _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_maskload_epi32,
+        _mm256_maskload_ps, _mm256_maskstore_epi32, _mm256_maskstore_ps, _mm256_mul_ps,
+        _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
+        _mm256_setzero_si256, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_dpbusd_epi32,
+        _mm512_mask_storeu_epi32, _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi32,
+        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_setzero_si512,
     };
 
     /// The 4 activation codes of group `g` of row `r` as one broadcastable
@@ -618,52 +681,101 @@ mod x86 {
                     acc_row[1] = _mm512_dpbusd_epi32(acc_row[1], q, w1);
                 }
             }
-            store_zmm(&acc, masks, t.n, sink);
+            store_zmm(&acc, masks, &sink);
         }
     }
 
     /// The store of both AVX-512 arms: `acc.len()` rows of two zmm of
-    /// finished `i32` sums, lanes masked by `masks`, output rows `n` apart.
+    /// finished `i32` sums, lanes masked by `masks`, row by row.
     ///
     /// # Safety
     /// Requires `avx512f`; `sink` must be valid for `acc.len()` rows of the
     /// lanes set in `masks` (per-row and per-column operands alike).
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn store_zmm(acc: &[[__m512i; 2]], masks: [u16; 2], n: usize, sink: Sink) {
+    unsafe fn store_zmm(acc: &[[__m512i; 2]], masks: [u16; 2], sink: &Sink) {
+        // SAFETY: the caller's contract is both functions'.
+        unsafe {
+            let columns = columns(masks, sink);
+            for (r, acc_row) in acc.iter().enumerate() {
+                store_row(acc_row, r, masks, sink, &columns);
+            }
+        }
+    }
+
+    /// The column terms of a dequantizing store — scale, zero-point
+    /// correction and bias of each 16-lane half, masked to the tile's
+    /// columns; zeros for [`Sink::Sums`], which has none.
+    type Columns = [[__m512; 3]; 2];
+
+    /// Loads a sink's [`Columns`].
+    ///
+    /// # Safety
+    /// Requires `avx512f`; `sink`'s column terms must be valid for the lanes
+    /// set in `masks`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn columns(masks: [u16; 2], sink: &Sink) -> Columns {
+        let mut columns = [[_mm512_setzero_ps(); 3]; 2];
+        if let Sink::Dequant(d) = sink {
+            for (half, &mask) in masks.iter().enumerate() {
+                let lane = 16 * half;
+                // `wrapping_add`: a fully masked-off upper half may lie past
+                // the buffers.
+                //
+                // SAFETY: masked to the lanes the caller vouches for.
+                columns[half] = unsafe {
+                    [
+                        _mm512_maskz_loadu_ps(mask, d.col_scale.wrapping_add(lane)),
+                        _mm512_maskz_loadu_ps(mask, d.corr.wrapping_add(lane)),
+                        _mm512_maskz_loadu_ps(mask, d.bias.wrapping_add(lane)),
+                    ]
+                };
+            }
+        }
+        columns
+    }
+
+    /// Row `r` of a tile's finished sums stored into `sink`: as they are,
+    /// or dequantized with the row's terms and the tile's `columns`.
+    ///
+    /// # Safety
+    /// Requires `avx512f`; `sink` must be valid for row `r` at the lanes set
+    /// in `masks`, and `columns` be its [`columns`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_row(
+        acc: &[__m512i; 2],
+        r: usize,
+        masks: [u16; 2],
+        sink: &Sink,
+        columns: &Columns,
+    ) {
         // `wrapping_add`: a fully masked-off upper half may lie past the
         // buffers.
         //
-        // SAFETY: every access is masked to the lanes, and made in the rows,
+        // SAFETY: every access is masked to the lanes, and made in the row,
         // the caller vouches for.
         unsafe {
             match sink {
                 Sink::Sums(out) => {
-                    for (r, acc_row) in acc.iter().enumerate() {
-                        let o = out.add(r * n);
-                        _mm512_mask_storeu_epi32(o, masks[0], acc_row[0]);
-                        _mm512_mask_storeu_epi32(o.wrapping_add(16), masks[1], acc_row[1]);
-                    }
+                    let o = out.row(r);
+                    _mm512_mask_storeu_epi32(o, masks[0], acc[0]);
+                    _mm512_mask_storeu_epi32(o.wrapping_add(16), masks[1], acc[1]);
                 }
                 Sink::Dequant(d) => {
-                    for (half, &mask) in masks.iter().enumerate() {
-                        let lane = 16 * half;
-                        let ws = _mm512_maskz_loadu_ps(mask, d.col_scale.wrapping_add(lane));
-                        let corr = _mm512_maskz_loadu_ps(mask, d.corr.wrapping_add(lane));
-                        let bias = _mm512_maskz_loadu_ps(mask, d.bias.wrapping_add(lane));
-                        for (r, acc_row) in acc.iter().enumerate() {
-                            let a_scale = _mm512_set1_ps(*d.row_scale.add(r));
-                            let a_min = _mm512_set1_ps(*d.row_min.add(r));
-                            // Separate multiplies and adds, in the portable
-                            // tile's order: an FMA would round differently.
-                            let scaled = _mm512_mul_ps(
-                                _mm512_mul_ps(_mm512_cvtepi32_ps(acc_row[half]), ws),
-                                a_scale,
-                            );
-                            let offset = _mm512_add_ps(_mm512_mul_ps(a_min, corr), bias);
-                            let o = d.out.add(r * n).wrapping_add(lane);
-                            _mm512_mask_storeu_ps(o, mask, _mm512_add_ps(scaled, offset));
-                        }
+                    let a_scale = _mm512_set1_ps(*d.row_scale.add(r));
+                    let a_min = _mm512_set1_ps(*d.row_min.add(r));
+                    for (half, &[ws, corr, bias]) in columns.iter().enumerate() {
+                        // Separate multiplies and adds, in the portable
+                        // tile's order: an FMA would round differently.
+                        let scaled = _mm512_mul_ps(
+                            _mm512_mul_ps(_mm512_cvtepi32_ps(acc[half]), ws),
+                            a_scale,
+                        );
+                        let offset = _mm512_add_ps(_mm512_mul_ps(a_min, corr), bias);
+                        let o = d.out.row(r).wrapping_add(16 * half);
+                        _mm512_mask_storeu_ps(o, masks[half], _mm512_add_ps(scaled, offset));
                     }
                 }
             }
@@ -715,7 +827,7 @@ mod x86 {
             match sink {
                 Sink::Sums(out) => {
                     for (r, acc_row) in acc.iter().enumerate() {
-                        let o = out.add(r * t.n);
+                        let o = out.row(r);
                         _mm256_maskstore_epi32(o, masks[0], acc_row[0]);
                         _mm256_maskstore_epi32(o.wrapping_add(8), masks[1], acc_row[1]);
                     }
@@ -734,7 +846,7 @@ mod x86 {
                                 a_scale,
                             );
                             let offset = _mm256_add_ps(_mm256_mul_ps(a_min, corr), bias);
-                            let o = d.out.add(r * t.n).wrapping_add(lane);
+                            let o = d.out.row(r).wrapping_add(lane);
                             _mm256_maskstore_ps(o, mask, _mm256_add_ps(scaled, offset));
                         }
                     }
@@ -852,8 +964,9 @@ mod x86 {
     /// that none of it is paid per tile: the tile configuration (reloaded
     /// only when a ragged edge changes the shape — `ldtilecfg` drains the
     /// tile pipeline), the zero-padded copy of the current panel's depth
-    /// tail, and the block the sums are stored to. Dropping it releases the
-    /// tiles, whichever way the product ends.
+    /// tail, and the last tile's sums with what their store needs — the
+    /// store runs under the next tile's depth loop. Dropping it completes
+    /// that store and releases the tiles, whichever way the product ends.
     pub(super) struct AmxProduct {
         /// `(mr, cols)` the tiles are configured for; `(0, 0)` before the
         /// first tile.
@@ -863,8 +976,11 @@ mod x86 {
         /// The last `groups % 16` K4 groups of the current panel's 32
         /// columns, the rows past them zero.
         b_tail: [[__m512i; 2]; TMM],
-        /// 32 rows of 32 `i32` sums.
+        /// 32 rows of 32 `i32` sums: the last tile's.
         sums: [[__m512i; 2]; 2 * TMM],
+        /// The last tile's rows, lane masks and sink while its store is
+        /// pending.
+        pending: Option<(usize, [u16; 2], Sink)>,
     }
 
     impl AmxProduct {
@@ -876,12 +992,24 @@ mod x86 {
                 staged: (std::ptr::null(), 0),
                 b_tail: [[zero; 2]; TMM],
                 sums: [[zero; 2]; 2 * TMM],
+                pending: None,
+            }
+        }
+
+        /// Completes the pending store, if any.
+        pub(super) fn flush(&mut self) {
+            if let Some((mr, masks, sink)) = self.pending.take() {
+                // SAFETY: a store is pending only after `tile_amx`, whose
+                // caller vouched for AMX (which implies `avx512f`) and for
+                // `sink` until this store.
+                unsafe { store_zmm(&self.sums[..mr], masks, &sink) };
             }
         }
     }
 
     impl Drop for AmxProduct {
         fn drop(&mut self) {
+            self.flush();
             if self.shape != (0, 0) {
                 // SAFETY: a shape is set only by `tile_amx`, whose caller
                 // vouched for AMX.
@@ -903,12 +1031,18 @@ mod x86 {
     /// run into the next panel, and past the operand after the last one.
     /// With zero weights there the activations need no copy, whatever their
     /// rows hold past the depth (an [`Lhs`] holds zeros). The sums are
-    /// stored to memory and leave through [`store_zmm`], the VNNI arm's
-    /// store: the same exact `i32`, the same f32 expression.
+    /// stored to memory and leave through the VNNI arm's store
+    /// ([`store_row`] — the same exact `i32`, the same f32 expression) under
+    /// the **next** tile's depth loop: a few rows of them after each of its
+    /// steps, which the core runs while the tile unit multiplies. A
+    /// product's last tile leaves at [`AmxProduct::flush`] (or its drop).
+    /// The sums are in memory before the next tile configures, so a ragged
+    /// edge's `ldtilecfg`, which zeroes the tiles, cannot touch them.
     ///
     /// # Safety
-    /// Requires [`Backend::Amx`]; `t` and `sink` must satisfy
-    /// [`Tile`]'s contract at `32 x 32`, with `t.a_stride` a multiple of 64.
+    /// Requires [`Backend::Amx`]; `t` and `sink` must satisfy [`Tile`]'s
+    /// contract at `32 x 32`, with `t.a_stride` a multiple of 64 — `sink`
+    /// until the product's next tile, flush or drop has stored into it.
     #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(super) unsafe fn tile_amx(product: &mut AmxProduct, t: Tile, sink: Sink) {
         let rows = [t.mr.min(TMM), t.mr.saturating_sub(TMM)];
@@ -916,6 +1050,7 @@ mod x86 {
         let (tall, wide) = (rows[1] > 0, cols[1] > 0);
         let masks = lane_masks(t.cols);
         let (steps, tail) = (t.groups / TMM, t.groups % TMM);
+        let depth = steps + usize::from(tail > 0);
         // Only configured tiles are named: `tmm5`, `tmm2`, `tmm3` under
         // `tall`, `tmm7`, `tmm1`, `tmm3` under `wide`. A whole step reads 64
         // bytes of each of `mr` activation rows — inside the row, whose
@@ -923,12 +1058,20 @@ mod x86 {
         // groups, inside `Tile`'s ranges; the tail step reads its weights
         // from `b_tail`, 16 rows of 128 bytes, which the masked copy fills
         // from inside those ranges and leaves zero elsewhere. The sums land
-        // in `sums`, 32 rows of 32 `i32`, 128 bytes apart.
+        // in `sums`, 32 rows of 32 `i32`, 128 bytes apart, after the last
+        // row of the previous tile's was stored from there into its sink,
+        // which its caller vouched for.
         //
         // SAFETY: AMX per the caller, and by the above every tile
         // instruction names a configured tile and every load, copy and
-        // store stays inside `Tile`'s ranges or this product's own blocks.
+        // store stays inside `Tile`'s ranges, this product's own blocks or
+        // the previous tile's sink.
         unsafe {
+            let pending = product.pending.take();
+            let held = match &pending {
+                Some((mr, masks, sink)) => (mr.div_ceil(depth), columns(*masks, sink)),
+                None => (0, [[_mm512_setzero_ps(); 3]; 2]),
+            };
             if product.shape == (t.mr, t.cols) {
                 tile_zero::<0>();
                 if wide {
@@ -976,7 +1119,8 @@ mod x86 {
                 product.staged = (t.b, t.cols);
             }
             let b_tail: *const i8 = product.b_tail.as_ptr().cast();
-            for s in 0..steps + usize::from(tail > 0) {
+            let (per_step, columns) = held;
+            for s in 0..depth {
                 let a = t.a.add(64 * s);
                 let (b, b_stride) = if s < steps {
                     (t.b.add(TMM * s * t.stride), t.stride)
@@ -997,6 +1141,13 @@ mod x86 {
                         tile_dpbusd::<3, 5, 7>();
                     }
                 }
+                // The previous tile's share of rows for this step, stored
+                // while the tile unit runs the step just issued.
+                if let Some((mr, masks, sink)) = &pending {
+                    for r in s * per_step..(*mr).min((s + 1) * per_step) {
+                        store_row(&product.sums[r], r, *masks, sink, &columns);
+                    }
+                }
             }
             let c: *mut i32 = product.sums.as_mut_ptr().cast();
             tile_stored::<0>(c, 128);
@@ -1009,7 +1160,7 @@ mod x86 {
                     tile_stored::<3>(c.add(TMM * 2 * TMM + TMM), 128);
                 }
             }
-            store_zmm(&product.sums[..t.mr], masks, t.n, sink);
+            product.pending = Some((t.mr, masks, sink));
         }
     }
 }
@@ -1172,6 +1323,33 @@ mod tests {
             act: Activation,
             par_min_macs: usize,
         ) -> Vec<u32> {
+            // A dirty `out` proves every element is overwritten.
+            let mut out = vec![f32::NAN; self.rows * self.n];
+            self.product(kernel, width, act, Rows::Matrix(&mut out), par_min_macs);
+            out.iter().map(|v| v.to_bits()).collect()
+        }
+
+        /// [`Case::dequant_from`] into one buffer a row, concatenated.
+        fn dequant_rows_from(
+            &self,
+            kernel: Int8Kernel,
+            width: PackedWidth,
+            act: Activation,
+            par_min_macs: usize,
+        ) -> Vec<u32> {
+            let mut rows = vec![vec![f32::NAN; self.n]; self.rows];
+            self.product(kernel, width, act, Rows::Buffers(&mut rows), par_min_macs);
+            rows.concat().iter().map(|v| v.to_bits()).collect()
+        }
+
+        fn product(
+            &self,
+            kernel: Int8Kernel,
+            width: PackedWidth,
+            act: Activation,
+            out: Rows<'_>,
+            par_min_macs: usize,
+        ) {
             let deq = Dequant {
                 row_scale: &self.row_scale,
                 row_min: &self.row_min,
@@ -1179,11 +1357,8 @@ mod tests {
                 corr: &self.corr,
                 bias: &self.bias,
             };
-            // A dirty `out` proves every element is overwritten.
-            let mut out = vec![f32::NAN; self.rows * self.n];
             let (lhs, rhs) = (self.lhs(), self.pack(width));
-            dequant_product(kernel, &lhs, &rhs, deq, act, &mut out, par_min_macs);
-            out.iter().map(|v| v.to_bits()).collect()
+            dequant_product(kernel, &lhs, &rhs, deq, act, out, par_min_macs);
         }
 
         fn assert_every_arm_equals_the_oracle(&self, name: &str, act: Activation) {
@@ -1257,19 +1432,24 @@ mod tests {
 
     /// Every const-generic instance of both vector microkernels
     /// (`rows_vnni` → `tile_vnni::<1..=12>`, `rows_avx2` →
-    /// `tile_avx2::<1..=4>`, the former leaving through `store_zmm`) and
-    /// every shape of the AMX one (`tile_amx`: `tile_loadconfig`,
-    /// `tile_loadd`, `tile_dpbusd`, `tile_stored`, and `tile_release` when
-    /// its product drops; over depths with and without whole 16-group steps
-    /// and a staged tail) at every partial width, at the panel-major and the
-    /// K4-row group stride, into both sinks, against the portable tile — and
-    /// the lanes past `cols`, like the rows past `mr`, must keep what they
-    /// held.
+    /// `tile_avx2::<1..=4>`, the former leaving through `store_zmm`, its
+    /// `columns` and `store_row`) and every shape of the AMX one
+    /// (`tile_amx`: `tile_loadconfig`, `tile_loadd`, `tile_dpbusd`,
+    /// `tile_stored`, and `tile_release` when its product drops; over depths
+    /// with and without whole 16-group steps and a staged tail) at every
+    /// partial width, at the panel-major and the K4-row group stride, into
+    /// both sinks, against the portable tile — and the lanes past `cols`,
+    /// like the rows past `mr`, must keep what they held. The AMX arm stores
+    /// a tile under the next one: each shape runs alone on a product of its
+    /// own (stored when the product drops, as a claimant's last tile is),
+    /// and again followed by a whole tile on one product, whose
+    /// configuration changes while the shape's store is pending whenever
+    /// the shape is ragged.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_register_tile_matches_the_portable_tile_and_stays_inside_its_mask() {
         const GUARD: u32 = 0x40e8_0000;
-        /// One tile of a product of its own: configured, staged and
+        /// One tile of a product of its own: configured, staged, stored and
         /// released each time.
         unsafe fn amx_once(t: Tile, sink: Sink) {
             // SAFETY: the caller's contract is `tile_amx`'s.
@@ -1296,54 +1476,74 @@ mod tests {
                     row[4 * groups..].fill(0xA5);
                 }
                 let b = &case.wq[..groups * stride];
-                for mr in 1..=mr_max {
-                    for cols in 1..=nr {
-                        let tile = Tile {
-                            a: lhs.data.as_ptr(),
-                            a_stride: lhs.stride(),
-                            mr,
-                            groups,
-                            b: b.as_ptr(),
-                            stride,
-                            cols,
-                            n,
-                        };
-                        let run = |arm: TileFn, dequant: bool| {
-                            let mut out = vec![GUARD; (mr_max + 1) * n];
-                            let sink = if dequant {
-                                Sink::Dequant(Terms {
-                                    out: out.as_mut_ptr().cast(),
-                                    row_scale: case.row_scale.as_ptr(),
-                                    row_min: case.row_min.as_ptr(),
-                                    col_scale: case.col_scale[..cols].as_ptr(),
-                                    corr: case.corr[..cols].as_ptr(),
-                                    bias: case.bias[..cols].as_ptr(),
-                                })
-                            } else {
-                                Sink::Sums(out.as_mut_ptr().cast())
-                            };
-                            // SAFETY: `vector` is an arm of `kernels()`,
-                            // which the host runs; `a` holds `mr_max >= mr`
-                            // rows of `groups` quads in `Lhs`'s layout, `b`
-                            // `groups` strides
-                            // of at least `4 * nr` bytes, the row terms
-                            // `mr_max` and the column terms `cols` entries,
-                            // and `out` `mr_max + 1` rows of `n >= cols`
-                            // 4-byte lanes.
-                            unsafe { arm(tile, sink) };
-                            out
-                        };
-                        for dequant in [false, true] {
-                            let got = run(vector, dequant);
-                            let label = format!(
-                                "{mr_max}x{nr} groups={groups} stride={stride} mr={mr} cols={cols}"
-                            );
-                            assert_eq!(got, run(tile_portable, dequant), "{label}");
-                            for (i, &v) in got.iter().enumerate() {
-                                if i / n >= mr || i % n >= cols {
-                                    assert_eq!(v, GUARD, "{label} dequant={dequant} @{i}");
-                                }
+                let tile = |mr: usize, cols: usize| Tile {
+                    a: lhs.data.as_ptr(),
+                    a_stride: lhs.stride(),
+                    mr,
+                    groups,
+                    b: b.as_ptr(),
+                    stride,
+                    cols,
+                };
+                let sink = |out: &mut [u32], cols: usize, dequant: bool| {
+                    if dequant {
+                        Sink::Dequant(Terms {
+                            out: RowBase::Strided(out.as_mut_ptr().cast(), n).tile(0..mr_max, 0),
+                            row_scale: case.row_scale.as_ptr(),
+                            row_min: case.row_min.as_ptr(),
+                            col_scale: case.col_scale[..cols].as_ptr(),
+                            corr: case.corr[..cols].as_ptr(),
+                            bias: case.bias[..cols].as_ptr(),
+                        })
+                    } else {
+                        Sink::Sums(RowBase::Strided(out.as_mut_ptr().cast(), n).tile(0..mr_max, 0))
+                    }
+                };
+                let guarded = || vec![GUARD; (mr_max + 1) * n];
+                // SAFETY (every tile run below): the arm is one of
+                // `kernels()`, which the host runs; `a` holds
+                // `mr_max >= mr` rows of `groups` quads in `Lhs`'s layout,
+                // `b` `groups` strides of at least `4 * nr` bytes, the row
+                // terms `mr_max` and the column terms `cols` entries, and the
+                // sink addresses `mr_max` rows of `n >= cols` 4-byte lanes
+                // of a buffer that outlives the product.
+                let run = |arm: TileFn, (mr, cols): (usize, usize), dequant: bool| {
+                    let mut out = guarded();
+                    unsafe { arm(tile(mr, cols), sink(&mut out, cols, dequant)) };
+                    out
+                };
+                let whole = (mr_max, nr);
+                for (mr, cols) in (1..=mr_max).flat_map(|mr| (1..=nr).map(move |c| (mr, c))) {
+                    for dequant in [false, true] {
+                        let got = run(vector, (mr, cols), dequant);
+                        let label = format!(
+                            "{mr_max}x{nr} groups={groups} stride={stride} mr={mr} cols={cols} \
+                             dequant={dequant}"
+                        );
+                        let want = run(tile_portable, (mr, cols), dequant);
+                        assert_eq!(got, want, "{label}");
+                        for (i, &v) in got.iter().enumerate() {
+                            if i / n >= mr || i % n >= cols {
+                                assert_eq!(v, GUARD, "{label} @{i}");
                             }
+                        }
+                        if kernel == Int8Kernel::Amx {
+                            let (mut first, mut then) = (guarded(), guarded());
+                            let mut product = x86::AmxProduct::new();
+                            let (to_first, to_then) = (
+                                sink(&mut first, cols, dequant),
+                                sink(&mut then, nr, dequant),
+                            );
+                            // SAFETY: as above; both buffers outlive the
+                            // product, whose drop stores the second tile.
+                            unsafe {
+                                x86::tile_amx(&mut product, tile(mr, cols), to_first);
+                                x86::tile_amx(&mut product, tile(mr_max, nr), to_then);
+                            }
+                            drop(product);
+                            assert_eq!(first, want, "{label}, then a whole tile");
+                            let want = run(tile_portable, whole, dequant);
+                            assert_eq!(then, want, "a whole tile after {label}");
                         }
                     }
                 }
@@ -1394,6 +1594,38 @@ mod tests {
                                 claimed, one_thread,
                                 "{kernel:?} {width:?} rows={rows} {k}x{n} on {threads} threads"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One buffer a row == the matrix, bit for bit, on every arm — the AMX
+    /// arm's stores, pending under the next tile, land at each row's own
+    /// address too — past one table of row addresses (133 rows: a run of
+    /// 128 buffers and a ragged one), with the panels handed out or not, on
+    /// pools of every width.
+    #[test]
+    fn row_buffers_hold_the_matrix_rows_bitwise() {
+        let pools = pools();
+        let (_, tanh) = ACTIVATIONS[2];
+        for (k, n) in [(7usize, 33usize), (56, 224)] {
+            for rows in [1usize, 33, 133] {
+                let case = Case::new(rows, k, n, 3 + rows as u64, true);
+                for kernel in kernels() {
+                    for width in WIDTHS {
+                        let matrix = case.dequant_from(kernel, width, tanh, usize::MAX);
+                        for (threads, pool) in &pools {
+                            for par_min_macs in [0, usize::MAX] {
+                                let rows_out = pool.install(|| {
+                                    case.dequant_rows_from(kernel, width, tanh, par_min_macs)
+                                });
+                                assert_eq!(
+                                    rows_out, matrix,
+                                    "{kernel:?} {width:?} rows={rows} {k}x{n} on {threads} threads"
+                                );
+                            }
                         }
                     }
                 }
@@ -1554,9 +1786,12 @@ mod tests {
         /// The AMX arm == the scalar arm, bit for bit, into both sinks: up
         /// to three row tiles with a ragged last one (tiles of one shape
         /// after another start from `tile_zero`, not a fresh configuration,
-        /// and share a panel's staged tail), depths with any
+        /// and share a panel's staged tail; the ragged one configures anew
+        /// while the tile before it waits for its store), depths with any
         /// number of whole 64-byte steps and any staged tail, widths that
-        /// end inside either 16-column tile, both packing widths — and, for
+        /// end inside either 16-column tile, both packing widths, the
+        /// panels on one claimant and handed out to every thread of the
+        /// pool (each claimant's last tile is stored as it finishes) — and, for
         /// the raw sums, operands of arbitrary bytes whose `padded_k`
         /// padding is **not** zero (`gemm_u8i8_i32` multiplies whole
         /// groups, as `benchmark/` drives it). On a host without AMX the
@@ -1581,11 +1816,14 @@ mod tests {
             let (name, act) = ACTIVATIONS[ai];
             let case = Case::new(rows, k, n, seed, seed % 2 == 0);
             for width in WIDTHS {
-                prop_assert_eq!(
-                    case.dequant(Int8Kernel::Amx, width, act),
-                    case.dequant(Int8Kernel::Scalar, width, act),
-                    "{:?} {} {}x{}x{}", width, name, rows, k, n
-                );
+                let want = case.dequant(Int8Kernel::Scalar, width, act);
+                for par_min_macs in [usize::MAX, 0] {
+                    prop_assert_eq!(
+                        &case.dequant_from(Int8Kernel::Amx, width, act, par_min_macs),
+                        &want,
+                        "{:?} {} {}x{}x{} from {}", width, name, rows, k, n, par_min_macs
+                    );
+                }
             }
             let k_pad = padded_k(k);
             let mut state = seed;

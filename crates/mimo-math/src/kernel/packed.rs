@@ -37,7 +37,7 @@
 //! host's [`Backend`], exactly as VNNI-vs-`maddubs` is for [`super::int8`];
 //! there is nothing to tune.
 
-use super::Backend;
+use super::{Backend, Kernel};
 use rayon::prelude::*;
 use std::ops::{Deref, DerefMut, Range};
 
@@ -127,6 +127,12 @@ impl PackedWidth {
         Backend::host().packed_width()
     }
 
+    /// The level this layout's tile runs at here: the lowest level it is
+    /// the view of, capped at [`Backend::host`].
+    fn runs(self) -> Backend {
+        [Backend::Avx2, Backend::Avx512][self as usize].min(Backend::host())
+    }
+
     /// Floats per panel row (`NR`).
     pub fn nr(self) -> usize {
         match self {
@@ -183,8 +189,41 @@ impl PackedRhs {
     }
 }
 
+/// Where a register tile stores its output: row `i` of the tile at an
+/// address of its own (at the tile's first column), so that the same tiles
+/// write one row-major matrix — the case `base + i * n` — and rows that
+/// live in separate buffers. Small and `Copy`, because a tile's operands
+/// carry it: an array of 32 addresses in its place was copied with 64-byte
+/// moves and read back 8 bytes at a time, each read missing store
+/// forwarding, and the AMX product ran 1.7x slower for it.
+#[derive(Clone, Copy)]
+pub(super) enum TileRows<T> {
+    /// Row `i` at `base + i * n`.
+    Strided(*mut T, usize),
+    /// Row `i` at `table[i] + j0`, `table` a run's [`RowBase::Table`] from
+    /// the tile's first row on.
+    Table(*const *mut T, usize),
+}
+
+impl<T> TileRows<T> {
+    /// The address of tile row `i`.
+    ///
+    /// # Safety
+    /// `i` must be a row of the tile, and a table the tile reads must be
+    /// alive.
+    #[inline(always)]
+    pub(super) unsafe fn row(self, i: usize) -> *mut T {
+        match self {
+            TileRows::Strided(base, n) => base.wrapping_add(i * n),
+            // SAFETY: the caller's contract.
+            TileRows::Table(table, j0) => unsafe { *table.add(i) }.wrapping_add(j0),
+        }
+    }
+}
+
 /// The operands of one register tile: `mr` rows of `a` against one panel,
-/// producing `acc + bias` in the first `cols` columns of `mr` rows of `out`.
+/// producing `acc + bias` in the first `cols` columns of its `mr` output
+/// rows.
 ///
 /// The panel is `m` rows of `NR` floats, `stride` floats apart: a packed
 /// panel (`stride == NR`), `NR` columns of a row-major right-hand side
@@ -195,8 +234,8 @@ impl PackedRhs {
 ///
 /// A tile function's caller vouches that `a` is valid for `mr` rows of `m`
 /// floats, `panel` for `m` rows of `NR` floats `stride` apart, `bias` for
-/// `cols` and `out` for `cols` floats in each of `mr` rows `n` apart, with
-/// `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
+/// `cols` and each of the first `mr` addresses of `out` for `cols` floats,
+/// with `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
 #[derive(Clone, Copy)]
 pub(super) struct Tile {
     pub(super) a: *const f32,
@@ -209,9 +248,7 @@ pub(super) struct Tile {
     /// runs that row (a hint: it may point past every buffer).
     pub(super) ahead: usize,
     pub(super) bias: *const f32,
-    pub(super) out: *mut f32,
-    /// Row stride of `out`.
-    pub(super) n: usize,
+    pub(super) out: TileRows<f32>,
     pub(super) cols: usize,
     /// Skip the terms whose `a` is an exact zero, as the row-major scalar
     /// arm and the historical weight gradient do: `0 * inf` and `-0 + 0`
@@ -244,24 +281,113 @@ impl<T> Lanes<T> {
     }
 }
 
-impl Lanes<f32> {
+/// Row buffers one table of addresses holds: a product over more of them
+/// runs them this many at a time.
+const TABLE_ROWS: usize = 128;
+
+/// The `rows x n` output of a bound-weight product ([`gemm_f32_packed`],
+/// [`super::int8::gemm_u8i8_dequant`]). Its register tiles store each row
+/// at an address of its own, so both forms are one path.
+#[derive(Debug)]
+pub enum Rows<'a> {
+    /// One row-major matrix: row `r` at `r * n`.
+    Matrix(&'a mut [f32]),
+    /// One buffer a row, each exactly `n` long: rows a caller hands on — a
+    /// served reconstruction changes hands this way — without a copy.
+    Buffers(&'a mut [Vec<f32>]),
+}
+
+impl<'a> From<&'a mut [f32]> for Rows<'a> {
+    fn from(matrix: &'a mut [f32]) -> Self {
+        Rows::Matrix(matrix)
+    }
+}
+
+impl<'a> From<&'a mut [Vec<f32>]> for Rows<'a> {
+    fn from(buffers: &'a mut [Vec<f32>]) -> Self {
+        Rows::Buffers(buffers)
+    }
+}
+
+impl Rows<'_> {
+    /// Runs `product(rows, base)` over the output: a matrix in one run,
+    /// buffers [`TABLE_ROWS`] at a time, their addresses in a table on this
+    /// thread's stack — the thread that borrows the buffers, so that no
+    /// claimant of the product's panels borrows one. A product's rows are
+    /// independent, so the split moves no bit.
+    ///
+    /// # Panics
+    /// Panics unless the output is `rows` rows of `n`.
+    pub(super) fn runs(
+        self,
+        (rows, n): (usize, usize),
+        mut product: impl FnMut(Range<usize>, &RowBase<'_, f32>),
+    ) {
+        match self {
+            Rows::Matrix(out) => {
+                assert_eq!(out.len(), rows * n, "product out length mismatch");
+                product(0..rows, &RowBase::Strided(out.as_mut_ptr(), n));
+            }
+            Rows::Buffers(buffers) => {
+                assert_eq!(buffers.len(), rows, "product out row count mismatch");
+                for (i, run) in buffers.chunks_mut(TABLE_ROWS).enumerate() {
+                    let mut table = [std::ptr::null_mut(); TABLE_ROWS];
+                    for (row, buffer) in table.iter_mut().zip(run.iter_mut()) {
+                        assert_eq!(buffer.len(), n, "product out row length mismatch");
+                        *row = buffer.as_mut_ptr();
+                    }
+                    let rows = i * TABLE_ROWS..i * TABLE_ROWS + run.len();
+                    product(rows, &RowBase::Table(&table[..run.len()]));
+                }
+            }
+        }
+    }
+}
+
+/// Where the rows of a product's output (one run of it) start, as every
+/// claimant of its panels reads them.
+pub(super) enum RowBase<'t, T> {
+    /// Row `r` at `base + r * n`.
+    Strided(*mut T, usize),
+    /// Row `r` at `table[r]`.
+    Table(&'t [*mut T]),
+}
+
+// SAFETY: as `Lanes`: a claimant reaches, through the addresses, only the
+// lanes of the panel it runs (or the rows of the tile it runs), and no
+// other thread runs that panel. The lanes are plain numbers (`T: Send`).
+unsafe impl<T: Send> Sync for RowBase<'_, T> {}
+
+impl<T> RowBase<'_, T> {
+    /// Row `r` at column `j0`. Computing the address is safe; a store
+    /// through it is as sound as `r` and `j0` are inside the output.
+    fn at(&self, r: usize, j0: usize) -> *mut T {
+        match self {
+            RowBase::Strided(base, n) => base.wrapping_add(r * n + j0),
+            RowBase::Table(table) => table[r].wrapping_add(j0),
+        }
+    }
+
+    /// The rows `r` of a tile, each at column `j0`. A [`TileRows::Table`]
+    /// reads this base's table: the tile must run while the table lives.
+    pub(super) fn tile(&self, r: Range<usize>, j0: usize) -> TileRows<T> {
+        match self {
+            RowBase::Strided(_, n) => TileRows::Strided(self.at(r.start, j0), *n),
+            RowBase::Table(table) => TileRows::Table(table[r.start..].as_ptr(), j0),
+        }
+    }
+}
+
+impl RowBase<'_, f32> {
     /// The epilogue of a bound-weight product: `o = f(o)` over columns `j`
-    /// of rows `r` of the `n`-wide matrix, while the tile that just wrote
-    /// them is still in L1.
+    /// of rows `r`, while the tile that just wrote them is still in L1.
     ///
     /// # Safety
-    /// Those lanes must be inside the matrix and the caller's alone.
-    pub(super) unsafe fn act(
-        &self,
-        n: usize,
-        r: Range<usize>,
-        j: Range<usize>,
-        f: impl Fn(f32) -> f32,
-    ) {
+    /// Those lanes must be inside the output and the caller's alone.
+    pub(super) unsafe fn act(&self, r: Range<usize>, j: Range<usize>, f: impl Fn(f32) -> f32) {
         for row in r {
             // SAFETY: the caller's contract.
-            let lanes =
-                unsafe { std::slice::from_raw_parts_mut(self.at(row * n + j.start), j.len()) };
+            let lanes = unsafe { std::slice::from_raw_parts_mut(self.at(row, j.start), j.len()) };
             for o in lanes {
                 *o = f(*o);
             }
@@ -323,40 +449,42 @@ pub(super) fn walk_panels<S>(
 /// [`super::dense`] share it.
 pub(super) const PAR_MIN_MACS: usize = 1 << 19;
 
-/// The register tile that runs a `width` layout here, as `(tile, (MR, NR))`:
-/// the arm the layout was packed for where the host has it, the 256-bit one
-/// over 16-column blocks of a 512-bit panel on a host without AVX-512F, the
-/// portable tile on a host without AVX2.
+/// The register tile that runs a `width` layout here, as `(tile, (MR, NR))`,
+/// by the views of the level the layout runs at: the arm the layout was
+/// packed for where the host has it, the 256-bit one over 16-column blocks
+/// of a 512-bit panel on a host without AVX-512F, the portable tile on a
+/// host without AVX2.
 pub(super) fn register_tile(width: PackedWidth) -> (TileFn, (usize, usize)) {
-    match (width, Backend::host()) {
+    let level = width.runs();
+    match (level.kernel(), level.packed_width()) {
         #[cfg(target_arch = "x86_64")]
-        (PackedWidth::Zmm, host) if host >= Backend::Avx512 => (x86::rows_zmm, (12, 32)),
+        (Kernel::Avx2Fma, PackedWidth::Zmm) => (x86::rows_zmm, (12, 32)),
         #[cfg(target_arch = "x86_64")]
-        (_, host) if host >= Backend::Avx2 => (x86::rows_ymm, (6, 16)),
+        (Kernel::Avx2Fma, PackedWidth::Ymm) => (x86::rows_ymm, (6, 16)),
         _ => (tile_portable, (12, width.nr())),
     }
 }
 
 /// Fused dense product `out = act(a * b + bias)`: `a` is `rows x m`
 /// row-major, `b` the packed `m x n` right-hand side, `bias` has `n` entries
-/// and `out` is `rows x n` row-major. `out` is **overwritten** (it need not
-/// be zeroed) and each element is written once, `act` applied while its tile
-/// is still in L1.
+/// and `out` is `rows x n` — a row-major matrix or one buffer a row
+/// ([`Rows`]). `out` is **overwritten** (it need not be zeroed) and each
+/// element is written once, `act` applied while its tile is still in L1.
 ///
 /// Bit-identical to `gemm_f32(Kernel::Avx2Fma, ..)` into a zeroed `out`
-/// followed by `o = act(o + bias)`, for every batch shape and both widths
-/// (see the module docs).
+/// followed by `o = act(o + bias)`, for every batch shape, both widths and
+/// both output forms (see the module docs).
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with `b`'s dimensions.
-pub fn gemm_f32_packed<F: Fn(f32) -> f32 + Sync>(
+pub fn gemm_f32_packed<'o, F: Fn(f32) -> f32 + Sync>(
     a: &[f32],
     b: &PackedRhs,
     bias: &[f32],
     act: F,
-    out: &mut [f32],
+    out: impl Into<Rows<'o>>,
 ) {
-    product(a, b, bias, act, out, PAR_MIN_MACS);
+    product(a, b, bias, act, out.into(), PAR_MIN_MACS);
 }
 
 /// [`gemm_f32_packed`] with the size from which the panels are handed out as
@@ -366,44 +494,41 @@ fn product<F: Fn(f32) -> f32 + Sync>(
     b: &PackedRhs,
     bias: &[f32],
     act: F,
-    out: &mut [f32],
+    out: Rows<'_>,
     par_min_macs: usize,
 ) {
     let (m, n) = (b.m, b.n);
     assert_eq!(a.len() % m, 0, "gemm_f32_packed lhs length mismatch");
-    let rows = a.len() / m;
     assert_eq!(bias.len(), n, "gemm_f32_packed bias length mismatch");
-    assert_eq!(out.len(), rows * n, "gemm_f32_packed out length mismatch");
-    let (run, shape) = register_tile(b.width);
+    let (arm, shape) = register_tile(b.width);
     let panel_cols = b.width.nr();
-    let pooled = rows * m * n >= par_min_macs;
-    let out = Lanes(out.as_mut_ptr());
-    walk_panels(rows, n, panel_cols, shape, pooled, unit, |_, p, r, j| {
-        let panel = &b.data[p * m * panel_cols..(p + 1) * m * panel_cols];
-        let tile = Tile {
-            a: a[r.start * m..r.end * m].as_ptr(),
-            m,
-            panel: panel[j.start % panel_cols..].as_ptr(),
-            stride: panel_cols,
-            // The same row of the next panel: a batch of one tile meets
-            // every panel cold.
-            ahead: m * panel_cols,
-            bias: bias[j.clone()].as_ptr(),
-            // SAFETY: row `r.start < rows`, column `j.start < n` of the
-            // `rows x n` matrix `out` points to.
-            out: unsafe { out.at(r.start * n + j.start) },
-            n,
-            cols: j.len(),
-            skip: false,
-        };
-        // The tile's lanes are columns `j` of rows `r`: columns of panel
-        // `p`, which no other thread runs.
-        // SAFETY: `register_tile` feature-checked the arm; `a`, `panel` and
-        // `bias` are the slices just taken, `out` is good for the lanes
-        // above and no arm writes past them.
-        unsafe { run(r.len(), tile) };
-        // SAFETY: the lanes the tile just wrote, as above.
-        unsafe { out.act(n, r, j, &act) };
+    out.runs((a.len() / m, n), |run, out| {
+        let (a, rows) = (&a[run.start * m..run.end * m], run.len());
+        let pooled = rows * m * n >= par_min_macs;
+        walk_panels(rows, n, panel_cols, shape, pooled, unit, |_, p, r, j| {
+            let panel = &b.data[p * m * panel_cols..(p + 1) * m * panel_cols];
+            let tile = Tile {
+                a: a[r.start * m..r.end * m].as_ptr(),
+                m,
+                panel: panel[j.start % panel_cols..].as_ptr(),
+                stride: panel_cols,
+                // The same row of the next panel: a batch of one tile meets
+                // every panel cold.
+                ahead: m * panel_cols,
+                bias: bias[j.clone()].as_ptr(),
+                out: out.tile(r.clone(), j.start),
+                cols: j.len(),
+                skip: false,
+            };
+            // The tile's lanes are columns `j` of rows `r`: columns of panel
+            // `p`, which no other thread runs.
+            // SAFETY: `register_tile` feature-checked the arm; `a`, `panel`
+            // and `bias` are the slices just taken, `out` addresses rows `r`
+            // of the output at column `j.start` and no arm writes past `j`.
+            unsafe { arm(r.len(), tile) };
+            // SAFETY: the lanes the tile just wrote, as above.
+            unsafe { out.act(r, j, &act) };
+        });
     });
 }
 
@@ -425,8 +550,8 @@ unsafe fn tile_portable(mr: usize, t: Tile) {
                     acc = av.mul_add(bv, acc);
                 }
             }
-            // SAFETY: as above; `out` rows are `n` apart.
-            unsafe { *t.out.add(r * t.n + c) = acc + *t.bias.add(c) };
+            // SAFETY: as above; row `r` of `out` is good for `cols`.
+            unsafe { *t.out.row(r).add(c) = acc + *t.bias.add(c) };
         }
     }
 }
@@ -510,7 +635,7 @@ pub(super) mod x86 {
             // masked off and its address may lie past the buffers.
             let bias1 = _mm512_maskz_loadu_ps(masks[1], t.bias.wrapping_add(16));
             for (r, acc_row) in acc.iter().enumerate() {
-                let o = t.out.add(r * t.n);
+                let o = t.out.row(r);
                 _mm512_mask_storeu_ps(o, masks[0], _mm512_add_ps(acc_row[0], bias0));
                 let upper = _mm512_add_ps(acc_row[1], bias1);
                 _mm512_mask_storeu_ps(o.wrapping_add(16), masks[1], upper);
@@ -586,7 +711,7 @@ pub(super) mod x86 {
             // masked off and its address may lie past the buffers.
             let bias1 = _mm256_maskload_ps(t.bias.wrapping_add(8), masks[1]);
             for (r, acc_row) in acc.iter().enumerate() {
-                let o = t.out.add(r * t.n);
+                let o = t.out.row(r);
                 _mm256_maskstore_ps(o, masks[0], _mm256_add_ps(acc_row[0], bias0));
                 let upper = _mm256_add_ps(acc_row[1], bias1);
                 _mm256_maskstore_ps(o.wrapping_add(8), masks[1], upper);
@@ -667,7 +792,7 @@ pub(super) mod tests {
     ) -> Vec<u32> {
         // A dirty `out` proves every element is overwritten.
         let mut out = vec![f32::NAN; a.len() / m * n];
-        gemm_f32_packed(a, &PackedRhs::pack(b, m, n, width), bias, act, &mut out);
+        gemm_f32_packed(a, &PackedRhs::pack(b, m, n, width), bias, act, &mut out[..]);
         bits(&out)
     }
 
@@ -738,14 +863,13 @@ pub(super) mod tests {
                         stride,
                         ahead: m * stride,
                         bias: bias[..cols].as_ptr(),
-                        out: out.as_mut_ptr(),
-                        n,
+                        out: RowBase::Strided(out.as_mut_ptr(), n).tile(0..mr_max, 0),
                         cols,
                         skip,
                     };
                     // SAFETY: `register_tile` feature-checked `vector`; `a` holds `mr_max >= mr` rows of `m`,
                     // `panel` `m` rows of `stride >= nr`, `bias` `nr >= cols`,
-                    // and `out` `mr_max + 1` rows of stride `n >= cols`.
+                    // and `out` addresses `mr_max` rows of `n >= cols` lanes.
                     unsafe { arm(mr, tile) };
                     bits(&out)
                 };
@@ -814,7 +938,7 @@ pub(super) mod tests {
                     let a = values(rows * m, 5 + rows as u64, true);
                     let run = |par_min_macs: usize| {
                         let mut out = vec![f32::NAN; rows * n];
-                        product(&a, &rhs, &bias, relu, &mut out, par_min_macs);
+                        product(&a, &rhs, &bias, relu, Rows::Matrix(&mut out), par_min_macs);
                         bits(&out)
                     };
                     let one_thread = run(usize::MAX);
@@ -824,6 +948,40 @@ pub(super) mod tests {
                             claimed, one_thread,
                             "{width:?} rows={rows} {m}x{n} on {threads} threads"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One buffer a row == the matrix, bit for bit: every arm writes each
+    /// row at its own address, also past one table of row addresses (a run
+    /// of [`TABLE_ROWS`] buffers and a ragged one), with the panels handed
+    /// out or not, on pools of every width.
+    #[test]
+    fn row_buffers_hold_the_matrix_rows_bitwise() {
+        let pools = pools();
+        let (_, tanh) = ACTIVATIONS[2];
+        for (m, n) in [(7usize, 33usize), (56, 224)] {
+            let b = values(m * n, 3, true);
+            let bias = values(n, 4, false);
+            for width in WIDTHS {
+                let rhs = PackedRhs::pack(&b, m, n, width);
+                for rows in [1usize, 13, TABLE_ROWS + 3] {
+                    let a = values(rows * m, 5 + rows as u64, true);
+                    let mut matrix = vec![f32::NAN; rows * n];
+                    product(&a, &rhs, &bias, tanh, Rows::Matrix(&mut matrix), usize::MAX);
+                    for (threads, pool) in &pools {
+                        for par_min_macs in [0, usize::MAX] {
+                            let mut buffers = vec![vec![f32::NAN; n]; rows];
+                            let out = Rows::Buffers(&mut buffers);
+                            pool.install(|| product(&a, &rhs, &bias, tanh, out, par_min_macs));
+                            assert_eq!(
+                                bits(&buffers.concat()),
+                                bits(&matrix),
+                                "{width:?} rows={rows} {m}x{n} on {threads} threads"
+                            );
+                        }
                     }
                 }
             }
@@ -846,10 +1004,17 @@ pub(super) mod tests {
             for rows in [below, below + 1] {
                 let a = values(rows * m, 8, false);
                 let mut one_thread = vec![f32::NAN; rows * n];
-                product(&a, &rhs, &bias, tanh, &mut one_thread, usize::MAX);
+                product(
+                    &a,
+                    &rhs,
+                    &bias,
+                    tanh,
+                    Rows::Matrix(&mut one_thread),
+                    usize::MAX,
+                );
                 for (threads, pool) in &pools {
                     let mut served = vec![f32::NAN; rows * n];
-                    pool.install(|| gemm_f32_packed(&a, &rhs, &bias, tanh, &mut served));
+                    pool.install(|| gemm_f32_packed(&a, &rhs, &bias, tanh, &mut served[..]));
                     assert_eq!(
                         bits(&served),
                         bits(&one_thread),
@@ -864,7 +1029,7 @@ pub(super) mod tests {
     #[should_panic(expected = "bias length mismatch")]
     fn a_short_bias_is_rejected() {
         let packed = PackedRhs::pack(&[1.0; 6], 2, 3, PackedWidth::detect());
-        gemm_f32_packed(&[1.0; 2], &packed, &[0.0; 2], |v| v, &mut [0.0; 3]);
+        gemm_f32_packed(&[1.0; 2], &packed, &[0.0; 2], |v| v, &mut [0.0; 3][..]);
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 //! Fully-connected layers and activations.
 
 use crate::tensor::Matrix;
-use mimo_math::kernel::packed::{gemm_f32_packed, PackedRhs, PackedWidth};
+use mimo_math::kernel::packed::{gemm_f32_packed, PackedRhs, PackedWidth, Rows};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -261,6 +261,56 @@ impl Dense {
     }
 }
 
+/// Where a bound layer ([`PackedDense`], [`crate::QuantizedDense`]) writes
+/// its `rows x n` output: a [`Matrix`] it reshapes, or one buffer a row —
+/// each made exactly `n` long, in the allocation it has when it is that long
+/// already — which the caller hands on without copying it (a served
+/// reconstruction changes hands this way). Both are the same product, bit
+/// for bit.
+#[derive(Debug)]
+pub enum LayerOut<'a> {
+    /// A matrix, reshaped to `rows x n`.
+    Matrix(&'a mut Matrix),
+    /// Exactly `rows` buffers, one a row.
+    Rows(&'a mut [Vec<f32>]),
+}
+
+impl<'a> From<&'a mut Matrix> for LayerOut<'a> {
+    fn from(matrix: &'a mut Matrix) -> Self {
+        LayerOut::Matrix(matrix)
+    }
+}
+
+impl<'a> From<&'a mut [Vec<f32>]> for LayerOut<'a> {
+    fn from(rows: &'a mut [Vec<f32>]) -> Self {
+        LayerOut::Rows(rows)
+    }
+}
+
+impl<'a> LayerOut<'a> {
+    /// Shapes the output for `rows x n` and lends it to a product, which
+    /// writes every element.
+    ///
+    /// # Panics
+    /// Panics when a row-buffer output holds other than `rows` buffers.
+    pub(crate) fn shape(self, rows: usize, n: usize) -> Rows<'a> {
+        match self {
+            LayerOut::Matrix(matrix) => {
+                matrix.reshape_for_overwrite(rows, n);
+                Rows::Matrix(matrix.as_mut_slice())
+            }
+            LayerOut::Rows(buffers) => {
+                assert_eq!(buffers.len(), rows, "one output buffer a row");
+                for row in buffers.iter_mut().filter(|row| row.len() != n) {
+                    row.clear();
+                    row.resize(n, 0.0);
+                }
+                Rows::Buffers(buffers)
+            }
+        }
+    }
+}
+
 /// A dense layer bound for inference under the FMA backend: the weights
 /// panel-packed **once** ([`PackedRhs`]) beside a copy of bias and
 /// activation, so a forward pass is one [`gemm_f32_packed`] call that writes
@@ -300,18 +350,19 @@ impl PackedDense {
     }
 
     /// Inference-only forward pass `out = activation(input * W + bias)` into
-    /// a caller-owned buffer (reshaped, storage reused, not zero-filled).
+    /// a caller-owned matrix or row buffers ([`LayerOut`]: shaped, storage
+    /// reused, not zero-filled).
     ///
     /// # Panics
     /// Panics if `input.cols()` differs from the layer's input dimension.
-    pub fn infer_into(&self, input: &Matrix, out: &mut Matrix) {
+    pub fn infer_into<'o>(&self, input: &Matrix, out: impl Into<LayerOut<'o>>) {
         assert_eq!(
             input.cols(),
             self.input_dim(),
             "packed layer input width mismatch"
         );
-        out.reshape_for_overwrite(input.rows(), self.output_dim());
-        let (a, o) = (input.as_slice(), out.as_mut_slice());
+        let o = out.into().shape(input.rows(), self.output_dim());
+        let a = input.as_slice();
         // Identity gets its own instance so its (empty) activation pass
         // compiles away instead of branching per element.
         match self.activation {

@@ -52,7 +52,7 @@ pub mod quant;
 pub mod tensor;
 pub mod trainer;
 
-pub use layer::{Activation, Dense, PackedDense};
+pub use layer::{Activation, Dense, LayerOut, PackedDense};
 pub use loss::Loss;
 pub use network::{LayerSpec, Network};
 pub use optimizer::{Optimizer, OptimizerKind};

@@ -29,7 +29,7 @@
 //! outputs are bit-identical across scalar / AVX2 / VNNI backends and across
 //! batch shapes, the same property the f32 kernels guarantee.
 
-use crate::layer::{Activation, Dense};
+use crate::layer::{Activation, Dense, LayerOut};
 use crate::tensor::Matrix;
 use mimo_math::kernel::int8::{self, Dequant, Int8Kernel, Lhs, PackedInt8};
 use mimo_math::kernel::packed::PackedWidth;
@@ -126,16 +126,17 @@ impl QuantizedDense {
     ///
     /// Quantizes each input row to u7 codes in `scratch` and runs the integer
     /// GEMM on `kernel`, whose store dequantizes, adds the bias and applies
-    /// the activation. `out` is reshaped to `input.rows() x output_dim`.
-    /// Results are bit-identical across backends and batch shapes.
+    /// the activation. `out`, a matrix or one buffer a row ([`LayerOut`]),
+    /// is shaped to `input.rows() x output_dim`. Results are bit-identical
+    /// across backends, batch shapes and output forms.
     ///
     /// # Panics
     /// Panics when `input.cols() != input_dim()`.
-    pub fn matmul_bias_act_into(
+    pub fn matmul_bias_act_into<'o>(
         &self,
         input: &Matrix,
         scratch: &mut QuantScratch,
-        out: &mut Matrix,
+        out: impl Into<LayerOut<'o>>,
         kernel: Int8Kernel,
     ) {
         let k = self.input_dim();
@@ -167,7 +168,7 @@ impl QuantizedDense {
             scratch.row_scale[r] = if scale > 0.0 { scale } else { 0.0 };
             scratch.row_min[r] = lo;
         }
-        self.finish(scratch, out, kernel);
+        self.finish(scratch, out.into(), kernel);
     }
 
     /// Fused quantized forward over rows the **caller** quantizes: `fill` is
@@ -194,12 +195,12 @@ impl QuantizedDense {
     ///
     /// # Panics
     /// Panics when `rows == 0`.
-    pub fn try_matmul_bias_act_from_rows<F, E>(
+    pub fn try_matmul_bias_act_from_rows<'o, F, E>(
         &self,
         rows: usize,
         mut fill: F,
         scratch: &mut QuantScratch,
-        out: &mut Matrix,
+        out: impl Into<LayerOut<'o>>,
         kernel: Int8Kernel,
     ) -> Result<(), E>
     where
@@ -212,7 +213,7 @@ impl QuantizedDense {
             scratch.row_scale[r] = scale;
             scratch.row_min[r] = min;
         }
-        self.finish(scratch, out, kernel);
+        self.finish(scratch, out.into(), kernel);
         Ok(())
     }
 
@@ -225,8 +226,8 @@ impl QuantizedDense {
     /// below the int8/u7 quantization error the formula dequantizes. The
     /// activation dispatch happens here, once per call, so the common
     /// Identity/Relu cases stay branch-free per element.
-    fn finish(&self, scratch: &QuantScratch, out: &mut Matrix, kernel: Int8Kernel) {
-        out.reshape_for_overwrite(scratch.row_scale.len(), self.output_dim());
+    fn finish(&self, scratch: &QuantScratch, out: LayerOut<'_>, kernel: Int8Kernel) {
+        let o = out.shape(scratch.row_scale.len(), self.output_dim());
         let deq = Dequant {
             row_scale: &scratch.row_scale,
             row_min: &scratch.row_min,
@@ -234,7 +235,7 @@ impl QuantizedDense {
             corr: &self.corr,
             bias: &self.bias,
         };
-        let (a, b, o) = (&scratch.aq, &self.packed, out.as_mut_slice());
+        let (a, b) = (&scratch.aq, &self.packed);
         match self.activation {
             Activation::Identity => int8::gemm_u8i8_dequant(kernel, a, b, deq, |v| v, o),
             Activation::Relu => int8::gemm_u8i8_dequant(kernel, a, b, deq, |v| v.max(0.0), o),

@@ -73,6 +73,9 @@ thread_local! {
     /// Whether this thread is inside an [`assert_no_alloc`] scope. A `const`
     /// cell with no destructor: reading it never allocates.
     static IN_SCOPE: Cell<bool> = const { Cell::new(false) };
+    /// The requests this thread made inside scopes, for
+    /// [`assert_thread_no_alloc`]; `const` like [`IN_SCOPE`].
+    static OWN: Cell<u64> = const { Cell::new(0) };
 }
 
 /// `counter` of [`ALL`], and of [`SCOPED`] on a thread a scope answers for.
@@ -85,7 +88,10 @@ fn count(counter: fn(&Counters) -> &AtomicU64, bytes: usize) {
     add(&ALL);
     let who = match rayon::current_thread_index() {
         Some(worker) => worker as u64 + 1,
-        None if IN_SCOPE.get() => 0,
+        None if IN_SCOPE.get() => {
+            OWN.set(OWN.get() + 1);
+            0
+        }
         None => return,
     };
     add(&SCOPED);
@@ -157,18 +163,8 @@ pub fn stats() -> AllocStats {
 /// the scope passes vacuously — `assert_counting` guards sentinel tests
 /// against that misconfiguration.
 pub fn assert_no_alloc<R>(label: &str, f: impl FnOnce() -> R) -> R {
-    /// Leaves the scope, also when `f` unwinds.
-    struct Leave(bool);
-    impl Drop for Leave {
-        fn drop(&mut self) {
-            IN_SCOPE.set(self.0);
-        }
-    }
     let before = SCOPED.snapshot();
-    let result = {
-        let _leave = Leave(IN_SCOPE.replace(true));
-        f()
-    };
+    let result = in_scope(f);
     let after = SCOPED.snapshot();
     let allocs = after.allocs - before.allocs;
     let reallocs = after.reallocs - before.reallocs;
@@ -187,6 +183,36 @@ pub fn assert_no_alloc<R>(label: &str, f: impl FnOnce() -> R) -> R {
         );
     }
     result
+}
+
+/// [`assert_no_alloc`] answering for the calling thread alone: for a test
+/// binary whose other tests run beside the scope, where their pool workers'
+/// requests would land in [`assert_no_alloc`]'s. What the pool's workers
+/// request for `f` is not counted either, so `f`'s own thread is all this
+/// holds to zero.
+pub fn assert_thread_no_alloc<R>(label: &str, f: impl FnOnce() -> R) -> R {
+    let before = OWN.get();
+    let result = in_scope(f);
+    let requests = OWN.get() - before;
+    assert!(
+        requests == 0,
+        "hot path `{label}` made {requests} allocation request(s) on its own thread — the \
+         zero-steady-state-allocation invariant is broken"
+    );
+    result
+}
+
+/// Runs `f` inside a scope on this thread.
+fn in_scope<R>(f: impl FnOnce() -> R) -> R {
+    /// Leaves the scope, also when `f` unwinds.
+    struct Leave(bool);
+    impl Drop for Leave {
+        fn drop(&mut self) {
+            IN_SCOPE.set(self.0);
+        }
+    }
+    let _leave = Leave(IN_SCOPE.replace(true));
+    f()
 }
 
 /// Assert that [`CountingAlloc`] really is this binary's global allocator.

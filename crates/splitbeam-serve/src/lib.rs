@@ -96,6 +96,14 @@ mod shard;
 pub mod slab;
 pub mod timing;
 
+/// The unit tests count allocations: a steady-state round is held to none
+/// on the calling thread (`assert_thread_no_alloc`, which other tests
+/// running beside it cannot trip).
+#[cfg(test)]
+#[global_allocator]
+static ALLOC: splitbeam_analysis::alloc_sentinel::CountingAlloc =
+    splitbeam_analysis::alloc_sentinel::CountingAlloc;
+
 /// Builders shared by this crate's unit tests. Private on purpose: the test
 /// kit (`splitbeam-testkit`) depends on this crate, so a `mod tests` in here
 /// cannot use the kit's.

@@ -462,9 +462,10 @@ impl ApServer {
     /// Closes the current round. Every shard, in parallel (claimed from the
     /// rayon pool): commits whatever its streaming lane still holds, coalesces all
     /// pending payloads into **one fused dequantize→tail batched inference per
-    /// model** ([`SplitBeamModel::reconstruct_quantized_batch_iter_into`],
-    /// [`crate::TILE_ROWS`] stations at a time), stores every reconstruction
-    /// in its session, folds in the micro-closes watermarks already ran this
+    /// model** ([`SplitBeamModel::reconstruct_quantized_batch_into_rows`],
+    /// [`crate::TILE_ROWS`] stations at a time), hands every reconstruction
+    /// to its session — the row buffer and the session's previous feedback
+    /// swap, nothing is copied — folds in the micro-closes watermarks already ran this
     /// round, and runs the once-per-round health pass. Then idle stations are evicted when an idle budget is set, the
     /// per-shard outcomes merge deterministically in shard order, and the
     /// round counter advances.
@@ -1049,37 +1050,95 @@ mod tests {
         assert_eq!(server.fresh_station_ids(1), vec![0, 1, 2]);
     }
 
+    /// A served reconstruction changes hands: the tail writes each row into
+    /// a buffer of the shard's scratch, which then swaps with the session's
+    /// previous feedback. After two warm rounds (a first report copies its
+    /// row into a buffer of the session's own; the scratch grows one buffer
+    /// a tile row) the buffers in circulation are one fixed set — one a
+    /// station plus [`crate::TILE_ROWS`] — every station's feedback sits in
+    /// another of them each round, and a round allocates nothing on its
+    /// thread. A station removed between ingest and close takes its buffer
+    /// with it, out of circulation, and a failed batch swaps nothing.
     #[test]
     fn steady_state_round_recycles_feedback_buffers() {
+        use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_thread_no_alloc};
+        use std::collections::BTreeSet;
+        assert_counting();
         let m = model(8);
+        let stations = crate::TILE_ROWS as u64 + 2;
         let mut server = ApServer::new();
         let key = server.register_model(m.clone());
-        for id in 0..3u64 {
+        for id in 0..stations {
             server.register_station(id, key, 6).unwrap();
         }
-        for id in 0..3u64 {
-            server
-                .ingest_wire(id, &station_frame(&m, 70 + id, 6))
-                .unwrap();
-        }
-        server.process_round().unwrap();
-        let ptrs: Vec<*const f32> = (0..3u64)
-            .map(|id| server.feedback_of(id).unwrap().as_ptr())
+        let frames: Vec<Vec<u8>> = (0..stations)
+            .map(|id| station_frame(&m, 70 + id, 6))
             .collect();
-        for round in 0..2u64 {
-            for id in 0..3u64 {
-                let frame = station_frame(&m, 80 + round * 3 + id, 6);
-                server.ingest_wire(id, &frame).unwrap();
+        let ingest = |server: &mut ApServer| {
+            for (id, frame) in frames.iter().enumerate() {
+                match server.ingest_wire(id as StationId, frame) {
+                    Ok(_) | Err(ServeError::UnknownStation(_)) => {}
+                    Err(e) => panic!("station {id}: {e}"),
+                }
             }
+        };
+        let held = |server: &ApServer| -> Vec<(StationId, usize)> {
+            let ids = server.station_ids();
+            ids.into_iter()
+                .map(|id| (id, server.feedback_of(id).unwrap().as_ptr() as usize))
+                .collect()
+        };
+        let circulation = |server: &ApServer| -> BTreeSet<usize> {
+            let scratch = server.shards[0]
+                .tail_rows()
+                .iter()
+                .map(|row| row.as_ptr() as usize);
+            held(server)
+                .into_iter()
+                .map(|(_, at)| at)
+                .chain(scratch)
+                .collect()
+        };
+        for _ in 0..2 {
+            ingest(&mut server);
             server.process_round().unwrap();
-            for (id, &ptr) in ptrs.iter().enumerate() {
-                assert_eq!(
-                    server.feedback_of(id as StationId).unwrap().as_ptr(),
-                    ptr,
-                    "steady-state serving must reuse station {id}'s feedback buffer"
-                );
+        }
+        let warm = circulation(&server);
+        assert_eq!(warm.len(), stations as usize + crate::TILE_ROWS);
+        for _ in 0..2 {
+            let before = held(&server);
+            let summary = assert_thread_no_alloc("a steady-state round", || {
+                ingest(&mut server);
+                server.process_round().unwrap()
+            });
+            assert_eq!(summary.served, stations as usize);
+            assert_eq!(circulation(&server), warm, "one fixed set of buffers");
+            for ((id, was), (_, is)) in before.into_iter().zip(held(&server)) {
+                assert_ne!(was, is, "station {id}'s feedback changed hands");
             }
         }
+
+        // Removed between ingest and close: its buffer leaves circulation
+        // with its session, and no other changes hands with it.
+        ingest(&mut server);
+        let gone = server.feedback_of(5).unwrap().as_ptr() as usize;
+        server.deregister_station(5).unwrap();
+        assert_thread_no_alloc("a round without station 5", || {
+            server.process_round().unwrap()
+        });
+        let mut without = warm.clone();
+        without.remove(&gone);
+        assert_eq!(circulation(&server), without);
+
+        // A failed batch swaps nothing: every station keeps its buffer and
+        // its feedback, the scratch its buffers.
+        ingest(&mut server);
+        server.truncate_pending_payload(7);
+        let (before, feedback) = (held(&server), server.feedback_of(9).unwrap().to_vec());
+        assert!(matches!(server.process_round(), Err(ServeError::Model(_))));
+        assert_eq!(held(&server), before);
+        assert_eq!(server.feedback_of(9).unwrap(), &feedback[..]);
+        assert_eq!(circulation(&server), without);
         assert_eq!(server.pending_count(), 0);
     }
 

@@ -280,17 +280,24 @@ impl StationSession {
         self.last_served_late
     }
 
-    /// Stores a reconstruction, reusing the previous round's buffer when one
-    /// exists (steady-state serving allocates nothing per station).
-    pub(crate) fn store_feedback(&mut self, flat: &[f32], round: u64) {
+    /// Takes a reconstruction by changing hands: `row` and the session's
+    /// feedback buffer swap, so `row` leaves holding the previous round's
+    /// feedback, for the tail to write its next batch into. A session's
+    /// first report copies `row` into a buffer of its own instead, which
+    /// from then on circulates; in steady state serving allocates nothing
+    /// and copies no feedback.
+    pub(crate) fn swap_feedback(&mut self, row: &mut Vec<f32>, round: u64) {
         match &mut self.last_feedback {
-            Some(buf) => {
-                buf.clear();
-                buf.extend_from_slice(flat);
-            }
-            None => self.last_feedback = Some(flat.to_vec()),
+            Some(buf) => std::mem::swap(buf, row),
+            None => self.last_feedback = Some(row.clone()),
         }
         self.last_round = Some(round);
+    }
+
+    /// Stores a reconstruction given by value (the unit tests' fixture).
+    #[cfg(test)]
+    pub(crate) fn store_feedback(&mut self, flat: &[f32], round: u64) {
+        self.swap_feedback(&mut flat.to_vec(), round);
     }
 
     /// Records how the deadline-aware closer classified the report that was

@@ -88,13 +88,14 @@ struct Batch {
 
 /// Rows the serve step pushes through the tail at once. A model's pending
 /// batch is served tile by tile, so a shard's tail scratch (dequantized
-/// strip, layer outputs) is sized by this constant and not by the shard's
-/// session count — only the worklist, a `u32` a station, is — and a tile's
-/// reconstructions are still in cache when the store pass copies them into
-/// the sessions (2x2/20 MHz: 128 x 448 f32 = 224 KiB). 128 keeps the GEMM's
-/// weight panels amortized over whole 4-row kernel blocks and is at least the
-/// per-shard batch of every AP-scale workload, which therefore still runs one
-/// GEMM per model per close.
+/// strip, layer outputs, one row buffer a tile row) is sized by this
+/// constant and not by the shard's session count — only the worklist, a
+/// `u32` a station, is. A tile's reconstructions change hands with the
+/// sessions' previous ones, so the buffers in circulation are one a station
+/// plus at most this many (2x2/20 MHz: 128 x 448 f32 = 224 KiB). 128 keeps
+/// the GEMM's weight panels amortized over whole 4-row kernel blocks and is
+/// at least the per-shard batch of every AP-scale workload, which therefore
+/// still runs one GEMM per model per close.
 pub const TILE_ROWS: usize = 128;
 
 /// Default capacity of a shard's streaming ingest ring.
@@ -370,6 +371,13 @@ impl ShardCore {
         Some(session)
     }
 
+    /// The row buffers of the shard's tail scratch: the feedback buffers in
+    /// circulation besides the sessions' own.
+    #[cfg(test)]
+    pub(crate) fn tail_rows(&self) -> &[Vec<f32>] {
+        self.arena.tail.rows()
+    }
+
     pub(crate) fn pending_count(&self) -> usize {
         // Order-free count: the dense slot walk, not the id-ordered view.
         self.sessions
@@ -461,15 +469,16 @@ impl ShardCore {
         pass
     }
 
-    /// Stores one reconstruction and closes the station's report out:
-    /// classifies it against the policy, folds it into the pass and records
-    /// the class on the session. `lag_ns` is the close lag of a stalled
-    /// shard: it counts as additional queueing, so a report held past its
-    /// budget by a slow close is classified (and recorded) late — identity
-    /// at `lag_ns == 0`.
+    /// Hands one reconstruction to its session — `row` and the session's
+    /// feedback buffer swap ([`StationSession::swap_feedback`]) — and closes
+    /// the station's report out: classifies it against the policy, folds it
+    /// into the pass and records the class on the session. `lag_ns` is the
+    /// close lag of a stalled shard: it counts as additional queueing, so a
+    /// report held past its budget by a slow close is classified (and
+    /// recorded) late — identity at `lag_ns == 0`.
     fn commit_served(
         session: &mut StationSession,
-        flat: &[f32],
+        row: &mut Vec<f32>,
         round: u64,
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
@@ -484,7 +493,7 @@ impl ShardCore {
         }
         pass.served += 1;
         pass.delay.record(&stamp);
-        session.store_feedback(flat, round);
+        session.swap_feedback(row, round);
         session.record_service_class(policy.map(|_| stamp), is_late);
         session.consume_pending();
     }
@@ -530,13 +539,13 @@ impl ShardCore {
                     .filter_map(|&slot| sessions.at(slot))
                     .map(StationSession::payload);
                 let result = match engine.mode {
-                    TailWeights::F32 => model.reconstruct_quantized_batch_iter_into(
+                    TailWeights::F32 => model.reconstruct_quantized_batch_into_rows(
                         payloads,
                         tile.len(),
                         tail,
                         engine.kern,
                     ),
-                    TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_iter_into(
+                    TailWeights::Int8 => engine.tails[key].reconstruct_quantized_batch_into_rows(
                         payloads,
                         tile.len(),
                         tail,
@@ -544,13 +553,12 @@ impl ShardCore {
                     ),
                 };
                 match result {
-                    Ok(flats) => {
-                        let rows = flats.as_slice().chunks_exact(flats.cols());
-                        for (&slot, flat) in tile.iter().zip(rows) {
+                    Ok(rows) => {
+                        for (&slot, row) in tile.iter().zip(rows) {
                             let Some(session) = sessions.at_mut(slot) else {
                                 continue;
                             };
-                            Self::commit_served(session, flat, round, policy, lag_ns, &mut pass);
+                            Self::commit_served(session, row, round, policy, lag_ns, &mut pass);
                         }
                         unserved = rest;
                     }
@@ -613,8 +621,8 @@ impl ShardCore {
                     .map_err(|e| ServeError::Model(e.to_string())),
             };
             match flats {
-                Ok(flats) => {
-                    for (&slot, flat) in batch.slots.iter().zip(&flats) {
+                Ok(mut flats) => {
+                    for (&slot, flat) in batch.slots.iter().zip(&mut flats) {
                         if let Some(session) = sessions.at_mut(slot) {
                             Self::commit_served(session, flat, round, policy, lag_ns, &mut pass);
                         }

@@ -10,6 +10,10 @@
 //! the panel-packed GEMM over the weights the model packed at construction
 //! ([`neural::PackedDense`], bias + activation fused into the single store)
 //! under the FMA backend, the row-major kernels under the scalar backend.
+//! The last layer writes either one matrix (the `…_iter_into` entries) or
+//! one buffer a row (`reconstruct_quantized_batch_into_rows`): a serving
+//! layer swaps those buffers with its sessions' previous feedback, so a
+//! served reconstruction changes hands instead of being copied.
 //!
 //! **Exactness.** The dequantized strip is computed by
 //! [`dequantize_bottleneck_into`] (bit-identical to the allocating
@@ -29,7 +33,7 @@ use crate::SplitBeamError;
 use mimo_math::kernel::int8::Int8Kernel;
 use mimo_math::kernel::{self, Kernel};
 use neural::quant::{QuantScratch, QuantizedDense};
-use neural::Matrix;
+use neural::{LayerOut, Matrix};
 
 /// Which tail-weight representation the serving layer runs. The default is
 /// the f32 master weights, bit-exact with the pre-quantization serving
@@ -56,17 +60,21 @@ impl TailWeights {
 
 /// Reusable buffers for one fused batched tail reconstruction: the
 /// one-payload dequantization strip, the two layer-output ping-pong
-/// matrices, and the int8 activation-code scratch. Hold one per
-/// serving loop; after the first round at the largest batch size a
-/// reconstruction performs no heap allocation.
+/// matrices, the int8 activation-code scratch, and the row buffers a
+/// reconstruction into rows writes. Hold one per serving loop; after the
+/// first round at the largest batch size a reconstruction performs no heap
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct TailScratch {
     /// Dequantized bottleneck strip for the whole batch (`batch x bottleneck`).
     strip: Matrix,
+    /// Layer `i`'s output for even `i`; `pong` for odd.
     ping: Matrix,
     pong: Matrix,
     /// u7 activation codes and row parameters for the quantized path.
     quant: QuantScratch,
+    /// One buffer a reconstructed row, kept at the largest batch so far.
+    rows: Vec<Vec<f32>>,
 }
 
 impl TailScratch {
@@ -77,8 +85,50 @@ impl TailScratch {
             ping: Matrix::zeros(1, 1),
             pong: Matrix::zeros(1, 1),
             quant: QuantScratch::new(),
+            rows: Vec::new(),
         }
     }
+
+    /// The row buffers, as many as the largest batch reconstructed into
+    /// rows so far: each holds the row it was last written, or a buffer a
+    /// caller swapped in for it.
+    pub fn rows(&self) -> &[Vec<f32>] {
+        &self.rows
+    }
+
+    /// The matrix a tail of `layers` layers writes its last into.
+    fn output(&self, layers: usize) -> &Matrix {
+        if layers % 2 == 1 {
+            &self.ping
+        } else {
+            &self.pong
+        }
+    }
+}
+
+/// The input and the output matrix of tail layer `i`: the strip feeds layer
+/// 0, and layer `i` writes `ping` for even `i`, `pong` for odd, reading the
+/// other.
+fn layer_io<'s>(
+    i: usize,
+    strip: &'s Matrix,
+    ping: &'s mut Matrix,
+    pong: &'s mut Matrix,
+) -> (&'s Matrix, &'s mut Matrix) {
+    match (i, i % 2) {
+        (0, _) => (strip, ping),
+        (_, 0) => (pong, ping),
+        _ => (ping, pong),
+    }
+}
+
+/// The first `batch` row buffers, the missing ones made (empty: the layer
+/// sizes them).
+fn rows_for(rows: &mut Vec<Vec<f32>>, batch: usize) -> &mut [Vec<f32>] {
+    if rows.len() < batch {
+        rows.resize_with(batch, Vec::new);
+    }
+    &mut rows[..batch]
 }
 
 impl Default for TailScratch {
@@ -137,27 +187,82 @@ impl SplitBeamModel {
     where
         I: Iterator<Item = &'p QuantizedFeedback>,
     {
+        self.tail_into(payloads, batch, scratch, kern, false)?;
+        Ok(scratch.output(self.tail().layers().len()))
+    }
+
+    /// [`SplitBeamModel::reconstruct_quantized_batch_iter_into`] with the
+    /// last layer writing each row into a buffer of its own: returns the
+    /// scratch's first `batch` row buffers (row `i` is payload `i`'s
+    /// reconstruction). The caller may swap them for buffers of its own —
+    /// the served reconstruction changes hands instead of being copied — and
+    /// the next batch writes into whatever buffers it finds there. The same
+    /// bits as the matrix form, and under the same errors nothing is
+    /// reconstructed.
+    ///
+    /// # Errors
+    /// As [`SplitBeamModel::reconstruct_quantized_batch_iter_into`].
+    pub fn reconstruct_quantized_batch_into_rows<'a, 'p, I>(
+        &self,
+        payloads: I,
+        batch: usize,
+        scratch: &'a mut TailScratch,
+        kern: Kernel,
+    ) -> Result<&'a mut [Vec<f32>], SplitBeamError>
+    where
+        I: Iterator<Item = &'p QuantizedFeedback>,
+    {
+        self.tail_into(payloads, batch, scratch, kern, true)?;
+        Ok(&mut scratch.rows[..batch])
+    }
+
+    /// The fused tail over `payloads`, its last layer into the scratch's
+    /// matrix or, with `into_rows`, its row buffers.
+    fn tail_into<'p, I>(
+        &self,
+        payloads: I,
+        batch: usize,
+        scratch: &mut TailScratch,
+        kern: Kernel,
+        into_rows: bool,
+    ) -> Result<(), SplitBeamError>
+    where
+        I: Iterator<Item = &'p QuantizedFeedback>,
+    {
         let layers = self.tail().layers();
         let packed = self.packed_tail();
-        fill_strip(&mut scratch.strip, payloads, batch, self.tail().input_dim())?;
-
-        // The scalar backend runs the row-major kernels the unfused
-        // per-payload path runs; the FMA backend runs the packed GEMM, whose
-        // every element is the same FMA chain — so fused == unfused bit for
-        // bit under either.
-        let infer = |i: usize, input: &Matrix, out: &mut Matrix| match kern {
-            Kernel::Scalar => layers[i].infer_into_with(input, out, kern),
-            Kernel::Avx2Fma => packed[i].infer_into(input, out),
-        };
-        infer(0, &scratch.strip, &mut scratch.ping);
-        // Remaining tail layers ping-pong between the two scratch matrices.
-        let mut cur = &mut scratch.ping;
-        let mut next = &mut scratch.pong;
-        for i in 1..layers.len() {
-            infer(i, cur, next);
-            std::mem::swap(&mut cur, &mut next);
+        let TailScratch {
+            strip,
+            ping,
+            pong,
+            rows,
+            ..
+        } = scratch;
+        fill_strip(strip, payloads, batch, self.tail().input_dim())?;
+        for (i, layer) in layers.iter().enumerate() {
+            let (input, out) = layer_io(i, strip, ping, pong);
+            let rows = (into_rows && i + 1 == layers.len()).then(|| rows_for(rows, batch));
+            // The scalar backend runs the row-major kernels the unfused
+            // per-payload path runs; the FMA backend runs the packed GEMM,
+            // whose every element is the same FMA chain — so fused ==
+            // unfused bit for bit under either.
+            match (kern, rows) {
+                (Kernel::Avx2Fma, Some(rows)) => packed[i].infer_into(input, rows),
+                (Kernel::Avx2Fma, None) => packed[i].infer_into(input, out),
+                (Kernel::Scalar, rows) => {
+                    layer.infer_into_with(input, out, kern);
+                    for (row, from) in rows
+                        .into_iter()
+                        .flatten()
+                        .zip(out.as_slice().chunks(out.cols()))
+                    {
+                        row.clear();
+                        row.extend_from_slice(from);
+                    }
+                }
+            }
         }
-        Ok(cur)
+        Ok(())
     }
 }
 
@@ -376,46 +481,93 @@ impl QuantizedTail {
     where
         I: Iterator<Item = &'p QuantizedFeedback>,
     {
+        self.tail_into(payloads, batch, scratch, kernel, false)?;
+        Ok(scratch.output(self.layers.len()))
+    }
+
+    /// The int8 counterpart of
+    /// [`SplitBeamModel::reconstruct_quantized_batch_into_rows`]: the last
+    /// layer writes each row into a buffer of its own, and the scratch's
+    /// first `batch` row buffers are returned for the caller to swap.
+    ///
+    /// # Errors
+    /// As [`QuantizedTail::reconstruct_quantized_batch_iter_into`].
+    pub fn reconstruct_quantized_batch_into_rows<'a, 'p, I>(
+        &self,
+        payloads: I,
+        batch: usize,
+        scratch: &'a mut TailScratch,
+        kernel: Int8Kernel,
+    ) -> Result<&'a mut [Vec<f32>], SplitBeamError>
+    where
+        I: Iterator<Item = &'p QuantizedFeedback>,
+    {
+        self.tail_into(payloads, batch, scratch, kernel, true)?;
+        Ok(&mut scratch.rows[..batch])
+    }
+
+    /// The fused int8 tail over `payloads`, its last layer into the
+    /// scratch's matrix or, with `into_rows`, its row buffers.
+    fn tail_into<'p, I>(
+        &self,
+        payloads: I,
+        batch: usize,
+        scratch: &mut TailScratch,
+        kernel: Int8Kernel,
+        into_rows: bool,
+    ) -> Result<(), SplitBeamError>
+    where
+        I: Iterator<Item = &'p QuantizedFeedback>,
+    {
         if batch == 0 {
             return Err(SplitBeamError::DimensionMismatch(
                 "empty fused reconstruction batch".into(),
             ));
         }
-        let (first, rest) = self
-            .layers
-            .split_first()
-            .expect("a bound tail always has at least one layer");
-        // The row filler consumes the iterator directly — payloads are
-        // validated and code-mapped row by row with no intermediate
-        // collection, keeping the serving hot path allocation-free.
+        let TailScratch {
+            strip,
+            ping,
+            pong,
+            quant,
+            rows,
+        } = scratch;
         let mut payloads = payloads;
-        first.try_matmul_bias_act_from_rows(
-            batch,
-            |r, dst| {
-                let payload = payloads.next().ok_or_else(|| {
-                    SplitBeamError::DimensionMismatch(format!(
-                        "fused batch declared {batch} payloads, iterator yielded {r}"
-                    ))
-                })?;
-                check_shape(payload, self.bottleneck)?;
-                codes_to_u7(payload, dst)
-            },
-            &mut scratch.quant,
-            &mut scratch.ping,
-            kernel,
-        )?;
-        if payloads.next().is_some() {
-            return Err(SplitBeamError::DimensionMismatch(format!(
-                "fused batch declared {batch} payloads, iterator yielded more than {batch}"
-            )));
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (input, out) = layer_io(i, strip, ping, pong);
+            let out: LayerOut<'_> = if into_rows && i + 1 == self.layers.len() {
+                rows_for(rows, batch).into()
+            } else {
+                out.into()
+            };
+            if i > 0 {
+                layer.matmul_bias_act_into(input, quant, out, kernel);
+                continue;
+            }
+            // The row filler consumes the iterator directly — payloads are
+            // validated and code-mapped row by row with no intermediate
+            // collection, keeping the serving hot path allocation-free.
+            layer.try_matmul_bias_act_from_rows(
+                batch,
+                |r, dst| {
+                    let payload = payloads.next().ok_or_else(|| {
+                        SplitBeamError::DimensionMismatch(format!(
+                            "fused batch declared {batch} payloads, iterator yielded {r}"
+                        ))
+                    })?;
+                    check_shape(payload, self.bottleneck)?;
+                    codes_to_u7(payload, dst)
+                },
+                quant,
+                out,
+                kernel,
+            )?;
+            if payloads.next().is_some() {
+                return Err(SplitBeamError::DimensionMismatch(format!(
+                    "fused batch declared {batch} payloads, iterator yielded more than {batch}"
+                )));
+            }
         }
-        let mut cur = &mut scratch.ping;
-        let mut next = &mut scratch.pong;
-        for layer in rest {
-            layer.matmul_bias_act_into(cur, &mut scratch.quant, next, kernel);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        Ok(cur)
+        Ok(())
     }
 
     /// Serial reference: reconstructs one payload through the quantized tail
@@ -602,6 +754,100 @@ mod tests {
 
     fn int8_backends() -> Vec<Int8Kernel> {
         Backend::arms(Backend::int8)
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both tails into rows == into the matrix, bit for bit, on every arm
+    /// and at both depths. The row buffers are the scratch's own batch after
+    /// batch; a buffer a caller swapped in — of another length, or empty —
+    /// is written like any other, and a batch that fails writes none.
+    #[test]
+    fn rows_form_equals_the_matrix_form_and_takes_swapped_buffers() {
+        for deeper in [false, true] {
+            let m = model(23, deeper);
+            let tail = QuantizedTail::bind(&m);
+            let payloads = payloads_for(&m, 5, 6);
+            let mut scratch = TailScratch::new();
+            let check = |label: String, want: &[u32], scratch: &mut TailScratch| {
+                assert_eq!(bits(&scratch.rows.concat()), want, "{label}");
+                // The caller's buffers, of another length or none at all.
+                scratch.rows[0] = vec![7.0f32; 3];
+                scratch.rows[1] = Vec::new();
+            };
+            for kern in kernels() {
+                let run = |scratch: &mut TailScratch| {
+                    m.reconstruct_quantized_batch_into_rows(payloads.iter(), 5, scratch, kern)
+                        .map(|rows| rows.len())
+                };
+                let want = m
+                    .reconstruct_quantized_batch_iter_into(payloads.iter(), 5, &mut scratch, kern)
+                    .map(|out| bits(out.as_slice()))
+                    .unwrap();
+                for round in 0..2 {
+                    assert_eq!(run(&mut scratch), Ok(5));
+                    check(
+                        format!("f32 {kern:?} deeper={deeper} {round}"),
+                        &want,
+                        &mut scratch,
+                    );
+                }
+            }
+            for kernel in int8_backends() {
+                let want = tail
+                    .reconstruct_quantized_batch_iter_into(payloads.iter(), 5, &mut scratch, kernel)
+                    .map(|out| bits(out.as_slice()))
+                    .unwrap();
+                for round in 0..2 {
+                    let rows = tail
+                        .reconstruct_quantized_batch_into_rows(
+                            payloads.iter(),
+                            5,
+                            &mut scratch,
+                            kernel,
+                        )
+                        .unwrap();
+                    assert_eq!(rows.len(), 5);
+                    check(
+                        format!("int8 {kernel:?} deeper={deeper} {round}"),
+                        &want,
+                        &mut scratch,
+                    );
+                }
+            }
+            // Warm buffers stay where they are, and a failed batch writes
+            // none of them.
+            m.reconstruct_quantized_batch_into_rows(payloads.iter(), 5, &mut scratch, kernels()[0])
+                .unwrap();
+            let before = scratch.rows.clone();
+            let addrs: Vec<_> = scratch.rows.iter().map(|row| row.as_ptr()).collect();
+            m.reconstruct_quantized_batch_into_rows(payloads.iter(), 5, &mut scratch, kernels()[0])
+                .unwrap();
+            let again: Vec<_> = scratch.rows.iter().map(|row| row.as_ptr()).collect();
+            assert_eq!(addrs, again, "warm row buffers are reused");
+            let short = quantize_bottleneck(&[0.5; 3], 8);
+            for refs in [vec![&payloads[0], &short], vec![&short]] {
+                assert!(m
+                    .reconstruct_quantized_batch_into_rows(
+                        refs.iter().copied(),
+                        refs.len(),
+                        &mut scratch,
+                        kernels()[0]
+                    )
+                    .is_err());
+                assert!(tail
+                    .reconstruct_quantized_batch_into_rows(
+                        refs.iter().copied(),
+                        refs.len(),
+                        &mut scratch,
+                        Int8Kernel::Scalar
+                    )
+                    .is_err());
+                assert_eq!(scratch.rows, before, "a failed batch writes no row");
+            }
+        }
     }
 
     #[test]

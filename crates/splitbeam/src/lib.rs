@@ -58,6 +58,8 @@
 //! # let _ = model;
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod airtime;
 pub mod bop;
 pub mod complexity;

@@ -20,7 +20,12 @@
 //! passing the CRC. The CRC-32 (IEEE 802.3, reflected polynomial
 //! `0xEDB88320`) covers every byte before the trailer, so a corrupted frame is
 //! *detected* and rejected as [`SplitBeamError::CorruptFrame`] instead of
-//! being decoded into plausible garbage. The 16-bit sequence number feeds the
+//! being decoded into plausible garbage. [`crc32`] computes it one of two
+//! ways, the same checksum either way: frames of 64 bytes or more fold with
+//! carry-less multiplies (`pclmulqdq`) from [`Backend::Avx2`] up, with their
+//! last `len % 16` bytes and every shorter frame — and everything under
+//! `SPLITBEAM_KERNEL=scalar` — on a slicing-by-8 table loop, whose bytewise
+//! form is the tests' oracle. The 16-bit sequence number feeds the
 //! serving layer's duplicate suppression and retransmission accounting;
 //! `seq == 0` marks an unsequenced frame (last-write-wins at the AP).
 //!
@@ -33,6 +38,8 @@
 use crate::quantization::QuantizedFeedback;
 use crate::SplitBeamError;
 use dot11_bfi::bits::{BitReader, BitWriter};
+use mimo_math::kernel;
+use mimo_math::Backend;
 
 /// Version octet opening every frame.
 pub const WIRE_VERSION: u8 = 0xB5;
@@ -88,7 +95,8 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Advances the (pre-inverted) CRC state `c` over `data` one byte at a time:
-/// the tail of [`crc32`], and the reference its tests compare against.
+/// the tail of the slicing loop, and the reference the tests compare every
+/// path against.
 fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
         c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -96,12 +104,10 @@ fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
     c
 }
 
-/// CRC-32 (IEEE 802.3) over `data` — the same checksum that seals every v2
-/// frame. Exposed so tests and fault tooling can re-seal deliberately mutated
-/// frames. Slicing-by-8: eight bytes per step, the last `len % 8` bytewise.
-pub fn crc32(data: &[u8]) -> u32 {
+/// Advances the CRC state `c` over `data` by slicing-by-8: eight bytes per
+/// step, the last `len % 8` bytewise.
+fn crc32_sliced(mut c: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut c = u32::MAX;
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -115,7 +121,121 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ t[1][((hi >> 16) & 0xFF) as usize]
             ^ t[0][(hi >> 24) as usize];
     }
-    !crc32_bytewise(c, chunks.remainder())
+    crc32_bytewise(c, chunks.remainder())
+}
+
+/// The shortest input the carry-less fold takes: one step of its four
+/// 16-byte lanes.
+const FOLD_MIN_BYTES: usize = 64;
+
+/// CRC-32 (IEEE 802.3) over `data` — the same checksum that seals every v2
+/// frame. Exposed so tests and fault tooling can re-seal deliberately mutated
+/// frames.
+///
+/// Which path runs depends on the length and on the kernel backend in force
+/// ([`kernel::selected_backend`]); every path computes the same checksum:
+/// - **From [`Backend::Avx2`] up, 64 bytes or more** (the 3x3 / 80 MHz frame
+///   seals 287): the whole 16-byte blocks fold with `pclmulqdq` — four
+///   128-bit lanes 64 bytes a step, folded into one lane that takes the
+///   remaining blocks 16 bytes a step — and a Barrett reduction leaves the
+///   32-bit state (the folding of Gopal et al., Intel, 2009). The ragged last
+///   `len % 16` bytes run slicing-by-8.
+/// - **Under 64 bytes** (the 2x2 / 20 MHz frame seals 42), **or under
+///   `SPLITBEAM_KERNEL=scalar`**: slicing-by-8 — eight bytes a table step, the
+///   last `len % 8` bytewise.
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_on(kernel::selected_backend(), data)
+}
+
+/// [`crc32`] on the arm `level` selects (the tests walk every level).
+fn crc32_on(level: Backend, data: &[u8]) -> u32 {
+    let (mut c, mut rest) = (u32::MAX, data);
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= FOLD_MIN_BYTES && level.min(Backend::host()) >= Backend::Avx2 {
+        let whole = data.len() / 16 * 16;
+        // SAFETY: the host runs `pclmulqdq` (`Backend::host` probes it at
+        // `Avx2`), and `whole` is a multiple of 16 of at least 64 bytes.
+        c = unsafe { clmul::fold(c, &data[..whole]) };
+        rest = &data[whole..];
+    }
+    !crc32_sliced(c, rest)
+}
+
+/// The carry-less-multiply fold of the reflected CRC-32.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use core::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi128_si32, _mm_cvtsi32_si128,
+        _mm_loadu_si128, _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// The bit-reflected constants of the IEEE polynomial `P`, as `(low,
+    /// high)` qwords: `x^(4*128+32)` and `x^(4*128-32)` mod `P` move a lane
+    /// 64 bytes on, `x^(128+32)` and `x^(128-32)` mod `P` 16 bytes,
+    /// `x^64` mod `P` folds 64 bits to 32, and `P` with `x^64 / P` is the
+    /// Barrett pair.
+    const FOLD_64: (i64, i64) = (0x1_5444_2bd4, 0x1_c6e4_1596);
+    const FOLD_16: (i64, i64) = (0x1_7519_97d0, 0x0_ccaa_009e);
+    const FOLD_32: i64 = 0x1_63cd_6124;
+    const BARRETT: (i64, i64) = (0x1_db71_0641, 0x1_f701_1641);
+
+    /// `x` carried `k`'s distance on: its low qword times `k`'s low, its
+    /// high times `k`'s high, summed.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn carry(x: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(x, k),
+            _mm_clmulepi64_si128::<0x11>(x, k),
+        )
+    }
+
+    /// Advances the CRC state `crc` over `data`.
+    ///
+    /// # Safety
+    /// Requires `pclmulqdq`; `data.len()` must be a multiple of 16 and at
+    /// least 64.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
+        let pair = |(low, high): (i64, i64)| _mm_set_epi64x(high, low);
+        // SAFETY: every block read is 16 bytes at a multiple of 16 below
+        // `data.len()`, which the caller made a multiple of 16.
+        let block = |i: usize| unsafe { _mm_loadu_si128(data.as_ptr().add(i).cast()) };
+        let mut lanes = [block(0), block(16), block(32), block(48)];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(crc as i32));
+        let mut at = 64;
+        // SAFETY: `carry` needs `pclmulqdq`, which the caller vouches for.
+        unsafe {
+            let k = pair(FOLD_64);
+            while at + 64 <= data.len() {
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    *lane = _mm_xor_si128(carry(*lane, k), block(at + 16 * i));
+                }
+                at += 64;
+            }
+            let k = pair(FOLD_16);
+            let mut x = lanes[0];
+            for &lane in &lanes[1..] {
+                x = _mm_xor_si128(carry(x, k), lane);
+            }
+            while at < data.len() {
+                x = _mm_xor_si128(carry(x, k), block(at));
+                at += 16;
+            }
+            // 128 bits to 64, to 32, then the Barrett reduction.
+            let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+            x = _mm_xor_si128(_mm_srli_si128::<8>(x), _mm_clmulepi64_si128::<0x10>(x, k));
+            let k = _mm_set_epi64x(0, FOLD_32);
+            x = _mm_xor_si128(
+                _mm_srli_si128::<4>(x),
+                _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k),
+            );
+            let k = pair(BARRETT);
+            let q = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), k);
+            let r = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(q, low32), k);
+            _mm_cvtsi128_si32(_mm_srli_si128::<4>(_mm_xor_si128(x, r))) as u32
+        }
+    }
 }
 
 /// Encodes a quantized payload into its v2 wire representation with an
@@ -357,12 +477,16 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Every path equals the bytewise loop: every length 0..=1100 — both
+    /// sides of the fold's 64-byte floor, every ragged tail of the 16-byte
+    /// blocks and of the slicing steps, the 287 bytes a 3x3/80 MHz frame
+    /// seals — at every start offset inside a cache line, under every level
+    /// this host runs (`Scalar` slices, `Avx2` and up fold with
+    /// `clmul::fold` and its `clmul::carry`).
     #[test]
-    fn sliced_crc32_matches_the_bytewise_reference() {
-        // Every length 0..=600 covers every tail length 0..8 many times over
-        // and both sides of the 291-byte 3x3/80 MHz frame.
+    fn every_crc32_path_matches_the_bytewise_reference() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..600)
+        let data: Vec<u8> = (0..1100 + 63)
             .map(|_| {
                 state = state
                     .wrapping_mul(6_364_136_223_846_793_005)
@@ -370,16 +494,22 @@ mod tests {
                 (state >> 56) as u8
             })
             .collect();
-        for len in 0..=data.len() {
-            for start in [0, (600 - len) / 2] {
+        let levels = Backend::arms(|level| level);
+        eprintln!("crc32 parity ran on {levels:?}");
+        for len in 0..=1100 {
+            for start in 0..64 {
                 let slice = &data[start..start + len];
-                assert_eq!(
-                    crc32(slice),
-                    !crc32_bytewise(u32::MAX, slice),
-                    "len={len} start={start}"
-                );
+                let want = !crc32_bytewise(u32::MAX, slice);
+                for &level in &levels {
+                    assert_eq!(
+                        crc32_on(level, slice),
+                        want,
+                        "{level:?} len={len} start={start}"
+                    );
+                }
             }
         }
+        assert_eq!(crc32(&data), !crc32_bytewise(u32::MAX, &data));
     }
 
     #[test]
@@ -431,22 +561,27 @@ mod tests {
         assert!(decode_feedback(&padded).is_err(), "trailing bytes rejected");
     }
 
+    /// On a frame the slicing loop seals alone and on the 291-byte frame of
+    /// the 3x3/80 MHz model (545 codes at 4 bits), which the fold seals.
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let payload = quantize_bottleneck(&sample_values(24), 7);
-        let frame = encode_feedback(&payload).unwrap();
-        for byte in 0..frame.len() {
-            for bit in 0..8 {
-                let mut hostile = frame.clone();
-                hostile[byte] ^= 1 << bit;
-                let err = decode_feedback(&hostile).expect_err("bit flip must be rejected");
-                // A flipped version octet is an unknown version; anything
-                // after it leaves a v2 frame whose CRC no longer matches.
-                assert_eq!(
-                    matches!(err, SplitBeamError::CorruptFrame(_)),
-                    byte > 0,
-                    "flip at byte {byte} bit {bit}: {err}"
-                );
+        for (codes, bits, len) in [(24, 7, 39), (545, 4, 291)] {
+            let payload = quantize_bottleneck(&sample_values(codes), bits);
+            let frame = encode_feedback(&payload).unwrap();
+            assert_eq!(frame.len(), len);
+            for byte in 0..frame.len() {
+                for bit in 0..8 {
+                    let mut hostile = frame.clone();
+                    hostile[byte] ^= 1 << bit;
+                    let err = decode_feedback(&hostile).expect_err("bit flip must be rejected");
+                    // A flipped version octet is an unknown version; anything
+                    // after it leaves a v2 frame whose CRC no longer matches.
+                    assert_eq!(
+                        matches!(err, SplitBeamError::CorruptFrame(_)),
+                        byte > 0,
+                        "{len}-byte frame: flip at byte {byte} bit {bit}: {err}"
+                    );
+                }
             }
         }
     }

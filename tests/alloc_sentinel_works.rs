@@ -1,7 +1,8 @@
 //! Meta-test for the allocation sentinel itself: proves the counting
 //! allocator is actually wired up and that `assert_no_alloc` both passes
 //! clean scopes and fails allocating ones, naming the thread, and does not
-//! count a thread outside its scope and the pool. Lives in its own binary
+//! count a thread outside its scope and the pool — and that
+//! `assert_thread_no_alloc` counts its own thread alone. Lives in its own binary
 //! because the counters are process-global and sentinel binaries keep one
 //! `#[test]`.
 
@@ -9,7 +10,10 @@ use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Barrier};
 
-use splitbeam_analysis::alloc_sentinel::{assert_counting, assert_no_alloc, stats, CountingAlloc};
+use rayon::prelude::*;
+use splitbeam_analysis::alloc_sentinel::{
+    assert_counting, assert_no_alloc, assert_thread_no_alloc, stats, CountingAlloc,
+};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -87,6 +91,41 @@ fn sentinel_counts_and_catches_allocations() {
         result.is_err(),
         "a reallocating scope must fail the sentinel"
     );
+
+    // The thread-only scope: a clean scope passes, an allocating one fails
+    // with its label, and a pool worker's request inside the window — which
+    // `assert_no_alloc` would count — is not the scope thread's.
+    assert_eq!(
+        assert_thread_no_alloc("arithmetic only", || black_box(6) * 7),
+        42
+    );
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        assert_thread_no_alloc("deliberately allocating", || black_box(vec![0u8; 64]).len())
+    }));
+    let payload = result.expect_err("an allocating thread scope must fail");
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(message.contains("deliberately allocating"), "{message}");
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let both = Barrier::new(2);
+    let worker_allocated = std::sync::atomic::AtomicBool::new(false);
+    assert_thread_no_alloc("a pool worker allocating", || {
+        pool.install(|| {
+            (0..2usize).into_par_iter().for_each(|_| {
+                both.wait();
+                if rayon::current_thread_index().is_some() {
+                    black_box(vec![0u8; 900]);
+                    worker_allocated.store(true, std::sync::atomic::Ordering::Relaxed);
+                }
+            })
+        })
+    });
+    assert!(worker_allocated.into_inner(), "one part ran on the worker");
 
     // Counters are monotone and visible through `stats`.
     let before = stats();
