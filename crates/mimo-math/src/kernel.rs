@@ -71,8 +71,8 @@ pub mod packed;
 pub mod tune;
 
 pub use dense::{
-    adam_step, gemm_a_bt_f32, gemm_at_b_f32, gemm_at_b_update_f32, gemm_f32, momentum_step,
-    sgd_step, Adam, GradScratch, Update,
+    gemm_a_bt_f32, gemm_at_b_f32, gemm_at_b_update_f32, gemm_f32, update_f32, Adam, GradScratch,
+    Rule,
 };
 
 use int8::Int8Kernel;

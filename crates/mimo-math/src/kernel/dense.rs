@@ -1,18 +1,20 @@
-//! The row-major f32 products of a dense layer and the optimizer updates of
-//! a training step, each handed out through the pool.
+//! The row-major f32 products of a dense layer and the optimizer update of
+//! a training step.
 //!
 //! | entry | computes | a part | arm under `avx2_fma` |
 //! |---|---|---|---|
 //! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | one `NR`-column panel, or a thread's share of the walked columns | the packed tail's register tile over the whole depth from two rows on; the `k`-blocked walk for one row and past the last whole panel |
-//! | [`gemm_at_b_update_f32`] | `w` moved by an optimizer update of `aᵀ · g`: a training step's weights, with no gradient buffer | one row tile of `w` | the same tile over the transposed input and the packed gradient, storing into a stack block that the update (below) consumes with the tile's rows of `w` and its state |
-//! | [`gemm_at_b_f32`] | `out = aᵀ · g`: the weight gradient in memory (the tests' oracle) | one row tile of `out` | as above, with a copy for the update |
+//! | [`gemm_at_b_update_f32`] | `w` moved by a [`Rule`] of `aᵀ · g`: a training step's weights, with no gradient buffer | one row tile of `w` | the same tile over the transposed input and the packed gradient, storing into a stack block that the rule's sweep consumes with the tile's rows of `w` and its moments |
+//! | [`gemm_at_b_f32`] | `out = aᵀ · g`: the weight gradient in memory (the tests' oracle) | one row tile of `out` | as above, with a copy in place of the rule |
 //! | [`gemm_a_bt_f32`] | `out = a · bᵀ`: the input gradient | 16 columns of `out` | one [`sdot`] an element |
-//! | [`adam_step`], [`momentum_step`], [`sgd_step`] | the optimizer update from a gradient in memory: the biases | 2^14 parameters | the scalar loop, compiled for `avx512f` (else `avx2`) |
+//! | [`update_f32`] | a [`Rule`]'s update from a gradient in memory: the biases | none: one sweep on the caller | the rule's scalar loop, compiled for `avx512f` (else `avx2`) |
 //!
 //! A product hands its parts out from 2^19 multiply-adds (the packed tail's
-//! `PAR_MIN_MACS`), an update from 2^16 parameters; smaller ones run as a
-//! plain loop on the caller, as every one does at pool width 1. The 448 x 56
-//! x 224 model of the 2x2 / 20 MHz workload trains below all of them.
+//! `PAR_MIN_MACS`); smaller ones run as a plain loop on the caller, as every
+//! one does at pool width 1. The 448 x 56 x 224 model of the 2x2 / 20 MHz
+//! workload trains below it. A bias update is never handed out: the widest
+//! bias a model trains, `2·Nt·Nss·S` = 3,872 at 4x4 / 160 MHz, takes a few
+//! microseconds of Adam.
 //!
 //! The update in [`gemm_at_b_update_f32`] is worth fusing for its bytes, not
 //! its arithmetic: Adam runs ≈ 1 ns a parameter a core (its divisions and
@@ -38,8 +40,8 @@
 //!   IEEE single precision: division and square root are correctly rounded
 //!   in every vector width, and Rust never contracts a multiply and an add
 //!   into an FMA, so the vector bodies are bit-identical to the scalar one —
-//!   over a chunk of a gradient in memory, or over the runs of one register
-//!   tile in the fused step.
+//!   over a gradient in memory, or over the runs of one register tile in
+//!   the fused step.
 
 use super::packed::{hand_out, register_tile, unit, Lanes, PackedWidth, Panels, RowBase, Tile};
 use super::packed::{NO_BIAS, PAR_MIN_MACS};
@@ -63,14 +65,6 @@ const AT_B_ROWS: usize = 16;
 /// Output columns of one part of [`gemm_a_bt_f32`]: each row of `b` is read
 /// once and dotted with every row of `a` while it is in L1.
 const BT_COLS: usize = 16;
-
-/// Parameters in one part of an optimizer update.
-const CHUNK: usize = 1 << 14;
-
-/// Parameters from which an optimizer update hands its chunks out: below
-/// it (the 448 x 56 layers of the 2x2 / 20 MHz model) a hand-out costs more
-/// than half the update.
-const PAR_MIN_PARAMS: usize = 1 << 16;
 
 /// Dense f32 GEMM: `out = a * b` where `a` is `rows x m`, `b` is `m x n` and
 /// `out` is `rows x n`, all row-major. `out` is **overwritten**.
@@ -283,7 +277,7 @@ struct Block([f32; BLOCK]);
 /// arm packs `g` into panels, transposes a row tile of `aᵀ` at a time into
 /// `scratch` and runs the register tile over them; a tile that holds a zero
 /// `a` masks those terms' FMAs off. This is [`gemm_at_b_update_f32`] with a
-/// copy for its update.
+/// copy in place of its rule.
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions.
@@ -296,125 +290,47 @@ pub fn gemm_at_b_f32(
     scratch: &mut GradScratch,
 ) {
     let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
-    let store = Step {
-        level: kernel.runs(),
-        hyper: &(),
-        body: store_chunk,
-        state: [None, None],
-    };
-    weight_gradient(tile, (a, g), (m, n), store, out, scratch, PAR_MIN_MACS);
-}
-
-/// An optimizer's element update with the state it keeps for the parameters
-/// it moves: what [`gemm_at_b_update_f32`] runs on each tile of the weight
-/// gradient. Each state slice has the parameters' length.
-#[derive(Debug)]
-pub enum Update<'s> {
-    /// Plain SGD at a learning rate: [`sgd_step`]'s element.
-    Sgd(f32),
-    /// SGD with momentum `(momentum, lr)` and its velocity:
-    /// [`momentum_step`]'s element.
-    Momentum((f32, f32), &'s mut [f32]),
-    /// Adam with its first and second moments: [`adam_step`]'s element.
-    Adam(&'s Adam, &'s mut [f32], &'s mut [f32]),
-}
-
-impl Update<'_> {
-    /// This update from a gradient in memory: [`sgd_step`],
-    /// [`momentum_step`] or [`adam_step`].
-    ///
-    /// # Panics
-    /// Panics unless every slice has one length.
-    pub fn step(self, kernel: Kernel, grad: &[f32], param: &mut [f32]) {
-        match self {
-            Update::Sgd(lr) => sgd_step(kernel, lr, grad, param),
-            Update::Momentum(hyper, velocity) => {
-                momentum_step(kernel, hyper, grad, velocity, param)
-            }
-            Update::Adam(adam, m, v) => adam_step(kernel, adam, grad, m, v, param),
-        }
-    }
+    let (copy, targets) = ((kernel.runs(), None), ([&mut [][..], &mut []], out));
+    weight_gradient(tile, (a, g), (m, n), copy, targets, scratch, PAR_MIN_MACS);
 }
 
 /// One optimizer step of a dense layer's weights with no gradient buffer:
-/// `param` (`m x n`) moves by `update` of the weight gradient `aᵀ * g`
-/// ([`gemm_at_b_f32`]'s operands, parts and element chain). Each register
-/// tile of that product stores its gradient into a block on its thread's
-/// stack, and the update consumes the block at once, with the tile's rows of
-/// the state and of `param`. The element expression is the sweep's
-/// ([`adam_step`], [`momentum_step`], [`sgd_step`]), so parameters and state
-/// are bit-identical to [`gemm_at_b_f32`] followed by that sweep, at every
-/// pool width.
+/// `param` (`m x n`) moves by `rule` of the weight gradient `aᵀ * g`
+/// ([`gemm_at_b_f32`]'s operands, parts and element chain), `moments` by
+/// the rule's own. Each register tile of that product stores its gradient
+/// into a block on its thread's stack, and the rule's sweep consumes the
+/// block at once, with the tile's rows of the moments and of `param`. The
+/// sweep is [`update_f32`]'s, so parameters and moments are bit-identical
+/// to [`gemm_at_b_f32`] followed by [`update_f32`], at every pool width.
 ///
 /// # Panics
-/// Panics if the slice lengths disagree with the dimensions.
+/// Panics if the slice lengths disagree with the dimensions, or a moment
+/// the rule keeps ([`Rule::moments`]) with the parameters' length.
 pub fn gemm_at_b_update_f32(
     kernel: Kernel,
     (a, g): (&[f32], &[f32]),
     (m, n): (usize, usize),
-    update: Update<'_>,
+    rule: &Rule,
+    moments: [&mut [f32]; 2],
     param: &mut [f32],
     scratch: &mut GradScratch,
 ) {
     let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
-    let arm = (tile, kernel.runs());
-    fused_update(arm, (a, g), (m, n), update, param, scratch, PAR_MIN_MACS);
+    let (step, targets) = ((kernel.runs(), Some(rule)), (moments, param));
+    weight_gradient(tile, (a, g), (m, n), step, targets, scratch, PAR_MIN_MACS);
 }
 
-/// [`gemm_at_b_update_f32`] with its register tile (`None`: the scalar arm),
-/// the level its update is compiled for and its hand-out threshold as
-/// parameters.
-fn fused_update(
-    (tile, level): (Option<PackedWidth>, Backend),
-    ops: (&[f32], &[f32]),
-    dims: (usize, usize),
-    update: Update<'_>,
-    param: &mut [f32],
-    scratch: &mut GradScratch,
-    par_min_macs: usize,
-) {
-    match update {
-        Update::Sgd(lr) => {
-            let step = Step {
-                level,
-                hyper: &lr,
-                body: sgd_chunk,
-                state: [None, None],
-            };
-            weight_gradient(tile, ops, dims, step, param, scratch, par_min_macs);
-        }
-        Update::Momentum(hyper, velocity) => {
-            let step = Step {
-                level,
-                hyper: &hyper,
-                body: momentum_chunk,
-                state: [Some(velocity), None],
-            };
-            weight_gradient(tile, ops, dims, step, param, scratch, par_min_macs);
-        }
-        Update::Adam(adam, m, v) => {
-            let step = Step {
-                level,
-                hyper: adam,
-                body: adam_chunk,
-                state: [Some(m), Some(v)],
-            };
-            weight_gradient(tile, ops, dims, step, param, scratch, par_min_macs);
-        }
-    }
-}
-
-/// The weight-gradient product with `step` run on each block of it: a copy
-/// for [`gemm_at_b_f32`], an optimizer update for [`gemm_at_b_update_f32`].
-/// Its register tile (`None`: the scalar arm) and its hand-out threshold are
-/// parameters, so that the parity tests run both widths on one host and both
-/// sides of the threshold.
-fn weight_gradient<H: Sync, F: Body<H>>(
+/// The weight-gradient product with `rule`'s sweep run at `level` on each
+/// block of it (`None`: [`gemm_at_b_f32`]'s copy). Its register tile
+/// (`None`: the scalar arm) and its hand-out threshold are parameters, so
+/// that the parity tests run both widths on one host and both sides of the
+/// threshold.
+fn weight_gradient(
     tile: Option<PackedWidth>,
     (a, g): (&[f32], &[f32]),
     (m, n): (usize, usize),
-    step: Step<'_, H, F>,
-    param: &mut [f32],
+    (level, rule): (Backend, Option<&Rule>),
+    (moments, param): ([&mut [f32]; 2], &mut [f32]),
     scratch: &mut GradScratch,
     par_min_macs: usize,
 ) {
@@ -422,13 +338,7 @@ fn weight_gradient<H: Sync, F: Body<H>>(
     let depth = a.len().checked_div(m).unwrap_or(0);
     assert_eq!(g.len(), depth * n, "gemm_at_b_f32 gradient length mismatch");
     assert_eq!(param.len(), m * n, "gemm_at_b_f32 out length mismatch");
-    let Step {
-        level,
-        hyper,
-        body,
-        state,
-    } = step;
-    let targets = Targets::new(state, param);
+    let targets = Targets::new(rule, moments, param);
     let pooled = depth * m * n >= par_min_macs;
     let Some((arm, (mr, nr))) = tile.map(register_tile) else {
         hand_out(m.div_ceil(AT_B_ROWS), pooled, unit, |_, p| {
@@ -451,7 +361,7 @@ fn weight_gradient<H: Sync, F: Body<H>>(
                     // targets, and the part's rows are its alone.
                     let runs = unsafe { targets.runs(o.as_ptr(), 0, r * n + j0, 0, (1, o.len())) };
                     // SAFETY: as above.
-                    unsafe { sweep(level, body, hyper, runs) };
+                    unsafe { sweep(level, rule, runs) };
                 }
             }
         });
@@ -500,7 +410,7 @@ fn weight_gradient<H: Sync, F: Body<H>>(
             // of rows `r0..r0 + rows` of the targets, this part's alone.
             let runs = unsafe { targets.runs(block.0.as_ptr(), nr, r0 * n + j0, n, (rows, cols)) };
             // SAFETY: as above.
-            unsafe { sweep(level, body, hyper, runs) };
+            unsafe { sweep(level, rule, runs) };
         }
     });
 }
@@ -545,6 +455,41 @@ fn input_gradient(
     });
 }
 
+/// An optimizer's element update: the rule one training step moves every
+/// parameter by. It is matched in one place, the sweep that runs once per
+/// register tile of [`gemm_at_b_update_f32`] and once per [`update_f32`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// Plain SGD: `p -= g * lr`.
+    Sgd {
+        /// The step's learning rate.
+        lr: f32,
+    },
+    /// SGD with momentum: `v = v * momentum + g`, `p -= v * lr`.
+    Momentum {
+        /// The velocity's decay.
+        momentum: f32,
+        /// The step's learning rate.
+        lr: f32,
+    },
+    /// Adam at one step's bias corrections.
+    Adam(Adam),
+}
+
+impl Rule {
+    /// How many moments the rule keeps a parameter, each slice the
+    /// parameters' length: none for SGD, the velocity for momentum, the
+    /// first and second moments for Adam. An update reads the first this
+    /// many of its `moments` and ignores the rest.
+    pub fn moments(&self) -> usize {
+        match self {
+            Rule::Sgd { .. } => 0,
+            Rule::Momentum { .. } => 1,
+            Rule::Adam(_) => 2,
+        }
+    }
+}
+
 /// The constants of one Adam step (Kingma & Ba): moments decay by `beta1`
 /// and `beta2`, are divided by their bias corrections `1 - beta^t`, and the
 /// parameter moves by `lr` times the corrected ratio.
@@ -564,61 +509,26 @@ pub struct Adam {
     pub lr: f32,
 }
 
-/// One Adam update, in place: `m = m * b1 + g * (1 - b1)`,
-/// `v = v * b2 + g² * (1 - b2)`, `p -= (m / bc1) / (√(v / bc2) + eps) * lr`.
+/// One `rule` update from a gradient in memory, in place: `param` and the
+/// rule's `moments` move by `grad`, in one sweep on the caller.
 ///
 /// # Panics
-/// Panics unless all four slices have one length.
-pub fn adam_step(
+/// Panics unless `grad`, `param` and each moment the rule keeps
+/// ([`Rule::moments`]) have one length.
+pub fn update_f32(
     kernel: Kernel,
-    adam: &Adam,
+    rule: &Rule,
     grad: &[f32],
-    m: &mut [f32],
-    v: &mut [f32],
+    moments: [&mut [f32]; 2],
     param: &mut [f32],
 ) {
-    let step = Step {
-        level: kernel.runs(),
-        hyper: adam,
-        body: adam_chunk,
-        state: [Some(m), Some(v)],
-    };
-    update(step, grad, param, PAR_MIN_PARAMS);
-}
-
-/// One SGD-with-momentum update, in place: `v = v * momentum + g`,
-/// `p -= v * lr`.
-///
-/// # Panics
-/// Panics unless all three slices have one length.
-pub fn momentum_step(
-    kernel: Kernel,
-    (momentum, lr): (f32, f32),
-    grad: &[f32],
-    velocity: &mut [f32],
-    param: &mut [f32],
-) {
-    let step = Step {
-        level: kernel.runs(),
-        hyper: &(momentum, lr),
-        body: momentum_chunk,
-        state: [Some(velocity), None],
-    };
-    update(step, grad, param, PAR_MIN_PARAMS);
-}
-
-/// One plain SGD update, in place: `p -= g * lr`.
-///
-/// # Panics
-/// Panics unless both slices have one length.
-pub fn sgd_step(kernel: Kernel, lr: f32, grad: &[f32], param: &mut [f32]) {
-    let step = Step {
-        level: kernel.runs(),
-        hyper: &lr,
-        body: sgd_chunk,
-        state: [None, None],
-    };
-    update(step, grad, param, PAR_MIN_PARAMS);
+    assert_eq!(grad.len(), param.len(), "optimizer length mismatch");
+    let targets = Targets::new(Some(rule), moments, param);
+    // SAFETY: one run of the whole gradient and the whole targets, which
+    // the caller lent us alone.
+    let runs = unsafe { targets.runs(grad.as_ptr(), 0, 0, 0, (1, grad.len())) };
+    // SAFETY: as above.
+    unsafe { sweep(kernel.runs(), Some(rule), runs) };
 }
 
 #[inline(always)]
@@ -634,8 +544,7 @@ fn adam_chunk(h: &Adam, g: &[f32], m: &mut [f32], v: &mut [f32], p: &mut [f32]) 
 }
 
 #[inline(always)]
-fn momentum_chunk(hyper: &(f32, f32), g: &[f32], v: &mut [f32], _: &mut [f32], p: &mut [f32]) {
-    let &(momentum, lr) = hyper;
+fn momentum_chunk((momentum, lr): (f32, f32), g: &[f32], v: &mut [f32], p: &mut [f32]) {
     for ((v, &g), p) in v.iter_mut().zip(g).zip(p) {
         *v = *v * momentum + g;
         *p -= *v * lr;
@@ -643,57 +552,37 @@ fn momentum_chunk(hyper: &(f32, f32), g: &[f32], v: &mut [f32], _: &mut [f32], p
 }
 
 #[inline(always)]
-fn sgd_chunk(&lr: &f32, g: &[f32], _: &mut [f32], _: &mut [f32], p: &mut [f32]) {
+fn sgd_chunk(lr: f32, g: &[f32], p: &mut [f32]) {
     for (&g, p) in g.iter().zip(p) {
         *p -= g * lr;
     }
 }
 
-/// [`gemm_at_b_f32`]'s update: the gradient itself, copied out.
-#[inline(always)]
-fn store_chunk(_: &(), g: &[f32], _: &mut [f32], _: &mut [f32], p: &mut [f32]) {
-    p.copy_from_slice(g);
-}
-
-/// An element update over one run: its constants, the gradient, up to two
-/// state runs (empty when unused) and the parameters.
-trait Body<H>: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]) + Copy + Sync + Send {}
-
-impl<H, F> Body<H> for F where
-    F: Fn(&H, &[f32], &mut [f32], &mut [f32], &mut [f32]) + Copy + Sync + Send
-{
-}
-
-/// An element update bound to its state: the body, its constants, the state
-/// slices it keeps (`None` where unused), and the backend level whose widest
-/// vector unit runs it.
-struct Step<'s, H, F> {
-    level: Backend,
-    hyper: &'s H,
-    body: F,
-    state: [Option<&'s mut [f32]>; 2],
-}
-
-/// What a [`Step`] writes — its parameters and its used state slices — as
-/// lanes its parts write through, each part to elements of its own.
+/// What an update writes — its parameters and the moments its rule keeps —
+/// as lanes its parts write through, each part to elements of its own.
 struct Targets {
-    state: [Option<Lanes<f32>>; 2],
+    moments: [Option<Lanes<f32>>; 2],
     param: Lanes<f32>,
 }
 
 impl Targets {
+    /// The lanes of `param` and of the moments `rule` keeps (none for
+    /// `None`, [`gemm_at_b_f32`]'s copy).
+    ///
     /// # Panics
-    /// Panics unless each used state slice has the parameters' length.
-    fn new(state: [Option<&mut [f32]>; 2], param: &mut [f32]) -> Self {
-        let len = param.len();
-        let state = state.map(|s| {
-            s.map(|s| {
-                assert_eq!(s.len(), len, "optimizer state length mismatch");
-                Lanes(s.as_mut_ptr())
-            })
-        });
+    /// Panics unless each moment kept has the parameters' length.
+    fn new(rule: Option<&Rule>, moments: [&mut [f32]; 2], param: &mut [f32]) -> Self {
+        let (kept, len) = (rule.map_or(0, Rule::moments), param.len());
+        let lanes = |s: &mut [f32]| {
+            assert_eq!(s.len(), len, "optimizer state length mismatch");
+            Lanes(s.as_mut_ptr())
+        };
+        let [first, second] = moments;
         Self {
-            state,
+            moments: [
+                (kept > 0).then(|| lanes(first)),
+                (kept > 1).then(|| lanes(second)),
+            ],
             param: Lanes(param.as_mut_ptr()),
         }
     }
@@ -715,8 +604,8 @@ impl Targets {
             g,
             g_stride,
             // SAFETY: the caller's contract.
-            state: self
-                .state
+            moments: self
+                .moments
                 .each_ref()
                 .map(|s| s.as_ref().map(|s| unsafe { s.at(at) })),
             // SAFETY: as above.
@@ -728,42 +617,14 @@ impl Targets {
     }
 }
 
-/// Runs `step` over [`CHUNK`]s of `grad` and `param`, handed out from
-/// `par_min_params`.
-fn update<H: Sync, F: Body<H>>(
-    step: Step<'_, H, F>,
-    grad: &[f32],
-    param: &mut [f32],
-    par_min_params: usize,
-) {
-    let len = grad.len();
-    assert_eq!(param.len(), len, "optimizer parameter length mismatch");
-    let Step {
-        level,
-        hyper,
-        body,
-        state,
-    } = step;
-    let targets = Targets::new(state, param);
-    hand_out(len.div_ceil(CHUNK), len >= par_min_params, unit, |_, c| {
-        let at = c * CHUNK..(c * CHUNK + CHUNK).min(len);
-        let g = grad[at.clone()].as_ptr();
-        // SAFETY: chunk `at` of the gradient and of the targets, the last
-        // this part's alone.
-        let runs = unsafe { targets.runs(g, 0, at.start, 0, (1, at.len())) };
-        // SAFETY: as above.
-        unsafe { sweep(level, body, hyper, runs) };
-    });
-}
-
-/// `rows` runs of `cols` elements for an update body: the gradient's
-/// `g_stride` floats apart, the parameters' and each used state slice's
-/// (`None`: unused) `stride` apart.
+/// `rows` runs of `cols` elements for an update: the gradient's `g_stride`
+/// floats apart, the parameters' and each kept moment's (`None`: not kept)
+/// `stride` apart.
 #[derive(Clone, Copy)]
 struct Runs {
     g: *const f32,
     g_stride: usize,
-    state: [Option<*mut f32>; 2],
+    moments: [Option<*mut f32>; 2],
     param: *mut f32,
     stride: usize,
     rows: usize,
@@ -771,64 +632,85 @@ struct Runs {
 }
 
 impl Runs {
-    /// `body` over each run in turn.
+    /// `body` over each run in turn: the gradient, the moments (empty where
+    /// not kept) and the parameters.
     ///
     /// # Safety
     /// Every run must lie inside its buffer, and the runs of the parameters
-    /// and the state must be the caller's alone.
+    /// and the moments must be the caller's alone.
     #[inline(always)]
-    unsafe fn apply<H>(self, body: impl Body<H>, hyper: &H) {
+    unsafe fn each(self, mut body: impl FnMut(&[f32], [&mut [f32]; 2], &mut [f32])) {
         for r in 0..self.rows {
             let at = r * self.stride;
             // SAFETY: the caller's contract.
             let run = |s: *mut f32| unsafe { std::slice::from_raw_parts_mut(s.add(at), self.cols) };
-            let [s0, s1] = self.state.map(|s| s.map_or(&mut [][..], run));
+            let moments = self.moments.map(|s| s.map_or(&mut [][..], run));
             // SAFETY: the caller's contract.
             let g = unsafe { std::slice::from_raw_parts(self.g.add(r * self.g_stride), self.cols) };
-            body(hyper, g, s0, s1, run(self.param));
+            body(g, moments, run(self.param));
+        }
+    }
+
+    /// `rule`'s element loop over each run (`None`: the gradient copied
+    /// out): the one match of a [`Rule`].
+    ///
+    /// # Safety
+    /// As [`Runs::each`].
+    #[inline(always)]
+    unsafe fn apply(self, rule: Option<&Rule>) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            match rule.copied() {
+                None => self.each(|g, _, p| p.copy_from_slice(g)),
+                Some(Rule::Sgd { lr }) => self.each(|g, _, p| sgd_chunk(lr, g, p)),
+                Some(Rule::Momentum { momentum, lr }) => {
+                    self.each(|g, [v, _], p| momentum_chunk((momentum, lr), g, v, p))
+                }
+                Some(Rule::Adam(h)) => self.each(|g, [m, v], p| adam_chunk(&h, g, m, v, p)),
+            }
         }
     }
 }
 
-/// Runs `body` over `runs` on the widest vector unit `level` allows.
+/// `rule`'s update over `runs` on the widest vector unit `level` allows.
 ///
 /// # Safety
-/// As [`Runs::apply`].
-unsafe fn sweep<H>(level: Backend, body: impl Body<H>, hyper: &H, runs: Runs) {
+/// As [`Runs::each`].
+unsafe fn sweep(level: Backend, rule: Option<&Rule>, runs: Runs) {
     match level {
         // SAFETY: the host runs `avx512f` from this level up; the rest is
         // the caller's contract.
         #[cfg(target_arch = "x86_64")]
-        level if level >= Backend::Avx512 => unsafe { sweep_zmm(body, hyper, runs) },
+        level if level >= Backend::Avx512 => unsafe { sweep_zmm(rule, runs) },
         // SAFETY: the host runs `avx2` at this level.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { sweep_ymm(body, hyper, runs) },
+        Backend::Avx2 => unsafe { sweep_ymm(rule, runs) },
         // SAFETY: the caller's contract.
-        _ => unsafe { runs.apply(body, hyper) },
+        _ => unsafe { runs.apply(rule) },
     }
 }
 
-/// An update compiled for `avx512f`: `body` is an `#[inline(always)]` loop,
+/// An update compiled for `avx512f`: the rule's `#[inline(always)]` loop,
 /// inlined here and vectorised 16 lanes wide.
 ///
 /// # Safety
-/// Requires `avx512f`; as [`Runs::apply`].
+/// Requires `avx512f`; as [`Runs::each`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn sweep_zmm<H>(body: impl Body<H>, hyper: &H, runs: Runs) {
+unsafe fn sweep_zmm(rule: Option<&Rule>, runs: Runs) {
     // SAFETY: the caller's contract.
-    unsafe { runs.apply(body, hyper) }
+    unsafe { runs.apply(rule) }
 }
 
 /// [`sweep_zmm`] for `avx2`, 8 lanes wide.
 ///
 /// # Safety
-/// Requires `avx2`; as [`Runs::apply`].
+/// Requires `avx2`; as [`Runs::each`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn sweep_ymm<H>(body: impl Body<H>, hyper: &H, runs: Runs) {
+unsafe fn sweep_ymm(rule: Option<&Rule>, runs: Runs) {
     // SAFETY: the caller's contract.
-    unsafe { runs.apply(body, hyper) }
+    unsafe { runs.apply(rule) }
 }
 
 #[cfg(test)]
@@ -874,13 +756,11 @@ mod tests {
         par_min_macs: usize,
     ) -> Vec<u32> {
         let mut out = vec![f32::NAN; m * n];
-        let store = Step {
-            level: Backend::Scalar,
-            hyper: &(),
-            body: store_chunk,
-            state: [None, None],
-        };
-        weight_gradient(tile, (a, g), (m, n), store, &mut out, scratch, par_min_macs);
+        let (copy, targets) = (
+            (Backend::Scalar, None),
+            ([&mut [][..], &mut []], &mut out[..]),
+        );
+        weight_gradient(tile, (a, g), (m, n), copy, targets, scratch, par_min_macs);
         bits(&out)
     }
 
@@ -1155,151 +1035,107 @@ mod tests {
         }
     }
 
-    /// Every optimizer update, handed out in chunks (from threshold 0 and
-    /// through the public entries either side of [`PAR_MIN_PARAMS`]) on
-    /// pools of every width and run on each vector unit (`sweep_zmm`,
-    /// `sweep_ymm`), equals its scalar loop over the whole slice, bit for
-    /// bit.
+    /// The rules the update tests run, by name: Adam's first step (from
+    /// zero moments) and a later one, momentum, momentum 0 from a velocity
+    /// of −0.0 — which leaves the velocity equal to the gradient
+    /// (`-0.0 * 0.0 + g` is `g` for every `g`), so that case compares the
+    /// gradient itself — and plain SGD.
+    fn rules() -> [(&'static str, Rule); 5] {
+        let momentum = |momentum| Rule::Momentum { momentum, lr: 0.01 };
+        [
+            ("adam, first step", Rule::Adam(adam_at(1))),
+            ("adam", Rule::Adam(adam_at(3))),
+            ("momentum", momentum(0.9)),
+            ("gradient", momentum(0.0)),
+            ("sgd", Rule::Sgd { lr: 0.01 }),
+        ]
+    }
+
+    /// [first moment, second moment, parameters] before an update by the
+    /// rule named `name` (see [`rules`]).
+    fn start(name: &str, len: usize) -> [Vec<f32>; 3] {
+        let second = values(len, 21, false).iter().map(|v| v.abs()).collect();
+        match name {
+            "adam, first step" => [vec![0.0; len], vec![0.0; len], values(len, 22, false)],
+            "gradient" => [vec![-0.0; len], vec![], values(len, 22, false)],
+            _ => [values(len, 20, false), second, values(len, 22, false)],
+        }
+    }
+
+    /// `state`'s moments and parameters, as an update takes them.
+    fn split(state: &mut [Vec<f32>; 3]) -> ([&mut [f32]; 2], &mut [f32]) {
+        let [first, second, param] = state;
+        ([first.as_mut_slice(), second.as_mut_slice()], param)
+    }
+
+    fn bits3(state: &[Vec<f32>; 3]) -> [Vec<u32>; 3] {
+        state.each_ref().map(|v| bits(v))
+    }
+
+    /// `rule`'s element expression written out, one parameter at a time.
+    fn element_loop(rule: &Rule, g: &[f32], [s0, s1]: [&mut [f32]; 2], p: &mut [f32]) {
+        for (i, g) in g.iter().enumerate() {
+            match *rule {
+                Rule::Sgd { lr } => p[i] -= g * lr,
+                Rule::Momentum { momentum, lr } => {
+                    s0[i] = s0[i] * momentum + g;
+                    p[i] -= s0[i] * lr;
+                }
+                Rule::Adam(h) => {
+                    s0[i] = s0[i] * h.beta1 + g * (1.0 - h.beta1);
+                    s1[i] = s1[i] * h.beta2 + (g * g) * (1.0 - h.beta2);
+                    let (m_hat, v_hat) = (s0[i] / h.bias_correction1, s1[i] / h.bias_correction2);
+                    p[i] -= m_hat / (v_hat.sqrt() + h.eps) * h.lr;
+                }
+            }
+        }
+    }
+
+    /// Every rule's sweep equals its element loop written out, bit for bit,
+    /// on every level the host has (`runs.apply`, `sweep_ymm`, `sweep_zmm`)
+    /// and through [`update_f32`] on every kernel, at lengths 0, 1, 17 and
+    /// 2^16 + 5.
     #[test]
-    fn claimed_optimizer_chunks_equal_the_one_thread_scalar_loop() {
-        let pools = pools();
-        let adam = adam_at(3);
-        let lens = [
-            0usize,
-            1,
-            17,
-            CHUNK + 3,
-            PAR_MIN_PARAMS - 1,
-            PAR_MIN_PARAMS + 5,
-        ];
-        for len in lens {
+    fn every_rule_on_every_level_equals_its_element_loop() {
+        for len in [0usize, 1, 17, (1 << 16) + 5] {
             let g = values(len, 18, false);
-            let start = |seed: u64| -> [Vec<f32>; 3] {
-                let second: Vec<f32> = values(len, seed + 1, false)
-                    .iter()
-                    .map(|v| v.abs())
-                    .collect();
-                [
-                    values(len, seed, false),
-                    second,
-                    values(len, seed + 2, false),
-                ]
-            };
-            // [first state, second state, parameters] after each update.
-            type Run<'a> = &'a (dyn Fn(Kernel, &mut [Vec<f32>; 3], usize) + Sync);
-            let adam_run: Run = &|kernel, [m, v, p], par| {
-                let state = [Some(&mut m[..]), Some(&mut v[..])];
-                let (level, hyper, body) = (kernel.runs(), &adam, adam_chunk);
-                update(
-                    Step {
-                        level,
-                        hyper,
-                        body,
-                        state,
-                    },
-                    &g,
-                    p,
-                    par,
-                )
-            };
-            let momentum_run: Run = &|kernel, [v, _, p], par| {
-                let state = [Some(&mut v[..]), None];
-                let (level, hyper, body) = (kernel.runs(), &(0.9, 0.01), momentum_chunk);
-                update(
-                    Step {
-                        level,
-                        hyper,
-                        body,
-                        state,
-                    },
-                    &g,
-                    p,
-                    par,
-                )
-            };
-            let sgd_run: Run = &|kernel, [_, _, p], par| {
-                let (level, hyper, body) = (kernel.runs(), &0.01, sgd_chunk);
-                update(
-                    Step {
-                        level,
-                        hyper,
-                        body,
-                        state: [None, None],
-                    },
-                    &g,
-                    p,
-                    par,
-                )
-            };
-            let public: Run = &|kernel, [m, v, p], _| {
-                adam_step(kernel, &adam, &g, m, v, p);
-                momentum_step(kernel, (0.9, 0.01), &g, m, p);
-                sgd_step(kernel, 0.01, &g, v);
-            };
-            for (name, run) in [
-                ("adam", adam_run),
-                ("momentum", momentum_run),
-                ("sgd", sgd_run),
-                ("public", public),
-            ] {
-                let mut want = start(19);
-                run(Kernel::Scalar, &mut want, usize::MAX);
-                let want = want.each_ref().map(|v| bits(v));
+            for (name, rule) in rules() {
+                let mut want = start(name, len);
+                let (moments, p) = split(&mut want);
+                element_loop(&rule, &g, moments, p);
+                for level in Backend::arms(|level| level.min(Backend::Avx512)) {
+                    let mut got = start(name, len);
+                    let (moments, p) = split(&mut got);
+                    let targets = Targets::new(Some(&rule), moments, p);
+                    // SAFETY: one run of the whole gradient and targets.
+                    let runs = unsafe { targets.runs(g.as_ptr(), 0, 0, 0, (1, len)) };
+                    // SAFETY: as above.
+                    unsafe { sweep(level, Some(&rule), runs) };
+                    assert_eq!(bits3(&got), bits3(&want), "{name} {level:?} len={len}");
+                }
                 for kernel in kernels() {
-                    for (threads, pool) in &pools {
-                        let mut got = start(19);
-                        pool.install(|| run(kernel, &mut got, 0));
-                        let got = got.each_ref().map(|v| bits(v));
-                        assert_eq!(
-                            got, want,
-                            "{name} {kernel:?} len={len} on {threads} threads"
-                        );
-                    }
+                    let mut got = start(name, len);
+                    let (moments, p) = split(&mut got);
+                    update_f32(kernel, &rule, &g, moments, p);
+                    assert_eq!(bits3(&got), bits3(&want), "{name} {kernel:?} len={len}");
                 }
             }
         }
     }
 
     /// The fused update equals the weight gradient followed by the sweep it
-    /// replaces, bit for bit, on the parameters and the state: on every arm
+    /// replaces, bit for bit, on the parameters and the moments: on every arm
     /// the host has (the scalar loop; each register tile, its update compiled
     /// for its vector unit) with the parts handed out (threshold 0) on pools
     /// 1, 2 and 3 wide, and through the public entry one part either side of
-    /// [`PAR_MIN_MACS`]. Every shape leaves a ragged last panel and row tile;
-    /// the first six input columns hold exact zeros in every third row, so
-    /// the first row tile runs the skip mask and the others do not; Adam runs
-    /// a first step from zero moments and a later one. Momentum 0 from a
-    /// velocity of −0.0 leaves the velocity equal to the gradient
-    /// (`-0.0 * 0.0 + g` is `g` for every `g`), so that case compares the
-    /// gradient itself.
+    /// [`PAR_MIN_MACS`], for every one of [`rules`]. Every shape leaves a
+    /// ragged last panel and row tile; the first six input columns hold exact
+    /// zeros in every third row, so the first row tile runs the skip mask and
+    /// the others do not.
     #[test]
     fn the_fused_update_equals_the_weight_gradient_then_the_sweep() {
         let pools = pools();
         let mut scratch = GradScratch::default();
-        let (first, later) = (adam_at(1), adam_at(3));
-        const RULES: [&str; 5] = ["adam, first step", "adam", "momentum", "gradient", "sgd"];
-        // [first state, second state, parameters] before an update.
-        let start = |rule: usize, len: usize| -> [Vec<f32>; 3] {
-            let second = values(len, 21, false).iter().map(|v| v.abs()).collect();
-            match RULES[rule] {
-                "adam, first step" => [vec![0.0; len], vec![0.0; len], values(len, 22, false)],
-                "gradient" => [vec![-0.0; len], vec![], values(len, 22, false)],
-                _ => [values(len, 20, false), second, values(len, 22, false)],
-            }
-        };
-        // Runs `f` on rule `rule` bound to `state`'s slices.
-        let with_update = |rule: usize,
-                           [s0, s1, p]: &mut [Vec<f32>; 3],
-                           f: &mut dyn FnMut(Update<'_>, &mut [f32])| {
-            let update = match RULES[rule] {
-                "adam, first step" => Update::Adam(&first, s0, s1),
-                "adam" => Update::Adam(&later, s0, s1),
-                "momentum" => Update::Momentum((0.9, 0.01), s0),
-                "gradient" => Update::Momentum((0.0, 0.01), s0),
-                _ => Update::Sgd(0.01),
-            };
-            f(update, p)
-        };
         let operands = |depth: usize, m: usize, n: usize| {
             let mut a = values(depth * m, 23, false);
             for k in (0..depth).step_by(3) {
@@ -1307,7 +1143,6 @@ mod tests {
             }
             (a, values(depth * n, 24, false))
         };
-        let bits3 = |state: &[Vec<f32>; 3]| state.each_ref().map(|v| bits(v));
         for (depth, m, n) in [
             (16usize, 37usize, 65usize),
             (8, 13, 33),
@@ -1316,29 +1151,24 @@ mod tests {
         ] {
             let (a, g) = operands(depth, m, n);
             let arms = Backend::arms(|level| level.min(Backend::Avx512));
-            for (level, rule) in arms
+            for (level, (name, rule)) in arms
                 .into_iter()
-                .flat_map(|l| (0..RULES.len()).map(move |r| (l, r)))
+                .flat_map(|l| rules().into_iter().map(move |r| (l, r)))
             {
                 let tile = (level >= Backend::Avx2).then(|| level.packed_width());
                 let grad = run_at_b(tile, (&a, &g), (m, n), &mut scratch, usize::MAX);
                 let grad: Vec<f32> = grad.into_iter().map(f32::from_bits).collect();
-                let mut want = start(rule, m * n);
-                with_update(rule, &mut want, &mut |u, p| {
-                    u.step(level.kernel(), &grad, p)
-                });
+                let mut want = start(name, m * n);
+                let (moments, p) = split(&mut want);
+                update_f32(level.kernel(), &rule, &grad, moments, p);
                 for (threads, pool) in &pools {
-                    let mut got = start(rule, m * n);
+                    let mut got = start(name, m * n);
+                    let targets = split(&mut got);
+                    let (ops, update) = ((&a[..], &g[..]), (level, Some(&rule)));
                     pool.install(|| {
-                        with_update(rule, &mut got, &mut |u, p| {
-                            let ops = (&a[..], &g[..]);
-                            fused_update((tile, level), ops, (m, n), u, p, &mut scratch, 0)
-                        })
+                        weight_gradient(tile, ops, (m, n), update, targets, &mut scratch, 0)
                     });
-                    let case = format!(
-                        "{} {level:?} {depth}x{m}x{n} on {threads} threads",
-                        RULES[rule]
-                    );
+                    let case = format!("{name} {level:?} {depth}x{m}x{n} on {threads} threads");
                     assert_eq!(bits3(&got), bits3(&want), "{case}");
                 }
             }
@@ -1348,25 +1178,23 @@ mod tests {
         assert!(below * m * n < PAR_MIN_MACS && (below + 1) * m * n >= PAR_MIN_MACS);
         for depth in [below, below + 1] {
             let (a, g) = operands(depth, m, n);
-            for (kernel, rule) in kernels()
+            for (kernel, (name, rule)) in kernels()
                 .into_iter()
-                .flat_map(|k| (0..RULES.len()).map(move |r| (k, r)))
+                .flat_map(|k| rules().into_iter().map(move |r| (k, r)))
             {
                 let mut grad = vec![f32::NAN; m * n];
                 gemm_at_b_f32(kernel, &a, &g, &mut grad, (m, n), &mut scratch);
-                let mut want = start(rule, m * n);
-                with_update(rule, &mut want, &mut |u, p| u.step(kernel, &grad, p));
+                let mut want = start(name, m * n);
+                let (moments, p) = split(&mut want);
+                update_f32(kernel, &rule, &grad, moments, p);
                 for (threads, pool) in &pools {
-                    let mut got = start(rule, m * n);
+                    let mut got = start(name, m * n);
+                    let (moments, p) = split(&mut got);
+                    let ops = (&a[..], &g[..]);
                     pool.install(|| {
-                        with_update(rule, &mut got, &mut |u, p| {
-                            gemm_at_b_update_f32(kernel, (&a, &g), (m, n), u, p, &mut scratch)
-                        })
+                        gemm_at_b_update_f32(kernel, ops, (m, n), &rule, moments, p, &mut scratch)
                     });
-                    let case = format!(
-                        "{} {kernel:?} {depth}x{m}x{n} on {threads} threads",
-                        RULES[rule]
-                    );
+                    let case = format!("{name} {kernel:?} {depth}x{m}x{n} on {threads} threads");
                     assert_eq!(bits3(&got), bits3(&want), "{case}");
                 }
             }

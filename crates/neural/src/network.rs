@@ -172,33 +172,6 @@ impl Network {
         Ok(out.as_slice().to_vec())
     }
 
-    /// Batched inference over independent input vectors: stacks them into one
-    /// `batch x input_dim` matrix and runs a single forward pass, so each layer
-    /// costs one matmul for the whole batch instead of one per vector.
-    ///
-    /// # Errors
-    /// Returns [`NeuralError::DimensionMismatch`] if the batch is empty or any
-    /// vector has the wrong width.
-    pub fn predict_batch(&self, inputs: &[&[f32]]) -> Result<Matrix, NeuralError> {
-        let in_dim = self.input_dim();
-        if inputs.is_empty() {
-            return Err(NeuralError::DimensionMismatch(
-                "empty inference batch".into(),
-            ));
-        }
-        if let Some(bad) = inputs.iter().find(|v| v.len() != in_dim) {
-            return Err(NeuralError::DimensionMismatch(format!(
-                "input width {} does not match network input {in_dim}",
-                bad.len()
-            )));
-        }
-        let mut x = Matrix::zeros(inputs.len(), in_dim);
-        for (row, input) in inputs.iter().enumerate() {
-            x.as_mut_slice()[row * in_dim..(row + 1) * in_dim].copy_from_slice(input);
-        }
-        self.forward(&x)
-    }
-
     /// Forward pass keeping the per-layer caches needed by backpropagation.
     ///
     /// Allocating convenience used by tests and the reference training loop;

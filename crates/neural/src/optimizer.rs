@@ -11,7 +11,7 @@ use crate::layer::DenseGradients;
 #[cfg(test)]
 use crate::network::Network;
 use crate::tensor::Matrix;
-use mimo_math::kernel::{self, GradScratch, Kernel};
+use mimo_math::kernel::{self, GradScratch, Kernel, Rule};
 use serde::{Deserialize, Serialize};
 
 /// Optimizer selection plus hyper-parameters.
@@ -75,55 +75,36 @@ impl StepSchedule {
     }
 }
 
-/// What an optimizer keeps for one parameter matrix: SGD's velocity, or
-/// Adam's first and second moments — each the parameter's shape, allocated
-/// at the first step.
+/// What an optimizer keeps for one parameter matrix: its rule's moments
+/// (SGD's velocity, or Adam's first and second moments), each the
+/// parameter's length and allocated at the first step; the ones the rule
+/// does not keep stay empty.
 #[derive(Debug, Clone, Default)]
-struct ParamState {
-    first: Option<Matrix>,
-    second: Option<Matrix>,
-}
+struct Moments([Vec<f32>; 2]);
 
-impl ParamState {
-    /// `rule`'s element update bound to this state, for a parameter of
-    /// `param`'s shape.
-    fn bind<'s>(&'s mut self, rule: &'s Rule, param: &Matrix) -> kernel::Update<'s> {
-        let zeros = || Matrix::zeros(param.rows(), param.cols());
-        match rule {
-            Rule::Sgd(lr) => kernel::Update::Sgd(*lr),
-            Rule::Momentum(hyper) => {
-                let velocity = self.first.get_or_insert_with(zeros);
-                kernel::Update::Momentum(*hyper, velocity.as_mut_slice())
-            }
-            Rule::Adam(adam) => {
-                let m = self.first.get_or_insert_with(zeros).as_mut_slice();
-                let v = self.second.get_or_insert_with(zeros).as_mut_slice();
-                kernel::Update::Adam(adam, m, v)
+impl Moments {
+    /// The moments `rule` keeps for a parameter of `param`'s shape, zeroed
+    /// at the first step: the one place they are allocated.
+    fn of(&mut self, rule: &Rule, param: &Matrix) -> [&mut [f32]; 2] {
+        let len = param.rows() * param.cols();
+        for moment in &mut self.0[..rule.moments()] {
+            if moment.len() != len {
+                *moment = vec![0.0; len];
             }
         }
+        self.0.each_mut().map(Vec::as_mut_slice)
     }
 }
 
-/// The state of one layer's weights and bias.
+/// The moments of one layer's weights and bias.
 #[derive(Debug, Clone, Default)]
 struct LayerState {
-    weights: ParamState,
-    bias: ParamState,
-}
-
-/// One step's element update, shared by every parameter it moves.
-#[derive(Debug, Clone, Copy)]
-enum Rule {
-    /// `p -= g * lr`.
-    Sgd(f32),
-    /// `v = v * momentum + g`, `p -= v * lr`, as `(momentum, lr)`.
-    Momentum((f32, f32)),
-    /// Kingma & Ba's update at this step's bias corrections.
-    Adam(kernel::Adam),
+    weights: Moments,
+    bias: Moments,
 }
 
 /// One step of an [`Optimizer`], begun by [`Optimizer::begin_step`]: the
-/// kernel backend and the element update every layer moves by.
+/// kernel backend and the rule every layer moves by.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Step {
     kern: Kernel,
@@ -160,8 +141,10 @@ impl Optimizer {
         self.step_count += 1;
         let lr = self.kind.learning_rate() * lr_factor;
         let rule = match self.kind {
-            OptimizerKind::Sgd { momentum, .. } if momentum > 0.0 => Rule::Momentum((momentum, lr)),
-            OptimizerKind::Sgd { .. } => Rule::Sgd(lr),
+            OptimizerKind::Sgd { momentum, .. } if momentum > 0.0 => {
+                Rule::Momentum { momentum, lr }
+            }
+            OptimizerKind::Sgd { .. } => Rule::Sgd { lr },
             OptimizerKind::Adam { .. } => {
                 const BETA1: f32 = 0.9;
                 const BETA2: f32 = 0.999;
@@ -186,12 +169,12 @@ impl Optimizer {
     /// `inputᵀ * grad_pre`, its bias by `bias_grad`.
     ///
     /// The weight gradient never reaches memory: each register tile of
-    /// [`kernel::gemm_at_b_update_f32`] hands its block of it to the update
-    /// while it is in L1, with that block's weights and state. The bias takes
-    /// the same element update as one sweep ([`kernel::Update::step`]). Each
-    /// element's arithmetic is the original allocating formulation's, so
-    /// training trajectories stay bit-identical at every pool width, and
-    /// once the state exists a step requests no memory.
+    /// [`kernel::gemm_at_b_update_f32`] hands its block of it to the rule's
+    /// sweep while it is in L1, with that block's weights and moments. The
+    /// bias takes the same sweep once, on the caller ([`kernel::update_f32`]).
+    /// Each element's arithmetic is the original allocating formulation's,
+    /// so training trajectories stay bit-identical at every pool width, and
+    /// once the moments exist a step requests no memory.
     pub(crate) fn update_layer(
         &mut self,
         step: &Step,
@@ -200,19 +183,19 @@ impl Optimizer {
         (input, grad_pre): (&Matrix, &Matrix),
         (bias_grad, scratch): (&Matrix, &mut GradScratch),
     ) {
-        let state = &mut self.state[index];
-        let weights = state.weights.bind(&step.rule, &layer.weights);
+        let LayerState { weights, bias } = &mut self.state[index];
+        let (rule, kern) = (&step.rule, step.kern);
         let ops = (input.as_slice(), grad_pre.as_slice());
         let dims = (input.cols(), grad_pre.cols());
-        let w = layer.weights.as_mut_slice();
-        kernel::gemm_at_b_update_f32(step.kern, ops, dims, weights, w, scratch);
-        let bias = state.bias.bind(&step.rule, &layer.bias);
-        bias.step(step.kern, bias_grad.as_slice(), layer.bias.as_mut_slice());
+        let (moments, w) = (weights.of(rule, &layer.weights), &mut layer.weights);
+        kernel::gemm_at_b_update_f32(kern, ops, dims, rule, moments, w.as_mut_slice(), scratch);
+        let (moments, b) = (bias.of(rule, &layer.bias), &mut layer.bias);
+        kernel::update_f32(kern, rule, bias_grad.as_slice(), moments, b.as_mut_slice());
     }
 
     /// The original step from gradients in memory, kept as the oracle of
-    /// the fused one: every layer's weights and bias swept by `step`'s
-    /// update.
+    /// the fused one: every layer's weights and bias swept by the step's
+    /// rule.
     ///
     /// # Panics
     /// Panics if `grads.len()` differs from the number of network layers.
@@ -226,14 +209,15 @@ impl Optimizer {
         let step = self.begin_step(lr_factor);
         let layers = network.layers_mut().iter_mut().zip(grads);
         for ((layer, grad), state) in layers.zip(self.state.iter_mut()) {
-            let weights = state.weights.bind(&step.rule, &layer.weights);
-            weights.step(
-                step.kern,
-                grad.weights.as_slice(),
-                layer.weights.as_mut_slice(),
-            );
-            let bias = state.bias.bind(&step.rule, &layer.bias);
-            bias.step(step.kern, grad.bias.as_slice(), layer.bias.as_mut_slice());
+            let params = [
+                (&mut state.weights, &mut layer.weights, &grad.weights),
+                (&mut state.bias, &mut layer.bias, &grad.bias),
+            ];
+            for (moments, param, grad) in params {
+                let moments = moments.of(&step.rule, param);
+                let (grad, param) = (grad.as_slice(), param.as_mut_slice());
+                kernel::update_f32(step.kern, &step.rule, grad, moments, param);
+            }
         }
     }
 }

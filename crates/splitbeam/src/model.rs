@@ -183,25 +183,6 @@ impl SplitBeamModel {
         self.reconstruct(&dequantize_bottleneck(payload))
     }
 
-    /// **AP side, batched**: reconstructs many bottleneck vectors with one
-    /// matmul per tail layer instead of one forward pass per vector — the
-    /// serving layer's coalesced path. Results are identical to calling
-    /// [`SplitBeamModel::reconstruct`] per vector.
-    ///
-    /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty or
-    /// any vector has the wrong width.
-    pub fn reconstruct_batch(
-        &self,
-        bottlenecks: &[&[f32]],
-    ) -> Result<Vec<Vec<f32>>, SplitBeamError> {
-        let out = self
-            .tail
-            .predict_batch(bottlenecks)
-            .map_err(|e| SplitBeamError::DimensionMismatch(e.to_string()))?;
-        Ok(split_rows(&out))
-    }
-
     /// Full station→AP inference: CSI vector in, flattened `V̂` out (no
     /// quantization; used during training and for upper-bound evaluations).
     ///
@@ -210,69 +191,6 @@ impl SplitBeamModel {
     pub fn infer(&self, csi_real: &[f32]) -> Result<Vec<f32>, SplitBeamError> {
         let bottleneck = self.compress(csi_real)?;
         self.reconstruct(&bottleneck)
-    }
-
-    /// **Station side, batched**: compresses many CSI vectors with one matmul
-    /// per head layer instead of one forward pass per vector.
-    ///
-    /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty or
-    /// any vector has the wrong width.
-    pub fn compress_batch(&self, csi_batch: &[&[f32]]) -> Result<Vec<Vec<f32>>, SplitBeamError> {
-        let out = self
-            .head
-            .predict_batch(csi_batch)
-            .map_err(|e| SplitBeamError::DimensionMismatch(e.to_string()))?;
-        Ok(split_rows(&out))
-    }
-
-    /// Full station→AP inference over a batch of CSI vectors (e.g. every user
-    /// of a snapshot, or a whole evaluation set): the entire batch flows
-    /// through head and tail as one matmul per layer.
-    ///
-    /// Results are identical to calling [`SplitBeamModel::infer`] per vector.
-    ///
-    /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty or
-    /// any vector has the wrong width.
-    pub fn infer_batch(&self, csi_batch: &[&[f32]]) -> Result<Vec<Vec<f32>>, SplitBeamError> {
-        let bottleneck = self
-            .head
-            .predict_batch(csi_batch)
-            .map_err(|e| SplitBeamError::DimensionMismatch(e.to_string()))?;
-        let out = self
-            .tail
-            .forward(&bottleneck)
-            .map_err(|e| SplitBeamError::DimensionMismatch(e.to_string()))?;
-        Ok(split_rows(&out))
-    }
-
-    /// End-to-end batched convenience: reconstructed per-subcarrier beamforming
-    /// matrices for **every** user of a snapshot, with all users' CSI evaluated
-    /// as one batch.
-    ///
-    /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the snapshot's
-    /// dimensions do not match the model configuration.
-    pub fn feedback_for_snapshot(
-        &self,
-        snapshot: &ChannelSnapshot,
-    ) -> Result<Vec<Vec<CMatrix>>, SplitBeamError> {
-        let csi: Vec<Vec<f32>> = (0..snapshot.num_users())
-            .map(|user| {
-                snapshot
-                    .csi_real_vector(user)
-                    .into_iter()
-                    .map(|v| v as f32)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f32]> = csi.iter().map(Vec::as_slice).collect();
-        let flats = self.infer_batch(&refs)?;
-        flats
-            .iter()
-            .map(|flat| self.feedback_to_matrices(flat))
-            .collect()
     }
 
     /// Converts a flattened (real-interleaved) feedback vector back into
@@ -357,14 +275,6 @@ impl SplitBeamModel {
         let flat = self.reconstruct_quantized(&payload)?;
         self.feedback_to_matrices(&flat)
     }
-}
-
-/// Splits a batch output matrix back into one `Vec<f32>` per row.
-fn split_rows(m: &neural::Matrix) -> Vec<Vec<f32>> {
-    m.as_slice()
-        .chunks_exact(m.cols())
-        .map(<[f32]>::to_vec)
-        .collect()
 }
 
 #[cfg(test)]
@@ -452,52 +362,6 @@ mod tests {
             max_err < 0.05,
             "12-bit quantization error {max_err} too large"
         );
-    }
-
-    #[test]
-    fn batched_inference_matches_per_vector_path() {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let model = SplitBeamModel::new(small_config(), &mut rng);
-        let inputs: Vec<Vec<f32>> = (0..5)
-            .map(|i| {
-                (0..448)
-                    .map(|j| ((i * 448 + j) as f32 * 0.13).sin() * 0.1)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f32]> = inputs.iter().map(Vec::as_slice).collect();
-        let batched = model.infer_batch(&refs).unwrap();
-        assert_eq!(batched.len(), 5);
-        for (input, out) in inputs.iter().zip(batched.iter()) {
-            assert_eq!(out, &model.infer(input).unwrap(), "batched row differs");
-        }
-        let compressed = model.compress_batch(&refs).unwrap();
-        for (input, out) in inputs.iter().zip(compressed.iter()) {
-            assert_eq!(out, &model.compress(input).unwrap());
-        }
-        let bottleneck_refs: Vec<&[f32]> = compressed.iter().map(Vec::as_slice).collect();
-        let reconstructed = model.reconstruct_batch(&bottleneck_refs).unwrap();
-        for (bottleneck, out) in compressed.iter().zip(reconstructed.iter()) {
-            assert_eq!(out, &model.reconstruct(bottleneck).unwrap());
-        }
-        assert!(matches!(
-            model.infer_batch(&[]),
-            Err(SplitBeamError::DimensionMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn snapshot_feedback_matches_per_user_path() {
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let model = SplitBeamModel::new(small_config(), &mut rng);
-        let channel = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 2, 1);
-        let snap = channel.sample(&mut rng);
-        let batched = model.feedback_for_snapshot(&snap).unwrap();
-        assert_eq!(batched.len(), snap.num_users());
-        for (user, batched_user) in batched.iter().enumerate() {
-            let per_user = model.feedback_for_user(&snap, user).unwrap();
-            assert_eq!(batched_user, &per_user, "user {user}");
-        }
     }
 
     #[test]

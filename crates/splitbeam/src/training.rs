@@ -60,6 +60,8 @@ impl TrainingData {
     /// Panics if the snapshot's dimensions do not match the configuration.
     pub fn push_snapshot(&mut self, snapshot: &ChannelSnapshot) {
         assert_eq!(snapshot.nt(), self.config.mimo.nt, "Nt mismatch");
+        assert_eq!(snapshot.nr(), self.config.mimo.nr, "Nr mismatch");
+        assert_eq!(snapshot.nss(), self.config.mimo.nss, "Nss mismatch");
         assert_eq!(
             snapshot.subcarriers(),
             self.config.mimo.subcarriers(),
@@ -77,8 +79,6 @@ impl TrainingData {
                 let canonical = canonicalize_column_phases(v);
                 target.extend(canonical.to_real_vec().into_iter().map(|v| v as f32));
             }
-            debug_assert_eq!(input.len(), self.config.input_dim());
-            debug_assert_eq!(target.len(), self.config.output_dim());
             self.examples.push((input, target));
         }
     }
@@ -262,6 +262,25 @@ mod tests {
             data.push_snapshot(&snap);
         }
         data
+    }
+
+    /// A snapshot whose station has another receive-antenna count than the
+    /// configuration is refused by name, in every build profile.
+    #[test]
+    #[should_panic(expected = "Nr mismatch")]
+    fn a_snapshot_with_other_receive_antennas_is_refused() {
+        let cfg = config();
+        let (nt, nr) = (cfg.mimo.nt, cfg.mimo.nr + 1);
+        let channel = ChannelModel::with_rx_antennas(
+            EnvironmentProfile::e1(),
+            Bandwidth::Mhz20,
+            nt,
+            nr,
+            1,
+            1,
+        );
+        let snap = channel.sample(&mut ChaCha8Rng::seed_from_u64(9));
+        TrainingData::new(cfg).push_snapshot(&snap);
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //!
 //! A mid-size network (1024 -> 128 -> 512, batches of 16 and a ragged 8)
 //! puts every product of a training step above its hand-out threshold: the
-//! forward GEMMs, the weight gradient `Xᵀ·G`, the input gradient and the
-//! optimizer update are each claimed by the pool's threads in parts. The
-//! digests of the final weights and of the loss curves were taken at the
-//! commit before any of them was pooled, when all four ran on one thread; a
-//! claimed part runs the same per-element operations as the one-thread loop,
-//! so the bits may not move — under `scalar` or `auto`, at width 1, 2 or 3,
-//! for Adam and for SGD with momentum. Inputs are integer formulas and one in
-//! 29 is an exact zero (the scalar forward and every weight gradient skip
-//! those terms), so the digests hold on any host.
+//! forward GEMMs, the weight gradient `Xᵀ·G` with the optimizer update of
+//! the weights in its epilogue, and the input gradient are each claimed by
+//! the pool's threads in parts. The digests of the final weights and of the
+//! loss curves were taken at the commit before any of them was pooled, when
+//! all of them ran on one thread; a claimed part runs the same per-element
+//! operations as the one-thread loop, so the bits may not move — under
+//! `scalar` or `auto`, at width 1, 2 or 3, for Adam, SGD with momentum and
+//! plain SGD (whose digests were taken at the commit before the optimizer's
+//! rule became one kernel value). Inputs are integer formulas and one in 29
+//! is an exact zero (the scalar forward and every weight gradient skip those
+//! terms), so the digests hold on any host.
 
 use mimo_math::kernel::KernelChoice;
 use mimo_math::Backend;
@@ -86,10 +88,15 @@ fn trained_weights_and_loss_curves_are_pinned_at_every_pool_width() {
         learning_rate: 1e-4,
         momentum: 0.9,
     };
+    const PLAIN: OptimizerKind = OptimizerKind::Sgd {
+        learning_rate: 1e-3,
+        momentum: 0.0,
+    };
     // (kernel, optimizer, digest at the parent, runs on this host)
     let pinned = [
         (KernelChoice::Scalar, ADAM, 2_639_009_751_714_530_763, true),
         (KernelChoice::Scalar, SGD, 37_369_139_849_213_993, true),
+        (KernelChoice::Scalar, PLAIN, 1_441_196_902_916_637_657, true),
         (
             KernelChoice::Auto,
             ADAM,
@@ -100,6 +107,12 @@ fn trained_weights_and_loss_curves_are_pinned_at_every_pool_width() {
             KernelChoice::Auto,
             SGD,
             17_401_149_950_852_416_774,
+            Backend::host() >= Backend::Avx2,
+        ),
+        (
+            KernelChoice::Auto,
+            PLAIN,
+            14_767_089_461_933_339_997,
             Backend::host() >= Backend::Avx2,
         ),
     ];
