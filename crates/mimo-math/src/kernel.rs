@@ -40,27 +40,27 @@
 //! [`gemm_f32`] or the [`packed`] tail) is bit-identical; and every [`int8`]
 //! arm is bit-identical to every other. The two bound-weight products
 //! ([`packed`], [`int8`]) share one panel walk; a training step lives in
-//! [`dense`]; [`tune`] holds the k-block of the row-major walk.
+//! [`dense`]; [`tune`] holds the k-block of the scalar row-major walk.
 
 use crate::complex::Complex64;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Dispatches a run-time row count to the const-generic register tile of a
-/// packed microkernel ([`packed`], [`int8`]); `tile::<_, FLAG>(..)` passes
-/// one more const argument through.
+/// Dispatches a run-time count — a packed tile's rows ([`packed`], [`int8`])
+/// or a one-row block's vectors ([`dense`]) — to its const-generic register
+/// tile; `tile::<_, FLAG>(..)` passes one more const argument through.
 #[cfg(target_arch = "x86_64")]
 macro_rules! tile_by_rows {
     ($tile:ident::<_, $flag:literal> $args:tt, $mr:expr, [$($rows:literal)*]) => {
         match $mr {
             $($rows => $tile::<$rows, $flag> $args,)*
-            _ => unreachable!("row tile taller than the register tile"),
+            _ => unreachable!("tile larger than the register tile"),
         }
     };
     ($tile:ident $args:tt, $mr:expr, [$($rows:literal)*]) => {
         match $mr {
             $($rows => $tile::<$rows> $args,)*
-            _ => unreachable!("row tile taller than the register tile"),
+            _ => unreachable!("tile larger than the register tile"),
         }
     };
 }
@@ -428,8 +428,8 @@ mod avx2 {
     use core::arch::x86_64::{
         __m256d, _mm256_add_pd, _mm256_fmadd_pd, _mm256_fmadd_ps, _mm256_fmaddsub_pd,
         _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd,
-        _mm256_set1_ps, _mm256_set_pd, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_pd,
-        _mm256_storeu_ps, _mm256_sub_pd,
+        _mm256_set_pd, _mm256_setzero_pd, _mm256_setzero_ps, _mm256_storeu_pd, _mm256_storeu_ps,
+        _mm256_sub_pd,
     };
 
     /// Complexes per 256-bit vector (2 × f64 re/im pairs).
@@ -530,161 +530,6 @@ mod avx2 {
         }
     }
 
-    /// The contiguous walk of the row-major f32 GEMM over output columns
-    /// `j0..j1`: `out[.., j0..j1] += a * b[.., j0..j1]` (`a`: rows x m, `b`:
-    /// m x n, `out`: rows x n at `out`, all row-major) — the 8-wide FMA
-    /// microkernel [`super::dense::gemm_f32`] runs where no register tile
-    /// pays (one row, the columns past the last whole panel).
-    ///
-    /// The outer loop walks `k_block`-deep `k` blocks (so the corresponding
-    /// `b` rows are streamed *sequentially* and reused across the whole
-    /// batch from cache; the block depth comes from [`super::tune`], default
-    /// 16), the middle loop walks 4-row panels of `a`/`out` (one loaded `b`
-    /// vector feeds four FMA accumulators), and the inner loop runs 8 floats
-    /// per instruction over the columns.
-    ///
-    /// Every output element accumulates as a single FMA chain over ascending
-    /// `k`: the accumulator round-trips memory only between `k` blocks, and
-    /// an f32 store/load is value-preserving, so results are independent of
-    /// the blocking and of the column range — and equal to the register
-    /// tile's, which holds the same chain in a register.
-    ///
-    /// # Safety
-    /// Requires `avx2` and `fma`; `out` must be valid for columns `j0..j1`
-    /// of `rows` rows `n` apart, written by no other thread during the call,
-    /// with `j0 <= j1 <= n`, `a.len() >= rows * m` and `b.len() >= m * n`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn gemm_f32_avx2(
-        a: &[f32],
-        b: &[f32],
-        out: *mut f32,
-        (rows, m, n): (usize, usize, usize),
-        (j0, j1): (usize, usize),
-        k_block: usize,
-    ) {
-        let w = j1 - j0;
-        // SAFETY: the caller's contract; every panel below reads `a` rows
-        // `< rows`, `b` rows `< m` at columns `j0..j1` and writes `out` at
-        // the same columns of rows `< rows`.
-        unsafe {
-            let bp = b.as_ptr().add(j0);
-            for k0 in (0..m).step_by(k_block.max(1)) {
-                let k1 = (k0 + k_block.max(1)).min(m);
-                let mut r = 0;
-                while r + 4 <= rows {
-                    let op = out.add(r * n + j0);
-                    gemm_panel4_avx2(&a[r * m..(r + 4) * m], bp, op, (m, n, w), k0, k1);
-                    r += 4;
-                }
-                while r < rows {
-                    let op = out.add(r * n + j0);
-                    gemm_panel1_avx2(&a[r * m..(r + 1) * m], bp, op, (n, w), k0, k1);
-                    r += 1;
-                }
-            }
-        }
-    }
-
-    /// Four output rows over `k0..k1`: each loaded `b` vector feeds four
-    /// accumulator chains (16 live accumulators at the 32-float unroll).
-    /// `bp`/`op` point at the first column of `b`'s row 0 / `out`'s row 0.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_panel4_avx2(
-        a: &[f32],
-        bp: *const f32,
-        op: *mut f32,
-        (m, n, w): (usize, usize, usize),
-        k0: usize,
-        k1: usize,
-    ) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
-        unsafe {
-            let (a0, rest) = a.split_at(m);
-            let (a1, rest) = rest.split_at(m);
-            let (a2, a3) = rest.split_at(m);
-            let mut j = 0;
-            while j + 8 <= w {
-                let mut acc0 = _mm256_loadu_ps(op.add(j));
-                let mut acc1 = _mm256_loadu_ps(op.add(n + j));
-                let mut acc2 = _mm256_loadu_ps(op.add(2 * n + j));
-                let mut acc3 = _mm256_loadu_ps(op.add(3 * n + j));
-                for k in k0..k1 {
-                    let bv = _mm256_loadu_ps(bp.add(k * n + j));
-                    acc0 = _mm256_fmadd_ps(_mm256_set1_ps(*a0.get_unchecked(k)), bv, acc0);
-                    acc1 = _mm256_fmadd_ps(_mm256_set1_ps(*a1.get_unchecked(k)), bv, acc1);
-                    acc2 = _mm256_fmadd_ps(_mm256_set1_ps(*a2.get_unchecked(k)), bv, acc2);
-                    acc3 = _mm256_fmadd_ps(_mm256_set1_ps(*a3.get_unchecked(k)), bv, acc3);
-                }
-                _mm256_storeu_ps(op.add(j), acc0);
-                _mm256_storeu_ps(op.add(n + j), acc1);
-                _mm256_storeu_ps(op.add(2 * n + j), acc2);
-                _mm256_storeu_ps(op.add(3 * n + j), acc3);
-                j += 8;
-            }
-            while j < w {
-                for (row, ar) in [a0, a1, a2, a3].into_iter().enumerate() {
-                    let slot = op.add(row * n + j);
-                    let mut acc = *slot;
-                    for k in k0..k1 {
-                        acc = ar.get_unchecked(k).mul_add(*bp.add(k * n + j), acc);
-                    }
-                    *slot = acc;
-                }
-                j += 1;
-            }
-        }
-    }
-
-    /// One output row over `k0..k1`, 16 floats (two accumulators) per step.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn gemm_panel1_avx2(
-        a: &[f32],
-        bp: *const f32,
-        op: *mut f32,
-        (n, w): (usize, usize),
-        k0: usize,
-        k1: usize,
-    ) {
-        // SAFETY: the caller upholds this fn's `# Safety` contract: the required target features are enabled and every pointer/shape argument describes the buffers exactly.
-        unsafe {
-            let mut j = 0;
-            while j + 16 <= w {
-                let mut acc0 = _mm256_loadu_ps(op.add(j));
-                let mut acc1 = _mm256_loadu_ps(op.add(j + 8));
-                for k in k0..k1 {
-                    let av = _mm256_set1_ps(*a.get_unchecked(k));
-                    let bk = bp.add(k * n + j);
-                    acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk), acc0);
-                    acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk.add(8)), acc1);
-                }
-                _mm256_storeu_ps(op.add(j), acc0);
-                _mm256_storeu_ps(op.add(j + 8), acc1);
-                j += 16;
-            }
-            while j + 8 <= w {
-                let mut acc = _mm256_loadu_ps(op.add(j));
-                for k in k0..k1 {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_set1_ps(*a.get_unchecked(k)),
-                        _mm256_loadu_ps(bp.add(k * n + j)),
-                        acc,
-                    );
-                }
-                _mm256_storeu_ps(op.add(j), acc);
-                j += 8;
-            }
-            while j < w {
-                let mut acc = *op.add(j);
-                for k in k0..k1 {
-                    acc = a.get_unchecked(k).mul_add(*bp.add(k * n + j), acc);
-                }
-                *op.add(j) = acc;
-                j += 1;
-            }
-        }
-    }
-
     /// f32 dot product with four independent accumulators.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn sdot_avx2(x: &[f32], y: &[f32]) -> f32 {
@@ -757,8 +602,6 @@ mod avx2 {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::gemm_f32_avx2;
 #[cfg(target_arch = "x86_64")]
 use avx2::{caxpy_avx2, cdotc_avx2, sdot_avx2};
 

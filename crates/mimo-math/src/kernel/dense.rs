@@ -3,7 +3,7 @@
 //!
 //! | entry | computes | a part | arm under `avx2_fma` |
 //! |---|---|---|---|
-//! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | one `NR`-column panel, or a thread's share of the walked columns | the packed tail's register tile over the whole depth from two rows on; the `k`-blocked walk for one row and past the last whole panel |
+//! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | one `NR`-column panel from two rows on, else a thread's share of the columns | the packed tail's register tile over the whole depth from two rows on, the last panel masked; for one row, the one-row tile over whole-row segments of `b` |
 //! | [`gemm_at_b_update_f32`] | `w` moved by a [`Rule`] of `aᵀ · g`: a training step's weights, with no gradient buffer | one row tile of `w` | the same tile over the transposed input and the packed gradient, storing into a stack block that the rule's sweep consumes with the tile's rows of `w` and its moments |
 //! | [`gemm_at_b_f32`] | `out = aᵀ · g`: the weight gradient in memory (the tests' oracle) | one row tile of `out` | as above, with a copy in place of the rule |
 //! | [`gemm_a_bt_f32`] | `out = a · bᵀ`: the input gradient | 16 columns of `out` | one [`sdot`] an element |
@@ -32,9 +32,10 @@
 //! * the forward and weight-gradient products are one chain over ascending
 //!   `k` from `+0.0` — fused multiply-adds under `avx2_fma`, a rounded
 //!   multiply and add under `scalar` — that skips exact-zero `a` terms
-//!   except in the forward vector arm, which never did. The tile holds the
-//!   chain in a register where the walk round-trips it through `out`, which
-//!   no f32 store changes, and ends with `acc + -0.0`, which is `acc`;
+//!   except in the forward vector arm, which never did. The tiles hold the
+//!   chain in a register where the scalar walk and a `k`-blocked one-row
+//!   share round-trip it through `out`, which no f32 store changes; the
+//!   panel tile ends with `acc + -0.0`, which is `acc`;
 //! * an input-gradient element is one [`sdot`] call;
 //! * an optimizer update is the element-wise expression it always was, in
 //!   IEEE single precision: division and square root are correctly rounded
@@ -48,16 +49,19 @@ use super::packed::{NO_BIAS, PAR_MIN_MACS};
 use super::{sdot, tune, Backend, Kernel};
 use std::ops::Range;
 
-/// Rows from which [`gemm_f32`]'s vector arm holds a register tile over the
-/// whole depth. One row keeps the contiguous walk: a one-row tile reads a
-/// panel's column of `b` a row at a time, `n` floats apart, where the walk
-/// streams whole rows of `b` — and the batch-1 head is bound by that stream.
+/// Rows from which [`gemm_f32`]'s vector arm runs the panel register tile.
+/// One row runs its own ([`RowBlock`]), which streams whole-row segments of
+/// `b` where a panel reads `n` floats apart — the batch-1 head's bound.
 const TILE_MIN_ROWS: usize = 2;
 
 /// Rows of `b` below the one it multiplies that the row-major tile
 /// prefetches: a panel's column of `b` is `n` floats a row apart, too far
 /// for the hardware's stride prefetcher.
 const AHEAD_ROWS: usize = 16;
+
+/// Rows of `b` each block of a one-row share wider than one block streams
+/// in turn: the rows stay in L2 while every block of the share reads them.
+const ROW_K_BLOCK: usize = 64;
 
 /// Rows of `out` in one part of the scalar [`gemm_at_b_f32`].
 const AT_B_ROWS: usize = 16;
@@ -70,27 +74,26 @@ const BT_COLS: usize = 16;
 /// `out` is `rows x n`, all row-major. `out` is **overwritten**.
 ///
 /// The scalar arm accumulates each output element over ascending `k` with
-/// individually rounded adds and skips exact-zero `a` terms. The vector arm
-/// runs one FMA chain per output element, also over ascending `k`: from two
-/// rows on, an `MR x NR` register tile holds it over the whole depth for
-/// each whole panel of `NR` columns; one row, and the columns past the last
-/// whole panel, take the `k`-blocked walk. Any call shape — whole batch,
-/// single row, either path, any part split — produces bit-identical
-/// elements for identical inputs, and so does the packed tail
-/// ([`super::packed::gemm_f32_packed`]) with a zero bias.
+/// individually rounded adds and skips exact-zero `a` terms, in the
+/// `k`-blocked walk. The vector arm runs one FMA chain per output element,
+/// also over ascending `k`: from two rows on, an `MR x NR` register tile
+/// holds it over the whole depth for each panel of `NR` columns, the last
+/// one masked; one row takes a one-row register tile of its own. Any
+/// call shape — whole batch, single row, either path, any part split —
+/// produces bit-identical elements for identical inputs, and so does the
+/// packed tail ([`super::packed::gemm_f32_packed`]) with a zero bias.
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions.
 pub fn gemm_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], m: usize, n: usize) {
     let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
-    forward(kernel, tile, a, b, out, (m, n), PAR_MIN_MACS);
+    forward(tile, a, b, out, (m, n), PAR_MIN_MACS);
 }
 
-/// [`gemm_f32`] with its register tile (`None`: walk every column) and its
-/// hand-out threshold as parameters, so that the parity tests run both
-/// widths on one host and both sides of the threshold.
+/// [`gemm_f32`] with its register tiles' width (`None`: the scalar walk)
+/// and its hand-out threshold as parameters, so that the parity tests run
+/// both widths on one host and both sides of the threshold.
 fn forward(
-    kernel: Kernel,
     tile: Option<PackedWidth>,
     a: &[f32],
     b: &[f32],
@@ -102,65 +105,129 @@ fn forward(
     assert_eq!(a.len() % m.max(1), 0, "gemm_f32 lhs length mismatch");
     let rows = a.len().checked_div(m).unwrap_or(0);
     assert_eq!(out.len(), rows * n, "gemm_f32 out length mismatch");
-    let tile = tile.filter(|_| rows >= TILE_MIN_ROWS).map(register_tile);
-    let nr = tile.map_or(0, |(_, (_, nr))| nr);
-    let panels = n.checked_div(nr).unwrap_or(0);
-    let walked = panels * nr..n;
+    if rows == 0 {
+        return;
+    }
     let pooled = rows * m * n >= par_min_macs;
-    // The walk streams rows of `b`: each thread walks one contiguous block
-    // of whole cache lines (the split moves no bits, so it may follow the
-    // pool's width).
-    let walkers = if pooled {
-        rayon::current_num_threads()
-    } else {
-        1
-    };
-    let walk_cols = walked.len().div_ceil(walkers).next_multiple_of(16).max(16);
     let out = Lanes(out.as_mut_ptr());
-    let part = |_: &mut (), p: usize| match tile {
-        Some((arm, (mr, _))) if p < panels => {
-            let j0 = p * nr;
-            // Row tiles of even height: 16 rows are two 8-row zmm tiles.
-            let tall = rows.div_ceil(rows.div_ceil(mr));
-            for r in (0..rows).step_by(tall) {
-                let tile = Tile {
-                    a: a[r * m..].as_ptr(),
-                    m,
-                    panel: b[j0..].as_ptr(),
-                    stride: n,
-                    ahead: AHEAD_ROWS * n,
-                    bias: NO_BIAS.as_ptr(),
-                    out: RowBase::Strided(out.0, n).tile(r..(r + tall).min(rows), j0),
-                    cols: nr,
-                    skip: false,
-                };
-                // The tile reads `m` rows of `b` at columns `j0..j0 + nr <= n`
-                // and writes those columns of its rows of `out`: panel `p`'s,
-                // which no other thread runs.
-                // SAFETY: `register_tile` feature-checked the arm; `a` holds
-                // `tall.min(rows - r)` rows of `m` from row `r`, and `out`
-                // addresses those rows of the `rows x n` matrix at `j0 < n`.
-                unsafe { arm(tall.min(rows - r), tile) };
-            }
-        }
-        _ => {
-            let j0 = walked.start + (p - panels) * walk_cols;
-            let cols = j0..(j0 + walk_cols).min(n);
-            walk(kernel, a, b, &out, (rows, m, n), cols);
-        }
+    // `tile`'s one-row tile: (block, (lanes of a vector, most vectors a block)).
+    let row: Option<(RowFn, _)> = match tile.map(PackedWidth::runs) {
+        #[cfg(target_arch = "x86_64")]
+        Some(level) if level >= Backend::Avx512 => Some((x86::row_zmm, (16, 24))),
+        #[cfg(target_arch = "x86_64")]
+        Some(Backend::Avx2) => Some((x86::row_ymm, (8, 12))),
+        _ => None,
     };
-    let parts = panels + walked.len().div_ceil(walk_cols);
-    hand_out(parts, pooled, unit, part);
+    let row = row.filter(|_| rows < TILE_MIN_ROWS);
+    let Some(width) = tile.filter(|_| row.is_none()) else {
+        // The scalar walk and the one-row tile stream rows of `b`: each
+        // thread takes one contiguous share of whole 16-float lines (the
+        // split moves no bits, so it may follow the pool's width).
+        let threads = pooled.then(rayon::current_num_threads).unwrap_or(1);
+        let share = n.div_ceil(threads).next_multiple_of(16).max(16);
+        let k_block = tune::params().f32_k_block.max(1);
+        hand_out(n.div_ceil(share), pooled, unit, |_, p| {
+            let cols = p * share..((p + 1) * share).min(n);
+            match row {
+                Some(row) => one_row(row, (a, b), &out, n, cols),
+                None => walk(a, b, &out, (rows, m, n), cols, k_block),
+            }
+        });
+        return;
+    };
+    let (arm, (mr, nr)) = register_tile(width);
+    // Row tiles of even height: 16 rows are two 8-row zmm tiles.
+    let tall = rows.div_ceil(rows.div_ceil(mr));
+    let out = RowBase::Strided(out.0, n);
+    hand_out(n.div_ceil(nr), pooled, unit, |_, p| {
+        let j0 = p * nr;
+        for r in (0..rows).step_by(tall) {
+            let tile = Tile {
+                a: a[r * m..].as_ptr(),
+                m,
+                panel: b[j0..].as_ptr(),
+                stride: n,
+                ahead: AHEAD_ROWS * n,
+                bias: NO_BIAS.as_ptr(),
+                out: out.tile(r..(r + tall).min(rows), j0),
+                cols: nr.min(n - j0),
+                skip: false,
+            };
+            // SAFETY: `register_tile` feature-checked the arm; `a` holds
+            // `tall.min(rows - r)` rows of `m` from row `r`, `b` `m` rows of
+            // `n >= j0 + cols`, and the tile writes columns `j0..j0 + cols`
+            // of those rows of `out`: panel `p`'s, which no other thread runs.
+            unsafe { arm(tall.min(rows - r), tile) };
+        }
+    });
 }
 
-/// Columns `cols` of [`gemm_f32`]: zeroed, then the `k`-blocked walk.
+/// The operands of one block of a one-row product: `out[c] = acc` for the
+/// first `cols` columns, `acc` the chain of `a[k] * b[k][c]` over `k0..k1`
+/// from `+0.0` or, past `k0 == 0`, from what `out` holds: the chain after
+/// `0..k0`. A block function's caller vouches that `a` is valid for `k1`
+/// floats, `b` for `k1` rows of `cols` floats `n` apart and `out` for `cols`
+/// floats no other thread writes, `cols` filling the block's `vectors`
+/// accumulators with `1..=` one vector's lanes in the last.
+#[derive(Clone, Copy)]
+struct RowBlock {
+    a: *const f32,
+    b: *const f32,
+    n: usize,
+    k0: usize,
+    k1: usize,
+    out: *mut f32,
+    cols: usize,
+}
+
+type RowFn = unsafe fn(vectors: usize, block: RowBlock);
+
+/// Columns `cols` of a one-row [`gemm_f32`], in blocks of at most `vectors`
+/// accumulators streaming whole-row segments of `b`: over the whole depth if
+/// one block holds them, else each block in turn over [`ROW_K_BLOCK`] rows,
+/// the accumulators round-tripping through `out` in between.
+fn one_row(
+    (block, (lanes, vectors)): (RowFn, (usize, usize)),
+    (a, b): (&[f32], &[f32]),
+    out: &Lanes<f32>,
+    n: usize,
+    cols: Range<usize>,
+) {
+    // Blocks of even width, in whole vectors.
+    let held = cols.len().div_ceil(lanes);
+    let wide = held.div_ceil(held.div_ceil(vectors)) * lanes;
+    let m = a.len();
+    let k_block = if cols.len() <= wide { m } else { ROW_K_BLOCK };
+    for k0 in (0..m).step_by(k_block) {
+        for j0 in cols.clone().step_by(wide) {
+            let width = wide.min(cols.end - j0);
+            let t = RowBlock {
+                a: a.as_ptr(),
+                b: b[j0..].as_ptr(),
+                n,
+                k0,
+                k1: (k0 + k_block).min(m),
+                // SAFETY: column `j0 < n` of the one-row `out`.
+                out: unsafe { out.at(j0) },
+                cols: width,
+            };
+            // SAFETY: the arm runs on this host (`forward`); `a` holds `m`
+            // floats, `b` `m` rows of `n >= j0 + width`, and columns `j0..j0
+            // + width` of `out`, this part's alone, fill `..=vectors` vectors.
+            unsafe { block(width.div_ceil(lanes), t) };
+        }
+    }
+}
+
+/// Columns `cols` of the scalar [`gemm_f32`]: zeroed, then the walk over
+/// `k_block`-deep blocks of `k`.
 fn walk(
-    kernel: Kernel,
     a: &[f32],
     b: &[f32],
     out: &Lanes<f32>,
     (rows, m, n): (usize, usize, usize),
     cols: Range<usize>,
+    k_block: usize,
 ) {
     // SAFETY: columns `cols` (inside `0..n`) of row `r < rows`: lanes of
     // this part, which no other thread touches; no two live slices overlap.
@@ -169,16 +236,6 @@ fn walk(
     };
     for r in 0..rows {
         row(r).fill(0.0);
-    }
-    let k_block = tune::params().f32_k_block.max(1);
-    if kernel.runs() >= Backend::Avx2 {
-        // SAFETY: the host runs AVX2 + FMA; `out` holds `rows` rows of `n`
-        // and columns `cols` of them are this part's alone; `a` and `b` are
-        // `rows x m` and `m x n` (asserted by `forward`).
-        #[cfg(target_arch = "x86_64")]
-        return unsafe {
-            super::gemm_f32_avx2(a, b, out.0, (rows, m, n), (cols.start, cols.end), k_block)
-        };
     }
     let b_row = |k: usize| &b[k * n + cols.start..k * n + cols.end];
     for k0 in (0..m).step_by(k_block) {
@@ -713,6 +770,106 @@ unsafe fn sweep_ymm(rule: Option<&Rule>, runs: Runs) {
     unsafe { runs.apply(rule) }
 }
 
+/// The one-row register tile ([`RowBlock`]) on 512-bit and 256-bit vectors.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::RowBlock;
+    use core::arch::x86_64::{
+        _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm512_fmadd_ps,
+        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+
+    /// A block of `vectors <= 24` zmm accumulators.
+    ///
+    /// # Safety
+    /// Requires `avx512f` and [`RowBlock`]'s contract at 16 lanes.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn row_zmm(vectors: usize, t: RowBlock) {
+        // SAFETY: the caller's contract is `row_block_zmm::<vectors>`'s.
+        unsafe {
+            tile_by_rows!(row_block_zmm(t), vectors,
+                [1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24])
+        }
+    }
+
+    /// `V` accumulators over `k0..k1`: each `k` broadcasts `a[k]` once and
+    /// feeds `V` FMA chains from one contiguous segment of `b`'s row `k`.
+    /// Every vector is whole but the last, masked to the block's `cols`.
+    ///
+    /// # Safety
+    /// As [`row_zmm`], with `vectors == V`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row_block_zmm<const V: usize>(t: RowBlock) {
+        let last = (u32::MAX >> (32 - (t.cols - (V - 1) * 16))) as u16;
+        let mask = |i: usize| if i + 1 < V { u16::MAX } else { last };
+        let mut acc = [_mm512_setzero_ps(); V];
+        // SAFETY: `a` is read at `k < k1`, `b` and `out` masked to the
+        // block's `cols` lanes: inside the ranges the caller vouches for.
+        unsafe {
+            if t.k0 > 0 {
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm512_maskz_loadu_ps(mask(i), t.out.add(16 * i));
+                }
+            }
+            for k in t.k0..t.k1 {
+                let (av, row) = (_mm512_set1_ps(*t.a.add(k)), t.b.add(k * t.n));
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let bv = _mm512_maskz_loadu_ps(mask(i), row.add(16 * i));
+                    *acc = _mm512_fmadd_ps(av, bv, *acc);
+                }
+            }
+            for (i, acc) in acc.iter().enumerate() {
+                _mm512_mask_storeu_ps(t.out.add(16 * i), mask(i), *acc);
+            }
+        }
+    }
+
+    /// A block of `vectors <= 12` ymm accumulators.
+    ///
+    /// # Safety
+    /// Requires `avx2`, `fma` and [`RowBlock`]'s contract at 8 lanes.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn row_ymm(vectors: usize, t: RowBlock) {
+        // SAFETY: the caller's contract is `row_block_ymm::<vectors>`'s.
+        unsafe { tile_by_rows!(row_block_ymm(t), vectors, [1 2 3 4 5 6 7 8 9 10 11 12]) }
+    }
+
+    /// [`row_block_zmm`] on `V` ymm accumulators (`maskload` and `maskstore`
+    /// do not touch masked-off memory).
+    ///
+    /// # Safety
+    /// As [`row_ymm`], with `vectors == V`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn row_block_ymm<const V: usize>(t: RowBlock) {
+        let limit = _mm256_set1_epi32((t.cols - (V - 1) * 8) as i32);
+        let last = _mm256_cmpgt_epi32(limit, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        let whole = _mm256_set1_epi32(-1);
+        let mask = |i: usize| if i + 1 < V { whole } else { last };
+        let mut acc = [_mm256_setzero_ps(); V];
+        // SAFETY: as `row_block_zmm`, 8 lanes a vector.
+        unsafe {
+            if t.k0 > 0 {
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    *acc = _mm256_maskload_ps(t.out.add(8 * i), mask(i));
+                }
+            }
+            for k in t.k0..t.k1 {
+                let (av, row) = (_mm256_set1_ps(*t.a.add(k)), t.b.add(k * t.n));
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let bv = _mm256_maskload_ps(row.add(8 * i), mask(i));
+                    *acc = _mm256_fmadd_ps(av, bv, *acc);
+                }
+            }
+            for (i, acc) in acc.iter().enumerate() {
+                _mm256_maskstore_ps(t.out.add(8 * i), mask(i), *acc);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::packed::tests::{pools, values, vector_widths};
@@ -733,8 +890,15 @@ mod tests {
         Backend::arms(Backend::kernel)
     }
 
+    /// The forward arms this host runs: the scalar walk (`None`) and each
+    /// vector width's tiles.
+    fn forward_arms() -> Vec<Option<PackedWidth>> {
+        let mut arms = vec![None];
+        arms.extend(vector_widths().into_iter().map(Some));
+        arms
+    }
+
     fn run_forward(
-        kernel: Kernel,
         tile: Option<PackedWidth>,
         a: &[f32],
         b: &[f32],
@@ -743,7 +907,30 @@ mod tests {
     ) -> Vec<u32> {
         // A dirty `out` proves every element is overwritten.
         let mut out = vec![f32::NAN; a.len() / m * n];
-        forward(kernel, tile, a, b, &mut out, (m, n), par_min_macs);
+        forward(tile, a, b, &mut out, (m, n), par_min_macs);
+        bits(&out)
+    }
+
+    /// The forward product's elements written out, one chain each from
+    /// `+0.0` over ascending `k`: `f32::mul_add` for the vector arms, and
+    /// for the scalar one a rounded multiply and add that skips exact-zero
+    /// `a` terms.
+    fn chain(fused: bool, a: &[f32], b: &[f32], (m, n): (usize, usize)) -> Vec<u32> {
+        let mut out = Vec::with_capacity(a.len() / m * n);
+        for a_row in a.chunks_exact(m) {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for (k, &av) in a_row.iter().enumerate() {
+                    let bv = b[k * n + j];
+                    if fused {
+                        acc = av.mul_add(bv, acc);
+                    } else if av != 0.0 {
+                        acc += av * bv;
+                    }
+                }
+                out.push(acc);
+            }
+        }
         bits(&out)
     }
 
@@ -764,37 +951,29 @@ mod tests {
         bits(&out)
     }
 
-    /// Why the k-block is free to choose: the walk (`gemm_f32_avx2`, its
-    /// `gemm_panel4_avx2` and `gemm_panel1_avx2`) gives bit-identical
-    /// results at any k-block and over any column range (one FMA chain per
-    /// element, lossless accumulator round-trips between blocks).
-    #[cfg(target_arch = "x86_64")]
+    /// Why the scalar walk's k-block is free to choose: it gives
+    /// bit-identical results at any k-block and over any column range (one
+    /// rounded chain per element, lossless accumulator round-trips between
+    /// blocks), exact zeros and NaN / ±Inf data included.
     #[test]
     fn the_walk_is_independent_of_the_k_block_and_the_column_range() {
-        if Backend::host() < Backend::Avx2 {
-            return;
-        }
         let (rows, m, n) = (6usize, 50usize, 33usize);
-        let a = values(rows * m, 1, false);
-        let b = values(m * n, 2, false);
-        let walk = |k_block: usize, ranges: &[(usize, usize)]| {
-            let mut out = vec![0.0f32; rows * n];
-            for &cols in ranges {
-                // SAFETY: AVX2 + FMA were detected; `out` is `rows x n` and
-                // the ranges lie inside `0..n`.
-                let out = out.as_mut_ptr();
-                unsafe { super::super::gemm_f32_avx2(&a, &b, out, (rows, m, n), cols, k_block) };
+        let a = values(rows * m, 1, true);
+        let b = values(m * n, 2, true);
+        let walked = |k_block: usize, ranges: &[(usize, usize)]| {
+            let mut out = vec![f32::NAN; rows * n];
+            let lanes = Lanes(out.as_mut_ptr());
+            for &(j0, j1) in ranges {
+                walk(&a, &b, &lanes, (rows, m, n), j0..j1, k_block);
             }
             bits(&out)
         };
-        let want = walk(16, &[(0, n)]);
+        let want = walked(16, &[(0, n)]);
+        assert_eq!(want, chain(false, &a, &b, (m, n)));
         for k_block in [1usize, 8, 17, 32, 64, 1000] {
-            assert_eq!(walk(k_block, &[(0, n)]), want, "k_block={k_block}");
-            assert_eq!(
-                walk(k_block, &[(0, 9), (9, 24), (24, n)]),
-                want,
-                "k_block={k_block}"
-            );
+            assert_eq!(walked(k_block, &[(0, n)]), want, "k_block={k_block}");
+            let ranges = [(0, 9), (9, 24), (24, n)];
+            assert_eq!(walked(k_block, &ranges), want, "k_block={k_block}");
         }
     }
 
@@ -815,30 +994,45 @@ mod tests {
         }
     }
 
-    /// The vector forward is one FMA chain an element whatever runs it: the
-    /// register tiles (`rows_zmm`, `rows_ymm`, over panels of a row-major
-    /// `b`) for every row count from two on and the walk (every column,
-    /// one row at a time as the oracle) agree bit for bit, with NaN / ±Inf /
-    /// −0.0 data — and so do the scalar arm's batched and one-row calls.
+    /// The forward product is its element [`chain`] whatever runs it, with
+    /// NaN / ±Inf / −0.0 data:
+    /// - the panel tiles (`rows_zmm`, `rows_ymm` over panels of a row-major
+    ///   `b`, the last one masked) at every row count from two on;
+    /// - the one-row tiles (`row_zmm` → `row_block_zmm::<1..=24>`, `row_ymm`
+    ///   → `row_block_ymm::<1..=12>`) at every block width from one lane to
+    ///   past one zmm block, and at the widths around the vector, block and
+    ///   head boundaries with the depth below and above one [`ROW_K_BLOCK`],
+    ///   on pools 1 and 2 wide;
+    /// - the scalar walk, batched and one row at a time.
     #[test]
     fn every_row_count_and_path_computes_one_chain_an_element() {
+        let check = |a: &[f32], b: &[f32], (m, n): (usize, usize)| {
+            for tile in forward_arms() {
+                let got = run_forward(tile, a, b, (m, n), usize::MAX);
+                let want = chain(tile.is_some(), a, b, (m, n));
+                assert_eq!(got, want, "{tile:?} rows={} {m}x{n}", a.len() / m);
+            }
+        };
         for (m, n) in [(1usize, 1usize), (7, 33), (37, 65), (56, 224)] {
             let b = values(m * n, 5, true);
             for rows in 0..=27usize {
-                let a = values(rows * m, 6 + rows as u64, true);
-                for kernel in kernels() {
-                    let one_row = |r: usize| {
-                        run_forward(kernel, None, &a[r * m..(r + 1) * m], &b, (m, n), usize::MAX)
-                    };
-                    let want: Vec<u32> = (0..rows).flat_map(one_row).collect();
-                    let walked = run_forward(kernel, None, &a, &b, (m, n), usize::MAX);
-                    assert_eq!(walked, want, "{kernel:?} walk rows={rows} {m}x{n}");
-                    if kernel == Kernel::Scalar {
-                        continue;
-                    }
-                    for width in vector_widths() {
-                        let tiled = run_forward(kernel, Some(width), &a, &b, (m, n), usize::MAX);
-                        assert_eq!(tiled, want, "{width:?} rows={rows} {m}x{n}");
+                check(&values(rows * m, 6 + rows as u64, true), &b, (m, n));
+            }
+        }
+        for n in 1..=400usize {
+            check(&values(3, n as u64, true), &values(3 * n, 7, true), (3, n));
+        }
+        // One row handed out on pools 1 and 2 wide: one share (in `k`-blocks
+        // where it is wider than one block), or two.
+        let pools = pools();
+        for n in [1usize, 15, 16, 17, 383, 384, 385, 545, 1452] {
+            for m in [37, ROW_K_BLOCK + 86] {
+                let (a, b) = (values(m, n as u64, true), values(m * n, 8, true));
+                for tile in forward_arms() {
+                    let want = chain(tile.is_some(), &a, &b, (m, n));
+                    for (threads, pool) in &pools[..2] {
+                        let got = pool.install(|| run_forward(tile, &a, &b, (m, n), 0));
+                        assert_eq!(got, want, "{tile:?} 1x{m}x{n} on {threads} threads");
                     }
                 }
             }
@@ -859,37 +1053,37 @@ mod tests {
     /// Claimed parts == one-thread parts, bit for bit, for every product of
     /// this module: each shape with its parts handed out (threshold 0) on
     /// pools 1, 2 and 3 wide, against the plain loop (threshold
-    /// `usize::MAX`), on both backends and every register tile.
+    /// `usize::MAX`), on the scalar arm and every register tile. The
+    /// 1 x 150 x 545 forward is 35 zmm wide and deeper than one
+    /// [`ROW_K_BLOCK`]: one share in `k`-blocks on one thread, a share that
+    /// fits one block over the whole depth on two and three.
     #[test]
     fn claimed_product_parts_equal_one_thread_parts_bitwise() {
         let pools = pools();
         let mut scratch = GradScratch::default();
-        for (rows, m, n) in [(1usize, 37usize, 300usize), (16, 70, 65), (9, 128, 33)] {
+        for (rows, m, n) in [
+            (1usize, 37usize, 300usize),
+            (1, 150, 545),
+            (16, 70, 65),
+            (9, 128, 33),
+        ] {
             let a = values(rows * m, 7, true);
             let b = values(m * n, 8, true);
             let g = values(rows * n, 9, true);
-            for kernel in kernels() {
-                let mut arms = vec![None];
-                if kernel == Kernel::Avx2Fma {
-                    arms.extend(vector_widths().into_iter().map(Some));
-                }
-                for tile in arms {
-                    let products = |par_min_macs: usize, scratch: &mut GradScratch| {
-                        let forward = run_forward(kernel, tile, &a, &b, (m, n), par_min_macs);
-                        let host = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
-                        let ops = (&a[..], &g[..]);
-                        let at_b = run_at_b(tile.or(host), ops, (m, n), scratch, par_min_macs);
-                        let mut a_bt = vec![f32::NAN; rows * m];
-                        input_gradient(kernel, &g, &b, &mut a_bt, n, par_min_macs);
-                        [forward, at_b, bits(&a_bt)]
-                    };
-                    let one_thread = products(usize::MAX, &mut scratch);
-                    for (threads, pool) in &pools {
-                        let claimed = pool.install(|| products(0, &mut scratch));
-                        let case =
-                            format!("{kernel:?} {tile:?} {rows}x{m}x{n} on {threads} threads");
-                        assert_eq!(claimed, one_thread, "{case}");
-                    }
+            for tile in forward_arms() {
+                let kernel = [Kernel::Scalar, Kernel::Avx2Fma][usize::from(tile.is_some())];
+                let products = |par_min_macs: usize, scratch: &mut GradScratch| {
+                    let forward = run_forward(tile, &a, &b, (m, n), par_min_macs);
+                    let at_b = run_at_b(tile, (&a, &g), (m, n), scratch, par_min_macs);
+                    let mut a_bt = vec![f32::NAN; rows * m];
+                    input_gradient(kernel, &g, &b, &mut a_bt, n, par_min_macs);
+                    [forward, at_b, bits(&a_bt)]
+                };
+                let one_thread = products(usize::MAX, &mut scratch);
+                for (threads, pool) in &pools {
+                    let claimed = pool.install(|| products(0, &mut scratch));
+                    let case = format!("{tile:?} {rows}x{m}x{n} on {threads} threads");
+                    assert_eq!(claimed, one_thread, "{case}");
                 }
             }
         }
@@ -999,7 +1193,7 @@ mod tests {
                 let g = values(rows * n, 17, false);
                 let one_thread = {
                     let tile = (kernel.runs() >= Backend::Avx2).then(PackedWidth::detect);
-                    let forward = run_forward(kernel, tile, &a, &b, (m, n), usize::MAX);
+                    let forward = run_forward(tile, &a, &b, (m, n), usize::MAX);
                     let at_b = run_at_b(tile, (&a, &g), (m, n), &mut scratch, usize::MAX);
                     let mut a_bt = vec![f32::NAN; rows * m];
                     input_gradient(kernel, &g, &b, &mut a_bt, n, usize::MAX);

@@ -129,7 +129,7 @@ impl PackedWidth {
 
     /// The level this layout's tile runs at here: the lowest level it is
     /// the view of, capped at [`Backend::host`].
-    fn runs(self) -> Backend {
+    pub(super) fn runs(self) -> Backend {
         [Backend::Avx2, Backend::Avx512][self as usize].min(Backend::host())
     }
 
@@ -225,15 +225,15 @@ impl<T> TileRows<T> {
 /// producing `acc + bias` in the first `cols` columns of its `mr` output
 /// rows.
 ///
-/// The panel is `m` rows of `NR` floats, `stride` floats apart: a packed
-/// panel (`stride == NR`), `NR` columns of a row-major right-hand side
-/// (`stride == n`, [`super::dense`]'s forward product) or a packed gradient
-/// ([`super::dense::gemm_at_b_f32`]). A caller with no bias passes
-/// [`NO_BIAS`]: `x + -0.0` is `x` for every `x`, signed zeros and NaNs
-/// included, so the store is the chain's own bits.
+/// The panel is `m` rows of `NR` floats, `stride` floats apart, of which the
+/// arms read the first `cols`: a packed panel (`stride == NR`), columns of a
+/// row-major right-hand side (`stride == n`, [`super::dense`]'s forward
+/// product) or a packed gradient ([`super::dense::gemm_at_b_f32`]). A caller
+/// with no bias passes [`NO_BIAS`]: `x + -0.0` is `x` for every `x`, signed
+/// zeros and NaNs included, so the store is the chain's own bits.
 ///
 /// A tile function's caller vouches that `a` is valid for `mr` rows of `m`
-/// floats, `panel` for `m` rows of `NR` floats `stride` apart, `bias` for
+/// floats, `panel` for `m` rows of `cols` floats `stride` apart, `bias` for
 /// `cols` and each of the first `mr` addresses of `out` for `cols` floats,
 /// with `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
 #[derive(Clone, Copy)]
@@ -589,7 +589,7 @@ pub(super) mod x86 {
     /// row) held in registers over the whole `k` range; each `k` loads the
     /// panel row once and feeds `2 * MR` FMA chains from `MR` broadcasts.
     /// With `SKIP`, a row's two FMAs are masked off where its `a` is zero.
-    /// Columns past `cols` are masked out of the bias load and the store.
+    /// Columns past `cols` are masked out of every load and the store.
     ///
     /// # Safety
     /// As [`rows_zmm`], with `mr == MR`.
@@ -606,15 +606,22 @@ pub(super) mod x86 {
         } = t;
         let mask = ((1u64 << t.cols) - 1) as u32;
         let masks = [mask as u16, (mask >> 16) as u16];
+        // Masked loads cost the packed tail ≈ 10 %: only a partial panel of a
+        // row-major `b` takes them (LLVM unswitches the loop on `whole`).
+        let whole = t.cols == 32;
         let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
-        // SAFETY: every `a`/`panel` read is at `r < MR`, `k < m` and a full
-        // 32-float panel row; bias loads and `out` stores are masked to
-        // `cols` lanes — all inside the ranges the caller vouches for.
+        // SAFETY: every `a` read is at `r < MR` and `k < m`; panel loads
+        // read `cols` lanes (all 32 when `whole`), bias loads and `out`
+        // stores are masked to them — inside the ranges the caller vouches for.
         unsafe {
             for k in 0..m {
                 let row = panel.add(k * stride);
-                let b0 = _mm512_loadu_ps(row);
-                let b1 = _mm512_loadu_ps(row.add(16));
+                let (b0, b1) = if whole {
+                    (_mm512_loadu_ps(row), _mm512_loadu_ps(row.add(16)))
+                } else {
+                    let upper = _mm512_maskz_loadu_ps(masks[1], row.wrapping_add(16));
+                    (_mm512_maskz_loadu_ps(masks[0], row), upper)
+                };
                 // A hint never faults past the end.
                 _mm_prefetch::<_MM_HINT_T1>(row.wrapping_add(ahead).cast());
                 _mm_prefetch::<_MM_HINT_T1>(row.wrapping_add(ahead + 16).cast());
@@ -681,16 +688,21 @@ pub(super) mod x86 {
             _mm256_cmpgt_epi32(limit, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
             _mm256_cmpgt_epi32(limit, _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)),
         ];
+        let whole = t.cols == 16;
         let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        // SAFETY: every `a`/`panel` read is at `r < MR`, `k < m` and a full
-        // 16-float panel row; bias loads and `out` stores are masked to
-        // `cols` lanes (`maskload`/`maskstore` do not touch masked-off
-        // memory) — all inside the ranges the caller vouches for.
+        // SAFETY: every `a` read is at `r < MR` and `k < m`; panel loads
+        // read `cols` lanes (all 16 when `whole`), bias loads and `out`
+        // stores are masked to them (`maskload` and `maskstore` do not touch
+        // masked-off memory) — inside the ranges the caller vouches for.
         unsafe {
             for k in 0..m {
                 let row = panel.add(k * stride);
-                let b0 = _mm256_loadu_ps(row);
-                let b1 = _mm256_loadu_ps(row.add(8));
+                let (b0, b1) = if whole {
+                    (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
+                } else {
+                    let upper = _mm256_maskload_ps(row.wrapping_add(8), masks[1]);
+                    (_mm256_maskload_ps(row, masks[0]), upper)
+                };
                 _mm_prefetch::<_MM_HINT_T1>(row.wrapping_add(ahead).cast());
                 for (r, acc_row) in acc.iter_mut().enumerate() {
                     let av = _mm256_set1_ps(*a.add(r * m + k));

@@ -1,23 +1,15 @@
 //! Blocking parameters of the row-major f32 GEMM.
 //!
-//! The walk of the row-major f32 arm ([`super::gemm_f32`] at one row — the
-//! batch-1 head — and past its last whole panel) blocks its inner-dimension
-//! loop so the streamed weight rows stay cache-resident across the batch.
-//! The block depth is a shipped constant, not a startup measurement: its
-//! reader is a bandwidth-bound batch-1 product, and everything else reads
-//! nothing from here — the served tails and the training products hold their
-//! tile in registers over the whole depth ([`super::packed`],
-//! [`super::int8`], [`super::dense`]).
-//!
-//! The block depth can never change *results*, only speed: the f32 AVX2 arm
-//! keeps one FMA chain per output element whose accumulator round-trips
-//! memory losslessly between blocks, so every depth produces bit-identical
-//! output. The kernel test suite pins that property.
+//! The k-block's only reader is the scalar walk of [`super::gemm_f32`]: a
+//! shipped constant that keeps the streamed weight rows cache-resident
+//! across the batch. The depth never changes results, only speed — the
+//! walk's accumulators round-trip memory losslessly between blocks, and the
+//! kernel test suite pins that.
 
 /// Blocking parameters of the dispatched GEMM arms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneParams {
-    /// Inner-dimension rows per block of the f32 AVX2 GEMM.
+    /// Inner-dimension rows per block of the scalar f32 walk.
     pub f32_k_block: usize,
     /// Always [`DEFAULT`]'s value: the int8 arms no longer block over `k`.
     /// Kept, with `int8_panel4` and `probed`, only because the frozen

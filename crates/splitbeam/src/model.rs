@@ -151,12 +151,19 @@ impl SplitBeamModel {
     /// feedback payload.
     ///
     /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the input width is wrong.
+    /// Returns [`SplitBeamError::DimensionMismatch`] when the input width is
+    /// wrong or `bits_per_value` lies outside `1..=16` — the width is checked
+    /// before the head runs.
     pub fn compress_quantized(
         &self,
         csi_real: &[f32],
         bits_per_value: u8,
     ) -> Result<QuantizedFeedback, SplitBeamError> {
+        if !(1..=16).contains(&bits_per_value) {
+            return Err(SplitBeamError::DimensionMismatch(format!(
+                "bits_per_value {bits_per_value} outside the encodable 1..=16 range"
+            )));
+        }
         let bottleneck = self.compress(csi_real)?;
         Ok(quantize_bottleneck(&bottleneck, bits_per_value))
     }
@@ -384,6 +391,25 @@ mod tests {
             let norm: f64 = v.column(0).iter().map(|z| z.norm_sqr()).sum();
             assert!((norm - 1.0).abs() < 1e-9);
         }
+    }
+
+    /// A width the wire cannot carry is refused as the encoder refuses it,
+    /// not by a panic in the quantiser after the head has run.
+    #[test]
+    fn compress_quantized_refuses_an_unencodable_width() {
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        let model = SplitBeamModel::new(small_config(), &mut rng);
+        let csi = vec![0.25f32; 448];
+        for bits in [0u8, 17] {
+            assert!(
+                matches!(
+                    model.compress_quantized(&csi, bits),
+                    Err(SplitBeamError::DimensionMismatch(_))
+                ),
+                "bits_per_value {bits}"
+            );
+        }
+        assert!(model.compress_quantized(&csi, 16).is_ok());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! tolerance of scalar on the full model inference path. The last test pins
 //! what a round serves, per backend, to digests taken before the tail GEMM
 //! was panel-packed: the row-major FMA kernel, the packed 256-bit arm and
-//! the packed 512-bit arm must all still produce those bits.
+//! the packed 512-bit arm must all still produce those bits. Another pins
+//! what a station sends: the wire bytes of the batch-1 head at 3x3 / 80 MHz,
+//! per backend and pool width.
 //!
 //! The kernel override is process-global; every test here pins it through
 //! the test kit's one lock.
@@ -15,6 +17,9 @@
 use mimo_math::kernel::int8::{selected_int8, Int8Kernel};
 use mimo_math::kernel::packed::PackedWidth;
 use mimo_math::kernel::{dispatch_report, selected, Backend, Kernel, KernelChoice};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use splitbeam::config::{CompressionLevel, SplitBeamConfig};
 use splitbeam::fused::TailScratch;
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
@@ -23,6 +28,7 @@ use splitbeam_serve::ApServer;
 use splitbeam_testkit::{
     small_model as model, station_frame, synthetic_frame, with_env_kernel, with_kernel, Fnv1a,
 };
+use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
 fn station_frames(model: &SplitBeamModel, count: u64, bits: u8) -> Vec<Vec<u8>> {
     (0..count)
@@ -250,6 +256,69 @@ fn served_bits_are_pinned_across_the_row_major_and_both_packed_paths() {
                     serve(m.clone().with_tail_packing(width), false),
                     pinned,
                     "{choice:?}: the batched close over a {width:?}-packed tail moved"
+                );
+            }
+        });
+    }
+}
+
+/// What a station sends, per backend, at pool widths 1, 2 and 3: the wire
+/// bytes of `compress_quantized` over the 4356 x 545 head of an untrained
+/// 3x3 / 80 MHz model — 2.4 M multiply-adds, so the head's columns are
+/// handed out, and 35 zmm wide, so one thread runs them in `k`-blocks. The
+/// CSI rows come from integer formulas (no channel model, no libm) and the
+/// head is linear, so the digests are the same on every host that runs the
+/// backend. Taken before the batch-1 head had a register tile of its own.
+#[test]
+fn station_bytes_are_pinned_per_backend_at_every_pool_width() {
+    const PINNED_SCALAR: u64 = 6_128_671_951_666_606_395;
+    const PINNED_FMA: u64 = 2_370_043_168_305_335_443;
+    let config = SplitBeamConfig::new(
+        MimoConfig::symmetric(3, Bandwidth::Mhz80),
+        CompressionLevel::OneEighth,
+    );
+    let m = SplitBeamModel::new(config, &mut ChaCha8Rng::seed_from_u64(32));
+    assert_eq!((m.head().input_dim(), m.bottleneck_dim()), (4356, 545));
+    let reports: Vec<(u8, Vec<f32>)> = [4u8, 6, 8]
+        .into_iter()
+        .zip(0u32..)
+        .map(|(bits, r)| {
+            let csi = (0..4356u32).map(|i| ((i * 37 + r * 101) % 251) as f32 / 128.0 - 0.98);
+            (bits, csi.collect())
+        })
+        .collect();
+    let digest = || {
+        let mut digest = Fnv1a::default();
+        for (bits, csi) in &reports {
+            let payload = m.compress_quantized(csi, *bits).unwrap();
+            digest.eat(&wire::encode_feedback(&payload).unwrap());
+        }
+        digest.0
+    };
+    let pools: Vec<_> = [1usize, 2, 3]
+        .map(|threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads);
+            (threads, pool.build().expect("the shim's build cannot fail"))
+        })
+        .into();
+    let runs = [
+        (KernelChoice::Scalar, PINNED_SCALAR, true),
+        (
+            KernelChoice::Auto,
+            PINNED_FMA,
+            Backend::host() >= Backend::Avx2,
+        ),
+    ];
+    for (choice, pinned, available) in runs {
+        if !available {
+            continue;
+        }
+        with_kernel(choice, || {
+            for (threads, pool) in &pools {
+                let got = pool.install(digest);
+                assert_eq!(
+                    got, pinned,
+                    "{choice:?} on {threads} threads: a station's bytes moved"
                 );
             }
         });
