@@ -184,6 +184,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Number of bits consumed so far.
+    #[cfg(test)]
     pub fn bits_read(&self) -> usize {
         self.bit_pos
     }

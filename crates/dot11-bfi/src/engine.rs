@@ -112,29 +112,6 @@ impl FeedbackEngine {
         })
     }
 
-    /// Computes the per-subcarrier Givens angles, fanning chunks out across cores.
-    ///
-    /// # Errors
-    /// Returns [`BfiError::InvalidShape`] when the CSI is empty or a derived
-    /// beamforming matrix cannot be decomposed.
-    pub fn compute_angles(&self, csi: &[CMatrix]) -> Result<Vec<GivensAngles>, BfiError> {
-        if csi.is_empty() {
-            return Err(BfiError::InvalidShape("no subcarriers in CSI".into()));
-        }
-        let per_sc: Vec<Result<GivensAngles, BfiError>> = self.run_chunked(csi, |scratch, h| {
-            Svd::right_vectors_into(h, self.nss, &mut scratch.v, &mut scratch.ws);
-            let mut out = GivensAngles {
-                nt: 0,
-                nss: 0,
-                phi: Vec::new(),
-                psi: Vec::new(),
-            };
-            GivensAngles::decompose_into(&scratch.v, &mut scratch.omega, &mut out)?;
-            Ok(out)
-        });
-        per_sc.into_iter().collect()
-    }
-
     /// Runs the full station-side pipeline: SVD, Givens decomposition,
     /// quantization and packing.
     ///
@@ -321,18 +298,6 @@ mod tests {
         let fast = engine.beamforming_matrices(&csi);
         let naive = reference::beamforming_matrices_naive(&csi, 2);
         assert_eq!(fast, naive);
-    }
-
-    #[test]
-    fn engine_angles_match_naive_decompose() {
-        let csi = random_csi(13, 4, 25);
-        let engine = FeedbackEngine::new(2, AngleResolution::High);
-        let fast = engine.compute_angles(&csi).unwrap();
-        for (h, angles) in csi.iter().zip(fast.iter()) {
-            let v = mimo_math::reference::svd_naive(h).beamforming_matrix(2);
-            let naive = reference::decompose_naive(&v).unwrap();
-            assert_eq!(*angles, naive);
-        }
     }
 
     #[test]

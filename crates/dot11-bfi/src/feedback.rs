@@ -23,7 +23,9 @@ pub const RAW_BITS_PER_COMPLEX: usize = 16;
 pub const SNR_FIELD_BITS_PER_ANTENNA: usize = 8;
 
 /// Size in bits of the compressed beamforming report for one station:
-/// `8 * Nt + Na * S * (bφ + bψ) / 2`.
+/// `8 * Nt + Na * S * (bφ + bψ) / 2`: the formula the tests hold a packed
+/// report to.
+#[cfg(test)]
 pub fn compressed_report_bits(
     nt: usize,
     nss: usize,
@@ -35,20 +37,9 @@ pub fn compressed_report_bits(
 }
 
 /// Size in bits of the uncompressed CSI (`S * Nt * Nr * 16`), the denominator of Eq. 9.
+#[cfg(test)]
 pub fn raw_csi_bits(nt: usize, nr: usize, subcarriers: usize) -> usize {
     subcarriers * nt * nr * RAW_BITS_PER_COMPLEX
-}
-
-/// The 802.11 compression ratio of Eq. 9.
-pub fn compression_ratio(
-    nt: usize,
-    nr: usize,
-    nss: usize,
-    subcarriers: usize,
-    resolution: AngleResolution,
-) -> f64 {
-    compressed_report_bits(nt, nss, subcarriers, resolution) as f64
-        / raw_csi_bits(nt, nr, subcarriers) as f64
 }
 
 /// Report size in bits under the *paper's* accounting convention: the station
@@ -58,12 +49,6 @@ pub fn compression_ratio(
 /// (3x3) ratios quoted in Fig. 9.
 pub fn paper_report_bits(nt: usize, subcarriers: usize) -> usize {
     SNR_FIELD_BITS_PER_ANTENNA * nt + total_angles(nt, nt) * subcarriers * 16
-}
-
-/// Compression ratio of Eq. 9 under the paper's accounting convention
-/// ([`paper_report_bits`] over the raw CSI size).
-pub fn paper_compression_ratio(nt: usize, nr: usize, subcarriers: usize) -> f64 {
-    paper_report_bits(nt, subcarriers) as f64 / raw_csi_bits(nt, nr, subcarriers) as f64
 }
 
 /// A packed compressed beamforming report: the quantized Givens angles of every
@@ -197,7 +182,7 @@ impl CompressedBeamformingReport {
     }
 
     /// Size of the report in bits, including the per-antenna SNR header
-    /// (matching [`compressed_report_bits`]).
+    /// (the module's `BMR` formula).
     pub fn size_bits(&self) -> usize {
         SNR_FIELD_BITS_PER_ANTENNA * self.nt + self.payload.len() * 8
     }
@@ -230,18 +215,19 @@ mod tests {
     fn compression_ratio_close_to_half_for_2x2() {
         // The paper notes K ~ 1/2 for 2x2 and ~2/3 for 3x3 under 802.11
         // (its accounting: full-rank feedback, 16 bits per angle).
-        let cr_2x2 = paper_compression_ratio(2, 2, 56);
+        let ratio = |bits: usize, nt: usize| bits as f64 / raw_csi_bits(nt, nt, 56) as f64;
+        let cr_2x2 = ratio(paper_report_bits(2, 56), 2);
         assert!(
             (cr_2x2 - 0.5).abs() < 0.05,
             "2x2 compression ratio {cr_2x2} should be near 1/2"
         );
-        let cr_3x3 = paper_compression_ratio(3, 3, 56);
+        let cr_3x3 = ratio(paper_report_bits(3, 56), 3);
         assert!(
             (cr_3x3 - 2.0 / 3.0).abs() < 0.05,
             "3x3 compression ratio {cr_3x3} should be near 2/3"
         );
         // The standard-accurate single-stream accounting compresses harder.
-        let cr_single = compression_ratio(2, 2, 1, 56, AngleResolution::High);
+        let cr_single = ratio(compressed_report_bits(2, 1, 56, AngleResolution::High), 2);
         assert!(cr_single < cr_2x2);
     }
 

@@ -193,11 +193,6 @@ impl GivensAngles {
         }
         result
     }
-
-    /// Total number of angles carried by this decomposition.
-    pub fn num_angles(&self) -> usize {
-        self.phi.len() + self.psi.len()
-    }
 }
 
 /// Removes the feedback-irrelevant per-column phase from `v` so it can be
@@ -342,7 +337,7 @@ mod tests {
         // Nt = 1, Nss = 1: no angles at all, reconstruction is the 1x1 identity.
         let v = CMatrix::from_fn(1, 1, |_, _| Complex64::cis(0.7));
         let angles = GivensAngles::decompose(&v).unwrap();
-        assert_eq!(angles.num_angles(), 0);
+        assert_eq!(angles.phi.len() + angles.psi.len(), 0);
         let rebuilt = angles.reconstruct();
         assert!((rebuilt[(0, 0)] - Complex64::ONE).abs() < 1e-12);
     }
@@ -367,7 +362,7 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64((nt * 13 + nss) as u64);
             let v = random_bf_matrix(&mut rng, nt, nss);
             let angles = GivensAngles::decompose(&v).unwrap();
-            prop_assert_eq!(angles.num_angles(), total_angles(nt, nss));
+            prop_assert_eq!(angles.phi.len() + angles.psi.len(), total_angles(nt, nss));
         }
     }
 }

@@ -37,6 +37,7 @@ impl AngleResolution {
     }
 
     /// Average number of bits per angle (the `(bφ + bψ)/2` of the airtime formula).
+    #[cfg(test)]
     pub fn bits_per_angle_avg(self) -> f64 {
         (self.phi_bits() + self.psi_bits()) as f64 / 2.0
     }
@@ -81,11 +82,13 @@ pub fn dequantize_psi(index: u16, resolution: AngleResolution) -> f64 {
 }
 
 /// Maximum quantization error of the φ grid (half a step).
+#[cfg(test)]
 pub fn phi_max_error(resolution: AngleResolution) -> f64 {
     std::f64::consts::PI / (1u64 << resolution.phi_bits()) as f64
 }
 
 /// Maximum quantization error of the ψ grid (half a step).
+#[cfg(test)]
 pub fn psi_max_error(resolution: AngleResolution) -> f64 {
     std::f64::consts::PI / (1u64 << (resolution.psi_bits() + 2)) as f64
 }

@@ -29,8 +29,9 @@
 //! packed[((p * groups + g) * NR + c) * 4 + q] = wq[4g + q][p * NR + c]   (zero past k and n)
 //! ```
 //!
-//! [`gemm_u8i8_i32`] takes the older K4-row operand of [`pack_weights_k4`]
-//! instead — one "panel" as wide as the matrix — and drives the *same* tiles
+//! [`gemm_u8i8_i32`] takes the older K4-row operand
+//! (`packed[(g*n + j)*4 + q] = wq[(4g+q)*n + j]`) instead — one "panel" as
+//! wide as the matrix — and drives the *same* tiles
 //! over it: the only difference is the distance between two groups of a
 //! column (`4 * n` bytes, not `4 * NR`), which a tile takes as a parameter.
 //!
@@ -111,7 +112,9 @@ pub fn padded_k(k: usize) -> usize {
 /// Packs row-major quantized weights (`k x n`, row = input channel) into the
 /// K4-row operand of [`gemm_u8i8_i32`]:
 /// `packed[(g*n + j)*4 + q] = wq[(4g+q)*n + j]`, zero-padded past `k`. The
-/// returned buffer has `padded_k(k) * n` bytes.
+/// returned buffer has `padded_k(k) * n` bytes. The tests' packer: a caller
+/// of [`gemm_u8i8_i32`] packs its own operand.
+#[cfg(test)]
 pub fn pack_weights_k4(wq: &[i8], k: usize, n: usize) -> Vec<i8> {
     assert_eq!(wq.len(), k * n, "pack_weights_k4 shape mismatch");
     let mut packed = vec![0i8; padded_k(k) * n];
@@ -424,7 +427,7 @@ unsafe fn for_each_tile<D: Fn(Patch) + Sync>(
 /// Integer GEMM `out = a * b` (overwrite — `out` need not be zeroed): `a` is
 /// `rows x k_pad` unsigned u7 activations (row-major, zero-padded), `b` is
 /// K4-row-packed i8 weights for depth `k_pad` over `n` output columns
-/// ([`pack_weights_k4`]), `out` is `rows x n` i32.
+/// (see the module docs), `out` is `rows x n` i32.
 ///
 /// Runs the register tiles of [`gemm_u8i8_dequant`] with their sums stored
 /// raw; every arm computes identical `i32` sums, so outputs are

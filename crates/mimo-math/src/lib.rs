@@ -25,7 +25,7 @@
 //! let h = CMatrix::from_fn(2, 3, |r, c| Complex64::new((r + c) as f64, r as f64 - c as f64));
 //! let svd = Svd::compute(&h);
 //! let reconstructed = svd.reconstruct();
-//! assert!(h.sub(&reconstructed).frobenius_norm() < 1e-9);
+//! assert!(h.sub(&reconstructed).as_slice().iter().all(|z| z.abs() < 1e-9));
 //! ```
 
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -49,28 +49,3 @@ pub use workspace::Workspace;
 
 /// Numerical tolerance used across the crate for "is approximately zero" checks.
 pub const EPS: f64 = 1e-12;
-
-/// Returns `true` when two floating-point numbers are within `tol` of each other.
-///
-/// This is a plain absolute-difference comparison; it is meant for test code and
-/// small tolerance checks, not a general ULP-aware comparison.
-///
-/// ```
-/// assert!(mimo_math::approx_eq(1.0, 1.0 + 1e-13, 1e-9));
-/// assert!(!mimo_math::approx_eq(1.0, 1.1, 1e-9));
-/// ```
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    (a - b).abs() <= tol
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_eq_behaves() {
-        assert!(approx_eq(0.0, 0.0, 0.0));
-        assert!(approx_eq(1.0, 1.0000000001, 1e-6));
-        assert!(!approx_eq(1.0, 2.0, 0.5));
-    }
-}

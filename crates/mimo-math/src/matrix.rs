@@ -185,11 +185,6 @@ impl CMatrix {
         CMatrix::from_fn(self.rows, n, |r, c| self[(r, c)])
     }
 
-    /// Matrix transpose (no conjugation).
-    pub fn transpose(&self) -> CMatrix {
-        CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
     /// Hermitian (conjugate) transpose.
     pub fn hermitian(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
@@ -326,23 +321,14 @@ impl CMatrix {
     }
 
     /// Hermitian product `self^H * rhs` (allocating convenience form of
-    /// [`CMatrix::hermitian_matmul_into`]).
+    /// [`CMatrix::hermitian_matmul_into`]). A test helper.
     ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
+    #[cfg(any(test, feature = "reference"))]
     pub fn hermitian_matmul(&self, rhs: &CMatrix) -> CMatrix {
         let mut out = CMatrix::zeros(self.cols, rhs.cols);
         self.hermitian_matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != cols`.
-    pub fn matvec(&self, v: &[Complex64]) -> Vec<Complex64> {
-        let mut out = Vec::new();
-        self.matvec_into(v, &mut out);
         out
     }
 
@@ -411,18 +397,21 @@ impl CMatrix {
         self.scale(Complex64::from_real(k))
     }
 
-    /// Frobenius norm `sqrt(sum |a_ij|^2)`.
+    /// Frobenius norm `sqrt(sum |a_ij|^2)`. A test helper.
+    #[cfg(any(test, feature = "reference"))]
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// Largest entry modulus, useful as an infinity-like norm in tests.
+    /// Largest entry modulus, an infinity-like norm for the tests.
+    #[cfg(any(test, feature = "reference"))]
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|z| z.abs()).fold(0.0, f64::max)
     }
 
     /// Returns `true` when `self^H * self` is the identity within `tol`
-    /// (i.e. the columns are orthonormal).
+    /// (i.e. the columns are orthonormal). A test helper.
+    #[cfg(any(test, feature = "reference"))]
     pub fn is_unitary_columns(&self, tol: f64) -> bool {
         let gram = self.hermitian_matmul(self);
         let eye = CMatrix::identity(self.cols);
@@ -460,36 +449,6 @@ impl CMatrix {
             m.data[i] = Complex64::new(data[2 * i], data[2 * i + 1]);
         }
         m
-    }
-
-    /// Horizontally concatenates `self` with `rhs` (`[self | rhs]`).
-    ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn hcat(&self, rhs: &CMatrix) -> CMatrix {
-        assert_eq!(self.rows, rhs.rows, "hcat row mismatch");
-        CMatrix::from_fn(self.rows, self.cols + rhs.cols, |r, c| {
-            if c < self.cols {
-                self[(r, c)]
-            } else {
-                rhs[(r, c - self.cols)]
-            }
-        })
-    }
-
-    /// Vertically concatenates `self` on top of `rhs`.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn vcat(&self, rhs: &CMatrix) -> CMatrix {
-        assert_eq!(self.cols, rhs.cols, "vcat column mismatch");
-        CMatrix::from_fn(self.rows + rhs.rows, self.cols, |r, c| {
-            if r < self.rows {
-                self[(r, c)]
-            } else {
-                rhs[(r - self.rows, c)]
-            }
-        })
     }
 }
 
@@ -597,7 +556,8 @@ mod tests {
         let a = small_matrix(3, 2, 0.9);
         let v = vec![Complex64::new(1.0, 1.0), Complex64::new(-2.0, 0.5)];
         let as_matrix = CMatrix::from_fn(2, 1, |r, _| v[r]);
-        let mv = a.matvec(&v);
+        let mut mv = Vec::new();
+        a.matvec_into(&v, &mut mv);
         let mm = a.matmul(&as_matrix);
         for r in 0..3 {
             assert!((mv[r] - mm[(r, 0)]).abs() < 1e-12);
@@ -611,19 +571,6 @@ mod tests {
         assert_eq!(flat.len(), 12);
         let back = CMatrix::from_real_vec(2, 3, &flat);
         assert_eq!(a, back);
-    }
-
-    #[test]
-    fn concatenation_shapes_and_entries() {
-        let a = small_matrix(2, 2, 1.0);
-        let b = small_matrix(2, 3, 2.0);
-        let h = a.hcat(&b);
-        assert_eq!(h.shape(), (2, 5));
-        assert_eq!(h[(1, 4)], b[(1, 2)]);
-        let c = small_matrix(3, 2, 0.5);
-        let v = a.vcat(&c);
-        assert_eq!(v.shape(), (5, 2));
-        assert_eq!(v[(4, 1)], c[(2, 1)]);
     }
 
     #[test]
@@ -740,10 +687,10 @@ mod tests {
         let v = vec![Complex64::new(0.3, -0.2), Complex64::new(1.5, 0.4)];
         let mut out = Vec::new();
         a.matvec_into(&v, &mut out);
-        assert_eq!(out, a.matvec(&v));
-        let cap = out.capacity();
+        let (first, cap) = (out.clone(), out.capacity());
         a.matvec_into(&v, &mut out);
         assert_eq!(out.capacity(), cap);
+        assert_eq!(out, first);
     }
 
     proptest! {
@@ -780,12 +727,6 @@ mod tests {
                 a.matmul_into_with(&b, &mut simd, Kernel::Avx2Fma);
                 prop_assert!(scalar.sub(&simd).max_abs() <= 1e-9 * scalar.max_abs().max(1.0));
             }
-        }
-
-        #[test]
-        fn prop_transpose_involution(rows in 1usize..5, cols in 1usize..5, seed in 0.1f64..10.0) {
-            let a = small_matrix(rows, cols, seed);
-            prop_assert_eq!(a.transpose().transpose(), a);
         }
 
         #[test]

@@ -168,11 +168,8 @@ fn invert_core(
     lu_solve_core(lu_buf, rhs_buf, n, n, out)
 }
 
-/// Inverse of a square complex matrix.
-///
-/// # Errors
-/// Returns [`SolveError::Singular`] for singular inputs and
-/// [`SolveError::ShapeMismatch`] for non-square inputs.
+/// [`inverse_into`] with a fresh workspace: the tests' form.
+#[cfg(test)]
 pub fn inverse(a: &CMatrix) -> Result<CMatrix, SolveError> {
     let mut ws = Workspace::new();
     let mut out = CMatrix::zeros(1, 1);
@@ -180,13 +177,17 @@ pub fn inverse(a: &CMatrix) -> Result<CMatrix, SolveError> {
     Ok(out)
 }
 
-/// Inverse of a square complex matrix into `out`, drawing scratch from `ws`.
+/// Inverse of a square complex matrix into `out`, drawing scratch from `ws`:
+/// the tests' oracle (the product path inverts through
+/// [`zf_pseudo_inverse_into`] and [`mmse_filter_into`]).
 ///
 /// The identity right-hand side is materialized directly in the workspace, so
 /// the call performs no heap allocation after warm-up.
 ///
 /// # Errors
-/// Same contract as [`inverse`].
+/// Returns [`SolveError::Singular`] for singular inputs and
+/// [`SolveError::ShapeMismatch`] for non-square inputs.
+#[cfg(test)]
 pub fn inverse_into(a: &CMatrix, ws: &mut Workspace, out: &mut CMatrix) -> Result<(), SolveError> {
     if a.cols() != a.rows() {
         return Err(SolveError::ShapeMismatch);
@@ -194,12 +195,8 @@ pub fn inverse_into(a: &CMatrix, ws: &mut Workspace, out: &mut CMatrix) -> Resul
     invert_core(a, &mut ws.lu, &mut ws.rhs, out)
 }
 
-/// Right Moore–Penrose style pseudo-inverse used by the zero-forcing precoder:
-/// `pinv(A) = A (A^H A)^{-1}` for a tall full-column-rank `A` — note this is the
-/// *paper's* ZF expression `W = H_eq (H_eq^H H_eq)^{-1}` applied verbatim.
-///
-/// # Errors
-/// Returns [`SolveError::Singular`] when `A^H A` is singular (rank-deficient `A`).
+/// [`zf_pseudo_inverse_into`] with a fresh workspace: the tests' form.
+#[cfg(test)]
 pub fn zf_pseudo_inverse(a: &CMatrix) -> Result<CMatrix, SolveError> {
     let mut ws = Workspace::new();
     let mut out = CMatrix::zeros(1, 1);
@@ -207,14 +204,17 @@ pub fn zf_pseudo_inverse(a: &CMatrix) -> Result<CMatrix, SolveError> {
     Ok(out)
 }
 
-/// Zero-forcing pseudo-inverse into `out`, drawing every intermediate (Gram
-/// matrix, its inverse, LU scratch) from `ws`.
+/// Right Moore–Penrose style pseudo-inverse used by the zero-forcing precoder:
+/// `pinv(A) = A (A^H A)^{-1}` for a tall full-column-rank `A` — note this is the
+/// *paper's* ZF expression `W = H_eq (H_eq^H H_eq)^{-1}` applied verbatim —
+/// into `out`, drawing every intermediate (Gram matrix, its inverse, LU
+/// scratch) from `ws`.
 ///
 /// This is the per-subcarrier precoder hot path: with a long-lived workspace
-/// the whole `W = A (A^H A)^{-1}` computation allocates nothing after warm-up.
+/// the whole computation allocates nothing after warm-up.
 ///
 /// # Errors
-/// Same contract as [`zf_pseudo_inverse`].
+/// Returns [`SolveError::Singular`] when `A^H A` is singular (rank-deficient `A`).
 pub fn zf_pseudo_inverse_into(
     a: &CMatrix,
     ws: &mut Workspace,

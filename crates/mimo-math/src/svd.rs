@@ -308,6 +308,7 @@ impl Svd {
 
     /// Effective numerical rank: the number of singular values above
     /// `tol * max_singular_value`.
+    #[cfg(test)]
     pub fn rank(&self, tol: f64) -> usize {
         let max = self.singular_values.first().copied().unwrap_or(0.0);
         if max == 0.0 {

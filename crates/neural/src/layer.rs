@@ -70,11 +70,6 @@ impl Activation {
             _ => x.map(|v| self.eval(v)),
         }
     }
-
-    /// Derivative of the activation evaluated from its *pre-activation* input.
-    pub fn derivative(self, pre_activation: &Matrix) -> Matrix {
-        pre_activation.map(|v| self.derivative_eval(v))
-    }
 }
 
 /// A dense (fully-connected) layer `y = activation(x W + b)`.

@@ -64,7 +64,8 @@ impl Loss {
 
     /// Gradient of the loss written into `out` (reshaped, storage reused).
     ///
-    /// Values are bit-identical to [`Loss::gradient`].
+    /// Values are bit-identical to the allocating `Loss::gradient` the tests
+    /// use.
     ///
     /// # Panics
     /// Panics if the shapes differ.
@@ -119,10 +120,12 @@ impl Loss {
         }
     }
 
-    /// Gradient of the loss with respect to the predictions.
+    /// Gradient of the loss with respect to the predictions: the tests'
+    /// allocating form of [`Loss::gradient_into`].
     ///
     /// # Panics
     /// Panics if the shapes differ.
+    #[cfg(test)]
     pub fn gradient(self, prediction: &Matrix, target: &Matrix) -> Matrix {
         assert_eq!(
             (prediction.rows(), prediction.cols()),

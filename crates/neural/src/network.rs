@@ -83,7 +83,8 @@ impl Network {
         &self.layers
     }
 
-    /// Mutable access to the layers (used by the optimizers).
+    /// Mutable access to the layers (used by the tests' optimizer step).
+    #[cfg(test)]
     pub fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
     }
@@ -124,17 +125,6 @@ impl Network {
     /// Total multiply-accumulate operations for one input vector.
     pub fn macs(&self) -> u64 {
         self.layers.iter().map(Dense::macs).sum()
-    }
-
-    /// Total floating point operations for one input vector (2 FLOPs per MAC
-    /// plus one per activation output).
-    pub fn flops(&self) -> u64 {
-        2 * self.macs()
-            + self
-                .layers
-                .iter()
-                .map(|l| l.output_dim() as u64)
-                .sum::<u64>()
     }
 
     /// Runs inference on a batch (`batch x input_dim`).
@@ -292,14 +282,6 @@ impl Network {
         let tail = self.layers.split_off(at);
         (self, Network { layers: tail })
     }
-
-    /// Per-layer output widths (useful for describing architectures like
-    /// "448-56-448" in reports).
-    pub fn architecture(&self) -> Vec<usize> {
-        let mut dims = vec![self.input_dim()];
-        dims.extend(self.layers.iter().map(Dense::output_dim));
-        dims
-    }
 }
 
 /// Reusable buffers for one training loop: per-layer activations and
@@ -381,8 +363,6 @@ mod tests {
             (8 * 4 + 4) + (4 * 6 + 6) + (6 * 3 + 3)
         );
         assert_eq!(net.macs(), 8 * 4 + 4 * 6 + 6 * 3);
-        assert_eq!(net.flops(), 2 * net.macs() + (4 + 6 + 3));
-        assert_eq!(net.architecture(), vec![8, 4, 6, 3]);
     }
 
     #[test]

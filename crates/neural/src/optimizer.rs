@@ -60,14 +60,6 @@ impl StepSchedule {
         }
     }
 
-    /// No decay at all.
-    pub fn constant() -> Self {
-        Self {
-            milestones: Vec::new(),
-            gamma: 1.0,
-        }
-    }
-
     /// Learning-rate multiplier in effect at `epoch`.
     pub fn factor_at(&self, epoch: usize) -> f32 {
         let hits = self.milestones.iter().filter(|&&m| epoch >= m).count() as i32;
@@ -309,7 +301,6 @@ mod tests {
         assert!((schedule.factor_at(19) - 1.0).abs() < 1e-9);
         assert!((schedule.factor_at(20) - 0.1).abs() < 1e-7);
         assert!((schedule.factor_at(30) - 0.01).abs() < 1e-8);
-        assert!((StepSchedule::constant().factor_at(100) - 1.0).abs() < 1e-9);
     }
 
     #[test]

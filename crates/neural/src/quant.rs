@@ -116,7 +116,8 @@ impl QuantizedDense {
     }
 
     /// Worst-case absolute weight reconstruction error, `max_j col_scale[j]/2`
-    /// — the symmetric-quantization bound, used by accuracy guardrails.
+    /// — the symmetric-quantization bound the tests hold a layer to.
+    #[cfg(test)]
     pub fn max_weight_error(&self) -> f32 {
         self.col_scale.iter().fold(0.0f32, |m, &s| m.max(s)) * 0.5
     }

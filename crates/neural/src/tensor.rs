@@ -312,7 +312,8 @@ impl Matrix {
         }
     }
 
-    /// Transpose.
+    /// Transpose: the tests' oracle for the fused transposed products.
+    #[cfg(test)]
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
@@ -385,7 +386,9 @@ impl Matrix {
         out
     }
 
-    /// Sums the rows into a single row vector (used for bias gradients).
+    /// Sums the rows into a single row vector: the tests' oracle for
+    /// [`Matrix::sum_rows_into`].
+    #[cfg(test)]
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
         for r in 0..self.rows {
@@ -414,29 +417,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise (Hadamard) product.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "hadamard shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(rhs.data.iter())
-            .map(|(&a, &b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Entry accessor.
     ///
     /// # Panics
@@ -444,11 +424,6 @@ impl Matrix {
     pub fn get(&self, r: usize, c: usize) -> f32 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
         self.data[r * self.cols + c]
-    }
-
-    /// Mean of all entries.
-    pub fn mean(&self) -> f32 {
-        self.data.iter().sum::<f32>() / self.data.len() as f32
     }
 }
 
@@ -495,12 +470,10 @@ mod tests {
     }
 
     #[test]
-    fn map_scale_hadamard() {
+    fn map_and_scale() {
         let a = Matrix::from_rows(1, 3, &[1.0, -2.0, 3.0]);
         assert_eq!(a.map(f32::abs).as_slice(), &[1.0, 2.0, 3.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, -4.0, 6.0]);
-        assert_eq!(a.hadamard(&a).as_slice(), &[1.0, 4.0, 9.0]);
-        assert!((a.mean() - 2.0 / 3.0).abs() < 1e-6);
     }
 
     #[test]

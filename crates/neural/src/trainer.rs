@@ -62,14 +62,6 @@ impl TrainHistory {
     pub fn final_train_loss(&self) -> f32 {
         self.train_loss.last().copied().unwrap_or(f32::NAN)
     }
-
-    /// Best validation metric observed.
-    pub fn best_validation_metric(&self) -> f32 {
-        self.validation_metric
-            .get(self.best_epoch)
-            .copied()
-            .unwrap_or(f32::NAN)
-    }
 }
 
 /// A reusable training harness.
@@ -345,7 +337,7 @@ mod tests {
         let history = trainer.fit(&mut net, train, val, &mut rng);
         assert_eq!(history.train_loss.len(), 30);
         assert!(history.final_train_loss() < history.initial_train_loss() * 0.2);
-        assert!(history.best_validation_metric() < 0.1);
+        assert!(history.validation_metric[history.best_epoch] < 0.1);
     }
 
     #[test]
@@ -369,7 +361,7 @@ mod tests {
         // Validation loss of the returned network equals the recorded best metric.
         let (x, t) = super::batch_matrices(val);
         let actual = Loss::Mse.evaluate(&net.forward(&x).unwrap(), &t);
-        assert!((actual - history.best_validation_metric()).abs() < 1e-5);
+        assert!((actual - history.validation_metric[history.best_epoch]).abs() < 1e-5);
         assert!(history.best_epoch < 10);
     }
 
@@ -420,7 +412,7 @@ mod tests {
         );
         let history = trainer.fit(&mut net, &data, &[], &mut rng);
         assert_eq!(history.best_epoch, 2);
-        assert_eq!(history.best_validation_metric(), f32::INFINITY);
+        assert_eq!(history.validation_metric[history.best_epoch], f32::INFINITY);
         // A diverged run's NaN metric never improves either.
         let history = trainer.fit_with_metric(&mut net, &data, &data, &mut rng, |_, _| f32::NAN);
         assert_eq!(history.best_epoch, 2);

@@ -45,6 +45,15 @@
 //!   that decides which kernel arms this host runs; every other site reads
 //!   that answer. A second probe is a second decision that can disagree with
 //!   the first, so this rule too reads test code.
+//! - **`test-only-pub`**: every `pub fn` (`const`, `unsafe` too) in non-test
+//!   code under `crates/*/src` — the shims, the test kit and this crate
+//!   aside — is named as a word by some non-test line other than a `fn NAME`
+//!   declaration (bins, `examples/` and `benchmark/src` count). A function
+//!   only tests call is deleted, or gated as test code: a declaration under a
+//!   `#[cfg(…)]` that names `test` — on the item, its `impl` or `mod`, or the
+//!   `mod` line that includes its file — is skipped, and such code names
+//!   nothing. The rule needs every caller in view, so it is skipped when the
+//!   source set carries no workspace `Cargo.toml` (single-file fixtures).
 //!
 //! Vetted exceptions live in `lint_allowlist.txt` at the repo root, one
 //! `rule|path|needle|reason` per line; entries that no longer suppress
@@ -69,6 +78,7 @@ pub const RULE_KNOB_DOCS: &str = "knob-docs";
 pub const RULE_KERNEL_PARITY_TEST: &str = "kernel-parity-test";
 pub const RULE_ONE_KERNEL_LOCK: &str = "one-kernel-lock";
 pub const RULE_FEATURE_DETECT: &str = "feature-detect";
+pub const RULE_TEST_ONLY_PUB: &str = "test-only-pub";
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK: usize = 4;
@@ -115,6 +125,19 @@ const FEATURE_DETECT_WORDS: [&str; 3] = [
     "arch_prctl",
     "ARCH_REQ_XCOMP_PERM",
 ];
+
+/// Trees whose `pub fn`s the `test-only-pub` rule does not check: the
+/// offline shims mirror a crate's API, the test kit is test code, and this
+/// crate is tooling. Their calls still name what they call.
+const PUB_FN_EXEMPT_PREFIXES: [&str; 3] = [
+    "crates/shims/",
+    "crates/splitbeam-testkit/",
+    "crates/splitbeam-analysis/",
+];
+
+/// The workspace manifest: its presence in the source set tells the
+/// `test-only-pub` rule that every caller is in view.
+const WORKSPACE_MANIFEST: &str = "Cargo.toml";
 
 /// The one blessed site for raw `SPLITBEAM_*` env reads.
 const ENV_MODULE: &str = "crates/mimo-math/src/env.rs";
@@ -248,6 +271,7 @@ pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintRepo
     check_dead_knob_rows(knobs.as_deref().unwrap_or_default(), &mut raw_violations);
     check_crate_roots(sources, &mut raw_violations);
     check_kernel_parity_tests(sources, &mut raw_violations);
+    check_test_only_pub(sources, &mut raw_violations);
 
     let mut used = vec![false; allow.entries.len()];
     let mut violations = Vec::new();
@@ -277,17 +301,16 @@ pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintRepo
     }
 }
 
-/// Walk the repo, load every non-fixture `.rs` file plus the knob table,
-/// and lint them.
+/// Walk the repo, load every non-fixture `.rs` file plus the knob table and
+/// the workspace manifest, and lint them.
 pub fn lint_repo(root: &Path, allow: &Allowlist) -> io::Result<LintReport> {
     let mut sources = Vec::new();
     collect_rs_files(root, root, &mut sources)?;
-    let knob_table = root.join(KNOB_TABLE_FILE);
-    if knob_table.is_file() {
-        sources.push((
-            KNOB_TABLE_FILE.to_string(),
-            std::fs::read_to_string(knob_table)?,
-        ));
+    for extra in [KNOB_TABLE_FILE, WORKSPACE_MANIFEST] {
+        let path = root.join(extra);
+        if path.is_file() {
+            sources.push((extra.to_string(), std::fs::read_to_string(path)?));
+        }
     }
     sources.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(lint_sources(&sources, allow))
@@ -508,6 +531,171 @@ fn collect_test_text(raw: &[&str], code: &[&str], out: &mut String) {
     }
 }
 
+/// Crate-level pass: a `pub fn` that no non-test line names, apart from
+/// `fn NAME` declarations, has only tests for callers (or none).
+fn check_test_only_pub(sources: &[(String, String)], out: &mut Vec<Violation>) {
+    if !sources.iter().any(|(rel, _)| rel == WORKSPACE_MANIFEST) {
+        return;
+    }
+    // One code view a file; the files a gated `mod` line includes are known
+    // only once every file has been read.
+    let mut gated_files = Vec::new();
+    let mut views = Vec::new();
+    for (rel, text) in sources {
+        if !rel.ends_with(".rs") || is_test_file(rel) {
+            continue;
+        }
+        let raw: Vec<&str> = text.lines().collect();
+        let code = code_view(text);
+        let lines = code_lines(&code, raw.len());
+        let mask = cfg_test_mask(&lines);
+        gated_files.extend(cfg_test_gated_mods(rel, &lines, &mask));
+        views.push((rel, raw, code, mask));
+    }
+    let mut named = std::collections::HashSet::new();
+    let mut decls = Vec::new();
+    for (rel, raw, code, mask) in &views {
+        let gated = gated_files
+            .iter()
+            .any(|g| rel == &&format!("{g}.rs") || rel.starts_with(&format!("{g}/")));
+        if gated {
+            continue;
+        }
+        let checked = rel.starts_with("crates/")
+            && rel.contains("/src/")
+            && !PUB_FN_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p));
+        let code = code_lines(code, raw.len());
+        for (i, line) in code.iter().enumerate().filter(|&(i, _)| !mask[i]) {
+            // The code view blanks byte for byte, so every word sits at the
+            // same offsets in the raw line, which outlives this file's view.
+            let declared = fn_name(line);
+            named.extend(
+                words(line)
+                    .filter(|w| Some(w.start) != declared.as_ref().map(|d| d.start))
+                    .map(|w| &raw[i][w]),
+            );
+            if let (true, Some(name)) = (checked, declared.filter(|_| is_pub_fn(line))) {
+                decls.push((*rel, i, raw[i], &raw[i][name]));
+            }
+        }
+    }
+    for (rel, line, raw, name) in decls {
+        if !named.contains(name) {
+            out.push(Violation {
+                rule: RULE_TEST_ONLY_PUB,
+                path: rel.clone(),
+                line: line + 1,
+                excerpt: excerpt(raw),
+                message: format!(
+                    "`{name}` is public but no non-test code names it — delete it, or gate \
+                     it as test code (`#[cfg(test)]`, or the crate's `reference` feature)"
+                ),
+            });
+        }
+    }
+}
+
+/// Whether a code-view line declares a `pub fn`, `pub const fn` or
+/// `pub unsafe fn` (`pub(crate)` and narrower are not public).
+fn is_pub_fn(line: &str) -> bool {
+    let Some(rest) = line.trim_start().strip_prefix("pub ") else {
+        return false;
+    };
+    let rest = rest.trim_start();
+    let rest = rest.strip_prefix("const ").unwrap_or(rest).trim_start();
+    let rest = rest.strip_prefix("unsafe ").unwrap_or(rest).trim_start();
+    rest.starts_with("fn ")
+}
+
+/// The byte ranges of the identifiers of a code-view line (a byte past
+/// ASCII counts as part of one, so a range never splits a character).
+fn words(line: &str) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let bytes = line.as_bytes();
+    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || !b.is_ascii();
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        let start = at + bytes[at..].iter().position(|&b| is_word(b))?;
+        let len = bytes[start..].iter().position(|&b| !is_word(b));
+        at = len.map_or(bytes.len(), |len| start + len);
+        Some(start..at)
+    })
+}
+
+/// Whether an attribute line is a `#[cfg(…)]` that names `test` —
+/// `cfg(test)` or `cfg(any(test, feature = "reference"))`.
+fn is_cfg_test(line: &str) -> bool {
+    line.match_indices("#[cfg(").any(|(at, _)| {
+        let attr = &line[at..];
+        has_word(&attr[..attr.find(']').unwrap_or(attr.len())], "test")
+    })
+}
+
+/// Lines under a `#[cfg(…)]` that names `test`, through the end of the item
+/// it decorates: the brace matching its first `{`, or the `;` that ends it
+/// first (a `mod name;` line, a `use`).
+fn cfg_test_mask(code: &[&str]) -> Vec<bool> {
+    let mut mask = vec![false; code.len()];
+    let mut i = 0;
+    while i < code.len() {
+        if !is_cfg_test(code[i]) {
+            i += 1;
+            continue;
+        }
+        let end = item_end(code, i).unwrap_or(code.len() - 1);
+        for m in &mut mask[i..=end] {
+            *m = true;
+        }
+        i = end + 1;
+    }
+    mask
+}
+
+/// Line index where the item whose attribute sits on line `attr` ends: the
+/// first `;` outside brackets before any `{`, or the `}` matching that `{`.
+/// (Attributes balance their own brackets and hold no `;`.)
+fn item_end(code: &[&str], attr: usize) -> Option<usize> {
+    let (mut brackets, mut braces) = (0usize, 0usize);
+    for (i, line) in code.iter().enumerate().skip(attr) {
+        for c in line.chars() {
+            match c {
+                '(' | '[' => brackets += 1,
+                ')' | ']' => brackets = brackets.saturating_sub(1),
+                ';' if braces == 0 && brackets == 0 => return Some(i),
+                '{' => braces += 1,
+                '}' => {
+                    braces = braces.saturating_sub(1);
+                    if braces == 0 {
+                        return Some(i);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
+
+/// The files `rel`'s `mod name;` lines under a `#[cfg(…)]` naming `test`
+/// include, as path stems: `crates/x/src/name` covers `name.rs` and
+/// everything under `name/`.
+fn cfg_test_gated_mods(rel: &str, code: &[&str], mask: &[bool]) -> Vec<String> {
+    let dir = match rel.rsplit_once('/') {
+        Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+        _ => rel.trim_end_matches(".rs"),
+    };
+    code.iter()
+        .zip(mask)
+        .filter(|(_, &m)| m)
+        .filter_map(|(line, _)| {
+            let at = line
+                .find("mod ")
+                .filter(|&at| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))?;
+            let name = line[at + 4..].trim().strip_suffix(';')?;
+            Some(format!("{dir}/{}", name.trim()))
+        })
+        .collect()
+}
+
 /// One variable named in a row of the README's knob table.
 struct KnobRow<'a> {
     name: &'a str,
@@ -597,14 +785,16 @@ fn check_dead_knob_rows(documented: &[KnobRow<'_>], out: &mut Vec<Violation>) {
     }
 }
 
-/// The `SPLITBEAM_[A-Z0-9_]+` names in `text`, in order.
+/// The `SPLITBEAM_[A-Z0-9_]+` names in `text`, in order (the bare prefix
+/// names no variable).
 fn knob_names(text: &str) -> impl Iterator<Item = &str> {
-    text.match_indices("SPLITBEAM_").map(move |(at, _)| {
+    const PREFIX: &str = "SPLITBEAM_";
+    text.match_indices(PREFIX).filter_map(move |(at, _)| {
         let rest = &text[at..];
         let end = rest
             .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
             .unwrap_or(rest.len());
-        &rest[..end]
+        (end > PREFIX.len()).then(|| &rest[..end])
     })
 }
 
@@ -887,7 +1077,10 @@ fn code_view(text: &str) -> String {
                 i += 1;
                 while i < bytes.len() {
                     if bytes[i] == b'\\' && i + 1 < bytes.len() {
-                        out.extend_from_slice(b"  ");
+                        // A `\` continuation keeps its newline: line numbers
+                        // of the view are the file's.
+                        let next = if bytes[i + 1] == b'\n' { b'\n' } else { b' ' };
+                        out.extend_from_slice(&[b' ', next]);
                         i += 2;
                     } else if bytes[i] == b'"' {
                         out.push(b'"');

@@ -27,12 +27,6 @@ pub fn dot11_feedback_for_snapshot(
     Ok(feedback)
 }
 
-/// Station-side FLOPs of the plain 802.11 baseline (SVD + Givens) for the
-/// snapshot's configuration.
-pub fn dot11_sta_flops_for_snapshot(snapshot: &ChannelSnapshot) -> u64 {
-    dot11_bfi::complexity::dot11_sta_flops(snapshot.nt(), snapshot.nr(), snapshot.subcarriers())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,17 +62,6 @@ mod tests {
             report.ber() < 0.05,
             "802.11 high-resolution feedback BER {} should be small",
             report.ber()
-        );
-    }
-
-    #[test]
-    fn flops_match_complexity_model() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let model = ChannelModel::new(EnvironmentProfile::e2(), Bandwidth::Mhz40, 3, 3, 1);
-        let snap = model.sample(&mut rng);
-        assert_eq!(
-            dot11_sta_flops_for_snapshot(&snap),
-            dot11_bfi::complexity::dot11_sta_flops(3, 3, 114)
         );
     }
 }

@@ -93,6 +93,7 @@ pub fn dataset_catalog() -> Vec<DatasetSpec> {
 ///
 /// # Errors
 /// Returns [`DatasetError::UnknownDataset`] for identifiers outside 1–15.
+#[cfg(test)]
 pub fn dataset_by_id(id: u8) -> Result<DatasetSpec, DatasetError> {
     dataset_catalog()
         .into_iter()

@@ -10,7 +10,6 @@
 //! in magnitude (tens of microseconds at 2x2/20 MHz, a few milliseconds at
 //! 4x4/160 MHz) and in scaling (~4x per bandwidth doubling, ~4x from 2x2 to 4x4).
 
-use neural::network::Network;
 use serde::{Deserialize, Serialize};
 use splitbeam::config::SplitBeamConfig;
 
@@ -64,14 +63,21 @@ impl AcceleratorModel {
         self.latency_s(macs, dims.len() - 1, io)
     }
 
-    /// Latency of running a dense [`Network`] on the accelerator.
-    pub fn network_latency_s(&self, network: &Network) -> f64 {
+    /// Latency of running a dense network on the accelerator.
+    #[cfg(test)]
+    pub fn network_latency_s(&self, network: &neural::network::Network) -> f64 {
         let io_values = (network.input_dim() + network.output_dim()) as u64;
         self.latency_s(network.macs(), network.layers().len(), io_values)
     }
 
-    /// Latency breakdown for a head + tail model pair.
-    pub fn split_latency(&self, head: &Network, tail: &Network) -> LatencyBreakdown {
+    /// Latency breakdown for a head + tail model pair: the tests' oracle for
+    /// [`AcceleratorModel::split_latency_from_config`].
+    #[cfg(test)]
+    pub fn split_latency(
+        &self,
+        head: &neural::network::Network,
+        tail: &neural::network::Network,
+    ) -> LatencyBreakdown {
         LatencyBreakdown {
             head_s: self.network_latency_s(head),
             tail_s: self.network_latency_s(tail),
@@ -79,7 +85,7 @@ impl AcceleratorModel {
     }
 
     /// Latency breakdown computed directly from a SplitBeam configuration
-    /// (equivalent to [`AcceleratorModel::split_latency`] on an instantiated
+    /// (equivalent to timing the head and tail networks of an instantiated
     /// model, but without allocating any weights — convenient for the large
     /// 160 MHz architectures).
     pub fn split_latency_from_config(&self, config: &SplitBeamConfig) -> LatencyBreakdown {
@@ -113,7 +119,7 @@ impl LatencyBreakdown {
 mod tests {
     use super::*;
     use neural::layer::Activation;
-    use neural::network::LayerSpec;
+    use neural::network::{LayerSpec, Network};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use splitbeam::config::{CompressionLevel, SplitBeamConfig};

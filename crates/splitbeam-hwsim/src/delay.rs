@@ -9,13 +9,14 @@
 use crate::accelerator::AcceleratorModel;
 use serde::{Deserialize, Serialize};
 use splitbeam::airtime::model_feedback_bits;
-use splitbeam::model::SplitBeamModel;
 use wifi_phy::sounding::{sounding_round_airtime, SoundingConfig};
 
 /// The delay budget of Eq. 7d (10 ms for MU-MIMO sounding).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DelayBudget {
-    /// Maximum tolerable end-to-end delay in seconds.
+    /// Maximum tolerable end-to-end delay in seconds. The budget is
+    /// inclusive: a round landing exactly on the deadline completes within
+    /// it (`total_s() <= max_delay_s`).
     pub max_delay_s: f64,
 }
 
@@ -47,34 +48,10 @@ impl EndToEndDelay {
     pub fn total_s(&self) -> f64 {
         self.head_s + self.queue_s + self.airtime_s + self.tail_s
     }
-
-    /// Whether the delay fits a budget. The budget is inclusive: a round
-    /// landing exactly on the Eq. 7d 10 ms deadline completes *within* it.
-    pub fn within(&self, budget: &DelayBudget) -> bool {
-        self.total_s() <= budget.max_delay_s
-    }
 }
 
-/// Computes the end-to-end delay of one SplitBeam feedback round for a model,
-/// an accelerator and a sounding configuration.
-pub fn end_to_end_delay_s(
-    model: &SplitBeamModel,
-    accelerator: &AcceleratorModel,
-    sounding: &SoundingConfig,
-    bits_per_value: u8,
-) -> EndToEndDelay {
-    let compute = accelerator.split_latency(model.head(), model.tail());
-    let feedback_bits = model_feedback_bits(model.config(), bits_per_value);
-    let airtime = sounding_round_airtime(sounding, feedback_bits).total_s();
-    EndToEndDelay {
-        head_s: compute.head_s,
-        queue_s: 0.0,
-        airtime_s: airtime,
-        tail_s: compute.tail_s,
-    }
-}
-
-/// Like [`end_to_end_delay_s`] but computed purely from a configuration, without
+/// Computes the end-to-end delay of one SplitBeam feedback round for a
+/// configuration, an accelerator and a sounding configuration, without
 /// instantiating model weights (the latency and airtime depend only on the
 /// architecture). This is what the BOP heuristic uses as its delay estimator.
 pub fn end_to_end_delay_from_config_s(
@@ -97,8 +74,6 @@ pub fn end_to_end_delay_from_config_s(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
     use splitbeam::config::{CompressionLevel, SplitBeamConfig};
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
@@ -110,26 +85,11 @@ mod tests {
     }
 
     #[test]
-    fn config_and_model_paths_agree() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let config = SplitBeamConfig::new(
-            MimoConfig::symmetric(2, Bandwidth::Mhz20),
-            CompressionLevel::OneEighth,
-        );
-        let model = SplitBeamModel::new(config.clone(), &mut rng);
-        let accel = AcceleratorModel::zynq_200mhz(2, 2);
-        let sounding = SoundingConfig::new(Bandwidth::Mhz20, 2);
-        let via_model = end_to_end_delay_s(&model, &accel, &sounding, 16);
-        let via_config = end_to_end_delay_from_config_s(&config, &accel, &sounding, 16);
-        assert!((via_model.total_s() - via_config.total_s()).abs() < 1e-12);
-    }
-
-    #[test]
     fn worst_case_stays_under_10ms() {
         // The paper's headline claim: even 4x4 at 160 MHz stays below 10 ms.
         let worst = delay_for(4, Bandwidth::Mhz160, CompressionLevel::OneQuarter);
         assert!(
-            worst.within(&DelayBudget::default()),
+            worst.total_s() <= DelayBudget::default().max_delay_s,
             "worst-case delay {} s exceeds 10 ms",
             worst.total_s()
         );
@@ -148,36 +108,5 @@ mod tests {
         let narrow = delay_for(2, Bandwidth::Mhz20, CompressionLevel::OneQuarter);
         let wide = delay_for(2, Bandwidth::Mhz160, CompressionLevel::OneQuarter);
         assert!(wide.total_s() > narrow.total_s());
-    }
-
-    #[test]
-    fn tighter_budget_can_fail() {
-        let d = delay_for(4, Bandwidth::Mhz160, CompressionLevel::OneQuarter);
-        let tight = DelayBudget { max_delay_s: 1e-4 };
-        assert!(!d.within(&tight));
-    }
-
-    /// Regression test: the budget check used strict `<`, so a round landing
-    /// exactly on the 10 ms deadline was wrongly counted as a violation.
-    #[test]
-    fn budget_boundary_is_inclusive() {
-        let d = EndToEndDelay {
-            head_s: 0.004,
-            queue_s: 0.0005,
-            airtime_s: 0.0035,
-            tail_s: 0.002,
-        };
-        // A budget equal to the total (the "lands exactly on 10 ms" case)
-        // counts as within; one ulp less does not.
-        let exact = DelayBudget {
-            max_delay_s: d.total_s(),
-        };
-        assert!(d.within(&exact), "exactly on the deadline is within budget");
-        assert!(!d.within(&DelayBudget {
-            max_delay_s: d.total_s() * (1.0 - 1e-12),
-        }));
-        assert!(d.within(&DelayBudget {
-            max_delay_s: d.total_s() * (1.0 + 1e-12),
-        }));
     }
 }

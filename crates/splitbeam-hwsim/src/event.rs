@@ -344,8 +344,8 @@ pub struct MediumGrant {
 /// *per-bit* cost of medium contention and of the round-level airtime model
 /// can never drift apart. Callers choose what bit count to charge: the
 /// event-driven serving driver feeds the **actual encoded wire frame** size
-/// (header included, byte-rounded — `splitbeam::airtime::feedback_bits_on_air`
-/// rounded up), whereas the analytic Fig. 7 accounting feeds the paper's
+/// (header and trailer included, byte-rounded — `splitbeam::wire::encoded_len`),
+/// whereas the analytic Fig. 7 accounting feeds the paper's
 /// headerless `model_feedback_bits` convention.
 ///
 /// Offer frames in nondecreasing ready-time order (pop them from an
@@ -385,11 +385,6 @@ impl SharedMedium {
             total_air_ns: 0,
             total_wait_ns: 0,
         }
-    }
-
-    /// Whether this is the zero-airtime ideal medium.
-    pub fn is_ideal(&self) -> bool {
-        self.rate_mbps.is_none()
     }
 
     /// On-air duration of one `payload_bits` frame on this medium.
@@ -443,7 +438,7 @@ impl SharedMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use splitbeam::airtime::{model_feedback_bits, splitbeam_frame_airtime_s};
+    use splitbeam::airtime::model_feedback_bits;
     use splitbeam::config::{CompressionLevel, SplitBeamConfig};
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
     use wifi_phy::sounding::SoundingConfig;
@@ -671,7 +666,6 @@ mod tests {
     #[test]
     fn ideal_medium_is_free_and_instant() {
         let mut medium = SharedMedium::ideal();
-        assert!(medium.is_ideal());
         for ready in [0u64, 5, 5, 1000] {
             let g = medium.transmit(ready, 1_000_000);
             assert_eq!(
@@ -741,7 +735,10 @@ mod tests {
                     let medium = SharedMedium::new(sounding.feedback_rate_mbps);
                     let payload_bits = model_feedback_bits(&config, bits);
                     let via_medium = medium.frame_airtime_ns(payload_bits);
-                    let via_airtime = s_to_ns(splitbeam_frame_airtime_s(&config, &sounding, bits));
+                    let via_airtime = s_to_ns(feedback_frame_airtime_s(
+                        payload_bits,
+                        sounding.feedback_rate_mbps,
+                    ));
                     assert_eq!(
                         via_medium, via_airtime,
                         "{n}x{n} @ {bw:?}, {bits} bits/value"

@@ -30,18 +30,6 @@ pub struct GilbertElliott {
     pub loss_bad: f64,
 }
 
-impl GilbertElliott {
-    /// Stationary (long-run) loss probability of the chain.
-    pub fn stationary_loss(&self) -> f64 {
-        let denom = self.p_enter_bad + self.p_exit_bad;
-        if denom <= 0.0 {
-            return self.loss_good;
-        }
-        let p_bad = self.p_enter_bad / denom;
-        (1.0 - p_bad) * self.loss_good + p_bad * self.loss_bad
-    }
-}
-
 /// Fault-injection configuration. The default ([`FaultConfig::none`]) injects
 /// nothing and — critically — draws nothing from the seeded stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -335,7 +323,9 @@ mod tests {
             .collect();
         let losses = fates.iter().filter(|&&l| l).count();
         let rate = losses as f64 / n as f64;
-        let expect = ge.stationary_loss();
+        // The chain's long-run share of Bad states, times its loss there.
+        let p_bad = ge.p_enter_bad / (ge.p_enter_bad + ge.p_exit_bad);
+        let expect = (1.0 - p_bad) * ge.loss_good + p_bad * ge.loss_bad;
         assert!(
             (rate - expect).abs() < 0.03,
             "observed {rate}, stationary {expect}"

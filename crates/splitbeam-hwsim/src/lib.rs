@@ -19,7 +19,7 @@ pub mod fault;
 mod wheel;
 
 pub use accelerator::{AcceleratorModel, LatencyBreakdown};
-pub use delay::{end_to_end_delay_s, DelayBudget, EndToEndDelay};
+pub use delay::{DelayBudget, EndToEndDelay};
 pub use event::{
     ns_to_s, s_to_ns, EventKey, EventQueue, MediumGrant, SeededJitter, SharedMedium, VirtualNs,
 };

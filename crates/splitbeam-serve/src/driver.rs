@@ -83,14 +83,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// A small default workload: 8 stations, 4 rounds, 4-bit bottleneck, one
-    /// in eleven reports dropped, no churn.
-    pub fn small() -> Self {
-        Self::default()
-    }
-}
-
 /// One pre-scheduled session-lifecycle event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEvent {
@@ -132,16 +124,9 @@ pub struct SimTraffic {
     pub max_station_id: StationId,
 }
 
+/// The traffic's totals, which the tests hold a run's books to.
+#[cfg(any(test, feature = "reference"))]
 impl SimTraffic {
-    /// Total wire bytes across all rounds and stations.
-    pub fn total_wire_bytes(&self) -> usize {
-        self.rounds
-            .iter()
-            .flat_map(|r| r.frames.iter())
-            .filter_map(|(_, f)| f.as_ref().map(Vec::len))
-            .sum()
-    }
-
     /// Number of frames actually transmitted (non-dropped reports).
     pub fn total_frames(&self) -> usize {
         self.rounds
@@ -488,6 +473,7 @@ pub struct ServeOutcome {
     pub evictions: usize,
 }
 
+#[cfg(test)]
 impl ServeOutcome {
     /// Total stations served across all rounds.
     pub fn total_served(&self) -> usize {
@@ -624,7 +610,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(traffic.total_wire_bytes(), 5 * expected_frame_len);
         assert_eq!(traffic.final_csi.len(), 3);
         assert_eq!(traffic.final_csi[0].len(), 56);
         assert_eq!(traffic.max_station_id, 3);

@@ -43,7 +43,7 @@ use splitbeam_hwsim::delay::DelayBudget;
 use splitbeam_hwsim::event::{
     s_to_ns, EventQueue, SeededJitter, SharedMedium, VirtualNs, WatermarkClock,
 };
-use splitbeam_hwsim::fault::{FaultConfig, FaultInjector, FaultStats, FrameFate};
+use splitbeam_hwsim::fault::{FaultConfig, FaultInjector, FrameFate};
 use std::collections::BTreeMap;
 
 /// Shape of one event-driven serving run.
@@ -329,13 +329,9 @@ impl<S: StreamServing> EventDriver<S> {
 
     /// Cumulative fault-injection accounting (offered, lost, corrupted,
     /// duplicated, delayed frames) across the run.
-    pub fn fault_stats(&self) -> FaultStats {
+    #[cfg(any(test, feature = "reference"))]
+    pub fn fault_stats(&self) -> splitbeam_hwsim::fault::FaultStats {
         self.injector.stats()
-    }
-
-    /// Arrivals still waiting in the event queue.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Stamps of every report the most recent round close delivered, in
@@ -1013,7 +1009,7 @@ mod tests {
                 last_now = now;
             }
             assert!(event.feedback_of(sparse).is_none());
-            assert_eq!(event.pending_events(), 0);
+            assert_eq!(event.queue.len(), 0);
             assert_eq!(event.medium().frames_carried(), 6, "id {sparse}");
             // Four 2.5 ms watermarks per 10 ms round, none beyond.
             let ticks = event.inner().ticks;
@@ -1050,7 +1046,7 @@ mod tests {
                 assert_eq!((summary.served, summary.expired), (0, 1), "{case}");
             }
             assert_eq!(event.medium().frames_carried(), 0);
-            assert_eq!(event.pending_events(), 0);
+            assert_eq!(event.queue.len(), 0);
         }
     }
 

@@ -405,6 +405,7 @@ impl Fleet {
         &self.member(index).server
     }
 
+    #[cfg(any(test, feature = "reference"))]
     pub fn num_aps(&self) -> usize {
         self.cfg.aps
     }

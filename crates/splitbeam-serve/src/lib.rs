@@ -43,6 +43,9 @@
 //! `ApServer::close_serial` / `driver::ServeMode::Serial`, which reconstruct
 //! one station at a time through the unfused path. Every shard count and
 //! watermark cadence is bit-exact with it (the root `close_matrix` test).
+//! It also holds the helpers the root tests read a run's books with: the
+//! traffic totals, `EventDriver::fault_stats`, `Fleet::num_aps` and the
+//! stalled-shard knob `ApServer::set_shard_stall_ns`.
 //!
 //! # Example: serve two stations for one round
 //!

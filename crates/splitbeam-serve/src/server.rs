@@ -192,11 +192,6 @@ impl ApServer {
         }
     }
 
-    /// Number of session shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The deterministic shard a station id maps to (`id % num_shards`).
     pub fn shard_of(&self, id: StationId) -> usize {
         (id % self.shards.len() as u64) as usize
@@ -236,11 +231,6 @@ impl ApServer {
         self.tails.push(Arc::new(QuantizedTail::bind(&model)));
         self.models.push(Arc::new(model));
         self.models.len() - 1
-    }
-
-    /// The int8 tail bound from model `key`.
-    pub fn quantized_tail(&self, key: usize) -> Option<&QuantizedTail> {
-        self.tails.get(key).map(Arc::as_ref)
     }
 
     /// The weight format round closes currently reconstruct with.
@@ -377,13 +367,6 @@ impl ApServer {
         self.shards.iter().flat_map(|s| s.sessions.values())
     }
 
-    /// All registered station ids in ascending order (merged across shards).
-    pub fn station_ids(&self) -> Vec<StationId> {
-        let mut ids: Vec<StationId> = self.sessions().map(StationSession::id).collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Index of the sounding round currently being collected.
     pub fn current_round(&self) -> u64 {
         self.round
@@ -436,11 +419,6 @@ impl ApServer {
         self.shards[shard].ingest_wire(&self.models, id, frame, stamp, self.round, self.streaming)
     }
 
-    /// The health thresholds applied to every session.
-    pub fn health_policy(&self) -> HealthPolicy {
-        self.shards[0].health
-    }
-
     /// Replaces the health thresholds on every shard (takes effect from the
     /// next ingest).
     pub fn set_health_policy(&mut self, policy: HealthPolicy) {
@@ -477,9 +455,9 @@ impl ApServer {
     /// Untimed frames carry an all-zero stamp and always classify on-time.
     ///
     /// A lockstep server closes under the round barrier: the round waits for
-    /// the slowest shard, so every report pays the maximum
-    /// [`ApServer::set_shard_stall_ns`] stall. A streaming server's shards
-    /// each pay only their own.
+    /// the slowest shard, so every report pays the maximum shard stall (the
+    /// close lag the tests' stalled-shard model sets). A streaming server's
+    /// shards each pay only their own.
     ///
     /// # Errors
     /// [`ServeError::Model`] when a tail reconstruction fails. The round is
@@ -598,11 +576,6 @@ impl ApServer {
         self.streaming = on;
     }
 
-    /// Whether streaming ingest is active.
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
     /// Sets shard `shard`'s artificial close lag (stalled-shard model): its
     /// reports pay `ns` of additional queueing delay when classified.
     /// Identity at 0. Under barrier closes **every** shard's reports pay the
@@ -611,6 +584,7 @@ impl ApServer {
     ///
     /// # Panics
     /// When `shard` is out of range.
+    #[cfg(any(test, feature = "reference"))]
     pub fn set_shard_stall_ns(&mut self, shard: usize, ns: u64) {
         self.shards[shard].stall_ns = ns;
     }
@@ -822,7 +796,7 @@ mod tests {
         let good = station_frame(&m, 90, 8);
         let mut bad = good.clone();
         bad[20] ^= 0x10; // damage a payload byte; the CRC must catch it
-        let policy = server.health_policy();
+        let policy = HealthPolicy::default();
         assert_eq!(policy.quarantine_after_corrupt, 3);
 
         // Two corrupt frames: rejected and counted, station still accepted.
@@ -943,7 +917,7 @@ mod tests {
         server.ingest_wire(0, &station_frame(&m, 92, 8)).unwrap();
         let summary = server.process_round().unwrap();
         assert_eq!((summary.served, summary.stale_served), (1, 0));
-        let cap = server.health_policy().stale_serve_cap;
+        let cap = HealthPolicy::default().stale_serve_cap;
         // While within the staleness cap the silent station is still carried
         // by last-known-good feedback...
         for age in 1..=cap {
@@ -1083,9 +1057,14 @@ mod tests {
             }
         };
         let held = |server: &ApServer| -> Vec<(StationId, usize)> {
-            let ids = server.station_ids();
-            ids.into_iter()
-                .map(|id| (id, server.feedback_of(id).unwrap().as_ptr() as usize))
+            server
+                .sessions()
+                .map(|s| {
+                    (
+                        s.id(),
+                        server.feedback_of(s.id()).unwrap().as_ptr() as usize,
+                    )
+                })
                 .collect()
         };
         let circulation = |server: &ApServer| -> BTreeSet<usize> {
@@ -1235,13 +1214,13 @@ mod tests {
     #[test]
     fn ids_map_to_shards_deterministically() {
         let server = ApServer::with_shards(4);
-        assert_eq!(server.num_shards(), 4);
+        assert_eq!(server.shards.len(), 4);
         for id in 0..32u64 {
             assert_eq!(server.shard_of(id), (id % 4) as usize);
         }
         // Shard count clamps to at least one.
-        assert_eq!(ApServer::with_shards(0).num_shards(), 1);
-        assert_eq!(ApServer::new().num_shards(), 1);
+        assert_eq!(ApServer::with_shards(0).shards.len(), 1);
+        assert_eq!(ApServer::new().shards.len(), 1);
     }
 
     #[test]
@@ -1265,7 +1244,8 @@ mod tests {
         server.deregister_station(0).unwrap();
         server.register_station(2, key, 8).unwrap();
         assert_eq!(server.num_stations(), 2);
-        assert_eq!(server.station_ids(), vec![1, 2]);
+        let ids: Vec<StationId> = server.sessions().map(StationSession::id).collect();
+        assert_eq!(ids, vec![1, 2]);
         // Lifting the cap reopens registration.
         server.set_capacity(None);
         server.register_station(0, key, 8).unwrap();

@@ -342,6 +342,7 @@ impl StationSession {
     }
 
     /// Round the quarantine expires at (`None` when not quarantined).
+    #[cfg(test)]
     pub fn quarantined_until(&self) -> Option<u64> {
         self.quarantined_until_round
     }

@@ -12,7 +12,7 @@
 //! these stay `Eq`-comparable, which is what the lockstep bit-exactness
 //! anchor (event driver with zero delays ≡ legacy drivers) relies on.
 
-use splitbeam_hwsim::delay::{DelayBudget, EndToEndDelay};
+use splitbeam_hwsim::delay::DelayBudget;
 use splitbeam_hwsim::event::{ns_to_s, s_to_ns, VirtualNs};
 
 /// Virtual-time record of one ingested wire frame: when it reached the AP and
@@ -66,16 +66,6 @@ impl FrameStamp {
             ..*self
         }
     }
-
-    /// The stamp as a floating-point [`EndToEndDelay`] breakdown.
-    pub fn to_delay(&self) -> EndToEndDelay {
-        EndToEndDelay {
-            head_s: ns_to_s(self.head_ns),
-            queue_s: ns_to_s(self.queue_ns),
-            airtime_s: ns_to_s(self.air_ns),
-            tail_s: ns_to_s(self.tail_ns),
-        }
-    }
 }
 
 /// How the deadline-aware round closer classified one station's feedback.
@@ -121,7 +111,7 @@ impl DeadlinePolicy {
 
     /// Classifies a report by its total end-to-end delay. The budget boundary
     /// is inclusive on both cuts, matching
-    /// [`EndToEndDelay::within`](splitbeam_hwsim::delay::EndToEndDelay::within):
+    /// [`DelayBudget::max_delay_s`](splitbeam_hwsim::delay::DelayBudget::max_delay_s):
     /// a report landing exactly on the deadline is on time.
     pub fn classify(&self, total_ns: u64) -> FrameClass {
         if total_ns <= self.budget_ns {
@@ -204,7 +194,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stamp_totals_and_delay_breakdown() {
+    fn stamp_total_sums_the_four_stages() {
         let stamp = FrameStamp {
             arrival_ns: 9_000_000,
             head_ns: 1_000_000,
@@ -213,17 +203,11 @@ mod tests {
             tail_ns: 4_000_000,
         };
         assert_eq!(stamp.total_ns(), 10_000_000);
-        let delay = stamp.to_delay();
-        assert!((delay.head_s - 1e-3).abs() < 1e-12);
-        assert!((delay.queue_s - 2e-3).abs() < 1e-12);
-        assert!((delay.airtime_s - 3e-3).abs() < 1e-12);
-        assert!((delay.tail_s - 4e-3).abs() < 1e-12);
-        assert!((delay.total_s() - 1e-2).abs() < 1e-12);
         assert_eq!(FrameStamp::default().total_ns(), 0);
     }
 
-    /// The budget boundary is inclusive at both cuts, matching the PR 4
-    /// `EndToEndDelay::within` semantics.
+    /// The budget boundary is inclusive at both cuts, matching the Eq. 7d
+    /// `DelayBudget`.
     #[test]
     fn classification_boundaries_are_inclusive() {
         let policy = DeadlinePolicy {

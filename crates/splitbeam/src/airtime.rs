@@ -9,7 +9,6 @@ use crate::config::SplitBeamConfig;
 use crate::quantization::DEFAULT_BITS_PER_VALUE;
 use dot11_bfi::feedback::paper_report_bits;
 use serde::{Deserialize, Serialize};
-use wifi_phy::sounding::{feedback_frame_airtime_s, sounding_round_airtime, SoundingConfig};
 
 /// SplitBeam feedback size in bits for an `nt x nr` configuration with `s`
 /// subcarriers at compression `k`, counting `bits_per_value` bits per
@@ -44,17 +43,6 @@ pub fn model_feedback_bits(config: &SplitBeamConfig, bits_per_value: u8) -> usiz
 /// carrying `bits_per_value` bits.
 fn complex_feedback_bits(bottleneck_dim: usize, bits_per_value: u8) -> usize {
     (bottleneck_dim / 2).max(1) * bits_per_value as usize
-}
-
-/// On-air feedback size in bits for a bottleneck of `bottleneck_dim` (real)
-/// values: the bit-packed codes plus the fixed v2 wire-frame header and CRC-32
-/// trailer the codec in [`crate::wire`] emits. This is the number the airtime
-/// model should use when it must match actual transmitted bytes:
-/// `8 * encoded_len == ` this value rounded up to a whole byte.
-pub fn feedback_bits_on_air(bottleneck_dim: usize, bits_per_value: u8) -> usize {
-    crate::wire::WIRE_HEADER_BITS
-        + crate::quantization::feedback_bits(bottleneck_dim, bits_per_value)
-        + crate::wire::WIRE_TRAILER_BITS
 }
 
 /// The Fig. 7 quantity: SplitBeam feedback size as a percentage of the 802.11
@@ -99,7 +87,7 @@ pub fn bf_size_grid(
                     k,
                     splitbeam_bits: sb,
                     dot11_bits: dot11,
-                    ratio_percent: 100.0 * sb as f64 / dot11 as f64,
+                    ratio_percent: bf_size_ratio_percent(n, n, s, k),
                 });
             }
         }
@@ -118,42 +106,12 @@ pub fn average_airtime_saving_percent(grid: &[BfSizePoint]) -> f64 {
     100.0 - mean_ratio
 }
 
-/// Airtime of one full sounding round when the stations reply with SplitBeam
-/// feedback instead of 802.11 compressed reports, in seconds.
-pub fn splitbeam_sounding_airtime_s(
-    config: &SplitBeamConfig,
-    sounding: &SoundingConfig,
-    bits_per_value: u8,
-) -> f64 {
-    let bits = model_feedback_bits(config, bits_per_value);
-    sounding_round_airtime(sounding, bits).total_s()
-}
-
-/// On-air duration of **one** station's SplitBeam feedback frame (PHY/MAC
-/// overhead plus the quantized bottleneck payload at the sounding config's
-/// feedback rate), in seconds.
-///
-/// This is the same per-frame primitive
-/// ([`wifi_phy::sounding::feedback_frame_airtime_s`]) that
-/// [`splitbeam_sounding_airtime_s`] sums per polled station, so a shared-medium
-/// model charging this duration per serialized frame can never drift from the
-/// round-level airtime math.
-pub fn splitbeam_frame_airtime_s(
-    config: &SplitBeamConfig,
-    sounding: &SoundingConfig,
-    bits_per_value: u8,
-) -> f64 {
-    feedback_frame_airtime_s(
-        model_feedback_bits(config, bits_per_value),
-        sounding.feedback_rate_mbps,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CompressionLevel;
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
+    use wifi_phy::sounding::{feedback_frame_airtime_s, sounding_round_airtime, SoundingConfig};
 
     #[test]
     fn feedback_bits_scale_with_k() {
@@ -174,9 +132,7 @@ mod tests {
         for bits in [1u8, 4, 7, 16] {
             let payload = quantize_bottleneck(&values, bits);
             let frame = crate::wire::encode_feedback(&payload).unwrap();
-            let predicted = feedback_bits_on_air(values.len(), bits);
-            assert_eq!(payload.size_bits(), predicted);
-            assert_eq!(frame.len(), predicted.div_ceil(8), "bits={bits}");
+            assert_eq!(frame.len(), payload.size_bits().div_ceil(8), "bits={bits}");
         }
     }
 
@@ -283,20 +239,15 @@ mod tests {
                         CompressionLevel::OneEighth,
                     );
                     let sounding = wifi_phy::sounding::SoundingConfig::new(bw, n);
-                    let frame = splitbeam_frame_airtime_s(&config, &sounding, bits);
-                    let round = wifi_phy::sounding::sounding_round_airtime(
-                        &sounding,
-                        model_feedback_bits(&config, bits),
-                    );
+                    let payload_bits = model_feedback_bits(&config, bits);
+                    let frame = feedback_frame_airtime_s(payload_bits, sounding.feedback_rate_mbps);
+                    let round = sounding_round_airtime(&sounding, payload_bits);
                     assert!(
                         (round.feedback_s - n as f64 * frame).abs() < 1e-15,
                         "{n}x{n} @ {bw:?}, {bits} bits/value"
                     );
                     assert!(
-                        (splitbeam_sounding_airtime_s(&config, &sounding, bits)
-                            - (round.protocol_s + n as f64 * frame))
-                            .abs()
-                            < 1e-15,
+                        (round.total_s() - (round.protocol_s + n as f64 * frame)).abs() < 1e-15,
                         "{n}x{n} @ {bw:?}, {bits} bits/value: round total must decompose"
                     );
                 }
@@ -311,7 +262,7 @@ mod tests {
             CompressionLevel::OneEighth,
         );
         let sounding = SoundingConfig::new(Bandwidth::Mhz80, 3);
-        let t = splitbeam_sounding_airtime_s(&config, &sounding, 16);
+        let t = sounding_round_airtime(&sounding, model_feedback_bits(&config, 16)).total_s();
         assert!(
             t > 0.0 && t < 0.01,
             "sounding airtime {t}s should be below 10 ms"

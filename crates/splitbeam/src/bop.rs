@@ -27,6 +27,7 @@ pub struct BopConstraints {
     /// Maximum tolerated bit error rate `gamma` (Eq. 7c).
     pub max_ber: f64,
     /// Maximum tolerated end-to-end feedback delay `tau` in seconds (Eq. 7d).
+    /// Inclusive: a design whose delay lands exactly on it is feasible.
     pub max_delay_s: f64,
     /// Trade-off weight `mu` between station overhead and airtime (Eq. 7a);
     /// must lie strictly between 0 and 1 (Eq. 7b).
@@ -48,7 +49,7 @@ impl BopConstraints {
     ///
     /// # Errors
     /// Returns [`SplitBeamError::ConstraintsUnsatisfiable`] when `mu` is not in `(0, 1)`
-    /// or the ceilings are non-positive.
+    /// or a ceiling is not positive (`NaN` included).
     pub fn validate(&self) -> Result<(), SplitBeamError> {
         if !(self.mu > 0.0 && self.mu < 1.0) {
             return Err(SplitBeamError::ConstraintsUnsatisfiable(format!(
@@ -56,7 +57,7 @@ impl BopConstraints {
                 self.mu
             )));
         }
-        if self.max_ber <= 0.0 || self.max_delay_s <= 0.0 {
+        if !(self.max_ber > 0.0 && self.max_delay_s > 0.0) {
             return Err(SplitBeamError::ConstraintsUnsatisfiable(
                 "BER and delay ceilings must be positive".into(),
             ));
@@ -138,7 +139,7 @@ where
                 ..current_base.clone()
             };
             let delay = estimate_delay(&candidate_config);
-            if delay >= constraints.max_delay_s {
+            if delay > constraints.max_delay_s {
                 // A candidate that already violates the delay ceiling is not trained.
                 explored.push(BopCandidate {
                     config: candidate_config,
@@ -173,7 +174,7 @@ where
     }
 
     Err(SplitBeamError::ConstraintsUnsatisfiable(format!(
-        "no candidate met BER <= {} and delay < {} s after exploring {} candidates",
+        "no candidate met BER <= {} and delay <= {} s after exploring {} candidates",
         constraints.max_ber,
         constraints.max_delay_s,
         explored.len()
@@ -286,6 +287,46 @@ mod tests {
             trained, 0,
             "no candidate should be trained when delay always fails"
         );
+    }
+
+    /// Eq. 7d is inclusive, as the server's deadline classes are: a design
+    /// whose delay lands exactly on the ceiling is trained and selected.
+    #[test]
+    fn a_delay_exactly_on_the_ceiling_is_feasible() {
+        let constraints = BopConstraints::default();
+        let solution = solve_bop(
+            &base_config(),
+            &constraints,
+            0,
+            dummy_train,
+            |_| 0.0,
+            |_| constraints.max_delay_s,
+        )
+        .unwrap();
+        assert_eq!(solution.selected.delay_s, constraints.max_delay_s);
+        assert_eq!(solution.explored.len(), 1);
+    }
+
+    #[test]
+    fn nan_ceilings_are_refused() {
+        for constraints in [
+            BopConstraints {
+                max_ber: f64::NAN,
+                ..BopConstraints::default()
+            },
+            BopConstraints {
+                max_delay_s: f64::NAN,
+                ..BopConstraints::default()
+            },
+        ] {
+            assert!(
+                matches!(
+                    constraints.validate(),
+                    Err(SplitBeamError::ConstraintsUnsatisfiable(_))
+                ),
+                "{constraints:?}"
+            );
+        }
     }
 
     #[test]

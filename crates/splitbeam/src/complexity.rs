@@ -70,7 +70,7 @@ pub fn comp_load_grid(
                     k,
                     splitbeam_macs: macs,
                     dot11_flops: flops,
-                    ratio_percent: 100.0 * macs / flops as f64,
+                    ratio_percent: comp_load_ratio_percent(n, n, s, k),
                 });
             }
         }

@@ -31,7 +31,7 @@ use crate::model::SplitBeamModel;
 use crate::quantization::{dequantize_bottleneck_into, QuantizedFeedback};
 use crate::SplitBeamError;
 use mimo_math::kernel::int8::Int8Kernel;
-use mimo_math::kernel::{self, Kernel};
+use mimo_math::kernel::Kernel;
 use neural::quant::{QuantScratch, QuantizedDense};
 use neural::{LayerOut, Matrix};
 
@@ -138,45 +138,23 @@ impl Default for TailScratch {
 }
 
 impl SplitBeamModel {
-    /// **AP side, batched + fused**: reconstructs many quantized payloads
-    /// from one dequantized strip, using the runtime-selected kernel backend
-    /// (the packed tail under `avx2_fma`). Returns the `batch x output_dim`
-    /// matrix held by `scratch` (row `i` is payload `i`'s reconstruction).
+    /// **AP side, batched + fused**: reconstructs the `batch` quantized
+    /// payloads `payloads` yields from one dequantized strip on kernel
+    /// backend `kern` (the packed tail under `avx2_fma`;
+    /// [`mimo_math::kernel::selected`] is the runtime's choice) — the allocation-free
+    /// seam the serving layer drives, with no payload-reference slice to
+    /// materialize. Returns the `batch x output_dim` matrix held by `scratch`
+    /// (row `i` is payload `i`'s reconstruction).
     ///
     /// Results are bit-identical to
     /// [`SplitBeamModel::reconstruct_quantized`] applied per payload.
     ///
     /// # Errors
     /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty,
-    /// a payload's code count differs from the bottleneck width, its
-    /// `bits_per_value` lies outside `1..=16` or one of its codes does not
-    /// fit that width.
-    pub fn reconstruct_quantized_batch_into<'a>(
-        &self,
-        payloads: &[&QuantizedFeedback],
-        scratch: &'a mut TailScratch,
-    ) -> Result<&'a Matrix, SplitBeamError> {
-        self.reconstruct_quantized_batch_iter_into(
-            payloads.iter().copied(),
-            payloads.len(),
-            scratch,
-            kernel::selected(),
-        )
-    }
-
-    /// Iterator form of [`SplitBeamModel::reconstruct_quantized_batch_into`]
-    /// with an explicit kernel backend — the allocation-free seam the serving
-    /// layer drives (no payload-reference slice needs materializing) and the
-    /// entry point the dispatch-parity tests pin.
-    ///
-    /// `batch` must equal the iterator's length.
-    ///
-    /// # Errors
-    /// Returns [`SplitBeamError::DimensionMismatch`] when the batch is empty,
-    /// the iterator yields fewer or more than `batch` payloads, or a payload
-    /// is malformed as for
-    /// [`SplitBeamModel::reconstruct_quantized_batch_into`]; nothing is
-    /// reconstructed from a batch that fails.
+    /// the iterator yields fewer or more than `batch` payloads, a payload's
+    /// code count differs from the bottleneck width, its `bits_per_value`
+    /// lies outside `1..=16` or one of its codes does not fit that width;
+    /// nothing is reconstructed from a batch that fails.
     pub fn reconstruct_quantized_batch_iter_into<'a, 'p, I>(
         &self,
         payloads: I,
@@ -598,7 +576,7 @@ mod tests {
     use super::*;
     use crate::config::{CompressionLevel, SplitBeamConfig};
     use crate::quantization::{dequantize_bottleneck, quantize_bottleneck};
-    use mimo_math::kernel::packed::PackedWidth;
+    use mimo_math::kernel::{self, packed::PackedWidth};
     use mimo_math::Backend;
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -682,10 +660,14 @@ mod tests {
             for width in [PackedWidth::Ymm, PackedWidth::Zmm] {
                 let m = model(13, deeper).with_tail_packing(width);
                 let payloads = payloads_for(&m, 13, 12);
-                let refs: Vec<&QuantizedFeedback> = payloads.iter().collect();
                 let mut scratch = TailScratch::new();
                 let out = m
-                    .reconstruct_quantized_batch_into(&refs, &mut scratch)
+                    .reconstruct_quantized_batch_iter_into(
+                        payloads.iter(),
+                        payloads.len(),
+                        &mut scratch,
+                        kernel::selected(),
+                    )
                     .unwrap();
                 for (i, payload) in payloads.iter().enumerate() {
                     let want = m.reconstruct_quantized(payload).unwrap();
@@ -701,12 +683,22 @@ mod tests {
         let m = model(17, false);
         let mut scratch = TailScratch::new();
         assert!(matches!(
-            m.reconstruct_quantized_batch_into(&[], &mut scratch),
+            m.reconstruct_quantized_batch_iter_into(
+                std::iter::empty(),
+                0,
+                &mut scratch,
+                kernel::selected()
+            ),
             Err(SplitBeamError::DimensionMismatch(_))
         ));
         let short = quantize_bottleneck(&[0.5; 3], 8);
         assert!(matches!(
-            m.reconstruct_quantized_batch_into(&[&short], &mut scratch),
+            m.reconstruct_quantized_batch_iter_into(
+                [&short].into_iter(),
+                1,
+                &mut scratch,
+                kernel::selected()
+            ),
             Err(SplitBeamError::DimensionMismatch(_))
         ));
         // A declared batch smaller or larger than the iterator is an error,
@@ -732,13 +724,13 @@ mod tests {
     fn scratch_is_reused_across_rounds() {
         let m = model(19, false);
         let payloads = payloads_for(&m, 4, 8);
-        let refs: Vec<&QuantizedFeedback> = payloads.iter().collect();
         let mut scratch = TailScratch::new();
-        m.reconstruct_quantized_batch_into(&refs, &mut scratch)
+        let kern = kernel::selected();
+        m.reconstruct_quantized_batch_iter_into(payloads.iter(), 4, &mut scratch, kern)
             .unwrap();
         let strip_ptr = scratch.strip.as_slice().as_ptr();
         let ping_ptr = scratch.ping.as_slice().as_ptr();
-        m.reconstruct_quantized_batch_into(&refs, &mut scratch)
+        m.reconstruct_quantized_batch_iter_into(payloads.iter(), 4, &mut scratch, kern)
             .unwrap();
         assert_eq!(
             scratch.strip.as_slice().as_ptr(),

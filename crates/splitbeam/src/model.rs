@@ -109,13 +109,6 @@ impl SplitBeamModel {
         &self.packed_tail
     }
 
-    /// Reassembles the full network (used for further training).
-    pub fn to_full_network(&self) -> Network {
-        let mut layers = self.head.layers().to_vec();
-        layers.extend(self.tail.layers().iter().cloned());
-        Network::from_layers(layers)
-    }
-
     /// Width of the compressed representation transmitted over the air.
     pub fn bottleneck_dim(&self) -> usize {
         self.head.output_dim()
@@ -129,11 +122,6 @@ impl SplitBeamModel {
     /// AP-side multiply-accumulate count per CSI tensor (the tail model).
     pub fn tail_macs(&self) -> u64 {
         self.tail.macs()
-    }
-
-    /// Station-side FLOPs per CSI tensor.
-    pub fn head_flops(&self) -> u64 {
-        self.head.flops()
     }
 
     /// **Station side**: compresses a flattened CSI vector into the bottleneck
@@ -309,19 +297,6 @@ mod tests {
         assert_eq!(model.tail().output_dim(), 224);
         assert_eq!(model.head_macs(), 448 * 56);
         assert_eq!(model.tail_macs(), 56 * 224);
-    }
-
-    #[test]
-    fn split_composition_matches_full_network() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let model = SplitBeamModel::new(small_config(), &mut rng);
-        let full = model.to_full_network();
-        let input: Vec<f32> = (0..448).map(|i| (i as f32 * 0.37).sin() * 0.1).collect();
-        let via_split = model.infer(&input).unwrap();
-        let via_full = full.predict(&input).unwrap();
-        for (a, b) in via_split.iter().zip(via_full.iter()) {
-            assert!((a - b).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -38,12 +38,6 @@ impl QuantizedFeedback {
             + crate::wire::WIRE_HEADER_BITS
             + crate::wire::WIRE_TRAILER_BITS
     }
-
-    /// Size of the payload in bytes when bit-packed by [`crate::wire::encode_feedback`]
-    /// (the body is zero-padded to a whole byte).
-    pub fn wire_bytes(&self) -> usize {
-        crate::wire::encoded_len(self.codes.len(), self.bits_per_value)
-    }
 }
 
 /// Quantizes a bottleneck activation vector with `bits_per_value` bits per value.
@@ -137,18 +131,11 @@ pub fn dequantize_bottleneck_into(payload: &QuantizedFeedback, out: &mut [f32]) 
 }
 
 /// Worst-case quantization error for a payload spanning `[min, max]` with the
-/// given bit width (half a step).
+/// given bit width (half a step): the bound the tests hold a round trip to.
+#[cfg(test)]
 pub fn max_quantization_error(min: f32, max: f32, bits_per_value: u8) -> f32 {
     let levels = f64::from((1u32 << bits_per_value) - 1);
     ((f64::from(max) - f64::from(min)) / levels / 2.0) as f32
-}
-
-/// Feedback size in bits for a bottleneck of `bottleneck_dim` values at
-/// `bits_per_value` bits each, excluding the fixed per-frame wire header
-/// ([`crate::wire::WIRE_HEADER_BITS`] bits; see
-/// [`crate::airtime::feedback_bits_on_air`] for the header-inclusive size).
-pub fn feedback_bits(bottleneck_dim: usize, bits_per_value: u8) -> usize {
-    bottleneck_dim * bits_per_value as usize
 }
 
 #[cfg(test)]
@@ -226,7 +213,7 @@ mod tests {
             crate::wire::WIRE_HEADER_BITS + crate::wire::WIRE_TRAILER_BITS
         );
         assert_eq!(
-            payload.wire_bytes(),
+            crate::wire::encoded_len(payload.codes.len(), payload.bits_per_value),
             crate::wire::WIRE_HEADER_BYTES + crate::wire::WIRE_TRAILER_BYTES
         );
     }
@@ -239,11 +226,10 @@ mod tests {
             payload.size_bits(),
             56 * 16 + crate::wire::WIRE_HEADER_BITS + crate::wire::WIRE_TRAILER_BITS
         );
-        assert_eq!(feedback_bits(56, 16), 896);
         // A 4-bit payload's codes really occupy 4 bits each on the wire.
         let narrow = quantize_bottleneck(&values, 4);
         assert_eq!(
-            narrow.wire_bytes(),
+            crate::wire::encoded_len(narrow.codes.len(), narrow.bits_per_value),
             crate::wire::WIRE_HEADER_BYTES
                 + (56 * 4usize).div_ceil(8)
                 + crate::wire::WIRE_TRAILER_BYTES

@@ -83,25 +83,6 @@ impl TrainingData {
         }
     }
 
-    /// Adds an already-flattened example (used by the dataset crate, which owns
-    /// its own capture-artifact pipeline).
-    ///
-    /// # Panics
-    /// Panics if the lengths do not match the configuration.
-    pub fn push_example(&mut self, input: Vec<f32>, target: Vec<f32>) {
-        assert_eq!(
-            input.len(),
-            self.config.input_dim(),
-            "input length mismatch"
-        );
-        assert_eq!(
-            target.len(),
-            self.config.output_dim(),
-            "target length mismatch"
-        );
-        self.examples.push((input, target));
-    }
-
     /// Splits the dataset into two contiguous parts; `fraction` goes to the first.
     ///
     /// Whenever the dataset holds at least two examples the cut is clamped so
@@ -211,31 +192,6 @@ pub fn train_model(
     )
 }
 
-/// Mean squared reconstruction error of a model over a set of examples — a
-/// cheap proxy metric used by tests and the BOP heuristic before running the
-/// full BER link simulation.
-pub fn reconstruction_mse(model: &SplitBeamModel, examples: &[Example]) -> f64 {
-    if examples.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (input, target) in examples {
-        if let Ok(pred) = model.infer(input) {
-            for (p, t) in pred.iter().zip(target.iter()) {
-                let d = (*p - *t) as f64;
-                total += d * d;
-            }
-            count += target.len();
-        }
-    }
-    if count == 0 {
-        f64::INFINITY
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +268,8 @@ mod tests {
         let cfg = config();
         let mut data = TrainingData::new(cfg.clone());
         for _ in 0..3 {
-            data.push_example(vec![0.0; cfg.input_dim()], vec![0.0; cfg.output_dim()]);
+            data.examples
+                .push((vec![0.0; cfg.input_dim()], vec![0.0; cfg.output_dim()]));
         }
         let (train, val) = data.split(0.9);
         assert_eq!((train.len(), val.len()), (2, 1));
@@ -321,9 +278,24 @@ mod tests {
         // Degenerate sizes keep their old behavior.
         let mut tiny = TrainingData::new(cfg.clone());
         assert_eq!(tiny.split(0.9).0.len(), 0);
-        tiny.push_example(vec![0.0; cfg.input_dim()], vec![0.0; cfg.output_dim()]);
+        tiny.examples
+            .push((vec![0.0; cfg.input_dim()], vec![0.0; cfg.output_dim()]));
         let (a, b) = tiny.split(0.9);
         assert_eq!((a.len(), b.len()), (1, 0));
+    }
+
+    /// Mean squared reconstruction error of a model over `examples`.
+    fn reconstruction_mse(model: &SplitBeamModel, examples: &[Example]) -> f64 {
+        let mut total = 0.0;
+        let mut count = 0usize;
+        for (input, target) in examples {
+            let pred = model.infer(input).unwrap();
+            for (p, t) in pred.iter().zip(target) {
+                total += f64::from(p - t).powi(2);
+            }
+            count += target.len();
+        }
+        total / count as f64
     }
 
     #[test]
@@ -358,20 +330,6 @@ mod tests {
             let norm: f32 = chunk.iter().map(|v| v * v).sum();
             assert!((norm - 1.0).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_example_length_panics() {
-        let mut data = TrainingData::new(config());
-        data.push_example(vec![0.0; 3], vec![0.0; 224]);
-    }
-
-    #[test]
-    fn reconstruction_mse_empty_is_zero() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let model = SplitBeamModel::new(config(), &mut rng);
-        assert_eq!(reconstruction_mse(&model, &[]), 0.0);
     }
 
     #[test]

@@ -194,6 +194,7 @@ impl EnvironmentProfile {
     }
 
     /// RMS delay spread of the profile in nanoseconds.
+    #[cfg(test)]
     pub fn rms_delay_spread_ns(&self) -> f64 {
         let total_power: f64 = self.taps.iter().map(Tap::power_linear).sum();
         if total_power == 0.0 {
@@ -720,8 +721,9 @@ impl ChannelSnapshot {
         out
     }
 
-    /// Average per-entry channel power across users and subcarriers; used to
-    /// sanity-check normalization.
+    /// Average per-entry channel power across users and subcarriers; the
+    /// tests' normalization check.
+    #[cfg(test)]
     pub fn average_power(&self) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
@@ -747,7 +749,7 @@ mod tests {
         let e1 = EnvironmentProfile::e1();
         let e2 = EnvironmentProfile::e2();
         assert!(e2.taps.len() > e1.taps.len());
-        assert!(e2.rms_delay_spread_ns() > e1.rms_delay_spread_ns());
+        assert!(e2.rms_delay_spread_ns() > 2.0 * e1.rms_delay_spread_ns());
         assert!(e2.doppler_hz > e1.doppler_hz);
         assert!(e2.blockage_probability > e1.blockage_probability);
     }

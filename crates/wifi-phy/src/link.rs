@@ -72,18 +72,6 @@ impl LinkReport {
         }
     }
 
-    /// Bit error rate of one station.
-    ///
-    /// # Panics
-    /// Panics if `user` is out of range.
-    pub fn user_ber(&self, user: usize) -> f64 {
-        if self.per_user_bits[user] == 0 {
-            0.0
-        } else {
-            self.per_user_errors[user] as f64 / self.per_user_bits[user] as f64
-        }
-    }
-
     /// Merges another report into this one (used to accumulate over many CSI samples).
     pub fn merge(&mut self, other: &LinkReport) {
         if self.per_user_errors.len() < other.per_user_errors.len() {
@@ -501,7 +489,7 @@ mod tests {
         merged.merge(&b);
         assert_eq!(merged.per_user_errors, vec![4, 2]);
         assert!((merged.ber() - 6.0 / 400.0).abs() < 1e-12);
-        assert!((merged.user_ber(0) - 4.0 / 200.0).abs() < 1e-12);
+        assert_eq!(merged.per_user_bits, vec![200, 200]);
     }
 
     #[test]

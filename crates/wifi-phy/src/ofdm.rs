@@ -67,36 +67,6 @@ impl Bandwidth {
     pub fn subcarrier_spacing_hz(self) -> f64 {
         312_500.0
     }
-
-    /// Total signal bandwidth in Hz.
-    pub fn hz(self) -> f64 {
-        self.mhz() as f64 * 1e6
-    }
-
-    /// OFDM symbol duration including the long guard interval, in seconds
-    /// (3.2 us useful + 0.8 us GI for 802.11ac).
-    pub fn symbol_duration_s(self) -> f64 {
-        4.0e-6
-    }
-
-    /// Parses a bandwidth from its MHz value.
-    ///
-    /// Returns `None` for unsupported widths.
-    ///
-    /// ```
-    /// use wifi_phy::Bandwidth;
-    /// assert_eq!(Bandwidth::from_mhz(40), Some(Bandwidth::Mhz40));
-    /// assert_eq!(Bandwidth::from_mhz(30), None);
-    /// ```
-    pub fn from_mhz(mhz: u32) -> Option<Bandwidth> {
-        match mhz {
-            20 => Some(Bandwidth::Mhz20),
-            40 => Some(Bandwidth::Mhz40),
-            80 => Some(Bandwidth::Mhz80),
-            160 => Some(Bandwidth::Mhz160),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Bandwidth {
@@ -182,11 +152,6 @@ impl MimoConfig {
         self.bandwidth.subcarriers()
     }
 
-    /// Total number of downlink spatial streams, `sum_i Nss_i`.
-    pub fn total_streams(&self) -> usize {
-        self.num_stations * self.nss
-    }
-
     /// Number of real values in one CSI tensor `H` (`2 * Nr * Nt * S`),
     /// i.e. the DNN input dimension after decoupling real/imaginary parts.
     pub fn csi_real_dim(&self) -> usize {
@@ -224,14 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn from_mhz_roundtrip() {
-        for bw in Bandwidth::ALL {
-            assert_eq!(Bandwidth::from_mhz(bw.mhz()), Some(bw));
-        }
-        assert_eq!(Bandwidth::from_mhz(30), None);
-    }
-
-    #[test]
     fn display_includes_unit() {
         assert_eq!(format!("{}", Bandwidth::Mhz80), "80 MHz");
     }
@@ -243,7 +200,6 @@ mod tests {
         assert_eq!(cfg.nr, 3);
         assert_eq!(cfg.num_stations, 3);
         assert_eq!(cfg.nss, 1);
-        assert_eq!(cfg.total_streams(), 3);
         assert_eq!(cfg.subcarriers(), 114);
     }
 
@@ -273,14 +229,5 @@ mod tests {
     #[should_panic]
     fn zero_order_panics() {
         let _ = MimoConfig::symmetric(0, Bandwidth::Mhz20);
-    }
-
-    #[test]
-    fn timing_constants_sane() {
-        for bw in Bandwidth::ALL {
-            assert!(bw.symbol_duration_s() > 0.0);
-            assert!(bw.subcarrier_spacing_hz() > 0.0);
-            assert!(bw.hz() >= 20e6);
-        }
     }
 }

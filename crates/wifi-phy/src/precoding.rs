@@ -124,6 +124,7 @@ impl ZfPrecoder {
 
     /// Columns of the precoder belonging to user `u` on subcarrier `s`
     /// (an `Nt x Nss` matrix).
+    #[cfg(test)]
     pub fn user_precoder(&self, s: usize, u: usize) -> CMatrix {
         let w = &self.precoders[s];
         let start = u * self.streams_per_user;
@@ -136,7 +137,8 @@ impl ZfPrecoder {
 ///
 /// With ideal feedback and well-separated users this is small; feedback
 /// compression error increases it, which is the mechanism by which SplitBeam's
-/// reconstruction error translates into BER.
+/// reconstruction error translates into BER. The tests hold precoders to it.
+#[cfg(test)]
 pub fn residual_interference(
     true_channels: &[Vec<CMatrix>],
     precoder: &ZfPrecoder,

@@ -111,37 +111,9 @@ pub fn sounding_round_airtime(
     }
 }
 
-/// Fraction of airtime consumed by channel sounding when repeated every
-/// `sounding_interval_s` (e.g. 0.043 means 4.3 % of airtime is overhead).
-pub fn sounding_overhead_fraction(
-    config: &SoundingConfig,
-    per_station_feedback_bits: usize,
-) -> f64 {
-    sounding_round_airtime(config, per_station_feedback_bits).total_s() / config.sounding_interval_s
-}
-
-/// The throughput (bit/s) consumed by feedback alone, matching the paper's
-/// introduction example ("435,456 bits every 10 ms is 43.55 Mbit/s").
-pub fn feedback_throughput_bps(
-    per_station_feedback_bits: usize,
-    num_stations: usize,
-    interval_s: f64,
-) -> f64 {
-    (per_station_feedback_bits * num_stations) as f64 / interval_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_intro_example_matches() {
-        // 8x8 at 160 MHz: 486 subcarriers x 56 angles x 16 bits = 435,456 bits,
-        // every 10 ms -> ~43.55 Mbit/s.
-        let bits = 486 * 56 * 16;
-        let throughput = feedback_throughput_bps(bits, 1, 0.01);
-        assert!((throughput - 43.5456e6).abs() < 1e3);
-    }
 
     #[test]
     fn airtime_grows_with_feedback_size() {
@@ -160,15 +132,6 @@ mod tests {
             sounding_round_airtime(&four, bits).total_s()
                 > sounding_round_airtime(&one, bits).total_s()
         );
-    }
-
-    #[test]
-    fn overhead_fraction_is_ratio_of_interval() {
-        let cfg = SoundingConfig::new(Bandwidth::Mhz20, 2);
-        let bits = 20_000;
-        let airtime = sounding_round_airtime(&cfg, bits).total_s();
-        let frac = sounding_overhead_fraction(&cfg, bits);
-        assert!((frac - airtime / 0.01).abs() < 1e-12);
     }
 
     #[test]

@@ -161,11 +161,11 @@ fn fused_tail_path(model: &SplitBeamModel, batch: usize) {
     let payloads: Vec<_> = (0..batch as u64)
         .map(|i| station_payload(model, 300 + i, BITS))
         .collect();
-    let refs: Vec<&_> = payloads.iter().collect();
     let mut scratch = TailScratch::new();
+    let kern = mimo_math::kernel::selected();
     for _ in 0..WARM_ROUNDS {
         model
-            .reconstruct_quantized_batch_into(&refs, &mut scratch)
+            .reconstruct_quantized_batch_iter_into(payloads.iter(), batch, &mut scratch, kern)
             .unwrap();
     }
     let label = format!(
@@ -174,7 +174,7 @@ fn fused_tail_path(model: &SplitBeamModel, batch: usize) {
     );
     assert_no_alloc(&label, || {
         let out = model
-            .reconstruct_quantized_batch_into(&refs, &mut scratch)
+            .reconstruct_quantized_batch_iter_into(payloads.iter(), batch, &mut scratch, kern)
             .unwrap();
         assert_eq!(out.rows(), payloads.len());
     });

@@ -15,8 +15,8 @@ use splitbeam::TailWeights;
 use splitbeam_hwsim::{SeededJitter, SharedMedium};
 use splitbeam_serve::server::ApServer;
 use splitbeam_serve::{
-    DeadlinePolicy, Fleet, FleetConfig, FleetRoundSummary, FleetStats, FrameStamp, RoundSummary,
-    ServeError, SessionHealth, StationSession,
+    DeadlinePolicy, Fleet, FleetConfig, FleetRoundSummary, FleetStats, FrameStamp, HealthPolicy,
+    RoundSummary, ServeError, SessionHealth, StationSession,
 };
 use splitbeam_testkit::{small_model as model, station_frame};
 
@@ -99,7 +99,7 @@ fn quarantine_travels_and_keeps_rejecting_at_the_target() {
     let good = station_frame(&m, 71, 4);
     let mut bad = good.clone();
     bad[20] ^= 0x10;
-    let threshold = net.a.health_policy().quarantine_after_corrupt;
+    let threshold = HealthPolicy::default().quarantine_after_corrupt;
     for _ in 0..threshold {
         assert!(matches!(
             net.a.ingest_wire(1, &bad),
@@ -128,7 +128,7 @@ fn quarantine_travels_and_keeps_rejecting_at_the_target() {
 
     // After the quarantine expires (in lockstep on both sides) the station
     // reports normally at its new AP.
-    let rounds = net.a.health_policy().quarantine_rounds;
+    let rounds = HealthPolicy::default().quarantine_rounds;
     for _ in 1..rounds {
         assert_eq!(net.b.ingest_wire(1, &good), Err(ServeError::Quarantined(1)));
         assert_eq!(
@@ -159,7 +159,7 @@ fn degraded_health_and_miss_streak_travel() {
     net.a.ingest_wire(1, &f1).unwrap();
     net.control.ingest_wire(1, &f1).unwrap();
     let mut round = 0u64;
-    let misses = net.a.health_policy().degrade_after_misses;
+    let misses = HealthPolicy::default().degrade_after_misses;
     loop {
         let keeper = station_frame(&m, 80 + round, 4);
         net.a.ingest_wire(2, &keeper).unwrap();
@@ -292,12 +292,13 @@ fn failed_adoption_returns_the_session_for_restore() {
 
         let session = a.release_station(1).unwrap();
         let released = format!("{session:?}");
-        let stations_at_target = target.station_ids();
+        let stations = |ap: &ApServer| ap.sessions().map(StationSession::id).collect::<Vec<_>>();
+        let stations_at_target = stations(&target);
         let (session, err): (StationSession, ServeError) =
             target.adopt_station(session, 0).unwrap_err();
         assert_eq!(err, want, "{row}");
         assert_eq!(format!("{session:?}"), released, "{row}");
-        assert_eq!(target.station_ids(), stations_at_target, "{row}");
+        assert_eq!(stations(&target), stations_at_target, "{row}");
 
         // Restore at the source: indistinguishable from never having left.
         a.adopt_station(session, 0).map_err(|(_, e)| e).unwrap();

@@ -134,10 +134,14 @@ fn scalar_kernel_reproduces_reference_serving_outputs() {
                 .iter()
                 .map(|f| wire::decode_feedback(f).unwrap())
                 .collect();
-            let refs: Vec<&QuantizedFeedback> = payloads.iter().collect();
             let mut scratch = TailScratch::new();
             let out = m
-                .reconstruct_quantized_batch_into(&refs, &mut scratch)
+                .reconstruct_quantized_batch_iter_into(
+                    payloads.iter(),
+                    payloads.len(),
+                    &mut scratch,
+                    selected(),
+                )
                 .unwrap();
             let fused_feedback: Vec<Vec<f32>> = out
                 .as_slice()

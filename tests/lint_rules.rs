@@ -7,7 +7,7 @@ use splitbeam_analysis::lint::{
     format_allowlist, lint_sources, parse_allowlist, Allowlist, LintReport, RULE_DENY_UNSAFE_OP,
     RULE_ENV_ACCESS, RULE_FEATURE_DETECT, RULE_INGEST_UNWRAP, RULE_KERNEL_PARITY_TEST,
     RULE_KNOB_DOCS, RULE_ONE_KERNEL_LOCK, RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP,
-    RULE_WALL_CLOCK,
+    RULE_TEST_ONLY_PUB, RULE_WALL_CLOCK,
 };
 
 fn lint_one(path: &str, text: &str) -> LintReport {
@@ -642,4 +642,91 @@ fn asm_kernels_must_be_named_by_a_test_of_their_crate_too() {
     let prose = "pub fn f() -> &'static str {\n    // asm!(\"nop\")\n    \"asm!(\"\n}\n";
     assert!(lint_one("crates/mimo-math/src/kernel/tiles.rs", prose).clean());
     assert!(lint_one("crates/mimo-math/src/svd.rs", &unnamed).clean());
+}
+
+/// A library declaring `probe`, for the `test-only-pub` rule.
+const PROBE: &str = "pub fn probe() -> u32 {\n    7\n}\n";
+
+/// The `test-only-pub` rule's source set: the workspace manifest (without
+/// it the rule is skipped), `crates/demo/src/lib.rs` holding `lib`, and
+/// `others`.
+fn pub_fn_tree(lib: &str, others: &[(&str, &str)]) -> Vec<(String, String)> {
+    let mut sources = vec![
+        ("Cargo.toml".to_string(), "[workspace]\n".to_string()),
+        ("crates/demo/src/lib.rs".to_string(), lib.to_string()),
+    ];
+    sources.extend(others.iter().map(|(p, t)| (p.to_string(), t.to_string())));
+    sources
+}
+
+fn lint_tree(lib: &str, others: &[(&str, &str)]) -> LintReport {
+    lint_sources(&pub_fn_tree(lib, others), &Allowlist::default())
+}
+
+#[test]
+fn test_only_pub_fns_are_flagged() {
+    let calls = "fn main() {\n    let _ = demo::probe();\n}\n";
+
+    // Named only from `tests/`: flagged at its declaration.
+    let report = lint_tree(PROBE, &[("tests/it.rs", calls)]);
+    assert_eq!(rules_of(&report), vec![RULE_TEST_ONLY_PUB]);
+    let v = &report.violations[0];
+    assert_eq!((v.path.as_str(), v.line), ("crates/demo/src/lib.rs", 1));
+    assert!(v.message.contains("`probe`"), "{}", v.message);
+
+    // Named only from another file's `#[cfg(test)]` module: flagged.
+    let in_mod_tests = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn calls() {\n        \
+                        let _ = demo::probe();\n    }\n}\n";
+    let report = lint_tree(PROBE, &[("crates/app/src/lib.rs", in_mod_tests)]);
+    assert_eq!(rules_of(&report), vec![RULE_TEST_ONLY_PUB]);
+
+    // Named by non-test code, an example or the benchmark: clean.
+    for path in [
+        "crates/app/src/main.rs",
+        "examples/demo.rs",
+        "benchmark/src/main.rs",
+    ] {
+        let report = lint_tree(PROBE, &[(path, calls)]);
+        assert!(report.clean(), "{path}: {:?}", report.violations);
+    }
+
+    // Named only in a comment or a string: flagged.
+    let prose = "// demo::probe() is the entry point\nfn main() {\n    println!(\"probe\");\n}\n";
+    let report = lint_tree(PROBE, &[("crates/app/src/main.rs", prose)]);
+    assert_eq!(rules_of(&report), vec![RULE_TEST_ONLY_PUB]);
+
+    // Declared as test code — the item, its `impl`, or the file a gated
+    // `mod` line includes — is skipped.
+    let gate = "#[cfg(any(test, feature = \"reference\"))]\n";
+    assert!(lint_tree(&format!("{gate}{PROBE}"), &[]).clean());
+    let gated_impl = format!("pub struct S;\n{gate}impl S {{\n    pub fn probe() {{}}\n}}\n");
+    assert!(lint_tree(&gated_impl, &[]).clean());
+    let gated_mod = format!("{gate}pub mod reference;\npub mod kept;\n");
+    let report = lint_tree(
+        &gated_mod,
+        &[
+            ("crates/demo/src/reference.rs", PROBE),
+            ("crates/demo/src/kept.rs", PROBE),
+        ],
+    );
+    assert_eq!(rules_of(&report), vec![RULE_TEST_ONLY_PUB]);
+    assert_eq!(report.violations[0].path, "crates/demo/src/kept.rs");
+
+    // A `pub(crate) fn` is not public surface.
+    assert!(lint_tree("pub(crate) fn probe() -> u32 {\n    7\n}\n", &[]).clean());
+
+    // An allowlisted one is suppressed; an entry that suppresses nothing is
+    // stale.
+    let allow = parse_allowlist(
+        "test-only-pub|crates/demo/src/lib.rs|pub fn probe(|deployment setting the tests exercise\n",
+    )
+    .unwrap();
+    assert!(lint_sources(&pub_fn_tree(PROBE, &[]), &allow).clean());
+    let report = lint_sources(&pub_fn_tree(PROBE, &[("examples/demo.rs", calls)]), &allow);
+    assert!(report.violations.is_empty());
+    assert_eq!(report.stale_allowlist.len(), 1);
+
+    // Without the workspace manifest the callers are not all in view, and
+    // the rule is skipped.
+    assert!(lint_one("crates/demo/src/lib.rs", PROBE).clean());
 }

@@ -6,7 +6,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
-use splitbeam_repro::splitbeam::fused::TailWeights;
+use splitbeam_repro::splitbeam::fused::{QuantizedTail, TailWeights};
 use splitbeam_repro::splitbeam::wire;
 use splitbeam_testkit::{small_model, station_payload};
 
@@ -16,7 +16,10 @@ fn served_feedback_round_trips_through_the_wire() {
     // Station side: compress, quantize, wire-encode.
     let payload = station_payload(&model, 2, 4);
     let frame = wire::encode_feedback(&payload).unwrap();
-    assert_eq!(frame.len(), payload.wire_bytes());
+    assert_eq!(
+        frame.len(),
+        wire::encoded_len(payload.codes.len(), payload.bits_per_value)
+    );
 
     // AP side: ingest over the wire, serve the round, compare with the direct
     // (never-encoded) reconstruction — must be bit-exact. A fresh server
@@ -52,7 +55,7 @@ fn tail_weights_can_be_switched_at_round_boundaries() {
     server.set_tail_weights(TailWeights::Int8);
     server.ingest_wire(0, &frame).unwrap();
     server.process_round().unwrap();
-    let tail = server.quantized_tail(key).unwrap();
+    let tail = QuantizedTail::bind(&model);
     let ik = splitbeam_repro::mimo_math::kernel::int8::selected_int8();
     assert_eq!(
         server.feedback_of(0).unwrap(),
@@ -73,10 +76,10 @@ fn wire_frames_match_airtime_accounting() {
     };
     let mut rng = ChaCha8Rng::seed_from_u64(6);
     let traffic = generate_traffic(&sim, &model, &mut rng);
-    let predicted_bits = splitbeam_repro::splitbeam::airtime::feedback_bits_on_air(
-        model.bottleneck_dim(),
-        sim.bits_per_value,
-    );
+    // The airtime model charges header, codes and CRC trailer.
+    let predicted_bits = wire::WIRE_HEADER_BITS
+        + model.bottleneck_dim() * sim.bits_per_value as usize
+        + wire::WIRE_TRAILER_BITS;
     for round in &traffic.rounds {
         for (_, frame) in round.frames.iter() {
             let frame = frame.as_ref().expect("drop-free traffic");
