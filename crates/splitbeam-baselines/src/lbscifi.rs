@@ -57,6 +57,14 @@ impl LbSciFiConfig {
     pub fn latent_dim(&self) -> usize {
         ((self.angle_dim() as f64 * self.compression).round() as usize).max(1)
     }
+
+    /// Station-side FLOPs: the full 802.11 pipeline (SVD + Givens) **plus** the
+    /// one-layer encoder, `angle_dim x latent_dim` MACs — LB-SciFi's defining
+    /// computational drawback.
+    pub fn sta_flops(&self) -> u64 {
+        dot11_sta_flops(self.mimo.nt, self.mimo.nr, self.mimo.subcarriers())
+            + (self.angle_dim() * self.latent_dim()) as u64
+    }
 }
 
 /// A trained LB-SciFi autoencoder: encoder at the station, decoder at the AP.
@@ -194,16 +202,6 @@ impl LbSciFiModel {
         self.decoder = decoder;
     }
 
-    /// Station-side FLOPs: the full 802.11 pipeline (SVD + Givens) **plus** the
-    /// encoder — LB-SciFi's defining computational drawback.
-    pub fn sta_flops(&self) -> u64 {
-        dot11_sta_flops(
-            self.config.mimo.nt,
-            self.config.mimo.nr,
-            self.config.mimo.subcarriers(),
-        ) + self.encoder.macs()
-    }
-
     /// Feedback size in bits: the latent code at 16 bits per value.
     pub fn feedback_bits(&self) -> usize {
         self.config.latent_dim() * 16
@@ -287,7 +285,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let model = LbSciFiModel::new(config(), &mut rng);
         let dot11_only = dot11_sta_flops(2, 2, 56);
-        assert!(model.sta_flops() > dot11_only);
+        assert_eq!(config().sta_flops(), dot11_only + model.encoder.macs());
         assert_eq!(model.feedback_bits(), 14 * 16);
     }
 

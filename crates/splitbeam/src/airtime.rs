@@ -8,7 +8,6 @@
 use crate::config::SplitBeamConfig;
 use crate::quantization::DEFAULT_BITS_PER_VALUE;
 use dot11_bfi::feedback::paper_report_bits;
-use serde::{Deserialize, Serialize};
 
 /// SplitBeam feedback size in bits for an `nt x nr` configuration with `s`
 /// subcarriers at compression `k`, counting `bits_per_value` bits per
@@ -50,60 +49,6 @@ fn complex_feedback_bits(bottleneck_dim: usize, bits_per_value: u8) -> usize {
 pub fn bf_size_ratio_percent(nt: usize, nr: usize, s: usize, k: f64) -> f64 {
     100.0 * splitbeam_feedback_bits(nt, nr, s, k, DEFAULT_BITS_PER_VALUE) as f64
         / paper_report_bits(nt, s) as f64
-}
-
-/// One row of the Fig. 7 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BfSizePoint {
-    /// MIMO order (`Nt = Nr = n`).
-    pub mimo_order: usize,
-    /// Number of subcarriers.
-    pub subcarriers: usize,
-    /// Compression level `K`.
-    pub k: f64,
-    /// SplitBeam feedback bits.
-    pub splitbeam_bits: usize,
-    /// 802.11 report bits (paper convention).
-    pub dot11_bits: usize,
-    /// Ratio in percent.
-    pub ratio_percent: f64,
-}
-
-/// Computes the full Fig. 7 grid.
-pub fn bf_size_grid(
-    mimo_orders: &[usize],
-    subcarrier_counts: &[usize],
-    compression_levels: &[f64],
-) -> Vec<BfSizePoint> {
-    let mut out = Vec::new();
-    for &n in mimo_orders {
-        for &s in subcarrier_counts {
-            for &k in compression_levels {
-                let sb = splitbeam_feedback_bits(n, n, s, k, DEFAULT_BITS_PER_VALUE);
-                let dot11 = paper_report_bits(n, s);
-                out.push(BfSizePoint {
-                    mimo_order: n,
-                    subcarriers: s,
-                    k,
-                    splitbeam_bits: sb,
-                    dot11_bits: dot11,
-                    ratio_percent: bf_size_ratio_percent(n, n, s, k),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Average airtime saving in percent over a grid (the "reduces the airtime
-/// overhead by 75% on average" number of Section IV-E2).
-pub fn average_airtime_saving_percent(grid: &[BfSizePoint]) -> f64 {
-    if grid.is_empty() {
-        return 0.0;
-    }
-    let mean_ratio: f64 =
-        grid.iter().map(|p| p.ratio_percent.min(100.0)).sum::<f64>() / grid.len() as f64;
-    100.0 - mean_ratio
 }
 
 #[cfg(test)]
@@ -199,22 +144,6 @@ mod tests {
         let r8 = bf_size_ratio_percent(8, 8, 242, 0.125);
         assert!(r4 < 20.0, "4x4 ratio {r4}% should be far below 100%");
         assert!(r8 < r4, "8x8 ratio {r8}% should be below 4x4 {r4}%");
-    }
-
-    #[test]
-    fn grid_and_average_saving() {
-        let grid = bf_size_grid(
-            &[4, 8],
-            &[56, 114, 242],
-            &[1.0 / 32.0, 1.0 / 16.0, 0.125, 0.25],
-        );
-        assert_eq!(grid.len(), 24);
-        let saving = average_airtime_saving_percent(&grid);
-        assert!(
-            saving > 60.0,
-            "average airtime saving {saving}% should be large"
-        );
-        assert_eq!(average_airtime_saving_percent(&[]), 0.0);
     }
 
     /// Satellite consistency test: the per-frame airtime primitive and the

@@ -9,7 +9,6 @@
 
 use crate::config::SplitBeamConfig;
 use dot11_bfi::complexity::dot11_sta_flops;
-use serde::{Deserialize, Serialize};
 
 /// Analytical station-side multiply-accumulate count of the 3-layer SplitBeam
 /// head: `K * (Nt * Nr * S)^2`, in complex-value convention (matching Table II).
@@ -32,61 +31,6 @@ pub fn splitbeam_head_macs(config: &SplitBeamConfig) -> u64 {
 pub fn comp_load_ratio_percent(nt: usize, nr: usize, subcarriers: usize, k: f64) -> f64 {
     100.0 * splitbeam_head_macs_analytical(nt, nr, subcarriers, k)
         / dot11_sta_flops(nt, nr, subcarriers) as f64
-}
-
-/// One row of the Fig. 6 sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CompLoadPoint {
-    /// MIMO order (`Nt = Nr = n`).
-    pub mimo_order: usize,
-    /// Number of subcarriers.
-    pub subcarriers: usize,
-    /// Compression level `K`.
-    pub k: f64,
-    /// SplitBeam station MACs (complex convention).
-    pub splitbeam_macs: f64,
-    /// 802.11 station FLOPs.
-    pub dot11_flops: u64,
-    /// SplitBeam / 802.11 ratio in percent.
-    pub ratio_percent: f64,
-}
-
-/// Computes the full Fig. 6 grid for the given MIMO orders, subcarrier counts
-/// and compression levels.
-pub fn comp_load_grid(
-    mimo_orders: &[usize],
-    subcarrier_counts: &[usize],
-    compression_levels: &[f64],
-) -> Vec<CompLoadPoint> {
-    let mut out = Vec::new();
-    for &n in mimo_orders {
-        for &s in subcarrier_counts {
-            for &k in compression_levels {
-                let macs = splitbeam_head_macs_analytical(n, n, s, k);
-                let flops = dot11_sta_flops(n, n, s);
-                out.push(CompLoadPoint {
-                    mimo_order: n,
-                    subcarriers: s,
-                    k,
-                    splitbeam_macs: macs,
-                    dot11_flops: flops,
-                    ratio_percent: comp_load_ratio_percent(n, n, s, k),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Average computational saving (in percent of the 802.11 load) across a grid —
-/// the "on average, SplitBeam improves computation by X%" number of Section IV-E1.
-pub fn average_saving_percent(grid: &[CompLoadPoint]) -> f64 {
-    if grid.is_empty() {
-        return 0.0;
-    }
-    let mean_ratio: f64 =
-        grid.iter().map(|p| p.ratio_percent.min(100.0)).sum::<f64>() / grid.len() as f64;
-    100.0 - mean_ratio
 }
 
 #[cfg(test)]
@@ -121,27 +65,5 @@ mod tests {
         let r4 = comp_load_ratio_percent(4, 4, 56, 0.125);
         let r8 = comp_load_ratio_percent(8, 8, 56, 0.125);
         assert!(r8 < r4, "8x8 ratio {r8} should be below 4x4 ratio {r4}");
-    }
-
-    #[test]
-    fn grid_has_expected_size_and_members() {
-        let grid = comp_load_grid(&[4, 8], &[56, 114, 242], &[0.25, 0.125]);
-        assert_eq!(grid.len(), 2 * 3 * 2);
-        assert!(grid.iter().all(|p| p.ratio_percent > 0.0));
-    }
-
-    #[test]
-    fn average_saving_is_substantial_at_20mhz() {
-        let grid = comp_load_grid(&[4, 8], &[56], &[1.0 / 32.0, 1.0 / 16.0, 0.125, 0.25]);
-        let saving = average_saving_percent(&grid);
-        assert!(
-            saving > 50.0,
-            "average saving {saving}% should be substantial at 20 MHz"
-        );
-    }
-
-    #[test]
-    fn empty_grid_saving_zero() {
-        assert_eq!(average_saving_percent(&[]), 0.0);
     }
 }

@@ -114,11 +114,6 @@ impl SplitBeamModel {
         self.head.output_dim()
     }
 
-    /// Station-side multiply-accumulate count per CSI tensor (the head model).
-    pub fn head_macs(&self) -> u64 {
-        self.head.macs()
-    }
-
     /// AP-side multiply-accumulate count per CSI tensor (the tail model).
     pub fn tail_macs(&self) -> u64 {
         self.tail.macs()
@@ -295,7 +290,6 @@ mod tests {
         assert_eq!(model.head().input_dim(), 448);
         assert_eq!(model.bottleneck_dim(), 56);
         assert_eq!(model.tail().output_dim(), 224);
-        assert_eq!(model.head_macs(), 448 * 56);
         assert_eq!(model.tail_macs(), 56 * 224);
     }
 

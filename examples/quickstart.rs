@@ -40,8 +40,8 @@ fn main() {
         history.final_train_loss()
     );
     println!(
-        "station cost: {} MACs (vs {} FLOPs for the 802.11 SVD+Givens pipeline)",
-        model.head_macs(),
+        "station cost: {} complex MACs (vs {} FLOPs for the 802.11 SVD+Givens pipeline)",
+        splitbeam::complexity::splitbeam_head_macs(&config),
         dot11_bfi::complexity::dot11_sta_flops(2, 2, 56),
     );
 

@@ -4,53 +4,21 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use splitbeam_bench::{dataset, measure_ber, train_splitbeam, FeedbackScheme, Workload};
+use splitbeam_repro::datasets::generator::GeneratedDataset;
 use splitbeam_repro::prelude::*;
 
-fn quick_dataset(env: &str, seed: u64) -> splitbeam_repro::datasets::generator::GeneratedDataset {
+/// 60 snapshots a dataset, 6 epochs, 4 test snapshots at 20 dB.
+const QUICK: Workload = Workload {
+    samples: 60,
+    epochs: 6,
+    test_snapshots: 4,
+    snr_db: 20.0,
+};
+
+fn quick_dataset(env: &str, seed: u64) -> GeneratedDataset {
     let spec = dataset_for(2, Bandwidth::Mhz20, env).unwrap();
-    generate_dataset(&spec, &GeneratorOptions::quick(60, seed)).unwrap()
-}
-
-fn train_quick(
-    config: &SplitBeamConfig,
-    data: &splitbeam_repro::datasets::generator::GeneratedDataset,
-    seed: u64,
-) -> SplitBeamModel {
-    let (train_snaps, val_snaps, _) = data.split_train_val_test();
-    let mut train = TrainingData::new(config.clone());
-    for s in train_snaps {
-        train.push_snapshot(s);
-    }
-    let mut val = TrainingData::new(config.clone());
-    for s in val_snaps {
-        val.push_snapshot(s);
-    }
-    let options = TrainingOptions {
-        epochs: 6,
-        ..TrainingOptions::default()
-    };
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    train_model(config, train.examples(), val.examples(), &options, &mut rng).0
-}
-
-fn ber_for_feedback(
-    snapshots: &[ChannelSnapshot],
-    feedback_of: impl Fn(&ChannelSnapshot) -> Vec<Vec<mimo_math::CMatrix>>,
-    seed: u64,
-) -> f64 {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let link = LinkConfig {
-        snr_db: 20.0,
-        symbols_per_subcarrier: 1,
-        ..LinkConfig::default()
-    };
-    let mut report = wifi_phy::link::LinkReport::empty();
-    for snap in snapshots.iter().take(4) {
-        let feedback = feedback_of(snap);
-        let r = simulate_mu_mimo_ber(snap, &feedback, &link, &mut rng).unwrap();
-        report.merge(&r);
-    }
-    report.ber()
+    dataset(&spec, &QUICK, seed)
 }
 
 #[test]
@@ -60,30 +28,15 @@ fn trained_splitbeam_beats_untrained_and_tracks_dot11() {
         MimoConfig::symmetric(2, Bandwidth::Mhz20),
         CompressionLevel::OneQuarter,
     );
-    let trained = train_quick(&config, &data, 2);
+    let (trained, _) = train_splitbeam(&config, &data, &QUICK.training(), 2);
     let mut rng = ChaCha8Rng::seed_from_u64(3);
     let untrained = SplitBeamModel::new(config, &mut rng);
     let (_, _, test) = data.split_train_val_test();
 
-    let ber_trained = ber_for_feedback(
-        test,
-        |snap| {
-            (0..snap.num_users())
-                .map(|u| trained.feedback_for_user_quantized(snap, u, 16).unwrap())
-                .collect()
-        },
-        4,
-    );
-    let ber_untrained = ber_for_feedback(
-        test,
-        |snap| {
-            (0..snap.num_users())
-                .map(|u| untrained.feedback_for_user_quantized(snap, u, 16).unwrap())
-                .collect()
-        },
-        4,
-    );
-    let ber_ideal = ber_for_feedback(test, |snap| snap.ideal_beamforming(), 4);
+    let ber = |scheme| measure_ber(&scheme, test, &QUICK, None, 4);
+    let ber_trained = ber(FeedbackScheme::SplitBeam(&trained, 16));
+    let ber_untrained = ber(FeedbackScheme::SplitBeam(&untrained, 16));
+    let ber_ideal = ber(FeedbackScheme::Ideal);
 
     assert!(
         ber_trained < ber_untrained,
@@ -99,23 +52,9 @@ fn trained_splitbeam_beats_untrained_and_tracks_dot11() {
 fn dot11_pipeline_integrates_with_link_simulation() {
     let data = quick_dataset("E2", 5);
     let (_, _, test) = data.split_train_val_test();
-    let ber_dot11 = ber_for_feedback(
-        test,
-        |snap| {
-            (0..snap.num_users())
-                .map(|u| {
-                    dot11_bfi::pipeline::dot11_feedback_roundtrip(
-                        snap.csi(u),
-                        1,
-                        AngleResolution::High,
-                    )
-                    .unwrap()
-                })
-                .collect()
-        },
-        6,
-    );
-    let ber_ideal = ber_for_feedback(test, |snap| snap.ideal_beamforming(), 6);
+    let ber = |scheme| measure_ber(&scheme, test, &QUICK, None, 6);
+    let ber_dot11 = ber(FeedbackScheme::Dot11(AngleResolution::High));
+    let ber_ideal = ber(FeedbackScheme::Ideal);
     // High-resolution quantization should track the ideal feedback closely.
     assert!(ber_dot11 < 0.2, "802.11 BER {ber_dot11} unexpectedly high");
     assert!(ber_dot11 + 1e-9 >= ber_ideal - 0.05);
@@ -134,7 +73,7 @@ fn splitbeam_feedback_is_much_smaller_and_cheaper_than_dot11() {
         "SplitBeam feedback ({sb_bits} bits) should be far below 802.11 ({dot11_bits} bits)"
     );
     // The computational advantage is evaluated at 20 MHz; at 80 MHz the dense
-    // head's quadratic subcarrier scaling erodes it (see EXPERIMENTS.md, Fig. 6).
+    // head's quadratic subcarrier scaling erodes it (Fig. 6).
     let narrow = SplitBeamConfig::new(
         MimoConfig::symmetric(3, Bandwidth::Mhz20),
         CompressionLevel::OneEighth,
@@ -180,7 +119,7 @@ fn int8_served_link_ber_stays_within_the_f32_envelope() {
         MimoConfig::symmetric(2, Bandwidth::Mhz20),
         CompressionLevel::OneQuarter,
     );
-    let trained = train_quick(&config, &data, 22);
+    let (trained, _) = train_splitbeam(&config, &data, &QUICK.training(), 22);
     let sim = SimConfig {
         rounds: 2,
         bits_per_value: 8,
