@@ -167,6 +167,14 @@ impl Backend {
         arms
     }
 
+    /// The level `arm` runs at here: the lowest level whose `view` it is,
+    /// capped at the host's — an arm the host lacks runs the best one at or
+    /// below it. Every arm is some level's view.
+    fn lowest<T: PartialEq>(arm: T, view: impl Fn(Backend) -> T) -> Backend {
+        let level = Self::ALL.into_iter().find(|&level| view(level) == arm);
+        level.expect("an arm is a level's view").min(Self::host())
+    }
+
     /// Stable lower-snake name used in reports and logs.
     pub fn name(self) -> &'static str {
         ["scalar", "avx2_fma", "avx512f", "avx512_vnni", "amx_int8"][self as usize]

@@ -87,12 +87,10 @@ impl Int8Kernel {
         }
     }
 
-    /// The level this arm runs at here: the lowest level it is the view of,
-    /// capped at [`Backend::host`] — an arm the host lacks runs the best
-    /// one at or below it.
+    /// The level this arm runs at here: the lowest level whose
+    /// [`Backend::int8`] it is, capped at [`Backend::host`].
     fn runs(self) -> Backend {
-        use Backend::*;
-        [Scalar, Avx2, Vnni, Amx][self as usize].min(Backend::host())
+        Backend::lowest(self, Backend::int8)
     }
 }
 

@@ -127,10 +127,12 @@ impl PackedWidth {
         Backend::host().packed_width()
     }
 
-    /// The level this layout's tile runs at here: the lowest level it is
-    /// the view of, capped at [`Backend::host`].
+    /// The level this layout's tile runs at here: the lowest level whose
+    /// vector views — the FMA class and this width, what [`register_tile`]
+    /// dispatches on — it is, capped at [`Backend::host`].
     pub(super) fn runs(self) -> Backend {
-        [Backend::Avx2, Backend::Avx512][self as usize].min(Backend::host())
+        let view = |level: Backend| (level.kernel(), level.packed_width());
+        Backend::lowest((Kernel::Avx2Fma, self), view)
     }
 
     /// Floats per panel row (`NR`).

@@ -2,11 +2,13 @@
 //! [`EventQueue`](crate::event::EventQueue).
 //!
 //! A binary heap pays `O(log n)` per operation with `n` pointer-chasing
-//! comparisons; at fleet scale (millions of in-flight frame events) that is
-//! the orchestration bottleneck. The classic alternative is a hashed
+//! comparisons. The classic alternative for interleaved schedule/pop — the
+//! event driver's retries, scheduled while the round drains — is a hashed
 //! hierarchical timing wheel (Varghese & Lauck): virtual time is split into
 //! power-of-two ticks, each wheel level covers 64 slots of exponentially
-//! wider span, and schedule/advance are `O(1)` amortized.
+//! wider span, and schedule/advance are `O(1)` amortized. (A burst that is
+//! only filled and then drained, with nothing scheduled in between, needs no
+//! scheduler: the fleet sorts its round's offers once.)
 //!
 //! # Determinism contract
 //!
@@ -31,9 +33,9 @@
 //! shape, steady-state schedule→pop cycles allocate nothing, no matter which
 //! slots absolute time happens to touch (pinned by the `alloc_event_queue`
 //! sentinel in `splitbeam-analysis`). A wheel that pops its last event
-//! forgets its nodes and keeps their capacity, so a fill-then-drain user (a
-//! fleet round) is handed nodes in index order by every burst instead of in
-//! the order the previous one fired.
+//! forgets its nodes and keeps their capacity, so a user that drains to
+//! empty (an event-driver round) is handed nodes in index order by every
+//! burst instead of in the order the previous one fired.
 
 use crate::event::{EventKey, VirtualNs};
 use std::cmp::Reverse;
@@ -268,10 +270,10 @@ impl<T> TimerWheel<T> {
         self.free_head = index;
         self.len -= 1;
         if self.len == 0 {
-            // The free list is the order this burst fired in; a burst filed
-            // through it writes the slab at random. An empty wheel forgets
-            // its nodes (capacity stays) so the next burst gets them in
-            // index order — indices never reach an output.
+            // The free list is the order this round's events fired in; the
+            // next round's, filed through it, would write the slab at random.
+            // An empty wheel forgets its nodes (capacity stays) so the next
+            // round gets them in index order — indices never reach an output.
             self.next.clear();
             self.time_ns.clear();
             self.cold.clear();

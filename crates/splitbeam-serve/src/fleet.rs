@@ -1,18 +1,18 @@
-//! Multi-AP fleet serving: N access points on one event engine.
+//! Multi-AP fleet serving: N access points on one virtual clock.
 //!
 //! Fleet scale — many [`ApServer`]s serving 100k+ concurrent sessions — needs
 //! an orchestration layer above the single server:
 //!
-//! * **one event queue for the whole fleet**: every station's frame offer is
-//!   an event on a single [`EventQueue`] (the timer-wheel engine), drained in
-//!   deterministic `(time, station, seq)` order each round;
+//! * **one sort a round**: a round is filled whole and drained to empty, so
+//!   every station's frame offer is an entry of one list that the round
+//!   close sorts once, by channel and then in deterministic
+//!   `(time, station, offer order)` air order;
 //! * **one arena for the round's frames**: [`Fleet::offer_frame`] appends the
-//!   frame's bytes to a buffer the fleet owns and schedules 16 bytes —
-//!   `(offset, len, head delay)` — so the queue and the staging lists move no
-//!   buffers, the drain slices the arena, the close that empties the queue
-//!   empties it, and the allocator is not in the round: the caller's `Vec`
-//!   is freed where it was allocated, not a round later in event order on
-//!   whichever thread drains the channel;
+//!   frame's bytes to a buffer the fleet owns and lists 16 bytes —
+//!   `(offset, len, head delay)` — so the sort moves no buffers, the drain
+//!   slices the arena, the close empties both, and the allocator is not in
+//!   the round: the caller's `Vec` is freed where it was allocated, not a
+//!   round later in air order on whichever thread drains the channel;
 //! * **overlapping-BSS contention**: each AP is bound to one of `channels`
 //!   wireless channels, every channel is one [`SharedMedium`], so co-channel
 //!   APs serialize on the *same* air and charge each other airtime. The wait
@@ -21,14 +21,14 @@
 //! * **a channel owns what only its traffic touches**: its medium, the mark
 //!   of the BSS that held it last, the APs bound to it (AP `i` is member
 //!   `i / channels` of channel `i % channels`) and its share of the drain.
-//!   Within a round a frame's fate depends on nothing else, so
-//!   [`Fleet::close_round`] routes the popped events — still in the one
-//!   queue's order — to their channels' staging lists and hands the channels
-//!   out over the `rayon` pool, once to transmit and ingest and once to close
-//!   their APs. Every AP sees the same frames in the same order with the
-//!   same stamps whatever the pool's width: at width 1 the hand-outs are
-//!   plain loops. Event order is random in memory, so a channel's drain
-//!   prefetches the sessions of the frames ahead of the one it ingests;
+//!   Within a round a frame's fate depends on nothing else, so the sort puts
+//!   each channel's offers in one contiguous run and [`Fleet::close_round`]
+//!   hands the channels out over the `rayon` pool, once to transmit and
+//!   ingest their runs and once to close their APs. Every AP sees the same
+//!   frames in the same order with the same stamps whatever the pool's
+//!   width: at width 1 the hand-outs are plain loops. Air order is random in
+//!   memory, so a channel's drain prefetches the sessions of the frames
+//!   ahead of the one it ingests;
 //! * **station roaming**: [`Fleet::handoff`] moves a station between APs by
 //!   releasing its full [`crate::StationSession`] state at the source and
 //!   adopting it (rebound to the target's model key) at the target — no cold
@@ -37,8 +37,8 @@
 //!   and target bindings, a roamed station's served feedback is bit-exact
 //!   with a never-roamed control (pinned by the `fleet_roaming` tests).
 //!
-//! Determinism: virtual time only, seeded jitter, ordered event drain,
-//! per-channel media updated in drain order — the same seed and call
+//! Determinism: virtual time only, seeded jitter, a sort on a unique key,
+//! per-channel media updated in air order — the same seed and call
 //! sequence reproduces every summary bit-for-bit, on any number of cores.
 
 use crate::server::{ApServer, RoundSummary};
@@ -48,8 +48,9 @@ use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use rayon::prelude::*;
 use splitbeam::model::SplitBeamModel;
-use splitbeam_hwsim::{prefetch_read, EventQueue, SeededJitter, SharedMedium, VirtualNs};
+use splitbeam_hwsim::{prefetch_read, SeededJitter, SharedMedium, VirtualNs};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Fleet shape and physics knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +99,7 @@ pub struct FleetRoundSummary {
     pub late: usize,
     pub expired: usize,
     /// Frames rejected since the previous close: refused at ingest
-    /// (quarantine, corruption, codec), homeless when drained, or offered
+    /// (quarantine, corruption, codec), homeless at the close, or offered
     /// for an instant past the end of virtual time.
     pub rejected: usize,
     /// Handoffs whose station was served for the first time post-handoff
@@ -134,8 +135,8 @@ pub struct FleetStats {
     pub cross_bss_wait_ns: u64,
 }
 
-/// An offered frame, as the event queue and the staging lists carry it: where
-/// its bytes lie in the fleet's arena and what the station spent on it.
+/// An offered frame, as the round's list carries it: where its bytes lie in
+/// the fleet's arena and what the station spent on it.
 #[derive(Clone, Copy)]
 struct Offer {
     offset: u32,
@@ -165,14 +166,8 @@ impl Offer {
     }
 }
 
-/// Most events one routing pass pops before the channels drain them: what
-/// bounds the staging lists (40 bytes an event) however many offers a round
-/// holds. 16 Ki measured as fast as staging a whole 100k-offer round and
-/// within 1 % of the serial loop's peak RSS (CHANGES.md, PR 23).
-const CHUNK: usize = 16 * 1024;
-
-/// How far ahead of the frame it ingests a channel's drain looks, in staged
-/// frames a stage: the home AP's id-index entry and the frame's arena bytes
+/// How far ahead of the frame it ingests a channel's drain looks, in frames
+/// of its run a stage: the home AP's id-index entry and the frame's arena bytes
 /// are requested `3 * LOOKAHEAD` frames early, the session's slot — found
 /// through that entry — `2 * LOOKAHEAD` early, and the payload buffer the
 /// slot points at `LOOKAHEAD` early, so each dependent miss of an ingest is
@@ -180,12 +175,15 @@ const CHUNK: usize = 16 * 1024;
 /// measured flat on `fleet_dense_100k` (CHANGES.md, PR 24).
 const LOOKAHEAD: usize = 8;
 
-/// A popped offer on its channel's staging list.
-struct Staged {
-    /// The home AP at drain time, as a member index of its channel.
-    member: usize,
-    id: StationId,
+/// One offer of the round, as the close sorts it.
+struct Pending {
+    /// The home AP's channel and member index there, resolved by the close.
+    channel: u32,
+    member: u32,
     ready_ns: VirtualNs,
+    id: StationId,
+    /// Offer order within the round: the last tie-break.
+    index: usize,
     offer: Offer,
 }
 
@@ -208,27 +206,27 @@ struct Channel {
     /// Last member to transmit, for cross-BSS attribution.
     owner: Option<usize>,
     members: Vec<Member>,
-    /// This channel's share of the current routing pass, in event order.
-    staged: Vec<Staged>,
+    /// This channel's run of the round's sorted offers.
+    run: Range<usize>,
     /// Frames a member refused at ingest, until the fleet folds them in.
     rejected: u64,
 }
 
 impl Channel {
-    /// Transmits the staged frames — their bytes are `frames`, the fleet's
-    /// arena — on this channel's medium, in order, attributing any wait
-    /// accrued while a foreign BSS held the channel as cross-BSS loss, and
-    /// ingests each at its AP with its virtual-time stamp. Event order is
-    /// random in memory and an ingest is a chain of dependent loads (id index
-    /// → slot → payload buffer), so the walk requests each link of the frames
-    /// ahead of it as soon as the link before has had time to arrive
+    /// Transmits `run`, this channel's offers in air order — their bytes are
+    /// `frames`, the fleet's arena — on this channel's medium, attributing
+    /// any wait accrued while a foreign BSS held the channel as cross-BSS
+    /// loss, and ingests each at its AP with its virtual-time stamp. Air order
+    /// is random in memory and an ingest is a chain of dependent loads (id
+    /// index → slot → payload buffer), so the walk requests each link of the
+    /// frames ahead of it as soon as the link before has had time to arrive
     /// ([`LOOKAHEAD`]); hints only, whatever they miss is loaded on demand.
-    fn drain(&mut self, frames: &[u8]) {
-        for (at, staged) in self.staged.iter().enumerate() {
+    fn drain(&mut self, run: &[Pending], frames: &[u8]) {
+        for (at, pending) in run.iter().enumerate() {
             let ahead_by = |distance: usize| {
-                let ahead = self.staged.get(at + distance)?;
-                let sessions = self.members[ahead.member].server.sessions_of(ahead.id);
-                Some((sessions, ahead))
+                let ahead = run.get(at + distance)?;
+                let member = &self.members[ahead.member as usize];
+                Some((member.server.sessions_of(ahead.id), ahead))
             };
             if let Some((sessions, ahead)) = ahead_by(3 * LOOKAHEAD) {
                 sessions.prefetch_index(ahead.id);
@@ -240,8 +238,8 @@ impl Channel {
             if let Some((sessions, ahead)) = ahead_by(LOOKAHEAD) {
                 sessions.prefetch_payload(ahead.id);
             }
-            let (member, ready_ns, offer) = (staged.member, staged.ready_ns, &staged.offer);
-            let frame = offer.bytes(frames);
+            let (member, ready_ns) = (pending.member as usize, pending.ready_ns);
+            let frame = pending.offer.bytes(frames);
             let ap = &mut self.members[member];
             let busy_until = self.medium.busy_until_ns();
             if ready_ns < busy_until && self.owner.is_some_and(|owner| owner != member) {
@@ -251,16 +249,15 @@ impl Channel {
             self.owner = Some(member);
             let stamp = FrameStamp {
                 arrival_ns: grant.end_ns,
-                head_ns: offer.head_ns,
+                head_ns: pending.offer.head_ns,
                 queue_ns: grant.wait_ns,
                 air_ns: grant.air_ns,
                 tail_ns: 0,
             };
-            if ap.server.ingest_wire_at(staged.id, frame, stamp).is_err() {
+            if ap.server.ingest_wire_at(pending.id, frame, stamp).is_err() {
                 self.rejected += 1;
             }
         }
-        self.staged.clear();
     }
 
     /// Closes every member's round. A hand-out of its own: a plain loop
@@ -273,13 +270,14 @@ impl Channel {
     }
 }
 
-/// N access points on one event engine. See the module docs.
+/// N access points on one virtual clock. See the module docs.
 pub struct Fleet {
     cfg: FleetConfig,
     channels: Vec<Channel>,
-    queue: EventQueue<Offer>,
-    /// The bytes of every frame on the queue, in offer order; an [`Offer`]
-    /// addresses its share. Emptied by the close that empties the queue.
+    /// The round's offers, in offer order until the close sorts them.
+    offers: Vec<Pending>,
+    /// The bytes of every offered frame, in offer order; an [`Offer`]
+    /// addresses its share. Emptied by the close, with `offers`.
     frames: Vec<u8>,
     jitter: SeededJitter,
     /// Station → home AP index.
@@ -322,13 +320,13 @@ impl Fleet {
                         closed: Ok(RoundSummary::default()),
                     })
                     .collect(),
-                staged: Vec::new(),
+                run: 0..0,
                 rejected: 0,
             })
             .collect();
         Self {
             channels,
-            queue: EventQueue::new(),
+            offers: Vec::new(),
             frames: Vec::new(),
             jitter: SeededJitter::new(cfg.jitter_ns, cfg.seed),
             home: IdIndex::default(),
@@ -427,25 +425,25 @@ impl Fleet {
         self.ap(self.home_ap(id)?).feedback_of(id)
     }
 
-    /// Pre-sizes the event queue for `events` offers per round. The frame
-    /// arena is not sized here — a count of events says nothing about their
-    /// bytes: it grows by doubling while the first round is offered and keeps
-    /// that room.
+    /// Pre-sizes the round's offer list for `events` offers per round. The
+    /// frame arena is not sized here — a count of offers says nothing about
+    /// their bytes: it grows by doubling while the first round is offered
+    /// and keeps that room.
     pub fn reserve_events(&mut self, events: usize) {
-        self.queue.reserve(events);
+        self.offers.reserve(events);
     }
 
     /// Offers a station's encoded wire frame for the current round. The
     /// frame becomes ready `jitter` ns into the round (the station-side
     /// compute/backoff spread) and is transmitted on the home AP's channel
-    /// when the fleet closes the round. Its bytes are copied to the end of
-    /// the fleet's arena and the caller's buffer is freed here, where it was
-    /// allocated — not a round later, in event order, on whichever thread
-    /// drains the channel. An offer whose ready instant saturates
-    /// [`VirtualNs`] never becomes ready, and one that would grow the arena
-    /// past what a `u32` offset addresses (4 GiB of frames on the queue) has
-    /// no place: either is counted rejected and stays off the queue and the
-    /// medium.
+    /// when the fleet closes the round. The offer is appended to the round's
+    /// list, its bytes to the end of the fleet's arena, and the caller's
+    /// buffer is freed here, where it was allocated — not a round later, in
+    /// air order, on whichever thread drains the channel. An offer whose
+    /// ready instant saturates [`VirtualNs`] never becomes ready, and one
+    /// that would grow the arena past what a `u32` offset addresses (4 GiB of
+    /// frames in a round) has no place: either is counted rejected and stays
+    /// off the list and the medium.
     pub fn offer_frame(&mut self, id: StationId, frame: Vec<u8>) -> Result<(), ServeError> {
         if self.home.get(id).is_none() {
             return Err(ServeError::UnknownStation(id));
@@ -460,7 +458,14 @@ impl Fleet {
             }
         };
         self.frames.extend_from_slice(&frame);
-        self.queue.schedule(ready_ns, id, offer);
+        self.offers.push(Pending {
+            channel: 0,
+            member: 0,
+            ready_ns,
+            id,
+            index: self.offers.len(),
+            offer,
+        });
         Ok(())
     }
 
@@ -491,14 +496,15 @@ impl Fleet {
         Ok(())
     }
 
-    /// Closes the fleet round: pops every offered frame from the event queue
-    /// in deterministic key order and routes it to the channel of its home
-    /// AP (as of now: an offer in flight across a handoff transmits on the
-    /// new channel, in order), at most `CHUNK` (16 Ki) at a time; the channels —
-    /// handed out over the pool — serialize their frames on their media and
-    /// ingest them with their virtual-time stamps; then every AP's round
-    /// closes under the deadline policy, handed out the same way, and
-    /// handoff latencies settle.
+    /// Closes the fleet round. One pass resolves each offer's home AP as of
+    /// now (an offer in flight across a handoff transmits on the new channel,
+    /// in order; a homeless one is rejected), and one unstable sort on the
+    /// unique key `(channel, ready, station, offer order)` puts each
+    /// channel's offers in one run in air order. The channels, handed out
+    /// over the pool once, serialize their runs on their media and ingest
+    /// them with their virtual-time stamps; then every AP's round closes
+    /// under the deadline policy, handed out the same way, and handoff
+    /// latencies settle.
     ///
     /// # Errors
     /// The first AP round-close error (in AP order). The fleet round is
@@ -507,31 +513,26 @@ impl Fleet {
     /// APs served. Ingest rejections (quarantine, corruption) are counted,
     /// not raised.
     pub fn close_round(&mut self) -> Result<FleetRoundSummary, ServeError> {
-        let chunk = CHUNK.min(self.queue.len());
-        for channel in &mut self.channels {
-            channel.staged.reserve(chunk);
+        let (home, channels, offered) = (&self.home, self.cfg.channels as u32, self.offers.len());
+        self.offers.retain_mut(|p| {
+            let seat = home.get(p.id).map(|ap| (ap % channels, ap / channels));
+            seat.map(|seat| (p.channel, p.member) = seat).is_some()
+        });
+        self.rejected += (offered - self.offers.len()) as u64;
+        self.offers
+            .sort_unstable_by_key(|p| (p.channel, p.ready_ns, p.id, p.index));
+        let mut start = 0;
+        for (at, channel) in self.channels.iter_mut().enumerate() {
+            let len = self.offers[start..].partition_point(|p| p.channel as usize == at);
+            channel.run = start..start + len;
+            start += len;
         }
-        while !self.queue.is_empty() {
-            for _ in 0..chunk {
-                let Some((key, offer)) = self.queue.pop() else {
-                    break;
-                };
-                let Some(ap) = self.home_ap(key.station) else {
-                    self.rejected += 1;
-                    continue;
-                };
-                self.channels[ap % self.cfg.channels].staged.push(Staged {
-                    member: ap / self.cfg.channels,
-                    id: key.station,
-                    ready_ns: key.time_ns,
-                    offer,
-                });
-            }
-            let frames = &self.frames;
-            self.channels
-                .par_iter_mut()
-                .for_each(|channel| channel.drain(frames));
-        }
+        let (offers, frames) = (&self.offers, &self.frames);
+        self.channels.par_iter_mut().for_each(|channel| {
+            let run = &offers[channel.run.clone()];
+            channel.drain(run, frames);
+        });
+        self.offers.clear();
         self.frames.clear();
         for channel in &mut self.channels {
             self.rejected += std::mem::take(&mut channel.rejected);
@@ -558,7 +559,7 @@ impl Fleet {
         // Settle handoffs: a station served at its new home for the first
         // time since the handoff completes the roam; latency is measured in
         // virtual time to the end of the serving round.
-        let settled: Vec<StationId> = self
+        let settled: Vec<(StationId, VirtualNs)> = self
             .pending_handoff
             .iter()
             .filter(|(&id, _)| {
@@ -570,33 +571,25 @@ impl Fleet {
                     .and_then(|s| s.last_round())
                     .is_some_and(|r| r >= closed_round)
             })
-            .map(|(&id, _)| id)
+            .map(|(&id, &at_ns)| (id, at_ns))
             .collect();
-        let mut handoffs_settled = 0usize;
-        for id in settled {
-            if let Some(at_ns) = self.pending_handoff.remove(&id) {
-                self.handoff_latency_sum_ns += self.now_ns.saturating_sub(at_ns);
-                self.handoffs_settled += 1;
-                handoffs_settled += 1;
-            }
+        for &(id, at_ns) in &settled {
+            self.pending_handoff.remove(&id);
+            self.handoff_latency_sum_ns += self.now_ns.saturating_sub(at_ns);
         }
+        self.handoffs_settled += settled.len() as u64;
 
-        let mut summary = FleetRoundSummary {
+        let sum = |count: fn(&RoundSummary) -> usize| per_ap.iter().map(count).sum();
+        let summary = FleetRoundSummary {
             round: closed_round,
-            served: 0,
-            on_time: 0,
-            late: 0,
-            expired: 0,
+            served: sum(|s| s.served),
+            on_time: sum(|s| s.on_time),
+            late: sum(|s| s.late),
+            expired: sum(|s| s.expired),
             rejected: (self.rejected - self.rejected_at_last_close) as usize,
-            handoffs_settled,
+            handoffs_settled: settled.len(),
             per_ap,
         };
-        for s in &summary.per_ap {
-            summary.served += s.served;
-            summary.on_time += s.on_time;
-            summary.late += s.late;
-            summary.expired += s.expired;
-        }
         self.served += summary.served as u64;
         self.on_time += summary.on_time as u64;
         self.late += summary.late as u64;
@@ -808,7 +801,7 @@ mod tests {
             Err(ServeError::UnknownStation(9))
         );
         assert_eq!(fleet.handoff(9, 1), Err(ServeError::UnknownStation(9)));
-        // Refused before the queue: not part of any round's books. A frame
+        // Refused before the list: not part of any round's books. A frame
         // the AP refuses at ingest, and one whose station has no home left
         // when the round drains, are this round's rejections and no other's.
         for id in 0..3u64 {
@@ -817,12 +810,13 @@ mod tests {
         }
         fleet.offer_frame(0, vec![0u8; 4]).unwrap();
         fleet.home.remove(2);
-        let offered = fleet.frames.len();
+        let (offered, listed) = (fleet.frames.len(), fleet.offers.len());
         let summary = fleet.close_round().unwrap();
         assert_eq!((summary.served, summary.rejected), (2, 2));
         assert_eq!(fleet.stats().rejected, 2);
-        // The close that emptied the queue emptied the arena, and kept it.
+        // The close emptied the arena and the list, and kept their room.
         assert!(fleet.frames.is_empty() && fleet.frames.capacity() >= offered);
+        assert!(fleet.offers.is_empty() && fleet.offers.capacity() >= listed);
         let summary = fleet.close_round().unwrap();
         assert_eq!((summary.rejected, fleet.stats().rejected), (0, 2));
     }
@@ -928,7 +922,7 @@ mod tests {
     /// `round_ns` and `jitter_ns` are caller-chosen `u64`s: the fleet clock
     /// and the offer instants saturate at the end of virtual time instead of
     /// panicking (debug) or wrapping into the past (release), and an offer
-    /// pinned there is rejected, never scheduled.
+    /// pinned there is rejected, never listed.
     #[test]
     fn fleet_clock_and_offers_saturate_at_the_end_of_time() {
         let m = model(17);
@@ -960,7 +954,7 @@ mod tests {
                     .offer_frame(id, station_frame(&m, 60 + id, 4))
                     .unwrap();
             }
-            assert_eq!(fleet.queue.len(), 0, "a pinned offer was scheduled");
+            assert!(fleet.offers.is_empty(), "a pinned offer was listed");
             assert!(fleet.frames.is_empty(), "a pinned offer left its bytes");
             let summary = fleet.close_round().unwrap();
             assert_eq!(

@@ -36,8 +36,9 @@
 //!   shared-medium contention, fault injection with retransmission, and
 //!   deadline watermarks for streaming servers — with lockstep serving
 //!   recoverable bit-exactly as the zero-delay degenerate case,
-//! * [`fleet`] — the [`Fleet`]: `N` one-shard servers on one event queue with
-//!   per-channel media (overlapping-BSS contention) and warm station roaming.
+//! * [`fleet`] — the [`Fleet`]: `N` one-shard servers on one virtual clock,
+//!   each round's offers sorted once into air order, with per-channel media
+//!   (overlapping-BSS contention) and warm station roaming.
 //!
 //! The `reference` feature (on under `cfg(test)`) exposes the test oracle:
 //! `ApServer::close_serial` / `driver::ServeMode::Serial`, which reconstruct

@@ -5,9 +5,9 @@
 //! it: a sliding window of schedules and pops (the event driver's pattern:
 //! a constant population, one node freed and reused at a time) must recycle
 //! slot capacity across wheel laps instead of growing it, and a burst that
-//! is scheduled whole and then drained to empty (a fleet round) must find
-//! the room of the burst before it — a drained wheel forgets its nodes, not
-//! their capacity. This binary registers the counting allocator, warms the
+//! is scheduled and then drained to empty (an event-driver round, which
+//! drains its queue every round) must find the room of the burst before it
+//! — a drained wheel forgets its nodes, not their capacity. This binary registers the counting allocator, warms the
 //! queue over the exact patterns the assertions replay, then re-runs them
 //! under [`assert_no_alloc`].
 //!
@@ -59,7 +59,7 @@ fn drain(queue: &mut EventQueue<u64>) -> u64 {
     acc
 }
 
-/// One fleet round: `WINDOW` offers scheduled at jittered instants of round
+/// One round of offers: `WINDOW` scheduled at jittered instants of round
 /// `round`, then drained to empty.
 fn fill_then_drain(queue: &mut EventQueue<u64>, round: u64) -> u64 {
     let now = round * WINDOW as u64 * STRIDE_NS;
@@ -84,8 +84,9 @@ fn event_queue_steady_state_is_allocation_free() {
     }));
     sink = sink.wrapping_add(drain(&mut queue));
 
-    // The fleet's shape, on a queue of its own: two rounds warm the slab and
-    // the ready heap, the third finds both where the second left them.
+    // A round drained to empty, on a queue of its own: two rounds warm the
+    // slab and the ready heap, the third finds both where the second left
+    // them.
     let mut queue = EventQueue::<u64>::with_capacity(WINDOW);
     for round in 0..2 {
         sink = sink.wrapping_add(fill_then_drain(&mut queue, round));

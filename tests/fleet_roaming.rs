@@ -372,6 +372,8 @@ struct Served {
     rounds: Vec<(Vec<RoundSummary>, usize)>,
     /// Per station: home AP, feedback bits, the stamp it was last served at.
     stations: Vec<(usize, Option<Vec<u32>>, Option<FrameStamp>)>,
+    /// Station 3's feedback bits after round 0, where it offers twice.
+    double_offer: Option<Vec<u32>>,
     cross_bss_wait_ns: Vec<u64>,
     air_ns: u64,
     wait_ns: u64,
@@ -536,9 +538,10 @@ impl FleetCell for Serial {
 /// is looked up ahead while its earlier frame is being ingested; the later
 /// frame wins) and station 4 offers an empty frame before its real one (a
 /// zero-length slice of the arena between two neighbours: refused, and the
-/// neighbours served whole). A fourth, sparse round has channel 1 stage a
-/// single frame — shorter than any look-ahead — while the others stage
-/// their full share.
+/// neighbours served whole). A fourth, sparse round has channel 1 carry a
+/// single frame — shorter than any look-ahead — while the others carry
+/// their full share, offered in descending station order: where offers tie
+/// on their instant, station order and offer order then disagree.
 fn scripted_run(
     cell: &mut impl FleetCell,
     (aps, channels): (usize, usize),
@@ -550,7 +553,9 @@ fn scripted_run(
     }
     let frame_of =
         |id: u64, round: u64| frames[((id + round) % frames.len() as u64) as usize].clone();
+    let bits = |feedback: &[f32]| feedback.iter().map(|v| v.to_bits()).collect();
     let mut rounds = Vec::new();
+    let mut double_offer = None;
     for round in 0..3u64 {
         if round == 2 {
             cell.handoff(0, 0);
@@ -572,9 +577,12 @@ fn scripted_run(
             cell.handoff(0, 1);
         }
         rounds.push(cell.close());
+        if round == 0 {
+            double_offer = cell.ap(cell.home(3)).feedback_of(3).map(bits);
+        }
     }
     let mut channel_1_offered = false;
-    for id in 0..stations {
+    for id in (0..stations).rev() {
         let on_channel_1 = cell.home(id) % channels == 1;
         if !(on_channel_1 && channel_1_offered) {
             cell.offer(id, frame_of(id, 3));
@@ -586,7 +594,6 @@ fn scripted_run(
         .map(|id| {
             let home = cell.home(id);
             let session = cell.ap(home).session(id).unwrap();
-            let bits = |feedback: &[f32]| feedback.iter().map(|v| v.to_bits()).collect();
             (
                 home,
                 cell.ap(home).feedback_of(id).map(bits),
@@ -598,6 +605,7 @@ fn scripted_run(
     Served {
         rounds,
         stations,
+        double_offer,
         cross_bss_wait_ns,
         air_ns,
         wait_ns,
@@ -610,31 +618,45 @@ fn scripted_run(
 /// reference above in every AP's summaries, every station's feedback bits,
 /// home and last stamp and the media's books, and the widths agree on every
 /// `FleetRoundSummary` and on `FleetStats`. Contended media (60 us of
-/// overhead a frame against a 10 ms budget) and jittered offers; the shapes
-/// are four channels of two APs with more offers a round than one routing
-/// pass of the close pops (16 Ki: the arena must outlive every pass), three
-/// APs unevenly on two channels, and four APs on one channel (one channel's
-/// APs handed out on their own).
+/// overhead a frame against a 10 ms budget); the shapes are four channels of
+/// two APs with over 16 Ki offers a round (the sort far past its small-slice
+/// path, every channel's run thousands of frames long), three APs unevenly
+/// on two channels, and four APs on one channel (one channel's APs handed
+/// out on their own), all with jittered offers; and the three APs again with
+/// none: there every offer of a round lands at one instant, so station
+/// id and offer order alone decide each channel's air order and queue waits,
+/// and station 3's double offer is won by its later frame.
 #[test]
 fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
     let m = model(43);
     let frames: Vec<Vec<u8>> = (0..16)
         .map(|seed| station_frame(&m, 200 + seed, 4))
         .collect();
+    // Station 3's feedback had only its frame `at` been served in round 0.
+    let alone = |at: usize| {
+        let mut ap = ApServer::new();
+        let key = ap.register_model(m.clone());
+        ap.register_station(3, key, 4).unwrap();
+        ap.ingest_wire(3, &frames[at]).unwrap();
+        ap.process_round().unwrap();
+        let feedback = ap.feedback_of(3).unwrap();
+        Some(feedback.iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
+    };
     // The wide shape's channels carry ~4k frames a round, 250 ms of air:
     // its rounds are long enough for the media to clear in between.
-    for (aps, channels, stations, round_ns) in [
-        (8, 4, 16 * 1024 + 600, 400_000_000),
-        (3, 2, 40, 20_000_000),
-        (4, 1, 40, 20_000_000),
+    for (aps, channels, stations, round_ns, jitter_ns) in [
+        (8, 4, 16 * 1024 + 600, 400_000_000, 200_000),
+        (3, 2, 40, 20_000_000, 200_000),
+        (4, 1, 40, 20_000_000, 200_000),
+        (3, 2, 40, 20_000_000, 0),
     ] {
-        let shape = format!("{aps} APs / {channels} channels");
+        let shape = format!("{aps} APs / {channels} channels, {jitter_ns} ns jitter");
         let cfg = FleetConfig {
             aps,
             channels,
             rate_mbps: Some(240.0),
             round_ns,
-            jitter_ns: 200_000,
+            jitter_ns,
             seed: 11,
             policy: Some(DeadlinePolicy::eq7d()),
         };
@@ -651,25 +673,34 @@ fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
             served > 0 && rejected == 2,
             "{shape}: {served} served, {rejected} rejected (the empty and the damaged frame)"
         );
-        // The sparse round: what each channel staged is what its APs found
+        // The sparse round: what each channel carried is what its APs found
         // pending. One frame on channel 1, and more than three look-ahead
         // distances (3 x 8 frames) on channel 0.
-        let staged_on = |channel: usize| -> usize {
+        let carried_on = |channel: usize| -> usize {
             let (per_ap, _) = &reference.rounds[3];
             let of_channel = per_ap.iter().skip(channel).step_by(channels);
             of_channel.map(|s| s.served + s.expired).sum()
         };
-        assert!(staged_on(0) > 24, "{shape}: {}", staged_on(0));
+        assert!(carried_on(0) > 24, "{shape}: {}", carried_on(0));
         assert!(
-            channels == 1 || staged_on(1) == 1,
+            channels == 1 || carried_on(1) == 1,
             "{shape}: {}",
-            staged_on(1)
+            carried_on(1)
         );
         assert!(
             reference.cross_bss_wait_ns.iter().any(|&ns| ns > 0),
             "{shape}"
         );
         assert_eq!(reference.stations[0].0, 0, "{shape}: station 0 roamed home");
+        if jitter_ns == 0 {
+            // Offers 3 and 4 of round 0 are station 3's: frames 3, then 10.
+            assert_eq!(
+                reference.double_offer,
+                alone(10),
+                "{shape}: the later frame wins"
+            );
+            assert_ne!(alone(10), alone(3), "{shape}: the frames tell apart");
+        }
 
         let mut fleet_books: Option<(Vec<FleetRoundSummary>, FleetStats)> = None;
         for width in 1..=3 {
@@ -700,6 +731,10 @@ fn a_fleet_round_is_the_serial_loop_at_every_pool_width() {
                     run.stations[at], reference.stations[at]
                 );
             }
+            assert_eq!(
+                run.double_offer, reference.double_offer,
+                "{shape}, width {width}"
+            );
             assert_eq!(
                 (&run.cross_bss_wait_ns, run.air_ns, run.wait_ns),
                 (
