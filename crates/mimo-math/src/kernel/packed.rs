@@ -567,8 +567,33 @@ pub(super) mod x86 {
         _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm512_add_ps,
         _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask3_fmadd_ps,
         _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm_prefetch, _CMP_NEQ_UQ, _MM_HINT_T1,
+        _mm_prefetch, _CMP_NEQ_UQ, _MM_HINT_ET0, _MM_HINT_T1,
     };
+
+    /// Asks for the tile's `MR` output rows for writing, for the `k` loop
+    /// to hide: a served tail's last layer writes row buffers that the
+    /// commit then swaps with the sessions' feedback, so they are cold
+    /// (100k x 896 bytes a round on the 100k-station fleet). One hint goes
+    /// to each of a row's `offsets` — floats from its first to its last, at
+    /// most 16 apart, so every line the row's `cols` floats touch gets one;
+    /// a hint never faults. Without the `prfchw` target feature, unstable on
+    /// rustc 1.95, LLVM emits `prefetcht0` for `_MM_HINT_ET0`.
+    ///
+    /// # Safety
+    /// `t` must satisfy [`Tile`]'s contract for `MR` rows.
+    #[inline(always)]
+    unsafe fn write_hint<const MR: usize, const N: usize>(t: Tile, offsets: [usize; N]) {
+        for r in 0..MR {
+            // SAFETY: `r < MR` is a row of the tile; `_mm_prefetch` is a
+            // hint that never dereferences, and SSE is x86_64's baseline.
+            unsafe {
+                let row = t.out.row(r);
+                for at in offsets {
+                    _mm_prefetch::<_MM_HINT_ET0>(row.wrapping_add(at).cast());
+                }
+            }
+        }
+    }
 
     /// `mr <= 12` rows against one 32-float panel.
     ///
@@ -616,6 +641,8 @@ pub(super) mod x86 {
         // read `cols` lanes (all 32 when `whole`), bias loads and `out`
         // stores are masked to them — inside the ranges the caller vouches for.
         unsafe {
+            let last = t.cols.saturating_sub(1);
+            write_hint::<MR, 3>(t, [0, last.min(16), last]);
             for k in 0..m {
                 let row = panel.add(k * stride);
                 let (b0, b1) = if whole {
@@ -697,6 +724,7 @@ pub(super) mod x86 {
         // stores are masked to them (`maskload` and `maskstore` do not touch
         // masked-off memory) — inside the ranges the caller vouches for.
         unsafe {
+            write_hint::<MR, 2>(t, [0, t.cols.saturating_sub(1)]);
             for k in 0..m {
                 let row = panel.add(k * stride);
                 let (b0, b1) = if whole {

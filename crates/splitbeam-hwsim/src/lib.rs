@@ -16,6 +16,7 @@ pub mod accelerator;
 pub mod delay;
 pub mod event;
 pub mod fault;
+mod prefetch;
 mod wheel;
 
 pub use accelerator::{AcceleratorModel, LatencyBreakdown};
@@ -24,7 +25,7 @@ pub use event::{
     ns_to_s, s_to_ns, EventKey, EventQueue, MediumGrant, SeededJitter, SharedMedium, VirtualNs,
 };
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FrameFate, GilbertElliott};
-pub use wheel::prefetch_read;
+pub use prefetch::prefetch_read;
 
 #[cfg(test)]
 mod tests {

@@ -38,6 +38,7 @@
 //! burst instead of in the order the previous one fired.
 
 use crate::event::{EventKey, VirtualNs};
+use crate::prefetch::prefetch_read;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -92,29 +93,6 @@ pub(crate) struct TimerWheel<T> {
     /// Horizon tick: every event in the wheel has `tick > current_tick`.
     current_tick: u64,
     len: usize,
-}
-
-/// Hints the cache hierarchy to start loading `value` — every 64 bytes of
-/// it — without waiting for it: what a walk over memory in an order the
-/// hardware prefetcher cannot guess issues a few steps ahead of itself. A
-/// hint only: it never faults, reads nothing the program can observe, and is
-/// a no-op off x86_64.
-#[inline]
-pub fn prefetch_read<T: ?Sized>(value: &T) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let first = (value as *const T).cast::<i8>();
-        for offset in (0..std::mem::size_of_val(value)).step_by(64) {
-            // SAFETY: `offset` is inside the live `value` the reference
-            // vouches for, so the pointer stays in bounds of its allocation;
-            // `_mm_prefetch` is a cache hint that never dereferences, faults
-            // or alters program state, and SSE is x86_64's baseline.
-            unsafe { _mm_prefetch(first.add(offset), _MM_HINT_T0) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = value;
 }
 
 fn tick_of(time_ns: VirtualNs) -> u64 {
@@ -318,19 +296,6 @@ mod tests {
             station,
             seq,
         }
-    }
-
-    /// The wrapper takes what a caller has a reference to — sized, unsized,
-    /// zero-sized, longer than a line — and leaves it as it was.
-    #[test]
-    fn prefetch_read_accepts_any_referent_and_changes_none() {
-        let values = vec![7u64; 100];
-        prefetch_read(&values[3]);
-        prefetch_read(values.as_slice());
-        prefetch_read(&values[..0]);
-        prefetch_read(&());
-        prefetch_read("a str");
-        assert!(values.iter().all(|&v| v == 7));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
-use crate::slab::IdIndex;
+use crate::slab::{IdIndex, LOOKAHEAD};
 use crate::timing::{DeadlinePolicy, FrameStamp};
 use crate::ServeError;
 use rayon::prelude::*;
@@ -166,15 +166,6 @@ impl Offer {
     }
 }
 
-/// How far ahead of the frame it ingests a channel's drain looks, in frames
-/// of its run a stage: the home AP's id-index entry and the frame's arena bytes
-/// are requested `3 * LOOKAHEAD` frames early, the session's slot — found
-/// through that entry — `2 * LOOKAHEAD` early, and the payload buffer the
-/// slot points at `LOOKAHEAD` early, so each dependent miss of an ingest is
-/// under way before the one that names its address is needed. 4 / 8 / 16 / 32
-/// measured flat on `fleet_dense_100k` (CHANGES.md, PR 24).
-const LOOKAHEAD: usize = 8;
-
 /// One offer of the round, as the close sorts it.
 struct Pending {
     /// The home AP's channel and member index there, resolved by the close.
@@ -219,8 +210,12 @@ impl Channel {
     /// loss, and ingests each at its AP with its virtual-time stamp. Air order
     /// is random in memory and an ingest is a chain of dependent loads (id
     /// index → slot → payload buffer), so the walk requests each link of the
-    /// frames ahead of it as soon as the link before has had time to arrive
-    /// ([`LOOKAHEAD`]); hints only, whatever they miss is loaded on demand.
+    /// frames ahead of it as soon as the link before has had time to arrive:
+    /// the id-index entry and the frame's arena bytes `3 * LOOKAHEAD` frames
+    /// early, the session's slot (found through that entry)
+    /// `2 * LOOKAHEAD` early and the payload buffer the slot points at
+    /// [`LOOKAHEAD`] early. Hints only, whatever they miss is loaded on
+    /// demand.
     fn drain(&mut self, run: &[Pending], frames: &[u8]) {
         for (at, pending) in run.iter().enumerate() {
             let ahead_by = |distance: usize| {

@@ -151,8 +151,9 @@ impl StationSession {
         &self.payload
     }
 
-    /// Look-ahead: requests the buffer the next [`Self::store_payload`]
-    /// overwrites (as long as the payload it holds).
+    /// Look-ahead: requests the payload buffer, as long as the payload it
+    /// holds — what the next [`Self::store_payload`] overwrites or the
+    /// close's tile gather reads.
     pub(crate) fn prefetch_payload(&self) {
         prefetch_read(self.payload.codes.as_slice());
     }

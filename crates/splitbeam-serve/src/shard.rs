@@ -27,7 +27,7 @@
 use crate::ring::Ring;
 use crate::server::HealthPolicy;
 use crate::session::{StationId, StationSession};
-use crate::slab::SessionSlab;
+use crate::slab::{SessionSlab, LOOKAHEAD};
 use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
 use crate::ServeError;
 use mimo_math::kernel::Kernel;
@@ -92,10 +92,11 @@ struct Batch {
 /// constant and not by the shard's session count — only the worklist, a
 /// `u32` a station, is. A tile's reconstructions change hands with the
 /// sessions' previous ones, so the buffers in circulation are one a station
-/// plus at most this many (2x2/20 MHz: 128 x 448 f32 = 224 KiB). 128 keeps
-/// the GEMM's weight panels amortized over whole 4-row kernel blocks and is
-/// at least the per-shard batch of every AP-scale workload, which therefore
-/// still runs one GEMM per model per close.
+/// plus at most this many (2x2/20 MHz, a 224-wide output: 128 x 224 f32 =
+/// 112 KiB). 128 runs each of the GEMM's weight panels through eleven
+/// 12 x 32 register tiles (zmm; twenty-two 6 x 16 on ymm), which amortizes
+/// its loads, and is at least the per-shard batch of every AP-scale
+/// workload, which therefore still runs one GEMM per model per close.
 pub const TILE_ROWS: usize = 128;
 
 /// Default capacity of a shard's streaming ingest ring.
@@ -502,12 +503,13 @@ impl ShardCore {
     /// one walk ([`Self::list_pending`]) expires over-budget reports and
     /// lists the rest, then each model's list is reconstructed through the
     /// fused dequantize→tail inference in runs of [`TILE_ROWS`] slots
-    /// (reconstruct → store → account per tile), payloads read and
-    /// reconstructions stored through the slot. Tiling changes batch
-    /// boundaries only, so it cannot move an output bit (see the module
-    /// docs); `batches` counts one per model with pending traffic, however
-    /// many tiles it took. With a [`DeadlinePolicy`], late-but-usable reports
-    /// are served but flagged. Performs **no** health/staleness accounting.
+    /// (reconstruct → store → account per tile), payloads read — each
+    /// requested [`LOOKAHEAD`] slots early — and reconstructions stored
+    /// through the slot. Tiling changes batch boundaries only, so it cannot
+    /// move an output bit (see the module docs); `batches` counts one per
+    /// model with pending traffic, however many tiles it took. With a
+    /// [`DeadlinePolicy`], late-but-usable reports are served but flagged.
+    /// Performs **no** health/staleness accounting.
     ///
     /// **Partial-round semantics on failure:** the walk validated the batch
     /// whole before its first tile, so a failed batch stores nothing and
@@ -534,9 +536,18 @@ impl ShardCore {
             let mut unserved = batch.slots.as_slice();
             while failure.is_none() && !unserved.is_empty() {
                 let (tile, rest) = unserved.split_at(unserved.len().min(TILE_ROWS));
+                // Each payload buffer is its own allocation, read once: ask
+                // for the one `LOOKAHEAD` slots on, the next tile's included.
                 let payloads = tile
                     .iter()
-                    .filter_map(|&slot| sessions.at(slot))
+                    .enumerate()
+                    .filter_map(|(at, &slot)| {
+                        let ahead = unserved.get(at + LOOKAHEAD);
+                        if let Some(ahead) = ahead.and_then(|&ahead| sessions.at(ahead)) {
+                            ahead.prefetch_payload();
+                        }
+                        sessions.at(slot)
+                    })
                     .map(StationSession::payload);
                 let result = match engine.mode {
                     TailWeights::F32 => model.reconstruct_quantized_batch_into_rows(
