@@ -11,8 +11,6 @@
 //! 802.11 and LB-SciFi baselines; SplitBeam's counterpart lives in the
 //! `splitbeam` crate.
 
-use serde::{Deserialize, Serialize};
-
 /// FLOPs of the per-subcarrier SVD used to obtain the beamforming matrix,
 /// multiplied by the number of subcarriers: `(4 Nt Nr² + 22 Nt³) * S`.
 pub fn svd_flops(nt: usize, nr: usize, subcarriers: usize) -> u64 {
@@ -34,7 +32,7 @@ pub fn dot11_sta_flops(nt: usize, nr: usize, subcarriers: usize) -> u64 {
 }
 
 /// Breakdown of the station-side computation for reporting purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dot11Complexity {
     /// FLOPs spent in the SVD.
     pub svd_flops: u64,

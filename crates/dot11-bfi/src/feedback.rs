@@ -13,7 +13,6 @@ use crate::quantize::{
     dequantize_phi, dequantize_psi, quantize_phi, quantize_psi, AngleResolution,
 };
 use crate::BfiError;
-use serde::{Deserialize, Serialize};
 
 /// Bits used to represent one raw complex channel entry (8 bits per real and
 /// imaginary component), the `b` of Eq. 9.
@@ -53,7 +52,7 @@ pub fn paper_report_bits(nt: usize, subcarriers: usize) -> usize {
 
 /// A packed compressed beamforming report: the quantized Givens angles of every
 /// subcarrier plus the metadata needed to unpack them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedBeamformingReport {
     /// Number of transmit antennas.
     pub nt: usize,

@@ -10,14 +10,13 @@
 
 use crate::BfiError;
 use mimo_math::{CMatrix, Complex64};
-use serde::{Deserialize, Serialize};
 
 /// The Givens-angle representation of one subcarrier's beamforming matrix.
 ///
 /// Angles are stored in the order mandated by the standard (and produced by
 /// Algorithm 1): for every column `t`, first the φ angles of rows `t..Nt-1`,
 /// then the ψ angles of rows `t+1..Nt`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GivensAngles {
     /// Number of transmit antennas (rows of `V`).
     pub nt: usize,

@@ -15,10 +15,9 @@ use crate::givens::GivensAngles;
 use crate::quantize::AngleResolution;
 use crate::BfiError;
 use mimo_math::CMatrix;
-use serde::{Deserialize, Serialize};
 
 /// The station side of the 802.11 feedback pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dot11Beamformee {
     /// Number of spatial streams the station feeds back.
     pub nss: usize,
@@ -65,7 +64,7 @@ impl Dot11Beamformee {
 }
 
 /// The access-point side of the 802.11 feedback pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Dot11Beamformer;
 
 impl Dot11Beamformer {

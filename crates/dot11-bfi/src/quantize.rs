@@ -7,10 +7,8 @@
 //! setting `bφ = 5`), and 16 bits per complex channel entry as the uncompressed
 //! reference.
 
-use serde::{Deserialize, Serialize};
-
 /// Angle quantization resolution (the `(bψ, bφ)` pairs allowed by the standard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AngleResolution {
     /// `bφ = 5`, `bψ = 3` — coarse single-user feedback.
     Coarse,

@@ -5,7 +5,6 @@
 //! conjugation, modulus, argument, polar construction) rather than mirroring a
 //! full `num-complex` API.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// The layout is `repr(C)` — `re` then `im` — so a `&[Complex64]` can be
 /// viewed as interleaved `re, im` `f64` memory by the SIMD kernels of
 /// [`crate::kernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex64 {
     /// Real part.

@@ -14,7 +14,6 @@
 
 use crate::complex::Complex64;
 use crate::kernel::{self, Kernel};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major complex matrix.
@@ -25,7 +24,7 @@ use std::fmt;
 /// let a = CMatrix::from_fn(3, 3, |r, c| Complex64::new((r * 3 + c) as f64, 0.0));
 /// assert_eq!(a.matmul(&eye), a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,

@@ -3,10 +3,9 @@
 use crate::tensor::Matrix;
 use mimo_math::kernel::packed::{gemm_f32_packed, PackedRhs, PackedWidth, Rows};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Activation function applied after a dense layer's affine transform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// No nonlinearity (used on output and bottleneck layers).
     Identity,
@@ -73,7 +72,7 @@ impl Activation {
 }
 
 /// A dense (fully-connected) layer `y = activation(x W + b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Weight matrix of shape `input_dim x output_dim`.
     pub weights: Matrix,

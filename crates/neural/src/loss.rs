@@ -6,13 +6,12 @@
 //! and L1 are provided for the ablation benches.
 
 use crate::tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Small constant protecting the normalized loss against division by zero.
 const NORMALIZATION_EPS: f32 = 1e-3;
 
 /// Supported training objectives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loss {
     /// The paper's normalized L1 loss (Eq. 8): `mean_b sum_i (p_i - t_i)^2 / (|t_i| + eps)`.
     NormalizedL1,

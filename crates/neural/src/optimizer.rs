@@ -12,10 +12,9 @@ use crate::layer::DenseGradients;
 use crate::network::Network;
 use crate::tensor::Matrix;
 use mimo_math::kernel::{self, GradScratch, Kernel, Rule};
-use serde::{Deserialize, Serialize};
 
 /// Optimizer selection plus hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
     /// Stochastic gradient descent with optional momentum.
     Sgd {
@@ -43,7 +42,7 @@ impl OptimizerKind {
 
 /// Step learning-rate schedule: the learning rate is multiplied by `gamma`
 /// whenever the epoch index reaches one of the milestones.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepSchedule {
     /// Epoch indices (0-based) at which the learning rate is decayed.
     pub milestones: Vec<usize>,

@@ -17,7 +17,6 @@ use crate::layer::Activation;
 use mimo_math::kernel::GradScratch;
 use mimo_math::kernel::{self, Kernel};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major `f32` matrix.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let c = a.matmul(&b);
 /// assert_eq!(c.as_slice(), &[-2.0, -2.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

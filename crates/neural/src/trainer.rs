@@ -12,13 +12,12 @@ use crate::optimizer::{Optimizer, OptimizerKind, StepSchedule};
 use crate::tensor::Matrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One supervised example: an input vector and its target vector.
 pub type Example = (Vec<f32>, Vec<f32>);
 
 /// Training hyper-parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training split.
     pub epochs: usize,
@@ -42,7 +41,7 @@ impl Default for TrainConfig {
 }
 
 /// Loss trajectory of one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainHistory {
     /// Mean training loss per epoch.
     pub train_loss: Vec<f32>,

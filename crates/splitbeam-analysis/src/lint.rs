@@ -54,6 +54,11 @@
 //!   `mod` line that includes its file — is skipped, and such code names
 //!   nothing. The rule needs every caller in view, so it is skipped when the
 //!   source set carries no workspace `Cargo.toml` (single-file fixtures).
+//! - **`manifest-deps`**: every `[dependencies]` key of a
+//!   `crates/*/Cargo.toml` is named as a word (`-` read as `_`) by that
+//!   crate's non-test code, skipped as `test-only-pub` skips it, or by its
+//!   own `[features]` table. A dependency only tests name belongs under
+//!   `[dev-dependencies]`.
 //!
 //! Vetted exceptions live in `lint_allowlist.txt` at the repo root, one
 //! `rule|path|needle|reason` per line; entries that no longer suppress
@@ -79,6 +84,7 @@ pub const RULE_KERNEL_PARITY_TEST: &str = "kernel-parity-test";
 pub const RULE_ONE_KERNEL_LOCK: &str = "one-kernel-lock";
 pub const RULE_FEATURE_DETECT: &str = "feature-detect";
 pub const RULE_TEST_ONLY_PUB: &str = "test-only-pub";
+pub const RULE_MANIFEST_DEPS: &str = "manifest-deps";
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK: usize = 4;
@@ -271,7 +277,9 @@ pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintRepo
     check_dead_knob_rows(knobs.as_deref().unwrap_or_default(), &mut raw_violations);
     check_crate_roots(sources, &mut raw_violations);
     check_kernel_parity_tests(sources, &mut raw_violations);
-    check_test_only_pub(sources, &mut raw_violations);
+    let views = non_test_views(sources);
+    check_test_only_pub(sources, &views, &mut raw_violations);
+    check_manifest_deps(sources, &views, &mut raw_violations);
 
     let mut used = vec![false; allow.entries.len()];
     let mut violations = Vec::new();
@@ -301,11 +309,18 @@ pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintRepo
     }
 }
 
-/// Walk the repo, load every non-fixture `.rs` file plus the knob table and
-/// the workspace manifest, and lint them.
+/// Walk the repo, load every non-fixture `.rs` file plus the knob table, the
+/// workspace manifest and each `crates/*/Cargo.toml`, and lint them.
 pub fn lint_repo(root: &Path, allow: &Allowlist) -> io::Result<LintReport> {
     let mut sources = Vec::new();
     collect_rs_files(root, root, &mut sources)?;
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let path = entry?.path().join("Cargo.toml");
+        if path.is_file() {
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy();
+            sources.push((rel.replace('\\', "/"), std::fs::read_to_string(&path)?));
+        }
+    }
     for extra in [KNOB_TABLE_FILE, WORKSPACE_MANIFEST] {
         let path = root.join(extra);
         if path.is_file() {
@@ -531,14 +546,15 @@ fn collect_test_text(raw: &[&str], code: &[&str], out: &mut String) {
     }
 }
 
-/// Crate-level pass: a `pub fn` that no non-test line names, apart from
-/// `fn NAME` declarations, has only tests for callers (or none).
-fn check_test_only_pub(sources: &[(String, String)], out: &mut Vec<Violation>) {
-    if !sources.iter().any(|(rel, _)| rel == WORKSPACE_MANIFEST) {
-        return;
-    }
-    // One code view a file; the files a gated `mod` line includes are known
-    // only once every file has been read.
+/// One source as `(path, raw lines, code view, mask of the lines under a
+/// `#[cfg(…)]` that names `test`)`.
+type CodeView<'a> = (&'a String, Vec<&'a str>, String, Vec<bool>);
+
+/// The non-test `.rs` sources; a file that a gated `mod` line includes is
+/// test code and left out.
+fn non_test_views(sources: &[(String, String)]) -> Vec<CodeView<'_>> {
+    // The files a gated `mod` line includes are known only once every file
+    // has been read.
     let mut gated_files = Vec::new();
     let mut views = Vec::new();
     for (rel, text) in sources {
@@ -552,15 +568,27 @@ fn check_test_only_pub(sources: &[(String, String)], out: &mut Vec<Violation>) {
         gated_files.extend(cfg_test_gated_mods(rel, &lines, &mask));
         views.push((rel, raw, code, mask));
     }
+    views.retain(|(rel, ..)| {
+        !gated_files
+            .iter()
+            .any(|g| rel == &&format!("{g}.rs") || rel.starts_with(&format!("{g}/")))
+    });
+    views
+}
+
+/// Crate-level pass: a `pub fn` that no non-test line names, apart from
+/// `fn NAME` declarations, has only tests for callers (or none).
+fn check_test_only_pub(
+    sources: &[(String, String)],
+    views: &[CodeView<'_>],
+    out: &mut Vec<Violation>,
+) {
+    if !sources.iter().any(|(rel, _)| rel == WORKSPACE_MANIFEST) {
+        return;
+    }
     let mut named = std::collections::HashSet::new();
     let mut decls = Vec::new();
-    for (rel, raw, code, mask) in &views {
-        let gated = gated_files
-            .iter()
-            .any(|g| rel == &&format!("{g}.rs") || rel.starts_with(&format!("{g}/")));
-        if gated {
-            continue;
-        }
+    for (rel, raw, code, mask) in views {
         let checked = rel.starts_with("crates/")
             && rel.contains("/src/")
             && !PUB_FN_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p));
@@ -591,6 +619,63 @@ fn check_test_only_pub(sources: &[(String, String)], out: &mut Vec<Violation>) {
                      it as test code (`#[cfg(test)]`, or the crate's `reference` feature)"
                 ),
             });
+        }
+    }
+}
+
+/// Crate-level pass: every `[dependencies]` key of a `crates/*/Cargo.toml`
+/// is named as a word (`-` read as `_`) by that crate's non-test code or by
+/// its own `[features]` table.
+fn check_manifest_deps(
+    sources: &[(String, String)],
+    views: &[CodeView<'_>],
+    out: &mut Vec<Violation>,
+) {
+    for (rel, text) in sources {
+        let Some(krate) = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.strip_suffix("/Cargo.toml"))
+            .filter(|k| !k.contains('/'))
+        else {
+            continue;
+        };
+        let prefix = format!("crates/{krate}/");
+        let mut named = std::collections::HashSet::new();
+        for (_, raw, code, mask) in views.iter().filter(|v| v.0.starts_with(&prefix)) {
+            let code = code_lines(code, raw.len());
+            for (i, line) in code.iter().enumerate().filter(|&(i, _)| !mask[i]) {
+                named.extend(words(line).map(|w| &raw[i][w]));
+            }
+        }
+        let mut table = "";
+        let mut deps = Vec::new();
+        let mut features = String::new();
+        for (i, raw) in text.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or_default().trim();
+            if line.starts_with('[') {
+                table = line;
+            } else if table == "[features]" {
+                features.push_str(&line.replace('-', "_"));
+                features.push('\n');
+            } else if let Some((key, _)) =
+                line.split_once('=').filter(|_| table == "[dependencies]")
+            {
+                deps.push((i, raw, key.trim().replace('-', "_")));
+            }
+        }
+        for (i, raw, key) in deps {
+            if !named.contains(key.as_str()) && !has_word(&features, &key) {
+                out.push(Violation {
+                    rule: RULE_MANIFEST_DEPS,
+                    path: rel.clone(),
+                    line: i + 1,
+                    excerpt: excerpt(raw),
+                    message: format!(
+                        "no non-test code of `{krate}` names `{key}` — delete the dependency, \
+                         or move it under [dev-dependencies] if only tests use it"
+                    ),
+                });
+            }
         }
     }
 }

@@ -21,12 +21,11 @@ use neural::network::{LayerSpec, Network};
 use neural::optimizer::OptimizerKind;
 use neural::trainer::{Example, TrainConfig, Trainer};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wifi_phy::channel::ChannelSnapshot;
 use wifi_phy::ofdm::MimoConfig;
 
 /// Configuration of an LB-SciFi autoencoder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LbSciFiConfig {
     /// The MU-MIMO configuration the autoencoder is trained for.
     pub mimo: MimoConfig,
@@ -68,7 +67,7 @@ impl LbSciFiConfig {
 }
 
 /// A trained LB-SciFi autoencoder: encoder at the station, decoder at the AP.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LbSciFiModel {
     config: LbSciFiConfig,
     encoder: Network,

@@ -3,10 +3,9 @@
 
 use mimo_math::CMatrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the simulated capture pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaptureOptions {
     /// Probability that a given station misses a given packet (Nexmon drops).
     pub drop_probability: f64,

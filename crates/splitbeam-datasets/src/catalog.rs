@@ -1,12 +1,11 @@
 //! The dataset catalog of Table I (D1–D15).
 
 use crate::DatasetError;
-use serde::{Deserialize, Serialize};
 use wifi_phy::channel::EnvironmentProfile;
 use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
 /// Identifier of one dataset of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DatasetId(pub u8);
 
 impl std::fmt::Display for DatasetId {
@@ -17,7 +16,7 @@ impl std::fmt::Display for DatasetId {
 
 /// Whether a dataset corresponds to measured (Nexmon) or synthetic (MATLAB) data
 /// in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
     /// Stands in for CSI measured with off-the-shelf routers.
     Measured,
@@ -26,7 +25,7 @@ pub enum DatasetKind {
 }
 
 /// Specification of one dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     /// Table I identifier.
     pub id: DatasetId,

@@ -8,11 +8,10 @@ use crate::catalog::DatasetSpec;
 use crate::DatasetError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use wifi_phy::channel::{ChannelModel, ChannelSnapshot};
 
 /// Options controlling dataset generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorOptions {
     /// Number of packets (CSI samples before drops) to simulate.
     pub samples: usize,
@@ -50,7 +49,7 @@ impl GeneratorOptions {
 
 /// A generated dataset: the retained (aligned, cleaned) CSI snapshots of one
 /// Table I entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedDataset {
     /// The dataset specification this data realizes.
     pub spec: DatasetSpec,

@@ -10,11 +10,10 @@
 //! in magnitude (tens of microseconds at 2x2/20 MHz, a few milliseconds at
 //! 4x4/160 MHz) and in scaling (~4x per bandwidth doubling, ~4x from 2x2 to 4x4).
 
-use serde::{Deserialize, Serialize};
 use splitbeam::config::SplitBeamConfig;
 
 /// Analytical model of the FPGA MAC-array accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceleratorModel {
     /// Clock frequency in Hz (200 MHz in the paper, matching the AD9361).
     pub clock_hz: f64,
@@ -100,7 +99,7 @@ impl AcceleratorModel {
 }
 
 /// Head (station) and tail (AP) execution latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBreakdown {
     /// Station-side (head model) execution time in seconds.
     pub head_s: f64,

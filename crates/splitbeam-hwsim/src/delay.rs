@@ -7,12 +7,11 @@
 //! channel sounding should complete within 10 ms.
 
 use crate::accelerator::AcceleratorModel;
-use serde::{Deserialize, Serialize};
 use splitbeam::airtime::model_feedback_bits;
 use wifi_phy::sounding::{sounding_round_airtime, SoundingConfig};
 
 /// The delay budget of Eq. 7d (10 ms for MU-MIMO sounding).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayBudget {
     /// Maximum tolerable end-to-end delay in seconds. The budget is
     /// inclusive: a round landing exactly on the deadline completes within
@@ -28,7 +27,7 @@ impl Default for DelayBudget {
 
 /// Breakdown of the end-to-end beamforming report delay:
 /// head compute → medium queueing → over-the-air time → tail compute.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndToEndDelay {
     /// Station-side head execution time, in seconds.
     pub head_s: f64,

@@ -19,10 +19,9 @@
 use crate::config::{CompressionLevel, SplitBeamConfig};
 use crate::model::SplitBeamModel;
 use crate::SplitBeamError;
-use serde::{Deserialize, Serialize};
 
 /// The application constraints of the BOP (Eqs. 7b–7d).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BopConstraints {
     /// Maximum tolerated bit error rate `gamma` (Eq. 7c).
     pub max_ber: f64,
@@ -73,7 +72,7 @@ impl BopConstraints {
 }
 
 /// Result of one candidate evaluation inside the heuristic search.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BopCandidate {
     /// The candidate configuration.
     pub config: SplitBeamConfig,

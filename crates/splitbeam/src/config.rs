@@ -2,13 +2,12 @@
 
 use neural::layer::Activation;
 use neural::network::LayerSpec;
-use serde::{Deserialize, Serialize};
 use wifi_phy::ofdm::MimoConfig;
 
 /// The bottleneck compression level `K = |V'| / |H|` — the ratio between the
 /// bottleneck width and the CSI input width. The paper evaluates the four
 /// discrete levels below; [`CompressionLevel::Custom`] supports ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CompressionLevel {
     /// `K = 1/32` — the most aggressive compression evaluated.
     OneThirtySecond,
@@ -63,7 +62,7 @@ impl std::fmt::Display for CompressionLevel {
 }
 
 /// Complete configuration of one SplitBeam model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SplitBeamConfig {
     /// The MU-MIMO network configuration the model is trained for.
     pub mimo: MimoConfig,

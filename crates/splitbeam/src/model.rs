@@ -8,7 +8,6 @@ use mimo_math::CMatrix;
 use neural::network::Network;
 use neural::PackedDense;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use wifi_phy::channel::ChannelSnapshot;
 
@@ -20,7 +19,7 @@ use wifi_phy::channel::ChannelSnapshot;
 /// `clone()` is three reference-count bumps. A server registering a model, a
 /// driver holding it next to its server and a fleet handing it to eight APs
 /// all read the one 12.7 MB copy (9.5 MB of it a head the AP never runs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SplitBeamModel {
     config: SplitBeamConfig,
     /// Shared between clones.

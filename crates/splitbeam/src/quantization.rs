@@ -8,14 +8,12 @@
 //! bottleneck value; the default here matches that, and the ablation benches
 //! sweep the width.
 
-use serde::{Deserialize, Serialize};
-
 /// Default number of bits per bottleneck value (matches the paper's accounting
 /// of 16 bits per feedback value).
 pub const DEFAULT_BITS_PER_VALUE: u8 = 16;
 
 /// A quantized bottleneck payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedFeedback {
     /// Number of bits used for each value (1..=16).
     pub bits_per_value: u8,

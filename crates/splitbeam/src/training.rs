@@ -15,11 +15,10 @@ use neural::network::Network;
 use neural::optimizer::OptimizerKind;
 use neural::trainer::{Example, TrainConfig, TrainHistory, Trainer};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use wifi_phy::channel::ChannelSnapshot;
 
 /// A labelled dataset of (CSI, beamforming feedback) pairs for one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingData {
     config: SplitBeamConfig,
     examples: Vec<Example>,
@@ -115,7 +114,7 @@ impl TrainingData {
 }
 
 /// Hyper-parameters of a SplitBeam training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingOptions {
     /// Number of epochs (the paper uses 40).
     pub epochs: usize,

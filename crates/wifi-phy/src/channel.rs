@@ -45,11 +45,10 @@ use mimo_math::svd::Svd;
 use mimo_math::{CMatrix, Complex64};
 use rand::Rng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// One multipath tap of a tap-delay-line profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tap {
     /// Excess delay of the tap in nanoseconds.
     pub delay_ns: f64,
@@ -90,7 +89,7 @@ impl Tap {
 /// Use [`EnvironmentProfile::e1`], [`EnvironmentProfile::e2`] or
 /// [`EnvironmentProfile::model_b`] for the three environments of the paper, or
 /// build a custom profile for ablations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvironmentProfile {
     /// Short name used in dataset catalogs and reports (e.g. "E1").
     pub name: String,
@@ -349,7 +348,7 @@ pub struct ChannelProcess {
 /// Static description of a multi-user channel: environment profile plus MIMO
 /// and bandwidth configuration. Use [`ChannelModel::sample`] for independent
 /// snapshots or [`ChannelModel::process`] for temporally correlated traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelModel {
     /// Propagation environment.
     pub profile: EnvironmentProfile,
@@ -617,7 +616,7 @@ impl ChannelProcess {
 
 /// One multi-user CSI observation: for every station, the `Nr x Nt` channel
 /// matrix on every subcarrier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChannelSnapshot {
     nt: usize,
     nr: usize,

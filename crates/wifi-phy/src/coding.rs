@@ -7,7 +7,6 @@
 //! and a hard-decision Viterbi decoder.
 
 use crate::PhyError;
-use serde::{Deserialize, Serialize};
 
 /// Generator polynomials of the 802.11 convolutional code (octal 133 and 171),
 /// constraint length 7.
@@ -17,7 +16,7 @@ const CONSTRAINT: usize = 7;
 const NUM_STATES: usize = 1 << (CONSTRAINT - 1);
 
 /// Code rate of the binary convolutional code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodeRate {
     /// Rate 1/2 (no puncturing) — used in the paper's Fig. 10.
     Half,
@@ -60,7 +59,7 @@ impl CodeRate {
 /// let decoded = codec.decode(&coded, bits.len()).unwrap();
 /// assert_eq!(decoded, bits);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bcc {
     rate: CodeRate,
 }

@@ -24,10 +24,9 @@ use crate::precoding::{BeamformingFeedback, ZfPrecoder};
 use crate::PhyError;
 use mimo_math::Complex64;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the BER link simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Payload modulation (16-QAM in the paper).
     pub modulation: Modulation,
@@ -52,7 +51,7 @@ impl Default for LinkConfig {
 }
 
 /// Outcome of one link simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkReport {
     /// Bit errors per station.
     pub per_user_errors: Vec<usize>,

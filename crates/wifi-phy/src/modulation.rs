@@ -6,10 +6,9 @@
 
 use crate::PhyError;
 use mimo_math::Complex64;
-use serde::{Deserialize, Serialize};
 
 /// Modulation scheme of the payload symbols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modulation {
     /// 1 bit/symbol.
     Bpsk,

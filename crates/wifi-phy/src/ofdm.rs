@@ -5,8 +5,6 @@
 //! synthetic configuration. [`Bandwidth`] captures those layouts plus a few
 //! timing constants used by the airtime model.
 
-use serde::{Deserialize, Serialize};
-
 /// Channel bandwidth of an 802.11ac/ax transmission.
 ///
 /// The associated subcarrier counts follow the values used by the paper
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Bandwidth::Mhz80.mhz(), 80);
 /// assert!(Bandwidth::Mhz160.subcarriers() > Bandwidth::Mhz80.subcarriers());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bandwidth {
     /// 20 MHz channel (56 usable subcarriers in VHT).
     Mhz20,
@@ -82,7 +80,7 @@ impl std::fmt::Display for Bandwidth {
 /// with `Nr` receive antennas and `Nss` spatial streams; the evaluation always
 /// uses `Nss = 1` per station and `Nt = Ns` (e.g. "3x3" means a 3-antenna AP
 /// serving 3 single-stream stations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MimoConfig {
     /// Number of AP (transmit) antennas, `Nt`.
     pub nt: usize,

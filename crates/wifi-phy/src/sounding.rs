@@ -8,7 +8,6 @@
 //! evaluated without radio hardware.
 
 use crate::ofdm::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// Short interframe space of 802.11 at 5 GHz, in seconds.
 pub const SIFS_S: f64 = 16e-6;
@@ -26,7 +25,7 @@ pub const BRP_POLL_S: f64 = 44e-6;
 pub const FEEDBACK_FRAME_OVERHEAD_S: f64 = 60e-6;
 
 /// Parameters of the sounding airtime model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoundingConfig {
     /// Channel bandwidth (affects the feedback transmission rate).
     pub bandwidth: Bandwidth,
@@ -55,7 +54,7 @@ impl SoundingConfig {
 }
 
 /// Breakdown of one sounding round's airtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoundingAirtime {
     /// Airtime of the fixed protocol frames (NDPA, NDP, polls, SIFS), in seconds.
     pub protocol_s: f64,

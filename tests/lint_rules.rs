@@ -6,8 +6,8 @@
 use splitbeam_analysis::lint::{
     format_allowlist, lint_sources, parse_allowlist, Allowlist, LintReport, RULE_DENY_UNSAFE_OP,
     RULE_ENV_ACCESS, RULE_FEATURE_DETECT, RULE_INGEST_UNWRAP, RULE_KERNEL_PARITY_TEST,
-    RULE_KNOB_DOCS, RULE_ONE_KERNEL_LOCK, RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP,
-    RULE_TEST_ONLY_PUB, RULE_WALL_CLOCK,
+    RULE_KNOB_DOCS, RULE_MANIFEST_DEPS, RULE_ONE_KERNEL_LOCK, RULE_SAFETY_COMMENT,
+    RULE_SERVE_UNORDERED_MAP, RULE_TEST_ONLY_PUB, RULE_WALL_CLOCK,
 };
 
 fn lint_one(path: &str, text: &str) -> LintReport {
@@ -729,4 +729,44 @@ fn test_only_pub_fns_are_flagged() {
     // Without the workspace manifest the callers are not all in view, and
     // the rule is skipped.
     assert!(lint_one("crates/demo/src/lib.rs", PROBE).clean());
+}
+
+#[test]
+fn manifest_dependencies_must_be_named_by_product_code() {
+    let manifest =
+        |features: &str| format!("[dependencies]\nmimo-math = {{ workspace = true }}\n{features}");
+    let lint = |manifest: &str, lib: &str| {
+        lint_sources(
+            &[
+                ("crates/demo/Cargo.toml".to_string(), manifest.to_string()),
+                ("crates/demo/src/lib.rs".to_string(), lib.to_string()),
+            ],
+            &Allowlist::default(),
+        )
+    };
+    let uses = "pub fn f() -> f32 {\n    mimo_math::kernel::one()\n}\n";
+    assert!(lint(&manifest(""), uses).clean());
+
+    // Named by nothing: flagged at its manifest line.
+    let report = lint(&manifest(""), "pub fn f() {}\n");
+    assert_eq!(rules_of(&report), vec![RULE_MANIFEST_DEPS]);
+    let v = &report.violations[0];
+    assert_eq!((v.path.as_str(), v.line), ("crates/demo/Cargo.toml", 2));
+    assert!(v.message.contains("`mimo_math`"), "{}", v.message);
+
+    // Named only under `#[cfg(test)]`, or in a comment: flagged.
+    let in_tests = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    use mimo_math::kernel;\n}\n";
+    assert_eq!(
+        rules_of(&lint(&manifest(""), in_tests)),
+        vec![RULE_MANIFEST_DEPS]
+    );
+    let prose = "// mimo_math does the work\npub fn f() {}\n";
+    assert_eq!(
+        rules_of(&lint(&manifest(""), prose)),
+        vec![RULE_MANIFEST_DEPS]
+    );
+
+    // Named through the crate's own `[features]` table: clean.
+    let features = manifest("\n[features]\nreference = [\"mimo-math/reference\"]\n");
+    assert!(lint(&features, "pub fn f() {}\n").clean());
 }
