@@ -103,13 +103,20 @@ impl FeedbackEngine {
     }
 
     /// Computes the ideal (unquantized) beamforming matrices of every
-    /// subcarrier, fanning chunks out across cores.
+    /// subcarrier, fanning chunks out across cores: what the tests hold the
+    /// quantized reports against.
+    #[cfg(test)]
     pub fn beamforming_matrices(&self, csi: &[CMatrix]) -> Vec<CMatrix> {
-        self.run_chunked(csi, |scratch, h| {
-            let mut v = CMatrix::zeros(1, 1);
-            Svd::right_vectors_into(h, self.nss, &mut v, &mut scratch.ws);
-            v
-        })
+        let pieces = self.run_chunks(csi, |_start, chunk| {
+            let mut ws = Workspace::new();
+            let right_vectors = |h| {
+                let mut v = CMatrix::zeros(1, 1);
+                Svd::right_vectors_into(h, self.nss, &mut v, &mut ws);
+                v
+            };
+            chunk.iter().map(right_vectors).collect::<Vec<_>>()
+        });
+        pieces.into_iter().flatten().collect()
     }
 
     /// Runs the full station-side pipeline: SVD, Givens decomposition,
@@ -225,20 +232,6 @@ impl FeedbackEngine {
             .par_iter()
             .map(|&(start, chunk)| f(start, chunk))
             .collect()
-    }
-
-    /// Maps `f` over every subcarrier, chunked by core count, preserving input
-    /// order. Each chunk gets its own [`WorkerScratch`].
-    fn run_chunked<T, F>(&self, csi: &[CMatrix], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut WorkerScratch, &CMatrix) -> T + Sync,
-    {
-        let pieces: Vec<Vec<T>> = self.run_chunks(csi, |_start, chunk| {
-            let mut scratch = WorkerScratch::new();
-            chunk.iter().map(|h| f(&mut scratch, h)).collect()
-        });
-        pieces.into_iter().flatten().collect()
     }
 }
 

@@ -11,19 +11,19 @@
 //!   wire format in the workspace,
 //! * [`feedback`] — compressed-beamforming-frame bit packing, feedback sizes
 //!   and the compression-ratio formula (Eq. 9),
-//! * [`pipeline`] — the complete beamformee (STA) and beamformer (AP) sides:
-//!   SVD → Givens → quantize → pack at the station, unpack → dequantize →
-//!   reconstruct at the access point,
-//! * [`engine`] — the workspace-reusing [`FeedbackEngine`] backing the
-//!   beamformee: per-thread scratch buffers and a bit-exact fan-out of the
-//!   subcarrier axis across cores,
+//! * [`engine`] — the workspace-reusing [`FeedbackEngine`], the beamformee
+//!   (STA) side: SVD → Givens → quantize → pack, with per-thread scratch
+//!   buffers and a bit-exact fan-out of the subcarrier axis across cores,
+//! * [`pipeline`] — the whole round trip: the engine's report, then unpack →
+//!   dequantize → reconstruct at the access point (the beamformer),
 //! * [`complexity`] — the FLOP models quoted by the paper for SVD
 //!   (`O((4 Nt Nr² + 22 Nt³) S)`) and Givens decomposition (`O(Nt³ Nr³ S)`).
 //!
 //! # Example: full 802.11 feedback round trip
 //!
 //! ```
-//! use dot11_bfi::pipeline::{Dot11Beamformee, Dot11Beamformer};
+//! use dot11_bfi::engine::FeedbackEngine;
+//! use dot11_bfi::givens::GivensAngles;
 //! use dot11_bfi::quantize::AngleResolution;
 //! use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 //! use wifi_phy::ofdm::Bandwidth;
@@ -34,10 +34,10 @@
 //! let model = ChannelModel::new(EnvironmentProfile::e1(), Bandwidth::Mhz20, 2, 2, 1);
 //! let snapshot = model.sample(&mut rng);
 //!
-//! let sta = Dot11Beamformee::new(1, AngleResolution::High);
+//! let sta = FeedbackEngine::new(1, AngleResolution::High);
 //! let report = sta.compute_feedback(snapshot.csi(0)).unwrap();
-//! let ap = Dot11Beamformer::new();
-//! let reconstructed = ap.reconstruct(&report).unwrap();
+//! let angles = report.unpack().unwrap();
+//! let reconstructed: Vec<_> = angles.iter().map(GivensAngles::reconstruct).collect();
 //! assert_eq!(reconstructed.len(), 56);
 //! assert_eq!(reconstructed[0].shape(), (2, 1));
 //! ```
@@ -55,7 +55,6 @@ pub mod reference;
 pub use engine::FeedbackEngine;
 pub use feedback::CompressedBeamformingReport;
 pub use givens::GivensAngles;
-pub use pipeline::{Dot11Beamformee, Dot11Beamformer};
 pub use quantize::AngleResolution;
 
 /// Errors produced by the 802.11 feedback pipeline.

@@ -1,7 +1,8 @@
-//! The complete 802.11 beamformee / beamformer pipeline.
+//! The complete 802.11 beamformee / beamformer round trip.
 //!
 //! * The **beamformee** (station) side takes the estimated CSI of every
-//!   subcarrier and produces a [`CompressedBeamformingReport`]:
+//!   subcarrier and produces a
+//!   [`CompressedBeamformingReport`](crate::CompressedBeamformingReport):
 //!   SVD → take the first `Nss` right singular vectors → Givens decomposition →
 //!   angle quantization → bit packing. This is exactly the computation whose
 //!   cost SplitBeam removes from the station.
@@ -10,98 +11,31 @@
 //!   the zero-forcing precoder.
 
 use crate::engine::FeedbackEngine;
-use crate::feedback::CompressedBeamformingReport;
 use crate::givens::GivensAngles;
 use crate::quantize::AngleResolution;
 use crate::BfiError;
 use mimo_math::CMatrix;
 
-/// The station side of the 802.11 feedback pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Dot11Beamformee {
-    /// Number of spatial streams the station feeds back.
-    pub nss: usize,
-    /// Angle quantization resolution.
-    pub resolution: AngleResolution,
-}
-
-impl Dot11Beamformee {
-    /// Creates a beamformee reporting `nss` streams at the given resolution.
-    ///
-    /// # Panics
-    /// Panics if `nss == 0`.
-    pub fn new(nss: usize, resolution: AngleResolution) -> Self {
-        assert!(nss > 0, "at least one spatial stream required");
-        Self { nss, resolution }
-    }
-
-    /// The [`FeedbackEngine`] carrying this beamformee's configuration.
-    pub fn engine(&self) -> FeedbackEngine {
-        FeedbackEngine::new(self.nss, self.resolution)
-    }
-
-    /// Computes the ideal (unquantized) beamforming matrices from per-subcarrier CSI.
-    ///
-    /// Delegates to the workspace-reusing [`FeedbackEngine`], which fans the
-    /// subcarrier axis out across cores; results are bit-exact with the
-    /// serial path.
-    pub fn beamforming_matrices(&self, csi: &[CMatrix]) -> Vec<CMatrix> {
-        self.engine().beamforming_matrices(csi)
-    }
-
-    /// Runs the full station-side pipeline: SVD, Givens decomposition,
-    /// quantization and packing, via the workspace-reusing [`FeedbackEngine`].
-    ///
-    /// # Errors
-    /// Returns [`BfiError::InvalidShape`] when the CSI is empty or the derived
-    /// beamforming matrices cannot be decomposed.
-    pub fn compute_feedback(
-        &self,
-        csi: &[CMatrix],
-    ) -> Result<CompressedBeamformingReport, BfiError> {
-        self.engine().compute_feedback(csi)
-    }
-}
-
-/// The access-point side of the 802.11 feedback pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Dot11Beamformer;
-
-impl Dot11Beamformer {
-    /// Creates a beamformer.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Reconstructs the per-subcarrier beamforming matrices from a compressed report.
-    ///
-    /// # Errors
-    /// Returns [`BfiError::MalformedReport`] when the report payload is inconsistent.
-    pub fn reconstruct(
-        &self,
-        report: &CompressedBeamformingReport,
-    ) -> Result<Vec<CMatrix>, BfiError> {
-        Ok(report
-            .unpack()?
-            .iter()
-            .map(GivensAngles::reconstruct)
-            .collect())
-    }
-}
-
-/// Convenience function: runs the full 802.11 feedback round trip (station and
-/// AP side) and returns the beamforming matrices the AP would use.
+/// Runs the full 802.11 feedback round trip — the station's
+/// [`FeedbackEngine`] packs a report, the AP unpacks it — and returns the
+/// beamforming matrices the AP would use.
 ///
 /// # Errors
 /// Propagates any [`BfiError`] from the two pipeline halves.
+///
+/// # Panics
+/// Panics if `nss == 0`.
 pub fn dot11_feedback_roundtrip(
     csi: &[CMatrix],
     nss: usize,
     resolution: AngleResolution,
 ) -> Result<Vec<CMatrix>, BfiError> {
-    let sta = Dot11Beamformee::new(nss, resolution);
-    let report = sta.compute_feedback(csi)?;
-    Dot11Beamformer::new().reconstruct(&report)
+    let report = FeedbackEngine::new(nss, resolution).compute_feedback(csi)?;
+    Ok(report
+        .unpack()?
+        .iter()
+        .map(GivensAngles::reconstruct)
+        .collect())
 }
 
 #[cfg(test)]
@@ -133,8 +67,7 @@ mod tests {
     #[test]
     fn roundtrip_close_to_ideal_beamforming() {
         let csi = sample_csi(2, 2);
-        let sta = Dot11Beamformee::new(1, AngleResolution::High);
-        let ideal = sta.beamforming_matrices(&csi);
+        let ideal = FeedbackEngine::new(1, AngleResolution::High).beamforming_matrices(&csi);
         let rebuilt = dot11_feedback_roundtrip(&csi, 1, AngleResolution::High).unwrap();
         for (v, v_hat) in ideal.iter().zip(rebuilt.iter()) {
             let canonical = canonicalize_column_phases(v);
@@ -149,8 +82,7 @@ mod tests {
     #[test]
     fn coarse_quantization_is_worse_than_high() {
         let csi = sample_csi(3, 3);
-        let sta = Dot11Beamformee::new(1, AngleResolution::High);
-        let ideal = sta.beamforming_matrices(&csi);
+        let ideal = FeedbackEngine::new(1, AngleResolution::High).beamforming_matrices(&csi);
         let high = dot11_feedback_roundtrip(&csi, 1, AngleResolution::High).unwrap();
         let coarse = dot11_feedback_roundtrip(&csi, 1, AngleResolution::Coarse).unwrap();
         let err = |rebuilt: &[CMatrix]| -> f64 {
@@ -166,24 +98,9 @@ mod tests {
     #[test]
     fn report_size_smaller_than_raw_csi() {
         let csi = sample_csi(4, 3);
-        let sta = Dot11Beamformee::new(1, AngleResolution::High);
-        let report = sta.compute_feedback(&csi).unwrap();
+        let engine = FeedbackEngine::new(1, AngleResolution::High);
+        let report = engine.compute_feedback(&csi).unwrap();
         let raw = crate::feedback::raw_csi_bits(3, 3, csi.len());
         assert!(report.size_bits() < raw);
-    }
-
-    #[test]
-    fn empty_csi_rejected() {
-        let sta = Dot11Beamformee::new(1, AngleResolution::High);
-        assert!(matches!(
-            sta.compute_feedback(&[]),
-            Err(BfiError::InvalidShape(_))
-        ));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_streams_panics() {
-        let _ = Dot11Beamformee::new(0, AngleResolution::High);
     }
 }

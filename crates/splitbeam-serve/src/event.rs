@@ -218,14 +218,10 @@ pub struct EventDriver<S> {
     /// on an independent stream from the jitter). A zero-fault config draws
     /// nothing, so fault-free runs replay PR 5 behaviour bit-exactly.
     injector: FaultInjector,
-    /// Frames the injector dropped during the most recent drain.
-    round_lost: usize,
-    /// Retransmissions scheduled during the most recent drain.
-    round_retransmitted: usize,
-    /// Reports ingested this round whose offer instant saturated
-    /// [`VirtualNs`] or lies past [`EventDriver::last_useful_offer_ns`]; the
-    /// close counts them expired.
-    round_unreachable: usize,
+    /// The driver's own books of the round, merged into the inner close's
+    /// summary: `lost`, `retransmitted`, and as `expired` the reports whose
+    /// offer instant lies past [`EventDriver::last_useful_offer_ns`].
+    books: RoundSummary,
     /// Stamps of every report delivered by the most recent round close —
     /// including reports the deadline closer then expired — for
     /// delay-distribution observers (percentiles must not censor the tail).
@@ -254,9 +250,7 @@ impl<S: StreamServing> EventDriver<S> {
             now_ns: 0,
             frames_scheduled: 0,
             injector: FaultInjector::new(cfg.faults, cfg.seed ^ 0xfa17_1e55_0b5e_55ed),
-            round_lost: 0,
-            round_retransmitted: 0,
-            round_unreachable: 0,
+            books: RoundSummary::default(),
             last_round_stamps: Vec::new(),
             damaged: Vec::new(),
             cfg,
@@ -417,8 +411,6 @@ impl<S: StreamServing> EventDriver<S> {
     ) -> Option<ServeError> {
         let mut first_error = None;
         self.last_round_stamps.clear();
-        self.round_lost = 0;
-        self.round_retransmitted = 0;
         let mut watermarks = watermarks;
         while let Some((key, offer)) = self.queue.pop() {
             if let Some((clock, policy)) = watermarks.as_mut() {
@@ -432,7 +424,7 @@ impl<S: StreamServing> EventDriver<S> {
             self.now_ns = self.now_ns.max(grant.end_ns);
             let (corrupt, duplicate, extra_delay_ns) = match fate {
                 FrameFate::Lost => {
-                    self.round_lost += 1;
+                    self.books.lost += 1;
                     self.schedule_retry(key.station, grant.end_ns, offer);
                     continue;
                 }
@@ -547,7 +539,7 @@ impl<S: StreamServing> EventDriver<S> {
         // mistakes a retransmission for a replayed frame.
         wire::set_frame_seq(&mut offer.frame, attempt as u16 + 1);
         self.queue.schedule(retry_ns, station, offer);
-        self.round_retransmitted += 1;
+        self.books.retransmitted += 1;
     }
 }
 
@@ -610,7 +602,7 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
             // that instant for every later frame, and up to which a streaming
             // drain would fire every watermark) and is consumed at the close
             // as expired.
-            self.round_unreachable += 1;
+            self.books.expired += 1;
             return Ok(frame.len());
         }
         let mut frame = frame.to_vec();
@@ -677,16 +669,11 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
         let ingest_error = self.deliver_arrivals(watermarks);
         self.round += 1;
         let closed = self.inner.close_round_deadline(mode, policy);
-        let unreachable = std::mem::take(&mut self.round_unreachable);
-        match ingest_error {
-            Some(e) => Err(e),
-            None => closed.map(|mut summary| {
-                summary.lost = self.round_lost;
-                summary.retransmitted = self.round_retransmitted;
-                summary.expired += unreachable;
-                summary
-            }),
-        }
+        let books = std::mem::take(&mut self.books);
+        ingest_error.map_or(closed, Err).map(|mut summary| {
+            summary.merge(&books);
+            summary
+        })
     }
 
     fn evicted_in_last_round(&self) -> usize {

@@ -90,7 +90,7 @@ impl Default for FleetConfig {
 }
 
 /// One round's aggregate over the whole fleet, plus the per-AP summaries it
-/// was folded from.
+/// was merged from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRoundSummary {
     pub round: u64,
@@ -285,10 +285,8 @@ pub struct Fleet {
     pending_handoff: BTreeMap<StationId, VirtualNs>,
     handoff_latency_sum_ns: u64,
     handoffs_settled: u64,
-    served: u64,
-    on_time: u64,
-    late: u64,
-    expired: u64,
+    /// Every AP summary of every closed round, merged.
+    lifetime: RoundSummary,
     rejected: u64,
     /// `rejected` as of the previous close; the round's share is the rest.
     rejected_at_last_close: u64,
@@ -331,10 +329,7 @@ impl Fleet {
             pending_handoff: BTreeMap::new(),
             handoff_latency_sum_ns: 0,
             handoffs_settled: 0,
-            served: 0,
-            on_time: 0,
-            late: 0,
-            expired: 0,
+            lifetime: RoundSummary::default(),
             rejected: 0,
             rejected_at_last_close: 0,
             cfg,
@@ -538,16 +533,16 @@ impl Fleet {
             .for_each(|channel| channel.close(policy));
         let closed_round = self.round;
         let mut per_ap = Vec::with_capacity(self.cfg.aps);
+        let mut tally = RoundSummary::default();
         let mut first_error = None;
         for ap in 0..self.cfg.aps {
             let closed = &mut self.member_mut(ap).closed;
             match std::mem::replace(closed, Ok(RoundSummary::default())) {
                 Ok(summary) => per_ap.push(summary),
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+                Err(e) => first_error = first_error.or(Some(e)),
             }
         }
+        per_ap.iter().for_each(|summary| tally.merge(summary));
         self.round += 1;
         self.now_ns = self.now_ns.saturating_add(self.cfg.round_ns);
 
@@ -574,40 +569,37 @@ impl Fleet {
         }
         self.handoffs_settled += settled.len() as u64;
 
-        let sum = |count: fn(&RoundSummary) -> usize| per_ap.iter().map(count).sum();
         let summary = FleetRoundSummary {
             round: closed_round,
-            served: sum(|s| s.served),
-            on_time: sum(|s| s.on_time),
-            late: sum(|s| s.late),
-            expired: sum(|s| s.expired),
+            served: tally.served,
+            on_time: tally.on_time,
+            late: tally.late,
+            expired: tally.expired,
             rejected: (self.rejected - self.rejected_at_last_close) as usize,
             handoffs_settled: settled.len(),
             per_ap,
         };
-        self.served += summary.served as u64;
-        self.on_time += summary.on_time as u64;
-        self.late += summary.late as u64;
-        self.expired += summary.expired as u64;
+        self.lifetime.merge(&tally);
         self.rejected_at_last_close = self.rejected;
         first_error.map_or(Ok(summary), Err)
     }
 
     /// Fleet-lifetime aggregates.
     pub fn stats(&self) -> FleetStats {
-        let classified = self.on_time + self.late + self.expired;
+        let books = &self.lifetime;
+        let classified = books.on_time + books.late + books.expired;
         let media = || self.channels.iter().map(|channel| &channel.medium);
         FleetStats {
             rounds: self.round,
-            served: self.served,
-            on_time: self.on_time,
-            late: self.late,
-            expired: self.expired,
+            served: books.served as u64,
+            on_time: books.on_time as u64,
+            late: books.late as u64,
+            expired: books.expired as u64,
             rejected: self.rejected,
             deadline_hit_rate: if classified == 0 {
                 1.0
             } else {
-                self.on_time as f64 / classified as f64
+                books.on_time as f64 / classified as f64
             },
             handoffs: self.handoffs,
             handoffs_settled: self.handoffs_settled,
@@ -912,6 +904,24 @@ mod tests {
         assert_eq!(s1, s2);
         assert_eq!(f1, f2);
         assert_eq!(st1, st2);
+        // The views agree with the books: a round's totals are the sum over
+        // its APs, the lifetime's the sum over the rounds.
+        let counts = |s: &RoundSummary| [s.served, s.on_time, s.late, s.expired];
+        let mut lifetime = RoundSummary::default();
+        for s in &s1 {
+            let mut sum = RoundSummary::default();
+            s.per_ap.iter().for_each(|ap| sum.merge(ap));
+            let totals = [s.served, s.on_time, s.late, s.expired];
+            assert_eq!(totals, counts(&sum), "round {}", s.round);
+            lifetime.merge(&sum);
+        }
+        let stats = [st1.served, st1.on_time, st1.late, st1.expired];
+        assert_eq!(stats.map(|n| n as usize), counts(&lifetime));
+        let rejected: usize = s1.iter().map(|s| s.rejected).sum();
+        let settled: usize = s1.iter().map(|s| s.handoffs_settled).sum();
+        let rest = (st1.rounds, st1.rejected, st1.handoffs_settled);
+        assert_eq!(rest, (s1.len() as u64, rejected as u64, settled as u64));
+        assert!(lifetime.served > 0, "the rounds served");
     }
 
     /// `round_ns` and `jitter_ns` are caller-chosen `u64`s: the fleet clock

@@ -16,8 +16,9 @@
 //!   zero-forcing precoder. Each shard owns a session slab, a round arena and
 //!   a streaming lane ([`ring`]) and carries the **single round close**:
 //!   flush the lane → one fused batched tail inference per model over what
-//!   is pending → fold in the round's watermark micro-closes → once-per-round
-//!   health pass. `ApServer::close(policy)` runs it on every shard in
+//!   is pending → once-per-round health pass, every step counting into one
+//!   [`RoundSummary`] (merged shard into AP into fleet by its one `merge`).
+//!   `ApServer::close(policy)` runs it on every shard in
 //!   parallel; "no deadline" is `None`, and a barrier round is a close on an
 //!   empty lane. Streaming (ring ingest, watermark micro-closes, per-shard
 //!   stall accounting) is a server state, `ApServer::set_streaming`,

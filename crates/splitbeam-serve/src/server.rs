@@ -40,6 +40,9 @@ pub struct RoundSummary {
     pub late: usize,
     /// Reports past budget *and* grace: consumed without reconstruction.
     pub expired: usize,
+    /// Reports consumed unreconstructed because their batch failed. Every
+    /// report pending at a close ends served, expired or discarded.
+    pub discarded: usize,
     /// Virtual-delay breakdown (head/queue/air/tail) summed over served
     /// reports. All-zero under untimed lockstep serving.
     pub delay: RoundDelayStats,
@@ -56,6 +59,26 @@ pub struct RoundSummary {
     /// [`RoundSummary::stale`]; stations past the cap drop out of MU-MIMO
     /// grouping entirely.
     pub stale_served: usize,
+}
+
+impl RoundSummary {
+    /// Adds every count of `other` into this summary (not `round`): shards
+    /// into an AP, APs into a fleet round, rounds into a lifetime.
+    pub(crate) fn merge(&mut self, other: &RoundSummary) {
+        self.served += other.served;
+        self.stale += other.stale;
+        self.awaiting_first_report += other.awaiting_first_report;
+        self.batches += other.batches;
+        self.on_time += other.on_time;
+        self.late += other.late;
+        self.expired += other.expired;
+        self.discarded += other.discarded;
+        self.delay.merge(&other.delay);
+        self.lost += other.lost;
+        self.corrupt += other.corrupt;
+        self.retransmitted += other.retransmitted;
+        self.stale_served += other.stale_served;
+    }
 }
 
 /// Thresholds of the per-session health state machine (graceful degradation
@@ -86,22 +109,16 @@ impl Default for HealthPolicy {
     }
 }
 
-/// Per-shard slice of the last round close, recorded in shard order. This is
+/// One shard's books of a round close, recorded in shard order. The AP's
+/// [`RoundSummary`] is the merge of these summaries, field by field. This is
 /// how stall-isolation is observed: a deliberately slow shard shows up here
 /// with depressed `on_time` while every other shard's numbers are untouched
 /// under streaming closes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardRoundStats {
-    /// Stations this shard served.
-    pub served: usize,
-    /// Served reports within the Eq. 7d budget.
-    pub on_time: usize,
-    /// Served reports past budget but within grace.
-    pub late: usize,
-    /// Reports consumed unreconstructed past budget and grace.
-    pub expired: usize,
-    /// Batched tail invocations this shard ran.
-    pub batches: usize,
+    /// What this shard counted over the round: micro-closes, the close, its
+    /// health pass and the corrupt frames since the previous close.
+    pub summary: RoundSummary,
     /// Watermark-triggered micro-batch closes (0 for barrier rounds).
     /// Observability only: deliberately not part of [`RoundSummary`], so a
     /// streaming round with no watermark fired stays bit-identical to the
@@ -125,8 +142,8 @@ pub struct ShardRoundStats {
 /// the `reference` feature). See the `shard` module for the exactness argument.
 ///
 /// All per-round storage (wire decode buffers, serve-step worklists, fused
-/// tail scratch, per-station payload and feedback buffers, per-shard outcome
-/// slots) is recycled, so a full steady-state ingest→close round performs no
+/// tail scratch, per-station payload and feedback buffers, per-shard books)
+/// is recycled, so a full steady-state ingest→close round performs no
 /// heap allocation once every buffer has reached its high-water capacity.
 ///
 /// **Session lifecycle:** [`ApServer::set_capacity`] bounds the fleet
@@ -443,10 +460,11 @@ impl ApServer {
     /// model** ([`SplitBeamModel::reconstruct_quantized_batch_into_rows`],
     /// [`crate::TILE_ROWS`] stations at a time), hands every reconstruction
     /// to its session — the row buffer and the session's previous feedback
-    /// swap, nothing is copied — folds in the micro-closes watermarks already ran this
-    /// round, and runs the once-per-round health pass. Then idle stations are evicted when an idle budget is set, the
-    /// per-shard outcomes merge deterministically in shard order, and the
-    /// round counter advances.
+    /// swap, nothing is copied — and runs the once-per-round health pass.
+    /// Then idle stations are evicted when an idle budget is set, the
+    /// shards' books (the micro-closes watermarks already ran this round
+    /// counted in) merge deterministically in shard order, and the round
+    /// counter advances.
     ///
     /// With a `policy`, every pending report is classified by its ingest
     /// stamp's end-to-end delay — on-time (within the Eq. 7d budget,
@@ -506,7 +524,7 @@ impl ApServer {
     }
 
     /// Runs `close_shard` over every shard in parallel, evicts idle
-    /// stations, and merges the shards' outcome slots in shard order.
+    /// stations, and takes and merges the shards' books in shard order.
     fn close_shards(
         &mut self,
         close_shard: impl Fn(&mut ShardCore, &TailEngine<'_>, u64) + Sync,
@@ -517,8 +535,7 @@ impl ApServer {
         let max_idle = self.max_idle_rounds;
         self.shards.par_iter_mut().for_each(|shard| {
             close_shard(shard, &engine, round);
-            shard.outcome.evicted =
-                max_idle.map_or(0, |budget| shard.sessions.evict_idle(round, budget));
+            shard.evicted = max_idle.map_or(0, |budget| shard.sessions.evict_idle(round, budget));
         });
         let mut summary = RoundSummary {
             round,
@@ -527,30 +544,12 @@ impl ApServer {
         let mut first_error = None;
         self.last_shard_stats.clear();
         for shard in &mut self.shards {
-            let outcome = &mut shard.outcome;
-            let pass = &mut outcome.pass;
-            self.last_shard_stats.push(ShardRoundStats {
-                served: pass.served,
-                on_time: pass.on_time,
-                late: pass.late,
-                expired: pass.expired,
-                batches: pass.batches,
-                micro_closes: outcome.micro_closes,
-                had_traffic: outcome.had_traffic,
-            });
-            summary.served += pass.served;
-            summary.stale += outcome.stale;
-            summary.awaiting_first_report += outcome.awaiting_first_report;
-            summary.batches += pass.batches;
-            summary.on_time += pass.on_time;
-            summary.late += pass.late;
-            summary.expired += pass.expired;
-            summary.delay.merge(&pass.delay);
-            summary.corrupt += outcome.corrupt;
-            summary.stale_served += outcome.stale_served;
-            if first_error.is_none() {
-                first_error = pass.error.take();
-            }
+            let closed = std::mem::take(&mut shard.tally);
+            self.last_shard_stats.push(closed);
+            summary.merge(&closed.summary);
+            // Taken from every shard: a later round must not report it.
+            let error = shard.error.take();
+            first_error = first_error.or(error);
         }
         first_error.map_or(Ok(summary), Err)
     }
@@ -558,7 +557,7 @@ impl ApServer {
     /// Stations evicted by the most recent round close (`0` before the first
     /// close, or when eviction is disabled).
     pub fn evicted_in_last_round(&self) -> usize {
-        self.shards.iter().map(|s| s.outcome.evicted).sum()
+        self.shards.iter().map(|s| s.evicted).sum()
     }
 
     /// Per-shard stats of the most recent round close, in shard order (empty
@@ -1190,6 +1189,7 @@ mod tests {
             // Corrupt station 3's validated payload so model B's batch fails
             // at reconstruction time (validation already passed at ingest).
             server.truncate_pending_payload(3);
+            let pending = server.pending_count();
             let result = if serial {
                 server.close_serial(None)
             } else {
@@ -1208,6 +1208,11 @@ mod tests {
             assert!(server.feedback_of(1).is_none(), "serial={serial}");
             assert!(server.feedback_of(3).is_none(), "serial={serial}");
             assert_eq!(server.pending_count(), 0, "serial={serial}");
+            // The Err carries no summary; the shard's books balance.
+            let books = server.shard_round_stats()[0].summary;
+            let settled = books.served + books.expired + books.discarded;
+            let counts = (books.served, books.discarded, settled);
+            assert_eq!(counts, (2, 2, pending), "serial={serial}");
         }
     }
 

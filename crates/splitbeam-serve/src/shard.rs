@@ -13,9 +13,13 @@
 //!   micro-closes the pending batch when its oldest frame's Eq. 7d service
 //!   deadline would otherwise pass;
 //! * **close** ([`ShardCore::close`]): flush the lane → serve what is pending
-//!   → fold in the round's micro-closes → run the once-per-round health pass.
-//!   A barrier close is the same close on an empty lane with nothing folded;
-//!   "no deadline" is `policy == None`.
+//!   → run the once-per-round health pass. A barrier close is the same close
+//!   on an empty lane; "no deadline" is `policy == None`.
+//!
+//! Each step counts what it did where it happens, into one running
+//! [`ShardRoundStats`] for the round being collected (corrupt frames, batches,
+//! served, expired and discarded reports, micro-closes); the server takes it
+//! after the close and merges the shards' summaries.
 //!
 //! Because the fused batched tail's per-element accumulation is independent
 //! of batch shape (see [`splitbeam::fused`]), splitting a model's stations
@@ -25,10 +29,10 @@
 //! (`close_serial`, behind the `reference` feature).
 
 use crate::ring::Ring;
-use crate::server::HealthPolicy;
+use crate::server::{HealthPolicy, RoundSummary, ShardRoundStats};
 use crate::session::{StationId, StationSession};
 use crate::slab::{SessionSlab, LOOKAHEAD};
-use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
+use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp};
 use crate::ServeError;
 use mimo_math::kernel::Kernel;
 use mimo_math::Int8Kernel;
@@ -112,47 +116,13 @@ struct StreamFrame {
     seq: u16,
 }
 
-/// What one serving pass (the close's serve step, or one watermark
-/// micro-close) did. `error` carries the first failure (in model-key order)
-/// while the counters describe everything that still happened — a failed
-/// batch never blocks the other models' batches. Health/staleness accounting
-/// is *not* here: it runs exactly once per round, so streaming never emits
-/// phantom `awaiting_first_report`/`stale` counts per micro-batch.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ServePass {
-    pub(crate) served: usize,
-    pub(crate) batches: usize,
-    pub(crate) on_time: usize,
-    pub(crate) late: usize,
-    pub(crate) expired: usize,
-    pub(crate) delay: RoundDelayStats,
-    pub(crate) error: Option<ServeError>,
-}
-
-impl ServePass {
-    fn fold(&mut self, pass: ServePass) {
-        self.served += pass.served;
-        self.batches += pass.batches;
-        self.on_time += pass.on_time;
-        self.late += pass.late;
-        self.expired += pass.expired;
-        self.delay.merge(&pass.delay);
-        if self.error.is_none() {
-            self.error = pass.error;
-        }
-    }
-}
-
-/// One shard's streaming state: the bounded ingest ring, a freelist of
+/// One shard's streaming state: the bounded ingest ring and a freelist of
 /// recycled payload buffers (steady-state streaming ingest allocates
-/// nothing), and the round's micro-close accumulator.
+/// nothing).
 #[derive(Debug, Clone)]
 pub(crate) struct StreamLane {
     ring: Ring<StreamFrame>,
     free: Vec<QuantizedFeedback>,
-    /// Everything this round's watermark micro-closes served so far.
-    acc: ServePass,
-    micro_closes: usize,
 }
 
 impl StreamLane {
@@ -160,14 +130,12 @@ impl StreamLane {
         Self {
             ring: Ring::with_capacity(capacity),
             free: Vec::new(),
-            acc: ServePass::default(),
-            micro_closes: 0,
         }
     }
 
     /// Drops every queued frame of station `id`, recycling its buffer.
     fn purge(&mut self, id: StationId) {
-        let Self { ring, free, .. } = self;
+        let Self { ring, free } = self;
         ring.retain_mut(|frame| {
             let keep = frame.id != id;
             if !keep {
@@ -216,26 +184,6 @@ impl<'a> TailEngine<'a> {
     }
 }
 
-/// What the last round close did over one shard. Lives in the shard (a
-/// reused slot the server reads after the parallel fan-out), so a close
-/// allocates nothing to report its result.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RoundOutcome {
-    /// The round's serving totals: micro-closes plus the final serve step.
-    pub(crate) pass: ServePass,
-    pub(crate) stale: usize,
-    pub(crate) awaiting_first_report: usize,
-    pub(crate) stale_served: usize,
-    pub(crate) corrupt: usize,
-    /// Watermark-triggered micro-batch closes that fired during the round.
-    pub(crate) micro_closes: usize,
-    /// Whether the shard saw any traffic this round: frames still queued at
-    /// the close, served or failed batches, or expired reports.
-    pub(crate) had_traffic: bool,
-    /// Stations the server evicted from this shard after the close.
-    pub(crate) evicted: usize,
-}
-
 /// One shard's worth of serving state: a session partition, its private
 /// round arena and its streaming lane.
 #[derive(Debug, Clone, Default)]
@@ -244,16 +192,18 @@ pub(crate) struct ShardCore {
     arena: RoundArena,
     /// Health thresholds applied to every session of this shard.
     pub(crate) health: HealthPolicy,
-    /// Corrupt frames seen since the last round close (reported in the next
-    /// round's summary, then reset).
-    round_corrupt: usize,
     pub(crate) lane: StreamLane,
     /// Artificial close lag injected into this shard's serving path (bench
     /// stall model). Barrier closes pay the *maximum* stall across shards —
     /// the whole round waits on the slowest shard — while streaming closes
     /// pay only the shard's own stall.
     pub(crate) stall_ns: u64,
-    pub(crate) outcome: RoundOutcome,
+    /// The books of the round being collected, and its first serve failure:
+    /// the close stamps them, and the server takes both after the fan-out.
+    pub(crate) tally: ShardRoundStats,
+    pub(crate) error: Option<ServeError>,
+    /// Stations the server evicted from this shard after the last close.
+    pub(crate) evicted: usize,
 }
 
 impl ShardCore {
@@ -283,8 +233,8 @@ impl ShardCore {
             sessions,
             arena,
             health,
-            round_corrupt,
             lane,
+            tally,
             ..
         } = self;
         let session = sessions.get_mut(id).ok_or(ServeError::UnknownStation(id))?;
@@ -294,7 +244,7 @@ impl ShardCore {
         if let Err(e) = wire::decode_feedback_into(frame, &mut arena.decode_buf) {
             return Err(match e {
                 splitbeam::SplitBeamError::CorruptFrame(msg) => {
-                    *round_corrupt += 1;
+                    tally.summary.corrupt += 1;
                     session.note_corrupt(round, health);
                     ServeError::Corrupt(id, msg)
                 }
@@ -394,29 +344,25 @@ impl ShardCore {
     /// counted `stale_served` — the AP keeps representing them with
     /// last-known-good feedback; past the cap they drop out of MU-MIMO
     /// grouping. Every session's health state machine advances here.
-    fn health_pass(&mut self, round: u64) -> (usize, usize, usize) {
-        let mut stale = 0usize;
-        let mut awaiting = 0usize;
-        let mut stale_served = 0usize;
-        let policy = self.health;
-        // Per-session counter fold: visit order cannot reach the output, so
-        // the dense unordered walk is safe (and cache-friendly at fleet
-        // session counts).
+    fn health_pass(&mut self, round: u64) {
+        let (policy, books) = (self.health, &mut self.tally.summary);
+        // Per-session counting: visit order cannot reach the output, so the
+        // dense unordered walk is safe (and cache-friendly at fleet session
+        // counts).
         for session in self.sessions.values_unordered_mut() {
             let mut reported = false;
             match session.last_round() {
                 Some(r) if r == round => reported = true,
                 Some(r) => {
-                    stale += 1;
+                    books.stale += 1;
                     if round.saturating_sub(r) <= policy.stale_serve_cap {
-                        stale_served += 1;
+                        books.stale_served += 1;
                     }
                 }
-                None => awaiting += 1,
+                None => books.awaiting_first_report += 1,
             }
             session.close_health(round, &policy, reported);
         }
-        (stale, awaiting, stale_served)
     }
 
     /// The one walk of a serve step, in station-id order. A pending report
@@ -425,21 +371,21 @@ impl ShardCore {
     /// grace window is consumed, never reconstructed — Eq. 7d is enforced at
     /// close, not measured post-hoc; with no policy nothing expires. Every
     /// other pending report is listed, by slot, in its model's [`Batch`] and
-    /// its code count checked. Returns the pass, expired reports counted.
+    /// its code count checked. Expired reports count into the round's books.
     fn list_pending(
         &mut self,
         engine: &TailEngine<'_>,
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
-    ) -> ServePass {
+    ) {
         let (sessions, work) = (&mut self.sessions, &mut self.arena.work);
+        let books = &mut self.tally.summary;
         work.resize_with(engine.models.len(), Batch::default);
         for batch in work.iter_mut() {
             batch.slots.clear();
             batch.invalid = None;
         }
         let stations = sessions.len();
-        let mut pass = ServePass::default();
         sessions.for_each_in_id_order(|slot, session| {
             if !session.has_pending() {
                 return;
@@ -447,7 +393,7 @@ impl ShardCore {
             let delay_ns = session.pending_stamp().total_ns().saturating_add(lag_ns);
             if policy.is_some_and(|p| p.classify(delay_ns) == FrameClass::Expired) {
                 session.consume_pending();
-                pass.expired += 1;
+                books.expired += 1;
                 return;
             }
             let key = session.model_key();
@@ -467,15 +413,14 @@ impl ShardCore {
             }
             batch.slots.push(slot);
         });
-        pass
     }
 
     /// Hands one reconstruction to its session — `row` and the session's
     /// feedback buffer swap ([`StationSession::swap_feedback`]) — and closes
-    /// the station's report out: classifies it against the policy, folds it
-    /// into the pass and records the class on the session. `lag_ns` is the
-    /// close lag of a stalled shard: it counts as additional queueing, so a
-    /// report held past its budget by a slow close is classified (and
+    /// the station's report out: classifies it against the policy, counts it
+    /// into the round's books and records the class on the session. `lag_ns`
+    /// is the close lag of a stalled shard: it counts as additional queueing,
+    /// so a report held past its budget by a slow close is classified (and
     /// recorded) late — identity at `lag_ns == 0`.
     fn commit_served(
         session: &mut StationSession,
@@ -483,17 +428,17 @@ impl ShardCore {
         round: u64,
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
-        pass: &mut ServePass,
+        books: &mut RoundSummary,
     ) {
         let stamp = session.pending_stamp().with_extra_queue(lag_ns);
         let is_late = policy.is_some_and(|p| p.classify(stamp.total_ns()) == FrameClass::Late);
         if is_late {
-            pass.late += 1;
+            books.late += 1;
         } else {
-            pass.on_time += 1;
+            books.on_time += 1;
         }
-        pass.served += 1;
-        pass.delay.record(&stamp);
+        books.served += 1;
+        books.delay.record(&stamp);
         session.swap_feedback(row, round);
         session.record_service_class(policy.map(|_| stamp), is_late);
         session.consume_pending();
@@ -509,29 +454,30 @@ impl ShardCore {
     /// move an output bit (see the module docs); `batches` counts one per
     /// model with pending traffic, however many tiles it took. With a
     /// [`DeadlinePolicy`], late-but-usable reports are served but flagged.
-    /// Performs **no** health/staleness accounting.
+    /// Everything counts into the round's books; the health/staleness
+    /// counts are the close's alone.
     ///
     /// **Partial-round semantics on failure:** the walk validated the batch
     /// whole before its first tile, so a failed batch stores nothing and
-    /// consumes only *its own* pending payloads (they are what failed);
-    /// every other model's batch still runs and stores its reconstructions,
-    /// and the first error (in model-key order) is reported in the pass.
-    /// Stations of healthy models are never penalized for an unrelated
-    /// model's failure.
+    /// consumes only *its own* pending payloads (they are what failed, and
+    /// count as discarded); every other model's batch still runs and stores
+    /// its reconstructions, and the round keeps its first error. Stations of
+    /// healthy models are never penalized for an unrelated model's failure.
     fn serve_pending(
         &mut self,
         engine: &TailEngine<'_>,
         round: u64,
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
-    ) -> ServePass {
-        let mut pass = self.list_pending(engine, policy, lag_ns);
+    ) {
+        self.list_pending(engine, policy, lag_ns);
         let (sessions, RoundArena { work, tail, .. }) = (&mut self.sessions, &mut self.arena);
+        let (books, error) = (&mut self.tally.summary, &mut self.error);
         for ((key, model), batch) in engine.models.iter().enumerate().zip(work.iter_mut()) {
             if batch.slots.is_empty() {
                 continue;
             }
-            pass.batches += 1;
+            books.batches += 1;
             let mut failure = batch.invalid.take();
             let mut unserved = batch.slots.as_slice();
             while failure.is_none() && !unserved.is_empty() {
@@ -569,7 +515,7 @@ impl ShardCore {
                             let Some(session) = sessions.at_mut(slot) else {
                                 continue;
                             };
-                            Self::commit_served(session, row, round, policy, lag_ns, &mut pass);
+                            Self::commit_served(session, row, round, policy, lag_ns, books);
                         }
                         unserved = rest;
                     }
@@ -578,19 +524,20 @@ impl ShardCore {
                     Err(e) => failure = Some(ServeError::Model(e.to_string())),
                 }
             }
-            if let Some(error) = failure {
-                Self::discard(sessions, unserved);
-                pass.error.get_or_insert(error);
+            if let Some(failure) = failure {
+                Self::discard(sessions, unserved, books);
+                error.get_or_insert(failure);
             }
         }
-        pass
     }
 
-    /// Consumes the pending payloads a failed batch leaves unserved.
-    fn discard(sessions: &mut SessionSlab, unserved: &[u32]) {
+    /// Consumes the pending payloads a failed batch leaves unserved, each
+    /// counted discarded.
+    fn discard(sessions: &mut SessionSlab, unserved: &[u32], books: &mut RoundSummary) {
         for &slot in unserved {
             if let Some(session) = sessions.at_mut(slot) {
                 session.consume_pending();
+                books.discarded += 1;
             }
         }
     }
@@ -599,8 +546,8 @@ impl ShardCore {
     /// unfused reconstruction per station, with the same partial-round
     /// semantics — each model's payloads are reconstructed first and
     /// committed only when the *whole* model succeeded, so a failing payload
-    /// consumes the failed model's pending payloads without storing any of
-    /// them.
+    /// consumes (discards) the failed model's pending payloads without
+    /// storing any of them.
     #[cfg(any(test, feature = "reference"))]
     fn serve_pending_serial(
         &mut self,
@@ -608,14 +555,15 @@ impl ShardCore {
         round: u64,
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
-    ) -> ServePass {
-        let mut pass = self.list_pending(engine, policy, lag_ns);
+    ) {
+        self.list_pending(engine, policy, lag_ns);
         let (sessions, work) = (&mut self.sessions, &mut self.arena.work);
+        let (books, error) = (&mut self.tally.summary, &mut self.error);
         for ((key, model), batch) in engine.models.iter().enumerate().zip(work) {
             if batch.slots.is_empty() {
                 continue;
             }
-            pass.batches += 1;
+            books.batches += 1;
             let flats: Result<Vec<Vec<f32>>, ServeError> = match batch.invalid.take() {
                 Some(error) => Err(error),
                 None => batch
@@ -635,17 +583,16 @@ impl ShardCore {
                 Ok(mut flats) => {
                     for (&slot, flat) in batch.slots.iter().zip(&mut flats) {
                         if let Some(session) = sessions.at_mut(slot) {
-                            Self::commit_served(session, flat, round, policy, lag_ns, &mut pass);
+                            Self::commit_served(session, flat, round, policy, lag_ns, books);
                         }
                     }
                 }
-                Err(error) => {
-                    Self::discard(sessions, &batch.slots);
-                    pass.error.get_or_insert(error);
+                Err(failure) => {
+                    Self::discard(sessions, &batch.slots, books);
+                    error.get_or_insert(failure);
                 }
             }
         }
-        pass
     }
 
     /// Commits every queued frame whose arrival stamp is at or before
@@ -688,16 +635,16 @@ impl ShardCore {
             .map(|s| trigger.service_deadline_ns(s.pending_stamp()))
             .min();
         if oldest_deadline.is_some_and(|d| d <= watermark_ns.saturating_add(step_ns)) {
-            let pass = self.serve_pending(engine, round, policy, self.stall_ns);
-            self.lane.acc.fold(pass);
-            self.lane.micro_closes += 1;
+            self.serve_pending(engine, round, policy, self.stall_ns);
+            self.tally.micro_closes += 1;
         }
     }
 
     /// The round close: commits everything still queued on the lane, serves
-    /// whatever is pending as one batch per model, folds in the micro-closes
-    /// watermarks already ran this round, and runs the once-per-round health
-    /// pass. The result lands in [`ShardCore::outcome`].
+    /// whatever is pending as one batch per model, and runs the
+    /// once-per-round health pass. The round's books — micro-closes
+    /// included, they counted themselves as they ran — are then complete in
+    /// [`ShardCore::tally`].
     ///
     /// `lag_ns` is the close lag every report of this shard pays: the caller
     /// passes the maximum stall across shards for a barrier close (the round
@@ -712,11 +659,8 @@ impl ShardCore {
     ) {
         let queued = !self.lane.ring.is_empty();
         self.commit_due(u64::MAX);
-        let last = self.serve_pending(engine, round, policy, lag_ns);
-        let mut pass = std::mem::take(&mut self.lane.acc);
-        pass.fold(last);
-        let micro_closes = std::mem::take(&mut self.lane.micro_closes);
-        self.finish_round(round, pass, micro_closes, queued);
+        self.serve_pending(engine, round, policy, lag_ns);
+        self.finish_round(round, queued);
     }
 
     /// Test oracle for [`ShardCore::close`] on a lockstep shard: the same
@@ -729,24 +673,17 @@ impl ShardCore {
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
     ) {
-        let pass = self.serve_pending_serial(engine, round, policy, lag_ns);
-        self.finish_round(round, pass, 0, false);
+        self.serve_pending_serial(engine, round, policy, lag_ns);
+        self.finish_round(round, false);
     }
 
-    /// The once-per-round tail of a close: health/staleness pass,
-    /// corrupt-counter harvest, and outcome assembly.
-    fn finish_round(&mut self, round: u64, pass: ServePass, micro_closes: usize, queued: bool) {
-        let (stale, awaiting_first_report, stale_served) = self.health_pass(round);
-        self.outcome = RoundOutcome {
-            // Every pending report ends a close expired or in a batch.
-            had_traffic: queued || pass.batches > 0 || pass.expired > 0,
-            pass,
-            stale,
-            awaiting_first_report,
-            stale_served,
-            corrupt: std::mem::take(&mut self.round_corrupt),
-            micro_closes,
-            evicted: 0,
-        };
+    /// The once-per-round tail of a close: the health/staleness pass into
+    /// the books, which are then stamped with the round and its traffic.
+    fn finish_round(&mut self, round: u64, queued: bool) {
+        self.health_pass(round);
+        let books = &mut self.tally;
+        books.summary.round = round;
+        // Every pending report ends a close expired or in a batch.
+        books.had_traffic = queued || books.summary.batches > 0 || books.summary.expired > 0;
     }
 }

@@ -152,17 +152,20 @@ pub struct RoundDelayStats {
 }
 
 impl RoundDelayStats {
-    /// Folds one served report's stamp into the stats. The sums saturate,
-    /// like the stamp's own.
+    /// Counts one served report's stamp into the stats: the merge of that
+    /// one report's stats.
     pub fn record(&mut self, stamp: &FrameStamp) {
-        self.head_ns = self.head_ns.saturating_add(stamp.head_ns);
-        self.queue_ns = self.queue_ns.saturating_add(stamp.queue_ns);
-        self.air_ns = self.air_ns.saturating_add(stamp.air_ns);
-        self.tail_ns = self.tail_ns.saturating_add(stamp.tail_ns);
-        self.worst_e2e_ns = self.worst_e2e_ns.max(stamp.total_ns());
+        self.merge(&RoundDelayStats {
+            head_ns: stamp.head_ns,
+            queue_ns: stamp.queue_ns,
+            air_ns: stamp.air_ns,
+            tail_ns: stamp.tail_ns,
+            worst_e2e_ns: stamp.total_ns(),
+        });
     }
 
-    /// Merges another shard's stats into this one.
+    /// Merges other stats (another shard's, or one report's) into these.
+    /// The sums saturate, like a stamp's own.
     pub fn merge(&mut self, other: &RoundDelayStats) {
         self.head_ns = self.head_ns.saturating_add(other.head_ns);
         self.queue_ns = self.queue_ns.saturating_add(other.queue_ns);

@@ -194,9 +194,12 @@ impl Fnv1a {
     }
 
     /// Folds in one closed round: its summary, then the feedback bits the
-    /// server holds for stations `0..stations`.
+    /// server holds for stations `0..stations`. The summary goes in as its
+    /// `Debug` text, less a zero `discarded` count: the pins predate that
+    /// field, and a round that discards nothing digests as it did then.
     pub fn eat_round(&mut self, server: &ApServer, summary: &RoundSummary, stations: StationId) {
-        self.eat(format!("{summary:?}").as_bytes());
+        let text = format!("{summary:?}").replace(", discarded: 0,", ",");
+        self.eat(text.as_bytes());
         for id in 0..stations {
             for v in server.feedback_of(id).unwrap_or_default() {
                 self.eat(&v.to_bits().to_le_bytes());

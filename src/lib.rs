@@ -24,7 +24,6 @@ pub use wifi_phy;
 
 /// The most commonly used types, re-exported for examples and quick scripts.
 pub mod prelude {
-    pub use dot11_bfi::pipeline::{Dot11Beamformee, Dot11Beamformer};
     pub use dot11_bfi::quantize::AngleResolution;
     pub use splitbeam::config::{CompressionLevel, SplitBeamConfig};
     pub use splitbeam::model::SplitBeamModel;

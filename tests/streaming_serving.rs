@@ -6,7 +6,7 @@
 //! `close_matrix.rs` and the `event_serving.rs` table.)
 
 use splitbeam_repro::prelude::*;
-use splitbeam_repro::serve::ServeError;
+use splitbeam_repro::serve::{RoundSummary, ServeError};
 use splitbeam_repro::splitbeam::wire::encode_feedback_with_seq;
 use splitbeam_testkit::{small_model as model, station_frame, station_payload};
 
@@ -16,6 +16,36 @@ fn shards_with_traffic(server: &ApServer) -> usize {
         .iter()
         .filter(|s| s.had_traffic)
         .count()
+}
+
+/// The field-wise sum of the server's shard summaries (the worst delay is
+/// their maximum), stamped with `round`: what the server's own summary of
+/// that close must be.
+fn sum_of_shards(server: &ApServer, round: u64) -> RoundSummary {
+    let mut sum = RoundSummary {
+        round,
+        ..RoundSummary::default()
+    };
+    for s in server.shard_round_stats().iter().map(|s| &s.summary) {
+        sum.served += s.served;
+        sum.stale += s.stale;
+        sum.awaiting_first_report += s.awaiting_first_report;
+        sum.batches += s.batches;
+        sum.on_time += s.on_time;
+        sum.late += s.late;
+        sum.expired += s.expired;
+        sum.discarded += s.discarded;
+        sum.delay.head_ns += s.delay.head_ns;
+        sum.delay.queue_ns += s.delay.queue_ns;
+        sum.delay.air_ns += s.delay.air_ns;
+        sum.delay.tail_ns += s.delay.tail_ns;
+        sum.delay.worst_e2e_ns = sum.delay.worst_e2e_ns.max(s.delay.worst_e2e_ns);
+        sum.lost += s.lost;
+        sum.corrupt += s.corrupt;
+        sum.retransmitted += s.retransmitted;
+        sum.stale_served += s.stale_served;
+    }
+    sum
 }
 
 /// The headline property of killing the barrier: a deliberately stalled
@@ -62,18 +92,25 @@ fn stalled_shard_does_not_degrade_other_shards_under_streaming() {
         "the barrier must couple every shard to the stalled one"
     );
     for stats in barrier.shard_round_stats() {
-        assert_eq!(stats.on_time, 0);
+        assert_eq!(stats.summary.on_time, 0);
     }
+    assert_eq!(summary, sum_of_shards(&barrier, 0));
 
     // Streaming, stalled shard 0: only shard 0's own reports pay its stall.
     let mut streaming = build(true, true);
     let summary = streaming.close(Some(policy)).unwrap();
     assert_eq!(summary.served, stations as usize);
     assert_eq!((summary.on_time, summary.late), (6, 2));
+    assert_eq!(summary, sum_of_shards(&streaming, 0));
     let stats = streaming.shard_round_stats();
-    assert_eq!((stats[0].on_time, stats[0].late), (0, 2), "stalled shard");
+    let stalled = &stats[0].summary;
+    assert_eq!((stalled.on_time, stalled.late), (0, 2), "stalled shard");
     for (idx, s) in stats.iter().enumerate().skip(1) {
-        assert_eq!((s.on_time, s.late), (2, 0), "healthy shard {idx}");
+        assert_eq!(
+            (s.summary.on_time, s.summary.late),
+            (2, 0),
+            "healthy shard {idx}"
+        );
     }
 
     // The unstalled streaming run is the reference: healthy shards in the
