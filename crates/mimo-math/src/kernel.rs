@@ -70,9 +70,10 @@ pub mod int8;
 pub mod packed;
 pub mod tune;
 
+#[cfg(any(test, feature = "reference"))]
+pub use dense::gemm_at_b_f32;
 pub use dense::{
-    gemm_a_bt_f32, gemm_at_b_f32, gemm_at_b_update_f32, gemm_f32, update_f32, Adam, GradScratch,
-    Rule,
+    gemm_a_bt_f32, gemm_at_b_update_f32, gemm_f32, update_f32, Adam, GradScratch, Rule,
 };
 
 use int8::Int8Kernel;

@@ -5,7 +5,7 @@
 //! |---|---|---|---|
 //! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | one `NR`-column panel from two rows on, else a thread's share of the columns | the packed tail's register tile over the whole depth from two rows on, the last panel masked; for one row, the one-row tile over whole-row segments of `b` |
 //! | [`gemm_at_b_update_f32`] | `w` moved by a [`Rule`] of `aᵀ · g`: a training step's weights, with no gradient buffer | one row tile of `w` | the same tile over the transposed input and the packed gradient, storing into a stack block that the rule's sweep consumes with the tile's rows of `w` and its moments |
-//! | [`gemm_at_b_f32`] | `out = aᵀ · g`: the weight gradient in memory (the tests' oracle) | one row tile of `out` | as above, with a copy in place of the rule |
+//! | `gemm_at_b_f32` | `out = aᵀ · g`: the weight gradient in memory (the tests' oracle, behind `reference`) | one row tile of `out` | as above, with a copy in place of the rule |
 //! | [`gemm_a_bt_f32`] | `out = a · bᵀ`: the input gradient | 16 columns of `out` | one [`sdot`] an element |
 //! | [`update_f32`] | a [`Rule`]'s update from a gradient in memory: the biases | none: one sweep on the caller | the rule's scalar loop, compiled for `avx512f` (else `avx2`) |
 //!
@@ -63,7 +63,7 @@ const AHEAD_ROWS: usize = 16;
 /// in turn: the rows stay in L2 while every block of the share reads them.
 const ROW_K_BLOCK: usize = 64;
 
-/// Rows of `out` in one part of the scalar [`gemm_at_b_f32`].
+/// Rows of `out` in one part of the scalar `gemm_at_b_f32`.
 const AT_B_ROWS: usize = 16;
 
 /// Output columns of one part of [`gemm_a_bt_f32`]: each row of `b` is read
@@ -305,7 +305,7 @@ fn axpy_skip(a: f32, b: &[f32], o: &mut [f32]) {
     }
 }
 
-/// The buffers of [`gemm_at_b_f32`]'s vector arm: the transposed input and
+/// The buffers of `gemm_at_b_f32`'s vector arm: the transposed input and
 /// the packed gradient, both `depth`-sized — no buffer of the layer's size.
 /// Kept by the caller so that a warm training step requests no memory.
 #[derive(Debug, Default)]
@@ -338,6 +338,7 @@ struct Block([f32; BLOCK]);
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions.
+#[cfg(any(test, feature = "reference"))]
 pub fn gemm_at_b_f32(
     kernel: Kernel,
     a: &[f32],
@@ -353,12 +354,12 @@ pub fn gemm_at_b_f32(
 
 /// One optimizer step of a dense layer's weights with no gradient buffer:
 /// `param` (`m x n`) moves by `rule` of the weight gradient `aᵀ * g`
-/// ([`gemm_at_b_f32`]'s operands, parts and element chain), `moments` by
+/// (`gemm_at_b_f32`'s operands, parts and element chain), `moments` by
 /// the rule's own. Each register tile of that product stores its gradient
 /// into a block on its thread's stack, and the rule's sweep consumes the
 /// block at once, with the tile's rows of the moments and of `param`. The
 /// sweep is [`update_f32`]'s, so parameters and moments are bit-identical
-/// to [`gemm_at_b_f32`] followed by [`update_f32`], at every pool width.
+/// to `gemm_at_b_f32` followed by [`update_f32`], at every pool width.
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions, or a moment
@@ -378,7 +379,7 @@ pub fn gemm_at_b_update_f32(
 }
 
 /// The weight-gradient product with `rule`'s sweep run at `level` on each
-/// block of it (`None`: [`gemm_at_b_f32`]'s copy). Its register tile
+/// block of it (`None`: `gemm_at_b_f32`'s copy). Its register tile
 /// (`None`: the scalar arm) and its hand-out threshold are parameters, so
 /// that the parity tests run both widths on one host and both sides of the
 /// threshold.
@@ -624,7 +625,7 @@ struct Targets {
 
 impl Targets {
     /// The lanes of `param` and of the moments `rule` keeps (none for
-    /// `None`, [`gemm_at_b_f32`]'s copy).
+    /// `None`, `gemm_at_b_f32`'s copy).
     ///
     /// # Panics
     /// Panics unless each moment kept has the parameters' length.
@@ -934,7 +935,7 @@ mod tests {
         bits(&out)
     }
 
-    /// [`weight_gradient`] with [`gemm_at_b_f32`]'s copy, into a dirty `out`.
+    /// [`weight_gradient`] with `gemm_at_b_f32`'s copy, into a dirty `out`.
     fn run_at_b(
         tile: Option<PackedWidth>,
         (a, g): (&[f32], &[f32]),

@@ -230,7 +230,7 @@ impl<T> TileRows<T> {
 /// The panel is `m` rows of `NR` floats, `stride` floats apart, of which the
 /// arms read the first `cols`: a packed panel (`stride == NR`), columns of a
 /// row-major right-hand side (`stride == n`, [`super::dense`]'s forward
-/// product) or a packed gradient ([`super::dense::gemm_at_b_f32`]). A caller
+/// product) or a packed gradient (`dense::gemm_at_b_f32`). A caller
 /// with no bias passes [`NO_BIAS`]: `x + -0.0` is `x` for every `x`, signed
 /// zeros and NaNs included, so the store is the chain's own bits.
 ///

@@ -48,7 +48,10 @@
 //! - **`test-only-pub`**: every `pub fn` (`const`, `unsafe` too) in non-test
 //!   code under `crates/*/src` — the shims, the test kit and this crate
 //!   aside — is named as a word by some non-test line other than a `fn NAME`
-//!   declaration (bins, `examples/` and `benchmark/src` count). A function
+//!   declaration (bins, `examples/` and `benchmark/src` count). A word that
+//!   is a field (`.name` not called, a `name:` field or struct-literal key),
+//!   a `let` / `mut` binding, or part of a `use` item (a re-export calls
+//!   nothing) names no function. A function
 //!   only tests call is deleted, or gated as test code: a declaration under a
 //!   `#[cfg(…)]` that names `test` — on the item, its `impl` or `mod`, or the
 //!   `mod` line that includes its file — is skipped, and such code names
@@ -577,7 +580,8 @@ fn non_test_views(sources: &[(String, String)]) -> Vec<CodeView<'_>> {
 }
 
 /// Crate-level pass: a `pub fn` that no non-test line names, apart from
-/// `fn NAME` declarations, has only tests for callers (or none).
+/// `fn NAME` declarations, fields, bindings and `use` items, has only tests
+/// for callers (or none).
 fn check_test_only_pub(
     sources: &[(String, String)],
     views: &[CodeView<'_>],
@@ -593,15 +597,19 @@ fn check_test_only_pub(
             && rel.contains("/src/")
             && !PUB_FN_EXEMPT_PREFIXES.iter().any(|p| rel.starts_with(p));
         let code = code_lines(code, raw.len());
+        let mut in_use = false;
         for (i, line) in code.iter().enumerate().filter(|&(i, _)| !mask[i]) {
+            in_use |= opens_use(line);
             // The code view blanks byte for byte, so every word sits at the
             // same offsets in the raw line, which outlives this file's view.
             let declared = fn_name(line);
             named.extend(
                 words(line)
+                    .filter(|w| !in_use && may_name_fn(line, w))
                     .filter(|w| Some(w.start) != declared.as_ref().map(|d| d.start))
                     .map(|w| &raw[i][w]),
             );
+            in_use &= !line.contains(';');
             if let (true, Some(name)) = (checked, declared.filter(|_| is_pub_fn(line))) {
                 decls.push((*rel, i, raw[i], &raw[i][name]));
             }
@@ -690,6 +698,35 @@ fn is_pub_fn(line: &str) -> bool {
     let rest = rest.strip_prefix("const ").unwrap_or(rest).trim_start();
     let rest = rest.strip_prefix("unsafe ").unwrap_or(rest).trim_start();
     rest.starts_with("fn ")
+}
+
+/// Whether a code-view line opens a `use` item: `use`, `pub use` or
+/// `pub(…) use`.
+fn opens_use(line: &str) -> bool {
+    let line = line.trim_start();
+    let rest = match line.strip_prefix("pub") {
+        Some(vis) if vis.starts_with('(') => vis.split_once(')').map_or("", |(_, r)| r),
+        Some(vis) => vis,
+        None => line,
+    };
+    rest.trim_start().starts_with("use ")
+}
+
+/// Whether the word at `w` of a code-view line can name a function: it is
+/// not a field (`.name` not followed by a call, a `name:` field or
+/// struct-literal key) and not a `let` / `mut` binding.
+fn may_name_fn(line: &str, w: &std::ops::Range<usize>) -> bool {
+    let (before, after) = (&line[..w.start], &line[w.end..]);
+    let called = after.starts_with('(') || after.starts_with("::");
+    let field = before.ends_with('.') && !called;
+    let key = after.starts_with(':') && !after.starts_with("::");
+    let before = before.trim_end();
+    let binding = ["let", "mut"].iter().any(|kw| {
+        before
+            .strip_suffix(kw)
+            .is_some_and(|head| !head.ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+    });
+    !(field || key || binding)
 }
 
 /// The byte ranges of the identifiers of a code-view line (a byte past

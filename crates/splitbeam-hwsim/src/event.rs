@@ -299,6 +299,7 @@ impl WatermarkClock {
     }
 
     /// The next watermark instant that has not fired yet.
+    #[cfg(test)]
     pub fn next_ns(&self) -> VirtualNs {
         self.next_ns
     }

@@ -15,14 +15,13 @@
 
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
-use crate::timing::{DeadlinePolicy, FrameStamp};
+use crate::timing::DeadlinePolicy;
 use crate::ServeError;
 use rand::Rng;
 use splitbeam::model::SplitBeamModel;
 use splitbeam::wire;
 use std::collections::BTreeSet;
-use wifi_phy::channel::{ChannelModel, ChannelSnapshot, EnvironmentProfile};
-use wifi_phy::link::{simulate_mu_mimo_ber, LinkConfig, LinkReport};
+use wifi_phy::channel::{ChannelModel, EnvironmentProfile};
 use wifi_phy::ofdm::Bandwidth;
 
 /// Session-churn shape of a simulated workload. All schedules are
@@ -246,7 +245,7 @@ pub enum ServeMode {
     /// Coalesced: one fused batched tail inference per model per shard,
     /// shards in parallel. Whether the round closes under the barrier or
     /// through streaming micro-batches is a state of the server
-    /// ([`StreamServing::set_streaming`]), not of the close call.
+    /// ([`ApServer::set_streaming`]), not of the close call.
     Batched,
     /// Test oracle: one unfused tail inference per station.
     #[cfg(any(test, feature = "reference"))]
@@ -254,9 +253,10 @@ pub enum ServeMode {
 }
 
 /// Anything that can replay driver traffic: the [`ApServer`] itself and the
-/// [`crate::event::EventDriver`] layered on top of it. The trait is the seam
-/// that lets one `serve_traffic` implementation drive (and cross-compare)
-/// lockstep and event-driven serving on identical workloads.
+/// [`crate::event::EventDriver`] that drives one. The trait is the seam that
+/// lets one `serve_traffic` implementation drive (and cross-compare)
+/// lockstep and event-driven serving on identical workloads; its six methods
+/// are what `serve_traffic` and the benchmark call.
 pub trait RoundServing {
     /// Associates a station (see [`ApServer::register_station`]).
     ///
@@ -275,45 +275,17 @@ pub trait RoundServing {
     /// [`ServeError::UnknownStation`] when the id is not registered.
     fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError>;
 
-    /// Whether station `id` currently has a session (used by drivers layered
-    /// on top of a server to mirror its lifecycle, e.g. after idle eviction).
-    fn is_registered(&self, id: StationId) -> bool;
-
     /// Ingests one wire frame for the current round.
     ///
     /// # Errors
     /// Same contract as [`ApServer::ingest_wire`].
     fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError>;
 
-    /// Ingests one wire frame with its virtual-time stamp, so a deadline-aware
-    /// close can classify it against the Eq. 7d budget.
-    ///
-    /// # Errors
-    /// Same contract as [`RoundServing::ingest_wire`].
-    fn ingest_wire_at(
-        &mut self,
-        id: StationId,
-        frame: &[u8],
-        stamp: FrameStamp,
-    ) -> Result<usize, ServeError>;
-
     /// Closes the current round in the requested mode.
     ///
     /// # Errors
     /// [`ServeError::Model`] on reconstruction failure.
     fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError>;
-
-    /// Closes the current round enforcing `policy`: expired reports are
-    /// consumed without reconstruction, late-but-usable reports are served but
-    /// flagged.
-    ///
-    /// # Errors
-    /// Same contract as [`RoundServing::close_round`].
-    fn close_round_deadline(
-        &mut self,
-        mode: ServeMode,
-        policy: DeadlinePolicy,
-    ) -> Result<RoundSummary, ServeError>;
 
     /// Stations evicted by the most recent round close.
     fn evicted_in_last_round(&self) -> usize;
@@ -322,31 +294,9 @@ pub trait RoundServing {
     fn feedback_of(&self, id: StationId) -> Option<&[f32]>;
 }
 
-/// The streaming extension of [`RoundServing`]: a server whose ingest can
-/// queue on bounded per-shard rings and whose rounds then close through
-/// watermark-driven micro-batches instead of a global barrier. The round
-/// close itself is still [`RoundServing::close_round`] — it flushes whatever
-/// the watermarks have not already served.
-pub trait StreamServing: RoundServing {
-    /// Switches between lockstep and streaming ingest. Only toggle while
-    /// quiescent (no frames queued or pending).
-    fn set_streaming(&mut self, on: bool);
-
-    /// One watermark tick at virtual time `watermark_ns` with tick period
-    /// `step_ns`: commits frames that have arrived by the watermark and
-    /// micro-closes each shard whose oldest pending frame's service deadline
-    /// (per `policy`, default [`DeadlinePolicy::eq7d`]) falls before the next
-    /// watermark.
-    fn advance_watermark(
-        &mut self,
-        watermark_ns: u64,
-        step_ns: u64,
-        policy: Option<DeadlinePolicy>,
-    );
-}
-
 impl ApServer {
-    fn close_in_mode(
+    /// Closes the round through the close `mode` names, under `policy`.
+    pub(crate) fn close_in_mode(
         &mut self,
         mode: ServeMode,
         policy: Option<DeadlinePolicy>,
@@ -373,33 +323,12 @@ impl RoundServing for ApServer {
         ApServer::deregister_station(self, id)
     }
 
-    fn is_registered(&self, id: StationId) -> bool {
-        self.session(id).is_some()
-    }
-
     fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
         ApServer::ingest_wire(self, id, frame)
     }
 
-    fn ingest_wire_at(
-        &mut self,
-        id: StationId,
-        frame: &[u8],
-        stamp: FrameStamp,
-    ) -> Result<usize, ServeError> {
-        ApServer::ingest_wire_at(self, id, frame, stamp)
-    }
-
     fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
         self.close_in_mode(mode, None)
-    }
-
-    fn close_round_deadline(
-        &mut self,
-        mode: ServeMode,
-        policy: DeadlinePolicy,
-    ) -> Result<RoundSummary, ServeError> {
-        self.close_in_mode(mode, Some(policy))
     }
 
     fn evicted_in_last_round(&self) -> usize {
@@ -411,35 +340,12 @@ impl RoundServing for ApServer {
     }
 }
 
-impl StreamServing for ApServer {
-    fn set_streaming(&mut self, on: bool) {
-        ApServer::set_streaming(self, on);
-    }
-
-    fn advance_watermark(
-        &mut self,
-        watermark_ns: u64,
-        step_ns: u64,
-        policy: Option<DeadlinePolicy>,
-    ) {
-        ApServer::advance_watermark(self, watermark_ns, step_ns, policy);
-    }
-}
-
-/// Builds a one-shard server with `model` registered and stations
-/// `0..stations` associated at `bits_per_value` bits.
-///
-/// # Panics
-/// Panics on invalid `bits_per_value` (registration is infallible otherwise).
-pub fn build_server(model: SplitBeamModel, stations: usize, bits_per_value: u8) -> ApServer {
-    build_sharded_server(model, stations, bits_per_value, 1)
-}
-
 /// Builds a server with `num_shards` shards, `model` registered and stations
 /// `0..stations` associated at `bits_per_value` bits.
 ///
 /// # Panics
 /// Panics on invalid `bits_per_value` (registration is infallible otherwise).
+#[cfg(any(test, feature = "reference"))]
 pub fn build_sharded_server(
     model: SplitBeamModel,
     stations: usize,
@@ -545,13 +451,16 @@ pub fn serve_traffic<S: RoundServing>(
 ///
 /// # Errors
 /// [`ServeError::Link`] when the precoder or link simulation rejects a group.
+#[cfg(any(test, feature = "reference"))]
 pub fn link_check(
     server: &ApServer,
     traffic: &SimTraffic,
     max_age: u64,
     snr_db: f64,
     rng: &mut impl Rng,
-) -> Result<LinkReport, ServeError> {
+) -> Result<wifi_phy::link::LinkReport, ServeError> {
+    use wifi_phy::channel::ChannelSnapshot;
+    use wifi_phy::link::{simulate_mu_mimo_ber, LinkConfig, LinkReport};
     let link_cfg = LinkConfig {
         snr_db,
         ..LinkConfig::default()
@@ -700,7 +609,7 @@ mod tests {
         };
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let traffic = generate_traffic(&cfg, &model, &mut rng);
-        let mut server = build_server(model, cfg.stations, cfg.bits_per_value);
+        let mut server = build_sharded_server(model, cfg.stations, cfg.bits_per_value, 1);
         serve_traffic(&mut server, &traffic, ServeMode::Batched).unwrap();
         let report = link_check(&server, &traffic, 0, cfg.snr_db, &mut rng).unwrap();
         // Two groups of two stations, every station carries payload bits.

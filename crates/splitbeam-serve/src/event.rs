@@ -1,8 +1,9 @@
 //! The virtual-time, event-driven serving driver.
 //!
-//! [`EventDriver`] wraps any [`RoundServing`] server and replaces the
-//! lockstep "all feedback lands simultaneously" fiction with a discrete-event
-//! simulation on a virtual clock (integer nanoseconds, no wall clock):
+//! [`EventDriver`] drives an [`ApServer`] through its own methods and
+//! replaces the lockstep "all feedback lands simultaneously" fiction with a
+//! discrete-event simulation on a virtual clock (integer nanoseconds, no wall
+//! clock):
 //!
 //! 1. each station sounds on its own cadence and phase within the round,
 //! 2. its head compute time (drawn from the
@@ -14,15 +15,15 @@
 //!    each charged through the same per-frame airtime primitive the
 //!    round-level airtime model sums, on its **actual encoded wire size**
 //!    (header included) — so a crowded round *queues*,
-//! 4. each granted frame is ingested into the inner server **timestamped**
-//!    with its full head/queue/air/tail breakdown,
-//! 5. the round close enforces the Eq. 7d deadline: the inner server's close
+//! 4. each granted frame is ingested into the server **timestamped** with
+//!    its full head/queue/air/tail breakdown,
+//! 5. the round close enforces the Eq. 7d deadline: the server's close
 //!    classifies every report on-time / late-but-usable / past-budget from
 //!    its stamp.
 //!
-//! With [`EventConfig::streaming`] the inner server ingests onto its shards'
-//! rings and the drain interleaves deadline watermarks into the event order,
-//! so shards micro-close mid-round; the round close is the same call either
+//! With [`EventConfig::streaming`] the server ingests onto its shards' rings
+//! and the drain interleaves deadline watermarks into the event order, so
+//! shards micro-close mid-round; the round close is the same call either
 //! way.
 //!
 //! Lockstep serving is recovered as the degenerate case: with zero jitter,
@@ -31,7 +32,7 @@
 //! on-time, and the driver is **bit-exact** with bare [`ApServer`] serving —
 //! the correctness anchor.
 
-use crate::driver::{RoundServing, ServeMode, StreamServing};
+use crate::driver::{RoundServing, ServeMode};
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
 use crate::timing::{DeadlinePolicy, FrameStamp};
@@ -172,16 +173,6 @@ struct ModelLatencyNs {
     tail_ns: u64,
 }
 
-/// Per-station event-driving state (model binding and sounding cadence).
-#[derive(Debug, Clone, Copy)]
-struct StationProfile {
-    model_key: usize,
-    /// The station sounds every `cadence`-th round (1 = every round). Its
-    /// round-`r` report carries CSI sounded at the most recent multiple of
-    /// `cadence`, so slow-cadence stations age accordingly.
-    cadence: u64,
-}
-
 /// A report waiting in the event queue for its medium grant: the wire frame
 /// plus the timing legs known at schedule time. The queue is keyed by the
 /// report's *offer* time (when it is ready and polled), so frames contend for
@@ -198,22 +189,29 @@ struct PendingOffer {
     attempt: u32,
 }
 
-/// Discrete-event virtual-clock driver around any [`RoundServing`] server.
-/// Implements [`RoundServing`] itself, so [`crate::driver::serve_traffic`]
-/// can replay identical traffic through it and cross-compare against the
-/// lockstep drivers.
+/// Discrete-event virtual-clock driver of an [`ApServer`]. Implements
+/// [`RoundServing`], so [`crate::driver::serve_traffic`] can replay identical
+/// traffic through it and cross-compare against the lockstep drivers.
+///
+/// `S` only ever is [`ApServer`]; the parameter survives, defaulted, for
+/// callers that spell the type `EventDriver<ShardedApServer>`.
 #[derive(Debug, Clone)]
-pub struct EventDriver<S> {
+pub struct EventDriver<S = ApServer> {
     inner: S,
     cfg: EventConfig,
     medium: SharedMedium,
     jitter: SeededJitter,
     queue: EventQueue<PendingOffer>,
     latencies: Vec<ModelLatencyNs>,
-    profiles: BTreeMap<StationId, StationProfile>,
+    /// Sounding cadence of every station [`EventDriver::set_cadence`]
+    /// slowed: it sounds every `cadence`-th round, so its round-`r` report
+    /// carries CSI sounded at the most recent multiple of `cadence`. Every
+    /// other station sounds every round.
+    cadence: BTreeMap<StationId, u64>,
     round: u64,
     now_ns: VirtualNs,
-    frames_scheduled: u64,
+    /// Watermark ticks fired into the server across the run.
+    watermarks_fired: u64,
     /// Deterministic medium fault injector (seeded off [`EventConfig::seed`]
     /// on an independent stream from the jitter). A zero-fault config draws
     /// nothing, so fault-free runs replay PR 5 behaviour bit-exactly.
@@ -231,11 +229,11 @@ pub struct EventDriver<S> {
     damaged: Vec<u8>,
 }
 
-impl<S: StreamServing> EventDriver<S> {
+impl EventDriver {
     /// Wraps `inner` in a virtual-time event simulation. With
-    /// [`EventConfig::streaming`] set, the inner server is switched to
-    /// streaming ingest immediately.
-    pub fn over(mut inner: S, cfg: EventConfig) -> Self {
+    /// [`EventConfig::streaming`] set, the server is switched to streaming
+    /// ingest immediately.
+    pub fn over(mut inner: ApServer, cfg: EventConfig) -> Self {
         if cfg.streaming {
             inner.set_streaming(true);
         }
@@ -245,10 +243,10 @@ impl<S: StreamServing> EventDriver<S> {
             jitter: SeededJitter::new(cfg.jitter_max_ns, cfg.seed),
             queue: EventQueue::new(),
             latencies: Vec::new(),
-            profiles: BTreeMap::new(),
+            cadence: BTreeMap::new(),
             round: 0,
             now_ns: 0,
-            frames_scheduled: 0,
+            watermarks_fired: 0,
             injector: FaultInjector::new(cfg.faults, cfg.seed ^ 0xfa17_1e55_0b5e_55ed),
             books: RoundSummary::default(),
             last_round_stamps: Vec::new(),
@@ -280,19 +278,25 @@ impl<S: StreamServing> EventDriver<S> {
     /// verbatim), so the reconstructed feedback content is not itself aged —
     /// only its deadline classification and delay accounting are. Content
     /// aging would have to happen in the traffic generator.
+    ///
+    /// An id without a session is ignored. The cadence outlives an idle
+    /// eviction and the re-association after it; deregistration drops it.
     pub fn set_cadence(&mut self, id: StationId, every_rounds: u64) {
-        if let Some(profile) = self.profiles.get_mut(&id) {
-            profile.cadence = every_rounds.max(1);
+        if self.inner.session(id).is_some() {
+            match every_rounds {
+                0 | 1 => self.cadence.remove(&id),
+                slow => self.cadence.insert(id, slow),
+            };
         }
     }
 
     /// The wrapped server.
-    pub fn inner(&self) -> &S {
+    pub fn inner(&self) -> &ApServer {
         &self.inner
     }
 
     /// Mutable access to the wrapped server.
-    pub fn inner_mut(&mut self) -> &mut S {
+    pub fn inner_mut(&mut self) -> &mut ApServer {
         &mut self.inner
     }
 
@@ -316,16 +320,18 @@ impl<S: StreamServing> EventDriver<S> {
         self.round
     }
 
-    /// Arrivals scheduled so far across the run.
-    pub fn frames_scheduled(&self) -> u64 {
-        self.frames_scheduled
-    }
-
     /// Cumulative fault-injection accounting (offered, lost, corrupted,
     /// duplicated, delayed frames) across the run.
     #[cfg(any(test, feature = "reference"))]
     pub fn fault_stats(&self) -> splitbeam_hwsim::fault::FaultStats {
         self.injector.stats()
+    }
+
+    /// Watermark ticks fired into the server across the run (none unless
+    /// [`EventConfig::streaming`]).
+    #[cfg(any(test, feature = "reference"))]
+    pub fn watermarks_fired(&self) -> u64 {
+        self.watermarks_fired
     }
 
     /// Stamps of every report the most recent round close delivered, in
@@ -339,9 +345,9 @@ impl<S: StreamServing> EventDriver<S> {
 
     /// Virtual sounding instant of station `id` for the current round: the
     /// most recent cadence boundary, plus the station's phase offset.
-    fn sound_ns(&self, id: StationId, profile: &StationProfile) -> VirtualNs {
-        let cadence_round = self.round - self.round % profile.cadence;
-        self.poll_ns(cadence_round, id)
+    fn sound_ns(&self, id: StationId) -> VirtualNs {
+        let cadence = self.cadence.get(&id).copied().unwrap_or(1);
+        self.poll_ns(self.round - self.round % cadence, id)
     }
 
     /// When round `round` polls station `id`: the round's nominal start plus
@@ -397,42 +403,35 @@ impl<S: StreamServing> EventDriver<S> {
     /// only while the retry's projected end-to-end delay still fits the
     /// Eq. 7d budget plus grace, because a retry that can only arrive expired
     /// is wasted airtime.
-    /// With `watermarks` set, the drain interleaves deadline watermarks into
-    /// the event order: before each popped event, every watermark at or
-    /// before that event's offer time fires into the inner server
-    /// ([`StreamServing::advance_watermark`]) so shards micro-close
-    /// mid-round; after the drain, the remaining watermarks up to the round
-    /// deadline fire. Watermark times are derived purely from the virtual
-    /// clock, so streaming drains are exactly as deterministic and replayable
-    /// as barrier drains.
+    /// With a watermark `clock`, the drain interleaves deadline watermarks
+    /// into the event order: before each popped event, every watermark at or
+    /// before that event's offer time fires into the server
+    /// ([`ApServer::advance_watermark`]) so shards micro-close mid-round;
+    /// after the drain, the remaining watermarks up to the round deadline
+    /// fire. Watermark times are derived purely from the virtual clock, so
+    /// streaming drains are exactly as deterministic and replayable as
+    /// barrier drains.
     fn deliver_arrivals(
         &mut self,
-        watermarks: Option<(WatermarkClock, DeadlinePolicy)>,
+        mut clock: Option<WatermarkClock>,
+        policy: DeadlinePolicy,
     ) -> Option<ServeError> {
         let mut first_error = None;
         self.last_round_stamps.clear();
-        let mut watermarks = watermarks;
         while let Some((key, offer)) = self.queue.pop() {
-            if let Some((clock, policy)) = watermarks.as_mut() {
-                let step = clock.step_ns();
-                while let Some(mark) = clock.pop_due(key.time_ns) {
-                    self.inner.advance_watermark(mark, step, Some(*policy));
-                }
-            }
+            self.fire_watermarks(&mut clock, key.time_ns, policy);
             let fate = self.injector.frame_fate();
             let grant = self.medium.transmit(key.time_ns, offer.frame.len() * 8);
             self.now_ns = self.now_ns.max(grant.end_ns);
-            let (corrupt, duplicate, extra_delay_ns) = match fate {
-                FrameFate::Lost => {
-                    self.books.lost += 1;
-                    self.schedule_retry(key.station, grant.end_ns, offer);
-                    continue;
-                }
-                FrameFate::Deliver {
-                    corrupt,
-                    duplicate,
-                    extra_delay_ns,
-                } => (corrupt, duplicate, extra_delay_ns),
+            let FrameFate::Deliver {
+                corrupt,
+                duplicate,
+                extra_delay_ns,
+            } = fate
+            else {
+                self.books.lost += 1;
+                self.schedule_retry(key.station, grant.end_ns, offer);
+                continue;
             };
             let arrival_ns = grant.end_ns.saturating_add(extra_delay_ns);
             self.now_ns = self.now_ns.max(arrival_ns);
@@ -445,57 +444,62 @@ impl<S: StreamServing> EventDriver<S> {
                 air_ns: grant.air_ns,
                 tail_ns: offer.tail_ns,
             };
-            if corrupt {
+            // A corrupted transmission delivers damaged bytes, once; the
+            // offer's own frame stays intact for the retransmission.
+            let frame: &[u8] = if corrupt {
                 self.damaged.clear();
                 self.damaged.extend_from_slice(&offer.frame);
                 self.injector.corrupt_frame(&mut self.damaged);
-                match self.inner.ingest_wire_at(key.station, &self.damaged, stamp) {
+                &self.damaged
+            } else {
+                &offer.frame
+            };
+            let mut retry = false;
+            for _ in 0..1 + u8::from(duplicate && !corrupt) {
+                match self.inner.ingest_wire_at(key.station, frame, stamp) {
+                    // Bit flips can cancel each other out and leave damaged
+                    // bytes intact: a normal delivery.
+                    Ok(_) => self.last_round_stamps.push((key.station, stamp)),
                     // The AP rejected the damaged bytes — CRC mismatch, an
                     // unrecognizable header (damage to the unprotected
                     // dispatch byte), or a quarantined station. The frame is
                     // gone either way; retransmit if the budget allows.
                     Err(
                         ServeError::Corrupt(..) | ServeError::Codec(_) | ServeError::Quarantined(_),
-                    ) => {
-                        self.schedule_retry(key.station, arrival_ns, offer);
-                    }
-                    // Bit flips can cancel each other out and leave the frame
-                    // intact; a surviving frame is a normal delivery.
-                    Ok(_) => self.last_round_stamps.push((key.station, stamp)),
-                    Err(ServeError::DuplicateFrame(..)) => {}
-                    Err(e) => {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
+                    ) if corrupt => retry = true,
+                    // The AP suppressed a re-delivered sequence number, or
+                    // the station is quarantined — counted, not fatal.
+                    Err(
+                        ServeError::DuplicateFrame(..)
+                        | ServeError::Quarantined(_)
+                        | ServeError::Corrupt(..),
+                    ) => {}
+                    Err(e) => first_error = first_error.or(Some(e)),
                 }
-                continue;
             }
-            let deliveries = if duplicate { 2 } else { 1 };
-            for _ in 0..deliveries {
-                match self.inner.ingest_wire_at(key.station, &offer.frame, stamp) {
-                    Ok(_) => self.last_round_stamps.push((key.station, stamp)),
-                    // The AP suppressed a re-delivered sequence number, or the
-                    // station is quarantined — counted, not fatal.
-                    Err(ServeError::DuplicateFrame(..) | ServeError::Quarantined(_)) => {}
-                    Err(ServeError::Corrupt(..)) => {}
-                    Err(e) => {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                    }
-                }
+            if retry {
+                self.schedule_retry(key.station, arrival_ns, offer);
             }
         }
         let deadline_ns = self.round_deadline_ns();
-        if let Some((clock, policy)) = watermarks.as_mut() {
-            let step = clock.step_ns();
-            while let Some(mark) = clock.pop_due(deadline_ns) {
-                self.inner.advance_watermark(mark, step, Some(*policy));
-            }
-        }
+        self.fire_watermarks(&mut clock, deadline_ns, policy);
         self.now_ns = self.now_ns.max(deadline_ns);
         first_error
+    }
+
+    /// Fires every watermark of `clock` due by `until_ns` into the server.
+    fn fire_watermarks(
+        &mut self,
+        clock: &mut Option<WatermarkClock>,
+        until_ns: VirtualNs,
+        policy: DeadlinePolicy,
+    ) {
+        let Some(clock) = clock else { return };
+        let step = clock.step_ns();
+        while let Some(mark) = clock.pop_due(until_ns) {
+            self.inner.advance_watermark(mark, step, Some(policy));
+            self.watermarks_fired += 1;
+        }
     }
 
     /// Schedules a retransmission of `offer` after a failed transmission that
@@ -543,51 +547,32 @@ impl<S: StreamServing> EventDriver<S> {
     }
 }
 
-impl<S: StreamServing> RoundServing for EventDriver<S> {
+impl RoundServing for EventDriver {
     fn register_station(
         &mut self,
         id: StationId,
         model_key: usize,
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
-        self.inner.register_station(id, model_key, bits_per_value)?;
-        // Re-association (e.g. after idle eviction by the inner server)
-        // keeps a previously configured sounding cadence.
-        let cadence = self.profiles.get(&id).map_or(1, |p| p.cadence);
-        self.profiles
-            .insert(id, StationProfile { model_key, cadence });
-        Ok(())
+        self.inner.register_station(id, model_key, bits_per_value)
     }
 
     fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
         self.inner.deregister_station(id)?;
-        self.profiles.remove(&id);
+        self.cadence.remove(&id);
         Ok(())
-    }
-
-    fn is_registered(&self, id: StationId) -> bool {
-        self.inner.is_registered(id)
     }
 
     /// Schedules the frame through virtual time instead of ingesting it
     /// directly: sounding instant → head compute + jitter → offer to the
     /// shared medium. Medium contention resolves at round close, in offer
-    /// order; the frame reaches the inner server timestamped. Frame
-    /// validation therefore also surfaces at close, not here.
+    /// order; the frame reaches the server timestamped. Frame validation
+    /// therefore also surfaces at close, not here.
     fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-        if !self.inner.is_registered(id) {
-            return Err(ServeError::UnknownStation(id));
-        }
-        let profile = *self
-            .profiles
-            .get(&id)
-            .ok_or(ServeError::UnknownStation(id))?;
-        let latency = self
-            .latencies
-            .get(profile.model_key)
-            .copied()
-            .unwrap_or_default();
-        let sound_ns = self.sound_ns(id, &profile);
+        let session = self.inner.session(id);
+        let model_key = session.ok_or(ServeError::UnknownStation(id))?.model_key();
+        let latency = self.latencies.get(model_key).copied().unwrap_or_default();
+        let sound_ns = self.sound_ns(id);
         let head_ns = latency.head_ns.saturating_add(self.jitter.draw());
         // The report is ready `head` after its sounding instant, but cannot
         // transmit before this round polls the station; a slow-cadence
@@ -625,50 +610,27 @@ impl<S: StreamServing> RoundServing for EventDriver<S> {
                 attempt: 0,
             },
         );
-        self.frames_scheduled += 1;
         Ok(len)
     }
 
-    /// The driver is the stamping authority: an externally supplied stamp is
-    /// ignored and the frame is scheduled through virtual time like any
-    /// other.
-    fn ingest_wire_at(
-        &mut self,
-        id: StationId,
-        frame: &[u8],
-        _stamp: FrameStamp,
-    ) -> Result<usize, ServeError> {
-        self.ingest_wire(id, frame)
-    }
-
     /// Closes the round **at its Eq. 7d deadline**: delivers every scheduled
-    /// arrival to the inner server timestamped, then runs the inner
+    /// arrival to the server timestamped, then runs the server's
     /// deadline-aware close, which classifies each report on-time /
     /// late-but-usable / past-budget from its stamp.
     fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
-        self.close_round_deadline(mode, self.cfg.policy())
-    }
-
-    fn close_round_deadline(
-        &mut self,
-        mode: ServeMode,
-        policy: DeadlinePolicy,
-    ) -> Result<RoundSummary, ServeError> {
         // The drain never short-circuits: the round always advances and the
-        // inner close always runs, so one bad frame cannot leave stale
+        // server's close always runs, so one bad frame cannot leave stale
         // arrivals queued for the next round. The first ingest error (it
         // happened before the close) takes precedence in the result.
-        let watermarks = self.cfg.streaming.then(|| {
+        let policy = self.cfg.policy();
+        let clock = self.cfg.streaming.then(|| {
             let step = self.cfg.watermark_step_ns();
             let start = self.round_start_ns(self.round);
-            (
-                WatermarkClock::new(start.saturating_add(step), step),
-                policy,
-            )
+            WatermarkClock::new(start.saturating_add(step), step)
         });
-        let ingest_error = self.deliver_arrivals(watermarks);
+        let ingest_error = self.deliver_arrivals(clock, policy);
         self.round += 1;
-        let closed = self.inner.close_round_deadline(mode, policy);
+        let closed = self.inner.close_in_mode(mode, Some(policy));
         let books = std::mem::take(&mut self.books);
         ingest_error.map_or(closed, Err).map(|mut summary| {
             summary.merge(&books);
@@ -697,7 +659,7 @@ pub fn build_event_driver(
     bits_per_value: u8,
     cfg: EventConfig,
     accel: Option<&AcceleratorModel>,
-) -> EventDriver<ApServer> {
+) -> EventDriver {
     build_sharded_event_driver(model, stations, bits_per_value, 1, cfg, accel)
 }
 
@@ -713,7 +675,7 @@ pub fn build_sharded_event_driver(
     num_shards: usize,
     cfg: EventConfig,
     accel: Option<&AcceleratorModel>,
-) -> EventDriver<ApServer> {
+) -> EventDriver {
     let mut server = ApServer::with_shards(num_shards);
     let key = server.register_model(model.clone());
     let mut driver = EventDriver::over(server, cfg);
@@ -878,69 +840,6 @@ mod tests {
         }
     }
 
-    /// An [`ApServer`] that counts watermark ticks, so "the drain does bounded
-    /// work" is a count rather than a wall-clock reading; a drain that spins
-    /// fails fast.
-    struct TickCounting {
-        server: ApServer,
-        ticks: u64,
-    }
-
-    impl RoundServing for TickCounting {
-        fn register_station(
-            &mut self,
-            id: StationId,
-            key: usize,
-            bits: u8,
-        ) -> Result<(), ServeError> {
-            self.server.register_station(id, key, bits)
-        }
-        fn deregister_station(&mut self, id: StationId) -> Result<(), ServeError> {
-            self.server.deregister_station(id)
-        }
-        fn is_registered(&self, id: StationId) -> bool {
-            self.server.is_registered(id)
-        }
-        fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
-            self.server.ingest_wire(id, frame)
-        }
-        fn ingest_wire_at(
-            &mut self,
-            id: StationId,
-            frame: &[u8],
-            stamp: FrameStamp,
-        ) -> Result<usize, ServeError> {
-            self.server.ingest_wire_at(id, frame, stamp)
-        }
-        fn close_round(&mut self, mode: ServeMode) -> Result<RoundSummary, ServeError> {
-            RoundServing::close_round(&mut self.server, mode)
-        }
-        fn close_round_deadline(
-            &mut self,
-            mode: ServeMode,
-            policy: DeadlinePolicy,
-        ) -> Result<RoundSummary, ServeError> {
-            self.server.close_round_deadline(mode, policy)
-        }
-        fn evicted_in_last_round(&self) -> usize {
-            self.server.evicted_in_last_round()
-        }
-        fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
-            self.server.feedback_of(id)
-        }
-    }
-
-    impl StreamServing for TickCounting {
-        fn set_streaming(&mut self, on: bool) {
-            self.server.set_streaming(on);
-        }
-        fn advance_watermark(&mut self, mark: u64, step: u64, policy: Option<DeadlinePolicy>) {
-            self.ticks += 1;
-            assert!(self.ticks < 1_000, "the watermark loop is spinning");
-            self.server.advance_watermark(mark, step, policy);
-        }
-    }
-
     /// `StationId` is an arbitrary caller-chosen `u64`. A sparse id times a
     /// non-zero phase step either saturates (`u64::MAX / 2`) — which must not
     /// panic (debug) or wrap into a garbage small instant (release) — or
@@ -948,6 +847,9 @@ mod tests {
     /// way the report can never be offered in its round: it is expired off
     /// the medium, the drain fires only the round's own watermarks, and
     /// neither the virtual clock nor the other stations' next rounds notice.
+    /// A sparse offer left in the queue is the only way a drain could spin
+    /// toward its instant, so each close first checks that only the two
+    /// dense ids are queued.
     #[test]
     fn sparse_station_ids_expire_off_the_medium_in_bounded_work() {
         let m = model(15);
@@ -964,7 +866,7 @@ mod tests {
             let mut server = ApServer::new();
             server.register_model(m.clone());
             let mut event = EventDriver::over(
-                TickCounting { server, ticks: 0 },
+                server,
                 EventConfig {
                     phase_step_ns: 1_000,
                     feedback_rate_mbps: Some(24.0),
@@ -985,6 +887,7 @@ mod tests {
                         event.ingest_wire(sparse, frame).unwrap();
                     }
                 }
+                assert_eq!(event.queue.len(), 2, "id {sparse}");
                 let summary = event.close_round(ServeMode::Batched).unwrap();
                 assert_eq!((summary.served, summary.on_time), (2, 2), "id {sparse}");
                 assert_eq!((summary.late, summary.expired), (0, 1), "id {sparse}");
@@ -999,7 +902,7 @@ mod tests {
             assert_eq!(event.queue.len(), 0);
             assert_eq!(event.medium().frames_carried(), 6, "id {sparse}");
             // Four 2.5 ms watermarks per 10 ms round, none beyond.
-            let ticks = event.inner().ticks;
+            let ticks = event.watermarks_fired();
             assert_eq!(ticks, if streaming { 12 } else { 0 }, "id {sparse}");
         }
     }

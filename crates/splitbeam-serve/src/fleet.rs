@@ -183,8 +183,8 @@ struct Member {
     server: ApServer,
     /// Wait this AP's frames accrued while a foreign BSS held the channel.
     cross_bss_wait_ns: u64,
-    /// What the last round close returned, until the fleet reads it back.
-    closed: Result<RoundSummary, ServeError>,
+    /// The error of the last round close, until the fleet reads it back.
+    closed: Option<ServeError>,
 }
 
 /// One wireless channel and everything only its traffic touches. Aligned to
@@ -261,7 +261,7 @@ impl Channel {
     fn close(&mut self, policy: Option<DeadlinePolicy>) {
         self.members
             .par_iter_mut()
-            .for_each(|ap| ap.closed = ap.server.close(policy));
+            .for_each(|ap| ap.closed = ap.server.close(policy).err());
     }
 }
 
@@ -310,7 +310,7 @@ impl Fleet {
                     .map(|_| Member {
                         server: ApServer::new(),
                         cross_bss_wait_ns: 0,
-                        closed: Ok(RoundSummary::default()),
+                        closed: None,
                     })
                     .collect(),
                 run: 0..0,
@@ -499,9 +499,9 @@ impl Fleet {
     /// # Errors
     /// The first AP round-close error (in AP order). The fleet round is
     /// **partial, not voided**: every AP still closed, the fleet round and
-    /// clock advanced, and the fleet-lifetime counters include what the other
-    /// APs served. Ingest rejections (quarantine, corruption) are counted,
-    /// not raised.
+    /// clock advanced, and `per_ap` and the fleet-lifetime counters include
+    /// what every AP's healthy batches did, the failing AP's included. Ingest
+    /// rejections (quarantine, corruption) are counted, not raised.
     pub fn close_round(&mut self) -> Result<FleetRoundSummary, ServeError> {
         let (home, channels, offered) = (&self.home, self.cfg.channels as u32, self.offers.len());
         self.offers.retain_mut(|p| {
@@ -536,11 +536,18 @@ impl Fleet {
         let mut tally = RoundSummary::default();
         let mut first_error = None;
         for ap in 0..self.cfg.aps {
-            let closed = &mut self.member_mut(ap).closed;
-            match std::mem::replace(closed, Ok(RoundSummary::default())) {
-                Ok(summary) => per_ap.push(summary),
-                Err(e) => first_error = first_error.or(Some(e)),
+            let member = self.member_mut(ap);
+            first_error = first_error.or(member.closed.take());
+            // An AP's books are its shards' books, so a failed close, which
+            // is partial, still counts what its healthy batches did.
+            let mut books = RoundSummary {
+                round: closed_round,
+                ..RoundSummary::default()
+            };
+            for shard in member.server.shard_round_stats() {
+                books.merge(&shard.summary);
             }
+            per_ap.push(books);
         }
         per_ap.iter().for_each(|summary| tally.merge(summary));
         self.round += 1;
@@ -723,8 +730,9 @@ mod tests {
     }
 
     /// One AP's failed batch must not stall the fleet: every AP still closes,
-    /// the fleet round and clock advance, and the first error (in AP order)
-    /// is what the close returns.
+    /// the fleet round and clock advance, the first error (in AP order) is
+    /// what the close returns, and what the failing AP's healthy batch
+    /// served still reaches the fleet's books.
     #[test]
     fn failed_ap_close_still_closes_every_ap_and_advances_the_fleet() {
         at_pool_widths(failed_ap_close);
@@ -742,8 +750,13 @@ mod tests {
         for id in 0..3u64 {
             fleet.register_station(id, id as usize, key, 4).unwrap();
         }
+        // AP 1 also serves station 3 on a second model, whose batch is fine.
+        let m2 = model(14);
+        let key2 = fleet.register_model(&m2);
+        fleet.register_station(3, 1, key2, 4).unwrap();
         fleet.offer_frame(0, station_frame(&m, 30, 4)).unwrap();
         fleet.offer_frame(2, station_frame(&m, 32, 4)).unwrap();
+        fleet.offer_frame(3, station_frame(&m2, 33, 4)).unwrap();
         // AP 1's station ingests directly, then its validated payload is
         // damaged so AP 1's batch fails at reconstruction time.
         let failing = &mut fleet.member_mut(1).server;
@@ -762,7 +775,8 @@ mod tests {
         assert!(fleet.feedback_of(0).is_some());
         assert!(fleet.feedback_of(1).is_none());
         assert!(fleet.feedback_of(2).is_some());
-        assert_eq!(fleet.stats().served, 2);
+        assert!(fleet.feedback_of(3).is_some());
+        assert_eq!(fleet.stats().served, 3);
 
         // The next round is a normal one for all three APs.
         for id in 0..3u64 {

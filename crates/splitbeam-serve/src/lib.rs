@@ -28,15 +28,17 @@
 //!   ingest timestamp,
 //! * [`driver`] — a simulated multi-station sounding-round driver:
 //!   station-side compress → quantize → wire-encode traffic generation
-//!   (including session churn: joins, departures, bursty drops), the
-//!   [`driver::RoundServing`] / [`StreamServing`] seam, and the end-to-end
-//!   `simulate_mu_mimo_ber` link check over the served feedback,
-//! * [`event`] — the [`EventDriver`]: discrete-event virtual-clock serving on
-//!   top of a [`StreamServing`] server — per-station sounding cadences,
-//!   head/tail compute latencies from the accelerator model, seeded jitter,
-//!   shared-medium contention, fault injection with retransmission, and
-//!   deadline watermarks for streaming servers — with lockstep serving
-//!   recoverable bit-exactly as the zero-delay degenerate case,
+//!   (including session churn: joins, departures, bursty drops) and
+//!   [`driver::RoundServing`], the six-method seam through which
+//!   `serve_traffic` replays that traffic into an [`ApServer`] or an
+//!   [`EventDriver`],
+//! * [`event`] — the [`EventDriver`]: discrete-event virtual-clock serving
+//!   that calls an [`ApServer`]'s own methods — per-station sounding
+//!   cadences, head/tail compute latencies from the accelerator model,
+//!   seeded jitter, shared-medium contention, fault injection with
+//!   retransmission, and deadline watermarks for streaming closes — with
+//!   lockstep serving recoverable bit-exactly as the zero-delay degenerate
+//!   case,
 //! * [`fleet`] — the [`Fleet`]: `N` one-shard servers on one virtual clock,
 //!   each round's offers sorted once into air order, with per-channel media
 //!   (overlapping-BSS contention) and warm station roaming.
@@ -46,8 +48,11 @@
 //! one station at a time through the unfused path. Every shard count and
 //! watermark cadence is bit-exact with it (the root `close_matrix` test).
 //! It also holds the helpers the root tests read a run's books with: the
-//! traffic totals, `EventDriver::fault_stats`, `Fleet::num_aps` and the
-//! stalled-shard knob `ApServer::set_shard_stall_ns`.
+//! traffic totals, `EventDriver::{fault_stats, watermarks_fired}`,
+//! `Fleet::num_aps`, the stalled-shard knob `ApServer::set_shard_stall_ns`,
+//! `StationSession::miss_streak`, the builder `driver::build_sharded_server`
+//! and `driver::link_check`, the end-to-end `simulate_mu_mimo_ber` check over
+//! the served feedback.
 //!
 //! # Example: serve two stations for one round
 //!
@@ -122,14 +127,14 @@ pub(crate) mod test_support {
     use wifi_phy::ofdm::{Bandwidth, MimoConfig};
 
     pub(crate) fn model(seed: u64) -> SplitBeamModel {
+        model_at(seed, CompressionLevel::OneEighth)
+    }
+
+    /// A 2x2 / 20 MHz model at compression `level`.
+    pub(crate) fn model_at(seed: u64, level: CompressionLevel) -> SplitBeamModel {
+        let mimo = MimoConfig::symmetric(2, Bandwidth::Mhz20);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneEighth,
-            ),
-            &mut rng,
-        )
+        SplitBeamModel::new(SplitBeamConfig::new(mimo, level), &mut rng)
     }
 
     pub(crate) fn station_frame(model: &SplitBeamModel, seed: u64, bits: u8) -> Vec<u8> {
@@ -146,7 +151,6 @@ pub(crate) mod test_support {
     }
 }
 
-pub use driver::StreamServing;
 pub use event::{build_event_driver, EventConfig, EventDriver};
 pub use fleet::{Fleet, FleetConfig, FleetRoundSummary, FleetStats};
 pub use ring::Ring;

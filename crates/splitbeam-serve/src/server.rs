@@ -346,9 +346,12 @@ impl ApServer {
     /// so the station keeps its feedback, pending payload and health state.
     ///
     /// # Errors
-    /// The same admission checks as [`ApServer::register_station`]; the
-    /// rejected session rides back in the error so the caller can restore it
-    /// at the source AP instead of dropping the station.
+    /// The same admission checks as [`ApServer::register_station`], then
+    /// [`ServeError::Codec`] when a pending payload's code count does not
+    /// match `model_key`'s bottleneck (it would fail the adopting shard's
+    /// whole batch at the close). The rejected session rides back in the
+    /// error so the caller can restore it at the source AP instead of
+    /// dropping the station.
     // The fat Err is the point: the rejected session must ride back to the
     // caller for restore, and boxing a cold failure path buys nothing.
     #[allow(clippy::result_large_err)]
@@ -360,6 +363,11 @@ impl ApServer {
         let id = session.id();
         if let Err(e) = self.check_admission(id, model_key, session.bits_per_value()) {
             return Err((session, e));
+        }
+        let expected = self.models[model_key].bottleneck_dim();
+        if session.has_pending() && session.payload().codes.len() != expected {
+            let e = format!("station {id}'s pending payload misfits bottleneck {expected}");
+            return Err((session, ServeError::Codec(e)));
         }
         session.rebind_model(model_key);
         self.shard_mut(id)
@@ -694,11 +702,8 @@ impl ApServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{model, station_frame};
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use splitbeam::config::{CompressionLevel, SplitBeamConfig};
-    use wifi_phy::ofdm::{Bandwidth, MimoConfig};
+    use crate::test_support::{model, model_at, station_frame};
+    use splitbeam::config::CompressionLevel;
 
     #[test]
     fn registration_is_validated() {
@@ -768,13 +773,7 @@ mod tests {
         ));
         // Wrong bottleneck width: a frame from a model of another
         // compression level.
-        let other = SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneQuarter,
-            ),
-            &mut ChaCha8Rng::seed_from_u64(2),
-        );
+        let other = model_at(2, CompressionLevel::OneQuarter);
         assert!(matches!(
             server.ingest_wire(7, &station_frame(&other, 3, 8)),
             Err(ServeError::Codec(_))
@@ -1123,14 +1122,7 @@ mod tests {
     #[test]
     fn multiple_models_batch_independently() {
         let m_a = model(6);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let m_b = SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneQuarter,
-            ),
-            &mut rng,
-        );
+        let m_b = model_at(7, CompressionLevel::OneQuarter);
         let mut server = ApServer::new();
         let key_a = server.register_model(m_a.clone());
         let key_b = server.register_model(m_b.clone());
@@ -1153,22 +1145,8 @@ mod tests {
     #[test]
     fn failed_batch_consumes_only_its_own_model() {
         let m_a = model(21);
-        let mut rng = ChaCha8Rng::seed_from_u64(22);
-        let m_b = SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneQuarter,
-            ),
-            &mut rng,
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(23);
-        let m_c = SplitBeamModel::new(
-            SplitBeamConfig::new(
-                MimoConfig::symmetric(2, Bandwidth::Mhz20),
-                CompressionLevel::OneSixteenth,
-            ),
-            &mut rng,
-        );
+        let m_b = model_at(22, CompressionLevel::OneQuarter);
+        let m_c = model_at(23, CompressionLevel::OneSixteenth);
         for serial in [false, true] {
             let mut server = ApServer::new();
             let key_a = server.register_model(m_a.clone());
@@ -1214,6 +1192,38 @@ mod tests {
             let counts = (books.served, books.discarded, settled);
             assert_eq!(counts, (2, 2, pending), "serial={serial}");
         }
+    }
+
+    /// A roaming session's pending payload must fit the adopting model: a
+    /// 1/8 payload adopted under a 1/4 model would fail the adopting shard's
+    /// whole batch at the close, its own stations included. The adoption is
+    /// refused and the session handed back intact.
+    #[test]
+    fn adoption_refuses_a_pending_payload_the_model_cannot_take() {
+        let m_eighth = model(24);
+        let m_quarter = model_at(25, CompressionLevel::OneQuarter);
+        let mut source = ApServer::new();
+        let key = source.register_model(m_eighth.clone());
+        source.register_station(9, key, 8).unwrap();
+        source
+            .ingest_wire(9, &station_frame(&m_eighth, 70, 8))
+            .unwrap();
+        let session = source.release_station(9).unwrap();
+
+        let mut target = ApServer::new();
+        let key = target.register_model(m_quarter.clone());
+        target.register_station(0, key, 8).unwrap();
+        target
+            .ingest_wire(0, &station_frame(&m_quarter, 71, 8))
+            .unwrap();
+        let (session, e) = target.adopt_station(session, key).unwrap_err();
+        assert!(matches!(e, ServeError::Codec(_)), "{e:?}");
+        assert!(session.has_pending());
+        let codes = session.payload().codes.len();
+        assert_eq!(codes, m_eighth.bottleneck_dim());
+        assert!(target.session(9).is_none());
+        let summary = target.process_round().unwrap();
+        assert_eq!((summary.served, summary.discarded), (1, 0));
     }
 
     #[test]

@@ -259,6 +259,7 @@ impl StationSession {
     }
 
     /// Total wire bytes this station has delivered.
+    #[cfg(test)]
     pub fn wire_bytes_ingested(&self) -> u64 {
         self.wire_bytes_ingested
     }
@@ -355,11 +356,13 @@ impl StationSession {
     }
 
     /// Consecutive closed rounds without a usable report.
+    #[cfg(any(test, feature = "reference"))]
     pub fn miss_streak(&self) -> u32 {
         self.miss_streak
     }
 
     /// Consecutive corrupt frames received.
+    #[cfg(test)]
     pub fn corrupt_streak(&self) -> u32 {
         self.corrupt_streak
     }

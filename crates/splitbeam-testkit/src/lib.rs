@@ -194,11 +194,44 @@ impl Fnv1a {
     }
 
     /// Folds in one closed round: its summary, then the feedback bits the
-    /// server holds for stations `0..stations`. The summary goes in as its
-    /// `Debug` text, less a zero `discarded` count: the pins predate that
-    /// field, and a round that discards nothing digests as it did then.
+    /// server holds for stations `0..stations`. The summary goes in as the
+    /// text of a named field list, written as its `Debug` form was when the
+    /// pins were taken; `discarded`, which came later, only when non-zero.
+    /// A field added to [`RoundSummary`] moves no pin until it is listed.
     pub fn eat_round(&mut self, server: &ApServer, summary: &RoundSummary, stations: StationId) {
-        let text = format!("{summary:?}").replace(", discarded: 0,", ",");
+        let (s, d) = (summary, &summary.delay);
+        let delay = format!(
+            "RoundDelayStats {{ head_ns: {}, queue_ns: {}, air_ns: {}, tail_ns: {}, \
+             worst_e2e_ns: {} }}",
+            d.head_ns, d.queue_ns, d.air_ns, d.tail_ns, d.worst_e2e_ns
+        );
+        let fields = [
+            ("round", Some(s.round.to_string())),
+            ("served", Some(s.served.to_string())),
+            ("stale", Some(s.stale.to_string())),
+            (
+                "awaiting_first_report",
+                Some(s.awaiting_first_report.to_string()),
+            ),
+            ("batches", Some(s.batches.to_string())),
+            ("on_time", Some(s.on_time.to_string())),
+            ("late", Some(s.late.to_string())),
+            ("expired", Some(s.expired.to_string())),
+            (
+                "discarded",
+                (s.discarded != 0).then(|| s.discarded.to_string()),
+            ),
+            ("delay", Some(delay)),
+            ("lost", Some(s.lost.to_string())),
+            ("corrupt", Some(s.corrupt.to_string())),
+            ("retransmitted", Some(s.retransmitted.to_string())),
+            ("stale_served", Some(s.stale_served.to_string())),
+        ];
+        let fields: Vec<String> = fields
+            .iter()
+            .filter_map(|(name, value)| Some(format!("{name}: {}", value.as_ref()?)))
+            .collect();
+        let text = format!("RoundSummary {{ {} }}", fields.join(", "));
         self.eat(text.as_bytes());
         for id in 0..stations {
             for v in server.feedback_of(id).unwrap_or_default() {

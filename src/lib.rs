@@ -35,8 +35,7 @@ pub mod prelude {
     pub use splitbeam_hwsim::delay::DelayBudget;
     pub use splitbeam_hwsim::event::{SeededJitter, SharedMedium};
     pub use splitbeam_serve::driver::{
-        build_server, build_sharded_server, generate_traffic, link_check, serve_traffic,
-        ChurnConfig, RoundServing, ServeMode, SimConfig,
+        generate_traffic, serve_traffic, ChurnConfig, RoundServing, ServeMode, SimConfig,
     };
     pub use splitbeam_serve::event::{build_event_driver, EventConfig, EventDriver};
     pub use splitbeam_serve::server::ApServer;

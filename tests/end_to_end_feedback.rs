@@ -7,6 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use splitbeam_bench::{dataset, measure_ber, train_splitbeam, FeedbackScheme, Workload};
 use splitbeam_repro::datasets::generator::GeneratedDataset;
 use splitbeam_repro::prelude::*;
+use splitbeam_repro::serve::driver::{build_sharded_server, link_check};
 
 /// 60 snapshots a dataset, 6 epochs, 4 test snapshots at 20 dB.
 const QUICK: Workload = Workload {
@@ -128,7 +129,7 @@ fn int8_served_link_ber_stays_within_the_f32_envelope() {
     };
     let traffic = generate_traffic(&sim, &trained, &mut ChaCha8Rng::seed_from_u64(23));
     let served_ber = |weights: TailWeights| {
-        let mut server = build_server(trained.clone(), sim.stations, sim.bits_per_value);
+        let mut server = build_sharded_server(trained.clone(), sim.stations, sim.bits_per_value, 1);
         server.set_tail_weights(weights);
         serve_traffic(&mut server, &traffic, ServeMode::Batched).unwrap();
         // Same link-noise seed for both precisions.

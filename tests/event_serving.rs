@@ -478,7 +478,7 @@ fn past_budget_frame_is_never_silently_served_as_fresh() {
 #[test]
 fn hand_stamped_expired_frame_is_dropped_by_the_deadline_close() {
     let model = small_model(44);
-    let mut server = build_server(model.clone(), 2, 8);
+    let mut server = build_sharded_server(model.clone(), 2, 8, 1);
     let frame = station_frame(&model, 45, 8);
     // Station 0 on time, station 1 stamped 25 ms end-to-end (10 budget + 10
     // grace < 25 -> expired).

@@ -12,8 +12,7 @@ use splitbeam::wire;
 use splitbeam::SplitBeamError;
 use splitbeam_hwsim::fault::FaultConfig;
 use splitbeam_serve::driver::{
-    build_server, build_sharded_server, generate_traffic, serve_traffic, RoundServing, ServeMode,
-    SimConfig,
+    build_sharded_server, generate_traffic, serve_traffic, RoundServing, ServeMode, SimConfig,
 };
 use splitbeam_serve::event::{build_event_driver, build_sharded_event_driver, EventConfig};
 use splitbeam_serve::ServeError;
@@ -85,7 +84,7 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
 
     // Every server flavor the repo ships: single-shard batched/serial share
     // one ingest path, plus sharded at 1 and 4.
-    let mut flat = build_server(m.clone(), 2, 8);
+    let mut flat = build_sharded_server(m.clone(), 2, 8, 1);
     let mut sharded1 = build_sharded_server(m.clone(), 2, 8, 1);
     let mut sharded4 = build_sharded_server(m.clone(), 2, 8, 4);
 

@@ -695,6 +695,45 @@ fn test_only_pub_fns_are_flagged() {
     let report = lint_tree(PROBE, &[("crates/app/src/main.rs", prose)]);
     assert_eq!(rules_of(&report), vec![RULE_TEST_ONLY_PUB]);
 
+    // A field, a binding or a `use` item can share a function's name without
+    // calling it: none of them names `probe`. A call through any of them does.
+    for (what, text) in [
+        ("a field read", "fn main() { let _ = cfg.probe; }\n"),
+        ("a field", "pub struct Cfg { pub probe: u32 }\n"),
+        (
+            "a struct-literal key",
+            "fn main() { let _ = Cfg { probe: 7 }; }\n",
+        ),
+        ("a let binding", "fn main() { let probe = 7; }\n"),
+        ("a mut binding", "fn main() { for mut probe in 0..2 {} }\n"),
+        ("a use item", "use demo::probe;\nfn main() {}\n"),
+        (
+            "a multi-line use item",
+            "pub use demo::{\n    probe,\n};\nfn main() {}\n",
+        ),
+    ] {
+        let report = lint_tree(PROBE, &[("crates/app/src/main.rs", text)]);
+        assert_eq!(rules_of(&report), vec![RULE_TEST_ONLY_PUB], "{what}");
+    }
+    for (what, text) in [
+        ("a method call", "fn main() { let _ = demo.probe(); }\n"),
+        (
+            "a turbofish call",
+            "fn main() { let _ = demo.probe::<u8>(); }\n",
+        ),
+        (
+            "a call after its use item",
+            "use demo::probe;\nfn main() { probe(); }\n",
+        ),
+        (
+            "a path as a value",
+            "fn main() { let _ = [1].map(demo::probe); }\n",
+        ),
+    ] {
+        let report = lint_tree(PROBE, &[("crates/app/src/main.rs", text)]);
+        assert!(report.clean(), "{what}: {:?}", report.violations);
+    }
+
     // Declared as test code — the item, its `impl`, or the file a gated
     // `mod` line includes — is skipped.
     let gate = "#[cfg(any(test, feature = \"reference\"))]\n";

@@ -5,6 +5,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use splitbeam_repro::prelude::*;
+use splitbeam_repro::serve::driver::build_sharded_server;
 use splitbeam_repro::serve::{ServeError, StationId, StationSession};
 use splitbeam_testkit::{small_model, station_frame};
 
