@@ -490,6 +490,16 @@ mod tests {
         pool.install(|| run(parts, &|claims| claims.for_each(&op)));
     }
 
+    /// Waits until every worker is back from its last part. A worker counts
+    /// itself idle only after its part has counted done, so a call made at
+    /// once may find none idle and run every part on the caller — correct,
+    /// but a test whose parts wait for one another would then wait for ever.
+    fn settle(pool: &Pool) {
+        while pool.shared.idle.load(Ordering::Relaxed) < pool.workers.len() {
+            std::thread::yield_now();
+        }
+    }
+
     fn zeros(len: usize) -> Vec<AtomicUsize> {
         (0..len).map(|_| AtomicUsize::new(0)).collect()
     }
@@ -529,6 +539,7 @@ mod tests {
             let both_claimed = Barrier::new(2);
             let arrived = [AtomicUsize::new(0), AtomicUsize::new(0)];
             let hits = zeros(parts);
+            settle(&pool);
             for_each(&pool, parts, |i| {
                 let end = usize::from(std::thread::current().id() != caller);
                 if arrived[end].fetch_add(1, Ordering::Relaxed) == 0 {
@@ -549,6 +560,7 @@ mod tests {
             let pool = Pool::with_threads(threads);
             let all_started = Barrier::new(threads);
             for _ in 0..3 {
+                settle(&pool);
                 for_each(&pool, threads, |_| {
                     all_started.wait();
                 });
@@ -584,6 +596,7 @@ mod tests {
         for _ in 0..50 {
             let both_started = Barrier::new(2);
             let finished = AtomicUsize::new(0);
+            settle(&pool);
             for_each(&pool, 2, |_| {
                 both_started.wait();
                 if std::thread::current().id() != caller {

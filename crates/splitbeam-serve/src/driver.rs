@@ -478,8 +478,8 @@ pub fn link_check(
             .map(|&id| traffic.final_csi[id as usize].clone())
             .collect();
         let snapshot = ChannelSnapshot::from_matrices(traffic.bandwidth, traffic.nss, per_user);
-        let report = simulate_mu_mimo_ber(&snapshot, &feedback, &link_cfg, rng)
-            .map_err(|e| ServeError::Link(e.to_string()))?;
+        let report =
+            simulate_mu_mimo_ber(&snapshot, &feedback, &link_cfg, rng).map_err(ServeError::Link)?;
         merged.merge(&report);
     }
     Ok(merged)

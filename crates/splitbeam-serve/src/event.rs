@@ -10,7 +10,8 @@
 //!    [`AcceleratorModel`])
 //!    plus seeded jitter delays the report,
 //! 3. the report is offered to the **shared medium** through the timer-wheel
-//!    event queue with deterministic `(offer time, station, seq)`
+//!    event queue — its bytes in the driver's frame arena, the queue holding
+//!    an 8-byte span of it — with deterministic `(offer time, station, seq)`
 //!    tie-breaking — frames serialize one at a time in physical ready order,
 //!    each charged through the same per-frame airtime primitive the
 //!    round-level airtime model sums, on its **actual encoded wire size**
@@ -20,6 +21,9 @@
 //! 5. the round close enforces the Eq. 7d deadline: the server's close
 //!    classifies every report on-time / late-but-usable / past-budget from
 //!    its stamp.
+//!
+//! A retransmission re-sequences its offer's bytes in place and a refusal is
+//! a value ([`splitbeam::Refusal`]), so a warm faulty round allocates nothing.
 //!
 //! With [`EventConfig::streaming`] the server ingests onto its shards' rings
 //! and the drain interleaves deadline watermarks into the event order, so
@@ -33,6 +37,7 @@
 //! the correctness anchor.
 
 use crate::driver::{RoundServing, ServeMode};
+use crate::fleet::Span;
 use crate::server::{ApServer, RoundSummary};
 use crate::session::StationId;
 use crate::timing::{DeadlinePolicy, FrameStamp};
@@ -173,13 +178,14 @@ struct ModelLatencyNs {
     tail_ns: u64,
 }
 
-/// A report waiting in the event queue for its medium grant: the wire frame
-/// plus the timing legs known at schedule time. The queue is keyed by the
-/// report's *offer* time (when it is ready and polled), so frames contend for
-/// the medium in physical ready order regardless of ingest order.
+/// A report waiting in the event queue for its medium grant: its wire frame
+/// in the driver's arena plus the timing legs known at schedule time. The
+/// queue is keyed by the report's *offer* time (when it is ready and
+/// polled), so frames contend for the medium in physical ready order
+/// regardless of ingest order.
 #[derive(Debug, Clone)]
 struct PendingOffer {
-    frame: Vec<u8>,
+    frame: Span,
     /// When the report left head compute (offer minus any poll wait).
     ready_ns: VirtualNs,
     head_ns: u64,
@@ -202,6 +208,9 @@ pub struct EventDriver<S = ApServer> {
     medium: SharedMedium,
     jitter: SeededJitter,
     queue: EventQueue<PendingOffer>,
+    /// The bytes of every frame the queue holds, emptied when the drain
+    /// empties the queue.
+    frames: Vec<u8>,
     latencies: Vec<ModelLatencyNs>,
     /// Sounding cadence of every station [`EventDriver::set_cadence`]
     /// slowed: it sounds every `cadence`-th round, so its round-`r` report
@@ -242,6 +251,7 @@ impl EventDriver {
             medium: cfg.medium(),
             jitter: SeededJitter::new(cfg.jitter_max_ns, cfg.seed),
             queue: EventQueue::new(),
+            frames: Vec::new(),
             latencies: Vec::new(),
             cadence: BTreeMap::new(),
             round: 0,
@@ -421,7 +431,8 @@ impl EventDriver {
         while let Some((key, offer)) = self.queue.pop() {
             self.fire_watermarks(&mut clock, key.time_ns, policy);
             let fate = self.injector.frame_fate();
-            let grant = self.medium.transmit(key.time_ns, offer.frame.len() * 8);
+            let sent = offer.frame.bytes(&self.frames);
+            let grant = self.medium.transmit(key.time_ns, sent.len() * 8);
             self.now_ns = self.now_ns.max(grant.end_ns);
             let FrameFate::Deliver {
                 corrupt,
@@ -448,11 +459,11 @@ impl EventDriver {
             // offer's own frame stays intact for the retransmission.
             let frame: &[u8] = if corrupt {
                 self.damaged.clear();
-                self.damaged.extend_from_slice(&offer.frame);
+                self.damaged.extend_from_slice(sent);
                 self.injector.corrupt_frame(&mut self.damaged);
                 &self.damaged
             } else {
-                &offer.frame
+                sent
             };
             let mut retry = false;
             for _ in 0..1 + u8::from(duplicate && !corrupt) {
@@ -481,6 +492,7 @@ impl EventDriver {
                 self.schedule_retry(key.station, arrival_ns, offer);
             }
         }
+        self.frames.clear();
         let deadline_ns = self.round_deadline_ns();
         self.fire_watermarks(&mut clock, deadline_ns, policy);
         self.now_ns = self.now_ns.max(deadline_ns);
@@ -508,7 +520,7 @@ impl EventDriver {
     /// end-to-end delay (head, queueing so far, backoff, one more airtime,
     /// tail) can no longer fit the Eq. 7d budget plus grace, in which case
     /// the report is given up for this round. Takes the popped offer by
-    /// value: the retry is that offer, frame buffer and all, re-sequenced.
+    /// value: the retry is that offer, its bytes re-sequenced in place.
     fn schedule_retry(
         &mut self,
         station: StationId,
@@ -527,7 +539,8 @@ impl EventDriver {
         // a retry instant pinned at the end of time is given up like any
         // other that cannot fit the budget.
         let retry_ns = failed_end_ns.saturating_add(backoff_ns);
-        let air_estimate_ns = self.medium.frame_airtime_ns(offer.frame.len() * 8);
+        let bits = offer.frame.bytes(&self.frames).len() * 8;
+        let air_estimate_ns = self.medium.frame_airtime_ns(bits);
         let projected_ns = offer
             .head_ns
             .saturating_add(retry_ns.saturating_sub(offer.ready_ns))
@@ -541,7 +554,7 @@ impl EventDriver {
         offer.attempt = attempt;
         // Sequenced retries get a fresh number so duplicate suppression never
         // mistakes a retransmission for a replayed frame.
-        wire::set_frame_seq(&mut offer.frame, attempt as u16 + 1);
+        wire::set_frame_seq(offer.frame.bytes_mut(&mut self.frames), retry_seq(attempt));
         self.queue.schedule(retry_ns, station, offer);
         self.books.retransmitted += 1;
     }
@@ -565,9 +578,11 @@ impl RoundServing for EventDriver {
 
     /// Schedules the frame through virtual time instead of ingesting it
     /// directly: sounding instant → head compute + jitter → offer to the
-    /// shared medium. Medium contention resolves at round close, in offer
-    /// order; the frame reaches the server timestamped. Frame validation
-    /// therefore also surfaces at close, not here.
+    /// shared medium, the frame's bytes appended to the driver's arena. An
+    /// offer that cannot be served unexpired, or placed in the arena, is
+    /// counted expired and kept off the medium. Medium contention resolves
+    /// at round close, in offer order; the frame reaches the server
+    /// timestamped. Frame validation therefore also surfaces at close.
     fn ingest_wire(&mut self, id: StationId, frame: &[u8]) -> Result<usize, ServeError> {
         let session = self.inner.session(id);
         let model_key = session.ok_or(ServeError::UnknownStation(id))?.model_key();
@@ -580,37 +595,38 @@ impl RoundServing for EventDriver {
         // counts against the Eq. 7d budget like any other queueing.
         let ready_ns = sound_ns.saturating_add(head_ns);
         let offered_ns = ready_ns.max(self.poll_ns(self.round, id));
-        if offered_ns == VirtualNs::MAX || offered_ns > self.last_useful_offer_ns() {
+        let placed = (offered_ns < VirtualNs::MAX && offered_ns <= self.last_useful_offer_ns())
+            .then(|| Span::place(&mut self.frames, frame));
+        let Some(span) = placed.flatten() else {
             // The offer instant saturated (a sparse id times the phase step)
-            // or lies rounds in the future: the report cannot be served
-            // unexpired. It stays off the medium (whose clock it would pin at
-            // that instant for every later frame, and up to which a streaming
+            // or lies rounds in the future, or the frame would pass the end
+            // the arena can address: the report cannot be served unexpired.
+            // It stays off the medium (whose clock it would pin at that
+            // instant for every later frame, and up to which a streaming
             // drain would fire every watermark) and is consumed at the close
             // as expired.
             self.books.expired += 1;
             return Ok(frame.len());
-        }
-        let mut frame = frame.to_vec();
+        };
         // Under an active fault model every transmission is sequenced (first
         // attempt = 1), so the AP can suppress injected duplicates and tell
         // retransmissions apart. Fault-free frames stay byte-verbatim — the
         // zero-fault path must remain bit-exact with the lockstep drivers.
         if self.injector.is_active() {
-            wire::set_frame_seq(&mut frame, 1);
+            wire::set_frame_seq(span.bytes_mut(&mut self.frames), retry_seq(0));
         }
-        let len = frame.len();
         self.queue.schedule(
             offered_ns,
             id,
             PendingOffer {
-                frame,
+                frame: span,
                 ready_ns,
                 head_ns,
                 tail_ns: latency.tail_ns,
                 attempt: 0,
             },
         );
-        Ok(len)
+        Ok(frame.len())
     }
 
     /// Closes the round **at its Eq. 7d deadline**: delivers every scheduled
@@ -645,6 +661,13 @@ impl RoundServing for EventDriver {
     fn feedback_of(&self, id: StationId) -> Option<&[f32]> {
         self.inner.feedback_of(id)
     }
+}
+
+/// The sequence number of transmission `attempt` (`0` the first) of a report
+/// under an active fault model: `1..=u16::MAX` in turn, never `0`, which
+/// marks an unsequenced frame.
+fn retry_seq(attempt: u32) -> u16 {
+    (attempt % u32::from(u16::MAX)) as u16 + 1
 }
 
 /// Builds an event driver over a one-shard [`ApServer`] with `model`
@@ -838,6 +861,32 @@ mod tests {
                 "only the original transmissions touch the medium"
             );
         }
+    }
+
+    /// A report's transmissions draw sequence numbers `1..=u16::MAX` in
+    /// turn: past the 65,535th the count starts again at 1 — no overflow,
+    /// and never the `0` that would switch duplicate suppression off. With
+    /// certain loss, zero backoff and an ideal medium, a report retries in
+    /// place until its 70,000 retries run out.
+    #[test]
+    fn retry_sequence_numbers_cycle_past_u16_max() {
+        let attempts = [0, 1, 65_533, 65_534, 65_535, 65_536, u32::MAX];
+        assert_eq!(attempts.map(retry_seq), [1, 2, 65_534, 65_535, 1, 2, 1]);
+        let m = model(13);
+        let frame = crate::test_support::station_frame(&m, 14, 4);
+        let cfg = EventConfig {
+            faults: FaultConfig {
+                loss: 1.0,
+                ..FaultConfig::none()
+            },
+            max_retries: 70_000,
+            ..EventConfig::lockstep()
+        };
+        let mut event = build_event_driver(m, 1, 4, cfg, None);
+        event.ingest_wire(0, &frame).unwrap();
+        let summary = event.close_round(ServeMode::Batched).unwrap();
+        assert_eq!((summary.lost, summary.retransmitted), (70_001, 70_000));
+        assert_eq!((summary.served, event.queue.len()), (0, 0));
     }
 
     /// `StationId` is an arbitrary caller-chosen `u64`. A sparse id times a

@@ -135,34 +135,43 @@ pub struct FleetStats {
     pub cross_bss_wait_ns: u64,
 }
 
-/// An offered frame, as the round's list carries it: where its bytes lie in
-/// the fleet's arena and what the station spent on it.
-#[derive(Clone, Copy)]
-struct Offer {
+/// Where one offered frame's bytes lie in a round's arena, one `Vec<u8>`
+/// that [`Span::place`] appends every frame to: a list of offers moves 8
+/// bytes an offer, never a buffer, and clearing the arena keeps its room for
+/// the next round. The [`Fleet`] and the [`crate::EventDriver`] keep their
+/// offers in one each.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
     offset: u32,
     len: u32,
-    /// Station-side delay from the sounding instant until the frame was
-    /// ready to transmit (folded into the stamp's head leg).
-    head_ns: VirtualNs,
 }
 
-impl Offer {
-    /// The offer of `len` bytes appended to an arena that holds `used`, or
-    /// `None` where the arena's end would pass what a `u32` can address.
-    fn place(used: usize, len: usize, head_ns: VirtualNs) -> Option<Self> {
+impl Span {
+    /// Appends `frame` to `arena`, or leaves the arena as it is and returns
+    /// `None` where the frame's end would pass what a `u32` offset addresses
+    /// (4 GiB of frames in a round).
+    pub(crate) fn place(arena: &mut Vec<u8>, frame: &[u8]) -> Option<Self> {
+        let span = Self::at(arena.len(), frame.len())?;
+        arena.extend_from_slice(frame);
+        Some(span)
+    }
+
+    /// The span of `len` bytes at the end of an arena that holds `used`.
+    fn at(used: usize, len: usize) -> Option<Self> {
         let offset = u32::try_from(used).ok()?;
         let len = u32::try_from(len).ok()?;
         offset.checked_add(len)?;
-        Some(Self {
-            offset,
-            len,
-            head_ns,
-        })
+        Some(Self { offset, len })
     }
 
-    /// This offer's frame in `frames`, the arena it was placed in.
-    fn bytes<'a>(&self, frames: &'a [u8]) -> &'a [u8] {
-        &frames[self.offset as usize..][..self.len as usize]
+    /// This span's frame in `arena`, the arena it was placed in.
+    pub(crate) fn bytes(self, arena: &[u8]) -> &[u8] {
+        &arena[self.offset as usize..][..self.len as usize]
+    }
+
+    /// [`Span::bytes`], to rewrite in place.
+    pub(crate) fn bytes_mut(self, arena: &mut [u8]) -> &mut [u8] {
+        &mut arena[self.offset as usize..][..self.len as usize]
     }
 }
 
@@ -175,7 +184,10 @@ struct Pending {
     id: StationId,
     /// Offer order within the round: the last tie-break.
     index: usize,
-    offer: Offer,
+    frame: Span,
+    /// Station-side delay from the sounding instant until the frame was
+    /// ready to transmit (folded into the stamp's head leg).
+    head_ns: VirtualNs,
 }
 
 /// One AP as its channel holds it.
@@ -225,7 +237,7 @@ impl Channel {
             };
             if let Some((sessions, ahead)) = ahead_by(3 * LOOKAHEAD) {
                 sessions.prefetch_index(ahead.id);
-                prefetch_read(ahead.offer.bytes(frames));
+                prefetch_read(ahead.frame.bytes(frames));
             }
             if let Some((sessions, ahead)) = ahead_by(2 * LOOKAHEAD) {
                 sessions.prefetch_session(ahead.id);
@@ -234,7 +246,7 @@ impl Channel {
                 sessions.prefetch_payload(ahead.id);
             }
             let (member, ready_ns) = (pending.member as usize, pending.ready_ns);
-            let frame = pending.offer.bytes(frames);
+            let frame = pending.frame.bytes(frames);
             let ap = &mut self.members[member];
             let busy_until = self.medium.busy_until_ns();
             if ready_ns < busy_until && self.owner.is_some_and(|owner| owner != member) {
@@ -244,7 +256,7 @@ impl Channel {
             self.owner = Some(member);
             let stamp = FrameStamp {
                 arrival_ns: grant.end_ns,
-                head_ns: pending.offer.head_ns,
+                head_ns: pending.head_ns,
                 queue_ns: grant.wait_ns,
                 air_ns: grant.air_ns,
                 tail_ns: 0,
@@ -271,8 +283,8 @@ pub struct Fleet {
     channels: Vec<Channel>,
     /// The round's offers, in offer order until the close sorts them.
     offers: Vec<Pending>,
-    /// The bytes of every offered frame, in offer order; an [`Offer`]
-    /// addresses its share. Emptied by the close, with `offers`.
+    /// The bytes of every offered frame, in offer order. Emptied by the
+    /// close, with `offers`.
     frames: Vec<u8>,
     jitter: SeededJitter,
     /// Station → home AP index.
@@ -440,21 +452,19 @@ impl Fleet {
         }
         let head_ns = self.jitter.draw();
         let ready_ns = self.now_ns.saturating_add(head_ns);
-        let offer = match Offer::place(self.frames.len(), frame.len(), head_ns) {
-            Some(offer) if ready_ns < VirtualNs::MAX => offer,
-            _ => {
-                self.rejected += 1;
-                return Ok(());
-            }
+        let placed = (ready_ns < VirtualNs::MAX).then(|| Span::place(&mut self.frames, &frame));
+        let Some(frame) = placed.flatten() else {
+            self.rejected += 1;
+            return Ok(());
         };
-        self.frames.extend_from_slice(&frame);
         self.offers.push(Pending {
             channel: 0,
             member: 0,
             ready_ns,
             id,
             index: self.offers.len(),
-            offer,
+            frame,
+            head_ns,
         });
         Ok(())
     }
@@ -859,25 +869,32 @@ mod tests {
         let _ = fleet.register_station(7, 3, key, 4);
     }
 
-    /// The arena is addressed by `u32`s: an offer is placed while the arena's
-    /// end stays addressable and refused — rejected, by `offer_frame` — from
-    /// the first byte past that, checked on the arithmetic alone.
+    /// The arena is addressed by `u32`s: a frame is placed while the
+    /// arena's end stays addressable and refused — rejected by `offer_frame`,
+    /// expired by the event driver — from the first byte past that, checked
+    /// on the arithmetic alone.
     #[test]
     fn offers_are_placed_up_to_the_end_of_a_u32_arena() {
         const END: usize = u32::MAX as usize;
-        let placed = |used, len| Offer::place(used, len, 9).map(|o| (o.offset, o.len, o.head_ns));
-        assert_eq!(placed(0, 0), Some((0, 0, 9)));
-        assert_eq!(placed(46, 46), Some((46, 46, 9)));
-        assert_eq!(placed(END - 46, 46), Some((u32::MAX - 46, 46, 9)));
-        assert_eq!(placed(END, 0), Some((u32::MAX, 0, 9)));
+        let placed = |used, len| Span::at(used, len).map(|s| (s.offset, s.len));
+        assert_eq!(placed(0, 0), Some((0, 0)));
+        assert_eq!(placed(46, 46), Some((46, 46)));
+        assert_eq!(placed(END - 46, 46), Some((u32::MAX - 46, 46)));
+        assert_eq!(placed(END, 0), Some((u32::MAX, 0)));
         for (used, len) in [(END - 46, 47), (END, 1), (0, END + 1), (END + 1, 0)] {
             assert_eq!(placed(used, len), None, "{used} + {len}");
         }
         assert_eq!(placed(usize::MAX, 1), None);
-        let frames = [1u8, 2, 3, 4, 5];
-        let offer = Offer::place(2, 3, 0).unwrap();
-        assert_eq!(offer.bytes(&frames), &[3, 4, 5]);
-        assert!(Offer::place(5, 0, 0).unwrap().bytes(&frames).is_empty());
+        let mut arena = vec![];
+        let [Some(first), Some(second), Some(empty)] =
+            [&[1, 2][..], &[3, 4, 5], &[]].map(|frame| Span::place(&mut arena, frame))
+        else {
+            unreachable!("a small arena places every frame")
+        };
+        first.bytes_mut(&mut arena)[1] = 9;
+        assert_eq!(arena, [1, 9, 3, 4, 5]);
+        assert_eq!(second.bytes(&arena), &[3, 4, 5]);
+        assert!(empty.bytes(&arena).is_empty());
     }
 
     #[test]

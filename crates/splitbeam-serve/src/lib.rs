@@ -160,7 +160,10 @@ pub use shard::TILE_ROWS;
 pub use slab::SessionSlab;
 pub use timing::{DeadlinePolicy, FrameClass, FrameStamp, RoundDelayStats};
 
-/// Errors produced by the serving layer.
+use splitbeam::{Refusal, SplitBeamError};
+
+/// Errors produced by the serving layer: a value, the refusal it wraps too,
+/// that is formatted only when printed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
     /// The station id is not registered.
@@ -172,13 +175,14 @@ pub enum ServeError {
     /// Registration rejected: the server is at its station capacity
     /// (station id, configured capacity).
     CapacityExceeded(StationId, usize),
-    /// A wire frame failed to decode, or its payload does not match the
-    /// station's model.
-    Codec(String),
-    /// A wire frame from this station failed its CRC-32 integrity check: the
-    /// bytes were damaged on the air. The frame is dropped and counted against
-    /// the station's health, never decoded into plausible garbage.
-    Corrupt(StationId, String),
+    /// A wire frame failed to decode or does not fit the station's session,
+    /// or a registration announced a width the wire format does not have.
+    Codec(SplitBeamError),
+    /// A wire frame from this station failed its CRC-32 integrity check
+    /// ([`Refusal::Crc`]): the bytes were damaged on the air. The frame is
+    /// dropped and counted against the station's health, never decoded into
+    /// plausible garbage.
+    Corrupt(StationId, Refusal),
     /// A sequenced frame re-delivered a sequence number already pending for
     /// this round (station id, sequence number); the duplicate is suppressed.
     DuplicateFrame(StationId, u16),
@@ -190,11 +194,11 @@ pub enum ServeError {
     /// edge instead of silently overwriting queued feedback.
     Backpressure(StationId, usize),
     /// Tail reconstruction failed.
-    Model(String),
+    Model(SplitBeamError),
     /// A station has no reconstructed feedback yet.
     NoFeedback(StationId),
     /// The MU-MIMO link check failed.
-    Link(String),
+    Link(wifi_phy::PhyError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -206,9 +210,9 @@ impl std::fmt::Display for ServeError {
             ServeError::CapacityExceeded(id, cap) => {
                 write!(f, "station {id} rejected: server is at capacity {cap}")
             }
-            ServeError::Codec(msg) => write!(f, "wire codec error: {msg}"),
-            ServeError::Corrupt(id, msg) => {
-                write!(f, "corrupt frame from station {id}: {msg}")
+            ServeError::Codec(e) => write!(f, "wire codec error: {e}"),
+            ServeError::Corrupt(id, why) => {
+                write!(f, "corrupt frame from station {id}: {why}")
             }
             ServeError::DuplicateFrame(id, seq) => {
                 write!(f, "duplicate frame seq {seq} from station {id}")
@@ -217,9 +221,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Backpressure(id, cap) => {
                 write!(f, "station {id} stream ring is full (capacity {cap})")
             }
-            ServeError::Model(msg) => write!(f, "tail reconstruction error: {msg}"),
+            ServeError::Model(e) => write!(f, "tail reconstruction error: {e}"),
             ServeError::NoFeedback(id) => write!(f, "station {id} has no feedback yet"),
-            ServeError::Link(msg) => write!(f, "link check error: {msg}"),
+            ServeError::Link(e) => write!(f, "link check error: {e}"),
         }
     }
 }

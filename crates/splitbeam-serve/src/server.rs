@@ -8,6 +8,7 @@ use crate::ServeError;
 use rayon::prelude::*;
 use splitbeam::fused::{QuantizedTail, TailWeights};
 use splitbeam::model::SplitBeamModel;
+use splitbeam::Refusal;
 use std::sync::Arc;
 use wifi_phy::precoding::BeamformingFeedback;
 
@@ -279,9 +280,7 @@ impl ApServer {
             return Err(ServeError::UnknownModel(model_key));
         }
         if !(1..=16).contains(&bits_per_value) {
-            return Err(ServeError::Codec(format!(
-                "station {id} announced invalid bits_per_value {bits_per_value}"
-            )));
+            return Err(ServeError::Codec(Refusal::BitWidth(bits_per_value).into()));
         }
         if self.session(id).is_some() {
             return Err(ServeError::DuplicateStation(id));
@@ -364,10 +363,11 @@ impl ApServer {
         if let Err(e) = self.check_admission(id, model_key, session.bits_per_value()) {
             return Err((session, e));
         }
-        let expected = self.models[model_key].bottleneck_dim();
-        if session.has_pending() && session.payload().codes.len() != expected {
-            let e = format!("station {id}'s pending payload misfits bottleneck {expected}");
-            return Err((session, ServeError::Codec(e)));
+        let want = self.models[model_key].bottleneck_dim();
+        let got = session.payload().codes.len();
+        if session.has_pending() && got != want {
+            let e = ServeError::Codec(Refusal::CodeCount { got, want }.into());
+            return Err((session, e));
         }
         session.rebind_model(model_key);
         self.shard_mut(id)
@@ -647,7 +647,7 @@ impl ApServer {
         let flat = session.feedback().ok_or(ServeError::NoFeedback(id))?;
         self.models[session.model_key()]
             .feedback_to_matrices(flat)
-            .map_err(|e| ServeError::Model(e.to_string()))
+            .map_err(ServeError::Model)
     }
 
     /// Stacks the latest feedback of `ids` (in the given order) into the

@@ -40,7 +40,7 @@ use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
 use splitbeam::model::SplitBeamModel;
 use splitbeam::quantization::QuantizedFeedback;
 use splitbeam::wire;
-use splitbeam::SplitBeamError;
+use splitbeam::{Refusal, SplitBeamError};
 use std::sync::Arc;
 
 /// A payload buffer with no codes yet; decode and recycling fill it.
@@ -243,12 +243,12 @@ impl ShardCore {
         }
         if let Err(e) = wire::decode_feedback_into(frame, &mut arena.decode_buf) {
             return Err(match e {
-                splitbeam::SplitBeamError::CorruptFrame(msg) => {
+                SplitBeamError::CorruptFrame(crc) => {
                     tally.summary.corrupt += 1;
                     session.note_corrupt(round, health);
-                    ServeError::Corrupt(id, msg)
+                    ServeError::Corrupt(id, crc)
                 }
-                other => ServeError::Codec(other.to_string()),
+                other => ServeError::Codec(other),
             });
         }
         let seq = wire::frame_seq(frame);
@@ -291,22 +291,16 @@ impl ShardCore {
         session: &StationSession,
         payload: &QuantizedFeedback,
     ) -> Result<(), ServeError> {
-        let id = session.id();
-        if payload.bits_per_value != session.bits_per_value() {
-            return Err(ServeError::Codec(format!(
-                "station {id} sent {} bits/value, session announced {}",
-                payload.bits_per_value,
-                session.bits_per_value()
-            )));
-        }
-        let expected = models[session.model_key()].bottleneck_dim();
-        if payload.codes.len() != expected {
-            return Err(ServeError::Codec(format!(
-                "station {id} sent {} codes, model bottleneck is {expected}",
-                payload.codes.len()
-            )));
-        }
-        Ok(())
+        let want = models[session.model_key()].bottleneck_dim();
+        let why = if payload.bits_per_value != session.bits_per_value() {
+            Refusal::BitWidth(payload.bits_per_value)
+        } else if payload.codes.len() != want {
+            let got = payload.codes.len();
+            Refusal::CodeCount { got, want }
+        } else {
+            return Ok(());
+        };
+        Err(ServeError::Codec(why.into()))
     }
 
     /// Removes station `id`'s session, and with it the frames the station
@@ -398,13 +392,11 @@ impl ShardCore {
             }
             let key = session.model_key();
             let batch = &mut work[key];
-            let codes = session.payload().codes.len();
-            let dim = engine.models[key].bottleneck_dim();
-            if codes != dim && batch.invalid.is_none() {
-                let mismatch = SplitBeamError::DimensionMismatch(format!(
-                    "payload carries {codes} codes, bottleneck width is {dim}"
-                ));
-                batch.invalid = Some(ServeError::Model(mismatch.to_string()));
+            let got = session.payload().codes.len();
+            let want = engine.models[key].bottleneck_dim();
+            if got != want && batch.invalid.is_none() {
+                let mismatch = Refusal::CodeCount { got, want };
+                batch.invalid = Some(ServeError::Model(mismatch.into()));
             }
             // Requested once, from the session count: growing by doubling
             // inside a 100k-station first close costs peak RSS.
@@ -521,7 +513,7 @@ impl ShardCore {
                     }
                     // The walk checked every payload, so this is the tail
                     // itself failing.
-                    Err(e) => failure = Some(ServeError::Model(e.to_string())),
+                    Err(e) => failure = Some(ServeError::Model(e)),
                 }
             }
             if let Some(failure) = failure {
@@ -577,7 +569,7 @@ impl ShardCore {
                         }
                     })
                     .collect::<Result<_, SplitBeamError>>()
-                    .map_err(|e| ServeError::Model(e.to_string())),
+                    .map_err(ServeError::Model),
             };
             match flats {
                 Ok(mut flats) => {

@@ -29,7 +29,7 @@
 
 use crate::model::SplitBeamModel;
 use crate::quantization::{dequantize_bottleneck_into, QuantizedFeedback};
-use crate::SplitBeamError;
+use crate::{Refusal, SplitBeamError};
 use mimo_math::kernel::int8::Int8Kernel;
 use mimo_math::kernel::Kernel;
 use neural::quant::{QuantScratch, QuantizedDense};
@@ -259,9 +259,7 @@ where
     I: Iterator<Item = &'p QuantizedFeedback>,
 {
     if batch == 0 {
-        return Err(SplitBeamError::DimensionMismatch(
-            "empty fused reconstruction batch".into(),
-        ));
+        return Err(Refusal::Shape { got: 0, want: 1 }.into());
     }
     let mut payloads = payloads;
     strip.reshape_zeroed(batch, dim);
@@ -278,15 +276,10 @@ where
         dequantize_bottleneck_into(payload, strip_row);
         rows += 1;
     }
-    if rows != batch || payloads.next().is_some() {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "fused batch declared {batch} payloads, iterator yielded {}",
-            if rows != batch {
-                rows.to_string()
-            } else {
-                format!("more than {batch}")
-            }
-        )));
+    // A short iterator is spent; a long one yields one more.
+    let got = rows + usize::from(payloads.next().is_some());
+    if got != batch {
+        return Err(Refusal::Shape { got, want: batch }.into());
     }
     Ok(())
 }
@@ -295,17 +288,12 @@ where
 /// the wire decoder: its code count must be the bottleneck width and its
 /// quantizer width one the wire format has.
 fn check_shape(payload: &QuantizedFeedback, dim: usize) -> Result<(), SplitBeamError> {
-    if payload.codes.len() != dim {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "payload carries {} codes, bottleneck width is {dim}",
-            payload.codes.len()
-        )));
+    let (got, want) = (payload.codes.len(), dim);
+    if got != want {
+        return Err(Refusal::CodeCount { got, want }.into());
     }
     if !(1..=16).contains(&payload.bits_per_value) {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "bits_per_value outside 1..=16: {}",
-            payload.bits_per_value
-        )));
+        return Err(Refusal::BitWidth(payload.bits_per_value).into());
     }
     Ok(())
 }
@@ -320,10 +308,8 @@ fn check_codes_fit(payload: &QuantizedFeedback, seen: u16) -> Result<(), SplitBe
         return Ok(());
     }
     let code = payload.codes.iter().find(|&&c| u32::from(c) >> bits != 0);
-    Err(SplitBeamError::DimensionMismatch(format!(
-        "code {} does not fit {bits} bits",
-        code.copied().unwrap_or(seen)
-    )))
+    let code = code.copied().unwrap_or(seen);
+    Err(Refusal::Code { code, bits }.into())
 }
 
 /// Maps one payload's wire codes straight to the first int8 layer's u7
@@ -498,9 +484,7 @@ impl QuantizedTail {
         I: Iterator<Item = &'p QuantizedFeedback>,
     {
         if batch == 0 {
-            return Err(SplitBeamError::DimensionMismatch(
-                "empty fused reconstruction batch".into(),
-            ));
+            return Err(Refusal::Shape { got: 0, want: 1 }.into());
         }
         let TailScratch {
             strip,
@@ -526,12 +510,8 @@ impl QuantizedTail {
             // collection, keeping the serving hot path allocation-free.
             layer.try_matmul_bias_act_from_rows(
                 batch,
-                |r, dst| {
-                    let payload = payloads.next().ok_or_else(|| {
-                        SplitBeamError::DimensionMismatch(format!(
-                            "fused batch declared {batch} payloads, iterator yielded {r}"
-                        ))
-                    })?;
+                |got, dst| {
+                    let payload = payloads.next().ok_or(Refusal::Shape { got, want: batch })?;
                     check_shape(payload, self.bottleneck)?;
                     codes_to_u7(payload, dst)
                 },
@@ -540,9 +520,8 @@ impl QuantizedTail {
                 kernel,
             )?;
             if payloads.next().is_some() {
-                return Err(SplitBeamError::DimensionMismatch(format!(
-                    "fused batch declared {batch} payloads, iterator yielded more than {batch}"
-                )));
+                let got = batch + 1;
+                return Err(Refusal::Shape { got, want: batch }.into());
             }
         }
         Ok(())
@@ -704,17 +683,19 @@ mod tests {
         // A declared batch smaller or larger than the iterator is an error,
         // never a silent truncation.
         let payloads = payloads_for(&m, 3, 8);
-        for declared in [2usize, 5] {
-            assert!(
-                matches!(
-                    m.reconstruct_quantized_batch_iter_into(
-                        payloads.iter(),
-                        declared,
-                        &mut scratch,
-                        Kernel::Scalar,
-                    ),
-                    Err(SplitBeamError::DimensionMismatch(_))
-                ),
+        for (declared, got) in [(2usize, 3), (5, 3)] {
+            assert_eq!(
+                m.reconstruct_quantized_batch_iter_into(
+                    payloads.iter(),
+                    declared,
+                    &mut scratch,
+                    Kernel::Scalar,
+                )
+                .err(),
+                Some(SplitBeamError::DimensionMismatch(Refusal::Shape {
+                    got,
+                    want: declared
+                })),
                 "declared {declared} vs 3 yielded must error"
             );
         }
@@ -946,27 +927,20 @@ mod tests {
                 .collect(),
         };
         let good = payload(4, -0.5, 0.5, 15);
+        let code = |code, bits| Refusal::Code { code, bits };
+        let width = |bits| Refusal::BitWidth(bits);
         let refused = [
-            (payload(4, -0.5, 0.5, 16), "code 16 does not fit 4 bits"),
-            (payload(7, -0.5, 0.5, 128), "code 128 does not fit 7 bits"),
-            (payload(8, -0.5, 0.5, 256), "code 256 does not fit 8 bits"),
-            (
-                payload(12, -0.5, 0.5, 4096),
-                "code 4096 does not fit 12 bits",
-            ),
-            (payload(0, -0.5, 0.5, 0), "bits_per_value outside 1..=16: 0"),
-            (
-                payload(17, -0.5, 0.5, 1),
-                "bits_per_value outside 1..=16: 17",
-            ),
-            (
-                payload(32, -0.5, 0.5, 1),
-                "bits_per_value outside 1..=16: 32",
-            ),
+            (payload(4, -0.5, 0.5, 16), code(16, 4)),
+            (payload(7, -0.5, 0.5, 128), code(128, 7)),
+            (payload(8, -0.5, 0.5, 256), code(256, 8)),
+            (payload(12, -0.5, 0.5, 4096), code(4096, 12)),
+            (payload(0, -0.5, 0.5, 0), width(0)),
+            (payload(17, -0.5, 0.5, 1), width(17)),
+            (payload(32, -0.5, 0.5, 1), width(32)),
         ];
         let mut scratch = TailScratch::new();
         for (bad, why) in &refused {
-            let want = SplitBeamError::DimensionMismatch(why.to_string());
+            let want = SplitBeamError::DimensionMismatch(*why);
             for batch in [vec![bad], vec![&good, bad]] {
                 let rows = batch.len();
                 for kern in kernels() {

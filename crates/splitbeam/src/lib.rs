@@ -77,32 +77,95 @@ pub use model::SplitBeamModel;
 /// Errors produced by the SplitBeam pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SplitBeamError {
-    /// Input dimensions do not match the model's configuration.
-    DimensionMismatch(String),
+    /// Input dimensions, a frame's header or a payload do not match the
+    /// model's configuration or the wire format: why, as a [`Refusal`].
+    DimensionMismatch(Refusal),
     /// The heuristic BOP search exhausted every candidate without satisfying
     /// the constraints.
     ConstraintsUnsatisfiable(String),
     /// A wire frame failed its CRC-32 integrity check: the bytes were damaged
-    /// in flight and must not be decoded into plausible garbage.
-    CorruptFrame(String),
+    /// in flight and must not be decoded into plausible garbage. Carries the
+    /// [`Refusal::Crc`] pair.
+    CorruptFrame(Refusal),
+}
+
+impl From<Refusal> for SplitBeamError {
+    fn from(why: Refusal) -> Self {
+        SplitBeamError::DimensionMismatch(why)
+    }
 }
 
 impl std::fmt::Display for SplitBeamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SplitBeamError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
+            SplitBeamError::DimensionMismatch(why) => write!(f, "dimension mismatch: {why}"),
             SplitBeamError::ConstraintsUnsatisfiable(msg) => {
                 write!(
                     f,
                     "bottleneck optimization constraints unsatisfiable: {msg}"
                 )
             }
-            SplitBeamError::CorruptFrame(msg) => write!(f, "corrupt wire frame: {msg}"),
+            SplitBeamError::CorruptFrame(why) => write!(f, "corrupt wire frame: {why}"),
         }
     }
 }
 
 impl std::error::Error for SplitBeamError {}
+
+/// Why a frame, a payload or an input was refused: a value, built where the
+/// check fails and formatted only when someone prints it, so refusing
+/// hostile traffic allocates nothing. `BitWidth`, `Range` and `Length` name
+/// a header field and the value it held.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Refusal {
+    /// The frame is shorter than the v2 header plus trailer.
+    Truncated { len: usize, floor: usize },
+    /// The frame opens with an octet that is not [`wire::WIRE_VERSION`].
+    Version(u8),
+    /// A quantizer width outside `1..=16`, or not the station's.
+    BitWidth(u8),
+    /// A quantization range with a non-finite end.
+    Range { min: f32, max: f32 },
+    /// A frame length other than its declared code count and width make.
+    Length { len: usize, count: usize, bits: u8 },
+    /// A code past its quantizer width.
+    Code { code: u16, bits: u8 },
+    /// A payload's code count against the model's bottleneck width.
+    CodeCount { got: usize, want: usize },
+    /// The CRC-32 trailer disagrees with the frame's contents.
+    Crc { stored: u32, computed: u32 },
+    /// An input, output or batch of the wrong size. An empty batch reads
+    /// `got: 0, want: 1`; one whose iterator runs long, `got: want + 1`.
+    Shape { got: usize, want: usize },
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Refusal::Truncated { len, floor } => write!(
+                f,
+                "wire frame of {len} bytes is shorter than the {floor}-byte v2 header+trailer"
+            ),
+            Refusal::Version(octet) => write!(f, "unknown wire frame version octet {octet:#04x}"),
+            Refusal::BitWidth(bits) => write!(f, "invalid bits_per_value {bits}"),
+            Refusal::Range { min, max } => write!(f, "non-finite quantization range {min}..{max}"),
+            Refusal::Length { len, count, bits } => write!(
+                f,
+                "wire frame is {len} bytes, header declares {count} codes x {bits} bits = {} bytes",
+                wire::encoded_len(count, bits)
+            ),
+            Refusal::Code { code, bits } => write!(f, "code {code} does not fit {bits} bits"),
+            Refusal::CodeCount { got, want } => {
+                write!(f, "payload carries {got} codes, bottleneck width is {want}")
+            }
+            Refusal::Crc { stored, computed } => write!(
+                f,
+                "CRC-32 mismatch: trailer {stored:#010x}, contents {computed:#010x}"
+            ),
+            Refusal::Shape { got, want } => write!(f, "got {got} values, want {want}"),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -110,12 +173,18 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert!(
-            format!("{}", SplitBeamError::DimensionMismatch("448 vs 224".into())).contains("448")
-        );
+        let shape = SplitBeamError::DimensionMismatch(Refusal::Shape {
+            got: 448,
+            want: 224,
+        });
+        assert!(format!("{shape}").contains("448"));
         assert!(
             format!("{}", SplitBeamError::ConstraintsUnsatisfiable("BER".into())).contains("BER")
         );
-        assert!(format!("{}", SplitBeamError::CorruptFrame("CRC".into())).contains("corrupt"));
+        let crc = Refusal::Crc {
+            stored: 1,
+            computed: 2,
+        };
+        assert!(format!("{}", SplitBeamError::CorruptFrame(crc)).contains("corrupt"));
     }
 }

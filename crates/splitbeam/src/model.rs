@@ -2,7 +2,7 @@
 
 use crate::config::SplitBeamConfig;
 use crate::quantization::{dequantize_bottleneck, quantize_bottleneck, QuantizedFeedback};
-use crate::SplitBeamError;
+use crate::{Refusal, SplitBeamError};
 use mimo_math::kernel::packed::PackedWidth;
 use mimo_math::CMatrix;
 use neural::network::Network;
@@ -124,9 +124,7 @@ impl SplitBeamModel {
     /// # Errors
     /// Returns [`SplitBeamError::DimensionMismatch`] when the input width is wrong.
     pub fn compress(&self, csi_real: &[f32]) -> Result<Vec<f32>, SplitBeamError> {
-        self.head
-            .predict(csi_real)
-            .map_err(|e| SplitBeamError::DimensionMismatch(e.to_string()))
+        predict(&self.head, csi_real)
     }
 
     /// **Station side**: compresses and quantizes the CSI into the over-the-air
@@ -142,9 +140,7 @@ impl SplitBeamModel {
         bits_per_value: u8,
     ) -> Result<QuantizedFeedback, SplitBeamError> {
         if !(1..=16).contains(&bits_per_value) {
-            return Err(SplitBeamError::DimensionMismatch(format!(
-                "bits_per_value {bits_per_value} outside the encodable 1..=16 range"
-            )));
+            return Err(Refusal::BitWidth(bits_per_value).into());
         }
         let bottleneck = self.compress(csi_real)?;
         Ok(quantize_bottleneck(&bottleneck, bits_per_value))
@@ -156,9 +152,7 @@ impl SplitBeamModel {
     /// # Errors
     /// Returns [`SplitBeamError::DimensionMismatch`] when the bottleneck width is wrong.
     pub fn reconstruct(&self, bottleneck: &[f32]) -> Result<Vec<f32>, SplitBeamError> {
-        self.tail
-            .predict(bottleneck)
-            .map_err(|e| SplitBeamError::DimensionMismatch(e.to_string()))
+        predict(&self.tail, bottleneck)
     }
 
     /// **AP side**: dequantizes a received payload and reconstructs the feedback.
@@ -192,12 +186,8 @@ impl SplitBeamModel {
         let subcarriers = self.config.mimo.subcarriers();
         let per_sc = 2 * nt * nss;
         if flat.len() != per_sc * subcarriers {
-            return Err(SplitBeamError::DimensionMismatch(format!(
-                "feedback length {} does not match {} subcarriers x {} values",
-                flat.len(),
-                subcarriers,
-                per_sc
-            )));
+            let (got, want) = (flat.len(), per_sc * subcarriers);
+            return Err(Refusal::Shape { got, want }.into());
         }
         let mut out = Vec::with_capacity(subcarriers);
         for s in 0..subcarriers {
@@ -264,6 +254,14 @@ impl SplitBeamModel {
         let flat = self.reconstruct_quantized(&payload)?;
         self.feedback_to_matrices(&flat)
     }
+}
+
+/// `net` on one input row; the one way it fails is a width other than its
+/// input's.
+fn predict(net: &Network, input: &[f32]) -> Result<Vec<f32>, SplitBeamError> {
+    let (got, want) = (input.len(), net.input_dim());
+    net.predict(input)
+        .map_err(|_| Refusal::Shape { got, want }.into())
 }
 
 #[cfg(test)]

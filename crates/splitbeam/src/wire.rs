@@ -36,7 +36,7 @@
 //! the number of codes ambiguous for widths that do not divide 8.
 
 use crate::quantization::QuantizedFeedback;
-use crate::SplitBeamError;
+use crate::{Refusal, SplitBeamError};
 use dot11_bfi::bits::{BitReader, BitWriter};
 use mimo_math::kernel;
 use mimo_math::Backend;
@@ -261,45 +261,34 @@ pub fn encode_feedback_with_seq(
     payload: &QuantizedFeedback,
     seq: u16,
 ) -> Result<Vec<u8>, SplitBeamError> {
-    let bits = check_encodable(payload)?;
+    let bits = payload.bits_per_value;
+    if !(1..=16).contains(&bits) {
+        return Err(Refusal::BitWidth(bits).into());
+    }
+    let (got, want) = (payload.codes.len(), usize::from(u16::MAX));
+    if got > want {
+        return Err(Refusal::Shape { got, want }.into());
+    }
     let max_code = ((1u32 << bits) - 1) as u16;
     let mut writer = BitWriter::with_capacity_bits(
-        WIRE_HEADER_BITS + payload.codes.len() * bits as usize + WIRE_TRAILER_BITS,
+        WIRE_HEADER_BITS + got * usize::from(bits) + WIRE_TRAILER_BITS,
     );
     writer.push(u32::from(WIRE_VERSION), 8);
-    writer.push(u32::from(payload.bits_per_value), 8);
+    writer.push(u32::from(bits), 8);
     writer.push(u32::from(seq), 16);
-    writer.push(payload.codes.len() as u32, 16);
+    writer.push(got as u32, 16);
     writer.push(payload.min.to_bits(), 32);
     writer.push(payload.max.to_bits(), 32);
-    for (i, &code) in payload.codes.iter().enumerate() {
+    for &code in &payload.codes {
         if code > max_code {
-            return Err(SplitBeamError::DimensionMismatch(format!(
-                "code {code} at index {i} does not fit in {bits} bits"
-            )));
+            return Err(Refusal::Code { code, bits }.into());
         }
-        writer.push(u32::from(code), bits);
+        writer.push(u32::from(code), u32::from(bits));
     }
     let mut frame = writer.finish();
     let crc = crc32(&frame);
     frame.extend_from_slice(&crc.to_be_bytes());
     Ok(frame)
-}
-
-fn check_encodable(payload: &QuantizedFeedback) -> Result<u32, SplitBeamError> {
-    if !(1..=16).contains(&payload.bits_per_value) {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "bits_per_value {} outside the encodable 1..=16 range",
-            payload.bits_per_value
-        )));
-    }
-    if payload.codes.len() > u16::MAX as usize {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "{} codes exceed the wire format's u16 count field",
-            payload.codes.len()
-        )));
-    }
-    Ok(u32::from(payload.bits_per_value))
 }
 
 /// Decodes a wire frame back into the quantized payload.
@@ -351,18 +340,12 @@ pub fn decode_feedback_into(
 }
 
 fn decode_inner(frame: &[u8], payload: &mut QuantizedFeedback) -> Result<(), SplitBeamError> {
-    if frame.first() != Some(&WIRE_VERSION) {
-        return Err(SplitBeamError::DimensionMismatch(match frame.first() {
-            Some(first) => format!("unknown wire frame version octet {first:#04x}"),
-            None => "empty wire frame".into(),
-        }));
-    }
     let floor = WIRE_HEADER_BYTES + WIRE_TRAILER_BYTES;
-    if frame.len() < floor {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "wire frame of {} bytes is shorter than the {floor}-byte v2 header+trailer",
-            frame.len()
-        )));
+    let len = frame.len();
+    match frame.first() {
+        Some(&WIRE_VERSION) if len >= floor => {}
+        Some(&WIRE_VERSION) | None => return Err(Refusal::Truncated { len, floor }.into()),
+        Some(&octet) => return Err(Refusal::Version(octet).into()),
     }
     // Verify the CRC before trusting any header field: a corrupted frame must
     // surface as CorruptFrame, never as a misleading field-level error.
@@ -374,48 +357,34 @@ fn decode_inner(frame: &[u8], payload: &mut QuantizedFeedback) -> Result<(), Spl
     );
     let computed = crc32(body);
     if stored != computed {
-        return Err(SplitBeamError::CorruptFrame(format!(
-            "CRC-32 mismatch: trailer {stored:#010x}, contents {computed:#010x}"
-        )));
+        let crc = Refusal::Crc { stored, computed };
+        return Err(SplitBeamError::CorruptFrame(crc));
     }
     let mut reader = BitReader::new(body);
     // The length floor above guarantees every header pull succeeds.
     let _version = reader.pull(8).expect("length checked");
-    let bits_per_value = reader.pull(8).expect("length checked") as u8;
+    let bits = reader.pull(8).expect("length checked") as u8;
     let _seq = reader.pull(16).expect("length checked");
     let count = reader.pull(16).expect("length checked") as usize;
     let min = f32::from_bits(reader.pull(32).expect("length checked"));
     let max = f32::from_bits(reader.pull(32).expect("length checked"));
-    check_fields(bits_per_value, min, max)?;
-    let expected_len = encoded_len(count, bits_per_value);
-    if frame.len() != expected_len {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "wire frame is {} bytes, header declares {count} codes x {bits_per_value} bits = {expected_len} bytes",
-            frame.len()
-        )));
+    if !(1..=16).contains(&bits) {
+        return Err(Refusal::BitWidth(bits).into());
     }
-    payload.bits_per_value = bits_per_value;
+    if !min.is_finite() || !max.is_finite() {
+        return Err(Refusal::Range { min, max }.into());
+    }
+    if len != encoded_len(count, bits) {
+        return Err(Refusal::Length { len, count, bits }.into());
+    }
+    payload.bits_per_value = bits;
     payload.min = min;
     payload.max = max;
     payload.codes.clear();
     // Length was validated above; the bulk pull cannot fail.
     reader
-        .pull_u16s_into(u32::from(bits_per_value), count, &mut payload.codes)
+        .pull_u16s_into(u32::from(bits), count, &mut payload.codes)
         .expect("frame length validated against declared code count");
-    Ok(())
-}
-
-fn check_fields(bits_per_value: u8, min: f32, max: f32) -> Result<(), SplitBeamError> {
-    if !(1..=16).contains(&bits_per_value) {
-        return Err(SplitBeamError::DimensionMismatch(format!(
-            "invalid bits_per_value {bits_per_value} in wire header"
-        )));
-    }
-    if !min.is_finite() || !max.is_finite() {
-        return Err(SplitBeamError::DimensionMismatch(
-            "non-finite quantization range in wire header".into(),
-        ));
-    }
     Ok(())
 }
 
@@ -588,40 +557,43 @@ mod tests {
     #[test]
     fn crafted_invalid_header_fields_rejected() {
         // A hostile sender can seal arbitrary header fields behind a valid
-        // CRC; field validation must still catch them (as DimensionMismatch,
-        // since the frame is intact — just inconsistent).
+        // CRC; field validation must still catch them, each as its own
+        // field (the frame is intact — just inconsistent).
         let payload = quantize_bottleneck(&sample_values(4), 8);
-        let mut zero_bpv = encode_feedback(&payload).unwrap();
-        zero_bpv[1] = 0;
-        refresh_crc(&mut zero_bpv);
-        assert!(matches!(
-            decode_feedback(&zero_bpv),
-            Err(SplitBeamError::DimensionMismatch(_))
-        ));
-        let mut wide_bpv = encode_feedback(&payload).unwrap();
-        wide_bpv[1] = 17;
-        refresh_crc(&mut wide_bpv);
-        assert!(matches!(
-            decode_feedback(&wide_bpv),
-            Err(SplitBeamError::DimensionMismatch(_))
-        ));
-        let mut nan_range = encode_feedback(&payload).unwrap();
-        nan_range[6..10].copy_from_slice(&f32::NAN.to_bits().to_be_bytes());
-        refresh_crc(&mut nan_range);
-        assert!(matches!(
-            decode_feedback(&nan_range),
-            Err(SplitBeamError::DimensionMismatch(_))
-        ));
+        let sealed = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut frame = encode_feedback(&payload).unwrap();
+            edit(&mut frame);
+            refresh_crc(&mut frame);
+            decode_feedback(&frame)
+        };
+        let refused = |why| Err(SplitBeamError::DimensionMismatch(why));
+        assert_eq!(sealed(&|f| f[1] = 0), refused(Refusal::BitWidth(0)));
+        assert_eq!(sealed(&|f| f[1] = 17), refused(Refusal::BitWidth(17)));
+        let nan = sealed(&|f| f[6..10].copy_from_slice(&f32::NAN.to_bits().to_be_bytes()));
+        assert!(
+            matches!(
+                nan,
+                Err(SplitBeamError::DimensionMismatch(Refusal::Range { min, max }))
+                    if min.is_nan() && max == payload.max
+            ),
+            "{nan:?}"
+        );
+        let (len, bits) = (encoded_len(4, 8), 8);
+        let count = 5;
+        assert_eq!(
+            sealed(&|f| f[4..6].copy_from_slice(&5u16.to_be_bytes())),
+            refused(Refusal::Length { len, count, bits })
+        );
         // Any version octet other than 0xB5 — a width the CRC-less
         // pre-versioned layout opened with included — is unknown, however
         // well-formed the rest of the frame.
         for version in [0x42, 8] {
             let mut bad_version = encode_feedback(&payload).unwrap();
             bad_version[0] = version;
-            assert!(matches!(
+            assert_eq!(
                 decode_feedback(&bad_version),
-                Err(SplitBeamError::DimensionMismatch(msg)) if msg.contains("version octet")
-            ));
+                Err(SplitBeamError::DimensionMismatch(Refusal::Version(version)))
+            );
         }
     }
 

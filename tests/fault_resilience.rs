@@ -1,6 +1,7 @@
 //! Robustness suite for the fault-injection layer: a deterministic fuzz
-//! harness (seeded shims RNG, no cargo-fuzz) over the wire codec and every
-//! server flavor's ingest path, fault-plan determinism across close modes,
+//! harness (seeded shims RNG, no cargo-fuzz) over the wire codec and the
+//! ingest of one-shard, four-shard and streaming servers, asserting the
+//! refusal each mutation yields, fault-plan determinism across close modes,
 //! shard counts and both `SPLITBEAM_KERNEL` backends under a bursty
 //! (Gilbert–Elliott) plan, and graceful degradation as the fault level rises.
 //! (An armed injector over a fault-free plan being inert is the lockstep rows
@@ -9,7 +10,7 @@
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use splitbeam::wire;
-use splitbeam::SplitBeamError;
+use splitbeam::{Refusal, SplitBeamError};
 use splitbeam_hwsim::fault::FaultConfig;
 use splitbeam_serve::driver::{
     build_sharded_server, generate_traffic, serve_traffic, RoundServing, ServeMode, SimConfig,
@@ -29,49 +30,120 @@ fn fuzz_budget() -> usize {
         .unwrap_or(100_000)
 }
 
-/// One fuzzed frame: arbitrary bytes, or a valid v2 frame put through
-/// truncation, bit flips, or header mutation.
-fn mutate_frame(rng: &mut ChaCha8Rng, valid: &[Vec<u8>]) -> Vec<u8> {
-    match rng.gen_range(0u32..4) {
+/// What `decode_feedback` makes of a frame: it decodes, or the kind of its
+/// refusal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Decodes,
+    Truncated,
+    Version,
+    BitWidth,
+    Range,
+    Length,
+    Crc,
+    /// A refusal no frame may yield.
+    Other,
+}
+
+fn kind_of(e: &SplitBeamError) -> Kind {
+    match e {
+        SplitBeamError::DimensionMismatch(why) | SplitBeamError::CorruptFrame(why) => match why {
+            Refusal::Truncated { .. } => Kind::Truncated,
+            Refusal::Version(_) => Kind::Version,
+            Refusal::BitWidth(_) => Kind::BitWidth,
+            Refusal::Range { .. } => Kind::Range,
+            Refusal::Length { .. } => Kind::Length,
+            Refusal::Crc { .. } => Kind::Crc,
+            _ => Kind::Other,
+        },
+        SplitBeamError::ConstraintsUnsatisfiable(_) => Kind::Other,
+    }
+}
+
+/// What decoding a frame that was changed without resealing must yield,
+/// given `base`, the valid frame it was made from: an unchanged frame
+/// decodes, an empty one or a v2 frame cut below the header+trailer floor is
+/// truncated, any other opening octet is an unknown version, and past that
+/// the CRC — checked before any field is read — catches every change.
+fn unsealed(frame: &[u8], base: &[u8]) -> Kind {
+    let floor = wire::WIRE_HEADER_BYTES + wire::WIRE_TRAILER_BYTES;
+    match frame.first() {
+        _ if frame == base => Kind::Decodes,
+        None => Kind::Truncated,
+        Some(&octet) if octet != wire::WIRE_VERSION => Kind::Version,
+        Some(_) if frame.len() < floor => Kind::Truncated,
+        Some(_) => Kind::Crc,
+    }
+}
+
+/// One fuzzed frame and what decoding it must yield: arbitrary bytes, or a
+/// valid v2 frame put through truncation, bit flips, header rewrites, or one
+/// header field rewritten to a value no frame carries and resealed.
+fn mutate_frame(rng: &mut ChaCha8Rng, valid: &[Vec<u8>]) -> (Vec<u8>, Kind) {
+    let base = &valid[rng.gen_range(0..valid.len())];
+    let mut frame = base.clone();
+    match rng.gen_range(0u32..5) {
         // Arbitrary bytes, length 0..192.
         0 => {
-            let len = rng.gen_range(0usize..192);
-            let mut frame = vec![0u8; len];
+            frame.resize(rng.gen_range(0usize..192), 0);
             rng.fill_bytes(&mut frame);
-            frame
         }
         // Truncation (possibly to zero) of a valid frame.
-        1 => {
-            let base = &valid[rng.gen_range(0..valid.len())];
-            let len = rng.gen_range(0..base.len());
-            base[..len].to_vec()
-        }
+        1 => frame.truncate(rng.gen_range(0..base.len())),
         // 1..=8 random bit flips anywhere in a valid frame.
         2 => {
-            let mut frame = valid[rng.gen_range(0..valid.len())].clone();
             for _ in 0..rng.gen_range(1usize..=8) {
                 let bit = rng.gen_range(0..frame.len() * 8);
                 frame[bit / 8] ^= 1 << (bit % 8);
             }
-            frame
         }
         // Header-targeted mutation: rewrite 1..=4 of the first 14 bytes.
-        _ => {
-            let mut frame = valid[rng.gen_range(0..valid.len())].clone();
+        3 => {
             for _ in 0..rng.gen_range(1usize..=4) {
                 let idx = rng.gen_range(0..frame.len().min(14));
                 frame[idx] = rng.gen_range(0u32..256) as u8;
             }
-            frame
+        }
+        // One field rewritten and resealed: the CRC passes, the field does not.
+        _ => {
+            let kind = match rng.gen_range(0u32..3) {
+                0 => {
+                    frame[1] = [0, rng.gen_range(17u32..256) as u8][rng.gen_range(0usize..2)];
+                    Kind::BitWidth
+                }
+                1 => {
+                    let ends = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+                    let at = [6, 10][rng.gen_range(0usize..2)];
+                    let end = ends[rng.gen_range(0..ends.len())];
+                    frame[at..at + 4].copy_from_slice(&end.to_bits().to_be_bytes());
+                    Kind::Range
+                }
+                _ => {
+                    let bits = frame[1];
+                    let count = loop {
+                        let count = rng.gen_range(0u32..=u32::from(u16::MAX)) as u16;
+                        if wire::encoded_len(usize::from(count), bits) != frame.len() {
+                            break count;
+                        }
+                    };
+                    frame[4..6].copy_from_slice(&count.to_be_bytes());
+                    Kind::Length
+                }
+            };
+            assert!(wire::refresh_crc(&mut frame));
+            return (frame, kind);
         }
     }
+    let kind = unsealed(&frame, base);
+    (frame, kind)
 }
 
 /// ≥ 100k deterministic mutated/arbitrary frames through `decode_feedback`
-/// and `ingest_wire` on every server flavor: no panics, nothing but a
-/// pristine frame decodes (there is no CRC-less layout to fall into), and the
-/// error taxonomy stays within the documented `SplitBeamError`/`ServeError`
-/// variants.
+/// and `ingest_wire` on a one-shard, a four-shard and a streaming server: no
+/// panics, nothing but a pristine frame decodes (there is no CRC-less layout
+/// to fall into), each mutation yields the refusal its class must, and a
+/// server refuses a frame for the reason the decoder does — or, for a frame
+/// that decodes, because it does not fit the station's session.
 #[test]
 fn fuzz_decode_and_ingest_survive_hostile_frames() {
     let m = model(606);
@@ -82,11 +154,12 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
         .map(|(seed, bits)| station_frame(&m, seed, bits))
         .collect();
 
-    // Every server flavor the repo ships: single-shard batched/serial share
-    // one ingest path, plus sharded at 1 and 4.
+    // One shard, four, and a one-shard server ingesting onto its lane's ring
+    // (a full ring refuses with `Backpressure`; only that server may).
     let mut flat = build_sharded_server(m.clone(), 2, 8, 1);
-    let mut sharded1 = build_sharded_server(m.clone(), 2, 8, 1);
     let mut sharded4 = build_sharded_server(m.clone(), 2, 8, 4);
+    let mut streaming = build_sharded_server(m.clone(), 2, 8, 1);
+    streaming.set_streaming(true);
 
     let budget = fuzz_budget();
     let mut rejected_corrupt = 0usize;
@@ -95,14 +168,18 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
     // `[bpv][count][min][max]` — goes first: chance needs millions of frames.
     let pre_versioned = vec![8, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0xAB];
     for i in 0..budget {
-        let frame = match i {
-            0 => pre_versioned.clone(),
+        let (frame, want) = match i {
+            0 => (pre_versioned.clone(), Kind::Version),
             _ => mutate_frame(&mut rng, &valid),
         };
         let is_pristine = valid.iter().any(|v| v == &frame);
 
-        // Decode taxonomy: a frame that decodes is pristine.
-        match wire::decode_feedback(&frame) {
+        // Decode taxonomy: a frame that decodes is pristine, and a refused
+        // one is refused for its mutation class's reason.
+        let decoded = wire::decode_feedback(&frame);
+        let got = decoded.as_ref().err().map_or(Kind::Decodes, kind_of);
+        assert_eq!(got, want, "iteration {i}: {decoded:?} for {frame:?}");
+        match &decoded {
             Ok(_) => {
                 decoded_ok += 1;
                 assert!(
@@ -110,34 +187,41 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
                     "a damaged or arbitrary frame decoded at iteration {i}: {frame:?}"
                 );
             }
-            Err(SplitBeamError::CorruptFrame(_)) => {
+            Err(SplitBeamError::CorruptFrame(why)) => {
                 rejected_corrupt += 1;
-                assert_eq!(
-                    frame.first(),
-                    Some(&0xB5),
-                    "CorruptFrame is reserved for CRC-bearing v2 frames"
-                );
+                assert!(matches!(why, Refusal::Crc { .. }), "{why:?}");
             }
-            Err(SplitBeamError::DimensionMismatch(_)) => {}
-            Err(other) => panic!("unexpected decode error class at iteration {i}: {other}"),
+            Err(_) => assert!(!matches!(got, Kind::Crc | Kind::Other), "{decoded:?}"),
         }
 
-        // Ingest on every flavor: must not panic, must stay within the serve
-        // error taxonomy, and must keep the session machinery alive.
+        // Ingest on every server: must not panic, must refuse for the
+        // decoder's reason, and must keep the session machinery alive.
         let id = (i % 2) as u64;
-        for result in [
-            flat.ingest_wire(id, &frame),
-            RoundServing::ingest_wire(&mut sharded1, id, &frame),
-            RoundServing::ingest_wire(&mut sharded4, id, &frame),
+        for (result, lane) in [
+            (flat.ingest_wire(id, &frame), false),
+            (RoundServing::ingest_wire(&mut sharded4, id, &frame), false),
+            (RoundServing::ingest_wire(&mut streaming, id, &frame), true),
         ] {
             match result {
-                Ok(_) => {}
-                Err(
-                    ServeError::Corrupt(_, _)
-                    | ServeError::Codec(_)
-                    | ServeError::Quarantined(_)
-                    | ServeError::DuplicateFrame(_, _),
-                ) => {}
+                Ok(_) => assert!(decoded.is_ok(), "iteration {i}: ingested {decoded:?}"),
+                Err(ServeError::Corrupt(_, why)) => {
+                    assert_eq!(
+                        decoded,
+                        Err(SplitBeamError::CorruptFrame(why)),
+                        "iteration {i}"
+                    );
+                }
+                // A frame that decodes is refused for not fitting the
+                // session: a width other than the one announced.
+                Err(ServeError::Codec(e)) => match &decoded {
+                    Ok(_) => assert!(
+                        matches!(e, SplitBeamError::DimensionMismatch(Refusal::BitWidth(_))),
+                        "iteration {i}: {e:?}"
+                    ),
+                    Err(_) => assert_eq!(kind_of(&e), got, "iteration {i}: {e:?}"),
+                },
+                Err(ServeError::Quarantined(_) | ServeError::DuplicateFrame(_, _)) => {}
+                Err(ServeError::Backpressure(..)) if lane => {}
                 Err(other) => panic!("unexpected ingest error at iteration {i}: {other}"),
             }
         }
@@ -145,8 +229,8 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
         // under fire.
         if i % 257 == 0 {
             flat.process_round().unwrap();
-            RoundServing::close_round(&mut sharded1, ServeMode::Batched).unwrap();
             RoundServing::close_round(&mut sharded4, ServeMode::Batched).unwrap();
+            RoundServing::close_round(&mut streaming, ServeMode::Batched).unwrap();
         }
     }
     assert!(
@@ -155,14 +239,12 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
     );
     assert!(decoded_ok > 0, "pristine frames in the mix must decode");
 
-    // The servers are still serviceable after the bombardment: a clean frame
-    // is either accepted or (legitimately) refused because the fuzz run
-    // quarantined the station.
-    for result in [
-        flat.ingest_wire(0, &valid[0]),
-        RoundServing::ingest_wire(&mut sharded1, 0, &valid[0]),
-        RoundServing::ingest_wire(&mut sharded4, 0, &valid[0]),
-    ] {
+    // The servers are still serviceable after the bombardment: after a close
+    // (which empties the ring), a clean frame is either accepted or
+    // (legitimately) refused because the fuzz run quarantined the station.
+    for server in [&mut flat, &mut sharded4, &mut streaming] {
+        RoundServing::close_round(server, ServeMode::Batched).unwrap();
+        let result = RoundServing::ingest_wire(server, 0, &valid[2]);
         assert!(
             matches!(result, Ok(_) | Err(ServeError::Quarantined(_))),
             "server no longer serviceable after fuzzing: {result:?}"
