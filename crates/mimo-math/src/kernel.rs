@@ -48,12 +48,13 @@ use std::sync::OnceLock;
 
 /// Dispatches a run-time count — a packed tile's rows ([`packed`], [`int8`])
 /// or a one-row block's vectors ([`dense`]) — to its const-generic register
-/// tile; `tile::<_, FLAG>(..)` passes one more const argument through.
+/// tile; `tile::<_, SKIP, CARRY>(..)` passes two more const arguments
+/// through.
 #[cfg(target_arch = "x86_64")]
 macro_rules! tile_by_rows {
-    ($tile:ident::<_, $flag:literal> $args:tt, $mr:expr, [$($rows:literal)*]) => {
+    ($tile:ident::<_, $f1:literal, $f2:literal> $args:tt, $mr:expr, [$($rows:literal)*]) => {
         match $mr {
-            $($rows => $tile::<$rows, $flag> $args,)*
+            $($rows => $tile::<$rows, $f1, $f2> $args,)*
             _ => unreachable!("tile larger than the register tile"),
         }
     };

@@ -3,10 +3,10 @@
 //!
 //! | entry | computes | a part | arm under `avx2_fma` |
 //! |---|---|---|---|
-//! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | one `NR`-column panel from two rows on, else a thread's share of the columns | the packed tail's register tile over the whole depth from two rows on, the last panel masked; for one row, the one-row tile over whole-row segments of `b` |
-//! | [`gemm_at_b_update_f32`] | `w` moved by a [`Rule`] of `aᵀ · g`: a training step's weights, with no gradient buffer | one row tile of `w` | the same tile over the transposed input and the packed gradient, storing into a stack block that the rule's sweep consumes with the tile's rows of `w` and its moments |
+//! | [`gemm_f32`] | `out = a · b`: the forward pass, the batch-1 head, the per-payload oracle | a thread's share of the columns: whole panels from two rows on, whole lines for one row | from two rows on, the packed tail's register tile over 32-row `k`-blocks of the row-major `b`, the chains carried between blocks in a stack block of the share's own, the last panel masked; for one row, the one-row tile over whole-row segments of `b` |
+//! | [`gemm_at_b_update_f32`] | `w` moved by a [`Rule`] of `aᵀ · g`: a training step's weights, with no gradient buffer | one row tile of `w` | the same tile over the transposed input and the packed gradient, storing the row tile's gradient, whole rows of it where they fit, into a stack block that one sweep of the rule consumes with the tile's rows of `w` and its moments |
 //! | `gemm_at_b_f32` | `out = aᵀ · g`: the weight gradient in memory (the tests' oracle, behind `reference`) | one row tile of `out` | as above, with a copy in place of the rule |
-//! | [`gemm_a_bt_f32`] | `out = a · bᵀ`: the input gradient | 16 columns of `out` | one [`sdot`] an element |
+//! | [`gemm_a_bt_f32`] | `out = a · bᵀ`: the input gradient | 16 columns of `out` | a 4 x 2 register tile of [`sdot`] chains under `avx512f`, else one [`sdot`] an element |
 //! | [`update_f32`] | a [`Rule`]'s update from a gradient in memory: the biases | none: one sweep on the caller | the rule's scalar loop, compiled for `avx512f` (else `avx2`) |
 //!
 //! A product hands its parts out from 2^19 multiply-adds (the packed tail's
@@ -19,9 +19,10 @@
 //! The update in [`gemm_at_b_update_f32`] is worth fusing for its bytes, not
 //! its arithmetic: Adam runs ≈ 1 ns a parameter a core (its divisions and
 //! square root), in L1 and from DRAM alike, and the fused step saves the
-//! gradient's store and re-read — ≈ 0.4 ms of the 2.2 ms weight gradient +
-//! Adam of a 4356 x 545 layer at batch 16 on two AVX-512 cores — and a
-//! gradient buffer the layer's size.
+//! gradient's store and re-read and a gradient buffer the layer's size. Its
+//! sweep runs over whole rows of the row tile: run by run, 32 floats a panel,
+//! the same 4356 x 545 layer at batch 16 read 3.9 ms on two AVX-512 cores
+//! against 2.9 ms now, where Adam's sweep alone takes 3.8 ms on one.
 //!
 //! # Exactness
 //!
@@ -33,10 +34,12 @@
 //!   `k` from `+0.0` — fused multiply-adds under `avx2_fma`, a rounded
 //!   multiply and add under `scalar` — that skips exact-zero `a` terms
 //!   except in the forward vector arm, which never did. The tiles hold the
-//!   chain in a register where the scalar walk and a `k`-blocked one-row
-//!   share round-trip it through `out`, which no f32 store changes; the
-//!   panel tile ends with `acc + -0.0`, which is `acc`;
-//! * an input-gradient element is one [`sdot`] call;
+//!   chain in a register within a `k`-block; between blocks the panel walk
+//!   round-trips it through its carry block, and the scalar walk and a
+//!   `k`-blocked one-row share through `out` — no f32 store changes a bit —
+//!   and the panel tile ends with `acc + -0.0`, which is `acc`;
+//! * an input-gradient element is one [`sdot`]: the register tile runs each
+//!   element in `sdot`'s lanes and order;
 //! * an optimizer update is the element-wise expression it always was, in
 //!   IEEE single precision: division and square root are correctly rounded
 //!   in every vector width, and Rust never contracts a multiply and an add
@@ -44,7 +47,9 @@
 //!   over a gradient in memory, or over the runs of one register tile in
 //!   the fused step.
 
-use super::packed::{hand_out, register_tile, unit, Lanes, PackedWidth, Panels, RowBase, Tile};
+use super::packed::{
+    hand_out, register_tile, unit, Lanes, PackedWidth, Panels, RowBase, Tile, TileFn,
+};
 use super::packed::{NO_BIAS, PAR_MIN_MACS};
 use super::{sdot, tune, Backend, Kernel};
 use std::ops::Range;
@@ -53,11 +58,6 @@ use std::ops::Range;
 /// One row runs its own ([`RowBlock`]), which streams whole-row segments of
 /// `b` where a panel reads `n` floats apart — the batch-1 head's bound.
 const TILE_MIN_ROWS: usize = 2;
-
-/// Rows of `b` below the one it multiplies that the row-major tile
-/// prefetches: a panel's column of `b` is `n` floats a row apart, too far
-/// for the hardware's stride prefetcher.
-const AHEAD_ROWS: usize = 16;
 
 /// Rows of `b` each block of a one-row share wider than one block streams
 /// in turn: the rows stay in L2 while every block of the share reads them.
@@ -77,8 +77,9 @@ const BT_COLS: usize = 16;
 /// individually rounded adds and skips exact-zero `a` terms, in the
 /// `k`-blocked walk. The vector arm runs one FMA chain per output element,
 /// also over ascending `k`: from two rows on, an `MR x NR` register tile
-/// holds it over the whole depth for each panel of `NR` columns, the last
-/// one masked; one row takes a one-row register tile of its own. Any
+/// holds it over each 32-row block of `b` for each panel of `NR` columns,
+/// the last one masked, and carries it from block to block; one row takes a
+/// one-row register tile of its own. Any
 /// call shape — whole batch, single row, either path, any part split —
 /// produces bit-identical elements for identical inputs, and so does the
 /// packed tail ([`super::packed::gemm_f32_packed`]) with a zero bias.
@@ -119,11 +120,12 @@ fn forward(
         _ => None,
     };
     let row = row.filter(|_| rows < TILE_MIN_ROWS);
+    // Each thread takes one contiguous share of the columns (the split moves
+    // no bits, so it may follow the pool's width).
+    let threads = pooled.then(rayon::current_num_threads).unwrap_or(1);
     let Some(width) = tile.filter(|_| row.is_none()) else {
-        // The scalar walk and the one-row tile stream rows of `b`: each
-        // thread takes one contiguous share of whole 16-float lines (the
-        // split moves no bits, so it may follow the pool's width).
-        let threads = pooled.then(rayon::current_num_threads).unwrap_or(1);
+        // The scalar walk and the one-row tile stream rows of `b`, in shares
+        // of whole 16-float lines.
         let share = n.div_ceil(threads).next_multiple_of(16).max(16);
         let k_block = tune::params().f32_k_block.max(1);
         hand_out(n.div_ceil(share), pooled, unit, |_, p| {
@@ -135,31 +137,116 @@ fn forward(
         });
         return;
     };
+    // The panel walk, in shares of whole panels.
     let (arm, (mr, nr)) = register_tile(width);
-    // Row tiles of even height: 16 rows are two 8-row zmm tiles.
-    let tall = rows.div_ceil(rows.div_ceil(mr));
-    let out = RowBase::Strided(out.0, n);
-    hand_out(n.div_ceil(nr), pooled, unit, |_, p| {
-        let j0 = p * nr;
-        for r in (0..rows).step_by(tall) {
-            let tile = Tile {
-                a: a[r * m..].as_ptr(),
-                m,
-                panel: b[j0..].as_ptr(),
-                stride: n,
-                ahead: AHEAD_ROWS * n,
-                bias: NO_BIAS.as_ptr(),
-                out: out.tile(r..(r + tall).min(rows), j0),
-                cols: nr.min(n - j0),
-                skip: false,
-            };
-            // SAFETY: `register_tile` feature-checked the arm; `a` holds
-            // `tall.min(rows - r)` rows of `m` from row `r`, `b` `m` rows of
-            // `n >= j0 + cols`, and the tile writes columns `j0..j0 + cols`
-            // of those rows of `out`: panel `p`'s, which no other thread runs.
-            unsafe { arm(tall.min(rows - r), tile) };
-        }
+    let share = n.div_ceil(nr).div_ceil(threads) * nr;
+    hand_out(n.div_ceil(share), pooled, unit, |_, p| {
+        let cols = p * share..((p + 1) * share).min(n);
+        panel_walk((arm, (mr, nr)), (a, b), &out, (rows, m, n), cols);
     });
+}
+
+/// Rows of `b` one `k`-block of [`panel_walk`] streams: a share's block (32
+/// rows of 545 columns is 70 KB) stays in L2 while every panel and row tile
+/// of the share reads it, and a panel's column of it (4 KB) in L1 for the
+/// panel's second row tile. On the 16 x 4356 x 545 forward at one thread
+/// (2-core AVX-512 host) 16 to 64 rows read 1.1–1.8 ms, 128 rows 2.7 ms
+/// and the whole depth 4.9 ms.
+const K_BLOCK: usize = 32;
+
+/// Rows of `out` one group of [`panel_walk`] carries at most: the served
+/// tail's 64-row batch is one group, so each `k`-block of `b` is read once
+/// for all its rows (three groups of 22 read 64 x 545 x 1452 27 % slower in
+/// the benchmark's layer replay).
+const CARRY_ROWS: usize = 64;
+
+/// Floats in the block a share of [`panel_walk`] carries its chains in
+/// between `k`-blocks (64 KB): [`CARRY_ROWS`] rows of 256 columns, 1,024
+/// columns of a 16-row batch.
+const CARRY: usize = CARRY_ROWS * 256;
+
+/// A share's carried chains, on the stack of the thread that runs it: rows
+/// of whole cache lines, private to the share, where carrying them in `out`
+/// would move the line two shares meet in between the cores once a block.
+#[repr(C, align(64))]
+struct Carry(std::mem::MaybeUninit<[f32; CARRY]>);
+
+/// Columns `cols` of a [`gemm_f32`] of two rows or more (a share of whole
+/// panels but the last): each `k`-block of [`K_BLOCK`] rows of `b` is
+/// streamed by every panel and row tile of the share in turn, the chains
+/// carried from block to block in a [`Carry`] of the share's own and copied
+/// to `out` after the last. A depth of one block is stored in `out` at once.
+fn panel_walk(
+    (arm, (mr, nr)): (TileFn, (usize, usize)),
+    (a, b): (&[f32], &[f32]),
+    out: &Lanes<f32>,
+    (rows, m, n): (usize, usize, usize),
+    cols: Range<usize>,
+) {
+    let mut carry = Carry(std::mem::MaybeUninit::uninit());
+    let carry = carry.0.as_mut_ptr().cast::<f32>();
+    let blocks = m.div_ceil(K_BLOCK).max(1);
+    // Row groups of even height, row tiles of even height inside them (16
+    // rows are two 8-row zmm tiles), and column groups as wide as the carry
+    // then holds, in whole panels.
+    let group = rows.div_ceil(rows.div_ceil(CARRY_ROWS));
+    let tall = group.div_ceil(group.div_ceil(mr));
+    let wide = CARRY / group / nr * nr;
+    for r0 in (0..rows).step_by(group) {
+        let r1 = (r0 + group).min(rows);
+        for j0 in cols.clone().step_by(wide) {
+            let j1 = (j0 + wide).min(cols.end);
+            // Line-aligned rows; `out` itself when nothing is carried.
+            let stride = (j1 - j0).next_multiple_of(16);
+            let chains = if blocks == 1 {
+                // SAFETY: row `r0`, column `j0` of the `rows x n` `out`.
+                RowBase::Strided(unsafe { out.at(r0 * n + j0) }, n)
+            } else {
+                RowBase::Strided(carry, stride)
+            };
+            for k0 in (0..blocks).map(|block| block * K_BLOCK) {
+                let depth = K_BLOCK.min(m - k0);
+                for p0 in (j0..j1).step_by(nr) {
+                    for r in (r0..r1).step_by(tall) {
+                        let tile = Tile {
+                            a: a[r * m + k0..].as_ptr(),
+                            m,
+                            depth,
+                            panel: b[k0 * n + p0..].as_ptr(),
+                            stride: n,
+                            // The same columns one block on: the rows this
+                            // panel streams next.
+                            ahead: K_BLOCK * n,
+                            bias: NO_BIAS.as_ptr(),
+                            out: chains.tile(r - r0..(r + tall).min(r1) - r0, p0 - j0),
+                            cols: nr.min(j1 - p0),
+                            skip: false,
+                            carry: k0 > 0,
+                        };
+                        // The tile's `a` rows hold `depth` floats from `k0`,
+                        // `b` `depth` rows of `n >= p0 + cols` from `k0`, and
+                        // the tile writes (and, carrying, reads) columns `p0..
+                        // p0 + cols` of its rows: the carry's (`group x wide`
+                        // at most) or this share's of `out`.
+                        // SAFETY: as above; `register_tile` checked the arm.
+                        unsafe { arm(tall.min(r1 - r), tile) };
+                    }
+                }
+            }
+            if blocks > 1 {
+                for r in r0..r1 {
+                    // SAFETY: the carry's row `r - r0` holds the group's
+                    // `j1 - j0` chains, all stored by the first block; they
+                    // go to columns `j0..j1` of row `r` of `out`, this
+                    // share's alone.
+                    unsafe {
+                        let chains = carry.add((r - r0) * stride);
+                        std::ptr::copy_nonoverlapping(chains, out.at(r * n + j0), j1 - j0);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The operands of one block of a one-row product: `out[c] = acc` for the
@@ -314,15 +401,28 @@ pub struct GradScratch {
     panels: Panels<f32, 16>,
 }
 
-/// Floats in the block a weight-gradient part stores its gradient in before
-/// its epilogue consumes it: one register tile (`MR x NR` is at most
-/// 12 x 32), or a run of one row under the scalar arm.
+/// Floats in the block a scalar weight-gradient part stores one run of a
+/// row's gradient in before its epilogue consumes it.
 const BLOCK: usize = 12 * 32;
 
-/// The gradient of one register tile (or one run of a row), on the stack of
-/// the thread that computes it and consumes it.
+/// The gradient of one run of a row, on the stack of the thread that
+/// computes it and consumes it.
 #[repr(C, align(64))]
 struct Block([f32; BLOCK]);
+
+/// Floats in the block a weight-gradient part of the vector arm stores its
+/// row tile's gradient in, panel by panel, before its epilogue consumes it
+/// (64 KB): whole rows up to 1,344 columns at the 12-row zmm tile, so the
+/// sweep over a 4356 x 545 or 545 x 1452 layer's row tile is one run of its
+/// parameters (contiguous rows of `n`) or a few long ones, not a 32-float run
+/// a row and panel.
+const GRAD_ROWS: usize = 16384;
+
+/// The gradient of one row tile over a group of whole panels, on the stack
+/// of the thread that computes it and consumes it; every float the sweep
+/// reads is stored by a tile first.
+#[repr(C, align(64))]
+struct GradRows(std::mem::MaybeUninit<[f32; GRAD_ROWS]>);
 
 /// The weight gradient `out = aᵀ * g`: `a` is `depth x m` (a layer's input
 /// batch), `g` is `depth x n` (the gradient at its output) and `out` is
@@ -425,7 +525,9 @@ fn weight_gradient(
         });
         return;
     };
-    assert!(mr * nr <= BLOCK, "a register tile fits its block");
+    // Column groups of whole panels, as wide as the block holds at `mr` rows.
+    let wide = GRAD_ROWS / mr / nr * nr;
+    assert!(wide >= nr, "a register tile fits its block");
     let panel_len = depth * nr;
     scratch.panels.pack(g, (depth, n), nr);
     // Every element is written by the part that transposes its row before
@@ -444,29 +546,44 @@ fn weight_gradient(
             }
         }
         let skip = at.contains(&0.0);
-        let mut block = Block([0.0; BLOCK]);
-        for (p, panel) in panels.chunks_exact(panel_len.max(1)).enumerate() {
-            let (j0, cols) = (p * nr, nr.min(n - p * nr));
-            let tile = Tile {
-                a: at.as_ptr(),
-                m: depth,
-                panel: panel.as_ptr(),
-                stride: nr,
-                ahead: panel_len,
-                bias: NO_BIAS.as_ptr(),
-                out: RowBase::Strided(block.0.as_mut_ptr(), nr).tile(0..rows, 0),
-                cols,
-                skip,
+        let mut block = GradRows(std::mem::MaybeUninit::uninit());
+        let block = block.0.as_mut_ptr().cast::<f32>();
+        for g0 in (0..n).step_by(wide) {
+            // The group's rows, `width` apart in the block.
+            let width = wide.min(n - g0);
+            for j0 in (g0..g0 + width).step_by(nr) {
+                let tile = Tile {
+                    a: at.as_ptr(),
+                    m: depth,
+                    depth,
+                    panel: panels[j0 / nr * panel_len..].as_ptr(),
+                    stride: nr,
+                    ahead: panel_len,
+                    bias: NO_BIAS.as_ptr(),
+                    out: RowBase::Strided(block, width).tile(0..rows, j0 - g0),
+                    cols: nr.min(n - j0),
+                    skip,
+                    carry: false,
+                };
+                // `at` holds `rows <= MR` rows of `depth`, the panel `depth`
+                // rows of `NR`, and the tile writes columns `j0 - g0..` (`cols`
+                // wide, inside `width`) of `rows` rows `width` apart: inside
+                // the block (`rows * width <= mr * wide`).
+                // SAFETY: as above; `register_tile` checked the arm.
+                unsafe { arm(rows, tile) };
+            }
+            // The group's rows of the targets, one run when they are whole
+            // rows (then contiguous, as in the block).
+            let runs = if width == n {
+                (1, rows * n)
+            } else {
+                (rows, width)
             };
-            // SAFETY: `register_tile` feature-checked the arm; `at` holds
-            // `rows <= MR` rows of `depth`, `panel` `depth` rows of `NR`, and
-            // the tile writes `cols <= NR` columns of `rows` rows `NR` apart:
-            // inside the block (asserted above).
-            unsafe { arm(rows, tile) };
-            // SAFETY: the block holds the `rows x cols` gradient the tile
-            // just stored, `nr` apart; the runs are columns `j0..j0 + cols`
-            // of rows `r0..r0 + rows` of the targets, this part's alone.
-            let runs = unsafe { targets.runs(block.0.as_ptr(), nr, r0 * n + j0, n, (rows, cols)) };
+            // SAFETY: the block holds the `rows x width` gradient the tiles
+            // just stored, `width` apart; the runs are columns `g0..g0 +
+            // width` of rows `r0..r0 + rows` of the targets, this part's
+            // alone.
+            let runs = unsafe { targets.runs(block, width, r0 * n + g0, n, runs) };
             // SAFETY: as above.
             unsafe { sweep(level, rule, runs) };
         }
@@ -477,12 +594,35 @@ fn weight_gradient(
 /// layer's output), `b` is `cols x k` (its weights) and `out` is
 /// `rows x cols`, all row-major. `out` is **overwritten**; each element is
 /// one [`sdot`] of a row of `a` with a row of `b` — its association under
-/// each backend is the dot product's own.
+/// each backend is the dot product's own. From `avx512f` up a register tile
+/// runs 4 x 2 of those dot products at once, each in `sdot`'s own lanes and
+/// order.
 ///
 /// # Panics
 /// Panics if the slice lengths disagree with the dimensions.
 pub fn gemm_a_bt_f32(kernel: Kernel, a: &[f32], b: &[f32], out: &mut [f32], k: usize) {
     input_gradient(kernel, a, b, out, k, PAR_MIN_MACS);
+}
+
+/// Rows of `a` in one [`Dots`] tile.
+const DOT_ROWS: usize = 4;
+
+/// Rows of `b` in one [`Dots`] tile: with [`DOT_ROWS`], 16 zmm accumulators,
+/// and each 32-float step loads 12 vectors for 16 FMAs.
+const DOT_COLS: usize = 2;
+
+/// The operands of one input-gradient tile: `rows` rows of `a` against
+/// `cols` rows of `b`, each `k` floats (rows `k` apart), into `out`, whose
+/// rows are `stride` apart. A tile function's caller vouches that `a` holds
+/// the `rows` rows, `b` the `cols` rows and `out` `rows` rows of `cols`
+/// floats no other thread writes, `rows <= DOT_ROWS` and `cols <= DOT_COLS`.
+#[derive(Clone, Copy)]
+struct Dots {
+    a: *const f32,
+    b: *const f32,
+    k: usize,
+    out: *mut f32,
+    stride: usize,
 }
 
 /// [`gemm_a_bt_f32`] with its hand-out threshold as a parameter.
@@ -501,17 +641,44 @@ fn input_gradient(
     assert_eq!(out.len(), rows * cols, "gemm_a_bt_f32 out length mismatch");
     let out = Lanes(out.as_mut_ptr());
     let pooled = rows * cols * k >= par_min_macs;
+    #[cfg(target_arch = "x86_64")]
+    let tile = (kernel.runs() >= Backend::Avx512).then_some(x86::dots_zmm as DotsFn);
+    #[cfg(not(target_arch = "x86_64"))]
+    let tile: Option<DotsFn> = None;
     hand_out(cols.div_ceil(BT_COLS), pooled, unit, |_, p| {
-        for j in p * BT_COLS..(p * BT_COLS + BT_COLS).min(cols) {
-            let b_row = &b[j * k..(j + 1) * k];
-            for (r, a_row) in a.chunks_exact(k).enumerate() {
-                // SAFETY: element `(r, j)` of the `rows x cols` matrix `out`;
-                // column `j` is this part's alone.
-                unsafe { *out.at(r * cols + j) = sdot(kernel, a_row, b_row) };
+        let js = p * BT_COLS..(p * BT_COLS + BT_COLS).min(cols);
+        let Some(tile) = tile else {
+            for j in js {
+                let b_row = &b[j * k..(j + 1) * k];
+                for (r, a_row) in a.chunks_exact(k).enumerate() {
+                    // SAFETY: element `(r, j)` of the `rows x cols` matrix
+                    // `out`; column `j` is this part's alone.
+                    unsafe { *out.at(r * cols + j) = sdot(kernel, a_row, b_row) };
+                }
+            }
+            return;
+        };
+        for j in js.clone().step_by(DOT_COLS) {
+            for r in (0..rows).step_by(DOT_ROWS) {
+                let t = Dots {
+                    a: a[r * k..].as_ptr(),
+                    b: b[j * k..].as_ptr(),
+                    k,
+                    // SAFETY: element `(r, j)` of the `rows x cols` `out`.
+                    out: unsafe { out.at(r * cols + j) },
+                    stride: cols,
+                };
+                // SAFETY: the arm runs on this host (`Backend::Avx512`); `a`
+                // holds the tile's rows from `r`, `b` its rows from `j`, and
+                // the tile writes columns `j..` of rows `r..` of `out`,
+                // inside this part's columns `js`.
+                unsafe { tile(DOT_ROWS.min(rows - r), DOT_COLS.min(js.end - j), t) };
             }
         }
     });
 }
+
+type DotsFn = unsafe fn(rows: usize, cols: usize, t: Dots);
 
 /// An optimizer's element update: the rule one training step moves every
 /// parameter by. It is matched in one place, the sweep that runs once per
@@ -771,15 +938,114 @@ unsafe fn sweep_ymm(rule: Option<&Rule>, runs: Runs) {
     unsafe { runs.apply(rule) }
 }
 
-/// The one-row register tile ([`RowBlock`]) on 512-bit and 256-bit vectors.
+/// The one-row register tile ([`RowBlock`]) on 512-bit and 256-bit vectors,
+/// and the input gradient's [`Dots`] tile.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::RowBlock;
+    use super::{Dots, RowBlock};
     use core::arch::x86_64::{
-        _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_maskload_ps, _mm256_maskstore_ps,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm512_fmadd_ps,
-        _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        __m512, _mm256_add_ps, _mm256_castpd_ps, _mm256_cmpgt_epi32, _mm256_fmadd_ps,
+        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_set1_epi32, _mm256_set1_ps,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps, _mm512_castps512_ps256,
+        _mm512_castps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_mask3_fmadd_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
+        _mm512_setzero_ps,
     };
+
+    /// A [`Dots`] tile of `rows <= 4` by `cols <= 2` dot products.
+    ///
+    /// # Safety
+    /// Requires `avx512f` and [`Dots`]'s contract.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn dots_zmm(rows: usize, cols: usize, t: Dots) {
+        // SAFETY: the caller's contract is `dots_block::<rows, cols>`'s.
+        unsafe {
+            match (rows, cols) {
+                (1, 1) => dots_block::<1, 1>(t),
+                (2, 1) => dots_block::<2, 1>(t),
+                (3, 1) => dots_block::<3, 1>(t),
+                (4, 1) => dots_block::<4, 1>(t),
+                (1, 2) => dots_block::<1, 2>(t),
+                (2, 2) => dots_block::<2, 2>(t),
+                (3, 2) => dots_block::<3, 2>(t),
+                (4, 2) => dots_block::<4, 2>(t),
+                _ => unreachable!("tile larger than the register tile"),
+            }
+        }
+    }
+
+    /// `R x C` dot products, each `sdot_avx2`'s four 8-lane chains held as
+    /// two zmm — the first `acc0 | acc1`, the second `acc2 | acc3` — so that
+    /// every lane runs the chain it runs there: 32 floats a step, then 8 at
+    /// a time into `acc0` alone (a masked FMA leaves the other lanes), then
+    /// the same fold, `(acc0 + acc1) + (acc2 + acc3)` lane by lane and the
+    /// eight lanes summed in order, and the last `k % 8` terms fused one at a
+    /// time.
+    ///
+    /// # Safety
+    /// As [`dots_zmm`], with `rows == R` and `cols == C`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn dots_block<const R: usize, const C: usize>(t: Dots) {
+        let k = t.k;
+        let n32 = k / 32 * 32;
+        let mut acc = [[[_mm512_setzero_ps(); 2]; C]; R];
+        // SAFETY: every load reads floats `< k` of a row of the tile, every
+        // store one element of its `R x C` block of `out`: inside the ranges
+        // the caller vouches for.
+        unsafe {
+            let (a, b) = (|r: usize| t.a.add(r * k), |c: usize| t.b.add(c * k));
+            for i in (0..n32).step_by(32) {
+                let y: [[__m512; 2]; C] = std::array::from_fn(|c| {
+                    [
+                        _mm512_loadu_ps(b(c).add(i)),
+                        _mm512_loadu_ps(b(c).add(i + 16)),
+                    ]
+                });
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let x = [
+                        _mm512_loadu_ps(a(r).add(i)),
+                        _mm512_loadu_ps(a(r).add(i + 16)),
+                    ];
+                    for (acc, y) in acc.iter_mut().zip(&y) {
+                        acc[0] = _mm512_fmadd_ps(x[0], y[0], acc[0]);
+                        acc[1] = _mm512_fmadd_ps(x[1], y[1], acc[1]);
+                    }
+                }
+            }
+            let n8 = n32 + (k - n32) / 8 * 8;
+            for i in (n32..n8).step_by(8) {
+                let y: [__m512; C] =
+                    std::array::from_fn(|c| _mm512_maskz_loadu_ps(0xff, b(c).add(i)));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let x = _mm512_maskz_loadu_ps(0xff, a(r).add(i));
+                    for (acc, &y) in acc.iter_mut().zip(&y) {
+                        acc[0] = _mm512_mask3_fmadd_ps(x, y, acc[0], 0xff);
+                    }
+                }
+            }
+            let halves = |v: __m512| {
+                let upper = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v));
+                (_mm512_castps512_ps256(v), _mm256_castpd_ps(upper))
+            };
+            for (r, acc) in acc.iter().enumerate() {
+                for (c, &[first, second]) in acc.iter().enumerate() {
+                    let ((acc0, acc1), (acc2, acc3)) = (halves(first), halves(second));
+                    let sum01 = _mm256_add_ps(acc0, acc1);
+                    let mut lanes = [0.0f32; 8];
+                    _mm256_storeu_ps(
+                        lanes.as_mut_ptr(),
+                        _mm256_add_ps(sum01, _mm256_add_ps(acc2, acc3)),
+                    );
+                    let mut dot = lanes.iter().sum::<f32>();
+                    for i in n8..k {
+                        dot = (*a(r).add(i)).mul_add(*b(c).add(i), dot);
+                    }
+                    *t.out.add(r * t.stride + c) = dot;
+                }
+            }
+        }
+    }
 
     /// A block of `vectors <= 24` zmm accumulators.
     ///
@@ -1040,6 +1306,40 @@ mod tests {
         }
     }
 
+    /// The `k`-blocked panel walk is the whole-depth [`chain`], bit for bit:
+    /// on every forward arm (the scalar walk and each register tile), on
+    /// pools 1, 2 and 3 wide with the shares handed out, at depths around
+    /// one and two [`K_BLOCK`]s and at the 3x3 / 80 MHz head's 4,356, for
+    /// 2..=17 rows (one carry group, tiles of every height the split
+    /// makes; past the head's depth also 25, 65 and 130: one, two and three
+    /// groups)
+    /// and output widths with a partial last panel, each several column
+    /// groups wide. A row's chains do not depend on the other rows, so each
+    /// row count reads the first rows of one operand.
+    #[test]
+    fn the_k_blocked_walk_is_the_whole_depth_chain() {
+        let pools = pools();
+        for m in [K_BLOCK - 1, K_BLOCK, K_BLOCK + 1, 2 * K_BLOCK + 1, 4356] {
+            let most = if m < 4356 { 130 } else { 17 };
+            for n in [545usize, 1452] {
+                let a = values(most * m, m as u64, false);
+                let b = values(m * n, n as u64, false);
+                let chains = [false, true].map(|fused| chain(fused, &a, &b, (m, n)));
+                for tile in forward_arms() {
+                    let want = &chains[usize::from(tile.is_some())];
+                    for rows in (2..=17usize).chain([25, 65, 130]).filter(|&r| r <= most) {
+                        let a = &a[..rows * m];
+                        for (threads, pool) in &pools {
+                            let got = pool.install(|| run_forward(tile, a, &b, (m, n), 0));
+                            let case = format!("{tile:?} {rows}x{m}x{n} on {threads} threads");
+                            assert!(got == want[..rows * n], "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn the_scalar_forward_skips_exact_zero_terms() {
         // A zero `a` term meets an infinite `b` without making a NaN, as the
@@ -1154,19 +1454,39 @@ mod tests {
         }
     }
 
+    /// Every element of the input gradient is one [`sdot`], bit for bit, on
+    /// every kernel: through the register tile from `avx512f` up (`dots_zmm`
+    /// → `dots_block::<1..=4, 1..=2>`) at every tile height and width (rows
+    /// and columns past whole tiles), at depths
+    /// that end in whole 32-float steps, in 8-float steps and in single
+    /// terms, with NaN / ±Inf / −0.0 data on the short ones.
     #[test]
     fn the_input_gradient_is_one_sdot_an_element() {
-        let (rows, k, cols) = (5usize, 45usize, 37usize);
-        let a = values(rows * k, 13, true);
-        let b = values(cols * k, 14, true);
-        for kernel in kernels() {
-            let want: Vec<f32> = a
-                .chunks_exact(k)
-                .flat_map(|a_row| b.chunks_exact(k).map(|b_row| sdot(kernel, a_row, b_row)))
-                .collect();
-            let mut out = vec![f32::NAN; rows * cols];
-            gemm_a_bt_f32(kernel, &a, &b, &mut out, k);
-            assert_eq!(bits(&out), bits(&want), "{kernel:?}");
+        for (rows, k, cols) in [
+            (5usize, 45usize, 37usize),
+            (9, 1, 3),
+            (4, 7, 2),
+            (3, 8, 5),
+            (7, 31, 4),
+            (6, 32, 1),
+            (8, 33, 6),
+            (2, 75, 9),
+            (13, 1452, 11),
+        ] {
+            // Specials only where a dot product is short enough to keep
+            // most of its outputs finite.
+            let specials = k < 100;
+            let a = values(rows * k, 13 + k as u64, specials);
+            let b = values(cols * k, 14 + k as u64, specials);
+            for kernel in kernels() {
+                let want: Vec<f32> = a
+                    .chunks_exact(k)
+                    .flat_map(|a_row| b.chunks_exact(k).map(|b_row| sdot(kernel, a_row, b_row)))
+                    .collect();
+                let mut out = vec![f32::NAN; rows * cols];
+                gemm_a_bt_f32(kernel, &a, &b, &mut out, k);
+                assert_eq!(bits(&out), bits(&want), "{kernel:?} {rows}x{k}x{cols}");
+            }
         }
     }
 
@@ -1324,9 +1644,10 @@ mod tests {
     /// for its vector unit) with the parts handed out (threshold 0) on pools
     /// 1, 2 and 3 wide, and through the public entry one part either side of
     /// [`PAR_MIN_MACS`], for every one of [`rules`]. Every shape leaves a
-    /// ragged last panel and row tile; the first six input columns hold exact
-    /// zeros in every third row, so the first row tile runs the skip mask and
-    /// the others do not.
+    /// ragged last panel and row tile, and the two widest take their rows in
+    /// more than one column group ([`GRAD_ROWS`]) on the zmm and the ymm
+    /// tile; the first six input columns hold exact zeros in every third
+    /// row, so the first row tile runs the skip mask and the others do not.
     #[test]
     fn the_fused_update_equals_the_weight_gradient_then_the_sweep() {
         let pools = pools();
@@ -1343,6 +1664,8 @@ mod tests {
             (8, 13, 33),
             (5, 24, 17),
             (1, 1, 1),
+            (3, 13, 1452),
+            (2, 7, 2741),
         ] {
             let (a, g) = operands(depth, m, n);
             let arms = Backend::arms(|level| level.min(Backend::Avx512));

@@ -227,22 +227,26 @@ impl<T> TileRows<T> {
 /// producing `acc + bias` in the first `cols` columns of its `mr` output
 /// rows.
 ///
-/// The panel is `m` rows of `NR` floats, `stride` floats apart, of which the
-/// arms read the first `cols`: a packed panel (`stride == NR`), columns of a
-/// row-major right-hand side (`stride == n`, [`super::dense`]'s forward
-/// product) or a packed gradient (`dense::gemm_at_b_f32`). A caller
-/// with no bias passes [`NO_BIAS`]: `x + -0.0` is `x` for every `x`, signed
-/// zeros and NaNs included, so the store is the chain's own bits.
+/// The panel is `depth` rows of `NR` floats, `stride` floats apart, of which
+/// the arms read the first `cols`: a packed panel (`stride == NR`), columns
+/// of a row-major right-hand side (`stride == n`, [`super::dense`]'s forward
+/// product, one `k`-block of it at a time) or a packed gradient
+/// (`dense::gemm_at_b_f32`). A caller with no bias passes [`NO_BIAS`]:
+/// `x + -0.0` is `x` for every `x`, signed zeros and NaNs included, so the
+/// store is the chain's own bits.
 ///
-/// A tile function's caller vouches that `a` is valid for `mr` rows of `m`
-/// floats, `panel` for `m` rows of `cols` floats `stride` apart, `bias` for
-/// `cols` and each of the first `mr` addresses of `out` for `cols` floats,
-/// with `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
+/// A tile function's caller vouches that `a` is valid for `mr` rows of
+/// `depth` floats `m` apart, `panel` for `depth` rows of `cols` floats
+/// `stride` apart, `bias` for `cols` and each of the first `mr` addresses of
+/// `out` for `cols` floats, with `1 <= mr <= MR` and `cols <= NR` for the
+/// arm's `MR x NR`.
 #[derive(Clone, Copy)]
 pub(super) struct Tile {
     pub(super) a: *const f32,
-    /// Row stride of `a` and depth of the panel.
+    /// Row stride of `a`.
     pub(super) m: usize,
+    /// Terms of each chain: columns of `a` read, rows of the panel.
+    pub(super) depth: usize,
     pub(super) panel: *const f32,
     /// Floats from one panel row to the next.
     pub(super) stride: usize,
@@ -256,6 +260,11 @@ pub(super) struct Tile {
     /// arm and the historical weight gradient do: `0 * inf` and `-0 + 0`
     /// would otherwise reach the chain.
     pub(super) skip: bool,
+    /// Start each chain from what `out` holds (with [`NO_BIAS`]: the chain
+    /// a tile over the earlier terms stored there) instead of from `+0.0`.
+    /// An f32 store and load change no bit, so a depth walked in blocks is
+    /// one chain over ascending `k`.
+    pub(super) carry: bool,
 }
 
 /// A bias of `-0.0`s, one full panel wide: the identity epilogue.
@@ -512,6 +521,7 @@ fn product<F: Fn(f32) -> f32 + Sync>(
             let tile = Tile {
                 a: a[r.start * m..r.end * m].as_ptr(),
                 m,
+                depth: m,
                 panel: panel[j.start % panel_cols..].as_ptr(),
                 stride: panel_cols,
                 // The same row of the next panel: a batch of one tile meets
@@ -521,6 +531,7 @@ fn product<F: Fn(f32) -> f32 + Sync>(
                 out: out.tile(r.clone(), j.start),
                 cols: j.len(),
                 skip: false,
+                carry: false,
             };
             // The tile's lanes are columns `j` of rows `r`: columns of panel
             // `p`, which no other thread runs.
@@ -543,10 +554,15 @@ fn product<F: Fn(f32) -> f32 + Sync>(
 unsafe fn tile_portable(mr: usize, t: Tile) {
     for r in 0..mr {
         for c in 0..t.cols {
-            let mut acc = 0.0f32;
-            for k in 0..t.m {
-                // SAFETY: `r < mr`, `k < m`, `c < cols`: inside the ranges
-                // the caller vouches for.
+            // SAFETY: row `r` of `out` is good for `cols` floats.
+            let mut acc = if t.carry {
+                unsafe { *t.out.row(r).add(c) }
+            } else {
+                0.0f32
+            };
+            for k in 0..t.depth {
+                // SAFETY: `r < mr`, `k < depth`, `c < cols`: inside the
+                // ranges the caller vouches for.
                 let (av, bv) = unsafe { (*t.a.add(r * t.m + k), *t.panel.add(k * t.stride + c)) };
                 if !(t.skip && av == 0.0) {
                     acc = av.mul_add(bv, acc);
@@ -602,30 +618,41 @@ pub(super) mod x86 {
     /// at `12 x 32`.
     #[target_feature(enable = "avx512f")]
     pub(in crate::kernel) unsafe fn rows_zmm(mr: usize, t: Tile) {
-        // SAFETY: the caller's contract is `tile_zmm::<mr, _>`'s.
+        // SAFETY: the caller's contract is `tile_zmm::<mr, _, _>`'s.
         unsafe {
-            if t.skip {
-                tile_by_rows!(tile_zmm::<_, true>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
-            } else {
-                tile_by_rows!(tile_zmm::<_, false>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
+            match (t.skip, t.carry) {
+                (false, false) => {
+                    tile_by_rows!(tile_zmm::<_, false, false>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
+                }
+                (false, true) => {
+                    tile_by_rows!(tile_zmm::<_, false, true>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
+                }
+                (true, false) => {
+                    tile_by_rows!(tile_zmm::<_, true, false>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
+                }
+                (true, true) => {
+                    tile_by_rows!(tile_zmm::<_, true, true>(t), mr, [1 2 3 4 5 6 7 8 9 10 11 12])
+                }
             }
         }
     }
 
     /// The 512-bit microkernel: an `MR x 32` accumulator tile (two zmm per
-    /// row) held in registers over the whole `k` range; each `k` loads the
+    /// row) held in registers over the tile's `depth`; each `k` loads the
     /// panel row once and feeds `2 * MR` FMA chains from `MR` broadcasts.
-    /// With `SKIP`, a row's two FMAs are masked off where its `a` is zero.
-    /// Columns past `cols` are masked out of every load and the store.
+    /// With `SKIP`, a row's two FMAs are masked off where its `a` is zero;
+    /// with `CARRY`, the chains start from `out`. Columns past `cols` are
+    /// masked out of every load and the store.
     ///
     /// # Safety
     /// As [`rows_zmm`], with `mr == MR`.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn tile_zmm<const MR: usize, const SKIP: bool>(t: Tile) {
+    unsafe fn tile_zmm<const MR: usize, const SKIP: bool, const CARRY: bool>(t: Tile) {
         let Tile {
             a,
             m,
+            depth,
             panel,
             stride,
             ahead,
@@ -637,13 +664,20 @@ pub(super) mod x86 {
         // row-major `b` takes them (LLVM unswitches the loop on `whole`).
         let whole = t.cols == 32;
         let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
-        // SAFETY: every `a` read is at `r < MR` and `k < m`; panel loads
-        // read `cols` lanes (all 32 when `whole`), bias loads and `out`
-        // stores are masked to them — inside the ranges the caller vouches for.
+        // SAFETY: every `a` read is at `r < MR` and `k < depth`; panel loads
+        // read `cols` lanes (all 32 when `whole`), bias and `out` accesses
+        // are masked to them — inside the ranges the caller vouches for.
         unsafe {
+            if CARRY {
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let o = t.out.row(r);
+                    acc_row[0] = _mm512_maskz_loadu_ps(masks[0], o);
+                    acc_row[1] = _mm512_maskz_loadu_ps(masks[1], o.wrapping_add(16));
+                }
+            }
             let last = t.cols.saturating_sub(1);
             write_hint::<MR, 3>(t, [0, last.min(16), last]);
-            for k in 0..m {
+            for k in 0..depth {
                 let row = panel.add(k * stride);
                 let (b0, b1) = if whole {
                     (_mm512_loadu_ps(row), _mm512_loadu_ps(row.add(16)))
@@ -686,12 +720,13 @@ pub(super) mod x86 {
     /// `mr` rows at `6 x 16`.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(in crate::kernel) unsafe fn rows_ymm(mr: usize, t: Tile) {
-        // SAFETY: the caller's contract is `tile_ymm::<mr, _>`'s.
+        // SAFETY: the caller's contract is `tile_ymm::<mr, _, _>`'s.
         unsafe {
-            if t.skip {
-                tile_by_rows!(tile_ymm::<_, true>(t), mr, [1 2 3 4 5 6])
-            } else {
-                tile_by_rows!(tile_ymm::<_, false>(t), mr, [1 2 3 4 5 6])
+            match (t.skip, t.carry) {
+                (false, false) => tile_by_rows!(tile_ymm::<_, false, false>(t), mr, [1 2 3 4 5 6]),
+                (false, true) => tile_by_rows!(tile_ymm::<_, false, true>(t), mr, [1 2 3 4 5 6]),
+                (true, false) => tile_by_rows!(tile_ymm::<_, true, false>(t), mr, [1 2 3 4 5 6]),
+                (true, true) => tile_by_rows!(tile_ymm::<_, true, true>(t), mr, [1 2 3 4 5 6]),
             }
         }
     }
@@ -703,10 +738,11 @@ pub(super) mod x86 {
     /// As [`rows_ymm`], with `mr == MR`.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn tile_ymm<const MR: usize, const SKIP: bool>(t: Tile) {
+    unsafe fn tile_ymm<const MR: usize, const SKIP: bool, const CARRY: bool>(t: Tile) {
         let Tile {
             a,
             m,
+            depth,
             panel,
             stride,
             ahead,
@@ -719,13 +755,20 @@ pub(super) mod x86 {
         ];
         let whole = t.cols == 16;
         let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        // SAFETY: every `a` read is at `r < MR` and `k < m`; panel loads
-        // read `cols` lanes (all 16 when `whole`), bias loads and `out`
-        // stores are masked to them (`maskload` and `maskstore` do not touch
-        // masked-off memory) — inside the ranges the caller vouches for.
+        // SAFETY: `a` is read at `r < MR`, `k < depth`; panel loads read
+        // `cols` lanes (all 16 when `whole`), bias and `out` accesses are
+        // masked to them (`maskload` / `maskstore` touch nothing masked off):
+        // inside the ranges the caller vouches for.
         unsafe {
+            if CARRY {
+                for (r, acc_row) in acc.iter_mut().enumerate() {
+                    let o = t.out.row(r);
+                    acc_row[0] = _mm256_maskload_ps(o, masks[0]);
+                    acc_row[1] = _mm256_maskload_ps(o.wrapping_add(8), masks[1]);
+                }
+            }
             write_hint::<MR, 2>(t, [0, t.cols.saturating_sub(1)]);
-            for k in 0..m {
+            for k in 0..depth {
                 let row = panel.add(k * stride);
                 let (b0, b1) = if whole {
                     (_mm256_loadu_ps(row), _mm256_loadu_ps(row.add(8)))
@@ -876,10 +919,11 @@ pub(super) mod tests {
     }
 
     /// Every const-generic instance of both microkernels (`rows_zmm` →
-    /// `tile_zmm::<1..=12, _>`, `rows_ymm` → `tile_ymm::<1..=6, _>`) at every
-    /// partial-panel width, with and without the zero skip, on a panel whose
-    /// rows lie `stride > NR` apart, against the portable tile — and the
-    /// lanes past `cols`, like the rows past `mr`, must keep what they held.
+    /// `tile_zmm::<1..=12, _, _>`, `rows_ymm` → `tile_ymm::<1..=6, _, _>`)
+    /// at every partial-panel width, with and without the zero skip, from
+    /// `+0.0` and carried from `out`, on a panel whose rows lie `stride > NR`
+    /// apart, against the portable tile — and the lanes past `cols`, like the
+    /// rows past `mr`, must keep what they held.
     #[test]
     fn every_register_tile_matches_the_portable_tile_and_stays_inside_its_mask() {
         const GUARD: f32 = 7.25;
@@ -893,14 +937,16 @@ pub(super) mod tests {
             let stride = nr + 3;
             let panel = values(m * stride, 12, true);
             let bias = values(nr, 13, false);
-            for (mr, cols, skip) in (1..=mr_max)
-                .flat_map(|mr| (1..=nr).flat_map(move |cols| [(mr, cols, false), (mr, cols, true)]))
+            let flags = [(false, false), (true, false), (false, true), (true, true)];
+            for (mr, cols, (skip, carry)) in (1..=mr_max)
+                .flat_map(|mr| (1..=nr).flat_map(move |cols| flags.map(|f| (mr, cols, f))))
             {
                 let run = |arm: TileFn| {
                     let mut out = vec![GUARD; (mr_max + 1) * n];
                     let tile = Tile {
                         a: a.as_ptr(),
                         m,
+                        depth: m,
                         panel: panel.as_ptr(),
                         stride,
                         ahead: m * stride,
@@ -908,6 +954,7 @@ pub(super) mod tests {
                         out: RowBase::Strided(out.as_mut_ptr(), n).tile(0..mr_max, 0),
                         cols,
                         skip,
+                        carry,
                     };
                     // SAFETY: `register_tile` feature-checked `vector`; `a` holds `mr_max >= mr` rows of `m`,
                     // `panel` `m` rows of `stride >= nr`, `bias` `nr >= cols`,
@@ -916,7 +963,7 @@ pub(super) mod tests {
                     bits(&out)
                 };
                 let got = run(vector);
-                let case = format!("{width:?} mr={mr} cols={cols} skip={skip}");
+                let case = format!("{width:?} mr={mr} cols={cols} skip={skip} carry={carry}");
                 assert_eq!(got, run(tile_portable), "{case}");
                 for (i, &v) in got.iter().enumerate() {
                     if i / n >= mr || i % n >= cols {

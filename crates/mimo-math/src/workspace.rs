@@ -70,6 +70,20 @@ impl Workspace {
         Self::default()
     }
 
+    /// A workspace that already holds what an SVD of a `rows x cols` matrix
+    /// needs ([`crate::svd::Svd::right_vectors_into`]): a decomposition of
+    /// that shape, or a smaller one, requests no memory — so a thread handed
+    /// one allocates nothing.
+    pub fn for_svd(rows: usize, cols: usize) -> Self {
+        let (k, len) = (rows.min(cols), rows.max(cols));
+        let mut ws = Self::new();
+        ws.at.reserve_exact(k * len);
+        ws.vt.reserve_exact(k * k);
+        ws.norms.reserve_exact(k);
+        ws.order.reserve_exact(k);
+        ws
+    }
+
     /// Resizes `buf` to `len` entries without releasing capacity.
     pub(crate) fn grab(buf: &mut Vec<Complex64>, len: usize) -> &mut [Complex64] {
         buf.clear();

@@ -162,8 +162,10 @@ impl Claims<'_> {
 
 /// Runs the job's body on this thread until no index is left, catching a
 /// panicking part so that the claims go on and every claimed index is
-/// counted done.
-fn participate(job: &Job, end: End, first: Option<usize>) {
+/// counted done. A worker passes its pool's `idle` count, which it rejoins
+/// before its last done-count: a caller that has seen every part done then
+/// sees the worker idle, and its next call publishes.
+fn participate(job: &Job, end: End, first: Option<usize>, idle: Option<&AtomicUsize>) {
     let mut claims = Claims {
         job,
         end,
@@ -183,8 +185,11 @@ fn participate(job: &Job, end: End, first: Option<usize>) {
                 .get_or_insert(payload);
         }
     }
+    if let Some(idle) = idle {
+        idle.fetch_add(1, Ordering::Relaxed);
+    }
     // The last touch: until it, the done-count is short of `parts` and the
-    // job is alive.
+    // job is alive. `Release` orders the idle count above before it.
     claims.release();
 }
 
@@ -231,6 +236,9 @@ struct Shared {
     /// Workers not running a part right now. A statistic: it decides whether
     /// a call is worth publishing, never whether it is correct.
     idle: AtomicUsize,
+    /// Calls published so far.
+    #[cfg(test)]
+    published: AtomicUsize,
 }
 
 impl Shared {
@@ -245,6 +253,8 @@ impl Shared {
             let mut registry = self.lock();
             registry.jobs.push(JobRef(job));
             self.epoch.fetch_add(1, Ordering::Relaxed);
+            #[cfg(test)]
+            self.published.fetch_add(1, Ordering::Relaxed);
             registry.sleeping.min(job.parts - 1)
         };
         for _ in 0..wake {
@@ -270,8 +280,7 @@ impl Shared {
                 drop(registry);
                 // SAFETY: index `first` of this job is claimed and not yet
                 // counted done, so its caller is still waiting on it.
-                participate(unsafe { &*job }, End::Back, Some(first));
-                self.idle.fetch_add(1, Ordering::Relaxed);
+                participate(unsafe { &*job }, End::Back, Some(first), Some(&self.idle));
                 registry = self.lock();
                 continue;
             }
@@ -319,7 +328,7 @@ fn run_job(shared: Option<&Shared>, parts: usize, body: &Body<'_>) {
         shared.publish(&job);
     }
     // Catches every panic of a part it runs, so the wait below is reached.
-    participate(&job, End::Front, None);
+    participate(&job, End::Front, None, None);
     if let Some(shared) = published {
         // Every index is claimed: no worker needs to find the job any more,
         // and none may once this function has returned.
@@ -381,6 +390,8 @@ impl Pool {
             wake: Condvar::new(),
             epoch: AtomicUsize::new(0),
             idle: AtomicUsize::new(0),
+            #[cfg(test)]
+            published: AtomicUsize::new(0),
         });
         let workers: Vec<_> = (1..threads)
             .filter_map(|i| {
@@ -490,16 +501,6 @@ mod tests {
         pool.install(|| run(parts, &|claims| claims.for_each(&op)));
     }
 
-    /// Waits until every worker is back from its last part. A worker counts
-    /// itself idle only after its part has counted done, so a call made at
-    /// once may find none idle and run every part on the caller — correct,
-    /// but a test whose parts wait for one another would then wait for ever.
-    fn settle(pool: &Pool) {
-        while pool.shared.idle.load(Ordering::Relaxed) < pool.workers.len() {
-            std::thread::yield_now();
-        }
-    }
-
     fn zeros(len: usize) -> Vec<AtomicUsize> {
         (0..len).map(|_| AtomicUsize::new(0)).collect()
     }
@@ -539,7 +540,6 @@ mod tests {
             let both_claimed = Barrier::new(2);
             let arrived = [AtomicUsize::new(0), AtomicUsize::new(0)];
             let hits = zeros(parts);
-            settle(&pool);
             for_each(&pool, parts, |i| {
                 let end = usize::from(std::thread::current().id() != caller);
                 if arrived[end].fetch_add(1, Ordering::Relaxed) == 0 {
@@ -552,6 +552,19 @@ mod tests {
         }
     }
 
+    /// A call made as soon as the previous one returned finds its worker
+    /// idle, whether or not the worker took part in the previous call: a
+    /// worker counts itself idle before its last done-count.
+    #[test]
+    fn back_to_back_calls_are_all_published() {
+        let pool = Pool::with_threads(2);
+        for call in 0..1000 {
+            for_each(&pool, 2, |_| {});
+            let published = pool.shared.published.load(Ordering::Relaxed);
+            assert_eq!(published, call + 1, "call {call} ran on the caller alone");
+        }
+    }
+
     /// Each part waits for all the others to have started, so the call
     /// returns only if `threads` distinct threads each claimed one.
     #[test]
@@ -560,7 +573,6 @@ mod tests {
             let pool = Pool::with_threads(threads);
             let all_started = Barrier::new(threads);
             for _ in 0..3 {
-                settle(&pool);
                 for_each(&pool, threads, |_| {
                     all_started.wait();
                 });
@@ -596,7 +608,6 @@ mod tests {
         for _ in 0..50 {
             let both_started = Barrier::new(2);
             let finished = AtomicUsize::new(0);
-            settle(&pool);
             for_each(&pool, 2, |_| {
                 both_started.wait();
                 if std::thread::current().id() != caller {

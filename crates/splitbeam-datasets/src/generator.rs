@@ -8,6 +8,7 @@ use crate::catalog::DatasetSpec;
 use crate::DatasetError;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use wifi_phy::channel::{ChannelModel, ChannelSnapshot};
 
 /// Options controlling dataset generation.
@@ -121,40 +122,27 @@ pub fn generate_dataset(
         options.capture.drop_probability,
         &mut rng,
     );
-    let kept = align_sequences(&receptions);
-    let mut aligned: Vec<ChannelSnapshot> = kept.iter().map(|&i| raw[i].clone()).collect();
+    // The kept sequence numbers ascend, as the raw captures do.
+    let mut kept = align_sequences(&receptions).into_iter().peekable();
+    let mut aligned: Vec<ChannelSnapshot> = raw
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, snap)| kept.next_if_eq(&i).map(|_| snap))
+        .collect();
 
-    // 3. Amplitude normalization per snapshot.
+    // 3. Amplitude normalization per snapshot, in place, by the pool.
     if options.capture.normalize {
-        for snap in aligned.iter_mut() {
+        aligned.par_iter_mut().for_each(|snap| {
             for user in 0..snap.num_users() {
-                let cleaned: Vec<_> = snap
-                    .csi(user)
-                    .iter()
-                    .map(normalize_by_mean_amplitude)
-                    .collect();
-                *snap.csi_mut(user) = cleaned;
+                snap.csi_mut(user)
+                    .iter_mut()
+                    .for_each(normalize_by_mean_amplitude);
             }
-        }
+        });
     }
 
     // 4. Moving-median smoothing along time, per user and subcarrier.
-    if options.capture.median_window > 1 && !aligned.is_empty() {
-        let num_users = aligned[0].num_users();
-        let subcarriers = aligned[0].subcarriers();
-        for user in 0..num_users {
-            for s in 0..subcarriers {
-                let series: Vec<_> = aligned
-                    .iter()
-                    .map(|snap| snap.csi(user)[s].clone())
-                    .collect();
-                let smoothed = smooth_csi_series(&series, options.capture.median_window);
-                for (snap, h) in aligned.iter_mut().zip(smoothed) {
-                    snap.csi_mut(user)[s] = h;
-                }
-            }
-        }
-    }
+    smooth_csi_series(&mut aligned, options.capture.median_window);
 
     Ok(GeneratedDataset {
         spec: spec.clone(),

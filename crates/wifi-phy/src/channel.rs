@@ -42,6 +42,7 @@
 
 use crate::ofdm::{Bandwidth, MimoConfig};
 use mimo_math::svd::Svd;
+use mimo_math::workspace::Workspace;
 use mimo_math::{CMatrix, Complex64};
 use rand::Rng;
 use rayon::prelude::*;
@@ -698,16 +699,32 @@ impl ChannelSnapshot {
     /// `result[u][s]` is the `Nt x Nss` matrix of dominant right singular
     /// vectors of `H_u(s)` — exactly what the 802.11 procedure would feed back
     /// with infinite precision.
+    ///
+    /// The decompositions are handed out to the pool in (station,
+    /// 32-subcarrier) parts. Every output matrix and each part's workspace is
+    /// allocated here, on the caller, so a part writes into memory it was
+    /// lent and requests none; each matrix is its own decomposition's, so the
+    /// result is the same at every pool width.
     pub fn ideal_beamforming(&self) -> Vec<Vec<CMatrix>> {
-        self.per_user
+        let mut result: Vec<Vec<CMatrix>> = self
+            .per_user
             .iter()
-            .map(|per_sc| {
-                per_sc
-                    .iter()
-                    .map(|h| Svd::compute(h).beamforming_matrix(self.nss))
-                    .collect()
-            })
-            .collect()
+            .map(|per_sc| vec![CMatrix::zeros(self.nt, self.nss); per_sc.len()])
+            .collect();
+        let parts_a_user = self.subcarriers().div_ceil(PART_SUBCARRIERS);
+        let mut parts = Vec::with_capacity(self.per_user.len() * parts_a_user);
+        for (per_sc, out) in self.per_user.iter().zip(result.iter_mut()) {
+            let blocks = per_sc
+                .chunks(PART_SUBCARRIERS)
+                .zip(out.chunks_mut(PART_SUBCARRIERS));
+            parts.extend(blocks.map(|(h, v)| (h, v, Workspace::for_svd(self.nr, self.nt))));
+        }
+        parts.par_iter_mut().for_each(|(h, v, ws)| {
+            for (h, v) in h.iter().zip(v.iter_mut()) {
+                Svd::right_vectors_into(h, self.nss, v, ws);
+            }
+        });
+        result
     }
 
     /// Flattens user `user`'s CSI into the interleaved real vector the DNNs
