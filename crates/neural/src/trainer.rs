@@ -117,11 +117,14 @@ impl Trainer {
     /// per-layer activations, gradient buffers and optimizer state are all
     /// reused across batches and epochs, so after the first batch a training
     /// step performs no heap allocation; the best-epoch checkpoint is one
-    /// more such buffer, allocated at the first improvement and overwritten
-    /// at every later one. The arithmetic is element-for-element
-    /// identical to the original allocating loop (kept as
-    /// `fit_with_metric_reference` for the equivalence test), so loss curves
-    /// do not drift.
+    /// more such buffer. An improving epoch only marks the network as the
+    /// best so far; the checkpoint is copied before the next epoch's first
+    /// step moves the weights (allocated at the first such copy, overwritten
+    /// at every later one), so an improvement in the last epoch, where the
+    /// network itself is returned, copies nothing. The arithmetic is
+    /// element-for-element identical to the original allocating loop (kept
+    /// as `fit_with_metric_reference` for the equivalence test), so loss
+    /// curves do not drift.
     pub fn fit_with_metric<M>(
         &self,
         network: &mut Network,
@@ -144,6 +147,8 @@ impl Trainer {
         };
         let mut best_metric = f32::INFINITY;
         let mut best_params: Option<Network> = None;
+        // The network holds the best epoch's parameters, not yet copied.
+        let mut network_is_best = false;
 
         let mut scratch = TrainScratch::new();
         let mut x = Matrix::zeros(1, 1);
@@ -151,6 +156,12 @@ impl Trainer {
         let mut grad = Matrix::zeros(1, 1);
 
         for epoch in 0..self.config.epochs {
+            if std::mem::take(&mut network_is_best) {
+                match &mut best_params {
+                    Some(best) => best.copy_from(network),
+                    None => best_params = Some(network.clone()),
+                }
+            }
             if self.config.shuffle {
                 indices.shuffle(rng);
             }
@@ -172,16 +183,13 @@ impl Trainer {
             if val_metric < best_metric {
                 best_metric = val_metric;
                 history.best_epoch = epoch;
-                // The first improvement allocates the checkpoint; every later
-                // one overwrites it in place.
-                match &mut best_params {
-                    Some(best) => best.copy_from(network),
-                    None => best_params = Some(network.clone()),
-                }
+                network_is_best = true;
             }
         }
 
         match best_params {
+            // The last epoch improved: the network is the best epoch's.
+            _ if network_is_best => {}
             Some(best) => *network = best,
             // No epoch beat +inf (an empty validation split, a NaN metric):
             // the network keeps the last epoch's parameters, so that is the
@@ -415,6 +423,44 @@ mod tests {
         // A diverged run's NaN metric never improves either.
         let history = trainer.fit_with_metric(&mut net, &data, &data, &mut rng, |_, _| f32::NAN);
         assert_eq!(history.best_epoch, 2);
+    }
+
+    /// Whichever epoch is best — the first, one in the middle, the last, or
+    /// none — the network returned holds exactly the parameters it had when
+    /// that epoch was scored (the last epoch's when none improved), though
+    /// the checkpoint is copied only before a later epoch's first step.
+    #[test]
+    fn the_best_epoch_is_returned_wherever_it_falls() {
+        let data = linear_dataset(32);
+        let trainer = Trainer::new(
+            TrainConfig {
+                epochs: 5,
+                batch_size: 8,
+                ..TrainConfig::default()
+            },
+            Loss::Mse,
+            OptimizerKind::Adam {
+                learning_rate: 0.01,
+            },
+        );
+        let nan = f32::NAN;
+        for (metrics, best) in [
+            ([1.0, 2.0, 3.0, 4.0, 5.0], 0),
+            ([5.0, 4.0, 1.0, 3.0, 2.0], 2),
+            ([5.0, 3.0, 4.0, 2.0, 1.0], 4),
+            ([nan; 5], 4),
+        ] {
+            let mut net = default_network(12);
+            let mut rng = ChaCha8Rng::seed_from_u64(13);
+            let mut scored = Vec::new();
+            let history = trainer.fit_with_metric(&mut net, &data, &data, &mut rng, |net, _| {
+                scored.push(net.clone());
+                metrics[scored.len() - 1]
+            });
+            assert_eq!(history.best_epoch, best, "{metrics:?}");
+            assert_eq!(net, scored[best], "{metrics:?}");
+            assert_ne!(scored[best], scored[(best + 1) % 5], "the epochs differ");
+        }
     }
 
     #[test]

@@ -62,6 +62,11 @@
 //!   crate's non-test code, skipped as `test-only-pub` skips it, or by its
 //!   own `[features]` table. A dependency only tests name belongs under
 //!   `[dev-dependencies]`.
+//! - **`roadmap-items`**: every `ROADMAP item N` that a reason in
+//!   `lint_allowlist.txt` cites names an item ROADMAP.md still carries:
+//!   an open one (a line starting `N. **`) or a closed line (`_Item N`). An
+//!   exception justified by a plan nobody can find is not justified. The
+//!   rule is skipped when the source set carries no ROADMAP.md.
 //!
 //! Vetted exceptions live in `lint_allowlist.txt` at the repo root, one
 //! `rule|path|needle|reason` per line; entries that no longer suppress
@@ -88,6 +93,7 @@ pub const RULE_ONE_KERNEL_LOCK: &str = "one-kernel-lock";
 pub const RULE_FEATURE_DETECT: &str = "feature-detect";
 pub const RULE_TEST_ONLY_PUB: &str = "test-only-pub";
 pub const RULE_MANIFEST_DEPS: &str = "manifest-deps";
+pub const RULE_ROADMAP_ITEMS: &str = "roadmap-items";
 
 /// How many lines above an `unsafe` site a `SAFETY:` comment may sit.
 const SAFETY_LOOKBACK: usize = 4;
@@ -154,6 +160,11 @@ const ENV_MODULE: &str = "crates/mimo-math/src/env.rs";
 /// Where the `knob-docs` rule looks the variables up. The rule is skipped
 /// when the source set carries no such file (fixture runs).
 const KNOB_TABLE_FILE: &str = "README.md";
+
+/// Where the `roadmap-items` rule looks the cited items up, and the file
+/// whose reasons cite them.
+const ROADMAP_FILE: &str = "ROADMAP.md";
+const ALLOWLIST_FILE: &str = "lint_allowlist.txt";
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -283,6 +294,7 @@ pub fn lint_sources(sources: &[(String, String)], allow: &Allowlist) -> LintRepo
     let views = non_test_views(sources);
     check_test_only_pub(sources, &views, &mut raw_violations);
     check_manifest_deps(sources, &views, &mut raw_violations);
+    check_roadmap_items(sources, allow, &mut raw_violations);
 
     let mut used = vec![false; allow.entries.len()];
     let mut violations = Vec::new();
@@ -324,7 +336,7 @@ pub fn lint_repo(root: &Path, allow: &Allowlist) -> io::Result<LintReport> {
             sources.push((rel.replace('\\', "/"), std::fs::read_to_string(&path)?));
         }
     }
-    for extra in [KNOB_TABLE_FILE, WORKSPACE_MANIFEST] {
+    for extra in [KNOB_TABLE_FILE, WORKSPACE_MANIFEST, ROADMAP_FILE] {
         let path = root.join(extra);
         if path.is_file() {
             sources.push((extra.to_string(), std::fs::read_to_string(path)?));
@@ -904,6 +916,49 @@ fn check_dead_knob_rows(documented: &[KnobRow<'_>], out: &mut Vec<Violation>) {
                 row.name
             ),
         });
+    }
+}
+
+/// Repo-level pass: every `ROADMAP item N` an allowlist reason cites is an
+/// open item of ROADMAP.md (a line starting `N. **`) or a closed line there
+/// (`_Item N`, the number whole). Skipped without a ROADMAP.md.
+fn check_roadmap_items(sources: &[(String, String)], allow: &Allowlist, out: &mut Vec<Violation>) {
+    let Some((_, roadmap)) = sources.iter().find(|(rel, _)| rel == ROADMAP_FILE) else {
+        return;
+    };
+    let carried = |item: &str| {
+        roadmap.lines().any(|line| {
+            line.starts_with(&format!("{item}. **"))
+                || line
+                    .match_indices(&format!("_Item {item}"))
+                    .any(|(at, cite)| {
+                        let next = line[at + cite.len()..].chars().next();
+                        !next.is_some_and(|c| c.is_ascii_digit())
+                    })
+        })
+    };
+    for entry in &allow.entries {
+        for (at, cite) in entry.reason.match_indices("ROADMAP item ") {
+            let rest = &entry.reason[at + cite.len()..];
+            let item = &rest[..rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len())];
+            if item.is_empty() || carried(item) {
+                continue;
+            }
+            out.push(Violation {
+                rule: RULE_ROADMAP_ITEMS,
+                path: ALLOWLIST_FILE.to_string(),
+                line: 0,
+                excerpt: excerpt(&entry.reason),
+                message: format!(
+                    "the reason for `{}|{}|{}` cites ROADMAP item {item}, which \
+                     {ROADMAP_FILE} neither carries open (`{item}. **`) nor closed \
+                     (`_Item {item}`)",
+                    entry.rule, entry.path, entry.needle
+                ),
+            });
+        }
     }
 }
 

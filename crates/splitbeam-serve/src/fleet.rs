@@ -3,13 +3,13 @@
 //! Fleet scale — many [`ApServer`]s serving 100k+ concurrent sessions — needs
 //! an orchestration layer above the single server:
 //!
-//! * **one sort a round**: a round is filled whole and drained to empty, so
-//!   every station's frame offer is an entry of one list that the round
-//!   close sorts once, by channel and then in deterministic
-//!   `(time, station, offer order)` air order;
-//! * **one arena for the round's frames**: [`Fleet::offer_frame`] appends the
-//!   frame's bytes to a buffer the fleet owns and lists 16 bytes —
-//!   `(offset, len, head delay)` — so the sort moves no buffers, the drain
+//! * **offers are seated when offered**: [`Fleet::offer_frame`] already
+//!   looks the station's home AP up, so it appends the offer straight to
+//!   the list of that AP's channel, member index filled in; the round's
+//!   only serial part is the offer itself;
+//! * **one arena for the round's frames**: the offer's bytes go to the end
+//!   of a buffer the fleet owns and its list entry holds 16 bytes —
+//!   `(offset, len, head delay)` — so a sort moves no buffers, the drain
 //!   slices the arena, the close empties both, and the allocator is not in
 //!   the round: the caller's `Vec` is freed where it was allocated, not a
 //!   round later in air order on whichever thread drains the channel;
@@ -20,15 +20,17 @@
 //!   cross-BSS airtime loss per AP;
 //! * **a channel owns what only its traffic touches**: its medium, the mark
 //!   of the BSS that held it last, the APs bound to it (AP `i` is member
-//!   `i / channels` of channel `i % channels`) and its share of the drain.
-//!   Within a round a frame's fate depends on nothing else, so the sort puts
-//!   each channel's offers in one contiguous run and [`Fleet::close_round`]
-//!   hands the channels out over the `rayon` pool, once to transmit and
-//!   ingest their runs and once to close their APs. Every AP sees the same
-//!   frames in the same order with the same stamps whatever the pool's
-//!   width: at width 1 the hand-outs are plain loops. Air order is random in
-//!   memory, so a channel's drain prefetches the sessions of the frames
-//!   ahead of the one it ingests;
+//!   `i / channels` of channel `i % channels`), its list of the round's
+//!   offers and its share of the drain. Within a round a frame's fate
+//!   depends on nothing else, so [`Fleet::close_round`] hands the channels
+//!   out over the `rayon` pool once: each sorts its own list into air order
+//!   on the unique key `(time, station, offer order)` — the offer order is
+//!   round-wide, so a channel's run is the fleet-wide air order cut to that
+//!   channel — transmits and ingests it, and closes its APs. Every AP sees
+//!   the same frames in the same order with the same stamps whatever the
+//!   pool's width: at width 1 the hand-out is a plain loop. Air order is
+//!   random in memory, so a channel's drain prefetches the sessions of the
+//!   frames ahead of the one it ingests;
 //! * **station roaming**: [`Fleet::handoff`] moves a station between APs by
 //!   releasing its full [`crate::StationSession`] state at the source and
 //!   adopting it (rebound to the target's model key) at the target — no cold
@@ -37,7 +39,7 @@
 //!   and target bindings, a roamed station's served feedback is bit-exact
 //!   with a never-roamed control (pinned by the `fleet_roaming` tests).
 //!
-//! Determinism: virtual time only, seeded jitter, a sort on a unique key,
+//! Determinism: virtual time only, seeded jitter, sorts on a unique key,
 //! per-channel media updated in air order — the same seed and call
 //! sequence reproduces every summary bit-for-bit, on any number of cores.
 
@@ -50,7 +52,6 @@ use rayon::prelude::*;
 use splitbeam::model::SplitBeamModel;
 use splitbeam_hwsim::{prefetch_read, SeededJitter, SharedMedium, VirtualNs};
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// Fleet shape and physics knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,14 +176,14 @@ impl Span {
     }
 }
 
-/// One offer of the round, as the close sorts it.
+/// One offer of the round, on the list of its home AP's channel.
+#[derive(Clone, Copy)]
 struct Pending {
-    /// The home AP's channel and member index there, resolved by the close.
-    channel: u32,
+    /// The home AP's member index on that channel.
     member: u32,
     ready_ns: VirtualNs,
     id: StationId,
-    /// Offer order within the round: the last tie-break.
+    /// Offer order within the whole round: the last tie-break.
     index: usize,
     frame: Span,
     /// Station-side delay from the sounding instant until the frame was
@@ -209,18 +210,30 @@ struct Channel {
     /// Last member to transmit, for cross-BSS attribution.
     owner: Option<usize>,
     members: Vec<Member>,
-    /// This channel's run of the round's sorted offers.
-    run: Range<usize>,
+    /// The round's offers to this channel's members, in offer order until
+    /// the close sorts them into air order.
+    offers: Vec<Pending>,
     /// Frames a member refused at ingest, until the fleet folds them in.
     rejected: u64,
 }
 
 impl Channel {
-    /// Transmits `run`, this channel's offers in air order — their bytes are
-    /// `frames`, the fleet's arena — on this channel's medium, attributing
-    /// any wait accrued while a foreign BSS held the channel as cross-BSS
-    /// loss, and ingests each at its AP with its virtual-time stamp. Air order
-    /// is random in memory and an ingest is a chain of dependent loads (id
+    /// Serves this channel's round: sorts its offers into air order on the
+    /// unique key `(ready, station, offer order)`, drains them, empties the
+    /// list (keeping its room) and closes every member's round.
+    fn serve(&mut self, frames: &[u8], policy: Option<DeadlinePolicy>) {
+        self.offers
+            .sort_unstable_by_key(|p| (p.ready_ns, p.id, p.index));
+        self.drain(frames);
+        self.offers.clear();
+        self.close(policy);
+    }
+
+    /// Transmits this channel's offers, in air order — their bytes are
+    /// `frames`, the fleet's arena — on its medium, attributing any wait
+    /// accrued while a foreign BSS held the channel as cross-BSS loss, and
+    /// ingests each at its AP with its virtual-time stamp. Air order is
+    /// random in memory and an ingest is a chain of dependent loads (id
     /// index → slot → payload buffer), so the walk requests each link of the
     /// frames ahead of it as soon as the link before has had time to arrive:
     /// the id-index entry and the frame's arena bytes `3 * LOOKAHEAD` frames
@@ -228,11 +241,18 @@ impl Channel {
     /// `2 * LOOKAHEAD` early and the payload buffer the slot points at
     /// [`LOOKAHEAD`] early. Hints only, whatever they miss is loaded on
     /// demand.
-    fn drain(&mut self, run: &[Pending], frames: &[u8]) {
+    fn drain(&mut self, frames: &[u8]) {
+        let Self {
+            medium,
+            owner,
+            members,
+            offers: run,
+            rejected,
+        } = self;
         for (at, pending) in run.iter().enumerate() {
             let ahead_by = |distance: usize| {
                 let ahead = run.get(at + distance)?;
-                let member = &self.members[ahead.member as usize];
+                let member = &members[ahead.member as usize];
                 Some((member.server.sessions_of(ahead.id), ahead))
             };
             if let Some((sessions, ahead)) = ahead_by(3 * LOOKAHEAD) {
@@ -247,13 +267,13 @@ impl Channel {
             }
             let (member, ready_ns) = (pending.member as usize, pending.ready_ns);
             let frame = pending.frame.bytes(frames);
-            let ap = &mut self.members[member];
-            let busy_until = self.medium.busy_until_ns();
-            if ready_ns < busy_until && self.owner.is_some_and(|owner| owner != member) {
+            let ap = &mut members[member];
+            let busy_until = medium.busy_until_ns();
+            if ready_ns < busy_until && owner.is_some_and(|owner| owner != member) {
                 ap.cross_bss_wait_ns += busy_until - ready_ns;
             }
-            let grant = self.medium.transmit(ready_ns, frame.len() * 8);
-            self.owner = Some(member);
+            let grant = medium.transmit(ready_ns, frame.len() * 8);
+            *owner = Some(member);
             let stamp = FrameStamp {
                 arrival_ns: grant.end_ns,
                 head_ns: pending.head_ns,
@@ -262,7 +282,7 @@ impl Channel {
                 tail_ns: 0,
             };
             if ap.server.ingest_wire_at(pending.id, frame, stamp).is_err() {
-                self.rejected += 1;
+                *rejected += 1;
             }
         }
     }
@@ -281,10 +301,13 @@ impl Channel {
 pub struct Fleet {
     cfg: FleetConfig,
     channels: Vec<Channel>,
-    /// The round's offers, in offer order until the close sorts them.
-    offers: Vec<Pending>,
+    /// Offers listed this round, the next offer's order.
+    offered: usize,
+    /// Whether a handoff may have moved a listed offer's station since it
+    /// was seated: the close then re-seats every offer first.
+    reseat: bool,
     /// The bytes of every offered frame, in offer order. Emptied by the
-    /// close, with `offers`.
+    /// close, with the channels' lists.
     frames: Vec<u8>,
     jitter: SeededJitter,
     /// Station → home AP index.
@@ -325,13 +348,14 @@ impl Fleet {
                         closed: None,
                     })
                     .collect(),
-                run: 0..0,
+                offers: Vec::new(),
                 rejected: 0,
             })
             .collect();
         Self {
             channels,
-            offers: Vec::new(),
+            offered: 0,
+            reseat: false,
             frames: Vec::new(),
             jitter: SeededJitter::new(cfg.jitter_ns, cfg.seed),
             home: IdIndex::default(),
@@ -427,29 +451,35 @@ impl Fleet {
         self.ap(self.home_ap(id)?).feedback_of(id)
     }
 
-    /// Pre-sizes the round's offer list for `events` offers per round. The
+    /// Pre-sizes the channels' offer lists for `events` offers per round,
+    /// each list an even share of them: a list that gets more than its
+    /// share grows by doubling in the first round and keeps that room. The
     /// frame arena is not sized here — a count of offers says nothing about
     /// their bytes: it grows by doubling while the first round is offered
     /// and keeps that room.
     pub fn reserve_events(&mut self, events: usize) {
-        self.offers.reserve(events);
+        let share = events.div_ceil(self.channels.len());
+        for channel in &mut self.channels {
+            channel.offers.reserve(share);
+        }
     }
 
     /// Offers a station's encoded wire frame for the current round. The
     /// frame becomes ready `jitter` ns into the round (the station-side
     /// compute/backoff spread) and is transmitted on the home AP's channel
-    /// when the fleet closes the round. The offer is appended to the round's
-    /// list, its bytes to the end of the fleet's arena, and the caller's
-    /// buffer is freed here, where it was allocated — not a round later, in
-    /// air order, on whichever thread drains the channel. An offer whose
-    /// ready instant saturates [`VirtualNs`] never becomes ready, and one
-    /// that would grow the arena past what a `u32` offset addresses (4 GiB of
-    /// frames in a round) has no place: either is counted rejected and stays
-    /// off the list and the medium.
+    /// when the fleet closes the round. The offer is seated at once: it is
+    /// appended to the list of its home AP's channel, that AP's member
+    /// index filled in, its bytes to the end of the fleet's arena, and the
+    /// caller's buffer is freed here, where it was allocated — not a round
+    /// later, in air order, on whichever thread drains the channel. An offer
+    /// whose ready instant saturates [`VirtualNs`] never becomes ready, and
+    /// one that would grow the arena past what a `u32` offset addresses (4
+    /// GiB of frames in a round) has no place: either is counted rejected
+    /// and stays off the lists and the media.
     pub fn offer_frame(&mut self, id: StationId, frame: Vec<u8>) -> Result<(), ServeError> {
-        if self.home.get(id).is_none() {
+        let Some(ap) = self.home.get(id) else {
             return Err(ServeError::UnknownStation(id));
-        }
+        };
         let head_ns = self.jitter.draw();
         let ready_ns = self.now_ns.saturating_add(head_ns);
         let placed = (ready_ns < VirtualNs::MAX).then(|| Span::place(&mut self.frames, &frame));
@@ -457,15 +487,18 @@ impl Fleet {
             self.rejected += 1;
             return Ok(());
         };
-        self.offers.push(Pending {
-            channel: 0,
-            member: 0,
-            ready_ns,
-            id,
-            index: self.offers.len(),
-            frame,
-            head_ns,
-        });
+        let channels = self.cfg.channels as u32;
+        self.channels[(ap % channels) as usize]
+            .offers
+            .push(Pending {
+                member: ap / channels,
+                ready_ns,
+                id,
+                index: self.offered,
+                frame,
+                head_ns,
+            });
+        self.offered += 1;
         Ok(())
     }
 
@@ -491,20 +524,45 @@ impl Fleet {
             return Err(e);
         }
         self.home.insert(id, to_ap as u32);
+        self.reseat = true;
         self.pending_handoff.insert(id, self.now_ns);
         self.handoffs += 1;
         Ok(())
     }
 
-    /// Closes the fleet round. One pass resolves each offer's home AP as of
-    /// now (an offer in flight across a handoff transmits on the new channel,
-    /// in order; a homeless one is rejected), and one unstable sort on the
-    /// unique key `(channel, ready, station, offer order)` puts each
-    /// channel's offers in one run in air order. The channels, handed out
-    /// over the pool once, serialize their runs on their media and ingest
-    /// them with their virtual-time stamps; then every AP's round closes
-    /// under the deadline policy, handed out the same way, and handoff
-    /// latencies settle.
+    /// Re-seats every listed offer by its station's home as of now, so an
+    /// offer in flight across a handoff transmits on the new AP's channel,
+    /// in its air order there; an offer whose station has no home left is
+    /// rejected.
+    fn reseat_offers(&mut self) {
+        let (home, channels) = (&self.home, self.cfg.channels as u32);
+        let (mut moved, mut homeless) = (Vec::new(), 0);
+        for (at, channel) in self.channels.iter_mut().enumerate() {
+            channel.offers.retain_mut(|p| {
+                let Some(ap) = home.get(p.id) else {
+                    homeless += 1;
+                    return false;
+                };
+                p.member = ap / channels;
+                let seat = (ap % channels) as usize;
+                if seat != at {
+                    moved.push((seat, *p));
+                }
+                seat == at
+            });
+        }
+        for (seat, p) in moved {
+            self.channels[seat].offers.push(p);
+        }
+        self.rejected += homeless;
+    }
+
+    /// Closes the fleet round. The channels are handed out over the pool
+    /// once: each sorts its offers into air order, serializes them on its
+    /// medium, ingests them with their virtual-time stamps and closes its
+    /// APs' rounds under the deadline policy; then handoff latencies
+    /// settle. A round with a handoff since the last close first re-seats
+    /// every offer by its home as of now (a homeless one is rejected).
     ///
     /// # Errors
     /// The first AP round-close error (in AP order). The fleet round is
@@ -513,34 +571,18 @@ impl Fleet {
     /// what every AP's healthy batches did, the failing AP's included. Ingest
     /// rejections (quarantine, corruption) are counted, not raised.
     pub fn close_round(&mut self) -> Result<FleetRoundSummary, ServeError> {
-        let (home, channels, offered) = (&self.home, self.cfg.channels as u32, self.offers.len());
-        self.offers.retain_mut(|p| {
-            let seat = home.get(p.id).map(|ap| (ap % channels, ap / channels));
-            seat.map(|seat| (p.channel, p.member) = seat).is_some()
-        });
-        self.rejected += (offered - self.offers.len()) as u64;
-        self.offers
-            .sort_unstable_by_key(|p| (p.channel, p.ready_ns, p.id, p.index));
-        let mut start = 0;
-        for (at, channel) in self.channels.iter_mut().enumerate() {
-            let len = self.offers[start..].partition_point(|p| p.channel as usize == at);
-            channel.run = start..start + len;
-            start += len;
+        if std::mem::take(&mut self.reseat) {
+            self.reseat_offers();
         }
-        let (offers, frames) = (&self.offers, &self.frames);
-        self.channels.par_iter_mut().for_each(|channel| {
-            let run = &offers[channel.run.clone()];
-            channel.drain(run, frames);
-        });
-        self.offers.clear();
+        let (frames, policy) = (&self.frames, self.cfg.policy);
+        self.channels
+            .par_iter_mut()
+            .for_each(|channel| channel.serve(frames, policy));
         self.frames.clear();
+        self.offered = 0;
         for channel in &mut self.channels {
             self.rejected += std::mem::take(&mut channel.rejected);
         }
-        let policy = self.cfg.policy;
-        self.channels
-            .par_iter_mut()
-            .for_each(|channel| channel.close(policy));
         let closed_round = self.round;
         let mut per_ap = Vec::with_capacity(self.cfg.aps);
         let mut tally = RoundSummary::default();
@@ -820,16 +862,34 @@ mod tests {
             fleet.offer_frame(id, station_frame(&m, id, 4)).unwrap();
         }
         fleet.offer_frame(0, vec![0u8; 4]).unwrap();
+        // A home changes only by a move, and a move marks the round.
         fleet.home.remove(2);
-        let (offered, listed) = (fleet.frames.len(), fleet.offers.len());
+        fleet.reseat = true;
+        let (offered, listed) = (fleet.frames.len(), fleet.channels[0].offers.len());
         let summary = fleet.close_round().unwrap();
         assert_eq!((summary.served, summary.rejected), (2, 2));
         assert_eq!(fleet.stats().rejected, 2);
-        // The close emptied the arena and the list, and kept their room.
+        // The close emptied the arena and the lists, and kept their room.
         assert!(fleet.frames.is_empty() && fleet.frames.capacity() >= offered);
-        assert!(fleet.offers.is_empty() && fleet.offers.capacity() >= listed);
+        assert!(fleet.channels.iter().all(|c| c.offers.is_empty()));
+        assert!(fleet.channels[0].offers.capacity() >= listed);
         let summary = fleet.close_round().unwrap();
         assert_eq!((summary.rejected, fleet.stats().rejected), (0, 2));
+    }
+
+    /// Each channel's list is reserved a share of the offers, not all of
+    /// them: 100,001 offers on four channels are 25,001 a list.
+    #[test]
+    fn reserving_events_gives_each_channel_its_share() {
+        let mut fleet = Fleet::new(FleetConfig {
+            aps: 8,
+            channels: 4,
+            ..FleetConfig::default()
+        });
+        fleet.reserve_events(100_001);
+        for channel in &fleet.channels {
+            assert!((25_001..50_000).contains(&channel.offers.capacity()));
+        }
     }
 
     /// A station has one home: registering an id that already has one —
@@ -990,7 +1050,8 @@ mod tests {
                     .offer_frame(id, station_frame(&m, 60 + id, 4))
                     .unwrap();
             }
-            assert!(fleet.offers.is_empty(), "a pinned offer was listed");
+            let listed = fleet.channels.iter().any(|c| !c.offers.is_empty());
+            assert!(!listed, "a pinned offer was listed");
             assert!(fleet.frames.is_empty(), "a pinned offer left its bytes");
             let summary = fleet.close_round().unwrap();
             assert_eq!(

@@ -7,8 +7,8 @@
 //! divide), and the int8 tail. An event-driven round on a lossy medium is
 //! held to one allocation per offered frame, however many transmissions are
 //! lost, damaged and retried, a fleet round's offers to none at all (the arena
-//! and the offer list are warm) and its close — offers sorted in place,
-//! channels drained and closed on the pool's threads — to the one `Vec` of
+//! and the channels' offer lists are warm) and its close — each channel's
+//! offers sorted in place, drained and closed on the pool's threads — to the one `Vec` of
 //! summaries it returns. This
 //! binary registers the counting allocator, warms each path until every
 //! arena/scratch/cache has reached its steady shape, then re-runs the same
@@ -265,13 +265,14 @@ fn faulty_event_path(model: &SplitBeamModel) {
 
 /// A fleet round on 8 APs / 4 channels. An offer hands the fleet a frame the
 /// caller allocated: the fleet copies it to the end of its arena and appends
-/// one entry to its offer list, so once both are warm the offers request
-/// nothing — the only heap traffic is the caller's `Vec` being freed, which
-/// is why the round's frames are built before the scope. The close — the
-/// in-place sort of the offer list, the two hand-outs of the channels,
-/// reading the APs' results back — allocates the `per_ap` vector of the
-/// summary it returns and nothing else: the offer list, the arena, hand-outs
-/// and result slots are the fleet's own and warm after the first round.
+/// one entry to its home channel's offer list, so once both are warm the
+/// offers request nothing — the only heap traffic is the caller's `Vec`
+/// being freed, which is why the round's frames are built before the scope.
+/// The close — the one hand-out of the channels, each sorting its list in
+/// place, draining it and closing its APs, then reading the APs' results
+/// back — allocates the `per_ap` vector of the summary it returns and
+/// nothing else: the offer lists, the arena, the hand-out and result slots
+/// are the fleet's own and warm after the first round.
 fn fleet_path(model: &SplitBeamModel) {
     const STATIONS: u64 = 64;
     let frame = station_frame(model, 600, BITS);

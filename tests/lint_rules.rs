@@ -6,8 +6,8 @@
 use splitbeam_analysis::lint::{
     format_allowlist, lint_sources, parse_allowlist, Allowlist, LintReport, RULE_DENY_UNSAFE_OP,
     RULE_ENV_ACCESS, RULE_FEATURE_DETECT, RULE_INGEST_UNWRAP, RULE_KERNEL_PARITY_TEST,
-    RULE_KNOB_DOCS, RULE_MANIFEST_DEPS, RULE_ONE_KERNEL_LOCK, RULE_SAFETY_COMMENT,
-    RULE_SERVE_UNORDERED_MAP, RULE_TEST_ONLY_PUB, RULE_WALL_CLOCK,
+    RULE_KNOB_DOCS, RULE_MANIFEST_DEPS, RULE_ONE_KERNEL_LOCK, RULE_ROADMAP_ITEMS,
+    RULE_SAFETY_COMMENT, RULE_SERVE_UNORDERED_MAP, RULE_TEST_ONLY_PUB, RULE_WALL_CLOCK,
 };
 
 fn lint_one(path: &str, text: &str) -> LintReport {
@@ -252,6 +252,37 @@ fn knob_table_rows_must_name_a_variable_some_code_reads() {
         ),
         ("README.md", 6)
     );
+}
+
+#[test]
+fn allowlist_reasons_must_cite_items_the_roadmap_carries() {
+    let allow = parse_allowlist(
+        "test-only-pub|crates/demo/src/lib.rs|pub fn objective(|product surface: \
+         the objective ROADMAP item 8 will call\n\
+         test-only-pub|crates/demo/src/lib.rs|pub fn handoff(|product surface: \
+         what ROADMAP item 1(c)'s roaming stage will call\n",
+    )
+    .unwrap();
+    let lint = |roadmap: &str| {
+        let sources = [("ROADMAP.md".to_string(), roadmap.to_string())];
+        lint_sources(&sources, &allow).violations
+    };
+    // Item 1 is open and item 8 closed: both resolve (the two entries are
+    // stale here, which is another report).
+    let carried = "## Open items\n\n1. **Unfreeze the benchmark.** Text.\n\n\
+                   _Closed:_\n- _Item 8, the served budget: done._\n";
+    assert!(lint(carried).is_empty(), "{:#?}", lint(carried));
+    // Item 8 gone, its number only inside longer ones and an indented list:
+    // the entry citing it fails, at the allowlist.
+    let dropped = "1. **Unfreeze the benchmark.**\n   8. **a sub-step**\n\
+                   18. **Another item.**\n- _Item 81, elsewhere._\n";
+    let violations = lint(dropped);
+    let found: Vec<_> = violations
+        .iter()
+        .map(|v| (v.rule, v.path.as_str()))
+        .collect();
+    assert_eq!(found, vec![(RULE_ROADMAP_ITEMS, "lint_allowlist.txt")]);
+    assert!(violations[0].message.contains("ROADMAP item 8,"));
 }
 
 #[test]
