@@ -13,7 +13,7 @@
 //!
 //! | [`Int8Kernel`] | `MR x NR` | registers | group step |
 //! |---|---|---|---|
-//! | `Amx` | 32 x 32 | 2 x 2 `tmm` sums + 2 activation + 2 weight tiles | four `tdpbusd` a 16 groups |
+//! | `Amx` | 32 x 32 | 2 x 2 `tmm` sums + 2 activation + 2 weight tiles | four `tdpbusd` a 16 groups (one 64-byte step) |
 //! | `Avx512Vnni` | 12 x 32 | 24 zmm accumulators + 2 weights + 1 broadcast | one `vpdpbusd` |
 //! | `Avx2Maddubs` | 4 x 16 | 8 ymm accumulators + 2 weights + `ones` + broadcast + temporary | `maddubs` + `madd` + `add` |
 //! | `Scalar` | any | — | the portable tile, the bit-exactness anchor |
@@ -23,11 +23,16 @@
 //! The unit of every arm is the **K4 group**, the native shape of the VNNI
 //! dot instruction: the 4 consecutive input channels of one output column,
 //! adjacent in memory. A panel holds `NR` output columns; its groups follow
-//! one another `4 * NR` bytes apart:
+//! one another `4 * NR` bytes apart, and it holds whole **steps** of 16
+//! groups — the 64 bytes of depth one AMX tile row takes — so that every
+//! step the AMX arm loads lies inside its panel and past `k` is zero:
 //!
 //! ```text
-//! packed[((p * groups + g) * NR + c) * 4 + q] = wq[4g + q][p * NR + c]   (zero past k and n)
+//! packed[((p * 16 * steps + g) * NR + c) * 4 + q] = wq[4g + q][p * NR + c]   (zero past k and n)
 //! ```
+//!
+//! with `steps = k.div_ceil(64)`. The other arms read the `padded_k(k) / 4`
+//! groups the depth has and step over the rest.
 //!
 //! [`gemm_u8i8_i32`] takes the older K4-row operand
 //! (`packed[(g*n + j)*4 + q] = wq[(4g+q)*n + j]`) instead — one "panel" as
@@ -38,9 +43,10 @@
 //! Activations are quantized to **u7** (`0..=127`) per row: with both
 //! operands bounded by 127, a `maddubs` pair sum is at most `2*127*127 =
 //! 32258 < i16::MAX`, so the AVX2 arm can never saturate and stays exact.
-//! Activation rows ([`Lhs`]) start on a 64-byte boundary and are zero-padded
-//! to a whole number of 64-byte steps — what an AMX tile row is loaded from;
-//! the padded products are exact zeros in every arm.
+//! Activation rows ([`Lhs`]) start on a 64-byte boundary and span a whole
+//! number of steps — what an AMX tile row is loaded from. What a row holds
+//! past `k` meets zero weights in every arm, so those products are exact
+//! zeros whatever it is.
 //!
 //! # Exactness
 //!
@@ -59,7 +65,7 @@
 //! the largest tail layer in the workspace has `k = 4356`, giving `~7.0e7`,
 //! five orders of magnitude inside `i32` range.
 
-use super::packed::{walk_panels, PackedWidth, Panels, RowBase, Rows, TileRows};
+use super::packed::{hand_out, unit, walk_panels, PackedWidth, Panels, RowBase, Rows, TileRows};
 use super::Backend;
 use std::ops::Range;
 
@@ -107,6 +113,19 @@ pub fn padded_k(k: usize) -> usize {
     k.div_ceil(4) * 4
 }
 
+/// K4 groups of one AMX depth step: the 64 bytes of a tile row.
+const STEP_GROUPS: usize = 16;
+
+/// The groups a panel of depth `k` holds: whole steps.
+fn panel_groups(k: usize) -> usize {
+    (padded_k(k) / 4).next_multiple_of(STEP_GROUPS)
+}
+
+/// The first group of the last step over `groups` groups.
+fn last_step(groups: usize) -> usize {
+    STEP_GROUPS * (groups.div_ceil(STEP_GROUPS) - 1)
+}
+
 /// Packs row-major quantized weights (`k x n`, row = input channel) into the
 /// K4-row operand of [`gemm_u8i8_i32`]:
 /// `packed[(g*n + j)*4 + q] = wq[(4g+q)*n + j]`, zero-padded past `k`. The
@@ -132,7 +151,7 @@ pub struct PackedInt8 {
     k: usize,
     n: usize,
     width: PackedWidth,
-    /// `n.div_ceil(NR)` panels of `padded_k(k) * NR` bytes.
+    /// `n.div_ceil(NR)` panels of `4 * panel_groups(k) * NR` bytes.
     data: Panels<i8, 64>,
 }
 
@@ -153,7 +172,7 @@ impl PackedInt8 {
     ) -> Self {
         assert!(k > 0 && n > 0, "packed int8 dimensions must be non-zero");
         let nr = width.nr();
-        let panel_bytes = padded_k(k) * nr;
+        let panel_bytes = 4 * panel_groups(k) * nr;
         let mut data = Panels::default();
         data.reset(n.div_ceil(nr) * panel_bytes);
         for (p, panel) in data.chunks_exact_mut(panel_bytes).enumerate() {
@@ -178,31 +197,37 @@ impl PackedInt8 {
         self.n
     }
 
-    /// Bytes a product streams: the codes plus the zero padding of the last
-    /// group and the last panel.
+    /// Bytes the packed codes take: the codes plus the zero padding of the
+    /// last step and the last panel.
     pub fn bytes(&self) -> usize {
         self.data.len()
     }
 }
 
 /// The left-hand side of [`gemm_u8i8_dequant`]: `rows x k` u7 activation
-/// codes, each row zero-padded to a whole number of 64-byte depth steps and
-/// starting on a 64-byte boundary — what the AMX arm loads a tile row from
-/// (a row that straddles two cache lines halves its load rate) and what
-/// makes the bytes past `k` exact zeros in every arm. Reusable: a
+/// codes, each row a whole number of 64-byte depth steps long and starting
+/// on a 64-byte boundary — what the AMX arm loads a tile row from (a row
+/// that straddles two cache lines halves its load rate). Reusable: a
 /// [`Lhs::reset`] keeps the allocation; `Lhs::default()` is empty.
 #[derive(Debug, Clone, Default)]
 pub struct Lhs {
     rows: usize,
     k: usize,
+    /// At least `rows` rows; what a reset kept past them is unused.
     data: Panels<u8, 64>,
 }
 
 impl Lhs {
-    /// Reshapes to `rows x k`, every code zero.
+    /// Reshapes to `rows x k` in the allocation it has, growing it — with
+    /// zeros — only past the largest shape so far. The codes are left as
+    /// they were: the caller writes the `k` codes of every row
+    /// ([`Lhs::row_mut`]), and what a row holds past `k` — zeros, or
+    /// another shape's codes — multiplies weights that are zero past `k` in
+    /// every layout, so it adds exact zeros. Nothing is cleared, so a served
+    /// close does not re-own the lines another core's tiles last read.
     pub fn reset(&mut self, rows: usize, k: usize) {
         (self.rows, self.k) = (rows, k);
-        self.data.reset(rows * self.stride());
+        self.data.grow(rows * self.stride());
     }
 
     /// The `k` codes of row `r`.
@@ -215,17 +240,26 @@ impl Lhs {
     fn stride(&self) -> usize {
         self.k.next_multiple_of(64)
     }
+
+    /// The `rows` rows, `stride` bytes apart.
+    fn codes(&self) -> &[u8] {
+        &self.data[..self.rows * self.stride()]
+    }
 }
 
 /// The right-hand side as the tiles see it: `groups` K4 groups of `n`
 /// columns, laid out in panels of `panel_cols` columns (`NR` for
-/// [`PackedInt8`], `n` for the K4-row operand).
+/// [`PackedInt8`], `n` for the K4-row operand) that hold `panel_groups`
+/// groups each. The AMX arm reads whole steps: a [`PackedInt8`] panel holds
+/// them; the K4-row operand's last step is `last`, a zero-padded copy.
 #[derive(Clone, Copy)]
 struct Rhs<'a> {
     data: &'a [i8],
     groups: usize,
+    panel_groups: usize,
     n: usize,
     panel_cols: usize,
+    last: Option<&'a [i8]>,
 }
 
 /// The operands of one register tile: `mr` rows of activation codes against
@@ -236,6 +270,9 @@ struct Rhs<'a> {
 /// `groups` offsets `stride` apart, and the [`Sink`] for `cols` lanes at
 /// each of its first `mr` row addresses (per-row and per-column operands
 /// alike), with `1 <= mr <= MR` and `cols <= NR` for the arm's `MR x NR`.
+/// The AMX arm reads whole steps: `a_stride` is a multiple of 64, and of the
+/// `groups.div_ceil(16)` steps it reads the last from `last` — 16 groups
+/// `stride` apart, zero past `groups` — and the others from `b`.
 #[derive(Clone, Copy)]
 struct Tile {
     a: *const u8,
@@ -246,6 +283,8 @@ struct Tile {
     /// Bytes from one K4 group of these columns to the next.
     stride: usize,
     cols: usize,
+    /// The last step's groups of these columns (the AMX arm's).
+    last: *const i8,
 }
 
 /// Where a tile's finished sums go.
@@ -275,91 +314,89 @@ type TileFn = unsafe fn(tile: Tile, sink: Sink);
 /// A tile's output lanes: its rows and its columns of the product.
 type Patch = (Range<usize>, Range<usize>);
 
-/// How a claimant of panels computes its tiles: by a function of a tile's
-/// operands alone, or by the AMX arm, which keeps its tile configuration,
-/// the staged depth tail of the current panel and the sums of its last tile
-/// — whose store runs under the next tile — from one tile to the next, with
-/// that tile's patch. Tile configuration is per-thread state, so an arm is
-/// made, used and dropped by one thread: each claimant has its own, on its
-/// stack (boxing the 6 KB AMX state would put an allocation into every
-/// product).
-#[allow(clippy::large_enum_variant)]
-enum Arm {
-    Registers(TileFn),
-    #[cfg(target_arch = "x86_64")]
-    Amx(x86::AmxProduct, Option<Patch>),
-}
-
-impl Arm {
-    /// Runs `tile` on this arm into `sink` and returns the patch whose
-    /// store that completed: `patch`, the tile's own, on a register arm; on
-    /// the AMX arm, which stores a tile's sums under the next tile's depth
-    /// loop, the previous tile's (none at a claimant's first).
-    ///
-    /// # Safety
-    /// `tile` must come from [`for_each_tile`], which built it from in-bounds
-    /// slices and chose a feature-checked arm, and `sink` must satisfy
-    /// [`Tile`]'s contract for its rows and columns until the store this
-    /// returns or [`Arm::flush`] has completed it.
-    unsafe fn store(&mut self, tile: Tile, sink: Sink, patch: Patch) -> Option<Patch> {
-        match self {
-            Arm::Registers(run) => {
-                // SAFETY: the caller's contract.
-                unsafe { run(tile, sink) };
-                Some(patch)
-            }
-            #[cfg(target_arch = "x86_64")]
-            Arm::Amx(product, pending) => {
-                // SAFETY: the caller's contract.
-                unsafe { x86::tile_amx(product, tile, sink) };
-                pending.replace(patch)
-            }
-        }
-    }
-
-    /// Completes the store the arm still holds, and returns its patch.
-    fn flush(&mut self) -> Option<Patch> {
-        match self {
-            Arm::Registers(_) => None,
-            #[cfg(target_arch = "x86_64")]
-            Arm::Amx(product, pending) => {
-                product.flush();
-                pending.take()
-            }
-        }
-    }
-}
-
-/// A claimant of a product's panels: its arm, and `done`, which runs on
-/// each patch whose store has completed. Dropping it — after the claimant's
-/// last part — completes the store the AMX arm still holds and runs `done`
-/// on it, so every patch is done before the hand-out returns; the arm's own
-/// drop then releases the tiles.
-struct Claimant<'d, D: Fn(Patch)> {
-    arm: Arm,
-    done: &'d D,
-}
-
-impl<D: Fn(Patch)> Drop for Claimant<'_, D> {
-    fn drop(&mut self) {
-        if let Some(patch) = self.arm.flush() {
-            (self.done)(patch);
-        }
-    }
-}
-
 /// The product size, in multiply-adds, from which [`gemm_u8i8_dequant`] hands
 /// its panels out through the pool (see the README's kernel section for the
 /// measured fork-join cost behind it).
 const PAR_MIN_MACS: usize = 3 << 20;
 
+/// The operands of a product as its tiles take them: activation rows
+/// `a_stride` bytes apart against the panels of `rhs`.
+#[derive(Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [u8],
+    a_stride: usize,
+    rhs: Rhs<'a>,
+}
+
+impl Operands<'_> {
+    /// Bytes from one K4 group of a panel's columns to the next.
+    fn stride(&self) -> usize {
+        4 * self.rhs.panel_cols
+    }
+
+    /// The tile of rows `r` against output columns `j` of panel `p`.
+    fn tile(&self, p: usize, r: &Range<usize>, j: &Range<usize>) -> Tile {
+        let Rhs {
+            data,
+            groups,
+            panel_groups,
+            panel_cols,
+            last,
+            ..
+        } = self.rhs;
+        let stride = self.stride();
+        let panel = &data[p * panel_groups * stride..(p + 1) * panel_groups * stride];
+        let c0 = j.start % panel_cols;
+        Tile {
+            a: self.a[self.a_stride * r.start..self.a_stride * r.end].as_ptr(),
+            a_stride: self.a_stride,
+            mr: r.len(),
+            groups,
+            b: panel[4 * c0..(groups - 1) * stride + 4 * (c0 + j.len())].as_ptr(),
+            stride,
+            cols: j.len(),
+            // An address only: the arms below AMX never read it, and where
+            // AMX runs `for_each_tile` checked that the step is whole.
+            last: match last {
+                Some(last) => last.as_ptr(),
+                None => panel[last_step(groups) * stride..].as_ptr(),
+            }
+            .wrapping_add(4 * c0),
+        }
+    }
+}
+
+/// A claimant of a product's panels on the AMX arm: its tile state, and
+/// `done`, which runs on each patch whose store has completed. Tile
+/// configuration is per-thread state, so each claimant has its own, on its
+/// stack (boxing the 4 KB of it would put an allocation into every
+/// product). Dropping it — after the claimant's last part — completes the
+/// store its last tile still holds and runs `done` on it, so every patch
+/// is done before the hand-out returns; the state's own drop then releases
+/// the tiles.
+#[cfg(target_arch = "x86_64")]
+struct Claimant<'d, D: Fn(Patch)> {
+    product: x86::AmxProduct,
+    done: &'d D,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<D: Fn(Patch)> Drop for Claimant<'_, D> {
+    fn drop(&mut self) {
+        if let Some(patch) = self.product.flush() {
+            (self.done)(patch);
+        }
+    }
+}
+
 /// Every tile of `a * rhs` on `kernel`'s arm, stored into `sink(patch)` —
 /// the tile's rows and output columns — by the panel walk the f32 tail
-/// shares ([`walk_panels`]), each claimant of panels with its own [`Arm`];
-/// `done(patch)` runs on each tile once its store has completed, on the
-/// thread that ran it. `a` is activation rows `a_stride >= 4 * rhs.groups`
-/// bytes apart. An arm narrower than a panel walks it in `NR`-column
-/// blocks; a wider one runs with its upper lanes masked off.
+/// shares ([`walk_panels`]), or, on the AMX arm, a claimant's panel in one
+/// call ([`x86::amx_panel`]); `done(patch)` runs on each tile once
+/// its store has completed, on the thread that ran it. `a` is activation
+/// rows `a_stride >= 4 * rhs.groups` bytes apart. An arm narrower than a
+/// panel walks it in `NR`-column blocks; a wider one runs with its upper
+/// lanes masked off.
 ///
 /// The AMX arm loads whole 64-byte steps of each row: where it runs, `a`
 /// must be an [`Lhs`]'s rows.
@@ -370,56 +407,56 @@ const PAR_MIN_MACS: usize = 3 << 20;
 /// run on it.
 unsafe fn for_each_tile<D: Fn(Patch) + Sync>(
     kernel: Int8Kernel,
-    (a, a_stride): (&[u8], usize),
-    rhs: Rhs<'_>,
+    ops: Operands<'_>,
     pooled: bool,
     sink: impl Fn(&Patch) -> Sink + Sync + Send,
     done: D,
 ) {
-    let (data, groups, n, panel_cols) = (rhs.data, rhs.groups, rhs.n, rhs.panel_cols);
-    let (arm, shape): (fn() -> Arm, _) = match kernel.runs().int8() {
-        #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Amx => (|| Arm::Amx(x86::AmxProduct::new(), None), (32, 32)),
-        #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Avx512Vnni => (|| Arm::Registers(x86::rows_vnni), (12, 32)),
-        #[cfg(target_arch = "x86_64")]
-        Int8Kernel::Avx2Maddubs => (|| Arm::Registers(x86::rows_avx2), (4, 16)),
-        // The portable tile takes any shape; this one is as good as any.
-        _ => (|| Arm::Registers(tile_portable), (12, 32)),
-    };
-    let stride = 4 * panel_cols;
-    let rows = a.len() / a_stride;
-    let init = || Claimant {
-        arm: arm(),
-        done: &done,
-    };
-    walk_panels(
-        rows,
+    let Rhs {
+        groups,
+        panel_groups,
         n,
         panel_cols,
-        shape,
-        pooled,
-        init,
-        |claimant, p, r, j| {
-            let panel = &data[p * groups * stride..(p + 1) * groups * stride];
-            let c0 = j.start % panel_cols;
-            let tile = Tile {
-                a: a[a_stride * r.start..a_stride * r.end].as_ptr(),
-                a_stride,
-                mr: r.len(),
-                groups,
-                b: panel[4 * c0..(groups - 1) * stride + 4 * (c0 + j.len())].as_ptr(),
-                stride,
-                cols: j.len(),
+        last,
+        ..
+    } = ops.rhs;
+    let rows = ops.a.len() / ops.a_stride;
+    let (run, shape): (TileFn, _) = match kernel.runs().int8() {
+        #[cfg(target_arch = "x86_64")]
+        Int8Kernel::Amx => {
+            // Every panel's last step is whole: inside the panel or in
+            // `last`, which holds the one panel's.
+            let first = last_step(groups);
+            let held = last.map_or(panel_groups, |last| first + last.len() / ops.stride());
+            assert!(held >= first + STEP_GROUPS, "the AMX arm reads whole steps");
+            let init = || Claimant {
+                product: x86::AmxProduct::new(),
+                done: &done,
             };
-            let patch = (r, j);
-            // SAFETY: the tile was just built from in-bounds slices on a
-            // feature-checked arm, and the sink is the caller's.
-            if let Some(finished) = unsafe { claimant.arm.store(tile, sink(&patch), patch) } {
-                (claimant.done)(finished);
-            }
-        },
-    );
+            hand_out(n.div_ceil(panel_cols), pooled, init, |claimant, p| {
+                // SAFETY: the arm runs here, the tiles come from in-bounds
+                // slices of whole steps, and the sink is the caller's.
+                unsafe {
+                    x86::amx_panel(&mut claimant.product, &ops, p, rows, &sink, claimant.done)
+                };
+            });
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        Int8Kernel::Avx512Vnni => (x86::rows_vnni, (12, 32)),
+        #[cfg(target_arch = "x86_64")]
+        Int8Kernel::Avx2Maddubs => (x86::rows_avx2, (4, 16)),
+        // The portable tile takes any shape; this one is as good as any.
+        _ => (tile_portable, (12, 32)),
+    };
+    walk_panels(rows, n, panel_cols, shape, pooled, unit, |_, p, r, j| {
+        let tile = ops.tile(p, &r, &j);
+        let patch = (r, j);
+        // SAFETY: the tile was just built from in-bounds slices on a
+        // feature-checked arm, and the sink is the caller's.
+        unsafe { run(tile, sink(&patch)) };
+        done(patch);
+    });
 }
 
 /// Integer GEMM `out = a * b` (overwrite — `out` need not be zeroed): `a` is
@@ -450,31 +487,39 @@ pub fn gemm_u8i8_i32(
     assert_eq!(a.len(), rows * k_pad, "gemm_u8i8_i32 lhs length mismatch");
     assert_eq!(b.len(), k_pad * n, "gemm_u8i8_i32 rhs length mismatch");
     assert_eq!(out.len(), rows * n, "gemm_u8i8_i32 out length mismatch");
-    let rhs = Rhs {
-        data: b,
-        groups: k_pad / 4,
-        n,
-        panel_cols: n,
-    };
-    // The AMX arm loads its rows a 64-byte step at a time, so where it runs
-    // it reads this operand, padding bytes and all, copied into an [`Lhs`];
-    // every other arm reads it in place.
-    let mut lhs = Lhs::default();
+    let groups = k_pad / 4;
+    // The AMX arm loads whole 64-byte steps, so where it runs it reads the
+    // activations, padding bytes and all, copied into an [`Lhs`], and the
+    // weights' last step copied with zero groups past the depth; every
+    // other arm reads both operands in place.
+    let (mut lhs, mut last) = (Lhs::default(), Vec::new());
     let (a, a_stride) = if kernel.runs() == Backend::Amx {
         lhs.reset(rows, k_pad);
         for (r, row) in a.chunks_exact(k_pad).enumerate() {
             lhs.row_mut(r).copy_from_slice(row);
         }
-        (&lhs.data[..], lhs.stride())
+        last.resize(4 * STEP_GROUPS * n, 0);
+        let from = 4 * last_step(groups) * n;
+        last[..b.len() - from].copy_from_slice(&b[from..]);
+        (lhs.codes(), lhs.stride())
     } else {
         (a, k_pad)
     };
+    let rhs = Rhs {
+        data: b,
+        groups,
+        panel_groups: groups,
+        n,
+        panel_cols: n,
+        last: (!last.is_empty()).then_some(&last[..]),
+    };
     let out = RowBase::Strided(out.as_mut_ptr(), n);
     let sink = |(r, j): &Patch| Sink::Sums(out.tile(r.clone(), j.start));
+    let ops = Operands { a, a_stride, rhs };
     // SAFETY: a patch's rows and columns address lanes of the `rows x n`
     // matrix `out` borrows for the whole call, each patch's its own. One
     // panel as wide as the matrix: nothing to hand out.
-    unsafe { for_each_tile(kernel, (a, a_stride), rhs, false, sink, |_| {}) };
+    unsafe { for_each_tile(kernel, ops, false, sink, |_| {}) };
 }
 
 /// The per-row and per-column terms of the dequantizing store, in the
@@ -539,8 +584,10 @@ fn dequant_product<F: Fn(f32) -> f32 + Sync>(
     let rhs = Rhs {
         data: &b.data,
         groups: padded_k(b.k) / 4,
+        panel_groups: panel_groups(b.k),
         n,
         panel_cols: b.width.nr(),
+        last: None,
     };
     let a_stride = a.stride();
     out.runs((rows, n), |run, out| {
@@ -559,12 +606,13 @@ fn dequant_product<F: Fn(f32) -> f32 + Sync>(
         // SAFETY: the lanes of a patch whose store has completed, which
         // only the thread that ran its tile touches.
         let done = |(r, j): Patch| unsafe { out.act(r, j, &act) };
-        let a = &a.data[run.start * a_stride..run.end * a_stride];
+        let a = &a.codes()[run.start * a_stride..run.end * a_stride];
+        let ops = Operands { a, a_stride, rhs };
         // SAFETY: a patch's row and column terms are the slices the sink
         // takes, and its lanes — columns `j` of rows `r` of this run of the
         // output, which `out` borrows for the whole call — are its tile's
         // alone: a panel's, which one thread runs.
-        unsafe { for_each_tile(kernel, (a, a_stride), rhs, pooled, sink, done) };
+        unsafe { for_each_tile(kernel, ops, pooled, sink, done) };
     });
 }
 
@@ -605,9 +653,10 @@ unsafe fn tile_portable(t: Tile, sink: Sink) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::super::packed::TileRows;
     #[cfg(doc)]
     use super::Backend;
-    use super::{Sink, Tile};
+    use super::{Operands, Patch, Sink, Terms, Tile};
     use core::arch::asm;
     use core::arch::x86_64::{
         __m256i, __m512, __m512i, _mm256_add_epi32, _mm256_add_ps, _mm256_cmpgt_epi32,
@@ -616,7 +665,7 @@ mod x86 {
         _mm256_set1_epi16, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32,
         _mm256_setzero_si256, _mm512_add_ps, _mm512_cvtepi32_ps, _mm512_dpbusd_epi32,
         _mm512_mask_storeu_epi32, _mm512_mask_storeu_ps, _mm512_maskz_loadu_epi32,
-        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_epi32, _mm512_set1_ps,
         _mm512_setzero_si512,
     };
 
@@ -682,7 +731,7 @@ mod x86 {
                     acc_row[1] = _mm512_dpbusd_epi32(acc_row[1], q, w1);
                 }
             }
-            store_zmm(&acc, masks, &sink);
+            store_zmm(&acc, masks, sink);
         }
     }
 
@@ -694,90 +743,124 @@ mod x86 {
     /// lanes set in `masks` (per-row and per-column operands alike).
     #[inline]
     #[target_feature(enable = "avx512f")]
-    unsafe fn store_zmm(acc: &[[__m512i; 2]], masks: [u16; 2], sink: &Sink) {
-        // SAFETY: the caller's contract is both functions'.
-        unsafe {
-            let columns = columns(masks, sink);
-            for (r, acc_row) in acc.iter().enumerate() {
-                store_row(acc_row, r, masks, sink, &columns);
-            }
-        }
-    }
-
-    /// The column terms of a dequantizing store — scale, zero-point
-    /// correction and bias of each 16-lane half, masked to the tile's
-    /// columns; zeros for [`Sink::Sums`], which has none.
-    type Columns = [[__m512; 3]; 2];
-
-    /// Loads a sink's [`Columns`].
-    ///
-    /// # Safety
-    /// Requires `avx512f`; `sink`'s column terms must be valid for the lanes
-    /// set in `masks`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn columns(masks: [u16; 2], sink: &Sink) -> Columns {
-        let mut columns = [[_mm512_setzero_ps(); 3]; 2];
-        if let Sink::Dequant(d) = sink {
-            for (half, &mask) in masks.iter().enumerate() {
-                let lane = 16 * half;
-                // `wrapping_add`: a fully masked-off upper half may lie past
-                // the buffers.
-                //
-                // SAFETY: masked to the lanes the caller vouches for.
-                columns[half] = unsafe {
-                    [
-                        _mm512_maskz_loadu_ps(mask, d.col_scale.wrapping_add(lane)),
-                        _mm512_maskz_loadu_ps(mask, d.corr.wrapping_add(lane)),
-                        _mm512_maskz_loadu_ps(mask, d.bias.wrapping_add(lane)),
-                    ]
-                };
-            }
-        }
-        columns
-    }
-
-    /// Row `r` of a tile's finished sums stored into `sink`: as they are,
-    /// or dequantized with the row's terms and the tile's `columns`.
-    ///
-    /// # Safety
-    /// Requires `avx512f`; `sink` must be valid for row `r` at the lanes set
-    /// in `masks`, and `columns` be its [`columns`].
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn store_row(
-        acc: &[__m512i; 2],
-        r: usize,
-        masks: [u16; 2],
-        sink: &Sink,
-        columns: &Columns,
-    ) {
-        // `wrapping_add`: a fully masked-off upper half may lie past the
-        // buffers.
-        //
-        // SAFETY: every access is masked to the lanes, and made in the row,
-        // the caller vouches for.
+    unsafe fn store_zmm(acc: &[[__m512i; 2]], masks: [u16; 2], sink: Sink) {
+        // SAFETY: the caller's contract is the row stores'.
         unsafe {
             match sink {
-                Sink::Sums(out) => {
-                    let o = out.row(r);
-                    _mm512_mask_storeu_epi32(o, masks[0], acc[0]);
-                    _mm512_mask_storeu_epi32(o.wrapping_add(16), masks[1], acc[1]);
-                }
-                Sink::Dequant(d) => {
-                    let a_scale = _mm512_set1_ps(*d.row_scale.add(r));
-                    let a_min = _mm512_set1_ps(*d.row_min.add(r));
-                    for (half, &[ws, corr, bias]) in columns.iter().enumerate() {
-                        // Separate multiplies and adds, in the portable
-                        // tile's order: an FMA would round differently.
-                        let scaled = _mm512_mul_ps(
-                            _mm512_mul_ps(_mm512_cvtepi32_ps(acc[half]), ws),
-                            a_scale,
-                        );
-                        let offset = _mm512_add_ps(_mm512_mul_ps(a_min, corr), bias);
-                        let o = d.out.row(r).wrapping_add(16 * half);
-                        _mm512_mask_storeu_ps(o, masks[half], _mm512_add_ps(scaled, offset));
-                    }
+                Sink::Sums(out) => store_rows(acc, &SumRows { out, masks }),
+                Sink::Dequant(terms) => store_rows(acc, &DequantRows::new(terms, masks)),
+            }
+        }
+    }
+
+    /// Row `r` of `acc` through `rows`, for every row.
+    ///
+    /// # Safety
+    /// As [`RowStore::row`], for every row of `acc`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn store_rows(acc: &[[__m512i; 2]], rows: &impl RowStore) {
+        for (r, acc_row) in acc.iter().enumerate() {
+            // SAFETY: the caller's contract.
+            unsafe { rows.row(acc_row, r) };
+        }
+    }
+
+    /// How a tile's finished sums leave, row by row, on both AVX-512 arms:
+    /// made once a tile from its [`Sink`] — the column terms loaded then —
+    /// so that the row loop matches nothing.
+    pub(super) trait RowStore {
+        /// Stores row `r` of a tile's sums, `acc`: as they are, or
+        /// dequantized with the row's terms and the tile's column terms.
+        ///
+        /// # Safety
+        /// Requires `avx512f`; `r` must be a row of the tile, whose sink is
+        /// valid for row `r` at the lanes set in the store's masks.
+        unsafe fn row(&self, acc: &[__m512i; 2], r: usize);
+    }
+
+    /// The sums as they are ([`Sink::Sums`]).
+    pub(super) struct SumRows {
+        out: TileRows<i32>,
+        masks: [u16; 2],
+    }
+
+    impl RowStore for SumRows {
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn row(&self, acc: &[__m512i; 2], r: usize) {
+            // `wrapping_add`: a fully masked-off upper half may lie past the
+            // buffers.
+            //
+            // SAFETY: masked to the lanes, in the row, the caller vouches for.
+            unsafe {
+                let o = self.out.row(r);
+                _mm512_mask_storeu_epi32(o, self.masks[0], acc[0]);
+                _mm512_mask_storeu_epi32(o.wrapping_add(16), self.masks[1], acc[1]);
+            }
+        }
+    }
+
+    /// The dequantizing store ([`Sink::Dequant`]) with the column terms of
+    /// its tile: scale, zero-point correction and bias of each 16-lane half,
+    /// masked to the tile's columns.
+    pub(super) struct DequantRows {
+        terms: Terms,
+        masks: [u16; 2],
+        columns: [[__m512; 3]; 2],
+    }
+
+    impl DequantRows {
+        /// Loads the column terms.
+        ///
+        /// # Safety
+        /// Requires `avx512f`; the column terms must be valid for the lanes
+        /// set in `masks`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn new(terms: Terms, masks: [u16; 2]) -> Self {
+            // `wrapping_add`: a fully masked-off upper half may lie past the
+            // buffers.
+            //
+            // SAFETY: masked to the lanes the caller vouches for.
+            let half = |mask: u16, lane: usize| unsafe {
+                [
+                    _mm512_maskz_loadu_ps(mask, terms.col_scale.wrapping_add(lane)),
+                    _mm512_maskz_loadu_ps(mask, terms.corr.wrapping_add(lane)),
+                    _mm512_maskz_loadu_ps(mask, terms.bias.wrapping_add(lane)),
+                ]
+            };
+            let columns = [half(masks[0], 0), half(masks[1], 16)];
+            Self {
+                terms,
+                masks,
+                columns,
+            }
+        }
+    }
+
+    impl RowStore for DequantRows {
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn row(&self, acc: &[__m512i; 2], r: usize) {
+            // SAFETY: every access is masked to the lanes, and made in the
+            // row, the caller vouches for (`wrapping_add` as in `new`).
+            unsafe {
+                let d = &self.terms;
+                let a_scale = _mm512_set1_ps(*d.row_scale.add(r));
+                let a_min = _mm512_set1_ps(*d.row_min.add(r));
+                let o = d.out.row(r);
+                for (half, &[ws, corr, bias]) in self.columns.iter().enumerate() {
+                    // Separate multiplies and adds, in the portable tile's
+                    // order: an FMA would round differently.
+                    let scaled =
+                        _mm512_mul_ps(_mm512_mul_ps(_mm512_cvtepi32_ps(acc[half]), ws), a_scale);
+                    let offset = _mm512_add_ps(_mm512_mul_ps(a_min, corr), bias);
+                    _mm512_mask_storeu_ps(
+                        o.wrapping_add(16 * half),
+                        self.masks[half],
+                        _mm512_add_ps(scaled, offset),
+                    );
                 }
             }
         }
@@ -857,7 +940,7 @@ mod x86 {
     }
 
     /// Rows and K4 groups of one `tmm` register: 16 rows of 64 bytes.
-    const TMM: usize = 16;
+    const TMM: usize = super::STEP_GROUPS;
 
     /// The `ldtilecfg` operand (palette 1): the byte width and the row count
     /// of each of the eight `tmm` registers; a register left at zero is
@@ -879,7 +962,9 @@ mod x86 {
     #[inline(always)]
     unsafe fn tile_loadconfig(config: &TileConfig) {
         // SAFETY: reads the 64 bytes of `config`; AMX per the caller.
-        unsafe { asm!("ldtilecfg [{}]", in(reg) config, options(nostack, preserves_flags)) };
+        unsafe {
+            asm!("ldtilecfg [{}]", in(reg) config, options(nostack, preserves_flags, readonly));
+        }
     }
 
     /// `tilerelease`: returns every tile to its unconfigured initial state.
@@ -903,7 +988,9 @@ mod x86 {
     }
 
     /// `tileloadd tmm<T>, [base + stride]`: row `i` of the tile is the
-    /// configured byte width read at `base + i * stride`.
+    /// configured byte width read at `base + i * stride`. It writes no
+    /// memory, which lets the compiler keep what it holds in registers
+    /// across it.
     ///
     /// # Safety
     /// Tile `T` must be configured and its configured rows, `stride` bytes
@@ -917,7 +1004,7 @@ mod x86 {
                 t = const T,
                 base = in(reg) base,
                 stride = in(reg) stride,
-                options(nostack, preserves_flags),
+                options(nostack, preserves_flags, readonly),
             );
         }
     }
@@ -961,27 +1048,42 @@ mod x86 {
         }
     }
 
-    /// What the AMX arm carries from one tile of a product to the next, so
-    /// that none of it is paid per tile: the tile configuration (reloaded
-    /// only when a ragged edge changes the shape — `ldtilecfg` drains the
-    /// tile pipeline), the zero-padded copy of the current panel's depth
-    /// tail, and the last tile's sums with what their store needs — the
-    /// store runs under the next tile's depth loop. Dropping it completes
-    /// that store and releases the tiles, whichever way the product ends.
+    /// 32 rows of 32 `i32` sums, 128 bytes a row: what a tile stores.
+    pub(super) type Sums = [[__m512i; 2]; 2 * TMM];
+
+    /// A tile whose sums wait in [`Sums`] for their store: its first row
+    /// and column, its size and its sink. Small and `Copy`, like a tile's
+    /// operands, because it changes hands every tile.
+    #[derive(Clone, Copy)]
+    pub(super) struct Pending {
+        r0: usize,
+        j0: usize,
+        mr: usize,
+        cols: usize,
+        sink: Sink,
+    }
+
+    impl Pending {
+        /// The tile's output lanes.
+        fn patch(&self) -> Patch {
+            (self.r0..self.r0 + self.mr, self.j0..self.j0 + self.cols)
+        }
+    }
+
+    /// What the AMX arm carries from one panel of a claimant to the next:
+    /// the tile configuration (reloaded only when a ragged edge changes the
+    /// shape — `ldtilecfg` drains the tile pipeline) and the last tile's
+    /// sums with what their store needs — the store runs under the next
+    /// tile's depth loop. Dropping it completes that store and releases the
+    /// tiles, whichever way the product ends.
     pub(super) struct AmxProduct {
         /// `(mr, cols)` the tiles are configured for; `(0, 0)` before the
         /// first tile.
-        shape: (usize, usize),
-        /// The tile [`Self::b_tail`] was staged for: its `(b, cols)`.
-        staged: (*const i8, usize),
-        /// The last `groups % 16` K4 groups of the current panel's 32
-        /// columns, the rows past them zero.
-        b_tail: [[__m512i; 2]; TMM],
-        /// 32 rows of 32 `i32` sums: the last tile's.
-        sums: [[__m512i; 2]; 2 * TMM],
-        /// The last tile's rows, lane masks and sink while its store is
-        /// pending.
-        pending: Option<(usize, [u16; 2], Sink)>,
+        pub(super) shape: (usize, usize),
+        /// The last tile's sums.
+        pub(super) sums: Sums,
+        /// The last tile, while its store is pending.
+        pub(super) pending: Option<Pending>,
     }
 
     impl AmxProduct {
@@ -990,21 +1092,25 @@ mod x86 {
             let zero: __m512i = unsafe { std::mem::zeroed() };
             Self {
                 shape: (0, 0),
-                staged: (std::ptr::null(), 0),
-                b_tail: [[zero; 2]; TMM],
                 sums: [[zero; 2]; 2 * TMM],
                 pending: None,
             }
         }
 
-        /// Completes the pending store, if any.
-        pub(super) fn flush(&mut self) {
-            if let Some((mr, masks, sink)) = self.pending.take() {
-                // SAFETY: a store is pending only after `tile_amx`, whose
-                // caller vouched for AMX (which implies `avx512f`) and for
-                // `sink` until this store.
-                unsafe { store_zmm(&self.sums[..mr], masks, &sink) };
-            }
+        /// Completes the pending store, if any, and returns its patch.
+        pub(super) fn flush(&mut self) -> Option<Patch> {
+            let pending = self.pending.take()?;
+            // SAFETY: a store is pending only after `tile_amx`, whose caller
+            // vouched for AMX (which implies `avx512f`) and for the sink
+            // until this store.
+            unsafe {
+                store_zmm(
+                    &self.sums[..pending.mr],
+                    lane_masks(pending.cols),
+                    pending.sink,
+                )
+            };
+            Some(pending.patch())
         }
     }
 
@@ -1019,61 +1125,20 @@ mod x86 {
         }
     }
 
-    /// The AMX microkernel: `mr <= 32` rows against `cols <= 32` columns as
-    /// a 2x2 block of `tmm` sums (`tmm0..=3`) over depth steps of 64 bytes —
-    /// 16 K4 groups: `tmm4`/`tmm5` take the activation rows `0..16` /
-    /// `16..32`, `tmm6`/`tmm7` the weight columns `0..16` / `16..32` from
-    /// the layout every other arm reads, a weight tile's rows being groups
-    /// `stride` bytes apart. A ragged edge is a narrower tile *shape* (fewer
-    /// configured rows, fewer bytes a row), so no load reaches past `mr`
-    /// rows or `cols` columns. The depth tail (`groups % 16`) cannot be a
-    /// shape — reconfiguring zeroes the sums — so the last step reads the
-    /// weights from a zero-padded copy: reading on past the last group would
-    /// run into the next panel, and past the operand after the last one.
-    /// With zero weights there the activations need no copy, whatever their
-    /// rows hold past the depth (an [`Lhs`] holds zeros). The sums are
-    /// stored to memory and leave through the VNNI arm's store
-    /// ([`store_row`] — the same exact `i32`, the same f32 expression) under
-    /// the **next** tile's depth loop: a few rows of them after each of its
-    /// steps, which the core runs while the tile unit multiplies. A
-    /// product's last tile leaves at [`AmxProduct::flush`] (or its drop).
-    /// The sums are in memory before the next tile configures, so a ragged
-    /// edge's `ldtilecfg`, which zeroes the tiles, cannot touch them.
+    /// Readies the sums for an `mr x cols` tile: zeroes them where the tiles
+    /// have that `shape`, else configures the tiles for it, which zeroes
+    /// every tile. Only configured tiles are named: `tmm5`, `tmm2` and
+    /// `tmm3` for more than 16 rows, `tmm7`, `tmm1` and `tmm3` for more than
+    /// 16 columns.
     ///
     /// # Safety
-    /// Requires [`Backend::Amx`]; `t` and `sink` must satisfy [`Tile`]'s
-    /// contract at `32 x 32`, with `t.a_stride` a multiple of 64 — `sink`
-    /// until the product's next tile, flush or drop has stored into it.
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-    pub(super) unsafe fn tile_amx(product: &mut AmxProduct, t: Tile, sink: Sink) {
-        let rows = [t.mr.min(TMM), t.mr.saturating_sub(TMM)];
-        let cols = [t.cols.min(TMM), t.cols.saturating_sub(TMM)];
-        let (tall, wide) = (rows[1] > 0, cols[1] > 0);
-        let masks = lane_masks(t.cols);
-        let (steps, tail) = (t.groups / TMM, t.groups % TMM);
-        let depth = steps + usize::from(tail > 0);
-        // Only configured tiles are named: `tmm5`, `tmm2`, `tmm3` under
-        // `tall`, `tmm7`, `tmm1`, `tmm3` under `wide`. A whole step reads 64
-        // bytes of each of `mr` activation rows — inside the row, whose
-        // stride covers every step — and `4 * cols` bytes of each of 16
-        // groups, inside `Tile`'s ranges; the tail step reads its weights
-        // from `b_tail`, 16 rows of 128 bytes, which the masked copy fills
-        // from inside those ranges and leaves zero elsewhere. The sums land
-        // in `sums`, 32 rows of 32 `i32`, 128 bytes apart, after the last
-        // row of the previous tile's was stored from there into its sink,
-        // which its caller vouched for.
-        //
-        // SAFETY: AMX per the caller, and by the above every tile
-        // instruction names a configured tile and every load, copy and
-        // store stays inside `Tile`'s ranges, this product's own blocks or
-        // the previous tile's sink.
+    /// Requires [`Backend::Amx`]; `1 <= mr <= 32`, `1 <= cols <= 32`.
+    #[inline(always)]
+    unsafe fn configure(shape: &mut (usize, usize), mr: usize, cols: usize) {
+        let (tall, wide) = (mr > TMM, cols > TMM);
+        // SAFETY: AMX per the caller; every tile named is configured.
         unsafe {
-            let pending = product.pending.take();
-            let held = match &pending {
-                Some((mr, masks, sink)) => (mr.div_ceil(depth), columns(*masks, sink)),
-                None => (0, [[_mm512_setzero_ps(); 3]; 2]),
-            };
-            if product.shape == (t.mr, t.cols) {
+            if *shape == (mr, cols) {
                 tile_zero::<0>();
                 if wide {
                     tile_zero::<1>();
@@ -1084,55 +1149,182 @@ mod x86 {
                         tile_zero::<3>();
                     }
                 }
-            } else {
-                let mut config = TileConfig {
-                    palette: 1,
-                    start_row: 0,
-                    reserved: [0; 14],
-                    colsb: [0; 16],
-                    rows: [0; 16],
-                };
-                let mut shape = |tile: usize, rows: usize, bytes: usize| {
-                    if rows > 0 && bytes > 0 {
-                        (config.rows[tile], config.colsb[tile]) = (rows as u8, bytes as u16);
-                    }
-                };
-                for (i, &mr) in rows.iter().enumerate() {
-                    shape(4 + i, mr, 64);
-                    for (j, &nr) in cols.iter().enumerate() {
-                        shape(2 * i + j, mr, 4 * nr);
-                    }
+                return;
+            }
+            let mut config = TileConfig {
+                palette: 1,
+                start_row: 0,
+                reserved: [0; 14],
+                colsb: [0; 16],
+                rows: [0; 16],
+            };
+            let rows = [mr.min(TMM), mr.saturating_sub(TMM)];
+            let cols = [cols.min(TMM), cols.saturating_sub(TMM)];
+            let mut set = |tile: usize, rows: usize, bytes: usize| {
+                if rows > 0 && bytes > 0 {
+                    (config.rows[tile], config.colsb[tile]) = (rows as u8, bytes as u16);
                 }
+            };
+            for (i, &mr) in rows.iter().enumerate() {
+                set(4 + i, mr, 64);
                 for (j, &nr) in cols.iter().enumerate() {
-                    shape(6 + j, TMM, 4 * nr);
+                    set(2 * i + j, mr, 4 * nr);
                 }
-                tile_loadconfig(&config);
-                product.shape = (t.mr, t.cols);
             }
-            if tail > 0 && product.staged != (t.b, t.cols) {
-                for (g, staged) in product.b_tail[..tail].iter_mut().enumerate() {
-                    let from = t.b.add((TMM * steps + g) * t.stride);
-                    *staged = [
-                        _mm512_maskz_loadu_epi32(masks[0], from.cast()),
-                        _mm512_maskz_loadu_epi32(masks[1], from.wrapping_add(64).cast()),
-                    ];
+            for (j, &nr) in cols.iter().enumerate() {
+                set(6 + j, TMM, 4 * nr);
+            }
+            tile_loadconfig(&config);
+        }
+        *shape = (mr, cols);
+    }
+
+    /// The AMX arm over panel `p` for one claimant: each 32-column block of
+    /// the panel against each 32-row tile of the `rows`, through
+    /// [`tile_amx`]. One call a panel, so what passes from tile to tile —
+    /// the configured shape and the pending tile, small and `Copy` — lives
+    /// in registers, and in `product` only between panels. `done` runs on
+    /// each patch whose store has completed.
+    ///
+    /// # Safety
+    /// Requires [`Backend::Amx`]; `ops` must hold whole steps for every
+    /// panel, `rows` rows of `ops.a`, and `sink` satisfy [`Tile`]'s contract
+    /// for each patch of the panel until `done` has run on it.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(super) unsafe fn amx_panel(
+        product: &mut AmxProduct,
+        ops: &Operands<'_>,
+        p: usize,
+        rows: usize,
+        sink: &impl Fn(&Patch) -> Sink,
+        done: &impl Fn(Patch),
+    ) {
+        let (n, panel_cols) = (ops.rhs.n, ops.rhs.panel_cols);
+        let end = n.min((p + 1) * panel_cols);
+        let (mut shape, mut pending) = (product.shape, product.pending);
+        for j0 in (p * panel_cols..end).step_by(2 * TMM) {
+            for r0 in (0..rows).step_by(2 * TMM) {
+                let patch = (r0..rows.min(r0 + 2 * TMM), j0..end.min(j0 + 2 * TMM));
+                let tile = ops.tile(p, &patch.0, &patch.1);
+                let next = Pending {
+                    r0,
+                    j0,
+                    mr: tile.mr,
+                    cols: tile.cols,
+                    sink: sink(&patch),
+                };
+                // SAFETY: the caller's contract is `tile_amx`'s.
+                unsafe { tile_amx(&mut shape, pending, &mut product.sums, tile) };
+                if let Some(finished) = pending {
+                    done(finished.patch());
                 }
-                product.staged = (t.b, t.cols);
+                pending = Some(next);
             }
-            let b_tail: *const i8 = product.b_tail.as_ptr().cast();
-            let (per_step, columns) = held;
-            for s in 0..depth {
+        }
+        (product.shape, product.pending) = (shape, pending);
+    }
+
+    /// The AMX microkernel: `mr <= 32` rows against `cols <= 32` columns as
+    /// a 2x2 block of `tmm` sums (`tmm0..=3`) over depth steps of 64 bytes —
+    /// 16 K4 groups: `tmm4`/`tmm5` take the activation rows `0..16` /
+    /// `16..32`, `tmm6`/`tmm7` the weight columns `0..16` / `16..32` from
+    /// the layout every other arm reads, a weight tile's rows being groups
+    /// `stride` bytes apart. A ragged edge is a narrower tile *shape* (fewer
+    /// configured rows, fewer bytes a row), so no load reaches past `mr`
+    /// rows or `cols` columns. The depth is whole steps — the last one from
+    /// `t.last`, zero past the depth — so no step is special, and what the
+    /// activation rows hold past the depth meets zero weights. The sums are
+    /// stored to `sums` and leave through the VNNI arm's row stores (the
+    /// same exact `i32`, the same f32 expression) under the **next** tile's
+    /// depth loop: a few rows after each of its steps, which the core runs
+    /// while the tile unit multiplies — this call completes `pending`'s
+    /// store and leaves its own sums in `sums`, for the caller to make
+    /// pending. A claimant's last tile leaves at [`AmxProduct::flush`] (or
+    /// its drop). The sums are in memory before the next tile configures,
+    /// so a ragged edge's `ldtilecfg`, which zeroes the tiles, cannot touch
+    /// them.
+    ///
+    /// # Safety
+    /// Requires [`Backend::Amx`]; `shape` must be the tiles' configuration
+    /// and `sums` hold `pending`'s sums; `t` must satisfy [`Tile`]'s
+    /// contract at `32 x 32`, and `pending`'s sink its own.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(super) unsafe fn tile_amx(
+        shape: &mut (usize, usize),
+        pending: Option<Pending>,
+        sums: &mut Sums,
+        t: Tile,
+    ) {
+        // SAFETY: AMX per the caller. Every tile instruction names a
+        // configured tile; every load stays inside `Tile`'s ranges and every
+        // store inside `sums` or the pending tile's sink, which its caller
+        // vouched for until this store.
+        unsafe {
+            configure(shape, t.mr, t.cols);
+            let held = &raw const *sums;
+            match pending {
+                None => depth::<SumRows>(&t, held, None),
+                Some(Pending { mr, cols, sink, .. }) => {
+                    let masks = lane_masks(cols);
+                    match sink {
+                        Sink::Sums(out) => depth(&t, held, Some((mr, &SumRows { out, masks }))),
+                        Sink::Dequant(terms) => {
+                            depth(&t, held, Some((mr, &DequantRows::new(terms, masks))));
+                        }
+                    }
+                }
+            }
+            let (tall, wide) = (t.mr > TMM, t.cols > TMM);
+            let c: *mut i32 = sums.as_mut_ptr().cast();
+            tile_stored::<0>(c, 128);
+            if wide {
+                tile_stored::<1>(c.add(TMM), 128);
+            }
+            if tall {
+                tile_stored::<2>(c.add(TMM * 2 * TMM), 128);
+                if wide {
+                    tile_stored::<3>(c.add(TMM * 2 * TMM + TMM), 128);
+                }
+            }
+        }
+    }
+
+    /// The depth loop of [`tile_amx`]: every step of `t` into the
+    /// configured sums, and after each step its share of `pending` — the
+    /// previous tile's row count and store — read from `sums`. Generic in
+    /// the store, so each instance runs one store with nothing to match.
+    ///
+    /// # Safety
+    /// As [`tile_amx`], the tiles configured for `t`; `sums` holds the
+    /// previous tile's sums, which `pending`'s store may store.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    unsafe fn depth<R: RowStore>(t: &Tile, sums: *const Sums, pending: Option<(usize, &R)>) {
+        let (tall, wide) = (t.mr > TMM, t.cols > TMM);
+        let steps = t.groups.div_ceil(TMM);
+        let rows = match pending {
+            Some((mr, _)) => mr,
+            None => 0,
+        };
+        let per_step = rows.div_ceil(steps);
+        // SAFETY: the caller's contract: a whole step reads 64 bytes of
+        // each of `mr` activation rows — inside the row, whose stride
+        // covers every step — and `4 * cols` bytes of each of 16 groups,
+        // inside `Tile`'s ranges or `t.last`'s.
+        unsafe {
+            for s in 0..steps {
                 let a = t.a.add(64 * s);
-                let (b, b_stride) = if s < steps {
-                    (t.b.add(TMM * s * t.stride), t.stride)
+                let b = if s + 1 < steps {
+                    t.b.add(TMM * s * t.stride)
                 } else {
-                    (b_tail, 128)
+                    t.last
                 };
                 tile_loadd::<4>(a, t.a_stride);
-                tile_loadd::<6>(b.cast(), b_stride);
+                tile_loadd::<6>(b.cast(), t.stride);
                 tile_dpbusd::<0, 4, 6>();
                 if wide {
-                    tile_loadd::<7>(b.add(64).cast(), b_stride);
+                    tile_loadd::<7>(b.add(64).cast(), t.stride);
                     tile_dpbusd::<1, 4, 7>();
                 }
                 if tall {
@@ -1144,31 +1336,20 @@ mod x86 {
                 }
                 // The previous tile's share of rows for this step, stored
                 // while the tile unit runs the step just issued.
-                if let Some((mr, masks, sink)) = &pending {
-                    for r in s * per_step..(*mr).min((s + 1) * per_step) {
-                        store_row(&product.sums[r], r, *masks, sink, &columns);
+                if let Some((_, store)) = pending {
+                    for r in s * per_step..rows.min((s + 1) * per_step) {
+                        store.row(&(*sums)[r], r);
                     }
                 }
             }
-            let c: *mut i32 = product.sums.as_mut_ptr().cast();
-            tile_stored::<0>(c, 128);
-            if wide {
-                tile_stored::<1>(c.add(TMM), 128);
-            }
-            if tall {
-                tile_stored::<2>(c.add(TMM * 2 * TMM), 128);
-                if wide {
-                    tile_stored::<3>(c.add(TMM * 2 * TMM + TMM), 128);
-                }
-            }
-            product.pending = Some((t.mr, masks, sink));
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::packed::tests::pools;
+    use super::super::packed::tests::{matrix_at, pools, OFFSETS};
+    use super::super::packed::AlignedRow;
     use super::*;
     use proptest::prelude::*;
 
@@ -1324,9 +1505,23 @@ mod tests {
             act: Activation,
             par_min_macs: usize,
         ) -> Vec<u32> {
+            self.dequant_at(kernel, width, act, par_min_macs, 0)
+        }
+
+        /// [`Case::dequant_from`] into a matrix whose first row starts
+        /// `offset` bytes past a line.
+        fn dequant_at(
+            &self,
+            kernel: Int8Kernel,
+            width: PackedWidth,
+            act: Activation,
+            par_min_macs: usize,
+            offset: usize,
+        ) -> Vec<u32> {
             // A dirty `out` proves every element is overwritten.
-            let mut out = vec![f32::NAN; self.rows * self.n];
-            self.product(kernel, width, act, Rows::Matrix(&mut out), par_min_macs);
+            let mut store = AlignedRow::default();
+            let out = matrix_at(&mut store, self.rows, self.n, offset);
+            self.product(kernel, width, act, Rows::Matrix(&mut *out), par_min_macs);
             out.iter().map(|v| v.to_bits()).collect()
         }
 
@@ -1338,9 +1533,14 @@ mod tests {
             act: Activation,
             par_min_macs: usize,
         ) -> Vec<u32> {
-            let mut rows = vec![vec![f32::NAN; self.n]; self.rows];
+            let nans = vec![f32::NAN; self.n];
+            let mut rows: Vec<AlignedRow> = (0..self.rows)
+                .map(|_| AlignedRow::from(&nans[..]))
+                .collect();
             self.product(kernel, width, act, Rows::Buffers(&mut rows), par_min_macs);
-            rows.concat().iter().map(|v| v.to_bits()).collect()
+            rows.iter()
+                .flat_map(|row| row.iter().map(|v| v.to_bits()))
+                .collect()
         }
 
         fn product(
@@ -1403,9 +1603,10 @@ mod tests {
             let nr = width.nr();
             let packed = case.pack(width);
             assert_eq!((packed.inner_dim(), packed.cols()), (k, n));
-            assert_eq!(packed.bytes(), n.div_ceil(nr) * padded_k(k) * nr);
+            // Whole 16-group steps a panel.
+            assert_eq!(packed.bytes(), n.div_ceil(nr) * 64 * nr);
             for (i, &v) in packed.data.iter().enumerate() {
-                let groups = padded_k(k) / 4;
+                let groups = panel_groups(k);
                 let (p, g, c, q) = (
                     i / (4 * groups * nr),
                     i / (4 * nr) % groups,
@@ -1431,30 +1632,63 @@ mod tests {
         }
     }
 
+    /// `t` into `sink` on the AMX arm, through a claimant's path
+    /// (`amx_panel` over a panel of the tile's columns), on `product`:
+    /// stored under the product's next tile, or when it drops.
+    ///
+    /// # Safety
+    /// As `tile_amx`; `t.b` holds whole steps, zero past `t.groups`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn amx(product: &mut x86::AmxProduct, t: Tile, sink: Sink) {
+        let panel_groups = t.groups.next_multiple_of(STEP_GROUPS);
+        // SAFETY: the caller's contract.
+        let (a, data) = unsafe {
+            (
+                std::slice::from_raw_parts(t.a, t.mr * t.a_stride),
+                std::slice::from_raw_parts(t.b, panel_groups * t.stride),
+            )
+        };
+        let rhs = Rhs {
+            data,
+            groups: t.groups,
+            panel_groups,
+            n: t.cols,
+            panel_cols: t.stride / 4,
+            last: None,
+        };
+        let ops = Operands {
+            a,
+            a_stride: t.a_stride,
+            rhs,
+        };
+        // SAFETY: the caller's contract.
+        unsafe { x86::amx_panel(product, &ops, 0, t.mr, &|_: &Patch| sink, &|_| {}) };
+    }
+
     /// Every const-generic instance of both vector microkernels
     /// (`rows_vnni` → `tile_vnni::<1..=12>`, `rows_avx2` →
-    /// `tile_avx2::<1..=4>`, the former leaving through `store_zmm`, its
-    /// `columns` and `store_row`) and every shape of the AMX one
-    /// (`tile_amx`: `tile_loadconfig`, `tile_loadd`, `tile_dpbusd`,
-    /// `tile_stored`, and `tile_release` when its product drops; over depths
-    /// with and without whole 16-group steps and a staged tail) at every
-    /// partial width, at the panel-major and the K4-row group stride, into
-    /// both sinks, against the portable tile — and the lanes past `cols`,
-    /// like the rows past `mr`, must keep what they held. The AMX arm stores
-    /// a tile under the next one: each shape runs alone on a product of its
-    /// own (stored when the product drops, as a claimant's last tile is),
-    /// and again followed by a whole tile on one product, whose
-    /// configuration changes while the shape's store is pending whenever
-    /// the shape is ragged.
+    /// `tile_avx2::<1..=4>`, the former leaving through `store_zmm`,
+    /// `store_rows` and both `RowStore`s) and every shape of the AMX one
+    /// (`amx_panel` → `tile_amx` → `depth`: `configure`, `tile_loadconfig`, `tile_zero`,
+    /// `tile_loadd`, `tile_dpbusd`, `tile_stored`, and `tile_release` when
+    /// its product drops; over depths with and without a partial last step)
+    /// at every partial width, at the panel-major and the K4-row group
+    /// stride, into both sinks, against the portable tile — and the lanes
+    /// past `cols`, like the rows past `mr`, must keep what they held. The
+    /// AMX arm stores a tile under the next one: each shape runs alone on a
+    /// product of its own (stored when the product drops, as a claimant's
+    /// last tile is), and again followed by a whole tile on one product,
+    /// whose configuration changes while the shape's store is pending
+    /// whenever the shape is ragged.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn every_register_tile_matches_the_portable_tile_and_stays_inside_its_mask() {
         const GUARD: u32 = 0x40e8_0000;
-        /// One tile of a product of its own: configured, staged, stored and
+        /// One tile of a product of its own: configured, stored and
         /// released each time.
         unsafe fn amx_once(t: Tile, sink: Sink) {
-            // SAFETY: the caller's contract is `tile_amx`'s.
-            unsafe { x86::tile_amx(&mut x86::AmxProduct::new(), t, sink) }
+            // SAFETY: the caller's contract is `amx`'s.
+            unsafe { amx(&mut x86::AmxProduct::new(), t, sink) }
         }
         for kernel in kernels() {
             let (vector, mr_max, nr, depths): (TileFn, usize, usize, &[usize]) = match kernel {
@@ -1468,15 +1702,18 @@ mod tests {
             for (&groups, stride) in depths.iter().flat_map(|g| [(g, 4 * nr), (g, 4 * n)]) {
                 let case = Case::new(mr_max, 4 * groups, n, 11, true);
                 // A tile may read a row up to its stride, never count on
-                // what lies past the depth: [`Lhs`] has zeros there, this
-                // has not, so an AMX depth tail that read the weights
-                // unstaged — on into the next panel — would show.
+                // what lies past the depth: an [`Lhs`] may hold another
+                // shape's codes there, and this holds 0xA5s, which only the
+                // weights' zeros past the depth cancel.
                 let mut lhs = case.lhs();
                 let row_bytes = lhs.stride();
                 for row in lhs.data.chunks_exact_mut(row_bytes) {
                     row[4 * groups..].fill(0xA5);
                 }
-                let b = &case.wq[..groups * stride];
+                // The groups of whole steps a panel holds, zero past the
+                // depth.
+                let mut b = case.wq[..groups * stride].to_vec();
+                b.resize(groups.next_multiple_of(STEP_GROUPS) * stride, 0);
                 let tile = |mr: usize, cols: usize| Tile {
                     a: lhs.data.as_ptr(),
                     a_stride: lhs.stride(),
@@ -1485,6 +1722,7 @@ mod tests {
                     b: b.as_ptr(),
                     stride,
                     cols,
+                    last: b[last_step(groups) * stride..].as_ptr(),
                 };
                 let sink = |out: &mut [u32], cols: usize, dequant: bool| {
                     if dequant {
@@ -1538,8 +1776,8 @@ mod tests {
                             // SAFETY: as above; both buffers outlive the
                             // product, whose drop stores the second tile.
                             unsafe {
-                                x86::tile_amx(&mut product, tile(mr, cols), to_first);
-                                x86::tile_amx(&mut product, tile(mr_max, nr), to_then);
+                                amx(&mut product, tile(mr, cols), to_first);
+                                amx(&mut product, tile(mr_max, nr), to_then);
                             }
                             drop(product);
                             assert_eq!(first, want, "{label}, then a whole tile");
@@ -1606,7 +1844,8 @@ mod tests {
     /// arm's stores, pending under the next tile, land at each row's own
     /// address too — past one table of row addresses (133 rows: a run of
     /// 128 buffers and a ragged one), with the panels handed out or not, on
-    /// pools of every width.
+    /// pools of every width; and so does a matrix whose rows start at each
+    /// 16-byte offset from a line, where the row buffers start on one.
     #[test]
     fn row_buffers_hold_the_matrix_rows_bitwise() {
         let pools = pools();
@@ -1619,13 +1858,19 @@ mod tests {
                         let matrix = case.dequant_from(kernel, width, tanh, usize::MAX);
                         for (threads, pool) in &pools {
                             for par_min_macs in [0, usize::MAX] {
+                                let label = format!(
+                                    "{kernel:?} {width:?} rows={rows} {k}x{n} on {threads} threads"
+                                );
                                 let rows_out = pool.install(|| {
                                     case.dequant_rows_from(kernel, width, tanh, par_min_macs)
                                 });
-                                assert_eq!(
-                                    rows_out, matrix,
-                                    "{kernel:?} {width:?} rows={rows} {k}x{n} on {threads} threads"
-                                );
+                                assert_eq!(rows_out, matrix, "{label}");
+                                for offset in OFFSETS {
+                                    let at = pool.install(|| {
+                                        case.dequant_at(kernel, width, tanh, par_min_macs, offset)
+                                    });
+                                    assert_eq!(at, matrix, "{label} at {offset} mod 64");
+                                }
                             }
                         }
                     }
@@ -1786,10 +2031,11 @@ mod tests {
 
         /// The AMX arm == the scalar arm, bit for bit, into both sinks: up
         /// to three row tiles with a ragged last one (tiles of one shape
-        /// after another start from `tile_zero`, not a fresh configuration,
-        /// and share a panel's staged tail; the ragged one configures anew
-        /// while the tile before it waits for its store), depths with any
-        /// number of whole 64-byte steps and any staged tail, widths that
+        /// after another start from `tile_zero`, not a fresh configuration;
+        /// the ragged one configures anew while the tile before it waits
+        /// for its store), depths with any number of whole 64-byte steps
+        /// and a whole or partial last one (the K4-row operand's copied,
+        /// a panel's inside it), widths that
         /// end inside either 16-column tile, both packing widths, the
         /// panels on one claimant and handed out to every thread of the
         /// pool (each claimant's last tile is stored as it finishes) — and, for

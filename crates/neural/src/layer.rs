@@ -1,7 +1,7 @@
 //! Fully-connected layers and activations.
 
 use crate::tensor::Matrix;
-use mimo_math::kernel::packed::{gemm_f32_packed, PackedRhs, PackedWidth, Rows};
+use mimo_math::kernel::packed::{gemm_f32_packed, AlignedRow, PackedRhs, PackedWidth, Rows};
 use rand::Rng;
 
 /// Activation function applied after a dense layer's affine transform.
@@ -256,17 +256,17 @@ impl Dense {
 }
 
 /// Where a bound layer ([`PackedDense`], [`crate::QuantizedDense`]) writes
-/// its `rows x n` output: a [`Matrix`] it reshapes, or one buffer a row —
-/// each made exactly `n` long, in the allocation it has when it is that long
-/// already — which the caller hands on without copying it (a served
-/// reconstruction changes hands this way). Both are the same product, bit
-/// for bit.
+/// its `rows x n` output: a [`Matrix`] it reshapes, or one line-aligned
+/// buffer a row ([`AlignedRow`]) — each made exactly `n` long, in the
+/// allocation it has when it is that long already — which the caller hands
+/// on without copying it (a served reconstruction changes hands this way).
+/// Both are the same product, bit for bit.
 #[derive(Debug)]
 pub enum LayerOut<'a> {
     /// A matrix, reshaped to `rows x n`.
     Matrix(&'a mut Matrix),
     /// Exactly `rows` buffers, one a row.
-    Rows(&'a mut [Vec<f32>]),
+    Rows(&'a mut [AlignedRow]),
 }
 
 impl<'a> From<&'a mut Matrix> for LayerOut<'a> {
@@ -275,8 +275,8 @@ impl<'a> From<&'a mut Matrix> for LayerOut<'a> {
     }
 }
 
-impl<'a> From<&'a mut [Vec<f32>]> for LayerOut<'a> {
-    fn from(rows: &'a mut [Vec<f32>]) -> Self {
+impl<'a> From<&'a mut [AlignedRow]> for LayerOut<'a> {
+    fn from(rows: &'a mut [AlignedRow]) -> Self {
         LayerOut::Rows(rows)
     }
 }
@@ -296,8 +296,7 @@ impl<'a> LayerOut<'a> {
             LayerOut::Rows(buffers) => {
                 assert_eq!(buffers.len(), rows, "one output buffer a row");
                 for row in buffers.iter_mut().filter(|row| row.len() != n) {
-                    row.clear();
-                    row.resize(n, 0.0);
+                    row.resize(n);
                 }
                 Rows::Buffers(buffers)
             }

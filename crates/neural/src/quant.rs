@@ -266,8 +266,11 @@ fn tanh_fast(v: f32) -> f32 {
 }
 
 /// Reusable buffers for [`QuantizedDense::matmul_bias_act_into`]: quantized
-/// activation rows (in the integer GEMM's zero-padded layout) and the
-/// per-row quantization parameters.
+/// activation rows (in the integer GEMM's layout, [`Lhs`]) and the per-row
+/// quantization parameters. A call reshapes them without clearing: every
+/// row's `k` codes and both parameters are written before the product
+/// reads them, and whatever an earlier, deeper call left past `k` meets
+/// zero weights.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
     aq: Lhs,
@@ -348,15 +351,35 @@ mod tests {
         }
     }
 
+    /// Every backend == the scalar one, whole batch and row at a time, on
+    /// one scratch reused across batch sizes (7 rows, 1, 7 again) and —
+    /// through a second layer of another depth run between the calls —
+    /// across depths that grow and shrink, so the activation rows hold
+    /// another shape's codes past `k`: bit-equal to a fresh scratch.
     #[test]
     fn backends_and_batch_shapes_agree_bitwise() {
         let l = layer(45, 31, Activation::LeakyRelu, 9);
         let q = QuantizedDense::quantize(&l);
         let x = input(7, 45, 3);
+        let deep = QuantizedDense::quantize(&layer(150, 12, Activation::Tanh, 4));
+        let x_deep = input(9, 150, 8);
         let mut scratch = QuantScratch::new();
         let mut want = Matrix::zeros(1, 1);
-        q.matmul_bias_act_into(&x, &mut scratch, &mut want, Int8Kernel::Scalar);
+        q.matmul_bias_act_into(&x, &mut QuantScratch::new(), &mut want, Int8Kernel::Scalar);
+        let mut want_deep = Matrix::zeros(1, 1);
+        deep.matmul_bias_act_into(
+            &x_deep,
+            &mut QuantScratch::new(),
+            &mut want_deep,
+            Int8Kernel::Scalar,
+        );
+        let bits = |m: &Matrix| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
         for backend in backends() {
+            // The deeper layer first and between the rows below: `k` grows
+            // from 45 to 150 and shrinks back on the same scratch.
+            let mut got_deep = Matrix::zeros(1, 1);
+            deep.matmul_bias_act_into(&x_deep, &mut scratch, &mut got_deep, backend);
+            assert_eq!(bits(&got_deep), bits(&want_deep), "{backend:?} deep layer");
             // Whole batch.
             let mut got = Matrix::zeros(1, 1);
             q.matmul_bias_act_into(&x, &mut scratch, &mut got, backend);
@@ -371,6 +394,12 @@ mod tests {
                     .copy_from_slice(&x.as_slice()[r * x.cols()..(r + 1) * x.cols()]);
                 let mut row_out = Matrix::zeros(1, 1);
                 q.matmul_bias_act_into(&row_in, &mut scratch, &mut row_out, backend);
+                deep.matmul_bias_act_into(&x_deep, &mut scratch, &mut got_deep, backend);
+                assert_eq!(
+                    bits(&got_deep),
+                    bits(&want_deep),
+                    "{backend:?} deep after row {r}"
+                );
                 let row_bits: Vec<u32> = row_out.as_slice().iter().map(|v| v.to_bits()).collect();
                 assert_eq!(
                     row_bits,

@@ -2,6 +2,7 @@
 
 use crate::server::HealthPolicy;
 use crate::timing::FrameStamp;
+use mimo_math::kernel::packed::AlignedRow;
 use splitbeam::quantization::QuantizedFeedback;
 use splitbeam_hwsim::prefetch_read;
 
@@ -55,7 +56,7 @@ pub struct StationSession {
     /// Virtual-time stamp of the pending payload (all-zero for untimed
     /// lockstep ingest).
     pending_stamp: FrameStamp,
-    last_feedback: Option<Vec<f32>>,
+    last_feedback: Option<AlignedRow>,
     last_round: Option<u64>,
     /// Stamp of the report behind `last_feedback`, if it came through the
     /// timestamped ingest path.
@@ -287,8 +288,10 @@ impl StationSession {
     /// feedback, for the tail to write its next batch into. A session's
     /// first report copies `row` into a buffer of its own instead, which
     /// from then on circulates; in steady state serving allocates nothing
-    /// and copies no feedback.
-    pub(crate) fn swap_feedback(&mut self, row: &mut Vec<f32>, round: u64) {
+    /// and copies no feedback. Every buffer is line-aligned, the copy
+    /// included ([`AlignedRow`]), so the tail stores whole lines into
+    /// whichever it is handed back.
+    pub(crate) fn swap_feedback(&mut self, row: &mut AlignedRow, round: u64) {
         match &mut self.last_feedback {
             Some(buf) => std::mem::swap(buf, row),
             None => self.last_feedback = Some(row.clone()),
@@ -299,7 +302,7 @@ impl StationSession {
     /// Stores a reconstruction given by value (the unit tests' fixture).
     #[cfg(test)]
     pub(crate) fn store_feedback(&mut self, flat: &[f32], round: u64) {
-        self.swap_feedback(&mut flat.to_vec(), round);
+        self.swap_feedback(&mut AlignedRow::from(flat), round);
     }
 
     /// Records how the deadline-aware closer classified the report that was

@@ -34,6 +34,7 @@ use crate::session::{StationId, StationSession};
 use crate::slab::{SessionSlab, LOOKAHEAD};
 use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp};
 use crate::ServeError;
+use mimo_math::kernel::packed::AlignedRow;
 use mimo_math::kernel::Kernel;
 use mimo_math::Int8Kernel;
 use splitbeam::fused::{QuantizedTail, TailScratch, TailWeights};
@@ -319,7 +320,7 @@ impl ShardCore {
     /// The row buffers of the shard's tail scratch: the feedback buffers in
     /// circulation besides the sessions' own.
     #[cfg(test)]
-    pub(crate) fn tail_rows(&self) -> &[Vec<f32>] {
+    pub(crate) fn tail_rows(&self) -> &[AlignedRow] {
         self.arena.tail.rows()
     }
 
@@ -416,7 +417,7 @@ impl ShardCore {
     /// recorded) late — identity at `lag_ns == 0`.
     fn commit_served(
         session: &mut StationSession,
-        row: &mut Vec<f32>,
+        row: &mut AlignedRow,
         round: u64,
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
@@ -572,10 +573,11 @@ impl ShardCore {
                     .map_err(ServeError::Model),
             };
             match flats {
-                Ok(mut flats) => {
-                    for (&slot, flat) in batch.slots.iter().zip(&mut flats) {
+                Ok(flats) => {
+                    for (&slot, flat) in batch.slots.iter().zip(&flats) {
                         if let Some(session) = sessions.at_mut(slot) {
-                            Self::commit_served(session, flat, round, policy, lag_ns, books);
+                            let row = &mut AlignedRow::from(&flat[..]);
+                            Self::commit_served(session, row, round, policy, lag_ns, books);
                         }
                     }
                 }

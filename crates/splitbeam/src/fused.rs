@@ -31,6 +31,7 @@ use crate::model::SplitBeamModel;
 use crate::quantization::{dequantize_bottleneck_into, QuantizedFeedback};
 use crate::{Refusal, SplitBeamError};
 use mimo_math::kernel::int8::Int8Kernel;
+use mimo_math::kernel::packed::AlignedRow;
 use mimo_math::kernel::Kernel;
 use neural::quant::{QuantScratch, QuantizedDense};
 use neural::{LayerOut, Matrix};
@@ -73,8 +74,9 @@ pub struct TailScratch {
     pong: Matrix,
     /// u7 activation codes and row parameters for the quantized path.
     quant: QuantScratch,
-    /// One buffer a reconstructed row, kept at the largest batch so far.
-    rows: Vec<Vec<f32>>,
+    /// One line-aligned buffer a reconstructed row, kept at the largest
+    /// batch so far.
+    rows: Vec<AlignedRow>,
 }
 
 impl TailScratch {
@@ -92,7 +94,7 @@ impl TailScratch {
     /// The row buffers, as many as the largest batch reconstructed into
     /// rows so far: each holds the row it was last written, or a buffer a
     /// caller swapped in for it.
-    pub fn rows(&self) -> &[Vec<f32>] {
+    pub fn rows(&self) -> &[AlignedRow] {
         &self.rows
     }
 
@@ -124,9 +126,9 @@ fn layer_io<'s>(
 
 /// The first `batch` row buffers, the missing ones made (empty: the layer
 /// sizes them).
-fn rows_for(rows: &mut Vec<Vec<f32>>, batch: usize) -> &mut [Vec<f32>] {
+fn rows_for(rows: &mut Vec<AlignedRow>, batch: usize) -> &mut [AlignedRow] {
     if rows.len() < batch {
-        rows.resize_with(batch, Vec::new);
+        rows.resize_with(batch, AlignedRow::default);
     }
     &mut rows[..batch]
 }
@@ -186,7 +188,7 @@ impl SplitBeamModel {
         batch: usize,
         scratch: &'a mut TailScratch,
         kern: Kernel,
-    ) -> Result<&'a mut [Vec<f32>], SplitBeamError>
+    ) -> Result<&'a mut [AlignedRow], SplitBeamError>
     where
         I: Iterator<Item = &'p QuantizedFeedback>,
     {
@@ -234,8 +236,10 @@ impl SplitBeamModel {
                         .flatten()
                         .zip(out.as_slice().chunks(out.cols()))
                     {
-                        row.clear();
-                        row.extend_from_slice(from);
+                        if row.len() != from.len() {
+                            row.resize(from.len());
+                        }
+                        row.copy_from_slice(from);
                     }
                 }
             }
@@ -462,7 +466,7 @@ impl QuantizedTail {
         batch: usize,
         scratch: &'a mut TailScratch,
         kernel: Int8Kernel,
-    ) -> Result<&'a mut [Vec<f32>], SplitBeamError>
+    ) -> Result<&'a mut [AlignedRow], SplitBeamError>
     where
         I: Iterator<Item = &'p QuantizedFeedback>,
     {
@@ -745,10 +749,11 @@ mod tests {
             let payloads = payloads_for(&m, 5, 6);
             let mut scratch = TailScratch::new();
             let check = |label: String, want: &[u32], scratch: &mut TailScratch| {
-                assert_eq!(bits(&scratch.rows.concat()), want, "{label}");
+                let rows: Vec<f32> = scratch.rows.iter().flat_map(|row| row.to_vec()).collect();
+                assert_eq!(bits(&rows), want, "{label}");
                 // The caller's buffers, of another length or none at all.
-                scratch.rows[0] = vec![7.0f32; 3];
-                scratch.rows[1] = Vec::new();
+                scratch.rows[0] = AlignedRow::from(&[7.0f32; 3][..]);
+                scratch.rows[1] = AlignedRow::default();
             };
             for kern in kernels() {
                 let run = |scratch: &mut TailScratch| {

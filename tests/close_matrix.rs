@@ -102,7 +102,7 @@ fn wide_rounds_match_the_serial_close_across_tile_boundaries() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any seed, quantizer width, drop rate and churn pattern: the same
     /// matrix, the same oracle. (Which cells see late, expired or damaged

@@ -63,6 +63,54 @@ fn tail_weights_can_be_switched_at_round_boundaries() {
     );
 }
 
+/// Every served feedback buffer starts on a 64-byte line, the first
+/// serve's included, whatever the allocator did before: the tail stores
+/// whole lines into them. A decoy puts the next row-sized block off a line
+/// before the first close, so a buffer aligned only by luck would show.
+/// Over the rounds each buffer is the tail's row, then a station's, then
+/// the tail's again.
+#[test]
+fn served_feedback_buffers_are_line_aligned() {
+    let model = small_model(3);
+    let width = model.config().output_dim();
+    let mut server = ApServer::new();
+    server.set_tail_weights(TailWeights::Int8);
+    let key = server.register_model(model.clone());
+    let stations = 6u64;
+    for id in 0..stations {
+        server.register_station(id, key, 8).unwrap();
+    }
+    let mut decoys = Vec::new();
+    loop {
+        let block = Vec::<f32>::with_capacity(width);
+        if !(block.as_ptr() as usize).is_multiple_of(64) {
+            // Freed last, so the next block of this size is most likely it.
+            drop(block);
+            break;
+        }
+        decoys.push(block);
+    }
+    for round in 0..4u64 {
+        for id in 0..stations {
+            let payload = station_payload(&model, 20 * round + id, 8);
+            server
+                .ingest_wire(id, &wire::encode_feedback(&payload).unwrap())
+                .unwrap();
+        }
+        assert_eq!(server.process_round().unwrap().served, stations as usize);
+        for id in 0..stations {
+            let feedback = server.feedback_of(id).unwrap();
+            assert_eq!(feedback.len(), width);
+            let offset = feedback.as_ptr() as usize % 64;
+            assert_eq!(
+                offset, 0,
+                "station {id} after round {round}: feedback at {offset} mod 64"
+            );
+        }
+    }
+    drop(decoys);
+}
+
 #[test]
 fn wire_frames_match_airtime_accounting() {
     let model = small_model(5);
