@@ -121,7 +121,7 @@ impl<T, const N: usize> DerefMut for Panels<T, N> {
 }
 
 /// A row of `f32`s that starts on a 64-byte boundary wherever the allocator
-/// puts it, clones included ([`Panels`] of whole lines): the row buffer a
+/// puts it, clones included (`Panels` of whole lines): the row buffer a
 /// bound-weight product writes ([`Rows::Buffers`]) and a server hands on.
 /// Its tiles store whole lines into it: into rows at `addr % 64` of 16, 32
 /// or 48 — what `malloc` returns for a plain `Vec` — the int8 tail's

@@ -112,13 +112,13 @@ impl Matrix {
     /// Reshapes to `rows x cols` for a caller that overwrites every element:
     /// existing storage is kept as-is (stale values and all) and only growth
     /// beyond the current length is zero-filled, skipping the full memset of
-    /// [`Self::reshape_zeroed`]. Crate-private because exposing stale data
-    /// would be a footgun; every caller must write all `rows * cols` entries
-    /// before reading.
+    /// [`Self::reshape_zeroed`]. The elements read stale until written:
+    /// every caller must write all `rows * cols` entries before reading
+    /// (the products here, and the fused tail's dequantized strip).
     ///
     /// # Panics
     /// Panics if either dimension is zero.
-    pub(crate) fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         self.rows = rows;
         self.cols = cols;

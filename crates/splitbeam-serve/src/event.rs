@@ -671,8 +671,9 @@ fn retry_seq(attempt: u32) -> u16 {
 }
 
 /// Builds an event driver over a one-shard [`ApServer`] with `model`
-/// registered, stations `0..stations` associated at `bits_per_value` bits,
-/// and the model's compute latency drawn from `accel` (zero when `None`).
+/// registered, room reserved for and stations `0..stations` associated at
+/// `bits_per_value` bits, and the model's compute latency drawn from
+/// `accel` (zero when `None`).
 ///
 /// # Panics
 /// Panics on invalid `bits_per_value` (registration is infallible otherwise).
@@ -701,6 +702,7 @@ pub fn build_sharded_event_driver(
 ) -> EventDriver {
     let mut server = ApServer::with_shards(num_shards);
     let key = server.register_model(model.clone());
+    server.reserve_stations(stations);
     let mut driver = EventDriver::over(server, cfg);
     // No accelerator binds zero compute latency (the lockstep degenerate case).
     if let Some(accel) = accel {

@@ -233,14 +233,14 @@ impl Channel {
     /// `frames`, the fleet's arena — on its medium, attributing any wait
     /// accrued while a foreign BSS held the channel as cross-BSS loss, and
     /// ingests each at its AP with its virtual-time stamp. Air order is
-    /// random in memory and an ingest is a chain of dependent loads (id
-    /// index → slot → payload buffer), so the walk requests each link of the
-    /// frames ahead of it as soon as the link before has had time to arrive:
-    /// the id-index entry and the frame's arena bytes `3 * LOOKAHEAD` frames
-    /// early, the session's slot (found through that entry)
-    /// `2 * LOOKAHEAD` early and the payload buffer the slot points at
-    /// [`LOOKAHEAD`] early. Hints only, whatever they miss is loaded on
-    /// demand.
+    /// random in memory and an ingest is a chain of dependent loads (index
+    /// → slot → arena row), so the walk requests each link of the frames
+    /// ahead of it as soon as the link before has had time to arrive: the
+    /// id-index entry and the frame's arena bytes `3 * LOOKAHEAD` frames
+    /// early, the session in the slot that entry names `2 * LOOKAHEAD`
+    /// early and the slot's row of the shard's code arena, which ingest
+    /// overwrites, [`LOOKAHEAD`] early — straight from the slot, no session
+    /// read. Hints only, whatever they miss is loaded on demand.
     fn drain(&mut self, frames: &[u8]) {
         let Self {
             medium,
@@ -253,17 +253,17 @@ impl Channel {
             let ahead_by = |distance: usize| {
                 let ahead = run.get(at + distance)?;
                 let member = &members[ahead.member as usize];
-                Some((member.server.sessions_of(ahead.id), ahead))
+                Some((member.server.shard_for(ahead.id), ahead))
             };
-            if let Some((sessions, ahead)) = ahead_by(3 * LOOKAHEAD) {
-                sessions.prefetch_index(ahead.id);
+            if let Some((shard, ahead)) = ahead_by(3 * LOOKAHEAD) {
+                shard.sessions.prefetch_index(ahead.id);
                 prefetch_read(ahead.frame.bytes(frames));
             }
-            if let Some((sessions, ahead)) = ahead_by(2 * LOOKAHEAD) {
-                sessions.prefetch_session(ahead.id);
+            if let Some((shard, ahead)) = ahead_by(2 * LOOKAHEAD) {
+                shard.sessions.prefetch_session(ahead.id);
             }
-            if let Some((sessions, ahead)) = ahead_by(LOOKAHEAD) {
-                sessions.prefetch_payload(ahead.id);
+            if let Some((shard, ahead)) = ahead_by(LOOKAHEAD) {
+                shard.prefetch_payload(ahead.id);
             }
             let (member, ready_ns) = (pending.member as usize, pending.ready_ns);
             let frame = pending.frame.bytes(frames);

@@ -2,7 +2,6 @@
 
 use crate::session::{SessionHealth, StationId, StationSession};
 use crate::shard::{ShardCore, StreamLane, TailEngine};
-use crate::slab::SessionSlab;
 use crate::timing::{DeadlinePolicy, FrameStamp, RoundDelayStats};
 use crate::ServeError;
 use rayon::prelude::*;
@@ -143,8 +142,8 @@ pub struct ShardRoundStats {
 /// the `reference` feature). See the `shard` module for the exactness argument.
 ///
 /// All per-round storage (wire decode buffers, serve-step worklists, fused
-/// tail scratch, per-station payload and feedback buffers, per-shard books)
-/// is recycled, so a full steady-state ingest→close round performs no
+/// tail scratch, each shard's code arena of pending payloads, per-station
+/// feedback buffers, per-shard books) is recycled, so a full steady-state ingest→close round performs no
 /// heap allocation once every buffer has reached its high-water capacity.
 ///
 /// **Session lifecycle:** [`ApServer::set_capacity`] bounds the fleet
@@ -215,10 +214,11 @@ impl ApServer {
         (id % self.shards.len() as u64) as usize
     }
 
-    /// The session store of `id`'s shard, for a caller's look-ahead (the
-    /// [`SessionSlab`]'s `prefetch_*`) over ids it is about to ingest.
-    pub(crate) fn sessions_of(&self, id: StationId) -> &SessionSlab {
-        &self.shards[self.shard_of(id)].sessions
+    /// The shard of `id`, for a caller's look-ahead (its slab's
+    /// `prefetch_*` and `ShardCore::prefetch_payload`) over ids it is
+    /// about to ingest.
+    pub(crate) fn shard_for(&self, id: StationId) -> &ShardCore {
+        &self.shards[self.shard_of(id)]
     }
 
     fn shard_mut(&mut self, id: StationId) -> &mut ShardCore {
@@ -244,11 +244,28 @@ impl ApServer {
     /// Registers a tail model and returns its key. Stations referencing the
     /// same key share the model (and one batched inference per shard per
     /// close). The model's int8 tail is quantized and packed here, once, so
-    /// round closes under [`TailWeights::Int8`] pay no bind cost.
+    /// round closes under [`TailWeights::Int8`] pay no bind cost. A model
+    /// with a wider bottleneck than any before widens every shard's code
+    /// arena, pending payloads kept.
     pub fn register_model(&mut self, model: SplitBeamModel) -> usize {
+        for shard in &mut self.shards {
+            shard.codes.widen(model.bottleneck_dim());
+        }
         self.tails.push(Arc::new(QuantizedTail::bind(&model)));
         self.models.push(Arc::new(model));
         self.models.len() - 1
+    }
+
+    /// Makes room for `stations` stations spread evenly over the shards —
+    /// each shard's slot vector and code arena are allocated once, so
+    /// registering them regrows neither. For a builder that knows its
+    /// population.
+    pub(crate) fn reserve_stations(&mut self, stations: usize) {
+        let share = stations.div_ceil(self.shards.len());
+        for shard in &mut self.shards {
+            shard.sessions.reserve(share);
+            shard.codes.reserve(share);
+        }
     }
 
     /// The weight format round closes currently reconstruct with.
@@ -307,11 +324,9 @@ impl ApServer {
         bits_per_value: u8,
     ) -> Result<(), ServeError> {
         self.check_admission(id, model_key, bits_per_value)?;
-        let bottleneck = self.models[model_key].bottleneck_dim();
-        let session = StationSession::new(id, model_key, bits_per_value, self.round, bottleneck);
+        let session = StationSession::new(id, model_key, bits_per_value, self.round);
         self.shard_mut(id)
-            .sessions
-            .insert(session)
+            .insert_session(session)
             .map_err(|rejected| ServeError::DuplicateStation(rejected.id()))
     }
 
@@ -328,7 +343,8 @@ impl ApServer {
     /// Releases station `id` for a fleet handoff, returning its full session
     /// state (pending payload, feedback history, health and staleness
     /// clocks) for the target AP to adopt. Unlike deregistration, nothing is
-    /// reset. Frames still queued on a streaming lane do not travel: they
+    /// reset: a pending payload's codes leave the shard's code arena with
+    /// the session, the one place a pending payload is allocated. Frames still queued on a streaming lane do not travel: they
     /// are dropped here and the session leaves with none in flight, so the
     /// station's retransmission is accepted at the target.
     ///
@@ -336,13 +352,14 @@ impl ApServer {
     /// [`ServeError::UnknownStation`] when the id is not registered.
     pub fn release_station(&mut self, id: StationId) -> Result<StationSession, ServeError> {
         self.shard_mut(id)
-            .remove_session(id)
+            .release_session(id)
             .ok_or(ServeError::UnknownStation(id))
     }
 
     /// Adopts a roaming station's released session, rebound to this server's
     /// `model_key` — the warm half of a fleet handoff; no cold re-register,
-    /// so the station keeps its feedback, pending payload and health state.
+    /// so the station keeps its feedback, pending payload (written into the
+    /// code arena of the shard that seats it) and health state.
     ///
     /// # Errors
     /// The same admission checks as [`ApServer::register_station`], then
@@ -364,15 +381,16 @@ impl ApServer {
             return Err((session, e));
         }
         let want = self.models[model_key].bottleneck_dim();
-        let got = session.payload().codes.len();
+        let got = session
+            .in_transit()
+            .map_or(0, |payload| payload.codes.len());
         if session.has_pending() && got != want {
             let e = ServeError::Codec(Refusal::CodeCount { got, want }.into());
             return Err((session, e));
         }
         session.rebind_model(model_key);
         self.shard_mut(id)
-            .sessions
-            .insert(session)
+            .insert_session(session)
             .map_err(|rejected| (rejected, ServeError::DuplicateStation(id)))
     }
 
@@ -407,8 +425,8 @@ impl ApServer {
     /// one round replaces its pending payload (last wins).
     ///
     /// The frame decodes into its shard's recycled decode buffer and the
-    /// validated codes are copied into the station's own payload buffer —
-    /// steady-state ingest allocates nothing. In streaming mode
+    /// validated codes are copied into the row of the station's slot in the
+    /// shard's code arena — steady-state ingest allocates nothing. In streaming mode
     /// ([`ApServer::set_streaming`]) the frame queues on the shard's bounded
     /// ring instead and becomes pending when a watermark commits it.
     ///
@@ -520,9 +538,7 @@ impl ApServer {
     #[cfg(any(test, feature = "reference"))]
     #[doc(hidden)]
     pub fn truncate_pending_payload(&mut self, id: StationId) {
-        if let Some(session) = self.shard_mut(id).sessions.get_mut(id) {
-            session.truncate_payload(3);
-        }
+        self.shard_mut(id).truncate_pending(id, 3);
     }
 
     /// The close lag every shard pays under the round barrier: the maximum
@@ -1219,11 +1235,138 @@ mod tests {
         let (session, e) = target.adopt_station(session, key).unwrap_err();
         assert!(matches!(e, ServeError::Codec(_)), "{e:?}");
         assert!(session.has_pending());
-        let codes = session.payload().codes.len();
-        assert_eq!(codes, m_eighth.bottleneck_dim());
+        let codes = session.in_transit().map(|payload| payload.codes.len());
+        assert_eq!(codes, Some(m_eighth.bottleneck_dim()));
         assert!(target.session(9).is_none());
         let summary = target.process_round().unwrap();
         assert_eq!((summary.served, summary.discarded), (1, 0));
+    }
+
+    /// Feedback bits of `ids` on `server`, for bit-exact comparisons.
+    fn feedback_bits(server: &ApServer, ids: impl Iterator<Item = StationId>) -> Vec<Vec<u32>> {
+        ids.map(|id| {
+            let served = server.feedback_of(id).unwrap_or_default();
+            served.iter().map(|v| v.to_bits()).collect()
+        })
+        .collect()
+    }
+
+    /// A code-arena row outlives its session: an id registered into a freed
+    /// slot — a new station, or the same id again — starts with nothing
+    /// pending, though the row still holds the departed station's codes,
+    /// and the close serves exactly the stations that reported.
+    #[test]
+    fn an_id_reregistered_into_a_freed_slot_has_no_pending_payload() {
+        let m = model(27);
+        let mut server = ApServer::new();
+        let key = server.register_model(m.clone());
+        for id in 0..4 {
+            server.register_station(id, key, 8).unwrap();
+            server
+                .ingest_wire(id, &station_frame(&m, 80 + id, 8))
+                .unwrap();
+        }
+        let slot_of = |server: &ApServer, id| server.shards[0].sessions.slot_of(id);
+        let (freed_1, freed_2) = (slot_of(&server, 1), slot_of(&server, 2));
+        server.deregister_station(2).unwrap();
+        server.deregister_station(1).unwrap();
+        server.register_station(9, key, 8).unwrap();
+        server.register_station(2, key, 8).unwrap();
+        assert_eq!(slot_of(&server, 9), freed_1, "9 takes the last freed slot");
+        assert_eq!(slot_of(&server, 2), freed_2, "2 takes its own old slot");
+        for id in [9, 2] {
+            assert!(!server.session(id).unwrap().has_pending(), "station {id}");
+        }
+        assert_eq!(server.pending_count(), 2);
+        let summary = server.process_round().unwrap();
+        assert_eq!((summary.served, summary.awaiting_first_report), (2, 2));
+        assert!(server.feedback_of(9).is_none() && server.feedback_of(2).is_none());
+        assert!(server.feedback_of(0).is_some() && server.feedback_of(3).is_some());
+    }
+
+    /// Registering a model with a wider bottleneck re-lays every shard's
+    /// code arena: each payload pending at that moment is served bit for
+    /// bit as a server that never widened serves it, and the new model's
+    /// stations are served beside them.
+    #[test]
+    fn a_wider_model_keeps_every_pending_payload() {
+        let (narrow, wide) = (model(28), model_at(29, CompressionLevel::OneQuarter));
+        let lines = |codes: usize| (8 + codes).div_ceil(32);
+        assert!(lines(wide.bottleneck_dim()) > lines(narrow.bottleneck_dim()));
+        for shards in [1, 3] {
+            let [mut server, mut control] = [(); 2].map(|()| ApServer::with_shards(shards));
+            for server in [&mut server, &mut control] {
+                let key = server.register_model(narrow.clone());
+                for id in 0..12 {
+                    server.register_station(id, key, 6).unwrap();
+                    server
+                        .ingest_wire(id, &station_frame(&narrow, 90 + id, 6))
+                        .unwrap();
+                }
+            }
+            let wide_key = server.register_model(wide.clone());
+            server.register_station(40, wide_key, 6).unwrap();
+            server
+                .ingest_wire(40, &station_frame(&wide, 99, 6))
+                .unwrap();
+            assert_eq!(server.pending_count(), 13, "{shards} shards");
+            assert_eq!(
+                server.process_round().unwrap().served,
+                13,
+                "{shards} shards"
+            );
+            assert_eq!(
+                control.process_round().unwrap().served,
+                12,
+                "{shards} shards"
+            );
+            assert_eq!(
+                feedback_bits(&server, 0..12),
+                feedback_bits(&control, 0..12),
+                "{shards} shards"
+            );
+            assert!(server.feedback_of(40).is_some());
+        }
+    }
+
+    /// A truncated payload fails its model's batch whole, whichever tile it
+    /// sits in: nothing of the batch is stored and every payload is
+    /// discarded. The truncation lives in the arena row only, so the next
+    /// report overwrites it and the next round serves as a server that
+    /// never failed.
+    #[test]
+    fn a_truncated_payload_fails_its_batch_whole_until_the_next_report() {
+        let m = model(30);
+        let stations = (crate::TILE_ROWS + 3) as u64;
+        let [mut server, mut control] = [(); 2].map(|()| {
+            let mut server = ApServer::new();
+            let key = server.register_model(m.clone());
+            for id in 0..stations {
+                server.register_station(id, key, 4).unwrap();
+            }
+            server
+        });
+        let report = |server: &mut ApServer, round: u64| {
+            for id in 0..stations {
+                let frame = station_frame(&m, 1000 * round + id, 4);
+                server.ingest_wire(id, &frame).unwrap();
+            }
+        };
+        report(&mut server, 0);
+        server.truncate_pending_payload(stations - 1);
+        assert!(matches!(server.process_round(), Err(ServeError::Model(_))));
+        let books = server.shard_round_stats()[0].summary;
+        assert_eq!((books.served, books.discarded), (0, stations as usize));
+        assert!((0..stations).all(|id| server.feedback_of(id).is_none()));
+        control.process_round().unwrap();
+        for server in [&mut server, &mut control] {
+            report(server, 1);
+            assert_eq!(server.process_round().unwrap().served, stations as usize);
+        }
+        assert_eq!(
+            feedback_bits(&server, 0..stations),
+            feedback_bits(&control, 0..stations)
+        );
     }
 
     #[test]

@@ -1,10 +1,20 @@
 //! Per-station serving state.
+//!
+//! A [`StationSession`] holds what the AP knows of one station: its model
+//! binding and quantizer width, the header of its pending report (whether
+//! one is pending, its stamp and sequence number), its last reconstructed
+//! feedback, and its health and staleness clocks. The pending report's
+//! codes are not here: they live in the shard's code arena, in the row of
+//! the session's slot (`crate::slab::CodeArena`), so registration
+//! allocates no payload buffer and the round close's gather reads the
+//! arena without touching a session. Only a session released for a
+//! handoff carries its pending codes with it, in transit to the adopting
+//! AP's arena.
 
 use crate::server::HealthPolicy;
 use crate::timing::FrameStamp;
 use mimo_math::kernel::packed::AlignedRow;
 use splitbeam::quantization::QuantizedFeedback;
-use splitbeam_hwsim::prefetch_read;
 
 /// Over-the-air station identifier (association id in a real AP).
 pub type StationId = u64;
@@ -44,15 +54,12 @@ pub struct StationSession {
     /// Round the station (re-)associated in — the baseline for idle-eviction
     /// of stations that never report.
     joined_round: u64,
-    /// The payload slot for the current round. Its `codes` buffer is
-    /// allocated once, at registration, sized to the model's bottleneck, and
-    /// never leaves the session: ingest copies validated codes *into* it
-    /// ([`StationSession::store_payload`]), so the buffers of a slab stay in
-    /// registration (= slot) order in memory and the round close streams
-    /// them. `has_pending` says whether it holds a payload for the round
-    /// being collected.
-    payload: QuantizedFeedback,
+    /// Whether the shard's code arena holds a payload of this station for
+    /// the round being collected, in the row of the session's slot.
     has_pending: bool,
+    /// The pending payload, while a released session travels between APs
+    /// (`None` at rest: the codes are in the arena).
+    in_transit: Option<QuantizedFeedback>,
     /// Virtual-time stamp of the pending payload (all-zero for untimed
     /// lockstep ingest).
     pending_stamp: FrameStamp,
@@ -83,27 +90,20 @@ pub struct StationSession {
 }
 
 impl StationSession {
-    /// A fresh session whose payload buffer holds `bottleneck_dim` codes
-    /// without reallocating.
+    /// A fresh session: nothing pending, no feedback, healthy.
     pub(crate) fn new(
         id: StationId,
         model_key: usize,
         bits_per_value: u8,
         joined_round: u64,
-        bottleneck_dim: usize,
     ) -> Self {
         Self {
             id,
             model_key,
             bits_per_value,
             joined_round,
-            payload: QuantizedFeedback {
-                bits_per_value,
-                min: 0.0,
-                max: 0.0,
-                codes: Vec::with_capacity(bottleneck_dim),
-            },
             has_pending: false,
+            in_transit: None,
             pending_stamp: FrameStamp::default(),
             last_feedback: None,
             last_round: None,
@@ -120,9 +120,8 @@ impl StationSession {
         }
     }
 
-    /// A synthetic fresh session (no payload buffer), public for store-level
-    /// benchmarks and tests; production sessions are created by server
-    /// registration.
+    /// A synthetic fresh session, public for store-level benchmarks and
+    /// tests; production sessions are created by server registration.
     #[doc(hidden)]
     pub fn synthetic(
         id: StationId,
@@ -130,7 +129,7 @@ impl StationSession {
         bits_per_value: u8,
         joined_round: u64,
     ) -> Self {
-        Self::new(id, model_key, bits_per_value, joined_round, 0)
+        Self::new(id, model_key, bits_per_value, joined_round)
     }
 
     /// Rebinds the session to `model_key` on the adopting server during a
@@ -147,42 +146,28 @@ impl StationSession {
         self.has_pending
     }
 
-    /// The pending payload (meaningful only while [`StationSession::has_pending`]).
-    pub(crate) fn payload(&self) -> &QuantizedFeedback {
-        &self.payload
-    }
-
-    /// Look-ahead: requests the payload buffer, as long as the payload it
-    /// holds — what the next [`Self::store_payload`] overwrites or the
-    /// close's tile gather reads.
-    pub(crate) fn prefetch_payload(&self) {
-        prefetch_read(self.payload.codes.as_slice());
-    }
-
-    /// Copies a validated payload into the session's own buffer and marks
-    /// it pending under `stamp` / `seq`. The copy (not a buffer swap) is what
-    /// keeps every session's buffer where registration put it.
-    pub(crate) fn store_payload(
-        &mut self,
-        payload: &QuantizedFeedback,
-        stamp: FrameStamp,
-        seq: u16,
-    ) {
-        self.payload.bits_per_value = payload.bits_per_value;
-        self.payload.min = payload.min;
-        self.payload.max = payload.max;
-        self.payload.codes.clear();
-        self.payload.codes.extend_from_slice(&payload.codes);
+    /// Marks a payload pending under `stamp` / `seq`; its codes were just
+    /// stored in the arena row of the session's slot.
+    pub(crate) fn mark_pending(&mut self, stamp: FrameStamp, seq: u16) {
         self.has_pending = true;
         self.pending_stamp = stamp;
         self.pending_seq = seq;
     }
 
-    /// Truncates the pending payload so its model's batch fails at
-    /// reconstruction time — the failed-batch fixture of the oracle tests.
-    #[cfg(any(test, feature = "reference"))]
-    pub(crate) fn truncate_payload(&mut self, codes: usize) {
-        self.payload.codes.truncate(codes);
+    /// Gives a released session its pending payload to carry to the AP
+    /// that adopts it.
+    pub(crate) fn carry(&mut self, payload: QuantizedFeedback) {
+        self.in_transit = Some(payload);
+    }
+
+    /// The pending payload a released session carries (`None` at rest).
+    pub(crate) fn in_transit(&self) -> Option<&QuantizedFeedback> {
+        self.in_transit.as_ref()
+    }
+
+    /// Hands the carried payload over to the adopting shard's arena.
+    pub(crate) fn unload(&mut self) -> Option<QuantizedFeedback> {
+        self.in_transit.take()
     }
 
     /// Closes the pending report out — served, expired or discarded with a
@@ -432,7 +417,7 @@ mod tests {
 
     #[test]
     fn age_and_freshness() {
-        let mut s = StationSession::new(9, 0, 8, 0, 0);
+        let mut s = StationSession::new(9, 0, 8, 0);
         assert_eq!(s.age(5), None);
         assert!(!s.is_fresh(5, 100));
         s.store_feedback(&[], 3);
@@ -445,7 +430,7 @@ mod tests {
 
     #[test]
     fn ingest_accounting() {
-        let mut s = StationSession::new(1, 2, 4, 0, 0);
+        let mut s = StationSession::new(1, 2, 4, 0);
         assert_eq!((s.id(), s.model_key(), s.bits_per_value()), (1, 2, 4));
         s.record_ingest(68);
         s.record_ingest(68);
@@ -457,7 +442,7 @@ mod tests {
     #[test]
     fn health_machine_degrades_and_quarantines() {
         let policy = HealthPolicy::default();
-        let mut s = StationSession::new(7, 0, 4, 0, 0);
+        let mut s = StationSession::new(7, 0, 4, 0);
         assert_eq!(s.health(), SessionHealth::Healthy);
         // One silent round is tolerated, two degrade.
         s.close_health(0, &policy, false);
@@ -506,7 +491,7 @@ mod tests {
                 quarantine_rounds,
                 ..HealthPolicy::default()
             };
-            let mut s = StationSession::new(7, 0, 4, 0, 0);
+            let mut s = StationSession::new(7, 0, 4, 0);
             for _ in 0..policy.quarantine_after_corrupt {
                 s.note_corrupt(round, &policy);
             }
@@ -522,7 +507,7 @@ mod tests {
 
     #[test]
     fn idle_rounds_measured_from_join_then_last_report() {
-        let mut s = StationSession::new(3, 0, 8, 5, 0);
+        let mut s = StationSession::new(3, 0, 8, 5);
         assert_eq!(s.joined_round(), 5);
         // Never reported: idle counts from the association round.
         assert_eq!(s.idle_rounds(5), 0);

@@ -1,20 +1,30 @@
 //! One shard of serving state and the single round close.
 //!
 //! An [`ApServer`](crate::server::ApServer) owns `N` [`ShardCore`]s (station
-//! `id` lives on shard `id % N`). Each shard holds its own session slab,
-//! round arena and streaming lane, so shards share nothing mutable and close
-//! in parallel. Every serving step lives here exactly once:
+//! `id` lives on shard `id % N`). Each shard holds its own session slab, the
+//! code arena of its sessions' pending payloads (one line-aligned row a
+//! slot), its round arena and its streaming lane, so shards share nothing
+//! mutable and close in parallel. Every serving step lives here exactly
+//! once:
 //!
 //! * **ingest** ([`ShardCore::ingest_wire`]): session lookup → quarantine
 //!   gate → CRC/decode → duplicate suppression → payload validation, then the
-//!   frame either commits straight into its session (lockstep) or queues on
-//!   the shard's bounded ring until a watermark commits it (streaming);
+//!   frame either commits straight into the code-arena row of its session's
+//!   slot (lockstep) or queues on the shard's bounded ring until a watermark
+//!   commits it there (streaming);
 //! * **watermark** ([`ShardCore::advance_watermark`]): commits due frames and
 //!   micro-closes the pending batch when its oldest frame's Eq. 7d service
 //!   deadline would otherwise pass;
 //! * **close** ([`ShardCore::close`]): flush the lane → serve what is pending
 //!   → run the once-per-round health pass. A barrier close is the same close
-//!   on an empty lane; "no deadline" is `policy == None`.
+//!   on an empty lane; "no deadline" is `policy == None`. The serve step
+//!   lists pending slots in station-id order, then gathers each tile's
+//!   payloads as a run of slot → arena-row reads, touching no session until
+//!   the tile's reconstructions are committed.
+//!
+//! A released session (a fleet handoff) carries its pending codes out of
+//! the arena and an adopting shard writes them into the row of the slot it
+//! seats the session in, so a pending payload survives roaming bit for bit.
 //!
 //! Each step counts what it did where it happens, into one running
 //! [`ShardRoundStats`] for the round being collected (corrupt frames, batches,
@@ -31,7 +41,7 @@
 use crate::ring::Ring;
 use crate::server::{HealthPolicy, RoundSummary, ShardRoundStats};
 use crate::session::{StationId, StationSession};
-use crate::slab::{SessionSlab, LOOKAHEAD};
+use crate::slab::{CodeArena, SessionSlab, LOOKAHEAD};
 use crate::timing::{DeadlinePolicy, FrameClass, FrameStamp};
 use crate::ServeError;
 use mimo_math::kernel::packed::AlignedRow;
@@ -58,10 +68,10 @@ fn empty_payload() -> QuantizedFeedback {
 #[derive(Debug, Clone)]
 pub(crate) struct RoundArena {
     /// Wire frames decode into this buffer before validation. Lockstep
-    /// ingest copies the validated codes into the session's own buffer;
-    /// streaming ingest swaps it with a recycled lane buffer. Either way the
-    /// decode buffer and the lane freelist circulate among themselves and a
-    /// session's buffer never moves.
+    /// ingest copies the validated codes into the code-arena row of the
+    /// session's slot; streaming ingest swaps it with a recycled lane buffer,
+    /// whose codes a watermark later copies there. Either way the decode
+    /// buffer and the lane freelist circulate among themselves.
     decode_buf: QuantizedFeedback,
     /// The serve step's worklist, one [`Batch`] per registered model.
     work: Vec<Batch>,
@@ -190,6 +200,8 @@ impl<'a> TailEngine<'a> {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardCore {
     pub(crate) sessions: SessionSlab,
+    /// The pending payloads' codes, one row a slot of `sessions`.
+    pub(crate) codes: CodeArena,
     arena: RoundArena,
     /// Health thresholds applied to every session of this shard.
     pub(crate) health: HealthPolicy,
@@ -232,13 +244,16 @@ impl ShardCore {
     ) -> Result<usize, ServeError> {
         let Self {
             sessions,
+            codes,
             arena,
             health,
             lane,
             tally,
             ..
         } = self;
-        let session = sessions.get_mut(id).ok_or(ServeError::UnknownStation(id))?;
+        let (slot, session) = sessions
+            .entry_mut(id)
+            .ok_or(ServeError::UnknownStation(id))?;
         if session.is_quarantined(round) {
             return Err(ServeError::Quarantined(id));
         }
@@ -278,7 +293,8 @@ impl ShardCore {
             session.inc_stream_inflight();
             session.set_pending_seq(seq);
         } else {
-            session.store_payload(&arena.decode_buf, stamp, seq);
+            codes.store(slot, (&arena.decode_buf).into());
+            session.mark_pending(stamp, seq);
         }
         session.note_clean_ingest();
         session.record_ingest(frame.len());
@@ -315,6 +331,63 @@ impl ShardCore {
             session.clear_stream_inflight();
         }
         Some(session)
+    }
+
+    /// [`Self::remove_session`] for a handoff: a pending payload leaves the
+    /// arena with the session, which carries it to the adopting shard.
+    pub(crate) fn release_session(&mut self, id: StationId) -> Option<StationSession> {
+        let slot = self.sessions.slot_of(id)?;
+        let mut session = self.remove_session(id)?;
+        if session.has_pending() {
+            session.carry(self.codes.row(slot).into());
+        }
+        Some(session)
+    }
+
+    /// Seats `session` in a slot and gives the slot its arena row, writing
+    /// there the pending payload the session carries from a handoff. A
+    /// session whose id is already seated comes back, still carrying it.
+    // The fat Err is the point: the rejected session rides back to the
+    // caller for restore.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn insert_session(
+        &mut self,
+        mut session: StationSession,
+    ) -> Result<(), StationSession> {
+        let carried = session.unload();
+        match self.sessions.seat(session) {
+            Ok(slot) => {
+                self.codes.seat(slot);
+                if let Some(payload) = &carried {
+                    self.codes.store(slot, payload.into());
+                }
+                Ok(())
+            }
+            Err(mut rejected) => {
+                if let Some(payload) = carried {
+                    rejected.carry(payload);
+                }
+                Err(rejected)
+            }
+        }
+    }
+
+    /// Look-ahead, the third step of the drain's chain (index → slot → arena
+    /// row): requests the arena row of `id`'s slot, whose index entry the
+    /// first step requested.
+    pub(crate) fn prefetch_payload(&self, id: StationId) {
+        if let Some(slot) = self.sessions.slot_of(id) {
+            self.codes.prefetch(slot);
+        }
+    }
+
+    /// Cuts station `id`'s pending payload to `codes` codes, so its model's
+    /// batch fails at the close (the oracle tests' fixture).
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn truncate_pending(&mut self, id: StationId, codes: usize) {
+        if let Some(slot) = self.sessions.slot_of(id) {
+            self.codes.truncate(slot, codes);
+        }
     }
 
     /// The row buffers of the shard's tail scratch: the feedback buffers in
@@ -373,8 +446,8 @@ impl ShardCore {
         policy: Option<DeadlinePolicy>,
         lag_ns: u64,
     ) {
-        let (sessions, work) = (&mut self.sessions, &mut self.arena.work);
-        let books = &mut self.tally.summary;
+        let (sessions, codes) = (&mut self.sessions, &self.codes);
+        let (work, books) = (&mut self.arena.work, &mut self.tally.summary);
         work.resize_with(engine.models.len(), Batch::default);
         for batch in work.iter_mut() {
             batch.slots.clear();
@@ -393,7 +466,7 @@ impl ShardCore {
             }
             let key = session.model_key();
             let batch = &mut work[key];
-            let got = session.payload().codes.len();
+            let got = codes.row(slot).codes.len();
             let want = engine.models[key].bottleneck_dim();
             if got != want && batch.invalid.is_none() {
                 let mismatch = Refusal::CodeCount { got, want };
@@ -441,9 +514,10 @@ impl ShardCore {
     /// one walk ([`Self::list_pending`]) expires over-budget reports and
     /// lists the rest, then each model's list is reconstructed through the
     /// fused dequantize→tail inference in runs of [`TILE_ROWS`] slots
-    /// (reconstruct → store → account per tile), payloads read — each
-    /// requested [`LOOKAHEAD`] slots early — and reconstructions stored
-    /// through the slot. Tiling changes batch boundaries only, so it cannot
+    /// (reconstruct → store → account per tile), each tile's payloads
+    /// gathered from the code arena by slot — each row requested
+    /// [`LOOKAHEAD`] slots early, no session read — and reconstructions
+    /// stored through the slot. Tiling changes batch boundaries only, so it cannot
     /// move an output bit (see the module docs); `batches` counts one per
     /// model with pending traffic, however many tiles it took. With a
     /// [`DeadlinePolicy`], late-but-usable reports are served but flagged.
@@ -464,7 +538,8 @@ impl ShardCore {
         lag_ns: u64,
     ) {
         self.list_pending(engine, policy, lag_ns);
-        let (sessions, RoundArena { work, tail, .. }) = (&mut self.sessions, &mut self.arena);
+        let (sessions, codes) = (&mut self.sessions, &self.codes);
+        let RoundArena { work, tail, .. } = &mut self.arena;
         let (books, error) = (&mut self.tally.summary, &mut self.error);
         for ((key, model), batch) in engine.models.iter().enumerate().zip(work.iter_mut()) {
             if batch.slots.is_empty() {
@@ -475,19 +550,18 @@ impl ShardCore {
             let mut unserved = batch.slots.as_slice();
             while failure.is_none() && !unserved.is_empty() {
                 let (tile, rest) = unserved.split_at(unserved.len().min(TILE_ROWS));
-                // Each payload buffer is its own allocation, read once: ask
-                // for the one `LOOKAHEAD` slots on, the next tile's included.
-                let payloads = tile
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(at, &slot)| {
-                        let ahead = unserved.get(at + LOOKAHEAD);
-                        if let Some(ahead) = ahead.and_then(|&ahead| sessions.at(ahead)) {
-                            ahead.prefetch_payload();
-                        }
-                        sessions.at(slot)
-                    })
-                    .map(StationSession::payload);
+                // Rows are read once, in slot order: a stream where slots
+                // follow ids, a scatter after churn. Ask for the row
+                // `LOOKAHEAD` slots on, the next tile's included, and for
+                // the session the commit writes, which lands under the tile's
+                // product.
+                let payloads = tile.iter().enumerate().map(|(at, &slot)| {
+                    if let Some(&ahead) = unserved.get(at + LOOKAHEAD) {
+                        codes.prefetch(ahead);
+                    }
+                    sessions.prefetch_slot(slot);
+                    codes.row(slot)
+                });
                 let result = match engine.mode {
                     TailWeights::F32 => model.reconstruct_quantized_batch_into_rows(
                         payloads,
@@ -550,7 +624,8 @@ impl ShardCore {
         lag_ns: u64,
     ) {
         self.list_pending(engine, policy, lag_ns);
-        let (sessions, work) = (&mut self.sessions, &mut self.arena.work);
+        let (sessions, codes) = (&mut self.sessions, &self.codes);
+        let work = &mut self.arena.work;
         let (books, error) = (&mut self.tally.summary, &mut self.error);
         for ((key, model), batch) in engine.models.iter().enumerate().zip(work) {
             if batch.slots.is_empty() {
@@ -562,11 +637,10 @@ impl ShardCore {
                 None => batch
                     .slots
                     .iter()
-                    .filter_map(|&slot| sessions.at(slot))
-                    .map(|session| match engine.mode {
-                        TailWeights::F32 => model.reconstruct_quantized(session.payload()),
+                    .map(|&slot| match engine.mode {
+                        TailWeights::F32 => model.reconstruct_quantized(codes.row(slot)),
                         TailWeights::Int8 => {
-                            engine.tails[key].reconstruct_quantized(session.payload(), engine.ik)
+                            engine.tails[key].reconstruct_quantized(codes.row(slot), engine.ik)
                         }
                     })
                     .collect::<Result<_, SplitBeamError>>()
@@ -595,12 +669,18 @@ impl ShardCore {
     /// ingest. Stops at the first frame still ahead of the watermark (head-
     /// gated: later frames wait even if individually due, preserving order).
     fn commit_due(&mut self, watermark_ns: u64) {
-        let Self { lane, sessions, .. } = self;
+        let Self {
+            lane,
+            sessions,
+            codes,
+            ..
+        } = self;
         while let Some(frame) = lane.ring.pop_if(|f| f.stamp.arrival_ns <= watermark_ns) {
             // Removing a session purges its queued frames, so the lookup
             // finds the association that sent this one.
-            if let Some(session) = sessions.get_mut(frame.id) {
-                session.store_payload(&frame.payload, frame.stamp, frame.seq);
+            if let Some((slot, session)) = sessions.entry_mut(frame.id) {
+                codes.store(slot, (&frame.payload).into());
+                session.mark_pending(frame.stamp, frame.seq);
                 session.dec_stream_inflight();
             }
             lane.free.push(frame.payload);

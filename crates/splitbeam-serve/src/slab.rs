@@ -1,4 +1,6 @@
-//! Slab session store: a dense slot vector and a dense id index.
+//! Slot-indexed serving stores: the session slab (a dense slot vector and a
+//! dense id index) and the code arena that holds each slot's pending
+//! payload.
 //!
 //! At fleet scale (100k+ concurrent sessions) the round close is a walk over
 //! sessions, so what it costs is which cache lines each step touches:
@@ -12,7 +14,15 @@
 //!   in ascending station-id order: the table walk followed by the map walk,
 //!   which is globally ascending because every sparse id exceeds every dense
 //!   one. The serve step's walk (`SessionSlab::for_each_in_id_order`) hands
-//!   out slots, so a listed session is reached again without an id lookup.
+//!   out slots, so a listed session is reached again without an id lookup;
+//! * a **code arena** (`CodeArena`): one line-aligned row a slot, as wide as
+//!   the widest registered bottleneck in whole 64-byte lines, holding the
+//!   pending payload's width, range, code count and codes. Ingest writes the
+//!   row of its session's slot; the close's tile gather reads rows by slot —
+//!   in registration order a sequential stream the hardware prefetcher
+//!   follows — and never reads a session to find them. Registration
+//!   allocates no payload buffer: seating a station gives its slot a row,
+//!   the arena doubling when it is full.
 //!
 //! Serving maintains no eviction order: [`SessionSlab::evict_idle`] answers
 //! from a cached bound while nothing can be due and sweeps the slots when
@@ -26,6 +36,7 @@
 //! `serve-unordered-map` lint rule).
 
 use crate::session::{StationId, StationSession};
+use splitbeam::quantization::PayloadView;
 use splitbeam_hwsim::prefetch_read;
 use std::collections::BTreeMap;
 
@@ -41,11 +52,10 @@ pub(crate) const DENSE_ID_BOUND: StationId = 1 << 20;
 /// How far ahead of the session it works on a walk over sessions in an
 /// order the hardware prefetcher cannot guess requests their lines, in
 /// sessions a stage: a fleet channel's drain asks for each link of an
-/// ingest's chain of dependent loads (id-index entry → slot → payload
-/// buffer) one stage before the next link needs it, and the close's tile
-/// gather asks for the payload buffer it will dequantize. 4, 8 and 16 read
-/// within 6 % of one another on `fleet_dense_100k`, none ahead by the pairs
-/// rule (CHANGES.md).
+/// ingest's chain of dependent loads (index → slot → arena row) one stage
+/// before the next link needs it, and the close's tile gather asks for the
+/// arena row it will dequantize. 4, 8 and 16 read within 6 % of one
+/// another on `fleet_dense_100k`, none ahead by the pairs rule (CHANGES.md).
 pub(crate) const LOOKAHEAD: usize = 8;
 
 /// Station id → `u32` (a slot, or a fleet's AP index). Lookups of ids below
@@ -164,6 +174,11 @@ impl SessionSlab {
         self.by_id.len()
     }
 
+    /// Makes room for `sessions` more sessions in the slot vector.
+    pub(crate) fn reserve(&mut self, sessions: usize) {
+        self.slots.reserve(sessions);
+    }
+
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -179,6 +194,12 @@ impl SessionSlab {
     // caller for restore, and boxing a cold failure path buys nothing.
     #[allow(clippy::result_large_err)]
     pub fn insert(&mut self, session: StationSession) -> Result<(), StationSession> {
+        self.seat(session).map(|_| ())
+    }
+
+    /// [`Self::insert`], returning the slot the session took.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn seat(&mut self, session: StationSession) -> Result<u32, StationSession> {
         let id = session.id();
         if self.contains(id) {
             return Err(session);
@@ -196,7 +217,7 @@ impl SessionSlab {
             }
         };
         self.by_id.insert(id, slot);
-        Ok(())
+        Ok(slot)
     }
 
     /// Removes and returns the session for `id`, freeing its slot.
@@ -210,8 +231,19 @@ impl SessionSlab {
         self.at(self.by_id.get(id)?)
     }
 
+    /// The slot of `id`'s session: its row in the shard's [`CodeArena`].
+    pub(crate) fn slot_of(&self, id: StationId) -> Option<u32> {
+        self.by_id.get(id)
+    }
+
     pub fn get_mut(&mut self, id: StationId) -> Option<&mut StationSession> {
         self.at_mut(self.by_id.get(id)?)
+    }
+
+    /// [`Self::get_mut`], with the session's slot.
+    pub(crate) fn entry_mut(&mut self, id: StationId) -> Option<(u32, &mut StationSession)> {
+        let slot = self.by_id.get(id)?;
+        Some((slot, self.at_mut(slot)?))
     }
 
     /// The session in `slot`, as [`Self::for_each_in_id_order`] handed it out.
@@ -224,26 +256,26 @@ impl SessionSlab {
     }
 
     /// Look-ahead, first of three steps for a walk that knows which ids it
-    /// is about to [`Self::get_mut`] and write a payload to — the lookup is a
-    /// chain of dependent loads, and each step requests one link once the
+    /// is about to [`Self::get_mut`] and write a payload for — the lookup is
+    /// a chain of dependent loads, and each step requests one link once the
     /// step before has had time to land: `id`'s index entry.
     pub(crate) fn prefetch_index(&self, id: StationId) {
         self.by_id.prefetch(id);
     }
 
     /// Second step: the slot that entry names, every line of it (ingest
-    /// reads and writes a session end to end).
+    /// reads and writes a session end to end). The third is the slot's
+    /// [`CodeArena`] row, found from the entry alone.
     pub(crate) fn prefetch_session(&self, id: StationId) {
-        let slot = self.by_id.get(id);
-        if let Some(slot) = slot.and_then(|slot| self.slots.get(slot as usize)) {
-            prefetch_read(slot);
+        if let Some(slot) = self.by_id.get(id) {
+            self.prefetch_slot(slot);
         }
     }
 
-    /// Third step: the payload buffer the session in that slot owns.
-    pub(crate) fn prefetch_payload(&self, id: StationId) {
-        if let Some(session) = self.get(id) {
-            session.prefetch_payload();
+    /// Requests every line of the session in `slot`.
+    pub(crate) fn prefetch_slot(&self, slot: u32) {
+        if let Some(session) = self.slots.get(slot as usize) {
+            prefetch_read(session);
         }
     }
 
@@ -311,6 +343,151 @@ impl SessionSlab {
         }
         self.coldest_round = coldest;
         evicted
+    }
+}
+
+/// `u16` lanes of one 64-byte line: a [`CodeArena`] row is a whole number
+/// of them.
+const LINE_LANES: usize = 32;
+
+/// Rows a code arena's first vector holds: a shard's first sixteen
+/// stations are seated in one allocation, not five doublings.
+const FIRST_ROWS: usize = 16;
+
+/// Lanes of a row's header: the width (lane 0), the code count (lanes 2–3),
+/// `min` and `max` (lanes 4–5 and 6–7, their f32 bits low half first); the
+/// codes start at the 16th byte of the row.
+const HEAD_LANES: usize = 8;
+
+/// The pending payloads of one shard, one row a session slot — see the
+/// module docs. A row is whole 64-byte lines (two for a 56-code bottleneck:
+/// 16 bytes of header, 112 of codes), so a gather or a look-ahead reads
+/// only the lines of its own row, and a row is meaningful only while its
+/// session has a payload pending: a freed slot's row is left as it was
+/// and the next session seated there starts with nothing pending.
+///
+/// The rows are one zero-allocated vector, started at its first line
+/// boundary, that seating doubles: a larger one is allocated zeroed and the
+/// rows ever stored to are copied over, so seating touches no row and a
+/// row's memory is first written by the ingest that stores a payload in it.
+#[derive(Debug, Default)]
+pub(crate) struct CodeArena {
+    /// Row `slot` is `lanes[skew + slot * stride..][..stride]`; a line of
+    /// slack past the rows leaves room to start them on a line boundary.
+    lanes: Vec<u16>,
+    /// Lanes before the first line boundary of `lanes`.
+    skew: usize,
+    /// Lanes a row: the header and the widest registered bottleneck,
+    /// rounded up to whole lines (0 before any model is registered).
+    stride: usize,
+    /// Rows the vector holds.
+    rows: usize,
+    /// One past the highest slot ever stored to: the rows a move copies.
+    stored: usize,
+}
+
+impl Clone for CodeArena {
+    fn clone(&self) -> Self {
+        let mut clone = Self {
+            stride: self.stride,
+            ..Self::default()
+        };
+        clone.relay(self.rows, self);
+        clone
+    }
+}
+
+impl CodeArena {
+    /// Makes every row wide enough for `codes` codes. A wider row re-lays
+    /// the arena, every row's payload kept; a narrower one changes nothing.
+    pub(crate) fn widen(&mut self, codes: usize) {
+        let stride = (HEAD_LANES + codes).next_multiple_of(LINE_LANES);
+        if stride > self.stride {
+            let old = std::mem::take(self);
+            self.stride = stride;
+            self.relay(old.rows, &old);
+        }
+    }
+
+    /// Holds rows for the first `rows` slots, in one allocation.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        if rows > self.rows {
+            let old = std::mem::take(self);
+            self.stride = old.stride;
+            self.relay(rows, &old);
+        }
+    }
+
+    /// Holds a row for `slot`, doubling the vector when it is full.
+    pub(crate) fn seat(&mut self, slot: u32) {
+        let rows = slot as usize + 1;
+        if rows > self.rows {
+            let old = std::mem::take(self);
+            self.stride = old.stride;
+            self.relay(rows.max(2 * old.rows).max(FIRST_ROWS), &old);
+        }
+    }
+
+    /// Becomes `rows` zeroed rows on a line boundary, holding the rows of
+    /// `old` that were ever stored to.
+    fn relay(&mut self, rows: usize, old: &CodeArena) {
+        self.lanes = vec![0; LINE_LANES + rows * self.stride];
+        self.skew = (64 - self.lanes.as_ptr() as usize % 64) % 64 / 2;
+        self.rows = rows;
+        self.stored = old.stored;
+        for slot in 0..old.stored as u32 {
+            self.lanes_mut(slot)[..old.stride].copy_from_slice(old.lanes(slot));
+        }
+    }
+
+    /// The lanes of the row of `slot`.
+    fn lanes(&self, slot: u32) -> &[u16] {
+        &self.lanes[self.skew + slot as usize * self.stride..][..self.stride]
+    }
+
+    fn lanes_mut(&mut self, slot: u32) -> &mut [u16] {
+        &mut self.lanes[self.skew + slot as usize * self.stride..][..self.stride]
+    }
+
+    /// Copies `payload` into the row of `slot`. The caller validated its
+    /// code count against the session's model, so it fits the row.
+    pub(crate) fn store(&mut self, slot: u32, payload: PayloadView<'_>) {
+        self.stored = self.stored.max(slot as usize + 1);
+        let row = self.lanes_mut(slot);
+        let halves = |word: u32| [word as u16, (word >> 16) as u16];
+        let count = payload.codes.len() as u32;
+        row[0] = payload.bits_per_value.into();
+        row[2..4].copy_from_slice(&halves(count));
+        row[4..6].copy_from_slice(&halves(payload.min.to_bits()));
+        row[6..8].copy_from_slice(&halves(payload.max.to_bits()));
+        row[HEAD_LANES..][..payload.codes.len()].copy_from_slice(payload.codes);
+    }
+
+    /// The payload in the row of `slot`, as its last [`Self::store`] left it.
+    pub(crate) fn row(&self, slot: u32) -> PayloadView<'_> {
+        let row = self.lanes(slot);
+        let word = |at: usize| u32::from(row[at]) | u32::from(row[at + 1]) << 16;
+        PayloadView {
+            bits_per_value: row[0] as u8,
+            min: f32::from_bits(word(4)),
+            max: f32::from_bits(word(6)),
+            codes: &row[HEAD_LANES..][..word(2) as usize],
+        }
+    }
+
+    /// Look-ahead: requests every line of the row of `slot`, if it has one.
+    pub(crate) fn prefetch(&self, slot: u32) {
+        if (slot as usize) < self.rows {
+            prefetch_read(self.lanes(slot));
+        }
+    }
+
+    /// Cuts the payload in the row of `slot` to at most `codes` codes — the
+    /// failed-batch fixture of the oracle tests.
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn truncate(&mut self, slot: u32, codes: usize) {
+        let count = self.row(slot).codes.len().min(codes) as u32;
+        self.lanes_mut(slot)[2..4].copy_from_slice(&[count as u16, (count >> 16) as u16]);
     }
 }
 
@@ -420,6 +597,49 @@ mod tests {
         slab.insert(session(20, 1)).unwrap();
         assert_eq!(slab.evict_idle(7, 3), 1, "stale adoptee evicts");
         assert_eq!(ids(&slab), vec![10]);
+    }
+
+    /// A code row holds what was last stored in it, through the growth
+    /// that seats thousands of rows (the vector moves several times), a
+    /// clone, a wider model and a narrower one — and every row starts on a
+    /// line boundary.
+    #[test]
+    fn code_rows_keep_their_payloads_on_line_boundaries() {
+        use splitbeam::quantization::QuantizedFeedback;
+        let payload = |slot: u32, codes: u16| QuantizedFeedback {
+            bits_per_value: 1 + (slot % 16) as u8,
+            min: -(slot as f32),
+            max: slot as f32 * 0.5,
+            codes: (0..codes)
+                .map(|i| (slot as u16).wrapping_mul(31) ^ i)
+                .collect(),
+        };
+        let check = |arena: &CodeArena, what: &str| {
+            for slot in 0..3000u32 {
+                let want = payload(slot, 56 - (slot % 3) as u16);
+                assert_eq!(
+                    arena.row(slot),
+                    PayloadView::from(&want),
+                    "{what}: slot {slot}"
+                );
+                let at = arena.lanes(slot).as_ptr() as usize;
+                assert_eq!(at % 64, 0, "{what}: slot {slot} off a line");
+            }
+        };
+        let mut arena = CodeArena::default();
+        arena.widen(56);
+        for slot in 0..3000u32 {
+            arena.seat(slot);
+            arena.store(slot, (&payload(slot, 56 - (slot % 3) as u16)).into());
+        }
+        check(&arena, "seated");
+        check(&arena.clone(), "cloned");
+        arena.widen(545);
+        check(&arena, "widened");
+        arena.widen(10);
+        check(&arena, "narrower model");
+        arena.truncate(7, 3);
+        assert_eq!(arena.row(7).codes, &payload(7, 56 - 1).codes[..3]);
     }
 
     /// The ids the model checks draw from: a dense run, both sides of the

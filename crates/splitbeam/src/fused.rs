@@ -13,11 +13,15 @@
 //! The last layer writes either one matrix (the `…_iter_into` entries) or
 //! one buffer a row (`reconstruct_quantized_batch_into_rows`): a serving
 //! layer swaps those buffers with its sessions' previous feedback, so a
-//! served reconstruction changes hands instead of being copied.
+//! served reconstruction changes hands instead of being copied. Payloads
+//! arrive as [`PayloadView`]s — a `&QuantizedFeedback` converts into one,
+//! and so does a serving shard's row of pending codes — so one fill serves
+//! both.
 //!
 //! **Exactness.** The dequantized strip is computed by
-//! [`dequantize_bottleneck_into`] (bit-identical to the allocating
-//! dequantizer). Under the scalar backend every layer runs through the very
+//! [`dequantize_bottleneck_into`](crate::quantization::dequantize_bottleneck_into)'s
+//! arms (bit-identical to the allocating dequantizer, vectorised or not).
+//! Under the scalar backend every layer runs through the very
 //! [`neural::Matrix::matmul_bias_act_into_with`] kernel the unfused
 //! per-payload path uses; under the FMA backend the packed GEMM computes
 //! each element as the same single FMA chain over ascending `k` as the
@@ -28,11 +32,11 @@
 //! kernel dispatch unchanged.
 
 use crate::model::SplitBeamModel;
-use crate::quantization::{dequantize_bottleneck_into, QuantizedFeedback};
+use crate::quantization::{dequantize_on, PayloadView};
 use crate::{Refusal, SplitBeamError};
 use mimo_math::kernel::int8::Int8Kernel;
 use mimo_math::kernel::packed::AlignedRow;
-use mimo_math::kernel::Kernel;
+use mimo_math::kernel::{self, Kernel};
 use neural::quant::{QuantScratch, QuantizedDense};
 use neural::{LayerOut, Matrix};
 
@@ -165,7 +169,8 @@ impl SplitBeamModel {
         kern: Kernel,
     ) -> Result<&'a Matrix, SplitBeamError>
     where
-        I: Iterator<Item = &'p QuantizedFeedback>,
+        I: Iterator,
+        I::Item: Into<PayloadView<'p>>,
     {
         self.tail_into(payloads, batch, scratch, kern, false)?;
         Ok(scratch.output(self.tail().layers().len()))
@@ -190,7 +195,8 @@ impl SplitBeamModel {
         kern: Kernel,
     ) -> Result<&'a mut [AlignedRow], SplitBeamError>
     where
-        I: Iterator<Item = &'p QuantizedFeedback>,
+        I: Iterator,
+        I::Item: Into<PayloadView<'p>>,
     {
         self.tail_into(payloads, batch, scratch, kern, true)?;
         Ok(&mut scratch.rows[..batch])
@@ -207,7 +213,8 @@ impl SplitBeamModel {
         into_rows: bool,
     ) -> Result<(), SplitBeamError>
     where
-        I: Iterator<Item = &'p QuantizedFeedback>,
+        I: Iterator,
+        I::Item: Into<PayloadView<'p>>,
     {
         let layers = self.tail().layers();
         let packed = self.packed_tail();
@@ -250,9 +257,9 @@ impl SplitBeamModel {
 
 /// Dequantizes every payload straight into the arena strip (row `r` is
 /// payload `r`'s bottleneck) — the only materialization of the batch, in
-/// storage that is reused round after round. The f32 reconstruction path;
-/// the int8 path maps codes directly via [`codes_to_u7`] under the same
-/// batch- and payload-validation rules.
+/// storage that is reused round after round and overwritten whole, so never
+/// cleared. The f32 reconstruction path; the int8 path maps codes directly
+/// via [`codes_to_u7`] under the same batch- and payload-validation rules.
 fn fill_strip<'p, I>(
     strip: &mut Matrix,
     payloads: I,
@@ -260,13 +267,15 @@ fn fill_strip<'p, I>(
     dim: usize,
 ) -> Result<(), SplitBeamError>
 where
-    I: Iterator<Item = &'p QuantizedFeedback>,
+    I: Iterator,
+    I::Item: Into<PayloadView<'p>>,
 {
     if batch == 0 {
         return Err(Refusal::Shape { got: 0, want: 1 }.into());
     }
-    let mut payloads = payloads;
-    strip.reshape_zeroed(batch, dim);
+    let level = kernel::selected_backend();
+    let mut payloads = payloads.map(Into::into);
+    strip.reshape_for_overwrite(batch, dim);
     let mut rows = 0usize;
     // Chunks drive the zip so it never consumes a payload beyond `batch`
     // (zip pulls from its first iterator before checking the second).
@@ -277,7 +286,7 @@ where
     {
         check_shape(payload, dim)?;
         check_codes_fit(payload, payload.codes.iter().fold(0, |seen, &c| seen | c))?;
-        dequantize_bottleneck_into(payload, strip_row);
+        dequantize_on(level, payload, strip_row);
         rows += 1;
     }
     // A short iterator is spent; a long one yields one more.
@@ -291,7 +300,7 @@ where
 /// A payload reaches a tail as a value anyone can build, not only through
 /// the wire decoder: its code count must be the bottleneck width and its
 /// quantizer width one the wire format has.
-fn check_shape(payload: &QuantizedFeedback, dim: usize) -> Result<(), SplitBeamError> {
+fn check_shape(payload: PayloadView<'_>, dim: usize) -> Result<(), SplitBeamError> {
     let (got, want) = (payload.codes.len(), dim);
     if got != want {
         return Err(Refusal::CodeCount { got, want }.into());
@@ -306,7 +315,7 @@ fn check_shape(payload: &QuantizedFeedback, dim: usize) -> Result<(), SplitBeamE
 /// the maximum) of its codes: a bit above the width is set in that iff it is
 /// set in some code. Such a code is not a quantizer level; dequantizing it
 /// would extrapolate past `max`.
-fn check_codes_fit(payload: &QuantizedFeedback, seen: u16) -> Result<(), SplitBeamError> {
+fn check_codes_fit(payload: PayloadView<'_>, seen: u16) -> Result<(), SplitBeamError> {
     let bits = payload.bits_per_value;
     if u32::from(seen) >> bits == 0 {
         return Ok(());
@@ -323,8 +332,8 @@ fn check_codes_fit(payload: &QuantizedFeedback, seen: u16) -> Result<(), SplitBe
 /// `payload.codes.len()` bytes.
 ///
 /// The dequantized value of wire code `c` is `min + c * step` — the
-/// [`dequantize_bottleneck_into`] formula — which is the very shape of a u7
-/// activation row, `min + code * scale`. So at wire widths **up to 7 bits**
+/// [`crate::quantization::dequantize_bottleneck_into`] formula — which is
+/// the very shape of a u7 activation row, `min + code * scale`. So at wire widths **up to 7 bits**
 /// the code *is* the activation: it is narrowed to a byte as it stands, the
 /// row's scale is `step` and its zero point `min`, and nothing is rounded a
 /// second time. The same pass ORs the codes together, which is all it takes
@@ -335,12 +344,12 @@ fn check_codes_fit(payload: &QuantizedFeedback, seen: u16) -> Result<(), SplitBe
 /// row formula (`round_ties_even`, clamp to `0..=127`). `v` is affine in
 /// `c`, so the row's value range is attained at the integer code extremes
 /// and one integer min/max scan replaces the f32 scan.
-fn codes_to_u7(payload: &QuantizedFeedback, dst: &mut [u8]) -> Result<(f32, f32), SplitBeamError> {
+fn codes_to_u7(payload: PayloadView<'_>, dst: &mut [u8]) -> Result<(f32, f32), SplitBeamError> {
     let levels = f64::from((1u32 << payload.bits_per_value) - 1);
     let step = (f64::from(payload.max) - f64::from(payload.min)) / levels;
     if payload.bits_per_value <= 7 {
         let mut seen = 0u16;
-        for (d, &c) in dst.iter_mut().zip(&payload.codes) {
+        for (d, &c) in dst.iter_mut().zip(payload.codes) {
             *d = c as u8;
             seen |= c;
         }
@@ -350,7 +359,7 @@ fn codes_to_u7(payload: &QuantizedFeedback, dst: &mut [u8]) -> Result<(f32, f32)
     let base = f64::from(payload.min);
     let value = |c: u16| (base + f64::from(c) * step) as f32;
     let (mut cmin, mut cmax) = (u16::MAX, u16::MIN);
-    for &c in &payload.codes {
+    for &c in payload.codes {
         cmin = cmin.min(c);
         cmax = cmax.max(c);
     }
@@ -372,7 +381,7 @@ fn codes_to_u7(payload: &QuantizedFeedback, dst: &mut [u8]) -> Result<(f32, f32)
         return Ok((0.0, lo));
     }
     let inv = 1.0 / scale;
-    for (d, &c) in dst.iter_mut().zip(&payload.codes) {
+    for (d, &c) in dst.iter_mut().zip(payload.codes) {
         *d = ((value(c) - lo) * inv).round_ties_even().clamp(0.0, 127.0) as u8;
     }
     Ok((scale, lo))
@@ -447,7 +456,8 @@ impl QuantizedTail {
         kernel: Int8Kernel,
     ) -> Result<&'a Matrix, SplitBeamError>
     where
-        I: Iterator<Item = &'p QuantizedFeedback>,
+        I: Iterator,
+        I::Item: Into<PayloadView<'p>>,
     {
         self.tail_into(payloads, batch, scratch, kernel, false)?;
         Ok(scratch.output(self.layers.len()))
@@ -468,7 +478,8 @@ impl QuantizedTail {
         kernel: Int8Kernel,
     ) -> Result<&'a mut [AlignedRow], SplitBeamError>
     where
-        I: Iterator<Item = &'p QuantizedFeedback>,
+        I: Iterator,
+        I::Item: Into<PayloadView<'p>>,
     {
         self.tail_into(payloads, batch, scratch, kernel, true)?;
         Ok(&mut scratch.rows[..batch])
@@ -485,7 +496,8 @@ impl QuantizedTail {
         into_rows: bool,
     ) -> Result<(), SplitBeamError>
     where
-        I: Iterator<Item = &'p QuantizedFeedback>,
+        I: Iterator,
+        I::Item: Into<PayloadView<'p>>,
     {
         if batch == 0 {
             return Err(Refusal::Shape { got: 0, want: 1 }.into());
@@ -497,7 +509,7 @@ impl QuantizedTail {
             quant,
             rows,
         } = scratch;
-        let mut payloads = payloads;
+        let mut payloads = payloads.map(Into::into);
         for (i, layer) in self.layers.iter().enumerate() {
             let (input, out) = layer_io(i, strip, ping, pong);
             let out: LayerOut<'_> = if into_rows && i + 1 == self.layers.len() {
@@ -538,9 +550,9 @@ impl QuantizedTail {
     /// # Errors
     /// Returns [`SplitBeamError::DimensionMismatch`] when the payload is
     /// malformed as for the f32 path.
-    pub fn reconstruct_quantized(
+    pub fn reconstruct_quantized<'p>(
         &self,
-        payload: &QuantizedFeedback,
+        payload: impl Into<PayloadView<'p>>,
         kernel: Int8Kernel,
     ) -> Result<Vec<f32>, SplitBeamError> {
         let mut scratch = TailScratch::new();
@@ -558,7 +570,7 @@ impl QuantizedTail {
 mod tests {
     use super::*;
     use crate::config::{CompressionLevel, SplitBeamConfig};
-    use crate::quantization::{dequantize_bottleneck, quantize_bottleneck};
+    use crate::quantization::{dequantize_bottleneck, quantize_bottleneck, QuantizedFeedback};
     use mimo_math::kernel::{self, packed::PackedWidth};
     use mimo_math::Backend;
     use proptest::prelude::*;
@@ -667,7 +679,7 @@ mod tests {
         let mut scratch = TailScratch::new();
         assert!(matches!(
             m.reconstruct_quantized_batch_iter_into(
-                std::iter::empty(),
+                std::iter::empty::<&QuantizedFeedback>(),
                 0,
                 &mut scratch,
                 kernel::selected()
@@ -866,7 +878,7 @@ mod tests {
         let mut scratch = TailScratch::new();
         assert!(matches!(
             tail.reconstruct_quantized_batch_iter_into(
-                std::iter::empty(),
+                std::iter::empty::<&QuantizedFeedback>(),
                 0,
                 &mut scratch,
                 Int8Kernel::Scalar
@@ -889,7 +901,7 @@ mod tests {
         for bits in 1u8..=16 {
             let payload = quantize_bottleneck(&values, bits);
             let mut u7 = vec![0xFFu8; values.len()];
-            let (scale, min) = codes_to_u7(&payload, &mut u7).unwrap();
+            let (scale, min) = codes_to_u7((&payload).into(), &mut u7).unwrap();
             let step =
                 (f64::from(payload.max) - f64::from(payload.min)) / f64::from((1u32 << bits) - 1);
             if bits <= 7 {

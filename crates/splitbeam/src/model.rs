@@ -1,7 +1,9 @@
 //! The split head/tail SplitBeam model.
 
 use crate::config::SplitBeamConfig;
-use crate::quantization::{dequantize_bottleneck, quantize_bottleneck, QuantizedFeedback};
+use crate::quantization::{
+    dequantize_bottleneck, quantize_bottleneck, PayloadView, QuantizedFeedback,
+};
 use crate::{Refusal, SplitBeamError};
 use mimo_math::kernel::packed::PackedWidth;
 use mimo_math::CMatrix;
@@ -159,9 +161,9 @@ impl SplitBeamModel {
     ///
     /// # Errors
     /// Returns [`SplitBeamError::DimensionMismatch`] when the payload width is wrong.
-    pub fn reconstruct_quantized(
+    pub fn reconstruct_quantized<'p>(
         &self,
-        payload: &QuantizedFeedback,
+        payload: impl Into<PayloadView<'p>>,
     ) -> Result<Vec<f32>, SplitBeamError> {
         self.reconstruct(&dequantize_bottleneck(payload))
     }

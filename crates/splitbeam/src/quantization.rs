@@ -8,6 +8,8 @@
 //! bottleneck value; the default here matches that, and the ablation benches
 //! sweep the width.
 
+use mimo_math::kernel::{self, Backend};
+
 /// Default number of bits per bottleneck value (matches the paper's accounting
 /// of 16 bits per feedback value).
 pub const DEFAULT_BITS_PER_VALUE: u8 = 16;
@@ -35,6 +37,43 @@ impl QuantizedFeedback {
         self.codes.len() * self.bits_per_value as usize
             + crate::wire::WIRE_HEADER_BITS
             + crate::wire::WIRE_TRAILER_BITS
+    }
+}
+
+/// A quantized payload by reference: what the dequantizer and the fused
+/// tails read. A [`QuantizedFeedback`] converts into one, and so does a
+/// serving shard's row of pending codes, so both reach the same fill.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PayloadView<'a> {
+    /// Number of bits used for each value.
+    pub bits_per_value: u8,
+    /// Minimum of the quantization range.
+    pub min: f32,
+    /// Maximum of the quantization range.
+    pub max: f32,
+    /// The quantized codes (one per bottleneck value).
+    pub codes: &'a [u16],
+}
+
+impl<'a> From<&'a QuantizedFeedback> for PayloadView<'a> {
+    fn from(payload: &'a QuantizedFeedback) -> Self {
+        Self {
+            bits_per_value: payload.bits_per_value,
+            min: payload.min,
+            max: payload.max,
+            codes: &payload.codes,
+        }
+    }
+}
+
+impl From<PayloadView<'_>> for QuantizedFeedback {
+    fn from(view: PayloadView<'_>) -> Self {
+        Self {
+            bits_per_value: view.bits_per_value,
+            min: view.min,
+            max: view.max,
+            codes: view.codes.to_vec(),
+        }
     }
 }
 
@@ -101,7 +140,8 @@ pub fn quantize_bottleneck(values: &[f32], bits_per_value: u8) -> QuantizedFeedb
 /// Allocating convenience form of [`dequantize_bottleneck_into`]; hot paths
 /// (the single-payload reconstruction and the fused serve path) reuse a
 /// caller-owned buffer instead.
-pub fn dequantize_bottleneck(payload: &QuantizedFeedback) -> Vec<f32> {
+pub fn dequantize_bottleneck<'a>(payload: impl Into<PayloadView<'a>>) -> Vec<f32> {
+    let payload = payload.into();
     let mut out = vec![0.0f32; payload.codes.len()];
     dequantize_bottleneck_into(payload, &mut out);
     out
@@ -112,10 +152,21 @@ pub fn dequantize_bottleneck(payload: &QuantizedFeedback) -> Vec<f32> {
 ///
 /// Like the quantizer, the step is computed in f64 so a finite-but-extreme
 /// `[min, max]` range cannot overflow to infinity and turn every value NaN.
+/// Each value is one f64 convert, multiply, add and narrowing to f32, in
+/// that order and never contracted into a fused multiply-add: from
+/// [`Backend::Avx512`] up ([`kernel::selected_backend`]) the loop runs
+/// eight lanes to a vector, otherwise (and under `SPLITBEAM_KERNEL=scalar`)
+/// one value at a time, with the same bits either way.
 ///
 /// # Panics
 /// Panics if `out.len() != payload.codes.len()`.
-pub fn dequantize_bottleneck_into(payload: &QuantizedFeedback, out: &mut [f32]) {
+pub fn dequantize_bottleneck_into<'a>(payload: impl Into<PayloadView<'a>>, out: &mut [f32]) {
+    dequantize_on(kernel::selected_backend(), payload.into(), out);
+}
+
+/// [`dequantize_bottleneck_into`] on the arm `level` selects (the fused
+/// fill reads the level once a batch; the tests walk every level).
+pub(crate) fn dequantize_on(level: Backend, payload: PayloadView<'_>, out: &mut [f32]) {
     assert_eq!(
         out.len(),
         payload.codes.len(),
@@ -123,9 +174,34 @@ pub fn dequantize_bottleneck_into(payload: &QuantizedFeedback, out: &mut [f32]) 
     );
     let levels = f64::from((1u32 << payload.bits_per_value) - 1);
     let step = (f64::from(payload.max) - f64::from(payload.min)) / levels;
-    for (o, &c) in out.iter_mut().zip(payload.codes.iter()) {
-        *o = (f64::from(payload.min) + f64::from(c) * step) as f32;
+    let min = f64::from(payload.min);
+    #[cfg(target_arch = "x86_64")]
+    if level.min(Backend::host()) >= Backend::Avx512 {
+        // SAFETY: the host runs `avx512f` from this level up.
+        unsafe { dequantize_zmm(min, step, payload.codes, out) };
+        return;
     }
+    dequantize_codes(min, step, payload.codes, out);
+}
+
+/// `min + code * step` an element, narrowed to f32: the one loop every arm
+/// compiles.
+#[inline(always)]
+fn dequantize_codes(min: f64, step: f64, codes: &[u16], out: &mut [f32]) {
+    for (o, &c) in out.iter_mut().zip(codes) {
+        *o = (min + f64::from(c) * step) as f32;
+    }
+}
+
+/// [`dequantize_codes`] compiled for `avx512f`: inlined here and
+/// vectorised eight f64 lanes wide, the multiply and the add kept apart.
+///
+/// # Safety
+/// Requires `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dequantize_zmm(min: f64, step: f64, codes: &[u16], out: &mut [f32]) {
+    dequantize_codes(min, step, codes, out);
 }
 
 /// Worst-case quantization error for a payload spanning `[min, max]` with the
@@ -183,6 +259,85 @@ mod tests {
             dequantize_bottleneck_into(&payload, &mut buf);
             assert_eq!(buf, expect, "bits={bits}: _into must be bit-identical");
         }
+    }
+
+    /// Every arm of the dequantizer (`dequantize_codes`, `dequantize_zmm`
+    /// on a host with `avx512f`, and `dequantize_on` at every level the
+    /// host has) against the formula written out — `min + code * step` in
+    /// f64, the multiply and the add apart, narrowed to f32 — bit for bit:
+    /// every width, every length up to 67 (every vector tail) and ranges
+    /// that are extreme, degenerate (`min == max`) and subnormal. `[-1, 2]`
+    /// puts the exact value of code `top / 3` at zero at every even width,
+    /// where a fused multiply-add leaves the step's rounding error and the
+    /// two roundings leave none: an arm contracted into an FMA fails here.
+    #[test]
+    fn every_dequantize_arm_is_the_scalar_formula_bit_for_bit() {
+        let tiny = f32::from_bits(1);
+        let ranges = [
+            (-1.0f32, 2.0f32),
+            (-f32::MAX, f32::MAX),
+            (f32::MAX, -f32::MAX),
+            (0.25, 0.25),
+            (-3.5e30, -3.5e30),
+            (-tiny, 2.0 * tiny),
+            (f32::MIN_POSITIVE / 3.0, f32::MIN_POSITIVE / 2.0),
+            (-f32::MIN_POSITIVE, 1.0),
+        ];
+        let levels = Backend::arms(|level| level.min(Backend::Avx512));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for bits in 1..=16u8 {
+            let top = (1u32 << bits) - 1;
+            for len in 0..=67usize {
+                let codes: Vec<u16> = (0..len)
+                    .map(|i| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        let code = match i % 5 {
+                            0 => 0,
+                            1 => top,
+                            2 => top / 3,
+                            _ => state as u32 % (top + 1),
+                        };
+                        code as u16
+                    })
+                    .collect();
+                for &(min, max) in &ranges {
+                    let step = (f64::from(max) - f64::from(min)) / f64::from(top);
+                    let want: Vec<u32> = codes
+                        .iter()
+                        .map(|&c| {
+                            let scaled = f64::from(c) * step;
+                            ((f64::from(min) + scaled) as f32).to_bits()
+                        })
+                        .collect();
+                    let payload = PayloadView {
+                        bits_per_value: bits,
+                        min,
+                        max,
+                        codes: &codes,
+                    };
+                    let bits_of = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    let case = format!("bits={bits} len={len} range=[{min:e}, {max:e}]");
+                    let mut out = vec![f32::NAN; len];
+                    dequantize_codes(f64::from(min), step, &codes, &mut out);
+                    assert_eq!(bits_of(&out), want, "scalar loop, {case}");
+                    #[cfg(target_arch = "x86_64")]
+                    if Backend::host() >= Backend::Avx512 {
+                        out.fill(f32::NAN);
+                        // SAFETY: the host runs `avx512f`.
+                        unsafe { dequantize_zmm(f64::from(min), step, &codes, &mut out) };
+                        assert_eq!(bits_of(&out), want, "avx512f arm, {case}");
+                    }
+                    for &level in &levels {
+                        out.fill(f32::NAN);
+                        dequantize_on(level, payload, &mut out);
+                        assert_eq!(bits_of(&out), want, "{level:?}, {case}");
+                    }
+                }
+            }
+        }
+        eprintln!("dequantize parity ran on {levels:?}");
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! operations under [`assert_no_alloc`].
 //!
 //! Two ownership rules of the serving core are pinned here as well: a
-//! session's payload buffer is sized at registration (its first ingest
-//! allocates nothing), and the close serves in tiles, so what a first close
-//! allocates beyond the sessions' feedback storage is the same for two tiles
-//! of stations as for sixteen.
+//! station's pending payload lives in its shard's code arena, whose row
+//! registration seats — so registering allocates nothing a station and a
+//! first ingest nothing at all — and the close serves in tiles, so what a
+//! first close allocates beyond the sessions' feedback storage is the same
+//! for two tiles of stations as for sixteen.
 //!
 //! A **byte ledger** prices set-up the same way, because peak RSS is set
 //! there, not in serving: cloning a model requests next to nothing and shares
@@ -319,13 +320,38 @@ fn fleet_path(model: &SplitBeamModel) {
     );
 }
 
+/// Registration seats a station in its shard's slab and gives the slot a
+/// row of the shard's code arena; a station owns no payload buffer. So
+/// seating sixteen tiles of stations costs the growth of three vectors —
+/// the slab's slots, its id index and the arena, each doubling (the arena
+/// in a fresh zeroed block, the other two by `realloc`) — at most one
+/// request a vector and doubling, and not one allocation a station.
+fn registration_ledger(model: &SplitBeamModel) {
+    let stations = 16 * TILE_ROWS as u64;
+    let mut server = ApServer::new();
+    let key = server.register_model(model.clone());
+    let before = stats();
+    for id in 0..stations {
+        server.register_station(id, key, BITS).unwrap();
+    }
+    let after = stats();
+    let requests = (after.allocs - before.allocs) + (after.reallocs - before.reallocs);
+    let doublings = u64::from(stations.ilog2()) + 1;
+    assert!(
+        requests <= 3 * doublings,
+        "seating {stations} stations made {requests} allocator requests, more than three \
+         vectors doubling {doublings} times each: a station allocates on its own"
+    );
+}
+
 /// The tiled close at batches many tiles wide. A first close allocates each
 /// served session's feedback storage, the worklist (a `u32` a station,
 /// requested once) and one tile of scratch (dequantized strip, layer
 /// outputs) — so net of the feedback storage, `16 * TILE_ROWS` stations cost
 /// exactly fourteen tiles of worklist more than `2 * TILE_ROWS` do.
 /// Before it, only the very first ingest may allocate (it sizes the shard's
-/// decode buffer): every session's payload buffer was sized at registration.
+/// decode buffer): registration seated every station's code-arena row, and
+/// an ingest copies its codes there.
 fn tiled_close_path(model: &SplitBeamModel) {
     let frame = station_frame(model, 400, BITS);
     let feedback_bytes = (model.config().output_dim() * std::mem::size_of::<f32>()) as u64;
@@ -549,6 +575,7 @@ fn hot_paths_do_not_allocate_after_warmup() {
     );
     streaming_path(&model, 1);
     streaming_path(&model, 4);
+    registration_ledger(&model);
     tiled_close_path(&model);
     faulty_event_path(&model);
     fleet_path(&model);

@@ -5,8 +5,10 @@
 //! clocks. These tests pin the contract at the [`ApServer`] level against a
 //! never-roamed control server running the identical schedule: with the same
 //! model weights registered on every AP, roaming must be invisible in the
-//! served bits. Then the fleet's own cell: two BSSs on one channel, run twice,
-//! with the medium's wait accounted frame by frame. The last test holds the
+//! served bits — and so must a fleet handoff across channels with the
+//! station's report in flight, at every pool width. Then the fleet's own
+//! cell: two BSSs on one channel, run twice, with the medium's wait
+//! accounted frame by frame. The last test holds the
 //! fleet's channel-parallel round close to the serial loop it replaced, at
 //! every pool width.
 
@@ -309,6 +311,72 @@ fn failed_adoption_returns_the_session_for_restore() {
         );
         assert_eq!(a.close(policy), control.close(policy), "{row}");
         assert_eq!(a.feedback_of(1), control.feedback_of(1), "{row}");
+    }
+}
+
+/// A report offered before its station roams to an AP on another channel
+/// is ingested into the target AP's code arena and served there, bit for
+/// bit what a never-roamed control fleet serves — at pool widths 1, 2 and
+/// 3. Station 5 roams from AP 1 (channel 1) to AP 2 (channel 0) with its
+/// round-1 report in flight, and back again with its round-2 report; every
+/// other station's feedback matches the control's too, so seating the
+/// roamer in a slot of the target (a freed one, the second time) disturbs
+/// no other row.
+#[test]
+fn a_pending_report_survives_a_cross_channel_fleet_handoff_at_every_pool_width() {
+    const STATIONS: u64 = 24;
+    let m = model(47);
+    let cfg = FleetConfig {
+        aps: 4,
+        channels: 2,
+        rate_mbps: Some(240.0),
+        round_ns: 20_000_000,
+        jitter_ns: 200_000,
+        seed: 9,
+        policy: Some(DeadlinePolicy::eq7d()),
+    };
+    let run = |roam: bool| {
+        let mut fleet = Fleet::new(cfg.clone());
+        let key = fleet.register_model(&m);
+        for id in 0..STATIONS {
+            fleet.register_station(id, id as usize % 4, key, 4).unwrap();
+        }
+        let mut feedback = Vec::new();
+        for round in 0..4u64 {
+            for id in 0..STATIONS {
+                let frame = station_frame(&m, 500 + 31 * round + id, 4);
+                fleet.offer_frame(id, frame).unwrap();
+            }
+            if roam && (round == 1 || round == 2) {
+                fleet.handoff(5, if round == 1 { 2 } else { 1 }).unwrap();
+            }
+            let summary = fleet.close_round().unwrap();
+            assert_eq!(summary.served as u64, STATIONS, "round {round}");
+            let bits = |id: u64| -> Vec<u32> {
+                let served = fleet.feedback_of(id).expect("every station is served");
+                served.iter().map(|v| v.to_bits()).collect()
+            };
+            feedback.push((0..STATIONS).map(bits).collect::<Vec<_>>());
+            for ap in 0..4 {
+                assert_eq!(fleet.ap(ap).pending_count(), 0, "round {round}, AP {ap}");
+            }
+        }
+        let home = fleet.home_ap(5);
+        (feedback, home)
+    };
+    for width in 1..=3 {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap();
+        let ((roamed, roamed_home), (control, control_home)) =
+            pool.install(|| (run(true), run(false)));
+        assert_eq!((roamed_home, control_home), (Some(1), Some(1)));
+        for (round, (got, want)) in roamed.iter().zip(&control).enumerate() {
+            for (id, (got, want)) in got.iter().zip(want).enumerate() {
+                assert!(got == want, "width {width}, round {round}, station {id}");
+            }
+        }
     }
 }
 
