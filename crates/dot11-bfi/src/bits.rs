@@ -6,6 +6,8 @@
 //! significant bit first, and the final partial byte is zero-padded on the
 //! right.
 
+use mimo_math::{kernel, Backend};
+
 /// Minimal MSB-first bit writer.
 ///
 /// Values are appended in byte-sized chunks rather than bit by bit; the
@@ -108,79 +110,23 @@ impl<'a> BitReader<'a> {
 
     /// Bulk form of [`BitReader::pull`] for runs of equal-width codes: reads
     /// `count` values of `bits` bits each and appends them to `out`, or
-    /// returns `None` (consuming nothing) when the stream holds fewer than
-    /// `bits * count` remaining bits.
-    ///
-    /// A width that divides a byte (1, 2, 4, 8), read from a byte boundary,
-    /// splits whole bytes in a loop of independent shifts the compiler
-    /// vectorises — every SplitBeam frame: a 14-byte header, then 4-bit
-    /// codes. Every other width, a start inside a byte and the codes of a
-    /// ragged last byte decode eight bytes at a time: one big-endian load
-    /// yields every code sure to end inside it (14 at 4 bits) by rotates
-    /// alone, stored by index into a destination grown once up front —
-    /// against [`BitReader::pull`]'s per-call bounds check and chunk loop.
-    /// This is the AP's per-frame payload decode: hundreds of codes per
-    /// frame, every frame, so the per-code constant dominates ingest cost.
-    /// Produces exactly the values the equivalent `pull` sequence would.
+    /// returns `None` (consuming nothing, appending nothing) when the stream
+    /// holds fewer than `bits * count` remaining bits. The codes are made
+    /// room for, then [`unpack_u16s`] writes them: the same values the
+    /// equivalent `pull` sequence would produce.
     ///
     /// # Panics
     /// When `bits` lies outside `1..=16` — wider codes don't fit the `u16`
     /// output, and zero-width codes are malformed in every caller.
     pub fn pull_u16s_into(&mut self, bits: u32, count: usize, out: &mut Vec<u16>) -> Option<()> {
-        assert!(
-            (1..=16).contains(&bits),
-            "BitReader::pull_u16s_into of {bits}-bit codes (supported: 1..=16)"
-        );
-        let bits = bits as usize;
-        if self.bit_pos + bits * count > self.data.len() * 8 {
-            return None;
-        }
         let start = out.len();
         out.resize(start + count, 0);
-        let mut codes = &mut out[start..];
-        if self.bit_pos.is_multiple_of(8) && 8 % bits == 0 {
-            let per_byte = 8 / bits;
-            let bytes = &self.data[self.bit_pos / 8..][..count / per_byte];
-            let (whole, ragged) = codes.split_at_mut(bytes.len() * per_byte);
-            match bits {
-                1 => split_bytes::<1>(bytes, whole),
-                2 => split_bytes::<2>(bytes, whole),
-                4 => split_bytes::<4>(bytes, whole),
-                _ => split_bytes::<8>(bytes, whole),
-            }
-            self.bit_pos += 8 * bytes.len();
-            codes = ragged;
+        let unpacked = unpack_u16s(self.data, self.bit_pos, bits, &mut out[start..]);
+        match unpacked {
+            Some(()) => self.bit_pos += bits as usize * count,
+            None => out.truncate(start),
         }
-        let mask = (1u64 << bits) - 1;
-        // The codes that end inside a window whatever bit of its first byte
-        // they start at: a constant, where the exact count would cost a
-        // division a window.
-        let per_window = (64 - 7) / bits;
-        while !codes.is_empty() {
-            let (byte, offset) = (self.bit_pos / 8, self.bit_pos % 8);
-            let window = match self.data.get(byte..byte + 8) {
-                Some(window) => window.try_into().expect("an 8-byte slice"),
-                // The stream's last seven bytes or fewer, zero-extended: the
-                // length check above keeps every code inside the real ones.
-                None => {
-                    let mut window = [0u8; 8];
-                    window[..self.data.len() - byte].copy_from_slice(&self.data[byte..]);
-                    window
-                }
-            };
-            let mut word = u64::from_be_bytes(window) << offset;
-            let whole = per_window.min(codes.len());
-            let (now, later) = codes.split_at_mut(whole);
-            for code in now {
-                // Rotating the next code down to bit 0 is one variable-count
-                // instruction a code; shifting it out and down would be two.
-                word = word.rotate_left(bits as u32);
-                *code = (word & mask) as u16;
-            }
-            self.bit_pos += whole * bits;
-            codes = later;
-        }
-        Some(())
+        unpacked
     }
 
     /// Number of bits consumed so far.
@@ -190,16 +136,207 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// Splits each byte into its `8 / BITS` codes, most significant first:
-/// `codes` holds exactly that many per byte of `bytes`. The width is a
-/// constant so that every shift is one and the loop vectorises.
+/// Unpacks `codes.len()` codes of `bits` bits each, most significant bit
+/// first, from `data` starting at bit `start`, into `codes` — straight into
+/// where the caller uses them, so a decoder needs no staging buffer. Returns
+/// `None`, writing nothing, when `data` holds fewer than
+/// `start + bits * codes.len()` bits. Produces exactly the values the
+/// equivalent [`BitReader::pull`] sequence would.
+///
+/// This is the AP's per-frame payload decode: hundreds of codes a frame,
+/// every frame. A width that divides a byte (1, 2, 4, 8), read from a byte
+/// boundary — every SplitBeam frame: a 14-byte header, then 4-bit codes —
+/// splits bytes. From [`Backend::Avx512`] up ([`kernel::selected_backend`])
+/// the whole bytes split 32 codes a step, zero-extended into `avx512f`
+/// lanes and shifted apart (a 545-code frame in ≈ 20–35 ns); otherwise,
+/// and under `SPLITBEAM_KERNEL=scalar`, a loop of shifts a byte, which on
+/// the baseline target reads ≈ 1.8 GB/s (≈ 70–145 ns). Every other width,
+/// and a start inside a byte, decodes eight bytes at a time: one big-endian
+/// load yields every code sure to end inside it (14 at 4 bits) by rotates
+/// alone.
+///
+/// # Panics
+/// When `bits` lies outside `1..=16`.
+pub fn unpack_u16s(data: &[u8], start: usize, bits: u32, codes: &mut [u16]) -> Option<()> {
+    unpack_u16s_on(kernel::selected_backend(), data, start, bits, codes)
+}
+
+/// [`unpack_u16s`] on the arm `level` selects (the tests walk every level).
+fn unpack_u16s_on(
+    level: Backend,
+    data: &[u8],
+    start: usize,
+    bits: u32,
+    codes: &mut [u16],
+) -> Option<()> {
+    assert!(
+        (1..=16).contains(&bits),
+        "unpack of {bits}-bit codes (supported: 1..=16)"
+    );
+    let bits = bits as usize;
+    if start + bits * codes.len() > data.len() * 8 {
+        return None;
+    }
+    let bytes = &data[start / 8..];
+    match bits {
+        1 if start.is_multiple_of(8) => split::<1>(level, bytes, codes),
+        2 if start.is_multiple_of(8) => split::<2>(level, bytes, codes),
+        4 if start.is_multiple_of(8) => split::<4>(level, bytes, codes),
+        8 if start.is_multiple_of(8) => split::<8>(level, bytes, codes),
+        _ => unpack_windows(data, start, bits, codes),
+    }
+    Some(())
+}
+
+/// Unpacks `codes` from bit `bit_pos` of `data`, which holds them all,
+/// eight bytes a window.
+fn unpack_windows(data: &[u8], mut bit_pos: usize, bits: usize, mut codes: &mut [u16]) {
+    let mask = (1u64 << bits) - 1;
+    // The codes that end inside a window whatever bit of its first byte
+    // they start at: a constant, where the exact count would cost a
+    // division a window.
+    let per_window = (64 - 7) / bits;
+    while !codes.is_empty() {
+        let (byte, offset) = (bit_pos / 8, bit_pos % 8);
+        let window = match data.get(byte..byte + 8) {
+            Some(window) => window.try_into().expect("an 8-byte slice"),
+            // The stream's last seven bytes or fewer, zero-extended: the
+            // caller's length check keeps every code inside the real ones.
+            None => {
+                let mut window = [0u8; 8];
+                window[..data.len() - byte].copy_from_slice(&data[byte..]);
+                window
+            }
+        };
+        let mut word = u64::from_be_bytes(window) << offset;
+        let whole = per_window.min(codes.len());
+        let (now, later) = codes.split_at_mut(whole);
+        for code in now {
+            // Rotating the next code down to bit 0 is one variable-count
+            // instruction a code; shifting it out and down would be two.
+            word = word.rotate_left(bits as u32);
+            *code = (word & mask) as u16;
+        }
+        bit_pos += whole * bits;
+        codes = later;
+    }
+}
+
+/// Splits the bytes at the front of `data` into `codes`, `8 / BITS` codes
+/// a byte, on the arm `level` selects: the whole bytes, then the leading
+/// codes of a ragged last one. The width is a constant, so every division
+/// is a shift.
+fn split<const BITS: usize>(level: Backend, data: &[u8], codes: &mut [u16]) {
+    let whole = codes.len() / (8 / BITS);
+    let (codes, ragged) = codes.split_at_mut(whole * (8 / BITS));
+    if !ragged.is_empty() {
+        split_byte::<BITS>(data[whole], ragged);
+    }
+    let bytes = &data[..whole];
+    #[cfg(target_arch = "x86_64")]
+    if level.min(Backend::host()) >= Backend::Avx512 {
+        // SAFETY: the host runs `avx512f` from this level up.
+        unsafe { split_zmm::<BITS>(bytes, codes) };
+        return;
+    }
+    split_bytes::<BITS>(bytes, codes);
+}
+
+/// Splits each byte into its `8 / BITS` codes: `codes` holds exactly that
+/// many per byte of `bytes`. The scalar arm, and the tail of the vector
+/// one.
 fn split_bytes<const BITS: usize>(bytes: &[u8], codes: &mut [u16]) {
-    let mask = (1u16 << BITS) - 1;
     for (&byte, codes) in bytes.iter().zip(codes.chunks_exact_mut(8 / BITS)) {
-        for (i, code) in codes.iter_mut().enumerate() {
-            *code = (u16::from(byte) >> (8 - BITS * (i + 1))) & mask;
+        split_byte::<BITS>(byte, codes);
+    }
+}
+
+/// The leading `codes.len()` codes of `byte`, most significant first.
+#[inline(always)]
+fn split_byte<const BITS: usize>(byte: u8, codes: &mut [u16]) {
+    let mask = (1u16 << BITS) - 1;
+    for (i, code) in codes.iter_mut().enumerate() {
+        *code = (u16::from(byte) >> (8 - BITS * (i + 1))) & mask;
+    }
+}
+
+/// [`split_bytes`] 32 codes — one 64-byte line — a step, from `4 * BITS`
+/// bytes: each byte is zero-extended into a lane holding its codes (a
+/// dword of two nibbles, a qword of four crumbs, a qword of four bits for
+/// each half of a byte at one bit, a word of one code at eight), whose
+/// shifted copies land each code in its own 16 bits, where one mask keeps
+/// it. The bytes no whole step takes run the scalar loop.
+///
+/// # Safety
+/// Requires `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn split_zmm<const BITS: usize>(bytes: &[u8], codes: &mut [u16]) {
+    use core::arch::x86_64::{
+        _mm256_cvtepu8_epi16, _mm256_storeu_si256, _mm512_and_si512, _mm512_cvtepu8_epi32,
+        _mm512_cvtepu8_epi64, _mm512_or_si512, _mm512_set1_epi64, _mm512_setr_epi64,
+        _mm512_slli_epi32, _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi32,
+        _mm512_srli_epi64, _mm512_srlv_epi64, _mm512_storeu_si512, _mm_cvtsi32_si128,
+        _mm_loadl_epi64, _mm_loadu_si128, _mm_unpacklo_epi8,
+    };
+    let step = 4 * BITS;
+    let whole = bytes.len() / step * step;
+    for (chunk, out) in bytes[..whole]
+        .chunks_exact(step)
+        .zip(codes.chunks_exact_mut(32))
+    {
+        let (src, dst) = (chunk.as_ptr(), out.as_mut_ptr());
+        // SAFETY: `src` reads the `step` bytes of `chunk` and `dst` writes
+        // the 32 codes (64 bytes) of `out`, unaligned loads and stores both.
+        unsafe {
+            let lanes = match BITS {
+                1 => {
+                    // Each byte twice, a qword each: the even lane takes
+                    // bits 7..4, the odd one bits 3..0.
+                    let word = u32::from_le_bytes(chunk.try_into().expect("four bytes"));
+                    let v = _mm_cvtsi32_si128(word as i32);
+                    let x = _mm512_cvtepu8_epi64(_mm_unpacklo_epi8(v, v));
+                    let pair = |even: i64, odd: i64| {
+                        _mm512_setr_epi64(even, odd, even, odd, even, odd, even, odd)
+                    };
+                    let lanes = _mm512_or_si512(
+                        _mm512_or_si512(
+                            _mm512_srlv_epi64(x, pair(7, 3)),
+                            _mm512_sllv_epi64(x, pair(10, 14)),
+                        ),
+                        _mm512_or_si512(
+                            _mm512_sllv_epi64(x, pair(27, 31)),
+                            _mm512_sllv_epi64(x, pair(44, 48)),
+                        ),
+                    );
+                    _mm512_and_si512(lanes, _mm512_set1_epi64(0x0001_0001_0001_0001))
+                }
+                2 => {
+                    let x = _mm512_cvtepu8_epi64(_mm_loadl_epi64(src.cast()));
+                    let lanes = _mm512_or_si512(
+                        _mm512_or_si512(_mm512_srli_epi64::<6>(x), _mm512_slli_epi64::<12>(x)),
+                        _mm512_or_si512(_mm512_slli_epi64::<30>(x), _mm512_slli_epi64::<48>(x)),
+                    );
+                    _mm512_and_si512(lanes, _mm512_set1_epi64(0x0003_0003_0003_0003))
+                }
+                4 => {
+                    let x = _mm512_cvtepu8_epi32(_mm_loadu_si128(src.cast()));
+                    let lanes =
+                        _mm512_or_si512(_mm512_srli_epi32::<4>(x), _mm512_slli_epi32::<16>(x));
+                    _mm512_and_si512(lanes, _mm512_set1_epi64(0x000F_000F_000F_000F))
+                }
+                _ => {
+                    for half in 0..2 {
+                        let wide = _mm256_cvtepu8_epi16(_mm_loadu_si128(src.add(16 * half).cast()));
+                        _mm256_storeu_si256(dst.add(16 * half).cast(), wide);
+                    }
+                    continue;
+                }
+            };
+            _mm512_storeu_si512(dst.cast(), lanes);
         }
     }
+    split_bytes::<BITS>(&bytes[whole..], &mut codes[whole * 8 / BITS..]);
 }
 
 #[cfg(test)]
@@ -272,6 +409,82 @@ mod tests {
                     prop_assert_eq!(&got[1..], &expect[..], "{} bits from bit {}", bits, lead);
                     prop_assert_eq!(bulk.bits_read(), reference.bits_read());
                 }
+            }
+        }
+    }
+
+    /// The `pull` sequence: `count` codes of `bits` bits from bit `lead`.
+    fn pulled(data: &[u8], lead: u32, bits: u32, count: usize) -> Vec<u16> {
+        let mut reader = BitReader::new(data);
+        reader.pull(lead).unwrap();
+        (0..count)
+            .map(|_| reader.pull(bits).unwrap() as u16)
+            .collect()
+    }
+
+    /// Both arms of the slice unpack — `unpack_u16s_on` at every level the
+    /// host has: `Scalar` splits bytes with `split_bytes`, `Avx512` with
+    /// `split_zmm` — against the `pull` sequence, bit for bit: at each
+    /// width dividing a byte, for every byte length up to 67 (every tail of
+    /// the vector step, whose 32 codes take 4 to 32 bytes) with a ragged
+    /// last byte or none, from every start offset inside a byte (offset 0
+    /// splits bytes, every other one decodes windows).
+    #[test]
+    fn every_unpack_arm_matches_single_pulls() {
+        let levels = Backend::arms(|level| level.min(Backend::Avx512));
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for bits in [1u32, 2, 4, 8] {
+            let per_byte = 8 / bits as usize;
+            for len in 0..=67usize {
+                let data: Vec<u8> = (0..len + 3)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state as u8
+                    })
+                    .collect();
+                for lead in 0..8u32 {
+                    for count in [len * per_byte, (len + 1) * per_byte - 1] {
+                        let want = pulled(&data, lead, bits, count);
+                        for &level in &levels {
+                            let mut got = vec![0xBEEF; count];
+                            unpack_u16s_on(level, &data, lead as usize, bits, &mut got).unwrap();
+                            let case = format!("{bits} bits from bit {lead}, {count} codes");
+                            assert_eq!(got, want, "{level:?}, {case}");
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!("unpack parity ran on {levels:?}");
+    }
+
+    /// The slice form against the `Vec` form at every width 1..=16 and
+    /// every start offset inside a byte: the same codes, and a short stream
+    /// refused by both, the slice left as it was.
+    #[test]
+    fn slice_unpack_matches_the_vec_form() {
+        let data: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for bits in 1u32..=16 {
+            for lead in 0..8usize {
+                let count = (data.len() * 8 - lead) / bits as usize;
+                let mut reader = BitReader::new(&data);
+                reader.pull(lead as u32).unwrap();
+                let mut vec_form = Vec::new();
+                reader.pull_u16s_into(bits, count, &mut vec_form).unwrap();
+                let mut slice_form = vec![0; count];
+                unpack_u16s(&data, lead, bits, &mut slice_form).unwrap();
+                assert_eq!(slice_form, vec_form, "{bits} bits from bit {lead}");
+                let mut short = vec![7u16; count + 1];
+                assert_eq!(unpack_u16s(&data, lead, bits, &mut short), None);
+                assert!(
+                    short.iter().all(|&c| c == 7),
+                    "a refused unpack writes nothing"
+                );
+                assert_eq!(reader.pull_u16s_into(bits, 1, &mut vec_form), None);
             }
         }
     }

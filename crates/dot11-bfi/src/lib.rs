@@ -42,6 +42,8 @@
 //! assert_eq!(reconstructed[0].shape(), (2, 1));
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod bits;
 pub mod complexity;
 pub mod engine;

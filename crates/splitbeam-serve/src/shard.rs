@@ -8,10 +8,13 @@
 //! once:
 //!
 //! * **ingest** ([`ShardCore::ingest_wire`]): session lookup → quarantine
-//!   gate → CRC/decode → duplicate suppression → payload validation, then the
-//!   frame either commits straight into the code-arena row of its session's
-//!   slot (lockstep) or queues on the shard's bounded ring until a watermark
-//!   commits it there (streaming);
+//!   gate → frame check (CRC, then the header at its fixed offsets) →
+//!   duplicate suppression by the header's sequence number → width and code
+//!   count against the session's model → unpack, the codes written straight
+//!   into the code-arena row of the session's slot (lockstep) or into a
+//!   recycled buffer that queues on the shard's bounded ring until a
+//!   watermark commits it there (streaming); no row is written before every
+//!   refusal has had its chance;
 //! * **watermark** ([`ShardCore::advance_watermark`]): commits due frames and
 //!   micro-closes the pending batch when its oldest frame's Eq. 7d service
 //!   deadline would otherwise pass;
@@ -54,7 +57,7 @@ use splitbeam::wire;
 use splitbeam::{Refusal, SplitBeamError};
 use std::sync::Arc;
 
-/// A payload buffer with no codes yet; decode and recycling fill it.
+/// A payload buffer with no codes yet; streaming ingest fills it.
 fn empty_payload() -> QuantizedFeedback {
     QuantizedFeedback {
         bits_per_value: 1,
@@ -64,29 +67,16 @@ fn empty_payload() -> QuantizedFeedback {
     }
 }
 
-/// Reusable per-round scratch owned by one shard.
-#[derive(Debug, Clone)]
+/// Reusable per-round scratch owned by one shard: the serve step's
+/// worklist and the tail's buffers. Ingest needs none of it — a frame's
+/// codes are unpacked straight into the code-arena row of its session's
+/// slot (lockstep) or into a recycled lane buffer (streaming).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct RoundArena {
-    /// Wire frames decode into this buffer before validation. Lockstep
-    /// ingest copies the validated codes into the code-arena row of the
-    /// session's slot; streaming ingest swaps it with a recycled lane buffer,
-    /// whose codes a watermark later copies there. Either way the decode
-    /// buffer and the lane freelist circulate among themselves.
-    decode_buf: QuantizedFeedback,
     /// The serve step's worklist, one [`Batch`] per registered model.
     work: Vec<Batch>,
     /// Buffers of the fused batched tail reconstruction, one tile's worth.
     tail: TailScratch,
-}
-
-impl Default for RoundArena {
-    fn default() -> Self {
-        Self {
-            decode_buf: empty_payload(),
-            work: Vec::new(),
-            tail: TailScratch::new(),
-        }
-    }
 }
 
 /// One model's share of a serve step, as [`ShardCore::list_pending`] found it.
@@ -221,14 +211,17 @@ pub(crate) struct ShardCore {
 
 impl ShardCore {
     /// Wire ingest. The fault-tolerant order: session lookup, quarantine
-    /// gate, CRC/decode (a [`ServeError::Corrupt`] rejection feeds the
-    /// session's corrupt streak and can trigger quarantine), duplicate-
-    /// sequence suppression, payload validation — then the commit. Lockstep
-    /// commits the payload straight into the session (last wins). With
-    /// `streaming` the frame queues on the shard's bounded ring and only
-    /// becomes pending when a watermark commits it; a full ring rejects it
-    /// with [`ServeError::Backpressure`]. A failed ingest of any kind leaves
-    /// session state and a previously pending payload untouched.
+    /// gate, the frame checked whole ([`wire::check_frame`]: a
+    /// [`ServeError::Corrupt`] rejection feeds the session's corrupt streak
+    /// and can trigger quarantine), duplicate-sequence suppression by the
+    /// header's `seq`, the header's width and code count against the
+    /// session's model — and only then are the codes unpacked, straight
+    /// into where they are used. Lockstep unpacks them into the code-arena
+    /// row of the session's slot (last wins). With `streaming` they go into
+    /// a recycled lane buffer that queues on the shard's bounded ring and
+    /// only becomes pending when a watermark commits it; a full ring rejects
+    /// it with [`ServeError::Backpressure`]. A failed ingest of any kind
+    /// leaves session state and a previously pending payload untouched.
     ///
     /// A sequence number is suppressed while the station still has that
     /// frame in flight (queued on the ring) or pending (committed, not yet
@@ -245,7 +238,6 @@ impl ShardCore {
         let Self {
             sessions,
             codes,
-            arena,
             health,
             lane,
             tally,
@@ -257,29 +249,35 @@ impl ShardCore {
         if session.is_quarantined(round) {
             return Err(ServeError::Quarantined(id));
         }
-        if let Err(e) = wire::decode_feedback_into(frame, &mut arena.decode_buf) {
-            return Err(match e {
-                SplitBeamError::CorruptFrame(crc) => {
-                    tally.summary.corrupt += 1;
-                    session.note_corrupt(round, health);
-                    ServeError::Corrupt(id, crc)
-                }
-                other => ServeError::Codec(other),
-            });
-        }
-        let seq = wire::frame_seq(frame);
+        let header = wire::check_frame(frame).map_err(|e| match e {
+            SplitBeamError::CorruptFrame(crc) => {
+                tally.summary.corrupt += 1;
+                session.note_corrupt(round, health);
+                ServeError::Corrupt(id, crc)
+            }
+            other => ServeError::Codec(other),
+        })?;
+        let seq = header.seq;
         if seq != 0
             && session.pending_seq() == seq
             && (session.stream_inflight() > 0 || session.has_pending())
         {
             return Err(ServeError::DuplicateFrame(id, seq));
         }
-        Self::validate_payload(models, session, &arena.decode_buf)?;
+        let (bits, got) = (header.bits_per_value, header.count);
+        let want = models[session.model_key()].bottleneck_dim();
+        if bits != session.bits_per_value() {
+            return Err(ServeError::Codec(Refusal::BitWidth(bits).into()));
+        } else if got != want {
+            return Err(ServeError::Codec(Refusal::CodeCount { got, want }.into()));
+        }
         if streaming {
-            // Move the decoded payload into a recycled buffer so ingest stays
-            // allocation-free in steady state.
+            // A recycled buffer keeps streaming ingest allocation-free in
+            // steady state.
             let mut payload = lane.free.pop().unwrap_or_else(empty_payload);
-            std::mem::swap(&mut payload, &mut arena.decode_buf);
+            (payload.bits_per_value, payload.min, payload.max) = (bits, header.min, header.max);
+            payload.codes.resize(got, 0);
+            wire::unpack_codes(frame, &header, &mut payload.codes);
             let queued = StreamFrame {
                 id,
                 payload,
@@ -293,31 +291,12 @@ impl ShardCore {
             session.inc_stream_inflight();
             session.set_pending_seq(seq);
         } else {
-            codes.store(slot, (&arena.decode_buf).into());
+            codes.store_frame(slot, &header, frame);
             session.mark_pending(stamp, seq);
         }
         session.note_clean_ingest();
         session.record_ingest(frame.len());
         Ok(frame.len())
-    }
-
-    /// Shared ingest validation: announced quantizer width and bottleneck
-    /// dimension must match the session.
-    fn validate_payload(
-        models: &[Arc<SplitBeamModel>],
-        session: &StationSession,
-        payload: &QuantizedFeedback,
-    ) -> Result<(), ServeError> {
-        let want = models[session.model_key()].bottleneck_dim();
-        let why = if payload.bits_per_value != session.bits_per_value() {
-            Refusal::BitWidth(payload.bits_per_value)
-        } else if payload.codes.len() != want {
-            let got = payload.codes.len();
-            Refusal::CodeCount { got, want }
-        } else {
-            return Ok(());
-        };
-        Err(ServeError::Codec(why.into()))
     }
 
     /// Removes station `id`'s session, and with it the frames the station

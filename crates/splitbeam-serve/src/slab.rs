@@ -17,12 +17,12 @@
 //!   out slots, so a listed session is reached again without an id lookup;
 //! * a **code arena** (`CodeArena`): one line-aligned row a slot, as wide as
 //!   the widest registered bottleneck in whole 64-byte lines, holding the
-//!   pending payload's width, range, code count and codes. Ingest writes the
-//!   row of its session's slot; the close's tile gather reads rows by slot —
-//!   in registration order a sequential stream the hardware prefetcher
-//!   follows — and never reads a session to find them. Registration
-//!   allocates no payload buffer: seating a station gives its slot a row,
-//!   the arena doubling when it is full.
+//!   pending payload's width, range, code count and codes. Ingest unpacks a
+//!   frame's codes straight into the row of its session's slot; the close's
+//!   tile gather reads rows by slot — in registration order a sequential
+//!   stream the hardware prefetcher follows — and never reads a session to
+//!   find them. Registration allocates no payload buffer: seating a
+//!   station gives its slot a row, the arena doubling when it is full.
 //!
 //! Serving maintains no eviction order: [`SessionSlab::evict_idle`] answers
 //! from a cached bound while nothing can be due and sweeps the slots when
@@ -37,6 +37,7 @@
 
 use crate::session::{StationId, StationSession};
 use splitbeam::quantization::PayloadView;
+use splitbeam::wire::{self, FrameHeader};
 use splitbeam_hwsim::prefetch_read;
 use std::collections::BTreeMap;
 
@@ -452,18 +453,35 @@ impl CodeArena {
     /// Copies `payload` into the row of `slot`. The caller validated its
     /// code count against the session's model, so it fits the row.
     pub(crate) fn store(&mut self, slot: u32, payload: PayloadView<'_>) {
+        let (bits, min, max) = (payload.bits_per_value, payload.min, payload.max);
+        self.head(slot, bits, min, max, payload.codes.len())
+            .copy_from_slice(payload.codes);
+    }
+
+    /// Writes the payload of a frame [`wire::check_frame`] accepted into
+    /// the row of `slot`, the codes unpacked straight there. The caller
+    /// matched the header's code count against the session's model, so the
+    /// codes fit the row.
+    pub(crate) fn store_frame(&mut self, slot: u32, header: &FrameHeader, frame: &[u8]) {
+        let (bits, min, max) = (header.bits_per_value, header.min, header.max);
+        let codes = self.head(slot, bits, min, max, header.count);
+        wire::unpack_codes(frame, header, codes);
+    }
+
+    /// Writes a payload's width, range and code count into the row of
+    /// `slot`; returns the room for its `count` codes.
+    fn head(&mut self, slot: u32, bits: u8, min: f32, max: f32, count: usize) -> &mut [u16] {
         self.stored = self.stored.max(slot as usize + 1);
         let row = self.lanes_mut(slot);
         let halves = |word: u32| [word as u16, (word >> 16) as u16];
-        let count = payload.codes.len() as u32;
-        row[0] = payload.bits_per_value.into();
-        row[2..4].copy_from_slice(&halves(count));
-        row[4..6].copy_from_slice(&halves(payload.min.to_bits()));
-        row[6..8].copy_from_slice(&halves(payload.max.to_bits()));
-        row[HEAD_LANES..][..payload.codes.len()].copy_from_slice(payload.codes);
+        row[0] = bits.into();
+        row[2..4].copy_from_slice(&halves(count as u32));
+        row[4..6].copy_from_slice(&halves(min.to_bits()));
+        row[6..8].copy_from_slice(&halves(max.to_bits()));
+        &mut row[HEAD_LANES..][..count]
     }
 
-    /// The payload in the row of `slot`, as its last [`Self::store`] left it.
+    /// The payload in the row of `slot`, as its last store left it.
     pub(crate) fn row(&self, slot: u32) -> PayloadView<'_> {
         let row = self.lanes(slot);
         let word = |at: usize| u32::from(row[at]) | u32::from(row[at + 1]) << 16;

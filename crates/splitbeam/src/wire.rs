@@ -34,10 +34,19 @@
 //! beamforming report share one bit-level convention. An explicit code count
 //! is carried because the zero-padding of the final byte would otherwise make
 //! the number of codes ambiguous for widths that do not divide 8.
+//!
+//! Decoding is two steps, so that a receiver can decide where the codes go
+//! between them: [`check_frame`] checks the whole frame (version and length
+//! floor, CRC, then width, range and length) and reads the header at its
+//! fixed offsets into a [`FrameHeader`]; [`unpack_codes`] then unpacks the
+//! codes straight into a buffer of the caller's — the serving layer's
+//! pending-payload row, after it has matched the header against the
+//! station's session. [`decode_feedback`] and [`decode_feedback_into`] are
+//! the two composed into a [`QuantizedFeedback`].
 
 use crate::quantization::QuantizedFeedback;
 use crate::{Refusal, SplitBeamError};
-use dot11_bfi::bits::{BitReader, BitWriter};
+use dot11_bfi::bits::BitWriter;
 use mimo_math::kernel;
 use mimo_math::Backend;
 
@@ -291,7 +300,92 @@ pub fn encode_feedback_with_seq(
     Ok(frame)
 }
 
-/// Decodes a wire frame back into the quantized payload.
+/// The header of a frame [`check_frame`] accepted: every field read at its
+/// fixed offset, checked against the frame it came from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrameHeader {
+    /// Bits a code, in `1..=16`.
+    pub bits_per_value: u8,
+    /// The sequence number: `0` marks an unsequenced frame.
+    pub seq: u16,
+    /// Codes the frame carries; its length is exactly
+    /// [`encoded_len`]`(count, bits_per_value)`.
+    pub count: usize,
+    /// Minimum of the quantization range, finite.
+    pub min: f32,
+    /// Maximum of the quantization range, finite.
+    pub max: f32,
+}
+
+/// Checks a whole frame and reads its header, refusing in this order: an
+/// empty frame or a v2 frame below the header + trailer floor is
+/// truncated, any other opening octet is an unknown version, then the
+/// CRC-32 — checked before any field is trusted, so a corrupted frame is
+/// [`SplitBeamError::CorruptFrame`] and never a misleading field-level
+/// error — then the bit width, the range floats and the length the code
+/// count implies. No code is read: [`unpack_codes`] does that, into
+/// whatever buffer the caller has made ready.
+///
+/// # Errors
+/// [`SplitBeamError::CorruptFrame`] on a CRC mismatch, and
+/// [`SplitBeamError::DimensionMismatch`] for a truncated frame, an unknown
+/// version octet, a width outside `1..=16`, non-finite range floats or a
+/// length other than the declared code count's.
+pub fn check_frame(frame: &[u8]) -> Result<FrameHeader, SplitBeamError> {
+    let floor = WIRE_HEADER_BYTES + WIRE_TRAILER_BYTES;
+    let len = frame.len();
+    match frame.first() {
+        Some(&WIRE_VERSION) if len >= floor => {}
+        Some(&WIRE_VERSION) | None => return Err(Refusal::Truncated { len, floor }.into()),
+        Some(&octet) => return Err(Refusal::Version(octet).into()),
+    }
+    let (body, trailer) = frame.split_at(len - WIRE_TRAILER_BYTES);
+    let stored = u32::from_be_bytes(trailer.try_into().expect("a four-byte trailer"));
+    let computed = crc32(body);
+    if stored != computed {
+        return Err(SplitBeamError::CorruptFrame(Refusal::Crc {
+            stored,
+            computed,
+        }));
+    }
+    let field = |at: usize| u32::from_be_bytes(frame[at..at + 4].try_into().expect("four bytes"));
+    let bits = frame[1];
+    let header = FrameHeader {
+        bits_per_value: bits,
+        seq: u16::from_be_bytes([frame[2], frame[3]]),
+        count: usize::from(u16::from_be_bytes([frame[4], frame[5]])),
+        min: f32::from_bits(field(6)),
+        max: f32::from_bits(field(10)),
+    };
+    let (count, min, max) = (header.count, header.min, header.max);
+    if !(1..=16).contains(&bits) {
+        Err(Refusal::BitWidth(bits).into())
+    } else if !min.is_finite() || !max.is_finite() {
+        Err(Refusal::Range { min, max }.into())
+    } else if len != encoded_len(count, bits) {
+        Err(Refusal::Length { len, count, bits }.into())
+    } else {
+        Ok(header)
+    }
+}
+
+/// Unpacks the codes of a frame [`check_frame`] accepted into `codes`,
+/// which holds exactly `header.count` of them — the caller's own buffer, so
+/// nothing is staged or copied on the way. The bytes split a vector at a
+/// time where the host has one ([`dot11_bfi::bits::unpack_u16s`]).
+///
+/// # Panics
+/// When `codes.len()` is not `header.count`, or `frame` is shorter than the
+/// frame `header` was read from.
+pub fn unpack_codes(frame: &[u8], header: &FrameHeader, codes: &mut [u16]) {
+    assert_eq!(codes.len(), header.count, "unpack buffer length mismatch");
+    let bits = u32::from(header.bits_per_value);
+    dot11_bfi::bits::unpack_u16s(frame, WIRE_HEADER_BITS, bits, codes)
+        .expect("check_frame validated the length against the code count");
+}
+
+/// Decodes a wire frame back into the quantized payload: [`check_frame`],
+/// then [`unpack_codes`].
 ///
 /// Decoding is exact: the codes and the two range floats are recovered
 /// bit-for-bit, so dequantizing the decoded payload yields byte-identical
@@ -314,9 +408,10 @@ pub fn decode_feedback(frame: &[u8]) -> Result<QuantizedFeedback, SplitBeamError
     Ok(payload)
 }
 
-/// Decodes a wire frame into a caller-owned payload, reusing
-/// its `codes` buffer (the serving layer's steady-state ingest path — no
-/// allocation after the buffer reaches its high-water capacity).
+/// Decodes a wire frame into a caller-owned payload, reusing its `codes`
+/// buffer (no allocation after the buffer reaches its high-water
+/// capacity): [`check_frame`], then [`unpack_codes`] into the buffer sized
+/// to the header's count.
 ///
 /// On error the payload is always left **cleared**: `bits_per_value == 1`,
 /// `min == max == 0.0`, and `codes` empty (its capacity is retained for
@@ -329,72 +424,19 @@ pub fn decode_feedback_into(
     frame: &[u8],
     payload: &mut QuantizedFeedback,
 ) -> Result<(), SplitBeamError> {
-    let result = decode_inner(frame, payload);
-    if result.is_err() {
-        payload.bits_per_value = 1;
-        payload.min = 0.0;
-        payload.max = 0.0;
-        payload.codes.clear();
-    }
-    result
-}
-
-fn decode_inner(frame: &[u8], payload: &mut QuantizedFeedback) -> Result<(), SplitBeamError> {
-    let floor = WIRE_HEADER_BYTES + WIRE_TRAILER_BYTES;
-    let len = frame.len();
-    match frame.first() {
-        Some(&WIRE_VERSION) if len >= floor => {}
-        Some(&WIRE_VERSION) | None => return Err(Refusal::Truncated { len, floor }.into()),
-        Some(&octet) => return Err(Refusal::Version(octet).into()),
-    }
-    // Verify the CRC before trusting any header field: a corrupted frame must
-    // surface as CorruptFrame, never as a misleading field-level error.
-    let body = &frame[..frame.len() - WIRE_TRAILER_BYTES];
-    let stored = u32::from_be_bytes(
-        frame[frame.len() - WIRE_TRAILER_BYTES..]
-            .try_into()
-            .expect("trailer is exactly four bytes"),
-    );
-    let computed = crc32(body);
-    if stored != computed {
-        let crc = Refusal::Crc { stored, computed };
-        return Err(SplitBeamError::CorruptFrame(crc));
-    }
-    let mut reader = BitReader::new(body);
-    // The length floor above guarantees every header pull succeeds.
-    let _version = reader.pull(8).expect("length checked");
-    let bits = reader.pull(8).expect("length checked") as u8;
-    let _seq = reader.pull(16).expect("length checked");
-    let count = reader.pull(16).expect("length checked") as usize;
-    let min = f32::from_bits(reader.pull(32).expect("length checked"));
-    let max = f32::from_bits(reader.pull(32).expect("length checked"));
-    if !(1..=16).contains(&bits) {
-        return Err(Refusal::BitWidth(bits).into());
-    }
-    if !min.is_finite() || !max.is_finite() {
-        return Err(Refusal::Range { min, max }.into());
-    }
-    if len != encoded_len(count, bits) {
-        return Err(Refusal::Length { len, count, bits }.into());
-    }
-    payload.bits_per_value = bits;
-    payload.min = min;
-    payload.max = max;
     payload.codes.clear();
-    // Length was validated above; the bulk pull cannot fail.
-    reader
-        .pull_u16s_into(u32::from(bits), count, &mut payload.codes)
-        .expect("frame length validated against declared code count");
-    Ok(())
-}
-
-/// Sequence number carried by a frame's header; `0` for anything that is
-/// not a v2 frame or is too short to carry one.
-pub fn frame_seq(frame: &[u8]) -> u16 {
-    if frame.len() >= 4 && frame[0] == WIRE_VERSION {
-        u16::from_be_bytes([frame[2], frame[3]])
-    } else {
-        0
+    match check_frame(frame) {
+        Ok(header) => {
+            (payload.bits_per_value, payload.min, payload.max) =
+                (header.bits_per_value, header.min, header.max);
+            payload.codes.resize(header.count, 0);
+            unpack_codes(frame, &header, &mut payload.codes);
+            Ok(())
+        }
+        Err(e) => {
+            (payload.bits_per_value, payload.min, payload.max) = (1, 0.0, 0.0);
+            Err(e)
+        }
     }
 }
 
@@ -497,6 +539,31 @@ mod tests {
         }
     }
 
+    /// The two halves of the decoder composed by hand — the header checked,
+    /// the codes unpacked into a buffer of the caller's — equal the whole
+    /// decode at every width, on the round trip's payload.
+    #[test]
+    fn check_then_unpack_is_the_decode() {
+        let values = sample_values(77);
+        for bits in 1..=16u8 {
+            let frame = encode_feedback_with_seq(&quantize_bottleneck(&values, bits), 9).unwrap();
+            let decoded = decode_feedback(&frame).unwrap();
+            let header = check_frame(&frame).unwrap();
+            let (min, max, count) = (decoded.min, decoded.max, decoded.codes.len());
+            let want = FrameHeader {
+                bits_per_value: bits,
+                seq: 9,
+                count,
+                min,
+                max,
+            };
+            assert_eq!(header, want, "bits={bits}");
+            let mut codes = vec![0xBEEF; header.count];
+            unpack_codes(&frame, &header, &mut codes);
+            assert_eq!(codes, decoded.codes, "bits={bits}");
+        }
+    }
+
     #[test]
     fn four_bit_codes_occupy_four_bits() {
         let payload = quantize_bottleneck(&sample_values(100), 4);
@@ -595,6 +662,12 @@ mod tests {
                 Err(SplitBeamError::DimensionMismatch(Refusal::Version(version)))
             );
         }
+    }
+
+    /// The sequence number a frame's header carries; `0` for a frame
+    /// [`check_frame`] refuses.
+    fn frame_seq(frame: &[u8]) -> u16 {
+        check_frame(frame).map_or(0, |header| header.seq)
     }
 
     #[test]

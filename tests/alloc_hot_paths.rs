@@ -349,17 +349,16 @@ fn registration_ledger(model: &SplitBeamModel) {
 /// requested once) and one tile of scratch (dequantized strip, layer
 /// outputs) — so net of the feedback storage, `16 * TILE_ROWS` stations cost
 /// exactly fourteen tiles of worklist more than `2 * TILE_ROWS` do.
-/// Before it, only the very first ingest may allocate (it sizes the shard's
-/// decode buffer): registration seated every station's code-arena row, and
-/// an ingest copies its codes there.
+/// Before it, a first ingest allocates nothing at all, the very first of
+/// the server included: registration seated every station's code-arena row,
+/// and an ingest unpacks a frame's codes straight into it.
 fn tiled_close_path(model: &SplitBeamModel) {
     let frame = station_frame(model, 400, BITS);
     let feedback_bytes = (model.config().output_dim() * std::mem::size_of::<f32>()) as u64;
     let first_close = |stations: u64| {
         let mut server = server_with(model, TailWeights::F32, 1, stations);
-        server.ingest_wire(0, &frame).unwrap();
         assert_no_alloc("first lockstep ingest of registered stations", || {
-            for id in 1..stations {
+            for id in 0..stations {
                 server.ingest_wire(id, &frame).unwrap();
             }
         });

@@ -141,9 +141,11 @@ fn mutate_frame(rng: &mut ChaCha8Rng, valid: &[Vec<u8>]) -> (Vec<u8>, Kind) {
 /// ≥ 100k deterministic mutated/arbitrary frames through `decode_feedback`
 /// and `ingest_wire` on a one-shard, a four-shard and a streaming server: no
 /// panics, nothing but a pristine frame decodes (there is no CRC-less layout
-/// to fall into), each mutation yields the refusal its class must, and a
+/// to fall into), each mutation yields the refusal its class must, a
 /// server refuses a frame for the reason the decoder does — or, for a frame
-/// that decodes, because it does not fit the station's session.
+/// that decodes, because it does not fit the station's session — and a
+/// hostile frame after a pristine one leaves the pristine payload's served
+/// feedback unchanged.
 #[test]
 fn fuzz_decode_and_ingest_survive_hostile_frames() {
     let m = model(606);
@@ -160,6 +162,16 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
     let mut sharded4 = build_sharded_server(m.clone(), 2, 8, 4);
     let mut streaming = build_sharded_server(m.clone(), 2, 8, 1);
     streaming.set_streaming(true);
+
+    // What a station's pristine 8-bit frame serves: every periodic close
+    // first ingests it, then the iteration's frame, which — refused or
+    // pristine itself — must leave these bits served.
+    let pristine = &valid[2];
+    let bits_of = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let served_pristine = bits_of(
+        &m.reconstruct_quantized(&wire::decode_feedback(pristine).unwrap())
+            .unwrap(),
+    );
 
     let budget = fuzz_budget();
     let mut rejected_corrupt = 0usize;
@@ -196,7 +208,11 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
 
         // Ingest on every server: must not panic, must refuse for the
         // decoder's reason, and must keep the session machinery alive.
+        // Before a periodic close the station's pristine frame goes first.
         let id = (i % 2) as u64;
+        let closing = i % 257 == 0;
+        let primed = [&mut flat, &mut sharded4, &mut streaming]
+            .map(|server| closing && RoundServing::ingest_wire(server, id, pristine).is_ok());
         for (result, lane) in [
             (flat.ingest_wire(id, &frame), false),
             (RoundServing::ingest_wire(&mut sharded4, id, &frame), false),
@@ -226,11 +242,18 @@ fn fuzz_decode_and_ingest_survive_hostile_frames() {
             }
         }
         // Close rounds periodically so quarantine windows open *and* expire
-        // under fire.
-        if i % 257 == 0 {
+        // under fire; a primed station serves its pristine payload whatever
+        // the hostile frame after it was.
+        if closing {
             flat.process_round().unwrap();
             RoundServing::close_round(&mut sharded4, ServeMode::Batched).unwrap();
             RoundServing::close_round(&mut streaming, ServeMode::Batched).unwrap();
+            for (server, primed) in [&flat, &sharded4, &streaming].into_iter().zip(primed) {
+                if primed {
+                    let served = bits_of(server.feedback_of(id).unwrap());
+                    assert_eq!(served, served_pristine, "iteration {i}: {frame:?}");
+                }
+            }
         }
     }
     assert!(
