@@ -119,14 +119,20 @@ impl<'a> BitReader<'a> {
     /// When `bits` lies outside `1..=16` — wider codes don't fit the `u16`
     /// output, and zero-width codes are malformed in every caller.
     pub fn pull_u16s_into(&mut self, bits: u32, count: usize, out: &mut Vec<u16>) -> Option<()> {
+        assert!(
+            (1..=16).contains(&bits),
+            "unpack of {bits}-bit codes (supported: 1..=16)"
+        );
+        // Refused before `out` grows, so a short stream costs no memory
+        // whatever `count` it is asked for (and no product can overflow).
+        if count > (self.data.len() * 8 - self.bit_pos) / bits as usize {
+            return None;
+        }
         let start = out.len();
         out.resize(start + count, 0);
-        let unpacked = unpack_u16s(self.data, self.bit_pos, bits, &mut out[start..]);
-        match unpacked {
-            Some(()) => self.bit_pos += bits as usize * count,
-            None => out.truncate(start),
-        }
-        unpacked
+        unpack_u16s(self.data, self.bit_pos, bits, &mut out[start..])?;
+        self.bit_pos += bits as usize * count;
+        Some(())
     }
 
     /// Number of bits consumed so far.
@@ -146,11 +152,12 @@ impl<'a> BitReader<'a> {
 /// This is the AP's per-frame payload decode: hundreds of codes a frame,
 /// every frame. A width that divides a byte (1, 2, 4, 8), read from a byte
 /// boundary — every SplitBeam frame: a 14-byte header, then 4-bit codes —
-/// splits bytes. From [`Backend::Avx512`] up ([`kernel::selected_backend`])
-/// the whole bytes split 32 codes a step, zero-extended into `avx512f`
-/// lanes and shifted apart (a 545-code frame in ≈ 20–35 ns); otherwise,
-/// and under `SPLITBEAM_KERNEL=scalar`, a loop of shifts a byte, which on
-/// the baseline target reads ≈ 1.8 GB/s (≈ 70–145 ns). Every other width,
+/// splits bytes, a loop of shifts a byte. On the baseline target that loop
+/// reads ≈ 1.8 GB/s (a 545-code frame in ≈ 55–95 ns). From
+/// [`Backend::Avx512`] up ([`kernel::selected_backend`]; not under
+/// `SPLITBEAM_KERNEL=scalar`) 4-bit codes split 32 a step, zero-extended
+/// into `avx512f` lanes and shifted apart (≈ 27–58 ns), and 1-bit codes run
+/// the loop compiled for `avx512f`. Every other width,
 /// and a start inside a byte, decodes eight bytes at a time: one big-endian
 /// load yields every code sure to end inside it (14 at 4 bits) by rotates
 /// alone.
@@ -225,7 +232,10 @@ fn unpack_windows(data: &[u8], mut bit_pos: usize, bits: usize, mut codes: &mut 
 /// Splits the bytes at the front of `data` into `codes`, `8 / BITS` codes
 /// a byte, on the arm `level` selects: the whole bytes, then the leading
 /// codes of a ragged last one. The width is a constant, so every division
-/// is a shift.
+/// is a shift. From [`Backend::Avx512`] up, one bit and four bits take a
+/// vector arm; at two and eight bits the loop compiled for `avx512f` did
+/// not beat the baseline one in alternating pairs (at eight it read
+/// slower), so they keep it.
 fn split<const BITS: usize>(level: Backend, data: &[u8], codes: &mut [u16]) {
     let whole = codes.len() / (8 / BITS);
     let (codes, ragged) = codes.split_at_mut(whole * (8 / BITS));
@@ -235,8 +245,13 @@ fn split<const BITS: usize>(level: Backend, data: &[u8], codes: &mut [u16]) {
     let bytes = &data[..whole];
     #[cfg(target_arch = "x86_64")]
     if level.min(Backend::host()) >= Backend::Avx512 {
-        // SAFETY: the host runs `avx512f` from this level up.
-        unsafe { split_zmm::<BITS>(bytes, codes) };
+        match BITS {
+            // SAFETY: the host runs `avx512f` from this level up.
+            1 => unsafe { split_zmm::<1>(bytes, codes) },
+            // SAFETY: as above.
+            4 => unsafe { split_nibbles_zmm(bytes, codes) },
+            _ => split_bytes::<BITS>(bytes, codes),
+        }
         return;
     }
     split_bytes::<BITS>(bytes, codes);
@@ -260,83 +275,48 @@ fn split_byte<const BITS: usize>(byte: u8, codes: &mut [u16]) {
     }
 }
 
-/// [`split_bytes`] 32 codes — one 64-byte line — a step, from `4 * BITS`
-/// bytes: each byte is zero-extended into a lane holding its codes (a
-/// dword of two nibbles, a qword of four crumbs, a qword of four bits for
-/// each half of a byte at one bit, a word of one code at eight), whose
-/// shifted copies land each code in its own 16 bits, where one mask keeps
-/// it. The bytes no whole step takes run the scalar loop.
+/// [`split_bytes`] compiled for `avx512f`.
 ///
 /// # Safety
 /// Requires `avx512f`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn split_zmm<const BITS: usize>(bytes: &[u8], codes: &mut [u16]) {
+    split_bytes::<BITS>(bytes, codes);
+}
+
+/// [`split_bytes`] at four bits, 32 codes — one 64-byte line — a step:
+/// each of 16 bytes is zero-extended into a dword, whose copy shifted up
+/// 16 bits lands its low nibble in the upper word, and one mask keeps both
+/// codes. SplitBeam frames are 4-bit, and this beat the loop compiled for
+/// `avx512f` in all but one of 90 alternating pairs (27–58 against 56–76
+/// ns a 545-code frame). The bytes no whole step takes run the scalar
+/// loop.
+///
+/// # Safety
+/// Requires `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn split_nibbles_zmm(bytes: &[u8], codes: &mut [u16]) {
     use core::arch::x86_64::{
-        _mm256_cvtepu8_epi16, _mm256_storeu_si256, _mm512_and_si512, _mm512_cvtepu8_epi32,
-        _mm512_cvtepu8_epi64, _mm512_or_si512, _mm512_set1_epi64, _mm512_setr_epi64,
-        _mm512_slli_epi32, _mm512_slli_epi64, _mm512_sllv_epi64, _mm512_srli_epi32,
-        _mm512_srli_epi64, _mm512_srlv_epi64, _mm512_storeu_si512, _mm_cvtsi32_si128,
-        _mm_loadl_epi64, _mm_loadu_si128, _mm_unpacklo_epi8,
+        _mm512_and_si512, _mm512_cvtepu8_epi32, _mm512_or_si512, _mm512_set1_epi32,
+        _mm512_slli_epi32, _mm512_srli_epi32, _mm512_storeu_si512, _mm_loadu_si128,
     };
-    let step = 4 * BITS;
-    let whole = bytes.len() / step * step;
+    let whole = bytes.len() / 16 * 16;
     for (chunk, out) in bytes[..whole]
-        .chunks_exact(step)
+        .chunks_exact(16)
         .zip(codes.chunks_exact_mut(32))
     {
-        let (src, dst) = (chunk.as_ptr(), out.as_mut_ptr());
-        // SAFETY: `src` reads the `step` bytes of `chunk` and `dst` writes
-        // the 32 codes (64 bytes) of `out`, unaligned loads and stores both.
+        // SAFETY: the load reads the 16 bytes of `chunk` and the store
+        // writes the 32 codes (64 bytes) of `out`, both unaligned.
         unsafe {
-            let lanes = match BITS {
-                1 => {
-                    // Each byte twice, a qword each: the even lane takes
-                    // bits 7..4, the odd one bits 3..0.
-                    let word = u32::from_le_bytes(chunk.try_into().expect("four bytes"));
-                    let v = _mm_cvtsi32_si128(word as i32);
-                    let x = _mm512_cvtepu8_epi64(_mm_unpacklo_epi8(v, v));
-                    let pair = |even: i64, odd: i64| {
-                        _mm512_setr_epi64(even, odd, even, odd, even, odd, even, odd)
-                    };
-                    let lanes = _mm512_or_si512(
-                        _mm512_or_si512(
-                            _mm512_srlv_epi64(x, pair(7, 3)),
-                            _mm512_sllv_epi64(x, pair(10, 14)),
-                        ),
-                        _mm512_or_si512(
-                            _mm512_sllv_epi64(x, pair(27, 31)),
-                            _mm512_sllv_epi64(x, pair(44, 48)),
-                        ),
-                    );
-                    _mm512_and_si512(lanes, _mm512_set1_epi64(0x0001_0001_0001_0001))
-                }
-                2 => {
-                    let x = _mm512_cvtepu8_epi64(_mm_loadl_epi64(src.cast()));
-                    let lanes = _mm512_or_si512(
-                        _mm512_or_si512(_mm512_srli_epi64::<6>(x), _mm512_slli_epi64::<12>(x)),
-                        _mm512_or_si512(_mm512_slli_epi64::<30>(x), _mm512_slli_epi64::<48>(x)),
-                    );
-                    _mm512_and_si512(lanes, _mm512_set1_epi64(0x0003_0003_0003_0003))
-                }
-                4 => {
-                    let x = _mm512_cvtepu8_epi32(_mm_loadu_si128(src.cast()));
-                    let lanes =
-                        _mm512_or_si512(_mm512_srli_epi32::<4>(x), _mm512_slli_epi32::<16>(x));
-                    _mm512_and_si512(lanes, _mm512_set1_epi64(0x000F_000F_000F_000F))
-                }
-                _ => {
-                    for half in 0..2 {
-                        let wide = _mm256_cvtepu8_epi16(_mm_loadu_si128(src.add(16 * half).cast()));
-                        _mm256_storeu_si256(dst.add(16 * half).cast(), wide);
-                    }
-                    continue;
-                }
-            };
-            _mm512_storeu_si512(dst.cast(), lanes);
+            let x = _mm512_cvtepu8_epi32(_mm_loadu_si128(chunk.as_ptr().cast()));
+            let lanes = _mm512_or_si512(_mm512_srli_epi32::<4>(x), _mm512_slli_epi32::<16>(x));
+            let codes = _mm512_and_si512(lanes, _mm512_set1_epi32(0x000F_000F));
+            _mm512_storeu_si512(out.as_mut_ptr().cast(), codes);
         }
     }
-    split_bytes::<BITS>(&bytes[whole..], &mut codes[whole * 8 / BITS..]);
+    split_bytes::<4>(&bytes[whole..], &mut codes[whole * 2..]);
 }
 
 #[cfg(test)]
@@ -423,10 +403,11 @@ mod tests {
     }
 
     /// Both arms of the slice unpack — `unpack_u16s_on` at every level the
-    /// host has: `Scalar` splits bytes with `split_bytes`, `Avx512` with
-    /// `split_zmm` — against the `pull` sequence, bit for bit: at each
-    /// width dividing a byte, for every byte length up to 67 (every tail of
-    /// the vector step, whose 32 codes take 4 to 32 bytes) with a ragged
+    /// host has: `Scalar` splits bytes with `split_bytes`, `Avx512` 4-bit
+    /// codes with `split_nibbles_zmm` and 1-bit ones with `split_zmm` —
+    /// against the `pull` sequence, bit for bit: at each width dividing a
+    /// byte, for every byte length up to 67 (every tail of the 16-byte
+    /// vector step, past four whole steps) with a ragged
     /// last byte or none, from every start offset inside a byte (offset 0
     /// splits bytes, every other one decodes windows).
     #[test]
@@ -526,6 +507,16 @@ mod tests {
         assert_eq!(r.pull_u16s_into(4, 4, &mut out), Some(()));
         assert_eq!(out, [7, 0xA, 0xB, 0xC, 0xD]);
         assert_eq!(r.pull_u16s_into(4, 1, &mut out), None);
+    }
+
+    #[test]
+    fn refused_bulk_pull_does_not_grow_the_buffer() {
+        let mut out = Vec::with_capacity(4);
+        let mut r = BitReader::new(&[0xAB, 0xCD]);
+        for count in [5, 1 << 20, usize::MAX] {
+            assert_eq!(r.pull_u16s_into(4, count, &mut out), None);
+            assert_eq!((out.len(), out.capacity()), (0, 4), "{count} codes");
+        }
     }
 
     #[test]

@@ -424,16 +424,19 @@ pub fn decode_feedback_into(
     frame: &[u8],
     payload: &mut QuantizedFeedback,
 ) -> Result<(), SplitBeamError> {
-    payload.codes.clear();
     match check_frame(frame) {
         Ok(header) => {
             (payload.bits_per_value, payload.min, payload.max) =
                 (header.bits_per_value, header.min, header.max);
+            // Every code is overwritten, so a buffer already holding
+            // `count` codes is not zero-filled first.
+            payload.codes.truncate(header.count);
             payload.codes.resize(header.count, 0);
             unpack_codes(frame, &header, &mut payload.codes);
             Ok(())
         }
         Err(e) => {
+            payload.codes.clear();
             (payload.bits_per_value, payload.min, payload.max) = (1, 0.0, 0.0);
             Err(e)
         }
@@ -751,6 +754,24 @@ mod tests {
         let mut payload = cleared.clone();
         decode_feedback_into(&frame, &mut payload).unwrap();
         assert_eq!(payload, good);
+    }
+
+    #[test]
+    fn decode_into_a_used_buffer_is_the_fresh_decode() {
+        // A reused buffer is not zero-filled first: whether it holds more,
+        // fewer or as many stale codes, every code is overwritten.
+        let frames: Vec<Vec<u8>> = [(40, 4), (12, 9), (40, 4), (40, 4), (77, 2)]
+            .iter()
+            .map(|&(n, bits)| {
+                encode_feedback(&quantize_bottleneck(&sample_values(n), bits)).unwrap()
+            })
+            .collect();
+        let mut payload = decode_feedback(&frames[4]).unwrap();
+        payload.codes.iter_mut().for_each(|c| *c = 0xBEEF);
+        for (i, frame) in frames.iter().enumerate() {
+            decode_feedback_into(frame, &mut payload).unwrap();
+            assert_eq!(payload, decode_feedback(frame).unwrap(), "frame {i}");
+        }
     }
 
     #[test]
